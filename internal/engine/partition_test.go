@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -50,9 +51,33 @@ func partSource(seed int64, rows, srcParts int) *sources.PartitionedSource {
 	return sources.NewPartitionedSource("events", partSchema, parts)
 }
 
+// othersSchema is the right side of the stream-stream join shape.
+var othersSchema = sql.NewSchema(
+	sql.Field{Name: "k2", Type: sql.TypeString},
+	sql.Field{Name: "m", Type: sql.TypeInt64},
+	sql.Field{Name: "ts2", Type: sql.TypeTimestamp},
+)
+
+// othersSource deals the join's right side like partSource deals the left:
+// same key space and event-time span, different values.
+func othersSource(seed int64, rows, srcParts int) *sources.PartitionedSource {
+	rng := rand.New(rand.NewSource(seed + 1000))
+	parts := make([][]sql.Row, srcParts)
+	for i := 0; i < rows; i++ {
+		p := i % srcParts
+		parts[p] = append(parts[p], sql.Row{
+			fmt.Sprintf("k%d", rng.Intn(8)),
+			int64(rng.Intn(100)),
+			int64(i/srcParts)*sec + int64(rng.Intn(3))*sec,
+		})
+	}
+	return sources.NewPartitionedSource("others", othersSchema, parts)
+}
+
 // partPlans are the fuzzed query shapes: stateless, dedup (the fully
-// vectorized exchange path), and keyed/windowed aggregation (the
-// partial-agg shuffle path).
+// vectorized exchange path), keyed/windowed aggregation (the partial-agg
+// shuffle path), and a stream-stream outer join (two map sides into one
+// stateful reduce, with rows emitted both on match and at eviction).
 func partPlans(t *testing.T) map[string]*incremental.Query {
 	t.Helper()
 	return map[string]*incremental.Query{
@@ -87,22 +112,32 @@ func partPlans(t *testing.T) map[string]*incremental.Query {
 				{Agg: sql.SumOf(sql.Col("n")), Name: "total"},
 			},
 		}, logical.Update, nil),
+		"outer-join-append": compile(t, &logical.Join{
+			Left:  &logical.WithWatermark{Child: partScan(), Column: "ts", Delay: 4 * sec},
+			Right: &logical.WithWatermark{Child: &logical.Scan{Name: "others", Streaming: true, Out: othersSchema}, Column: "ts2", Delay: 4 * sec},
+			Type:  logical.LeftOuterJoin,
+			Cond: sql.And(sql.Eq(sql.Col("k"), sql.Col("k2")), sql.And(
+				sql.Ge(sql.Col("ts2"), sql.Col("ts")),
+				sql.Le(sql.Col("ts2"), sql.Add(sql.Col("ts"), sql.IntervalLit(3*sec))))),
+		}, logical.Append, nil),
 	}
 }
 
 // runPartitioned drives one preloaded query to completion and returns its
 // sink.
-func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, vectorize bool) *sinks.MemorySink {
+func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, vectorize bool, backend string) *sinks.MemorySink {
 	t.Helper()
 	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": partSource(seed, 96, 2)}, sink, Options{
+	srcs := map[string]sources.Source{"events": partSource(seed, 96, 2), "others": othersSource(seed, 96, 2)}
+	sq := startQuery(t, q, srcs, sink, Options{
 		Workers:              workers,
 		NumPartitions:        2,
 		MaxRecordsPerTrigger: 16,
 		Vectorize:            Bool(vectorize),
+		StateBackend:         backend,
 	})
 	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatalf("workers=%d vectorize=%v: %v", workers, vectorize, err)
+		t.Fatalf("workers=%d vectorize=%v backend=%s: %v", workers, vectorize, backend, err)
 	}
 	if err := sq.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -111,23 +146,68 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 }
 
 // TestPartitionDifferentialFuzz is the tentpole's correctness gate: for
-// every fuzzed query shape, vectorize setting, and worker degree, the
-// sharded runtime's sink must match the single-worker run row for row, in
-// order.
+// every fuzzed query shape, vectorize setting, state backend and worker
+// degree, the sharded runtime's sink must match the single-worker
+// memory-backend run row for row, in order.
 func TestPartitionDifferentialFuzz(t *testing.T) {
 	for name, q := range partPlans(t) {
 		for _, vectorize := range []bool{false, true} {
 			for _, seed := range []int64{1, 99} {
-				golden := runPartitioned(t, q, seed, 1, vectorize).Rows()
+				golden := runPartitioned(t, q, seed, 1, vectorize, "memory").Rows()
 				if len(golden) == 0 {
 					t.Fatalf("%s: golden run emitted nothing", name)
 				}
-				for _, workers := range []int{2, 4} {
-					got := runPartitioned(t, q, seed, workers, vectorize).Rows()
-					ctx := fmt.Sprintf("%s seed=%d vectorize=%v workers=%d", name, seed, vectorize, workers)
-					rowsExactlyEqual(t, got, golden, ctx)
+				for _, backend := range []string{"memory", "lsm"} {
+					for _, workers := range []int{1, 2, 4} {
+						if backend == "memory" && workers == 1 {
+							continue // the golden run itself
+						}
+						got := runPartitioned(t, q, seed, workers, vectorize, backend).Rows()
+						ctx := fmt.Sprintf("%s seed=%d vectorize=%v backend=%s workers=%d", name, seed, vectorize, backend, workers)
+						rowsExactlyEqual(t, got, golden, ctx)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestOuterJoinReplaysToIdenticalBytes: the rows an outer stream-stream join
+// emits when the watermark evicts unmatched buffered rows come out in the
+// eviction index's order — (event time, join key, arrival index) — not in
+// whatever order the store iterates. Two runs, and both state backends, must
+// write byte-identical sink files.
+func TestOuterJoinReplaysToIdenticalBytes(t *testing.T) {
+	q := partPlans(t)["outer-join-append"]
+	var golden map[string][]byte
+	for _, backend := range []string{"memory", "memory", "lsm", "lsm"} {
+		dir := t.TempDir()
+		srcs := map[string]sources.Source{"events": partSource(5, 192, 2), "others": othersSource(5, 192, 2)}
+		sq := startQuery(t, q, srcs, &sinks.JSONFileSink{Dir: dir}, Options{
+			NumPartitions:        2,
+			MaxRecordsPerTrigger: 48, // epochs wide enough to evict several unmatched rows each
+			StateBackend:         backend,
+		})
+		if err := sq.ProcessAllAvailable(); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if err := sq.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		got := dirContents(t, dir)
+		if golden == nil {
+			golden = got
+			var all []byte
+			for _, data := range got {
+				all = append(all, data...)
+			}
+			if padded := bytes.Count(all, []byte(`"k2":null`)); padded < 8 || padded == bytes.Count(all, []byte(`"k2":`)) {
+				t.Fatalf("want both matched and null-padded rows, got %d padded of %d", padded, bytes.Count(all, []byte(`"k2":`)))
+			}
+			continue
+		}
+		if d := sinkDiff(golden, got); d != "" {
+			t.Fatalf("%s run diverged from the first run:\n%s", backend, d)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package incremental
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
+	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/optimizer"
 
@@ -215,20 +218,50 @@ func TestStreamingDedupEviction(t *testing.T) {
 // ---------------------------------------------------------------- join op
 
 func TestStreamStreamJoinStateEncoding(t *testing.T) {
-	entries := []joinEntry{
+	enc := codec.NewEncoder(0)
+	for _, want := range []joinEntry{
 		{row: sql.Row{"a", 1.5}, matched: true, ts: 42},
 		{row: sql.Row{nil, int64(-7)}, matched: false, ts: -1},
+	} {
+		var got joinEntry
+		if err := got.decode(want.encode(enc)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded = %+v, want %+v", got, want)
+		}
 	}
-	decoded, err := decodeEntries(encodeEntries(entries))
-	if err != nil {
-		t.Fatal(err)
+	if err := new(joinEntry).decode([]byte{0xff}); err == nil {
+		t.Error("corrupt entry should error")
 	}
-	if len(decoded) != 2 || decoded[0].ts != 42 || !decoded[0].matched || decoded[1].row[1] != int64(-7) {
-		t.Fatalf("decoded = %+v", decoded)
+	hdr := joinSide{lo: 3, hi: 300, live: 7}
+	var got joinSide
+	if err := got.decodeHeader(hdr.encodeHeader()); err != nil || !reflect.DeepEqual(got, hdr) {
+		t.Fatalf("header = %+v err=%v", got, err)
 	}
-	if _, err := decodeEntries([]byte{0xff}); err == nil {
-		t.Error("corrupt entries should error")
+	// Time-index keys order by (side, ts, join key, idx).
+	kb := codec.EncodeValues([]sql.Value{"k"})
+	a, b := new(joinKeyBuf).key(tagTime, 'L', 255, kb, 9), new(joinKeyBuf).key(tagTime, 'L', 256, kb, 2)
+	if bytes.Compare(a, b) >= 0 {
+		t.Errorf("time index does not order by ts: %x !< %x", a, b)
 	}
+	ts, gotKB, idx, err := parseJoinTimeKey(a)
+	if err != nil || ts != 255 || !bytes.Equal(gotKB, kb) || idx != 9 {
+		t.Errorf("parsed (%d, %x, %d, %v)", ts, gotKB, idx, err)
+	}
+}
+
+// joinStateRows counts the store's buffered rows: entry keys only, not the
+// headers, the time index or the eviction floor.
+func joinStateRows(store *state.Store) int {
+	n := 0
+	store.Iterate(func(k, _ []byte) bool {
+		if k[0] == tagEntry {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 func TestStreamStreamJoinNullKeysNeverMatch(t *testing.T) {
@@ -247,8 +280,8 @@ func TestStreamStreamJoinNullKeysNeverMatch(t *testing.T) {
 	if len(out) != 0 {
 		t.Errorf("NULL keys matched: %v", out)
 	}
-	if store.NumKeys() != 0 {
-		t.Errorf("NULL-keyed rows buffered: %d", store.NumKeys())
+	if store.NumKeys() != 1 { // the eviction floor alone
+		t.Errorf("NULL-keyed rows buffered: %d keys", store.NumKeys())
 	}
 }
 
@@ -274,8 +307,8 @@ func TestStreamStreamJoinWatermarkEviction(t *testing.T) {
 	if out[0][0] != "k" || out[0][2] != nil {
 		t.Errorf("padded row = %v", out[0])
 	}
-	if store.NumKeys() != 0 {
-		t.Errorf("state not evicted")
+	if joinStateRows(store) != 0 || store.NumKeys() != 1 {
+		t.Errorf("state not evicted: %d rows, %d keys", joinStateRows(store), store.NumKeys())
 	}
 }
 

@@ -1,0 +1,477 @@
+package incremental
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"structream/internal/sql"
+	"structream/internal/sql/codec"
+	"structream/internal/sql/logical"
+	"structream/internal/state"
+)
+
+// Tests that hold the indexed join state layout to the list-valued reference
+// in join_oracle_test.go, and to its own cost claims.
+
+// joinStore opens one partition's store for the join on the given backend.
+// The lsm memtable is small enough that these workloads flush and compact.
+func joinStore(t testing.TB, backend state.Backend) (*state.Provider, *state.Store) {
+	t.Helper()
+	p := state.NewProvider(t.TempDir())
+	p.Backend, p.MemtableBytes = backend, 16<<10
+	t.Cleanup(p.Close)
+	s, err := p.Open(state.ID{Operator: "join", Partition: 0}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, s
+}
+
+// bufferedRow is one live buffered row as either layout describes it.
+type bufferedRow struct {
+	side    byte
+	key     string
+	row     string
+	ts      int64
+	matched bool
+}
+
+// oracleBuffered lists the reference store's live rows, per (side, key) in
+// list order.
+func oracleBuffered(t *testing.T, store *state.Store) []bufferedRow {
+	t.Helper()
+	var out []bufferedRow
+	store.Iterate(func(k, v []byte) bool {
+		entries, err := oracleDecodeEntries(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			out = append(out, bufferedRow{k[0], string(k[1:]), e.row.String(), e.ts, e.matched})
+		}
+		return true
+	})
+	sort.SliceStable(out, func(a, b int) bool {
+		return out[a].side < out[b].side || out[a].side == out[b].side && out[a].key < out[b].key
+	})
+	return out
+}
+
+// indexedBuffered lists the new layout's live rows per (side, key) in idx
+// order, after checking the layout's invariants: every header counts exactly
+// the entries inside its range, every entry sits under a header, and the time
+// index holds exactly the evictable entries.
+func indexedBuffered(t *testing.T, j *StreamStreamJoin, store *state.Store) []bufferedRow {
+	t.Helper()
+	type group struct {
+		hdr     joinSide
+		hasHdr  bool
+		entries int
+	}
+	groups := map[string]*group{}
+	at := func(side byte, kb []byte) *group {
+		g := groups[string(side)+string(kb)]
+		if g == nil {
+			g = &group{}
+			groups[string(side)+string(kb)] = g
+		}
+		return g
+	}
+	var out []bufferedRow
+	evictable, indexed := map[string]bool{}, map[string]bool{}
+	eventIdx := map[byte]int{'L': j.LeftEventIdx, 'R': j.RightEventIdx}
+	store.Range(nil, nil, func(k, v []byte) bool { // ascending: entries of one key come in idx order
+		switch k[0] {
+		case tagFloor:
+		case tagHeader:
+			g := at(k[1], k[2:])
+			if err := g.hdr.decodeHeader(v); err != nil {
+				t.Fatalf("header %x: %v", k, err)
+			}
+			g.hasHdr = true
+		case tagEntry:
+			kb, idx := k[2:len(k)-8], k[len(k)-8:]
+			var e joinEntry
+			if err := e.decode(v); err != nil {
+				t.Fatalf("entry %x: %v", k, err)
+			}
+			at(k[1], kb).entries++
+			out = append(out, bufferedRow{k[1], string(kb), e.row.String(), e.ts, e.matched})
+			if e.ts >= 0 && eventIdx[k[1]] >= 0 {
+				evictable[string(new(joinKeyBuf).key(tagTime, k[1], e.ts, kb, 0)[:10+len(kb)])+string(idx)] = true
+			}
+		case tagTime:
+			if _, _, _, err := parseJoinTimeKey(k); err != nil {
+				t.Fatalf("time key %x: %v", k, err)
+			}
+			indexed[string(k)] = true
+		default:
+			t.Fatalf("foreign key %x in join state", k)
+		}
+		return true
+	})
+	for name, g := range groups {
+		if !g.hasHdr || uint64(g.entries) != g.hdr.live {
+			t.Fatalf("key %q: header %+v (present=%v) over %d entries", name, g.hdr, g.hasHdr, g.entries)
+		}
+	}
+	if !reflect.DeepEqual(evictable, indexed) {
+		t.Fatalf("time index holds %d keys, evictable entries are %d", len(indexed), len(evictable))
+	}
+	return out
+}
+
+func rowStrings(rows []sql.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return out
+}
+
+// bandResidual is |l.ts - r.ts| ≤ 4 s over (key, ts, id) rows of both sides,
+// NULL-safe like a bound expression.
+func bandResidual(r sql.Row) sql.Value {
+	l, lok := r[1].(int64)
+	rt, rok := r[4].(int64)
+	if !lok || !rok {
+		return nil
+	}
+	return l-rt <= 4*sec && rt-l <= 4*sec
+}
+
+// TestJoinDifferentialAgainstListLayout replays random two-sided streams —
+// skewed and NULL keys, out-of-order and late rows, empty and lopsided epochs,
+// store reloads — through the indexed layout and the list-valued reference.
+// Matched rows must agree in order, eviction-time rows as a per-epoch
+// multiset (the reference emits them in map order), and the live buffered
+// rows, in per-key order, after every epoch.
+func TestJoinDifferentialAgainstListLayout(t *testing.T) {
+	for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin, logical.RightOuterJoin} {
+		for _, withResidual := range []bool{false, true} {
+			for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
+				for seed := int64(1); seed <= 4; seed++ {
+					name := fmt.Sprintf("%v/residual=%v/%s/seed%d", typ, withResidual, backend, seed)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(seed))
+						j := &StreamStreamJoin{OpName: "join", Type: typ, LeftArity: 3, RightArity: 3,
+							LeftEventIdx: 1, RightEventIdx: 1}
+						if withResidual {
+							j.Residual = bandResidual
+						}
+						if seed == 4 { // one side without a watermark: its rows are never evicted
+							if typ == logical.RightOuterJoin {
+								j.LeftEventIdx = -1
+							} else {
+								j.RightEventIdx = -1
+							}
+						}
+						prov, store := joinStore(t, backend)
+						_, ref := joinStore(t, state.BackendMemory)
+						var clock, watermark int64 = 100 * sec, 0
+						nextID := int64(0)
+						var matchedRows, evictionRows, peakLive, lateRows int
+						gen := func(n int, eventIdx int) []sql.Row {
+							rows := make([]sql.Row, n)
+							for i := range rows {
+								var key sql.Value = fmt.Sprintf("k%d", int(rng.ExpFloat64()*2)) // k0 is hot
+								if rng.Intn(12) == 0 {
+									key = nil
+								}
+								ts := clock + rng.Int63n(6*sec) - 3*sec // out of order within a key
+								if rng.Intn(15) == 0 {
+									ts -= 30 * sec // late: behind any watermark
+									lateRows++
+								}
+								clock += sec / 2
+								nextID++
+								shuffleTs, rowTs := ts, sql.Value(ts)
+								if eventIdx < 0 {
+									shuffleTs = -1
+								} else if rng.Intn(20) == 0 { // NULL event time: never evicted, later rows of its key are
+									shuffleTs, rowTs = -1, nil
+								}
+								rows[i] = JoinShuffleRow([]sql.Value{key}, shuffleTs, sql.Row{key, rowTs, nextID})
+							}
+							return rows
+						}
+						for epoch := int64(0); epoch < 40; epoch++ {
+							sizes := [2]int{rng.Intn(40), rng.Intn(40)}
+							if rng.Intn(6) == 0 {
+								sizes[rng.Intn(2)] = 0
+							}
+							inputs := [][]sql.Row{gen(sizes[0], j.LeftEventIdx), gen(sizes[1], j.RightEventIdx)}
+							ctx := &EpochContext{Epoch: epoch, Watermark: watermark, Mode: logical.Append}
+							got, err := j.Process(ctx, store, inputs)
+							if err != nil {
+								t.Fatalf("epoch %d: %v", epoch, err)
+							}
+							want, evictedFrom, err := oracleJoinProcess(j, ctx, ref, inputs)
+							if err != nil {
+								t.Fatalf("epoch %d: oracle: %v", epoch, err)
+							}
+							if len(got) != len(want) {
+								t.Fatalf("epoch %d: %d rows, reference %d", epoch, len(got), len(want))
+							}
+							g, w := rowStrings(got), rowStrings(want)
+							matchedRows, evictionRows = matchedRows+evictedFrom, evictionRows+len(want)-evictedFrom
+							if !reflect.DeepEqual(g[:evictedFrom], w[:evictedFrom]) {
+								t.Fatalf("epoch %d: matched rows differ\n got %v\nwant %v", epoch, g[:evictedFrom], w[:evictedFrom])
+							}
+							sort.Strings(g[evictedFrom:])
+							sort.Strings(w[evictedFrom:])
+							if !reflect.DeepEqual(g, w) {
+								t.Fatalf("epoch %d: eviction-time rows differ\n got %v\nwant %v", epoch, g[evictedFrom:], w[evictedFrom:])
+							}
+							if err := store.Commit(epoch); err != nil {
+								t.Fatal(err)
+							}
+							if err := ref.Commit(epoch); err != nil {
+								t.Fatal(err)
+							}
+							if rng.Intn(5) == 0 { // recovery: rebuild the store from its files
+								prov.Evict(store.ID())
+								if store, err = prov.Open(store.ID(), epoch); err != nil {
+									t.Fatal(err)
+								}
+							}
+							live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref)
+							for i := range refLive {
+								if preserved := j.preserves(strings.IndexByte("LR", refLive[i].side)); !preserved {
+									refLive[i].matched = false // only read, so only kept, on the preserved side
+								}
+							}
+							if !reflect.DeepEqual(live, refLive) {
+								t.Fatalf("epoch %d: buffered rows differ\n got %v\nwant %v", epoch, live, refLive)
+							}
+							if len(live) == 0 && store.NumKeys() != 1 {
+								t.Fatalf("epoch %d: nothing buffered, yet %d keys beside the floor", epoch, store.NumKeys()-1)
+							}
+							peakLive = max(peakLive, len(live))
+							if rng.Intn(3) > 0 {
+								watermark = max(watermark, clock-10*sec)
+							}
+						}
+						// The stream must have exercised what the comparison is about.
+						if matchedRows == 0 || lateRows == 0 || peakLive < 20 || (typ != logical.InnerJoin) != (evictionRows > 0) {
+							t.Fatalf("weak run: %d matched, %d at eviction, %d late, peak %d buffered",
+								matchedRows, evictionRows, lateRows, peakLive)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestJoinHotKeyStaysLinear appends N and 4N rows per side, every row of a
+// side on one join key (a different one per side, so the pair evaluations
+// inherent to any join are zero and what remains is state maintenance). With
+// one list per join key each append rewrote the whole list: bytes written
+// and time spent per row both grew with N. Per-row entries keep both flat.
+func TestJoinHotKeyStaysLinear(t *testing.T) {
+	const perEpoch = 250
+	run := func(n int) (bytesPerRow, nsPerRow float64) {
+		j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 2, RightArity: 2,
+			LeftEventIdx: 1, RightEventIdx: 1}
+		prov, store := joinStore(t, state.BackendLSM)
+		var spent time.Duration
+		for epoch := 0; epoch*perEpoch < n; epoch++ {
+			var inputs [2][]sql.Row
+			for s, key := range []sql.Value{"left-hot", "right-hot"} {
+				for i := 0; i < perEpoch; i++ {
+					ts := int64(epoch*perEpoch+i+1) * sec
+					inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}))
+				}
+			}
+			// A watermark that never reaches a row: eviction runs and finds nothing.
+			ctx := &EpochContext{Epoch: int64(epoch), Watermark: 1, Mode: logical.Append}
+			start := time.Now()
+			if _, err := j.Process(ctx, store, inputs[:]); err != nil {
+				t.Fatal(err)
+			}
+			spent += time.Since(start)
+			if err := store.Commit(int64(epoch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deltas, err := filepath.Glob(filepath.Join(prov.Dir(), "state", "join", "0", "*.delta"))
+		if err != nil || len(deltas) == 0 {
+			t.Fatalf("no delta log found: %v", err)
+		}
+		var total int64
+		for _, path := range deltas {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += info.Size()
+		}
+		return float64(total) / float64(2*n), float64(spent.Nanoseconds()) / float64(2*n)
+	}
+	best := func(n int) (bytesPerRow, nsPerRow float64) {
+		for rep := 0; rep < 3; rep++ { // the fastest of three keeps a noisy neighbour out of the ratio
+			b, ns := run(n)
+			if rep == 0 || ns < nsPerRow {
+				bytesPerRow, nsPerRow = b, ns
+			}
+		}
+		return bytesPerRow, nsPerRow
+	}
+	smallBytes, smallNs := best(2000)
+	largeBytes, largeNs := best(8000)
+	t.Logf("N=2000: %.0f B/row, %.0f ns/row; N=8000: %.0f B/row, %.0f ns/row", smallBytes, smallNs, largeBytes, largeNs)
+	if largeBytes > 1.5*smallBytes {
+		t.Errorf("delta-log bytes per row grew %.2f× from N to 4N", largeBytes/smallBytes)
+	}
+	if largeNs > 1.5*smallNs {
+		t.Errorf("Process time per row grew %.2f× from N to 4N", largeNs/smallNs)
+	}
+}
+
+// TestJoinProbeReadsFollowLiveRows: a row with no event time on a watermarked
+// side is never evicted, so it holds its key's range open while every row
+// appended after it comes and goes. A probe reads the whole range, so the
+// range must stay within a constant factor of the live rows — not grow with
+// the rows ever appended — and renumbering them must change nothing the
+// reference sees.
+func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
+	const perEpoch, epochs = 200, 60
+	j := &StreamStreamJoin{OpName: "join", Type: logical.RightOuterJoin, LeftArity: 3, RightArity: 3,
+		LeftEventIdx: 1, RightEventIdx: 1, Residual: bandResidual}
+	_, store := joinStore(t, state.BackendLSM)
+	_, ref := joinStore(t, state.BackendMemory)
+	hdrKey := new(joinKeyBuf).key(tagHeader, 'R', 0, codec.EncodeValues([]sql.Value{"k"}), 0)
+	id := int64(0)
+	row := func(ts int64) sql.Row {
+		id++
+		if ts < 0 {
+			return JoinShuffleRow([]sql.Value{"k"}, -1, sql.Row{"k", nil, id})
+		}
+		return JoinShuffleRow([]sql.Value{"k"}, ts, sql.Row{"k", ts, id})
+	}
+	for epoch := int64(0); epoch < epochs; epoch++ {
+		// The watermark passes every row of the epoch before: the right side
+		// holds the pinned row and one epoch's rows, whatever the epoch.
+		ctx := &EpochContext{Epoch: epoch, Watermark: (epoch*perEpoch + 1) * sec, Mode: logical.Append}
+		inputs := [][]sql.Row{{row(epoch * perEpoch * sec)}, nil} // probes the right side, matches its newest rows
+		if epoch == 0 {
+			inputs[1] = append(inputs[1], row(-1))
+		}
+		for i := int64(1); i <= perEpoch; i++ {
+			inputs[1] = append(inputs[1], row((epoch*perEpoch+i)*sec))
+		}
+		start := time.Now()
+		got, err := j.Process(ctx, store, inputs)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		if epoch == 1 || epoch == epochs-1 {
+			t.Logf("epoch %d: Process took %v", epoch, time.Since(start))
+		}
+		want, evictedFrom, err := oracleJoinProcess(j, ctx, ref, inputs)
+		if err != nil {
+			t.Fatalf("epoch %d: oracle: %v", epoch, err)
+		}
+		g, w := rowStrings(got), rowStrings(want)
+		if len(g) != len(w) || epoch > 0 && (evictedFrom == 0 || evictedFrom == len(w)) {
+			t.Fatalf("epoch %d: %d rows, reference %d of which %d matched", epoch, len(g), len(w), evictedFrom)
+		}
+		sort.Strings(g[evictedFrom:])
+		sort.Strings(w[evictedFrom:])
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("epoch %d: rows differ\n got %v\nwant %v", epoch, g, w)
+		}
+		if err := errors.Join(store.Commit(epoch), ref.Commit(epoch)); err != nil {
+			t.Fatal(err)
+		}
+		if live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref); !reflect.DeepEqual(live, refLive) {
+			t.Fatalf("epoch %d: buffered rows differ\n got %v\nwant %v", epoch, live, refLive)
+		}
+		var hdr joinSide
+		if v, _ := store.Get(hdrKey); hdr.decodeHeader(v) != nil || hdr.live != perEpoch+1 {
+			t.Fatalf("epoch %d: right header %+v, want %d live", epoch, hdr, perEpoch+1)
+		}
+		if hdr.hi-hdr.lo > 3*hdr.live {
+			t.Fatalf("epoch %d: a probe reads %d indices for %d live rows", epoch, hdr.hi-hdr.lo, hdr.live)
+		}
+	}
+}
+
+// TestJoinRejectsOlderLayout: a checkpoint written by the list-valued layout
+// must fail loudly, not read as "no rows buffered".
+func TestJoinRejectsOlderLayout(t *testing.T) {
+	j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 1, RightArity: 1,
+		LeftEventIdx: -1, RightEventIdx: -1}
+	_, store := joinStore(t, state.BackendMemory)
+	left := []sql.Row{JoinShuffleRow([]sql.Value{"k"}, -1, sql.Row{"k"})}
+	if _, _, err := oracleJoinProcess(j, &EpochContext{}, store, [][]sql.Row{left, nil}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	_, err := j.Process(&EpochContext{Epoch: 1}, store, [][]sql.Row{nil, left})
+	if !errors.Is(err, errJoinLayout) {
+		t.Fatalf("err = %v, want the older-layout error", err)
+	}
+}
+
+// FuzzJoinState fuzzes the three decoders that read join state back: header
+// values, entry values and time-index keys. Accepted input must survive a
+// re-encode round trip; corrupt input must be an error, never a panic; and a
+// key of the list-valued layout must be named as such.
+func FuzzJoinState(f *testing.F) {
+	enc := codec.NewEncoder(0)
+	f.Add((&joinSide{lo: 1, hi: 9, live: 3}).encodeHeader())
+	f.Add((&joinEntry{row: sql.Row{"a", int64(7), nil, 1.5}, ts: 42, matched: true}).encode(enc))
+	f.Add((&joinEntry{row: sql.Row{}, ts: -1}).encode(enc))
+	f.Add(new(joinKeyBuf).key(tagTime, 'L', 1_600_000_000_000_000, codec.EncodeValues([]sql.Value{int64(12)}), 77))
+	f.Add(new(joinKeyBuf).key(tagTime, 'R', 0, nil, 0))
+	f.Add(new(joinKeyBuf).key(tagEntry, 'L', 0, []byte("k"), 3))
+	f.Add(append([]byte{'L'}, codec.EncodeValues([]sql.Value{"old"})...))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // an entry claiming a 4-billion-value row
+	// An entry whose string length wraps negative as an int (found by this fuzzer).
+	f.Add([]byte("0\x01\x04\x05\x97\x97\x97\x97\x97\x97\x97\x97\x97\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h joinSide
+		if err := h.decodeHeader(data); err == nil {
+			var again joinSide
+			if err := again.decodeHeader(h.encodeHeader()); err != nil || !reflect.DeepEqual(again, h) {
+				t.Fatalf("header %+v re-decoded as %+v (%v)", h, again, err)
+			}
+			if h.live == 0 || h.live > h.hi-h.lo {
+				t.Fatalf("accepted an impossible header %+v", h)
+			}
+		}
+		var e joinEntry
+		if err := e.decode(data); err == nil {
+			var again joinEntry
+			if err := again.decode(e.encode(enc)); err != nil || again.ts != e.ts || again.matched != e.matched ||
+				again.row.String() != e.row.String() {
+				t.Fatalf("entry %+v re-decoded as %+v (%v)", e, again, err)
+			}
+		}
+		ts, kb, idx, err := parseJoinTimeKey(data)
+		switch {
+		case err == nil:
+			if again := new(joinKeyBuf).key(tagTime, data[1], ts, kb, idx); !bytes.Equal(again, data) {
+				t.Fatalf("time key %x re-encoded as %x", data, again)
+			}
+		case len(data) > 0 && (data[0] == 'L' || data[0] == 'R'):
+			if !errors.Is(err, errJoinLayout) {
+				t.Fatalf("list-layout key %x: %v", data, err)
+			}
+		}
+	})
+}

@@ -95,13 +95,15 @@ func (m *FlatMapGroupsWithState) Process(ctx *EpochContext, store *state.Store, 
 	}
 
 	var out []sql.Row
-	invoke := func(keyBytes []byte, key sql.Row, rows []sql.Row, timedOut bool) error {
+	// invoke runs the update function for one group; data/ok are the group's
+	// state value as the store holds it.
+	invoke := func(keyBytes []byte, key sql.Row, rows []sql.Row, data []byte, ok, timedOut bool) error {
 		gs := &physical.GroupStateImpl{
 			WM:       ctx.Watermark,
 			Now:      ctx.ProcTime,
 			TimedOut: timedOut,
 		}
-		if data, ok := store.Get(keyBytes); ok {
+		if ok {
 			stateRow, _, _, err := decodeGroupState(data)
 			if err != nil {
 				return err
@@ -123,12 +125,18 @@ func (m *FlatMapGroupsWithState) Process(ctx *EpochContext, store *state.Store, 
 		return nil
 	}
 
-	updated := map[string]bool{}
-	for _, ks := range order {
+	// One batched read loads the state of every group this epoch touches
+	// (the groups are distinct, so no invocation changes what a later one
+	// reads). A group's map key is its state key: KeyString and EncodeValues
+	// render the same bytes.
+	keyBytes := make([][]byte, len(order))
+	for i, ks := range order {
+		keyBytes[i] = []byte(ks)
+	}
+	values, oks := store.GetBatch(keyBytes)
+	for i, ks := range order {
 		g := groups[ks]
-		keyBytes := codec.EncodeValues(g.key)
-		updated[string(keyBytes)] = true
-		if err := invoke(keyBytes, g.key, g.rows, false); err != nil {
+		if err := invoke(keyBytes[i], g.key, g.rows, values[i], oks[i], false); err != nil {
 			return nil, err
 		}
 	}
@@ -144,7 +152,7 @@ func (m *FlatMapGroupsWithState) Process(ctx *EpochContext, store *state.Store, 
 		var expired []fired
 		var iterErr error
 		store.Iterate(func(k, v []byte) bool {
-			if updated[string(k)] {
+			if _, updated := groups[string(k)]; updated {
 				return true
 			}
 			_, timeoutAt, eventTimed, err := decodeGroupState(v)
@@ -175,7 +183,8 @@ func (m *FlatMapGroupsWithState) Process(ctx *EpochContext, store *state.Store, 
 			return nil, iterErr
 		}
 		for _, f := range expired {
-			if err := invoke(f.keyBytes, f.key, nil, true); err != nil {
+			data, ok := store.Get(f.keyBytes)
+			if err := invoke(f.keyBytes, f.key, nil, data, ok, true); err != nil {
 				return nil, err
 			}
 		}

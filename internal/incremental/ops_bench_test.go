@@ -3,16 +3,21 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"structream/internal/fsx"
 	"structream/internal/sql"
+	"structream/internal/sql/logical"
 	"structream/internal/sql/vec"
+	"structream/internal/state"
 )
 
 // Micro-benchmarks for the map-side partial aggregator: the per-row update
 // path (whose group hits now compare cached key bytes instead of
 // re-rendering the key), and the columnar updateBatch (grouping pass +
-// bulk kernels, no per-row boxing).
+// bulk kernels, no per-row boxing) — and, at the end, for the stream-stream
+// join's state maintenance.
 
 func benchAggs() []sql.BoundAgg {
 	countAll := sql.BoundAgg{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}
@@ -97,5 +102,72 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 			}
 			b.SetBytes(8192)
 		})
+	}
+}
+
+// BenchmarkStreamStreamJoin is the stream-stream join's entry in the
+// per-layer micro-suite: one op is one epoch of joinBenchEpoch rows per side
+// through Process and Commit, with the watermark trailing the newest event
+// time by a fixed delay, so the buffers fill and then hold steady. uniform
+// spreads the rows over many join keys; hotkey puts a fifth of them on one.
+// It reports what the operator costs per input row.
+func BenchmarkStreamStreamJoin(b *testing.B) {
+	const joinBenchEpoch = 1024
+	for _, skew := range []string{"uniform", "hotkey"} {
+		for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
+			b.Run(fmt.Sprintf("%s/%s", skew, backend), func(b *testing.B) {
+				j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 3, RightArity: 3,
+					LeftEventIdx: 1, RightEventIdx: 1,
+					Residual: func(r sql.Row) sql.Value { // right within 2 s after left
+						d := r[4].(int64) - r[1].(int64)
+						return d >= 0 && d <= 2*sec
+					}}
+				// fsync time is the device's, not the operator's.
+				prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
+				prov.Backend, prov.MemtableBytes, prov.BackgroundMaintenance = backend, 256<<10, true
+				defer prov.Close()
+				store, err := prov.Open(state.ID{Operator: "join"}, -1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(1))
+				clock := int64(0)
+				epoch := func(version int64) {
+					var inputs [2][]sql.Row
+					for i := 0; i < joinBenchEpoch; i++ {
+						clock += sec / 100 // 100 rows per side per event-time second
+						for s := range inputs {
+							key := int64(rng.Intn(4096))
+							if skew == "hotkey" && rng.Intn(5) == 0 {
+								key = -1
+							}
+							inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, clock, sql.Row{key, clock, version}))
+						}
+					}
+					ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-40*sec), Mode: logical.Append}
+					if _, err := j.Process(ctx, store, inputs[:]); err != nil {
+						b.Fatal(err)
+					}
+					if err := store.Commit(version); err != nil {
+						b.Fatal(err)
+					}
+				}
+				const warm = 6 // epochs until the 40 s of buffered rows hold steady
+				for v := int64(0); v < warm; v++ {
+					epoch(v)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					epoch(warm + int64(i))
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				rows := float64(b.N) * 2 * joinBenchEpoch
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
+		}
 	}
 }

@@ -52,12 +52,8 @@ type memIter struct {
 	tomb bool
 }
 
-func newMemIter(m *memtable, from string) *memIter {
-	it := &memIter{m: m, keys: m.sortedKeys()}
-	for it.i < len(it.keys) && it.keys[it.i] < from {
-		it.i++
-	}
-	return it
+func newMemIter(m *memtable, from, to string) *memIter {
+	return &memIter{m: m, keys: m.sortedKeys(from, to)}
 }
 
 func (it *memIter) next() bool {

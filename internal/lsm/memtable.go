@@ -58,11 +58,18 @@ func (m *memtable) put(key string, value []byte, tomb bool) {
 
 func (m *memtable) len() int { return len(m.entries) }
 
-// sortedKeys returns the keys ascending — the flush and scan order.
-func (m *memtable) sortedKeys() []string {
-	keys := make([]string, 0, len(m.entries))
+// sortedKeys returns the keys in [from, to] ascending — the flush and scan
+// order. Empty bounds are open. Bounds are applied before the sort, so a
+// narrow scan pays a pass over the map plus a sort of what it will visit.
+func (m *memtable) sortedKeys(from, to string) []string {
+	var keys []string
+	if from == "" && to == "" {
+		keys = make([]string, 0, len(m.entries))
+	}
 	for k := range m.entries {
-		keys = append(keys, k)
+		if k >= from && (to == "" || k <= to) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys

@@ -646,7 +646,7 @@ func (t *Tree) step() (bool, error) {
 // install point sees exactly the snapshotted structures.
 func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
 	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey)
-	for _, k := range sm.mem.sortedKeys() {
+	for _, k := range sm.mem.sortedKeys("", "") {
 		e := sm.mem.entries[k]
 		b.add(k, e.value, e.tomb)
 	}
@@ -829,9 +829,9 @@ func (t *Tree) Range(from, to string, fn func(key string, value []byte) error) e
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	srcs := make([]kvIter, 0, len(t.tables)+len(t.sealed)+1)
-	srcs = append(srcs, newMemIter(t.mem, from))
+	srcs = append(srcs, newMemIter(t.mem, from, to))
 	for i := len(t.sealed) - 1; i >= 0; i-- {
-		srcs = append(srcs, newMemIter(t.sealed[i].mem, from))
+		srcs = append(srcs, newMemIter(t.sealed[i].mem, from, to))
 	}
 	for i := len(t.tables) - 1; i >= 0; i-- {
 		srcs = append(srcs, t.tables[i].iter(from))

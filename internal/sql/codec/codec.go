@@ -145,7 +145,7 @@ func (d *Decoder) Value() (sql.Value, error) {
 		return math.Float64frombits(bits), nil
 	case tagString:
 		n, w := binary.Uvarint(d.buf[d.off:])
-		if w <= 0 || d.off+w+int(n) > len(d.buf) {
+		if w <= 0 || n > uint64(len(d.buf)-d.off-w) { // compared unsigned: int(n) can wrap negative
 			return nil, fmt.Errorf("codec: bad string at %d", d.off)
 		}
 		d.off += w
@@ -166,7 +166,7 @@ func (d *Decoder) Value() (sql.Value, error) {
 		return sql.Window{Start: start, End: end}, nil
 	case tagBinary:
 		n, w := binary.Uvarint(d.buf[d.off:])
-		if w <= 0 || d.off+w+int(n) > len(d.buf) {
+		if w <= 0 || n > uint64(len(d.buf)-d.off-w) { // compared unsigned: int(n) can wrap negative
 			return nil, fmt.Errorf("codec: bad binary at %d", d.off)
 		}
 		d.off += w
@@ -181,7 +181,9 @@ func (d *Decoder) Value() (sql.Value, error) {
 // Row decodes a length-prefixed row.
 func (d *Decoder) Row() (sql.Row, error) {
 	n, w := binary.Uvarint(d.buf[d.off:])
-	if w <= 0 {
+	// Every value takes at least its tag byte, so a length beyond what is
+	// left is corrupt — and must not size the allocation below.
+	if w <= 0 || n > uint64(len(d.buf)-d.off-w) {
 		return nil, fmt.Errorf("codec: bad row length at %d", d.off)
 	}
 	d.off += w

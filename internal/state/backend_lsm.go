@@ -40,16 +40,18 @@ func (b *lsmBackend) getBatch(keys [][]byte) ([][]byte, []bool, error) {
 }
 
 func (b *lsmBackend) iterate(fn func(key, value []byte) bool) error {
-	err := b.tree.Range("", "", func(key string, value []byte) error {
-		if !fn([]byte(key), value) {
+	return b.scan(nil, nil, fn)
+}
+
+func (b *lsmBackend) scan(from, to []byte, fn func(key, value []byte) bool) error {
+	// The tree's upper bound is inclusive; this contract's is not.
+	err := b.tree.Range(string(from), string(to), func(key string, value []byte) error {
+		if (to != nil && key >= string(to)) || !fn([]byte(key), value) {
 			return errStopIterate
 		}
 		return nil
 	})
-	if errors.Is(err, errStopIterate) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, errStopIterate) {
 		return fmt.Errorf("state: %w", err)
 	}
 	return nil

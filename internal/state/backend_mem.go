@@ -50,6 +50,16 @@ func (b *memBackend) iterate(fn func(key, value []byte) bool) error {
 	return nil
 }
 
+// scan filters and sorts: the map has no order to exploit.
+func (b *memBackend) scan(from, to []byte, fn func(key, value []byte) bool) error {
+	for _, k := range sortedKeysIn(b.data, from, to) {
+		if !fn([]byte(k), b.data[k]) {
+			break
+		}
+	}
+	return nil
+}
+
 func (b *memBackend) numKeys() (int64, error) { return int64(len(b.data)), nil }
 
 // commit ignores hints: the map makes existence checks free.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -12,47 +14,53 @@ import (
 // the memtable/sealed/SSTable stack (lsm) or the map (memory) — including
 // duplicate keys within one batch.
 
+// layeredStore fills a store so that every resolution layer holds something:
+// several committed epochs with overwrites and deletes (on the lsm backend's
+// 2 KiB memtable from forEachBackend: sealed memtables and tables, so
+// shadowing order matters), then an uncommitted overlay of puts, deletes and
+// delete-then-puts. Keys are key(0) … key(layeredKeys-1).
+const layeredKeys = 300
+
+func layeredKey(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+
+func layeredStore(t *testing.T, p *Provider, rng *rand.Rand) *Store {
+	t.Helper()
+	s := open(t, p, -1)
+	for epoch := 0; epoch < 6; epoch++ {
+		for i := 0; i < 120; i++ {
+			k := rng.Intn(layeredKeys)
+			if rng.Intn(5) == 0 {
+				s.Remove(layeredKey(k))
+			} else {
+				s.Put(layeredKey(k), []byte(fmt.Sprintf("v%d-%d", epoch, k)))
+			}
+		}
+		if err := s.Commit(int64(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		k := rng.Intn(layeredKeys)
+		switch rng.Intn(3) {
+		case 0:
+			s.Put(layeredKey(k), []byte(fmt.Sprintf("staged-%d", k)))
+		case 1:
+			s.Remove(layeredKey(k))
+		default:
+			s.Remove(layeredKey(k))
+			s.Put(layeredKey(k), []byte(fmt.Sprintf("flip-%d", k)))
+		}
+	}
+	return s
+}
+
 func TestGetBatchMatchesGet(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
-		s := open(t, p, -1)
 		rng := rand.New(rand.NewSource(99))
-		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
-
-		// Several committed epochs so the lsm backend accumulates sealed
-		// memtables and tables (2KiB memtable from forEachBackend), with
-		// overwrites and deletes so shadowing order matters.
-		const keys = 300
-		version := int64(0)
-		for epoch := 0; epoch < 6; epoch++ {
-			for i := 0; i < 120; i++ {
-				k := rng.Intn(keys)
-				if rng.Intn(5) == 0 {
-					s.Remove(key(k))
-				} else {
-					s.Put(key(k), []byte(fmt.Sprintf("v%d-%d", epoch, k)))
-				}
-			}
-			if err := s.Commit(version); err != nil {
-				t.Fatal(err)
-			}
-			version++
-		}
-		// Leave a staged overlay uncommitted: puts, deletes, and a
-		// delete-then-put so every pending branch is exercised.
-		for i := 0; i < 60; i++ {
-			k := rng.Intn(keys)
-			switch rng.Intn(3) {
-			case 0:
-				s.Put(key(k), []byte(fmt.Sprintf("staged-%d", k)))
-			case 1:
-				s.Remove(key(k))
-			default:
-				s.Remove(key(k))
-				s.Put(key(k), []byte(fmt.Sprintf("flip-%d", k)))
-			}
-		}
+		s := layeredStore(t, p, rng)
+		key, keys := layeredKey, layeredKeys
 
 		// A batch with every key plus duplicates and never-written keys.
 		var batch [][]byte
@@ -76,6 +84,86 @@ func TestGetBatchMatchesGet(t *testing.T) {
 		}
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestRangeMatchesIterate: Range is Iterate restricted to [from, to) and put
+// in key order, over the same committed-plus-staged view, and stops when told.
+func TestRangeMatchesIterate(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+		p := mk(t.TempDir())
+		defer p.Close()
+		s := layeredStore(t, p, rand.New(rand.NewSource(7)))
+		live := map[string]string{}
+		s.Iterate(func(k, v []byte) bool {
+			live[string(k)] = string(v)
+			return true
+		})
+		bounds := [][2][]byte{
+			{nil, nil}, {layeredKey(40), layeredKey(220)}, {nil, layeredKey(100)}, {layeredKey(250), nil},
+			{layeredKey(120), layeredKey(120)}, {layeredKey(200), layeredKey(100)}, {[]byte("key-0100x"), []byte("zzz")},
+		}
+		for _, b := range bounds {
+			from, to := b[0], b[1]
+			var want []string
+			for k := range live {
+				if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
+					want = append(want, k)
+				}
+			}
+			sort.Strings(want)
+			var got []string
+			s.Range(from, to, func(k, v []byte) bool {
+				if string(v) != live[string(k)] {
+					t.Fatalf("Range[%q,%q) key %q = %q, Iterate says %q", from, to, k, v, live[string(k)])
+				}
+				got = append(got, string(k))
+				return true
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Range[%q,%q) = %d keys %v, want %d %v", from, to, len(got), got, len(want), want)
+			}
+			if len(want) > 3 {
+				n := 0
+				s.Range(from, to, func(k, v []byte) bool { n++; return n < 3 })
+				if n != 3 {
+					t.Fatalf("Range[%q,%q) visited %d keys after being stopped at 3", from, to, n)
+				}
+			}
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHintFeedsKeyCount: a hint stands in for the read the store would
+// otherwise make to keep its key count, and never overrides a read.
+func TestHintFeedsKeyCount(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+		p := mk(t.TempDir())
+		defer p.Close()
+		s := open(t, p, -1)
+		s.Put([]byte("old"), []byte("1"))
+		if err := s.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+		s.Hint([]byte("fresh"), false)
+		s.Put([]byte("fresh"), []byte("2"))
+		if _, ok := s.Get([]byte("old")); !ok {
+			t.Fatal("committed key not found")
+		}
+		s.Hint([]byte("old"), false) // wrong, and too late: the Get above knows better
+		s.Remove([]byte("old"))
+		if n := s.NumKeys(); n != 1 {
+			t.Fatalf("NumKeys = %d with one key added and one removed, want 1", n)
+		}
+		if err := s.Commit(1); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.NumKeys(); n != 1 {
+			t.Fatalf("NumKeys after commit = %d, want 1", n)
 		}
 	})
 }

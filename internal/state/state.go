@@ -480,6 +480,9 @@ type storeBackend interface {
 	getBatch(keys [][]byte) (values [][]byte, oks []bool, err error)
 	// iterate visits committed keys; fn returning false stops early.
 	iterate(fn func(key, value []byte) bool) error
+	// scan visits committed keys in [from, to) in ascending order (nil
+	// bounds are open); fn returning false stops early.
+	scan(from, to []byte, fn func(key, value []byte) bool) error
 	// numKeys counts committed live keys.
 	numKeys() (int64, error)
 	// commit durably applies one version's staged mutations. A key in both
@@ -701,6 +704,66 @@ func (s *Store) Iterate(fn func(key, value []byte) bool) {
 		if !fn([]byte(k), v) {
 			return
 		}
+	}
+}
+
+// Range visits the live keys in [from, to) in ascending key order — committed
+// state overlaid with staged puts and deletes exactly as Iterate does —
+// stopping early when fn returns false. nil bounds are open. The ordered
+// view of the staged puts is built per call (the staging maps stay maps).
+// It memoizes nothing about the keys it yields, and fn may keep the key
+// slice it is handed.
+func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
+	staged := sortedKeysIn(s.pendingPut, from, to)
+	stopped := false
+	// yieldStaged emits the staged keys below limit (all of them when nil).
+	yieldStaged := func(limit []byte) {
+		for !stopped && len(staged) > 0 && (limit == nil || staged[0] < string(limit)) {
+			stopped = !fn([]byte(staged[0]), s.pendingPut[staged[0]])
+			staged = staged[1:]
+		}
+	}
+	err := s.backend.scan(from, to, func(k, v []byte) bool {
+		if yieldStaged(k); stopped {
+			return false
+		}
+		if s.pendingDel[string(k)] {
+			return true
+		}
+		if len(staged) > 0 && staged[0] == string(k) {
+			v, staged = s.pendingPut[staged[0]], staged[1:]
+		}
+		stopped = !fn(k, v)
+		return !stopped
+	})
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	yieldStaged(nil)
+}
+
+// sortedKeysIn returns m's keys in [from, to) ascending; nil bounds are open.
+func sortedKeysIn(m map[string][]byte, from, to []byte) []string {
+	var keys []string
+	for k := range m {
+		if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Hint records what the caller knows about key's committed state without
+// reading it: absent because the key is new by construction, or live because
+// a key derived from it was just read. Commit and NumKeys then skip the
+// lookup they would otherwise pay per staged key (on the lsm backend, a
+// sweep over every SSTable). Knowledge the epoch already has wins; as with
+// any hint, a wrong one can skew the key count but never stored data.
+func (s *Store) Hint(key []byte, live bool) {
+	if _, ok := s.known[string(key)]; !ok {
+		s.noteKnown(string(key), live)
 	}
 }
 

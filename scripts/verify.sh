@@ -7,26 +7,21 @@ echo ">> go vet ./..."
 go vet ./...
 echo ">> go test -race ./..."
 go test -race ./...
-# Background-maintenance race round: the LSM locking protocol (commit vs
-# background flush/compaction vs readers vs Close) and the state layer on
-# top of it, under the race detector, including the seeded-scheduler
-# determinism check. Redundant with `go test -race ./...` above but named
-# so the crash-safety contract for background maintenance stays visible.
-echo ">> lsm/state background-maintenance race round"
-go test -race -count=1 \
-	-run 'Maintenance|Background|Close|Ceiling|Seeded|Backlog|Evicts' \
-	./internal/lsm/ ./internal/state/ >/dev/null
-# Serving-layer race round: the subscription hub's fan-out, eviction
-# ladder, cursor resume, transports and churn chaos suite under the race
-# detector. Redundant with `go test -race ./...` above but named so the
-# live-serving robustness contract stays visible.
-echo ">> serve hub/churn race round"
-go test -race -count=1 ./internal/serve/ >/dev/null
 # Fuzz smoke: a few seconds of coverage-guided input on the state record
 # framing shared by deltas, snapshots, and LSM batches — round-trips must
 # hold and corrupt input must never panic the decoder.
 echo ">> lsm record-framing fuzz smoke"
 go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
+# The same for the three decoders that read stream-stream join state back
+# (header values, entry values, time-index keys).
+echo ">> join state fuzz smoke"
+go test -run '^$' -fuzz 'FuzzJoinState' -fuzztime 5s ./internal/incremental/
+# The repository benchmark is its own module, so `go test ./...` above never
+# compiles it: run its contract, compare and 1/100-size smoke tests here, so
+# a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
+# Provider fields, ...) is caught by verify and not by the next measurement.
+echo ">> benchmark module tests"
+(cd benchmark && go test .)
 # Bench-suite smoke: a tiny workload through the JSON benchmark path, so
 # `make bench-json` breakage is caught here rather than at report time.
 echo ">> ssbench bench smoke"
@@ -45,21 +40,6 @@ grep -q '"healthOverheadPct"' "$smoke_json" || { echo "bench smoke: missing heal
 grep -q '"scaling-microbatch-w4"' "$smoke_json" || { echo "bench smoke: missing scaling scenarios"; exit 1; }
 grep -q '"scalingEfficiencyPct"' "$smoke_json" || { echo "bench smoke: missing scaling efficiency"; exit 1; }
 rm -f "$smoke_json"
-# Health-subsystem race round: latency lineage, the anomaly detector and
-# flight recorder, the engine wiring for both modes, and the serve-layer
-# deliver stamps, under the race detector. Redundant with
-# `go test -race ./...` above but named so the health contract stays
-# visible.
-echo ">> health lineage/recorder race round"
-go test -race -count=1 ./internal/health/ >/dev/null
-go test -race -count=1 -run 'Health|Lineage|EventTime|Anomaly|Bundle' \
-	./internal/engine/ ./internal/serve/ ./internal/monitor/ >/dev/null
-# Partitioned-runtime race round: the shard pool/splitter/exchange and
-# the engine's N-worker differential plus barrier crash torture under the
-# race detector. Redundant with `go test -race ./...` above but named so
-# the sharded-commit contract stays visible.
-echo ">> shard partitioned-runtime race round"
-go test -race -count=1 -run Partition ./internal/shard/ ./internal/engine/ >/dev/null
 # Vectorization differential smoke: the columnar path must be
 # byte-identical to the row path on randomized queries and data, and the
 # engine-level on/off runs must agree. (The full suite also runs under
@@ -67,14 +47,6 @@ go test -race -count=1 -run Partition ./internal/shard/ ./internal/engine/ >/dev
 echo ">> vectorized/row differential smoke"
 go test -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorizeOnOff' \
 	./internal/sql/vec/ ./internal/incremental/ ./internal/engine/ >/dev/null
-# Stateful-vectorization race round: the columnar stateful path (batched
-# partial aggregation, batched state reads, the vectorized watermark gate)
-# against the row path, across both state backends and worker counts
-# 1/2/4, under the race detector. Redundant with `go test -race ./...`
-# above but named so the stateful bit-identity contract stays visible.
-echo ">> stateful vectorization race round"
-go test -race -count=1 -run 'TestStatefulVectorize|TestGetBatch|TestApplyBatch|TestPutBatch' \
-	./internal/engine/ ./internal/state/ ./internal/lsm/ >/dev/null
 # Opt-in throughput regression gate against the committed BENCH baseline
 # (slow: reruns the 2M-event bench suite).
 if [ "${STRUCTREAM_BENCH_COMPARE:-}" = "1" ]; then
