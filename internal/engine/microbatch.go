@@ -320,6 +320,12 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		if !ok {
 			return nil, fmt.Errorf("engine: no source bound for stream %q", p.SourceName)
 		}
+		// A source that can step over columns is bound, once, to the ones
+		// the pipeline's vector plan reads; its Read stays full width, so
+		// every fallback to rows sees whole records.
+		if cp, ok := src.(sources.ColumnPruner); ok && e.vectorize && p.SourceCols != nil {
+			src = cp.PruneColumns(p.SourceCols)
+		}
 		// Every bound source is wrapped so the per-source progress section
 		// and getBatch spans can attribute fetch cost.
 		isrc := sources.Instrument(src)
@@ -699,6 +705,9 @@ func (e *exec) runVecMapTask(bp boundPipeline, batch *vec.Batch, nPart int) *map
 		// each group's cached key encoding (identical buckets to the boxed
 		// KeyEvals + HashKey path below).
 		res.buckets = bp.pipe.ProcessBatchScatter(batch, nPart)
+		// The buckets hold rendered rows, which point at record bytes and
+		// never into the batch: this is the one branch that may recycle it.
+		batch.Release()
 		return res
 	}
 	res.buckets = make([][]sql.Row, nPart)

@@ -15,6 +15,7 @@ import (
 	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/physical"
 )
 
 // Differential and crash tests for the partitioned runtime
@@ -74,6 +75,95 @@ func othersSource(seed int64, rows, srcParts int) *sources.PartitionedSource {
 	return sources.NewPartitionedSource("others", othersSchema, parts)
 }
 
+// keyedSource deals the stream side of the stream-static join shapes: the
+// partSchema with keys that also come NULL and empty, under its own name so
+// the other shapes' data stays what it was.
+func keyedSource(seed int64, rows, srcParts int) *sources.PartitionedSource {
+	rng := rand.New(rand.NewSource(seed + 2000))
+	keys := []sql.Value{nil, "", "k0", "k1", "k2", "k3", "k4", "k5"}
+	parts := make([][]sql.Row, srcParts)
+	for i := 0; i < rows; i++ {
+		p := i % srcParts
+		parts[p] = append(parts[p], sql.Row{keys[rng.Intn(len(keys))], int64(rng.Intn(100)), int64(i/srcParts) * sec})
+	}
+	return sources.NewPartitionedSource("keyed", partSchema, parts)
+}
+
+var dimSchema = sql.NewSchema(
+	sql.Field{Name: "k2", Type: sql.TypeString},
+	sql.Field{Name: "w", Type: sql.TypeInt64},
+	sql.Field{Name: "lbl", Type: sql.TypeString},
+)
+
+// dimTables are the static sides of the join shapes: one row per key,
+// several per key, NULL keys and payloads, nothing.
+var dimTables = map[string][]sql.Row{
+	"unique":   {{"k0", int64(10), "A"}, {"k1", int64(60), "B"}, {"k3", int64(90), "C"}, {"", int64(40), "E"}},
+	"repeated": {{"k0", int64(10), "A1"}, {"k1", int64(60), "B"}, {"k0", int64(70), "A2"}, {"", int64(0), "E1"}, {"k0", int64(-1), "A3"}, {"", int64(99), "E2"}},
+	"nullkeys": {{nil, int64(10), "N1"}, {"k0", int64(50), "A"}, {nil, int64(30), "N2"}, {"k1", nil, nil}},
+	"empty":    {},
+}
+
+func dimResolver(s *logical.Scan) (physical.RowSource, error) {
+	return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
+}
+
+// joinPlans are the stream-static join shapes: every static table × join
+// type and stream side × with and without a residual, map-only, plus the
+// Yahoo! shape (filter, narrowing projection, join, tumbling window,
+// partial aggregate) and a join feeding the columnar exchange (dedup).
+func joinPlans(t *testing.T) map[string]*incremental.Query {
+	t.Helper()
+	keyed := func() logical.Plan { return &logical.Scan{Name: "keyed", Streaming: true, Out: partSchema} }
+	dim := func(table string) logical.Plan {
+		return &logical.Scan{Name: "dim", Out: dimSchema, Handle: dimTables[table]}
+	}
+	plans := map[string]*incremental.Query{}
+	for table := range dimTables {
+		for _, shape := range []struct {
+			name         string
+			typ          logical.JoinType
+			streamIsLeft bool
+		}{
+			{"inner", logical.InnerJoin, true}, {"outer", logical.LeftOuterJoin, true},
+			{"semi", logical.LeftSemiJoin, true}, {"anti", logical.LeftAntiJoin, true},
+			{"inner-stream-right", logical.InnerJoin, false}, {"outer-stream-right", logical.RightOuterJoin, false},
+		} {
+			for _, residual := range []bool{false, true} {
+				cond := sql.Expr(sql.Eq(sql.Col("k"), sql.Col("k2")))
+				name := fmt.Sprintf("join-%s-%s", shape.name, table)
+				if residual {
+					cond = sql.And(cond, sql.Lt(sql.Col("n"), sql.Col("w")))
+					name += "-residual"
+				}
+				join := &logical.Join{Left: keyed(), Right: dim(table), Type: shape.typ, Cond: cond}
+				if !shape.streamIsLeft {
+					join.Left, join.Right = join.Right, join.Left
+				}
+				plans[name] = compile(t, join, logical.Append, dimResolver)
+			}
+		}
+		views := &logical.Project{
+			Child: &logical.Filter{
+				Child: &logical.WithWatermark{Child: keyed(), Column: "ts", Delay: 4 * sec},
+				Cond:  sql.Ne(sql.Col("k"), sql.Lit("k1"))},
+			Exprs: []sql.Expr{sql.Col("k"), sql.Col("ts")},
+		}
+		plans["join-yahoo-"+table] = compile(t, &logical.Aggregate{
+			Child: &logical.Join{Left: views, Right: dim(table), Type: logical.LeftOuterJoin,
+				Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))},
+			Keys: []sql.Expr{sql.NewWindow(sql.Col("ts"), 10*time.Second, 0), sql.Col("lbl")},
+			Aggs: []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("w")), Name: "weight"}},
+		}, logical.Update, dimResolver)
+		plans["join-dedup-"+table] = compile(t, &logical.Distinct{
+			Child: &logical.Join{Left: keyed(), Right: dim(table), Type: logical.InnerJoin,
+				Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))},
+			Cols: []string{"k", "lbl"},
+		}, logical.Append, dimResolver)
+	}
+	return plans
+}
+
 // partPlans are the fuzzed query shapes: stateless, dedup (the fully
 // vectorized exchange path), keyed/windowed aggregation (the partial-agg
 // shuffle path), and a stream-stream outer join (two map sides into one
@@ -128,7 +218,7 @@ func partPlans(t *testing.T) map[string]*incremental.Query {
 func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, vectorize bool, backend string) *sinks.MemorySink {
 	t.Helper()
 	sink := sinks.NewMemorySink()
-	srcs := map[string]sources.Source{"events": partSource(seed, 96, 2), "others": othersSource(seed, 96, 2)}
+	srcs := map[string]sources.Source{"events": partSource(seed, 96, 2), "others": othersSource(seed, 96, 2), "keyed": keyedSource(seed, 96, 2)}
 	sq := startQuery(t, q, srcs, sink, Options{
 		Workers:              workers,
 		NumPartitions:        2,
@@ -145,21 +235,34 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 	return sink
 }
 
-// TestPartitionDifferentialFuzz is the tentpole's correctness gate: for
-// every fuzzed query shape, vectorize setting, state backend and worker
-// degree, the sharded runtime's sink must match the single-worker
-// memory-backend run row for row, in order.
+// TestPartitionDifferentialFuzz is the partitioned runtime's correctness
+// gate: for every fuzzed query shape, the sink of every vectorize setting,
+// state backend and worker degree must match the single-worker row-path
+// memory-backend run row for row, in order. The stream-static join shapes
+// are stateless up to the join, so apart from the two that end in a
+// stateful stage they run on the memory backend only.
 func TestPartitionDifferentialFuzz(t *testing.T) {
-	for name, q := range partPlans(t) {
-		for _, vectorize := range []bool{false, true} {
-			for _, seed := range []int64{1, 99} {
-				golden := runPartitioned(t, q, seed, 1, vectorize, "memory").Rows()
-				if len(golden) == 0 {
-					t.Fatalf("%s: golden run emitted nothing", name)
-				}
-				for _, backend := range []string{"memory", "lsm"} {
+	plans := partPlans(t)
+	stateless := map[string]bool{}
+	for name, q := range joinPlans(t) {
+		plans[name] = q
+		stateless[name] = q.Stateful == nil
+	}
+	for name, q := range plans {
+		seeds := []int64{1, 99}
+		backends := []string{"memory", "lsm"}
+		if stateless[name] {
+			seeds, backends = seeds[:1], backends[:1]
+		}
+		for _, seed := range seeds {
+			golden := runPartitioned(t, q, seed, 1, false, "memory").Rows()
+			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
+				t.Fatalf("%s: golden run emitted nothing", name)
+			}
+			for _, vectorize := range []bool{false, true} {
+				for _, backend := range backends {
 					for _, workers := range []int{1, 2, 4} {
-						if backend == "memory" && workers == 1 {
+						if !vectorize && backend == "memory" && workers == 1 {
 							continue // the golden run itself
 						}
 						got := runPartitioned(t, q, seed, workers, vectorize, backend).Rows()

@@ -122,7 +122,84 @@ func (c *compiler) finish(q *Query) {
 		if p.Vec != nil && len(p.Vec.Ops) == 0 && p.Vec.Agg == nil {
 			p.Vec = nil
 		}
+		p.SourceCols = p.reads.columns(p)
 	}
+}
+
+// sourceReads accumulates, while the compiler walks a pipeline up from its
+// scan, which source columns the stages read. Until a stage narrows the row
+// (a projection, or the terminal aggregate, replaces the source columns
+// with its own outputs) the source columns sit at their own positions in
+// every stage's input schema, so a column reference that resolves below
+// the source arity names a source column; after it, no stage can reach one.
+type sourceReads struct {
+	need []bool // by source column
+	// narrowedAt is the index of the narrowing stage, -1 while the source
+	// columns are still flowing.
+	narrowedAt int
+}
+
+func newSourceReads(arity int) *sourceReads {
+	return &sourceReads{need: make([]bool, arity), narrowedAt: -1}
+}
+
+func (r *sourceReads) all() {
+	if r.narrowedAt < 0 {
+		for c := range r.need {
+			r.need[c] = true
+		}
+	}
+}
+
+// noteReads records the columns the stage just appended to pipes reads
+// through exprs, bound against the stage's input schema; narrows marks the
+// stage as replacing the row.
+func noteReads(pipes []*Pipeline, schema sql.Schema, narrows bool, exprs ...sql.Expr) {
+	for _, p := range pipes {
+		r := p.reads
+		if r.narrowedAt >= 0 {
+			continue
+		}
+		for _, e := range exprs {
+			sql.WalkExpr(e, func(x sql.Expr) {
+				if col, ok := x.(*sql.Column); ok {
+					if idx, err := schema.Resolve(col.Name); err == nil && idx < len(r.need) {
+						r.need[idx] = true
+					}
+				}
+			})
+		}
+		if narrows {
+			r.narrowedAt = len(p.Stages) - 1
+		}
+	}
+}
+
+// columns is the pipeline's SourceCols: the columns read up to the narrowing
+// stage plus the watermark column, or nil (every column) when the vector
+// plan stops short of that stage — rows then materialize from the source
+// batch at full width — or nothing narrows at all.
+func (r *sourceReads) columns(p *Pipeline) []int {
+	if p.Vec == nil || r.narrowedAt < 0 {
+		return nil
+	}
+	covered := len(p.Vec.Ops)
+	if p.Vec.Agg != nil {
+		covered++
+	}
+	if r.narrowedAt >= covered {
+		return nil
+	}
+	var cols []int
+	for c, needed := range r.need {
+		if needed || c == p.WatermarkIdx {
+			cols = append(cols, c)
+		}
+	}
+	if len(cols) == len(r.need) {
+		return nil
+	}
+	return cols
 }
 
 // compiler holds shared compile state.
@@ -268,7 +345,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if !n.Streaming {
 			return nil, sql.Schema{}, fmt.Errorf("incremental: static table %s outside a join is not a stream", n.Name)
 		}
-		return []*Pipeline{{SourceName: n.Name, WatermarkIdx: -1, Vec: &VecPlan{}}}, n.Out, nil
+		return []*Pipeline{{SourceName: n.Name, WatermarkIdx: -1, Vec: &VecPlan{}, reads: newSourceReads(n.Out.Len())}}, n.Out, nil
 
 	case *logical.SubqueryAlias:
 		pipes, schema, err := c.stateless(n.Child)
@@ -300,6 +377,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if prog, ok := vec.Compile(n.Cond, schema); ok {
 			vop = physical.NewVecFilter(prog)
 		}
+		noteReads(pipes, schema, false, n.Cond)
 		appendVec(pipes, vop)
 		return pipes, schema, nil
 
@@ -327,6 +405,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if progs, ok := vec.CompileAll(n.Exprs, schema); ok {
 			vop = physical.NewVecProject(progs, outSchema)
 		}
+		noteReads(pipes, schema, true, n.Exprs...)
 		appendVec(pipes, vop)
 		return pipes, outSchema, nil
 
@@ -384,6 +463,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 				vop = physical.NewVecWindow(prog, w, out)
 			}
 		}
+		noteReads(pipes, schema, false, n.Window.Time)
 		appendVec(pipes, vop)
 		return pipes, out, nil
 
@@ -548,33 +628,21 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 		residual = b.Eval
 	}
 
-	// Build the broadcast hash table.
-	table := make(map[string][]sql.Row, len(staticRows))
-	for _, r := range staticRows {
-		key := make([]sql.Value, len(staticKeyEvals))
-		null := false
-		for i, e := range staticKeyEvals {
-			key[i] = e(r)
-			if key[i] == nil {
-				null = true
-			}
-		}
-		if null {
-			continue
-		}
-		ks := codec.KeyString(key)
-		table[ks] = append(table[ks], r)
+	// The broadcast table is built once at compile time and only read by
+	// tasks; all per-task probe state lives inside the stage factory.
+	spec := physical.BroadcastJoinSpec{
+		Table:        physical.NewBroadcastTable(staticSchema, staticRows, staticKeyEvals),
+		StreamIsLeft: streamIsLeft,
+		Outer: n.Type == logical.LeftOuterJoin && streamIsLeft ||
+			n.Type == logical.RightOuterJoin && !streamIsLeft,
+		Semi:   n.Type == logical.LeftSemiJoin,
+		Anti:   n.Type == logical.LeftAntiJoin,
+		Joined: leftSchema.Concat(rightSchema),
 	}
-
-	outer := n.Type == logical.LeftOuterJoin && streamIsLeft ||
-		n.Type == logical.RightOuterJoin && !streamIsLeft
-	semi := n.Type == logical.LeftSemiJoin
-	anti := n.Type == logical.LeftAntiJoin
+	table, outer, semi, anti := spec.Table, spec.Outer, spec.Semi, spec.Anti
 	staticArity := staticSchema.Len()
 	streamArity := streamSchema.Len()
 	joinedWidth := streamArity + staticArity
-	// The broadcast hash table is built once at compile time and only read
-	// by tasks; all per-task probe state lives inside the stage factory.
 	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
 		probeKey := make([]sql.Value, len(streamKeyEvals))
 		probeEnc := codec.NewEncoder(64)
@@ -587,17 +655,18 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 					null = true
 				}
 			}
-			var matches []sql.Row
+			first := int32(-1)
 			if !null {
-				// The string([]byte) map index does not allocate.
 				probeEnc.Reset()
 				for _, v := range probeKey {
 					probeEnc.PutValue(v)
 				}
-				matches = table[string(probeEnc.Bytes())]
+				kb := probeEnc.Bytes()
+				first = table.Lookup(codec.HashBytes(kb), kb)
 			}
 			matched := false
-			for _, st := range matches {
+			for r := first; r >= 0; r = table.Next(r) {
+				st := table.Rows[r]
 				joined := arena.Next()
 				if streamIsLeft {
 					copy(joined, sr)
@@ -634,7 +703,25 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 			}
 		}, nil
 	})
-	appendVec(pipes, nil)
+	// The twin probes the same table with keys encoded straight from the
+	// stream's key vectors. It needs the static side columnar and kernels
+	// for the key expressions and the residual; anything else seals the plan.
+	var vop physical.VecOp
+	if keyProgs, ok := vec.CompileAll(streamKeys, streamSchema); ok && table.Cols != nil {
+		var resid *vec.Program
+		if keys.Residual != nil {
+			resid, ok = vec.Compile(keys.Residual, spec.Joined)
+		}
+		if ok {
+			vop = physical.NewVecBroadcastJoin(spec, keyProgs, resid)
+		}
+	}
+	// The joined row carries every stream column (shifted, when the stream
+	// is the right side), so a pipeline not yet narrowed reads them all.
+	for _, p := range pipes {
+		p.reads.all()
+	}
+	appendVec(pipes, vop)
 	if semi || anti {
 		return pipes, streamSchema, nil
 	}
@@ -689,6 +776,13 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 	// otherwise rows would reach the columnar aggregator out of order with
 	// the row stages.
 	vecAgg := compileVecAgg(a, aggs, childSchema)
+	aggReads := append([]sql.Expr(nil), a.Keys...)
+	for _, na := range a.Aggs {
+		if na.Agg.Child != nil {
+			aggReads = append(aggReads, na.Agg.Child)
+		}
+	}
+	noteReads(pipes, childSchema, true, aggReads...)
 	for _, p := range pipes {
 		v := p.Vec
 		if v == nil || v.sealed || len(v.Ops)+1 != len(p.Stages) {

@@ -102,6 +102,14 @@ type Pipeline struct {
 	// the pipeline vectorizes. Stages remains the source of truth for
 	// semantics — Vec must produce byte-identical output.
 	Vec *VecPlan
+	// SourceCols lists, ascending, the source-schema columns the vector plan
+	// reads: the inputs of its ops up to the first stage that narrows the row
+	// (a projection or the terminal aggregate), plus the watermark column.
+	// nil means every column. The engine hands it to sources that can skip
+	// decoding the rest; columns outside it are absent (nil) from the batches
+	// the vector plan then runs over, and nothing in the plan touches them.
+	SourceCols []int
+	reads      *sourceReads // compile-time accumulator behind SourceCols
 	// aggPool recycles columnar partial-aggregation hash tables across
 	// map tasks. Safe because shuffle rows alias nothing inside the
 	// table: renderRow copies the boxed key values and EncodeValues

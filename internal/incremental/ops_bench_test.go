@@ -9,6 +9,7 @@ import (
 	"structream/internal/fsx"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
 	"structream/internal/state"
 )
@@ -167,6 +168,83 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 				rows := float64(b.N) * 2 * joinBenchEpoch
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
+		}
+	}
+}
+
+// BenchmarkStreamStaticJoin is the broadcast join's entry in the per-layer
+// micro-suite: one op is one 8 192-row slice of (ad_id, event_time) through
+// the join stage alone, as boxed rows (row) or as a column batch (vec),
+// against 1 000 ads with one campaign each (unique) or three (dupkeys). A
+// tenth of the stream's ads are unknown to the table.
+func BenchmarkStreamStaticJoin(b *testing.B) {
+	const slice, ads = 8192, 1000
+	streamSchema := sql.NewSchema(
+		sql.Field{Name: "ad_id", Type: sql.TypeInt64},
+		sql.Field{Name: "event_time", Type: sql.TypeTimestamp},
+	)
+	campaignSchema := sql.NewSchema(
+		sql.Field{Name: "c_ad_id", Type: sql.TypeInt64},
+		sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
+	)
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]sql.Row, slice)
+	for i := range rows {
+		rows[i] = sql.Row{int64(rng.Intn(ads * 10 / 9)), int64(1_600_000_000_000_000 + i*100)}
+	}
+	batch, ok := vec.FromRows(streamSchema, rows)
+	if !ok {
+		b.Fatal("FromRows failed")
+	}
+	for _, perAd := range []struct {
+		name string
+		n    int
+	}{{"unique", 1}, {"dupkeys", 3}} {
+		var campaigns []sql.Row
+		for c := 0; c < perAd.n; c++ {
+			for ad := 0; ad < ads; ad++ {
+				campaigns = append(campaigns, sql.Row{int64(ad), int64(c*ads + ad/10)})
+			}
+		}
+		plan := &logical.Join{
+			Left:  &logical.Scan{Name: "ad_events", Streaming: true, Out: streamSchema},
+			Right: &logical.Scan{Name: "campaigns", Out: campaignSchema, Handle: campaigns},
+			Type:  logical.InnerJoin,
+			Cond:  sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id")),
+		}
+		q, err := Compile(plan, logical.Append, func(s *logical.Scan) (physical.RowSource, error) {
+			return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := q.Pipelines[0]
+		if !p.FullyVectorized() {
+			b.Fatal("the join has no vector twin")
+		}
+		want := len(p.Process(rows))
+		for _, path := range []struct {
+			name string
+			run  func() int
+		}{
+			{"row", func() (n int) { p.ProcessTo(rows, func(sql.Row) { n++ }); return n }},
+			{"vec", func() int { return p.ApplyVec(batch).NumLive() }},
+		} {
+			b.Run(path.name+"/"+perAd.name, func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if got := path.run(); got != want {
+						b.Fatalf("joined %d rows, want %d", got, want)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				in := float64(b.N) * slice
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/in, "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/in, "allocs/row")
 			})
 		}
 	}

@@ -94,7 +94,9 @@ type Topic struct {
 	fetchFault func(part int, from int64) error
 }
 
-// partition is one ordered log segment.
+// partition is one ordered log segment. records[:len] is immutable once
+// written (Fetch hands out views of it): every mutation either writes past
+// len or replaces the slice with a new array.
 type partition struct {
 	mu      sync.Mutex
 	records []Record
@@ -176,6 +178,14 @@ func (t *Topic) InjectFetchFault(fn func(part int, from int64) error) {
 // returns the records and the offset to resume from. Reading at the head
 // returns an empty slice. Reading below the earliest retained offset
 // returns ErrOffsetOutOfRange.
+//
+// The returned slice is a read-only, capacity-clipped view of the
+// partition's log, not a copy: callers must not write to its elements (or
+// to the Key/Value bytes, as before). The view stays valid and unchanged
+// for as long as it is held — the log is append-only, so slots below its
+// length are never written again; Append writes only past it (or into a
+// grown array) and TrimBefore moves the survivors to a new array — and the
+// clipped capacity keeps a caller's own append from reaching the log.
 func (t *Topic) Fetch(part int, offset int64, maxRecords int) ([]Record, int64, error) {
 	if part < 0 || part >= len(t.parts) {
 		return nil, 0, fmt.Errorf("msgbus: partition %d out of range for topic %q", part, t.name)
@@ -202,9 +212,7 @@ func (t *Topic) Fetch(part int, offset int64, maxRecords int) ([]Record, int64, 
 	if maxRecords > 0 && start+maxRecords < end {
 		end = start + maxRecords
 	}
-	out := make([]Record, end-start)
-	copy(out, p.records[start:end])
-	return out, p.base + int64(end), nil
+	return p.records[start:end:end], p.base + int64(end), nil
 }
 
 // FetchRange reads records with offsets in [from, to).

@@ -2,6 +2,7 @@ package msgbus
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -307,4 +308,85 @@ func TestInjectFetchFault(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("hook consulted %d times, want 3", calls)
 	}
+}
+
+// TestFetchViewStableAcrossAppendAndTrim holds one Fetch view while
+// producers append and retention trims underneath it: the view must keep
+// reading the same records (run under -race, the concurrent reads also
+// prove no writer touches a slot a view can see).
+func TestFetchViewStableAcrossAppendAndTrim(t *testing.T) {
+	topic := newTopic(t, 1)
+	const n = 64
+	for i := 0; i < n; i++ {
+		topic.Append(0, Record{Timestamp: int64(i), Value: []byte{byte(i)}})
+	}
+	view, next, err := topic.Fetch(0, 8, 40)
+	if err != nil || len(view) != 40 || next != 48 {
+		t.Fatalf("fetch: len=%d next=%d err=%v", len(view), next, err)
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("view capacity %d exceeds its length %d: a caller's append would reach the log", cap(view), len(view))
+	}
+	check := func() {
+		for i, rec := range view {
+			want := int64(8 + i)
+			if rec.Offset != want || rec.Timestamp != want || len(rec.Value) != 1 || rec.Value[0] != byte(want) {
+				t.Errorf("view[%d] = %+v, want offset %d", i, rec, want)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // appends grow (and reallocate) the log past the view
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			topic.Append(0, Record{Timestamp: -1, Value: []byte{0xff}})
+		}
+	}()
+	go func() { // trims move the survivors to new arrays
+		defer wg.Done()
+		for keep := int64(1); keep <= 60; keep++ {
+			if err := topic.TrimBefore(0, keep); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		check()
+	}
+	wg.Wait()
+	check()
+	// An append through the view lands in the caller's own array.
+	grown := append(view, Record{Offset: -7})
+	recs, _, err := topic.Fetch(0, 60, 1)
+	if err != nil || len(recs) != 1 || recs[0].Offset != 60 || grown[len(grown)-1].Offset != -7 {
+		t.Fatalf("append through a view reached the log: %+v err=%v", recs, err)
+	}
+}
+
+// BenchmarkTopicFetch reads one epoch-sized range per iteration and reports
+// the cost per record: a view costs the same whatever the range length.
+func BenchmarkTopicFetch(b *testing.B) {
+	topic, _ := NewBroker().CreateTopic("bench", 1)
+	const n = 1 << 17
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i].Value = []byte{byte(i)}
+	}
+	topic.Append(0, recs...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := topic.FetchRange(0, 0, n)
+		if err != nil || len(out) != n {
+			b.Fatalf("fetched %d records, err=%v", len(out), err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	rows := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
 }

@@ -646,13 +646,17 @@ func (s *Subscription) Close() {
 // or the subscription terminates. Terminal frames (evicted, shutdown) are
 // delivered once; subsequent calls return the matching error.
 func (s *Subscription) Next(ctx context.Context) (Frame, error) {
+	h := s.hub
 	for {
-		f, ok, err := s.step()
+		// The idle verdict and the waiter registration share one hold of
+		// hub.mu: a broadcast landing between two holds would find no
+		// waiter, and after the last commit nobody would wake this caller.
+		h.mu.Lock()
+		f, ok, err := s.stepLocked()
 		if err != nil || ok {
+			h.mu.Unlock()
 			return f, err
 		}
-		h := s.hub
-		h.mu.Lock()
 		if s.waitCh == nil {
 			s.waitCh = make(chan struct{})
 		}
@@ -669,14 +673,15 @@ func (s *Subscription) Next(ctx context.Context) (Frame, error) {
 // TryNext returns the next frame without blocking; ok is false when the
 // subscription is idle (caught up with no frame pending).
 func (s *Subscription) TryNext() (Frame, bool, error) {
-	return s.step()
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
+	return s.stepLocked()
 }
 
-// step produces at most one frame. ok=false means idle.
-func (s *Subscription) step() (Frame, bool, error) {
+// stepLocked produces at most one frame; ok=false means idle. Caller holds
+// hub.mu.
+func (s *Subscription) stepLocked() (Frame, bool, error) {
 	h := s.hub
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	now := h.opts.Clock()
 	for {
 		switch {

@@ -70,8 +70,23 @@ type Source interface {
 // types drift from the schema, or the source has no columnar decode —
 // and the caller must re-read the same range through Read, which
 // returns the identical logical rows.
+//
+// The batch is handed over: the source keeps no reference to it or to its
+// vectors, because the engine recycles them (vec.Batch.Release) once a
+// task's output no longer points into them.
 type VectorReader interface {
 	ReadVec(p int, from, to int64) (b *vec.Batch, ok bool, err error)
+}
+
+// ColumnPruner is an optional Source extension for sources whose columnar
+// decode can step over columns. PruneColumns returns a view of the source
+// that differs only in its VectorReader / PartitionReader batches: columns
+// outside cols (schema positions, ascending) are validated but not
+// decoded, and their Cols entries are nil. Everything else — Read
+// included, which stays full width — is the source's own. The engine asks
+// once, at query start, with the columns the compiled vector plan reads.
+type ColumnPruner interface {
+	PruneColumns(cols []int) Source
 }
 
 // PartitionReader is an optional Source extension for the sharded
@@ -106,6 +121,8 @@ type BusSource struct {
 	// enabling the columnar ReadVec fast path (a custom decoder could
 	// produce anything, so only the native framing vectorizes).
 	codecFramed bool
+	// keep marks the schema columns ReadVec decodes; nil decodes them all.
+	keep []bool
 }
 
 // NewBusSource creates a source over a topic with a custom decoder.
@@ -158,8 +175,21 @@ func (s *BusSource) Read(p int, from, to int64) ([]sql.Row, error) {
 	return out, nil
 }
 
+// PruneColumns implements ColumnPruner: a shallow copy whose ReadVec and
+// ReadPartition decode only cols. A record malformed inside a skipped
+// column still drops and one whose type drifts inside a kept column still
+// sends the range to Read, so the view yields the rows the source does.
+func (s *BusSource) PruneColumns(cols []int) Source {
+	view := *s
+	view.keep = make([]bool, s.schema.Len())
+	for _, c := range cols {
+		view.keep[c] = true
+	}
+	return &view
+}
+
 // ReadVec implements VectorReader: it decodes the native codec framing
-// straight into typed column vectors, one allocation per column instead
+// straight into typed column vectors drawn from the batch pool, instead
 // of one sql.Row plus one boxed value per cell. Malformed records skip
 // exactly as in Read; a record whose wire types don't match the schema
 // aborts the columnar decode (ok=false) so the caller re-reads boxed —
@@ -172,13 +202,14 @@ func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	b := vec.NewBatch(s.schema, len(recs))
+	b := vec.GetBatch(s.schema, s.keep, len(recs))
 	n := 0
-	for _, rec := range recs {
+	for k := range recs { // by index: a Record is 64 bytes, and only Value is read
 		// Shared-string decode is safe here: topic records are append-once
 		// and never mutated, so string cells can alias them directly.
-		added, compat := codec.DecodeRowToBatchShared(rec.Value, b.Cols, n, len(recs))
+		added, compat := codec.DecodeRowToBatchShared(recs[k].Value, b.Cols, n, len(recs))
 		if !compat {
+			b.Release()
 			return nil, false, nil
 		}
 		if added {

@@ -87,6 +87,12 @@ func (e *Encoder) PutVectorValue(v *vec.Vector, i int) {
 //     not match its column's vector kind. Typed vectors cannot represent
 //     it, and silently skipping would diverge from the row path (which
 //     keeps such rows), so the caller must redo the whole batch boxed.
+//
+// A nil entry in cols is a column the caller does not read: its value is
+// validated and stepped over, whatever its tag. A record malformed inside
+// such a column still drops (the boxed decoder would reject it, and the two
+// paths must keep the same rows); a record whose type drifts there is kept,
+// because no reader of the batch can see the drifted cell.
 func DecodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int) (added, compat bool) {
 	return decodeRowToBatch(buf, cols, i, nrows, false)
 }
@@ -115,6 +121,12 @@ func decodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int, alias bo
 		tag := buf[pos]
 		pos++
 		col := cols[c]
+		if col == nil {
+			if pos = skipValue(buf, pos, tag); pos < 0 {
+				return abandonRow(cols, i, c)
+			}
+			continue
+		}
 		if tag == tagNull {
 			if col.Kind == vec.KindAny {
 				col.Anys[i] = nil
@@ -157,7 +169,7 @@ func decodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int, alias bo
 				return false, false
 			}
 			sl, sw := binary.Uvarint(buf[pos:])
-			if sw <= 0 || pos+sw+int(sl) > len(buf) {
+			if sw <= 0 || sl > uint64(len(buf)-pos-sw) { // compared unsigned: int(sl) can wrap negative
 				return abandonRow(cols, i, c)
 			}
 			pos += sw
@@ -196,10 +208,51 @@ func decodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int, alias bo
 	return true, true
 }
 
+// skipValue steps over the value whose tag byte sits just before pos and
+// returns the position after it, or -1 when Decoder.Value would reject it
+// (unknown tag, bad varint, payload running past the buffer).
+func skipValue(buf []byte, pos int, tag byte) int {
+	switch tag {
+	case tagNull, tagFalse, tagTrue:
+		return pos
+	case tagInt64:
+		_, w := binary.Uvarint(buf[pos:])
+		if w <= 0 {
+			return -1
+		}
+		return pos + w
+	case tagFloat64:
+		if pos+8 > len(buf) {
+			return -1
+		}
+		return pos + 8
+	case tagString, tagBinary:
+		n, w := binary.Uvarint(buf[pos:])
+		if w <= 0 || n > uint64(len(buf)-pos-w) {
+			return -1
+		}
+		return pos + w + int(n)
+	case tagWindow:
+		_, w1 := binary.Uvarint(buf[pos:])
+		if w1 <= 0 {
+			return -1
+		}
+		_, w2 := binary.Uvarint(buf[pos+w1:])
+		if w2 <= 0 {
+			return -1
+		}
+		return pos + w1 + w2
+	}
+	return -1
+}
+
 // abandonRow clears any null bits the partial decode left in slot i of
 // the first c columns so the slot can host the next record.
 func abandonRow(cols []*vec.Vector, i, c int) (bool, bool) {
 	for j := 0; j < c; j++ {
+		if cols[j] == nil {
+			continue
+		}
 		if cols[j].Kind == vec.KindAny {
 			cols[j].Anys[i] = nil
 		} else {
@@ -264,7 +317,7 @@ func DecodeColumnToVector(block []byte, v *vec.Vector, nrows int) (bool, error) 
 				return false, nil
 			}
 			sl, sw := binary.Uvarint(block[pos:])
-			if sw <= 0 || pos+sw+int(sl) > len(block) {
+			if sw <= 0 || sl > uint64(len(block)-pos-sw) { // compared unsigned: int(sl) can wrap negative
 				return false, fmt.Errorf("codec: corrupt string at value %d", i)
 			}
 			pos += sw

@@ -1,0 +1,253 @@
+package physical
+
+import (
+	"bytes"
+
+	"structream/internal/sql"
+	"structream/internal/sql/codec"
+	"structream/internal/sql/vec"
+)
+
+// BroadcastTable is the static side of a stream-static join: built once
+// when the query compiles, then only read, so every map task (row stage
+// or vector twin) probes the same instance without synchronization.
+//
+// Static rows are addressed by their position in Rows. One open-addressed
+// table maps a join key's codec encoding to the first row carrying it, and
+// rows sharing a key chain through next in arrival order — the order the
+// join emits a stream row's matches in. Rows with a NULL key column match
+// nothing and are never linked in.
+type BroadcastTable struct {
+	// Rows are the static rows in arrival order.
+	Rows []sql.Row
+	// Cols holds the same rows column-major for the vector twin to gather
+	// from; nil when a cell's dynamic type drifts from the static schema,
+	// which leaves the join on the row path.
+	Cols []*vec.Vector
+
+	slots  []int32  // power-of-2 table: first row of a key + 1, 0 = empty
+	hashes []uint64 // codec.HashBytes of each linked row's key
+	keys   [][]byte // each linked row's encoded key, sliced from one arena
+	next   []int32  // next row with the same key, -1 ends the chain
+	unique bool     // no key is carried by two rows
+}
+
+// NewBroadcastTable indexes rows by the key the evals compute.
+func NewBroadcastTable(schema sql.Schema, rows []sql.Row, keyEvals []func(sql.Row) sql.Value) *BroadcastTable {
+	size := 16
+	for size < 2*len(rows) {
+		size *= 2
+	}
+	t := &BroadcastTable{
+		Rows:   rows,
+		slots:  make([]int32, size),
+		hashes: make([]uint64, len(rows)),
+		keys:   make([][]byte, len(rows)),
+		next:   make([]int32, len(rows)),
+		unique: true,
+	}
+	if b, ok := vec.FromRows(schema, rows); ok {
+		t.Cols = b.Cols
+	}
+	enc := codec.NewEncoder(64)
+	var arena []byte
+	key := make([]sql.Value, len(keyEvals))
+	// Back to front, each row becoming the head of its key's chain, leaves
+	// every chain in arrival order.
+	for r := len(rows) - 1; r >= 0; r-- {
+		t.next[r] = -1
+		null := false
+		for i, e := range keyEvals {
+			key[i] = e(rows[r])
+			null = null || key[i] == nil
+		}
+		if null {
+			continue
+		}
+		enc.Reset()
+		for _, v := range key {
+			enc.PutValue(v)
+		}
+		at := len(arena)
+		arena = append(arena, enc.Bytes()...)
+		kb := arena[at:len(arena):len(arena)]
+		h := codec.HashBytes(kb)
+		t.keys[r], t.hashes[r] = kb, h
+		s := t.slot(h, kb)
+		if head := t.slots[s] - 1; head >= 0 {
+			t.next[r] = head
+			t.unique = false
+		}
+		t.slots[s] = int32(r) + 1
+	}
+	return t
+}
+
+// slot returns the table position holding key, or the empty one where it
+// belongs. The table is at most half full, so the probe always ends.
+func (t *BroadcastTable) slot(h uint64, key []byte) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	s := h & mask
+	for {
+		r := t.slots[s] - 1
+		if r < 0 || (t.hashes[r] == h && bytes.Equal(t.keys[r], key)) {
+			return s
+		}
+		s = (s + 1) & mask
+	}
+}
+
+// Lookup returns the first static row whose key encodes to key (with
+// h == codec.HashBytes(key)), or -1. The encoding is injective, so equal
+// bytes ⇔ equal keys.
+func (t *BroadcastTable) Lookup(h uint64, key []byte) int32 {
+	return t.slots[t.slot(h, key)] - 1
+}
+
+// Next returns the row after r among those sharing r's key, or -1.
+func (t *BroadcastTable) Next(r int32) int32 { return t.next[r] }
+
+// ------------------------------------------------------------- vector twin
+
+// BroadcastJoinSpec is what the row stage and the vector twin of one
+// stream-static join share.
+type BroadcastJoinSpec struct {
+	Table *BroadcastTable
+	// StreamIsLeft places the stream's columns before the static side's in
+	// the joined row.
+	StreamIsLeft bool
+	// Outer keeps a stream row that found no match, padded with NULLs; Semi
+	// and Anti emit the bare stream row when a match exists / does not.
+	Outer, Semi, Anti bool
+	// Joined is the schema of the joined (left ++ right) row, which Semi and
+	// Anti only ever build to evaluate a residual.
+	Joined sql.Schema
+}
+
+type vecBroadcastJoin struct {
+	BroadcastJoinSpec
+	keys     []*vec.Program // stream-side key columns
+	residual *vec.Program   // over the joined (left ++ right) row; may be nil
+}
+
+// NewVecBroadcastJoin is the columnar twin of the stream-static join
+// stage. keys compute the stream side's join key; residual (nil for a pure
+// equi-join) runs over candidate pairs laid out as joined rows. The caller
+// must only build it when spec.Table.Cols is set.
+func NewVecBroadcastJoin(spec BroadcastJoinSpec, keys []*vec.Program, residual *vec.Program) VecOp {
+	return &vecBroadcastJoin{BroadcastJoinSpec: spec, keys: keys, residual: residual}
+}
+
+func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
+	live := b.Sel
+	if live == nil {
+		live = make([]int32, b.Len)
+		for i := range live {
+			live[i] = int32(i)
+		}
+	}
+	lanes, rows := j.probe(b, live)
+	if j.residual != nil && len(lanes) > 0 {
+		// The row stage evaluates the residual on each candidate's joined
+		// row; the twin lays every candidate out as one dense batch.
+		cand := j.joined(b, lanes, rows, true)
+		keep := vec.FilterSel(cand, j.residual.Run(cand))
+		for n, k := range keep { // keep ascends, so k >= n: compaction in place
+			lanes[n], rows[n] = lanes[k], rows[k]
+		}
+		lanes, rows = lanes[:len(keep)], rows[:len(keep)]
+	}
+	switch {
+	case j.Semi, j.Anti:
+		// lanes lists the matched stream lanes in live order, a lane once per
+		// match: Semi keeps each once, Anti keeps the live lanes it skips.
+		sel := make([]int32, 0, len(live))
+		m := 0
+		for _, lane := range live {
+			matched := m < len(lanes) && lanes[m] == lane
+			for m < len(lanes) && lanes[m] == lane {
+				m++
+			}
+			if matched == j.Semi {
+				sel = append(sel, lane)
+			}
+		}
+		return &vec.Batch{Schema: b.Schema, Cols: b.Cols, Len: b.Len, Sel: sel}
+	case j.Outer:
+		padLanes := make([]int32, 0, len(live)+len(lanes))
+		padRows := make([]int32, 0, len(live)+len(lanes))
+		m := 0
+		for _, lane := range live {
+			if m == len(lanes) || lanes[m] != lane {
+				padLanes, padRows = append(padLanes, lane), append(padRows, -1)
+				continue
+			}
+			for ; m < len(lanes) && lanes[m] == lane; m++ {
+				padLanes, padRows = append(padLanes, lane), append(padRows, rows[m])
+			}
+		}
+		lanes, rows = padLanes, padRows
+	}
+	return j.joined(b, lanes, rows, !j.Table.unique)
+}
+
+// probe returns the candidate pairs (stream lane, static row) of the live
+// lanes, in the order the row stage visits them: lane by lane, and within a
+// lane along the key's chain. Keys encode straight from the key vectors
+// into the bytes the table was built over.
+func (j *vecBroadcastJoin) probe(b *vec.Batch, live []int32) (lanes, rows []int32) {
+	keys := make([]*vec.Vector, len(j.keys))
+	for i, prog := range j.keys {
+		keys[i] = prog.Run(b)
+	}
+	lanes = make([]int32, 0, len(live))
+	rows = make([]int32, 0, len(live))
+	enc := codec.NewEncoder(64)
+	t := j.Table
+next:
+	for _, lane := range live {
+		i := int(lane)
+		for _, k := range keys {
+			if k.IsNull(i) {
+				continue next // a NULL key matches nothing
+			}
+		}
+		h := codec.HashVec(enc, keys, i) // leaves the encoded key in enc
+		for r := t.Lookup(h, enc.Bytes()); r >= 0; r = t.next[r] {
+			lanes, rows = append(lanes, lane), append(rows, r)
+		}
+	}
+	return lanes, rows
+}
+
+// joined lays pairs out as a batch of joined rows. Dense, pair p becomes
+// lane p of a batch of len(lanes) lanes. Otherwise — valid only when no
+// lane is named twice — the stream columns pass through untouched, the
+// static cells land at their stream lane, and the selection narrows to the
+// named lanes. A negative static row pads with NULLs.
+func (j *vecBroadcastJoin) joined(b *vec.Batch, lanes, rows []int32, dense bool) *vec.Batch {
+	n, at, stream := b.Len, lanes, b.Cols
+	if dense {
+		n, at = len(lanes), nil
+		stream = make([]*vec.Vector, len(b.Cols))
+		for c, v := range b.Cols {
+			if v != nil {
+				stream[c] = vec.Gather(v, lanes, nil, n)
+			}
+		}
+	}
+	static := make([]*vec.Vector, len(j.Table.Cols))
+	for c, v := range j.Table.Cols {
+		static[c] = vec.Gather(v, rows, at, n)
+	}
+	out := &vec.Batch{Schema: j.Joined, Len: n}
+	if !dense {
+		out.Sel = lanes
+	}
+	if j.StreamIsLeft {
+		out.Cols = append(stream[:len(stream):len(stream)], static...)
+	} else {
+		out.Cols = append(static, stream...)
+	}
+	return out
+}

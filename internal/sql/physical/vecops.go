@@ -84,11 +84,22 @@ func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	wcol := vec.NewVector(vec.KindWindow, b.Len)
 	ts := tv.Int64s
 	slide, size := w.slide, w.size
-	for i := 0; i < b.Len; i++ {
+	assign := func(i int) {
 		t := ts[i]
 		start := t - ((t%slide)+slide)%slide
 		wcol.WStarts[i] = start
 		wcol.WEnds[i] = start + size
+	}
+	if b.Sel != nil {
+		// A selection upstream (a filter, a join) usually leaves a minority
+		// of lanes live; the dead ones keep zero bounds nobody reads.
+		for _, i := range b.Sel {
+			assign(int(i))
+		}
+	} else {
+		for i := 0; i < b.Len; i++ {
+			assign(i)
+		}
 	}
 	sel := b.Sel
 	if tv.Nulls != nil {

@@ -180,6 +180,9 @@ func compileComparison(op sql.BinOp, l, r node) (node, bool) {
 			}
 		}, constFloat), true
 	case lk == KindString && rk == KindString:
+		if op == sql.OpEq || op == sql.OpNe {
+			return strEqNode(l, r, op == sql.OpNe), true
+		}
 		return cmpNode(op, l, r, func(n node) func(*Batch) ([]string, Bitmap) {
 			return func(b *Batch) ([]string, Bitmap) {
 				v := n.vector(b)
@@ -204,6 +207,32 @@ func compileComparison(op sql.BinOp, l, r node) (node, bool) {
 		// leave them to the row path.
 		return node{}, false
 	}
+}
+
+// strEqNode wires string = / <> to the equality kernels, constant-aware
+// like cmpNode (equality is symmetric, so a constant on either side takes
+// the vector-constant form).
+func strEqNode(l, r node, ne bool) node {
+	if l.isConst {
+		l, r = r, l
+	}
+	if r.isConst {
+		c := r.constVal.(string)
+		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
+			av := l.vector(b)
+			out := NewVector(KindBool, b.Len)
+			eqStrVC(av.Strings[:b.Len], c, ne, out.Bools)
+			out.Nulls = av.Nulls
+			return out
+		}}
+	}
+	return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
+		av, bv := l.vector(b), r.vector(b)
+		out := NewVector(KindBool, b.Len)
+		eqStrVV(av.Strings[:b.Len], bv.Strings[:b.Len], ne, out.Bools)
+		out.Nulls = UnionNulls(b.Len, av.Nulls, bv.Nulls)
+		return out
+	}}
 }
 
 // constFloat coerces an int64 or float64 constant, mirroring AsFloat64.

@@ -78,6 +78,23 @@ func cmpVC[T ordered](op sql.BinOp, a []T, c T, out []bool) {
 	}
 }
 
+// eqStrVV and eqStrVC are string = / <> (ne flips the verdict). Unlike
+// the ordered form above — two three-way compares per lane — Go's string
+// equality is a length check plus one memequal, and strings.Compare agrees
+// with it on what "equal" means. Floats must keep the ordered form: NaN
+// compares equal to everything there and to nothing under ==.
+func eqStrVV(a, b []string, ne bool, out []bool) {
+	for i := range out {
+		out[i] = (a[i] == b[i]) != ne
+	}
+}
+
+func eqStrVC(a []string, c string, ne bool, out []bool) {
+	for i := range out {
+		out[i] = (a[i] == c) != ne
+	}
+}
+
 // flipCmp mirrors an operator so a constant LEFT operand can reuse the
 // vector-constant kernel: c < a[i] ⇔ a[i] > c, etc.
 func flipCmp(op sql.BinOp) sql.BinOp {
@@ -253,8 +270,24 @@ func asFloat64s(v *Vector, n int) []float64 {
 // always non-nil: an empty selection means "no rows", while a nil
 // Batch.Sel means "all rows".
 func FilterSel(b *Batch, cond *Vector) []int32 {
-	out := make([]int32, 0, b.NumLive())
 	cb := cond.Bools
+	if b.Sel == nil && cond.Nulls == nil {
+		// Dense and null-free: every lane writes its index and the cursor
+		// advances by the verdict, so the loop carries no branch for the
+		// predicate to mispredict.
+		out := make([]int32, b.Len)
+		n := 0
+		for i, keep := range cb[:b.Len] {
+			out[n] = int32(i)
+			var inc int
+			if keep {
+				inc = 1
+			}
+			n += inc
+		}
+		return out[:n]
+	}
+	out := make([]int32, 0, b.NumLive())
 	if b.Sel != nil {
 		if cond.Nulls == nil {
 			for _, i := range b.Sel {
@@ -267,14 +300,6 @@ func FilterSel(b *Batch, cond *Vector) []int32 {
 				if cb[i] && !cond.Nulls.Get(int(i)) {
 					out = append(out, i)
 				}
-			}
-		}
-		return out
-	}
-	if cond.Nulls == nil {
-		for i := 0; i < b.Len; i++ {
-			if cb[i] {
-				out = append(out, int32(i))
 			}
 		}
 		return out

@@ -482,3 +482,62 @@ func Broadcast(val sql.Value, kind Kind, n int) *Vector {
 	}
 	return out
 }
+
+// Gather builds an n-slot vector of src's kind from position pairs: slot
+// at[j] takes src's value and nullness at from[j], and a negative from[j]
+// makes the slot NULL (the padded side of an outer join). at == nil places
+// pair j in slot j. Slots no pair names are all-valid zero values; callers
+// keep them dead through the batch's selection.
+func Gather(src *Vector, from, at []int32, n int) *Vector {
+	out := NewVector(src.Kind, n)
+	slot := func(j int) int {
+		if at == nil {
+			return j
+		}
+		return int(at[j])
+	}
+	if src.Kind == KindAny {
+		for j, f := range from {
+			if f >= 0 {
+				out.Anys[slot(j)] = src.Anys[f]
+			}
+		}
+		return out
+	}
+	for j, f := range from {
+		if f < 0 || src.Nulls.Get(int(f)) {
+			out.SetNull(slot(j), n)
+		}
+	}
+	switch src.Kind {
+	case KindInt64:
+		gather(src.Int64s, out.Int64s, from, at)
+	case KindFloat64:
+		gather(src.Float64s, out.Float64s, from, at)
+	case KindBool:
+		gather(src.Bools, out.Bools, from, at)
+	case KindString:
+		gather(src.Strings, out.Strings, from, at)
+	case KindWindow:
+		gather(src.WStarts, out.WStarts, from, at)
+		gather(src.WEnds, out.WEnds, from, at)
+	}
+	return out
+}
+
+func gather[T any](src, dst []T, from, at []int32) {
+	if at == nil {
+		for j, f := range from {
+			if f >= 0 {
+				dst[j] = src[f]
+			}
+		}
+		return
+	}
+	at = at[:len(from)]
+	for j, f := range from {
+		if f >= 0 {
+			dst[at[j]] = src[f]
+		}
+	}
+}

@@ -297,3 +297,153 @@ func TestBroadcastConst(t *testing.T) {
 		t.Fatal("Broadcast(nil) must yield NULLs")
 	}
 }
+
+// TestStringEqualityMatchesRowEval holds the string = / <> kernels (length
+// + memequal) to the row evaluator in all three operand forms, over NULLs,
+// empty strings and strings that share a prefix or differ only in length.
+func TestStringEqualityMatchesRowEval(t *testing.T) {
+	schema := sql.Schema{Fields: []sql.Field{
+		{Name: "s", Type: sql.TypeString},
+		{Name: "u", Type: sql.TypeString},
+	}}
+	vals := []sql.Value{nil, "", "a", "ab", "abc", "abd", "view", "views", "View"}
+	var rows []sql.Row
+	for _, a := range vals {
+		for _, b := range vals {
+			rows = append(rows, sql.Row{a, b})
+		}
+	}
+	batch, ok := FromRows(schema, rows)
+	if !ok {
+		t.Fatal("FromRows failed on schema-conforming rows")
+	}
+	for _, op := range []sql.BinOp{sql.OpEq, sql.OpNe} {
+		for name, e := range map[string]sql.Expr{
+			"vec-vec":   sql.NewBinary(op, sql.Col("s"), sql.Col("u")),
+			"vec-const": sql.NewBinary(op, sql.Col("s"), sql.Lit("view")),
+			"const-vec": sql.NewBinary(op, sql.Lit("ab"), sql.Col("u")),
+			"vec-empty": sql.NewBinary(op, sql.Col("s"), sql.Lit("")),
+		} {
+			prog, ok := Compile(e, schema)
+			if !ok {
+				t.Fatalf("%s: %s did not compile", name, e)
+			}
+			bound, err := e.Bind(schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := prog.Run(batch)
+			for i, row := range rows {
+				if want, got := bound.Eval(row), v.Get(i); want != got {
+					t.Fatalf("%s: %s over %v: row path %v, kernel %v", name, e, row, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterSelDenseMatchesReference checks the predicate-branch-free dense
+// case against the definition, at the boundaries (none, all, one lane) and
+// over random verdicts.
+func TestFilterSelDenseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
+		for _, density := range []int{0, 1, 2, 100} {
+			cond := NewVector(KindBool, n)
+			want := []int32{}
+			for i := range cond.Bools {
+				cond.Bools[i] = density == 100 || (density > 0 && rng.Intn(density+1) == 0)
+				if cond.Bools[i] {
+					want = append(want, int32(i))
+				}
+			}
+			got := FilterSel(&Batch{Len: n}, cond)
+			if got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d density=%d: FilterSel = %v, want %v", n, density, got, want)
+			}
+		}
+	}
+}
+
+func TestGather(t *testing.T) {
+	schema := testSchema()
+	rows := randRows(rand.New(rand.NewSource(11)), 40)
+	src, ok := FromRows(schema, rows)
+	if !ok {
+		t.Fatal("FromRows failed")
+	}
+	anys := NewVector(KindAny, len(rows))
+	wins := NewVector(KindWindow, len(rows))
+	for i, r := range rows {
+		anys.Anys[i] = r[0]
+		wins.WStarts[i], wins.WEnds[i] = int64(i), int64(i+10)
+	}
+	wins.SetNull(3, len(rows))
+	from := []int32{5, 5, -1, 0, 39, 3, 17}
+	at := []int32{9, 2, 4, 0, 7, 11, 6}
+	for _, v := range append(append([]*Vector(nil), src.Cols...), anys, wins) {
+		dense := Gather(v, from, nil, len(from))
+		placed := Gather(v, from, at, 12)
+		for j, f := range from {
+			var want sql.Value
+			if f >= 0 {
+				want = v.Get(int(f))
+			}
+			if got := dense.Get(j); !reflect.DeepEqual(normalize(got), normalize(want)) {
+				t.Fatalf("kind %d dense slot %d = %v, want %v", v.Kind, j, got, want)
+			}
+			if got := placed.Get(int(at[j])); !reflect.DeepEqual(normalize(got), normalize(want)) {
+				t.Fatalf("kind %d slot %d = %v, want %v", v.Kind, at[j], got, want)
+			}
+		}
+		if v.Kind != KindAny && placed.IsNull(1) {
+			t.Fatalf("kind %d: a slot no pair names must stay valid", v.Kind)
+		}
+	}
+}
+
+// TestBatchPoolHandsOutCleanColumns: whatever a released batch held — null
+// bits, a selection, a different keep mask — the next user of its vectors
+// starts with no nulls, no selection, n slots per kept column and nil for
+// the columns it does not keep.
+func TestBatchPoolHandsOutCleanColumns(t *testing.T) {
+	schema := testSchema()
+	for round := 0; round < 50; round++ {
+		n := 10 + round%7*100
+		keep := make([]bool, schema.Len())
+		for c := range keep {
+			keep[c] = (round+c)%3 != 0
+		}
+		b := GetBatch(schema, keep, n)
+		if b.Len != n || b.Sel != nil || len(b.Cols) != schema.Len() {
+			t.Fatalf("round %d: Len=%d Sel=%v cols=%d", round, b.Len, b.Sel, len(b.Cols))
+		}
+		for c, v := range b.Cols {
+			if !keep[c] {
+				if v != nil {
+					t.Fatalf("round %d: column %d is not kept but has a vector", round, c)
+				}
+				continue
+			}
+			if v.Kind != KindOf(schema.Field(c).Type) || v.Nulls != nil {
+				t.Fatalf("round %d col %d: kind %d nulls %v", round, c, v.Kind, v.Nulls)
+			}
+			switch v.Kind {
+			case KindInt64:
+				if len(v.Int64s) != n {
+					t.Fatalf("round %d col %d: %d slots, want %d", round, c, len(v.Int64s), n)
+				}
+			case KindString:
+				if len(v.Strings) != n {
+					t.Fatalf("round %d col %d: %d slots, want %d", round, c, len(v.Strings), n)
+				}
+			}
+			v.EnsureNulls(n).SetAll() // leave the worst behind for the next user
+		}
+		b.Sel = []int32{0}
+		b.Release()
+	}
+	if all := GetBatch(schema, nil, 5); len(all.Cols) != schema.Len() || all.Cols[0] == nil {
+		t.Fatal("a nil keep mask must keep every column")
+	}
+}

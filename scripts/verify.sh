@@ -16,6 +16,10 @@ go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
 # (header values, entry values, time-index keys).
 echo ">> join state fuzz smoke"
 go test -run '^$' -fuzz 'FuzzJoinState' -fuzztime 5s ./internal/incremental/
+# And for the bus-record decoders: the pruned, the full typed and the boxed
+# one must keep and drop the same records and agree on every kept cell.
+echo ">> pruned row decode fuzz smoke"
+go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
 # a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
