@@ -54,6 +54,16 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One more epoch over the first epoch's keys, all of them spilled by
+	// now: reading them back is what brings data blocks through the cache.
+	// (Fresh keys stop at the bloom filters, and a merge reads its inputs
+	// past the cache, so the epochs above may leave it empty.)
+	for i := 0; i < perEpoch; i++ {
+		src.AddData(sql.Row{fmt.Sprintf("k%04d", i), 1.0, int64(epochs) * sec})
+	}
+	if err := sq.ProcessAllAvailable(); err != nil {
+		t.Fatal(err)
+	}
 
 	p, ok := sq.LastProgress()
 	if !ok || len(p.StateOperators) == 0 {
@@ -99,15 +109,16 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(versions) != epochs {
-		t.Fatalf("committed state versions = %v, want %d of them", versions, epochs)
+	if len(versions) != epochs+1 {
+		t.Fatalf("committed state versions = %v, want %d of them", versions, epochs+1)
 	}
 	for _, v := range versions {
 		s, err := prov.Open(id, v)
 		if err != nil {
 			t.Fatalf("reopen version %d: %v", v, err)
 		}
-		if got, want := int64(s.NumKeys()), (v+1)*perEpoch; got != want {
+		// The re-read epoch added no key.
+		if got, want := int64(s.NumKeys()), min(v+1, epochs)*perEpoch; got != want {
 			t.Errorf("version %d: NumKeys = %d, want %d", v, got, want)
 		}
 	}

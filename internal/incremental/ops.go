@@ -428,15 +428,24 @@ func (p *partialAgg) scatter(nPart int) [][]sql.Row {
 	return buckets
 }
 
-// encodeState packs all aggregate buffers into one state-store value.
+// encodeAggState packs all aggregate buffers into one state-store value.
 func encodeAggState(bufs []sql.AggBuffer) []byte {
-	var out []byte
+	return appendAggState(nil, codec.NewEncoder(16), bufs)
+}
+
+// appendAggState is encodeAggState appending to dst, with enc as scratch for
+// one buffer's values at a time — the batched merge passes its mergeState's
+// own, so the only allocation per group is the value the store retains.
+func appendAggState(dst []byte, enc *codec.Encoder, bufs []sql.AggBuffer) []byte {
 	for _, b := range bufs {
-		enc := codec.EncodeValues(b.Serialize())
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
+		enc.Reset()
+		for _, v := range b.Serialize() {
+			enc.PutValue(v)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(enc.Bytes())))
+		dst = append(dst, enc.Bytes()...)
 	}
-	return out
+	return dst
 }
 
 func (a *StatefulAggregate) decodeAggState(data []byte) ([]sql.AggBuffer, error) {
@@ -444,7 +453,7 @@ func (a *StatefulAggregate) decodeAggState(data []byte) ([]sql.AggBuffer, error)
 	for i, agg := range a.Aggs {
 		bufs[i] = agg.NewBuffer()
 	}
-	if err := a.decodeAggStateInto(data, bufs); err != nil {
+	if err := a.decodeAggStateInto(data, bufs, new([]sql.Value)); err != nil {
 		return nil, err
 	}
 	return bufs, nil
@@ -452,8 +461,9 @@ func (a *StatefulAggregate) decodeAggState(data []byte) ([]sql.AggBuffer, error)
 
 // decodeAggStateInto overwrites bufs with a stored state value. Like
 // decodeShuffleInto, Deserialize fully replaces buffer state, so callers
-// may reuse one buffer set across groups.
-func (a *StatefulAggregate) decodeAggStateInto(data []byte, bufs []sql.AggBuffer) error {
+// may reuse one buffer set across groups — and, since no Deserialize keeps
+// the slice it is handed, one decoded-values slice (vals) across calls.
+func (a *StatefulAggregate) decodeAggStateInto(data []byte, bufs []sql.AggBuffer, vals *[]sql.Value) error {
 	pos := 0
 	for i := range a.Aggs {
 		n, w := binary.Uvarint(data[pos:])
@@ -461,12 +471,12 @@ func (a *StatefulAggregate) decodeAggStateInto(data []byte, bufs []sql.AggBuffer
 			return fmt.Errorf("incremental: corrupt aggregate state for %s", a.OpName)
 		}
 		pos += w
-		vals, err := codec.DecodeValues(data[pos : pos+int(n)])
-		if err != nil {
+		var err error
+		if *vals, err = codec.AppendValues((*vals)[:0], data[pos:pos+int(n)]); err != nil {
 			return fmt.Errorf("incremental: %v", err)
 		}
 		pos += int(n)
-		if err := bufs[i].Deserialize(vals); err != nil {
+		if err := bufs[i].Deserialize(*vals); err != nil {
 			return err
 		}
 	}
@@ -480,7 +490,7 @@ func (a *StatefulAggregate) decodeShuffleBufs(r sql.Row) ([]sql.AggBuffer, error
 	for i, agg := range a.Aggs {
 		incoming[i] = agg.NewBuffer()
 	}
-	if err := a.decodeShuffleInto(r, incoming); err != nil {
+	if err := a.decodeShuffleInto(r, incoming, new([]sql.Value)); err != nil {
 		return nil, err
 	}
 	return incoming, nil
@@ -491,17 +501,17 @@ func (a *StatefulAggregate) decodeShuffleBufs(r sql.Row) ([]sql.AggBuffer, error
 // retains references into its argument, so callers may reuse one buffer
 // set across rows — the merge loop leans on this to avoid allocating a
 // buffer per incoming row.
-func (a *StatefulAggregate) decodeShuffleInto(r sql.Row, bufs []sql.AggBuffer) error {
+func (a *StatefulAggregate) decodeShuffleInto(r sql.Row, bufs []sql.AggBuffer, vals *[]sql.Value) error {
 	for i := range a.Aggs {
 		enc, ok := r[a.NumKeys+i].([]byte)
 		if !ok {
 			return fmt.Errorf("incremental: bad shuffle row for %s", a.OpName)
 		}
-		vals, err := codec.DecodeValues(enc)
-		if err != nil {
+		var err error
+		if *vals, err = codec.AppendValues((*vals)[:0], enc); err != nil {
 			return err
 		}
-		if err := bufs[i].Deserialize(vals); err != nil {
+		if err := bufs[i].Deserialize(*vals); err != nil {
 			return err
 		}
 	}
@@ -555,7 +565,9 @@ type mergeState struct {
 	arena   []byte // backing storage for group keyBytes
 	dst     []sql.AggBuffer
 	src     []sql.AggBuffer
-	enc     codec.Encoder
+	enc     codec.Encoder // key bytes while grouping, then appendAggState's scratch
+	val     []byte        // one group's encoded state before the store's copy is cut
+	vals    []sql.Value   // one buffer's decoded values, between decode and Deserialize
 }
 
 // vecMergeGroup is one distinct key in the batched merge. Rows reach the
@@ -744,24 +756,25 @@ func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, input
 			g := &ms.groups[gi]
 			ri := g.firstRow
 			if oks[gi] {
-				if err := a.decodeAggStateInto(vals[gi], ms.dst); err != nil {
+				if err := a.decodeAggStateInto(vals[gi], ms.dst, &ms.vals); err != nil {
 					return nil, err
 				}
 			} else {
-				if err := a.decodeShuffleInto(rows[ri], ms.dst); err != nil {
+				if err := a.decodeShuffleInto(rows[ri], ms.dst, &ms.vals); err != nil {
 					return nil, err
 				}
 				ri = ms.rowNext[ri]
 			}
 			for ; ri >= 0; ri = ms.rowNext[ri] {
-				if err := a.decodeShuffleInto(rows[ri], ms.src); err != nil {
+				if err := a.decodeShuffleInto(rows[ri], ms.src, &ms.vals); err != nil {
 					return nil, err
 				}
 				for i := range ms.dst {
 					ms.dst[i].Merge(ms.src[i])
 				}
 			}
-			store.Put(g.keyBytes, encodeAggState(ms.dst))
+			ms.val = appendAggState(ms.val[:0], &ms.enc, ms.dst)
+			store.Put(g.keyBytes, append([]byte(nil), ms.val...))
 			if ctx.Mode == logical.Update {
 				r := rows[g.firstRow]
 				row := make(sql.Row, 0, a.NumKeys+len(ms.dst))

@@ -7,64 +7,80 @@ import (
 	"testing"
 )
 
-// TestGetBatchBytesMatchesGetBytes drives a random commit schedule that
-// scatters keys across the active memtable, sealed memtables, and several
-// SSTable tiers (2KiB memtable), then requires the structure-at-a-time
-// batch probe to agree with the per-key path for every key — live,
-// tombstoned, overwritten, and never-written — including duplicates
-// within one batch.
+// TestGetBatchBytesMatchesGetBytes drives random commit schedules over
+// random tree shapes — a memtable threshold from a few entries to a few
+// hundred, a merge width that leaves two tables or dozens, maintenance run
+// to completion at every commit or a seeded fraction of it (so sealed
+// memtables are still queued when the reads happen) — and requires the
+// structure-at-a-time batch probe, with its one hash per key, to agree with
+// the per-key path for every key: live, tombstoned, overwritten and never
+// written, including duplicates within one batch.
 func TestGetBatchBytesMatchesGetBytes(t *testing.T) {
-	tr := mustOpen(t, smallOpts(t))
-	rng := rand.New(rand.NewSource(7))
 	const keys = 200
 	key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := smallOpts(t)
+		opts.MemtableBytes = []int64{1, 256, 2 << 10, 16 << 10}[rng.Intn(4)]
+		opts.MaxTierTables = []int{2, 4, 1 << 20}[rng.Intn(3)]
+		if rng.Intn(2) == 0 {
+			opts.Scheduler = NewSeededScheduler(seed)
+		}
+		tr := mustOpen(t, opts)
 
-	version := int64(1)
-	for epoch := 0; epoch < 12; epoch++ {
-		puts := map[string][]byte{}
-		dels := map[string]bool{}
-		for i := 0; i < 40; i++ {
-			k := key(rng.Intn(keys))
-			if rng.Intn(4) == 0 {
-				dels[k] = true
-				delete(puts, k)
-			} else {
-				puts[k] = []byte(fmt.Sprintf("v%d-%s", epoch, k))
-				delete(dels, k)
+		commits := 12 + int64(rng.Intn(20))
+		for version := int64(1); version <= commits; version++ {
+			puts := map[string][]byte{}
+			dels := map[string]bool{}
+			for i := 0; i < 40; i++ {
+				k := key(rng.Intn(keys))
+				if rng.Intn(4) == 0 {
+					dels[k] = true
+					delete(puts, k)
+				} else {
+					puts[k] = []byte(fmt.Sprintf("v%d-%s", version, k))
+					delete(dels, k)
+				}
+			}
+			if err := tr.Commit(version, puts, dels); err != nil {
+				t.Fatalf("seed %d: Commit(%d): %v", seed, version, err)
 			}
 		}
-		if err := tr.Commit(version, puts, dels); err != nil {
-			t.Fatalf("Commit(%d): %v", version, err)
-		}
-		version++
-	}
+		st := tr.Stats()
+		shape := fmt.Sprintf("seed %d (memtable %d B, merge width %d, %d tables, %d sealed, %d merges)",
+			seed, opts.MemtableBytes, opts.MaxTierTables, st.Tables, st.FlushBacklog, st.Compactions)
 
-	var batch [][]byte
-	for i := 0; i < keys; i++ {
-		batch = append(batch, []byte(key(i)))
-	}
-	for i := 0; i < 60; i++ {
-		batch = append(batch, []byte(key(rng.Intn(keys))))
-	}
-	batch = append(batch, []byte("zzz-never"), []byte(""))
-
-	values := make([][]byte, len(batch))
-	oks := make([]bool, len(batch))
-	if err := tr.GetBatchBytes(batch, values, oks); err != nil {
-		t.Fatalf("GetBatchBytes: %v", err)
-	}
-	for i, k := range batch {
-		wantV, wantOK, err := tr.GetBytes(k)
-		if err != nil {
-			t.Fatalf("GetBytes(%q): %v", k, err)
+		var batch [][]byte
+		for i := 0; i < keys; i++ {
+			batch = append(batch, []byte(key(i)))
 		}
-		if oks[i] != wantOK || !bytes.Equal(values[i], wantV) {
-			t.Fatalf("key %q: batch = (%q, %v), scalar = (%q, %v)", k, values[i], oks[i], wantV, wantOK)
+		for i := 0; i < 60; i++ {
+			batch = append(batch, []byte(key(rng.Intn(keys))))
 		}
-	}
+		batch = append(batch, []byte("zzz-never"), []byte(""))
 
-	// Empty batch is a no-op.
-	if err := tr.GetBatchBytes(nil, nil, nil); err != nil {
-		t.Fatalf("empty GetBatchBytes: %v", err)
+		values := make([][]byte, len(batch))
+		oks := make([]bool, len(batch))
+		// Twice: the second call runs on the first one's scratch.
+		for round := 0; round < 2; round++ {
+			if err := tr.GetBatchBytes(batch, values, oks); err != nil {
+				t.Fatalf("%s: GetBatchBytes: %v", shape, err)
+			}
+			for i, k := range batch {
+				wantV, wantOK, err := tr.GetBytes(k)
+				if err != nil {
+					t.Fatalf("%s: GetBytes(%q): %v", shape, k, err)
+				}
+				if oks[i] != wantOK || !bytes.Equal(values[i], wantV) {
+					t.Fatalf("%s: key %q: batch = (%q, %v), scalar = (%q, %v)", shape, k, values[i], oks[i], wantV, wantOK)
+				}
+			}
+		}
+		t.Log(shape)
+
+		// Empty batch is a no-op.
+		if err := tr.GetBatchBytes(nil, nil, nil); err != nil {
+			t.Fatalf("%s: empty GetBatchBytes: %v", shape, err)
+		}
 	}
 }

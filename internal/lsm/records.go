@@ -14,6 +14,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -31,14 +32,17 @@ const (
 // order, so identical logical commits produce byte-identical files.
 func EncodeBatch(puts map[string][]byte, dels map[string]bool) []byte {
 	keys := make([]string, 0, len(puts)+len(dels))
-	for k := range puts {
+	size := 0 // exact unless a key is in both maps, then an overestimate
+	for k, v := range puts {
 		keys = append(keys, k)
+		size += 1 + uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
 	}
 	for k := range dels {
 		keys = append(keys, k)
+		size += 1 + uvarintLen(len(k)) + len(k)
 	}
 	sort.Strings(keys)
-	var buf []byte
+	buf := make([]byte, 0, size)
 	for _, k := range keys {
 		if dels[k] {
 			buf = append(buf, OpDel)
@@ -54,6 +58,11 @@ func EncodeBatch(puts map[string][]byte, dels map[string]bool) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for n.
+func uvarintLen(n int) int {
+	return (bits.Len64(uint64(n)|1) + 6) / 7
 }
 
 // DecodeBatch parses a record batch, invoking put/del per record. It never

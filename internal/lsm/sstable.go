@@ -49,19 +49,29 @@ type tableBuilder struct {
 	bloomBits  int
 
 	buf      []byte // data blocks emitted so far
-	cur      []byte // open block
+	cur      []byte // open block; its buffer is reused from block to block
 	curFirst string
 	curCount int64
 	index    []blockMeta
-	hashes   []uint64 // bloom hash per key, computed as keys stream in
+	hashes   []uint64 // keyHash per key, computed as keys stream in
 	entries  int64
 }
 
-func newTableBuilder(blockBytes, bloomBits int) *tableBuilder {
+// newTableBuilder sizes the image and the hash vector once from what the
+// caller knows of its input: sizeHint bounds the finished table's bytes (a
+// memtable's footprint, or the summed sizes of a merge's inputs) and
+// entriesHint its entry count. Both may overshoot; neither is a limit.
+func newTableBuilder(blockBytes, bloomBits int, sizeHint, entriesHint int64) *tableBuilder {
 	if blockBytes <= 0 {
 		blockBytes = defaultBlockBytes
 	}
-	return &tableBuilder{blockBytes: blockBytes, bloomBits: bloomBits}
+	return &tableBuilder{
+		blockBytes: blockBytes,
+		bloomBits:  bloomBits,
+		buf:        make([]byte, 0, sizeHint),
+		cur:        make([]byte, 0, blockBytes+blockBytes/2),
+		hashes:     make([]uint64, 0, entriesHint),
+	}
 }
 
 func (b *tableBuilder) add(key string, value []byte, tomb bool) {
@@ -70,7 +80,7 @@ func (b *tableBuilder) add(key string, value []byte, tomb bool) {
 	}
 	b.cur = binary.AppendUvarint(b.cur, uint64(len(key)))
 	b.cur = append(b.cur, key...)
-	b.hashes = append(b.hashes, fnv64aString(key))
+	b.hashes = append(b.hashes, keyHash(key))
 	b.addTail(value, tomb)
 }
 
@@ -83,7 +93,7 @@ func (b *tableBuilder) addBytes(key []byte, value []byte, tomb bool) {
 	}
 	b.cur = binary.AppendUvarint(b.cur, uint64(len(key)))
 	b.cur = append(b.cur, key...)
-	b.hashes = append(b.hashes, fnv64a(key))
+	b.hashes = append(b.hashes, keyHash(key))
 	b.addTail(value, tomb)
 }
 
@@ -113,7 +123,7 @@ func (b *tableBuilder) sealBlock() {
 		entries:  b.curCount,
 	})
 	b.buf = append(b.buf, b.cur...)
-	b.cur, b.curFirst, b.curCount = nil, "", 0
+	b.cur, b.curFirst, b.curCount = b.cur[:0], "", 0
 }
 
 // finish seals the open block and appends bloom, index, and footer,
@@ -155,7 +165,7 @@ type Table struct {
 
 	seq     int64
 	size    int64
-	bloom   []byte
+	bloom   bloom
 	index   []blockMeta
 	entries int64
 
@@ -203,7 +213,11 @@ func openTable(fsys fsx.FS, path string, seq int64, cache *BlockCache) (*Table, 
 	if fsx.Checksum(meta) != metaCRC {
 		return nil, fmt.Errorf("lsm: %w: %s: table meta crc mismatch", fsx.ErrCorrupt, path)
 	}
-	t := &Table{fsys: fsys, path: path, cache: cache, seq: seq, size: size, bloom: meta[:bloomLen]}
+	bf, err := openBloom(meta[:bloomLen])
+	if err != nil {
+		return nil, fmt.Errorf("lsm: %w: %s: %v", fsx.ErrCorrupt, path, err)
+	}
+	t := &Table{fsys: fsys, path: path, cache: cache, seq: seq, size: size, bloom: bf}
 	idx := meta[bloomLen:]
 	pos := 0
 	for pos < len(idx) {
@@ -231,7 +245,8 @@ func openTable(fsys fsx.FS, path string, seq int64, cache *BlockCache) (*Table, 
 			*dst = int64(v)
 			pos += n
 		}
-		if m.off < 0 || m.off+m.length > bloomOff {
+		// Compared by subtraction: off+length wraps for a length near 2^63.
+		if m.off < 0 || m.length < 0 || m.entries < 0 || m.off > bloomOff || m.length > bloomOff-m.off {
 			return nil, fmt.Errorf("lsm: %w: %s: block extent outside data section", fsx.ErrCorrupt, path)
 		}
 		t.entries += m.entries
@@ -240,15 +255,27 @@ func openTable(fsys fsx.FS, path string, seq int64, cache *BlockCache) (*Table, 
 	return t, nil
 }
 
-// block fetches data block i, preferring the cache; a disk fetch is
-// CRC-verified before it is trusted or cached.
+// block fetches data block i through the shared cache, filling it on a
+// miss.
 func (t *Table) block(i int) ([]byte, error) {
-	key := cacheKey{table: t.path, block: i}
-	if t.cache != nil {
-		if b, ok := t.cache.get(key); ok {
-			return b, nil
-		}
+	if t.cache == nil {
+		return t.readBlock(i)
 	}
+	key := cacheKey{table: t.path, block: i}
+	if b, ok := t.cache.get(key); ok {
+		return b, nil
+	}
+	data, err := t.readBlock(i)
+	if err != nil {
+		return nil, err
+	}
+	t.cache.put(key, data)
+	return data, nil
+}
+
+// readBlock fetches data block i from disk, CRC-verified before it is
+// trusted.
+func (t *Table) readBlock(i int) ([]byte, error) {
 	m := t.index[i]
 	data, err := fsx.ReadRange(t.fsys, t.path, m.off, int(m.length))
 	if err != nil {
@@ -256,9 +283,6 @@ func (t *Table) block(i int) ([]byte, error) {
 	}
 	if fsx.Checksum(data) != m.crc {
 		return nil, fmt.Errorf("lsm: %w: %s block %d: crc mismatch (bit rot or torn write)", fsx.ErrCorrupt, t.path, i)
-	}
-	if t.cache != nil {
-		t.cache.put(key, data)
 	}
 	return data, nil
 }
@@ -282,10 +306,11 @@ func decodeBlockEntry(block []byte, pos int, path string) (key, val []byte, tomb
 	if vcode == 0 {
 		return key, nil, true, pos, nil
 	}
-	vlen := int(vcode - 1)
-	if len(block)-pos < vlen {
+	// Compared unsigned: a vcode near 2^64 would convert to a negative int.
+	if uint64(len(block)-pos) < vcode-1 {
 		return nil, nil, false, 0, fmt.Errorf("lsm: %w: %s: corrupt block entry", fsx.ErrCorrupt, path)
 	}
+	vlen := int(vcode - 1)
 	return key, block[pos : pos+vlen], false, pos + vlen, nil
 }
 
@@ -302,7 +327,9 @@ func (t *Table) blockOffsets(i int, block []byte) ([]uint32, error) {
 		return offs, nil
 	}
 	t.offMu.Unlock()
-	offs := make([]uint32, 0, t.index[i].entries)
+	// The index's entry count is a hint from disk; an entry is at least two
+	// bytes, so the block's own length bounds what it can make us allocate.
+	offs := make([]uint32, 0, min(t.index[i].entries, int64(len(block)/2)))
 	for pos := 0; pos < len(block); {
 		offs = append(offs, uint32(pos))
 		_, _, _, next, err := decodeBlockEntry(block, pos, t.path)
@@ -325,11 +352,18 @@ func entryKeyAt(block []byte, pos uint32) []byte {
 }
 
 // get performs a point lookup: bloom, block binary search, then a binary
-// search over the block's entry offsets. ok=false means the table has no
-// record of the key (the caller falls through to older tables); tomb=true
+// search over the block's entry offsets. h is keyHash(key), which the caller
+// computes once however many tables it probes. ok=false means the table has
+// no record of the key (the caller falls through to older tables); tomb=true
 // means the key is recorded deleted.
-func (t *Table) get(key []byte) (val []byte, tomb, ok bool, err error) {
-	if len(t.index) == 0 || !bloomMayContain(t.bloom, key) {
+func (t *Table) get(key []byte, h uint64) (val []byte, tomb, ok bool, err error) {
+	if len(t.index) == 0 {
+		return nil, false, false, nil
+	}
+	if t.bloom.legacy {
+		h = fnv64a(key)
+	}
+	if !t.bloom.mayContain(h) {
 		return nil, false, false, nil
 	}
 	// First block whose firstKey is > key; the candidate is the one before.
@@ -371,6 +405,8 @@ type tableIter struct {
 	block []byte
 	pos   int
 	from  string // entries below this bound are skipped ("" = none)
+	// direct reads blocks from disk past the shared cache (mergeInput).
+	direct bool
 
 	key  []byte // aliases the current block
 	val  []byte
@@ -391,6 +427,15 @@ func (t *Table) iter(from string) *tableIter {
 	return it
 }
 
+// mergeInput streams the whole table for a compaction merge, reading blocks
+// from disk past the shared cache. A merge touches every block of its inputs
+// exactly once, and the inputs are obsolete the moment it installs: caching
+// those blocks would evict the readers' hot set for copies dropTable is
+// about to throw away.
+func (t *Table) mergeInput() *tableIter {
+	return &tableIter{t: t, direct: true}
+}
+
 // next advances to the following entry; false at exhaustion or error.
 func (it *tableIter) next() bool {
 	for it.err == nil {
@@ -398,7 +443,13 @@ func (it *tableIter) next() bool {
 			if it.bi >= len(it.t.index) {
 				return false
 			}
-			b, err := it.t.block(it.bi)
+			var b []byte
+			var err error
+			if it.direct {
+				b, err = it.t.readBlock(it.bi)
+			} else {
+				b, err = it.t.block(it.bi)
+			}
 			if err != nil {
 				it.err = err
 				return false

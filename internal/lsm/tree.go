@@ -19,8 +19,9 @@ type Options struct {
 	MemtableBytes int64
 	// BlockBytes is the SSTable data-block target size. Default 4 KiB.
 	BlockBytes int
-	// MaxTierTables triggers compaction when this many similar-sized tables
-	// accumulate in one size tier. Default 4.
+	// MaxTierTables is the minimum merge width: compaction fires once the
+	// newest tables form a run of at least this many whose sizes are within
+	// compactionSizeRatio of one another (see pickRunLocked). Default 4.
 	MaxTierTables int
 	// Cache is the shared block cache; nil disables block caching.
 	Cache *BlockCache
@@ -107,6 +108,10 @@ type Tree struct {
 	compactions     int64
 	compactionBytes int64
 	stallUs         int64 // cumulative Commit time stalled on the backlog ceiling
+
+	// GetBatchBytes scratch, reused from call to call under mu.
+	batchPending []int
+	batchHashes  []uint64
 
 	// maintErr latches a background-maintenance failure. The next Commit
 	// fails with it, so the query's supervisor restarts from the checkpoint —
@@ -256,9 +261,13 @@ func (t *Tree) hasLocked(key string) (bool, error) {
 			return !e.tomb, nil
 		}
 	}
+	if len(t.tables) == 0 {
+		return false, nil
+	}
 	kb := []byte(key)
+	h := keyHash(kb)
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		_, tomb, ok, err := t.tables[i].get(kb)
+		_, tomb, ok, err := t.tables[i].get(kb, h)
 		if err != nil {
 			return false, err
 		}
@@ -337,8 +346,12 @@ func (t *Tree) GetBytes(key []byte) ([]byte, bool, error) {
 			return e.value, true, nil
 		}
 	}
+	if len(t.tables) == 0 {
+		return nil, false, nil
+	}
+	h := keyHash(key)
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := t.tables[i].get(key)
+		v, tomb, ok, err := t.tables[i].get(key, h)
 		if err != nil {
 			return nil, false, err
 		}
@@ -359,17 +372,22 @@ func (t *Tree) GetBytes(key []byte) ([]byte, bool, error) {
 // GetBytes — a key resolves at the newest structure that knows it, and a
 // tombstone there is a definitive miss — but the per-structure sweep means
 // a batch pays the lock once and each SSTable's bloom filter and index
-// stay hot in cache while every remaining key probes them. Results land in
-// values/oks positionally (both must be len(keys)); value slices alias
-// internal storage and must not be mutated.
+// stay hot in cache while every remaining key probes them. A key that
+// reaches the tables is hashed once, whatever the number of filters it then
+// meets. Results land in values/oks positionally (both must be len(keys));
+// value slices alias internal storage and must not be mutated.
 func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// pending holds the positions still unresolved after each structure.
-	pending := make([]int, 0, len(keys))
+	if cap(t.batchPending) < len(keys) {
+		t.batchPending = make([]int, len(keys))
+		t.batchHashes = make([]uint64, len(keys))
+	}
+	pending := t.batchPending[:len(keys)]
 	for i := range keys {
 		values[i], oks[i] = nil, false
-		pending = append(pending, i)
+		pending[i] = i
 	}
 	resolve := func(getMem func(key []byte) (memEntry, bool)) {
 		next := pending[:0]
@@ -388,11 +406,19 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 	for s := len(t.sealed) - 1; s >= 0 && len(pending) > 0; s-- {
 		resolve(t.sealed[s].mem.getBytes)
 	}
+	if len(pending) == 0 || len(t.tables) == 0 {
+		return nil
+	}
+	// hashes is positional like values: pending shrinks, positions do not.
+	hashes := t.batchHashes[:len(keys)]
+	for _, i := range pending {
+		hashes[i] = keyHash(keys[i])
+	}
 	for ti := len(t.tables) - 1; ti >= 0 && len(pending) > 0; ti-- {
 		tbl := t.tables[ti]
 		next := pending[:0]
 		for _, i := range pending {
-			v, tomb, ok, err := tbl.get(keys[i])
+			v, tomb, ok, err := tbl.get(keys[i], hashes[i])
 			if err != nil {
 				return err
 			}
@@ -627,7 +653,7 @@ func (t *Tree) step() (bool, error) {
 		t.mu.Unlock()
 		return true, t.flushStep(sm, seq)
 	}
-	i, j := t.findRunLocked()
+	i, j := t.pickRunLocked()
 	if i < 0 {
 		t.mu.Unlock()
 		return false, nil
@@ -645,7 +671,7 @@ func (t *Tree) step() (bool, error) {
 // Commit never touches the sealed queue's head or the table list, so the
 // install point sees exactly the snapshotted structures.
 func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
-	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey)
+	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey, sm.mem.bytes, int64(sm.mem.len()))
 	for _, k := range sm.mem.sortedKeys("", "") {
 		e := sm.mem.entries[k]
 		b.add(k, e.value, e.tomb)
@@ -682,16 +708,17 @@ func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
 // garbage-collects unreferenced tables once retention allows.
 func (t *Tree) compactStep(i, j int, run []*Table, seq int64) error {
 	srcs := make([]kvIter, 0, len(run))
-	var inBytes int64
+	var inBytes, inEntries int64
 	for k := len(run) - 1; k >= 0; k-- { // newest first
-		srcs = append(srcs, run[k].iter(""))
+		srcs = append(srcs, run[k].mergeInput())
 		inBytes += run[k].size
+		inEntries += run[k].entries
 	}
 	mi := newMergeIter(srcs)
 	// Tombstones drop only when the run includes the oldest table, i.e.
 	// when nothing older could be resurrected.
 	dropTombs := i == 0
-	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey)
+	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey, inBytes, inEntries)
 	for mi.next() {
 		k, v, tomb := mi.entry()
 		if tomb && dropTombs {
@@ -754,7 +781,7 @@ func (t *Tree) manifestLocked() manifest {
 }
 
 // maintLoop is the supervised background maintenance goroutine: it drains
-// the flush queue and folds crowded tiers whenever a commit signals work,
+// the flush queue and merges a due run whenever a commit signals work,
 // publishing a manifest after every step. A failure (or panic) is latched
 // into maintErr and fails the next Commit — the query's supervisor then
 // restarts from the checkpoint; background maintenance must never decay
@@ -788,33 +815,40 @@ func (t *Tree) maintLoop() {
 	}
 }
 
-// sizeTier buckets a table by size: tables within a power-of-two band above
-// a 16 KiB base share a tier and are candidates for merging together.
-func sizeTier(bytes int64) int {
-	tier := 0
-	for bytes > 16<<10 {
-		bytes >>= 1
-		tier++
-	}
-	return tier
-}
+// compactionSizeRatio bounds how much larger than everything newer a table
+// may be and still join a merge run. Above 1 it is what makes the table
+// count logarithmic: where a run stops, the next older table outweighs the
+// whole run by more than this factor.
+const compactionSizeRatio = 2
 
-// findRunLocked locates the first maximal age-adjacent same-tier run of at
-// least MaxTierTables tables, returning [-1,-1) if none qualifies. Only
-// age-adjacent tables may merge — skipping a table in the middle would
-// reorder shadowing.
-func (t *Tree) findRunLocked() (int, int) {
-	for i := 0; i < len(t.tables); {
-		j := i + 1
-		for j < len(t.tables) && sizeTier(t.tables[j].size) == sizeTier(t.tables[i].size) {
-			j++
-		}
-		if j-i >= t.opts.MaxTierTables {
-			return i, j
-		}
-		i = j
+// pickRunLocked selects the tables to merge, as a half-open range of
+// t.tables, or [-1,-1) when nothing is due. The run is always a suffix: it
+// starts at the newest table and takes the next older one while that table
+// is no larger than compactionSizeRatio times the run so far, and it is due
+// once it is MaxTierTables wide. Only age-adjacent tables may merge —
+// skipping one in the middle would reorder shadowing — and a suffix is
+// age-adjacent by construction.
+//
+// Sizes are compared with each other, never with fixed bands, so flushes of
+// any size pattern merge. And since a merge's output is again the newest
+// table, the list is a stack: whenever maintenance has caught up it is made
+// of groups narrower than MaxTierTables, each older group more than
+// compactionSizeRatio times the bytes of the one above it — at most
+// MaxTierTables-1 tables per doubling of the data.
+func (t *Tree) pickRunLocked() (int, int) {
+	n := len(t.tables)
+	if n < t.opts.MaxTierTables {
+		return -1, -1
 	}
-	return -1, -1
+	i, sum := n-1, t.tables[n-1].size
+	for i > 0 && t.tables[i-1].size <= compactionSizeRatio*sum {
+		i--
+		sum += t.tables[i].size
+	}
+	if n-i < t.opts.MaxTierTables {
+		return -1, -1
+	}
+	return i, n
 }
 
 // Compact runs maintenance to fixpoint synchronously: pending flushes, then

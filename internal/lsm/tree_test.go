@@ -393,25 +393,3 @@ func TestLoadSurvivesMissingManifest(t *testing.T) {
 		t.Fatalf("NumKeys = %d, want 3", tr2.NumKeys())
 	}
 }
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	keys := make([]string, 500)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bloom-key-%d", i*7)
-	}
-	f := buildBloom(keys, bloomBitsPerKey)
-	for _, k := range keys {
-		if !bloomMayContain(f, []byte(k)) {
-			t.Fatalf("false negative for %s", k)
-		}
-	}
-	fp := 0
-	for i := 0; i < 1000; i++ {
-		if bloomMayContain(f, []byte(fmt.Sprintf("absent-%d", i))) {
-			fp++
-		}
-	}
-	if fp > 100 { // ~1% expected at 10 bits/key; 10% is a hard failure
-		t.Fatalf("false positive rate too high: %d/1000", fp)
-	}
-}

@@ -103,6 +103,7 @@ type MemorySink struct {
 	complete   []sql.Row          // complete mode: latest full table
 	keyed      map[string]sql.Row // update mode: upsert by key
 	keyOrder   []string
+	keyEnc     codec.Encoder // update mode: scratch for the row's key bytes
 	mode       logical.OutputMode
 	hasMode    bool
 	epochs     []epochSub
@@ -158,8 +159,20 @@ func (s *MemorySink) AddBatch(b Batch) error {
 			ka = b.Schema.Len()
 		}
 		for _, r := range b.Rows {
-			k := codec.KeyString(r[:ka])
-			if _, ok := s.keyed[k]; !ok {
+			// Same bytes as codec.KeyString; the key string and the retained
+			// row are allocated only the first time a key is seen.
+			s.keyEnc.Reset()
+			for _, v := range r[:ka] {
+				s.keyEnc.PutValue(v)
+			}
+			old, ok := s.keyed[string(s.keyEnc.Bytes())]
+			if ok && len(old) == len(r) {
+				// Every reader is handed clones, so nobody holds old.
+				copy(old, r)
+				continue
+			}
+			k := string(s.keyEnc.Bytes())
+			if !ok {
 				s.keyOrder = append(s.keyOrder, k)
 			}
 			s.keyed[k] = r.Clone()

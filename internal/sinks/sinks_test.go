@@ -68,6 +68,23 @@ func TestMemorySinkUpdateUpserts(t *testing.T) {
 			t.Errorf("CA not updated: %v", r)
 		}
 	}
+
+	// A repeated key overwrites the retained row in place. Rows already
+	// handed out must not see it, the delivered row must not be retained,
+	// first-seen order holds, and a row of another arity replaces the old.
+	delivered := sql.Row{"CA", int64(9)}
+	s.AddBatch(batch(2, logical.Update, delivered))
+	delivered[1] = int64(-1)
+	if rows[0][1] != int64(7) {
+		t.Errorf("a later upsert changed rows already returned: %v", rows)
+	}
+	if got := s.Rows(); len(got) != 2 || got[0][0] != "CA" || got[0][1] != int64(9) || got[1][0] != "US" {
+		t.Errorf("after in-place upsert: %v", got)
+	}
+	s.AddBatch(batch(3, logical.Update, sql.Row{"CA", int64(10), "extra"}))
+	if got := s.Rows(); len(got) != 2 || len(got[0]) != 3 || got[0][1] != int64(10) {
+		t.Errorf("after an upsert of another arity: %v", got)
+	}
 }
 
 func TestMemorySinkModeChangeRejected(t *testing.T) {

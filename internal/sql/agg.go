@@ -219,7 +219,8 @@ type AggBuffer interface {
 	Result() Value
 	// Serialize renders the buffer as a flat value slice.
 	Serialize() []Value
-	// Deserialize restores the buffer from Serialize output.
+	// Deserialize restores the buffer from Serialize output. It may keep
+	// the values but not the slice: callers reuse it for the next decode.
 	Deserialize(vals []Value) error
 }
 

@@ -205,16 +205,21 @@ func DecodeRow(buf []byte) (sql.Row, error) {
 
 // DecodeValues decodes all values remaining in buf.
 func DecodeValues(buf []byte) ([]sql.Value, error) {
-	d := NewDecoder(buf)
-	var out []sql.Value
+	return AppendValues(nil, buf)
+}
+
+// AppendValues is DecodeValues appending to dst, for callers that decode
+// value lists in a loop and keep none of the slices.
+func AppendValues(dst []sql.Value, buf []byte) ([]sql.Value, error) {
+	d := Decoder{buf: buf}
 	for d.Remaining() {
 		v, err := d.Value()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // KeyString encodes a grouping key as a string usable as a Go map key. The

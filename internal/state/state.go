@@ -571,8 +571,8 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	values = make([][]byte, len(keys))
 	oks = make([]bool, len(keys))
-	var needIdx []int
-	var needKeys [][]byte
+	needIdx := make([]int, 0, len(keys))
+	needKeys := make([][]byte, 0, len(keys))
 	for i, key := range keys {
 		if s.pendingDel[string(key)] {
 			continue

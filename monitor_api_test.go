@@ -234,6 +234,7 @@ func TestMonitorExposesLSMStateStats(t *testing.T) {
 		OutputModeName("update").
 		Option("stateBackend", "lsm").
 		Option("stateMemtableBytes", "512").
+		Option("stateSyncMaintenance", "true"). // epoch 1 is in SSTables before the last epoch reads it
 		Foreach(func(epoch int64, rows []Row) error { return nil }).
 		Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
 	if err != nil {
@@ -248,11 +249,14 @@ func TestMonitorExposesLSMStateStats(t *testing.T) {
 	defer m.Close()
 	base := "http://" + m.Addr()
 
-	// Three epochs of 40 unique keys each — ~20× the memtable threshold.
-	for e := 0; e < 3; e++ {
+	// Three epochs of 40 unique keys each — ~20× the memtable threshold —
+	// then the first epoch's keys again: fresh keys stop at the bloom
+	// filters and a merge reads past the cache, so only reading spilled
+	// keys back sends data blocks through it.
+	for e := 0; e < 4; e++ {
 		rows := make([]Row, 40)
 		for i := range rows {
-			rows[i] = Row{fmt.Sprintf("c%03d", e*40+i), int64(i), 1.0, int64(0)}
+			rows[i] = Row{fmt.Sprintf("c%03d", e%3*40+i), int64(i), 1.0, int64(0)}
 		}
 		feed.AddData(rows...)
 		if err := q.ProcessAllAvailable(); err != nil {

@@ -12,6 +12,11 @@ go test -race ./...
 # hold and corrupt input must never panic the decoder.
 echo ">> lsm record-framing fuzz smoke"
 go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
+# And on the SSTable reader — footer, filter header, block index and block
+# entries, each fuzzed behind a valid checksum: no panic, and nothing but
+# fsx.ErrCorrupt comes back.
+echo ">> lsm sstable reader fuzz smoke"
+go test -run '^$' -fuzz 'FuzzOpenTable' -fuzztime 5s ./internal/lsm/
 # The same for the three decoders that read stream-stream join state back
 # (header values, entry values, time-index keys).
 echo ">> join state fuzz smoke"
