@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify bench bench-json bench-compare chaos
+.PHONY: build test test-short verify bench chaos
 
 build:
 	$(GO) build ./...
@@ -25,19 +25,9 @@ verify:
 chaos:
 	STRUCTREAM_CHAOS=1 $(GO) test -race -run 'TestChaos' -v -timeout 10m ./internal/supervisor/
 
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): the five
+# fixed-work workloads, one untraced run each; results under benchmark/out/.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Machine-readable benchmark report: microbatch throughput with
-# observability on/off (tracing overhead %), epoch p50/p99, and
-# continuous-mode record latency, written to BENCH_<date>.json.
-bench-json:
-	$(GO) run ./cmd/ssbench -experiment bench -events 2000000 -rounds 5 \
-		-json BENCH_$$(date +%F).json
-
-# Throughput regression gate: rerun the bench suite and fail if
-# microbatch-throughput drops more than 10% below the newest committed
-# BENCH_<date>.json baseline.
-bench-compare:
-	$(GO) run ./cmd/ssbench -experiment bench -events 2000000 -rounds 3 \
-		-compare "$$(ls BENCH_*.json | sort | tail -1)"
+	for w in map-bulk ysb-bulk agg-spill join-skew live-serve; do \
+		bash benchmark/run.sh --workload $$w || exit 1; \
+	done

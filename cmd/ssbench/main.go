@@ -8,141 +8,116 @@
 //	ssbench -experiment runonce   §7.3 run-once trigger cost savings
 //	ssbench -experiment recovery  §6.2 task recovery vs topology rollback
 //	ssbench -experiment adaptive  §7.3 adaptive batching after downtime
-//	ssbench -experiment bench     observability bench suite (throughput, p99, tracing overhead)
 //	ssbench -experiment all       everything, in order
 //
-// With -json FILE the bench suite additionally writes its machine-readable
-// report (the BENCH_<date>.json artifact `make bench-json` produces).
+// The repository's benchmark (throughput, latency, recovery and per-layer
+// metrics of the five fixed workloads) is `bash benchmark/run.sh`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"structream/internal/experiments"
 )
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "all", "fig6a, fig6b, fig7, runonce, recovery, adaptive, bench or all")
-		events     = flag.Int("events", 4_000_000, "workload size for fig6a/fig6b calibration")
-		rounds     = flag.Int("rounds", 3, "measurement rounds per engine (best kept)")
-		rateSecs   = flag.Float64("rate-seconds", 1.5, "seconds per rate point in fig7")
-		jsonOut    = flag.String("json", "", "with -experiment bench, also write the report as JSON to this file")
-		compare    = flag.String("compare", "", "with -experiment bench, fail if microbatch-throughput drops >10% below this baseline BENCH json")
-	)
-	flag.Parse()
-
-	tempDir := func() string {
-		dir, err := os.MkdirTemp("", "ssbench-*")
-		if err != nil {
-			fatal(err)
-		}
-		return dir
-	}
-
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Println()
-	}
-
-	run("fig6a", func() error {
-		r, err := experiments.RunFig6a(*events, *rounds, tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("fig6b", func() error {
-		model, err := experiments.CalibrateYahoo(*events, tempDir)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RunFig6b(model, []int{1, 5, 10, 20}, 1_000_000_000, 1000)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("fig7", func() error {
-		r, err := experiments.RunFig7(nil, time.Duration(*rateSecs*float64(time.Second)), tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("runonce", func() error {
-		r, err := experiments.RunRunOnce(2_000_000, tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("recovery", func() error {
-		r, err := experiments.RunRecovery(2_000_000, tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("adaptive", func() error {
-		r, err := experiments.RunAdaptive(100_000, 3, tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-
-	run("bench", func() error {
-		r, err := experiments.RunBenchSuite(*events, *rounds, tempDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("  wrote %s\n", *jsonOut)
-		}
-		if *compare != "" {
-			baseline, err := os.ReadFile(*compare)
-			if err != nil {
-				return err
-			}
-			if err := experiments.CompareBenchBaseline(baseline, r); err != nil {
-				return err
-			}
-			fmt.Printf("  no throughput regression vs %s\n", *compare)
-		}
-		return nil
-	})
+// sizes are the workload sizes of one ssbench run.
+type sizes struct {
+	events    int           // fig6a workload, fig6b calibration
+	rounds    int           // fig6a measurement rounds per engine (best kept)
+	perRate   time.Duration // fig7 time per rate point
+	fig7Rates []int64       // fig7 sweep; nil = the figure's own rates
+	ops       int           // runonce hourly volume, recovery workload
+	backlog   int64         // adaptive: rows accumulated during downtime
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ssbench:", err)
-	os.Exit(1)
+// experimentNames lists the experiments in the order `all` runs them.
+var experimentNames = []string{"fig6a", "fig6b", "fig7", "runonce", "recovery", "adaptive"}
+
+// runExperiment runs one named experiment and returns its printable result.
+func runExperiment(name string, sz sizes, tempDir func() string) (fmt.Stringer, error) {
+	switch name {
+	case "fig6a":
+		return experiments.RunFig6a(sz.events, sz.rounds, tempDir)
+	case "fig6b":
+		model, err := experiments.CalibrateYahoo(sz.events, tempDir)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.RunFig6b(model, []int{1, 5, 10, 20}, 1_000_000_000, 1000)
+	case "fig7":
+		return experiments.RunFig7(sz.fig7Rates, sz.perRate, tempDir)
+	case "runonce":
+		return experiments.RunRunOnce(int64(sz.ops), tempDir)
+	case "recovery":
+		return experiments.RunRecovery(sz.ops, tempDir)
+	case "adaptive":
+		return experiments.RunAdaptive(sz.backlog, 3, tempDir)
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process exit: 0 on success, 1 when an experiment
+// fails, 2 on a bad command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	valid := strings.Join(experimentNames, ", ") + " or all"
+	fs := flag.NewFlagSet("ssbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		experiment = fs.String("experiment", "all", valid)
+		events     = fs.Int("events", 4_000_000, "workload size for fig6a/fig6b calibration")
+		rounds     = fs.Int("rounds", 3, "measurement rounds per engine (best kept)")
+		rateSecs   = fs.Float64("rate-seconds", 1.5, "seconds per rate point in fig7")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	names := experimentNames
+	if *experiment != "all" {
+		names = []string{*experiment}
+		if !slices.Contains(experimentNames, *experiment) {
+			if *experiment == "bench" {
+				fmt.Fprintln(stderr, "ssbench: the bench experiment is gone; the repository benchmark is `bash benchmark/run.sh`")
+			}
+			fmt.Fprintf(stderr, "ssbench: unknown experiment %q (valid: %s)\n", *experiment, valid)
+			return 2
+		}
+	}
+	sz := sizes{
+		events:  *events,
+		rounds:  *rounds,
+		perRate: time.Duration(*rateSecs * float64(time.Second)),
+		ops:     2_000_000,
+		backlog: 100_000,
+	}
+	base, err := os.MkdirTemp("", "ssbench-*")
+	if err != nil {
+		fmt.Fprintln(stderr, "ssbench:", err)
+		return 1
+	}
+	defer os.RemoveAll(base)
+	n := 0
+	tempDir := func() string {
+		// Checkpoint directories are created by whoever opens them.
+		n++
+		return filepath.Join(base, strconv.Itoa(n))
+	}
+	for _, name := range names {
+		r, err := runExperiment(name, sz, tempDir)
+		if err != nil {
+			fmt.Fprintf(stderr, "ssbench: %s: %v\n", name, err)
+			return 1
+		}
+		fmt.Fprintln(stdout, r)
+	}
+	return 0
 }

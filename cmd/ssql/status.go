@@ -99,7 +99,7 @@ func formatHealth(rep health.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "health for %q: %s\n", rep.Query, rep.Status)
 	if rep.Status == "disabled" {
-		b.WriteString("  health tracking is off (started with DisableHealth)\n")
+		b.WriteString("  no health tracker: the query never started\n")
 		return b.String()
 	}
 	if len(rep.Signals) > 0 {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	structream "structream"
+	"structream/internal/engine"
 	"structream/internal/health"
 	"structream/internal/metrics"
 )
@@ -134,8 +136,11 @@ func TestFormatHealth(t *testing.T) {
 			t.Errorf("formatHealth missing %q:\n%s", want, got)
 		}
 	}
-	if got := formatHealth(health.Report{Status: "disabled"}); !strings.Contains(got, "health tracking is off") {
-		t.Errorf("disabled report:\n%s", got)
+	// A handle that never started a query has no tracker; its nil-safe
+	// report must still render as one sane line.
+	failed := engine.NewFailedQuery(errors.New("never started"))
+	if got := formatHealth(failed.Health().Health()); !strings.Contains(got, "no health tracker") {
+		t.Errorf("report of a handle without a tracker:\n%s", got)
 	}
 }
 

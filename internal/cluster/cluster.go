@@ -3,9 +3,7 @@
 // independent tasks scheduled over worker nodes, with retry on task
 // failure, speculative backup copies for stragglers, and dynamic rescaling.
 // Fault and straggler injection hooks make the §6.2 recovery claims
-// testable. A separate virtual-time scheduler (virtual.go) replays measured
-// task costs over simulated multi-node clusters for the Fig 6b scaling
-// experiment, since this reproduction runs on a single core.
+// testable.
 package cluster
 
 import (

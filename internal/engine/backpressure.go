@@ -48,10 +48,8 @@ type aimdLimiter struct {
 // newAIMDLimiter builds a limiter honoring the static cap as ceiling. The
 // registry supplies the per-stage latency histograms quoted in decisions;
 // it may be nil (decisions then omit the percentile evidence).
-func newAIMDLimiter(target time.Duration, staticCap, floor int64, reg *metrics.Registry) *aimdLimiter {
-	if floor <= 0 {
-		floor = minAdaptiveCap
-	}
+func newAIMDLimiter(target time.Duration, staticCap int64, reg *metrics.Registry) *aimdLimiter {
+	floor := int64(minAdaptiveCap)
 	if staticCap > 0 && floor > staticCap {
 		floor = staticCap
 	}

@@ -153,10 +153,6 @@ func (s unprunedSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error)
 	return s.Source.(sources.VectorReader).ReadVec(p, from, to)
 }
 
-func (s unprunedSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	return s.Source.(sources.PartitionReader).ReadPartition(p, from, to, n, of)
-}
-
 // TestPrunedScanKeepsTheRowPathsBytes: over a log that holds records
 // truncated inside a column the plan skips, records whose type drifts
 // inside a skipped column, and records whose type drifts inside a column
@@ -280,14 +276,6 @@ func (s recordingSource) PruneColumns(cols []int) sources.Source {
 
 func (s recordingSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 	b, ok, err := s.Source.(sources.VectorReader).ReadVec(p, from, to)
-	if ok && err == nil {
-		s.log.note(b)
-	}
-	return b, ok, err
-}
-
-func (s recordingSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	b, ok, err := s.Source.(sources.PartitionReader).ReadPartition(p, from, to, n, of)
 	if ok && err == nil {
 		s.log.note(b)
 	}

@@ -13,7 +13,6 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
-	"structream/internal/trace"
 	"structream/internal/wal"
 )
 
@@ -29,12 +28,9 @@ type continuousExec struct {
 	sink sinks.Sink
 	opts Options
 
-	wal    *wal.Log
-	hook   *epochHook
-	log    *metrics.EventLog
-	reg    *metrics.Registry
-	tracer *trace.Tracer   // nil when Options.DisableTracing
-	health *health.Tracker // nil when Options.DisableHealth
+	wal  *wal.Log
+	hook *epochHook
+	telemetry
 
 	stopCh chan struct{}
 	failCh chan struct{} // closed on the first error; may precede worker exit
@@ -93,8 +89,7 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 		q: q, sink: sink, opts: opts,
 		wal:          w,
 		hook:         newEpochHook(),
-		log:          metrics.NewEventLog(opts.EventLogWriter),
-		reg:          metrics.NewRegistry(),
+		telemetry:    newTelemetry(opts),
 		stopCh:       make(chan struct{}),
 		failCh:       make(chan struct{}),
 		srcs:         map[string]*sources.Instrumented{},
@@ -103,13 +98,6 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 		lastAdvance:  time.Now(),
 		lastMark:     time.Now(),
 		prevSrcStats: map[string]sources.SourceStats{},
-	}
-	ce.log.SetRegistry(ce.reg)
-	if !opts.DisableTracing {
-		ce.tracer = trace.NewTracer(opts.Name, opts.TraceCapacity)
-	}
-	if !opts.DisableHealth {
-		ce.health = health.New(healthConfig(opts, ce.reg, ce.tracer, ce.log))
 	}
 	ce.budget.Store(opts.MaxRecordsPerTrigger)
 
@@ -135,34 +123,36 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 		doneCh: make(chan struct{}),
 	}
 
-	// Launch one long-lived worker per (pipeline, partition) — §6.3: "the
-	// master launches long-running tasks on each partition"; a failed
-	// worker would simply be relaunched.
-	for _, p := range q.Pipelines {
-		bound, ok := srcs[p.SourceName]
+	// Resolve every pipeline's source and start offsets before any worker
+	// exists: a failure on a later pipeline must not leave an earlier
+	// one's workers polling and writing to the sink behind the error.
+	bound := make([]*sources.Instrumented, len(q.Pipelines))
+	for i, p := range q.Pipelines {
+		raw, ok := srcs[p.SourceName]
 		if !ok {
 			return nil, fmt.Errorf("engine: no source bound for stream %q", p.SourceName)
 		}
-		src := sources.Instrument(bound)
+		src := sources.Instrument(raw)
 		name := src.Name()
+		bound[i] = src
 		ce.srcs[name] = src
 		if _, ok := ce.current[name]; !ok {
-			var start sources.Offsets
-			if opts.StartFromLatest {
-				start, err = src.Latest()
-			} else {
-				start, err = src.Earliest()
-			}
+			start, err := src.Earliest()
 			if err != nil {
 				return nil, err
 			}
 			ce.current[name] = start
 			ce.lastEnd[name] = start.Clone()
 		}
-		for part := 0; part < src.Partitions(); part++ {
+	}
+	// Launch one long-lived worker per (pipeline, partition) — §6.3: "the
+	// master launches long-running tasks on each partition"; a failed
+	// worker would simply be relaunched.
+	for i, p := range q.Pipelines {
+		for part := 0; part < bound[i].Partitions(); part++ {
 			ce.wg.Add(1)
 			ce.workerSeq++
-			go ce.worker(p, src, part, ce.workerSeq)
+			go ce.worker(p, bound[i], part, ce.workerSeq)
 		}
 	}
 

@@ -45,7 +45,7 @@ func TestReplayRaceFileSource(t *testing.T) {
 	}
 	sink := sinks.NewMemorySink()
 	sq := startQuery(t, q, map[string]sources.Source{"events": newSrc()}, sink,
-		Options{Checkpoint: checkpoint, StartFromLatest: false})
+		Options{Checkpoint: checkpoint})
 	if err := sq.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReplayRaceFileSource(t *testing.T) {
 	// scan the sources before replaying [2,3).
 	sink2 := sinks.NewMemorySink()
 	sq2 := startQuery(t, q, map[string]sources.Source{"events": newSrc()}, sink2,
-		Options{Checkpoint: checkpoint, StartFromLatest: false})
+		Options{Checkpoint: checkpoint})
 	defer sq2.Stop()
 	if err := sq2.Err(); err != nil {
 		t.Fatalf("recovery replay failed: %v", err)
@@ -190,29 +190,6 @@ func TestHealthWiredIntoEngine(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(checkpoint, "_health")); err == nil {
 		// Fine either way: the directory is created lazily on first capture.
 		t.Log("bundle dir exists")
-	}
-}
-
-// TestHealthDisabled verifies DisableHealth leaves a nil, still-safe
-// tracker and suppresses the eventTime-independent health machinery.
-func TestHealthDisabled(t *testing.T) {
-	src := sources.NewMemorySource("events", eventsSchema)
-	plan := &logical.Project{Child: streamScan("events"),
-		Exprs: []sql.Expr{sql.Col("k"), sql.Col("v")}}
-	q := compile(t, plan, logical.Append, nil)
-	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink,
-		Options{DisableHealth: true})
-	src.AddData(sql.Row{"a", 1.0, 0})
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
-	}
-	if sq.Health() != nil {
-		t.Fatal("Health() should be nil when disabled")
-	}
-	// Nil trackers answer with a disabled report.
-	if rep := sq.Health().Health(); rep.Status != "disabled" {
-		t.Errorf("nil tracker status = %q", rep.Status)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +118,54 @@ func TestContinuousWatchdogFailsStalledWorker(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("continuous watchdog never fired")
+	}
+}
+
+// countingSource counts the calls a continuous worker makes in its poll
+// loop.
+type countingSource struct {
+	sources.Source
+	calls *atomic.Int64
+}
+
+func (s countingSource) Latest() (sources.Offsets, error) {
+	s.calls.Add(1)
+	return s.Source.Latest()
+}
+
+func (s countingSource) Read(p int, from, to int64) ([]sql.Row, error) {
+	s.calls.Add(1)
+	return s.Source.Read(p, from, to)
+}
+
+// TestContinuousStartFailureLaunchesNothing: when one stream of a map-only
+// union has no source bound, Start returns the error and leaves nothing
+// behind — the other stream's workers must not be polling their source
+// (and writing to the sink) for a query nobody holds a handle to. Whichever
+// side is missing, so the test does not depend on pipeline order.
+func TestContinuousStartFailureLaunchesNothing(t *testing.T) {
+	plan := &logical.Union{Left: streamScan("a"), Right: streamScan("b")}
+	q := compile(t, plan, logical.Append, nil)
+	for _, bound := range []string{"a", "b"} {
+		var calls atomic.Int64
+		inner := sources.NewMemorySource(bound, eventsSchema)
+		inner.AddData(sql.Row{"k", 1.0, int64(0)})
+		sink := sinks.NewMemorySink()
+		_, err := Start(q, map[string]sources.Source{bound: countingSource{inner, &calls}}, sink, Options{
+			Checkpoint: t.TempDir(),
+			Trigger:    ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+		})
+		if err == nil {
+			t.Fatalf("only %q bound: Start succeeded", bound)
+		}
+		after := calls.Load()
+		time.Sleep(50 * time.Millisecond) // a leaked worker polls every 200µs
+		if now := calls.Load(); now != after {
+			t.Errorf("only %q bound: %d source calls arrived after Start returned %v", bound, now-after, err)
+		}
+		if n := len(sink.Rows()); n != 0 {
+			t.Errorf("only %q bound: %d rows reached the sink of a query that never started", bound, n)
+		}
 	}
 }
 

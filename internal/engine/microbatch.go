@@ -48,8 +48,10 @@ type Options struct {
 	// each state partition commits under its own store and seals its own
 	// WAL segment, and the epoch commits through a sharded barrier that
 	// verifies every seal before writing the single commit manifest.
-	// 0 or 1 keeps the classic path (one task per source partition on the
-	// in-process simulated cluster). Output is byte-identical either way:
+	// 0 or 1 keeps the classic path: one task per source partition on
+	// Options.Cluster, which by default is an in-process cluster of two
+	// slots — so two tasks of a stage do run at once, not one after the
+	// other. Output is byte-identical either way:
 	// shards are contiguous and concatenate in task order, and the
 	// exchange hashes exactly as the row path does.
 	Workers int
@@ -58,12 +60,9 @@ type Options struct {
 	// the paper's adaptive batching: a backlog produces proportionally
 	// larger epochs until the query catches up (§7.3).
 	MaxRecordsPerTrigger int64
-	// Cluster executes map and reduce stages; nil uses a single-node
-	// in-process cluster.
+	// Cluster executes map and reduce stages when Workers <= 1; nil uses a
+	// single-node, two-slot in-process cluster.
 	Cluster *cluster.Cluster
-	// StartFromEarliest makes a fresh query begin at the sources' earliest
-	// offsets rather than their current head (default true).
-	StartFromLatest bool
 	// EventLogWriter receives JSON progress lines (§7.4); may be nil.
 	EventLogWriter io.Writer
 	// StateSnapshotInterval overrides the state store's full-snapshot
@@ -123,9 +122,6 @@ type Options struct {
 	// limiter steers toward. 0 derives it from the trigger: the
 	// ProcessingTime interval when one is set, else 100ms.
 	BackpressureTarget time.Duration
-	// MinRecordsPerTrigger floors the adaptive cap so a struggling query
-	// still makes progress (default 16).
-	MinRecordsPerTrigger int64
 	// Vectorize enables the columnar execution path for the microbatch hot
 	// loop (default on): map tasks decode source batches into typed column
 	// vectors and run filters, projections, tumbling-window assignment and
@@ -134,26 +130,12 @@ type Options struct {
 	// are identical either way. Pass engine.Bool(false) to force the row
 	// path (useful for benchmarking and differential testing).
 	Vectorize *bool
-	// DisableTracing turns off span-based epoch tracing (§7.4). Tracing is
-	// on by default; its overhead is a few timestamps per epoch stage.
-	DisableTracing bool
-	// TraceCapacity bounds how many finished epoch traces are retained in
-	// the tracer's ring buffer (default 256).
-	TraceCapacity int
-	// DisableHealth turns off the health subsystem (latency lineage,
-	// anomaly detector, flight recorder). On by default; its per-epoch cost
-	// is a handful of timestamps and one mutex-protected ring write.
-	DisableHealth bool
 	// HealthDir overrides where flight-recorder bundles are written
 	// (default <Checkpoint>/_health). Bundles deliberately bypass
 	// Options.FS and use the real filesystem: a FaultFS counts mutating
 	// ops to schedule deterministic crashes, and a background diagnostic
 	// capture must not perturb that schedule.
 	HealthDir string
-	// HealthConfig overrides detector/recorder tuning (thresholds, bundle
-	// ring size, clock). Query, Registry, Tracer, and Events are always
-	// wired by the engine; Dir/FS are taken from the config when set.
-	HealthConfig *health.Config
 }
 
 // Bool returns a pointer to v, for the Options.Vectorize field.
@@ -188,30 +170,39 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// healthConfig assembles the health.Tracker config for a query: user
-// overrides from Options.HealthConfig, the engine's own registry, tracer
-// and event log (always wired, so bundles capture the query's real
-// telemetry), and the bundle ring under the checkpoint unless redirected.
-func healthConfig(opts Options, reg *metrics.Registry, tr *trace.Tracer, log *metrics.EventLog) health.Config {
-	cfg := health.Config{}
-	if opts.HealthConfig != nil {
-		cfg = *opts.HealthConfig
+// telemetry is the observability every query carries, in both execution
+// modes (§7.4): the progress event log feeding the metric registry, the
+// epoch tracer, and the health tracker whose bundles capture all three.
+// A handle that never started a query (NewFailedQuery) has none of it,
+// which is why trace.Tracer and health.Tracker stay nil-safe.
+type telemetry struct {
+	log    *metrics.EventLog
+	reg    *metrics.Registry
+	tracer *trace.Tracer
+	health *health.Tracker
+}
+
+// newTelemetry wires a query's telemetry. Flight-recorder bundles go under
+// the checkpoint unless Options.HealthDir redirects them, and always to
+// the real filesystem (health.New's default), never Options.FS:
+// fault-injecting filesystems schedule crashes by counting mutating ops,
+// and diagnostics must not perturb that.
+func newTelemetry(opts Options) telemetry {
+	t := telemetry{
+		log:    metrics.NewEventLog(opts.EventLogWriter),
+		reg:    metrics.NewRegistry(),
+		tracer: trace.NewTracer(opts.Name, 0),
 	}
-	cfg.Query = opts.Name
-	cfg.Registry = reg
-	cfg.Tracer = tr
-	cfg.Events = log
-	if cfg.Dir == "" {
-		if opts.HealthDir != "" {
-			cfg.Dir = opts.HealthDir
-		} else {
-			cfg.Dir = filepath.Join(opts.Checkpoint, "_health")
-		}
+	t.log.SetRegistry(t.reg)
+	dir := opts.HealthDir
+	if dir == "" {
+		dir = filepath.Join(opts.Checkpoint, "_health")
 	}
-	// cfg.FS deliberately defaults to fsx.Real() inside health.New rather
-	// than opts.FS: fault-injecting filesystems schedule crashes by
-	// counting mutating ops, and diagnostics must not perturb that.
-	return cfg
+	t.health = health.New(health.Config{
+		Query: opts.Name, Dir: dir,
+		Registry: t.reg, Tracer: t.tracer, Events: t.log,
+	})
+	return t
 }
 
 // exec is the microbatch execution of one query.
@@ -220,16 +211,13 @@ type exec struct {
 	sink sinks.Sink
 	opts Options
 
-	pipes  []boundPipeline
-	wal    *wal.Log
-	prov   *state.Provider
-	clus   *cluster.Cluster
-	pool   *shard.Pool // non-nil when Options.Workers > 1
-	log    *metrics.EventLog
-	reg    *metrics.Registry
-	tracer *trace.Tracer                    // nil when Options.DisableTracing
-	health *health.Tracker                  // nil when Options.DisableHealth
-	isrcs  map[string]*sources.Instrumented // instrumented sources by name
+	pipes []boundPipeline
+	wal   *wal.Log
+	prov  *state.Provider
+	clus  *cluster.Cluster
+	pool  *shard.Pool // non-nil when Options.Workers > 1
+	telemetry
+	isrcs map[string]*sources.Instrumented // instrumented sources by name
 
 	limiter   *aimdLimiter // nil unless AdaptiveBackpressure
 	abandoned atomic.Bool  // set by the epoch watchdog; poisons late writes
@@ -294,8 +282,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	e := &exec{
 		q: q, sink: sink, opts: opts,
 		wal: w, prov: prov, clus: clus,
-		log:              metrics.NewEventLog(opts.EventLogWriter),
-		reg:              metrics.NewRegistry(),
+		telemetry:        newTelemetry(opts),
 		lastStateVersion: -1,
 		committed:        map[string]sources.Offsets{},
 		lastLatest:       map[string]sources.Offsets{},
@@ -305,13 +292,6 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		hook:             newEpochHook(),
 	}
 	e.committedState.Store(-1)
-	e.log.SetRegistry(e.reg)
-	if !opts.DisableTracing {
-		e.tracer = trace.NewTracer(opts.Name, opts.TraceCapacity)
-	}
-	if !opts.DisableHealth {
-		e.health = health.New(healthConfig(opts, e.reg, e.tracer, e.log))
-	}
 	for i := range e.perPipeMax {
 		e.perPipeMax[i] = -1
 	}
@@ -339,7 +319,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		e.colSink = cs
 	}
 	if opts.AdaptiveBackpressure {
-		e.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, opts.MinRecordsPerTrigger, e.reg)
+		e.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, e.reg)
 	}
 	if opts.Workers > 1 {
 		// The pool must exist before recovery: a replayed epoch runs the
@@ -494,13 +474,9 @@ func (e *exec) planEpoch() (map[string][2]sources.Offsets, bool, error) {
 		}
 		start, ok := e.committed[name]
 		if !ok {
-			if e.opts.StartFromLatest {
-				start = latest.Clone()
-			} else {
-				start, err = bp.src.Earliest()
-				if err != nil {
-					return nil, false, err
-				}
+			start, err = bp.src.Earliest()
+			if err != nil {
+				return nil, false, err
 			}
 			e.committed[name] = start
 		}
@@ -784,8 +760,6 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 		pipeIdx  int
 		part     int
 		from, to int64 // this task's offset slice of the source partition
-		shardIdx int   // slice index within the partition's shard plan
-		nShards  int   // slices the partition split into (1 = unsharded)
 	}
 	var specs []taskSpec
 	for i, bp := range e.pipes {
@@ -795,7 +769,7 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 				continue
 			}
 			if e.pool == nil {
-				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: r[0][p], to: r[1][p], nShards: 1})
+				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: r[0][p], to: r[1][p]})
 				continue
 			}
 			// Sharded runtime: split the partition's offset range into
@@ -804,9 +778,8 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 			// a pure function of (range, workers), so a replayed epoch
 			// re-plans the identical shards, and concatenating shard
 			// outputs in task order reproduces the single-task row order.
-			shards := shard.Split(r[0][p], r[1][p], e.pool.Workers(), minRecordsPerShard)
-			for si, sr := range shards {
-				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: sr[0], to: sr[1], shardIdx: si, nShards: len(shards)})
+			for _, sr := range shard.Split(r[0][p], r[1][p], e.pool.Workers(), minRecordsPerShard) {
+				specs = append(specs, taskSpec{pipeIdx: i, part: p, from: sr[0], to: sr[1]})
 			}
 		}
 	}
@@ -814,7 +787,6 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 	for ti, spec := range specs {
 		spec := spec
 		bp := e.pipes[spec.pipeIdx]
-		r := ranges[bp.src.Name()]
 		wantVec := e.vectorize && bp.pipe.Vec != nil
 		tasks[ti] = cluster.Task{Index: ti, Fn: func() (any, error) {
 			taskStart := time.Now()
@@ -828,22 +800,6 @@ func (e *exec) runEpoch(epoch int64, ranges map[string][2]sources.Offsets, repla
 			if err := e.withRetry(func() error {
 				raw, batch = nil, nil
 				if wantVec {
-					if spec.nShards > 1 {
-						// Sharded fast path: the source computes this
-						// worker's slice itself (shard.Range), so sibling
-						// shards fetch and decode concurrently with no
-						// head-of-line lock on the full range.
-						if pr, isPart := bp.src.(sources.PartitionReader); isPart {
-							b, ok, rerr := pr.ReadPartition(spec.part, r[0][spec.part], r[1][spec.part], spec.shardIdx, spec.nShards)
-							if rerr != nil {
-								return rerr
-							}
-							if ok {
-								batch = b
-								return nil
-							}
-						}
-					}
 					// Columnar fast path: codec-framed sources decode the
 					// range straight into typed vectors; ok=false (type
 					// drift, or no columnar decode) re-reads boxed below.

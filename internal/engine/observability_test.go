@@ -227,26 +227,34 @@ func TestWatchdogVerdictNamesHungStage(t *testing.T) {
 	}
 }
 
-// TestDisableTracing: Options.DisableTracing runs the query without a
-// tracer and without breaking anything else.
-func TestDisableTracing(t *testing.T) {
-	src := sources.NewMemorySource("events", eventsSchema)
-	src.AddData(sql.Row{"a", 1.0, int64(0)})
-	q := compile(t, streamScan("events"), logical.Append, nil)
-	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{DisableTracing: true})
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
+// TestTelemetryInBothModes: a microbatch and a continuous query both carry
+// a tracer and a health tracker — one constructor wires them for both —
+// and only a handle that never started a query has neither, answering
+// through the nil-safe methods.
+func TestTelemetryInBothModes(t *testing.T) {
+	for _, trig := range []Trigger{
+		ProcessingTimeTrigger{Interval: time.Hour},
+		ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+	} {
+		src := sources.NewMemorySource("events", eventsSchema)
+		q := compile(t, streamScan("events"), logical.Append, nil)
+		sq := startQuery(t, q, map[string]sources.Source{"events": src}, sinks.NewMemorySink(), Options{Trigger: trig})
+		if sq.Tracer() == nil || sq.Health() == nil {
+			t.Errorf("%T: Tracer() = %v, Health() = %v, want both", trig, sq.Tracer(), sq.Health())
+		}
+		if rep := sq.Health().Health(); rep.Status == "disabled" || rep.Query != "query" {
+			t.Errorf("%T: health report = %+v", trig, rep)
+		}
 	}
-	if sq.Tracer() != nil {
-		t.Error("Tracer() should be nil with DisableTracing")
+	failed := NewFailedQuery(errors.New("never started"))
+	if failed.Tracer() != nil || failed.Health() != nil {
+		t.Errorf("failed handle: Tracer() = %v, Health() = %v, want neither", failed.Tracer(), failed.Health())
 	}
-	if len(sink.Rows()) != 1 {
-		t.Errorf("rows = %d", len(sink.Rows()))
+	if rep := failed.Health().Health(); rep.Status != "disabled" {
+		t.Errorf("failed handle: health status = %q, want disabled", rep.Status)
 	}
-	// Progress still carries the breakdown — it does not depend on spans.
-	if p, ok := sq.LastProgress(); !ok || len(p.DurationBreakdown) != 6 {
-		t.Errorf("progress without tracing: %+v ok=%v", p, ok)
+	if failed.Tracer().Epochs() != nil {
+		t.Error("failed handle: a nil tracer retained epochs")
 	}
 }
 

@@ -183,16 +183,13 @@ func (q *StreamingQuery) finish() {
 		// backend, their block-cache residency). Without this every
 		// supervised restart would leak the previous run's stores.
 		q.exec.prov.Close()
-		// Wait out any in-flight flight-recorder capture so a restart
-		// never races a half-written bundle against its replacement.
-		q.exec.health.Close()
 		// Drain the sharded runtime's worker pool (no-op on the classic
 		// path) so restarts never stack idle worker goroutines.
 		q.exec.closePool()
 	}
-	if q.cont != nil {
-		q.cont.health.Close()
-	}
+	// Wait out any in-flight flight-recorder capture so a restart never
+	// races a half-written bundle against its replacement.
+	q.Health().Close()
 	close(q.doneCh)
 }
 
@@ -283,47 +280,33 @@ func (q *StreamingQuery) ProcessAllAvailable() error {
 	return err
 }
 
-// EventLog exposes the query's progress events (§7.4).
-func (q *StreamingQuery) EventLog() *metrics.EventLog {
-	if q.exec != nil {
-		return q.exec.log
+// telemetry returns the running query's telemetry, in either execution
+// mode; a handle that never started a query (NewFailedQuery) has none.
+func (q *StreamingQuery) telemetry() telemetry {
+	switch {
+	case q.exec != nil:
+		return q.exec.telemetry
+	case q.cont != nil:
+		return q.cont.telemetry
 	}
-	return q.cont.log
+	return telemetry{}
 }
 
-// Tracer exposes the query's epoch tracer, or nil when tracing is
-// disabled (Options.DisableTracing) or the handle never started a query.
-func (q *StreamingQuery) Tracer() *trace.Tracer {
-	if q.exec != nil {
-		return q.exec.tracer
-	}
-	if q.cont != nil {
-		return q.cont.tracer
-	}
-	return nil
-}
+// EventLog exposes the query's progress events (§7.4).
+func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.telemetry().log }
+
+// Tracer exposes the query's epoch tracer. Nil only for a handle that
+// never started a query; every Tracer method is nil-safe.
+func (q *StreamingQuery) Tracer() *trace.Tracer { return q.telemetry().tracer }
 
 // Health exposes the query's health tracker: latency lineage stamps, the
 // anomaly detector's signal baselines, and the flight-recorder bundle
-// ring. Nil when Options.DisableHealth — every Tracker method is nil-safe,
-// so callers may use the result unconditionally.
-func (q *StreamingQuery) Health() *health.Tracker {
-	if q.exec != nil {
-		return q.exec.health
-	}
-	if q.cont != nil {
-		return q.cont.health
-	}
-	return nil
-}
+// ring. Nil only for a handle that never started a query — every Tracker
+// method is nil-safe, so callers may use the result unconditionally.
+func (q *StreamingQuery) Health() *health.Tracker { return q.telemetry().health }
 
 // Metrics exposes the query's metric registry.
-func (q *StreamingQuery) Metrics() *metrics.Registry {
-	if q.exec != nil {
-		return q.exec.reg
-	}
-	return q.cont.reg
-}
+func (q *StreamingQuery) Metrics() *metrics.Registry { return q.telemetry().reg }
 
 // LastProgress returns the most recent progress event, if any.
 func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
@@ -429,21 +412,4 @@ func Rollback(checkpoint string, keep int64) error {
 		return err
 	}
 	return w.RollbackTo(keep)
-}
-
-// ----------------------------------------------------------------
-
-// RunBatch executes a compiled incremental query once over all currently
-// available data without any checkpoint — the hybrid execution path (§7.3)
-// used by tests and the run-once examples when durability is not needed.
-// It returns the sink untouched otherwise.
-func RunBatch(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink, checkpoint string) error {
-	sq, err := Start(q, srcs, sink, Options{
-		Checkpoint: checkpoint,
-		Trigger:    OnceTrigger{},
-	})
-	if err != nil {
-		return err
-	}
-	return sq.AwaitTermination()
 }

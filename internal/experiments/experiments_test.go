@@ -136,22 +136,3 @@ func TestAdaptiveBatching(t *testing.T) {
 		t.Error("render missing catch-up marker")
 	}
 }
-
-func TestServeFanoutSmall(t *testing.T) {
-	sc, err := runServeFanout(20_000, 64, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Name != "serve-fanout" || sc.Subscribers != 64 {
-		t.Fatalf("scenario = %+v", sc)
-	}
-	if sc.Epochs < 2 {
-		t.Errorf("want multiple epochs, got %d", sc.Epochs)
-	}
-	if want := int64(64) * sc.Epochs; sc.FramesDelivered < want {
-		t.Errorf("frames delivered = %d, want >= %d", sc.FramesDelivered, want)
-	}
-	if sc.DeliverP99Us <= 0 || sc.DeliverP50Us > sc.DeliverP99Us {
-		t.Errorf("delivery percentiles look wrong: p50=%d p99=%d", sc.DeliverP50Us, sc.DeliverP99Us)
-	}
-}

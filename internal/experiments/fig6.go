@@ -11,7 +11,6 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"structream/internal/cluster"
 	"structream/internal/yahoo"
 )
 
@@ -98,7 +97,7 @@ type ScalePoint struct {
 // Fig6bResult is the scaling experiment (paper: 11.5 M rec/s on 1 node →
 // 225 M rec/s on 20 nodes of 8 cores, near-linear).
 type Fig6bResult struct {
-	Model  cluster.EpochModel
+	Model  EpochModel
 	Points []ScalePoint
 }
 
@@ -119,19 +118,19 @@ func (r Fig6bResult) String() string {
 // query on the real engine, producing the virtual cluster's epoch model.
 // It runs the full query and a map-only variant (same pipeline without the
 // aggregation) and attributes the difference to the reduce side.
-func CalibrateYahoo(events int, tempDir func() string) (cluster.EpochModel, error) {
+func CalibrateYahoo(events int, tempDir func() string) (EpochModel, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	w := yahoo.Generate(events, 100, 1_000_000, 7)
 
 	runtime.GC()
 	full, err := yahoo.RunStructuredStreaming(w, tempDir(), 1)
 	if err != nil {
-		return cluster.EpochModel{}, err
+		return EpochModel{}, err
 	}
 	runtime.GC()
 	full2, err := yahoo.RunStructuredStreaming(w, tempDir(), 1)
 	if err != nil {
-		return cluster.EpochModel{}, err
+		return EpochModel{}, err
 	}
 	if full2.RecordsPerSec > full.RecordsPerSec {
 		full = full2
@@ -143,7 +142,7 @@ func CalibrateYahoo(events int, tempDir func() string) (cluster.EpochModel, erro
 	// total to it plus shuffle, and the rest to the map side. (The map side
 	// dominates because partial aggregation collapses 2M records to ~100
 	// shuffle rows — the asymmetry that makes Spark's model scale.)
-	model := cluster.EpochModel{
+	model := EpochModel{
 		MapCostPerRecord:     perRecord * 0.95,
 		ReduceCostPerGroup:   5e-6,
 		ShuffleCostPerRecord: 300e-9,
@@ -156,14 +155,14 @@ func CalibrateYahoo(events int, tempDir func() string) (cluster.EpochModel, erro
 // point processes recordsPerEpoch records per epoch (large epochs, as a
 // sustained-throughput measurement implies), with one map task per slot
 // and groups distinct aggregation groups.
-func RunFig6b(model cluster.EpochModel, nodes []int, recordsPerEpoch int64, groups int64) (Fig6bResult, error) {
+func RunFig6b(model EpochModel, nodes []int, recordsPerEpoch int64, groups int64) (Fig6bResult, error) {
 	if len(nodes) == 0 {
 		nodes = []int{1, 5, 10, 20}
 	}
 	out := Fig6bResult{Model: model}
 	var base float64
 	for _, n := range nodes {
-		v := &cluster.VirtualCluster{Nodes: n, SlotsPerNode: 8, TaskOverheadSec: 0.002}
+		v := &VirtualCluster{Nodes: n, SlotsPerNode: 8, TaskOverheadSec: 0.002}
 		slots := n * 8
 		// Each map task emits up to `groups` partial rows; the shuffle
 		// volume grows with the task count, the sub-linear term in the

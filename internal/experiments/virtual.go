@@ -1,4 +1,4 @@
-package cluster
+package experiments
 
 import (
 	"fmt"
@@ -30,9 +30,6 @@ type VirtualCluster struct {
 // Clock returns the current virtual time in seconds.
 func (v *VirtualCluster) Clock() float64 { return v.clock }
 
-// ResetClock rewinds virtual time (between independent experiments).
-func (v *VirtualCluster) ResetClock() { v.clock = 0 }
-
 // VirtualTask is one task's cost in virtual seconds at nominal node speed.
 type VirtualTask struct {
 	Index   int
@@ -45,7 +42,7 @@ type VirtualTask struct {
 // the clock by the stage makespan, which it returns.
 func (v *VirtualCluster) RunStage(tasks []VirtualTask) (float64, error) {
 	if v.Nodes <= 0 || v.SlotsPerNode <= 0 {
-		return 0, fmt.Errorf("cluster: virtual cluster needs nodes and slots")
+		return 0, fmt.Errorf("experiments: virtual cluster needs nodes and slots")
 	}
 	nslots := v.Nodes * v.SlotsPerNode
 	// slotFree[i] = virtual time when slot i is next free (relative to
@@ -91,8 +88,9 @@ func UniformStage(n int, totalCostSec float64) []VirtualTask {
 }
 
 // EpochModel bundles the calibrated costs of one microbatch epoch of a
-// two-stage (map + reduce) job, in seconds of single-core work. The bench
-// harness measures these on the real engine, then sweeps cluster sizes.
+// two-stage (map + reduce) job, in seconds of single-core work.
+// CalibrateYahoo measures these on the real engine; RunFig6b sweeps cluster
+// sizes.
 type EpochModel struct {
 	// MapCostPerRecord is single-core seconds of map-side work per input
 	// record (read, decode, filter, project, window, partial aggregation).

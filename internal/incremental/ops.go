@@ -605,9 +605,9 @@ func (ms *mergeState) grow() {
 // mergeRowsBaseline is the reduce-side merge with vectorization off: a
 // per-row watermark check, one store Get and Put per shuffle row, and a
 // fresh decoded buffer set per row — the engine's original behavior,
-// kept as the row-path baseline the batched merge is benchmarked (and
-// differentially tested) against. Returns the changed groups in
-// first-seen order, same as the batched pass.
+// kept as the reference the batched merge is differentially tested
+// against. Returns the changed groups in first-seen order, same as the
+// batched pass.
 func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.Store, rows []sql.Row) ([]*mergeGroup, error) {
 	changed := make(map[string]*mergeGroup, len(rows))
 	var groups []*mergeGroup

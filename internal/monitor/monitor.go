@@ -371,7 +371,8 @@ func writeProm(w io.Writer, srcs []promSource) {
 
 // handleHealth renders one query's health report: lineage stamps,
 // detector signal baselines, per-partition stats, and the bundle ring.
-// Queries running with DisableHealth answer {"status":"disabled"}.
+// A handle without a tracker (engine.NewFailedQuery) answers
+// {"status":"disabled"}.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.query(r.PathValue("name"))
 	if !ok {
@@ -490,7 +491,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := q.Tracer()
 	if tr == nil {
-		http.Error(w, "tracing disabled for this query", http.StatusNotFound)
+		http.Error(w, "no tracer: the query never started", http.StatusNotFound)
 		return
 	}
 	if r.URL.Query().Get("format") == "jsonl" {

@@ -111,11 +111,3 @@ func (fw *FaultWriter) trip() {
 	fw.tripped = true
 	fw.mu.Unlock()
 }
-
-// Writes reports how many writes were attempted (including the faulted
-// ones) — lets tests assert the schedule actually fired.
-func (fw *FaultWriter) Writes() int64 {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.n
-}

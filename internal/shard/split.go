@@ -31,11 +31,8 @@ func Split(from, to int64, n int, minPerShard int64) [][2]int64 {
 }
 
 // Range returns the n-th of `of` contiguous near-equal slices of the
-// offset range [from, to) — the single shared definition of shard
-// boundaries. Split is built on it, and sources implementing
-// sources.PartitionReader use it to compute their slice independently,
-// so a worker fetching slice n and an engine concatenating slices
-// 0..of-1 always agree. The first (to-from) mod of slices are one record
+// offset range [from, to) — the definition of shard boundaries that
+// Split is built on. The first (to-from) mod of slices are one record
 // longer.
 func Range(from, to int64, n, of int) (lo, hi int64) {
 	total := to - from

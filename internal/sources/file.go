@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"structream/internal/shard"
 	"structream/internal/sql"
 	"structream/internal/sql/vec"
 )
@@ -103,19 +102,6 @@ func (s *FileSource) Read(p int, from, to int64) ([]sql.Row, error) {
 		out = append(out, rows...)
 	}
 	return out, nil
-}
-
-// ReadPartition implements PartitionReader: the lock covers only the
-// file-list snapshot, so workers parse their file slices concurrently
-// instead of queueing behind one whole-range read.
-func (s *FileSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	lo, hi := shard.Range(from, to, n, of)
-	rows, err := s.Read(p, lo, hi)
-	if err != nil {
-		return nil, false, err
-	}
-	b, ok := vec.FromRows(s.schema, rows)
-	return b, ok, nil
 }
 
 func (s *FileSource) readFile(path string) ([]sql.Row, error) {
@@ -301,11 +287,4 @@ func (s *RateSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 		stamps[i] = s.startMicro + off*1_000_000/perPartRate
 	}
 	return b, true, nil
-}
-
-// ReadPartition implements PartitionReader: the generator needs no
-// shared cursor at all, so worker slices are embarrassingly parallel.
-func (s *RateSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	lo, hi := shard.Range(from, to, n, of)
-	return s.ReadVec(p, lo, hi)
 }

@@ -120,29 +120,6 @@ func (s *Instrumented) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) 
 	return b, true, nil
 }
 
-// ReadPartition forwards the sharded-runtime splitter with ReadVec's
-// timing and counting discipline; a source without the extension reports
-// ok=false so the caller shard-splits over Read/ReadVec itself.
-func (s *Instrumented) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	pr, pok := s.Inner.(PartitionReader)
-	if !pok {
-		return nil, false, nil
-	}
-	start := time.Now()
-	b, ok, err := pr.ReadPartition(p, from, to, n, of)
-	s.readNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		s.noteError(err)
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	s.reads.Add(1)
-	s.rows.Add(int64(b.Len))
-	return b, true, nil
-}
-
 // WaitForData lets the continuous engine block on the inner source when it
 // supports waiting; otherwise it parks briefly, matching the engine's poll
 // cadence for non-waitable sources.

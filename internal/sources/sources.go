@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"structream/internal/msgbus"
-	"structream/internal/shard"
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 	"structream/internal/sql/vec"
@@ -80,7 +79,7 @@ type VectorReader interface {
 
 // ColumnPruner is an optional Source extension for sources whose columnar
 // decode can step over columns. PruneColumns returns a view of the source
-// that differs only in its VectorReader / PartitionReader batches: columns
+// that differs only in its VectorReader batches: columns
 // outside cols (schema positions, ascending) are validated but not
 // decoded, and their Cols entries are nil. Everything else — Read
 // included, which stays full width — is the source's own. The engine asks
@@ -89,18 +88,8 @@ type ColumnPruner interface {
 	PruneColumns(cols []int) Source
 }
 
-// PartitionReader is an optional Source extension for the sharded
-// runtime (engine.Options.Workers > 1): ReadPartition serves the n-th of
-// `of` contiguous slices of partition p's offset range [from, to) as a
-// typed column batch. Slice boundaries are shard.Range, so concatenating
-// slices 0..of-1 reproduces the full range exactly — the splitter
-// changes who reads, never what is read. ok=false means the slice cannot
-// be represented columnar and the caller must fall back to Read over the
-// same shard.Range slice, as with VectorReader.
-//
-// The point is head-of-line freedom: each worker fetches and decodes
-// only its own slice concurrently, instead of one reader materializing
-// the whole range under a lock and fanning rows out afterwards.
+// PartitionReader is declared only because benchmark/interpose.go (frozen)
+// names the type; nothing implements it and the engine never asks for it.
 type PartitionReader interface {
 	ReadPartition(p int, from, to int64, n, of int) (b *vec.Batch, ok bool, err error)
 }
@@ -175,8 +164,8 @@ func (s *BusSource) Read(p int, from, to int64) ([]sql.Row, error) {
 	return out, nil
 }
 
-// PruneColumns implements ColumnPruner: a shallow copy whose ReadVec and
-// ReadPartition decode only cols. A record malformed inside a skipped
+// PruneColumns implements ColumnPruner: a shallow copy whose ReadVec
+// decodes only cols. A record malformed inside a skipped
 // column still drops and one whose type drifts inside a kept column still
 // sends the range to Read, so the view yields the rows the source does.
 func (s *BusSource) PruneColumns(cols []int) Source {
@@ -218,15 +207,6 @@ func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 	}
 	b.Len = n
 	return b, true, nil
-}
-
-// ReadPartition implements PartitionReader: each worker fetches and
-// decodes only its own slice of the offset range, concurrently with its
-// siblings — the topic's fetch path has no whole-range lock to contend
-// on.
-func (s *BusSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	lo, hi := shard.Range(from, to, n, of)
-	return s.ReadVec(p, lo, hi)
 }
 
 // Topic exposes the underlying topic (used by continuous-mode workers to
@@ -289,18 +269,6 @@ func (s *PartitionedSource) Read(p int, from, to int64) ([]sql.Row, error) {
 		return nil, fmt.Errorf("sources: range [%d,%d) out of bounds for partition %d", from, to, p)
 	}
 	return s.parts[p][from:to], nil
-}
-
-// ReadPartition implements PartitionReader: the slice is a sub-slice of
-// the immutable partition — no lock, no copy — columnarized per worker.
-func (s *PartitionedSource) ReadPartition(p int, from, to int64, n, of int) (*vec.Batch, bool, error) {
-	lo, hi := shard.Range(from, to, n, of)
-	rows, err := s.Read(p, lo, hi)
-	if err != nil {
-		return nil, false, err
-	}
-	b, ok := vec.FromRows(s.schema, rows)
-	return b, ok, nil
 }
 
 // ---------------------------------------------------------------- memory

@@ -75,7 +75,7 @@ func (e *Encoder) PutVectorValue(v *vec.Vector, i int) {
 	}
 }
 
-// DecodeRowToBatch decodes one length-prefixed encoded row straight into
+// DecodeRowToBatchShared decodes one length-prefixed encoded row straight into
 // typed column vectors at row slot i — the columnar fast path that skips
 // both the per-row sql.Row allocation and per-cell boxing of DecodeRow.
 //
@@ -93,22 +93,14 @@ func (e *Encoder) PutVectorValue(v *vec.Vector, i int) {
 // such a column still drops (the boxed decoder would reject it, and the two
 // paths must keep the same rows); a record whose type drifts there is kept,
 // because no reader of the batch can see the drifted cell.
-func DecodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int) (added, compat bool) {
-	return decodeRowToBatch(buf, cols, i, nrows, false)
-}
-
-// DecodeRowToBatchShared is DecodeRowToBatch with zero-copy strings:
-// string cells alias buf instead of copying it, eliminating the one
-// remaining per-row allocation on the columnar decode path. The caller
+//
+// Strings are zero-copy: string cells alias buf instead of copying it,
+// so the columnar decode path allocates nothing per row. The caller
 // must guarantee buf is never mutated after the call — the message bus's
 // append-once records satisfy this, a reused read buffer does not. The
 // garbage collector keeps the backing array live for as long as any
 // aliasing string is, so lifetime needs no management beyond that rule.
 func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (added, compat bool) {
-	return decodeRowToBatch(buf, cols, i, nrows, true)
-}
-
-func decodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int, alias bool) (added, compat bool) {
 	n, w := binary.Uvarint(buf)
 	pos := w
 	if w <= 0 || int(n) != len(cols) {
@@ -173,10 +165,10 @@ func decodeRowToBatch(buf []byte, cols []*vec.Vector, i int, nrows int, alias bo
 				return abandonRow(cols, i, c)
 			}
 			pos += sw
-			if alias && sl > 0 {
+			if sl > 0 {
 				col.Strings[i] = unsafe.String(&buf[pos], int(sl))
 			} else {
-				col.Strings[i] = string(buf[pos : pos+int(sl)])
+				col.Strings[i] = ""
 			}
 			pos += int(sl)
 		case vec.KindWindow:

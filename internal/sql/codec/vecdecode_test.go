@@ -49,12 +49,9 @@ func TestDecodeRejectsWrappingLength(t *testing.T) {
 	if _, err := DecodeRow(rec); err == nil {
 		t.Fatal("boxed decoder accepted a wrapping string length")
 	}
-	for _, alias := range []bool{false, true} {
-		col := vec.NewVector(vec.KindString, 1)
-		added, compat := decodeRowToBatch(rec, []*vec.Vector{col}, 0, 1, alias)
-		if added || !compat {
-			t.Fatalf("alias=%v: typed decoder returned added=%v compat=%v, want a skipped row", alias, added, compat)
-		}
+	col := vec.NewVector(vec.KindString, 1)
+	if added, compat := DecodeRowToBatchShared(rec, []*vec.Vector{col}, 0, 1); added || !compat {
+		t.Fatalf("typed decoder returned added=%v compat=%v, want a skipped row", added, compat)
 	}
 	if added, compat := DecodeRowToBatchShared(rec, []*vec.Vector{nil}, 0, 1); added || !compat {
 		t.Fatalf("pruned decoder returned added=%v compat=%v, want a skipped row", added, compat)
@@ -86,39 +83,37 @@ func FuzzDecodeRowPruned(f *testing.F) {
 		want, err := DecodeRow(rec)
 		accepted := err == nil && len(want) == prunedSchema.Len()
 		for _, m := range []uint8{mask, 0x7f} {
-			for _, alias := range []bool{false, true} {
-				cols := maskedCols(prunedSchema, m)
-				added, compat := decodeRowToBatch(rec, cols, 0, 1, alias)
-				if !accepted {
-					if added {
-						t.Fatalf("mask %07b alias=%v: typed decoder kept a record the boxed decoder rejects (%v)", m, alias, err)
-					}
-					// compat=false is allowed: the batch is then redone boxed,
-					// which drops the record.
-					continue
+			cols := maskedCols(prunedSchema, m)
+			added, compat := DecodeRowToBatchShared(rec, cols, 0, 1)
+			if !accepted {
+				if added {
+					t.Fatalf("mask %07b: typed decoder kept a record the boxed decoder rejects (%v)", m, err)
 				}
-				if !compat {
-					drift := false
-					for c, col := range cols {
-						if col != nil && want[c] != nil && !kindHolds(col.Kind, want[c]) {
-							drift = true
-						}
-					}
-					if !drift {
-						t.Fatalf("mask %07b: type drift reported, but every kept cell of %v fits its column", m, want)
-					}
-					continue
-				}
-				if !added {
-					t.Fatalf("mask %07b alias=%v: typed decoder skipped a record the boxed decoder accepts: %v", m, alias, want)
-				}
+				// compat=false is allowed: the batch is then redone boxed,
+				// which drops the record.
+				continue
+			}
+			if !compat {
+				drift := false
 				for c, col := range cols {
-					if col == nil {
-						continue
+					if col != nil && want[c] != nil && !kindHolds(col.Kind, want[c]) {
+						drift = true
 					}
-					if got := col.Get(0); !cellEq(got, want[c]) {
-						t.Fatalf("mask %07b col %d: typed cell %v, boxed cell %v", m, c, got, want[c])
-					}
+				}
+				if !drift {
+					t.Fatalf("mask %07b: type drift reported, but every kept cell of %v fits its column", m, want)
+				}
+				continue
+			}
+			if !added {
+				t.Fatalf("mask %07b: typed decoder skipped a record the boxed decoder accepts: %v", m, want)
+			}
+			for c, col := range cols {
+				if col == nil {
+					continue
+				}
+				if got := col.Get(0); !cellEq(got, want[c]) {
+					t.Fatalf("mask %07b col %d: typed cell %v, boxed cell %v", m, c, got, want[c])
 				}
 			}
 		}

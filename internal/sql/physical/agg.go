@@ -1,8 +1,6 @@
 package physical
 
 import (
-	"sort"
-
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 )
@@ -96,18 +94,6 @@ func (h *HashAggregator) Len() int { return len(h.groups) }
 func (h *HashAggregator) Groups() []*Group {
 	out := make([]*Group, len(h.order))
 	for i, ks := range h.order {
-		out[i] = h.groups[ks]
-	}
-	return out
-}
-
-// GroupsSorted returns groups ordered by encoded key, for deterministic
-// test output.
-func (h *HashAggregator) GroupsSorted() []*Group {
-	keys := append([]string(nil), h.order...)
-	sort.Strings(keys)
-	out := make([]*Group, len(keys))
-	for i, ks := range keys {
 		out[i] = h.groups[ks]
 	}
 	return out

@@ -78,15 +78,6 @@ func TypeByName(name string) (Type, bool) {
 // Numeric reports whether t is an arithmetic type.
 func (t Type) Numeric() bool { return t == TypeInt64 || t == TypeFloat64 }
 
-// Orderable reports whether values of t can be compared with < and >.
-func (t Type) Orderable() bool {
-	switch t {
-	case TypeBool, TypeInt64, TypeFloat64, TypeString, TypeTimestamp, TypeInterval, TypeWindow:
-		return true
-	}
-	return false
-}
-
 // CommonType returns the widest type two operands promote to for comparison
 // or arithmetic, following the usual SQL numeric-promotion rules. It returns
 // false when the types are incompatible.

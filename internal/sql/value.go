@@ -38,9 +38,6 @@ func (w Window) String() string {
 // TimestampVal converts a time.Time to the engine's timestamp representation.
 func TimestampVal(t time.Time) int64 { return t.UnixMicro() }
 
-// IntervalVal converts a time.Duration to the engine's interval representation.
-func IntervalVal(d time.Duration) int64 { return d.Microseconds() }
-
 // FormatTimestamp renders a timestamp value as RFC 3339 with microseconds.
 func FormatTimestamp(us int64) string {
 	return time.UnixMicro(us).UTC().Format("2006-01-02T15:04:05.000000Z")

@@ -350,93 +350,6 @@ func fillFromRows(v *Vector, rows []sql.Row, c int) bool {
 	return true
 }
 
-// FromColumns converts column-major boxed values (the colfmt segment
-// layout) into a batch, with the same all-or-nothing type contract as
-// FromRows. Every column must have n values.
-func FromColumns(schema sql.Schema, cols [][]sql.Value, n int) (*Batch, bool) {
-	ncols := schema.Len()
-	if len(cols) != ncols {
-		return nil, false
-	}
-	b := &Batch{Schema: schema, Cols: make([]*Vector, ncols), Len: n}
-	for c := 0; c < ncols; c++ {
-		if len(cols[c]) != n {
-			return nil, false
-		}
-		v := NewVector(KindOf(schema.Field(c).Type), n)
-		if !fillFromValues(v, cols[c]) {
-			return nil, false
-		}
-		b.Cols[c] = v
-	}
-	return b, true
-}
-
-func fillFromValues(v *Vector, vals []sql.Value) bool {
-	n := len(vals)
-	switch v.Kind {
-	case KindInt64:
-		for i, val := range vals {
-			switch x := val.(type) {
-			case int64:
-				v.Int64s[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
-		}
-	case KindFloat64:
-		for i, val := range vals {
-			switch x := val.(type) {
-			case float64:
-				v.Float64s[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
-		}
-	case KindBool:
-		for i, val := range vals {
-			switch x := val.(type) {
-			case bool:
-				v.Bools[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
-		}
-	case KindString:
-		for i, val := range vals {
-			switch x := val.(type) {
-			case string:
-				v.Strings[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
-		}
-	case KindWindow:
-		for i, val := range vals {
-			switch x := val.(type) {
-			case sql.Window:
-				v.WStarts[i] = x.Start
-				v.WEnds[i] = x.End
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
-		}
-	case KindAny:
-		copy(v.Anys, vals)
-	}
-	return true
-}
-
 // Broadcast returns a vector repeating the boxed value v at every one of
 // n positions (all-NULL when v is nil).
 func Broadcast(val sql.Value, kind Kind, n int) *Vector {
