@@ -166,8 +166,10 @@ func joinPlans(t *testing.T) map[string]*incremental.Query {
 
 // partPlans are the fuzzed query shapes: stateless, dedup (the fully
 // vectorized exchange path), keyed/windowed aggregation (the partial-agg
-// shuffle path), and a stream-stream outer join (two map sides into one
-// stateful reduce, with rows emitted both on match and at eviction).
+// shuffle path), a stream-stream outer join (two map sides into one
+// stateful reduce, with rows emitted both on match and at eviction), and an
+// inner one whose 2 s time band — written from the left column's side —
+// buckets its state far finer than the 48 s the streams span.
 func partPlans(t *testing.T) map[string]*incremental.Query {
 	t.Helper()
 	return map[string]*incremental.Query{
@@ -210,6 +212,14 @@ func partPlans(t *testing.T) map[string]*incremental.Query {
 				sql.Ge(sql.Col("ts2"), sql.Col("ts")),
 				sql.Le(sql.Col("ts2"), sql.Add(sql.Col("ts"), sql.IntervalLit(3*sec))))),
 		}, logical.Append, nil),
+		"band-join-append": compile(t, &logical.Join{
+			Left:  &logical.WithWatermark{Child: partScan(), Column: "ts", Delay: 4 * sec},
+			Right: &logical.WithWatermark{Child: &logical.Scan{Name: "others", Streaming: true, Out: othersSchema}, Column: "ts2", Delay: 4 * sec},
+			Type:  logical.InnerJoin,
+			Cond: sql.And(sql.Eq(sql.Col("k"), sql.Col("k2")), sql.And(
+				sql.Ge(sql.Col("ts"), sql.Sub(sql.Col("ts2"), sql.IntervalLit(2*sec))),
+				sql.Le(sql.Col("ts"), sql.Col("ts2")))),
+		}, logical.Append, nil),
 	}
 }
 
@@ -243,6 +253,9 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 // stateful stage they run on the memory backend only.
 func TestPartitionDifferentialFuzz(t *testing.T) {
 	plans := partPlans(t)
+	if op, ok := plans["band-join-append"].Stateful.(*incremental.StreamStreamJoin); !ok || op.Band == nil || *op.Band != (incremental.TimeBand{Lo: 0, Hi: 2 * sec}) {
+		t.Fatalf("band-join-append compiled without its band: %+v", plans["band-join-append"].Stateful)
+	}
 	stateless := map[string]bool{}
 	for name, q := range joinPlans(t) {
 		plans[name] = q

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"math"
 
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
@@ -914,6 +915,9 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 			op.RightEventIdx = i
 		}
 	}
+	if keys.Residual != nil && op.LeftEventIdx >= 0 && op.RightEventIdx >= 0 {
+		op.Band = joinTimeBand(keys.Residual, leftSchema.Concat(rightSchema), op.LeftEventIdx, leftSchema.Len()+op.RightEventIdx)
+	}
 
 	nkeys := len(keys.Left)
 	addShuffleFn := func(pipes []*Pipeline, keyExprs []sql.Expr, schema sql.Schema, eventIdx int) error {
@@ -955,6 +959,90 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 	}
 	q.Pipelines = append(leftPipes, rightPipes...)
 	return op, nil
+}
+
+// maxBandOffset bounds the interval literals joinTimeBand reads, so that the
+// band's arithmetic cannot overflow; a literal beyond it contributes no bound.
+const maxBandOffset = 1 << 61
+
+// joinTimeBand derives the constant interval that residual's conjuncts imply
+// for rightTs − leftTs, the event-time columns at leftTs and rightTs of the
+// concatenated schema; nil when no conjunct bounds the difference. A conjunct
+// counts when it compares (>=, >, <=, <, =) one of the two columns with the
+// other, each bare or offset by an interval literal (col + i, i + col,
+// col − i). Anything else — an OR, another column, a cast — contributes no
+// bound, which is always sound: the band only excludes pairs that some
+// conjunct rejects. It takes the residual's arithmetic to be exact, which it
+// is for event times within ±2^61 µs.
+func joinTimeBand(residual sql.Expr, concat sql.Schema, leftTs, rightTs int) *TimeBand {
+	// operand reads e as one of the two columns plus a constant.
+	operand := func(e sql.Expr) (right bool, off int64, ok bool) {
+		if b, isBin := e.(*sql.Binary); isBin && (b.Op == sql.OpAdd || b.Op == sql.OpSub) {
+			col, lit := b.L, b.R
+			if _, litFirst := col.(*sql.Literal); litFirst && b.Op == sql.OpAdd {
+				col, lit = lit, col
+			}
+			l, isLit := lit.(*sql.Literal)
+			if !isLit || l.Type != sql.TypeInterval {
+				return false, 0, false
+			}
+			if off, ok = l.Val.(int64); !ok || off < -maxBandOffset || off > maxBandOffset {
+				return false, 0, false
+			}
+			if b.Op == sql.OpSub {
+				off = -off
+			}
+			e = col
+		}
+		c, isCol := e.(*sql.Column)
+		if !isCol {
+			return false, 0, false
+		}
+		idx, err := concat.Resolve(c.Name)
+		return idx == rightTs, off, err == nil && (idx == leftTs || idx == rightTs)
+	}
+	band := TimeBand{Lo: math.MinInt64, Hi: math.MaxInt64}
+	for _, c := range sql.SplitConjuncts(residual) {
+		cmp, ok := c.(*sql.Binary)
+		if !ok {
+			continue
+		}
+		xRight, x, xok := operand(cmp.L)
+		yRight, y, yok := operand(cmp.R)
+		if !xok || !yok || xRight == yRight {
+			continue
+		}
+		// right + x ≥ left + y  ⇔  right − left ≥ y − x: a lower bound; with
+		// the sides the other way round it bounds the other end by x − y.
+		var lower, upper bool
+		switch cmp.Op {
+		case sql.OpGe, sql.OpGt:
+			lower = true
+		case sql.OpLe, sql.OpLt:
+			upper = true
+		case sql.OpEq:
+			lower, upper = true, true
+		default:
+			continue
+		}
+		d, strict := y-x, int64(0)
+		if cmp.Op == sql.OpGt || cmp.Op == sql.OpLt {
+			strict = 1
+		}
+		if !xRight {
+			d, lower, upper = x-y, upper, lower
+		}
+		if lower {
+			band.Lo = max(band.Lo, d+strict)
+		}
+		if upper {
+			band.Hi = min(band.Hi, d-strict)
+		}
+	}
+	if band.Lo == math.MinInt64 && band.Hi == math.MaxInt64 {
+		return nil
+	}
+	return &band
 }
 
 // routeByLeadingColumns sets pipelines to route shuffle rows by their first

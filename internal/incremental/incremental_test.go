@@ -234,8 +234,8 @@ func TestStreamStreamJoinStateEncoding(t *testing.T) {
 	if err := new(joinEntry).decode([]byte{0xff}); err == nil {
 		t.Error("corrupt entry should error")
 	}
-	hdr := joinSide{lo: 3, hi: 300, live: 7}
-	var got joinSide
+	hdr := joinGroup{lo: 3, hi: 300, live: 7}
+	var got joinGroup
 	if err := got.decodeHeader(hdr.encodeHeader()); err != nil || !reflect.DeepEqual(got, hdr) {
 		t.Fatalf("header = %+v err=%v", got, err)
 	}
@@ -252,7 +252,7 @@ func TestStreamStreamJoinStateEncoding(t *testing.T) {
 }
 
 // joinStateRows counts the store's buffered rows: entry keys only, not the
-// headers, the time index or the eviction floor.
+// headers, the time index or the meta key.
 func joinStateRows(store *state.Store) int {
 	n := 0
 	store.Iterate(func(k, _ []byte) bool {
@@ -280,7 +280,7 @@ func TestStreamStreamJoinNullKeysNeverMatch(t *testing.T) {
 	if len(out) != 0 {
 		t.Errorf("NULL keys matched: %v", out)
 	}
-	if store.NumKeys() != 1 { // the eviction floor alone
+	if store.NumKeys() != 1 { // the meta key alone
 		t.Errorf("NULL-keyed rows buffered: %d keys", store.NumKeys())
 	}
 }

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,9 +46,19 @@ type bufferedRow struct {
 	matched bool
 }
 
-// oracleBuffered lists the reference store's live rows, per (side, key) in
-// list order.
-func oracleBuffered(t *testing.T, store *state.Store) []bufferedRow {
+// testBucket is the bucket the layout must file a row under, worked out here
+// from the documented rule and not by calling the operator's arithmetic.
+func testBucket(width, ts int64) uint64 {
+	if width <= 0 || ts < 0 {
+		return 0
+	}
+	return uint64(ts/width) + 1
+}
+
+// oracleBuffered lists the reference store's live rows per (side, key): in
+// list (arrival) order within a bucket of the given width, buckets ascending —
+// which for width 0 is plain arrival order.
+func oracleBuffered(t *testing.T, store *state.Store, width int64) []bufferedRow {
 	t.Helper()
 	var out []bufferedRow
 	store.Iterate(func(k, v []byte) bool {
@@ -61,53 +72,73 @@ func oracleBuffered(t *testing.T, store *state.Store) []bufferedRow {
 		return true
 	})
 	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].side < out[b].side || out[a].side == out[b].side && out[a].key < out[b].key
+		x, y := out[a], out[b]
+		if x.side != y.side {
+			return x.side < y.side
+		} else if x.key != y.key {
+			return x.key < y.key
+		}
+		return testBucket(width, x.ts) < testBucket(width, y.ts)
 	})
 	return out
 }
 
-// indexedBuffered lists the new layout's live rows per (side, key) in idx
-// order, after checking the layout's invariants: every header counts exactly
-// the entries inside its range, every entry sits under a header, and the time
-// index holds exactly the evictable entries.
+// indexedBuffered lists the new layout's live rows per (side, key) in
+// (bucket, idx) order, after checking the layout's invariants: the meta key
+// records the operator's bucket width, every entry sits in the bucket its
+// event time names, every header counts exactly the entries inside its range,
+// every entry sits under a header, and the time index holds exactly the
+// evictable entries.
 func indexedBuffered(t *testing.T, j *StreamStreamJoin, store *state.Store) []bufferedRow {
 	t.Helper()
 	type group struct {
-		hdr     joinSide
+		hdr     joinGroup
 		hasHdr  bool
 		entries int
 	}
 	groups := map[string]*group{}
-	at := func(side byte, kb []byte) *group {
-		g := groups[string(side)+string(kb)]
+	at := func(name []byte) *group { // side, bucket, join key
+		g := groups[string(name)]
 		if g == nil {
 			g = &group{}
-			groups[string(side)+string(kb)] = g
+			groups[string(name)] = g
 		}
 		return g
 	}
-	var out []bufferedRow
+	type located struct {
+		bufferedRow
+		bucket, idx uint64
+	}
+	var rows []located
 	evictable, indexed := map[string]bool{}, map[string]bool{}
 	eventIdx := map[byte]int{'L': j.LeftEventIdx, 'R': j.RightEventIdx}
-	store.Range(nil, nil, func(k, v []byte) bool { // ascending: entries of one key come in idx order
+	width := j.bucketWidth()
+	store.Range(nil, nil, func(k, v []byte) bool {
 		switch k[0] {
-		case tagFloor:
+		case tagMeta:
+			if _, stored, err := decodeJoinMeta(v); err != nil || stored != width {
+				t.Fatalf("meta %x: width %d (%v), operator's %d", v, stored, err, width)
+			}
 		case tagHeader:
-			g := at(k[1], k[2:])
+			g := at(k[1:])
 			if err := g.hdr.decodeHeader(v); err != nil {
 				t.Fatalf("header %x: %v", k, err)
 			}
 			g.hasHdr = true
 		case tagEntry:
-			kb, idx := k[2:len(k)-8], k[len(k)-8:]
+			bucket, w := binary.Uvarint(k[2:])
+			kb, idx := k[2+w:len(k)-8], binary.BigEndian.Uint64(k[len(k)-8:])
 			var e joinEntry
 			if err := e.decode(v); err != nil {
 				t.Fatalf("entry %x: %v", k, err)
 			}
-			at(k[1], kb).entries++
-			out = append(out, bufferedRow{k[1], string(kb), e.row.String(), e.ts, e.matched})
+			if bucket != testBucket(width, e.ts) {
+				t.Fatalf("entry %x with ts %d sits in bucket %d of width %d", k, e.ts, bucket, width)
+			}
+			at(k[1:len(k)-8]).entries++
+			rows = append(rows, located{bufferedRow{k[1], string(kb), e.row.String(), e.ts, e.matched}, bucket, idx})
 			if e.ts >= 0 && eventIdx[k[1]] >= 0 {
-				evictable[string(new(joinKeyBuf).key(tagTime, k[1], e.ts, kb, 0)[:10+len(kb)])+string(idx)] = true
+				evictable[string(new(joinKeyBuf).key(tagTime, k[1], uint64(e.ts), kb, idx))] = true
 			}
 		case tagTime:
 			if _, _, _, err := parseJoinTimeKey(k); err != nil {
@@ -121,11 +152,26 @@ func indexedBuffered(t *testing.T, j *StreamStreamJoin, store *state.Store) []bu
 	})
 	for name, g := range groups {
 		if !g.hasHdr || uint64(g.entries) != g.hdr.live {
-			t.Fatalf("key %q: header %+v (present=%v) over %d entries", name, g.hdr, g.hasHdr, g.entries)
+			t.Fatalf("group %q: header %+v (present=%v) over %d entries", name, g.hdr, g.hasHdr, g.entries)
 		}
 	}
 	if !reflect.DeepEqual(evictable, indexed) {
 		t.Fatalf("time index holds %d keys, evictable entries are %d", len(indexed), len(evictable))
+	}
+	sort.Slice(rows, func(a, b int) bool {
+		x, y := rows[a], rows[b]
+		if x.side != y.side {
+			return x.side < y.side
+		} else if x.key != y.key {
+			return x.key < y.key
+		} else if x.bucket != y.bucket {
+			return x.bucket < y.bucket
+		}
+		return x.idx < y.idx
+	})
+	out := make([]bufferedRow, len(rows))
+	for i, r := range rows {
+		out[i] = r.bufferedRow
 	}
 	return out
 }
@@ -149,23 +195,72 @@ func bandResidual(r sql.Row) sql.Value {
 	return l-rt <= 4*sec && rt-l <= 4*sec
 }
 
+// testBand is the band the planner derives from bandResidual.
+var testBand = TimeBand{Lo: -4 * sec, Hi: 4 * sec}
+
+// inBucketOrder reorders the reference's matched rows — for each arriving row,
+// the other side's rows in arrival order — into the order a probe of a
+// bucketed layout finds them: bucket by bucket, arrival order within one.
+// rightArrived holds the ids of this epoch's right rows: a pair with one of
+// them was emitted when that row arrived, any other when its left row did.
+func inBucketOrder(rows []sql.Row, width int64, rightArrived map[sql.Value]bool) []sql.Row {
+	arriving := func(r sql.Row) (side int, id sql.Value, otherTs sql.Value) {
+		if rightArrived[r[5]] {
+			return 1, r[5], r[1]
+		}
+		return 0, r[2], r[4]
+	}
+	out := append([]sql.Row(nil), rows...)
+	for from := 0; from < len(out); {
+		side, id, _ := arriving(out[from])
+		to := from + 1
+		for ; to < len(out); to++ {
+			if s, i, _ := arriving(out[to]); s != side || i != id {
+				break
+			}
+		}
+		run := out[from:to]
+		sort.SliceStable(run, func(a, b int) bool {
+			_, _, x := arriving(run[a])
+			_, _, y := arriving(run[b])
+			xt, _ := x.(int64)
+			yt, _ := y.(int64)
+			if x == nil {
+				xt = -1
+			}
+			if y == nil {
+				yt = -1
+			}
+			return testBucket(width, xt) < testBucket(width, yt)
+		})
+		from = to
+	}
+	return out
+}
+
 // TestJoinDifferentialAgainstListLayout replays random two-sided streams —
-// skewed and NULL keys, out-of-order and late rows, empty and lopsided epochs,
-// store reloads — through the indexed layout and the list-valued reference.
-// Matched rows must agree in order, eviction-time rows as a per-epoch
-// multiset (the reference emits them in map order), and the live buffered
-// rows, in per-key order, after every epoch.
+// skewed and NULL keys, out-of-order and late rows, NULL event times, empty and
+// lopsided epochs, store reloads — through the indexed layout and the
+// list-valued reference, with no residual, with a time-band residual the
+// operator knows nothing about (one bucket: PR 12's layout), and with that
+// residual and the band the planner derives from it (time buckets, windowed
+// decode, the integer pre-check). The reference never sees the band and shares
+// no bucket code. Matched rows must agree in order — with the band, the
+// reference's order taken per arriving row into (bucket, idx) order, which is
+// what makes the order defined and the same on both backends — eviction-time
+// rows as a per-epoch multiset (the reference emits them in map order), and
+// the live buffered rows, in per-key order, after every epoch.
 func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 	for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin, logical.RightOuterJoin} {
-		for _, withResidual := range []bool{false, true} {
+		for _, variant := range []string{"equi", "residual", "band"} {
 			for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
 				for seed := int64(1); seed <= 4; seed++ {
-					name := fmt.Sprintf("%v/residual=%v/%s/seed%d", typ, withResidual, backend, seed)
+					name := fmt.Sprintf("%v/%s/%s/seed%d", typ, variant, backend, seed)
 					t.Run(name, func(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed))
 						j := &StreamStreamJoin{OpName: "join", Type: typ, LeftArity: 3, RightArity: 3,
 							LeftEventIdx: 1, RightEventIdx: 1}
-						if withResidual {
+						if variant != "equi" {
 							j.Residual = bandResidual
 						}
 						if seed == 4 { // one side without a watermark: its rows are never evicted
@@ -174,6 +269,13 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 							} else {
 								j.RightEventIdx = -1
 							}
+						}
+						if variant == "band" && j.LeftEventIdx >= 0 && j.RightEventIdx >= 0 {
+							j.Band = &testBand // as compileStreamStreamJoin would: both columns watermarked
+						}
+						width := j.bucketWidth()
+						if (width == 8*sec) != (j.Band != nil) {
+							t.Fatalf("bucket width %d with band %v", width, j.Band)
 						}
 						prov, store := joinStore(t, backend)
 						_, ref := joinStore(t, state.BackendMemory)
@@ -187,7 +289,10 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 								if rng.Intn(12) == 0 {
 									key = nil
 								}
-								ts := clock + rng.Int63n(6*sec) - 3*sec // out of order within a key
+								// Out of order within a key, and on a half-second grid, so
+								// that pairs land exactly on the band's ends and rows
+								// exactly on bucket boundaries.
+								ts := (clock + rng.Int63n(6*sec) - 3*sec) / (sec / 2) * (sec / 2)
 								if rng.Intn(15) == 0 {
 									ts -= 30 * sec // late: behind any watermark
 									lateRows++
@@ -222,7 +327,12 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 							if len(got) != len(want) {
 								t.Fatalf("epoch %d: %d rows, reference %d", epoch, len(got), len(want))
 							}
-							g, w := rowStrings(got), rowStrings(want)
+							rightArrived := map[sql.Value]bool{}
+							for _, sr := range inputs[1] {
+								rightArrived[sr[len(sr)-1]] = true
+							}
+							g, w := rowStrings(got), rowStrings(inBucketOrder(want[:evictedFrom], width, rightArrived))
+							w = append(w, rowStrings(want[evictedFrom:])...)
 							matchedRows, evictionRows = matchedRows+evictedFrom, evictionRows+len(want)-evictedFrom
 							if !reflect.DeepEqual(g[:evictedFrom], w[:evictedFrom]) {
 								t.Fatalf("epoch %d: matched rows differ\n got %v\nwant %v", epoch, g[:evictedFrom], w[:evictedFrom])
@@ -244,7 +354,7 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 									t.Fatal(err)
 								}
 							}
-							live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref)
+							live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref, width)
 							for i := range refLive {
 								if preserved := j.preserves(strings.IndexByte("LR", refLive[i].side)); !preserved {
 									refLive[i].matched = false // only read, so only kept, on the preserved side
@@ -254,7 +364,7 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 								t.Fatalf("epoch %d: buffered rows differ\n got %v\nwant %v", epoch, live, refLive)
 							}
 							if len(live) == 0 && store.NumKeys() != 1 {
-								t.Fatalf("epoch %d: nothing buffered, yet %d keys beside the floor", epoch, store.NumKeys()-1)
+								t.Fatalf("epoch %d: nothing buffered, yet %d keys beside the meta key", epoch, store.NumKeys()-1)
 							}
 							peakLive = max(peakLive, len(live))
 							if rng.Intn(3) > 0 {
@@ -394,10 +504,10 @@ func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
 		if err := errors.Join(store.Commit(epoch), ref.Commit(epoch)); err != nil {
 			t.Fatal(err)
 		}
-		if live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref); !reflect.DeepEqual(live, refLive) {
+		if live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref, 0); !reflect.DeepEqual(live, refLive) {
 			t.Fatalf("epoch %d: buffered rows differ\n got %v\nwant %v", epoch, live, refLive)
 		}
-		var hdr joinSide
+		var hdr joinGroup
 		if v, _ := store.Get(hdrKey); hdr.decodeHeader(v) != nil || hdr.live != perEpoch+1 {
 			t.Fatalf("epoch %d: right header %+v, want %d live", epoch, hdr, perEpoch+1)
 		}
@@ -407,8 +517,41 @@ func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
 	}
 }
 
-// TestJoinRejectsOlderLayout: a checkpoint written by the list-valued layout
-// must fail loudly, not read as "no rows buffered".
+// copyJoinFixture copies the parent-written checkpoint (join_fixture_gen_test.go)
+// into a scratch directory and opens its last version.
+func copyJoinFixture(t *testing.T) *state.Store {
+	t.Helper()
+	dst := t.TempDir()
+	rel := filepath.Join("state", "join", "0")
+	if err := os.MkdirAll(filepath.Join(dst, rel), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(filepath.Join("testdata", "pr12-join-state", rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join("testdata", "pr12-join-state", rel, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, rel, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prov := state.NewProvider(dst)
+	t.Cleanup(prov.Close)
+	store, err := prov.Open(state.ID{Operator: "join"}, joinFixtureEpochs-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestJoinRejectsOlderLayout: a checkpoint written by the list-valued layout,
+// by the layout before time buckets (the fixture the parent commit wrote), or
+// under another bucket width must fail loudly and by name, not read as "no
+// rows buffered" — and one written under the same width must read back.
 func TestJoinRejectsOlderLayout(t *testing.T) {
 	j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 1, RightArity: 1,
 		LeftEventIdx: -1, RightEventIdx: -1}
@@ -424,29 +567,74 @@ func TestJoinRejectsOlderLayout(t *testing.T) {
 	if !errors.Is(err, errJoinLayout) {
 		t.Fatalf("err = %v, want the older-layout error", err)
 	}
+
+	// The fixture buffers rows on both sides of keys "a" and "b": an operator
+	// that took it for its own would find no header under its keys and emit
+	// nothing for a row that has matches.
+	for _, band := range []*TimeBand{nil, {Lo: 0, Hi: 10 * sec}} {
+		fixture, op := copyJoinFixture(t), joinFixtureOp()
+		if n := fixture.NumKeys(); n < 10 {
+			t.Fatalf("fixture holds %d keys", n)
+		}
+		op.Band = band
+		_, err := op.Process(&EpochContext{Epoch: joinFixtureEpochs}, fixture, joinFixtureInputs(joinFixtureEpochs))
+		if !errors.Is(err, errJoinLayout) {
+			t.Fatalf("band %v on the pre-bucket fixture: err = %v, want the older-layout error", band, err)
+		}
+	}
+
+	// A store written under one width: read back under it, refused under others.
+	wide, narrow := joinFixtureOp(), joinFixtureOp()
+	wide.Band, narrow.Band = &TimeBand{Lo: 0, Hi: 20 * sec}, &TimeBand{Lo: 0, Hi: 5 * sec}
+	_, store = joinStore(t, state.BackendLSM)
+	for e := int64(0); e < joinFixtureEpochs; e++ {
+		if _, err := wide.Process(&EpochContext{Epoch: e}, store, joinFixtureInputs(e)); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Commit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, other := range []*StreamStreamJoin{narrow, joinFixtureOp()} {
+		_, err := other.Process(&EpochContext{Epoch: joinFixtureEpochs}, store, joinFixtureInputs(joinFixtureEpochs))
+		if !errors.Is(err, errJoinBucket) {
+			t.Fatalf("width %d on a store of width %d: err = %v, want the bucket-width error", other.bucketWidth(), wide.bucketWidth(), err)
+		}
+		store.Abort()
+	}
+	// A right row is 1 s behind the left row of its slot, outside [0, 20 s], and
+	// 19 s ahead of its key's left row before that, inside.
+	out, err := wide.Process(&EpochContext{Epoch: joinFixtureEpochs}, store, joinFixtureInputs(joinFixtureEpochs))
+	if err != nil || len(out) == 0 {
+		t.Fatalf("same width: %d rows, err = %v", len(out), err)
+	}
 }
 
-// FuzzJoinState fuzzes the three decoders that read join state back: header
-// values, entry values and time-index keys. Accepted input must survive a
-// re-encode round trip; corrupt input must be an error, never a panic; and a
-// key of the list-valued layout must be named as such.
+// FuzzJoinState fuzzes the decoders that read join state back: header values,
+// entry values, the meta value and time-index keys (the bucket in header and
+// entry keys is only ever rendered, from an event time and the width the meta
+// value vouches for). Accepted input must survive a re-encode round trip;
+// corrupt input must be an error, never a panic; and a key or meta value of an
+// older layout must be named as such.
 func FuzzJoinState(f *testing.F) {
 	enc := codec.NewEncoder(0)
-	f.Add((&joinSide{lo: 1, hi: 9, live: 3}).encodeHeader())
+	f.Add((&joinGroup{lo: 1, hi: 9, live: 3}).encodeHeader())
 	f.Add((&joinEntry{row: sql.Row{"a", int64(7), nil, 1.5}, ts: 42, matched: true}).encode(enc))
 	f.Add((&joinEntry{row: sql.Row{}, ts: -1}).encode(enc))
 	f.Add(new(joinKeyBuf).key(tagTime, 'L', 1_600_000_000_000_000, codec.EncodeValues([]sql.Value{int64(12)}), 77))
 	f.Add(new(joinKeyBuf).key(tagTime, 'R', 0, nil, 0))
-	f.Add(new(joinKeyBuf).key(tagEntry, 'L', 0, []byte("k"), 3))
+	f.Add(new(joinKeyBuf).key(tagEntry, 'L', 160_000_001, []byte("k"), 3))
 	f.Add(append([]byte{'L'}, codec.EncodeValues([]sql.Value{"old"})...))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 1_600_000_000_000_000), 10_000_000)) // meta: floor, width
+	f.Add(binary.AppendUvarint(nil, 1_600_000_000_000_000))                                   // the pre-bucket meta: the floor alone
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // an entry claiming a 4-billion-value row
 	// An entry whose string length wraps negative as an int (found by this fuzzer).
 	f.Add([]byte("0\x01\x04\x05\x97\x97\x97\x97\x97\x97\x97\x97\x97\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var h joinSide
+		var h joinGroup
 		if err := h.decodeHeader(data); err == nil {
-			var again joinSide
+			var again joinGroup
 			if err := again.decodeHeader(h.encodeHeader()); err != nil || !reflect.DeepEqual(again, h) {
 				t.Fatalf("header %+v re-decoded as %+v (%v)", h, again, err)
 			}
@@ -461,11 +649,26 @@ func FuzzJoinState(f *testing.F) {
 				again.row.String() != e.row.String() {
 				t.Fatalf("entry %+v re-decoded as %+v (%v)", e, again, err)
 			}
+			if ts, _, err := entryTs(data); err != nil || ts != e.ts {
+				t.Fatalf("entry %+v leads with ts %d (%v)", e, ts, err)
+			}
+		}
+		floor, width, err := decodeJoinMeta(data)
+		switch _, n := binary.Uvarint(data); {
+		case err == nil:
+			again := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(floor)), uint64(width))
+			if floor < 0 || width < 0 || !bytes.Equal(again, data) && len(again) == len(data) {
+				t.Fatalf("meta %x decoded as floor %d, width %d", data, floor, width)
+			}
+		case n > 0 && n == len(data):
+			if !errors.Is(err, errJoinLayout) {
+				t.Fatalf("pre-bucket meta %x: %v", data, err)
+			}
 		}
 		ts, kb, idx, err := parseJoinTimeKey(data)
 		switch {
 		case err == nil:
-			if again := new(joinKeyBuf).key(tagTime, data[1], ts, kb, idx); !bytes.Equal(again, data) {
+			if again := new(joinKeyBuf).key(tagTime, data[1], uint64(ts), kb, idx); !bytes.Equal(again, data) {
 				t.Fatalf("time key %x re-encoded as %x", data, again)
 			}
 		case len(data) > 0 && (data[0] == 'L' || data[0] == 'R'):

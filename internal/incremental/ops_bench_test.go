@@ -110,19 +110,28 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 // per-layer micro-suite: one op is one epoch of joinBenchEpoch rows per side
 // through Process and Commit, with the watermark trailing the newest event
 // time by a fixed delay, so the buffers fill and then hold steady. uniform
-// spreads the rows over many join keys; hotkey puts a fifth of them on one.
-// It reports what the operator costs per input row.
+// spreads the rows over many join keys; hotkey puts a fifth of them on one;
+// neither tells the operator a time band, so both run on one bucket. band is
+// the shape the band exists for: Zipf keys, 80 s of buffered rows, a condition
+// that bounds right − left to 10 s and the band the planner derives from it.
+// It reports what the operator costs per input row and how many buffered
+// entries its probes fetch.
 func BenchmarkStreamStreamJoin(b *testing.B) {
 	const joinBenchEpoch = 1024
-	for _, skew := range []string{"uniform", "hotkey"} {
+	for _, shape := range []string{"uniform", "hotkey", "band"} {
 		for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
-			b.Run(fmt.Sprintf("%s/%s", skew, backend), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", shape, backend), func(b *testing.B) {
+				within, delay, warm := 2*sec, 40*sec, int64(6) // warm: epochs until the buffered rows hold steady
 				j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 3, RightArity: 3,
-					LeftEventIdx: 1, RightEventIdx: 1,
-					Residual: func(r sql.Row) sql.Value { // right within 2 s after left
-						d := r[4].(int64) - r[1].(int64)
-						return d >= 0 && d <= 2*sec
-					}}
+					LeftEventIdx: 1, RightEventIdx: 1}
+				if shape == "band" {
+					within, delay, warm = 10*sec, 80*sec, 10
+					j.Band = &TimeBand{Lo: 0, Hi: within}
+				}
+				j.Residual = func(r sql.Row) sql.Value { // right within `within` after left
+					d := r[4].(int64) - r[1].(int64)
+					return d >= 0 && d <= within
+				}
 				// fsync time is the device's, not the operator's.
 				prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
 				prov.Backend, prov.MemtableBytes, prov.BackgroundMaintenance = backend, 256<<10, true
@@ -132,6 +141,7 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 					b.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(1))
+				zipf := rand.NewZipf(rng, 1.05, 20, 4095)
 				clock := int64(0)
 				epoch := func(version int64) {
 					var inputs [2][]sql.Row
@@ -139,13 +149,15 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 						clock += sec / 100 // 100 rows per side per event-time second
 						for s := range inputs {
 							key := int64(rng.Intn(4096))
-							if skew == "hotkey" && rng.Intn(5) == 0 {
+							if shape == "hotkey" && rng.Intn(5) == 0 {
 								key = -1
+							} else if shape == "band" {
+								key = int64(zipf.Uint64())
 							}
 							inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, clock, sql.Row{key, clock, version}))
 						}
 					}
-					ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-40*sec), Mode: logical.Append}
+					ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-delay), Mode: logical.Append}
 					if _, err := j.Process(ctx, store, inputs[:]); err != nil {
 						b.Fatal(err)
 					}
@@ -153,12 +165,12 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				const warm = 6 // epochs until the 40 s of buffered rows hold steady
 				for v := int64(0); v < warm; v++ {
 					epoch(v)
 				}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
+				read := j.entriesRead.Load()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					epoch(warm + int64(i))
@@ -168,6 +180,7 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 				rows := float64(b.N) * 2 * joinBenchEpoch
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+				b.ReportMetric(float64(j.entriesRead.Load()-read)/rows, "entries-read/row")
 			})
 		}
 	}

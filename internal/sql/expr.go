@@ -771,6 +771,14 @@ func TransformExpr(e Expr, fn func(Expr) Expr) Expr {
 	return fn(e)
 }
 
+// SplitConjuncts flattens a tree of ANDs into its conjuncts.
+func SplitConjuncts(e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
 // ExprReferences collects the set of column names referenced by e.
 func ExprReferences(e Expr) map[string]bool {
 	refs := map[string]bool{}

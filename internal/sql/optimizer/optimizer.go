@@ -280,7 +280,7 @@ func pushThroughJoin(f *logical.Filter, j *logical.Join) logical.Plan {
 		return f
 	}
 	var leftConds, rightConds, keep []sql.Expr
-	for _, c := range splitConjuncts(f.Cond) {
+	for _, c := range sql.SplitConjuncts(f.Cond) {
 		coveredLeft := coveredBy(c, leftSchema)
 		coveredRight := coveredBy(c, rightSchema)
 		switch {
@@ -311,14 +311,6 @@ func pushThroughJoin(f *logical.Filter, j *logical.Join) logical.Plan {
 		out = &logical.Filter{Child: out, Cond: conjoin(keep)}
 	}
 	return out
-}
-
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
-func splitConjuncts(e sql.Expr) []sql.Expr {
-	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
 }
 
 func conjoin(exprs []sql.Expr) sql.Expr {

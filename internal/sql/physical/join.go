@@ -23,7 +23,7 @@ type EquiKeys struct {
 func ExtractEquiKeys(cond sql.Expr, left, right sql.Schema) EquiKeys {
 	var out EquiKeys
 	var residuals []sql.Expr
-	for _, c := range splitConjuncts(cond) {
+	for _, c := range sql.SplitConjuncts(cond) {
 		b, ok := c.(*sql.Binary)
 		if ok && b.Op == sql.OpEq {
 			switch {
@@ -47,13 +47,6 @@ func ExtractEquiKeys(cond sql.Expr, left, right sql.Schema) EquiKeys {
 		}
 	}
 	return out
-}
-
-func splitConjuncts(e sql.Expr) []sql.Expr {
-	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
 }
 
 func coveredBy(e sql.Expr, s sql.Schema) bool {

@@ -17,10 +17,15 @@ go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
 # fsx.ErrCorrupt comes back.
 echo ">> lsm sstable reader fuzz smoke"
 go test -run '^$' -fuzz 'FuzzOpenTable' -fuzztime 5s ./internal/lsm/
-# The same for the three decoders that read stream-stream join state back
-# (header values, entry values, time-index keys).
+# The same for the decoders that read stream-stream join state back (header,
+# entry and meta values, time-index keys).
 echo ">> join state fuzz smoke"
 go test -run '^$' -fuzz 'FuzzJoinState' -fuzztime 5s ./internal/incremental/
+# And for the time band the planner derives from a join condition: whatever
+# residual and pair the fuzzer picks, a pair the band excludes is one the
+# residual rejects.
+echo ">> join band fuzz smoke"
+go test -run '^$' -fuzz 'FuzzJoinBand' -fuzztime 5s ./internal/incremental/
 # And for the bus-record decoders: the pruned, the full typed and the boxed
 # one must keep and drop the same records and agree on every kept cell.
 echo ">> pruned row decode fuzz smoke"
