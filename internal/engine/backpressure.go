@@ -87,22 +87,9 @@ func (l *aimdLimiter) Observe(elapsed time.Duration, inputRows int64, breakdown 
 		return
 	}
 	if elapsed > l.target {
-		// Multiplicative decrease from what was actually attempted, not
-		// from the stale cap: the first overrun of an uncapped epoch must
-		// engage the limiter at half the intake that hurt.
-		next := inputRows / 2
-		if next < l.floor {
-			next = l.floor
-		}
-		if l.cap == 0 || next < l.cap {
-			prev := "∞"
-			if l.cap > 0 {
-				prev = fmt.Sprintf("%d", l.cap)
-			}
-			l.cap = next
-			l.decision = fmt.Sprintf("cap %s→%d: epoch took %v > target %v; %s",
-				prev, next, elapsed.Round(time.Microsecond), l.target, l.blame(breakdown))
-		}
+		l.shed(inputRows, func() string {
+			return fmt.Sprintf("epoch took %v > target %v; %s", elapsed.Round(time.Microsecond), l.target, l.blame(breakdown))
+		})
 		return
 	}
 	if l.cap == 0 {
@@ -135,17 +122,24 @@ func (l *aimdLimiter) ObserveBacklog(backlog, stores, inputRows int64) {
 	if l.target <= 0 || inputRows <= 0 || stores <= 0 || backlog <= stores {
 		return
 	}
-	next := inputRows / 2
-	if next < l.floor {
-		next = l.floor
+	l.shed(inputRows, func() string {
+		return fmt.Sprintf("lsm flush backlog %d sealed memtables across %d stores; shedding intake so maintenance can drain", backlog, stores)
+	})
+}
+
+// shed is the multiplicative decrease, from what was actually attempted
+// and not from the stale cap: the first overrun of an uncapped epoch must
+// engage the limiter at half the intake that hurt. why is rendered only
+// when the cap does change.
+func (l *aimdLimiter) shed(inputRows int64, why func() string) {
+	next := max(inputRows/2, l.floor)
+	if l.cap != 0 && next >= l.cap {
+		return
 	}
-	if l.cap == 0 || next < l.cap {
-		prev := "∞"
-		if l.cap > 0 {
-			prev = fmt.Sprintf("%d", l.cap)
-		}
-		l.cap = next
-		l.decision = fmt.Sprintf("cap %s→%d: lsm flush backlog %d sealed memtables across %d stores; shedding intake so maintenance can drain",
-			prev, next, backlog, stores)
+	prev := "∞"
+	if l.cap > 0 {
+		prev = fmt.Sprintf("%d", l.cap)
 	}
+	l.cap = next
+	l.decision = fmt.Sprintf("cap %s→%d: %s", prev, next, why())
 }

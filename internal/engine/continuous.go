@@ -2,18 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sort"
-
-	"structream/internal/health"
 	"structream/internal/incremental"
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
-	"structream/internal/wal"
+	"structream/internal/sql"
 )
 
 // continuousExec implements continuous processing mode (§6.3): long-lived
@@ -24,13 +22,7 @@ import (
 // map-like queries (no shuffle) are supported, as in Spark 2.3, and
 // delivery between epoch markers is at-least-once on replay.
 type continuousExec struct {
-	q    *incremental.Query
-	sink sinks.Sink
-	opts Options
-
-	wal  *wal.Log
-	hook *epochHook
-	telemetry
+	*core
 
 	stopCh chan struct{}
 	failCh chan struct{} // closed on the first error; may precede worker exit
@@ -41,30 +33,22 @@ type continuousExec struct {
 	// idle once it is exhausted, until the next epoch mark refills it.
 	budget atomic.Int64
 
-	// Workers accumulate their per-stage time here; the coordinator turns
-	// the deltas between epoch marks into the epoch's span tree. In
-	// continuous mode these are summed task times across parallel workers,
-	// not disjoint wall-clock segments, so they can exceed the epoch
-	// interval.
+	// Workers accumulate their per-stage time here; the coordinator
+	// charges the deltas between epoch marks to the epoch's record (see
+	// epochRecord on why these can exceed the interval).
 	procNanos atomic.Int64 // time inside pipeline Process
 	sinkNanos atomic.Int64 // time inside sink AddBatch
 
 	mu          sync.Mutex
-	srcs        map[string]*sources.Instrumented // by source name
-	current     map[string]sources.Offsets       // live read positions
-	lastEnd     map[string]sources.Offsets       // offsets at the last epoch mark
-	lastAdvance time.Time                        // when any worker last made progress
+	current     map[string]sources.Offsets // live read positions
+	lastAdvance time.Time                  // when any worker last made progress
 	epoch       int64
-	workerSeq   int64
 	err         error
 
 	// Coordinator-only epoch-delta bookkeeping (markEpoch runs in one
 	// goroutine, so plain fields suffice).
-	lastMark     time.Time
-	prevOut      int64
-	prevProc     int64
-	prevSink     int64
-	prevSrcStats map[string]sources.SourceStats
+	lastMark                    time.Time
+	prevOut, prevProc, prevSink int64
 }
 
 // waitable lets a source block efficiently for new data; sources without
@@ -78,81 +62,44 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 	if q.Stateful != nil {
 		return nil, fmt.Errorf("engine: continuous processing supports only map-like queries (no aggregation, join between streams, or stateful operators); use the microbatch trigger")
 	}
-	if opts.Checkpoint == "" {
-		return nil, fmt.Errorf("engine: a checkpoint directory is required")
-	}
-	w, err := wal.OpenFS(opts.FS, opts.Checkpoint)
+	// Resume from the latest logged epoch's end offsets. Workers deliver
+	// before the coordinator logs, so a logged-but-uncommitted epoch's rows
+	// already reached the sink: there is nothing to replay.
+	c, rp, err := openCore(q, sink, opts)
 	if err != nil {
 		return nil, err
 	}
 	ce := &continuousExec{
-		q: q, sink: sink, opts: opts,
-		wal:          w,
-		hook:         newEpochHook(),
-		telemetry:    newTelemetry(opts),
-		stopCh:       make(chan struct{}),
-		failCh:       make(chan struct{}),
-		srcs:         map[string]*sources.Instrumented{},
-		current:      map[string]sources.Offsets{},
-		lastEnd:      map[string]sources.Offsets{},
-		lastAdvance:  time.Now(),
-		lastMark:     time.Now(),
-		prevSrcStats: map[string]sources.SourceStats{},
+		core:        c,
+		stopCh:      make(chan struct{}),
+		failCh:      make(chan struct{}),
+		current:     map[string]sources.Offsets{},
+		lastAdvance: time.Now(),
+		lastMark:    time.Now(),
+		epoch:       rp.NextEpoch,
 	}
 	ce.budget.Store(opts.MaxRecordsPerTrigger)
-
-	// Recover: resume from the latest logged epoch's end offsets.
-	rp, err := w.Recover()
-	if err != nil {
-		return nil, err
-	}
-	ce.epoch = rp.NextEpoch
-	if latest, ok, err := w.LatestOffsets(); err != nil {
-		return nil, err
-	} else if ok {
-		for _, s := range latest.Sources {
-			ce.current[s.Source] = append(sources.Offsets(nil), s.End...)
-			ce.lastEnd[s.Source] = append(sources.Offsets(nil), s.End...)
-		}
-	}
-
-	sq := &StreamingQuery{
-		name:   opts.Name,
-		cont:   ce,
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}
 
 	// Resolve every pipeline's source and start offsets before any worker
 	// exists: a failure on a later pipeline must not leave an earlier
 	// one's workers polling and writing to the sink behind the error.
 	bound := make([]*sources.Instrumented, len(q.Pipelines))
 	for i, p := range q.Pipelines {
-		raw, ok := srcs[p.SourceName]
-		if !ok {
-			return nil, fmt.Errorf("engine: no source bound for stream %q", p.SourceName)
+		// Workers read boxed rows only, so nothing is pruned.
+		if bound[i], err = c.bind(p, srcs, false); err != nil {
+			return nil, err
 		}
-		src := sources.Instrument(raw)
-		name := src.Name()
-		bound[i] = src
-		ce.srcs[name] = src
-		if _, ok := ce.current[name]; !ok {
-			start, err := src.Earliest()
-			if err != nil {
-				return nil, err
-			}
-			ce.current[name] = start
-			ce.lastEnd[name] = start.Clone()
-		}
+		ce.current[bound[i].Name()] = c.committed[bound[i].Name()].Clone()
 	}
 	// Launch one long-lived worker per (pipeline, partition) — §6.3: "the
 	// master launches long-running tasks on each partition"; a failed
 	// worker would simply be relaunched.
+	var workerSeq int64
 	for i, p := range q.Pipelines {
 		for part := 0; part < bound[i].Partitions(); part++ {
 			ce.wg.Add(1)
-			ce.workerSeq++
-			go ce.worker(p, bound[i], part, ce.workerSeq)
+			workerSeq++
+			go ce.worker(p, bound[i], part, workerSeq)
 		}
 	}
 
@@ -164,6 +111,13 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 	ce.wg.Add(1)
 	go ce.coordinator(interval)
 
+	sq := &StreamingQuery{
+		name:   opts.Name,
+		core:   c,
+		cont:   ce,
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
+	}
 	go func() {
 		// Clean shutdown waits for every worker; on failure the query must
 		// terminate even if a worker is wedged inside a hung source read or
@@ -261,8 +215,11 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source,
 			}
 			ce.budget.Add(off - to) // reserve (to-off) records
 		}
-		raw, err := src.Read(part, off, to)
-		if err != nil {
+		var raw []sql.Row
+		if err := ce.withRetry(func() (rerr error) {
+			raw, rerr = src.Read(part, off, to)
+			return rerr
+		}); err != nil {
 			ce.setErr(err)
 			return
 		}
@@ -272,12 +229,14 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source,
 		if len(rows) > 0 {
 			seq++
 			sinkStart := time.Now()
-			err := ce.sink.AddBatch(sinks.Batch{
-				Epoch:  epoch,
-				Sub:    workerID<<32 | seq,
-				Mode:   ce.q.Mode,
-				Schema: ce.q.OutSchema,
-				Rows:   rows,
+			err := ce.withRetry(func() error {
+				return ce.sink.AddBatch(sinks.Batch{
+					Epoch:  epoch,
+					Sub:    workerID<<32 | seq,
+					Mode:   ce.q.Mode,
+					Schema: ce.q.OutSchema,
+					Rows:   rows,
+				})
 			})
 			ce.sinkNanos.Add(time.Since(sinkStart).Nanoseconds())
 			if err != nil {
@@ -289,6 +248,8 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source,
 		ce.current[src.Name()][part] = to
 		ce.lastAdvance = time.Now()
 		ce.mu.Unlock()
+		// Charged here, per delivered sub-batch, not at the epoch mark: the
+		// monitor and fig7 read these between marks.
 		ce.reg.Counter("inputRows").Add(int64(len(raw)))
 		ce.reg.Counter("outputRows").Add(int64(len(rows)))
 	}
@@ -339,13 +300,7 @@ func (ce *continuousExec) checkStalled() error {
 			continue // the read path will surface this error itself
 		}
 		ce.mu.Lock()
-		cur := ce.current[name]
-		var lag int64
-		for i := range latest {
-			if i < len(cur) && latest[i] > cur[i] {
-				lag += latest[i] - cur[i]
-			}
-		}
+		lag := behind(latest, ce.current[name])
 		ce.mu.Unlock()
 		if lag > 0 {
 			lagging = append(lagging, fmt.Sprintf("%s(+%d records)", name, lag))
@@ -358,174 +313,68 @@ func (ce *continuousExec) checkStalled() error {
 	return fmt.Errorf("engine: continuous workers made no progress for %v with data pending on %v: %w", idle, lagging, ErrEpochTimeout)
 }
 
-// markEpoch snapshots every partition's offset, logs and commits the
-// epoch, and emits the epoch's trace and progress. The epoch's root span
-// covers the whole interval since the previous mark; the getBatch /
-// execution / sinkCommit children carry summed worker task time over that
-// interval (continuous workers run in parallel, so unlike microbatch mode
-// these aggregates are not disjoint wall segments and may exceed the
-// interval).
+// markEpoch cuts an epoch: snapshot every partition's offset, fill the
+// epoch's record, log and commit it, publish. The record's root span
+// covers the whole interval since the previous mark; getBatch, execution
+// and sinkCommit are charged the workers' summed task time over it.
 func (ce *continuousExec) markEpoch() {
 	planStart := time.Now()
-	type srcRange struct {
-		name       string
-		start, end sources.Offsets
-	}
 	ce.mu.Lock()
 	epoch := ce.epoch
-	entry := wal.Entry{Epoch: epoch}
-	var progressed bool
+	var plan []metrics.SourceProgress
 	var totalIn int64
-	var ranges []srcRange
 	for name, cur := range ce.current {
-		start := ce.lastEnd[name]
-		end := cur.Clone()
-		entry.Sources = append(entry.Sources, wal.SourceOffsets{Source: name, Start: start.Clone(), End: end})
-		ranges = append(ranges, srcRange{name: name, start: start.Clone(), end: end})
-		for i := range end {
-			if end[i] > start[i] {
-				progressed = true
-				totalIn += end[i] - start[i]
-			}
-		}
+		s := metrics.SourceProgress{Name: name, StartOffsets: ce.committed[name].Clone(), EndOffsets: cur.Clone()}
+		s.NumInputRows = behind(s.EndOffsets, s.StartOffsets)
+		totalIn += s.NumInputRows
+		plan = append(plan, s)
 	}
-	if !progressed {
+	if totalIn == 0 {
 		ce.mu.Unlock()
 		return
 	}
-	for name := range ce.current {
-		ce.lastEnd[name] = ce.current[name].Clone()
-	}
 	ce.epoch++
 	ce.mu.Unlock()
-	planDur := time.Since(planStart)
 
-	intervalStart := ce.lastMark
-	et := ce.tracer.StartEpochAt(epoch, "continuous", intervalStart)
-	et.AddStage("planning", planStart, planDur)
+	r := ce.beginEpoch(epoch, modeContinuous, false, ce.lastMark, plan)
+	defer r.et.Finish()
+	r.inputRows = totalIn
+	r.charge("planning", planStart, time.Since(planStart))
 	// Lineage: in continuous mode records flow through workers as they
 	// arrive, so the epoch's ingest is the start of its interval and its
 	// execution is continuous across it; admission is the mark itself.
-	ce.health.StampIngest(epoch, intervalStart)
-	ce.health.StampExecute(epoch, intervalStart)
+	ce.health.StampIngest(epoch, r.start)
+	ce.health.StampExecute(epoch, r.start)
 	ce.health.StampAdmit(epoch, planStart)
-
-	spWAL := et.StartSpan("walCommit")
-	walStart := time.Now()
-	if err := ce.wal.WriteOffsets(entry); err != nil {
-		et.Finish()
+	err := ce.logOffsets(r, 0)
+	if err == nil {
+		err = ce.commitEpoch(r, 0)
+	}
+	if err != nil {
 		ce.setErr(err)
 		return
 	}
-	if err := ce.wal.WriteCommit(epoch); err != nil {
-		et.Finish()
-		ce.setErr(err)
-		return
-	}
-	ce.hook.notify(epoch)
-	ce.health.StampCommit(epoch, time.Now())
-	et.EndSpan(spWAL)
-	walDur := time.Since(walStart)
+	ce.lastMark = r.end
 	// Refill the admission budget for the next epoch.
 	if cap := ce.opts.MaxRecordsPerTrigger; cap > 0 {
 		ce.budget.Store(cap)
 	}
 
 	// Worker-stage deltas since the previous mark.
-	now := time.Now()
-	interval := now.Sub(intervalStart)
-	ce.lastMark = now
-	out := ce.reg.Counter("outputRows").Value()
-	proc, sinkN := ce.procNanos.Load(), ce.sinkNanos.Load()
-	outDelta := out - ce.prevOut
-	procDelta := proc - ce.prevProc
-	sinkDelta := sinkN - ce.prevSink
-	ce.prevOut, ce.prevProc, ce.prevSink = out, proc, sinkN
-
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].name < ranges[j].name })
-	var readDelta int64
-	var srcProgress []metrics.SourceProgress
-	for _, r := range ranges {
-		src := ce.srcs[r.name]
-		st := src.Stats()
-		rd := st.ReadNanos - ce.prevSrcStats[r.name].ReadNanos
-		ce.prevSrcStats[r.name] = st
-		readDelta += rd
-		var n int64
-		for i := range r.end {
-			if i < len(r.start) && r.end[i] > r.start[i] {
-				n += r.end[i] - r.start[i]
-			}
+	var read int64
+	for i := range r.sources {
+		s := &r.sources[i]
+		read += ce.observeSource(s)
+		if latest, err := ce.srcs[s.Name].Latest(); err == nil {
+			s.LatestOffsets = latest.Clone()
 		}
-		sp := metrics.SourceProgress{
-			Name:            r.name,
-			StartOffsets:    append([]int64(nil), r.start...),
-			EndOffsets:      append([]int64(nil), r.end...),
-			NumInputRows:    n,
-			InputRowsPerSec: metrics.RatePerSec(n, interval),
-			ReadMicros:      rd / 1e3,
-		}
-		if latest, err := src.Latest(); err == nil {
-			sp.LatestOffsets = append([]int64(nil), latest...)
-		}
-		srcProgress = append(srcProgress, sp)
 	}
-
-	et.AddStage("getBatch", intervalStart, time.Duration(readDelta))
-	et.AddStage("execution", intervalStart, time.Duration(procDelta))
-	et.AddStage("stateCommit", intervalStart, 0)
-	et.AddStage("sinkCommit", intervalStart, time.Duration(sinkDelta))
-	et.SetAttr("inputRows", totalIn)
-	et.SetAttr("outputRows", outDelta)
-	et.SetAttr("committed", 1)
-	et.Finish()
-
-	bd := map[string]int64{
-		"planning":    planDur.Microseconds(),
-		"getBatch":    readDelta / 1e3,
-		"execution":   procDelta / 1e3,
-		"stateCommit": 0,
-		"walCommit":   walDur.Microseconds(),
-		"sinkCommit":  sinkDelta / 1e3,
-	}
-	ce.reg.Histogram("epoch.us").Observe(interval.Microseconds())
-	for k, v := range bd {
-		ce.reg.Histogram("stage." + k + ".us").Observe(v)
-	}
-	ws := ce.wal.Stats()
-	ce.reg.Gauge("walOffsetsWritten").Set(ws.OffsetsWritten)
-	ce.reg.Gauge("walCommitsWritten").Set(ws.CommitsWritten)
-	ce.reg.Gauge("walBytesWritten").Set(ws.BytesWritten)
-	ce.reg.Gauge("walWriteMicros").Set(ws.WriteNanos / 1e3)
-	ce.reg.Counter("epochs").Add(1)
-	ce.log.Emit(metrics.QueryProgress{
-		QueryName:         ce.opts.Name,
-		Epoch:             epoch,
-		NumInputRows:      totalIn,
-		NumOutputRows:     outDelta,
-		ProcessingMillis:  interval.Milliseconds(),
-		ProcessingMicros:  interval.Microseconds(),
-		InputRowsPerSec:   metrics.RatePerSec(totalIn, interval),
-		OutputRowsPerSec:  metrics.RatePerSec(outDelta, interval),
-		DurationBreakdown: bd,
-		BottleneckStage:   metrics.BottleneckStage(bd),
-		Sources:           srcProgress,
-		Sink: &metrics.SinkProgress{
-			Description:      sinks.Describe(ce.sink),
-			NumOutputRows:    outDelta,
-			OutputRowsPerSec: metrics.RatePerSec(outDelta, interval),
-			WriteMicros:      sinkDelta / 1e3,
-		},
-		AdmissionCapRecords: ce.opts.MaxRecordsPerTrigger,
-		Restarts:            ce.reg.Counter("restarts").Value(),
-	})
-	// Continuous pipelines are map-only and unwatermarked; −1 skips the
-	// watermark-lag signal.
-	ce.health.ObserveEpoch(health.Sample{
-		Epoch:           epoch,
-		LatencyUs:       interval.Microseconds(),
-		InputRowsPerSec: metrics.RatePerSec(totalIn, interval),
-		WatermarkLagUs:  -1,
-		Restarts:        ce.reg.Counter("restarts").Value(),
-	})
+	out, proc, sink := ce.reg.Counter("outputRows").Value(), ce.procNanos.Load(), ce.sinkNanos.Load()
+	r.outputRows = out - ce.prevOut
+	r.charge("getBatch", r.start, time.Duration(read))
+	r.charge("execution", r.start, time.Duration(proc-ce.prevProc))
+	r.charge("stateCommit", r.start, 0)
+	r.charge("sinkCommit", r.start, time.Duration(sink-ce.prevSink))
+	ce.prevOut, ce.prevProc, ce.prevSink = out, proc, sink
+	ce.publish(r)
 }

@@ -1,0 +1,246 @@
+package engine
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"structream/internal/fsx"
+	"structream/internal/sinks"
+	"structream/internal/sources"
+	"structream/internal/sql"
+	"structream/internal/sql/logical"
+)
+
+// jsonKeys returns the sorted key set of v's JSON object form.
+func jsonKeys(t *testing.T, v any) []string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(data, &obj); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// missing lists the members of want that got lacks.
+func missing(got, want []string) []string {
+	have := map[string]bool{}
+	for _, k := range got {
+		have[k] = true
+	}
+	var out []string
+	for _, k := range want {
+		if !have[k] {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestTelemetryContractInBothModes pins what consumers of the monitoring
+// surface parse: the QueryProgress JSON key set, the six child span names
+// and the registry names the benchmark reads, for the same map-only query
+// under both execution modes. The key lists were captured at the commit
+// before the two modes came to share one publish path: microbatch must
+// match exactly, continuous may only have gained keys.
+func TestTelemetryContractInBothModes(t *testing.T) {
+	registryNames := []string{"inputRows", "outputRows", "epochs", "backlogRecords", "stage.stateCommit.us", "epoch.us"}
+	cases := []struct {
+		name     string
+		trigger  Trigger
+		exact    bool
+		progress []string
+		source   []string
+		sink     []string
+	}{
+		{
+			name: "microbatch", trigger: ProcessingTimeTrigger{Interval: time.Hour}, exact: true,
+			progress: []string{"bottleneckStage", "durationUs", "epoch", "inputRowsPerSecond", "numInputRows",
+				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
+				"sink", "sourceEndOffsetTotals", "sources", "stateBytes", "stateRows", "vectorized",
+				"watermarkMicros"},
+			source: []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
+			sink:   []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+		},
+		{
+			name: "continuous", trigger: ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+			progress: []string{"bottleneckStage", "durationUs", "epoch", "inputRowsPerSecond", "numInputRows",
+				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
+				"sink", "sources", "stateBytes", "stateRows", "watermarkMicros"},
+			source: []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
+			sink:   []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := sources.NewMemorySource("events", eventsSchema)
+			q := compile(t, streamScan("events"), logical.Append, nil)
+			sq := startQuery(t, q, map[string]sources.Source{"events": src}, sinks.NewMemorySink(), Options{Trigger: tc.trigger})
+			// Enough rows that the read and the sink write each take a
+			// measurable microsecond, so their omitempty fields are present.
+			rows := make([]sql.Row, 20000)
+			for i := range rows {
+				rows[i] = sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)}
+			}
+			src.AddData(rows...)
+			if tc.exact {
+				if err := sq.ProcessAllAvailable(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				waitFor(t, func() bool { return sq.Metrics().Counter("epochs").Value() > 0 })
+			}
+			if err := sq.Stop(); err != nil {
+				t.Fatal(err)
+			}
+
+			// omitempty fields come and go with an epoch's size, so the key
+			// sets are the union over the run's events.
+			events := sq.EventLog().Recent(0)
+			if len(events) == 0 {
+				t.Fatal("no progress event")
+			}
+			var progress, source, sink []string
+			for _, p := range events {
+				if len(p.Sources) != 1 || p.Sink == nil {
+					t.Fatalf("sources = %+v, sink = %+v", p.Sources, p.Sink)
+				}
+				progress = append(progress, jsonKeys(t, p)...)
+				source = append(source, jsonKeys(t, p.Sources[0])...)
+				sink = append(sink, jsonKeys(t, p.Sink)...)
+			}
+			check := func(what string, got, want []string) {
+				t.Helper()
+				if lost := missing(got, want); len(lost) > 0 {
+					t.Errorf("%s lost keys %v (has %v)", what, lost, got)
+				}
+				if gained := missing(want, got); tc.exact && len(gained) > 0 {
+					t.Errorf("%s gained keys %v", what, gained)
+				}
+			}
+			check("progress", progress, tc.progress)
+			check("sources[0]", source, tc.source)
+			check("sink", sink, tc.sink)
+
+			epochs := sq.Tracer().Epochs()
+			if len(epochs) == 0 {
+				t.Fatal("no epoch trace")
+			}
+			var spans []string
+			for name := range childNames(epochs[0]) {
+				spans = append(spans, name)
+			}
+			sort.Strings(spans)
+			want := append([]string(nil), stageNames...)
+			sort.Strings(want)
+			if strings.Join(spans, ",") != strings.Join(want, ",") {
+				t.Errorf("child span names = %v, want %v", spans, want)
+			}
+			var registered []string
+			for name := range sq.Metrics().Snapshot() {
+				registered = append(registered, name)
+			}
+			for name := range sq.Metrics().Histograms() {
+				registered = append(registered, name)
+			}
+			if lost := missing(registered, registryNames); len(lost) > 0 {
+				t.Errorf("registry lost %v (has %v)", lost, registered)
+			}
+		})
+	}
+}
+
+// TestContinuousRetriesTransientReads: Options.MaxIORetries promises retry
+// "on a source read or sink write" and continuous workers must honour it —
+// one transient read fault is absorbed, counted once, and costs no row.
+func TestContinuousRetriesTransientReads(t *testing.T) {
+	inner := sources.NewMemorySource("events", eventsSchema)
+	flaky := sources.NewFlakySource(inner)
+	flaky.FailReads(fmt.Errorf("flaky read: %w", fsx.ErrTransient), 1)
+	q := compile(t, streamScan("events"), logical.Append, nil)
+	sink := sinks.NewMemorySink()
+	sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
+		Trigger:      ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+		RetryBackoff: time.Microsecond,
+	})
+	for i := 0; i < 10; i++ {
+		inner.AddData(sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)})
+	}
+	waitFor(t, func() bool { return len(sink.Rows()) >= 10 || sq.Err() != nil })
+	waitFor(t, func() bool { return sq.Metrics().Counter("epochs").Value() > 0 || sq.Err() != nil })
+	if err := sq.Stop(); err != nil {
+		t.Fatalf("transient read fault not absorbed: %v", err)
+	}
+	got := sortedStrings(sink.Rows())
+	if len(got) != 10 {
+		t.Fatalf("sink holds %d rows, want 10: %v", len(got), got)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] == got[i-1] {
+			t.Errorf("duplicated row %s", got[i])
+		}
+	}
+	if n := sq.Metrics().Counter("ioRetries").Value(); n != 1 {
+		t.Errorf("ioRetries = %d, want 1", n)
+	}
+	if p, ok := sq.LastProgress(); !ok || p.IORetries != 1 {
+		t.Errorf("progress.IORetries = %d (ok=%v), want 1", p.IORetries, ok)
+	}
+}
+
+// TestContinuousCountsCorruptWALTail: a torn uncommitted offsets entry
+// dropped by recovery is counted in continuous mode as it is in microbatch
+// mode, on the registry and in the progress event.
+func TestContinuousCountsCorruptWALTail(t *testing.T) {
+	ckpt := t.TempDir()
+	src := sources.NewMemorySource("events", eventsSchema)
+	start := func(sink sinks.Sink) *StreamingQuery {
+		q := compile(t, streamScan("events"), logical.Append, nil)
+		return startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
+			Checkpoint: ckpt,
+			Trigger:    ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+		})
+	}
+	sq := start(sinks.NewMemorySink())
+	src.AddData(sql.Row{"a", 1.0, int64(0)})
+	waitFor(t, func() bool { return sq.Metrics().Counter("epochs").Value() > 0 })
+	if err := sq.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	// A crash tears the next epoch's offsets entry after the atomic rename
+	// made it visible but before any of its effects committed.
+	next := sq.LastCommittedEpoch() + 1
+	torn := filepath.Join(ckpt, "offsets", fmt.Sprintf("%012d.json", next))
+	if err := os.WriteFile(torn, []byte(`{"epoch": 1, "time`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := sinks.NewMemorySink()
+	sq = start(sink)
+	if got := sq.Metrics().Counter("corruptionsDetected").Value(); got != 1 {
+		t.Errorf("corruptionsDetected = %d, want 1", got)
+	}
+	src.AddData(sql.Row{"b", 2.0, int64(0)})
+	waitFor(t, func() bool { return sq.Metrics().Counter("epochs").Value() > 0 })
+	if err := sq.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := sq.LastProgress(); !ok || p.CorruptionsDetected != 1 {
+		t.Errorf("progress.CorruptionsDetected = %d (ok=%v), want 1", p.CorruptionsDetected, ok)
+	}
+	expectRows(t, sink.Rows(), "[b, 2.0, 0]")
+}

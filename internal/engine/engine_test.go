@@ -413,6 +413,33 @@ func TestMapGroupsWithStateSessionization(t *testing.T) {
 	}
 }
 
+// TestProcessingTimeTimeoutRunsOnePassPerCall: a query with processing-time
+// timeouts always has an epoch to run, so draining "everything available"
+// must stop after one pass instead of running epochs forever.
+func TestProcessingTimeTimeoutRunsOnePassPerCall(t *testing.T) {
+	src := sources.NewMemorySource("events", eventsSchema)
+	plan := sessionPlan(logical.ProcessingTimeTimeout)
+	plan.Timeout = logical.ProcessingTimeTimeout
+	q := compile(t, plan, logical.Update, nil)
+	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sinks.NewMemorySink(), Options{})
+	src.AddData(sql.Row{"u1", 0.0, 1 * sec})
+	for call := int64(1); call <= 2; call++ {
+		done := make(chan error, 1)
+		go func() { done <- sq.ProcessAllAvailable() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("ProcessAllAvailable never returned")
+		}
+		if n := sq.Metrics().Counter("epochs").Value(); n != call {
+			t.Fatalf("after call %d: %d epochs, want one per call", call, n)
+		}
+	}
+}
+
 // ---------------------------------------------------------------- recovery
 
 func TestRestartResumesFromCheckpoint(t *testing.T) {

@@ -104,7 +104,8 @@ func (h *epochHook) notify(epoch int64) {
 // it synchronously in tests.
 type StreamingQuery struct {
 	name string
-	exec *exec
+	core *core           // what both modes share; empty for a handle that never started
+	exec *exec           // non-nil in microbatch mode
 	cont *continuousExec // non-nil in continuous mode
 
 	stopCh   chan struct{}
@@ -130,6 +131,7 @@ func Start(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink
 	}
 	sq := &StreamingQuery{
 		name:   opts.Name,
+		core:   e.core,
 		exec:   e,
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
@@ -143,7 +145,8 @@ func (q *StreamingQuery) loop() {
 	defer q.finish()
 	switch trig := q.exec.opts.Trigger.(type) {
 	case OnceTrigger:
-		q.setErr(q.exec.runOnce())
+		_, err := q.exec.runOnce()
+		q.setErr(err)
 	case AvailableNowTrigger:
 		_, err := q.exec.RunAvailable()
 		q.setErr(err)
@@ -179,13 +182,7 @@ func (q *StreamingQuery) finish() {
 		q.status.Store(int32(StatusStopped))
 	}
 	if q.exec != nil {
-		// Release the state provider's live stores (and, for the lsm
-		// backend, their block-cache residency). Without this every
-		// supervised restart would leak the previous run's stores.
-		q.exec.prov.Close()
-		// Drain the sharded runtime's worker pool (no-op on the classic
-		// path) so restarts never stack idle worker goroutines.
-		q.exec.closePool()
+		q.exec.close()
 	}
 	// Wait out any in-flight flight-recorder capture so a restart never
 	// races a half-written bundle against its replacement.
@@ -238,7 +235,7 @@ func (q *StreamingQuery) Done() <-chan struct{} { return q.doneCh }
 // supervisor uses it to represent an instance that failed before its
 // driver loop could start, so restart bookkeeping stays uniform.
 func NewFailedQuery(err error) *StreamingQuery {
-	q := &StreamingQuery{stopCh: make(chan struct{}), doneCh: make(chan struct{})}
+	q := &StreamingQuery{core: &core{}, stopCh: make(chan struct{}), doneCh: make(chan struct{})}
 	q.setErr(err)
 	q.finish()
 	return q
@@ -280,33 +277,21 @@ func (q *StreamingQuery) ProcessAllAvailable() error {
 	return err
 }
 
-// telemetry returns the running query's telemetry, in either execution
-// mode; a handle that never started a query (NewFailedQuery) has none.
-func (q *StreamingQuery) telemetry() telemetry {
-	switch {
-	case q.exec != nil:
-		return q.exec.telemetry
-	case q.cont != nil:
-		return q.cont.telemetry
-	}
-	return telemetry{}
-}
-
 // EventLog exposes the query's progress events (§7.4).
-func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.telemetry().log }
+func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.core.log }
 
 // Tracer exposes the query's epoch tracer. Nil only for a handle that
 // never started a query; every Tracer method is nil-safe.
-func (q *StreamingQuery) Tracer() *trace.Tracer { return q.telemetry().tracer }
+func (q *StreamingQuery) Tracer() *trace.Tracer { return q.core.tracer }
 
 // Health exposes the query's health tracker: latency lineage stamps, the
 // anomaly detector's signal baselines, and the flight-recorder bundle
 // ring. Nil only for a handle that never started a query — every Tracker
 // method is nil-safe, so callers may use the result unconditionally.
-func (q *StreamingQuery) Health() *health.Tracker { return q.telemetry().health }
+func (q *StreamingQuery) Health() *health.Tracker { return q.core.health }
 
 // Metrics exposes the query's metric registry.
-func (q *StreamingQuery) Metrics() *metrics.Registry { return q.telemetry().reg }
+func (q *StreamingQuery) Metrics() *metrics.Registry { return q.core.reg }
 
 // LastProgress returns the most recent progress event, if any.
 func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
@@ -317,16 +302,6 @@ func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
 	return recent[0], true
 }
 
-func (q *StreamingQuery) hook() *epochHook {
-	if q.exec != nil {
-		return q.exec.hook
-	}
-	if q.cont != nil {
-		return q.cont.hook
-	}
-	return nil
-}
-
 // AddEpochListener registers fn to be called after every epoch commit
 // (the WAL commit record is durable and the sink holds the epoch's rows).
 // fn runs on the engine's commit path and must not block; offload real
@@ -334,21 +309,19 @@ func (q *StreamingQuery) hook() *epochHook {
 // Recovery replay of a previously committed epoch notifies again with the
 // same epoch number — listeners needing exactly-once should dedupe on it.
 func (q *StreamingQuery) AddEpochListener(fn func(epoch int64)) (remove func()) {
-	h := q.hook()
-	if h == nil {
+	if q.core.hook == nil {
 		return func() {}
 	}
-	return h.add(fn)
+	return q.core.hook.add(fn)
 }
 
 // LastCommittedEpoch returns the newest committed epoch, or -1 before any
 // epoch has committed in this instance's lifetime.
 func (q *StreamingQuery) LastCommittedEpoch() int64 {
-	h := q.hook()
-	if h == nil {
+	if q.core.hook == nil {
 		return -1
 	}
-	return h.last.Load()
+	return q.core.hook.last.Load()
 }
 
 // StateAccess describes where a query's committed state lives, for

@@ -30,8 +30,8 @@ type MaintenanceScheduler interface {
 // and the golden reference the crash sweeps converge against.
 type syncScheduler struct{}
 
-func (syncScheduler) Async() bool                { return false }
-func (syncScheduler) StepsAfterCommit(int) int   { return -1 }
+func (syncScheduler) Async() bool              { return false }
+func (syncScheduler) StepsAfterCommit(int) int { return -1 }
 
 // asyncScheduler hands all maintenance to the tree's background goroutine;
 // commits wait only on their own delta's durability (plus the hard backlog

@@ -9,8 +9,8 @@ import (
 	"strings"
 
 	"structream/internal/engine"
-	"structream/internal/state"
 	"structream/internal/sql/codec"
+	"structream/internal/state"
 )
 
 // StateEntry is one key/value pair of operator state. Keys are

@@ -211,29 +211,3 @@ func TestApplyBatchStagesMerges(t *testing.T) {
 		}
 	})
 }
-
-// TestPutBatchStagesAll pins PutBatch against per-key Put, including a key
-// that was staged-deleted first.
-func TestPutBatchStagesAll(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
-		p := mk(t.TempDir())
-		defer p.Close()
-		s := open(t, p, -1)
-		s.Remove([]byte("b"))
-		s.PutBatch(
-			[][]byte{[]byte("a"), []byte("b")},
-			[][]byte{[]byte("1"), []byte("2")},
-		)
-		for k, want := range map[string]string{"a": "1", "b": "2"} {
-			if v, ok := s.Get([]byte(k)); !ok || string(v) != want {
-				t.Fatalf("Get(%s) = (%q, %v), want %q", k, v, ok, want)
-			}
-		}
-		if err := s.Commit(0); err != nil {
-			t.Fatal(err)
-		}
-		if n := s.NumKeys(); n != 2 {
-			t.Fatalf("NumKeys = %d, want 2", n)
-		}
-	})
-}

@@ -599,23 +599,6 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	return values, oks
 }
 
-// PutBatch stages a vector of writes. Like Put, the store retains the
-// value slices.
-func (s *Store) PutBatch(keys, values [][]byte) {
-	if len(keys) == 0 {
-		return
-	}
-	if s.pendingPut == nil {
-		s.pendingPut = make(map[string][]byte, max(s.putHint, len(keys)))
-		s.pendingDel = map[string]bool{}
-	}
-	for i, key := range keys {
-		k := string(key)
-		delete(s.pendingDel, k)
-		s.pendingPut[k] = values[i]
-	}
-}
-
 // ApplyBatch reads a vector of keys with one batched backend probe and
 // stages merge(i, existing, ok) as each key's new value. A nil result from
 // merge stages a deletion. Duplicate keys all observe the pre-batch state;

@@ -3,6 +3,15 @@
 # Use `go test -short ./...` for the quick tier that skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
+# gofmt walks directories, not modules, so one pass from the root covers the
+# main module and benchmark/ alike; any name it prints is a failure.
+echo ">> gofmt -l . (main module and benchmark/)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "verify: the files above are not gofmt-clean (run gofmt -w on them)"
+	exit 1
+fi
 echo ">> go vet ./..."
 go vet ./...
 echo ">> go test -race ./..."
