@@ -6,7 +6,7 @@
 //	ssbench -experiment fig6b     scaling sweep over the virtual cluster
 //	ssbench -experiment fig7      continuous-mode latency vs input rate
 //	ssbench -experiment runonce   §7.3 run-once trigger cost savings
-//	ssbench -experiment recovery  §6.2 task recovery vs topology rollback
+//	ssbench -experiment recovery  §6.2 one-epoch recovery vs topology rollback
 //	ssbench -experiment adaptive  §7.3 adaptive batching after downtime
 //	ssbench -experiment all       everything, in order
 //

@@ -59,6 +59,8 @@ func missing(got, want []string) []string {
 // match exactly, continuous may only have gained keys.
 func TestTelemetryContractInBothModes(t *testing.T) {
 	registryNames := []string{"inputRows", "outputRows", "epochs", "backlogRecords", "stage.stateCommit.us", "epoch.us"}
+	// Every microbatch query runs on the task pool, at any worker count.
+	poolGauges := []string{"workers", "shardTasksRun", "shardStagesRun", "shardBusyMicros"}
 	cases := []struct {
 		name     string
 		trigger  Trigger
@@ -66,6 +68,7 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 		progress []string
 		source   []string
 		sink     []string
+		registry []string
 	}{
 		{
 			name: "microbatch", trigger: ProcessingTimeTrigger{Interval: time.Hour}, exact: true,
@@ -73,16 +76,18 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
 				"sink", "sourceEndOffsetTotals", "sources", "stateBytes", "stateRows", "vectorized",
 				"watermarkMicros"},
-			source: []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
-			sink:   []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+			source:   []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
+			sink:     []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+			registry: append(poolGauges, registryNames...),
 		},
 		{
 			name: "continuous", trigger: ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
 			progress: []string{"bottleneckStage", "durationUs", "epoch", "inputRowsPerSecond", "numInputRows",
 				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
 				"sink", "sources", "stateBytes", "stateRows", "watermarkMicros"},
-			source: []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
-			sink:   []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+			source:   []string{"endOffsets", "inputRowsPerSecond", "latestOffsets", "name", "numInputRows", "readMicros", "startOffsets"},
+			sink:     []string{"description", "numOutputRows", "outputRowsPerSecond", "writeMicros"},
+			registry: registryNames,
 		},
 	}
 	for _, tc := range cases {
@@ -157,7 +162,7 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 			for name := range sq.Metrics().Histograms() {
 				registered = append(registered, name)
 			}
-			if lost := missing(registered, registryNames); len(lost) > 0 {
+			if lost := missing(registered, tc.registry); len(lost) > 0 {
 				t.Errorf("registry lost %v (has %v)", lost, registered)
 			}
 		})

@@ -6,11 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
-	"structream/internal/cluster"
+	"structream/internal/fsx"
 	"structream/internal/msgbus"
 	"structream/internal/sinks"
 	"structream/internal/sources"
@@ -19,97 +18,83 @@ import (
 	"structream/internal/sql/logical"
 )
 
-// TestEngineSurvivesTaskFailures injects transient failures into map and
-// reduce task attempts; results must be exactly correct (the §6.2
-// fine-grained recovery path, inside a live epoch).
-func TestEngineSurvivesTaskFailures(t *testing.T) {
-	parts := make([][]sql.Row, 4)
+// TestTransientFaultBudgetAtEveryWorkerCount: the engine has one failure
+// model, whatever Options.Workers says. A task runs once; a transient read
+// fault is retried inside it, MaxIORetries times. A burst within that
+// budget costs exactly one retry per fault and no row; a burst one longer
+// fails the epoch — with the same error at every worker count — and a
+// restart from the checkpoint replays it to the exact result (§6.2:
+// recovery is the WAL's epoch definition re-run, not an in-flight retry).
+func TestTransientFaultBudgetAtEveryWorkerCount(t *testing.T) {
+	const maxIORetries = 3
+	// One shard's worth of rows, so the map stage is one task at every
+	// worker count and the whole burst lands on it.
+	rows := make([]sql.Row, minRecordsPerShard)
 	var wantTotal float64
-	for i := 0; i < 400; i++ {
-		v := float64(i)
-		wantTotal += v
-		parts[i%4] = append(parts[i%4], sql.Row{fmt.Sprintf("k%d", i%5), v, int64(0)})
+	for i := range rows {
+		rows[i] = sql.Row{fmt.Sprintf("k%d", i%5), float64(i), int64(0)}
+		wantTotal += float64(i)
 	}
-	src := sources.NewPartitionedSource("events", eventsSchema, parts)
-	clus := cluster.New(cluster.Config{Nodes: 2, SlotsPerNode: 2})
-	// The hook runs from concurrent task goroutines; guard the map.
-	var attemptsMu sync.Mutex
-	attempts := map[int]int{}
-	clus.InjectTaskFailure(func(taskIndex, attempt, nodeID int) error {
-		attemptsMu.Lock()
-		attempts[taskIndex]++
-		attemptsMu.Unlock()
-		if attempt == 0 && taskIndex%2 == 0 {
-			return errors.New("injected transient failure")
+	checkResult := func(t *testing.T, sink *sinks.MemorySink) {
+		t.Helper()
+		var count int64
+		var total float64
+		for _, r := range sink.Rows() {
+			count += r[1].(int64)
+			total += r[2].(float64)
 		}
-		return nil
-	})
-	q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
-	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
-		Cluster: clus, NumPartitions: 4,
-	})
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
+		if count != int64(len(rows)) || total != wantTotal {
+			t.Errorf("count=%d total=%v, want %d/%v", count, total, len(rows), wantTotal)
+		}
 	}
-	var gotTotal float64
-	var gotCount int64
-	for _, r := range sink.Rows() {
-		gotCount += r[1].(int64)
-		gotTotal += r[2].(float64)
+	failures := map[int]string{} // workers → the failed epoch's error
+	for _, workers := range []int{0, 1, 2} {
+		for _, burst := range []int{maxIORetries, maxIORetries + 1} {
+			t.Run(fmt.Sprintf("workers=%d/burst=%d", workers, burst), func(t *testing.T) {
+				inner := sources.NewMemorySource("events", eventsSchema)
+				inner.AddData(rows...)
+				flaky := sources.NewFlakySource(inner)
+				flaky.FailReads(fmt.Errorf("flaky read: %w", fsx.ErrTransient), burst)
+				sink, ckpt := sinks.NewMemorySink(), t.TempDir()
+				start := func() *StreamingQuery {
+					q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
+					return startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
+						Checkpoint: ckpt, Workers: workers, NumPartitions: 4,
+						MaxIORetries: maxIORetries, RetryBackoff: time.Microsecond,
+					})
+				}
+				sq := start()
+				err := sq.ProcessAllAvailable()
+				if burst <= maxIORetries {
+					if err != nil {
+						t.Fatalf("burst within the retry budget failed the epoch: %v", err)
+					}
+					if n := sq.Metrics().Counter("ioRetries").Value(); n != int64(burst) {
+						t.Errorf("ioRetries = %d, want %d", n, burst)
+					}
+					checkResult(t, sink)
+					return
+				}
+				if !errors.Is(err, fsx.ErrTransient) {
+					t.Fatalf("burst beyond the retry budget returned %v, want the read fault", err)
+				}
+				failures[workers] = err.Error()
+				if n := sq.Metrics().Counter("ioRetries").Value(); n != maxIORetries {
+					t.Errorf("ioRetries = %d, want %d: the task must not run again", n, maxIORetries)
+				}
+				if len(sink.Rows()) != 0 {
+					t.Errorf("failed epoch reached the sink: %v", sortedStrings(sink.Rows()))
+				}
+				sq.Stop()
+				if err := start().ProcessAllAvailable(); err != nil {
+					t.Fatalf("restart from the checkpoint: %v", err)
+				}
+				checkResult(t, sink)
+			})
+		}
 	}
-	if gotCount != 400 || gotTotal != wantTotal {
-		t.Errorf("count=%d total=%v, want 400/%v", gotCount, gotTotal, wantTotal)
-	}
-	_, failed, _ := clus.Stats()
-	if failed == 0 {
-		t.Error("no failures were actually injected")
-	}
-}
-
-// TestEngineSurvivesStragglerWithSpeculation runs an epoch on a cluster
-// with one slowed node and speculation enabled; results stay exact.
-func TestEngineSurvivesStragglerWithSpeculation(t *testing.T) {
-	parts := make([][]sql.Row, 4)
-	for i := 0; i < 200; i++ {
-		parts[i%4] = append(parts[i%4], sql.Row{"k", 1.0, int64(0)})
-	}
-	src := sources.NewPartitionedSource("events", eventsSchema, parts)
-	clus := cluster.New(cluster.Config{
-		Nodes: 2, SlotsPerNode: 2,
-		SpeculationMultiplier: 1.5,
-		SpeculationMinRuntime: 5 * time.Millisecond,
-	})
-	clus.InjectSlowdown(0, 5.0)
-	q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
-	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
-		Cluster: clus, NumPartitions: 4,
-	})
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
-	}
-	rows := sink.Rows()
-	if len(rows) != 1 || rows[0][1] != int64(200) {
-		t.Errorf("rows = %v", sortedStrings(rows))
-	}
-}
-
-// TestEngineFailsAfterAttemptsExhausted: a permanently failing task
-// surfaces as a query error, not a hang or wrong answer.
-func TestEngineFailsAfterAttemptsExhausted(t *testing.T) {
-	src := sources.NewMemorySource("events", eventsSchema)
-	src.AddData(sql.Row{"a", 1.0, 0})
-	clus := cluster.New(cluster.Config{Nodes: 1, SlotsPerNode: 1, MaxAttempts: 2})
-	clus.InjectTaskFailure(func(taskIndex, attempt, nodeID int) error {
-		return errors.New("permanent failure")
-	})
-	q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sinks.NewMemorySink(), Options{
-		Cluster: clus,
-	})
-	if err := sq.ProcessAllAvailable(); err == nil {
-		t.Fatal("permanently failing task must fail the query")
+	if failures[0] == "" || failures[1] != failures[0] || failures[2] != failures[0] {
+		t.Errorf("the failed epoch's error depends on the worker count: %q", failures)
 	}
 }
 

@@ -60,33 +60,41 @@ func TestQueryStatusLifecycle(t *testing.T) {
 }
 
 // TestEpochWatchdogFailsHungEpoch: a source read that hangs forever fails
-// the epoch with ErrEpochTimeout instead of hanging the query, and the
-// abandoned epoch goroutine cannot commit after release.
+// the epoch with ErrEpochTimeout instead of hanging the query, at every
+// worker count; the query terminates — so a supervisor can restart it —
+// without waiting for the task the watchdog gave up on, and the abandoned
+// epoch goroutine cannot commit after release.
 func TestEpochWatchdogFailsHungEpoch(t *testing.T) {
-	inner := sources.NewMemorySource("events", eventsSchema)
-	inner.AddData(sql.Row{"a", 1.0, int64(0)})
-	flaky := sources.NewFlakySource(inner)
-	q := compile(t, streamScan("events"), logical.Append, nil)
-	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
-		EpochTimeout: 100 * time.Millisecond,
-	})
-	flaky.StallReads()
-	defer flaky.ReleaseStall()
-	start := time.Now()
-	err := sq.ProcessAllAvailable()
-	if !errors.Is(err, ErrEpochTimeout) {
-		t.Fatalf("hung epoch returned %v, want ErrEpochTimeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("watchdog took %v to fire", elapsed)
-	}
-	// Releasing the stall lets the abandoned goroutine run; it must abort
-	// before the sink, not deliver a batch for a dead epoch.
-	flaky.ReleaseStall()
-	time.Sleep(50 * time.Millisecond)
-	if rows := sink.Rows(); len(rows) != 0 {
-		t.Errorf("abandoned epoch delivered %d rows to the sink", len(rows))
+	for _, workers := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			inner := sources.NewMemorySource("events", eventsSchema)
+			inner.AddData(sql.Row{"a", 1.0, int64(0)})
+			flaky := sources.NewFlakySource(inner)
+			flaky.StallReads()
+			defer flaky.ReleaseStall()
+			q := compile(t, streamScan("events"), logical.Append, nil)
+			sink := sinks.NewMemorySink()
+			sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
+				Trigger:      AvailableNowTrigger{},
+				Workers:      workers,
+				EpochTimeout: 100 * time.Millisecond,
+			})
+			select {
+			case <-sq.Done():
+			case <-time.After(2 * time.Second):
+				t.Fatal("query did not terminate within 2s of a hung epoch")
+			}
+			if err := sq.Err(); !errors.Is(err, ErrEpochTimeout) {
+				t.Fatalf("hung epoch returned %v, want ErrEpochTimeout", err)
+			}
+			// Releasing the stall lets the abandoned goroutine run; it must
+			// abort before the sink, not deliver a batch for a dead epoch.
+			flaky.ReleaseStall()
+			time.Sleep(50 * time.Millisecond)
+			if rows := sink.Rows(); len(rows) != 0 {
+				t.Errorf("abandoned epoch delivered %d rows to the sink", len(rows))
+			}
+		})
 	}
 }
 

@@ -37,28 +37,32 @@ type Options struct {
 	Trigger Trigger
 	// NumPartitions is the shuffle/state partition count (default 4).
 	NumPartitions int
-	// Workers sizes the microbatch task runner. When > 1, epochs run on a
-	// pool of that many real worker goroutines — each source partition
-	// shard-splits into contiguous offset slices so several workers feed
-	// from it concurrently, fully vectorized pipelines route to state
-	// partitions through the columnar exchange, each state partition
-	// commits under its own store and seals its own WAL segment, and the
-	// epoch commits through a sharded barrier that verifies every seal
-	// before writing the single commit manifest. 0 or 1 runs one task per
-	// source partition on Options.Cluster, by default an in-process cluster
-	// of two slots — so two tasks of a stage do run at once, not one after
-	// the other. Output is byte-identical either way: shards are contiguous
-	// and concatenate in task order, and the exchange hashes exactly as the
-	// row path does. Continuous mode ignores Workers: it always runs one
-	// long-lived worker per (pipeline, source partition).
+	// Workers sizes the microbatch task pool and, when > 1, shards the
+	// epoch over it: each source partition shard-splits into contiguous
+	// offset slices so several workers feed from it concurrently, fully
+	// vectorized pipelines route to state partitions through the columnar
+	// exchange, each state partition commits under its own store and seals
+	// its own WAL segment, and the epoch commits through a sharded barrier
+	// that verifies every seal before writing the single commit manifest.
+	// 0 or 1 runs one task per source partition, with no seals, on a pool
+	// of two (defaultPoolSize) — so two tasks of a stage do run at once,
+	// not one after the other. Output is byte-identical either way: shards
+	// are contiguous and concatenate in task order, and the exchange hashes
+	// exactly as the row path does. The failure model is the same at every
+	// count: a task runs once, transient I/O is retried inside it
+	// (MaxIORetries), and any other error fails the epoch for WAL replay.
+	// Continuous mode ignores Workers: it always runs one long-lived worker
+	// per (pipeline, source partition).
 	Workers int
 	// MaxRecordsPerTrigger caps records per epoch per source (0 =
 	// unlimited). With the default unlimited setting the engine exhibits
 	// the paper's adaptive batching: a backlog produces proportionally
 	// larger epochs until the query catches up (§7.3).
 	MaxRecordsPerTrigger int64
-	// Cluster executes map and reduce stages when Workers <= 1; nil uses a
-	// single-node, two-slot in-process cluster.
+	// Cluster has one meaning: its slot count is the task pool's size when
+	// Workers <= 1 (nil: defaultPoolSize). The field is declared only
+	// because benchmark/wl_mapbulk.go (frozen) sets it to pin its
+	// single-threaded baseline to one task at a time.
 	Cluster *cluster.Cluster
 	// EventLogWriter receives JSON progress lines (§7.4); may be nil.
 	EventLogWriter io.Writer
@@ -210,8 +214,12 @@ type exec struct {
 
 	pipes []boundPipeline
 	prov  *state.Provider
-	clus  *cluster.Cluster
-	pool  *shard.Pool // non-nil when Options.Workers > 1
+	pool  *shard.Pool // runs every stage's tasks
+	// sharded (Options.Workers > 1) decides which tasks an epoch has and
+	// which files it writes — map ranges split across the workers, a WAL
+	// segment sealed per state partition, the commit a barrier over the
+	// seals — never who runs them.
+	sharded bool
 
 	vectorize bool // Options.Vectorize resolved (default true)
 	// colSink is non-nil when epochs may deliver columnar: the sink
@@ -255,12 +263,8 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	default:
 		return nil, fmt.Errorf("engine: unknown state backend %q", opts.StateBackend)
 	}
-	clus := opts.Cluster
-	if clus == nil {
-		clus = cluster.New(cluster.Config{Nodes: 1, SlotsPerNode: 2})
-	}
 	e := &exec{
-		core: c, prov: prov, clus: clus,
+		core: c, prov: prov, sharded: opts.Workers > 1,
 		perPipeMax: make([]int64, len(q.Pipelines)),
 		vectorize:  opts.Vectorize == nil || *opts.Vectorize,
 	}
@@ -283,12 +287,10 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	if opts.AdaptiveBackpressure {
 		c.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, e.reg)
 	}
-	if opts.Workers > 1 {
-		// The pool must exist before recovery: a replayed epoch runs the
-		// same sharded path (and re-seals the same segments) as the run
-		// that crashed.
-		e.pool = shard.NewPool(opts.Workers)
-	}
+	// Started last, so no earlier return leaks its workers, and before
+	// recovery: a replayed epoch runs the same tasks (and, sharded, re-seals
+	// the same segments) as the run that crashed.
+	e.pool = shard.NewPool(poolSize(opts))
 	if err := e.recover(rp); err != nil {
 		e.close()
 		return nil, err
@@ -296,36 +298,37 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	return e, nil
 }
 
-// close releases the state provider's live stores (and, for the lsm
-// backend, their block-cache residency) and drains the sharded runtime's
-// worker pool, if any. Without it every supervised restart would leak the
-// previous run's stores and stack idle worker goroutines.
-func (e *exec) close() {
-	e.prov.Close()
-	if e.pool != nil {
-		e.pool.Close()
+// defaultPoolSize is the task pool's size when nothing sets one. Two, not
+// one: a pool of one loses the overlap of two reduce tasks' state commits
+// (measured on agg-spill: p95 120 → 146 ms).
+const defaultPoolSize = 2
+
+// poolSize is the one place the task pool is sized.
+func poolSize(opts Options) int {
+	switch {
+	case opts.Workers > 1:
+		return opts.Workers
+	case opts.Cluster != nil:
+		return opts.Cluster.Slots()
 	}
+	return defaultPoolSize
 }
 
-// runStage dispatches one stage of n tasks: to the shard pool's real
-// worker goroutines when Options.Workers > 1, else to the in-process
-// simulated cluster. Both return results ordered by task index and settle
-// every task before reporting the lowest-indexed failure.
-func (e *exec) runStage(n int, noSpeculate bool, fn func(i int) (any, error)) ([]any, error) {
-	if e.pool == nil {
-		tasks := make([]cluster.Task, n)
-		for i := range tasks {
-			i := i
-			tasks[i] = cluster.Task{Index: i, NoSpeculate: noSpeculate, Fn: func() (any, error) { return fn(i) }}
-		}
-		return e.clus.RunStage(tasks)
+// close releases the state provider's live stores (and, for the lsm
+// backend, their block-cache residency) and stops the task pool. Without
+// it every supervised restart would leak the previous run's stores and
+// stack idle worker goroutines.
+func (e *exec) close() {
+	e.prov.Close()
+	if !e.abandoned.Load() {
+		e.pool.Close()
+		return
 	}
-	tasks := make([]shard.Task, n)
-	for i := range tasks {
-		i := i
-		tasks[i] = shard.Task{Index: i, Fn: func() (any, error) { return fn(i) }}
-	}
-	return e.pool.Run(tasks)
+	// The watchdog gave up on a task that cannot be cancelled, and Close
+	// waits for busy workers: waiting here would keep the query from ever
+	// terminating, and a supervisor from restarting it. The idle workers
+	// exit now; the wedged one when its task lets go, its epoch poisoned.
+	go e.pool.Close()
 }
 
 // recover is the second half of the §6.1 restart protocol: restore the
@@ -522,7 +525,7 @@ func (e *exec) runEpoch(epoch int64, plan []metrics.SourceProgress, replay bool,
 		return err
 	}
 	sealed := 0
-	if e.pool != nil && e.q.Stateful != nil {
+	if e.sharded && e.q.Stateful != nil {
 		sealed = e.opts.NumPartitions // every reduce task sealed a segment
 	}
 	if err := e.commitEpoch(r, sealed); err != nil {
@@ -576,9 +579,9 @@ type exchange struct {
 }
 
 // mapStage cuts the epoch's ranges into map tasks, runs them and gathers
-// their output: one task per (pipeline, source partition), or under the
-// sharded runtime one per contiguous near-equal slice of it, so every
-// worker gets map work even from a single hot partition. The split is a
+// their output: one task per (pipeline, source partition), or when sharded
+// one per contiguous near-equal slice of it, so every worker gets map work
+// even from a single hot partition. The split is a
 // pure function of (range, workers), so a replayed epoch re-plans the
 // identical shards, and concatenating shard outputs in task order
 // reproduces the single-task row order. The stage is fused: its wall time
@@ -596,7 +599,7 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 				if p >= len(s.StartOffsets) || s.EndOffsets[p] <= s.StartOffsets[p] {
 					continue
 				}
-				if e.pool == nil {
+				if !e.sharded {
 					specs = append(specs, taskSpec{pipeIdx: i, part: p, from: s.StartOffsets[p], to: s.EndOffsets[p]})
 					continue
 				}
@@ -605,7 +608,7 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 				}
 			}
 		}
-		results, err := e.runStage(len(specs), false, func(ti int) (any, error) { return e.runMapTask(specs[ti]) })
+		results, err := e.pool.Run(len(specs), func(ti int) (any, error) { return e.runMapTask(specs[ti]) })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -843,10 +846,7 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			Vectorize: e.vectorize,
 		}
 		prevVersion := e.lastStateVersion
-		// NoSpeculate: attempts of the same partition share one *Store via
-		// the provider cache, and a speculative duplicate's Open would
-		// reset the winning attempt's staged state mid-Process.
-		results, err := e.runStage(e.opts.NumPartitions, true, func(p int) (any, error) {
+		results, err := e.pool.Run(e.opts.NumPartitions, func(p int) (any, error) {
 			res, inputs := &reduceResult{}, ex.byPart[p][:]
 			openStart := time.Now()
 			store, err := e.prov.Open(state.ID{Operator: op.Name(), Partition: p}, prevVersion)
@@ -863,7 +863,7 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			}
 			commitStart := time.Now()
 			err = store.Commit(r.epoch)
-			if err == nil && e.pool != nil {
+			if err == nil && e.sharded {
 				// Sharded barrier, phase one: seal this partition's WAL
 				// segment now that its state is durable. The seal is a
 				// promise, not a commit — the epoch commits only when
@@ -1030,17 +1030,13 @@ func (e *exec) advance(r *epochRecord) error {
 	for i := range r.sources {
 		e.observeSource(&r.sources[i])
 	}
-	// The task runners' cumulative counters are no fact of this epoch.
-	cs := e.clus.DetailedStats()
-	e.reg.Gauge("clusterTasksRun").Set(cs.TasksRun)
-	e.reg.Gauge("clusterStagesRun").Set(cs.StagesRun)
-	e.reg.Gauge("clusterTaskMicros").Set(cs.TaskTime.Microseconds())
-	if e.pool != nil {
-		ss := e.pool.Stats()
-		e.reg.Gauge("workers").Set(int64(ss.Workers))
-		e.reg.Gauge("shardTasksRun").Set(ss.TasksRun)
-		e.reg.Gauge("shardStagesRun").Set(ss.StagesRun)
-		e.reg.Gauge("shardBusyMicros").Set(ss.BusyNanos / 1e3)
+	// The pool's cumulative counters are no fact of this epoch.
+	ss := e.pool.Stats()
+	e.reg.Gauge("workers").Set(int64(ss.Workers))
+	e.reg.Gauge("shardTasksRun").Set(ss.TasksRun)
+	e.reg.Gauge("shardStagesRun").Set(ss.StagesRun)
+	e.reg.Gauge("shardBusyMicros").Set(ss.BusyNanos / 1e3)
+	if e.sharded {
 		e.reg.Gauge("walSegmentsWritten").Set(e.wal.Stats().SegmentsWritten)
 	}
 	return nil

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/physical"
+	"structream/internal/state"
 )
 
 // Differential and crash tests for the partitioned runtime
@@ -355,6 +358,112 @@ func TestPartitionProgressReportsWorkers(t *testing.T) {
 	}
 	if got := reg.Gauge("walSegmentsWritten").Value(); got == 0 {
 		t.Fatal("walSegmentsWritten gauge never moved")
+	}
+}
+
+// TestUnshardedRunKeepsItsTasksAndFiles: Workers sizes the pool for every
+// query, but only Workers > 1 changes which tasks an epoch has and which
+// files it writes. At 0 and 1 a partition big enough to shard-split is
+// still one map task, no segment is sealed, and the pool is the default
+// two workers.
+func TestUnshardedRunKeepsItsTasksAndFiles(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ckpt := t.TempDir()
+			q := partPlans(t)["keyed-agg-update"]
+			// 1024 rows per source partition: four shards' worth each.
+			sq := startQuery(t, q, map[string]sources.Source{"events": partSource(1, 8*minRecordsPerShard, 2)}, sinks.NewMemorySink(), Options{
+				Checkpoint: ckpt, Workers: workers, NumPartitions: 2,
+			})
+			if err := sq.ProcessAllAvailable(); err != nil {
+				t.Fatal(err)
+			}
+			epochs := sq.Tracer().Epochs()
+			if len(epochs) != 1 {
+				t.Fatalf("ran %d epochs, want 1", len(epochs))
+			}
+			mapTasks := int64(-1)
+			for _, sp := range epochs[0].Root.Children {
+				if sp.Name == "getBatch" {
+					mapTasks = sp.Attrs["tasks"]
+				}
+			}
+			if mapTasks != 2 {
+				t.Errorf("map stage ran %d tasks, want one per source partition (2)", mapTasks)
+			}
+			if segs, _ := filepath.Glob(filepath.Join(ckpt, "segments", "*")); len(segs) != 0 {
+				t.Errorf("unsharded run sealed segments: %v", segs)
+			}
+			reg := sq.Metrics()
+			if got := reg.Gauge("workers").Value(); got != defaultPoolSize {
+				t.Errorf("workers gauge = %d, want the default pool of %d", got, defaultPoolSize)
+			}
+			// One map stage of two tasks, one reduce stage of two.
+			if tasks, stages := reg.Gauge("shardTasksRun").Value(), reg.Gauge("shardStagesRun").Value(); tasks != 4 || stages != 2 {
+				t.Errorf("pool ran %d tasks in %d stages, want 4 in 2", tasks, stages)
+			}
+			if _, ok := reg.Snapshot()["walSegmentsWritten"]; ok {
+				t.Error("unsharded run registered walSegmentsWritten")
+			}
+		})
+	}
+}
+
+// gatedOp lets a test decide how each state partition's task ends.
+type gatedOp struct {
+	incremental.StatefulOp
+	gate func(partition int) error
+}
+
+func (g gatedOp) Process(ctx *incremental.EpochContext, store *state.Store, inputs [][]sql.Row) ([]sql.Row, error) {
+	if err := g.gate(store.ID().Partition); err != nil {
+		return nil, err
+	}
+	return g.StatefulOp.Process(ctx, store, inputs)
+}
+
+// TestFailedStageSettles: a stage is over when every task has settled, not
+// when the first one fails — a sibling may be inside a state commit, and
+// the epoch that replaces this one must not race it. Partition 1 fails at
+// once while partition 0 is still running: the epoch's error is not
+// returned until partition 0 has returned too, and it is partition 0's,
+// the lowest-indexed failure.
+func TestFailedStageSettles(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			errFast, errSlow := errors.New("partition 1 failed at once"), errors.New("partition 0 failed late")
+			entered, failed, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			q := partPlans(t)["keyed-agg-update"]
+			// Once: a runner that attempts a failed task again must fail this
+			// test on its assertion, not panic on a second close.
+			var failOnce, enterOnce sync.Once
+			q.Stateful = gatedOp{q.Stateful, func(partition int) error {
+				if partition == 1 {
+					failOnce.Do(func() { close(failed) })
+					return errFast
+				}
+				enterOnce.Do(func() { close(entered) })
+				<-release
+				return errSlow
+			}}
+			sq := startQuery(t, q, map[string]sources.Source{"events": partSource(1, 48, 2)}, sinks.NewMemorySink(), Options{
+				Workers: workers, NumPartitions: 2,
+			})
+			done := make(chan error, 1)
+			go func() { done <- sq.ProcessAllAvailable() }()
+			<-entered
+			<-failed
+			select {
+			case err := <-done:
+				close(release)
+				t.Fatalf("epoch returned %v with partition 0's task still running", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(release)
+			if err := <-done; !errors.Is(err, errSlow) {
+				t.Fatalf("epoch returned %v, want the lowest-indexed failure (%v)", err, errSlow)
+			}
+		})
 	}
 }
 

@@ -97,8 +97,12 @@ func TestRecoveryAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SSWithFailureSecs <= 0 || r.SSBaselineSecs <= 0 {
+	if r.SSRecoverSecs <= 0 || r.SSEpochSecs <= 0 {
 		t.Fatalf("result = %+v", r)
+	}
+	// Recovery re-runs the one epoch that was in flight, not the stream.
+	if want := r.Records / int64(r.Epochs); r.SSReplayedRecs != want {
+		t.Errorf("recovery re-ran %d records, want one epoch's %d", r.SSReplayedRecs, want)
 	}
 	// The dataflow baseline reprocesses everything since the last barrier.
 	if r.DFReprocessedRecs <= 0 {

@@ -36,11 +36,11 @@ type VirtualTask struct {
 	CostSec float64
 }
 
-// RunStage schedules the tasks over the simulated slots (greedy list
+// ScheduleStage schedules the tasks over the simulated slots (greedy list
 // scheduling: each task goes to the earliest-available slot, matching a
 // work-stealing scheduler's behaviour for independent tasks) and advances
 // the clock by the stage makespan, which it returns.
-func (v *VirtualCluster) RunStage(tasks []VirtualTask) (float64, error) {
+func (v *VirtualCluster) ScheduleStage(tasks []VirtualTask) (float64, error) {
 	if v.Nodes <= 0 || v.SlotsPerNode <= 0 {
 		return 0, fmt.Errorf("experiments: virtual cluster needs nodes and slots")
 	}
@@ -112,12 +112,12 @@ type EpochModel struct {
 // virtual duration in seconds.
 func (v *VirtualCluster) SimulateEpoch(m EpochModel, records int64, shuffled int64, groups int64, inputPartitions, reducePartitions int) (float64, error) {
 	mapTasks := UniformStage(inputPartitions, float64(records)*m.MapCostPerRecord+float64(shuffled)*m.ShuffleCostPerRecord)
-	mapSpan, err := v.RunStage(mapTasks)
+	mapSpan, err := v.ScheduleStage(mapTasks)
 	if err != nil {
 		return 0, err
 	}
 	reduceTasks := UniformStage(reducePartitions, float64(groups)*m.ReduceCostPerGroup+float64(shuffled)*m.ShuffleCostPerRecord)
-	reduceSpan, err := v.RunStage(reduceTasks)
+	reduceSpan, err := v.ScheduleStage(reduceTasks)
 	if err != nil {
 		return 0, err
 	}

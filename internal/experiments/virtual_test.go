@@ -9,7 +9,7 @@ import (
 func TestVirtualStageMakespan(t *testing.T) {
 	v := &VirtualCluster{Nodes: 2, SlotsPerNode: 2}
 	// 8 tasks of 1s on 4 slots = 2s makespan.
-	span, err := v.RunStage(UniformStage(8, 8.0))
+	span, err := v.ScheduleStage(UniformStage(8, 8.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestVirtualStageMakespan(t *testing.T) {
 
 func TestVirtualTaskOverhead(t *testing.T) {
 	v := &VirtualCluster{Nodes: 1, SlotsPerNode: 1, TaskOverheadSec: 0.1}
-	span, _ := v.RunStage(UniformStage(5, 5.0))
+	span, _ := v.ScheduleStage(UniformStage(5, 5.0))
 	if math.Abs(span-5.5) > 1e-9 {
 		t.Errorf("makespan = %v", span)
 	}
@@ -32,7 +32,7 @@ func TestVirtualTaskOverhead(t *testing.T) {
 func TestVirtualStragglerNode(t *testing.T) {
 	v := &VirtualCluster{Nodes: 2, SlotsPerNode: 1, NodeSpeed: map[int]float64{1: 0.5}}
 	// 2 tasks of 1s: fast node does one in 1s, slow node takes 2s.
-	span, _ := v.RunStage(UniformStage(2, 2.0))
+	span, _ := v.ScheduleStage(UniformStage(2, 2.0))
 	if math.Abs(span-2.0) > 1e-9 {
 		t.Errorf("makespan = %v", span)
 	}
@@ -67,14 +67,14 @@ func TestVirtualScalingIsNearLinear(t *testing.T) {
 
 func TestVirtualErrors(t *testing.T) {
 	v := &VirtualCluster{}
-	if _, err := v.RunStage(UniformStage(1, 1)); err == nil {
+	if _, err := v.ScheduleStage(UniformStage(1, 1)); err == nil {
 		t.Error("zero-node virtual cluster should error")
 	}
 }
 
 func ExampleVirtualCluster() {
 	v := &VirtualCluster{Nodes: 4, SlotsPerNode: 2}
-	span, _ := v.RunStage(UniformStage(16, 16))
+	span, _ := v.ScheduleStage(UniformStage(16, 16))
 	fmt.Printf("%.1fs\n", span)
 	// Output: 2.0s
 }

@@ -6,27 +6,21 @@
 // vectorized batches to state partitions by hashing key vectors instead
 // of boxing every row.
 //
-// The pool is deliberately simpler than internal/cluster, which simulates
-// a Spark-like scheduler (slots, retries, speculative duplicates) for the
-// paper's §6 experiments. Shard workers are the real-parallelism
-// substrate: tasks run exactly once, results return in task order, and
+// The pool is the engine's only task runner, and deliberately no
+// scheduler: tasks run exactly once, results return in task order, and
 // the first failure (by task index) is reported after every task has
-// settled — an epoch never abandons a task mid-commit.
+// settled — an epoch never abandons a task mid-commit. Nothing is retried
+// or duplicated here; the paper's exactly-once argument (§6.2) needs only
+// that a failed epoch is re-run from its logged definition.
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Task is one unit of epoch work: a map shard or a reduce partition.
-// Index orders results and error reporting.
-type Task struct {
-	Index int
-	Fn    func() (any, error)
-}
 
 // Stats is a point-in-time snapshot of a pool's cumulative activity.
 type Stats struct {
@@ -50,23 +44,25 @@ type Pool struct {
 	queue   chan job
 	wg      sync.WaitGroup
 
+	// quit is closed by Close. The queue itself never closes: a Run may
+	// still be handing tasks out when its owner gives up on it.
+	quit      chan struct{}
 	closeOnce sync.Once
-	closed    atomic.Bool
 
 	tasksRun  atomic.Int64
 	stagesRun atomic.Int64
 	busyNanos atomic.Int64
 }
 
-// job is one queued task plus the slot its result lands in.
+// job is task i of a stage.
 type job struct {
-	fn   func() (any, error)
-	out  *stage
-	slot int
+	st *stage
+	i  int
 }
 
-// stage collects one Run call's results.
+// stage is one Run call: the task function and its results by task index.
 type stage struct {
+	fn      func(i int) (any, error)
 	results []any
 	errs    []error
 	wg      sync.WaitGroup
@@ -77,7 +73,7 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, queue: make(chan job)}
+	p := &Pool{workers: workers, queue: make(chan job), quit: make(chan struct{})}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -90,16 +86,21 @@ func (p *Pool) Workers() int { return p.workers }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for j := range p.queue {
-		j.out.results[j.slot], j.out.errs[j.slot] = p.runOne(j.fn)
-		p.tasksRun.Add(1)
-		j.out.wg.Done()
+	for {
+		select {
+		case j := <-p.queue:
+			j.st.results[j.i], j.st.errs[j.i] = p.runOne(j.st.fn, j.i)
+			p.tasksRun.Add(1)
+			j.st.wg.Done()
+		case <-p.quit:
+			return
+		}
 	}
 }
 
 // runOne executes one task, converting a panic into an error so a bad
 // task cannot take a pool worker down with it.
-func (p *Pool) runOne(fn func() (any, error)) (res any, err error) {
+func (p *Pool) runOne(fn func(i int) (any, error), i int) (res any, err error) {
 	start := time.Now()
 	defer func() {
 		p.busyNanos.Add(time.Since(start).Nanoseconds())
@@ -107,23 +108,28 @@ func (p *Pool) runOne(fn func() (any, error)) (res any, err error) {
 			res, err = nil, fmt.Errorf("shard: task panicked: %v", r)
 		}
 	}()
-	return fn()
+	return fn(i)
 }
 
-// Run executes tasks on the pool and returns their results ordered by
-// Task.Index. Every task runs to completion even when another fails —
-// partial epochs must settle, not race a replacement — and the error
-// returned is the failed task with the lowest index, so a multi-failure
-// stage reports deterministically.
-func (p *Pool) Run(tasks []Task) ([]any, error) {
-	if p.closed.Load() {
-		return nil, fmt.Errorf("shard: pool is closed")
-	}
-	st := &stage{results: make([]any, len(tasks)), errs: make([]error, len(tasks))}
-	st.wg.Add(len(tasks))
+// Run executes one stage — fn(0) … fn(n-1), a map shard or a reduce
+// partition each — on the pool and returns the results ordered by task
+// index. Every task runs to completion even when another fails — partial
+// epochs must settle, not race a replacement — and the error returned is
+// the failed task with the lowest index, so a multi-failure stage reports
+// deterministically. A pool closed under a running stage starts none of
+// the tasks still waiting for a worker: they fail with errClosed, and Run
+// still waits for the ones already handed out.
+func (p *Pool) Run(n int, fn func(i int) (any, error)) ([]any, error) {
+	st := &stage{fn: fn, results: make([]any, n), errs: make([]error, n)}
+	st.wg.Add(n)
 	p.stagesRun.Add(1)
-	for _, t := range tasks {
-		p.queue <- job{fn: t.Fn, out: st, slot: t.Index}
+	for i := 0; i < n; i++ {
+		select {
+		case p.queue <- job{st, i}:
+		case <-p.quit:
+			st.errs[i] = errClosed
+			st.wg.Done()
+		}
 	}
 	st.wg.Wait()
 	for i, err := range st.errs {
@@ -134,13 +140,13 @@ func (p *Pool) Run(tasks []Task) ([]any, error) {
 	return st.results, nil
 }
 
-// Close stops the workers after the queued tasks drain. Further Run calls
-// fail; Close is idempotent.
+var errClosed = errors.New("pool is closed")
+
+// Close stops the workers — an idle one at once, a busy one after the task
+// it is in — and waits for them to exit. Further Run calls fail; Close is
+// idempotent.
 func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		p.closed.Store(true)
-		close(p.queue)
-	})
+	p.closeOnce.Do(func() { close(p.quit) })
 	p.wg.Wait()
 }
 

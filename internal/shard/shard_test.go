@@ -15,16 +15,11 @@ import (
 func TestPartitionPoolOrdering(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	tasks := make([]Task, 16)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{Index: i, Fn: func() (any, error) {
-			// Reverse the natural completion order: high indexes finish first.
-			time.Sleep(time.Duration(len(tasks)-i) * time.Millisecond)
-			return i * 10, nil
-		}}
-	}
-	res, err := p.Run(tasks)
+	res, err := p.Run(16, func(i int) (any, error) {
+		// Reverse the natural completion order: high indexes finish first.
+		time.Sleep(time.Duration(16-i) * time.Millisecond)
+		return i * 10, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +44,13 @@ func TestPartitionPoolErrorLowestIndex(t *testing.T) {
 	defer p.Close()
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	tasks := make([]Task, 9)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{Index: i, Fn: func() (any, error) {
-			ran.Add(1)
-			if i%3 == 1 { // tasks 1, 4, 7 fail
-				return nil, fmt.Errorf("task %d: %w", i, boom)
-			}
-			return i, nil
-		}}
-	}
-	_, err := p.Run(tasks)
+	_, err := p.Run(9, func(i int) (any, error) {
+		ran.Add(1)
+		if i%3 == 1 { // tasks 1, 4, 7 fail
+			return nil, fmt.Errorf("task %d: %w", i, boom)
+		}
+		return i, nil
+	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -77,11 +67,11 @@ func TestPartitionPoolErrorLowestIndex(t *testing.T) {
 func TestPartitionPoolPanic(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	_, err := p.Run([]Task{{Index: 0, Fn: func() (any, error) { panic("kaboom") }}})
+	_, err := p.Run(1, func(int) (any, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want panic surfaced as error", err)
 	}
-	res, err := p.Run([]Task{{Index: 0, Fn: func() (any, error) { return "ok", nil }}})
+	res, err := p.Run(1, func(int) (any, error) { return "ok", nil })
 	if err != nil || res[0] != "ok" {
 		t.Fatalf("pool unusable after panic: res=%v err=%v", res, err)
 	}
@@ -92,8 +82,49 @@ func TestPartitionPoolClose(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
 	p.Close()
-	if _, err := p.Run([]Task{{Index: 0, Fn: func() (any, error) { return 1, nil }}}); err == nil {
+	if _, err := p.Run(1, func(int) (any, error) { return 1, nil }); err == nil {
 		t.Fatal("Run on a closed pool should fail")
+	}
+}
+
+// TestPartitionPoolCloseUnderRunningStage: an owner that has given up on a
+// wedged task closes the pool while Run is still handing tasks out. The
+// idle worker exits, the unstarted task fails instead of panicking on a
+// closed queue, and Close returns once the wedged task does.
+func TestPartitionPoolCloseUnderRunningStage(t *testing.T) {
+	p := NewPool(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	var ranSecond atomic.Bool
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := p.Run(2, func(i int) (any, error) {
+			if i == 1 {
+				ranSecond.Store(true)
+				return nil, nil
+			}
+			close(started)
+			<-release
+			return nil, nil
+		})
+		runErr <- err
+	}()
+	<-started
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case err := <-runErr:
+		t.Fatalf("Run returned %v with task 0 still running", err)
+	case <-closed:
+		t.Fatal("Close returned with task 0 still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-runErr; err == nil || !strings.Contains(err.Error(), "task 1: pool is closed") {
+		t.Fatalf("err = %v, want task 1 refused by the closed pool", err)
+	}
+	<-closed
+	if ranSecond.Load() {
+		t.Fatal("a task started after Close")
 	}
 }
 

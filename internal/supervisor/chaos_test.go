@@ -93,9 +93,10 @@ func TestSupervisedQueryConvergesUnderChaos(t *testing.T) {
 				ffs.Mode = fsx.CrashAfter
 				fs = ffs
 			case 2:
-				// A burst of transient read faults long enough to exhaust
-				// the engine's I/O retry and the cluster's task retries.
-				flaky.FailReads(fsx.Transient("flaky network"), 9)
+				// A burst of transient read faults one longer than the
+				// engine's I/O retry absorbs (MaxIORetries + 1 reads): the
+				// epoch fails; no task is attempted twice.
+				flaky.FailReads(fsx.Transient("flaky network"), 2)
 			case 3:
 				// A hung fetch: the epoch watchdog must fail the epoch.
 				flaky.StallReads()

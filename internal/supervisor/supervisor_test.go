@@ -59,9 +59,10 @@ func TestSupervisorRestartsOnTransientFailure(t *testing.T) {
 		Name: "restart-test",
 		Start: func(restart int64) (*engine.StreamingQuery, error) {
 			if instances.Add(1) == 1 {
-				// Enough consecutive failures to exhaust both the engine's
-				// I/O retry and the cluster's task retry.
-				flaky.FailReads(fsx.Transient("injected read fault"), 20)
+				// One failure more than the engine's I/O retry absorbs
+				// (MaxIORetries + 1 reads): the epoch fails, and nothing
+				// below the supervisor runs a failed task again.
+				flaky.FailReads(fsx.Transient("injected read fault"), 2)
 			} else {
 				flaky.FailReads(nil, 0)
 			}
@@ -345,10 +346,11 @@ func TestSupervisorSurvivesFlakyBroker(t *testing.T) {
 		Name: "flaky-broker",
 		Start: func(restart int64) (*engine.StreamingQuery, error) {
 			if instances.Add(1) == 1 {
-				// Enough consecutive faults to exhaust the engine I/O retry
-				// (MaxIORetries+1 = 2 calls) across all 4 cluster attempts.
+				// One fault more than the engine's I/O retry absorbs
+				// (MaxIORetries + 1 = 2 fetches): the task fails, and with
+				// it the epoch — a task runs once.
 				var remaining atomic.Int64
-				remaining.Store(9)
+				remaining.Store(2)
 				topic.InjectFetchFault(func(part int, from int64) error {
 					if remaining.Add(-1) >= 0 {
 						return fsx.Transient("broker connection reset")

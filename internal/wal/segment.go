@@ -94,6 +94,9 @@ func (l *Log) ReadSegment(epoch int64, part int) (Segment, bool, error) {
 	if err := verifySegmentFrame(path, s); err != nil {
 		return Segment{}, false, err
 	}
+	if s.Epoch != epoch || s.Partition != part {
+		return Segment{}, false, fmt.Errorf("wal: %w: %s: seal names epoch %d partition %d", fsx.ErrCorrupt, path, s.Epoch, s.Partition)
+	}
 	return s, true, nil
 }
 
@@ -132,9 +135,6 @@ func (l *Log) CommitBarrier(epoch int64, parts int) error {
 		}
 		if !ok {
 			return fmt.Errorf("wal: barrier for epoch %d: partition %d never sealed its segment", epoch, p)
-		}
-		if s.Epoch != epoch || s.Partition != p {
-			return fmt.Errorf("wal: barrier for epoch %d: partition %d seal names epoch %d partition %d", epoch, p, s.Epoch, s.Partition)
 		}
 		refs = append(refs, SegmentRef{Partition: p, CRC32C: s.CRC32C})
 	}

@@ -261,6 +261,17 @@ func (l *Log) ReadOffsets(epoch int64) (Entry, bool, error) {
 	if err := verifyEntryFrame(path, e); err != nil {
 		return Entry{}, false, err
 	}
+	// A frame vouches for the bytes, not for what they say: an entry filed
+	// under another epoch's name, or a range with a start and no end, would
+	// be replayed as written.
+	if e.Epoch != epoch {
+		return Entry{}, false, fmt.Errorf("wal: %w: %s: entry names epoch %d", fsx.ErrCorrupt, path, e.Epoch)
+	}
+	for _, s := range e.Sources {
+		if len(s.Start) != len(s.End) {
+			return Entry{}, false, fmt.Errorf("wal: %w: %s: source %q has %d start offsets and %d end offsets", fsx.ErrCorrupt, path, s.Source, len(s.Start), len(s.End))
+		}
+	}
 	return e, true, nil
 }
 

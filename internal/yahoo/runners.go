@@ -2,12 +2,12 @@ package yahoo
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	structream "structream"
 	"structream/internal/baselines/busstream"
 	"structream/internal/baselines/dataflow"
-	"structream/internal/cluster"
 	"structream/internal/msgbus"
 	"structream/internal/sinks"
 	"structream/internal/sources"
@@ -20,38 +20,60 @@ func windowStart(ts int64) int64 {
 	return ts - ts%win
 }
 
-// RunStructuredStreaming executes the benchmark query on this repository's
-// engine through its public API: filter → project → stream-static join →
-// event-time window → count, in update mode, processing the whole
-// preloaded workload and reporting bulk throughput (the "maximum stable
-// throughput" proxy on a single core). checkpoint must be a fresh
-// directory; partitions controls source and shuffle parallelism.
-func RunStructuredStreaming(w *Workload, checkpoint string, partitions int) (Result, error) {
-	if partitions <= 0 {
-		partitions = 1
-	}
+// Query builds the benchmark query through the public API — filter →
+// project → stream-static join → event-time window → count — over w's
+// events split into partitions source partitions, and returns it with that
+// source.
+func Query(w *Workload, partitions int) (*structream.DataFrame, sources.Source, error) {
 	s := structream.NewSession()
 	src := sources.NewPartitionedSource("ad_events", EventSchema, w.Partition(partitions))
 	events := s.RegisterStream("ad_events", src)
 	s.RegisterTable("campaigns", CampaignSchema, w.Campaigns)
 	campaigns, err := s.Table("campaigns")
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-
-	query := events.
+	return events.
 		Where(structream.Eq(structream.Col("event_type"), structream.Lit("view"))).
 		SelectNames("ad_id", "event_time").
 		Join(campaigns, structream.Eq(structream.Col("ad_id"), structream.Col("c_ad_id")), structream.InnerJoin).
 		GroupBy(structream.WindowOf(structream.Col("event_time"), WindowSize, 0), structream.Col("campaign_id")).
-		Count()
+		Count(), src, nil
+}
 
+// VerifySink cross-checks the query's update-mode output, as a memory sink
+// holds it, against the reference result and returns the group count.
+func VerifySink(w *Workload, sink *sinks.MemorySink) (int, error) {
+	got := map[string]int64{}
+	for _, r := range sink.Rows() {
+		win := r[0].(sql.Window)
+		got[fmt.Sprintf("%d/%d", r[1], win.Start)] = r[2].(int64)
+	}
+	if err := verify(w, got); err != nil {
+		return 0, fmt.Errorf("structured streaming: %w", err)
+	}
+	return len(got), nil
+}
+
+// RunStructuredStreaming executes the benchmark query on this repository's
+// engine through its public API, in update mode, processing the whole
+// preloaded workload and reporting bulk throughput (the "maximum stable
+// throughput" proxy on a single core). checkpoint must be a fresh
+// directory; partitions controls source and shuffle parallelism and the
+// worker count.
+func RunStructuredStreaming(w *Workload, checkpoint string, partitions int) (Result, error) {
+	if partitions <= 0 {
+		partitions = 1
+	}
+	query, _, err := Query(w, partitions)
+	if err != nil {
+		return Result{}, err
+	}
 	sink := sinks.NewMemorySink()
-	clus := cluster.New(cluster.Config{Nodes: 1, SlotsPerNode: partitions})
 	writer := query.WriteStream().
 		OutputMode(structream.Update).
 		Sink(sink).
-		Cluster(clus).
+		Option("workers", strconv.Itoa(partitions)).
 		Partitions(partitions).
 		Trigger(structream.ProcessingTime(time.Hour)). // driven manually below
 		Checkpoint(checkpoint)
@@ -67,20 +89,16 @@ func RunStructuredStreaming(w *Workload, checkpoint string, partitions int) (Res
 	}
 	elapsed := time.Since(start)
 
-	got := map[string]int64{}
-	for _, r := range sink.Rows() {
-		win := r[0].(sql.Window)
-		got[fmt.Sprintf("%d/%d", r[1], win.Start)] = r[2].(int64)
-	}
-	if err := verify(w, got); err != nil {
-		return Result{}, fmt.Errorf("structured streaming: %w", err)
+	groups, err := VerifySink(w, sink)
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Engine:        "structured-streaming",
 		Records:       int64(len(w.Events)),
 		Elapsed:       elapsed,
 		RecordsPerSec: float64(len(w.Events)) / elapsed.Seconds(),
-		Groups:        len(got),
+		Groups:        groups,
 	}, nil
 }
 

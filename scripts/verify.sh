@@ -39,6 +39,11 @@ go test -run '^$' -fuzz 'FuzzJoinBand' -fuzztime 5s ./internal/incremental/
 # one must keep and drop the same records and agree on every kept cell.
 echo ">> pruned row decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
+# And for what the write-ahead log reads back — offsets entry, commit
+# manifest, segment seal — raw and behind a valid frame: no panic, and
+# nothing but fsx.ErrCorrupt comes back.
+echo ">> wal decode fuzz smoke"
+go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
 # a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
@@ -46,12 +51,16 @@ go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
 echo ">> benchmark module vet + tests"
 (cd benchmark && go vet . && go test .)
 # Names whose producer is gone (the legacy bench harness and the options
-# only it selected) must not survive in code, scripts or docs. The pattern
-# is assembled from halves so this script does not match itself.
+# only it selected; the simulated cluster scheduler, its injection hooks,
+# its gauges and the writer method that selected it) must not survive in
+# code, scripts or docs. The pattern is assembled from halves so this
+# script does not match itself.
 echo ">> stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
+stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
+stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
-	echo "verify: stale reference to the retired bench harness or its options"
+	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
 fi
 # Vectorization differential smoke: the columnar path must be

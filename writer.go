@@ -6,7 +6,6 @@ import (
 	"os"
 	"strconv"
 
-	"structream/internal/cluster"
 	"structream/internal/colfmt"
 	"structream/internal/engine"
 	"structream/internal/incremental"
@@ -28,7 +27,6 @@ type DataStreamWriter struct {
 	checkpoint string
 	opts       map[string]string
 	sink       sinks.Sink
-	cluster    *cluster.Cluster
 	eventLogW  io.Writer
 	partitions int
 	maxPerTrig int64
@@ -86,9 +84,10 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 }
 
 // Option sets a sink/engine option ("partitions", "maxRecordsPerTrigger",
-// "workers" — N > 1 runs epochs on the partitioned parallel runtime
-// (per-partition pipelines, sharded epoch-commit barrier; see
-// engine.Options.Workers),
+// "workers" — N > 1 sizes the task pool to N and shards the epoch over it
+// (map ranges split across the workers, per-partition WAL seals, a commit
+// barrier); unset or 1 runs one task per source partition on a pool of two
+// (see engine.Options.Workers),
 // "stateBackend", "stateMemtableBytes", "stateBlockCacheBytes",
 // "stateSyncMaintenance" — "true" pins LSM flush/compaction inline on the
 // commit path instead of the background goroutine,
@@ -116,12 +115,6 @@ func (w *DataStreamWriter) Foreach(fn func(epoch int64, rows []Row) error) *Data
 	w.sink = &sinks.ForeachSink{Fn: func(b sinks.Batch) error {
 		return fn(b.Epoch, b.Rows)
 	}}
-	return w
-}
-
-// Cluster runs the query's stages on a specific (simulated) cluster.
-func (w *DataStreamWriter) Cluster(c *cluster.Cluster) *DataStreamWriter {
-	w.cluster = c
 	return w
 }
 
@@ -198,7 +191,6 @@ func (w *DataStreamWriter) Start(path string) (*StreamingQuery, error) {
 		Trigger:              w.trigger,
 		NumPartitions:        w.partitions,
 		MaxRecordsPerTrigger: w.maxPerTrig,
-		Cluster:              w.cluster,
 		EventLogWriter:       w.eventLogW,
 	}
 	if n, err := strconv.Atoi(w.opts["partitions"]); err == nil && n > 0 {
