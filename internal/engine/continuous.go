@@ -51,12 +51,6 @@ type continuousExec struct {
 	prevOut, prevProc, prevSink int64
 }
 
-// waitable lets a source block efficiently for new data; sources without
-// it are polled.
-type waitable interface {
-	WaitForData(partition int, offset int64, timeout time.Duration) bool
-}
-
 // startContinuous validates and launches the continuous engine.
 func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink, opts Options, trig ContinuousTrigger) (*StreamingQuery, error) {
 	if q.Stateful != nil {
@@ -168,9 +162,20 @@ func (ce *continuousExec) setErr(err error) {
 
 // worker continuously drains one partition of one source. Each delivery
 // carries a worker-unique Sub id so sinks keep all sub-batches of an epoch.
-func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source, part int, workerID int64) {
+// Idle, it blocks on the source's arrival signal — the one microbatch mode
+// waits on, registered before the first look for the same reason (see
+// exec.runTriggered) — or polls a source that has none.
+func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instrumented, part int, workerID int64) {
 	defer ce.wg.Done()
 	const maxPoll = 4096
+	const pollEvery = 200 * time.Microsecond
+	arrival := make(chan struct{}, 1)
+	if unregister, ok := src.NotifyArrival(arrival); ok {
+		defer unregister()
+	} else {
+		arrival = nil
+	}
+	arrivals, ticks := ce.reg.Counter("triggerArrivalWakeups"), ce.reg.Counter("triggerTimerWakeups")
 	var seq int64
 	for {
 		select {
@@ -189,11 +194,16 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source,
 			return
 		}
 		if latest[part] <= off {
-			// Idle: block on the source if it supports waiting, else poll.
-			if w, ok := src.(waitable); ok {
-				w.WaitForData(part, off, 5*time.Millisecond)
-			} else {
-				time.Sleep(200 * time.Microsecond)
+			if arrival == nil {
+				time.Sleep(pollEvery)
+				ticks.Add(1)
+				continue
+			}
+			select {
+			case <-ce.stopCh:
+				return
+			case <-arrival: // any partition's: look again
+				arrivals.Add(1)
 			}
 			continue
 		}
@@ -207,7 +217,7 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src sources.Source,
 		if ce.opts.MaxRecordsPerTrigger > 0 {
 			rem := ce.budget.Load()
 			if rem <= 0 {
-				time.Sleep(200 * time.Microsecond)
+				time.Sleep(pollEvery)
 				continue
 			}
 			if to > off+rem {

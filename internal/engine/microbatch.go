@@ -451,6 +451,77 @@ func (e *exec) RunAvailable() (int, error) {
 	}
 }
 
+// runTriggered is the ProcessingTimeTrigger loop: run what is available,
+// wait for a reason to look again, until stop closes or an epoch fails. A
+// zero interval runs its first epochs at once and then waits for the
+// sources' arrival signal and nothing else: no timer sits between an append
+// and its epoch. A timer remains where one is needed: a positive interval
+// (first epoch one interval after Start), a query whose processing-time
+// timeouts must fire with no data arriving, a source that cannot signal
+// (those two look once a millisecond).
+//
+// The signal is registered before the first planning pass, and every later
+// pass follows the receive that let it run, so an append either is visible
+// to the pass's Latest or fires after the channel was last drained — no
+// wake-up is lost between planning and the wait (msgbus.Arrival has the
+// ordering argument).
+func (e *exec) runTriggered(interval time.Duration, stop <-chan struct{}) error {
+	var arrival chan struct{}
+	var tick <-chan time.Time
+	if interval <= 0 {
+		if !e.alwaysRun {
+			var unregister func()
+			arrival, unregister = e.notifyArrival()
+			defer unregister()
+		}
+		if _, err := e.RunAvailable(); err != nil {
+			return err
+		}
+		interval = time.Millisecond // should a timer be needed
+	}
+	if arrival == nil {
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	arrivals, ticks := e.reg.Counter("triggerArrivalWakeups"), e.reg.Counter("triggerTimerWakeups")
+	for {
+		select {
+		case <-stop:
+			return nil
+		case <-arrival:
+			arrivals.Add(1)
+		case <-tick:
+			ticks.Add(1)
+		}
+		if _, err := e.RunAvailable(); err != nil {
+			return err
+		}
+	}
+}
+
+// notifyArrival registers one wake channel with every bound source and
+// returns it with the function that unregisters it; the channel is nil, and
+// nothing stays registered, when some source cannot signal.
+func (e *exec) notifyArrival() (arrival chan struct{}, unregister func()) {
+	arrival = make(chan struct{}, 1)
+	var stops []func()
+	unregister = func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	for _, src := range e.srcs {
+		stop, ok := src.NotifyArrival(arrival)
+		if !ok {
+			unregister()
+			return nil, func() {}
+		}
+		stops = append(stops, stop)
+	}
+	return arrival, unregister
+}
+
 // runOnce plans and executes at most one epoch (Trigger.Once); ran is
 // false when there was nothing to do.
 func (e *exec) runOnce() (ran bool, err error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"structream/internal/fsx"
 	"structream/internal/health"
@@ -151,23 +150,7 @@ func (q *StreamingQuery) loop() {
 		_, err := q.exec.RunAvailable()
 		q.setErr(err)
 	case ProcessingTimeTrigger:
-		interval := trig.Interval
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-q.stopCh:
-				return
-			case <-ticker.C:
-				if _, err := q.exec.RunAvailable(); err != nil {
-					q.setErr(err)
-					return
-				}
-			}
-		}
+		q.setErr(q.exec.runTriggered(trig.Interval, q.stopCh))
 	default:
 		q.setErr(fmt.Errorf("engine: unknown trigger %T", q.exec.opts.Trigger))
 	}

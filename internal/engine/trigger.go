@@ -14,8 +14,20 @@ import "time"
 // update the output sink").
 type Trigger interface{ isTrigger() }
 
-// ProcessingTimeTrigger fires an epoch every Interval of processing time.
-// A zero interval re-triggers as fast as epochs complete.
+// ProcessingTimeTrigger with a positive Interval looks for new data every
+// Interval of processing time, first one interval after Start, and runs
+// epochs until none is left.
+//
+// The zero interval — the default trigger — runs the next epoch as soon as
+// there is something to run (§6.2): whatever is available at Start, and from
+// then on whenever a source signals that data arrived
+// (sources.ArrivalNotifier: the message bus and the memory source do). An
+// idle query blocks on that signal and makes no source call; no timer sits
+// between an append and its epoch. A one-millisecond timer takes the
+// signal's place only where one is needed: when some bound source cannot
+// signal (files, the rate source, a wrapper that hides the extension), and
+// for a query with processing-time timeouts, whose epochs must run with no
+// data arriving.
 type ProcessingTimeTrigger struct{ Interval time.Duration }
 
 func (ProcessingTimeTrigger) isTrigger() {}

@@ -388,10 +388,12 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 // inherent to any join are zero and what remains is state maintenance). With
 // one list per join key each append rewrote the whole list: bytes written
 // and state read per row both grew with N. Per-row entries keep both flat.
-// Both measures are counts — delta-log bytes, and SSTable blocks looked up
-// (the store's maintenance is synchronous here, so the same appends look up
-// the same blocks) — not a clock: a wall-time ratio failed now and then
-// beside a busy neighbour on two CPUs.
+// Every measure is a count — delta-log bytes, SSTable blocks looked up (the
+// store's maintenance is synchronous here, so the same appends look up the
+// same blocks), and the join's own entriesRead, the buffered entries its
+// probes fetched: none here, an append reads nothing its key has buffered —
+// not a clock: a wall-time ratio failed now and then beside a busy neighbour
+// on two CPUs.
 func TestJoinHotKeyStaysLinear(t *testing.T) {
 	const perEpoch = 250
 	run := func(n int) (bytesPerRow, blocksPerRow float64) {
@@ -426,6 +428,9 @@ func TestJoinHotKeyStaysLinear(t *testing.T) {
 				t.Fatal(err)
 			}
 			total += info.Size()
+		}
+		if read := j.entriesRead.Load(); read != 0 {
+			t.Errorf("N=%d: appending %d rows fetched %d buffered entries; no row here has a partner to probe for", n, 2*n, read)
 		}
 		st := prov.Stats()
 		if st.Flushes == 0 {

@@ -10,8 +10,8 @@ package msgbus
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
-	"time"
 )
 
 // Record is one message in a partition. Offset is assigned by the broker at
@@ -51,7 +51,7 @@ func (b *Broker) CreateTopic(name string, partitions int) (*Topic, error) {
 	}
 	t := &Topic{name: name, parts: make([]*partition, partitions)}
 	for i := range t.parts {
-		t.parts[i] = &partition{notify: make(chan struct{})}
+		t.parts[i] = &partition{}
 	}
 	b.topics[name] = t
 	return t, nil
@@ -83,12 +83,67 @@ func (b *Broker) Topics() []string {
 	return out
 }
 
+// Arrival is a coalescing "new data" signal from whoever appends to
+// whoever waits: Notify registers a channel, Fire offers each registered
+// channel one token without blocking or allocating. A waiter registers a
+// channel of capacity one, so any number of fires between two receives
+// collapse into one pending token — a wake-up says "look again", not how
+// much arrived. The zero value is ready to use.
+//
+// No wake-up is lost when the waiter registers first, then looks for data,
+// then blocks on the channel, and the appender publishes its data before it
+// fires: data the look missed was published after it, so its Fire came later
+// still and found the channel registered.
+type Arrival struct {
+	mu    sync.RWMutex
+	chans []chan<- struct{}
+}
+
+// Notify registers ch to be offered a token by every Fire until the
+// returned stop is called. stop is idempotent.
+func (a *Arrival) Notify(ch chan<- struct{}) (stop func()) {
+	a.mu.Lock()
+	a.chans = append(a.chans, ch)
+	a.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			i := slices.Index(a.chans, ch) // present: Notify added it and stop runs once
+			a.chans = slices.Delete(a.chans, i, i+1)
+		})
+	}
+}
+
+// Fire offers every registered channel a token; a channel that already
+// holds one is skipped.
+func (a *Arrival) Fire() {
+	a.mu.RLock()
+	for _, ch := range a.chans {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	a.mu.RUnlock()
+}
+
+// Listeners reports how many channels are registered, for monitoring and
+// leak tests.
+func (a *Arrival) Listeners() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.chans)
+}
+
 // Topic is a named, partitioned log.
 type Topic struct {
-	name  string
-	parts []*partition
-	rr    int64 // round-robin counter for keyless produce
-	rrMu  sync.Mutex
+	name    string
+	parts   []*partition
+	rr      int64 // round-robin counter for keyless produce
+	rrMu    sync.Mutex
+	arrival Arrival // fired by every Append, whatever the partition
 
 	faultMu    sync.Mutex
 	fetchFault func(part int, from int64) error
@@ -102,7 +157,6 @@ type partition struct {
 	records []Record
 	base    int64 // offset of records[0]; earlier records were trimmed
 	next    int64 // next offset to assign
-	notify  chan struct{}
 }
 
 // Name returns the topic name.
@@ -110,6 +164,15 @@ func (t *Topic) Name() string { return t.name }
 
 // Partitions returns the partition count.
 func (t *Topic) Partitions() int { return len(t.parts) }
+
+// NotifyArrival registers ch for the topic's arrival signal: every Append,
+// to any partition, offers it a token after the records are readable. See
+// Arrival for the waiter's side of the protocol.
+func (t *Topic) NotifyArrival(ch chan<- struct{}) (stop func()) { return t.arrival.Notify(ch) }
+
+// ArrivalListeners reports how many channels are registered for the arrival
+// signal.
+func (t *Topic) ArrivalListeners() int { return t.arrival.Listeners() }
 
 // Append appends records to a specific partition, assigning offsets. It
 // returns the offset of the first appended record.
@@ -125,9 +188,8 @@ func (t *Topic) Append(part int, recs ...Record) (int64, error) {
 		p.next++
 	}
 	p.records = append(p.records, recs...)
-	close(p.notify)
-	p.notify = make(chan struct{})
 	p.mu.Unlock()
+	t.arrival.Fire()
 	return first, nil
 }
 
@@ -266,33 +328,6 @@ func (t *Topic) TrimBefore(part int, keep int64) error {
 	p.records = append([]Record(nil), p.records[drop:]...)
 	p.base = keep
 	return nil
-}
-
-// WaitForData blocks until the partition holds data at or past offset, or
-// the timeout elapses. It reports whether data is available.
-func (t *Topic) WaitForData(part int, offset int64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		p := t.parts[part]
-		p.mu.Lock()
-		if offset < p.next {
-			p.mu.Unlock()
-			return true
-		}
-		ch := p.notify
-		p.mu.Unlock()
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return false
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			return false
-		}
-	}
 }
 
 // TotalRecords reports the number of retained records across partitions,

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func newTopic(t *testing.T, parts int) *Topic {
@@ -155,25 +154,88 @@ func TestLatestOffsets(t *testing.T) {
 	}
 }
 
-func TestWaitForData(t *testing.T) {
-	topic := newTopic(t, 1)
-	if topic.WaitForData(0, 0, 10*time.Millisecond) {
-		t.Error("wait should time out on empty partition")
+// TestArrivalSignal pins the signal's contract: any partition's append
+// offers one token, appends between two receives coalesce, a stopped channel
+// hears nothing more, and an append with nobody registered costs nothing.
+func TestArrivalSignal(t *testing.T) {
+	topic := newTopic(t, 2)
+	topic.Append(0, Record{}) // nobody listening
+	a, b := make(chan struct{}, 1), make(chan struct{}, 1)
+	stopA, stopB := topic.NotifyArrival(a), topic.NotifyArrival(b)
+	if n := topic.ArrivalListeners(); n != 2 {
+		t.Fatalf("listeners = %d, want 2", n)
 	}
-	done := make(chan bool, 1)
-	go func() {
-		done <- topic.WaitForData(0, 0, 2*time.Second)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	topic.Append(0, Record{Value: []byte("x")})
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Error("wait should succeed after append")
+	topic.Append(0, Record{})
+	topic.Append(1, Record{}, Record{})
+	for name, ch := range map[string]chan struct{}{"a": a, "b": b} {
+		select {
+		case <-ch:
+		default:
+			t.Errorf("%s: no token after two appends", name)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("wait did not wake up")
+		select {
+		case <-ch:
+			t.Errorf("%s: two appends left two tokens, want them coalesced", name)
+		default:
+		}
 	}
+	stopA()
+	stopA() // idempotent
+	topic.Append(1, Record{})
+	select {
+	case <-a:
+		t.Error("a stopped channel was signalled")
+	default:
+	}
+	select {
+	case <-b:
+	default:
+		t.Error("b lost its signal when a stopped")
+	}
+	stopB()
+	if n := topic.ArrivalListeners(); n != 0 {
+		t.Errorf("listeners = %d after both stopped, want 0", n)
+	}
+	if allocs := testing.AllocsPerRun(100, topic.arrival.Fire); allocs != 0 {
+		t.Errorf("Fire allocates %.0f times per call", allocs)
+	}
+}
+
+// TestArrivalNoLostWakeup is the waiter's protocol under contention: a
+// consumer that registers, looks, then blocks on the channel alone — no
+// timer — sees every record of producers appending one at a time. A lost
+// wake-up hangs the test.
+func TestArrivalNoLostWakeup(t *testing.T) {
+	topic := newTopic(t, 4)
+	const producers, each = 4, 2000
+	wake := make(chan struct{}, 1)
+	defer topic.NotifyArrival(wake)()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				topic.Append(p, Record{})
+				if i%64 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(p)
+	}
+	var seen int64
+	for seen < producers*each {
+		var total int64
+		for _, off := range topic.LatestOffsets() {
+			total += off
+		}
+		if total > seen {
+			seen = total
+			continue
+		}
+		<-wake
+	}
+	wg.Wait()
 }
 
 func TestConcurrentProducers(t *testing.T) {

@@ -85,6 +85,12 @@ func (s *FlakySource) Latest() (Offsets, error) { return s.Inner.Latest() }
 // Earliest implements Source.
 func (s *FlakySource) Earliest() (Offsets, error) { return s.Inner.Earliest() }
 
+// NotifyArrival forwards ArrivalNotifier: faults affect reads, not the news
+// that there is something to read.
+func (s *FlakySource) NotifyArrival(ch chan<- struct{}) (stop func(), ok bool) {
+	return forwardArrival(s.Inner, ch)
+}
+
 // Read implements Source, applying scheduled faults first.
 func (s *FlakySource) Read(p int, from, to int64) ([]sql.Row, error) {
 	s.mu.Lock()

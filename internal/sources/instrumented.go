@@ -120,19 +120,16 @@ func (s *Instrumented) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) 
 	return b, true, nil
 }
 
-// WaitForData lets the continuous engine block on the inner source when it
-// supports waiting; otherwise it parks briefly, matching the engine's poll
-// cadence for non-waitable sources.
-func (s *Instrumented) WaitForData(partition int, offset int64, timeout time.Duration) bool {
-	type waitable interface {
-		WaitForData(partition int, offset int64, timeout time.Duration) bool
+// NotifyArrival forwards ArrivalNotifier.
+func (s *Instrumented) NotifyArrival(ch chan<- struct{}) (stop func(), ok bool) {
+	return forwardArrival(s.Inner, ch)
+}
+
+// forwardArrival is a wrapper's NotifyArrival: the inner source's, or
+// ok=false when that one cannot signal.
+func forwardArrival(inner Source, ch chan<- struct{}) (stop func(), ok bool) {
+	if an, ok := inner.(ArrivalNotifier); ok {
+		return an.NotifyArrival(ch)
 	}
-	if w, ok := s.Inner.(waitable); ok {
-		return w.WaitForData(partition, offset, timeout)
-	}
-	if timeout > 200*time.Microsecond {
-		timeout = 200 * time.Microsecond
-	}
-	time.Sleep(timeout)
-	return false
+	return nil, false
 }

@@ -8,7 +8,6 @@ package sources
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"structream/internal/msgbus"
 	"structream/internal/sql"
@@ -86,6 +85,18 @@ type VectorReader interface {
 // once, at query start, with the columns the compiled vector plan reads.
 type ColumnPruner interface {
 	PruneColumns(cols []int) Source
+}
+
+// ArrivalNotifier is an optional Source extension for sources that know when
+// data arrives. NotifyArrival registers ch — capacity one — to be offered a
+// token, without blocking, after every arrival becomes visible to Latest,
+// until stop is called; tokens coalesce (see msgbus.Arrival, which also
+// gives the ordering a waiter must keep to lose no wake-up). ok=false means
+// this source cannot signal after all — a wrapper around one that does not —
+// and nothing was registered. The engine waits on the channel instead of
+// polling Latest when every source of a query signals.
+type ArrivalNotifier interface {
+	NotifyArrival(ch chan<- struct{}) (stop func(), ok bool)
 }
 
 // PartitionReader is declared only because benchmark/interpose.go (frozen)
@@ -209,15 +220,10 @@ func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 	return b, true, nil
 }
 
-// Topic exposes the underlying topic (used by continuous-mode workers to
-// block on new data).
-func (s *BusSource) Topic() *msgbus.Topic { return s.topic }
-
-// WaitForData blocks until the partition holds data at or past offset, or
-// the timeout elapses; the continuous engine uses it to avoid busy
-// polling.
-func (s *BusSource) WaitForData(partition int, offset int64, timeout time.Duration) bool {
-	return s.topic.WaitForData(partition, offset, timeout)
+// NotifyArrival implements ArrivalNotifier with the topic's signal: any
+// partition's Append wakes the waiter.
+func (s *BusSource) NotifyArrival(ch chan<- struct{}) (stop func(), ok bool) {
+	return s.topic.NotifyArrival(ch), true
 }
 
 // ---------------------------------------------------------------- partitioned
@@ -279,8 +285,9 @@ type MemorySource struct {
 	name   string
 	schema sql.Schema
 
-	mu   sync.Mutex
-	rows []sql.Row
+	mu      sync.Mutex
+	rows    []sql.Row
+	arrival msgbus.Arrival // fired by AddData
 }
 
 // NewMemorySource creates an empty memory source.
@@ -291,7 +298,6 @@ func NewMemorySource(name string, schema sql.Schema) *MemorySource {
 // AddData appends rows to the stream.
 func (s *MemorySource) AddData(rows ...sql.Row) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, r := range rows {
 		cp := make(sql.Row, len(r))
 		for i, v := range r {
@@ -299,6 +305,13 @@ func (s *MemorySource) AddData(rows ...sql.Row) {
 		}
 		s.rows = append(s.rows, cp)
 	}
+	s.mu.Unlock()
+	s.arrival.Fire()
+}
+
+// NotifyArrival implements ArrivalNotifier: every AddData wakes the waiter.
+func (s *MemorySource) NotifyArrival(ch chan<- struct{}) (stop func(), ok bool) {
+	return s.arrival.Notify(ch), true
 }
 
 // Name implements Source.

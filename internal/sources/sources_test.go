@@ -195,3 +195,55 @@ func TestRateSourceAdvance(t *testing.T) {
 		t.Error("bad partition should error")
 	}
 }
+
+// TestArrivalForwardedThroughWrappers: the wrappers the engine and the
+// chaos tests put around a source must not hide its arrival signal — hidden,
+// the query silently falls back to polling — and must not invent one for a
+// source that has none.
+func TestArrivalForwardedThroughWrappers(t *testing.T) {
+	topic, _ := msgbus.NewBroker().CreateTopic("events", 2)
+	bus := NewCodecBusSource("events", topic, testSchema)
+	mem := NewMemorySource("mem", testSchema)
+	signalling := map[string]struct {
+		src     Source
+		arrival func()
+	}{
+		"Instrument(Flaky(Bus))":        {Instrument(NewFlakySource(bus)), func() { topic.Append(1, msgbus.Record{}) }},
+		"Instrument(Bus.PruneColumns)":  {Instrument(bus.PruneColumns([]int{0})), func() { topic.Append(0, msgbus.Record{}) }},
+		"Flaky(Instrument(Flaky(Mem)))": {NewFlakySource(Instrument(NewFlakySource(mem))), func() { mem.AddData(sql.Row{int64(1), "a"}) }},
+	}
+	for name, c := range signalling {
+		an, ok := c.src.(ArrivalNotifier)
+		if !ok {
+			t.Errorf("%s: not an ArrivalNotifier", name)
+			continue
+		}
+		ch := make(chan struct{}, 1)
+		stop, ok := an.NotifyArrival(ch)
+		if !ok {
+			t.Errorf("%s: NotifyArrival reports the source cannot signal", name)
+			continue
+		}
+		c.arrival()
+		select {
+		case <-ch:
+		default:
+			t.Errorf("%s: an arrival did not signal", name)
+		}
+		stop()
+		c.arrival()
+		select {
+		case <-ch:
+			t.Errorf("%s: signalled after stop", name)
+		default:
+		}
+	}
+	if n := topic.ArrivalListeners(); n != 0 {
+		t.Errorf("%d wake channels left on the topic", n)
+	}
+
+	silent := Instrument(NewFlakySource(NewRateSource("rate", 1, 10, 0)))
+	if _, ok := silent.NotifyArrival(make(chan struct{}, 1)); ok {
+		t.Error("Instrument(Flaky(RateSource)) claims an arrival signal its source does not have")
+	}
+}

@@ -399,3 +399,73 @@ func TestSupervisorSurvivesFlakyBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestArrivalRestartLeavesOneRegistration: a supervised, arrival-driven
+// query over the bus dies on fetch faults, is restarted on the same topic,
+// and goes on being woken by appends; the dead instance's wake channel is
+// gone from the topic, the replacement's is the only one, and Stop removes
+// that too.
+func TestArrivalRestartLeavesOneRegistration(t *testing.T) {
+	topic, err := msgbus.NewBroker().CreateTopic("events", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	produce := func(i int) {
+		row := sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)}
+		if _, err := topic.Append(0, msgbus.Record{Value: codec.EncodeRow(row)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := sinks.NewMemorySink()
+	ckpt := t.TempDir()
+	var faults atomic.Int64
+	topic.InjectFetchFault(func(part int, from int64) error {
+		if faults.Add(-1) >= 0 {
+			return fsx.Transient("broker connection reset")
+		}
+		return nil
+	})
+	sup, err := Supervise(Spec{
+		Name: "arrival-restart",
+		Start: func(restart int64) (*engine.StreamingQuery, error) {
+			q := compileQuery(t, projectionPlan(), logical.Append)
+			src := sources.NewCodecBusSource("events", topic, eventsSchema)
+			return engine.Start(q, map[string]sources.Source{"events": src}, sink, engine.Options{
+				Checkpoint:   ckpt,
+				Trigger:      engine.ProcessingTimeTrigger{},
+				MaxIORetries: 1,
+				RetryBackoff: time.Millisecond,
+			})
+		},
+		Policy: Policy{InitialBackoff: 2 * time.Millisecond, MaxRestartsPerWindow: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+
+	produce(0)
+	waitFor(t, 10*time.Second, func() bool { return len(sink.Rows()) == 1 }, "the first record")
+	first := sup.Query()
+	faults.Store(2) // MaxIORetries + 1 fetches: the next epoch fails
+	produce(1)
+	waitFor(t, 10*time.Second, func() bool {
+		return len(sink.Rows()) == 2 && sup.Restarts() == 1 && sup.Status() == engine.StatusRunning
+	}, "the restart and the record that caused it")
+	produce(2)
+	waitFor(t, 10*time.Second, func() bool { return len(sink.Rows()) == 3 }, "a record appended after the restart")
+	if n := topic.ArrivalListeners(); n != 1 {
+		t.Errorf("%d wake channels on the topic with one instance running, want 1", n)
+	}
+	for name, sq := range map[string]*engine.StreamingQuery{"first": first, "replacement": sup.Query()} {
+		if n := sq.Metrics().Counter("triggerTimerWakeups").Value(); n != 0 {
+			t.Errorf("%s instance: %d timer wake-ups", name, n)
+		}
+	}
+	if err := sup.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if n := topic.ArrivalListeners(); n != 0 {
+		t.Errorf("%d wake channels left on the topic after Stop", n)
+	}
+}

@@ -16,6 +16,13 @@ echo ">> go vet ./..."
 go vet ./...
 echo ">> go test -race ./..."
 go test -race ./...
+# The arrival-signal tests hang (and fail on their own deadline) when a
+# wake-up between an append and the trigger's wait is lost, and a race like
+# that needs repetition to show: PR 16's Subscription.Next lost wake-up
+# passed a single -race run.
+echo ">> arrival wake-up and leak tests, -race -count=20"
+go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuousWorkersWaitForArrival' \
+	./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
 # Fuzz smoke: a few seconds of coverage-guided input on the state record
 # framing shared by deltas, snapshots, and LSM batches — round-trips must
 # hold and corrupt input must never panic the decoder.
@@ -52,13 +59,15 @@ echo ">> benchmark module vet + tests"
 (cd benchmark && go vet . && go test .)
 # Names whose producer is gone (the legacy bench harness and the options
 # only it selected; the simulated cluster scheduler, its injection hooks,
-# its gauges and the writer method that selected it) must not survive in
+# its gauges and the writer method that selected it; the bus's timed
+# per-partition wait, replaced by the arrival signal) must not survive in
 # code, scripts or docs. The pattern is assembled from halves so this
 # script does not match itself.
 echo ">> stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
 stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
+stale="$stale"'|Wait''ForData'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1

@@ -92,8 +92,9 @@ const (
 // Trigger controls when the engine computes a new increment.
 type Trigger = engine.Trigger
 
-// ProcessingTime triggers an epoch every interval (0 = as fast as epochs
-// complete).
+// ProcessingTime looks for new data every interval. 0, the default, runs
+// an epoch as soon as a source signals that data arrived (see
+// engine.ProcessingTimeTrigger for when a timer remains).
 func ProcessingTime(interval time.Duration) Trigger {
 	return engine.ProcessingTimeTrigger{Interval: interval}
 }
