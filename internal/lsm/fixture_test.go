@@ -124,7 +124,7 @@ func TestParentCheckpointReadable(t *testing.T) {
 // not know is refused by name when it is opened — never read with a guess.
 func TestUnknownFilterFormatRefused(t *testing.T) {
 	b := newTableBuilder(256, bloomBitsPerKey, 0, 0)
-	b.add("a", []byte("1"), false)
+	b.add([]byte("a"), []byte("1"), false)
 	data, filter, index := splitTable(b.finish())
 	filter = append([]byte{0x40 | 6}, filter[1:]...)
 	img := sealTable(data, filter, index)

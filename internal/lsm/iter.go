@@ -41,30 +41,25 @@ func cmpStringBytes(s string, b []byte) int {
 
 // ----------------------------------------------------------- memtable iter
 
-// memIter walks a snapshot of the memtable in key order. The exposed key
-// lives in a buffer reused across next() calls.
+// memIter walks one run of a memtable (memtable.iters) in key order. The
+// exposed key lives in a buffer reused across next() calls.
 type memIter struct {
 	m    *memtable
-	keys []string
-	i    int
+	keys []string // what is left of the run
 	key  []byte
 	val  []byte
 	tomb bool
 }
 
-func newMemIter(m *memtable, from, to string) *memIter {
-	return &memIter{m: m, keys: m.sortedKeys(from, to)}
-}
-
 func (it *memIter) next() bool {
-	if it.i >= len(it.keys) {
+	if len(it.keys) == 0 {
 		return false
 	}
-	k := it.keys[it.i]
+	k := it.keys[0]
+	it.keys = it.keys[1:]
 	it.key = append(it.key[:0], k...)
 	e := it.m.entries[k]
 	it.val, it.tomb = e.value, e.tomb
-	it.i++
 	return true
 }
 
@@ -84,6 +79,7 @@ func (it *tableIter) error() error                  { return it.err }
 type mergeIter struct {
 	srcs  []kvIter // index 0 = newest
 	valid []bool
+	ties  []int // scratch: the sources holding the current key
 
 	key  []byte // owned copy: stays valid while sources advance past it
 	val  []byte
@@ -106,37 +102,35 @@ func (m *mergeIter) next() bool {
 	if m.err != nil {
 		return false
 	}
-	// Find the smallest key across live sources; lowest index breaks ties,
-	// which is exactly newest-wins.
-	win := -1
+	// Find the smallest key across live sources, remembering every source
+	// that holds it. The lowest index among them comes first, which is
+	// exactly newest-wins.
 	var winKey []byte
+	m.ties = m.ties[:0]
 	for i, ok := range m.valid {
 		if !ok {
 			continue
 		}
 		k, _, _ := m.srcs[i].entry()
-		if win < 0 || bytes.Compare(k, winKey) < 0 {
-			win, winKey = i, k
+		if c := bytes.Compare(k, winKey); len(m.ties) == 0 || c < 0 {
+			winKey, m.ties = k, append(m.ties[:0], i)
+		} else if c == 0 {
+			m.ties = append(m.ties, i)
 		}
 	}
-	if win < 0 {
+	if len(m.ties) == 0 {
 		return false
 	}
 	// Copy the winner's key before advancing any source: a source's entry
 	// buffer may be reused by its next().
 	m.key = append(m.key[:0], winKey...)
-	_, m.val, m.tomb = m.srcs[win].entry()
+	_, m.val, m.tomb = m.srcs[m.ties[0]].entry()
 	// Consume this key everywhere so shadowed older versions never surface.
-	for i, ok := range m.valid {
-		if !ok {
-			continue
-		}
-		if k, _, _ := m.srcs[i].entry(); bytes.Equal(k, m.key) {
-			m.valid[i] = m.srcs[i].next()
-			if err := m.srcs[i].error(); err != nil {
-				m.err = err
-				return false
-			}
+	for _, i := range m.ties {
+		m.valid[i] = m.srcs[i].next()
+		if err := m.srcs[i].error(); err != nil {
+			m.err = err
+			return false
 		}
 	}
 	return true

@@ -74,30 +74,15 @@ func newTableBuilder(blockBytes, bloomBits int, sizeHint, entriesHint int64) *ta
 	}
 }
 
-func (b *tableBuilder) add(key string, value []byte, tomb bool) {
-	if len(b.cur) == 0 {
-		b.curFirst = key
-	}
-	b.cur = binary.AppendUvarint(b.cur, uint64(len(key)))
-	b.cur = append(b.cur, key...)
-	b.hashes = append(b.hashes, keyHash(key))
-	b.addTail(value, tomb)
-}
-
-// addBytes is add for a []byte key — the compaction merge path, where keys
-// arrive as block slices and converting each to a string would allocate
-// per entry.
-func (b *tableBuilder) addBytes(key []byte, value []byte, tomb bool) {
+// add appends one entry. Keys arrive as []byte — block slices from a merge,
+// an iterator's buffer from a flush — so no entry costs a string conversion.
+func (b *tableBuilder) add(key, value []byte, tomb bool) {
 	if len(b.cur) == 0 {
 		b.curFirst = string(key)
 	}
 	b.cur = binary.AppendUvarint(b.cur, uint64(len(key)))
 	b.cur = append(b.cur, key...)
 	b.hashes = append(b.hashes, keyHash(key))
-	b.addTail(value, tomb)
-}
-
-func (b *tableBuilder) addTail(value []byte, tomb bool) {
 	if tomb {
 		b.cur = binary.AppendUvarint(b.cur, 0)
 	} else {

@@ -70,7 +70,7 @@ func splitTable(img []byte) (data, filter, index []byte) {
 func FuzzOpenTable(f *testing.F) {
 	tb := newTableBuilder(64, bloomBitsPerKey, 0, 0)
 	for _, k := range []string{"a", "b", "bb", "c", "d", "e"} {
-		tb.add(k, []byte("value-"+k), k == "c")
+		tb.add([]byte(k), []byte("value-"+k), k == "c")
 	}
 	valid := tb.finish()
 	data, filter, index := splitTable(valid)

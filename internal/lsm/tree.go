@@ -155,7 +155,7 @@ func Open(opts Options) (*Tree, error) {
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	t := &Tree{fsys: opts.FS, dir: opts.Dir, opts: opts, mem: newMemtable(), version: -1}
+	t := &Tree{fsys: opts.FS, dir: opts.Dir, opts: opts, mem: newMemtable(0), version: -1}
 	t.sched = opts.Scheduler
 	if t.sched == nil {
 		if opts.BackgroundCompaction {
@@ -195,7 +195,7 @@ func (t *Tree) Load(version int64) error {
 		}
 	}
 	t.tables = nil
-	t.mem = newMemtable()
+	t.mem = newMemtable(0)
 	t.sealed = nil
 	t.maintErr = nil
 	t.pruned = false
@@ -243,12 +243,11 @@ func (t *Tree) replayDeltaLocked(version int64) error {
 	if err != nil {
 		return fmt.Errorf("lsm: %w", err)
 	}
-	return DecodeBatch(body,
-		func(key string, value []byte) error {
-			return t.applyPutLocked(key, append([]byte(nil), value...), nil)
-		},
-		func(key string) error { return t.applyDelLocked(key, nil) },
-	)
+	b, err := DecodeBatch(body)
+	if err != nil {
+		return err
+	}
+	return t.applyLocked(b)
 }
 
 // hasLocked reports whether key is live in committed state.
@@ -278,45 +277,33 @@ func (t *Tree) hasLocked(key string) (bool, error) {
 	return false, nil
 }
 
-// applyPutLocked applies one put, keeping the live-key count. hints, when
-// non-nil, memoizes committed-key existence the caller already learned by
-// reading this tree at this version — it short-circuits the table lookup
-// that would otherwise dominate commit cost.
-func (t *Tree) applyPutLocked(key string, value []byte, hints map[string]bool) error {
-	has, ok := false, false
-	if hints != nil {
-		has, ok = hints[key]
-	}
-	if !ok {
-		var err error
-		has, err = t.hasLocked(key)
-		if err != nil {
-			return err
+// applyLocked folds one version's batch into the active memtable, keeping
+// the live-key count. An entry that carries what its committer read (Known,
+// Live) skips the lookup that would otherwise dominate commit cost; replay
+// carries none and runs the same has-key checks the original commits ran or
+// were spared. The keys new to the memtable leave as one ascending run.
+func (t *Tree) applyLocked(b Batch) error {
+	added := make([]string, 0, len(b))
+	for i := range b {
+		e := &b[i]
+		has := e.Live
+		if !e.Known {
+			var err error
+			if has, err = t.hasLocked(e.Key); err != nil {
+				t.mem.addRun(added) // the runs hold every key the map does, even now
+				return err
+			}
+		}
+		if has && e.Tomb {
+			t.liveKeys--
+		} else if !has && !e.Tomb {
+			t.liveKeys++
+		}
+		if t.mem.put(e.Key, e.Value, e.Tomb) {
+			added = append(added, e.Key)
 		}
 	}
-	if !has {
-		t.liveKeys++
-	}
-	t.mem.put(key, value, false)
-	return nil
-}
-
-func (t *Tree) applyDelLocked(key string, hints map[string]bool) error {
-	has, ok := false, false
-	if hints != nil {
-		has, ok = hints[key]
-	}
-	if !ok {
-		var err error
-		has, err = t.hasLocked(key)
-		if err != nil {
-			return err
-		}
-	}
-	if has {
-		t.liveKeys--
-	}
-	t.mem.put(key, nil, true)
+	t.mem.addRun(added)
 	return nil
 }
 
@@ -435,26 +422,24 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 	return nil
 }
 
-// Commit durably applies one version's mutations. A key in both maps is a
-// delete, matching the delta encoding.
+// Commit is CommitBatch for mutations held in maps; a key in both maps is a
+// delete.
 func (t *Tree) Commit(version int64, puts map[string][]byte, dels map[string]bool) error {
-	return t.CommitWithHints(version, puts, dels, nil)
+	return t.CommitBatch(version, BatchOf(puts, dels))
 }
 
-// CommitWithHints is Commit with an optional existence memo: hints[k]
-// reports whether k was live in committed state when the caller read it
-// during this epoch. The state layer passes the reads its operators already
-// performed, so live-key accounting skips a second lookup per mutated key.
-// Keys absent from the map fall back to a real lookup. A wrong hint can
-// only skew the NumKeys counter, never stored data — but callers must pass
-// only facts read from this tree at its current version.
+// CommitBatch durably applies one version's mutations. An entry's Known/Live
+// pair must be a fact read from this tree at its current version: the state
+// layer passes the reads its operators already performed, so live-key
+// accounting skips a second lookup per mutated key; entries without one fall
+// back to a real lookup.
 //
 // The delta-log write is the durability point and the epoch-commit
 // handshake: once it returns, the version is recoverable regardless of what
 // background maintenance has or has not done. Everything after — sealing a
 // full memtable, flush, compaction, manifest publication — is bookkeeping
 // the commit does not wait for, except the MaxPendingMemtables ceiling.
-func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool) error {
+func (t *Tree) CommitBatch(version int64, b Batch) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -479,27 +464,15 @@ func (t *Tree) CommitWithHints(version int64, puts map[string][]byte, dels map[s
 		}
 		t.pruned = true
 	}
-	body := EncodeBatch(puts, dels)
 	path := filepath.Join(t.dir, fmt.Sprintf("%d.delta", version))
-	if err := fsx.WriteAtomic(t.fsys, path, fsx.Seal(body), 0o644); err != nil {
+	if err := fsx.WriteAtomic(t.fsys, path, fsx.Seal(EncodeBatch(b)), 0o644); err != nil {
 		t.mu.Unlock()
 		return fmt.Errorf("lsm: %w", err)
 	}
 	prev := t.version
-	for k, v := range puts {
-		if dels[k] {
-			continue
-		}
-		if err := t.applyPutLocked(k, v, hints); err != nil {
-			t.mu.Unlock()
-			return err
-		}
-	}
-	for k := range dels {
-		if err := t.applyDelLocked(k, hints); err != nil {
-			t.mu.Unlock()
-			return err
-		}
+	if err := t.applyLocked(b); err != nil {
+		t.mu.Unlock()
+		return err
 	}
 	t.version = version
 	if t.mem.bytes >= t.opts.MemtableBytes && t.mem.len() > 0 {
@@ -581,7 +554,7 @@ func (t *Tree) sealLocked() {
 		to:     t.version,
 		liveAt: t.liveKeys,
 	})
-	t.mem = newMemtableSized(t.mem.len())
+	t.mem = newMemtable(t.mem.len())
 	t.memFrom = t.version + 1
 }
 
@@ -635,7 +608,7 @@ func (t *Tree) drainTo(max int) error {
 // step performs one maintenance step: flush the oldest sealed memtable, or,
 // with nothing queued, one compaction merge — then publishes a manifest
 // pinning the result. It reports whether it did anything. The heavy work
-// (sorting, block building, the table write) runs outside t.mu against
+// (merging, block building, the table write) runs outside t.mu against
 // immutable inputs; only the snapshot and the install take the lock.
 func (t *Tree) step() (bool, error) {
 	t.maintMu.Lock()
@@ -672,9 +645,8 @@ func (t *Tree) step() (bool, error) {
 // install point sees exactly the snapshotted structures.
 func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
 	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey, sm.mem.bytes, int64(sm.mem.len()))
-	for _, k := range sm.mem.sortedKeys("", "") {
-		e := sm.mem.entries[k]
-		b.add(k, e.value, e.tomb)
+	for mi := newMergeIter(sm.mem.iters("")); mi.next(); {
+		b.add(mi.entry())
 	}
 	path := tablePath(t.dir, seq)
 	if t.opts.Cache != nil {
@@ -724,7 +696,7 @@ func (t *Tree) compactStep(i, j int, run []*Table, seq int64) error {
 		if tomb && dropTombs {
 			continue
 		}
-		b.addBytes(k, v, tomb)
+		b.add(k, v, tomb)
 	}
 	if err := mi.error(); err != nil {
 		return err
@@ -862,10 +834,9 @@ func (t *Tree) Compact() error {
 func (t *Tree) Range(from, to string, fn func(key string, value []byte) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	srcs := make([]kvIter, 0, len(t.tables)+len(t.sealed)+1)
-	srcs = append(srcs, newMemIter(t.mem, from, to))
+	srcs := t.mem.iters(from)
 	for i := len(t.sealed) - 1; i >= 0; i-- {
-		srcs = append(srcs, newMemIter(t.sealed[i].mem, from, to))
+		srcs = append(srcs, t.sealed[i].mem.iters(from)...)
 	}
 	for i := len(t.tables) - 1; i >= 0; i-- {
 		srcs = append(srcs, t.tables[i].iter(from))

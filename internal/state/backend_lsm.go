@@ -59,8 +59,8 @@ func (b *lsmBackend) scan(from, to []byte, fn func(key, value []byte) bool) erro
 
 func (b *lsmBackend) numKeys() (int64, error) { return b.tree.NumKeys(), nil }
 
-func (b *lsmBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool) error {
-	if err := b.tree.CommitWithHints(version, puts, dels, hints); err != nil {
+func (b *lsmBackend) commit(version int64, batch lsm.Batch) error {
+	if err := b.tree.CommitBatch(version, batch); err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
 	b.provider.deltasWritten.Add(1)

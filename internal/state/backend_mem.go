@@ -50,10 +50,17 @@ func (b *memBackend) iterate(fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// scan filters and sorts: the map has no order to exploit.
+// scan filters and sorts per call: the map has no order to exploit.
 func (b *memBackend) scan(from, to []byte, fn func(key, value []byte) bool) error {
-	for _, k := range sortedKeysIn(b.data, from, to) {
-		if !fn([]byte(k), b.data[k]) {
+	var in lsm.Batch
+	for k, v := range b.data {
+		if inBounds(k, from, to) {
+			in = append(in, lsm.Entry{Key: k, Value: v})
+		}
+	}
+	lsm.SortBatch(in)
+	for _, e := range in {
+		if !fn([]byte(e.Key), e.Value) {
 			break
 		}
 	}
@@ -62,22 +69,14 @@ func (b *memBackend) scan(from, to []byte, fn func(key, value []byte) bool) erro
 
 func (b *memBackend) numKeys() (int64, error) { return int64(len(b.data)), nil }
 
-// commit ignores hints: the map makes existence checks free.
-func (b *memBackend) commit(version int64, puts map[string][]byte, dels map[string]bool, _ map[string]bool) error {
+// commit ignores the entries' existence memo: the map makes the check free.
+func (b *memBackend) commit(version int64, batch lsm.Batch) error {
 	path := filepath.Join(b.dir, fmt.Sprintf("%d.%s", version, kindDelta))
-	if err := b.atomicWrite(path, lsm.EncodeBatch(puts, dels)); err != nil {
+	if err := b.atomicWrite(path, lsm.EncodeBatch(batch)); err != nil {
 		return err
 	}
 	b.provider.deltasWritten.Add(1)
-	for k, v := range puts {
-		if dels[k] {
-			continue
-		}
-		b.data[k] = v
-	}
-	for k := range dels {
-		delete(b.data, k)
-	}
+	b.apply(batch)
 	b.deltasSinceSnap++
 	interval := b.provider.SnapshotInterval
 	if interval > 0 && b.deltasSinceSnap >= interval {
@@ -91,7 +90,7 @@ func (b *memBackend) commit(version int64, puts map[string][]byte, dels map[stri
 
 func (b *memBackend) writeSnapshot(version int64) error {
 	path := filepath.Join(b.dir, fmt.Sprintf("%d.%s", version, kindSnapshot))
-	if err := b.atomicWrite(path, lsm.EncodeBatch(b.data, nil)); err != nil {
+	if err := b.atomicWrite(path, lsm.EncodeBatch(lsm.BatchOf(b.data, nil))); err != nil {
 		return err
 	}
 	b.provider.snapshotsWritten.Add(1)
@@ -151,19 +150,23 @@ func (b *memBackend) applyFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("state: %w", err)
 	}
-	if err := lsm.DecodeBatch(data,
-		func(key string, value []byte) error {
-			b.data[key] = append([]byte(nil), value...)
-			return nil
-		},
-		func(key string) error {
-			delete(b.data, key)
-			return nil
-		},
-	); err != nil {
+	batch, err := lsm.DecodeBatch(data)
+	if err != nil {
 		return fmt.Errorf("state: %w: file %s: %v", fsx.ErrCorrupt, path, err)
 	}
+	b.apply(batch)
 	return nil
+}
+
+// apply folds a committed or replayed batch into the map.
+func (b *memBackend) apply(batch lsm.Batch) {
+	for _, e := range batch {
+		if e.Tomb {
+			delete(b.data, e.Key)
+		} else {
+			b.data[e.Key] = e.Value
+		}
+	}
 }
 
 func (b *memBackend) close() {}

@@ -2,12 +2,16 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"structream/internal/fsx"
+	"structream/internal/lsm"
 )
 
 // forEachBackend runs a subtest per storage backend with a provider tuned
@@ -415,4 +419,66 @@ func TestProviderBackgroundMaintenance(t *testing.T) {
 	if n := s2.NumKeys(); n != versions {
 		t.Fatalf("NumKeys = %d, want %d", n, versions)
 	}
+}
+
+// TestUnorderedDeltaReplaysAsALog: a delta whose records are out of order
+// and repeat keys — nothing Commit writes, but a valid frame, so something a
+// disk or a hand can produce — is replayed by both backends as the log it
+// is, the last record of a key winning, and the store it yields reads and
+// scans like any other.
+func TestUnorderedDeltaReplaysAsALog(t *testing.T) {
+	type rec struct {
+		key, value string
+		del        bool
+	}
+	records := []rec{
+		{key: "m", value: "1"}, {key: "c", value: "2"}, {key: "x", del: true}, {key: "a", value: "3"},
+		{key: "m", del: true}, {key: "c", value: "4"}, {key: "m", value: "5"}, {key: "q", value: "6"}, {key: "q", del: true},
+	}
+	var body []byte
+	want := map[string]string{}
+	for _, r := range records {
+		if r.del {
+			body = append(body, lsm.OpDel)
+			body = binary.AppendUvarint(body, uint64(len(r.key)))
+			body = append(body, r.key...)
+			delete(want, r.key)
+			continue
+		}
+		body = append(body, lsm.OpPut)
+		body = binary.AppendUvarint(body, uint64(len(r.key)))
+		body = append(body, r.key...)
+		body = binary.AppendUvarint(body, uint64(len(r.value)))
+		body = append(body, r.value...)
+		want[r.key] = r.value
+	}
+	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+		root := t.TempDir()
+		if err := os.MkdirAll(storeDir(root), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(storeDir(root), "0.delta"), fsx.Seal(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p := mk(root)
+		defer p.Close()
+		s := open(t, p, 0)
+		if s.NumKeys() != len(want) {
+			t.Errorf("NumKeys = %d, want %d", s.NumKeys(), len(want))
+		}
+		for _, r := range records {
+			v, ok := s.Get([]byte(r.key))
+			if w, live := want[r.key]; ok != live || string(v) != w {
+				t.Errorf("Get(%q) = %q, %v; want %q, %v", r.key, v, ok, w, live)
+			}
+		}
+		var scanned []string
+		s.Range(nil, nil, func(k, v []byte) bool {
+			scanned = append(scanned, string(k)+"="+string(v))
+			return true
+		})
+		if got := strings.Join(scanned, " "); got != "a=3 c=4 m=5" {
+			t.Errorf("Range = %q, want %q", got, "a=3 c=4 m=5")
+		}
+	})
 }

@@ -235,7 +235,7 @@ func (p *Provider) Open(id ID, version int64) (*Store, error) {
 		}
 		s = &Store{id: id, dir: dir, provider: p, backend: backend, version: -1}
 	}
-	s.pendingPut, s.pendingDel, s.known, s.err = nil, nil, nil, nil
+	s.Abort()
 	if err := s.backend.load(version); err != nil {
 		if !cached {
 			s.backend.close()
@@ -485,11 +485,11 @@ type storeBackend interface {
 	scan(from, to []byte, fn func(key, value []byte) bool) error
 	// numKeys counts committed live keys.
 	numKeys() (int64, error)
-	// commit durably applies one version's staged mutations. A key in both
-	// maps is a delete. hints, when non-nil, memoizes committed-key
-	// existence the epoch already learned by reading — backends may use it
-	// to skip redundant lookups and may ignore it.
-	commit(version int64, puts map[string][]byte, dels map[string]bool, hints map[string]bool) error
+	// commit durably applies one version's staged mutations, sorted. Each
+	// entry carries what the epoch already learned of the key's committed
+	// existence by reading (Known, Live) — backends may use it to skip
+	// redundant lookups and may ignore it.
+	commit(version int64, b lsm.Batch) error
 	// load repositions at a committed version; -1 resets to empty.
 	load(version int64) error
 	// close releases resources; the backend must not be used after.
@@ -513,27 +513,36 @@ type Store struct {
 	// backend, trip the tree's own version guard with a misleading error).
 	dirty bool
 
-	// pendingPut/pendingDel stage uncommitted mutations of the current
-	// epoch. Commit writes them as the next delta; Abort reloads.
-	pendingPut map[string][]byte
-	pendingDel map[string]bool
+	// table is the epoch's one record of every key the operator has touched:
+	// index finds a key's slot in it. A slot holds the staged mutation, if
+	// any, and what the epoch has learned of the key's committed existence,
+	// so each Put/Remove/Get/Hint is one lookup and each distinct key is
+	// allocated once. Commit sorts the staged slots into the version's
+	// delta and empties the table; Abort and Open drop it.
+	index map[string]int32
+	table []slot
+	// staged counts the slots holding a mutation.
+	staged int
+	// pass numbers the Iterate calls, for slot.seen.
+	pass uint32
 
 	// err latches the first backend read failure (e.g. a corrupt SSTable
 	// block). Get keeps its (value, ok) signature for operator code, so the
 	// failure surfaces at Commit, failing the epoch instead of silently
 	// committing results computed from wrong state.
 	err error
+}
 
-	// known memoizes committed-key existence learned by this epoch's reads.
-	// Commit hands it to the backend so live-key accounting can skip a
-	// second lookup per mutated key; it is epoch-local, reset whenever
-	// committed state can change underneath (commit, abort, reload).
-	known map[string]bool
-
-	// putHint/knownHint remember the previous epoch's map sizes. Epoch
-	// batches are similar-sized, so pre-sizing the staging maps to their
-	// predecessors avoids repeated incremental rehashes on the row path.
-	putHint, knownHint int
+// slot is one key of the staging table. The embedded entry is the staged
+// put (Value) or delete (Tomb) when staged is set; its Known/Live pair
+// memoizes committed-key existence learned by this epoch's reads and hints
+// whether or not anything is staged. The memo is epoch-local: the table is
+// dropped whenever committed state can change underneath (commit, abort,
+// reload).
+type slot struct {
+	lsm.Entry
+	staged bool
+	seen   uint32 // the Iterate pass that met the key in committed state
 }
 
 // ID returns the store's identity.
@@ -542,23 +551,34 @@ func (s *Store) ID() ID { return s.id }
 // Version returns the last committed version (-1 when empty/new).
 func (s *Store) Version() int64 { return s.version }
 
+// slotFor returns key's slot, adding an empty one when the epoch has not
+// touched the key yet — the one place a key is copied.
+func (s *Store) slotFor(key []byte) *slot {
+	// The string conversion in the map index expression is allocation-elided.
+	if i, ok := s.index[string(key)]; ok {
+		return &s.table[i]
+	}
+	if s.index == nil {
+		s.index = map[string]int32{}
+	}
+	k := string(key)
+	s.index[k] = int32(len(s.table))
+	s.table = append(s.table, slot{Entry: lsm.Entry{Key: k}})
+	return &s.table[len(s.table)-1]
+}
+
 // Get returns the value for key, honoring uncommitted changes. A backend
 // read error reports absent and latches the error for Commit.
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	// The string conversions in the map index expressions are
-	// allocation-elided; only noteKnown (which retains the key) allocates.
-	if s.pendingDel[string(key)] {
-		return nil, false
-	}
-	if v, ok := s.pendingPut[string(key)]; ok {
-		return v, true
+	if i, ok := s.index[string(key)]; ok && s.table[i].staged {
+		return s.table[i].Value, !s.table[i].Tomb
 	}
 	v, ok, err := s.backend.get(key)
 	if err != nil {
 		s.fail(err)
 		return nil, false
 	}
-	s.noteKnown(string(key), ok)
+	s.noteKnown(s.slotFor(key), ok)
 	return v, ok
 }
 
@@ -574,11 +594,8 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	needIdx := make([]int, 0, len(keys))
 	needKeys := make([][]byte, 0, len(keys))
 	for i, key := range keys {
-		if s.pendingDel[string(key)] {
-			continue
-		}
-		if v, ok := s.pendingPut[string(key)]; ok {
-			values[i], oks[i] = v, true
+		if j, ok := s.index[string(key)]; ok && s.table[j].staged {
+			values[i], oks[i] = s.table[j].Value, !s.table[j].Tomb
 			continue
 		}
 		needIdx = append(needIdx, i)
@@ -594,7 +611,7 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	}
 	for j, i := range needIdx {
 		values[i], oks[i] = bv[j], bok[j]
-		s.noteKnown(string(keys[i]), bok[j])
+		s.noteKnown(s.slotFor(keys[i]), bok[j])
 	}
 	return values, oks
 }
@@ -615,12 +632,8 @@ func (s *Store) ApplyBatch(keys [][]byte, merge func(i int, existing []byte, ok 
 	}
 }
 
-func (s *Store) noteKnown(key string, has bool) {
-	if s.known == nil {
-		s.known = make(map[string]bool, s.knownHint)
-	}
-	s.known[key] = has
-}
+// noteKnown records a fact read from committed state.
+func (s *Store) noteKnown(e *slot, has bool) { e.Known, e.Live = true, has }
 
 func (s *Store) fail(err error) {
 	if s.err == nil {
@@ -628,81 +641,75 @@ func (s *Store) fail(err error) {
 	}
 }
 
+// stage records a put or a delete in key's slot.
+func (s *Store) stage(key, value []byte, tomb bool) {
+	e := s.slotFor(key)
+	if !e.staged {
+		e.staged = true
+		s.staged++
+	}
+	e.Value, e.Tomb = value, tomb
+}
+
 // Put stages a key/value write for the current epoch. The store retains
 // the value slice — callers must not mutate it afterward. (Every operator
 // passes a freshly encoded buffer; copying it again here would double the
 // hot path's allocation rate.)
-func (s *Store) Put(key, value []byte) {
-	if s.pendingPut == nil {
-		s.pendingPut = make(map[string][]byte, s.putHint)
-		s.pendingDel = map[string]bool{}
-	}
-	k := string(key)
-	delete(s.pendingDel, k)
-	s.pendingPut[k] = value
-}
+func (s *Store) Put(key, value []byte) { s.stage(key, value, false) }
 
 // Remove stages a deletion.
-func (s *Store) Remove(key []byte) {
-	if s.pendingPut == nil {
-		s.pendingPut = make(map[string][]byte, s.putHint)
-		s.pendingDel = map[string]bool{}
-	}
-	k := string(key)
-	delete(s.pendingPut, k)
-	s.pendingDel[k] = true
-}
+func (s *Store) Remove(key []byte) { s.stage(key, nil, true) }
 
 // Iterate visits every live key/value (committed plus staged), stopping
 // early when fn returns false. Iteration order is unspecified.
 func (s *Store) Iterate(fn func(key, value []byte) bool) {
 	stopped := false
-	seen := map[string]bool{}
+	s.pass++
 	err := s.backend.iterate(func(k, v []byte) bool {
-		ks := string(k)
-		if s.pendingDel[ks] {
-			return true
+		if i, ok := s.index[string(k)]; ok && s.table[i].staged {
+			e := &s.table[i]
+			if e.Tomb {
+				return true
+			}
+			e.seen, v = s.pass, e.Value
 		}
-		if pv, ok := s.pendingPut[ks]; ok {
-			seen[ks] = true
-			v = pv
-		}
-		if !fn(k, v) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !fn(k, v)
+		return !stopped
 	})
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	if stopped {
-		return
-	}
-	for k, v := range s.pendingPut {
-		if seen[k] {
-			continue
-		}
-		if !fn([]byte(k), v) {
-			return
+	// What is left are the staged puts committed state does not hold. fn
+	// may stage more while it runs, so the table is walked by position.
+	for i := 0; i < len(s.table) && !stopped; i++ {
+		if e := &s.table[i]; e.staged && !e.Tomb && e.seen != s.pass {
+			stopped = !fn([]byte(e.Key), e.Value)
 		}
 	}
 }
 
 // Range visits the live keys in [from, to) in ascending key order — committed
 // state overlaid with staged puts and deletes exactly as Iterate does —
-// stopping early when fn returns false. nil bounds are open. The ordered
-// view of the staged puts is built per call (the staging maps stay maps).
-// It memoizes nothing about the keys it yields, and fn may keep the key
-// slice it is handed.
+// stopping early when fn returns false. nil bounds are open. The staged puts
+// inside the bounds are picked out of the table and ordered per call: a walk
+// of the table, and a sort only of what the window holds (for an eviction
+// scan, the epoch's late rows). It memoizes nothing about the keys it
+// yields, and fn may keep the key slice it is handed.
 func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
-	staged := sortedKeysIn(s.pendingPut, from, to)
+	var staged lsm.Batch
+	for i := range s.table {
+		e := &s.table[i]
+		if e.staged && !e.Tomb && inBounds(e.Key, from, to) {
+			staged = append(staged, e.Entry)
+		}
+	}
+	lsm.SortBatch(staged)
 	stopped := false
 	// yieldStaged emits the staged keys below limit (all of them when nil).
 	yieldStaged := func(limit []byte) {
-		for !stopped && len(staged) > 0 && (limit == nil || staged[0] < string(limit)) {
-			stopped = !fn([]byte(staged[0]), s.pendingPut[staged[0]])
+		for !stopped && len(staged) > 0 && (limit == nil || staged[0].Key < string(limit)) {
+			stopped = !fn([]byte(staged[0].Key), staged[0].Value)
 			staged = staged[1:]
 		}
 	}
@@ -710,11 +717,10 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 		if yieldStaged(k); stopped {
 			return false
 		}
-		if s.pendingDel[string(k)] {
+		if len(staged) > 0 && staged[0].Key == string(k) {
+			v, staged = staged[0].Value, staged[1:]
+		} else if i, ok := s.index[string(k)]; ok && s.table[i].staged && s.table[i].Tomb {
 			return true
-		}
-		if len(staged) > 0 && staged[0] == string(k) {
-			v, staged = s.pendingPut[staged[0]], staged[1:]
 		}
 		stopped = !fn(k, v)
 		return !stopped
@@ -726,16 +732,9 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 	yieldStaged(nil)
 }
 
-// sortedKeysIn returns m's keys in [from, to) ascending; nil bounds are open.
-func sortedKeysIn(m map[string][]byte, from, to []byte) []string {
-	var keys []string
-	for k := range m {
-		if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
+// inBounds reports whether key lies in [from, to); nil bounds are open.
+func inBounds(key string, from, to []byte) bool {
+	return (from == nil || key >= string(from)) && (to == nil || key < string(to))
 }
 
 // Hint records what the caller knows about key's committed state without
@@ -745,8 +744,8 @@ func sortedKeysIn(m map[string][]byte, from, to []byte) []string {
 // sweep over every SSTable). Knowledge the epoch already has wins; as with
 // any hint, a wrong one can skew the key count but never stored data.
 func (s *Store) Hint(key []byte, live bool) {
-	if _, ok := s.known[string(key)]; !ok {
-		s.noteKnown(string(key), live)
+	if e := s.slotFor(key); !e.Known {
+		s.noteKnown(e, live)
 	}
 }
 
@@ -758,35 +757,33 @@ func (s *Store) NumKeys() int {
 		return 0
 	}
 	n := int(committed)
-	for k := range s.pendingDel {
-		if s.committedHas(k) {
-			n--
+	for i := range s.table {
+		e := &s.table[i]
+		if !e.staged {
+			continue
 		}
-	}
-	for k := range s.pendingPut {
-		if !s.committedHas(k) {
+		if !e.Known {
+			_, ok, err := s.backend.get([]byte(e.Key))
+			if err != nil {
+				s.fail(err)
+				return 0
+			}
+			s.noteKnown(e, ok)
+		}
+		if e.Tomb && e.Live {
+			n--
+		} else if !e.Tomb && !e.Live {
 			n++
 		}
 	}
 	return n
 }
 
-func (s *Store) committedHas(key string) bool {
-	if has, ok := s.known[key]; ok {
-		return has
-	}
-	_, ok, err := s.backend.get([]byte(key))
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	s.noteKnown(key, ok)
-	return ok
-}
-
 // Commit durably writes the staged changes as the version's delta and folds
-// them into the backend. Committing with no staged changes still records
-// the (empty) version so recovery can find it. A latched read error from
+// them into the backend. This is where the epoch's delta is ordered, once:
+// the delta file, the memtable's runs and through them the flush all read
+// the batch built here. Committing with no staged changes still records the
+// (empty) version so recovery can find it. A latched read error from
 // earlier in the epoch fails the commit: results computed from unreadable
 // state must not become durable.
 func (s *Store) Commit(version int64) error {
@@ -796,13 +793,27 @@ func (s *Store) Commit(version int64) error {
 	if version <= s.version {
 		return fmt.Errorf("state: commit version %d not after current %d for %s", version, s.version, s.id)
 	}
-	if err := s.backend.commit(version, s.pendingPut, s.pendingDel, s.known); err != nil {
+	b := make(lsm.Batch, 0, s.staged)
+	for i := range s.table {
+		if s.table[i].staged {
+			b = append(b, s.table[i].Entry)
+		}
+	}
+	lsm.SortBatch(b)
+	if err := s.backend.commit(version, b); err != nil {
 		s.dirty = true
 		return err
 	}
-	s.putHint, s.knownHint = len(s.pendingPut), len(s.known)
-	s.pendingPut, s.pendingDel, s.known = nil, nil, nil
 	s.version = version
+	if 4*len(s.table) < cap(s.table) {
+		s.Abort() // emptying costs the capacity; an outsized epoch's is not worth keeping
+		return nil
+	}
+	// Epoch batches are similar-sized: the emptied table serves the next one
+	// without allocating, growing or rehashing on the row path.
+	clear(s.index)
+	clear(s.table)
+	s.table, s.staged = s.table[:0], 0
 	return nil
 }
 
@@ -813,7 +824,7 @@ func (s *Store) Err() error { return s.err }
 
 // Abort discards staged changes (and any latched read error with them).
 func (s *Store) Abort() {
-	s.pendingPut, s.pendingDel, s.known = nil, nil, nil
+	s.index, s.table, s.staged = nil, nil, 0
 	s.err = nil
 }
 

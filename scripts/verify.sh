@@ -25,9 +25,16 @@ go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuou
 	./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
 # Fuzz smoke: a few seconds of coverage-guided input on the state record
 # framing shared by deltas, snapshots, and LSM batches — round-trips must
-# hold and corrupt input must never panic the decoder.
+# hold, corrupt input must never panic the decoder, and records out of order
+# or repeating a key must replay as the log they are.
 echo ">> lsm record-framing fuzz smoke"
 go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
+# The state layer's micro-benchmarks, one iteration each: they assert their
+# own set-up (a full memtable, a window's key count), so they must keep
+# running, not only compiling.
+echo ">> state and lsm micro-benchmarks, -benchtime 1x"
+go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter' -benchtime 1x \
+	./internal/state/ ./internal/lsm/ >/dev/null
 # And on the SSTable reader — footer, filter header, block index and block
 # entries, each fuzzed behind a valid checksum: no panic, and nothing but
 # fsx.ErrCorrupt comes back.
@@ -60,14 +67,15 @@ echo ">> benchmark module vet + tests"
 # Names whose producer is gone (the legacy bench harness and the options
 # only it selected; the simulated cluster scheduler, its injection hooks,
 # its gauges and the writer method that selected it; the bus's timed
-# per-partition wait, replaced by the arrival signal) must not survive in
-# code, scripts or docs. The pattern is assembled from halves so this
-# script does not match itself.
+# per-partition wait, replaced by the arrival signal; the state store's
+# three staging maps, their filter-and-sort helper and the tree's second
+# commit entry point) must not survive in code, scripts or docs. The pattern
+# is assembled from halves so this script does not match itself.
 echo ">> stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
 stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
-stale="$stale"'|Wait''ForData'
+stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pending''Del'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
