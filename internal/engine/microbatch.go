@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
-	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/vec"
 	"structream/internal/state"
@@ -811,12 +811,12 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	case batch != nil && pipe.Vec.Agg != nil && pipe.KeyIdxs != nil:
 		// Columnar partial aggregation: the whole map side — kernels,
 		// grouping, aggregate folding, shuffle routing — runs without boxing
-		// a row. Groups render straight into buckets, routed by hashing
-		// each group's cached key encoding (identical buckets to the boxed
-		// scatter below).
+		// a row. Groups render straight into buckets as partial cells,
+		// routed by each group's cached key hash (identical buckets to the
+		// boxed scatter below).
 		res.buckets = pipe.ProcessBatchScatter(batch, nPart)
-		// The buckets hold rendered rows, which point at record bytes and
-		// never into the batch: this is the one branch that may recycle it.
+		// The buckets hold partial cells, which point into their own slabs
+		// and never into the batch: this is the one branch that may recycle it.
 		batch.Release()
 	default:
 		// Boxed scatter: push rows straight into shuffle buckets, with no
@@ -825,10 +825,7 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 		res.buckets = make([][]sql.Row, nPart)
 		key := make([]sql.Value, len(pipe.KeyEvals))
 		emit := func(row sql.Row) {
-			for k, ev := range pipe.KeyEvals {
-				key[k] = ev(row)
-			}
-			b := int(codec.HashKey(key) % uint64(nPart))
+			b := pipe.PartitionOf(row, key, nPart)
 			res.buckets[b] = append(res.buckets[b], row)
 		}
 		if batch != nil {
@@ -842,15 +839,22 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 }
 
 // gather folds the map tasks' results, in task order, into the record and
-// the exchange, and returns the tasks' summed read and pipeline time.
+// the exchange, and returns the tasks' summed read and pipeline time. A
+// reduce input fed by one task's bucket is that bucket, handed over as it
+// is; one fed by several is sized once and filled in task order.
 func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exchange, readNanos, pipeNanos int64) {
 	ex = &exchange{
 		byPart: make([][2][]sql.Row, e.opts.NumPartitions),
 		colOut: e.colSink != nil,
 	}
+	shuffled := make([][2]int, e.opts.NumPartitions) // rows bound for [partition][side]
 	for _, res := range results {
-		if res := res.(*mapResult); res.vecOut == nil && len(res.direct) > 0 {
+		res := res.(*mapResult)
+		if res.vecOut == nil && len(res.direct) > 0 {
 			ex.colOut = false
+		}
+		for p, b := range res.buckets {
+			shuffled[p][res.side] += len(b)
 		}
 	}
 	for ti, res := range results {
@@ -880,8 +884,17 @@ func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exch
 			ex.rows = append(ex.rows, res.direct...)
 		default:
 			for p, b := range res.buckets {
-				if len(b) > 0 {
-					ex.byPart[p][res.side] = append(ex.byPart[p][res.side], b...)
+				if len(b) == 0 {
+					continue
+				}
+				in, total := &ex.byPart[p][res.side], shuffled[p][res.side]
+				switch {
+				case len(b) == total:
+					*in = b
+				case *in == nil:
+					*in = append(make([]sql.Row, 0, total), b...)
+				default:
+					*in = append(*in, b...)
 				}
 			}
 		}
@@ -964,6 +977,11 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			return 0, 0, err
 		}
 		var keys int64
+		emitted := 0
+		for _, res := range results {
+			emitted += len(res.(*reduceResult).rows)
+		}
+		ex.rows = slices.Grow(ex.rows, emitted)
 		for p, res := range results {
 			res := res.(*reduceResult)
 			ex.rows = append(ex.rows, res.rows...)

@@ -87,6 +87,11 @@ func Compile(plan logical.Plan, mode logical.OutputMode, resolveStatic physical.
 	}
 	q.OutSchema = outSchema
 	q.Post = func(rows []sql.Row) ([]sql.Row, error) {
+		if postIdentity {
+			// Nothing above the boundary: the stage's rows are the result,
+			// and need no operator tree to copy them out of.
+			return rows, nil
+		}
 		resolver := func(s *logical.Scan) (physical.RowSource, error) {
 			if s == marker {
 				return physical.NewSliceSource(stageSchema, rows), nil
@@ -767,7 +772,7 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
 		h := newPartialAgg(keyEvals, aggs)
 		return h.update, func() {
-			for _, row := range h.shuffleRows() {
+			for _, row := range h.scatter(1)[0] {
 				next(row)
 			}
 		}
@@ -796,7 +801,7 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 		v.Agg = vecAgg
 		v.sealed = true
 	}
-	routeByLeadingColumns(pipes, len(a.Keys))
+	routeByPartialKey(pipes, len(a.Keys))
 	q.Pipelines = pipes
 	return op, len(a.Keys), nil
 }
@@ -1058,6 +1063,36 @@ func routeByLeadingColumns(pipes []*Pipeline, n int) {
 	for _, p := range pipes {
 		p.KeyEvals = evals
 		p.KeyIdxs = idxs
+	}
+}
+
+// routeByPartialKey routes an aggregate's shuffle rows by their whole
+// grouping key (n values). The row is a partial cell, and the engine routes
+// it by the hash the cell carries (Pipeline.PartitionOf); KeyEvals say what
+// that hash is of, for callers that route through them: evaluator i decodes
+// value i out of the cell's key bytes, boxed. KeyIdxs keep their meaning for
+// the vector plan: the key columns lead the aggregate's input.
+func routeByPartialKey(pipes []*Pipeline, n int) {
+	evals := make([]func(sql.Row) sql.Value, n)
+	idxs := make([]int, n)
+	for i := 0; i < n; i++ {
+		i := i
+		evals[i] = func(r sql.Row) sql.Value {
+			c, ok := partialOf(r)
+			if !ok {
+				return nil
+			}
+			pos := keyValueAt(c.key, i)
+			if pos < 0 {
+				return nil
+			}
+			v, _ := sql.ReadValue(c.key, pos) // a cell's key is the engine's own encoding
+			return v
+		}
+		idxs[i] = i
+	}
+	for _, p := range pipes {
+		p.KeyEvals, p.KeyIdxs, p.partial = evals, idxs, true
 	}
 }
 

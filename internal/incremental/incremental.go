@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"structream/internal/sql"
+	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
@@ -81,7 +82,7 @@ type Pipeline struct {
 	// Stages are the fused row transformations, leaf first.
 	Stages []StageFactory
 	// KeyEvals route stage output rows to state partitions; nil for
-	// map-only queries.
+	// map-only queries. PartitionOf is how the engine applies them.
 	KeyEvals []func(sql.Row) sql.Value
 	// KeyIdxs, when non-nil, are the stage-output column indexes behind
 	// KeyEvals (every current routing key is a plain column). A fully
@@ -110,11 +111,31 @@ type Pipeline struct {
 	// the vector plan then runs over, and nothing in the plan touches them.
 	SourceCols []int
 	reads      *sourceReads // compile-time accumulator behind SourceCols
+	// partial marks an aggregate's map pipeline: its stage output is one
+	// partialCell per group, which carries its own routing hash.
+	partial bool
 	// aggPool recycles columnar partial-aggregation hash tables across
 	// map tasks. Safe because shuffle rows alias nothing inside the
-	// table: renderRow copies the boxed key values and EncodeValues
-	// allocates fresh buffer bytes.
+	// table: scatter copies every group's key and state bytes into slabs
+	// it allocates per call, and the cells point only there.
 	aggPool sync.Pool
+}
+
+// PartitionOf returns the shuffle partition, of nPart, of one stage-output
+// row. A partial cell carries the hash of its encoded key; any other row is
+// hashed through KeyEvals, with key (len(KeyEvals) long) as scratch. Both
+// are codec.HashKey of the routing key, so a key's partition does not depend
+// on which form its row took.
+func (p *Pipeline) PartitionOf(row sql.Row, key []sql.Value, nPart int) int {
+	if p.partial {
+		if c, ok := partialOf(row); ok {
+			return int(c.hash % uint64(nPart))
+		}
+	}
+	for k, ev := range p.KeyEvals {
+		key[k] = ev(row)
+	}
+	return int(codec.HashKey(key) % uint64(nPart))
 }
 
 // getPartialAgg takes a reset partial-aggregation table from the pool (or
@@ -170,7 +191,7 @@ func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink RowEmit) {
 	if a := p.Vec.Agg; a != nil {
 		h := p.getPartialAgg()
 		h.updateBatch(b, a)
-		for _, row := range h.shuffleRows() {
+		for _, row := range h.scatter(1)[0] {
 			sink(row)
 		}
 		p.putPartialAgg(h)
@@ -185,13 +206,14 @@ func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink RowEmit) {
 
 // ProcessBatchScatter runs one task's column batch through the vectorized
 // ops and the columnar partial aggregation, then renders the groups
-// straight into nPart shuffle buckets, routing by each group's cached
-// encoded key bytes. Valid only when p.Vec != nil, p.Vec.Agg != nil, and
-// KeyIdxs is non-nil (the compiler guarantees the shuffle key columns lead
-// the aggregation's grouping key, so hashing the cached key encoding
-// routes identically to boxing the row and calling codec.HashKey). This is
-// what keeps agg pipelines columnar across the exchange: one hash+encode
-// per input lane, one render per group, zero per-row boxing.
+// straight into nPart shuffle buckets — one row, of one partial cell, per
+// group — routing by each group's cached key hash. Valid only when
+// p.Vec != nil, p.Vec.Agg != nil, and KeyIdxs is non-nil (the compiler
+// guarantees the shuffle key is the aggregation's grouping key, so the
+// hash of the cached key encoding routes identically to boxing the key and
+// calling codec.HashKey). This is what keeps agg pipelines columnar across
+// the exchange: one hash+encode per input lane, one render per group into
+// per-bucket slabs, zero boxing.
 func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
 	for _, op := range p.Vec.Ops {
 		b = op.Apply(b)

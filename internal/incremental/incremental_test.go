@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -178,6 +179,21 @@ func TestStatefulAggregateCorruptState(t *testing.T) {
 	_, err := op.Process(&EpochContext{Epoch: 0, Mode: logical.Complete}, store, [][]sql.Row{nil})
 	if err == nil {
 		t.Error("corrupt state should surface an error")
+	}
+}
+
+// TestStatefulAggregateCorruptLength: a buffer length of 2⁶³ or more in a
+// state value read off disk wraps negative as an int. A signed bound check
+// lets it through and the slice expression behind it panics; it is corrupt
+// state, and must be reported as that.
+func TestStatefulAggregateCorruptLength(t *testing.T) {
+	_, op := buildAggOp(t, logical.Update)
+	store := openStore(t, "agg")
+	key := codec.EncodeValues([]sql.Value{sql.Window{Start: 0, End: 10 * sec}})
+	store.Put(key, binary.AppendUvarint(nil, 1<<63+5))
+	_, err := op.Process(&EpochContext{Epoch: 0, Mode: logical.Complete}, store, [][]sql.Row{nil})
+	if err == nil || !strings.Contains(err.Error(), "corrupt aggregate state for "+op.OpName) {
+		t.Fatalf("err = %v, want the corrupt-state error", err)
 	}
 }
 

@@ -30,8 +30,7 @@ import (
 type StatefulAggregate struct {
 	// OpName is the state-store operator id.
 	OpName string
-	// NumKeys is the grouping-key arity; shuffle rows are
-	// [keys..., buf1, buf2, ...].
+	// NumKeys is the grouping-key arity. A shuffle row is one partialCell.
 	NumKeys int
 	// Aggs are the bound aggregates (buffer factories).
 	Aggs []sql.BoundAgg
@@ -77,17 +76,37 @@ func kernelFor(a sql.BoundAgg) aggKernel {
 	return kernelBoxed
 }
 
+// partialCell is the one column of an aggregate's shuffle row: a map-side
+// partial group in the form the reduce side consumes without decoding
+// anything it does not merge. Aggregates are monoid homomorphisms, so a
+// partial is a state value: state holds the buffers in the state-store value
+// layout (appendAggState), key is the state-store key, and hash — the
+// shuffle-routing hash of key — also groups the cell on the reduce side. A
+// group that arrives as a single partial and is new to the store is stored
+// by handing state to Store.Put as it is.
+//
+// Cells are engine-private and immutable once rendered. key and state are
+// cut from slabs that partialAgg.scatter allocates per bucket per call and
+// never reuses: the store may keep a state slice until its memtable flushes
+// (the memory backend, until the key is next written).
+type partialCell struct {
+	hash  uint64
+	key   []byte
+	state []byte
+}
+
+func (c *partialCell) String() string { return fmt.Sprintf("partial(%x: %x)", c.key, c.state) }
+
 // partialAgg is a small map-side hash aggregator that renders its groups
 // as shuffle rows. The compiler installs it as the blocking terminal stage
 // of each map pipeline. Groups live in one contiguous slab in first-seen
 // (= emission) order, reached through an open-addressed bucket table that
 // chains colliding groups by slab index; each group caches its full hash
 // and its encoded key bytes (sliced out of a shared arena), so hash hits
-// compare raw bytes and never re-render (or re-box) the key, and shuffle
-// routing can hash the cached bytes directly. The slab, table, arena, and
-// aggregate-pass scratch all survive reset(), so a pooled instance
-// processes an epoch's batch with near-zero per-group bookkeeping
-// allocations.
+// compare raw bytes and never box the key, and the rendered cell carries
+// both on. The slab, table, arena, and aggregate-pass scratch all survive
+// reset(), so a pooled instance processes an epoch's batch with near-zero
+// per-group bookkeeping allocations.
 type partialAgg struct {
 	keyEvals []func(sql.Row) sql.Value
 	aggs     []sql.BoundAgg
@@ -96,7 +115,6 @@ type partialAgg struct {
 	slots    []int32        // power-of-2 buckets: chain-head index + 1, 0 = empty
 	arena    []byte         // backing storage for group keyBytes
 	bufArena []sql.AggBuffer
-	scratch  []sql.Value
 	enc      *codec.Encoder
 	// aggregate-pass scratch, reused across batches
 	laneIdx   []int32
@@ -104,11 +122,14 @@ type partialAgg struct {
 	counts    []int64
 	isums     []int64
 	fsums     []float64
+	// scatter's scratch: every group's state bytes back to back, and where
+	// each group's end
+	states   []byte
+	stateEnd []int
 }
 
 type partialGroup struct {
-	key      []sql.Value
-	keyBytes []byte // cached codec encoding of key; backs hit-path compares
+	keyBytes []byte // cached codec encoding of the key; backs hit-path compares
 	bufs     []sql.AggBuffer
 	h        uint64 // full key hash; resolves bucket collisions and rebuilds
 	next     int32  // next group in this bucket's chain, -1 ends the chain
@@ -124,14 +145,13 @@ func newPartialAgg(keyEvals []func(sql.Row) sql.Value, aggs []sql.BoundAgg) *par
 		aggs:     aggs,
 		kernels:  kernels,
 		slots:    make([]int32, 1024),
-		scratch:  make([]sql.Value, len(keyEvals)),
 		enc:      codec.NewEncoder(64),
 	}
 }
 
 // reset clears the groups while keeping every allocation (slab, bucket
-// table, arenas, scratch slabs) for reuse. Callers must not retain
-// references into the previous generation's keyBytes or buffers.
+// table, arenas, scratch slabs) for reuse. Nothing rendered from the
+// previous generation points into them: scatter copies.
 func (p *partialAgg) reset() {
 	p.groups = p.groups[:0]
 	clear(p.slots)
@@ -154,22 +174,14 @@ func (p *partialAgg) grow() {
 }
 
 // update is the map-side per-record hot path: the key is encoded into a
-// reused buffer, hashed, and chained-probed against cached key bytes; only
-// first-seen groups materialize (box and copy) their key.
+// reused buffer, hashed, and chained-probed against cached key bytes.
 func (p *partialAgg) update(r sql.Row) {
-	for i, e := range p.keyEvals {
-		p.scratch[i] = e(r)
-	}
 	p.enc.Reset()
-	for _, v := range p.scratch {
-		p.enc.PutValue(v)
+	for _, e := range p.keyEvals {
+		p.enc.PutValue(e(r))
 	}
 	kb := p.enc.Bytes()
-	gi := p.lookupHashed(codec.HashBytes(kb), kb)
-	g := &p.groups[gi]
-	if g.key == nil && len(p.scratch) > 0 {
-		g.key = append([]sql.Value(nil), p.scratch...)
-	}
+	g := &p.groups[p.lookupHashed(codec.HashBytes(kb), kb)]
 	for i, a := range p.aggs {
 		if a.Input == nil {
 			g.bufs[i].Update(nil)
@@ -186,8 +198,7 @@ func (p *partialAgg) update(r sql.Row) {
 // cached keyBytes. The codec encoding is injective, so equal bytes ⇔ equal
 // keys. On a miss the key bytes are copied into the arena (kb usually
 // aliases a reused encoder buffer) and the new group is prepended to its
-// bucket's chain with a nil boxed key — the caller fills key in when it
-// sees one (a lazily-boxed closure here would allocate per probe).
+// bucket's chain.
 func (p *partialAgg) lookupHashed(h uint64, kb []byte) int32 {
 	b := h & uint64(len(p.slots)-1)
 	for gi := p.slots[b] - 1; gi >= 0; gi = p.groups[gi].next {
@@ -240,7 +251,7 @@ func (p *partialAgg) updateBatch(b *vec.Batch, plan *VecAggPlan) {
 		}
 	}
 
-	// Grouping pass: one hash+encode per live lane, no boxing on hits.
+	// Grouping pass: one hash+encode per live lane, no boxing.
 	lanes := b.Sel
 	if lanes == nil {
 		if cap(p.laneIdx) < b.Len {
@@ -258,15 +269,7 @@ func (p *partialAgg) updateBatch(b *vec.Batch, plan *VecAggPlan) {
 	for j, lane := range lanes {
 		i := int(lane)
 		h := codec.HashVec(p.enc, keys, i) // leaves encoded key in p.enc
-		gi := p.lookupHashed(h, p.enc.Bytes())
-		if g := &p.groups[gi]; g.key == nil && len(keys) > 0 {
-			key := make([]sql.Value, len(keys))
-			for c, kv := range keys {
-				key[c] = kv.Get(i)
-			}
-			g.key = key
-		}
-		laneGroup[j] = gi
+		laneGroup[j] = p.lookupHashed(h, p.enc.Bytes())
 	}
 
 	// Aggregate pass: per-group slab accumulation in lane order, one bulk
@@ -398,197 +401,240 @@ func (p *partialAgg) updateLanesBoxed(k int, in *vec.Vector, lanes []int32, lane
 	}
 }
 
-func (p *partialAgg) renderRow(g *partialGroup) sql.Row {
-	row := make(sql.Row, 0, len(g.key)+len(g.bufs))
-	row = append(row, g.key...)
-	for _, b := range g.bufs {
-		row = append(row, codec.EncodeValues(b.Serialize()))
-	}
-	return row
-}
-
-func (p *partialAgg) shuffleRows() []sql.Row {
-	out := make([]sql.Row, 0, len(p.groups))
-	for gi := range p.groups {
-		out = append(out, p.renderRow(&p.groups[gi]))
-	}
-	return out
-}
-
-// scatter renders the groups straight into shuffle partitions, routing by
-// the cached key bytes. codec.HashBytes(keyBytes) == codec.HashKey(key),
-// so the buckets match what per-row KeyEvals + HashKey routing produces.
+// scatter renders the groups as shuffle rows — one partial cell each, in
+// first-seen order — into nPart buckets, routed by the cached key hash:
+// codec.HashBytes(keyBytes) == codec.HashKey(key), so the buckets are those
+// boxing the key and hashing it would give. A counting pass renders every
+// group's state bytes once into pooled scratch and sizes each bucket; the
+// copy pass cuts cells, row headers, key bytes and state bytes out of one
+// slab each per bucket, so a call allocates O(buckets) and nothing per
+// group. The slabs are fresh on every call and never pooled (see
+// partialCell); state bytes have a slab of their own because they are what
+// the store may keep, and a kept value pins its slab.
 func (p *partialAgg) scatter(nPart int) [][]sql.Row {
-	buckets := make([][]sql.Row, nPart)
+	type bucket struct {
+		cells                 []partialCell
+		vals                  []sql.Value // row i is vals[i : i+1]
+		keys, states          []byte
+		n, keySize, stateSize int
+	}
+	slabs := make([]bucket, nPart)
+	p.states, p.stateEnd = p.states[:0], p.stateEnd[:0]
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		part := int(codec.HashBytes(g.keyBytes) % uint64(nPart))
-		buckets[part] = append(buckets[part], p.renderRow(g))
+		from := len(p.states)
+		p.states = appendAggState(p.states, g.bufs)
+		p.stateEnd = append(p.stateEnd, len(p.states))
+		b := &slabs[g.h%uint64(nPart)]
+		b.n++
+		b.keySize += len(g.keyBytes)
+		b.stateSize += len(p.states) - from
+	}
+	buckets := make([][]sql.Row, nPart)
+	for part := range slabs {
+		if b := &slabs[part]; b.n > 0 {
+			b.cells = make([]partialCell, 0, b.n)
+			b.vals = make([]sql.Value, 0, b.n)
+			b.keys = make([]byte, 0, b.keySize)
+			b.states = make([]byte, 0, b.stateSize)
+			buckets[part] = make([]sql.Row, 0, b.n)
+		}
+	}
+	from := 0
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		part := g.h % uint64(nPart)
+		b := &slabs[part]
+		k, st := len(b.keys), len(b.states)
+		b.keys = append(b.keys, g.keyBytes...)
+		b.states = append(b.states, p.states[from:p.stateEnd[gi]]...)
+		from = p.stateEnd[gi]
+		i := len(b.cells)
+		b.cells = append(b.cells, partialCell{
+			hash:  g.h,
+			key:   b.keys[k:len(b.keys):len(b.keys)],
+			state: b.states[st:len(b.states):len(b.states)],
+		})
+		b.vals = append(b.vals, &b.cells[i])
+		buckets[part] = append(buckets[part], b.vals[i:i+1:i+1])
 	}
 	return buckets
 }
 
-// encodeAggState packs all aggregate buffers into one state-store value.
-func encodeAggState(bufs []sql.AggBuffer) []byte {
-	return appendAggState(nil, codec.NewEncoder(16), bufs)
-}
-
-// appendAggState is encodeAggState appending to dst, with enc as scratch for
-// one buffer's values at a time — the batched merge passes its mergeState's
-// own, so the only allocation per group is the value the store retains.
-func appendAggState(dst []byte, enc *codec.Encoder, bufs []sql.AggBuffer) []byte {
+// appendAggState appends the state-store value of one group: each aggregate
+// buffer's state bytes behind their uvarint length. The length is written
+// after the bytes it counts: one byte is reserved for it, which nearly every
+// buffer fits, and a longer state (HLL registers, a large distinct set) is
+// moved up to make room.
+func appendAggState(dst []byte, bufs []sql.AggBuffer) []byte {
 	for _, b := range bufs {
-		enc.Reset()
-		for _, v := range b.Serialize() {
-			enc.PutValue(v)
+		at := len(dst)
+		dst = b.AppendState(append(dst, 0))
+		n := len(dst) - at - 1
+		if n < 0x80 {
+			dst[at] = byte(n)
+			continue
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(enc.Bytes())))
-		dst = append(dst, enc.Bytes()...)
+		var length [binary.MaxVarintLen64]byte
+		w := binary.PutUvarint(length[:], uint64(n))
+		dst = append(dst, length[:w-1]...)
+		copy(dst[at+w:], dst[at+1:at+1+n])
+		copy(dst[at:], length[:w])
 	}
 	return dst
 }
 
-func (a *StatefulAggregate) decodeAggState(data []byte) ([]sql.AggBuffer, error) {
+func (a *StatefulAggregate) errCorruptState() error {
+	return fmt.Errorf("incremental: corrupt aggregate state for %s", a.OpName)
+}
+
+// newBuffers allocates one empty buffer per aggregate.
+func (a *StatefulAggregate) newBuffers() []sql.AggBuffer {
 	bufs := make([]sql.AggBuffer, len(a.Aggs))
 	for i, agg := range a.Aggs {
 		bufs[i] = agg.NewBuffer()
 	}
-	if err := a.decodeAggStateInto(data, bufs, new([]sql.Value)); err != nil {
-		return nil, err
-	}
-	return bufs, nil
+	return bufs
 }
 
-// decodeAggStateInto overwrites bufs with a stored state value. Like
-// decodeShuffleInto, Deserialize fully replaces buffer state, so callers
-// may reuse one buffer set across groups — and, since no Deserialize keeps
-// the slice it is handed, one decoded-values slice (vals) across calls.
-func (a *StatefulAggregate) decodeAggStateInto(data []byte, bufs []sql.AggBuffer, vals *[]sql.Value) error {
+// loadAggState overwrites bufs with a state value — one read back from the
+// store, or the one a partial cell carries. Every LoadState fully replaces
+// its buffer and keeps nothing of data, so callers may reuse one buffer set
+// across groups. The lengths come off disk: they are compared unsigned, since
+// int(n) of a corrupt one can wrap negative and pass a signed bound.
+func (a *StatefulAggregate) loadAggState(data []byte, bufs []sql.AggBuffer) error {
 	pos := 0
-	for i := range a.Aggs {
+	for _, b := range bufs {
 		n, w := binary.Uvarint(data[pos:])
-		if w <= 0 || pos+w+int(n) > len(data) {
-			return fmt.Errorf("incremental: corrupt aggregate state for %s", a.OpName)
+		if w <= 0 || n > uint64(len(data)-pos-w) {
+			return a.errCorruptState()
 		}
 		pos += w
-		var err error
-		if *vals, err = codec.AppendValues((*vals)[:0], data[pos:pos+int(n)]); err != nil {
-			return fmt.Errorf("incremental: %v", err)
+		if err := b.LoadState(data[pos : pos+int(n)]); err != nil {
+			return fmt.Errorf("%w: %v", a.errCorruptState(), err)
 		}
 		pos += int(n)
-		if err := bufs[i].Deserialize(*vals); err != nil {
-			return err
-		}
+	}
+	if pos != len(data) {
+		return a.errCorruptState()
 	}
 	return nil
 }
 
-// decodeShuffleBufs decodes the serialized partial buffers carried by one
-// shuffle row into fresh buffers.
-func (a *StatefulAggregate) decodeShuffleBufs(r sql.Row) ([]sql.AggBuffer, error) {
-	incoming := make([]sql.AggBuffer, len(a.Aggs))
-	for i, agg := range a.Aggs {
-		incoming[i] = agg.NewBuffer()
-	}
-	if err := a.decodeShuffleInto(r, incoming, new([]sql.Value)); err != nil {
-		return nil, err
-	}
-	return incoming, nil
-}
-
-// decodeShuffleInto overwrites bufs with the partials carried by one
-// shuffle row. Every Deserialize fully replaces buffer state and no Merge
-// retains references into its argument, so callers may reuse one buffer
-// set across rows — the merge loop leans on this to avoid allocating a
-// buffer per incoming row.
-func (a *StatefulAggregate) decodeShuffleInto(r sql.Row, bufs []sql.AggBuffer, vals *[]sql.Value) error {
-	for i := range a.Aggs {
-		enc, ok := r[a.NumKeys+i].([]byte)
+// cellsOf unwraps one partition's shuffle rows.
+func (a *StatefulAggregate) cellsOf(rows []sql.Row, cells []*partialCell) ([]*partialCell, error) {
+	cells = cells[:0]
+	for _, r := range rows {
+		c, ok := partialOf(r)
 		if !ok {
-			return fmt.Errorf("incremental: bad shuffle row for %s", a.OpName)
+			return nil, fmt.Errorf("incremental: bad shuffle row for %s", a.OpName)
 		}
-		var err error
-		if *vals, err = codec.AppendValues((*vals)[:0], enc); err != nil {
-			return err
-		}
-		if err := bufs[i].Deserialize(*vals); err != nil {
-			return err
-		}
+		cells = append(cells, c)
 	}
-	return nil
+	return cells, nil
 }
 
-// survivorSel computes which input rows survive the watermark gate using
-// the vectorized expiry kernel: the event-time key column is unpacked into
-// timestamp/kind/validity slabs once, and vec.ExpirySel selects the
-// surviving lanes. Returns nil when no gating applies (all rows live).
-func (a *StatefulAggregate) survivorSel(ctx *EpochContext, rows []sql.Row) []int32 {
-	if a.EventKeyIdx < 0 || ctx.Watermark <= 0 || len(rows) == 0 {
-		return nil
+// partialOf reports the partial cell a shuffle row consists of.
+func partialOf(r sql.Row) (*partialCell, bool) {
+	if len(r) != 1 {
+		return nil, false
 	}
-	n := len(rows)
+	c, ok := r[0].(*partialCell)
+	return c, ok && c != nil
+}
+
+// keyValueAt returns where value idx of an encoded grouping key starts, or
+// -1 when the key does not decode that far.
+func keyValueAt(key []byte, idx int) int {
+	pos := 0
+	for i := 0; i < idx && pos >= 0; i++ {
+		pos = sql.SkipValue(key, pos)
+	}
+	return pos
+}
+
+// keyEventTime reads the event-time value at position idx of an encoded
+// grouping key without boxing it: a window (its end, isWin set) or a raw
+// timestamp. valid is false for anything else (a NULL timestamp never
+// expires); a key that does not decode that far is an error.
+func (a *StatefulAggregate) keyEventTime(key []byte) (evt int64, isWin, valid bool, err error) {
+	pos := keyValueAt(key, a.EventKeyIdx)
+	if pos < 0 || sql.SkipValue(key, pos) < 0 {
+		return 0, false, false, fmt.Errorf("incremental: corrupt aggregate state key for %s", a.OpName)
+	}
+	if _, end, next := sql.ReadWindow(key, pos); next >= 0 {
+		return end, true, true, nil
+	}
+	ts, next := sql.ReadInt64(key, pos)
+	return ts, false, next >= 0, nil
+}
+
+// expired reports whether an event-time key value is entirely below the
+// watermark: a window is expired once its End has passed; a raw timestamp
+// once the timestamp itself has. vec.ExpirySel is the slab form of exactly
+// this predicate.
+func expired(evt int64, isWin, valid bool, watermark int64) bool {
+	if isWin {
+		return valid && evt <= watermark
+	}
+	return valid && evt < watermark
+}
+
+// survivorSel computes which cells survive the watermark gate using the
+// vectorized expiry kernel: the event-time key is read out of each cell's
+// key bytes into timestamp/kind/validity slabs once, and vec.ExpirySel
+// selects the surviving lanes. Returns nil when no gating applies (all
+// cells live).
+func (a *StatefulAggregate) survivorSel(ctx *EpochContext, cells []*partialCell) ([]int32, error) {
+	if a.EventKeyIdx < 0 || ctx.Watermark <= 0 || len(cells) == 0 {
+		return nil, nil
+	}
+	n := len(cells)
 	evt := make([]int64, n)
 	isWin := make([]bool, n)
 	valid := make([]bool, n)
-	for i, r := range rows {
-		switch x := r[a.EventKeyIdx].(type) {
-		case sql.Window:
-			evt[i], isWin[i], valid[i] = x.End, true, true
-		case int64:
-			evt[i], valid[i] = x, true
+	for i, c := range cells {
+		var err error
+		if evt[i], isWin[i], valid[i], err = a.keyEventTime(c.key); err != nil {
+			return nil, err
 		}
 	}
-	return vec.ExpirySel(evt, isWin, valid, ctx.Watermark, false, make([]int32, 0, n))
-}
-
-// mergeGroup is one distinct grouping key's worth of this epoch's shuffle
-// rows in the row-path baseline merge: the boxed key (from the first row
-// seen) and the latest merged buffers.
-type mergeGroup struct {
-	key      []sql.Value
-	keyBytes []byte
-	bufs     []sql.AggBuffer
+	return vec.ExpirySel(evt, isWin, valid, ctx.Watermark, false, make([]int32, 0, n)), nil
 }
 
 // mergeState is the pooled scratch behind the batched reduce merge: the
-// group slab, the open-addressed bucket table, per-row chain links, the
-// GetBatch key vector, the key-bytes arena, and two reusable aggregate
-// buffer sets. One mergeState serves one Process call; a sync.Pool on the
-// operator recycles them across epochs and concurrent state partitions,
-// so a steady-state epoch allocates only what it must hand off — emit
-// rows and encoded state values.
+// unwrapped cells, the group slab, the open-addressed bucket table, per-row
+// chain links, the GetBatch key vector, and two reusable aggregate buffer
+// sets. One mergeState serves one Process call; a sync.Pool on the operator
+// recycles them across epochs and concurrent state partitions, so a
+// steady-state epoch allocates only what it must hand off — emit rows and
+// merged state values.
 type mergeState struct {
+	cells   []*partialCell
 	groups  []vecMergeGroup
 	slots   []int32 // power-of-2 buckets: group index + 1, 0 = empty
 	rowNext []int32 // chains a group's rows in arrival order, -1 ends
 	keys    [][]byte
-	arena   []byte // backing storage for group keyBytes
 	dst     []sql.AggBuffer
 	src     []sql.AggBuffer
-	enc     codec.Encoder // key bytes while grouping, then appendAggState's scratch
-	val     []byte        // one group's encoded state before the store's copy is cut
-	vals    []sql.Value   // one buffer's decoded values, between decode and Deserialize
+	val     []byte // one group's merged state before the store's copy is cut
 }
 
-// vecMergeGroup is one distinct key in the batched merge. Rows reach the
-// merge loop via the firstRow/rowNext chain instead of a per-group index
-// slice, and the Update-mode emit row is built during the merge while the
-// shared dst buffers still hold the group's final state.
+// vecMergeGroup is one distinct key in the batched merge: its rows, which
+// reach the merge loop via the firstRow/rowNext chain instead of a per-group
+// index slice. The key is the first row's cell's; its hash is kept here so a
+// probe that misses touches no cell.
 type vecMergeGroup struct {
-	keyBytes          []byte
 	h                 uint64
 	firstRow, lastRow int32
 	next              int32
-	row               sql.Row
 }
 
 func (ms *mergeState) reset() {
-	for i := range ms.groups {
-		ms.groups[i].row = nil // release emitted rows to the GC
-	}
+	clear(ms.cells) // release the epoch's slabs to the GC
+	clear(ms.keys)
 	ms.groups = ms.groups[:0]
 	clear(ms.slots)
-	ms.arena = ms.arena[:0]
 }
 
 func (ms *mergeState) grow() {
@@ -602,102 +648,114 @@ func (ms *mergeState) grow() {
 	}
 }
 
+// resultRow renders one group's output row: the key decoded out of its
+// encoding, then each buffer's result.
+func (a *StatefulAggregate) resultRow(key []byte, bufs []sql.AggBuffer) (sql.Row, error) {
+	row, err := codec.AppendValues(make(sql.Row, 0, a.NumKeys+len(bufs)), key)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: corrupt aggregate state key for %s: %v", a.OpName, err)
+	}
+	for _, b := range bufs {
+		row = append(row, b.Result())
+	}
+	return row, nil
+}
+
 // mergeRowsBaseline is the reduce-side merge with vectorization off: a
-// per-row watermark check, one store Get and Put per shuffle row, and a
-// fresh decoded buffer set per row — the engine's original behavior,
-// kept as the reference the batched merge is differentially tested
-// against. Returns the changed groups in first-seen order, same as the
+// per-cell watermark check, one store Get and Put per cell, and a fresh
+// buffer set per cell — the engine's original behavior, kept as the
+// reference the batched merge is differentially tested against. Returns
+// Update mode's rows: the changed groups in first-seen order, same as the
 // batched pass.
-func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.Store, rows []sql.Row) ([]*mergeGroup, error) {
-	changed := make(map[string]*mergeGroup, len(rows))
+func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.Store, cells []*partialCell) ([]sql.Row, error) {
+	type mergeGroup struct {
+		key  []byte
+		bufs []sql.AggBuffer
+	}
+	changed := make(map[string]*mergeGroup, len(cells))
 	var groups []*mergeGroup
-	for _, r := range rows {
-		keyVals := r[:a.NumKeys:a.NumKeys]
+	for _, c := range cells {
 		// Drop data later than the watermark allows: its group was (or
 		// will be) finalized and evicted, and merging it would resurrect
 		// the group and violate append-mode's emit-once guarantee.
-		if a.EventKeyIdx >= 0 && ctx.Watermark > 0 && groupExpired(keyVals[a.EventKeyIdx], ctx.Watermark) {
-			continue
-		}
-		keyBytes := codec.EncodeValues(keyVals)
-		incoming, err := a.decodeShuffleBufs(r)
-		if err != nil {
-			return nil, err
-		}
-		var merged []sql.AggBuffer
-		if existing, ok := store.Get(keyBytes); ok {
-			bufs, err := a.decodeAggState(existing)
+		if a.EventKeyIdx >= 0 && ctx.Watermark > 0 {
+			evt, isWin, valid, err := a.keyEventTime(c.key)
 			if err != nil {
 				return nil, err
 			}
-			for i := range bufs {
-				bufs[i].Merge(incoming[i])
+			if expired(evt, isWin, valid, ctx.Watermark) {
+				continue
 			}
-			merged = bufs
-		} else {
-			merged = incoming
 		}
-		store.Put(keyBytes, encodeAggState(merged))
-		if g, seen := changed[string(keyBytes)]; seen {
+		merged := a.newBuffers()
+		if err := a.loadAggState(c.state, merged); err != nil {
+			return nil, err
+		}
+		if existing, ok := store.Get(c.key); ok {
+			incoming := merged
+			merged = a.newBuffers()
+			if err := a.loadAggState(existing, merged); err != nil {
+				return nil, err
+			}
+			for i := range merged {
+				merged[i].Merge(incoming[i])
+			}
+		}
+		store.Put(c.key, appendAggState(nil, merged))
+		if g, seen := changed[string(c.key)]; seen {
 			g.bufs = merged
 		} else {
-			g := &mergeGroup{key: append([]sql.Value(nil), keyVals...), keyBytes: keyBytes, bufs: merged}
-			changed[string(keyBytes)] = g
+			g := &mergeGroup{key: c.key, bufs: merged}
+			changed[string(c.key)] = g
 			groups = append(groups, g)
 		}
 	}
-	return groups, nil
-}
-
-// Process implements StatefulOp. With ctx.Vectorize set the merge is
-// batched: rows are gated by the vectorized watermark kernel, grouped by
-// encoded key with one hash-table pass, read from the store with a single
-// GetBatch over the distinct keys, merged per group in row order, and
-// written back with one Put per group — per-row store locking, codec
-// round-trips between duplicate rows, and (for LSM) per-key memtable/bloom
-// probes all amortize across the vector. With it clear the original
-// per-row merge runs instead; emission is shared and both merges must
-// yield byte-identical output.
-func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, inputs [][]sql.Row) ([]sql.Row, error) {
-	rows := inputs[0]
-	if !ctx.Vectorize {
-		groups, err := a.mergeRowsBaseline(ctx, store, rows)
+	if ctx.Mode != logical.Update {
+		return nil, nil
+	}
+	updated := make([]sql.Row, 0, len(groups))
+	for _, g := range groups {
+		row, err := a.resultRow(g.key, g.bufs)
 		if err != nil {
 			return nil, err
 		}
-		return a.emit(ctx, store, groups)
+		updated = append(updated, row)
 	}
+	return updated, nil
+}
+
+// mergeBatched is the reduce-side merge with vectorization on: cells are
+// gated by the vectorized watermark kernel, grouped by their carried hash and
+// key bytes with one hash-table pass, read from the store with a single
+// GetBatch over the distinct keys, merged per group in row order, and
+// written back with one Put per group — per-row store locking, state
+// round-trips between duplicate rows, and (for LSM) per-key memtable/bloom
+// probes all amortize across the vector. Returns Update mode's rows,
+// rendered while the shared buffers still hold each group's final state.
+func (a *StatefulAggregate) mergeBatched(ctx *EpochContext, store *state.Store, ms *mergeState) ([]sql.Row, error) {
+	cells := ms.cells
 	// Watermark gate: data later than the watermark allows is dropped —
 	// its group was (or will be) finalized and evicted, and merging it
 	// would resurrect the group and violate append-mode's emit-once
 	// guarantee.
-	sel := a.survivorSel(ctx, rows)
-
-	ms, _ := a.mergePool.Get().(*mergeState)
-	if ms == nil {
-		ms = &mergeState{slots: make([]int32, 1024)}
+	sel, err := a.survivorSel(ctx, cells)
+	if err != nil {
+		return nil, err
 	}
-	if cap(ms.rowNext) < len(rows) {
-		ms.rowNext = make([]int32, len(rows))
+	if cap(ms.rowNext) < len(cells) {
+		ms.rowNext = make([]int32, len(cells))
 	}
 
 	// Grouping pass over survivors: first-seen order of distinct keys
 	// matches the row-path baseline's emission order. Rows chain onto
-	// their group through rowNext; new keys land in the arena-backed slab.
+	// their group through rowNext.
 	addRow := func(ri int32) {
-		r := rows[ri]
-		keyVals := r[:a.NumKeys:a.NumKeys]
-		ms.enc.Reset()
-		for _, v := range keyVals {
-			ms.enc.PutValue(v)
-		}
-		keyBytes := ms.enc.Bytes()
-		h := codec.HashBytes(keyBytes)
+		c := cells[ri]
 		ms.rowNext[ri] = -1
-		b := h & uint64(len(ms.slots)-1)
+		b := c.hash & uint64(len(ms.slots)-1)
 		for gi := ms.slots[b] - 1; gi >= 0; gi = ms.groups[gi].next {
 			g := &ms.groups[gi]
-			if g.h == h && bytes.Equal(g.keyBytes, keyBytes) {
+			if g.h == c.hash && bytes.Equal(cells[g.firstRow].key, c.key) {
 				ms.rowNext[g.lastRow] = ri
 				g.lastRow = ri
 				return
@@ -705,18 +763,10 @@ func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, input
 		}
 		if 2*len(ms.groups) >= len(ms.slots) {
 			ms.grow()
-			b = h & uint64(len(ms.slots)-1)
+			b = c.hash & uint64(len(ms.slots)-1)
 		}
-		an := len(ms.arena)
-		ms.arena = append(ms.arena, keyBytes...)
 		gi := int32(len(ms.groups))
-		ms.groups = append(ms.groups, vecMergeGroup{
-			keyBytes: ms.arena[an:len(ms.arena):len(ms.arena)],
-			h:        h,
-			firstRow: ri,
-			lastRow:  ri,
-			next:     ms.slots[b] - 1,
-		})
+		ms.groups = append(ms.groups, vecMergeGroup{h: c.hash, firstRow: ri, lastRow: ri, next: ms.slots[b] - 1})
 		ms.slots[b] = gi + 1
 	}
 	if sel != nil {
@@ -724,216 +774,179 @@ func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, input
 			addRow(i)
 		}
 	} else {
-		for ri := range rows {
+		for ri := range cells {
 			addRow(int32(ri))
 		}
+	}
+	if len(ms.groups) == 0 {
+		return nil, nil
 	}
 
 	// One batched state read over the distinct keys, then merge each
 	// group's rows in arrival order and write back once per group. The
-	// dst/src buffer sets are reused for every group and row (Deserialize
+	// dst/src buffer sets are reused for every group and row (LoadState
 	// fully overwrites buffer state; Merge never retains references into
-	// its argument), so the merge's only allocations are the encoded state
+	// its argument), so the merge's only allocations are the merged state
 	// values the store retains and the emit rows handed downstream.
-	if len(ms.groups) > 0 {
-		if cap(ms.keys) < len(ms.groups) {
-			ms.keys = make([][]byte, len(ms.groups))
-		}
-		keys := ms.keys[:len(ms.groups)]
-		for gi := range ms.groups {
-			keys[gi] = ms.groups[gi].keyBytes
-		}
-		vals, oks := store.GetBatch(keys)
-		if ms.dst == nil {
-			ms.dst = make([]sql.AggBuffer, len(a.Aggs))
-			ms.src = make([]sql.AggBuffer, len(a.Aggs))
-			for i, agg := range a.Aggs {
-				ms.dst[i] = agg.NewBuffer()
-				ms.src[i] = agg.NewBuffer()
-			}
-		}
-		for gi := range ms.groups {
-			g := &ms.groups[gi]
-			ri := g.firstRow
-			if oks[gi] {
-				if err := a.decodeAggStateInto(vals[gi], ms.dst, &ms.vals); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := a.decodeShuffleInto(rows[ri], ms.dst, &ms.vals); err != nil {
-					return nil, err
-				}
-				ri = ms.rowNext[ri]
-			}
-			for ; ri >= 0; ri = ms.rowNext[ri] {
-				if err := a.decodeShuffleInto(rows[ri], ms.src, &ms.vals); err != nil {
-					return nil, err
-				}
-				for i := range ms.dst {
-					ms.dst[i].Merge(ms.src[i])
-				}
-			}
-			ms.val = appendAggState(ms.val[:0], &ms.enc, ms.dst)
-			store.Put(g.keyBytes, append([]byte(nil), ms.val...))
-			if ctx.Mode == logical.Update {
-				r := rows[g.firstRow]
-				row := make(sql.Row, 0, a.NumKeys+len(ms.dst))
-				row = append(row, r[:a.NumKeys]...)
-				for _, b := range ms.dst {
-					row = append(row, b.Result())
-				}
-				g.row = row
-			}
-		}
+	if cap(ms.keys) < len(ms.groups) {
+		ms.keys = make([][]byte, len(ms.groups))
 	}
-	if err := store.Err(); err != nil {
-		return nil, err
+	keys := ms.keys[:len(ms.groups)]
+	for gi := range ms.groups {
+		keys[gi] = cells[ms.groups[gi].firstRow].key
 	}
-
-	var out []sql.Row
-	emitRow := func(key []sql.Value, bufs []sql.AggBuffer) {
-		row := make(sql.Row, 0, len(key)+len(bufs))
-		row = append(row, key...)
-		for _, b := range bufs {
-			row = append(row, b.Result())
+	vals, oks := store.GetBatch(keys)
+	if ms.dst == nil {
+		ms.dst, ms.src = a.newBuffers(), a.newBuffers()
+	}
+	var updated []sql.Row
+	if ctx.Mode == logical.Update {
+		updated = make([]sql.Row, 0, len(ms.groups))
+	}
+	for gi := range ms.groups {
+		ri := ms.groups[gi].firstRow
+		var value []byte // what the store gets
+		if oks[gi] {
+			err = a.loadAggState(vals[gi], ms.dst)
+		} else {
+			// A group new to the store starts from its first partial. When
+			// that is its only one, the carried bytes are the state value,
+			// and the buffers are loaded only if a result is wanted of them.
+			first := cells[ri]
+			if ri = ms.rowNext[ri]; ri < 0 {
+				value = first.state
+			}
+			if value == nil || ctx.Mode == logical.Update {
+				err = a.loadAggState(first.state, ms.dst)
+			}
 		}
-		out = append(out, row)
-	}
-	switch ctx.Mode {
-	case logical.Complete:
-		if err := a.emitComplete(store, emitRow); err != nil {
+		if err != nil {
 			return nil, err
 		}
-	case logical.Update:
-		// Rows were rendered during the merge, while the shared buffers
-		// still held each group's final state.
-		for gi := range ms.groups {
-			out = append(out, ms.groups[gi].row)
+		for ; ri >= 0; ri = ms.rowNext[ri] {
+			if err := a.loadAggState(cells[ri].state, ms.src); err != nil {
+				return nil, err
+			}
+			for i := range ms.dst {
+				ms.dst[i].Merge(ms.src[i])
+			}
 		}
-	case logical.Append:
-		// Emission happens only via watermark finalization below.
+		if value == nil {
+			ms.val = appendAggState(ms.val[:0], ms.dst)
+			value = append([]byte(nil), ms.val...)
+		}
+		store.Put(keys[gi], value)
+		if ctx.Mode == logical.Update {
+			row, err := a.resultRow(keys[gi], ms.dst)
+			if err != nil {
+				return nil, err
+			}
+			updated = append(updated, row)
+		}
 	}
-	if err := a.finalizeExpired(ctx, store, emitRow); err != nil {
+	return updated, nil
+}
+
+// Process implements StatefulOp: merge this epoch's partial cells into the
+// store — batched with ctx.Vectorize set, per cell with it clear; both
+// merges must yield byte-identical state and output — then emit according
+// to the output mode and run the watermark finalize/evict pass.
+func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, inputs [][]sql.Row) ([]sql.Row, error) {
+	ms, _ := a.mergePool.Get().(*mergeState)
+	if ms == nil {
+		ms = &mergeState{slots: make([]int32, 1024)}
+	}
+	var updated []sql.Row
+	var err error
+	if ms.cells, err = a.cellsOf(inputs[0], ms.cells); err != nil {
 		return nil, err
+	}
+	if ctx.Vectorize {
+		updated, err = a.mergeBatched(ctx, store, ms)
+	} else {
+		updated, err = a.mergeRowsBaseline(ctx, store, ms.cells)
 	}
 	ms.reset()
 	a.mergePool.Put(ms)
-	return out, nil
-}
-
-// emit is the output half of Process, shared by both merge
-// implementations: mode-dependent emission over the changed groups plus
-// the watermark finalize/evict pass.
-func (a *StatefulAggregate) emit(ctx *EpochContext, store *state.Store, groups []*mergeGroup) ([]sql.Row, error) {
+	if err != nil {
+		return nil, err
+	}
 	if err := store.Err(); err != nil {
 		return nil, err
 	}
 
 	var out []sql.Row
-	emitRow := func(key []sql.Value, bufs []sql.AggBuffer) {
-		row := make(sql.Row, 0, len(key)+len(bufs))
-		row = append(row, key...)
-		for _, b := range bufs {
-			row = append(row, b.Result())
-		}
-		out = append(out, row)
-	}
-
 	switch ctx.Mode {
 	case logical.Complete:
-		if err := a.emitComplete(store, emitRow); err != nil {
+		if out, err = a.emitComplete(store); err != nil {
 			return nil, err
 		}
 	case logical.Update:
-		// The merge loop kept each group's final buffers; nothing in this
-		// epoch can have removed a changed key (eviction runs below), so
-		// emission needs no second store read.
-		for _, g := range groups {
-			emitRow(g.key, g.bufs)
-		}
+		// Nothing in this epoch can have removed a changed key (eviction
+		// runs below), so emission needs no second store read.
+		out = updated
 	case logical.Append:
 		// Emission happens only via watermark finalization below.
 	}
-	if err := a.finalizeExpired(ctx, store, emitRow); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.finalizeExpired(ctx, store, out)
 }
 
 // emitComplete emits the whole store, Complete mode's contract.
-func (a *StatefulAggregate) emitComplete(store *state.Store, emitRow func([]sql.Value, []sql.AggBuffer)) error {
+func (a *StatefulAggregate) emitComplete(store *state.Store) ([]sql.Row, error) {
+	var out []sql.Row
 	var iterErr error
+	bufs := a.newBuffers()
 	store.Iterate(func(k, v []byte) bool {
-		key, err := codec.DecodeValues(k)
-		if err != nil {
-			iterErr = err
-			return false
+		var row sql.Row
+		if iterErr = a.loadAggState(v, bufs); iterErr == nil {
+			row, iterErr = a.resultRow(k, bufs)
 		}
-		bufs, err := a.decodeAggState(v)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		emitRow(key, bufs)
-		return true
+		out = append(out, row)
+		return iterErr == nil
 	})
-	return iterErr
+	return out, iterErr
 }
 
-// finalizeExpired is the watermark pass shared by both merge paths:
-// groups entirely below the watermark are evicted, and Append mode emits
-// them on the way out (its once-per-group finalization).
-func (a *StatefulAggregate) finalizeExpired(ctx *EpochContext, store *state.Store, emitRow func([]sql.Value, []sql.AggBuffer)) error {
+// finalizeExpired is the watermark pass: groups entirely below the
+// watermark are evicted, and Append mode emits them onto out on the way
+// (its once-per-group finalization).
+func (a *StatefulAggregate) finalizeExpired(ctx *EpochContext, store *state.Store, out []sql.Row) ([]sql.Row, error) {
 	if ctx.Watermark <= 0 || a.EventKeyIdx < 0 {
-		return nil
+		return out, nil
 	}
-	type expired struct {
-		key []sql.Value
-		raw []byte
-	}
-	var dead []expired
+	var dead [][]byte
 	var iterErr error
+	var bufs []sql.AggBuffer
 	store.Iterate(func(k, v []byte) bool {
-		key, err := codec.DecodeValues(k)
+		evt, isWin, valid, err := a.keyEventTime(k)
 		if err != nil {
 			iterErr = err
 			return false
 		}
-		if groupExpired(key[a.EventKeyIdx], ctx.Watermark) {
-			dead = append(dead, expired{key: key, raw: append([]byte(nil), k...)})
-			if ctx.Mode == logical.Append {
-				bufs, err := a.decodeAggState(v)
-				if err != nil {
-					iterErr = err
-					return false
-				}
-				emitRow(key, bufs)
-			}
+		if !expired(evt, isWin, valid, ctx.Watermark) {
+			return true
 		}
-		return true
+		dead = append(dead, append([]byte(nil), k...))
+		if ctx.Mode != logical.Append {
+			return true
+		}
+		if bufs == nil {
+			bufs = a.newBuffers()
+		}
+		var row sql.Row
+		if iterErr = a.loadAggState(v, bufs); iterErr == nil {
+			row, iterErr = a.resultRow(k, bufs)
+		}
+		out = append(out, row)
+		return iterErr == nil
 	})
 	if iterErr != nil {
-		return iterErr
+		return nil, iterErr
 	}
-	for _, d := range dead {
-		store.Remove(d.raw)
+	for _, k := range dead {
+		store.Remove(k)
 	}
-	return nil
-}
-
-// groupExpired reports whether an event-time key value is entirely below
-// the watermark: a window is expired once its End has passed; a raw
-// timestamp once the timestamp itself has. vec.ExpirySel is the slab form
-// of exactly this predicate.
-func groupExpired(v sql.Value, watermark int64) bool {
-	switch x := v.(type) {
-	case sql.Window:
-		return x.End <= watermark
-	case int64:
-		return x < watermark
-	default:
-		return false
-	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------- dedup

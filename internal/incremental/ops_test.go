@@ -2,10 +2,13 @@ package incremental
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
+	"structream/internal/sql/logical"
+	"structream/internal/sql/vec"
 )
 
 // TestLookupHashedCollisions pins the open-chained group table: two keys
@@ -15,11 +18,7 @@ func TestLookupHashedCollisions(t *testing.T) {
 	p := newPartialAgg(nil, benchAggs())
 	add := func(v string) int32 {
 		const h = uint64(42) // same slot for every key: worst-case chaining
-		gi := p.lookupHashed(h, []byte(v))
-		if g := &p.groups[gi]; g.key == nil {
-			g.key = []sql.Value{v}
-		}
-		return gi
+		return p.lookupHashed(h, []byte(v))
 	}
 	ga := add("a")
 	gb := add("b")
@@ -44,44 +43,56 @@ func TestLookupHashedCollisions(t *testing.T) {
 		if string(g.keyBytes) != want {
 			t.Fatalf("group %d cached key %q, want %q", i, g.keyBytes, want)
 		}
-		if g.key[0] != sql.Value(want) {
-			t.Fatalf("group %d boxed key %v, want %v", i, g.key[0], want)
-		}
 	}
 }
 
-// TestScatterMatchesRowRouting pins that scatter's cached-key routing
-// agrees with the row path's boxed HashKey routing for every group.
+// TestScatterMatchesRowRouting pins that scatter's cached-hash routing
+// agrees with boxing the key and hashing it — through the pipeline's
+// KeyEvals, as a caller that knows nothing of partial cells would — for
+// every group, that the buckets keep first-seen order, and that nothing a
+// bucket holds points into the pooled table.
 func TestScatterMatchesRowRouting(t *testing.T) {
-	p := newPartialAgg(
-		[]func(sql.Row) sql.Value{func(r sql.Row) sql.Value { return r[0] }},
-		benchAggs(),
-	)
+	q := mustCompile(t, &logical.Aggregate{
+		Child: scan("s"),
+		Keys:  []sql.Expr{sql.Col("k"), sql.Col("ts")},
+		Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("v")), Name: "total"}},
+	}, logical.Update)
+	pipe := q.Pipelines[0]
+	var rows []sql.Row
 	for i := 0; i < 64; i++ {
 		var k sql.Value
 		if i%7 != 0 {
 			k = fmt.Sprintf("key-%d", i%13)
 		}
-		p.update(sql.Row{k, float64(i)})
+		rows = append(rows, sql.Row{k, float64(i), int64(i % 3)})
 	}
+	p := newPartialAgg(nil, pipe.Vec.Agg.Aggs)
+	b, ok := vec.FromRows(testSchema, rows)
+	if !ok {
+		t.Fatal("FromRows failed on schema-conforming rows")
+	}
+	p.updateBatch(b, pipe.Vec.Agg)
 	const nPart = 4
 	buckets := p.scatter(nPart)
-	// Rebuild the row path's routing from the rendered shuffle rows: key
-	// columns lead the row, exactly as routeByLeadingColumns guarantees.
+	all := p.scatter(1)[0]
+	p.reset()
+	p.updateBatch(b, pipe.Vec.Agg) // overwrites the table a retained cell would point into
+
 	want := make([][]sql.Row, nPart)
-	for gi := range p.groups {
-		row := p.renderRow(&p.groups[gi])
-		b := int(codec.HashKey(row[:1]) % uint64(nPart))
-		want[b] = append(want[b], row)
+	key := make([]sql.Value, len(pipe.KeyEvals))
+	for _, row := range all {
+		for i, ev := range pipe.KeyEvals {
+			key[i] = ev(row)
+		}
+		part := int(codec.HashKey(key) % uint64(nPart))
+		if got := pipe.PartitionOf(row, key, nPart); got != part {
+			t.Fatalf("PartitionOf(%v) = %d, HashKey over KeyEvals says %d", row, got, part)
+		}
+		want[part] = append(want[part], row)
 	}
 	for part := 0; part < nPart; part++ {
-		if len(buckets[part]) != len(want[part]) {
-			t.Fatalf("partition %d: scatter %d rows, row routing %d", part, len(buckets[part]), len(want[part]))
-		}
-		for i := range buckets[part] {
-			if buckets[part][i].String() != want[part][i].String() {
-				t.Fatalf("partition %d row %d: %v vs %v", part, i, buckets[part][i], want[part][i])
-			}
+		if !reflect.DeepEqual(buckets[part], want[part]) {
+			t.Fatalf("partition %d:\n scatter     %v\n row routing %v", part, buckets[part], want[part])
 		}
 	}
 }

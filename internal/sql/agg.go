@@ -208,8 +208,11 @@ func (b BoundAgg) NewBuffer() AggBuffer {
 }
 
 // AggBuffer is the mutable accumulation state of one aggregate for one
-// group. Serialize/Deserialize round-trip the buffer through a value slice
-// so it can live in the state store between epochs.
+// group. AppendState/LoadState round-trip the buffer through its state
+// bytes — a fixed list of wire values (wire.go) — so it can cross the
+// exchange as a map-side partial and live in the state store between epochs:
+// a partial is a state value, and has this one representation from the map
+// task to the store.
 type AggBuffer interface {
 	// Update folds one input value into the buffer.
 	Update(v Value)
@@ -217,12 +220,22 @@ type AggBuffer interface {
 	Merge(other AggBuffer)
 	// Result produces the final aggregate value.
 	Result() Value
-	// Serialize renders the buffer as a flat value slice.
-	Serialize() []Value
-	// Deserialize restores the buffer from Serialize output. It may keep
-	// the values but not the slice: callers reuse it for the next decode.
-	Deserialize(vals []Value) error
+	// AppendState appends the buffer's state bytes to dst.
+	AppendState(dst []byte) []byte
+	// LoadState overwrites the buffer with AppendState output. It accepts
+	// exactly the value list its AppendState writes (anything else is
+	// corrupt state, and an error) and keeps no reference into data.
+	LoadState(data []byte) error
 }
+
+// Every buffer also keeps Serialize() []Value and Deserialize([]Value) error,
+// the boxed rendering of the same value list. No engine path calls them: they
+// are the reference the typed state bytes are tested and fuzzed against
+// (FuzzAggState), which is why they share no code with AppendState/LoadState.
+// Deserialize may keep the values but not the slice.
+
+// errAggState reports state bytes LoadState refuses.
+func errAggState(buffer string) error { return fmt.Errorf("sql: bad %s buffer state", buffer) }
 
 // Bulk update interfaces let the columnar hash-aggregate fold a whole
 // vector's worth of per-group input into a buffer with one call instead of
@@ -271,12 +284,24 @@ func canonNaN(f float64) float64 {
 
 type countBuffer struct{ n int64 }
 
-func (b *countBuffer) Update(v Value)        { b.n++ }
-func (b *countBuffer) AddCount(n int64)      { b.n += n }
-func (b *countBuffer) Merge(other AggBuffer) { b.n += other.(*countBuffer).n }
-func (b *countBuffer) Result() Value         { return b.n }
-func (b *countBuffer) Serialize() []Value    { return []Value{b.n} }
+func (b *countBuffer) Update(v Value)                { b.n++ }
+func (b *countBuffer) AddCount(n int64)              { b.n += n }
+func (b *countBuffer) Merge(other AggBuffer)         { b.n += other.(*countBuffer).n }
+func (b *countBuffer) Result() Value                 { return b.n }
+func (b *countBuffer) AppendState(dst []byte) []byte { return AppendInt64(dst, b.n) }
+func (b *countBuffer) LoadState(data []byte) error {
+	n, pos := ReadInt64(data, 0)
+	if pos != len(data) {
+		return errAggState("count")
+	}
+	b.n = n
+	return nil
+}
+func (b *countBuffer) Serialize() []Value { return []Value{b.n} }
 func (b *countBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 1 {
+		return fmt.Errorf("sql: bad count buffer %v", vals)
+	}
 	n, ok := vals[0].(int64)
 	if !ok {
 		return fmt.Errorf("sql: bad count buffer %v", vals)
@@ -315,8 +340,26 @@ func (b *sumIntBuffer) Result() Value {
 	}
 	return b.sum
 }
+func (b *sumIntBuffer) AppendState(dst []byte) []byte {
+	return AppendBool(AppendInt64(dst, b.sum), b.any)
+}
+func (b *sumIntBuffer) LoadState(data []byte) error {
+	sum, pos := ReadInt64(data, 0)
+	if pos < 0 {
+		return errAggState("sum")
+	}
+	anyv, pos := ReadBool(data, pos)
+	if pos != len(data) {
+		return errAggState("sum")
+	}
+	b.sum, b.any = sum, anyv
+	return nil
+}
 func (b *sumIntBuffer) Serialize() []Value { return []Value{b.sum, b.any} }
 func (b *sumIntBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 2 {
+		return fmt.Errorf("sql: bad sum buffer %v", vals)
+	}
 	sum, ok1 := vals[0].(int64)
 	anyv, ok2 := vals[1].(bool)
 	if !ok1 || !ok2 {
@@ -354,8 +397,26 @@ func (b *sumFloatBuffer) Result() Value {
 	}
 	return b.sum
 }
+func (b *sumFloatBuffer) AppendState(dst []byte) []byte {
+	return AppendBool(AppendFloat64(dst, canonNaN(b.sum)), b.any)
+}
+func (b *sumFloatBuffer) LoadState(data []byte) error {
+	sum, pos := ReadFloat64(data, 0)
+	if pos < 0 {
+		return errAggState("sum")
+	}
+	anyv, pos := ReadBool(data, pos)
+	if pos != len(data) {
+		return errAggState("sum")
+	}
+	b.sum, b.any = sum, anyv
+	return nil
+}
 func (b *sumFloatBuffer) Serialize() []Value { return []Value{canonNaN(b.sum), b.any} }
 func (b *sumFloatBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 2 {
+		return fmt.Errorf("sql: bad sum buffer %v", vals)
+	}
 	sum, ok1 := vals[0].(float64)
 	anyv, ok2 := vals[1].(bool)
 	if !ok1 || !ok2 {
@@ -395,8 +456,26 @@ func (b *avgBuffer) Result() Value {
 	}
 	return b.sum / float64(b.n)
 }
+func (b *avgBuffer) AppendState(dst []byte) []byte {
+	return AppendInt64(AppendFloat64(dst, canonNaN(b.sum)), b.n)
+}
+func (b *avgBuffer) LoadState(data []byte) error {
+	sum, pos := ReadFloat64(data, 0)
+	if pos < 0 {
+		return errAggState("avg")
+	}
+	n, pos := ReadInt64(data, pos)
+	if pos != len(data) {
+		return errAggState("avg")
+	}
+	b.sum, b.n = sum, n
+	return nil
+}
 func (b *avgBuffer) Serialize() []Value { return []Value{canonNaN(b.sum), b.n} }
 func (b *avgBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 2 {
+		return fmt.Errorf("sql: bad avg buffer %v", vals)
+	}
 	sum, ok1 := vals[0].(float64)
 	n, ok2 := vals[1].(int64)
 	if !ok1 || !ok2 {
@@ -428,14 +507,31 @@ func (b *minMaxBuffer) Update(v Value) {
 }
 func (b *minMaxBuffer) Merge(other AggBuffer) { b.Update(other.(*minMaxBuffer).val) }
 func (b *minMaxBuffer) Result() Value         { return b.val }
-func (b *minMaxBuffer) Serialize() []Value    { return []Value{b.val, b.isMin} }
+func (b *minMaxBuffer) AppendState(dst []byte) []byte {
+	return AppendBool(AppendValue(dst, b.val), b.isMin)
+}
+func (b *minMaxBuffer) LoadState(data []byte) error {
+	val, pos := ReadValue(data, 0)
+	if pos < 0 {
+		return errAggState("min/max")
+	}
+	isMin, pos := ReadBool(data, pos)
+	if pos != len(data) {
+		return errAggState("min/max")
+	}
+	b.val, b.isMin = val, isMin
+	return nil
+}
+func (b *minMaxBuffer) Serialize() []Value { return []Value{b.val, b.isMin} }
 func (b *minMaxBuffer) Deserialize(vals []Value) error {
-	b.val = vals[0]
+	if len(vals) != 2 {
+		return fmt.Errorf("sql: bad min/max buffer %v", vals)
+	}
 	isMin, ok := vals[1].(bool)
 	if !ok {
 		return fmt.Errorf("sql: bad min/max buffer %v", vals)
 	}
-	b.isMin = isMin
+	b.val, b.isMin = vals[0], isMin
 	return nil
 }
 
@@ -467,16 +563,37 @@ func (b *firstLastBuffer) Merge(other AggBuffer) {
 	}
 	b.val, b.set = o.val, true
 }
-func (b *firstLastBuffer) Result() Value      { return b.val }
+func (b *firstLastBuffer) Result() Value { return b.val }
+func (b *firstLastBuffer) AppendState(dst []byte) []byte {
+	return AppendBool(AppendBool(AppendValue(dst, b.val), b.set), b.isFirst)
+}
+func (b *firstLastBuffer) LoadState(data []byte) error {
+	val, pos := ReadValue(data, 0)
+	if pos < 0 {
+		return errAggState("first/last")
+	}
+	set, pos := ReadBool(data, pos)
+	if pos < 0 {
+		return errAggState("first/last")
+	}
+	isFirst, pos := ReadBool(data, pos)
+	if pos != len(data) {
+		return errAggState("first/last")
+	}
+	b.val, b.set, b.isFirst = val, set, isFirst
+	return nil
+}
 func (b *firstLastBuffer) Serialize() []Value { return []Value{b.val, b.set, b.isFirst} }
 func (b *firstLastBuffer) Deserialize(vals []Value) error {
-	b.val = vals[0]
+	if len(vals) != 3 {
+		return fmt.Errorf("sql: bad first/last buffer %v", vals)
+	}
 	set, ok1 := vals[1].(bool)
 	isFirst, ok2 := vals[2].(bool)
 	if !ok1 || !ok2 {
 		return fmt.Errorf("sql: bad first/last buffer %v", vals)
 	}
-	b.set, b.isFirst = set, isFirst
+	b.val, b.set, b.isFirst = vals[0], set, isFirst
 	return nil
 }
 
@@ -496,12 +613,36 @@ func (b *distinctBuffer) Merge(other AggBuffer) {
 	}
 }
 func (b *distinctBuffer) Result() Value { return int64(len(b.seen)) }
-func (b *distinctBuffer) Serialize() []Value {
+
+// sortedKeys is the set in the order its state lists it.
+func (b *distinctBuffer) sortedKeys() []string {
 	keys := make([]string, 0, len(b.seen))
 	for k := range b.seen {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+func (b *distinctBuffer) AppendState(dst []byte) []byte {
+	for _, k := range b.sortedKeys() {
+		dst = AppendString(dst, k)
+	}
+	return dst
+}
+func (b *distinctBuffer) LoadState(data []byte) error {
+	seen := map[string]bool{}
+	for pos := 0; pos < len(data); {
+		var k []byte
+		if k, pos = ReadBytes(data, pos, WireString); pos < 0 {
+			return errAggState("distinct")
+		}
+		seen[string(k)] = true
+	}
+	b.seen = seen
+	return nil
+}
+func (b *distinctBuffer) Serialize() []Value {
+	keys := b.sortedKeys()
 	out := make([]Value, len(keys))
 	for i, k := range keys {
 		out[i] = k
@@ -574,8 +715,20 @@ func (b *hllBuffer) Result() Value {
 	return int64(est + 0.5)
 }
 
+func (b *hllBuffer) AppendState(dst []byte) []byte { return AppendBinary(dst, b.regs) }
+func (b *hllBuffer) LoadState(data []byte) error {
+	regs, pos := ReadBytes(data, 0, WireBinary)
+	if pos != len(data) || len(regs) != 1<<hllP {
+		return errAggState("hll")
+	}
+	b.regs = append(b.regs[:0], regs...)
+	return nil
+}
 func (b *hllBuffer) Serialize() []Value { return []Value{append([]byte(nil), b.regs...)} }
 func (b *hllBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 1 {
+		return fmt.Errorf("sql: bad hll buffer")
+	}
 	regs, ok := vals[0].([]byte)
 	if !ok || len(regs) != 1<<hllP {
 		return fmt.Errorf("sql: bad hll buffer")
@@ -643,8 +796,34 @@ func (b *momentsBuffer) Result() Value {
 	return variance
 }
 
+func (b *momentsBuffer) AppendState(dst []byte) []byte {
+	return AppendBool(AppendFloat64(AppendFloat64(AppendInt64(dst, b.n), b.mean), b.m2), b.stddev)
+}
+func (b *momentsBuffer) LoadState(data []byte) error {
+	n, pos := ReadInt64(data, 0)
+	if pos < 0 {
+		return errAggState("moments")
+	}
+	mean, pos := ReadFloat64(data, pos)
+	if pos < 0 {
+		return errAggState("moments")
+	}
+	m2, pos := ReadFloat64(data, pos)
+	if pos < 0 {
+		return errAggState("moments")
+	}
+	sd, pos := ReadBool(data, pos)
+	if pos != len(data) {
+		return errAggState("moments")
+	}
+	b.n, b.mean, b.m2, b.stddev = n, mean, m2, sd
+	return nil
+}
 func (b *momentsBuffer) Serialize() []Value { return []Value{b.n, b.mean, b.m2, b.stddev} }
 func (b *momentsBuffer) Deserialize(vals []Value) error {
+	if len(vals) != 4 {
+		return fmt.Errorf("sql: bad moments buffer %v", vals)
+	}
 	n, ok1 := vals[0].(int64)
 	mean, ok2 := vals[1].(float64)
 	m2, ok3 := vals[2].(float64)

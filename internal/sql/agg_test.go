@@ -164,8 +164,8 @@ func TestAggMergeEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestAggSerializeRoundTrip checks buffers survive the state store.
-func TestAggSerializeRoundTrip(t *testing.T) {
+// TestAggStateRoundTrip checks buffers survive the state store.
+func TestAggStateRoundTrip(t *testing.T) {
 	kinds := []AggKind{AggCount, AggSum, AggAvg, AggMin, AggMax, AggFirst, AggLast,
 		AggStddev, AggVariance, AggCountDistinct, AggApproxCountDistinct}
 	for _, kind := range kinds {
@@ -175,8 +175,8 @@ func TestAggSerializeRoundTrip(t *testing.T) {
 			buf.Update(v)
 		}
 		restored := agg.NewBuffer()
-		if err := restored.Deserialize(buf.Serialize()); err != nil {
-			t.Errorf("%s: deserialize: %v", aggNames[kind], err)
+		if err := restored.LoadState(buf.AppendState(nil)); err != nil {
+			t.Errorf("%s: load state: %v", aggNames[kind], err)
 			continue
 		}
 		a, b := buf.Result(), restored.Result()

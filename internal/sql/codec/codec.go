@@ -8,22 +8,20 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"structream/internal/sql"
 )
 
-// Value tags used on the wire. The tag encodes the dynamic type so rows
-// round-trip without schema context.
+// The value tags, under the names this package has always used for them;
+// package sql owns the wire form of a single value.
 const (
-	tagNull byte = iota
-	tagFalse
-	tagTrue
-	tagInt64
-	tagFloat64
-	tagString
-	tagWindow
-	tagBinary
+	tagNull    = sql.WireNull
+	tagFalse   = sql.WireFalse
+	tagTrue    = sql.WireTrue
+	tagInt64   = sql.WireInt64
+	tagFloat64 = sql.WireFloat64
+	tagString  = sql.WireString
+	tagWindow  = sql.WireWindow
 )
 
 // Encoder appends encoded values to a reusable buffer.
@@ -40,43 +38,7 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // PutValue appends one value.
-func (e *Encoder) PutValue(v sql.Value) {
-	switch x := v.(type) {
-	case nil:
-		e.buf = append(e.buf, tagNull)
-	case bool:
-		if x {
-			e.buf = append(e.buf, tagTrue)
-		} else {
-			e.buf = append(e.buf, tagFalse)
-		}
-	case int64:
-		e.buf = append(e.buf, tagInt64)
-		e.buf = binary.AppendVarint(e.buf, x)
-	case float64:
-		e.buf = append(e.buf, tagFloat64)
-		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(x))
-	case string:
-		e.buf = append(e.buf, tagString)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(x)))
-		e.buf = append(e.buf, x...)
-	case sql.Window:
-		e.buf = append(e.buf, tagWindow)
-		e.buf = binary.AppendVarint(e.buf, x.Start)
-		e.buf = binary.AppendVarint(e.buf, x.End)
-	case []byte:
-		e.buf = append(e.buf, tagBinary)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(x)))
-		e.buf = append(e.buf, x...)
-	default:
-		// Unknown dynamic types degrade to their string form; they are not
-		// expected in engine-internal rows.
-		s := sql.AsString(v)
-		e.buf = append(e.buf, tagString)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
-		e.buf = append(e.buf, s...)
-	}
-}
+func (e *Encoder) PutValue(v sql.Value) { e.buf = sql.AppendValue(e.buf, v) }
 
 // PutRow appends a length-prefixed row.
 func (e *Encoder) PutRow(r sql.Row) {
@@ -117,65 +79,12 @@ func (d *Decoder) Remaining() bool { return d.off < len(d.buf) }
 
 // Value decodes the next value.
 func (d *Decoder) Value() (sql.Value, error) {
-	if d.off >= len(d.buf) {
-		return nil, fmt.Errorf("codec: truncated buffer")
+	v, next := sql.ReadValue(d.buf, d.off)
+	if next < 0 {
+		return nil, fmt.Errorf("codec: truncated or malformed value at %d", d.off)
 	}
-	tag := d.buf[d.off]
-	d.off++
-	switch tag {
-	case tagNull:
-		return nil, nil
-	case tagFalse:
-		return false, nil
-	case tagTrue:
-		return true, nil
-	case tagInt64:
-		n, w := binary.Varint(d.buf[d.off:])
-		if w <= 0 {
-			return nil, fmt.Errorf("codec: bad varint at %d", d.off)
-		}
-		d.off += w
-		return n, nil
-	case tagFloat64:
-		if d.off+8 > len(d.buf) {
-			return nil, fmt.Errorf("codec: truncated float at %d", d.off)
-		}
-		bits := binary.BigEndian.Uint64(d.buf[d.off:])
-		d.off += 8
-		return math.Float64frombits(bits), nil
-	case tagString:
-		n, w := binary.Uvarint(d.buf[d.off:])
-		if w <= 0 || n > uint64(len(d.buf)-d.off-w) { // compared unsigned: int(n) can wrap negative
-			return nil, fmt.Errorf("codec: bad string at %d", d.off)
-		}
-		d.off += w
-		s := string(d.buf[d.off : d.off+int(n)])
-		d.off += int(n)
-		return s, nil
-	case tagWindow:
-		start, w1 := binary.Varint(d.buf[d.off:])
-		if w1 <= 0 {
-			return nil, fmt.Errorf("codec: bad window at %d", d.off)
-		}
-		d.off += w1
-		end, w2 := binary.Varint(d.buf[d.off:])
-		if w2 <= 0 {
-			return nil, fmt.Errorf("codec: bad window at %d", d.off)
-		}
-		d.off += w2
-		return sql.Window{Start: start, End: end}, nil
-	case tagBinary:
-		n, w := binary.Uvarint(d.buf[d.off:])
-		if w <= 0 || n > uint64(len(d.buf)-d.off-w) { // compared unsigned: int(n) can wrap negative
-			return nil, fmt.Errorf("codec: bad binary at %d", d.off)
-		}
-		d.off += w
-		b := append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-		d.off += int(n)
-		return b, nil
-	default:
-		return nil, fmt.Errorf("codec: unknown tag %d at %d", tag, d.off-1)
-	}
+	d.off = next
+	return v, nil
 }
 
 // Row decodes a length-prefixed row.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"unsafe"
 
+	"structream/internal/sql"
 	"structream/internal/sql/vec"
 )
 
@@ -15,42 +16,22 @@ import (
 // byte on the wire or in state files.
 
 // PutNull appends an SQL NULL.
-func (e *Encoder) PutNull() { e.buf = append(e.buf, tagNull) }
+func (e *Encoder) PutNull() { e.buf = sql.AppendNull(e.buf) }
 
 // PutBool appends a bool without boxing.
-func (e *Encoder) PutBool(v bool) {
-	if v {
-		e.buf = append(e.buf, tagTrue)
-	} else {
-		e.buf = append(e.buf, tagFalse)
-	}
-}
+func (e *Encoder) PutBool(v bool) { e.buf = sql.AppendBool(e.buf, v) }
 
 // PutInt64 appends an int64 without boxing.
-func (e *Encoder) PutInt64(v int64) {
-	e.buf = append(e.buf, tagInt64)
-	e.buf = binary.AppendVarint(e.buf, v)
-}
+func (e *Encoder) PutInt64(v int64) { e.buf = sql.AppendInt64(e.buf, v) }
 
 // PutFloat64 appends a float64 without boxing.
-func (e *Encoder) PutFloat64(v float64) {
-	e.buf = append(e.buf, tagFloat64)
-	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
+func (e *Encoder) PutFloat64(v float64) { e.buf = sql.AppendFloat64(e.buf, v) }
 
 // PutString appends a string without boxing.
-func (e *Encoder) PutString(v string) {
-	e.buf = append(e.buf, tagString)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
-	e.buf = append(e.buf, v...)
-}
+func (e *Encoder) PutString(v string) { e.buf = sql.AppendString(e.buf, v) }
 
 // PutWindow appends a window without boxing.
-func (e *Encoder) PutWindow(start, end int64) {
-	e.buf = append(e.buf, tagWindow)
-	e.buf = binary.AppendVarint(e.buf, start)
-	e.buf = binary.AppendVarint(e.buf, end)
-}
+func (e *Encoder) PutWindow(start, end int64) { e.buf = sql.AppendWindow(e.buf, start, end) }
 
 // PutVectorValue appends position i of a column vector, boxing only for
 // KindAny columns.
@@ -110,15 +91,15 @@ func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (a
 		if pos >= len(buf) {
 			return abandonRow(cols, i, c)
 		}
-		tag := buf[pos]
-		pos++
 		col := cols[c]
 		if col == nil {
-			if pos = skipValue(buf, pos, tag); pos < 0 {
+			if pos = sql.SkipValue(buf, pos); pos < 0 {
 				return abandonRow(cols, i, c)
 			}
 			continue
 		}
+		tag := buf[pos]
+		pos++
 		if tag == tagNull {
 			if col.Kind == vec.KindAny {
 				col.Anys[i] = nil
@@ -198,44 +179,6 @@ func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (a
 		}
 	}
 	return true, true
-}
-
-// skipValue steps over the value whose tag byte sits just before pos and
-// returns the position after it, or -1 when Decoder.Value would reject it
-// (unknown tag, bad varint, payload running past the buffer).
-func skipValue(buf []byte, pos int, tag byte) int {
-	switch tag {
-	case tagNull, tagFalse, tagTrue:
-		return pos
-	case tagInt64:
-		_, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return -1
-		}
-		return pos + w
-	case tagFloat64:
-		if pos+8 > len(buf) {
-			return -1
-		}
-		return pos + 8
-	case tagString, tagBinary:
-		n, w := binary.Uvarint(buf[pos:])
-		if w <= 0 || n > uint64(len(buf)-pos-w) {
-			return -1
-		}
-		return pos + w + int(n)
-	case tagWindow:
-		_, w1 := binary.Uvarint(buf[pos:])
-		if w1 <= 0 {
-			return -1
-		}
-		_, w2 := binary.Uvarint(buf[pos+w1:])
-		if w2 <= 0 {
-			return -1
-		}
-		return pos + w1 + w2
-	}
-	return -1
 }
 
 // abandonRow clears any null bits the partial decode left in slot i of

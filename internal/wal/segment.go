@@ -140,7 +140,7 @@ func (l *Log) CommitBarrier(epoch int64, parts int) error {
 	}
 	c := Commit{
 		Epoch:      epoch,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339Nano),
+		Timestamp:  stamp(time.Now()),
 		Partitions: parts,
 		Segments:   refs,
 	}

@@ -190,13 +190,23 @@ func verifyEntryFrame(path string, e Entry) error {
 	return nil
 }
 
+// stampLayout is RFC 3339 with all nine fractional digits written out.
+// time.RFC3339Nano trims trailing zeros, so an entry stamped with it had a
+// length that depended on the instant it was written, and wal.bytes_epoch
+// differed between two runs of one commit. time.Parse(time.RFC3339Nano, ...)
+// reads both forms, and nothing in a checkpoint depends on which it holds.
+const stampLayout = "2006-01-02T15:04:05.000000000Z07:00"
+
+// stamp renders the wall-clock time an entry or commit records.
+func stamp(t time.Time) string { return t.UTC().Format(stampLayout) }
+
 // WriteOffsets durably records an epoch's offset ranges. Writing the same
 // epoch twice with identical content is idempotent; differing content is an
 // error, because an epoch's definition must never change once logged (this
 // is what makes replay deterministic).
 func (l *Log) WriteOffsets(e Entry) error {
 	if e.Timestamp == "" {
-		e.Timestamp = time.Now().UTC().Format(time.RFC3339Nano)
+		e.Timestamp = stamp(time.Now())
 	}
 	path := epochFile(l.offsetsDir, e.Epoch)
 	if existing, ok, err := l.ReadOffsets(e.Epoch); err != nil {
@@ -311,7 +321,7 @@ func (l *Log) LatestOffsets() (Entry, bool, error) {
 
 // WriteCommit records that an epoch's output is durably in the sink.
 func (l *Log) WriteCommit(epoch int64) error {
-	c := Commit{Epoch: epoch, Timestamp: time.Now().UTC().Format(time.RFC3339Nano)}
+	c := Commit{Epoch: epoch, Timestamp: stamp(time.Now())}
 	data, err := frameJSON(&c, func(n int64, crc string) { c.LengthBytes, c.CRC32C = n, crc })
 	if err != nil {
 		return err

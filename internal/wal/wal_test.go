@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func openLog(t *testing.T) *Log {
@@ -384,5 +385,59 @@ func TestFrameDetectsInPlaceEdit(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "crc32c") || !strings.Contains(err.Error(), "000000000000.json") {
 		t.Errorf("error should blame the crc and name the file: %v", err)
+	}
+}
+
+// TestEntryLengthIsStableAcrossInstants: an offsets entry's bytes do not
+// depend on when it was written. RFC3339Nano trims trailing zeros of the
+// fraction, so the same entry was up to ten bytes shorter at a round instant;
+// the fixed-width stamp is still what time.Parse(RFC3339Nano) reads, and an
+// entry stamped the old way still loads.
+func TestEntryLengthIsStableAcrossInstants(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instants := []time.Time{
+		time.Date(2026, 9, 27, 7, 0, 0, 0, time.UTC),           // RFC3339Nano: no fraction at all
+		time.Date(2026, 9, 27, 7, 0, 0, 120_000_000, time.UTC), // RFC3339Nano: ".12"
+		time.Date(2026, 9, 27, 7, 0, 0, 123_456_789, time.FixedZone("", 3600)),
+	}
+	var sizes []int64
+	for i, at := range instants {
+		e := entry(int64(i), 0, 100)
+		e.Timestamp = stamp(at)
+		if back, err := time.Parse(time.RFC3339Nano, e.Timestamp); err != nil || !back.Equal(at) {
+			t.Fatalf("stamp %q parses back as %v (%v), want %v", e.Timestamp, back, err, at)
+		}
+		if err := l.WriteOffsets(e); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(epochFile(filepath.Join(dir, "offsets"), int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, fi.Size())
+	}
+	if sizes[0] != sizes[1] || sizes[1] != sizes[2] {
+		t.Fatalf("entries written at three instants are %v bytes long", sizes)
+	}
+	// The stamps the log fills in itself have that width too.
+	if err := l.WriteCommit(0); err != nil {
+		t.Fatal(err)
+	}
+	c, ok, err := l.ReadCommit(0)
+	if err != nil || !ok || len(c.Timestamp) != len(stamp(instants[0])) {
+		t.Fatalf("commit stamp %q (ok=%v, err=%v), want the width of %q", c.Timestamp, ok, err, stamp(instants[0]))
+	}
+	// An entry from an older checkpoint, stamped with the trimming layout.
+	old := entry(3, 100, 200)
+	old.Timestamp = instants[0].Format(time.RFC3339Nano)
+	if err := l.WriteOffsets(old); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := l.ReadOffsets(3); err != nil || !ok || got.Timestamp != old.Timestamp {
+		t.Fatalf("old-layout entry read back as %+v (ok=%v, err=%v)", got, ok, err)
 	}
 }

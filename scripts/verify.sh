@@ -3,79 +3,109 @@
 # Use `go test -short ./...` for the quick tier that skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
+# step announces a step and prints the wall time of the one before it, so a
+# run shows where its minutes went.
+step_name=""
+step_start=$(date +%s)
+step() {
+	now=$(date +%s)
+	if [ -n "$step_name" ]; then
+		echo "   ($((now - step_start)) s: $step_name)"
+	fi
+	step_name=$1
+	step_start=$now
+	[ -z "$1" ] || echo ">> $1"
+}
 # gofmt walks directories, not modules, so one pass from the root covers the
 # main module and benchmark/ alike; any name it prints is a failure.
-echo ">> gofmt -l . (main module and benchmark/)"
+step "gofmt -l . (main module and benchmark/)"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "$unformatted"
 	echo "verify: the files above are not gofmt-clean (run gofmt -w on them)"
 	exit 1
 fi
-echo ">> go vet ./..."
+step "go vet ./..."
 go vet ./...
-echo ">> go test -race ./..."
+step "go test -race ./..."
 go test -race ./...
 # The arrival-signal tests hang (and fail on their own deadline) when a
 # wake-up between an append and the trigger's wait is lost, and a race like
 # that needs repetition to show: PR 16's Subscription.Next lost wake-up
-# passed a single -race run.
-echo ">> arrival wake-up and leak tests, -race -count=20"
-go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuousWorkersWaitForArrival' \
-	./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
+# passed a single -race run. Twenty repetitions take most of a minute for
+# the engine alone, so they run under VERIFY_FULL=1 (run it after touching
+# msgbus.Arrival, the trigger loop or a source's NotifyArrival); the default
+# keeps the one -race pass `go test -race ./...` above gave them.
+if [ "${VERIFY_FULL:-}" = "1" ]; then
+	step "arrival wake-up and leak tests, -race -count=20"
+	go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuousWorkersWaitForArrival' \
+		./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
+fi
 # Fuzz smoke: a few seconds of coverage-guided input on the state record
 # framing shared by deltas, snapshots, and LSM batches — round-trips must
 # hold, corrupt input must never panic the decoder, and records out of order
 # or repeating a key must replay as the log they are.
-echo ">> lsm record-framing fuzz smoke"
+step "lsm record-framing fuzz smoke"
 go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
 # The state layer's micro-benchmarks, one iteration each: they assert their
 # own set-up (a full memtable, a window's key count), so they must keep
 # running, not only compiling.
-echo ">> state and lsm micro-benchmarks, -benchtime 1x"
+step "state and lsm micro-benchmarks, -benchtime 1x"
 go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter' -benchtime 1x \
 	./internal/state/ ./internal/lsm/ >/dev/null
 # And on the SSTable reader — footer, filter header, block index and block
 # entries, each fuzzed behind a valid checksum: no panic, and nothing but
 # fsx.ErrCorrupt comes back.
-echo ">> lsm sstable reader fuzz smoke"
+step "lsm sstable reader fuzz smoke"
 go test -run '^$' -fuzz 'FuzzOpenTable' -fuzztime 5s ./internal/lsm/
 # The same for the decoders that read stream-stream join state back (header,
 # entry and meta values, time-index keys).
-echo ">> join state fuzz smoke"
+step "join state fuzz smoke"
 go test -run '^$' -fuzz 'FuzzJoinState' -fuzztime 5s ./internal/incremental/
+# And for the aggregate's state values: the typed loader of each of the nine
+# buffers against the Serialize/Deserialize oracle, on whatever bytes the disk
+# might hold. Minimizing a new 1 KiB input (an HLL state) would eat the whole
+# smoke, so minimization is off.
+step "aggregate state fuzz smoke"
+go test -run '^$' -fuzz 'FuzzAggState' -fuzztime 5s -fuzzminimizetime 0 ./internal/incremental/
+# The aggregate's exchange micro-benchmark, one iteration: it asserts that
+# every partial group that crossed came back as an updated row.
+step "aggregate exchange micro-benchmark, -benchtime 1x"
+go test -run '^$' -bench 'BenchmarkAggExchange' -benchtime 1x ./internal/incremental/ >/dev/null
 # And for the time band the planner derives from a join condition: whatever
 # residual and pair the fuzzer picks, a pair the band excludes is one the
 # residual rejects.
-echo ">> join band fuzz smoke"
+step "join band fuzz smoke"
 go test -run '^$' -fuzz 'FuzzJoinBand' -fuzztime 5s ./internal/incremental/
 # And for the bus-record decoders: the pruned, the full typed and the boxed
 # one must keep and drop the same records and agree on every kept cell.
-echo ">> pruned row decode fuzz smoke"
+step "pruned row decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
 # And for what the write-ahead log reads back — offsets entry, commit
 # manifest, segment seal — raw and behind a valid frame: no panic, and
 # nothing but fsx.ErrCorrupt comes back.
-echo ">> wal decode fuzz smoke"
+step "wal decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
 # a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
 # Provider fields, ...) is caught by verify and not by the next measurement.
-echo ">> benchmark module vet + tests"
+step "benchmark module vet + tests"
 (cd benchmark && go vet . && go test .)
 # Names whose producer is gone (the legacy bench harness and the options
 # only it selected; the simulated cluster scheduler, its injection hooks,
 # its gauges and the writer method that selected it; the bus's timed
 # per-partition wait, replaced by the arrival signal; the state store's
 # three staging maps, their filter-and-sort helper and the tree's second
-# commit entry point) must not survive in code, scripts or docs. The pattern
+# commit entry point; the boxed partial-row renderer and the decoders of what
+# it rendered) must not survive in code, scripts or docs. The pattern
 # is assembled from halves so this script does not match itself.
-echo ">> stale-reference guard"
+step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
 stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
 stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pending''Del'
+stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
@@ -84,13 +114,14 @@ fi
 # byte-identical to the row path on randomized queries and data, and the
 # engine-level on/off runs must agree. (The full suite also runs under
 # `go test -race ./...` above; this line keeps the contract visible.)
-echo ">> vectorized/row differential smoke"
+step "vectorized/row differential smoke"
 go test -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorizeOnOff' \
 	./internal/sql/vec/ ./internal/incremental/ ./internal/engine/ >/dev/null
 # Opt-in chaos tier: randomized fault schedule against the supervised
 # runtime (bounded by STRUCTREAM_CHAOS_SECONDS, default 20).
 if [ "${STRUCTREAM_CHAOS:-}" = "1" ]; then
-	echo ">> make chaos (randomized fault schedule)"
+	step "make chaos (randomized fault schedule)"
 	make chaos
 fi
+step ""
 echo "verify: OK"
