@@ -373,7 +373,13 @@ func (h *Hub) advance() {
 			// table (the sink retains no deltas); each snapshot replaces
 			// the previous view, so skipping straight to the newest
 			// committed epoch is both correct and the coalescing we want.
-			rows, ep := h.rep.SnapshotRows()
+			// The table is decoded only when a ring will take the frame: a
+			// subscriber that arrives later gets its own snapshot.
+			var rows []sql.Row
+			ep := h.rep.LastEpoch()
+			if h.ringOpenLocked() {
+				rows, ep = h.rep.SnapshotRows()
+			}
 			if ep < latest {
 				ep = latest
 			}
@@ -401,6 +407,17 @@ func (h *Hub) advance() {
 		h.sweepLocked()
 		h.mu.Unlock()
 	}
+}
+
+// ringOpenLocked reports whether broadcastLocked would append a frame to
+// any ring.
+func (h *Hub) ringOpenLocked() bool {
+	for _, sub := range h.subs {
+		if sub.evictReason == "" && !sub.closed && !sub.lagged && !sub.snapshotPending && len(sub.ring) < h.opts.RingFrames {
+			return true
+		}
+	}
+	return false
 }
 
 // broadcastLocked appends f to every live ring. Never blocks: a full ring

@@ -516,3 +516,70 @@ func TestLatestAnchorNoDuplicateUnderConcurrentCommits(t *testing.T) {
 		<-done
 	}
 }
+
+// countingReplayer counts the full-table reads the hub makes.
+type countingReplayer struct {
+	*sinks.MemorySink
+	mu        sync.Mutex
+	snapshots int
+}
+
+func (c *countingReplayer) SnapshotRows() ([]sql.Row, int64) {
+	c.mu.Lock()
+	c.snapshots++
+	c.mu.Unlock()
+	return c.MemorySink.SnapshotRows()
+}
+
+func (c *countingReplayer) reads() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.snapshots
+}
+
+// In update and complete mode a broadcast is a snapshot of the whole table:
+// the hub must not build one no ring will take, and its cursor must advance
+// all the same, so that a subscriber arriving later anchors at the newest
+// epoch with a snapshot of its own.
+func TestAdvanceBuildsNoSnapshotWithoutSubscribers(t *testing.T) {
+	rep := &countingReplayer{MemorySink: sinks.NewMemorySink()}
+	upsert := func(epoch int64) {
+		t.Helper()
+		b := sinks.Batch{Epoch: epoch, Mode: logical.Update, Schema: testSchema, Rows: epochRows(epoch%2, 3), KeyArity: 1}
+		if err := rep.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upsert(0)
+	h := NewHub("q", rep, HubOptions{})
+	defer h.Close()
+	cursor := func() int64 {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.last
+	}
+	for e := int64(1); e <= 5; e++ {
+		upsert(e)
+		h.Notify(e)
+		waitFor(t, 5*time.Second, func() bool { return cursor() == e }, "broadcast cursor did not advance")
+	}
+	if n := rep.reads(); n != 0 {
+		t.Fatalf("%d snapshots built for no subscriber", n)
+	}
+	sub, err := h.Subscribe(SubscribeOptions{Cursor: -1, SkipHello: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if f := nextFrame(t, sub); f.Kind != FrameSnapshot || f.Cursor != 5 || len(f.Rows) != 6 {
+		t.Fatalf("late subscriber's snapshot = %+v", f)
+	}
+	upsert(6)
+	h.Notify(6)
+	if f := nextFrame(t, sub); f.Kind != FrameSnapshot || f.Cursor != 6 || len(f.Rows) != 6 {
+		t.Fatalf("live snapshot = %+v", f)
+	}
+	if n := rep.reads(); n != 2 {
+		t.Fatalf("%d snapshots built, want the subscriber's own and one broadcast", n)
+	}
+}

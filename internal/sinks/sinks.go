@@ -7,8 +7,12 @@
 package sinks
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -90,23 +94,25 @@ func Describe(s Sink) string {
 
 // MemorySink accumulates the result table in memory and serves consistent
 // snapshots for interactive queries — the paper's "output to an in-memory
-// Spark table that users can query interactively" (§3).
+// Spark table that users can query interactively" (§3). What it retains is
+// codec bytes (table.go), or the vectors of a columnar append; every reader
+// gets rows decoded for it alone.
 type MemorySink struct {
-	mu      sync.Mutex
-	schema  sql.Schema
-	byEpoch map[epochSub][]sql.Row // append mode: rows per (epoch, sub)
-	// vecByEpoch holds epochs delivered columnar (AddColumnBatch). Rows
-	// materialize lazily on first read and memoize into byEpoch; a replay
-	// that re-delivers the (epoch, sub) pair clears whichever
-	// representation it replaces.
-	vecByEpoch map[epochSub][]*vec.Batch
-	complete   []sql.Row          // complete mode: latest full table
-	keyed      map[string]sql.Row // update mode: upsert by key
-	keyOrder   []string
-	keyEnc     codec.Encoder // update mode: scratch for the row's key bytes
-	mode       logical.OutputMode
-	hasMode    bool
-	epochs     []epochSub
+	mu     sync.Mutex
+	schema sql.Schema
+	// epochs is append mode's table: one delivery per (epoch, sub), sorted.
+	// distinct counts the epochs in it, steps the entries its bookkeeping has
+	// searched, moved or read (a test holds that linear in the deliveries).
+	epochs   []delivery
+	distinct int
+	steps    int64
+	complete rowBlob       // complete mode: latest full table
+	keyed    keyedTable    // update mode: upsert by key
+	enc      codec.Encoder // scratch: one delivery's rows, encoded
+	marks    []rowMark     // scratch: where update mode's rows lie in enc
+	blob     []byte        // scratch: a blob before it is cut to size
+	mode     logical.OutputMode
+	hasMode  bool
 	// retain bounds append-mode growth to the last retain distinct epochs
 	// (0 = unlimited); floor is the newest epoch dropped by retention (-1
 	// before any) and lastEpoch the newest epoch ever delivered (-1 before
@@ -116,18 +122,31 @@ type MemorySink struct {
 	lastEpoch int64
 }
 
-type epochSub struct{ epoch, sub int64 }
+// rowMark is one encoded row of an update delivery: enc's bytes up to end,
+// the first klen of them the key, which hashes to hash.
+type rowMark struct {
+	end, klen int
+	hash      uint64
+}
+
+// delivery is one (epoch, sub)'s appended rows as stored: a blob when they
+// came as rows, the column batches themselves when they came as columns —
+// those are already a few slabs per column, and the engine gave them away.
+type delivery struct {
+	epoch, sub int64
+	rows       rowBlob
+	vecs       []*vec.Batch
+}
 
 // NewMemorySink creates an empty memory sink.
 func NewMemorySink() *MemorySink {
-	return &MemorySink{
-		byEpoch:    map[epochSub][]sql.Row{},
-		vecByEpoch: map[epochSub][]*vec.Batch{},
-		keyed:      map[string]sql.Row{},
-		floor:      -1,
-		lastEpoch:  -1,
-	}
+	return &MemorySink{keyed: keyedTable{seed: maphash.MakeSeed()}, floor: -1, lastEpoch: -1}
 }
+
+// AddColumnBatch implements ColumnSink: append-mode epochs keep their
+// column batches as delivered and box rows only for a reader; the other
+// modes encode each row straight from the vectors.
+func (s *MemorySink) AddColumnBatch(b Batch) error { return s.AddBatch(b) }
 
 // AddBatch implements Sink.
 func (s *MemorySink) AddBatch(b Batch) error {
@@ -143,75 +162,128 @@ func (s *MemorySink) AddBatch(b Batch) error {
 	}
 	switch b.Mode {
 	case logical.Complete:
-		s.complete = cloneRows(b.Rows)
+		s.complete = s.encodeLocked(b)
 	case logical.Append:
 		if b.Epoch <= s.floor {
 			return nil // retention already passed this epoch; drop the replay
 		}
-		key := epochSub{epoch: b.Epoch, sub: b.Sub}
-		s.registerEpochLocked(key)
-		s.byEpoch[key] = cloneRows(b.Rows) // replace: idempotent replay
-		delete(s.vecByEpoch, key)
+		d := delivery{epoch: b.Epoch, sub: b.Sub, vecs: b.Vecs}
+		if b.Vecs == nil {
+			d.rows = s.encodeLocked(b)
+		}
+		s.putLocked(d)
 		s.enforceRetentionLocked()
 	case logical.Update:
 		ka := b.KeyArity
 		if ka <= 0 || ka > b.Schema.Len() {
 			ka = b.Schema.Len()
 		}
-		for _, r := range b.Rows {
-			// Same bytes as codec.KeyString; the key string and the retained
-			// row are allocated only the first time a key is seen.
-			s.keyEnc.Reset()
-			for _, v := range r[:ka] {
-				s.keyEnc.PutValue(v)
-			}
-			old, ok := s.keyed[string(s.keyEnc.Bytes())]
-			if ok && len(old) == len(r) {
-				// Every reader is handed clones, so nobody holds old.
-				copy(old, r)
-				continue
-			}
-			k := string(s.keyEnc.Bytes())
-			if !ok {
-				s.keyOrder = append(s.keyOrder, k)
-			}
-			s.keyed[k] = r.Clone()
+		// Two passes: every row is encoded and its key hashed before the first
+		// probe. A probe is a chain of cache misses (index, entry, record) that
+		// depends on no other probe; back to back, with no encoding between
+		// them, they overlap.
+		s.marks = s.marks[:0]
+		s.eachRowLocked(b, ka, func(rec []byte, _, klen int) {
+			s.marks = append(s.marks, rowMark{len(s.enc.Bytes()), klen, s.keyed.hash(rec[:klen])})
+		})
+		start := 0
+		for _, m := range s.marks {
+			s.keyed.upsert(s.enc.Bytes()[start:m.end], m.klen, m.hash)
+			start = m.end
 		}
 	}
 	return nil
 }
 
-// AddColumnBatch implements ColumnSink: append-mode epochs keep their
-// column batches as delivered, deferring row materialization to the
-// first read. Other output modes need per-row key handling, so they
-// materialize immediately and reuse AddBatch.
-func (s *MemorySink) AddColumnBatch(b Batch) error {
-	if b.Mode != logical.Append {
-		for _, vb := range b.Vecs {
-			b.Rows = vb.AppendRows(b.Rows)
+// eachRowLocked encodes every row of the delivery, boxed or columnar, into
+// the scratch one after another and hands fn each row's bytes (valid until
+// the next row), its cell count and the length of its first ka cells'
+// encoding — the same bytes as codec.KeyString.
+func (s *MemorySink) eachRowLocked(b Batch, ka int, fn func(rec []byte, cells, klen int)) {
+	s.enc.Reset()
+	for _, r := range b.Rows {
+		start := len(s.enc.Bytes())
+		for _, v := range r[:ka] {
+			s.enc.PutValue(v)
 		}
-		b.Vecs = nil
-		return s.AddBatch(b)
+		klen := len(s.enc.Bytes()) - start
+		for _, v := range r[ka:] {
+			s.enc.PutValue(v)
+		}
+		fn(s.enc.Bytes()[start:], len(r), klen)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.schema = b.Schema
-	if s.hasMode && s.mode != b.Mode {
-		return fmt.Errorf("sinks: memory sink mode changed from %s to %s", s.mode, b.Mode)
+	for _, vb := range b.Vecs {
+		for l, live := 0, vb.NumLive(); l < live; l++ {
+			i := l
+			if vb.Sel != nil {
+				i = int(vb.Sel[l])
+			}
+			start := len(s.enc.Bytes())
+			for _, col := range vb.Cols[:ka] {
+				s.enc.PutVectorValue(col, i)
+			}
+			klen := len(s.enc.Bytes()) - start
+			for _, col := range vb.Cols[ka:] {
+				s.enc.PutVectorValue(col, i)
+			}
+			fn(s.enc.Bytes()[start:], len(vb.Cols), klen)
+		}
 	}
-	s.mode, s.hasMode = b.Mode, true
-	if b.Epoch > s.lastEpoch {
-		s.lastEpoch = b.Epoch
+}
+
+// encodeLocked returns the delivery as a blob cut to size: it is retained.
+func (s *MemorySink) encodeLocked(b Batch) rowBlob {
+	blob := rowBlob{buf: s.blob[:0]}
+	s.eachRowLocked(b, 0, func(rec []byte, cells, _ int) {
+		blob.n++
+		blob.buf = append(binary.AppendUvarint(blob.buf, uint64(cells)), rec...)
+	})
+	s.blob, blob.buf = blob.buf, bytes.Clone(blob.buf)
+	return blob
+}
+
+// putLocked stores d at its (epoch, sub), replacing what a replayed pair
+// held before — rows or columns alike.
+func (s *MemorySink) putLocked(d delivery) {
+	n := len(s.epochs)
+	i := n
+	if n > 0 && !s.epochs[n-1].before(d.epoch, d.sub) { // not the next in order
+		i = sort.Search(n, func(j int) bool { s.steps++; return !s.epochs[j].before(d.epoch, d.sub) })
+		if s.epochs[i].epoch == d.epoch && s.epochs[i].sub == d.sub {
+			s.epochs[i] = d
+			return
+		}
 	}
-	if b.Epoch <= s.floor {
-		return nil // retention already passed this epoch; drop the replay
+	if (i == 0 || s.epochs[i-1].epoch != d.epoch) && (i == n || s.epochs[i].epoch != d.epoch) {
+		s.distinct++
 	}
-	key := epochSub{epoch: b.Epoch, sub: b.Sub}
-	s.registerEpochLocked(key)
-	s.vecByEpoch[key] = b.Vecs
-	delete(s.byEpoch, key)
-	s.enforceRetentionLocked()
-	return nil
+	s.steps += int64(n - i + 1)
+	s.epochs = slices.Insert(s.epochs, i, d)
+}
+
+func (d *delivery) before(epoch, sub int64) bool {
+	return d.epoch < epoch || d.epoch == epoch && d.sub < sub
+}
+
+// runLocked returns the positions [lo, hi) of one epoch's deliveries.
+func (s *MemorySink) runLocked(epoch int64) (lo, hi int) {
+	lo = sort.Search(len(s.epochs), func(j int) bool { s.steps++; return s.epochs[j].epoch >= epoch })
+	for hi = lo; hi < len(s.epochs) && s.epochs[hi].epoch == epoch; hi++ {
+		s.steps++
+	}
+	return lo, hi
+}
+
+// forgetLocked releases deliveries the caller cuts off one end of s.epochs:
+// whole epochs.
+func (s *MemorySink) forgetLocked(gone []delivery) {
+	for j := range gone {
+		if j == 0 || gone[j].epoch != gone[j-1].epoch {
+			s.distinct--
+		}
+	}
+	s.steps += int64(len(gone))
+	clear(gone)
 }
 
 // SetRetention bounds the sink to the last n distinct committed epochs
@@ -228,62 +300,15 @@ func (s *MemorySink) SetRetention(n int) {
 // enforceRetentionLocked drops the oldest distinct epochs until at most
 // s.retain remain, advancing the floor past everything dropped.
 func (s *MemorySink) enforceRetentionLocked() {
-	if s.retain <= 0 {
-		return
-	}
-	distinct := 0
-	var prev int64 = -1
-	for _, e := range s.epochs {
-		if distinct == 0 || e.epoch != prev {
-			distinct++
-			prev = e.epoch
-		}
-	}
-	for distinct > s.retain {
+	for s.retain > 0 && s.distinct > s.retain {
 		oldest := s.epochs[0].epoch
-		i := 0
-		for ; i < len(s.epochs) && s.epochs[i].epoch == oldest; i++ {
-			delete(s.byEpoch, s.epochs[i])
-			delete(s.vecByEpoch, s.epochs[i])
-		}
-		s.epochs = append(s.epochs[:0], s.epochs[i:]...)
+		_, hi := s.runLocked(oldest)
+		s.forgetLocked(s.epochs[:hi])
+		s.epochs = s.epochs[hi:]
 		if oldest > s.floor {
 			s.floor = oldest
 		}
-		distinct--
 	}
-}
-
-// registerEpochLocked records a new (epoch, sub) pair in delivery order.
-func (s *MemorySink) registerEpochLocked(key epochSub) {
-	if _, seen := s.byEpoch[key]; seen {
-		return
-	}
-	if _, seen := s.vecByEpoch[key]; seen {
-		return
-	}
-	s.epochs = append(s.epochs, key)
-	sort.Slice(s.epochs, func(i, j int) bool {
-		if s.epochs[i].epoch != s.epochs[j].epoch {
-			return s.epochs[i].epoch < s.epochs[j].epoch
-		}
-		return s.epochs[i].sub < s.epochs[j].sub
-	})
-}
-
-// epochRowsLocked returns one epoch's rows, materializing (and
-// memoizing) a columnar delivery on first access. Callers must not
-// mutate the result — it backs future reads.
-func (s *MemorySink) epochRowsLocked(key epochSub) []sql.Row {
-	if rows, ok := s.byEpoch[key]; ok {
-		return rows
-	}
-	var rows []sql.Row
-	for _, vb := range s.vecByEpoch[key] {
-		rows = vb.AppendRows(rows)
-	}
-	s.byEpoch[key] = rows
-	return rows
 }
 
 // Schema returns the sink's current schema.
@@ -295,37 +320,14 @@ func (s *MemorySink) Schema() sql.Schema {
 
 // Rows returns a consistent snapshot of the result table.
 func (s *MemorySink) Rows() []sql.Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.mode {
-	case logical.Complete:
-		return cloneRows(s.complete)
-	case logical.Update:
-		out := make([]sql.Row, 0, len(s.keyed))
-		for _, k := range s.keyOrder {
-			out = append(out, s.keyed[k].Clone())
-		}
-		return out
-	default:
-		var out []sql.Row
-		for _, e := range s.epochs {
-			out = append(out, cloneRows(s.epochRowsLocked(e))...)
-		}
-		return out
-	}
+	rows, _ := s.SnapshotRows()
+	return rows
 }
 
 // RowsForEpoch returns the rows appended by one epoch (append mode).
 func (s *MemorySink) RowsForEpoch(epoch int64) []sql.Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []sql.Row
-	for _, e := range s.epochs {
-		if e.epoch == epoch {
-			out = append(out, cloneRows(s.epochRowsLocked(e))...)
-		}
-	}
-	return out
+	rows, _ := s.EpochRows(epoch)
+	return rows
 }
 
 // Truncate drops output from epochs greater than keep, the sink-side part
@@ -333,16 +335,9 @@ func (s *MemorySink) RowsForEpoch(epoch int64) []sql.Row {
 func (s *MemorySink) Truncate(keep int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.epochs[:0]
-	for _, e := range s.epochs {
-		if e.epoch <= keep {
-			kept = append(kept, e)
-		} else {
-			delete(s.byEpoch, e)
-			delete(s.vecByEpoch, e)
-		}
-	}
-	s.epochs = kept
+	lo, _ := s.runLocked(keep + 1)
+	s.forgetLocked(s.epochs[lo:])
+	s.epochs = s.epochs[:lo]
 	if s.lastEpoch > keep {
 		s.lastEpoch = keep
 	}
@@ -374,22 +369,25 @@ func (s *MemorySink) LastEpoch() int64 {
 // EpochRows returns one epoch's appended rows and whether the sink holds
 // them. ok is false for epochs at or below the retention floor, epochs
 // never delivered, and non-append modes (which do not retain per-epoch
-// deltas). Callers must not mutate the result.
+// deltas).
 func (s *MemorySink) EpochRows(epoch int64) ([]sql.Row, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.mode != logical.Append || epoch <= s.floor {
 		return nil, false
 	}
-	var out []sql.Row
-	found := false
-	for _, e := range s.epochs {
-		if e.epoch == epoch {
-			found = true
-			out = append(out, s.epochRowsLocked(e)...)
+	lo, hi := s.runLocked(epoch)
+	return appendDeliveries(nil, s.epochs[lo:hi]), hi > lo
+}
+
+func appendDeliveries(dst []sql.Row, ds []delivery) []sql.Row {
+	for _, d := range ds {
+		dst = d.rows.appendRows(dst)
+		for _, vb := range d.vecs {
+			dst = vb.AppendRows(dst)
 		}
 	}
-	return out, found
+	return dst
 }
 
 // SnapshotRows returns a consistent snapshot of the whole result table
@@ -401,26 +399,13 @@ func (s *MemorySink) SnapshotRows() ([]sql.Row, int64) {
 	var rows []sql.Row
 	switch s.mode {
 	case logical.Complete:
-		rows = cloneRows(s.complete)
+		rows = s.complete.appendRows(make([]sql.Row, 0, s.complete.n))
 	case logical.Update:
-		rows = make([]sql.Row, 0, len(s.keyed))
-		for _, k := range s.keyOrder {
-			rows = append(rows, s.keyed[k].Clone())
-		}
+		rows = s.keyed.appendRows(make([]sql.Row, 0, len(s.keyed.ents)), s.schema.Len())
 	default:
-		for _, e := range s.epochs {
-			rows = append(rows, cloneRows(s.epochRowsLocked(e))...)
-		}
+		rows = appendDeliveries(nil, s.epochs)
 	}
 	return rows, s.lastEpoch
-}
-
-func cloneRows(rows []sql.Row) []sql.Row {
-	out := make([]sql.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	return out
 }
 
 // ---------------------------------------------------------------- tee

@@ -354,12 +354,12 @@ func TestMemorySinkColumnarReplayReplaces(t *testing.T) {
 	if rows := s.Rows(); len(rows) != 1 {
 		t.Fatalf("columnar replay duplicated: %v", rows)
 	}
-	// Read (materializes + memoizes), then replay again row-wise.
+	// Read the columns back as rows, then replay again row-wise.
 	_ = s.RowsForEpoch(0)
 	s.AddBatch(batch(0, logical.Append, sql.Row{"CA", int64(9)}))
 	rows := s.Rows()
 	if len(rows) != 1 || rows[0][1] != int64(9) {
-		t.Fatalf("row replay after memoized columnar read: %v", rows)
+		t.Fatalf("row replay after a columnar read: %v", rows)
 	}
 }
 
@@ -380,9 +380,9 @@ func TestMemorySinkColumnarTruncate(t *testing.T) {
 	}
 }
 
-// Non-append modes have per-row key handling; columnar deliveries
-// materialize and take the row route.
-func TestMemorySinkColumnarUpdateDelegates(t *testing.T) {
+// Non-append modes have per-row key handling: a columnar delivery is
+// encoded row by row from the vectors into the same table.
+func TestMemorySinkColumnarUpdate(t *testing.T) {
 	s := NewMemorySink()
 	vb, ok := vec.FromRows(schema, []sql.Row{{"CA", int64(1)}, {"CA", int64(5)}})
 	if !ok {

@@ -86,6 +86,16 @@ go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
 # nothing but fsx.ErrCorrupt comes back.
 step "wal decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
+# And for the memory sink's result table: whatever batches the fuzzer draws
+# (three modes, rows and columns, replays, key arities, values that outgrow
+# their record's slack), every reader returns what a map of boxed rows would,
+# before and after a rewrite of the slabs.
+step "memory sink table fuzz smoke"
+go test -run '^$' -fuzz 'FuzzMemorySinkTable' -fuzztime 5s -fuzzminimizetime 0 ./internal/sinks/
+# The sink's micro-benchmarks, one iteration: the update script checks the
+# table's row count against its distinct keys, the snapshot its size.
+step "memory sink micro-benchmarks, -benchtime 1x"
+go test -run '^$' -bench 'BenchmarkMemorySink' -benchtime 1x ./internal/sinks/ >/dev/null
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
 # a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
@@ -98,7 +108,8 @@ step "benchmark module vet + tests"
 # per-partition wait, replaced by the arrival signal; the state store's
 # three staging maps, their filter-and-sort helper and the tree's second
 # commit entry point; the boxed partial-row renderer and the decoders of what
-# it rendered) must not survive in code, scripts or docs. The pattern
+# it rendered; the memory sink's boxed-row copier and its key-order list) must
+# not survive in code, scripts or docs. The pattern
 # is assembled from halves so this script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
@@ -106,6 +117,7 @@ stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Sp
 stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
 stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pending''Del'
 stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
+stale="$stale"'|clone''Rows|key''Order'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
