@@ -27,7 +27,10 @@ import (
 // crash-safe file replacement (see WriteAtomic).
 type FS interface {
 	// WriteFile creates or truncates path with data. Durable
-	// implementations fsync before returning.
+	// implementations fsync before returning. An implementation must not
+	// keep data after it returns — one that holds file contents in memory
+	// copies them: writers encode the next file over the same buffer (the
+	// state store's delta image, the LSM's table image).
 	WriteFile(path string, data []byte, perm fs.FileMode) error
 	// Rename atomically replaces newpath with oldpath. Durable
 	// implementations fsync the parent directory so the rename itself
@@ -271,10 +274,26 @@ const (
 // Checksum returns the CRC32C (Castagnoli) of data.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// Seal appends the length+CRC32C footer to body.
+// Seal appends the length+CRC32C footer to body — in place when body has
+// FooterSize of spare capacity, which the encoders of large records leave
+// (lsm.EncodeBatch), so a sealed file is not copied once more before it is
+// written; the result then shares body's storage.
 func Seal(body []byte) []byte {
-	footer := fmt.Sprintf("%s%08x%s%012d\n", footerPrefix, Checksum(body), footerMiddle, len(body))
-	return append(body, footer...)
+	const hex = "0123456789abcdef"
+	crc, n := Checksum(body), len(body)
+	body = append(body, footerPrefix...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		body = append(body, hex[crc>>shift&0xf])
+	}
+	body = append(body, footerMiddle...)
+	// Twelve digits, zero-padded: what %012d prints for any length a file
+	// can have.
+	body = append(body, "000000000000\n"...)
+	for i := 2; i <= 13; i++ {
+		body[len(body)-i] = byte('0' + n%10)
+		n /= 10
+	}
+	return body
 }
 
 // Verify checks a sealed record and returns its body. Errors wrap

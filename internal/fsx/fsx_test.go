@@ -2,6 +2,7 @@ package fsx
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,6 +46,43 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 		}
 		if string(got) != string(body) {
 			t.Errorf("body = %q, want %q", got, body)
+		}
+	}
+}
+
+// TestSealFooterFormat pins the footer's bytes — Seal formats them by hand —
+// against the format string readers and older writers share, and that a body
+// with FooterSize to spare is sealed where it lies.
+func TestSealFooterFormat(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 4095, 123456} {
+		body := make([]byte, n, n+FooterSize)
+		for i := range body {
+			body[i] = byte(i * 31)
+		}
+		want := string(body) + fmt.Sprintf("\n#structream.v1 crc32c=%08x length=%012d\n", Checksum(body), n)
+		sealed := Seal(body)
+		if string(sealed) != want {
+			t.Fatalf("Seal of %d bytes ends %q, want %q", n, sealed[n:], want[n:])
+		}
+		if len(sealed) != n+FooterSize || &sealed[0] != &body[:1][0] {
+			t.Fatalf("Seal of %d bytes with room for the footer moved the body or wrote %d footer bytes", n, len(sealed)-n)
+		}
+	}
+}
+
+// TestWriteFileDoesNotRetain: writers encode the next file over the buffer
+// they handed to WriteFile, so what a filesystem wrote must not change with
+// it.
+func TestWriteFileDoesNotRetain(t *testing.T) {
+	for name, fsys := range map[string]FS{"real": Real(), "nosync": NoSync(), "fault": NewFaultFS(NoSync())} {
+		path := filepath.Join(t.TempDir(), "f")
+		buf := []byte("first contents")
+		if err := fsys.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		copy(buf, "XXXXXXXXXXXXXX")
+		if got, err := fsys.ReadFile(path); err != nil || string(got) != "first contents" {
+			t.Fatalf("%s: the file reads %q, %v after its writer reused the buffer", name, got, err)
 		}
 	}
 }

@@ -401,13 +401,12 @@ func (j *StreamStreamJoin) Process(ctx *EpochContext, store *state.Store, inputs
 		return nil, err
 	}
 	minTs := [2]int64{math.MaxInt64, math.MaxInt64}
-	putNew := func(k, v []byte) { store.Hint(k, false); store.Put(k, v) }
 	// buffer writes v as the entry idx of side s's group g and, if it can ever
 	// be evicted, its time-index key.
 	buffer := func(s int, ks *joinKeyState, g *joinGroup, idx uint64, ts int64, v []byte) {
-		putNew(keyBuf.key(tagEntry, joinSides[s], g.bucket, ks.kb, idx), v)
+		store.PutNew(keyBuf.key(tagEntry, joinSides[s], g.bucket, ks.kb, idx), v)
 		if ts >= 0 && eventIdx[s] >= 0 {
-			putNew(keyBuf.key(tagTime, joinSides[s], uint64(ts), ks.kb, idx), []byte{})
+			store.PutNew(keyBuf.key(tagTime, joinSides[s], uint64(ts), ks.kb, idx), []byte{})
 			minTs[s] = min(minTs[s], ts)
 		}
 	}
@@ -483,9 +482,8 @@ func (j *StreamStreamJoin) Process(ctx *EpochContext, store *state.Store, inputs
 					ts, _, _ := entryTs(v) // parsed above
 					store.Remove(keyBuf.key(tagEntry, joinSides[s], g.bucket, ks.kb, idx))
 					if ts >= 0 && eventIdx[s] >= 0 {
-						tk := keyBuf.key(tagTime, joinSides[s], uint64(ts), ks.kb, idx)
-						store.Hint(tk, true) // written with the entry just read
-						store.Remove(tk)
+						// Live: it was written with the entry just read.
+						store.RemoveLive(keyBuf.key(tagTime, joinSides[s], uint64(ts), ks.kb, idx))
 					}
 					if len(decoded) > 0 && decoded[0].idx == idx {
 						decoded[0].idx, decoded = next, decoded[1:]
@@ -638,10 +636,8 @@ func (j *StreamStreamJoin) evict(store *state.Store, keyBuf *joinKeyBuf, s int, 
 		if v.idx == v.h.lo {
 			v.h.lo++ // in-order eviction leaves no hole behind
 		}
-		store.Hint(eks[i], true) // both were found by the scan, unless
-		store.Hint(v.tk, true)   // this epoch appended them and said so
-		store.Remove(eks[i])
-		store.Remove(v.tk)
+		store.RemoveLive(eks[i]) // both were found by the scan, unless
+		store.RemoveLive(v.tk)   // this epoch appended them and said so
 	}
 	for i, h := range hdrs {
 		if h.live == 0 {

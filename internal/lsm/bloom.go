@@ -69,10 +69,11 @@ func keyHash[K string | []byte](key K) uint64 {
 	return h
 }
 
-// buildBloomFromHashes constructs a filter from pre-computed keyHash values
+// appendBloom appends to dst a filter built from pre-computed keyHash values
 // — the table builder hashes each key as it streams in, so building the
-// filter never needs the key set resident.
-func buildBloomFromHashes(hashes []uint64, bitsPerKey int) []byte {
+// filter never needs the key set resident, and the filter's bits are set
+// where they will be written from: in the table image.
+func appendBloom(dst []byte, hashes []uint64, bitsPerKey int) []byte {
 	if bitsPerKey <= 0 {
 		bitsPerKey = bloomBitsPerKey
 	}
@@ -88,9 +89,10 @@ func buildBloomFromHashes(hashes []uint64, bitsPerKey int) []byte {
 	if nBits < 64 {
 		nBits = 64
 	}
-	filter := make([]byte, 1+(nBits+7)/8)
-	filter[0] = bloomFinalized | byte(k)
-	bitmap := filter[1:]
+	dst = append(dst, bloomFinalized|byte(k))
+	at := len(dst)
+	dst = append(dst, make([]byte, (nBits+7)/8)...) // grown and zeroed in place
+	bitmap := dst[at:]
 	bits := uint64(len(bitmap)) * 8
 	for _, h := range hashes {
 		delta := h>>33 | h<<31
@@ -100,7 +102,7 @@ func buildBloomFromHashes(hashes []uint64, bitsPerKey int) []byte {
 			h += delta
 		}
 	}
-	return filter
+	return dst
 }
 
 // bloom is a filter opened for probing.

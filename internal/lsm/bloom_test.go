@@ -62,7 +62,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 						for i, k := range members {
 							hashes[i] = keyHash(k)
 						}
-						f, err := openBloom(buildBloomFromHashes(hashes, bloomBitsPerKey))
+						f, err := openBloom(appendBloom(nil, hashes, bloomBitsPerKey))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -16,19 +16,29 @@ type BlockCache struct {
 	size     int64
 	order    *list.List // front = most recently used
 	items    map[cacheKey]*list.Element
+	// tables heads each open table's chain of resident blocks, so dropping a
+	// table costs what it drops, not a walk of the whole cache.
+	tables map[uint64]*cacheEntry
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	tableIDs atomic.Uint64 // the last table number handed to openTable
 }
 
+// cacheKey names a block by the number its open Table drew from the cache —
+// unique per open, so a file rewritten under the same path (a sequence number
+// reused after a rollback) can never be served another table's blocks — and
+// eight bytes to hash where the path was a string.
 type cacheKey struct {
-	table string // table file path (unique per table)
-	block int    // data-block index within the table
+	table uint64
+	block int // data-block index within the table
 }
 
 type cacheEntry struct {
 	key  cacheKey
 	data []byte
+	// prev and next chain the resident blocks of one table.
+	prev, next *cacheEntry
 }
 
 // CacheStats is a point-in-time view of a cache's effectiveness.
@@ -45,6 +55,7 @@ func NewBlockCache(capBytes int64) *BlockCache {
 		capacity: capBytes,
 		order:    list.New(),
 		items:    map[cacheKey]*list.Element{},
+		tables:   map[uint64]*cacheEntry{},
 	}
 }
 
@@ -86,7 +97,12 @@ func (c *BlockCache) put(k cacheKey, data []byte) {
 		c.size += int64(len(data)) - int64(len(el.Value.(*cacheEntry).data))
 		el.Value.(*cacheEntry).data = data
 	} else {
-		c.items[k] = c.order.PushFront(&cacheEntry{key: k, data: data})
+		ent := &cacheEntry{key: k, data: data, next: c.tables[k.table]}
+		if ent.next != nil {
+			ent.next.prev = ent
+		}
+		c.tables[k.table] = ent
+		c.items[k] = c.order.PushFront(ent)
 		c.size += int64(len(data))
 	}
 	for c.size > c.capacity {
@@ -94,27 +110,37 @@ func (c *BlockCache) put(k cacheKey, data []byte) {
 		if el == nil {
 			break
 		}
-		ent := el.Value.(*cacheEntry)
-		c.order.Remove(el)
-		delete(c.items, ent.key)
-		c.size -= int64(len(ent.data))
+		c.removeLocked(el)
+	}
+}
+
+// removeLocked takes one block out of the LRU order, the key map and its
+// table's chain.
+func (c *BlockCache) removeLocked(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.order.Remove(el)
+	delete(c.items, ent.key)
+	c.size -= int64(len(ent.data))
+	if ent.next != nil {
+		ent.next.prev = ent.prev
+	}
+	switch {
+	case ent.prev != nil:
+		ent.prev.next = ent.next
+	case ent.next != nil:
+		c.tables[ent.key.table] = ent.next
+	default:
+		delete(c.tables, ent.key.table)
 	}
 }
 
 // dropTable evicts every block of one table — called when a tree closes or
 // a table becomes unreferenced, so a long-lived shared cache does not pin
 // dead tables' blocks.
-func (c *BlockCache) dropTable(table string) {
+func (c *BlockCache) dropTable(t *Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.table == table {
-			c.order.Remove(el)
-			delete(c.items, ent.key)
-			c.size -= int64(len(ent.data))
-		}
-		el = next
+	for ent := c.tables[t.id]; ent != nil; ent = c.tables[t.id] {
+		c.removeLocked(c.items[ent.key])
 	}
 }

@@ -110,7 +110,7 @@ func TestMergeLeavesCachedBlocksOfOtherTablesAlone(t *testing.T) {
 	if st := tr.Stats(); st.Tables != 5 || st.Compactions != 0 {
 		t.Fatalf("setup: want 5 unmerged tables, got %+v", st)
 	}
-	oldPath := tr.tables[0].path
+	oldID := tr.tables[0].id
 
 	// Readers work on the old table until its blocks fill the cache.
 	for k := range old {
@@ -126,7 +126,7 @@ func TestMergeLeavesCachedBlocksOfOtherTablesAlone(t *testing.T) {
 		defer opts.Cache.mu.Unlock()
 		ofOld, ofOthers = map[cacheKey]bool{}, map[cacheKey]bool{}
 		for k := range opts.Cache.items {
-			if k.table == oldPath {
+			if k.table == oldID {
 				ofOld[k] = true
 			} else {
 				ofOthers[k] = true

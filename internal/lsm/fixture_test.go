@@ -123,7 +123,7 @@ func TestParentCheckpointReadable(t *testing.T) {
 // TestUnknownFilterFormatRefused: a table whose filter header this code does
 // not know is refused by name when it is opened — never read with a guess.
 func TestUnknownFilterFormatRefused(t *testing.T) {
-	b := newTableBuilder(256, bloomBitsPerKey, 0, 0)
+	b := newTableBuilder(256, bloomBitsPerKey)
 	b.add([]byte("a"), []byte("1"), false)
 	data, filter, index := splitTable(b.finish())
 	filter = append([]byte{0x40 | 6}, filter[1:]...)

@@ -1,12 +1,12 @@
 package lsm
 
-import "bytes"
-
 // kvIter is the common shape of memtable and SSTable iterators: a primed
 // cursor advanced with next(), exposing the current entry until exhaustion.
-// Keys and values are []byte views that are only guaranteed valid until the
-// iterator's next call to next() — consumers that hold a key across an
-// advance must copy it (mergeIter does exactly that for its winner).
+// Keys and values are []byte views of storage that is immutable for as long
+// as anything refers to it — a table block, a memtable slot's key string, a
+// committed value — so a view stays readable after the iterator has moved
+// on, and no consumer copies one to hold it. An implementation must never
+// yield a view of a buffer it goes on to rewrite.
 type kvIter interface {
 	// next advances to the following entry; false at exhaustion or error.
 	next() bool
@@ -41,30 +41,27 @@ func cmpStringBytes(s string, b []byte) int {
 
 // ----------------------------------------------------------- memtable iter
 
-// memIter walks one run of a memtable (memtable.iters) in key order. The
-// exposed key lives in a buffer reused across next() calls.
+// memIter walks one run of a memtable (memtable.iters) in key order, reading
+// each entry from its slot: no lookup, no copy.
 type memIter struct {
-	m    *memtable
-	keys []string // what is left of the run
-	key  []byte
-	val  []byte
-	tomb bool
+	slots []memSlot
+	run   []int32 // what is left of the run, the current entry first
+	cur   *memSlot
 }
 
 func (it *memIter) next() bool {
-	if len(it.keys) == 0 {
+	if len(it.run) == 0 {
 		return false
 	}
-	k := it.keys[0]
-	it.keys = it.keys[1:]
-	it.key = append(it.key[:0], k...)
-	e := it.m.entries[k]
-	it.val, it.tomb = e.value, e.tomb
+	it.cur = &it.slots[it.run[0]]
+	it.run = it.run[1:]
 	return true
 }
 
-func (it *memIter) entry() ([]byte, []byte, bool) { return it.key, it.val, it.tomb }
-func (it *memIter) error() error                  { return nil }
+func (it *memIter) entry() ([]byte, []byte, bool) {
+	return keyBytes(it.cur.key), it.cur.value, it.cur.tomb
+}
+func (it *memIter) error() error { return nil }
 
 // tableIter adapts to kvIter.
 func (it *tableIter) entry() ([]byte, []byte, bool) { return it.key, it.val, it.tomb }
@@ -72,26 +69,47 @@ func (it *tableIter) error() error                  { return it.err }
 
 // ------------------------------------------------------------- merge iter
 
+// mergeSource is one input of a merge with its current entry, read from the
+// source once per advance, and the key's prefix.
+type mergeSource struct {
+	it     kvIter
+	live   bool
+	prefix uint64
+	key    []byte
+	val    []byte
+	tomb   bool
+}
+
+// advance moves the source to its next entry.
+func (s *mergeSource) advance() error {
+	if s.live = s.it.next(); s.live {
+		s.key, s.val, s.tomb = s.it.entry()
+		s.prefix = keyPrefix(s.key)
+	}
+	return s.it.error()
+}
+
 // mergeIter fuses sources in newest-first priority order into one sorted
 // stream: at each key the newest source wins and older duplicates are
 // consumed silently. Tombstones are surfaced (not elided) so compaction can
-// decide whether dropping them is safe.
+// decide whether dropping them is safe. The minimum is found by a scan of
+// the sources' prefixes — eight bytes each, side by side — and key bytes are
+// read only where two prefixes tie; what it yields are the winner's views.
 type mergeIter struct {
-	srcs  []kvIter // index 0 = newest
-	valid []bool
-	ties  []int // scratch: the sources holding the current key
+	srcs []mergeSource // index 0 = newest
+	ties []int         // scratch: the sources holding the current key
 
-	key  []byte // owned copy: stays valid while sources advance past it
+	key  []byte
 	val  []byte
 	tomb bool
 	err  error
 }
 
-func newMergeIter(srcs []kvIter) *mergeIter {
-	m := &mergeIter{srcs: srcs, valid: make([]bool, len(srcs))}
-	for i, s := range srcs {
-		m.valid[i] = s.next()
-		if err := s.error(); err != nil {
+func newMergeIter(its []kvIter) *mergeIter {
+	m := &mergeIter{srcs: make([]mergeSource, len(its))}
+	for i, it := range its {
+		m.srcs[i].it = it
+		if err := m.srcs[i].advance(); err != nil {
 			m.err = err
 		}
 	}
@@ -105,30 +123,32 @@ func (m *mergeIter) next() bool {
 	// Find the smallest key across live sources, remembering every source
 	// that holds it. The lowest index among them comes first, which is
 	// exactly newest-wins.
-	var winKey []byte
+	var win *mergeSource
 	m.ties = m.ties[:0]
-	for i, ok := range m.valid {
-		if !ok {
+	for i := range m.srcs {
+		s := &m.srcs[i]
+		if !s.live {
 			continue
 		}
-		k, _, _ := m.srcs[i].entry()
-		if c := bytes.Compare(k, winKey); len(m.ties) == 0 || c < 0 {
-			winKey, m.ties = k, append(m.ties[:0], i)
-		} else if c == 0 {
-			m.ties = append(m.ties, i)
+		if win != nil {
+			c := compareKeys(s.prefix, s.key, win.prefix, win.key)
+			if c > 0 {
+				continue
+			}
+			if c == 0 {
+				m.ties = append(m.ties, i)
+				continue
+			}
 		}
+		win, m.ties = s, append(m.ties[:0], i)
 	}
-	if len(m.ties) == 0 {
+	if win == nil {
 		return false
 	}
-	// Copy the winner's key before advancing any source: a source's entry
-	// buffer may be reused by its next().
-	m.key = append(m.key[:0], winKey...)
-	_, m.val, m.tomb = m.srcs[m.ties[0]].entry()
+	m.key, m.val, m.tomb = win.key, win.val, win.tomb
 	// Consume this key everywhere so shadowed older versions never surface.
 	for _, i := range m.ties {
-		m.valid[i] = m.srcs[i].next()
-		if err := m.srcs[i].error(); err != nil {
+		if err := m.srcs[i].advance(); err != nil {
 			m.err = err
 			return false
 		}

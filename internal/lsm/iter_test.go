@@ -145,7 +145,8 @@ func TestOneKeyCommitsStayLogarithmic(t *testing.T) {
 			lo, hi = 0, n-1
 		}
 		at := lo
-		err := tr.Range(sorted[lo], sorted[hi], func(k string, v []byte) error {
+		err := tr.Range(sorted[lo], sorted[hi], func(kb, v []byte) error {
+			k := string(kb)
 			if at > hi || k != sorted[at] || !bytes.Equal(v, model[k]) {
 				return fmt.Errorf("entry %d of the window is %q; want %q", at-lo, k, sorted[min(at, hi)])
 			}

@@ -52,11 +52,11 @@ func (f *failFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
 	return f.FS.WriteFile(path, data, perm)
 }
 
-// cachedTables lists the distinct table paths currently resident in a cache.
-func cachedTables(c *BlockCache) map[string]bool {
+// cachedTables lists the numbers of the tables with blocks resident in a cache.
+func cachedTables(c *BlockCache) map[uint64]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := map[string]bool{}
+	out := map[uint64]bool{}
 	for k := range c.items {
 		out[k.table] = true
 	}
@@ -77,18 +77,18 @@ func TestCompactionEvictsRetiredTables(t *testing.T) {
 		commit(t, tr, v, map[string][]byte{fmt.Sprintf("k%02d", v): big})
 		// Warm the cache through the current table set, then check the
 		// residency invariant: every cached block belongs to a live table.
-		if err := tr.Range("", "", func(string, []byte) error { return nil }); err != nil {
+		if err := tr.Range("", "", func(_, _ []byte) error { return nil }); err != nil {
 			t.Fatalf("Range: %v", err)
 		}
-		live := map[string]bool{}
+		live := map[uint64]bool{}
 		tr.mu.Lock()
 		for _, tbl := range tr.tables {
-			live[tbl.path] = true
+			live[tbl.id] = true
 		}
 		tr.mu.Unlock()
-		for path := range cachedTables(opts.Cache) {
-			if !live[path] {
-				t.Fatalf("after commit %d the cache still holds blocks of retired table %s", v, filepath.Base(path))
+		for id := range cachedTables(opts.Cache) {
+			if !live[id] {
+				t.Fatalf("after commit %d the cache still holds blocks of a retired table (opened %dth)", v, id)
 			}
 		}
 	}
@@ -344,7 +344,7 @@ func TestConcurrentAccessDuringBackgroundMaintenance(t *testing.T) {
 						return
 					}
 				case 1:
-					if err := tr.Range("k10", "k40", func(string, []byte) error { return nil }); err != nil {
+					if err := tr.Range("k10", "k40", func(_, _ []byte) error { return nil }); err != nil {
 						t.Errorf("reader %d Range: %v", r, err)
 						return
 					}

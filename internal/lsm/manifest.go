@@ -140,15 +140,14 @@ func latestManifestAtOrBelow(l dirListing, version int64) (int64, bool) {
 // Files needed to reconstruct any version >= keepFrom are kept; removed
 // file names are returned.
 func MaintainDir(fsys fsx.FS, dir string, keepFrom int64) ([]string, error) {
-	return maintainDir(fsys, dir, keepFrom, nil, int64(^uint64(0)>>1), nil)
+	return maintainDir(fsys, dir, keepFrom, nil, int64(^uint64(0)>>1))
 }
 
 // maintainDir is the GC core: the newest manifest at or below keepFrom
 // anchors reachability; older manifests, deltas below every surviving
 // manifest's LogFrom (and below minLogFloor), and SSTables referenced by no
-// surviving manifest nor pinned by pin are deleted. onRemoveTable, if set,
-// observes each removed table path (cache eviction).
-func maintainDir(fsys fsx.FS, dir string, keepFrom int64, pin map[int64]bool, minLogFloor int64, onRemoveTable func(path string)) ([]string, error) {
+// surviving manifest nor pinned by pin are deleted.
+func maintainDir(fsys fsx.FS, dir string, keepFrom int64, pin map[int64]bool, minLogFloor int64) ([]string, error) {
 	l, err := listDir(fsys, dir)
 	if err != nil {
 		return nil, err
@@ -205,9 +204,6 @@ func maintainDir(fsys fsx.FS, dir string, keepFrom int64, pin map[int64]bool, mi
 		name := fmt.Sprintf("%d.sst", seq)
 		if err := fsys.Remove(filepath.Join(dir, name)); err == nil {
 			removed = append(removed, name)
-			if onRemoveTable != nil {
-				onRemoveTable(filepath.Join(dir, name))
-			}
 		}
 	}
 	return removed, nil

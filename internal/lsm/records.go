@@ -17,6 +17,8 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+
+	"structream/internal/fsx"
 )
 
 // Record batch framing, shared with the memory state backend's delta and
@@ -41,6 +43,25 @@ type Entry struct {
 	Known, Live bool
 }
 
+// keyChunkBytes is the size of the chunks key strings are cut from.
+const keyChunkBytes = 64 << 10
+
+// CutKey copies key to the end of chunk and returns the copy as a string cut
+// from it: one allocation per keyChunkBytes of keys instead of one per key.
+// A chunk is only ever appended to, so the strings cut from it are as
+// immutable as any; a full one is let go (chunk starts the next) and stays
+// reachable for as long as one of its keys does — which is why whoever keeps
+// a key past the structure it was cut for copies it.
+func CutKey(chunk *strings.Builder, key []byte) string {
+	if chunk.Cap()-chunk.Len() < len(key) {
+		*chunk = strings.Builder{}
+		chunk.Grow(max(keyChunkBytes, len(key)))
+	}
+	at := chunk.Len()
+	chunk.Write(key)
+	return chunk.String()[at:]
+}
+
 // Batch is one version's mutations in ascending key order, no key twice: the
 // epoch's delta, ordered once (SortBatch) and read in that order by the delta
 // encoder, the memtable and the memory backend alike.
@@ -49,42 +70,38 @@ type Batch []Entry
 // SortBatch orders b ascending by key, in place; its keys must be distinct.
 // It is the one key sort of the state store and the tree. State keys share
 // long prefixes (operator tag, side, bucket), so the sort runs over a
-// 16-byte handle per entry — the first eight key bytes as a big-endian
-// integer, zero-padded, which orders exactly as the bytes do — and touches
-// the strings only where two handles tie.
-func SortBatch(b Batch) {
-	type handle struct {
-		prefix uint64
-		at     int32
-	}
+// 16-byte handle per entry — the key's prefix (keyPrefix) and the entry's
+// position — and touches the strings only where two prefixes tie. The
+// handles are scratch: a caller that sorts every epoch passes the slice the
+// last call returned and the sort allocates nothing; nil is always valid.
+func SortBatch(b Batch, handles [][2]uint64) [][2]uint64 {
 	if len(b) < 2 {
-		return
+		return handles
 	}
-	hs := make([]handle, len(b))
+	hs := slices.Grow(handles[:0], len(b))[:len(b)]
 	for i := range b {
-		var head [8]byte
-		copy(head[:], b[i].Key)
-		hs[i] = handle{binary.BigEndian.Uint64(head[:]), int32(i)}
+		hs[i] = [2]uint64{keyPrefix(b[i].Key), uint64(i)}
 	}
-	slices.SortFunc(hs, func(x, y handle) int {
-		if x.prefix != y.prefix {
-			if x.prefix < y.prefix {
+	slices.SortFunc(hs, func(x, y [2]uint64) int {
+		if x[0] != y[0] {
+			if x[0] < y[0] {
 				return -1
 			}
 			return 1
 		}
-		return strings.Compare(b[x.at].Key, b[y.at].Key)
+		return strings.Compare(b[x[1]].Key, b[y[1]].Key)
 	})
 	// Move every entry to its place by walking the permutation's cycles; a
-	// handle whose entry has been placed is marked with at = -1.
+	// handle whose entry has been placed is marked.
+	const placed = ^uint64(0)
 	for i := range hs {
-		if hs[i].at < 0 {
+		if hs[i][1] == placed {
 			continue
 		}
 		first := b[i]
 		for j := i; ; {
-			from := int(hs[j].at)
-			hs[j].at = -1
+			from := int(hs[j][1])
+			hs[j][1] = placed
 			if from == i {
 				b[j] = first
 				break
@@ -93,6 +110,7 @@ func SortBatch(b Batch) {
 			j = from
 		}
 	}
+	return hs
 }
 
 // BatchOf is the map-taking form of a batch: a key in both maps is a delete.
@@ -106,14 +124,17 @@ func BatchOf(puts map[string][]byte, dels map[string]bool) Batch {
 	for k := range dels {
 		b = append(b, Entry{Key: k, Tomb: true})
 	}
-	SortBatch(b)
+	SortBatch(b, nil)
 	return b
 }
 
-// EncodeBatch renders b as a record batch. The ascending order is part of the
-// format: identical logical commits produce byte-identical files, whatever
-// order the operator staged them in.
-func EncodeBatch(b Batch) []byte {
+// EncodeBatch renders b as a record batch over dst's storage (dst[:0]; nil
+// allocates), sized once with fsx.FooterSize to spare, so that sealing the
+// image appends in place and a committer that hands back the last image it
+// wrote encodes the next without allocating. The ascending order is part of
+// the format: identical logical commits produce byte-identical files,
+// whatever order the operator staged them in.
+func EncodeBatch(dst []byte, b Batch) []byte {
 	size := 0
 	for i := range b {
 		e := &b[i]
@@ -122,7 +143,7 @@ func EncodeBatch(b Batch) []byte {
 			size += uvarintLen(len(e.Value)) + len(e.Value)
 		}
 	}
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst[:0], size+fsx.FooterSize)
 	for i := range b {
 		e := &b[i]
 		if e.Tomb {
@@ -195,6 +216,6 @@ func DecodeBatch(data []byte) (Batch, error) {
 		at[e.Key] = len(kept)
 		kept = append(kept, e)
 	}
-	SortBatch(kept)
+	SortBatch(kept, nil)
 	return kept, nil
 }

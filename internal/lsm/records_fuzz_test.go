@@ -136,7 +136,7 @@ func FuzzRecordBatch(f *testing.F) {
 				t.Fatalf("entry %q = (%q, tomb %v); the records say (%q, deleted %v)", e.Key, e.Value, e.Tomb, v, dels[e.Key])
 			}
 		}
-		re := EncodeBatch(b)
+		re := EncodeBatch(nil, b)
 		if want := encodeBatchOracle(puts, dels); !bytes.Equal(re, want) {
 			t.Fatalf("EncodeBatch = %x, the map-based encoder gives %x", re, want)
 		}

@@ -43,97 +43,104 @@ type blockMeta struct {
 // ---------------------------------------------------------------- builder
 
 // tableBuilder accumulates sorted entries into the on-disk table image.
-// Callers must add keys in strictly ascending order.
+// Callers must add keys in strictly ascending order. Every entry is written
+// once, straight into the image: a block is sealed by recording where it
+// began. A tree keeps one builder and resets it for each flush and merge, so
+// the image, the hash vector and the index are grown to a step's size once,
+// not allocated and zeroed per step.
 type tableBuilder struct {
 	blockBytes int
 	bloomBits  int
 
-	buf      []byte // data blocks emitted so far
-	cur      []byte // open block; its buffer is reused from block to block
-	curFirst string
-	curCount int64
-	index    []blockMeta
-	hashes   []uint64 // keyHash per key, computed as keys stream in
-	entries  int64
+	buf        []byte // the image: sealed blocks, then the open one from blockStart
+	blockStart int
+	blockCount int64
+	index      []blockMeta // firstKey unset: finish reads it back from the image
+	hashes     []uint64    // keyHash per key, computed as keys stream in
+	entries    int64
 }
 
-// newTableBuilder sizes the image and the hash vector once from what the
-// caller knows of its input: sizeHint bounds the finished table's bytes (a
-// memtable's footprint, or the summed sizes of a merge's inputs) and
-// entriesHint its entry count. Both may overshoot; neither is a limit.
-func newTableBuilder(blockBytes, bloomBits int, sizeHint, entriesHint int64) *tableBuilder {
+func newTableBuilder(blockBytes, bloomBits int) *tableBuilder {
 	if blockBytes <= 0 {
 		blockBytes = defaultBlockBytes
 	}
-	return &tableBuilder{
-		blockBytes: blockBytes,
-		bloomBits:  bloomBits,
-		buf:        make([]byte, 0, sizeHint),
-		cur:        make([]byte, 0, blockBytes+blockBytes/2),
-		hashes:     make([]uint64, 0, entriesHint),
-	}
+	return &tableBuilder{blockBytes: blockBytes, bloomBits: bloomBits}
 }
 
-// add appends one entry. Keys arrive as []byte — block slices from a merge,
-// an iterator's buffer from a flush — so no entry costs a string conversion.
-func (b *tableBuilder) add(key, value []byte, tomb bool) {
-	if len(b.cur) == 0 {
-		b.curFirst = string(key)
+// reset empties the builder for a new table, making room once for what the
+// caller knows of its input: sizeHint bounds the finished table's bytes (a
+// memtable's footprint, or the summed sizes of a merge's inputs) and
+// entriesHint its entry count. Both may overshoot; neither is a limit. What
+// is kept from the last step is reused when it fits and let go when it is
+// more than eight times too large, so one big merge does not pin its image
+// behind the small flushes that follow. The image finish returned before is
+// overwritten from here on.
+func (b *tableBuilder) reset(sizeHint, entriesHint int64) {
+	if c := int64(cap(b.buf)); c < sizeHint || c > 8*sizeHint {
+		b.buf = make([]byte, 0, sizeHint)
 	}
-	b.cur = binary.AppendUvarint(b.cur, uint64(len(key)))
-	b.cur = append(b.cur, key...)
+	if c := int64(cap(b.hashes)); c < entriesHint || c > 8*entriesHint {
+		b.hashes = make([]uint64, 0, entriesHint)
+	}
+	b.buf, b.hashes, b.index = b.buf[:0], b.hashes[:0], b.index[:0]
+	b.blockStart, b.blockCount, b.entries = 0, 0, 0
+}
+
+// add appends one entry. Keys arrive as []byte views — block slices from a
+// merge, slot keys from a flush — so no entry costs a string conversion.
+func (b *tableBuilder) add(key, value []byte, tomb bool) {
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)))
+	b.buf = append(b.buf, key...)
 	b.hashes = append(b.hashes, keyHash(key))
 	if tomb {
-		b.cur = binary.AppendUvarint(b.cur, 0)
+		b.buf = binary.AppendUvarint(b.buf, 0)
 	} else {
-		b.cur = binary.AppendUvarint(b.cur, uint64(len(value))+1)
-		b.cur = append(b.cur, value...)
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(value))+1)
+		b.buf = append(b.buf, value...)
 	}
-	b.curCount++
+	b.blockCount++
 	b.entries++
-	if len(b.cur) >= b.blockBytes {
+	if len(b.buf)-b.blockStart >= b.blockBytes {
 		b.sealBlock()
 	}
 }
 
 func (b *tableBuilder) sealBlock() {
-	if len(b.cur) == 0 {
+	if len(b.buf) == b.blockStart {
 		return
 	}
 	b.index = append(b.index, blockMeta{
-		firstKey: b.curFirst,
-		off:      int64(len(b.buf)),
-		length:   int64(len(b.cur)),
-		crc:      fsx.Checksum(b.cur),
-		entries:  b.curCount,
+		off:     int64(b.blockStart),
+		length:  int64(len(b.buf) - b.blockStart),
+		crc:     fsx.Checksum(b.buf[b.blockStart:]),
+		entries: b.blockCount,
 	})
-	b.buf = append(b.buf, b.cur...)
-	b.cur, b.curFirst, b.curCount = b.cur[:0], "", 0
+	b.blockStart, b.blockCount = len(b.buf), 0
 }
 
 // finish seals the open block and appends bloom, index, and footer,
-// returning the complete table image.
+// returning the complete table image. The image is the builder's own buffer:
+// it is good until the next reset.
 func (b *tableBuilder) finish() []byte {
 	b.sealBlock()
-	bloomOff := int64(len(b.buf))
-	bloom := buildBloomFromHashes(b.hashes, b.bloomBits)
-	b.buf = append(b.buf, bloom...)
-	indexOff := int64(len(b.buf))
-	var idx []byte
+	bloomOff := len(b.buf)
+	b.buf = appendBloom(b.buf, b.hashes, b.bloomBits)
+	indexOff := len(b.buf)
 	for _, m := range b.index {
-		idx = binary.AppendUvarint(idx, uint64(len(m.firstKey)))
-		idx = append(idx, m.firstKey...)
-		idx = binary.AppendUvarint(idx, uint64(m.off))
-		idx = binary.AppendUvarint(idx, uint64(m.length))
-		idx = binary.LittleEndian.AppendUint32(idx, m.crc)
-		idx = binary.AppendUvarint(idx, uint64(m.entries))
+		first := entryKeyAt(b.buf, int(m.off))
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(first)))
+		b.buf = append(b.buf, first...)
+		b.buf = binary.AppendUvarint(b.buf, uint64(m.off))
+		b.buf = binary.AppendUvarint(b.buf, uint64(m.length))
+		b.buf = binary.LittleEndian.AppendUint32(b.buf, m.crc)
+		b.buf = binary.AppendUvarint(b.buf, uint64(m.entries))
 	}
-	b.buf = append(b.buf, idx...)
+	footOff := len(b.buf)
 	metaCRC := fsx.Checksum(b.buf[bloomOff:])
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(bloomOff))
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(len(bloom)))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(indexOff-bloomOff))
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(indexOff))
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(len(idx)))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(footOff-indexOff))
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, metaCRC)
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, tableMagic)
 	return b.buf
@@ -147,12 +154,16 @@ type Table struct {
 	fsys  fsx.FS
 	path  string
 	cache *BlockCache
+	id    uint64 // the cache's name for this open table; 0 without a cache
 
-	seq     int64
-	size    int64
-	bloom   bloom
-	index   []blockMeta
-	entries int64
+	seq   int64
+	size  int64
+	bloom bloom
+	index []blockMeta
+	// firstPrefixes[i] is keyPrefix(index[i].firstKey): what a point lookup
+	// searches, side by side, before it reads any first key.
+	firstPrefixes []uint64
+	entries       int64
 
 	// offsets[i] holds block i's entry start positions, built lazily on the
 	// first point lookup that touches the block. Blocks are immutable, so
@@ -203,6 +214,9 @@ func openTable(fsys fsx.FS, path string, seq int64, cache *BlockCache) (*Table, 
 		return nil, fmt.Errorf("lsm: %w: %s: %v", fsx.ErrCorrupt, path, err)
 	}
 	t := &Table{fsys: fsys, path: path, cache: cache, seq: seq, size: size, bloom: bf}
+	if cache != nil {
+		t.id = cache.tableIDs.Add(1)
+	}
 	idx := meta[bloomLen:]
 	pos := 0
 	for pos < len(idx) {
@@ -236,6 +250,7 @@ func openTable(fsys fsx.FS, path string, seq int64, cache *BlockCache) (*Table, 
 		}
 		t.entries += m.entries
 		t.index = append(t.index, m)
+		t.firstPrefixes = append(t.firstPrefixes, keyPrefix(m.firstKey))
 	}
 	return t, nil
 }
@@ -246,7 +261,7 @@ func (t *Table) block(i int) ([]byte, error) {
 	if t.cache == nil {
 		return t.readBlock(i)
 	}
-	key := cacheKey{table: t.path, block: i}
+	key := cacheKey{table: t.id, block: i}
 	if b, ok := t.cache.get(key); ok {
 		return b, nil
 	}
@@ -331,13 +346,14 @@ func (t *Table) blockOffsets(i int, block []byte) ([]uint32, error) {
 
 // entryKeyAt returns the key of the entry starting at pos. Only valid for
 // positions vetted by blockOffsets.
-func entryKeyAt(block []byte, pos uint32) []byte {
+func entryKeyAt(block []byte, pos int) []byte {
 	klen, n := binary.Uvarint(block[pos:])
-	return block[int(pos)+n : int(pos)+n+int(klen)]
+	return block[pos+n : pos+n+int(klen)]
 }
 
-// get performs a point lookup: bloom, block binary search, then a binary
-// search over the block's entry offsets. h is keyHash(key), which the caller
+// get performs a point lookup: bloom, a binary search of the blocks' first
+// keys, then one of the block's entry offsets — both by the tree's one
+// comparison rule, prefix first. h is keyHash(key), which the caller
 // computes once however many tables it probes. ok=false means the table has
 // no record of the key (the caller falls through to older tables); tomb=true
 // means the key is recorded deleted.
@@ -351,8 +367,17 @@ func (t *Table) get(key []byte, h uint64) (val []byte, tomb, ok bool, err error)
 	if !t.bloom.mayContain(h) {
 		return nil, false, false, nil
 	}
-	// First block whose firstKey is > key; the candidate is the one before.
-	i := sort.Search(len(t.index), func(i int) bool { return cmpStringBytes(t.index[i].firstKey, key) > 0 })
+	kp := keyPrefix(key)
+	// First block whose first key is > key; the candidate is the one before.
+	i, hi := 0, len(t.index)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if p := t.firstPrefixes[mid]; p > kp || (p == kp && cmpStringBytes(t.index[mid].firstKey, key) > 0) {
+			hi = mid
+		} else {
+			i = mid + 1
+		}
+	}
 	if i == 0 {
 		return nil, false, false, nil
 	}
@@ -364,9 +389,16 @@ func (t *Table) get(key []byte, h uint64) (val []byte, tomb, ok bool, err error)
 	if err != nil {
 		return nil, false, false, err
 	}
-	j := sort.Search(len(offs), func(j int) bool {
-		return bytes.Compare(entryKeyAt(block, offs[j]), key) >= 0
-	})
+	// First entry whose key is >= key.
+	j, hi := 0, len(offs)
+	for j < hi {
+		mid := int(uint(j+hi) >> 1)
+		if k := entryKeyAt(block, int(offs[mid])); compareKeys(keyPrefix(k), k, kp, key) >= 0 {
+			hi = mid
+		} else {
+			j = mid + 1
+		}
+	}
 	if j == len(offs) {
 		return nil, false, false, nil
 	}
@@ -443,7 +475,8 @@ func (it *tableIter) next() bool {
 			it.bi++
 		}
 		it.key, it.val, it.tomb, it.pos, it.err = decodeBlockEntry(it.block, it.pos, it.t.path)
-		if it.err == nil && cmpStringBytes(it.from, it.key) <= 0 {
+		if it.err == nil && (it.from == "" || cmpStringBytes(it.from, it.key) <= 0) {
+			it.from = "" // keys ascend: the bound is behind for good
 			return true
 		}
 	}

@@ -68,7 +68,7 @@ func splitTable(img []byte) (data, filter, index []byte) {
 // Whatever comes in, opening, point reads and a full scan must not panic,
 // and the only error they may return is fsx.ErrCorrupt.
 func FuzzOpenTable(f *testing.F) {
-	tb := newTableBuilder(64, bloomBitsPerKey, 0, 0)
+	tb := newTableBuilder(64, bloomBitsPerKey)
 	for _, k := range []string{"a", "b", "bb", "c", "d", "e"} {
 		tb.add([]byte(k), []byte("value-"+k), k == "c")
 	}

@@ -93,10 +93,21 @@ type Tree struct {
 	// from snapshot to install. Lock order: maintMu before mu, never the
 	// reverse.
 	maintMu sync.Mutex
+	// builder writes every table of this tree, one step at a time (under
+	// maintMu): its image is handed to WriteFile and overwritten by the next
+	// step.
+	builder *tableBuilder
 
-	mu        sync.Mutex
-	mem       *memtable
-	memFrom   int64        // first delta version in the active memtable
+	mu      sync.Mutex
+	mem     *memtable
+	memFrom int64 // first delta version in the active memtable
+	// spare is the last flushed memtable, emptied: the next seal makes it the
+	// active one instead of building a map and a slot array of the same size
+	// again.
+	spare *memtable
+	// deltaBuf is the last commit's delta image, footer included; the next
+	// commit encodes over it.
+	deltaBuf  []byte
 	sealed    []*sealedMem // oldest first: the flush queue
 	tables    []*Table     // oldest first; list order is the shadowing authority
 	version   int64
@@ -155,7 +166,8 @@ func Open(opts Options) (*Tree, error) {
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	t := &Tree{fsys: opts.FS, dir: opts.Dir, opts: opts, mem: newMemtable(0), version: -1}
+	t := &Tree{fsys: opts.FS, dir: opts.Dir, opts: opts, mem: newMemtable(), version: -1}
+	t.builder = newTableBuilder(opts.BlockBytes, bloomBitsPerKey)
 	t.sched = opts.Scheduler
 	if t.sched == nil {
 		if opts.BackgroundCompaction {
@@ -189,13 +201,9 @@ func (t *Tree) Load(version int64) error {
 	if err != nil {
 		return err
 	}
-	for _, tbl := range t.tables {
-		if t.opts.Cache != nil {
-			t.opts.Cache.dropTable(tbl.path)
-		}
-	}
+	t.dropTablesLocked(t.tables)
 	t.tables = nil
-	t.mem = newMemtable(0)
+	t.mem = newMemtable()
 	t.sealed = nil
 	t.maintErr = nil
 	t.pruned = false
@@ -252,18 +260,18 @@ func (t *Tree) replayDeltaLocked(version int64) error {
 
 // hasLocked reports whether key is live in committed state.
 func (t *Tree) hasLocked(key string) (bool, error) {
-	if e, ok := t.mem.get(key); ok {
+	if e := t.mem.get(key); e != nil {
 		return !e.tomb, nil
 	}
 	for i := len(t.sealed) - 1; i >= 0; i-- {
-		if e, ok := t.sealed[i].mem.get(key); ok {
+		if e := t.sealed[i].mem.get(key); e != nil {
 			return !e.tomb, nil
 		}
 	}
 	if len(t.tables) == 0 {
 		return false, nil
 	}
-	kb := []byte(key)
+	kb := keyBytes(key)
 	h := keyHash(kb)
 	for i := len(t.tables) - 1; i >= 0; i-- {
 		_, tomb, ok, err := t.tables[i].get(kb, h)
@@ -281,17 +289,18 @@ func (t *Tree) hasLocked(key string) (bool, error) {
 // the live-key count. An entry that carries what its committer read (Known,
 // Live) skips the lookup that would otherwise dominate commit cost; replay
 // carries none and runs the same has-key checks the original commits ran or
-// were spared. The keys new to the memtable leave as one ascending run.
+// were spared. The keys new to the memtable take its next slots, in the
+// batch's ascending order, and leave as one run. The batch itself is not
+// kept: the committer may reuse it.
 func (t *Tree) applyLocked(b Batch) error {
-	added := make([]string, 0, len(b))
+	first := t.mem.len()
+	var err error
 	for i := range b {
 		e := &b[i]
 		has := e.Live
 		if !e.Known {
-			var err error
 			if has, err = t.hasLocked(e.Key); err != nil {
-				t.mem.addRun(added) // the runs hold every key the map does, even now
-				return err
+				break
 			}
 		}
 		if has && e.Tomb {
@@ -299,12 +308,10 @@ func (t *Tree) applyLocked(b Batch) error {
 		} else if !has && !e.Tomb {
 			t.liveKeys++
 		}
-		if t.mem.put(e.Key, e.Value, e.Tomb) {
-			added = append(added, e.Key)
-		}
+		t.mem.put(e.Key, e.Value, e.Tomb)
 	}
-	t.mem.addRun(added)
-	return nil
+	t.mem.addRun(first) // the runs hold every slot, even after an error
+	return err
 }
 
 // Get returns the committed value for key. The returned slice aliases
@@ -319,18 +326,14 @@ func (t *Tree) Get(key string) ([]byte, bool, error) {
 func (t *Tree) GetBytes(key []byte) ([]byte, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.mem.getBytes(key); ok {
-		if e.tomb {
-			return nil, false, nil
-		}
-		return e.value, true, nil
+	if e := t.mem.get(string(key)); e != nil {
+		v, ok := e.live()
+		return v, ok, nil
 	}
 	for i := len(t.sealed) - 1; i >= 0; i-- {
-		if e, ok := t.sealed[i].mem.getBytes(key); ok {
-			if e.tomb {
-				return nil, false, nil
-			}
-			return e.value, true, nil
+		if e := t.sealed[i].mem.get(string(key)); e != nil {
+			v, ok := e.live()
+			return v, ok, nil
 		}
 	}
 	if len(t.tables) == 0 {
@@ -376,22 +379,20 @@ func (t *Tree) GetBatchBytes(keys [][]byte, values [][]byte, oks []bool) error {
 		values[i], oks[i] = nil, false
 		pending[i] = i
 	}
-	resolve := func(getMem func(key []byte) (memEntry, bool)) {
+	resolve := func(m *memtable) {
 		next := pending[:0]
 		for _, i := range pending {
-			if e, ok := getMem(keys[i]); ok {
-				if !e.tomb {
-					values[i], oks[i] = e.value, true
-				}
+			if e := m.get(string(keys[i])); e != nil {
+				values[i], oks[i] = e.live()
 				continue
 			}
 			next = append(next, i)
 		}
 		pending = next
 	}
-	resolve(t.mem.getBytes)
+	resolve(t.mem)
 	for s := len(t.sealed) - 1; s >= 0 && len(pending) > 0; s-- {
-		resolve(t.sealed[s].mem.getBytes)
+		resolve(t.sealed[s].mem)
 	}
 	if len(pending) == 0 || len(t.tables) == 0 {
 		return nil
@@ -465,7 +466,8 @@ func (t *Tree) CommitBatch(version int64, b Batch) error {
 		t.pruned = true
 	}
 	path := filepath.Join(t.dir, fmt.Sprintf("%d.delta", version))
-	if err := fsx.WriteAtomic(t.fsys, path, fsx.Seal(EncodeBatch(b)), 0o644); err != nil {
+	t.deltaBuf = fsx.Seal(EncodeBatch(t.deltaBuf, b))
+	if err := fsx.WriteAtomic(t.fsys, path, t.deltaBuf, 0o644); err != nil {
 		t.mu.Unlock()
 		return fmt.Errorf("lsm: %w", err)
 	}
@@ -545,8 +547,8 @@ func (t *Tree) pruneStaleManifestsLocked() error {
 }
 
 // sealLocked freezes the active memtable into the flush queue. The
-// replacement is pre-sized to the sealed table's count: epoch batches are
-// similar-sized, so the predecessor is the best available fill estimate.
+// replacement is the last flushed memtable when there is one — memtables
+// seal at one size, so its map and slots fit the next fill without growing.
 func (t *Tree) sealLocked() {
 	t.sealed = append(t.sealed, &sealedMem{
 		mem:    t.mem,
@@ -554,7 +556,9 @@ func (t *Tree) sealLocked() {
 		to:     t.version,
 		liveAt: t.liveKeys,
 	})
-	t.mem = newMemtable(t.mem.len())
+	if t.mem, t.spare = t.spare, nil; t.mem == nil {
+		t.mem = newMemtable()
+	}
 	t.memFrom = t.version + 1
 }
 
@@ -643,18 +647,15 @@ func (t *Tree) step() (bool, error) {
 // only Commit can run (steps and reloads are serialized by maintMu), and
 // Commit never touches the sealed queue's head or the table list, so the
 // install point sees exactly the snapshotted structures.
+//
+// The install is also where the flushed memtable is emptied and kept as the
+// next active one: readers reach a sealed memtable only through t.sealed and
+// only under t.mu, so once it has left the queue nothing can still hold it.
+// (Values they took from it earlier are their own slices; emptying the slots
+// does not touch them.)
 func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
-	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey, sm.mem.bytes, int64(sm.mem.len()))
-	for mi := newMergeIter(sm.mem.iters("")); mi.next(); {
-		b.add(mi.entry())
-	}
 	path := tablePath(t.dir, seq)
-	if t.opts.Cache != nil {
-		// After a rollback this seq can overwrite a stale table from the
-		// abandoned timeline; its cached blocks must not survive.
-		t.opts.Cache.dropTable(path)
-	}
-	if err := fsx.WriteAtomic(t.fsys, path, b.finish(), 0o644); err != nil {
+	if err := fsx.WriteAtomic(t.fsys, path, t.buildFlush(sm.mem), 0o644); err != nil {
 		return fmt.Errorf("lsm: %w", err)
 	}
 	tbl, err := openTable(t.fsys, path, seq, t.opts.Cache)
@@ -665,11 +666,24 @@ func (t *Tree) flushStep(sm *sealedMem, seq int64) error {
 	t.nextSeq = seq + 1
 	t.tables = append(t.tables, tbl)
 	t.sealed = t.sealed[1:]
+	sm.mem.reset()
+	t.spare = sm.mem
 	t.tableLive = sm.liveAt
 	t.flushes++
 	m := t.manifestLocked()
 	t.mu.Unlock()
 	return writeManifest(t.fsys, t.dir, m)
+}
+
+// buildFlush renders a sealed memtable as a table image in the tree's
+// builder, merging its runs: each entry is read from its slot and written
+// once.
+func (t *Tree) buildFlush(mem *memtable) []byte {
+	t.builder.reset(mem.bytes, int64(mem.len()))
+	for mi := newMergeIter(mem.iters("")); mi.next(); {
+		t.builder.add(mi.entry())
+	}
+	return t.builder.finish()
 }
 
 // compactStep merges one run of tables into a replacement and installs it.
@@ -690,7 +704,8 @@ func (t *Tree) compactStep(i, j int, run []*Table, seq int64) error {
 	// Tombstones drop only when the run includes the oldest table, i.e.
 	// when nothing older could be resurrected.
 	dropTombs := i == 0
-	b := newTableBuilder(t.opts.BlockBytes, bloomBitsPerKey, inBytes, inEntries)
+	b := t.builder
+	b.reset(inBytes, inEntries)
 	for mi.next() {
 		k, v, tomb := mi.entry()
 		if tomb && dropTombs {
@@ -704,9 +719,6 @@ func (t *Tree) compactStep(i, j int, run []*Table, seq int64) error {
 	var out []*Table
 	if b.entries > 0 {
 		path := tablePath(t.dir, seq)
-		if t.opts.Cache != nil {
-			t.opts.Cache.dropTable(path)
-		}
 		if err := fsx.WriteAtomic(t.fsys, path, b.finish(), 0o644); err != nil {
 			return fmt.Errorf("lsm: %w", err)
 		}
@@ -728,13 +740,22 @@ func (t *Tree) compactStep(i, j int, run []*Table, seq int64) error {
 	t.compactions++
 	t.compactionBytes += inBytes
 	m := t.manifestLocked()
+	t.dropTablesLocked(run)
 	t.mu.Unlock()
-	if t.opts.Cache != nil {
-		for _, tbl := range run {
-			t.opts.Cache.dropTable(tbl.path)
-		}
-	}
 	return writeManifest(t.fsys, t.dir, m)
+}
+
+// dropTablesLocked evicts the cached blocks of tables leaving the table list.
+// A block is cached under its open table's number, and a table is opened
+// once per install, so a file written later under the same path — a sequence
+// number reused after a rollback — starts with nothing cached.
+func (t *Tree) dropTablesLocked(tables []*Table) {
+	if t.opts.Cache == nil {
+		return
+	}
+	for _, tbl := range tables {
+		t.opts.Cache.dropTable(tbl)
+	}
 }
 
 // manifestLocked snapshots the manifest describing the current install.
@@ -830,8 +851,10 @@ func (t *Tree) Compact() error {
 }
 
 // Range invokes fn for every live key in [from, to] ascending; empty bounds
-// are open. Tombstones and shadowed versions never surface.
-func (t *Tree) Range(from, to string, fn func(key string, value []byte) error) error {
+// are open. Tombstones and shadowed versions never surface. Key and value
+// are views of the tree's storage (a block, a memtable entry): fn may keep
+// them, and must not write through them.
+func (t *Tree) Range(from, to string, fn func(key, value []byte) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	srcs := t.mem.iters(from)
@@ -850,7 +873,7 @@ func (t *Tree) Range(from, to string, fn func(key string, value []byte) error) e
 		if tomb {
 			continue
 		}
-		if err := fn(string(k), v); err != nil {
+		if err := fn(k, v); err != nil {
 			return err
 		}
 	}
@@ -922,8 +945,9 @@ func (t *Tree) DiskUsage() (int64, error) {
 // prefix absorbed by every surviving manifest, and SSTables referenced by
 // none of them. It holds maintMu so GC never interleaves with a maintenance
 // step — a freshly written table that has not installed yet must not be
-// swept. The open tree's own tables stay pinned and their cached blocks are
-// dropped when their files go. Returns the removed file names.
+// swept. The open tree's own tables stay pinned; a table it removes left the
+// table list, and the block cache with it, at an earlier install or Load.
+// Returns the removed file names.
 func (t *Tree) Maintain(keepFrom int64) ([]string, error) {
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
@@ -934,11 +958,7 @@ func (t *Tree) Maintain(keepFrom int64) ([]string, error) {
 	}
 	logFloor := t.logFromLocked()
 	t.mu.Unlock()
-	return maintainDir(t.fsys, t.dir, keepFrom, pin, logFloor, func(path string) {
-		if t.opts.Cache != nil {
-			t.opts.Cache.dropTable(path)
-		}
-	})
+	return maintainDir(t.fsys, t.dir, keepFrom, pin, logFloor)
 }
 
 // Close releases the tree. In background mode the maintenance goroutine is
@@ -965,11 +985,7 @@ func (t *Tree) Close() {
 	}
 	t.maintMu.Lock()
 	t.mu.Lock()
-	for _, tbl := range t.tables {
-		if t.opts.Cache != nil {
-			t.opts.Cache.dropTable(tbl.path)
-		}
-	}
+	t.dropTablesLocked(t.tables)
 	t.mu.Unlock()
 	t.maintMu.Unlock()
 }

@@ -131,7 +131,8 @@ func TestTreeModel(t *testing.T) {
 			t.Fatalf("NumKeys = %d, want %d", got, want)
 		}
 		var gotKeys []string
-		if err := tr.Range("", "", func(k string, v []byte) error {
+		if err := tr.Range("", "", func(kb, v []byte) error {
+			k := string(kb)
 			gotKeys = append(gotKeys, k)
 			if !bytes.Equal(v, want[k]) {
 				return fmt.Errorf("Range value mismatch at %s", k)
@@ -173,7 +174,8 @@ func TestTreeRangeBounds(t *testing.T) {
 	}
 	commit(t, tr, 1, puts)
 	var got []string
-	if err := tr.Range("k05", "k10", func(k string, v []byte) error {
+	if err := tr.Range("k05", "k10", func(kb, v []byte) error {
+		k := string(kb)
 		got = append(got, k)
 		return nil
 	}); err != nil {
@@ -223,7 +225,8 @@ func TestTombstonesDropAtOldestCompaction(t *testing.T) {
 	tr.mu.Unlock()
 	// The deleted keys may still have tombstones if the oldest table wasn't
 	// in the last run, but live entries must be bounded by pad + tombstones.
-	if err := tr.Range("", "", func(k string, v []byte) error {
+	if err := tr.Range("", "", func(kb, v []byte) error {
+		k := string(kb)
 		if k != "pad" {
 			return fmt.Errorf("unexpected live key %s", k)
 		}

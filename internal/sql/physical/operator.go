@@ -176,13 +176,15 @@ func FilterFunc(pred func(sql.Row) sql.Value) BatchFunc {
 }
 
 // RowArena carves fixed-width rows out of slab allocations, turning
-// per-row mallocs into one allocation per ~4k rows. This is the engine's
+// per-row mallocs into one allocation per slab. This is the engine's
 // batch-granularity analogue of Tungsten's row buffers: the dominant cost
 // the paper attributes to record-at-a-time engines is exactly this per-row
-// overhead.
+// overhead. Slabs double from 256 rows to 4096, so an arena that hands out
+// a few hundred rows does not allocate and zero room for four thousand.
 type RowArena struct {
 	width int
 	slab  []sql.Value
+	rows  int // the last slab's size in rows
 }
 
 // NewRowArena creates an arena producing rows of the given width.
@@ -191,11 +193,8 @@ func NewRowArena(width int) *RowArena { return &RowArena{width: width} }
 // Next returns a fresh zeroed row from the arena.
 func (a *RowArena) Next() sql.Row {
 	if len(a.slab) < a.width {
-		n := 4096 * a.width
-		if n < a.width {
-			n = a.width
-		}
-		a.slab = make([]sql.Value, n)
+		a.rows = min(max(256, 2*a.rows), 4096)
+		a.slab = make([]sql.Value, a.rows*a.width)
 	}
 	row := a.slab[:a.width:a.width]
 	a.slab = a.slab[a.width:]

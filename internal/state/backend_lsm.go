@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -45,8 +46,8 @@ func (b *lsmBackend) iterate(fn func(key, value []byte) bool) error {
 
 func (b *lsmBackend) scan(from, to []byte, fn func(key, value []byte) bool) error {
 	// The tree's upper bound is inclusive; this contract's is not.
-	err := b.tree.Range(string(from), string(to), func(key string, value []byte) error {
-		if (to != nil && key >= string(to)) || !fn([]byte(key), value) {
+	err := b.tree.Range(string(from), string(to), func(key, value []byte) error {
+		if (to != nil && bytes.Compare(key, to) >= 0) || !fn(key, value) {
 			return errStopIterate
 		}
 		return nil

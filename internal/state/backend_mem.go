@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"structream/internal/fsx"
 	"structream/internal/lsm"
@@ -58,7 +59,7 @@ func (b *memBackend) scan(from, to []byte, fn func(key, value []byte) bool) erro
 			in = append(in, lsm.Entry{Key: k, Value: v})
 		}
 	}
-	lsm.SortBatch(in)
+	lsm.SortBatch(in, nil)
 	for _, e := range in {
 		if !fn([]byte(e.Key), e.Value) {
 			break
@@ -72,11 +73,11 @@ func (b *memBackend) numKeys() (int64, error) { return int64(len(b.data)), nil }
 // commit ignores the entries' existence memo: the map makes the check free.
 func (b *memBackend) commit(version int64, batch lsm.Batch) error {
 	path := filepath.Join(b.dir, fmt.Sprintf("%d.%s", version, kindDelta))
-	if err := b.atomicWrite(path, lsm.EncodeBatch(batch)); err != nil {
+	if err := b.atomicWrite(path, lsm.EncodeBatch(nil, batch)); err != nil {
 		return err
 	}
 	b.provider.deltasWritten.Add(1)
-	b.apply(batch)
+	b.apply(batch, true)
 	b.deltasSinceSnap++
 	interval := b.provider.SnapshotInterval
 	if interval > 0 && b.deltasSinceSnap >= interval {
@@ -90,14 +91,15 @@ func (b *memBackend) commit(version int64, batch lsm.Batch) error {
 
 func (b *memBackend) writeSnapshot(version int64) error {
 	path := filepath.Join(b.dir, fmt.Sprintf("%d.%s", version, kindSnapshot))
-	if err := b.atomicWrite(path, lsm.EncodeBatch(lsm.BatchOf(b.data, nil))); err != nil {
+	if err := b.atomicWrite(path, lsm.EncodeBatch(nil, lsm.BatchOf(b.data, nil))); err != nil {
 		return err
 	}
 	b.provider.snapshotsWritten.Add(1)
 	return nil
 }
 
-// atomicWrite seals body with a length+CRC32C footer and writes it via
+// atomicWrite seals body with a length+CRC32C footer (in place: EncodeBatch
+// leaves room for it) and writes it via
 // temp-file-plus-rename, so a crash can never leave a partially written
 // record in place of a committed version — and if the disk lies (torn
 // write, bit rot), the reader detects it instead of loading wrong state.
@@ -154,17 +156,21 @@ func (b *memBackend) applyFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("state: %w: file %s: %v", fsx.ErrCorrupt, path, err)
 	}
-	b.apply(batch)
+	b.apply(batch, false)
 	return nil
 }
 
-// apply folds a committed or replayed batch into the map.
-func (b *memBackend) apply(batch lsm.Batch) {
+// apply folds a committed or replayed batch into the map. A committed
+// batch's key strings share chunks (storeBackend.commit), so a key new to
+// the map is copied; a replayed batch's are its own (shared = false).
+func (b *memBackend) apply(batch lsm.Batch, shared bool) {
 	for _, e := range batch {
 		if e.Tomb {
 			delete(b.data, e.Key)
-		} else {
+		} else if _, ok := b.data[e.Key]; ok || !shared {
 			b.data[e.Key] = e.Value
+		} else {
+			b.data[strings.Clone(e.Key)] = e.Value
 		}
 	}
 }

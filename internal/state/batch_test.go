@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"structream/internal/fsx"
 )
 
 // The batch API differential: GetBatch must agree with per-key Get across
@@ -138,50 +140,82 @@ func TestRangeMatchesIterate(t *testing.T) {
 	})
 }
 
-// TestHintFeedsKeyCount: a hint stands in for the read the store would
-// otherwise make to keep its key count, and never overrides a read.
-func TestHintFeedsKeyCount(t *testing.T) {
+// TestKnownWritesFeedKeyCount: PutNew's and RemoveLive's claim stands in for
+// the read the store would otherwise make to keep its key count, and never
+// overrides a read.
+func TestKnownWritesFeedKeyCount(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		s := open(t, p, -1)
 		s.Put([]byte("old"), []byte("1"))
+		s.Put([]byte("gone"), []byte("1"))
 		if err := s.Commit(0); err != nil {
 			t.Fatal(err)
 		}
-		s.Hint([]byte("fresh"), false)
-		s.Put([]byte("fresh"), []byte("2"))
+		s.PutNew([]byte("fresh"), []byte("2"))
+		s.RemoveLive([]byte("gone"))
 		if _, ok := s.Get([]byte("old")); !ok {
 			t.Fatal("committed key not found")
 		}
-		s.Hint([]byte("old"), false) // wrong, and too late: the Get above knows better
-		s.Remove([]byte("old"))
-		if n := s.NumKeys(); n != 1 {
-			t.Fatalf("NumKeys = %d with one key added and one removed, want 1", n)
+		s.PutNew([]byte("old"), []byte("1b")) // wrong, and too late: the Get above knows better
+		if n := s.NumKeys(); n != 2 {
+			t.Fatalf("NumKeys = %d with one key added, one removed and one rewritten, want 2", n)
 		}
 		if err := s.Commit(1); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.NumKeys(); n != 1 {
-			t.Fatalf("NumKeys after commit = %d, want 1", n)
+		if n := s.NumKeys(); n != 2 {
+			t.Fatalf("NumKeys after commit = %d, want 2", n)
 		}
-		// A wrong hint can skew the count, never what the store holds or
-		// shows: a put hinted live that committed state does not have is
-		// still iterated.
-		s.Hint([]byte("ghost"), true)
-		s.Put([]byte("ghost"), []byte("3"))
+		// A wrong claim can skew the count, never what the store holds or
+		// shows: a key deleted as live that committed state does not have is
+		// not iterated, and one put as new over a live key is iterated once.
+		s.RemoveLive([]byte("ghost"))
+		s.PutNew([]byte("fresh"), []byte("3"))
 		for name, visit := range map[string]func(func(k, v []byte) bool){
 			"Iterate": s.Iterate,
 			"Range":   func(fn func(k, v []byte) bool) { s.Range(nil, nil, fn) },
 		} {
 			var keys []string
-			visit(func(k, _ []byte) bool { keys = append(keys, string(k)); return true })
+			visit(func(k, v []byte) bool { keys = append(keys, string(k)+"="+string(v)); return true })
 			sort.Strings(keys)
-			if got := fmt.Sprint(keys); got != "[fresh ghost]" {
-				t.Fatalf("%s under a wrong hint = %s, want [fresh ghost]", name, got)
+			if got := fmt.Sprint(keys); got != "[fresh=3 old=1b]" {
+				t.Fatalf("%s under wrong claims = %s, want [fresh=3 old=1b]", name, got)
 			}
 		}
 	})
+}
+
+// TestStagingLooksUpOncePerKey: a write that carries what its caller knows
+// of the key costs one lookup of the staging table — the join's two keys in
+// and two keys out per buffered row used to cost two each.
+func TestStagingLooksUpOncePerKey(t *testing.T) {
+	p := NewProviderFS(fsx.NoSync(), t.TempDir())
+	defer p.Close()
+	s := open(t, p, -1)
+	const n = 1000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("eL\x05key-%04d", i)) }
+	before := s.probes
+	for i := 0; i < n; i++ {
+		s.PutNew(key(i), []byte("v"))
+	}
+	if got := s.probes - before; got != n {
+		t.Fatalf("%d PutNew calls probed the staging table %d times", n, got)
+	}
+	if err := s.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	before = s.probes
+	for i := 0; i < n; i++ {
+		s.RemoveLive(key(i))
+	}
+	if got := s.probes - before; got != n {
+		t.Fatalf("%d RemoveLive calls probed the staging table %d times", n, got)
+	}
+	if got := s.NumKeys(); got != 0 {
+		t.Fatalf("NumKeys = %d after removing every key, want 0", got)
+	}
 }
 
 // TestApplyBatchStagesMerges pins ApplyBatch's contract: merge sees the

@@ -40,13 +40,11 @@ func BenchmarkStoreStageCommit(b *testing.B) {
 			epoch := func(v int) {
 				for i := 0; i < puts; i++ {
 					kb = benchKey(kb, uint64(v), uint64(i), uint64(v))
-					s.Hint(kb, false)
-					s.Put(kb, value)
+					s.PutNew(kb, value)
 				}
 				for i := 0; v > 0 && i < removes; i++ {
 					kb = benchKey(kb, uint64(v-1), uint64(i), uint64(v-1))
-					s.Hint(kb, true)
-					s.Remove(kb)
+					s.RemoveLive(kb)
 				}
 				if err := s.Commit(int64(v)); err != nil {
 					b.Fatal(err)

@@ -87,10 +87,8 @@ func stateFixtureCommit(s *Store, v int64) {
 		}
 		return stateFixtureValue(v, 3000+i)
 	})
-	// A key new by construction, hinted absent as the join hints its entries.
-	fresh := []byte(fmt.Sprintf("eL\x05new-%04d", v))
-	s.Hint(fresh, false)
-	s.Put(fresh, stateFixtureValue(v, 4000))
+	// A key new by construction, put as the join puts its entries.
+	s.PutNew([]byte(fmt.Sprintf("eL\x05new-%04d", v)), stateFixtureValue(v, 4000))
 }
 
 // writeStateFixture runs the schedule on one backend under root/<backend>,

@@ -488,7 +488,11 @@ type storeBackend interface {
 	// commit durably applies one version's staged mutations, sorted. Each
 	// entry carries what the epoch already learned of the key's committed
 	// existence by reading (Known, Live) — backends may use it to skip
-	// redundant lookups and may ignore it.
+	// redundant lookups and may ignore it. The batch is the store's to
+	// reuse once commit returns, and its key strings are cut from chunks
+	// shared by every key the epoch touched: a backend keeps values, and
+	// copies of the keys it has to hold on to — never b or a key string,
+	// which would pin a whole chunk for as long as that one key lives.
 	commit(version int64, b lsm.Batch) error
 	// load repositions at a committed version; -1 resets to empty.
 	load(version int64) error
@@ -516,15 +520,27 @@ type Store struct {
 	// table is the epoch's one record of every key the operator has touched:
 	// index finds a key's slot in it. A slot holds the staged mutation, if
 	// any, and what the epoch has learned of the key's committed existence,
-	// so each Put/Remove/Get/Hint is one lookup and each distinct key is
-	// allocated once. Commit sorts the staged slots into the version's
-	// delta and empties the table; Abort and Open drop it.
+	// so each Put/PutNew/Remove/RemoveLive/Get is one lookup and each
+	// distinct key is copied once. Commit sorts the staged slots into the
+	// version's delta and empties the table; Abort and Open drop it.
 	index map[string]int32
 	table []slot
 	// staged counts the slots holding a mutation.
 	staged int
 	// pass numbers the Iterate calls, for slot.seen.
 	pass uint32
+	// probes counts slotFor's index lookups; tests read it.
+	probes int64
+	// keys is the chunk the table's key strings are cut from (lsm.CutKey):
+	// one allocation per 64 KiB of keys, not one per key. A full chunk stays
+	// reachable for as long as one of its keys does, which is until the
+	// Commit that empties the table — a backend copies the keys it keeps
+	// (storeBackend.commit).
+	keys strings.Builder
+	// batch and handles are Commit's delta and its sort scratch, kept from
+	// epoch to epoch.
+	batch   lsm.Batch
+	handles [][2]uint64
 
 	// err latches the first backend read failure (e.g. a corrupt SSTable
 	// block). Get keeps its (value, ok) signature for operator code, so the
@@ -554,6 +570,7 @@ func (s *Store) Version() int64 { return s.version }
 // slotFor returns key's slot, adding an empty one when the epoch has not
 // touched the key yet — the one place a key is copied.
 func (s *Store) slotFor(key []byte) *slot {
+	s.probes++
 	// The string conversion in the map index expression is allocation-elided.
 	if i, ok := s.index[string(key)]; ok {
 		return &s.table[i]
@@ -561,7 +578,7 @@ func (s *Store) slotFor(key []byte) *slot {
 	if s.index == nil {
 		s.index = map[string]int32{}
 	}
-	k := string(key)
+	k := lsm.CutKey(&s.keys, key)
 	s.index[k] = int32(len(s.table))
 	s.table = append(s.table, slot{Entry: lsm.Entry{Key: k}})
 	return &s.table[len(s.table)-1]
@@ -641,9 +658,8 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// stage records a put or a delete in key's slot.
-func (s *Store) stage(key, value []byte, tomb bool) {
-	e := s.slotFor(key)
+// stage records a put or a delete in a key's slot.
+func (s *Store) stage(e *slot, value []byte, tomb bool) {
 	if !e.staged {
 		e.staged = true
 		s.staged++
@@ -655,10 +671,33 @@ func (s *Store) stage(key, value []byte, tomb bool) {
 // the value slice — callers must not mutate it afterward. (Every operator
 // passes a freshly encoded buffer; copying it again here would double the
 // hot path's allocation rate.)
-func (s *Store) Put(key, value []byte) { s.stage(key, value, false) }
+func (s *Store) Put(key, value []byte) { s.stage(s.slotFor(key), value, false) }
 
 // Remove stages a deletion.
-func (s *Store) Remove(key []byte) { s.stage(key, nil, true) }
+func (s *Store) Remove(key []byte) { s.stage(s.slotFor(key), nil, true) }
+
+// PutNew is Put for a key the caller knows committed state does not hold —
+// new by construction, like a join's next entry index. RemoveLive is Remove
+// for a key it knows committed state holds, because a key derived from it
+// was just read. Either spares Commit and NumKeys the lookup they would
+// otherwise pay for the key (on the lsm backend, a sweep over every
+// SSTable), in the same one staging lookup as the write. What the epoch has
+// itself read of the key wins; a wrong claim can skew the key count, never
+// stored data.
+func (s *Store) PutNew(key, value []byte) { s.stageKnown(key, value, false) }
+
+// RemoveLive stages a deletion of a key known to be live; see PutNew.
+func (s *Store) RemoveLive(key []byte) { s.stageKnown(key, nil, true) }
+
+// stageKnown stages a write whose caller vouches for the key's committed
+// existence: absent before a put, live before a delete.
+func (s *Store) stageKnown(key, value []byte, tomb bool) {
+	e := s.slotFor(key)
+	if !e.Known {
+		s.noteKnown(e, tomb)
+	}
+	s.stage(e, value, tomb)
+}
 
 // Iterate visits every live key/value (committed plus staged), stopping
 // early when fn returns false. Iteration order is unspecified.
@@ -704,7 +743,7 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 			staged = append(staged, e.Entry)
 		}
 	}
-	lsm.SortBatch(staged)
+	s.handles = lsm.SortBatch(staged, s.handles)
 	stopped := false
 	// yieldStaged emits the staged keys below limit (all of them when nil).
 	yieldStaged := func(limit []byte) {
@@ -735,18 +774,6 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 // inBounds reports whether key lies in [from, to); nil bounds are open.
 func inBounds(key string, from, to []byte) bool {
 	return (from == nil || key >= string(from)) && (to == nil || key < string(to))
-}
-
-// Hint records what the caller knows about key's committed state without
-// reading it: absent because the key is new by construction, or live because
-// a key derived from it was just read. Commit and NumKeys then skip the
-// lookup they would otherwise pay per staged key (on the lsm backend, a
-// sweep over every SSTable). Knowledge the epoch already has wins; as with
-// any hint, a wrong one can skew the key count but never stored data.
-func (s *Store) Hint(key []byte, live bool) {
-	if e := s.slotFor(key); !e.Known {
-		s.noteKnown(e, live)
-	}
 }
 
 // NumKeys reports the live key count including staged changes.
@@ -793,14 +820,17 @@ func (s *Store) Commit(version int64) error {
 	if version <= s.version {
 		return fmt.Errorf("state: commit version %d not after current %d for %s", version, s.version, s.id)
 	}
-	b := make(lsm.Batch, 0, s.staged)
+	b := s.batch[:0]
 	for i := range s.table {
 		if s.table[i].staged {
 			b = append(b, s.table[i].Entry)
 		}
 	}
-	lsm.SortBatch(b)
-	if err := s.backend.commit(version, b); err != nil {
+	s.handles = lsm.SortBatch(b, s.handles)
+	err := s.backend.commit(version, b)
+	clear(b) // the backend holds what it keeps; the batch pins nothing
+	s.batch = b
+	if err != nil {
 		s.dirty = true
 		return err
 	}

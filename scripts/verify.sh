@@ -4,9 +4,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 # step announces a step and prints the wall time of the one before it, so a
-# run shows where its minutes went.
+# run shows where its minutes went; the last line before "verify: OK" is the
+# total.
 step_name=""
 step_start=$(date +%s)
+verify_start=$step_start
 step() {
 	now=$(date +%s)
 	if [ -n "$step_name" ]; then
@@ -51,8 +53,15 @@ go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
 # own set-up (a full memtable, a window's key count), so they must keep
 # running, not only compiling.
 step "state and lsm micro-benchmarks, -benchtime 1x"
-go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter' -benchtime 1x \
+go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter|BenchmarkFlush|BenchmarkCompact4|BenchmarkTableGet' -benchtime 1x \
 	./internal/state/ ./internal/lsm/ >/dev/null
+# The tree's one comparison rule (eight key bytes first, the rest on a tie)
+# against bytes.Compare: the merge over memtable runs and table iterators,
+# and the point lookup's two searches against a scan of the same table.
+step "lsm merge iterator fuzz smoke"
+go test -run '^$' -fuzz 'FuzzMergeIter' -fuzztime 5s ./internal/lsm/
+step "lsm table lookup fuzz smoke"
+go test -run '^$' -fuzz 'FuzzTableGet' -fuzztime 5s ./internal/lsm/
 # And on the SSTable reader — footer, filter header, block index and block
 # entries, each fuzzed behind a valid checksum: no panic, and nothing but
 # fsx.ErrCorrupt comes back.
@@ -108,7 +117,8 @@ step "benchmark module vet + tests"
 # per-partition wait, replaced by the arrival signal; the state store's
 # three staging maps, their filter-and-sort helper and the tree's second
 # commit entry point; the boxed partial-row renderer and the decoders of what
-# it rendered; the memory sink's boxed-row copier and its key-order list) must
+# it rendered; the memory sink's boxed-row copier and its key-order list; calls
+# of the state store's hint method, folded into PutNew and RemoveLive) must
 # not survive in code, scripts or docs. The pattern
 # is assembled from halves so this script does not match itself.
 step "stale-reference guard"
@@ -117,7 +127,7 @@ stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Sp
 stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStreamWriter\.''Cluster'
 stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pending''Del'
 stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
-stale="$stale"'|clone''Rows|key''Order'
+stale="$stale"'|clone''Rows|key''Order|\.Hi''nt\('
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
@@ -136,4 +146,5 @@ if [ "${STRUCTREAM_CHAOS:-}" = "1" ]; then
 	make chaos
 fi
 step ""
+echo "   ($(($(date +%s) - verify_start)) s in all)"
 echo "verify: OK"
