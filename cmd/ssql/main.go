@@ -50,7 +50,7 @@ func main() {
 		interval   = flag.Duration("interval", time.Second, "trigger interval with -watch")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory (streaming)")
 		monitorAt  = flag.String("monitor", "", "with -watch, serve the HTTP monitoring endpoint on this address (e.g. localhost:8080)")
-		workers    = flag.Int("workers", 0, "size the task pool to this many workers and shard epochs over it (>1; default: a pool of two, unsharded)")
+		workers    = flag.Int("workers", 0, "size the task pool to this many workers and split each source partition's range into as many map tasks (>1; default: a pool of two, one task per partition)")
 	)
 	flag.Parse()
 	if *query == "" {

@@ -32,7 +32,7 @@ import (
 // compares every state file and every sink row with those, byte for byte.
 const (
 	aggFixtureEpochs = 6
-	// Above twice the sharded runtime's 256-record floor, so Workers: 2
+	// Above twice a map slice's 256-record floor, so Workers: 2
 	// really cuts each epoch into two map tasks.
 	aggFixtureRowsPerEpoch = 700
 )

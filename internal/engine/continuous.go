@@ -358,7 +358,7 @@ func (ce *continuousExec) markEpoch() {
 	ce.health.StampAdmit(epoch, planStart)
 	err := ce.logOffsets(r, 0)
 	if err == nil {
-		err = ce.commitEpoch(r, 0)
+		err = ce.commitEpoch(r)
 	}
 	if err != nil {
 		ce.setErr(err)

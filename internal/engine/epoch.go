@@ -303,15 +303,9 @@ func (c *core) logOffsets(r *epochRecord, watermark int64) error {
 }
 
 // commitEpoch is the protocol's last step: the commit record, then the
-// news. sealedParts > 0 is the sharded barrier's phase two — verify every
-// partition's seal, then write the one commit manifest referencing their
-// digests; a crash anywhere before that write and recovery replays the
-// epoch, discarding the orphaned seals.
-func (c *core) commitEpoch(r *epochRecord, sealedParts int) error {
+// news. A crash anywhere before that write and recovery replays the epoch.
+func (c *core) commitEpoch(r *epochRecord) error {
 	err := r.stage("walCommit", func(*trace.Span) error {
-		if sealedParts > 0 {
-			return c.wal.CommitBarrier(r.epoch, sealedParts)
-		}
 		return c.wal.WriteCommit(r.epoch)
 	})
 	if err != nil {

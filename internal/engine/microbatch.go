@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -37,22 +40,22 @@ type Options struct {
 	Trigger Trigger
 	// NumPartitions is the shuffle/state partition count (default 4).
 	NumPartitions int
-	// Workers sizes the microbatch task pool and, when > 1, shards the
-	// epoch over it: each source partition shard-splits into contiguous
-	// offset slices so several workers feed from it concurrently, fully
-	// vectorized pipelines route to state partitions through the columnar
-	// exchange, each state partition commits under its own store and seals
-	// its own WAL segment, and the epoch commits through a sharded barrier
-	// that verifies every seal before writing the single commit manifest.
-	// 0 or 1 runs one task per source partition, with no seals, on a pool
-	// of two (defaultPoolSize) — so two tasks of a stage do run at once,
-	// not one after the other. Output is byte-identical either way: shards
-	// are contiguous and concatenate in task order, and the exchange hashes
-	// exactly as the row path does. The failure model is the same at every
-	// count: a task runs once, transient I/O is retried inside it
-	// (MaxIORetries), and any other error fails the epoch for WAL replay.
-	// Continuous mode ignores Workers: it always runs one long-lived worker
-	// per (pipeline, source partition).
+	// Workers sizes the microbatch task pool and the map split, and decides
+	// nothing else: each source partition's range is cut into at most
+	// max(Workers, 1) contiguous offset slices (none under
+	// minRecordsPerShard records), one map task each, so several workers
+	// feed from one hot partition. Everything after the map stage — the hash
+	// exchange, one reduce task and one store commit per state partition,
+	// the single commit record — is the same at every value. 0 or 1 runs one
+	// task per source partition on a pool of two (defaultPoolSize), so two
+	// tasks of a stage do run at once, not one after the other. Output and
+	// checkpoint files are byte-identical either way: slices are contiguous
+	// and concatenate in task order, and the exchange hashes exactly as the
+	// row path does. The failure model is the same at every count: a task
+	// runs once, transient I/O is retried inside it (MaxIORetries), and any
+	// other error fails the epoch for WAL replay. Continuous mode ignores
+	// Workers: it always runs one long-lived worker per (pipeline, source
+	// partition).
 	Workers int
 	// MaxRecordsPerTrigger caps records per epoch per source (0 =
 	// unlimited). With the default unlimited setting the engine exhibits
@@ -103,9 +106,8 @@ type Options struct {
 	FS fsx.FS
 	// MaxIORetries bounds how many times a transient I/O error (EIO,
 	// ENOSPC, ...) on a source read or sink write, in either execution
-	// mode, or on a sharded epoch's WAL segment seal is retried before the
-	// epoch — in continuous mode, the query — fails (default 3; negative
-	// disables retry).
+	// mode, is retried before the epoch — in continuous mode, the query —
+	// fails (default 3; negative disables retry).
 	MaxIORetries int
 	// RetryBackoff is the base delay of the exponential backoff between
 	// retries; each attempt doubles it and adds jitter (default 2ms).
@@ -215,11 +217,6 @@ type exec struct {
 	pipes []boundPipeline
 	prov  *state.Provider
 	pool  *shard.Pool // runs every stage's tasks
-	// sharded (Options.Workers > 1) decides which tasks an epoch has and
-	// which files it writes — map ranges split across the workers, a WAL
-	// segment sealed per state partition, the commit a barrier over the
-	// seals — never who runs them.
-	sharded bool
 
 	vectorize bool // Options.Vectorize resolved (default true)
 	// colSink is non-nil when epochs may deliver columnar: the sink
@@ -264,7 +261,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		return nil, fmt.Errorf("engine: unknown state backend %q", opts.StateBackend)
 	}
 	e := &exec{
-		core: c, prov: prov, sharded: opts.Workers > 1,
+		core: c, prov: prov,
 		perPipeMax: make([]int64, len(q.Pipelines)),
 		vectorize:  opts.Vectorize == nil || *opts.Vectorize,
 	}
@@ -288,8 +285,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		c.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, e.reg)
 	}
 	// Started last, so no earlier return leaks its workers, and before
-	// recovery: a replayed epoch runs the same tasks (and, sharded, re-seals
-	// the same segments) as the run that crashed.
+	// recovery: a replayed epoch runs the same tasks as the run that crashed.
 	e.pool = shard.NewPool(poolSize(opts))
 	if err := e.recover(rp); err != nil {
 		e.close()
@@ -331,11 +327,30 @@ func (e *exec) close() {
 	go e.pool.Close()
 }
 
+// ErrPartitionCount refuses to resume a stateful checkpoint under a
+// NumPartitions other than the one that wrote it. The exchange routes a key
+// by hash mod NumPartitions, so under another count most keys would land on
+// a store that never held them and their groups would restart from zero.
+// The checkpoint records the count as its store directories,
+// state/<operator>/0..N-1 — every committed epoch opens all N — and nowhere
+// else; a restart is refused unless they are exactly those. The way out is
+// the original count, or a fresh checkpoint.
+var ErrPartitionCount = errors.New("engine: checkpoint was written under another NumPartitions")
+
 // recover is the second half of the §6.1 restart protocol: restore the
 // state version and re-run the logged-but-uncommitted epoch, if any.
 func (e *exec) recover(rp wal.RecoveryPoint) error {
 	e.nextEpoch = rp.NextEpoch
 	e.watermark = rp.Watermark
+	committed := rp.NextEpoch - 1 // the last committed epoch, or -1
+	if rp.Replay != nil {
+		committed = rp.Replay.Epoch - 1
+	}
+	if committed >= 0 && e.q.Stateful != nil {
+		if err := e.checkPartitionCount(); err != nil {
+			return err
+		}
+	}
 	// Last durable state version at or below the epoch before the next.
 	v, err := e.stateVersionAtOrBelow(rp.NextEpoch - 1)
 	if err != nil {
@@ -368,6 +383,31 @@ func (e *exec) recover(rp wal.RecoveryPoint) error {
 	e.watermark = rp.Replay.Watermark
 	if err := e.runEpochGuarded(rp.Replay.Epoch, plan, true, time.Now()); err != nil {
 		return fmt.Errorf("engine: recovery replay of epoch %d: %w", rp.Replay.Epoch, err)
+	}
+	return nil
+}
+
+// checkPartitionCount holds a checkpoint with a committed epoch to
+// ErrPartitionCount's rule. Directory names are distinct, so N numeric ones,
+// all below N, are exactly 0..N-1.
+func (e *exec) checkPartitionCount() error {
+	dir := filepath.Join(e.opts.Checkpoint, "state", e.q.Stateful.Name())
+	entries, err := e.opts.FS.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("engine: %w", err)
+	}
+	n, found, below := e.opts.NumPartitions, 0, 0
+	for _, de := range entries {
+		if p, err := strconv.ParseUint(de.Name(), 10, 31); err == nil && de.IsDir() {
+			found++
+			if int(p) < n {
+				below++
+			}
+		}
+	}
+	if found != n || below != n {
+		return fmt.Errorf("%w: %s holds %d partition directories (%d of them below %d), NumPartitions is %d",
+			ErrPartitionCount, dir, found, below, n, n)
 	}
 	return nil
 }
@@ -595,11 +635,7 @@ func (e *exec) runEpoch(epoch int64, plan []metrics.SourceProgress, replay bool,
 	if err := e.deliver(r, ex); err != nil {
 		return err
 	}
-	sealed := 0
-	if e.sharded && e.q.Stateful != nil {
-		sealed = e.opts.NumPartitions // every reduce task sealed a segment
-	}
-	if err := e.commitEpoch(r, sealed); err != nil {
+	if err := e.commitEpoch(r); err != nil {
 		return err
 	}
 	if err := e.advance(r); err != nil {
@@ -609,9 +645,9 @@ func (e *exec) runEpoch(epoch int64, plan []metrics.SourceProgress, replay bool,
 	return nil
 }
 
-// minRecordsPerShard floors the sharded runtime's map-slice size: a tiny
-// epoch is not worth fanning across workers — per-task overhead would
-// dominate — so small ranges produce fewer shards than workers.
+// minRecordsPerShard floors the map-slice size: a tiny epoch is not worth
+// fanning across workers — per-task overhead would dominate — so small
+// ranges produce fewer shards than workers.
 const minRecordsPerShard = 256
 
 // taskSpec is one map task: a pipeline over an offset slice of a partition.
@@ -650,11 +686,12 @@ type exchange struct {
 }
 
 // mapStage cuts the epoch's ranges into map tasks, runs them and gathers
-// their output: one task per (pipeline, source partition), or when sharded
-// one per contiguous near-equal slice of it, so every worker gets map work
-// even from a single hot partition. The split is a
-// pure function of (range, workers), so a replayed epoch re-plans the
-// identical shards, and concatenating shard outputs in task order
+// their output: one task per contiguous near-equal slice of a (pipeline,
+// source partition) range — max(Workers, 1) slices, not the pool's size, so
+// the default pool of two still runs one task per partition, and Workers > 1
+// gets map work for every worker even from a single hot partition. The
+// split is a pure function of (range, Workers), so a replayed epoch re-plans
+// the identical shards, and concatenating shard outputs in task order
 // reproduces the single-task row order. The stage is fused: its wall time
 // is split between getBatch and execution by the tasks' summed read time
 // against their summed pipeline time.
@@ -670,11 +707,7 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 				if p >= len(s.StartOffsets) || s.EndOffsets[p] <= s.StartOffsets[p] {
 					continue
 				}
-				if !e.sharded {
-					specs = append(specs, taskSpec{pipeIdx: i, part: p, from: s.StartOffsets[p], to: s.EndOffsets[p]})
-					continue
-				}
-				for _, sr := range shard.Split(s.StartOffsets[p], s.EndOffsets[p], e.pool.Workers(), minRecordsPerShard) {
+				for _, sr := range shard.Split(s.StartOffsets[p], s.EndOffsets[p], max(e.opts.Workers, 1), minRecordsPerShard) {
 					specs = append(specs, taskSpec{pipeIdx: i, part: p, from: sr[0], to: sr[1]})
 				}
 			}
@@ -906,14 +939,14 @@ func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exch
 type reduceResult struct {
 	rows []sql.Row
 	keys int64
-	// Time in the state store (open, commit, seal) and in op.Process — their
+	// Time in the state store (open, commit) and in op.Process — their
 	// sums split the fused reduce stage — and the task's whole wall time.
 	stateNanos, procNanos, taskNanos int64
 }
 
 // reduceStage runs the stateful operator, one task per state partition,
 // and appends its output to the stage rows. The stage is fused: its wall
-// time is split between stateCommit (store open, commit, seal) and
+// time is split between stateCommit (store open, commit) and
 // execution (op.Process). A stateless epoch still opens the span, so every
 // committed epoch has the complete six-stage tree.
 func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
@@ -947,24 +980,6 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			}
 			commitStart := time.Now()
 			err = store.Commit(r.epoch)
-			if err == nil && e.sharded {
-				// Sharded barrier, phase one: seal this partition's WAL
-				// segment now that its state is durable. The seal is a
-				// promise, not a commit — the epoch commits only when
-				// the barrier verifies all seals and writes the single
-				// manifest. Segments carry no timestamp, so a replayed
-				// epoch re-seals byte-identical files.
-				err = e.withRetry(func() error {
-					return e.wal.WriteSegment(wal.Segment{
-						Epoch:        r.epoch,
-						Partition:    p,
-						StateVersion: r.epoch,
-						RowsIn:       int64(len(inputs[0]) + len(inputs[1])),
-						RowsOut:      int64(len(res.rows)),
-						StateKeys:    int64(store.NumKeys()),
-					})
-				})
-			}
 			res.stateNanos += time.Since(commitStart).Nanoseconds()
 			if err != nil {
 				return nil, err
@@ -1125,9 +1140,6 @@ func (e *exec) advance(r *epochRecord) error {
 	e.reg.Gauge("shardTasksRun").Set(ss.TasksRun)
 	e.reg.Gauge("shardStagesRun").Set(ss.StagesRun)
 	e.reg.Gauge("shardBusyMicros").Set(ss.BusyNanos / 1e3)
-	if e.sharded {
-		e.reg.Gauge("walSegmentsWritten").Set(e.wal.Stats().SegmentsWritten)
-	}
 	return nil
 }
 

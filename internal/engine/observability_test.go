@@ -80,8 +80,8 @@ func TestMicrobatchTraceCompleteness(t *testing.T) {
 // TestDurationBreakdownSumsToWallTime: the six DurationBreakdown segments
 // are contiguous wall-clock sections, so their sum lands within 10% of
 // ProcessingMicros — the ISSUE 3 acceptance bound — even for a stateful
-// query whose fused stages are split proportionally, on the classic task
-// runner and on the sharded one (whose reduce tasks also seal segments).
+// query whose fused stages are split proportionally, with the map stage
+// unsplit and split across two workers.
 func TestDurationBreakdownSumsToWallTime(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,10 +22,10 @@ import (
 	"structream/internal/state"
 )
 
-// Differential and crash tests for the partitioned runtime
-// (Options.Workers > 1): N workers must produce byte-identical output to
-// the classic single-goroutine path, including through crashes that land
-// between the per-partition segment seals and the barrier manifest.
+// Differential and crash tests for the partitioned runtime: N workers must
+// produce byte-identical output to a single-worker run, including through
+// crashes that land between two state partitions' commits and between the
+// last of them and the commit marker.
 
 // partSchema uses an int64 measure so every aggregate is exact: float
 // sums re-associate under sharding, integers don't.
@@ -331,9 +332,8 @@ func TestOuterJoinReplaysToIdenticalBytes(t *testing.T) {
 	}
 }
 
-// TestPartitionProgressReportsWorkers checks the sharded runtime is
-// visible in telemetry: progress events carry the worker count and the
-// pool/segment gauges move.
+// TestPartitionProgressReportsWorkers checks the worker count is visible
+// in telemetry: progress events carry it and the pool gauges move.
 func TestPartitionProgressReportsWorkers(t *testing.T) {
 	q := partPlans(t)["keyed-agg-update"]
 	sink := sinks.NewMemorySink()
@@ -356,24 +356,23 @@ func TestPartitionProgressReportsWorkers(t *testing.T) {
 	if got := reg.Gauge("shardTasksRun").Value(); got == 0 {
 		t.Fatal("shardTasksRun gauge never moved")
 	}
-	if got := reg.Gauge("walSegmentsWritten").Value(); got == 0 {
-		t.Fatal("walSegmentsWritten gauge never moved")
-	}
 }
 
-// TestUnshardedRunKeepsItsTasksAndFiles: Workers sizes the pool for every
-// query, but only Workers > 1 changes which tasks an epoch has and which
-// files it writes. At 0 and 1 a partition big enough to shard-split is
-// still one map task, no segment is sealed, and the pool is the default
-// two workers.
-func TestUnshardedRunKeepsItsTasksAndFiles(t *testing.T) {
-	for _, workers := range []int{0, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+// TestWorkersSizeThePoolAndTheMapSplit: Workers decides two things, the
+// pool's size and how many slices a source partition's range is cut into —
+// max(Workers, 1), by the one split rule, so the default pool of two does
+// not widen the split — and nothing about which files an epoch writes: the
+// checkpoint holds offsets/, commits/ and state/ at every value.
+func TestWorkersSizeThePoolAndTheMapSplit(t *testing.T) {
+	for _, tc := range []struct{ workers, pool, mapTasks int }{
+		// 1024 rows per source partition: four 256-record slices' worth each.
+		{0, defaultPoolSize, 2}, {1, defaultPoolSize, 2}, {2, 2, 4}, {4, 4, 8},
+	} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			ckpt := t.TempDir()
 			q := partPlans(t)["keyed-agg-update"]
-			// 1024 rows per source partition: four shards' worth each.
 			sq := startQuery(t, q, map[string]sources.Source{"events": partSource(1, 8*minRecordsPerShard, 2)}, sinks.NewMemorySink(), Options{
-				Checkpoint: ckpt, Workers: workers, NumPartitions: 2,
+				Checkpoint: ckpt, Workers: tc.workers, NumPartitions: 2,
 			})
 			if err := sq.ProcessAllAvailable(); err != nil {
 				t.Fatal(err)
@@ -388,25 +387,94 @@ func TestUnshardedRunKeepsItsTasksAndFiles(t *testing.T) {
 					mapTasks = sp.Attrs["tasks"]
 				}
 			}
-			if mapTasks != 2 {
-				t.Errorf("map stage ran %d tasks, want one per source partition (2)", mapTasks)
+			if mapTasks != int64(tc.mapTasks) {
+				t.Errorf("map stage ran %d tasks, want %d", mapTasks, tc.mapTasks)
 			}
-			if segs, _ := filepath.Glob(filepath.Join(ckpt, "segments", "*")); len(segs) != 0 {
-				t.Errorf("unsharded run sealed segments: %v", segs)
+			if names := dirNames(t, ckpt); !slices.Equal(names, []string{"commits", "offsets", "state"}) {
+				t.Errorf("checkpoint holds %v, want commits, offsets and state", names)
 			}
 			reg := sq.Metrics()
-			if got := reg.Gauge("workers").Value(); got != defaultPoolSize {
-				t.Errorf("workers gauge = %d, want the default pool of %d", got, defaultPoolSize)
+			if got := reg.Gauge("workers").Value(); got != int64(tc.pool) {
+				t.Errorf("workers gauge = %d, want a pool of %d", got, tc.pool)
 			}
-			// One map stage of two tasks, one reduce stage of two.
-			if tasks, stages := reg.Gauge("shardTasksRun").Value(), reg.Gauge("shardStagesRun").Value(); tasks != 4 || stages != 2 {
-				t.Errorf("pool ran %d tasks in %d stages, want 4 in 2", tasks, stages)
-			}
-			if _, ok := reg.Snapshot()["walSegmentsWritten"]; ok {
-				t.Error("unsharded run registered walSegmentsWritten")
+			// One map stage, one reduce stage of two tasks.
+			if tasks, stages := reg.Gauge("shardTasksRun").Value(), reg.Gauge("shardStagesRun").Value(); tasks != int64(tc.mapTasks)+2 || stages != 2 {
+				t.Errorf("pool ran %d tasks in %d stages, want %d in 2", tasks, stages, tc.mapTasks+2)
 			}
 		})
 	}
+}
+
+// TestRestartUnderAnotherPartitionCountRefused: the hash exchange routes a
+// key by hash mod NumPartitions, so a stateful checkpoint can only be resumed
+// under the count that wrote it — under another one, moved groups would
+// restart from zero without a word. Once an epoch has committed, the store
+// directories are the record of that count and a restart that disagrees is
+// refused by name. A stateless query holds no state to misroute, and a crash
+// inside the first epoch leaves none that committed: both restart under any
+// count.
+func TestRestartUnderAnotherPartitionCountRefused(t *testing.T) {
+	run := func(q *incremental.Query, ckpt string, fsys fsx.FS, parts int, backend string) ([]sql.Row, error) {
+		sink := sinks.NewMemorySink()
+		sq, err := Start(q, map[string]sources.Source{"events": partSource(3, 96, 2)}, sink, Options{
+			Checkpoint: ckpt, FS: fsys, NumPartitions: parts, StateBackend: backend,
+			MaxRecordsPerTrigger: 16, Trigger: ProcessingTimeTrigger{Interval: time.Hour},
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer sq.Stop()
+		err = sq.ProcessAllAvailable()
+		return sink.Rows(), err
+	}
+	for _, backend := range []string{"memory", "lsm"} {
+		for _, c := range [][2]int{{4, 8}, {8, 4}} {
+			t.Run(fmt.Sprintf("%s/%d-to-%d", backend, c[0], c[1]), func(t *testing.T) {
+				q, ckpt := partPlans(t)["keyed-agg-update"], t.TempDir()
+				if _, err := run(q, ckpt, fsx.NoSync(), c[0], backend); err != nil {
+					t.Fatal(err)
+				}
+				_, err := run(q, ckpt, fsx.NoSync(), c[1], backend)
+				if !errors.Is(err, ErrPartitionCount) {
+					t.Fatalf("restart under %d partitions returned %v, want ErrPartitionCount", c[1], err)
+				}
+				for _, n := range c {
+					if !strings.Contains(err.Error(), fmt.Sprint(n)) {
+						t.Errorf("%q does not name %d", err, n)
+					}
+				}
+				if _, err := run(q, ckpt, fsx.NoSync(), c[0], backend); err != nil {
+					t.Fatalf("restart under the count that wrote the checkpoint: %v", err)
+				}
+			})
+		}
+	}
+	t.Run("stateless", func(t *testing.T) {
+		q, ckpt := partPlans(t)["stateless-append"], t.TempDir()
+		for _, parts := range []int{4, 8, 4} {
+			if _, err := run(q, ckpt, fsx.NoSync(), parts, ""); err != nil {
+				t.Fatalf("%d partitions: %v", parts, err)
+			}
+		}
+	})
+	t.Run("first-epoch-crash", func(t *testing.T) {
+		q := partPlans(t)["keyed-agg-update"]
+		golden, err := run(q, t.TempDir(), fsx.NoSync(), 8, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every partition's epoch-0 delta is durable, the commit marker is not.
+		ckpt, ffs := t.TempDir(), fsx.NewFaultFS(fsx.NoSync())
+		ffs.CrashWhen, ffs.Mode = nthOp(fsx.OpWrite, "/commits/", 1), fsx.CrashBefore
+		if _, err := run(q, ckpt, ffs, 4, ""); !ffs.Crashed() || err == nil {
+			t.Fatalf("crash never fired (err=%v)", err)
+		}
+		got, err := run(q, ckpt, fsx.NoSync(), 8, "")
+		if err != nil {
+			t.Fatalf("restart under 8 partitions with nothing committed: %v", err)
+		}
+		rowsExactlyEqual(t, got, golden, "replayed under 8 partitions")
+	})
 }
 
 // gatedOp lets a test decide how each state partition's task ends.
@@ -469,10 +537,10 @@ func TestFailedStageSettles(t *testing.T) {
 
 // ------------------------------------------------------------- torture
 
-// launchPartitionTorture runs the keyed-agg workload over a JSON file
-// sink with the given worker degree; the op schedule under workers > 1 is
-// concurrency-nondeterministic, which is exactly what the CrashWhen
-// predicates below are for.
+// runPartitionTorture runs the keyed-agg workload over a JSON file sink
+// with the given worker degree; two reduce tasks commit at once, so the op
+// schedule is concurrency-nondeterministic, which is exactly what the
+// CrashWhen predicates below are for.
 func runPartitionTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, workers int) error {
 	t.Helper()
 	q := compile(t, &logical.Aggregate{
@@ -500,11 +568,13 @@ func runPartitionTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, worker
 	return sq.ProcessAllAvailable()
 }
 
-// segmentWrites matches the n-th mutating write of a partition seal.
-func segmentWrites(target int) func(fsx.OpKind, string) bool {
+// nthOp matches the n-th mutating operation of one kind on a path holding
+// fragment: what a crash point looks like when two reduce tasks interleave
+// and operation numbers shift from run to run.
+func nthOp(kind fsx.OpKind, fragment string, target int) func(fsx.OpKind, string) bool {
 	seen := 0
-	return func(kind fsx.OpKind, path string) bool {
-		if kind != fsx.OpWrite || !strings.Contains(filepath.ToSlash(path), "/segments/") {
+	return func(k fsx.OpKind, path string) bool {
+		if k != kind || !strings.Contains(filepath.ToSlash(path), fragment) {
 			return false
 		}
 		seen++
@@ -512,24 +582,16 @@ func segmentWrites(target int) func(fsx.OpKind, string) bool {
 	}
 }
 
-// manifestWrites matches the n-th barrier manifest write.
-func manifestWrites(target int) func(fsx.OpKind, string) bool {
-	seen := 0
-	return func(kind fsx.OpKind, path string) bool {
-		if kind != fsx.OpWrite || !strings.Contains(filepath.ToSlash(path), "/commits/") {
-			return false
-		}
-		seen++
-		return seen == target
-	}
-}
-
-// TestPartitionCrashTorture crashes the sharded runtime at every
-// interesting point of the barrier protocol — at the first seal, between
-// the two partitions' seals, and at the manifest itself, in
+// TestPartitionCrashTorture crashes a two-worker run at every interesting
+// point of an epoch whose state partitions commit concurrently — at the
+// first partition's state-delta write, in the window where one partition's
+// delta is durable and the other's is not, and at the commit marker, in
 // before/torn/after flavors — then restarts at the SAME worker degree and
 // at degree 1 (mixed-degree recovery), requiring both to converge to the
-// single-worker crash-free output byte for byte.
+// single-worker crash-free output byte for byte. Nothing per partition
+// records that a delta landed: an epoch without its marker is replayed
+// whole, and a replayed partition commit overwrites its delta with the
+// same bytes.
 func TestPartitionCrashTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash torture skipped with -short")
@@ -545,36 +607,44 @@ func TestPartitionCrashTorture(t *testing.T) {
 		t.Fatalf("golden run produced too little output: %v", golden)
 	}
 
-	// Sharded fault-free differential before any crashing.
+	// Two-worker fault-free differential before any crashing.
 	plainSink := t.TempDir()
 	if err := runPartitionTorture(t, t.TempDir(), plainSink, fsx.NoSync(), 2); err != nil {
-		t.Fatalf("sharded run: %v", err)
+		t.Fatalf("two-worker run: %v", err)
 	}
 	if d := sinkDiff(golden, dirContents(t, plainSink)); d != "" {
-		t.Fatalf("sharded run diverged from single-worker golden:\n%s", d)
+		t.Fatalf("two-worker run diverged from single-worker golden:\n%s", d)
 	}
 
+	// A state delta reaches its name by a write to "<version>.delta.tmp" and
+	// a rename; two partitions commit per epoch, so the 7th delta write is
+	// epoch 3's first.
 	specs := []struct {
-		name string
-		pred func() func(fsx.OpKind, string) bool
-		mode fsx.CrashMode
+		name     string
+		kind     fsx.OpKind
+		fragment string
+		nth      int
+		mode     fsx.CrashMode
 	}{
-		{"first-seal-before", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashBefore},
-		{"first-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashTorn},
-		{"between-seals-after", func() func(fsx.OpKind, string) bool { return segmentWrites(1) }, fsx.CrashAfter},
-		{"second-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(2) }, fsx.CrashTorn},
-		{"later-epoch-seal-torn", func() func(fsx.OpKind, string) bool { return segmentWrites(7) }, fsx.CrashTorn},
-		{"manifest-before", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashBefore},
-		{"manifest-torn", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashTorn},
-		{"manifest-after", func() func(fsx.OpKind, string) bool { return manifestWrites(1) }, fsx.CrashAfter},
-		{"later-manifest-torn", func() func(fsx.OpKind, string) bool { return manifestWrites(3) }, fsx.CrashTorn},
+		{"first-delta-before", fsx.OpWrite, ".delta", 1, fsx.CrashBefore},
+		{"first-delta-torn", fsx.OpWrite, ".delta", 1, fsx.CrashTorn},
+		{"first-delta-unrenamed", fsx.OpWrite, ".delta", 1, fsx.CrashAfter},
+		{"between-deltas-after", fsx.OpRename, ".delta", 1, fsx.CrashAfter},
+		{"second-delta-torn", fsx.OpWrite, ".delta", 2, fsx.CrashTorn},
+		{"later-epoch-delta-torn", fsx.OpWrite, ".delta", 7, fsx.CrashTorn},
+		{"later-epoch-between-deltas", fsx.OpRename, ".delta", 7, fsx.CrashAfter},
+		{"marker-before", fsx.OpWrite, "/commits/", 1, fsx.CrashBefore},
+		{"marker-torn", fsx.OpWrite, "/commits/", 1, fsx.CrashTorn},
+		{"marker-after", fsx.OpWrite, "/commits/", 1, fsx.CrashAfter},
+		{"marker-durable-unacknowledged", fsx.OpRename, "/commits/", 1, fsx.CrashAfter},
+		{"later-marker-torn", fsx.OpWrite, "/commits/", 3, fsx.CrashTorn},
 	}
 	for _, spec := range specs {
 		for _, restartWorkers := range []int{2, 1} {
 			label := fmt.Sprintf("%s restart-w%d", spec.name, restartWorkers)
 			ckpt, sinkDir := t.TempDir(), t.TempDir()
 			ffs := fsx.NewFaultFS(fsx.NoSync())
-			ffs.CrashWhen, ffs.Mode = spec.pred(), spec.mode
+			ffs.CrashWhen, ffs.Mode = nthOp(spec.kind, spec.fragment, spec.nth), spec.mode
 			err := runPartitionTorture(t, ckpt, sinkDir, ffs, 2)
 			if !ffs.Crashed() {
 				t.Fatalf("%s: crash never fired (err=%v)", label, err)
@@ -583,8 +653,8 @@ func TestPartitionCrashTorture(t *testing.T) {
 				t.Fatalf("%s: crashed run reported success", label)
 			}
 			// Restart over the surviving checkpoint — at the crashed degree
-			// or at degree 1, which must read the same WAL and drop the
-			// orphaned seals either way.
+			// or at degree 1, which must read the same WAL and the same
+			// half-committed state either way.
 			if err := runPartitionTorture(t, ckpt, sinkDir, fsx.NoSync(), restartWorkers); err != nil {
 				t.Fatalf("%s: restart failed: %v", label, err)
 			}

@@ -121,6 +121,20 @@ func dirContents(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// dirNames lists dir's entries, files and directories, in name order.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, de := range entries {
+		names[i] = de.Name()
+	}
+	return names
+}
+
 func sinkDiff(golden, got map[string][]byte) string {
 	var diffs []string
 	for name, want := range golden {
@@ -147,10 +161,6 @@ func opCategory(t *testing.T, op fsx.Op) string {
 	switch {
 	case strings.Contains(p, "/offsets/"):
 		return "offsets-write"
-	case strings.Contains(p, "/segments/"):
-		// Per-partition seals of the sharded commit barrier. Must precede
-		// the sink case: segment names embed "part-NNN" too.
-		return "segment-seal"
 	case strings.Contains(p, "/commits/"):
 		return "commit-marker"
 	case strings.Contains(p, ".delta") || strings.Contains(p, ".snapshot"):

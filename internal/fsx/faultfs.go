@@ -61,10 +61,10 @@ type FaultFS struct {
 	// operation (1-based; 0 disables).
 	CrashAt int64
 	// CrashWhen, when set, latches CrashAt to the first counted operation
-	// the predicate matches. It exists for concurrent workloads (the
-	// sharded engine), where operation numbers shift between runs but the
-	// shape of the target operation — "the first segment seal", "the
-	// barrier manifest rename" — does not. Once latched, the crash follows
+	// the predicate matches. It exists for concurrent workloads (two reduce
+	// tasks committing at once), where operation numbers shift between runs
+	// but the shape of the target operation — "the first state-delta write",
+	// "the commit marker's rename" — does not. Once latched, the crash follows
 	// the ordinary CrashAt/Mode path, so traces still pinpoint the op.
 	CrashWhen func(kind OpKind, path string) bool
 	// Mode selects where in the operation the crash strikes.

@@ -279,8 +279,8 @@ type QueryProgress struct {
 	// to kernels.
 	Vectorized     bool  `json:"vectorized,omitempty"`
 	VectorizedRows int64 `json:"vectorizedRows,omitempty"`
-	// Workers is the sharded-runtime worker count (Options.Workers); omitted
-	// on the classic single-goroutine path.
+	// Workers is Options.Workers — the task pool's size and the map split's
+	// width — omitted when unset.
 	Workers int `json:"workers,omitempty"`
 	// ProcessingMicros is the epoch's wall time at µs resolution;
 	// ProcessingMillis is this rounded down. Sub-millisecond epochs report

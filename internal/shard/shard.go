@@ -81,9 +81,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the fixed pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {

@@ -86,7 +86,7 @@ type Provider struct {
 
 	// mu guards only the maps and flags below; it is never held across
 	// backend I/O. Open serializes per store through locks[id] instead, so
-	// the sharded runtime's workers can load and reconstruct different
+	// the pool's reduce tasks can load and reconstruct different
 	// partitions' stores concurrently without queueing behind one global
 	// lock. Lock order where both are taken: locks[id] before mu.
 	mu         sync.Mutex

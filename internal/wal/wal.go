@@ -51,13 +51,6 @@ type Commit struct {
 	Epoch     int64  `json:"epoch"`
 	Timestamp string `json:"timestamp"`
 
-	// Partitions and Segments are set only by CommitBarrier: the commit is
-	// then a barrier manifest recording how many per-partition WAL segments
-	// the epoch sealed and the digest each one carried. Plain (unsharded)
-	// commits leave both zero.
-	Partitions int          `json:"partitions,omitempty"`
-	Segments   []SegmentRef `json:"segments,omitempty"`
-
 	LengthBytes int64  `json:"lengthBytes,omitempty"`
 	CRC32C      string `json:"crc32c,omitempty"`
 }
@@ -65,19 +58,17 @@ type Commit struct {
 // Log is a write-ahead log rooted at a checkpoint directory, holding an
 // offsets log and a commit log.
 type Log struct {
-	fs          fsx.FS
-	dir         string
-	offsetsDir  string
-	commitsDir  string
-	segmentsDir string
+	fs         fsx.FS
+	dir        string
+	offsetsDir string
+	commitsDir string
 
 	// Observability counters (§7.4): cumulative write activity, exposed via
 	// Stats so the monitoring layer can report WAL pressure per query.
-	offsetsWritten  atomic.Int64
-	commitsWritten  atomic.Int64
-	segmentsWritten atomic.Int64
-	bytesWritten    atomic.Int64
-	writeNanos      atomic.Int64
+	offsetsWritten atomic.Int64
+	commitsWritten atomic.Int64
+	bytesWritten   atomic.Int64
+	writeNanos     atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the log's write activity.
@@ -86,9 +77,6 @@ type Stats struct {
 	OffsetsWritten int64
 	// CommitsWritten counts durably recorded epoch commits.
 	CommitsWritten int64
-	// SegmentsWritten counts durably sealed per-partition segments
-	// (sharded barrier commits only).
-	SegmentsWritten int64
 	// BytesWritten is the total framed bytes handed to the filesystem.
 	BytesWritten int64
 	// WriteNanos is the cumulative wall time spent inside atomic WAL
@@ -99,11 +87,10 @@ type Stats struct {
 // Stats reports the log's cumulative write counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		OffsetsWritten:  l.offsetsWritten.Load(),
-		CommitsWritten:  l.commitsWritten.Load(),
-		SegmentsWritten: l.segmentsWritten.Load(),
-		BytesWritten:    l.bytesWritten.Load(),
-		WriteNanos:      l.writeNanos.Load(),
+		OffsetsWritten: l.offsetsWritten.Load(),
+		CommitsWritten: l.commitsWritten.Load(),
+		BytesWritten:   l.bytesWritten.Load(),
+		WriteNanos:     l.writeNanos.Load(),
 	}
 }
 
@@ -116,13 +103,12 @@ func Open(dir string) (*Log, error) { return OpenFS(fsx.Real(), dir) }
 // here, so they cannot accumulate across restarts.
 func OpenFS(fsys fsx.FS, dir string) (*Log, error) {
 	l := &Log{
-		fs:          fsys,
-		dir:         dir,
-		offsetsDir:  filepath.Join(dir, "offsets"),
-		commitsDir:  filepath.Join(dir, "commits"),
-		segmentsDir: filepath.Join(dir, "segments"),
+		fs:         fsys,
+		dir:        dir,
+		offsetsDir: filepath.Join(dir, "offsets"),
+		commitsDir: filepath.Join(dir, "commits"),
 	}
-	for _, d := range []string{l.offsetsDir, l.commitsDir, l.segmentsDir} {
+	for _, d := range []string{l.offsetsDir, l.commitsDir} {
 		if err := fsys.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
@@ -333,6 +319,25 @@ func (l *Log) WriteCommit(epoch int64) error {
 	return nil
 }
 
+// ReadCommit loads one epoch's commit record; ok is false when the epoch
+// has not committed. A manifest written by the retired per-partition seal
+// protocol carries two more fields; they are ignored.
+func (l *Log) ReadCommit(epoch int64) (Commit, bool, error) {
+	path := epochFile(l.commitsDir, epoch)
+	data, err := l.fs.ReadFile(path)
+	if os.IsNotExist(err) {
+		return Commit{}, false, nil
+	}
+	if err != nil {
+		return Commit{}, false, fmt.Errorf("wal: %w", err)
+	}
+	var c Commit
+	if err := json.Unmarshal(data, &c); err != nil {
+		return Commit{}, false, fmt.Errorf("wal: %w: %s: not a valid commit (truncated write?): %v", fsx.ErrCorrupt, path, err)
+	}
+	return c, true, nil
+}
+
 // Commits lists committed epochs, ascending.
 func (l *Log) Commits() ([]int64, error) { return l.listEpochs(l.commitsDir) }
 
@@ -366,7 +371,7 @@ func (l *Log) RollbackTo(keep int64) error {
 			}
 		}
 	}
-	return l.pruneSegments(func(e int64) bool { return e <= keep })
+	return nil
 }
 
 // Purge removes entries older than before (exclusive), bounding log growth.
@@ -393,7 +398,33 @@ func (l *Log) Purge(before int64) error {
 			}
 		}
 	}
-	return l.pruneSegments(func(e int64) bool { return e >= before })
+	return nil
+}
+
+// removeRetiredSeals deletes the segments/ directory of a checkpoint written
+// when every state partition sealed a file there per epoch. Nothing ever
+// read a seal for a decision — a commit counts by its file's presence — so
+// seals of committed and uncommitted epochs go alike: files in name order
+// (ReadDir's), then the directory, so a crash in between leaves a shorter
+// directory for the next restart to finish.
+func (l *Log) removeRetiredSeals() error {
+	dir := filepath.Join(l.dir, "segments")
+	entries, err := l.fs.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, de := range entries {
+		if err := l.fs.Remove(filepath.Join(dir, de.Name())); err != nil {
+			return fmt.Errorf("wal: removing retired seals: %w", err)
+		}
+	}
+	if err := l.fs.Remove(dir); err != nil {
+		return fmt.Errorf("wal: removing retired seals: %w", err)
+	}
+	return nil
 }
 
 // RecoveryPoint describes where a restarted query resumes: the next epoch
@@ -424,16 +455,14 @@ type RecoveryPoint struct {
 // the file, and a corrupt *uncommitted* tail entry (torn by a crash that
 // beat the atomic rename odds, or bit-rotted) is dropped and re-planned.
 func (l *Log) Recover() (RecoveryPoint, error) {
+	if err := l.removeRetiredSeals(); err != nil {
+		return RecoveryPoint{}, err
+	}
 	epochs, err := l.Epochs()
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
 	if len(epochs) == 0 {
-		// A fresh (or fully rolled-back) log may still hold orphaned seals
-		// from a crash before the first barrier; drop them.
-		if err := l.dropUncommittedSegments(0, false); err != nil {
-			return RecoveryPoint{}, err
-		}
 		return RecoveryPoint{NextEpoch: 0}, nil
 	}
 	for i := 1; i < len(epochs); i++ {
@@ -445,12 +474,6 @@ func (l *Log) Recover() (RecoveryPoint, error) {
 	}
 	committed, anyCommit, err := l.LatestCommit()
 	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	// Orphaned per-partition seals from a crash mid-barrier belong to an
-	// epoch that never committed: remove them so no partial-barrier state
-	// survives a restart — the replayed epoch re-seals them bit for bit.
-	if err := l.dropUncommittedSegments(committed, anyCommit); err != nil {
 		return RecoveryPoint{}, err
 	}
 

@@ -10,12 +10,34 @@ import (
 	"structream/internal/fsx"
 )
 
-// FuzzWALDecode feeds arbitrary bytes to the three records the log reads
-// back — an offsets entry, a commit (plain or barrier manifest) and a
-// segment seal — as the file for epoch 0, partition 0, raw and behind a
-// valid frame: when the bytes decode at all, the decoded record is framed
-// again with the length and checksum it should carry, so field values the
-// checksum would otherwise stop reach the readers. Nothing may panic, every
+// parentBarrierManifest is a commit record as the last commit with a
+// per-partition seal protocol (cfd5eaf) wrote it under Workers > 1, for an
+// epoch that partitions 0 and 1 had sealed: "partitions" and "segments" are
+// fields this tree no longer declares. It must read back as a commit.
+const parentBarrierManifest = `{
+  "epoch": 0,
+  "timestamp": "2026-09-27T13:09:19.679277651Z",
+  "partitions": 2,
+  "segments": [
+    {
+      "partition": 0,
+      "crc32c": "9d5a72e9"
+    },
+    {
+      "partition": 1,
+      "crc32c": "e74202aa"
+    }
+  ],
+  "lengthBytes": 228,
+  "crc32c": "ec3ef0fa"
+}
+`
+
+// FuzzWALDecode feeds arbitrary bytes to the two records the log reads
+// back — an offsets entry and a commit — as the file for epoch 0, raw and
+// behind a valid frame: when the bytes decode at all, the decoded record is
+// framed again with the length and checksum it should carry, so field values
+// the checksum would otherwise stop reach the readers. Nothing may panic, every
 // error must be fsx.ErrCorrupt, and what a reader accepts must be the record
 // its file name says it is.
 func FuzzWALDecode(f *testing.F) {
@@ -25,10 +47,10 @@ func FuzzWALDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	entry := Entry{Epoch: 0, Watermark: 5, Sources: []SourceOffsets{{Source: "s", Start: []int64{0, 2}, End: []int64{3, 4}}}}
-	if err := errors.Join(seeds.WriteOffsets(entry), seeds.WriteSegment(Segment{Epoch: 0, RowsIn: 3, StateKeys: 2}), seeds.CommitBarrier(0, 1)); err != nil {
+	if err := errors.Join(seeds.WriteOffsets(entry), seeds.WriteCommit(0)); err != nil {
 		f.Fatal(err)
 	}
-	for kind, path := range []string{"offsets/000000000000.json", "commits/000000000000.json", "segments/000000000000.part-000.json"} {
+	for kind, path := range []string{"offsets/000000000000.json", "commits/000000000000.json"} {
 		data, err := os.ReadFile(filepath.Join(seedDir, path))
 		if err != nil {
 			f.Fatal(err)
@@ -36,28 +58,18 @@ func FuzzWALDecode(f *testing.F) {
 		f.Add(uint8(kind), data, false)
 		f.Add(uint8(kind), data[:len(data)/2], false)
 	}
-	if err := seeds.WriteCommit(0); err != nil { // the plain form replaces the manifest
-		f.Fatal(err)
-	}
-	plain, err := os.ReadFile(filepath.Join(seedDir, "commits", "000000000000.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(uint8(1), plain, false)
+	f.Add(uint8(1), []byte(parentBarrierManifest), false)
 	f.Add(uint8(0), []byte(`{"epoch":7,"sources":[{"source":"s","start":[0,1],"end":[2]}]}`), true)
 	f.Add(uint8(1), []byte(`{"epoch":0,"partitions":-3,"segments":[{"partition":9,"crc32c":"zz"}]}`), true)
-	f.Add(uint8(2), []byte(`{"epoch":1,"partition":-1,"stateVersion":-9}`), true)
 
 	dir := f.TempDir()
 	l, err := OpenFS(fsx.NoSync(), dir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := []string{
-		epochFile(l.offsetsDir, 0), epochFile(l.commitsDir, 0), segmentFile(l.segmentsDir, 0, 0),
-	}
+	files := []string{epochFile(l.offsetsDir, 0), epochFile(l.commitsDir, 0)}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte, reframe bool) {
-		kind %= 3
+		kind %= 2
 		if reframe {
 			data = reframed(kind, data)
 		}
@@ -115,20 +127,12 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			_, _, err := l.ReadCommit(0)
 			corruptOrNil("ReadCommit", err)
+			if err != nil && string(data) == parentBarrierManifest {
+				t.Fatalf("a barrier manifest the parent commit wrote no longer reads as a commit: %v", err)
+			}
 			// Only the commit file's presence is load-bearing.
 			if rp, err := l.Recover(); err != nil || rp.NextEpoch != 1 || rp.Replay != nil {
 				t.Fatalf("Recover over a committed epoch 0: %+v, %v", rp, err)
-			}
-		case 2:
-			s, ok, err := l.ReadSegment(0, 0)
-			corruptOrNil("ReadSegment", err)
-			if ok && (s.Epoch != 0 || s.Partition != 0) {
-				t.Fatalf("epoch 0 partition 0's seal read back as epoch %d partition %d", s.Epoch, s.Partition)
-			}
-			berr := l.CommitBarrier(0, 1)
-			corruptOrNil("CommitBarrier", berr)
-			if (err != nil) != (berr != nil) {
-				t.Fatalf("ReadSegment says %v, the barrier over the same seal %v", err, berr)
 			}
 		}
 	})
@@ -138,13 +142,10 @@ func FuzzWALDecode(f *testing.F) {
 // again under the frame its content should carry; data that does not decode
 // comes back as it is.
 func reframed(kind uint8, data []byte) []byte {
-	switch kind {
-	case 0:
+	if kind == 0 {
 		return reframe(data, func(e *Entry, n int64, crc string) { e.LengthBytes, e.CRC32C = n, crc })
-	case 1:
-		return reframe(data, func(c *Commit, n int64, crc string) { c.LengthBytes, c.CRC32C = n, crc })
 	}
-	return reframe(data, func(s *Segment, n int64, crc string) { s.LengthBytes, s.CRC32C = n, crc })
+	return reframe(data, func(c *Commit, n int64, crc string) { c.LengthBytes, c.CRC32C = n, crc })
 }
 
 func reframe[T any](data []byte, setFrame func(rec *T, n int64, crc string)) []byte {

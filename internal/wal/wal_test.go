@@ -2,11 +2,14 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"structream/internal/fsx"
 )
 
 func openLog(t *testing.T) *Log {
@@ -439,5 +442,91 @@ func TestEntryLengthIsStableAcrossInstants(t *testing.T) {
 	}
 	if got, ok, err := l.ReadOffsets(3); err != nil || !ok || got.Timestamp != old.Timestamp {
 		t.Fatalf("old-layout entry read back as %+v (ok=%v, err=%v)", got, ok, err)
+	}
+}
+
+// parentSeal is partition 0's seal of epoch 0 as the last commit with a
+// per-partition seal protocol (cfd5eaf) wrote it; parentBarrierManifest
+// (wal_fuzz_test.go) is the commit record that went with it.
+const parentSeal = `{
+  "epoch": 0,
+  "partition": 0,
+  "stateVersion": 0,
+  "rowsIn": 3,
+  "rowsOut": 2,
+  "stateKeys": 2,
+  "lengthBytes": 104,
+  "crc32c": "9d5a72e9"
+}
+`
+
+// TestRecoverRemovesRetiredSeals: a checkpoint written under the retired
+// per-partition seal protocol holds segments/ with seals of committed
+// epochs, orphaned seals of a crashed one and perhaps a torn temp file.
+// Recover reads the log exactly as it reads any other — the barrier manifest
+// counts as a commit by its presence — and leaves no segments/ behind; a
+// checkpoint this tree wrote never had one.
+func TestRecoverRemovesRetiredSeals(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "segments")); !os.IsNotExist(err) {
+		t.Fatalf("Open created segments/ (stat: %v)", err)
+	}
+	l.WriteOffsets(entry(0, 0, 10))
+	l.WriteOffsets(entry(1, 10, 20)) // logged, sealed by one partition, never committed
+	segs := filepath.Join(dir, "segments")
+	if err := os.Mkdir(segs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"commits/000000000000.json":               parentBarrierManifest,
+		"segments/000000000000.part-000.json":     parentSeal,
+		"segments/000000000000.part-001.json":     parentSeal,
+		"segments/000000000001.part-000.json":     parentSeal,
+		"segments/000000000001.part-001.json.tmp": parentSeal[:40],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, ok, err := l.ReadCommit(0)
+	if err != nil || !ok || c.Epoch != 0 || c.CRC32C != "ec3ef0fa" {
+		t.Fatalf("barrier manifest read back as %+v (ok=%v, err=%v)", c, ok, err)
+	}
+
+	// A crash part-way through the removal leaves a shorter directory; the
+	// next restart finishes the job. Names go in order, the directory last.
+	ffs := fsx.NewFaultFS(fsx.NoSync())
+	ffs.CrashAt, ffs.Mode = 3, fsx.CrashBefore
+	crashed, err := OpenFS(ffs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crashed.Recover(); !errors.Is(err, fsx.ErrCrash) {
+		t.Fatalf("Recover under a crash at the third removal: %v", err)
+	}
+	if left, _ := os.ReadDir(segs); len(left) != 2 || left[0].Name() != "000000000001.part-000.json" {
+		t.Fatalf("crash at the third removal left %v", left)
+	}
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := l2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Replay == nil || rp.Replay.Epoch != 1 || rp.NextEpoch != 2 {
+		t.Fatalf("recovery = %+v, want epoch 1 replayed", rp)
+	}
+	if _, err := os.Stat(segs); !os.IsNotExist(err) {
+		t.Fatalf("segments/ survived recovery (stat: %v)", err)
+	}
+	if rp2, err := l2.Recover(); err != nil || rp2.NextEpoch != 2 {
+		t.Fatalf("second Recover, nothing left to remove: %+v, %v", rp2, err)
 	}
 }

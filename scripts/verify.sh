@@ -90,9 +90,9 @@ go test -run '^$' -fuzz 'FuzzJoinBand' -fuzztime 5s ./internal/incremental/
 # one must keep and drop the same records and agree on every kept cell.
 step "pruned row decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
-# And for what the write-ahead log reads back — offsets entry, commit
-# manifest, segment seal — raw and behind a valid frame: no panic, and
-# nothing but fsx.ErrCorrupt comes back.
+# And for what the write-ahead log reads back — offsets entry and commit
+# record — raw and behind a valid frame: no panic, and nothing but
+# fsx.ErrCorrupt comes back.
 step "wal decode fuzz smoke"
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
 # And for the memory sink's result table: whatever batches the fuzzer draws
@@ -118,8 +118,10 @@ step "benchmark module vet + tests"
 # three staging maps, their filter-and-sort helper and the tree's second
 # commit entry point; the boxed partial-row renderer and the decoders of what
 # it rendered; the memory sink's boxed-row copier and its key-order list; calls
-# of the state store's hint method, folded into PutNew and RemoveLive) must
-# not survive in code, scripts or docs. The pattern
+# of the state store's hint method, folded into PutNew and RemoveLive; the
+# per-partition WAL seal, its commit barrier and the engine predicate that
+# selected them — not the seal's write and read methods, whose names colfmt
+# owns) must not survive in code, scripts or docs. The pattern
 # is assembled from halves so this script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
@@ -128,6 +130,7 @@ stale="$stale"'|cluster''TasksRun|cluster''StagesRun|cluster''TaskMicros|DataStr
 stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pending''Del'
 stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
 stale="$stale"'|clone''Rows|key''Order|\.Hi''nt\('
+stale="$stale"'|Commit''Barrier|Segment''Ref|Segment''Partitions|Segments''Written|drop''UncommittedSegments|e\.sh''arded'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1

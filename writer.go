@@ -84,10 +84,10 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 }
 
 // Option sets a sink/engine option ("partitions", "maxRecordsPerTrigger",
-// "workers" — N > 1 sizes the task pool to N and shards the epoch over it
-// (map ranges split across the workers, per-partition WAL seals, a commit
-// barrier); unset or 1 runs one task per source partition on a pool of two
-// (see engine.Options.Workers),
+// "workers" — N > 1 sizes the task pool to N and cuts each source
+// partition's range into up to N map tasks; unset or 1 runs one task per
+// source partition on a pool of two; nothing else depends on it (see
+// engine.Options.Workers),
 // "stateBackend", "stateMemtableBytes", "stateBlockCacheBytes",
 // "stateSyncMaintenance" — "true" pins LSM flush/compaction inline on the
 // commit path instead of the background goroutine,
