@@ -12,8 +12,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Full verification: vet + race detector across everything. Set
-# STRUCTREAM_CHAOS=1 to also run the randomized chaos schedule.
+# Verification: gofmt, vet, the race detector across everything, the
+# benchmark module and the stale-name guard. VERIFY_FULL=1 adds the fuzz
+# smokes, the micro-benchmarks and the x20 arrival run; STRUCTREAM_CHAOS=1
+# the randomized chaos schedule.
 verify:
 	./scripts/verify.sh
 

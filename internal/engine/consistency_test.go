@@ -239,6 +239,117 @@ func TestStreamStreamJoinMatchesBatchJoin(t *testing.T) {
 	}
 }
 
+// TestStreamStreamJoinWithLaggingSidesMatchesBatchJoin: a click may trail
+// its impression by up to 10 s (r.ts BETWEEN l.ts AND l.ts + 10 s) while the
+// watermark trails the streams by only 2 s, so the watermark passes a left
+// row long before the last right row that can match it arrives. No row is
+// late on its own side (event times jitter by under the watermark delay), so
+// after every epoch the join must hold exactly the pairs a nested-loop join
+// over the consumed prefix finds, and a left-outer join must not have given
+// up on a left row the prefix — or any later, non-late right row — matches.
+// Evicting by ts < W on both sides, as the join did before its eviction
+// followed the band, drops those left rows: pairs go missing, and the outer
+// join pads rows that match later.
+func TestStreamStreamJoinWithLaggingSidesMatchesBatchJoin(t *testing.T) {
+	const band, delay = 10 * sec, 2 * sec
+	for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin} {
+		t.Run(typ.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			left := sources.NewMemorySource("left", eventsSchema)
+			right := sources.NewMemorySource("right", eventsSchema)
+			side := func(name, alias string) logical.Plan {
+				return &logical.SubqueryAlias{Alias: alias, Child: &logical.WithWatermark{
+					Child: &logical.Scan{Name: name, Streaming: true, Out: eventsSchema}, Column: "ts", Delay: delay}}
+			}
+			plan := &logical.Project{
+				Child: &logical.Join{Left: side("left", "l"), Right: side("right", "r"), Type: typ,
+					Cond: sql.And(sql.Eq(sql.Col("l.k"), sql.Col("r.k")), sql.And(
+						sql.Ge(sql.Col("r.ts"), sql.Col("l.ts")),
+						sql.Le(sql.Col("r.ts"), sql.Add(sql.Col("l.ts"), sql.IntervalLit(band)))))},
+				Exprs: []sql.Expr{sql.Col("l.k"), sql.Col("l.v"), sql.Col("r.v")},
+			}
+			q := compile(t, plan, logical.Append, nil)
+			sink := sinks.NewMemorySink()
+			sq := startQuery(t, q, map[string]sources.Source{"left": left, "right": right}, sink, Options{NumPartitions: 3})
+
+			var allLeft, allRight []sql.Row
+			clock := 100 * sec
+			add := func(src *sources.MemorySource, all *[]sql.Row, key string, id float64) {
+				// Under the watermark delay behind the newest event time: never late.
+				row := sql.Row{key, id, clock - rng.Int63n(delay/2)}
+				*all = append(*all, row)
+				src.AddData(row)
+			}
+			// check holds the sink to the nested-loop join over the prefix; at
+			// the end of the stream every unmatched left row must be out too.
+			check := func(step int, final bool) {
+				t.Helper()
+				want, matchedLeft := map[string]int{}, map[float64]bool{}
+				for _, l := range allLeft {
+					for _, r := range allRight {
+						if d := r[2].(int64) - l[2].(int64); l[0] == r[0] && d >= 0 && d <= band {
+							want[fmt.Sprintf("%v/%v/%v", l[0], l[1], r[1])]++
+							matchedLeft[l[1].(float64)] = true
+						}
+					}
+				}
+				got, padded := map[string]int{}, map[float64]int{}
+				for _, r := range sink.Rows() {
+					if r[2] == nil {
+						padded[r[1].(float64)]++
+					} else {
+						got[fmt.Sprintf("%v/%v/%v", r[0], r[1], r[2])]++
+					}
+				}
+				for k, n := range want {
+					if got[k] != n {
+						t.Fatalf("step %d: pair %s emitted %d times, the batch join over the prefix has it %d times", step, k, got[k], n)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("step %d: %d distinct pairs, the batch join over the prefix has %d", step, len(got), len(want))
+				}
+				for id, n := range padded {
+					if typ == logical.InnerJoin || matchedLeft[id] || n != 1 {
+						t.Fatalf("step %d: left row %v came out null-padded %d times (matched in the prefix: %v)", step, id, n, matchedLeft[id])
+					}
+				}
+				for _, l := range allLeft {
+					if id := l[1].(float64); final && typ == logical.LeftOuterJoin && l[0] != "flush" && !matchedLeft[id] && padded[id] != 1 {
+						t.Fatalf("end of stream: unmatched left row %v came out null-padded %d times", id, padded[id])
+					}
+				}
+			}
+			for step := 0; step < 40; step++ {
+				for i := rng.Intn(4); i > 0; i-- {
+					add(left, &allLeft, fmt.Sprintf("k%d", rng.Intn(3)), float64(len(allLeft)))
+					clock += rng.Int63n(2 * sec)
+				}
+				for i := rng.Intn(4); i > 0; i-- {
+					add(right, &allRight, fmt.Sprintf("k%d", rng.Intn(3)), float64(1000+len(allRight)))
+					clock += rng.Int63n(2 * sec)
+				}
+				if err := sq.ProcessAllAvailable(); err != nil {
+					t.Fatal(err)
+				}
+				check(step, false)
+			}
+			// A row far ahead on each side moves the watermark past everything
+			// buffered, band included.
+			clock += 1000 * sec
+			add(left, &allLeft, "flush", -1)
+			add(right, &allRight, "flush", -2)
+			if err := sq.ProcessAllAvailable(); err != nil {
+				t.Fatal(err)
+			}
+			check(40, true)
+			if len(allLeft) < 40 || len(allRight) < 40 {
+				t.Fatalf("weak run: %d left rows, %d right rows", len(allLeft), len(allRight))
+			}
+		})
+	}
+}
+
 // TestWatermarkNeverRegresses: the watermark is monotonic even when event
 // times jump backwards between epochs.
 func TestWatermarkNeverRegresses(t *testing.T) {

@@ -353,9 +353,7 @@ func (ce *continuousExec) markEpoch() {
 	// Lineage: in continuous mode records flow through workers as they
 	// arrive, so the epoch's ingest is the start of its interval and its
 	// execution is continuous across it; admission is the mark itself.
-	ce.health.StampIngest(epoch, r.start)
-	ce.health.StampExecute(epoch, r.start)
-	ce.health.StampAdmit(epoch, planStart)
+	r.admit, r.ingest, r.execute = planStart, r.start, r.start
 	err := ce.logOffsets(r, 0)
 	if err == nil {
 		err = ce.commitEpoch(r)

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"structream/internal/fsx"
+	"structream/internal/health"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
@@ -56,15 +58,22 @@ func missing(got, want []string) []string {
 // and the registry names the benchmark reads, for the same map-only query
 // under both execution modes. The key lists were captured at the commit
 // before the two modes came to share one publish path: microbatch must
-// match exactly, continuous may only have gained keys.
+// match exactly, continuous may only have gained keys. And it pins where
+// those views come from: every committed epoch has exactly one record in the
+// query's ring, holding its progress event, its six-stage tree and its four
+// lineage instants, and the event's breakdown is the tree's, summed by name.
 func TestTelemetryContractInBothModes(t *testing.T) {
 	registryNames := []string{"inputRows", "outputRows", "epochs", "backlogRecords", "stage.stateCommit.us", "epoch.us"}
 	// Every microbatch query runs on the task pool, at any worker count.
 	poolGauges := []string{"workers", "shardTasksRun", "shardStagesRun", "shardBusyMicros"}
 	cases := []struct {
-		name     string
-		trigger  Trigger
-		exact    bool
+		name    string
+		trigger Trigger
+		exact   bool
+		// lineage puts a stamp's four engine-written instants in the order the
+		// mode reaches them: continuous workers read and run an epoch's data
+		// before the mark that admits it.
+		lineage  func(health.Stamp) [4]int64
 		progress []string
 		source   []string
 		sink     []string
@@ -72,6 +81,9 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 	}{
 		{
 			name: "microbatch", trigger: ProcessingTimeTrigger{Interval: time.Hour}, exact: true,
+			lineage: func(s health.Stamp) [4]int64 {
+				return [4]int64{s.AdmitMicros, s.IngestMicros, s.ExecuteMicros, s.CommitMicros}
+			},
 			progress: []string{"bottleneckStage", "durationUs", "epoch", "inputRowsPerSecond", "numInputRows",
 				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
 				"sink", "sourceEndOffsetTotals", "sources", "stateBytes", "stateRows", "vectorized",
@@ -82,6 +94,9 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 		},
 		{
 			name: "continuous", trigger: ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
+			lineage: func(s health.Stamp) [4]int64 {
+				return [4]int64{s.IngestMicros, s.ExecuteMicros, s.AdmitMicros, s.CommitMicros}
+			},
 			progress: []string{"bottleneckStage", "durationUs", "epoch", "inputRowsPerSecond", "numInputRows",
 				"numOutputRows", "outputRowsPerSecond", "processingMicros", "processingMillis", "queryName",
 				"sink", "sources", "stateBytes", "stateRows", "watermarkMicros"},
@@ -141,19 +156,39 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 			check("sources[0]", source, tc.source)
 			check("sink", sink, tc.sink)
 
-			epochs := sq.Tracer().Epochs()
-			if len(epochs) == 0 {
-				t.Fatal("no epoch trace")
+			// One record per committed epoch, and every view a read of it.
+			records := sq.Epochs().Recent(0, nil)
+			if len(records) != len(events) || len(sq.Epochs().Traces()) != len(events) {
+				t.Fatalf("%d committed epochs, %d ring records, %d finished traces",
+					len(events), len(records), len(sq.Epochs().Traces()))
 			}
-			var spans []string
-			for name := range childNames(epochs[0]) {
-				spans = append(spans, name)
-			}
-			sort.Strings(spans)
 			want := append([]string(nil), stageNames...)
 			sort.Strings(want)
-			if strings.Join(spans, ",") != strings.Join(want, ",") {
-				t.Errorf("child span names = %v, want %v", spans, want)
+			for i, rec := range records {
+				p := events[i]
+				if rec.Epoch != p.Epoch || rec.Progress == nil || rec.Progress.Epoch != p.Epoch || rec.Trace == nil || rec.Trace.Epoch != p.Epoch {
+					t.Fatalf("record %d = %+v beside the progress event of epoch %d", i, rec, p.Epoch)
+				}
+				var spans []string
+				for name := range childNames(rec.Trace) {
+					spans = append(spans, name)
+				}
+				sort.Strings(spans)
+				if strings.Join(spans, ",") != strings.Join(want, ",") {
+					t.Errorf("epoch %d: child span names = %v, want %v", p.Epoch, spans, want)
+				}
+				sums := map[string]int64{}
+				for _, sp := range rec.Trace.Root.Children {
+					sums[sp.Name] += sp.DurationMicros
+				}
+				if !reflect.DeepEqual(sums, p.DurationBreakdown) {
+					t.Errorf("epoch %d: durationUs = %v, the root's children sum to %v", p.Epoch, p.DurationBreakdown, sums)
+				}
+				stamp, ok := sq.Health().Stamp(p.Epoch)
+				at := tc.lineage(stamp)
+				if !ok || at[0] <= 0 || at[0] > at[1] || at[1] > at[2] || at[2] > at[3] || stamp.IngestMicros != rec.IngestMicros {
+					t.Errorf("epoch %d: lineage %+v (%v) is not four instants in the mode's order", p.Epoch, stamp, ok)
+				}
 			}
 			var registered []string
 			for name := range sq.Metrics().Snapshot() {

@@ -67,7 +67,7 @@ func openCore(q *incremental.Query, sink sinks.Sink, opts Options) (*core, wal.R
 	c := &core{
 		q: q, sink: sink, opts: opts, wal: w,
 		hook:      newEpochHook(),
-		telemetry: newTelemetry(opts),
+		telemetry: startTelemetry(opts),
 		srcs:      map[string]*sources.Instrumented{},
 		committed: map[string]sources.Offsets{},
 		prevRead:  map[string]int64{},
@@ -172,23 +172,27 @@ func (s *evtStats) merge(o evtStats) {
 }
 
 // epochRecord is the one thing an epoch fills, in either mode; publish
-// derives every monitoring view from it. stage, fusedStage and charge write
-// a timing into the span tree and the breakdown together. In microbatch
-// mode the sections are contiguous, so the six segments — planning,
-// getBatch, execution, stateCommit, walCommit, sinkCommit — sum to ≈ the
-// epoch's wall time; in continuous mode getBatch, execution and sinkCommit
-// are task time summed over parallel workers since the previous mark, not
-// disjoint wall segments, and may exceed it.
+// derives every monitoring view from it. A stage's timing is written once,
+// as a child span of the tree's root (stage, fusedStage, charge); the
+// progress event's breakdown is the per-name sum of those children. In
+// microbatch mode the sections are contiguous, so the six segments —
+// planning, getBatch, execution, stateCommit, walCommit, sinkCommit — sum to
+// ≈ the epoch's wall time; in continuous mode getBatch, execution and
+// sinkCommit are task time summed over parallel workers since the previous
+// mark, not disjoint wall segments, and may exceed it.
 type epochRecord struct {
 	c     *core
 	epoch int64
 	mode  string
 	start time.Time // root span start: planning, or the previous epoch mark
+	// The lineage instants the mode knows and the commit writes onto the
+	// ring's record: when the epoch was admitted for planning, when its data
+	// was read from the source, when execution began.
+	admit, ingest, execute time.Time
 	// end closes the epoch's latency: the commit, which a microbatch epoch
 	// extends over its post-commit bookkeeping.
 	end time.Time
-	et  *trace.EpochTrace
-	bd  map[string]int64 // stage → µs
+	et  *trace.EpochTrace // the span tree; the ring's record of the epoch holds it too
 
 	// sources are the progress sections themselves, filled as the epoch
 	// learns them; LatestOffsets is the source's head when the epoch was
@@ -204,16 +208,18 @@ type epochRecord struct {
 	workers                        int
 }
 
-// beginEpoch opens an epoch's record and its trace. The root span starts
-// at start, before any stage, so it covers the epoch's whole extent.
+// beginEpoch opens an epoch's record and its trace, and with it the epoch's
+// record in the ring: the epoch is retained from here on, whatever becomes
+// of it. The root span starts at start, before any stage, so it covers the
+// epoch's whole extent.
 func (c *core) beginEpoch(epoch int64, mode string, replay bool, start time.Time, plan []metrics.SourceProgress) *epochRecord {
 	r := &epochRecord{
-		c: c, epoch: epoch, mode: mode, start: start, sources: plan,
-		et:           c.tracer.StartEpochAt(epoch, mode, start),
-		bd:           make(map[string]int64, 6),
+		c: c, epoch: epoch, mode: mode, start: start, admit: start, sources: plan,
+		et:           trace.StartEpoch(c.opts.Name, epoch, mode, start),
 		evt:          evtStats{min: -1, max: -1},
 		stateVersion: -1,
 	}
+	c.ring.Begin(r.et)
 	if replay {
 		r.et.SetAttr("replay", 1)
 	}
@@ -262,7 +268,6 @@ func (r *epochRecord) fusedStage(name string, fn func(sp *trace.Span) (own, exec
 		share = time.Duration(float64(wall) * float64(own) / float64(own+exec))
 	}
 	r.et.EndSpanWith(sp, share)
-	r.bd[name] += share.Microseconds()
 	if rest := wall - share; rest > 0 {
 		r.charge("execution", t0.Add(share), rest)
 	}
@@ -271,7 +276,6 @@ func (r *epochRecord) fusedStage(name string, fn func(sp *trace.Span) (own, exec
 
 // charge attributes an already-measured duration to a stage.
 func (r *epochRecord) charge(name string, at time.Time, d time.Duration) *trace.Span {
-	r.bd[name] += d.Microseconds()
 	return r.et.AddStage(name, at, d)
 }
 
@@ -304,6 +308,8 @@ func (c *core) logOffsets(r *epochRecord, watermark int64) error {
 
 // commitEpoch is the protocol's last step: the commit record, then the
 // news. A crash anywhere before that write and recovery replays the epoch.
+// The epoch's lineage goes onto its ring record before anyone hears of the
+// commit: the serving hub reads the ingest instant for the frame it builds.
 func (c *core) commitEpoch(r *epochRecord) error {
 	err := r.stage("walCommit", func(*trace.Span) error {
 		return c.wal.WriteCommit(r.epoch)
@@ -317,7 +323,10 @@ func (c *core) commitEpoch(r *epochRecord) error {
 		c.committed[s.Name] = sources.Offsets(s.EndOffsets).Clone()
 	}
 	c.committedState.Store(r.stateVersion)
-	c.health.StampCommit(r.epoch, r.end)
+	c.ring.Update(r.epoch, func(rec *metrics.EpochRecord) {
+		rec.AdmitMicros, rec.IngestMicros = r.admit.UnixMicro(), r.ingest.UnixMicro()
+		rec.ExecuteMicros, rec.CommitMicros = r.execute.UnixMicro(), r.end.UnixMicro()
+	})
 	c.hook.notify(r.epoch)
 	return nil
 }
@@ -328,6 +337,10 @@ func (c *core) commitEpoch(r *epochRecord) error {
 // the QueryProgress event and the health detector's sample.
 func (c *core) publish(r *epochRecord) {
 	wall := r.end.Sub(r.start)
+	bd := make(map[string]int64, 6) // stage → µs
+	for _, sp := range r.et.Root.Children {
+		bd[sp.Name] += sp.DurationMicros
+	}
 	r.et.SetAttr("inputRows", r.inputRows)
 	r.et.SetAttr("outputRows", r.outputRows)
 	if r.vecRows > 0 {
@@ -365,12 +378,12 @@ func (c *core) publish(r *epochRecord) {
 	}
 
 	c.reg.Histogram("epoch.us").Observe(wall.Microseconds())
-	for k, v := range r.bd {
+	for k, v := range bd {
 		c.reg.Histogram("stage." + k + ".us").Observe(v)
 	}
 	backpressureDecision := ""
 	if c.limiter != nil {
-		c.limiter.Observe(wall, r.inputRows, r.bd)
+		c.limiter.Observe(wall, r.inputRows, bd)
 		// A growing flush backlog is latency debt the epoch timer has not
 		// seen yet: shed intake before the hard synchronous fallback (or
 		// the watchdog) is reached.
@@ -424,15 +437,15 @@ func (c *core) publish(r *epochRecord) {
 		WatermarkMicros:      r.watermark,
 		InputRowsPerSec:      metrics.RatePerSec(r.inputRows, wall),
 		OutputRowsPerSec:     metrics.RatePerSec(r.outputRows, wall),
-		DurationBreakdown:    r.bd,
-		BottleneckStage:      metrics.BottleneckStage(r.bd),
+		DurationBreakdown:    bd,
+		BottleneckStage:      metrics.BottleneckStage(bd),
 		BackpressureDecision: backpressureDecision,
 		Sources:              r.sources,
 		Sink: &metrics.SinkProgress{
 			Description:      sinks.Describe(c.sink),
 			NumOutputRows:    r.outputRows,
 			OutputRowsPerSec: metrics.RatePerSec(r.outputRows, wall),
-			WriteMicros:      r.bd["sinkCommit"],
+			WriteMicros:      bd["sinkCommit"],
 		},
 		EventTime:            evtProgress,
 		SourceOffsets:        endTotals,

@@ -135,8 +135,10 @@ type Options struct {
 	// are identical either way. Pass engine.Bool(false) to force the row
 	// path (useful for benchmarking and differential testing).
 	Vectorize *bool
-	// HealthDir overrides where flight-recorder bundles are written
-	// (default <Checkpoint>/_health). Bundles deliberately bypass
+	// HealthDir overrides where flight-recorder bundles — the newest epochs
+	// of the query's ring, the registry and profiles, captured when the
+	// health detector trips — are written (default <Checkpoint>/_health).
+	// Bundles deliberately bypass
 	// Options.FS and use the real filesystem: a FaultFS counts mutating
 	// ops to schedule deterministic crashes, and a background diagnostic
 	// capture must not perturb that schedule.
@@ -176,37 +178,39 @@ func (o Options) withDefaults() Options {
 }
 
 // telemetry is the observability every query carries, in both execution
-// modes (§7.4): the progress event log feeding the metric registry, the
-// epoch tracer, and the health tracker whose bundles capture all three.
-// A handle that never started a query (NewFailedQuery) has none of it,
-// which is why trace.Tracer and health.Tracker stay nil-safe.
+// modes (§7.4): one ring of epoch records — span tree, progress event and
+// lineage of each of the newest epochs — and three things that write to it
+// or read views off it: the progress event log, which feeds the metric
+// registry too, and the health tracker, whose bundles export the ring. A
+// handle that never started a query (NewFailedQuery) has an empty ring, log
+// and registry and no tracker, which is what health.Tracker's nil-receiver
+// answers are for.
 type telemetry struct {
+	ring   *metrics.EpochRing
 	log    *metrics.EventLog
 	reg    *metrics.Registry
-	tracer *trace.Tracer
 	health *health.Tracker
 }
 
-// newTelemetry wires a query's telemetry. Flight-recorder bundles go under
-// the checkpoint unless Options.HealthDir redirects them, and always to
-// the real filesystem (health.New's default), never Options.FS:
+// newTelemetry is the telemetry of a handle with no query behind it.
+func newTelemetry(eventLog io.Writer) telemetry {
+	t := telemetry{ring: metrics.NewEpochRing(), reg: metrics.NewRegistry()}
+	t.log = metrics.NewEventLog(eventLog, t.ring, t.reg)
+	return t
+}
+
+// startTelemetry wires a started query's telemetry. Flight-recorder bundles
+// go under the checkpoint unless Options.HealthDir redirects them, and
+// always to the real filesystem (health.New's default), never Options.FS:
 // fault-injecting filesystems schedule crashes by counting mutating ops,
 // and diagnostics must not perturb that.
-func newTelemetry(opts Options) telemetry {
-	t := telemetry{
-		log:    metrics.NewEventLog(opts.EventLogWriter),
-		reg:    metrics.NewRegistry(),
-		tracer: trace.NewTracer(opts.Name, 0),
-	}
-	t.log.SetRegistry(t.reg)
+func startTelemetry(opts Options) telemetry {
+	t := newTelemetry(opts.EventLogWriter)
 	dir := opts.HealthDir
 	if dir == "" {
 		dir = filepath.Join(opts.Checkpoint, "_health")
 	}
-	t.health = health.New(health.Config{
-		Query: opts.Name, Dir: dir,
-		Registry: t.reg, Tracer: t.tracer, Events: t.log,
-	})
+	t.health = health.New(health.Config{Query: opts.Name, Dir: dir, Registry: t.reg, Ring: t.ring})
 	return t
 }
 
@@ -594,14 +598,14 @@ func (e *exec) runEpochGuarded(epoch int64, plan []metrics.SourceProgress, repla
 		return err
 	case <-timer.C:
 		e.abandoned.Store(true)
-		// The in-flight trace names the stage the epoch is stuck in — the
+		// The epoch's record in the ring names the stage it is stuck in — the
 		// watchdog's verdict is explainable instead of a bare timeout. The
-		// partial trace is sealed and retained for post-mortems.
+		// partial trace is sealed; the ring keeps it for post-mortems.
 		stage := ""
-		if et := e.tracer.InFlight(); et != nil {
-			stage = et.OpenStage()
-			et.SetAttr("abandonedByWatchdog", 1)
-			et.Finish()
+		if rec, ok := e.ring.Record(epoch); ok && rec.Trace != nil {
+			stage = rec.Trace.OpenStage()
+			rec.Trace.SetAttr("abandonedByWatchdog", 1)
+			rec.Trace.Finish()
 		}
 		if stage != "" {
 			return fmt.Errorf("engine: epoch %d hung for %v in stage %q: %w", epoch, e.opts.EpochTimeout, stage, ErrEpochTimeout)
@@ -615,13 +619,12 @@ func (e *exec) runEpochGuarded(epoch int64, plan []metrics.SourceProgress, repla
 // where runEpoch starts. Caller holds e.mu.
 func (e *exec) runEpoch(epoch int64, plan []metrics.SourceProgress, replay bool, planStart time.Time) error {
 	r := e.beginEpoch(epoch, modeMicrobatch, replay, planStart, plan)
-	// A partial tree from a failed or abandoned epoch is still retained
-	// for post-mortems (Finish is idempotent — the watchdog may have
-	// sealed it already).
+	// The ring keeps a failed or abandoned epoch's partial tree for
+	// post-mortems (Finish is idempotent — the watchdog may have sealed it
+	// already).
 	defer r.et.Finish()
 	r.vectorized, r.workers = e.vectorize, e.opts.Workers
 	r.charge("planning", planStart, time.Since(planStart))
-	e.health.StampAdmit(epoch, planStart)
 	if err := e.logOffsets(r, e.watermark); err != nil {
 		return err
 	}
@@ -697,8 +700,7 @@ type exchange struct {
 // against their summed pipeline time.
 func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 	var ex *exchange
-	mapStart := time.Now()
-	e.health.StampIngest(r.epoch, mapStart)
+	r.ingest = time.Now()
 	fetch, err := r.fusedStage("getBatch", func(sp *trace.Span) (readNanos, pipeNanos int64, err error) {
 		var specs []taskSpec
 		for i, bp := range e.pipes {
@@ -727,7 +729,7 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.health.StampExecute(r.epoch, mapStart.Add(fetch))
+	r.execute = r.ingest.Add(fetch)
 	return ex, nil
 }
 

@@ -41,11 +41,7 @@ func TestMicrobatchTraceCompleteness(t *testing.T) {
 		}
 	}
 
-	tr := sq.Tracer()
-	if tr == nil {
-		t.Fatal("tracing should be on by default")
-	}
-	epochs := tr.Epochs()
+	epochs := sq.Epochs().Traces()
 	if len(epochs) != 3 {
 		t.Fatalf("retained %d epoch traces, want 3", len(epochs))
 	}
@@ -69,11 +65,11 @@ func TestMicrobatchTraceCompleteness(t *testing.T) {
 			}
 		}
 	}
-	if tr.InFlight() != nil {
-		t.Error("no epoch should be in flight after ProcessAllAvailable")
+	if n := len(sq.Epochs().Recent(0, nil)); n != 3 {
+		t.Errorf("the ring holds %d records, %d of them finished: no epoch should be in flight after ProcessAllAvailable", n, len(epochs))
 	}
-	if _, ok := tr.Epoch(1); !ok {
-		t.Error("Epoch(1) lookup failed")
+	if rec, ok := sq.Epochs().Record(1); !ok || rec.Trace != epochs[1] {
+		t.Error("Record(1) lookup failed")
 	}
 }
 
@@ -167,11 +163,7 @@ func TestContinuousTraceCompleteness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := sq.Tracer()
-	if tr == nil {
-		t.Fatal("tracing should be on by default in continuous mode")
-	}
-	epochs := tr.Epochs()
+	epochs := sq.Epochs().Traces()
 	if len(epochs) == 0 {
 		t.Fatal("no epoch traces retained")
 	}
@@ -208,8 +200,9 @@ func TestContinuousTraceCompleteness(t *testing.T) {
 }
 
 // TestWatchdogVerdictNamesHungStage: when the epoch watchdog fires, its
-// error names the stage the epoch is stuck in, read from the in-flight
-// trace's open-span stack, and the partial trace is retained.
+// error names the stage the epoch is stuck in, read from the open-span stack
+// of the epoch's record in the ring, and the record is retained: the partial
+// tree with its open stage, no progress event, no lineage.
 func TestWatchdogVerdictNamesHungStage(t *testing.T) {
 	inner := sources.NewMemorySource("events", eventsSchema)
 	inner.AddData(sql.Row{"a", 1.0, int64(0)})
@@ -228,19 +221,27 @@ func TestWatchdogVerdictNamesHungStage(t *testing.T) {
 		t.Errorf("watchdog verdict does not name the hung stage: %v", err)
 	}
 	// The abandoned epoch's partial trace was sealed and retained.
-	epochs := sq.Tracer().Epochs()
+	epochs := sq.Epochs().Traces()
 	if len(epochs) != 1 {
 		t.Fatalf("retained %d traces, want the abandoned epoch", len(epochs))
 	}
 	if epochs[0].Root.Attrs["abandonedByWatchdog"] != 1 {
 		t.Errorf("abandoned trace attrs = %v", epochs[0].Root.Attrs)
 	}
+	rec, ok := sq.Epochs().Record(0)
+	if !ok || rec.Trace != epochs[0] || rec.Trace.OpenStage() != "getBatch" {
+		t.Errorf("the abandoned epoch's record = %+v (%v), want its tree with getBatch still open", rec, ok)
+	}
+	if _, stamped := sq.Health().Stamp(0); rec.Progress != nil || stamped || len(sq.EventLog().Recent(0)) != 0 {
+		t.Errorf("an epoch that never committed has progress %v or lineage (%v)", rec.Progress, stamped)
+	}
 }
 
 // TestTelemetryInBothModes: a microbatch and a continuous query both carry
-// a tracer and a health tracker — one constructor wires them for both —
-// and only a handle that never started a query has neither, answering
-// through the nil-safe methods.
+// an epoch ring and a health tracker reading it — one constructor wires them
+// for both. A handle that never started a query has an empty ring, event log
+// and registry, so every reader gets an answer, and no tracker: its report
+// says "disabled".
 func TestTelemetryInBothModes(t *testing.T) {
 	for _, trig := range []Trigger{
 		ProcessingTimeTrigger{Interval: time.Hour},
@@ -249,22 +250,22 @@ func TestTelemetryInBothModes(t *testing.T) {
 		src := sources.NewMemorySource("events", eventsSchema)
 		q := compile(t, streamScan("events"), logical.Append, nil)
 		sq := startQuery(t, q, map[string]sources.Source{"events": src}, sinks.NewMemorySink(), Options{Trigger: trig})
-		if sq.Tracer() == nil || sq.Health() == nil {
-			t.Errorf("%T: Tracer() = %v, Health() = %v, want both", trig, sq.Tracer(), sq.Health())
+		if sq.Epochs() == nil || sq.Health() == nil {
+			t.Errorf("%T: Epochs() = %v, Health() = %v, want both", trig, sq.Epochs(), sq.Health())
 		}
 		if rep := sq.Health().Health(); rep.Status == "disabled" || rep.Query != "query" {
 			t.Errorf("%T: health report = %+v", trig, rep)
 		}
 	}
 	failed := NewFailedQuery(errors.New("never started"))
-	if failed.Tracer() != nil || failed.Health() != nil {
-		t.Errorf("failed handle: Tracer() = %v, Health() = %v, want neither", failed.Tracer(), failed.Health())
+	if failed.Health() != nil {
+		t.Errorf("failed handle: Health() = %v, want none", failed.Health())
 	}
 	if rep := failed.Health().Health(); rep.Status != "disabled" {
 		t.Errorf("failed handle: health status = %q, want disabled", rep.Status)
 	}
-	if failed.Tracer().Epochs() != nil {
-		t.Error("failed handle: a nil tracer retained epochs")
+	if _, ok := failed.LastProgress(); ok || len(failed.Epochs().Traces()) != 0 || len(failed.Metrics().Snapshot()) != 0 {
+		t.Error("failed handle: an epoch, a progress event or a metric from a query that never ran")
 	}
 }
 

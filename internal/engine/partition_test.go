@@ -377,7 +377,7 @@ func TestWorkersSizeThePoolAndTheMapSplit(t *testing.T) {
 			if err := sq.ProcessAllAvailable(); err != nil {
 				t.Fatal(err)
 			}
-			epochs := sq.Tracer().Epochs()
+			epochs := sq.Epochs().Traces()
 			if len(epochs) != 1 {
 				t.Fatalf("ran %d epochs, want 1", len(epochs))
 			}

@@ -11,7 +11,6 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
-	"structream/internal/trace"
 	"structream/internal/wal"
 )
 
@@ -103,7 +102,7 @@ func (h *epochHook) notify(epoch int64) {
 // it synchronously in tests.
 type StreamingQuery struct {
 	name string
-	core *core           // what both modes share; empty for a handle that never started
+	core *core           // what both modes share; a hook and empty telemetry for a handle that never started
 	exec *exec           // non-nil in microbatch mode
 	cont *continuousExec // non-nil in continuous mode
 
@@ -218,7 +217,7 @@ func (q *StreamingQuery) Done() <-chan struct{} { return q.doneCh }
 // supervisor uses it to represent an instance that failed before its
 // driver loop could start, so restart bookkeeping stays uniform.
 func NewFailedQuery(err error) *StreamingQuery {
-	q := &StreamingQuery{core: &core{}, stopCh: make(chan struct{}), doneCh: make(chan struct{})}
+	q := &StreamingQuery{core: &core{hook: newEpochHook(), telemetry: newTelemetry(nil)}, stopCh: make(chan struct{}), doneCh: make(chan struct{})}
 	q.setErr(err)
 	q.finish()
 	return q
@@ -263,14 +262,15 @@ func (q *StreamingQuery) ProcessAllAvailable() error {
 // EventLog exposes the query's progress events (§7.4).
 func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.core.log }
 
-// Tracer exposes the query's epoch tracer. Nil only for a handle that
-// never started a query; every Tracer method is nil-safe.
-func (q *StreamingQuery) Tracer() *trace.Tracer { return q.core.tracer }
+// Epochs exposes the query's ring of epoch records: the span tree, progress
+// event and latency lineage of each of the newest epochs, in flight
+// included. Empty for a handle that never started a query.
+func (q *StreamingQuery) Epochs() *metrics.EpochRing { return q.core.ring }
 
-// Health exposes the query's health tracker: latency lineage stamps, the
-// anomaly detector's signal baselines, and the flight-recorder bundle
-// ring. Nil only for a handle that never started a query — every Tracker
-// method is nil-safe, so callers may use the result unconditionally.
+// Health exposes the query's health tracker: the lineage view of the epoch
+// ring, the anomaly detector's signal baselines, and the flight-recorder
+// bundle ring. Nil only for a handle that never started a query, which a
+// report ("disabled") and a bundle listing (empty) still answer for.
 func (q *StreamingQuery) Health() *health.Tracker { return q.core.health }
 
 // Metrics exposes the query's metric registry.
@@ -292,18 +292,12 @@ func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
 // Recovery replay of a previously committed epoch notifies again with the
 // same epoch number — listeners needing exactly-once should dedupe on it.
 func (q *StreamingQuery) AddEpochListener(fn func(epoch int64)) (remove func()) {
-	if q.core.hook == nil {
-		return func() {}
-	}
 	return q.core.hook.add(fn)
 }
 
 // LastCommittedEpoch returns the newest committed epoch, or -1 before any
 // epoch has committed in this instance's lifetime.
 func (q *StreamingQuery) LastCommittedEpoch() int64 {
-	if q.core.hook == nil {
-		return -1
-	}
 	return q.core.hook.last.Load()
 }
 

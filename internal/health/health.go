@@ -8,9 +8,10 @@
 // baseline, when the evidence (traces, profiles, progress history) still
 // exists.
 //
-// Everything here is nil-safe: a nil *Tracker ignores every call, so the
-// engine and serving layers stamp unconditionally and pay nothing when
-// health is disabled.
+// Every started query has a Tracker. A nil *Tracker is what a serving hub
+// with no query attached, and a handle that never started a query, hold in
+// its place: the methods those two call (Stamp, StampDeliver, Health,
+// Bundles, Bundle, Close) answer for it; the rest expect a tracker.
 package health
 
 import (
@@ -23,18 +24,15 @@ import (
 
 	"structream/internal/fsx"
 	"structream/internal/metrics"
-	"structream/internal/trace"
 )
 
 // Clock is the injectable time source. Both the detector and the recorder
 // consult it, so anomaly→capture is deterministically testable.
 type Clock func() time.Time
 
-// Stamp is one epoch's latency lineage: the wall-clock instants at which
-// its data was read from the source, admitted for planning, entered
-// execution, was durably committed, and was last flushed to a subscriber.
-// Zero means "not reached yet". DeliverMicros advances monotonically as
-// more subscribers flush the epoch's frame.
+// Stamp is one epoch's latency lineage as reports render it: the instants
+// of the epoch's record in the query's ring (metrics.EpochRecord has their
+// meaning). Zero means "not reached yet".
 type Stamp struct {
 	Epoch         int64 `json:"epoch"`
 	IngestMicros  int64 `json:"ingestMicros,omitempty"`
@@ -65,10 +63,9 @@ type Sample struct {
 	Restarts        int64
 }
 
-// PartitionStat is the per-partition accounting hook laid down for the
-// sharded-execution refactor: rows and time attributed to one partition of
-// one stage. Until execution is actually partitioned, everything lands in
-// partition 0.
+// PartitionStat is the rows and task time one partition of one stage has
+// taken since the query started: "map" by source partition (rows read),
+// "reduce" by state partition (keys held) — where skew shows.
 type PartitionStat struct {
 	Stage     string `json:"stage"`
 	Partition int    `json:"partition"`
@@ -118,25 +115,19 @@ type Config struct {
 	// Registry receives the endToEndLatency.us observations made when
 	// deliver stamps land, and is snapshotted into bundles.
 	Registry *metrics.Registry
-	// Tracer's recent epoch window is exported into bundles.
-	Tracer *trace.Tracer
-	// Events' recent progress history is exported into bundles.
-	Events *metrics.EventLog
+	// Ring is the query's epoch ring: lineage is read from and deliveries
+	// written to its records, and bundles export its newest epochs (default:
+	// a ring of the tracker's own).
+	Ring *metrics.EpochRing
 }
 
-// stampRing bounds lineage memory: stamps for the most recent stampSlots
-// epochs, indexed by epoch modulo the ring size.
-const stampSlots = 256
-
-// Tracker is one query's health state: the lineage stamp ring, the
-// anomaly detector, the per-partition accumulators, and the flight
-// recorder. All methods are safe on a nil receiver and safe for
-// concurrent use.
+// Tracker is one query's health state: the anomaly detector, the
+// per-partition accumulators, the flight recorder, and the lineage view of
+// the query's epoch ring. Safe for concurrent use.
 type Tracker struct {
 	cfg Config
 
 	mu       sync.Mutex
-	stamps   [stampSlots]Stamp
 	det      *detector
 	parts    map[string][]PartitionStat
 	last     Sample
@@ -153,8 +144,7 @@ type Tracker struct {
 	closed bool
 }
 
-// New builds a Tracker. A nil return (on nil-disabled configs) is itself
-// usable: every method no-ops.
+// New builds a Tracker.
 func New(cfg Config) *Tracker {
 	if cfg.FS == nil {
 		cfg.FS = fsx.Real()
@@ -183,6 +173,9 @@ func New(cfg Config) *Tracker {
 	if cfg.CPUProfileDuration <= 0 {
 		cfg.CPUProfileDuration = 250 * time.Millisecond
 	}
+	if cfg.Ring == nil {
+		cfg.Ring = metrics.NewEpochRing()
+	}
 	t := &Tracker{cfg: cfg, parts: make(map[string][]PartitionStat)}
 	t.det = newDetector(cfg.Window, cfg.MinSamples, cfg.Mult, cfg.ZScore)
 	return t
@@ -199,138 +192,55 @@ func (t *Tracker) Close() {
 	t.wg.Wait()
 }
 
-// ------------------------------------------------------------- stamping
+// -------------------------------------------------------------- lineage
 
-func (t *Tracker) slot(epoch int64) *Stamp {
-	s := &t.stamps[epoch%stampSlots]
-	if s.Epoch != epoch {
-		if s.Epoch > epoch {
-			return nil // a newer epoch already owns the slot
-		}
-		*s = Stamp{Epoch: epoch}
-	}
-	return s
+// stampOf renders a ring record's lineage.
+func stampOf(r metrics.EpochRecord) Stamp {
+	return Stamp{r.Epoch, r.IngestMicros, r.AdmitMicros, r.ExecuteMicros, r.CommitMicros, r.DeliverMicros}
 }
 
-// StampIngest records when the epoch's data was read from its source.
-// The earliest stamp wins: with several sources, freshness is measured
-// from the oldest data in the batch.
-func (t *Tracker) StampIngest(epoch int64, at time.Time) {
-	if t == nil {
-		return
-	}
-	us := at.UnixMicro()
-	t.mu.Lock()
-	if s := t.slot(epoch); s != nil && (s.IngestMicros == 0 || us < s.IngestMicros) {
-		s.IngestMicros = us
-	}
-	t.mu.Unlock()
-}
-
-// StampAdmit records when the epoch passed admission control and began
-// planning.
-func (t *Tracker) StampAdmit(epoch int64, at time.Time) {
-	t.stampOnce(epoch, at, func(s *Stamp, us int64) {
-		if s.AdmitMicros == 0 {
-			s.AdmitMicros = us
-		}
-	})
-}
-
-// StampExecute records when the epoch's operator pipeline started running.
-func (t *Tracker) StampExecute(epoch int64, at time.Time) {
-	t.stampOnce(epoch, at, func(s *Stamp, us int64) {
-		if s.ExecuteMicros == 0 {
-			s.ExecuteMicros = us
-		}
-	})
-}
-
-// StampCommit records when the epoch became durable (WAL commit marker).
-func (t *Tracker) StampCommit(epoch int64, at time.Time) {
-	t.stampOnce(epoch, at, func(s *Stamp, us int64) {
-		if s.CommitMicros == 0 {
-			s.CommitMicros = us
-		}
-	})
-}
-
-func (t *Tracker) stampOnce(epoch int64, at time.Time, set func(*Stamp, int64)) {
-	if t == nil {
-		return
-	}
-	us := at.UnixMicro()
-	t.mu.Lock()
-	if s := t.slot(epoch); s != nil {
-		set(s, us)
-	}
-	t.mu.Unlock()
+// stamped reports whether any lineage instant of r has been written.
+func stamped(r *metrics.EpochRecord) bool {
+	return stampOf(*r) != Stamp{Epoch: r.Epoch}
 }
 
 // StampDeliver records that a subscriber flushed the epoch's frame at
-// `at`, advancing the epoch's deliver watermark and observing the full
-// source-read → frame-flushed latency into endToEndLatency.us. Called
-// once per subscriber per epoch by the serving layer.
+// `at`, advancing the deliver instant of the epoch's record and observing
+// the full source-read → frame-flushed latency into endToEndLatency.us.
+// Called once per subscriber per epoch by the serving layer.
 func (t *Tracker) StampDeliver(epoch int64, at time.Time) {
 	if t == nil {
 		return
 	}
 	us := at.UnixMicro()
 	var e2e int64 = -1
-	t.mu.Lock()
-	if s := t.slot(epoch); s != nil {
-		if us > s.DeliverMicros {
-			s.DeliverMicros = us
+	t.cfg.Ring.Update(epoch, func(r *metrics.EpochRecord) {
+		r.DeliverMicros = max(r.DeliverMicros, us)
+		if r.IngestMicros > 0 {
+			e2e = us - r.IngestMicros
 		}
-		if s.IngestMicros > 0 {
-			e2e = us - s.IngestMicros
-		}
-	}
-	t.mu.Unlock()
+	})
 	if e2e >= 0 && t.cfg.Registry != nil {
 		t.cfg.Registry.Histogram("endToEndLatency.us").Observe(e2e)
 	}
 }
 
-// Stamp returns the lineage of one epoch, if it is still in the ring.
+// Stamp returns the lineage of one epoch, if the ring still holds it and
+// any of it has been written.
 func (t *Tracker) Stamp(epoch int64) (Stamp, bool) {
 	if t == nil {
 		return Stamp{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.stamps[epoch%stampSlots]
-	return s, s.Epoch == epoch && s != (Stamp{})
-}
-
-// RecentStamps returns up to n of the newest stamps, oldest first.
-func (t *Tracker) RecentStamps(n int) []Stamp {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	t.mu.Lock()
-	all := make([]Stamp, 0, stampSlots)
-	for _, s := range t.stamps {
-		if s != (Stamp{}) {
-			all = append(all, s)
-		}
-	}
-	t.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Epoch < all[j].Epoch })
-	if len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
+	r, ok := t.cfg.Ring.Record(epoch)
+	return stampOf(r), ok && stamped(&r)
 }
 
 // ----------------------------------------------------------- partitions
 
-// ObservePartition accumulates rows/time attributed to one partition of a
-// stage. The sharded-execution refactor will call this per worker; today
-// the engine calls it with partition 0, so the surface (and its report
-// plumbing) is already exercised.
+// ObservePartition adds one task's rows and wall time to its partition's
+// cell of a stage; the engine calls it per map task and per reduce task.
 func (t *Tracker) ObservePartition(stage string, partition int, rows int64, d time.Duration) {
-	if t == nil || partition < 0 {
+	if partition < 0 {
 		return
 	}
 	t.mu.Lock()
@@ -350,9 +260,6 @@ func (t *Tracker) ObservePartition(stage string, partition int, rows int64, d ti
 // detector; a trip captures a flight-recorder bundle (in the background,
 // unless Config.SyncCapture).
 func (t *Tracker) ObserveEpoch(s Sample) {
-	if t == nil {
-		return
-	}
 	now := t.cfg.Clock()
 	t.mu.Lock()
 	restartDelta := s.Restarts
@@ -490,7 +397,9 @@ func (t *Tracker) Health() Report {
 		}
 		return r.Partitions[i].Partition < r.Partitions[j].Partition
 	})
-	r.Stamps = t.RecentStamps(8)
+	for _, rec := range t.cfg.Ring.Recent(8, stamped) {
+		r.Stamps = append(r.Stamps, stampOf(rec))
+	}
 	if bs, err := t.Bundles(); err == nil {
 		r.Bundles = bs
 	}

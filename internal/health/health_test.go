@@ -1,8 +1,9 @@
 package health
 
 import (
-	"io"
+	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,12 +26,20 @@ func testTracker(t *testing.T, mutate func(*Config)) (*Tracker, *fakeClock, stri
 	dir := t.TempDir()
 	clk := newFakeClock()
 	reg := metrics.NewRegistry()
-	tr := trace.NewTracer("q1", 8)
-	et := tr.StartEpoch(1, "microbatch")
-	et.SetAttr("rows", 10)
-	et.Finish()
-	ev := metrics.NewEventLog(io.Discard)
-	ev.Emit(metrics.QueryProgress{QueryName: "q1", Epoch: 1})
+	ring := metrics.NewEpochRing()
+	// Epoch 1 is over; epoch 2 has committed and published but not finished,
+	// as the epoch whose sample trips the detector has when a capture starts.
+	for e := int64(1); e <= 2; e++ {
+		et := trace.StartEpoch("q1", e, "microbatch", clk.Now())
+		et.SetAttr("rows", 10)
+		ring.Begin(et)
+		ring.Update(e, func(r *metrics.EpochRecord) {
+			r.IngestMicros, r.CommitMicros, r.Progress = 1, 2, &metrics.QueryProgress{QueryName: "q1", Epoch: e}
+		})
+		if e == 1 {
+			et.Finish()
+		}
+	}
 	cfg := Config{
 		Query:       "q1",
 		Dir:         dir,
@@ -38,8 +47,7 @@ func testTracker(t *testing.T, mutate func(*Config)) (*Tracker, *fakeClock, stri
 		MinSamples:  4,
 		SyncCapture: true,
 		Registry:    reg,
-		Tracer:      tr,
-		Events:      ev,
+		Ring:        ring,
 		// Keep the capture window short: the test cares about bundle
 		// completeness, not profile quality.
 		CPUProfileDuration: 20 * time.Millisecond,
@@ -120,13 +128,20 @@ func TestLatencySpikeTripsDetectorAndCapturesBundle(t *testing.T) {
 		}
 	}
 
-	// The anomalous epoch's trace must be inside the captured window.
-	tr, err := ReadBundleFile(fsx.Real(), filepath.Join(dir, rep.LastAnomaly.BundleID), "trace.jsonl")
-	if err != nil {
-		t.Fatalf("ReadBundleFile(trace.jsonl): %v", err)
+	// The three ring files are views of one read: the finished epoch is in
+	// all of them, the unfinished one not among the traces.
+	for name, lines := range map[string]int{"trace.jsonl": 1, "progress.jsonl": 2} {
+		data, err := ReadBundleFile(fsx.Real(), filepath.Join(dir, rep.LastAnomaly.BundleID), name)
+		if err != nil {
+			t.Fatalf("ReadBundleFile(%s): %v", name, err)
+		}
+		if got := bytes.Count(data, []byte("\n")); got != lines || !bytes.Contains(data, []byte(`"epoch":1`)) {
+			t.Errorf("%s holds %d lines, want %d from epoch 1 on:\n%s", name, got, lines, data)
+		}
 	}
-	if len(tr) == 0 {
-		t.Fatal("trace.jsonl is empty")
+	meta, err := ReadBundleFile(fsx.Real(), filepath.Join(dir, rep.LastAnomaly.BundleID), "meta.json")
+	if err != nil || strings.Count(string(meta), `"ingestMicros"`) != 2 {
+		t.Errorf("meta.json does not carry both epochs' lineage (%v):\n%s", err, meta)
 	}
 }
 
@@ -220,32 +235,37 @@ func TestRestartTripsOnZeroBaseline(t *testing.T) {
 	}
 }
 
-// TestLineageStamps: end-to-end latency is deliver − ingest, earliest
-// ingest and latest deliver win, and the observation lands in the
-// registry histogram.
+// TestLineageStamps: the tracker's stamps are the ring records' lineage;
+// end-to-end latency is deliver − ingest, the latest deliver wins, and each
+// delivery lands in the registry histogram.
 func TestLineageStamps(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tk := New(Config{Query: "q", Registry: reg})
+	reg, ring := metrics.NewRegistry(), metrics.NewEpochRing()
+	tk := New(Config{Query: "q", Registry: reg, Ring: ring})
 	defer tk.Close()
 
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	tk.StampIngest(5, base.Add(10*time.Millisecond))
-	tk.StampIngest(5, base) // earlier source read wins
-	tk.StampAdmit(5, base.Add(1*time.Millisecond))
-	tk.StampExecute(5, base.Add(2*time.Millisecond))
-	tk.StampCommit(5, base.Add(5*time.Millisecond))
-	tk.StampDeliver(5, base.Add(8*time.Millisecond))
-	tk.StampDeliver(5, base.Add(20*time.Millisecond)) // slowest subscriber wins
+	us := func(d time.Duration) int64 { return base.Add(d).UnixMicro() }
+	ring.Begin(trace.StartEpoch("q", 5, "microbatch", base))
+	if _, ok := tk.Stamp(5); ok || tk.Health().Stamps != nil {
+		t.Error("an epoch with no lineage written yet has a stamp")
+	}
+	ring.Update(5, func(r *metrics.EpochRecord) {
+		r.IngestMicros, r.AdmitMicros, r.ExecuteMicros, r.CommitMicros = us(0), us(time.Millisecond), us(2*time.Millisecond), us(5*time.Millisecond)
+	})
+	tk.StampDeliver(5, base.Add(20*time.Millisecond))
+	tk.StampDeliver(5, base.Add(8*time.Millisecond)) // the slowest subscriber wins
 
 	s, ok := tk.Stamp(5)
-	if !ok {
-		t.Fatal("stamp 5 missing")
-	}
-	if s.IngestMicros != base.UnixMicro() {
-		t.Errorf("ingest = %d, want %d", s.IngestMicros, base.UnixMicro())
+	want := Stamp{Epoch: 5, IngestMicros: us(0), AdmitMicros: us(time.Millisecond), ExecuteMicros: us(2 * time.Millisecond),
+		CommitMicros: us(5 * time.Millisecond), DeliverMicros: us(20 * time.Millisecond)}
+	if !ok || s != want {
+		t.Fatalf("stamp 5 = %+v (%v), want %+v", s, ok, want)
 	}
 	if got, want := s.EndToEndMicros(), int64(20_000); got != want {
 		t.Errorf("end-to-end = %dus, want %dus", got, want)
+	}
+	if recent := tk.Health().Stamps; len(recent) != 1 || recent[0] != want {
+		t.Errorf("the report's stamps = %+v", recent)
 	}
 	h := reg.Histogram("endToEndLatency.us")
 	if h.Count() != 2 {
@@ -254,38 +274,22 @@ func TestLineageStamps(t *testing.T) {
 	if h.Max() < 18_000 { // log-bucket resolution, not exact
 		t.Errorf("endToEndLatency.us max = %d, want ~20000", h.Max())
 	}
-}
-
-// TestStampRingEviction: the ring holds stampSlots epochs; older epochs
-// fall out and cannot clobber newer ones.
-func TestStampRingEviction(t *testing.T) {
-	tk := New(Config{Query: "q"})
-	defer tk.Close()
-	at := time.Unix(1000, 0)
-	tk.StampIngest(1, at)
-	tk.StampIngest(1+stampSlots, at) // same slot, newer epoch
-	if _, ok := tk.Stamp(1); ok {
-		t.Error("evicted epoch 1 still readable")
+	// A delivery for an epoch that has aged out lands nowhere.
+	ring.Begin(trace.StartEpoch("q", 5+1024, "microbatch", base))
+	tk.StampDeliver(5, base)
+	if _, ok := tk.Stamp(5); ok {
+		t.Error("aged-out epoch 5 still has a stamp")
 	}
-	if _, ok := tk.Stamp(1 + stampSlots); !ok {
-		t.Error("newer epoch missing from ring")
-	}
-	tk.StampCommit(1, at) // stale write must not clobber the newer epoch
-	if s, _ := tk.Stamp(1 + stampSlots); s.CommitMicros != 0 {
-		t.Error("stale epoch's commit stamp landed on the newer epoch")
+	if _, ok := tk.Stamp(5 + 1024); ok || h.Count() != 2 {
+		t.Errorf("the stale delivery landed on the newer epoch, or was observed (count %d)", h.Count())
 	}
 }
 
-// TestNilTrackerIsSafe: every method on a nil *Tracker is a no-op.
-func TestNilTrackerIsSafe(t *testing.T) {
+// TestNilTrackerAnswers: a hub with no query attached and a handle that never
+// started hold a nil *Tracker; what they call on it must answer.
+func TestNilTrackerAnswers(t *testing.T) {
 	var tk *Tracker
-	tk.StampIngest(1, time.Now())
-	tk.StampAdmit(1, time.Now())
-	tk.StampExecute(1, time.Now())
-	tk.StampCommit(1, time.Now())
 	tk.StampDeliver(1, time.Now())
-	tk.ObserveEpoch(Sample{Epoch: 1})
-	tk.ObservePartition("map", 0, 10, time.Millisecond)
 	if _, ok := tk.Stamp(1); ok {
 		t.Error("nil tracker returned a stamp")
 	}
@@ -294,6 +298,9 @@ func TestNilTrackerIsSafe(t *testing.T) {
 	}
 	if bs, err := tk.Bundles(); err != nil || bs != nil {
 		t.Errorf("nil tracker bundles = %v, %v", bs, err)
+	}
+	if _, err := tk.Bundle("q-0001-1"); err == nil {
+		t.Error("nil tracker found a bundle")
 	}
 	tk.Close()
 }

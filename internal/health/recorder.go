@@ -16,16 +16,19 @@ import (
 	"time"
 
 	"structream/internal/fsx"
+	"structream/internal/trace"
 )
 
 // The flight recorder captures a diagnostic bundle the moment the
-// detector trips — while the trace ring still holds the anomalous epoch
-// and the runtime still exhibits the anomaly. Each bundle is a directory:
+// detector trips — while the query's epoch ring still holds the anomalous
+// epoch and the runtime still exhibits the anomaly. Each bundle is a
+// directory; the first three files are three views of one read of the ring,
+// so they describe the same epochs:
 //
 //	<dir>/<query>-<seq>-<unixmicro>/
-//	    meta.json       anomaly, lineage stamps, detector state
-//	    progress.jsonl  recent QueryProgress history, one JSON per line
-//	    trace.jsonl     recent epoch traces (trace.Tracer ring)
+//	    meta.json       anomaly, detector state, lineage of the window's epochs
+//	    progress.jsonl  their QueryProgress events, one JSON per line
+//	    trace.jsonl     their span trees, one JSON per line
 //	    metrics.json    registry snapshot + full histogram snapshots
 //	    goroutines.txt  runtime.Stack of every goroutine
 //	    heap.pprof      pprof heap profile
@@ -70,6 +73,9 @@ type BundleInfo struct {
 	Files    int    `json:"files"`
 	Bytes    int64  `json:"bytes"`
 }
+
+// bundleEpochs is how many of the ring's newest epochs a bundle exports.
+const bundleEpochs = 64
 
 type bundleFile struct {
 	name string
@@ -132,7 +138,24 @@ func (t *Tracker) collect(a Anomaly) []bundleFile {
 		files = append(files, bundleFile{name: name, data: data})
 	}
 
-	// meta.json: the anomaly, detector state, and recent lineage stamps.
+	// One read of the ring's newest epochs feeds the next three files.
+	var stamps []Stamp
+	var traces []*trace.EpochTrace
+	var progress bytes.Buffer
+	enc := json.NewEncoder(&progress)
+	for _, r := range t.cfg.Ring.Recent(bundleEpochs, nil) {
+		if stamped(&r) {
+			stamps = append(stamps, stampOf(r))
+		}
+		if r.Trace != nil && r.Trace.Finished() {
+			traces = append(traces, r.Trace)
+		}
+		if r.Progress != nil {
+			_ = enc.Encode(r.Progress) // an event that does not marshal (a NaN rate) is left out
+		}
+	}
+
+	// meta.json: the anomaly, detector state, and the window's lineage.
 	t.mu.Lock()
 	signals := t.det.statuses()
 	t.mu.Unlock()
@@ -140,28 +163,13 @@ func (t *Tracker) collect(a Anomaly) []bundleFile {
 		Anomaly Anomaly        `json:"anomaly"`
 		Signals []SignalStatus `json:"signals"`
 		Stamps  []Stamp        `json:"stamps"`
-	}{a, signals, t.RecentStamps(64)}
+	}{a, signals, stamps}
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	add("meta.json", mb, err)
-
-	// progress.jsonl: the recent QueryProgress history.
-	if t.cfg.Events != nil {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, p := range t.cfg.Events.Recent(64) {
-			if err := enc.Encode(p); err != nil {
-				break
-			}
-		}
-		add("progress.jsonl", buf.Bytes(), nil)
-	}
-
-	// trace.jsonl: the tracer's retained epoch window.
-	if t.cfg.Tracer != nil {
-		var buf bytes.Buffer
-		err := t.cfg.Tracer.WriteJSON(&buf)
-		add("trace.jsonl", buf.Bytes(), err)
-	}
+	add("progress.jsonl", progress.Bytes(), nil)
+	var tb bytes.Buffer
+	err = trace.WriteJSON(&tb, traces)
+	add("trace.jsonl", tb.Bytes(), err)
 
 	// metrics.json: scalar snapshot plus full histogram snapshots.
 	if t.cfg.Registry != nil {
@@ -273,7 +281,7 @@ func (t *Tracker) Bundle(id string) (Manifest, error) {
 
 // BundleFile returns one verified file from a bundle in the ring.
 func (t *Tracker) BundleFile(id, name string) ([]byte, error) {
-	if t == nil || t.cfg.Dir == "" {
+	if t.cfg.Dir == "" {
 		return nil, fs.ErrNotExist
 	}
 	if err := checkBundleID(id); err != nil {

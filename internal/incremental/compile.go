@@ -220,15 +220,6 @@ func (c *compiler) nextOpName(kind string) string {
 	return fmt.Sprintf("%s-%d", kind, c.opSeq)
 }
 
-func (c *compiler) watermarkDelay(column string) (int64, bool) {
-	for _, w := range c.watermarks {
-		if w.Column == column {
-			return w.Delay, true
-		}
-	}
-	return 0, false
-}
-
 // isWatermarked reports whether the named schema column carries a declared
 // watermark.
 func (c *compiler) isWatermarked(name string) bool {

@@ -16,10 +16,11 @@ import (
 
 // StreamStreamJoin is the symmetric hash join between two streams (§5.2):
 // each side's rows are buffered in the state store under the equi-join key;
-// new rows probe the opposite side's buffer. With watermarks, buffered rows
-// whose event time has passed are evicted — and for outer joins, an evicted
-// unmatched row on the preserved side is emitted null-padded at that point,
-// which is why the analyzer requires the join condition of an outer
+// new rows probe the opposite side's buffer. With watermarks, a buffered row
+// is evicted once no row of the other side that is not late (event time ≥ the
+// watermark W) can match it — evictLag has the rule — and for outer joins, an
+// evicted unmatched row on the preserved side is emitted null-padded at that
+// point, which is why the analyzer requires the join condition of an outer
 // stream-stream join to involve a watermarked column.
 type StreamStreamJoin struct {
 	OpName string
@@ -94,6 +95,26 @@ func (j *StreamStreamJoin) window(s int, ts int64) (lo, hi int64) {
 		}
 	}
 	return lo, hi
+}
+
+// evictLag is how far behind the watermark W side s's rows are kept (µs): a
+// row is evicted when ts < W − evictLag(s). With lo ≤ rightTs − leftTs ≤ hi
+// and every future right row at rightTs ≥ W, a left row can still be matched
+// while leftTs ≥ W − hi, and by symmetry a right row while rightTs ≥ W + lo
+// (Spark's per-side state watermark, §5.2): the lag is hi on the left and −lo
+// on the right, when that end of the band is finite, and never negative — a
+// band that lies wholly ahead evicts at ts < W as before. An open end says a
+// row of that side can be matched forever; holding it forever is not on
+// offer, so the unbounded side of a one-sided band, and both sides of a join
+// without a band, keep ts < W.
+func (j *StreamStreamJoin) evictLag(s int) int64 {
+	switch b := j.Band; {
+	case b != nil && s == 0 && b.Hi < math.MaxInt64:
+		return max(b.Hi, 0)
+	case b != nil && s == 1 && b.Lo > math.MinInt64:
+		return max(-b.Lo, 0)
+	}
+	return 0
 }
 
 // satAdd is a + b, held at the end of int64 it would pass.
@@ -565,7 +586,12 @@ func (j *StreamStreamJoin) Process(ctx *EpochContext, store *state.Store, inputs
 		if eventIdx[s] < 0 {
 			continue
 		}
-		if out, err = j.evict(store, &keyBuf, s, width, min(floor, minTs[s]), ctx.Watermark, out); err != nil {
+		// 'w' holds the watermark of the last eviction, which stopped short of
+		// it by the same lag: the scan resumes there, or at an older row this
+		// epoch buffered.
+		lag := j.evictLag(s)
+		from, to := min(satAdd(floor, -lag), minTs[s]), satAdd(ctx.Watermark, -lag)
+		if out, err = j.evict(store, &keyBuf, s, width, from, to, out); err != nil {
 			return nil, err
 		}
 	}
@@ -576,10 +602,13 @@ func (j *StreamStreamJoin) Process(ctx *EpochContext, store *state.Store, inputs
 	return out, nil
 }
 
-// evict drops side s's rows with from ≤ ts < wm by walking that stretch of
+// evict drops side s's rows with from ≤ ts < to by walking that stretch of
 // the time index — nothing else is scanned — and, on the preserved side of an
 // outer join, emits the unmatched ones null-padded in index order.
-func (j *StreamStreamJoin) evict(store *state.Store, keyBuf *joinKeyBuf, s int, width, from, wm int64, out []sql.Row) ([]sql.Row, error) {
+func (j *StreamStreamJoin) evict(store *state.Store, keyBuf *joinKeyBuf, s int, width, from, to int64, out []sql.Row) ([]sql.Row, error) {
+	if from = max(from, 0); to <= from {
+		return out, nil // the index holds event times ≥ 0 only
+	}
 	side := joinSides[s]
 	type victim struct {
 		h   *joinGroup
@@ -591,7 +620,7 @@ func (j *StreamStreamJoin) evict(store *state.Store, keyBuf *joinKeyBuf, s int, 
 	var hks, eks [][]byte
 	byKey := map[string]*joinGroup{}
 	var err error
-	store.Range(keyBuf.key(tagTime, side, uint64(from), nil, 0)[:10], keyBuf.key(tagTime, side, uint64(wm), nil, 0)[:10], func(tk, _ []byte) bool {
+	store.Range(keyBuf.key(tagTime, side, uint64(from), nil, 0)[:10], keyBuf.key(tagTime, side, uint64(to), nil, 0)[:10], func(tk, _ []byte) bool {
 		var ts int64
 		var kb []byte
 		var idx uint64

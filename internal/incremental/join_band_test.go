@@ -303,7 +303,8 @@ func TestJoinProbeReadsAreBandBounded(t *testing.T) {
 		for s := range buffered {
 			kept := buffered[s][:0]
 			for _, ts := range append(buffered[s], arrived[s]...) {
-				if ts >= watermark {
+				// A left row stays matchable a band behind the watermark.
+				if ts >= watermark-band.Hi*int64(1-s) {
 					kept = append(kept, ts)
 				}
 			}
@@ -317,5 +318,110 @@ func TestJoinProbeReadsAreBandBounded(t *testing.T) {
 	t.Logf("entries fetched at epochs 10-12: %d, at epochs %d-%d: %d", early, epochs-2, epochs, late)
 	if float64(late) > 1.25*float64(early) {
 		t.Errorf("entries fetched grew from %d to %d between epochs 10 and %d", early, late, epochs)
+	}
+}
+
+// TestJoinEvictionLagCases: how far behind the watermark each side's rows are
+// kept, per shape of band — finite ends move the bound, open ends and ends
+// that point ahead of the watermark leave it at ts < W.
+func TestJoinEvictionLagCases(t *testing.T) {
+	for _, c := range []struct {
+		what        string
+		band        *TimeBand
+		left, right int64
+	}{
+		{"no band: ts < W on both sides", nil, 0, 0},
+		{"click within 10 s of its impression", &TimeBand{Lo: 0, Hi: 10 * sec}, 10 * sec, 0},
+		{"symmetric", &TimeBand{Lo: -4 * sec, Hi: 4 * sec}, 4 * sec, 4 * sec},
+		{"right strictly after left: no right row is kept past W", &TimeBand{Lo: 2 * sec, Hi: 5 * sec}, 5 * sec, 0},
+		{"right strictly before left: no left row is kept past W", &TimeBand{Lo: -5 * sec, Hi: -2 * sec}, 0, 5 * sec},
+		{"open above: the left side keeps ts < W", &TimeBand{Lo: -3 * sec, Hi: math.MaxInt64}, 0, 3 * sec},
+		{"open below: the right side keeps ts < W", &TimeBand{Lo: math.MinInt64, Hi: 3 * sec}, 3 * sec, 0},
+		{"the widest finite band", &TimeBand{Lo: math.MinInt64 + 1, Hi: math.MaxInt64 - 1}, math.MaxInt64 - 1, math.MaxInt64},
+	} {
+		j := &StreamStreamJoin{Band: c.band}
+		if l, r := j.evictLag(0), j.evictLag(1); l != c.left || r != c.right {
+			t.Errorf("%s: lag %d left, %d right; want %d, %d", c.what, l, r, c.left, c.right)
+		}
+	}
+}
+
+// TestOuterJoinPadsARowOnceTheBandHasPassed pins when a left-outer join gives
+// up on an unmatched left row under rts BETWEEN lts AND lts + 10 s: not when
+// the watermark passes the row (a right row up to 10 s younger may still come
+// and is not late), but when it passes the row by the band. Until PR 30 the
+// row came out at the first of these epochs, and the right row of the third
+// found nothing to match.
+func TestOuterJoinPadsARowOnceTheBandHasPassed(t *testing.T) {
+	j := joinEvictFixtureOp()
+	_, store := joinStore(t, state.BackendMemory)
+	row := func(key string, ts int64) sql.Row { return JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
+	for epoch, c := range []struct {
+		watermark   int64
+		left, right []sql.Row
+		want        []string
+	}{
+		{0, []sql.Row{row("gone", 100*sec), row("kept", 100*sec)}, nil, nil},
+		{101 * sec, nil, nil, nil}, // behind the watermark, inside the band
+		{110 * sec, nil, []sql.Row{row("kept", 110*sec)}, []string{"[kept, 100000000, kept, 110000000]"}}, // not late, 10 s on: the band's end
+		{111 * sec, nil, nil, []string{"[gone, 100000000, NULL, NULL]"}},                                  // 100 s < 111 s − 10 s
+		{200 * sec, nil, nil, nil}, // "kept" matched: never padded
+	} {
+		out, err := j.Process(&EpochContext{Epoch: int64(epoch), Watermark: c.watermark, Mode: logical.Append}, store, [][]sql.Row{c.left, c.right})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowStrings(out); len(got) != len(c.want) || len(got) == 1 && got[0] != c.want[0] {
+			t.Fatalf("epoch %d (watermark %d s): emitted %v, want %v", epoch, c.watermark/sec, got, c.want)
+		}
+		if err := store.Commit(int64(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := indexedBuffered(t, j, store); len(live) != 0 {
+		t.Fatalf("rows left behind the watermark and the band: %v", live)
+	}
+}
+
+// TestJoinContinuesCheckpointEvictedUnderOldRule: a checkpoint whose last
+// epoch evicted at ts < W (the fixture of join_evict_fixture_gen_test.go) is
+// continued, not refused — the layout and the meaning of 'w' are the same.
+// What the old rule dropped stays dropped: the left row of "a" at 140 s went,
+// padded, under the watermark of 143 s, so the right row of "a" at 148 s finds
+// nothing, while "b" at 145 s, which both rules kept, matches. And nothing the
+// old rule left behind is skipped by the new rule's scan, which starts a band
+// below the stored watermark: the store drains.
+func TestJoinContinuesCheckpointEvictedUnderOldRule(t *testing.T) {
+	store, j := copyJoinFixture(t, "pr29-join-evicted", joinEvictFixtureEpochs), joinEvictFixtureOp()
+	row := func(key string, ts int64) sql.Row { return JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
+	live := indexedBuffered(t, j, store)
+	if len(live) != 2 || live[0].ts != 145*sec || live[1].ts != 144*sec {
+		t.Fatalf("the fixture holds %v, want the left row at 145 s and the right row at 144 s", live)
+	}
+	e := int64(joinEvictFixtureEpochs)
+	out, err := j.Process(&EpochContext{Epoch: e, Watermark: 146 * sec, Mode: logical.Append}, store,
+		[][]sql.Row{nil, {row("a", 148*sec), row("b", 149*sec)}})
+	if err != nil {
+		t.Fatalf("continuing the old-rule checkpoint: %v", err)
+	}
+	if got := rowStrings(out); len(got) != 1 || got[0] != "[b, 145000000, b, 149000000]" {
+		t.Fatalf("emitted %v, want the one pair of b", got)
+	}
+	if err := store.Commit(e); err != nil {
+		t.Fatal(err)
+	}
+	// The right row at 144 s is behind 146 s; the left row at 145 s stays
+	// until 155 s have passed.
+	if live = indexedBuffered(t, j, store); len(live) != 3 || live[0].ts != 145*sec {
+		t.Fatalf("after one epoch under the new rule the store holds %v", live)
+	}
+	if out, err = j.Process(&EpochContext{Epoch: e + 1, Watermark: 160 * sec, Mode: logical.Append}, store, [][]sql.Row{nil, nil}); err != nil || len(out) != 0 {
+		t.Fatalf("draining: %v, %v", rowStrings(out), err)
+	}
+	if err := store.Commit(e + 1); err != nil {
+		t.Fatal(err)
+	}
+	if live = indexedBuffered(t, j, store); len(live) != 0 {
+		t.Fatalf("rows skipped by the eviction scan: %v", live)
 	}
 }

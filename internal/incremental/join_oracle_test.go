@@ -9,6 +9,7 @@ package incremental
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
@@ -79,6 +80,21 @@ const (
 // with equal keys land in the same partition's store.
 func oracleStateKey(side byte, keyBytes []byte) []byte {
 	return append([]byte{side}, keyBytes...)
+}
+
+// oracleEvictBefore is the event time below which the watermark wm drops a
+// side's rows, worked out here from the rule and not by calling the
+// operator's arithmetic: a right row that is not late sits at wm or later, so
+// under lo ≤ rightTs − leftTs ≤ hi a left row stays until wm − hi and a right
+// row until wm + lo, where that end of the band is finite; never later than
+// wm itself, and at wm where there is no such end.
+func oracleEvictBefore(j *StreamStreamJoin, side byte, wm int64) int64 {
+	if b := j.Band; b != nil && side == oracleLeft && b.Hi > 0 && b.Hi != math.MaxInt64 {
+		return wm - b.Hi
+	} else if b != nil && side == oracleRight && b.Lo < 0 && b.Lo != math.MinInt64 {
+		return wm + b.Lo
+	}
+	return wm
 }
 
 // oracleJoinProcess is the parent's Process (it also reports where the rows
@@ -225,7 +241,7 @@ func oracleJoinProcess(j *StreamStreamJoin, ctx *EpochContext, store *state.Stor
 			}
 			kept := entries[:0:0]
 			for _, e := range entries {
-				if e.ts >= 0 && e.ts < ctx.Watermark {
+				if e.ts >= 0 && e.ts < oracleEvictBefore(j, side, ctx.Watermark) {
 					if !e.matched {
 						if side == oracleLeft && j.Type == logical.LeftOuterJoin {
 							emit(e.row, nil)

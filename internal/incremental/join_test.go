@@ -518,21 +518,22 @@ func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
 	}
 }
 
-// copyJoinFixture copies the parent-written checkpoint (join_fixture_gen_test.go)
-// into a scratch directory and opens its last version.
-func copyJoinFixture(t *testing.T) *state.Store {
+// copyJoinFixture copies a checkpoint an earlier commit wrote (testdata/<name>;
+// join_fixture_gen_test.go, join_evict_fixture_gen_test.go) into a scratch
+// directory and opens its last version, epochs-1.
+func copyJoinFixture(t *testing.T, name string, epochs int64) *state.Store {
 	t.Helper()
 	dst := t.TempDir()
 	rel := filepath.Join("state", "join", "0")
 	if err := os.MkdirAll(filepath.Join(dst, rel), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(filepath.Join("testdata", "pr12-join-state", rel))
+	ents, err := os.ReadDir(filepath.Join("testdata", name, rel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join("testdata", "pr12-join-state", rel, e.Name()))
+		data, err := os.ReadFile(filepath.Join("testdata", name, rel, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +543,7 @@ func copyJoinFixture(t *testing.T) *state.Store {
 	}
 	prov := state.NewProvider(dst)
 	t.Cleanup(prov.Close)
-	store, err := prov.Open(state.ID{Operator: "join"}, joinFixtureEpochs-1)
+	store, err := prov.Open(state.ID{Operator: "join"}, epochs-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +574,7 @@ func TestJoinRejectsOlderLayout(t *testing.T) {
 	// that took it for its own would find no header under its keys and emit
 	// nothing for a row that has matches.
 	for _, band := range []*TimeBand{nil, {Lo: 0, Hi: 10 * sec}} {
-		fixture, op := copyJoinFixture(t), joinFixtureOp()
+		fixture, op := copyJoinFixture(t, "pr12-join-state", joinFixtureEpochs), joinFixtureOp()
 		if n := fixture.NumKeys(); n < 10 {
 			t.Fatalf("fixture holds %d keys", n)
 		}

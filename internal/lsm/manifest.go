@@ -78,7 +78,32 @@ func readManifest(fsys fsx.FS, dir string, version int64) (manifest, error) {
 	if err := json.Unmarshal(body, &m); err != nil {
 		return manifest{}, fmt.Errorf("lsm: %w: %s: %v", fsx.ErrCorrupt, path, err)
 	}
+	if err := m.check(version); err != nil {
+		return manifest{}, fmt.Errorf("lsm: %w: %s: %v", fsx.ErrCorrupt, path, err)
+	}
 	return m, nil
+}
+
+// check holds a decoded manifest to what every manifest the tree writes
+// satisfies and Load relies on: a frame that verifies says the bytes are the
+// ones written, not that this code wrote them.
+func (m manifest) check(version int64) error {
+	switch {
+	case m.Version != version:
+		return fmt.Errorf("describes version %d, not %d", m.Version, version)
+	case m.NextSeq < 0 || m.LiveKeys < 0 || m.TableLive < 0:
+		return fmt.Errorf("negative counter (nextSeq %d, liveKeys %d, tableLive %d)", m.NextSeq, m.LiveKeys, m.TableLive)
+	case m.LogFrom < 0 || m.LogFrom > version+1:
+		return fmt.Errorf("delta log from %d, beyond version %d", m.LogFrom, version)
+	}
+	seen := make(map[int64]bool, len(m.Tables))
+	for _, mt := range m.Tables {
+		if mt.Seq < 0 || mt.Seq >= m.NextSeq || mt.Bytes < 0 || mt.Entries < 0 || seen[mt.Seq] {
+			return fmt.Errorf("table %+v: out of range under nextSeq %d, or listed twice", mt, m.NextSeq)
+		}
+		seen[mt.Seq] = true
+	}
+	return nil
 }
 
 // dirListing is one scan of a tree directory, bucketed by file kind.

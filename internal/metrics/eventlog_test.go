@@ -1,17 +1,21 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestEmitOrderingUnderConcurrency: with many concurrent emitters, every
-// listener observes events in exactly the order they landed in history —
-// the out-of-order fan-out the old unlocked delivery allowed.
+// listener observes events in exactly the order their JSON lines reach the
+// writer — the out-of-order fan-out the old unlocked delivery allowed — and
+// each lands on its own epoch's record.
 func TestEmitOrderingUnderConcurrency(t *testing.T) {
-	l := NewEventLog(nil)
-	l.HistoryLimit = 0 // retain everything
+	var lines bytes.Buffer // written under the emission lock only
+	l := NewEventLog(&lines, NewEpochRing(), nil)
 	var mu sync.Mutex
 	var seen []int64
 	l.AddListener(func(p QueryProgress) {
@@ -20,7 +24,7 @@ func TestEmitOrderingUnderConcurrency(t *testing.T) {
 		mu.Unlock()
 	})
 	var wg sync.WaitGroup
-	const workers, per = 8, 200
+	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -32,14 +36,18 @@ func TestEmitOrderingUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	written := strings.Split(strings.TrimSpace(lines.String()), "\n")
 	history := l.Recent(0)
-	if len(history) != workers*per || len(seen) != workers*per {
-		t.Fatalf("history=%d seen=%d, want %d", len(history), len(seen), workers*per)
+	if len(written) != workers*per || len(seen) != workers*per || len(history) != workers*per {
+		t.Fatalf("written=%d seen=%d history=%d, want %d", len(written), len(seen), len(history), workers*per)
 	}
-	for i, p := range history {
-		if seen[i] != p.Epoch {
-			t.Fatalf("delivery order diverged from history at %d: listener saw %d, history has %d",
-				i, seen[i], p.Epoch)
+	for i, line := range written {
+		var p QueryProgress
+		if err := json.Unmarshal([]byte(line), &p); err != nil || p.Epoch != seen[i] {
+			t.Fatalf("delivery order diverged from the writer's at %d: listener saw %d, line is %s (%v)", i, seen[i], line, err)
+		}
+		if history[i].Epoch != int64(i) {
+			t.Fatalf("history[%d] is epoch %d: the ring reads back in epoch order", i, history[i].Epoch)
 		}
 	}
 }
@@ -60,9 +68,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 func TestEmitCountsWriterFailures(t *testing.T) {
 	w := &failingWriter{ok: 2}
-	l := NewEventLog(w)
 	reg := NewRegistry()
-	l.SetRegistry(reg)
+	l := NewEventLog(w, NewEpochRing(), reg)
 	for i := 0; i < 5; i++ {
 		l.Emit(QueryProgress{Epoch: int64(i)})
 	}
@@ -78,17 +85,22 @@ func TestEmitCountsWriterFailures(t *testing.T) {
 	}
 }
 
+// TestEvictionCounted: the log's eviction count is the ring's — whole
+// records aged out — and the registry mirrors it.
 func TestEvictionCounted(t *testing.T) {
-	l := NewEventLog(nil)
-	l.HistoryLimit = 3
-	for i := 0; i < 10; i++ {
+	reg := NewRegistry()
+	l := NewEventLog(nil, NewEpochRing(), reg)
+	for i := 0; i < epochRingSlots+7; i++ {
 		l.Emit(QueryProgress{Epoch: int64(i)})
 	}
 	if got := l.Evicted(); got != 7 {
 		t.Errorf("Evicted = %d, want 7", got)
 	}
+	if got := reg.Gauge("eventLogEvicted").Value(); got != 7 {
+		t.Errorf("eventLogEvicted = %d, want 7", got)
+	}
 	recent := l.Recent(0)
-	if len(recent) != 3 || recent[0].Epoch != 7 {
-		t.Errorf("recent = %+v", recent)
+	if len(recent) != epochRingSlots || recent[0].Epoch != 7 {
+		t.Errorf("recent = %d events from epoch %d", len(recent), recent[0].Epoch)
 	}
 }

@@ -1,6 +1,8 @@
 // Package metrics implements the monitoring surface of §7.4: counters and
-// gauges in a registry, per-epoch QueryProgress events, and a structured
-// JSON event log that operators can tail or ship to external tools.
+// gauges in a registry, per-epoch QueryProgress events, a structured JSON
+// event log that operators can tail or ship to external tools, and the ring
+// of epoch records (EpochRing) that is a query's one memory of its recent
+// epochs — progress event, span tree and latency lineage of each.
 package metrics
 
 import (
@@ -351,40 +353,32 @@ func BottleneckStage(breakdown map[string]int64) string {
 // Listener receives progress events.
 type Listener func(p QueryProgress)
 
-// EventLog fans progress events out to listeners and optionally appends
-// them as JSON lines to a writer. Delivery is totally ordered: the order
-// events land in history is the order every listener observes and the
-// order JSON lines hit the writer, even under concurrent emitters. Writer
-// failures are not swallowed — they are counted (WriteFailures, and the
-// eventLogWriteFailures counter of an attached registry).
+// EventLog publishes progress events: each lands on its epoch's record in
+// the query's ring, is appended as a JSON line to the writer, if there is
+// one, and is handed to every listener. Delivery is totally ordered: the
+// order JSON lines hit the writer is the order every listener observes, even
+// under concurrent emitters. Writer failures are not swallowed — they are
+// counted (WriteFailures, and the eventLogWriteFailures counter of the
+// log's registry).
 type EventLog struct {
-	// emitMu serializes whole emissions, pinning listener/writer delivery
-	// to history order. Listeners must not call Emit re-entrantly.
+	// emitMu serializes whole emissions, pinning listener delivery to writer
+	// order. Listeners must not call Emit re-entrantly.
 	emitMu sync.Mutex
-	// mu guards listeners and history for concurrent readers.
+	// mu guards listeners for concurrent readers.
 	mu        sync.Mutex
 	listeners []Listener
 	w         io.Writer
-	history   []QueryProgress
-	// HistoryLimit bounds retained events (default 1024).
-	HistoryLimit int
+	ring      *EpochRing
+	reg       *Registry
 
 	writeFailures atomic.Int64
-	evicted       atomic.Int64
-	reg           *Registry
 }
 
-// NewEventLog creates an event log; w may be nil.
-func NewEventLog(w io.Writer) *EventLog {
-	return &EventLog{w: w, HistoryLimit: 1024}
-}
-
-// SetRegistry mirrors the log's delivery counters (eventLogWriteFailures,
-// eventLogEvicted) into a metric registry.
-func (l *EventLog) SetRegistry(r *Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reg = r
+// NewEventLog creates an event log over ring. w and reg may be nil: reg
+// mirrors the log's delivery counters (eventLogWriteFailures,
+// eventLogEvicted).
+func NewEventLog(w io.Writer, ring *EpochRing, reg *Registry) *EventLog {
+	return &EventLog{w: w, ring: ring, reg: reg}
 }
 
 // AddListener registers a listener for future events.
@@ -395,59 +389,52 @@ func (l *EventLog) AddListener(fn Listener) {
 }
 
 // WriteFailures counts JSON-line writes that failed (marshal or writer
-// error). The events still reached history and listeners.
+// error). The events still reached the ring and listeners.
 func (l *EventLog) WriteFailures() int64 { return l.writeFailures.Load() }
 
-// Evicted counts events dropped from history by HistoryLimit.
-func (l *EventLog) Evicted() int64 { return l.evicted.Load() }
+// Evicted counts whole epoch records — progress, span tree and lineage
+// together — that aged out of the query's ring.
+func (l *EventLog) Evicted() int64 { return l.ring.Evicted() }
 
-// Emit publishes one progress event: history first, then the writer, then
-// every listener, all under the emission lock so concurrent emitters
-// cannot interleave deliveries out of history order.
+// Emit publishes one progress event: onto its epoch's record first, then the
+// writer, then every listener, all under the emission lock so concurrent
+// emitters cannot interleave deliveries.
 func (l *EventLog) Emit(p QueryProgress) {
 	l.emitMu.Lock()
 	defer l.emitMu.Unlock()
 
+	l.ring.Update(p.Epoch, func(r *EpochRecord) { r.Progress = &p })
 	l.mu.Lock()
-	l.history = append(l.history, p)
-	if limit := l.HistoryLimit; limit > 0 && len(l.history) > limit {
-		n := len(l.history) - limit
-		l.history = l.history[n:]
-		l.evicted.Add(int64(n))
-	}
 	listeners := append([]Listener(nil), l.listeners...)
-	w := l.w
-	reg := l.reg
 	l.mu.Unlock()
 
-	if w != nil {
+	if l.w != nil {
 		data, err := json.Marshal(p)
 		if err == nil {
-			_, err = fmt.Fprintf(w, "%s\n", data)
+			_, err = fmt.Fprintf(l.w, "%s\n", data)
 		}
 		if err != nil {
 			l.writeFailures.Add(1)
-			if reg != nil {
-				reg.Counter("eventLogWriteFailures").Add(1)
+			if l.reg != nil {
+				l.reg.Counter("eventLogWriteFailures").Add(1)
 			}
 		}
 	}
-	if reg != nil && l.evicted.Load() > 0 {
-		reg.Gauge("eventLogEvicted").Set(l.evicted.Load())
+	if evicted := l.ring.Evicted(); l.reg != nil && evicted > 0 {
+		l.reg.Gauge("eventLogEvicted").Set(evicted)
 	}
 	for _, fn := range listeners {
 		fn(p)
 	}
 }
 
-// Recent returns up to n most recent events, oldest first.
+// Recent returns up to n of the most recent events (all retained when
+// n <= 0), oldest first: the progress of the ring's newest published epochs.
 func (l *EventLog) Recent(n int) []QueryProgress {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 || n > len(l.history) {
-		n = len(l.history)
+	recs := l.ring.Recent(n, func(r *EpochRecord) bool { return r.Progress != nil })
+	out := make([]QueryProgress, len(recs))
+	for i, r := range recs {
+		out[i] = *r.Progress
 	}
-	out := make([]QueryProgress, n)
-	copy(out, l.history[len(l.history)-n:])
 	return out
 }

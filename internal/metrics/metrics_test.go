@@ -43,7 +43,7 @@ func TestCountersConcurrent(t *testing.T) {
 }
 
 func TestEventLogListenersAndHistory(t *testing.T) {
-	l := NewEventLog(nil)
+	l := NewEventLog(nil, NewEpochRing(), nil)
 	var got []QueryProgress
 	l.AddListener(func(p QueryProgress) { got = append(got, p) })
 	for i := 0; i < 5; i++ {
@@ -62,21 +62,9 @@ func TestEventLogListenersAndHistory(t *testing.T) {
 	}
 }
 
-func TestEventLogHistoryLimit(t *testing.T) {
-	l := NewEventLog(nil)
-	l.HistoryLimit = 3
-	for i := 0; i < 10; i++ {
-		l.Emit(QueryProgress{Epoch: int64(i)})
-	}
-	recent := l.Recent(0)
-	if len(recent) != 3 || recent[0].Epoch != 7 {
-		t.Errorf("recent = %v", recent)
-	}
-}
-
 func TestEventLogJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog(&buf)
+	l := NewEventLog(&buf, NewEpochRing(), nil)
 	l.Emit(QueryProgress{QueryName: "q", Epoch: 7, NumInputRows: 100, WatermarkMicros: 5})
 	line := strings.TrimSpace(buf.String())
 	var p QueryProgress

@@ -1,9 +1,11 @@
 // Package monitor exposes running streaming queries over HTTP — the live
 // half of the paper's §7.4 monitoring surface. A Server renders each
 // query's metric registry (counters, gauges, latency-histogram
-// percentiles), its recent QueryProgress events, and its epoch traces in
-// Chrome trace_event format, so `curl | jq` and chrome://tracing both work
-// against a live engine:
+// percentiles) and three views of its ring of epoch records
+// (metrics.EpochRing) — recent QueryProgress events, epoch traces in Chrome
+// trace_event format, the lineage in the health report — so `curl | jq` and
+// chrome://tracing both work against a live engine, and agree on which
+// epochs there are:
 //
 //	GET /metrics                         all queries' metrics (JSON; ?format=text for Prometheus exposition)
 //	GET /queries                         query summaries
@@ -37,6 +39,7 @@ import (
 	"structream/internal/health"
 	"structream/internal/metrics"
 	"structream/internal/serve"
+	"structream/internal/trace"
 )
 
 // Server is an HTTP monitoring endpoint over a set of streaming queries.
@@ -369,9 +372,9 @@ func writeProm(w io.Writer, srcs []promSource) {
 	}
 }
 
-// handleHealth renders one query's health report: lineage stamps,
-// detector signal baselines, per-partition stats, and the bundle ring.
-// A handle without a tracker (engine.NewFailedQuery) answers
+// handleHealth renders one query's health report: the lineage of the epoch
+// ring's newest records, detector signal baselines, per-partition stats, and
+// the bundle ring. A handle without a tracker (engine.NewFailedQuery) answers
 // {"status":"disabled"}.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.query(r.PathValue("name"))
@@ -476,11 +479,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	events := q.EventLog().Recent(n)
-	if events == nil {
-		events = []metrics.QueryProgress{}
-	}
-	writeJSON(w, events)
+	writeJSON(w, q.EventLog().Recent(n)) // never nil: an empty history renders as []
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -489,16 +488,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown query", http.StatusNotFound)
 		return
 	}
-	tr := q.Tracer()
-	if tr == nil {
+	if q.Health() == nil {
 		http.Error(w, "no tracer: the query never started", http.StatusNotFound)
 		return
 	}
+	traces := q.Epochs().Traces()
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		tr.WriteJSON(w) //nolint:errcheck // client gone: nothing to do
+		trace.WriteJSON(w, traces) //nolint:errcheck // client gone: nothing to do
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	tr.WriteChrome(w) //nolint:errcheck // client gone: nothing to do
+	trace.WriteChrome(w, traces) //nolint:errcheck // client gone: nothing to do
 }

@@ -159,11 +159,68 @@ func TestUnpublishedQueryIs404(t *testing.T) {
 	}
 }
 
+// TestEndpointsReadOneRing: /progress, /trace and /health are views of the
+// query's one ring of epoch records, so they name the same epochs in the
+// same order — there is no second history for one of them to disagree from.
+func TestEndpointsReadOneRing(t *testing.T) {
+	sq, src, _ := startProjection(t)
+	for i := 0; i < 5; i++ {
+		src.AddData(sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)})
+		if err := sq.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New()
+	s.Register(sq)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/queries/" + sq.Name() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	type epoch struct {
+		Epoch int64 `json:"epoch"`
+	}
+	var progress []epoch
+	if err := json.Unmarshal(get("/progress?n=5"), &progress); err != nil {
+		t.Fatal(err)
+	}
+	var traced []epoch
+	for _, line := range strings.Split(strings.TrimSpace(string(get("/trace?format=jsonl"))), "\n") {
+		var e epoch
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		traced = append(traced, e)
+	}
+	var report struct {
+		Stamps []epoch `json:"recentStamps"`
+	}
+	if err := json.Unmarshal(get("/health"), &report); err != nil {
+		t.Fatal(err)
+	}
+	want := []epoch{{0}, {1}, {2}, {3}, {4}}
+	for view, got := range map[string][]epoch{"/progress?n=5": progress, "/trace?format=jsonl": traced, "/health recentStamps": report.Stamps} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s names epochs %v, want %v", view, got, want)
+		}
+	}
+}
+
 // TestHandleWithoutTelemetry: a handle that never started a query
 // (engine.NewFailedQuery — it has no name either, so the handlers are
-// called directly) has neither tracker nor tracer; health answers
-// {"status":"disabled"} and the trace endpoint 404s rather than
-// dereferencing nil.
+// called directly) has no tracker and an empty ring; health answers
+// {"status":"disabled"}, the trace endpoint 404s, and the endpoints that read
+// the registry and the event log find empty ones rather than nil.
 func TestHandleWithoutTelemetry(t *testing.T) {
 	s := New()
 	s.Register(engine.NewFailedQuery(fmt.Errorf("never started")))
@@ -184,6 +241,15 @@ func TestHandleWithoutTelemetry(t *testing.T) {
 	}
 	if rec := call(s.handleBundleList); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
 		t.Errorf("bundles: status %d body %s", rec.Code, rec.Body)
+	}
+	if rec := call(s.handleProgress); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
+		t.Errorf("progress: status %d body %s", rec.Code, rec.Body)
+	}
+	if rec := call(s.handleQueries); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "lastProgress") {
+		t.Errorf("queries: status %d body %s", rec.Code, rec.Body)
+	}
+	if rec := call(s.handleMetrics); rec.Code != http.StatusOK {
+		t.Errorf("metrics: status %d body %s", rec.Code, rec.Body)
 	}
 }
 

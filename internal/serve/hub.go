@@ -97,8 +97,8 @@ type Frame struct {
 	EmitMicros int64 `json:"emitMicros,omitempty"`
 	// IngestMicros is when the frame's epoch was read from its source
 	// (from the engine's latency lineage), letting clients compute their
-	// own end-to-end freshness. 0 when health is disabled or the stamp
-	// aged out of the lineage ring.
+	// own end-to-end freshness. 0 when no query is attached or the epoch
+	// aged out of the query's epoch ring.
 	IngestMicros int64 `json:"ingestMicros,omitempty"`
 }
 
@@ -203,7 +203,7 @@ type Hub struct {
 	detach   func() // removes the engine epoch listener
 	attached *engine.StreamingQuery
 	query    *engine.StreamingQuery // newest attached instance (for state reads)
-	health   *health.Tracker        // attached instance's health tracker (nil-safe)
+	health   *health.Tracker        // attached instance's health tracker; nil before Attach
 	rng      *rand.Rand
 }
 
@@ -496,8 +496,9 @@ func (h *Hub) evictLocked(sub *Subscription, reason string) {
 	sub.wakeLocked()
 }
 
-// ingestMicrosLocked looks up an epoch's source-read instant from the
-// attached query's lineage ring. Caller holds h.mu; the tracker has its
+// ingestMicrosLocked looks up an epoch's source-read instant on its record
+// in the attached query's epoch ring — there from the commit on, while the
+// engine is still publishing the epoch. Caller holds h.mu; the ring has its
 // own lock and never takes the hub's, so the nesting is safe.
 func (h *Hub) ingestMicrosLocked(epoch int64) int64 {
 	if s, ok := h.health.Stamp(epoch); ok {

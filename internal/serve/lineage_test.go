@@ -15,12 +15,13 @@ import (
 func TestFramesCarryLineageStamps(t *testing.T) {
 	ms := seededSink(t, 2, 1)
 	clk := newFakeClock()
-	reg := metrics.NewRegistry()
-	tr := health.New(health.Config{Query: "q", Clock: clk.Now, Registry: reg})
+	reg, ring := metrics.NewRegistry(), metrics.NewEpochRing()
+	tr := health.New(health.Config{Query: "q", Clock: clk.Now, Registry: reg, Ring: ring})
 	defer tr.Close()
 	base := clk.Now()
-	tr.StampIngest(0, base.Add(-50*time.Millisecond))
-	tr.StampIngest(1, base.Add(-20*time.Millisecond))
+	// What the engine's commit leaves on the two epochs' records.
+	ring.Update(0, func(r *metrics.EpochRecord) { r.IngestMicros = base.Add(-50 * time.Millisecond).UnixMicro() })
+	ring.Update(1, func(r *metrics.EpochRecord) { r.IngestMicros = base.Add(-20 * time.Millisecond).UnixMicro() })
 
 	h := NewHub("q", ms, HubOptions{Clock: clk.Now})
 	defer h.Close()

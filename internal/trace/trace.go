@@ -3,13 +3,12 @@
 // layer). Every epoch opens a root span; the engine attaches child spans
 // for each execution stage — planning, source fetch, operator execution,
 // state read/write, WAL commit, sink commit — so "where did this epoch's
-// latency go?" has an answer after the fact. Finished epoch traces are
-// retained in a bounded ring buffer and exportable as JSON lines or as
-// Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
-//
-// All types are nil-safe: a nil *Tracer hands out nil *EpochTrace and nil
-// *Span values whose methods are no-ops, so disabling tracing is free and
-// call sites never need nil checks.
+// latency go?" has an answer after the fact. This package is the tree and
+// its export formats — JSON lines, and Chrome trace_event JSON loadable in
+// chrome://tracing / Perfetto; which epochs' trees are retained is the
+// business of the query's epoch ring (metrics.EpochRing), which keeps each
+// beside the epoch's progress event and lineage. Every query traces every
+// epoch, so no method here expects a nil receiver.
 package trace
 
 import (
@@ -42,9 +41,6 @@ type Span struct {
 
 // End closes a span started with StartSpan/Child, fixing its duration.
 func (s *Span) End() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.open {
 		s.DurationMicros = time.Since(s.start).Microseconds()
@@ -55,9 +51,6 @@ func (s *Span) End() {
 
 // SetAttr records a numeric attribute on the span.
 func (s *Span) SetAttr(key string, v int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.Attrs == nil {
 		s.Attrs = map[string]int64{}
@@ -68,9 +61,6 @@ func (s *Span) SetAttr(key string, v int64) {
 
 // Child starts a nested span under s.
 func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
 	now := time.Now()
 	c := &Span{Name: name, StartMicros: now.UnixMicro(), start: now, open: true}
 	s.mu.Lock()
@@ -83,9 +73,6 @@ func (s *Span) Child(name string) *Span {
 // aggregate stage costs, e.g. summed source-read time across parallel
 // tasks, onto the tree without having wrapped each task).
 func (s *Span) AddCompleted(name string, start time.Time, d time.Duration) *Span {
-	if s == nil {
-		return nil
-	}
 	c := &Span{Name: name, StartMicros: start.UnixMicro(), DurationMicros: d.Microseconds()}
 	s.mu.Lock()
 	s.Children = append(s.Children, c)
@@ -124,18 +111,26 @@ type EpochTrace struct {
 	Mode string `json:"mode"`
 	Root *Span  `json:"root"`
 
-	tracer *Tracer
-	mu     sync.Mutex
-	stack  []*Span // open stage spans, innermost last
-	done   bool
+	mu    sync.Mutex
+	stack []*Span // open stage spans, innermost last
+	done  bool
+}
+
+// StartEpoch opens the span tree of one epoch of query. The root span starts
+// at start, which may lie in the past — how the engine folds work that
+// happened before the epoch body (offset planning) into the root's extent.
+func StartEpoch(query string, epoch int64, mode string, start time.Time) *EpochTrace {
+	return &EpochTrace{
+		Query: query,
+		Epoch: epoch,
+		Mode:  mode,
+		Root:  &Span{Name: "epoch", StartMicros: start.UnixMicro(), start: start, open: true},
+	}
 }
 
 // StartSpan opens a stage span under the epoch's root and tracks it as the
 // currently open stage (for OpenStage / watchdog verdicts).
 func (t *EpochTrace) StartSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
 	s := t.Root.Child(name)
 	t.mu.Lock()
 	t.stack = append(t.stack, s)
@@ -146,10 +141,12 @@ func (t *EpochTrace) StartSpan(name string) *Span {
 // EndSpan closes a stage span opened with StartSpan and pops it from the
 // open-stage stack.
 func (t *EpochTrace) EndSpan(s *Span) {
-	if t == nil || s == nil {
-		return
-	}
 	s.End()
+	t.pop(s)
+}
+
+// pop takes s off the open-stage stack.
+func (t *EpochTrace) pop(s *Span) {
 	t.mu.Lock()
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		if t.stack[i] == s {
@@ -165,41 +162,25 @@ func (t *EpochTrace) EndSpan(s *Span) {
 // (e.g. a map stage interleaving source reads with operator execution)
 // where only a proportional share of the wall belongs to this stage name.
 func (t *EpochTrace) EndSpanWith(s *Span, d time.Duration) {
-	if t == nil || s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.open {
 		s.DurationMicros = d.Microseconds()
 		s.open = false
 	}
 	s.mu.Unlock()
-	t.mu.Lock()
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == s {
-			t.stack = append(t.stack[:i], t.stack[i+1:]...)
-			break
-		}
-	}
-	t.mu.Unlock()
+	t.pop(s)
 }
 
 // AddStage attaches an already-measured stage span under the root — how
 // aggregate costs from parallel tasks (summed read time, worker sink time)
 // are attributed onto the tree.
 func (t *EpochTrace) AddStage(name string, start time.Time, d time.Duration) *Span {
-	if t == nil {
-		return nil
-	}
 	return t.Root.AddCompleted(name, start, d)
 }
 
 // OpenStage names the innermost stage span still open — for a hung epoch,
 // the stage the watchdog should blame. Empty when nothing is open.
 func (t *EpochTrace) OpenStage() string {
-	if t == nil {
-		return ""
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.stack) == 0 {
@@ -210,125 +191,28 @@ func (t *EpochTrace) OpenStage() string {
 
 // SetAttr records an attribute on the epoch's root span.
 func (t *EpochTrace) SetAttr(key string, v int64) {
-	if t == nil {
-		return
-	}
 	t.Root.SetAttr(key, v)
 }
 
-// Finish closes the root span and retains the trace in the tracer's ring
-// buffer. Finishing twice is a no-op, so an abandoned epoch sealed by the
-// watchdog is not double-recorded when its goroutine eventually returns.
+// Finish closes the root span. Finishing twice is a no-op, so an abandoned
+// epoch sealed by the watchdog is not re-timed when its goroutine eventually
+// returns.
 func (t *EpochTrace) Finish() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return
-	}
+	done := t.done
 	t.done = true
 	t.mu.Unlock()
-	t.Root.End()
-	if t.tracer != nil {
-		t.tracer.retain(t)
+	if !done {
+		t.Root.End()
 	}
 }
 
-// Tracer holds the bounded ring of finished epoch traces for one query.
-type Tracer struct {
-	query string
-
-	mu     sync.Mutex
-	ring   []*EpochTrace
-	next   int
-	filled bool
-	inFly  *EpochTrace
-}
-
-// NewTracer creates a tracer retaining up to capacity finished epoch
-// traces (default 256 when capacity <= 0).
-func NewTracer(query string, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Tracer{query: query, ring: make([]*EpochTrace, capacity)}
-}
-
-// StartEpoch opens the root span for an epoch and marks it in-flight.
-func (tr *Tracer) StartEpoch(epoch int64, mode string) *EpochTrace {
-	return tr.StartEpochAt(epoch, mode, time.Now())
-}
-
-// StartEpochAt opens an epoch whose root span is backdated to start — how
-// the engine folds work that happened before the epoch body (offset
-// planning) into the root span's extent.
-func (tr *Tracer) StartEpochAt(epoch int64, mode string, start time.Time) *EpochTrace {
-	if tr == nil {
-		return nil
-	}
-	et := &EpochTrace{
-		Query:  tr.query,
-		Epoch:  epoch,
-		Mode:   mode,
-		Root:   &Span{Name: "epoch", StartMicros: start.UnixMicro(), start: start, open: true},
-		tracer: tr,
-	}
-	tr.mu.Lock()
-	tr.inFly = et
-	tr.mu.Unlock()
-	return et
-}
-
-// InFlight returns the epoch trace currently executing, if any — what the
-// watchdog inspects when an epoch hangs.
-func (tr *Tracer) InFlight() *EpochTrace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.inFly
-}
-
-func (tr *Tracer) retain(et *EpochTrace) {
-	tr.mu.Lock()
-	tr.ring[tr.next] = et
-	tr.next++
-	if tr.next == len(tr.ring) {
-		tr.next = 0
-		tr.filled = true
-	}
-	if tr.inFly == et {
-		tr.inFly = nil
-	}
-	tr.mu.Unlock()
-}
-
-// Epochs returns the retained traces, oldest first.
-func (tr *Tracer) Epochs() []*EpochTrace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	var out []*EpochTrace
-	if tr.filled {
-		out = append(out, tr.ring[tr.next:]...)
-	}
-	out = append(out, tr.ring[:tr.next]...)
-	return out
-}
-
-// Epoch returns the retained trace for one epoch, if present.
-func (tr *Tracer) Epoch(epoch int64) (*EpochTrace, bool) {
-	for _, et := range tr.Epochs() {
-		if et.Epoch == epoch {
-			return et, true
-		}
-	}
-	return nil, false
+// Finished reports whether the epoch is over — committed, failed or
+// abandoned — as opposed to in flight.
+func (t *EpochTrace) Finished() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done
 }
 
 // snapshot deep-copies a trace for export.
@@ -336,10 +220,9 @@ func (t *EpochTrace) snapshot() *EpochTrace {
 	return &EpochTrace{Query: t.Query, Epoch: t.Epoch, Mode: t.Mode, Root: t.Root.clone()}
 }
 
-// WriteJSON exports the retained traces as JSON lines, one epoch per line,
-// oldest first.
-func (tr *Tracer) WriteJSON(w io.Writer) error {
-	for _, et := range tr.Epochs() {
+// WriteJSON exports traces as JSON lines, one epoch per line, in order.
+func WriteJSON(w io.Writer, traces []*EpochTrace) error {
+	for _, et := range traces {
 		data, err := json.Marshal(et.snapshot())
 		if err != nil {
 			return err
@@ -362,12 +245,12 @@ type chromeEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-// WriteChrome exports the retained traces in Chrome trace_event format:
+// WriteChrome exports traces in Chrome trace_event format:
 // {"traceEvents": [...]} with one "X" (complete) event per span, the epoch
 // number as the thread id so chrome://tracing lays epochs out as rows.
-func (tr *Tracer) WriteChrome(w io.Writer) error {
+func WriteChrome(w io.Writer, traces []*EpochTrace) error {
 	var events []chromeEvent
-	for _, et := range tr.Epochs() {
+	for _, et := range traces {
 		snap := et.snapshot()
 		var walk func(s *Span)
 		walk = func(s *Span) {

@@ -10,10 +10,9 @@ import (
 )
 
 func TestSpanTreeAndOpenStage(t *testing.T) {
-	tr := NewTracer("q", 8)
-	et := tr.StartEpoch(3, "microbatch")
-	if got := tr.InFlight(); got != et {
-		t.Fatalf("InFlight = %v, want the started epoch", got)
+	et := StartEpoch("q", 3, "microbatch", time.Now())
+	if et.Finished() {
+		t.Fatal("a started epoch reads as finished")
 	}
 
 	plan := et.StartSpan("planning")
@@ -36,13 +35,10 @@ func TestSpanTreeAndOpenStage(t *testing.T) {
 	et.AddStage("sinkCommit", time.Now(), 5*time.Millisecond)
 	et.Finish()
 
-	if tr.InFlight() != nil {
-		t.Error("InFlight should clear after Finish")
+	if !et.Finished() {
+		t.Error("Finish did not mark the epoch finished")
 	}
-	got, ok := tr.Epoch(3)
-	if !ok {
-		t.Fatal("epoch 3 not retained")
-	}
+	got := et
 	names := map[string]bool{}
 	for _, c := range got.Root.Children {
 		names[c.Name] = true
@@ -57,70 +53,29 @@ func TestSpanTreeAndOpenStage(t *testing.T) {
 	}
 }
 
+// TestFinishIsIdempotent: the watchdog seals an abandoned epoch; when its
+// goroutine returns and finishes it again, the root keeps its first timing.
 func TestFinishIsIdempotent(t *testing.T) {
-	tr := NewTracer("q", 4)
-	et := tr.StartEpoch(0, "microbatch")
+	et := StartEpoch("q", 0, "microbatch", time.Now())
 	et.Finish()
+	sealed := et.Root.DurationMicros
+	time.Sleep(2 * time.Millisecond)
 	et.Finish()
-	if n := len(tr.Epochs()); n != 1 {
-		t.Fatalf("double Finish retained %d traces, want 1", n)
-	}
-}
-
-func TestRingBufferBounds(t *testing.T) {
-	tr := NewTracer("q", 4)
-	for i := int64(0); i < 10; i++ {
-		et := tr.StartEpoch(i, "microbatch")
-		et.Finish()
-	}
-	eps := tr.Epochs()
-	if len(eps) != 4 {
-		t.Fatalf("retained %d, want 4", len(eps))
-	}
-	for i, et := range eps {
-		if want := int64(6 + i); et.Epoch != want {
-			t.Errorf("ring[%d] = epoch %d, want %d (oldest first)", i, et.Epoch, want)
-		}
-	}
-	if _, ok := tr.Epoch(2); ok {
-		t.Error("evicted epoch 2 still retrievable")
-	}
-}
-
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	et := tr.StartEpoch(1, "continuous")
-	if et != nil {
-		t.Fatal("nil tracer must hand out nil epoch traces")
-	}
-	sp := et.StartSpan("planning")
-	sp.SetAttr("rows", 1)
-	sp.Child("x").End()
-	et.EndSpan(sp)
-	et.AddStage("y", time.Now(), time.Second)
-	et.SetAttr("k", 1)
-	if et.OpenStage() != "" {
-		t.Error("nil OpenStage should be empty")
-	}
-	et.Finish()
-	if tr.Epochs() != nil || tr.InFlight() != nil {
-		t.Error("nil tracer accessors should return zero values")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	if et.Root.DurationMicros != sealed {
+		t.Fatalf("second Finish re-timed the root: %d µs, was %d", et.Root.DurationMicros, sealed)
 	}
 }
 
 func TestWriteJSONLines(t *testing.T) {
-	tr := NewTracer("orders", 8)
+	var traces []*EpochTrace
 	for i := int64(0); i < 3; i++ {
-		et := tr.StartEpoch(i, "microbatch")
+		et := StartEpoch("orders", i, "microbatch", time.Now())
 		et.StartSpan("planning").End()
 		et.Finish()
+		traces = append(traces, et)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -143,8 +98,7 @@ func TestWriteJSONLines(t *testing.T) {
 }
 
 func TestWriteChromeFormat(t *testing.T) {
-	tr := NewTracer("q", 8)
-	et := tr.StartEpoch(7, "microbatch")
+	et := StartEpoch("q", 7, "microbatch", time.Now())
 	sp := et.StartSpan("getBatch")
 	sp.SetAttr("rows", 10)
 	time.Sleep(time.Millisecond)
@@ -152,7 +106,7 @@ func TestWriteChromeFormat(t *testing.T) {
 	et.Finish()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, []*EpochTrace{et}); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -194,11 +148,11 @@ func TestWriteChromeFormat(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpans: continuous-mode workers attach spans to the same
-// epoch concurrently; must be race-free (run with -race).
+// TestConcurrentSpans: spans attach to one epoch from several goroutines
+// while an exporter snapshots the tree — an abandoned epoch's goroutine is
+// still writing when /trace reads it; must be race-free (run with -race).
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer("q", 16)
-	et := tr.StartEpoch(0, "continuous")
+	et := StartEpoch("q", 0, "continuous", time.Now())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -217,14 +171,13 @@ func TestConcurrentSpans(t *testing.T) {
 		defer exporters.Done()
 		for i := 0; i < 20; i++ {
 			var buf bytes.Buffer
-			_ = tr.WriteChrome(&buf)
+			_ = WriteChrome(&buf, []*EpochTrace{et})
 		}
 	}()
 	wg.Wait()
 	et.Finish()
 	exporters.Wait()
-	got, _ := tr.Epoch(0)
-	if len(got.Root.Children) != 800 {
-		t.Fatalf("children = %d, want 800", len(got.Root.Children))
+	if len(et.Root.Children) != 800 {
+		t.Fatalf("children = %d, want 800", len(et.Root.Children))
 	}
 }

@@ -1,6 +1,10 @@
 #!/bin/sh
-# Full verification: vet + race-enabled tests (torture sweep included).
-# Use `go test -short ./...` for the quick tier that skips the crash sweep.
+# Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
+# sweep included), the benchmark module, the stale-name guard and the
+# vectorized/row differential smoke. VERIFY_FULL=1 adds eleven fuzz smokes,
+# three micro-benchmark steps and the x20 arrival wake-up run. The last line
+# says which tier ran. Use `go test -short ./...` for the quick tier that
+# skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
 # step announces a step and prints the wall time of the one before it, so a
@@ -31,80 +35,76 @@ step "go vet ./..."
 go vet ./...
 step "go test -race ./..."
 go test -race ./...
-# The arrival-signal tests hang (and fail on their own deadline) when a
-# wake-up between an append and the trigger's wait is lost, and a race like
-# that needs repetition to show: PR 16's Subscription.Next lost wake-up
-# passed a single -race run. Twenty repetitions take most of a minute for
-# the engine alone, so they run under VERIFY_FULL=1 (run it after touching
-# msgbus.Arrival, the trigger loop or a source's NotifyArrival); the default
-# keeps the one -race pass `go test -race ./...` above gave them.
+# Everything from here to the benchmark module runs under VERIFY_FULL=1 only:
+# none of it needs to run per change, and together it was most of the script's
+# minutes. Run the full tier after touching a decoder, a state or sink layout,
+# msgbus.Arrival, the trigger loop or a source's NotifyArrival — and before a
+# PR lands.
+tier=default
 if [ "${VERIFY_FULL:-}" = "1" ]; then
+	tier=full
+	# The arrival-signal tests hang (and fail on their own deadline) when a
+	# wake-up between an append and the trigger's wait is lost, and a race
+	# like that needs repetition to show: PR 16's Subscription.Next lost
+	# wake-up passed a single -race run. The default tier keeps the one -race
+	# pass `go test -race ./...` above gave them.
 	step "arrival wake-up and leak tests, -race -count=20"
 	go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuousWorkersWaitForArrival' \
 		./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
+	# Fuzz smokes: five seconds of coverage-guided input on every decoder
+	# that reads bytes off disk or the wire. Round-trips must hold, corrupt
+	# input must never panic, and nothing but fsx.ErrCorrupt may come back.
+	# fuzz <what> <target> <package> [go test flag]
+	fuzz() {
+		step "$1 fuzz smoke"
+		go test -run '^$' -fuzz "$2" -fuzztime 5s ${4:-} "$3"
+	}
+	# The state record framing shared by deltas, snapshots and LSM batches:
+	# records out of order or repeating a key must replay as the log they are.
+	fuzz "lsm record-framing" FuzzRecordBatch ./internal/lsm/
+	# The tree's one comparison rule (eight key bytes first, the rest on a
+	# tie) against bytes.Compare: the merge over memtable runs and table
+	# iterators, and the point lookup's two searches against a scan.
+	fuzz "lsm merge iterator" FuzzMergeIter ./internal/lsm/
+	fuzz "lsm table lookup" FuzzTableGet ./internal/lsm/
+	# The SSTable reader — footer, filter header, block index and block
+	# entries, each behind a valid checksum — and the manifest reader, raw and
+	# behind a valid frame: what it accepts is a manifest Load can act on.
+	fuzz "lsm sstable reader" FuzzOpenTable ./internal/lsm/
+	fuzz "lsm manifest reader" FuzzManifest ./internal/lsm/
+	# The decoders that read stream-stream join state back (header, entry and
+	# meta values, time-index keys), and the time band the planner derives
+	# from a join condition: a pair the band excludes is one the residual
+	# rejects.
+	fuzz "join state" FuzzJoinState ./internal/incremental/
+	fuzz "join band" FuzzJoinBand ./internal/incremental/
+	# The aggregate's state values: the typed loader of each of the nine
+	# buffers against the Serialize/Deserialize oracle. Minimizing a new 1 KiB
+	# input (an HLL state) would eat the whole smoke, so minimization is off.
+	fuzz "aggregate state" FuzzAggState ./internal/incremental/ "-fuzzminimizetime=0"
+	# The bus-record decoders: the pruned, the full typed and the boxed one
+	# must keep and drop the same records and agree on every kept cell.
+	fuzz "pruned row decode" FuzzDecodeRowPruned ./internal/sql/codec/
+	# What the write-ahead log reads back — offsets entry and commit record —
+	# raw and behind a valid frame.
+	fuzz "wal decode" FuzzWALDecode ./internal/wal/
+	# The memory sink's result table: whatever batches the fuzzer draws,
+	# every reader returns what a map of boxed rows would, before and after a
+	# rewrite of the slabs.
+	fuzz "memory sink table" FuzzMemorySinkTable ./internal/sinks/ "-fuzzminimizetime=0"
+	# Micro-benchmarks, one iteration each: they assert their own set-up (a
+	# full memtable, a window's key count, every partial group that crossed
+	# the exchange coming back as an updated row, the sink's row count
+	# against its distinct keys), so they must keep running, not only
+	# compiling.
+	step "state and lsm micro-benchmarks, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter|BenchmarkFlush|BenchmarkCompact4|BenchmarkTableGet' -benchtime 1x \
+		./internal/state/ ./internal/lsm/ >/dev/null
+	step "aggregate exchange micro-benchmark, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkAggExchange' -benchtime 1x ./internal/incremental/ >/dev/null
+	step "memory sink micro-benchmarks, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkMemorySink' -benchtime 1x ./internal/sinks/ >/dev/null
 fi
-# Fuzz smoke: a few seconds of coverage-guided input on the state record
-# framing shared by deltas, snapshots, and LSM batches — round-trips must
-# hold, corrupt input must never panic the decoder, and records out of order
-# or repeating a key must replay as the log they are.
-step "lsm record-framing fuzz smoke"
-go test -run '^$' -fuzz 'FuzzRecordBatch' -fuzztime 5s ./internal/lsm/
-# The state layer's micro-benchmarks, one iteration each: they assert their
-# own set-up (a full memtable, a window's key count), so they must keep
-# running, not only compiling.
-step "state and lsm micro-benchmarks, -benchtime 1x"
-go test -run '^$' -bench 'BenchmarkStoreStageCommit|BenchmarkStoreRangeNarrow|BenchmarkMergeIter|BenchmarkFlush|BenchmarkCompact4|BenchmarkTableGet' -benchtime 1x \
-	./internal/state/ ./internal/lsm/ >/dev/null
-# The tree's one comparison rule (eight key bytes first, the rest on a tie)
-# against bytes.Compare: the merge over memtable runs and table iterators,
-# and the point lookup's two searches against a scan of the same table.
-step "lsm merge iterator fuzz smoke"
-go test -run '^$' -fuzz 'FuzzMergeIter' -fuzztime 5s ./internal/lsm/
-step "lsm table lookup fuzz smoke"
-go test -run '^$' -fuzz 'FuzzTableGet' -fuzztime 5s ./internal/lsm/
-# And on the SSTable reader — footer, filter header, block index and block
-# entries, each fuzzed behind a valid checksum: no panic, and nothing but
-# fsx.ErrCorrupt comes back.
-step "lsm sstable reader fuzz smoke"
-go test -run '^$' -fuzz 'FuzzOpenTable' -fuzztime 5s ./internal/lsm/
-# The same for the decoders that read stream-stream join state back (header,
-# entry and meta values, time-index keys).
-step "join state fuzz smoke"
-go test -run '^$' -fuzz 'FuzzJoinState' -fuzztime 5s ./internal/incremental/
-# And for the aggregate's state values: the typed loader of each of the nine
-# buffers against the Serialize/Deserialize oracle, on whatever bytes the disk
-# might hold. Minimizing a new 1 KiB input (an HLL state) would eat the whole
-# smoke, so minimization is off.
-step "aggregate state fuzz smoke"
-go test -run '^$' -fuzz 'FuzzAggState' -fuzztime 5s -fuzzminimizetime 0 ./internal/incremental/
-# The aggregate's exchange micro-benchmark, one iteration: it asserts that
-# every partial group that crossed came back as an updated row.
-step "aggregate exchange micro-benchmark, -benchtime 1x"
-go test -run '^$' -bench 'BenchmarkAggExchange' -benchtime 1x ./internal/incremental/ >/dev/null
-# And for the time band the planner derives from a join condition: whatever
-# residual and pair the fuzzer picks, a pair the band excludes is one the
-# residual rejects.
-step "join band fuzz smoke"
-go test -run '^$' -fuzz 'FuzzJoinBand' -fuzztime 5s ./internal/incremental/
-# And for the bus-record decoders: the pruned, the full typed and the boxed
-# one must keep and drop the same records and agree on every kept cell.
-step "pruned row decode fuzz smoke"
-go test -run '^$' -fuzz 'FuzzDecodeRowPruned' -fuzztime 5s ./internal/sql/codec/
-# And for what the write-ahead log reads back — offsets entry and commit
-# record — raw and behind a valid frame: no panic, and nothing but
-# fsx.ErrCorrupt comes back.
-step "wal decode fuzz smoke"
-go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 5s ./internal/wal/
-# And for the memory sink's result table: whatever batches the fuzzer draws
-# (three modes, rows and columns, replays, key arities, values that outgrow
-# their record's slack), every reader returns what a map of boxed rows would,
-# before and after a rewrite of the slabs.
-step "memory sink table fuzz smoke"
-go test -run '^$' -fuzz 'FuzzMemorySinkTable' -fuzztime 5s -fuzzminimizetime 0 ./internal/sinks/
-# The sink's micro-benchmarks, one iteration: the update script checks the
-# table's row count against its distinct keys, the snapshot its size.
-step "memory sink micro-benchmarks, -benchtime 1x"
-go test -run '^$' -bench 'BenchmarkMemorySink' -benchtime 1x ./internal/sinks/ >/dev/null
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
 # a break in the APIs it drives (StatefulOp.Process, Store.Iterate/Commit,
@@ -121,8 +121,11 @@ step "benchmark module vet + tests"
 # of the state store's hint method, folded into PutNew and RemoveLive; the
 # per-partition WAL seal, its commit barrier and the engine predicate that
 # selected them — not the seal's write and read methods, whose names colfmt
-# owns) must not survive in code, scripts or docs. The pattern
-# is assembled from halves so this script does not match itself.
+# owns; the lineage-stamp ring's size, the event log's settable history
+# limit and the four engine-side stamp methods, all gone into the one epoch
+# ring — not the deliver stamp, which the hub still calls) must not survive
+# in code, scripts or docs. The pattern is assembled from halves so this
+# script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
@@ -131,6 +134,7 @@ stale="$stale"'|Wait''ForData|Commit''WithHints|sorted''KeysIn|pending''Put|pend
 stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
 stale="$stale"'|clone''Rows|key''Order|\.Hi''nt\('
 stale="$stale"'|Commit''Barrier|Segment''Ref|Segment''Partitions|Segments''Written|drop''UncommittedSegments|e\.sh''arded'
+stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Execute|Stamp''Commit'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
@@ -150,4 +154,8 @@ if [ "${STRUCTREAM_CHAOS:-}" = "1" ]; then
 fi
 step ""
 echo "   ($(($(date +%s) - verify_start)) s in all)"
-echo "verify: OK"
+if [ "$tier" = full ]; then
+	echo "verify: OK (full tier)"
+else
+	echo "verify: OK (default tier; VERIFY_FULL=1 adds the fuzz smokes, the micro-benchmarks and the x20 arrival run)"
+fi
