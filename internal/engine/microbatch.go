@@ -843,15 +843,15 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 		// lane — same hash, same materialization order as the boxed
 		// scatter below, without boxing a key per row first.
 		res.buckets = shard.Scatter(pipe.ApplyVec(batch), pipe.KeyIdxs, nPart)
-	case batch != nil && pipe.Vec.Agg != nil && pipe.KeyIdxs != nil:
-		// Columnar partial aggregation: the whole map side — kernels,
-		// grouping, aggregate folding, shuffle routing — runs without boxing
-		// a row. Groups render straight into buckets as partial cells,
-		// routed by each group's cached key hash (identical buckets to the
-		// boxed scatter below).
+	case batch != nil && pipe.Scatters():
+		// Columnar partial aggregation, or a join's cell rendering: the whole
+		// map side — kernels, grouping or key encoding, shuffle routing —
+		// runs without boxing a row. Groups or rows render straight into
+		// buckets as cells, routed by the key hash each carries (identical
+		// buckets to the boxed scatter below).
 		res.buckets = pipe.ProcessBatchScatter(batch, nPart)
-		// The buckets hold partial cells, which point into their own slabs
-		// and never into the batch: this is the one branch that may recycle it.
+		// The buckets hold cells, which point into their own slabs and never
+		// into the batch: this is the one branch that may recycle it.
 		batch.Release()
 	default:
 		// Boxed scatter: push rows straight into shuffle buckets, with no

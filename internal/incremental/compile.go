@@ -2,7 +2,6 @@ package incremental
 
 import (
 	"fmt"
-	"math"
 
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
@@ -125,7 +124,7 @@ func (c *compiler) finish(q *Query) {
 		// Drop vector plans that cover nothing: a bare scan gains nothing
 		// from the columnar detour, and a nil Vec is the engine's signal
 		// to stay on the row path.
-		if p.Vec != nil && len(p.Vec.Ops) == 0 && p.Vec.Agg == nil {
+		if p.Vec != nil && len(p.Vec.Ops) == 0 && p.Vec.Agg == nil && p.Vec.Join == nil {
 			p.Vec = nil
 		}
 		p.SourceCols = p.reads.columns(p)
@@ -190,7 +189,7 @@ func (r *sourceReads) columns(p *Pipeline) []int {
 		return nil
 	}
 	covered := len(p.Vec.Ops)
-	if p.Vec.Agg != nil {
+	if p.Vec.Agg != nil || p.Vec.Join != nil {
 		covered++
 	}
 	if r.narrowedAt >= covered {
@@ -560,6 +559,22 @@ func appendVec(pipes []*Pipeline, op physical.VecOp) {
 	}
 }
 
+// appendTerminal seals each pipeline's vector plan at the blocking terminal
+// stage appendStage just added — the map-side partial aggregate, a join's
+// cell rendering — letting end install the stage's columnar twin where the
+// plan still covers every earlier stage; end == nil marks the stage
+// non-vectorizable.
+func appendTerminal(pipes []*Pipeline, end func(*VecPlan)) {
+	for _, p := range pipes {
+		if v := p.Vec; v != nil && !v.sealed {
+			if end != nil && len(v.Ops)+1 == len(p.Stages) {
+				end(v)
+			}
+			v.sealed = true
+		}
+	}
+}
+
 // streamStaticJoin compiles a broadcast hash join between a stream and a
 // static table into a map-side batch function. The static side is
 // materialized once per engine start (its hash table is broadcast to every
@@ -780,19 +795,16 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 		}
 	}
 	noteReads(pipes, childSchema, true, aggReads...)
-	for _, p := range pipes {
-		v := p.Vec
-		if v == nil || v.sealed || len(v.Ops)+1 != len(p.Stages) {
-			continue
-		}
-		if vecAgg == nil {
-			v.sealed = true
-			continue
-		}
-		v.Agg = vecAgg
-		v.sealed = true
+	var end func(*VecPlan)
+	if vecAgg != nil {
+		end = func(v *VecPlan) { v.Agg = vecAgg }
 	}
-	routeByPartialKey(pipes, len(a.Keys))
+	appendTerminal(pipes, end)
+	keyIdxs := make([]int, len(a.Keys))
+	for i := range keyIdxs {
+		keyIdxs[i] = i
+	}
+	routeByCell(pipes, len(a.Keys), keyIdxs)
 	q.Pipelines = pipes
 	return op, len(a.Keys), nil
 }
@@ -912,42 +924,43 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 		}
 	}
 	if keys.Residual != nil && op.LeftEventIdx >= 0 && op.RightEventIdx >= 0 {
-		op.Band = joinTimeBand(keys.Residual, leftSchema.Concat(rightSchema), op.LeftEventIdx, leftSchema.Len()+op.RightEventIdx)
+		op.Band, op.BandExact = joinTimeBand(keys.Residual, leftSchema.Concat(rightSchema), op.LeftEventIdx, leftSchema.Len()+op.RightEventIdx)
 	}
 
-	nkeys := len(keys.Left)
-	addShuffleFn := func(pipes []*Pipeline, keyExprs []sql.Expr, schema sql.Schema, eventIdx int) error {
+	// Each side's map task renders its rows as join cells: with kernels for
+	// the key expressions when they compile (the stream-static join's rule),
+	// boxed otherwise — the same cells either way. A cell carries the whole
+	// row, so a pipeline not yet narrowed reads every column.
+	side := func(pipes []*Pipeline, keyExprs []sql.Expr, schema sql.Schema, eventIdx int) error {
 		keyEvals, err := physical.BindKeyExprs(keyExprs, schema)
 		if err != nil {
 			return err
 		}
-		width := nkeys + 1 + schema.Len()
+		sh := &joinShuffle{keyEvals: keyEvals, eventIdx: eventIdx}
 		appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-			arena := physical.NewRowArena(width)
-			return func(r sql.Row) {
-				sr := arena.Next()
-				for k, e := range keyEvals {
-					sr[k] = e(r)
+			c := sh.cells()
+			return func(r sql.Row) { c.add(sh, r) }, func() {
+				for _, row := range c.scatter(1)[0] {
+					next(row)
 				}
-				ts := int64(-1)
-				if eventIdx >= 0 {
-					if v, ok := r[eventIdx].(int64); ok {
-						ts = v
-					}
-				}
-				sr[nkeys] = ts
-				copy(sr[nkeys+1:], r)
-				next(sr)
-			}, nil
+				sh.release(c)
+			}
 		})
-		appendVec(pipes, nil)
-		routeByLeadingColumns(pipes, nkeys)
+		for _, p := range pipes {
+			p.reads.all()
+		}
+		var end func(*VecPlan)
+		if progs, ok := vec.CompileAll(keyExprs, schema); ok {
+			sh.keyProgs, end = progs, func(v *VecPlan) { v.Join = sh }
+		}
+		appendTerminal(pipes, end)
+		routeByCell(pipes, len(keyExprs), nil)
 		return nil
 	}
-	if err := addShuffleFn(leftPipes, keys.Left, leftSchema, op.LeftEventIdx); err != nil {
+	if err := side(leftPipes, keys.Left, leftSchema, op.LeftEventIdx); err != nil {
 		return nil, err
 	}
-	if err := addShuffleFn(rightPipes, keys.Right, rightSchema, op.RightEventIdx); err != nil {
+	if err := side(rightPipes, keys.Right, rightSchema, op.RightEventIdx); err != nil {
 		return nil, err
 	}
 	for _, p := range rightPipes {
@@ -955,90 +968,6 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 	}
 	q.Pipelines = append(leftPipes, rightPipes...)
 	return op, nil
-}
-
-// maxBandOffset bounds the interval literals joinTimeBand reads, so that the
-// band's arithmetic cannot overflow; a literal beyond it contributes no bound.
-const maxBandOffset = 1 << 61
-
-// joinTimeBand derives the constant interval that residual's conjuncts imply
-// for rightTs − leftTs, the event-time columns at leftTs and rightTs of the
-// concatenated schema; nil when no conjunct bounds the difference. A conjunct
-// counts when it compares (>=, >, <=, <, =) one of the two columns with the
-// other, each bare or offset by an interval literal (col + i, i + col,
-// col − i). Anything else — an OR, another column, a cast — contributes no
-// bound, which is always sound: the band only excludes pairs that some
-// conjunct rejects. It takes the residual's arithmetic to be exact, which it
-// is for event times within ±2^61 µs.
-func joinTimeBand(residual sql.Expr, concat sql.Schema, leftTs, rightTs int) *TimeBand {
-	// operand reads e as one of the two columns plus a constant.
-	operand := func(e sql.Expr) (right bool, off int64, ok bool) {
-		if b, isBin := e.(*sql.Binary); isBin && (b.Op == sql.OpAdd || b.Op == sql.OpSub) {
-			col, lit := b.L, b.R
-			if _, litFirst := col.(*sql.Literal); litFirst && b.Op == sql.OpAdd {
-				col, lit = lit, col
-			}
-			l, isLit := lit.(*sql.Literal)
-			if !isLit || l.Type != sql.TypeInterval {
-				return false, 0, false
-			}
-			if off, ok = l.Val.(int64); !ok || off < -maxBandOffset || off > maxBandOffset {
-				return false, 0, false
-			}
-			if b.Op == sql.OpSub {
-				off = -off
-			}
-			e = col
-		}
-		c, isCol := e.(*sql.Column)
-		if !isCol {
-			return false, 0, false
-		}
-		idx, err := concat.Resolve(c.Name)
-		return idx == rightTs, off, err == nil && (idx == leftTs || idx == rightTs)
-	}
-	band := TimeBand{Lo: math.MinInt64, Hi: math.MaxInt64}
-	for _, c := range sql.SplitConjuncts(residual) {
-		cmp, ok := c.(*sql.Binary)
-		if !ok {
-			continue
-		}
-		xRight, x, xok := operand(cmp.L)
-		yRight, y, yok := operand(cmp.R)
-		if !xok || !yok || xRight == yRight {
-			continue
-		}
-		// right + x ≥ left + y  ⇔  right − left ≥ y − x: a lower bound; with
-		// the sides the other way round it bounds the other end by x − y.
-		var lower, upper bool
-		switch cmp.Op {
-		case sql.OpGe, sql.OpGt:
-			lower = true
-		case sql.OpLe, sql.OpLt:
-			upper = true
-		case sql.OpEq:
-			lower, upper = true, true
-		default:
-			continue
-		}
-		d, strict := y-x, int64(0)
-		if cmp.Op == sql.OpGt || cmp.Op == sql.OpLt {
-			strict = 1
-		}
-		if !xRight {
-			d, lower, upper = x-y, upper, lower
-		}
-		if lower {
-			band.Lo = max(band.Lo, d+strict)
-		}
-		if upper {
-			band.Hi = min(band.Hi, d-strict)
-		}
-	}
-	if band.Lo == math.MinInt64 && band.Hi == math.MaxInt64 {
-		return nil
-	}
-	return &band
 }
 
 // routeByLeadingColumns sets pipelines to route shuffle rows by their first
@@ -1057,33 +986,30 @@ func routeByLeadingColumns(pipes []*Pipeline, n int) {
 	}
 }
 
-// routeByPartialKey routes an aggregate's shuffle rows by their whole
-// grouping key (n values). The row is a partial cell, and the engine routes
-// it by the hash the cell carries (Pipeline.PartitionOf); KeyEvals say what
-// that hash is of, for callers that route through them: evaluator i decodes
-// value i out of the cell's key bytes, boxed. KeyIdxs keep their meaning for
-// the vector plan: the key columns lead the aggregate's input.
-func routeByPartialKey(pipes []*Pipeline, n int) {
+// routeByCell routes shuffle rows that are cells — an aggregate's partial
+// cells, a join's cells — by the hash of its n-value encoded key each one
+// carries (Pipeline.PartitionOf). KeyEvals say what that hash is of, for
+// callers that route through them: evaluator i decodes value i out of the
+// cell's key bytes, boxed. keyIdxs are the key's columns in the input of a
+// terminal stage the vector plan covers, nil where there are none.
+func routeByCell(pipes []*Pipeline, n int, keyIdxs []int) {
 	evals := make([]func(sql.Row) sql.Value, n)
-	idxs := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range evals {
 		evals[i] = func(r sql.Row) sql.Value {
-			c, ok := partialOf(r)
+			_, key, ok := cellOf(r)
 			if !ok {
 				return nil
 			}
-			pos := keyValueAt(c.key, i)
+			pos := keyValueAt(key, i)
 			if pos < 0 {
 				return nil
 			}
-			v, _ := sql.ReadValue(c.key, pos) // a cell's key is the engine's own encoding
+			v, _ := sql.ReadValue(key, pos) // a cell's key is the engine's own encoding
 			return v
 		}
-		idxs[i] = i
 	}
 	for _, p := range pipes {
-		p.KeyEvals, p.KeyIdxs, p.partial = evals, idxs, true
+		p.KeyEvals, p.KeyIdxs, p.cells = evals, keyIdxs, true
 	}
 }
 

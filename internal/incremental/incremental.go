@@ -111,9 +111,10 @@ type Pipeline struct {
 	// the vector plan then runs over, and nothing in the plan touches them.
 	SourceCols []int
 	reads      *sourceReads // compile-time accumulator behind SourceCols
-	// partial marks an aggregate's map pipeline: its stage output is one
-	// partialCell per group, which carries its own routing hash.
-	partial bool
+	// cells marks a pipeline whose stage output rows are cells — an
+	// aggregate's partial cells, a join's cells — each carrying its own
+	// routing hash.
+	cells bool
 	// aggPool recycles columnar partial-aggregation hash tables across
 	// map tasks. Safe because shuffle rows alias nothing inside the
 	// table: scatter copies every group's key and state bytes into slabs
@@ -122,14 +123,14 @@ type Pipeline struct {
 }
 
 // PartitionOf returns the shuffle partition, of nPart, of one stage-output
-// row. A partial cell carries the hash of its encoded key; any other row is
-// hashed through KeyEvals, with key (len(KeyEvals) long) as scratch. Both
-// are codec.HashKey of the routing key, so a key's partition does not depend
-// on which form its row took.
+// row. A cell carries the hash of its encoded key; any other row is hashed
+// through KeyEvals, with key (len(KeyEvals) long) as scratch. Both are
+// codec.HashKey of the routing key, so a key's partition does not depend on
+// which form its row took.
 func (p *Pipeline) PartitionOf(row sql.Row, key []sql.Value, nPart int) int {
-	if p.partial {
-		if c, ok := partialOf(row); ok {
-			return int(c.hash % uint64(nPart))
+	if p.cells {
+		if h, _, ok := cellOf(row); ok {
+			return int(h % uint64(nPart))
 		}
 	}
 	for k, ev := range p.KeyEvals {
@@ -155,11 +156,13 @@ func (p *Pipeline) putPartialAgg(h *partialAgg) {
 // VecPlan mirrors a pipeline prefix as columnar kernels. Ops[i] computes
 // the same transformation as Stages[i]; rows materialize after the last
 // op and flow through the remaining row stages (none, for fully covered
-// pipelines). When Agg is set, Ops covers every stage but the terminal
-// partial aggregation, which runs columnar too.
+// pipelines). When Agg or Join is set, Ops covers every stage but the
+// terminal one — the partial aggregation, a join's cell rendering — which
+// runs columnar too.
 type VecPlan struct {
-	Ops []physical.VecOp
-	Agg *VecAggPlan
+	Ops  []physical.VecOp
+	Agg  *VecAggPlan
+	Join *joinShuffle
 	// sealed stops the compiler extending Ops once a non-vectorizable
 	// stage appears (later stages would run out of order otherwise).
 	sealed bool
@@ -180,22 +183,19 @@ type VecAggPlan struct {
 
 // ProcessBatchTo is the columnar counterpart of ProcessTo: it runs one
 // task's column batch through the vectorized ops and pushes the resulting
-// rows (or partial-aggregation shuffle rows) to sink. The caller must
+// rows (or the terminal stage's cells, in one bucket) to sink. The caller must
 // only invoke it when p.Vec != nil. Stages not covered by the vector plan
 // still run, row-at-a-time, after materialization, so output is identical
 // to ProcessTo over the same logical rows.
 func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink RowEmit) {
-	for _, op := range p.Vec.Ops {
-		b = op.Apply(b)
-	}
-	if a := p.Vec.Agg; a != nil {
-		h := p.getPartialAgg()
-		h.updateBatch(b, a)
-		for _, row := range h.scatter(1)[0] {
+	if p.Scatters() {
+		for _, row := range p.ProcessBatchScatter(b, 1)[0] {
 			sink(row)
 		}
-		p.putPartialAgg(h)
 		return
+	}
+	for _, op := range p.Vec.Ops {
+		b = op.Apply(b)
 	}
 	emit, flushes := p.instantiateFrom(len(p.Vec.Ops), sink)
 	physical.EmitBatchRows(b, emit)
@@ -204,19 +204,33 @@ func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink RowEmit) {
 	}
 }
 
+// Scatters reports whether ProcessBatchScatter serves the pipeline: its
+// vector plan ends in a columnar terminal stage that renders cells.
+func (p *Pipeline) Scatters() bool {
+	return p.Vec != nil && (p.Vec.Agg != nil || p.Vec.Join != nil)
+}
+
 // ProcessBatchScatter runs one task's column batch through the vectorized
-// ops and the columnar partial aggregation, then renders the groups
-// straight into nPart shuffle buckets — one row, of one partial cell, per
-// group — routing by each group's cached key hash. Valid only when
-// p.Vec != nil, p.Vec.Agg != nil, and KeyIdxs is non-nil (the compiler
-// guarantees the shuffle key is the aggregation's grouping key, so the
-// hash of the cached key encoding routes identically to boxing the key and
-// calling codec.HashKey). This is what keeps agg pipelines columnar across
-// the exchange: one hash+encode per input lane, one render per group into
-// per-bucket slabs, zero boxing.
+// ops and the columnar terminal stage, rendering its output straight into
+// nPart shuffle buckets of cells routed by the hash each carries: with a
+// partial aggregation, one row of one partial cell per group, by the
+// group's cached key hash; with a join, one row per input row, by its key
+// hash. Valid only when Scatters reports true. The compiler guarantees the
+// shuffle key is the cell's key, so hashing its cached encoding routes
+// identically to boxing the key and calling codec.HashKey. This is what
+// keeps aggregate and join pipelines columnar across the exchange: one
+// hash+encode per input lane, one render per cell into per-bucket slabs,
+// zero boxing.
 func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
 	for _, op := range p.Vec.Ops {
 		b = op.Apply(b)
+	}
+	if sh := p.Vec.Join; sh != nil {
+		c := sh.cells()
+		c.addBatch(sh, b)
+		buckets := c.scatter(nPart)
+		sh.release(c)
+		return buckets
 	}
 	h := p.getPartialAgg()
 	h.updateBatch(b, p.Vec.Agg)
@@ -226,11 +240,11 @@ func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
 }
 
 // FullyVectorized reports whether the vector plan covers every stage with
-// no terminal partial aggregation: ApplyVec alone reproduces the
+// no terminal stage of its own: ApplyVec alone reproduces the
 // pipeline's output, so a column batch can stay columnar past the map
 // boundary (e.g. straight into a ColumnSink).
 func (p *Pipeline) FullyVectorized() bool {
-	return p.Vec != nil && p.Vec.Agg == nil && len(p.Vec.Ops) == len(p.Stages)
+	return p.Vec != nil && !p.Scatters() && len(p.Vec.Ops) == len(p.Stages)
 }
 
 // ApplyVec runs the vector plan's ops over b and returns the transformed

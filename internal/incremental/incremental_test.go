@@ -234,25 +234,34 @@ func TestStreamingDedupEviction(t *testing.T) {
 // ---------------------------------------------------------------- join op
 
 func TestStreamStreamJoinStateEncoding(t *testing.T) {
-	enc := codec.NewEncoder(0)
-	for _, want := range []joinEntry{
-		{row: sql.Row{"a", 1.5}, matched: true, ts: 42},
-		{row: sql.Row{nil, int64(-7)}, matched: false, ts: -1},
+	for _, want := range []struct {
+		row     sql.Row
+		ts      int64
+		matched bool
+	}{
+		{sql.Row{"a", 1.5}, 42, true},
+		{sql.Row{nil, int64(-7)}, -1, false},
 	} {
-		var got joinEntry
-		if err := got.decode(want.encode(enc)); err != nil {
-			t.Fatal(err)
+		c, _ := joinCellOf(joinRow([]sql.Value{want.row[0]}, want.ts, want.row))
+		v := c.entry
+		if want.matched {
+			v = withMatched(v)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decoded = %+v, want %+v", got, want)
+		if !bytes.Equal(v, parentEntry(want.row, want.ts, want.matched)) {
+			t.Fatalf("entry %x, the layout says %x", v, parentEntry(want.row, want.ts, want.matched))
+		}
+		ts, rest, err := entryTs(v)
+		row, rowErr := entryRow(v, nil, 0)
+		if err != nil || rowErr != nil || ts != want.ts || (rest[0] == 1) != want.matched || !reflect.DeepEqual(row, want.row) {
+			t.Fatalf("decoded (%v, %d, matched %v), %v, %v; want %+v", row, ts, rest[0] == 1, err, rowErr, want)
 		}
 	}
-	if err := new(joinEntry).decode([]byte{0xff}); err == nil {
+	if _, err := entryRow([]byte{0xff}, nil, 0); err == nil {
 		t.Error("corrupt entry should error")
 	}
 	hdr := joinGroup{lo: 3, hi: 300, live: 7}
 	var got joinGroup
-	if err := got.decodeHeader(hdr.encodeHeader()); err != nil || !reflect.DeepEqual(got, hdr) {
+	if err := got.decodeHeader(hdr.appendHeader(nil)); err != nil || !reflect.DeepEqual(got, hdr) {
 		t.Fatalf("header = %+v err=%v", got, err)
 	}
 	// Time-index keys order by (side, ts, join key, idx).
@@ -287,8 +296,8 @@ func TestStreamStreamJoinNullKeysNeverMatch(t *testing.T) {
 		LeftEventIdx: -1, RightEventIdx: -1,
 	}
 	store := openStore(t, "j")
-	left := []sql.Row{JoinShuffleRow([]sql.Value{nil}, -1, sql.Row{nil, "L"})}
-	right := []sql.Row{JoinShuffleRow([]sql.Value{nil}, -1, sql.Row{nil, "R"})}
+	left := []sql.Row{joinRow([]sql.Value{nil}, -1, sql.Row{nil, "L"})}
+	right := []sql.Row{joinRow([]sql.Value{nil}, -1, sql.Row{nil, "R"})}
 	out, err := op.Process(&EpochContext{Epoch: 0}, store, [][]sql.Row{left, right})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +318,7 @@ func TestStreamStreamJoinWatermarkEviction(t *testing.T) {
 	}
 	store := openStore(t, "j")
 	// Left row buffered, no match.
-	left := []sql.Row{JoinShuffleRow([]sql.Value{"k"}, 1*sec, sql.Row{"k", 1 * sec})}
+	left := []sql.Row{joinRow([]sql.Value{"k"}, 1*sec, sql.Row{"k", 1 * sec})}
 	out, err := op.Process(&EpochContext{Epoch: 0}, store, [][]sql.Row{left, nil})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)

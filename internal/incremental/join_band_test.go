@@ -36,26 +36,28 @@ func TestJoinTimeBandCases(t *testing.T) {
 		what, cond string
 		want       *TimeBand
 		width      int64
+		exact      bool // the band is all the condition says
 	}{
-		{"BETWEEN", "rts BETWEEN lts AND lts + INTERVAL 10 seconds", band(0, 10*sec), 10 * sec},
-		{"non-strict ends", "rts >= lts AND rts <= lts + INTERVAL 10 seconds", band(0, 10*sec), 10 * sec},
-		{"strict ends", "rts > lts AND rts < lts + INTERVAL 10 seconds", band(1, 10*sec-1), 10*sec - 2},
-		{"operands swapped", "lts <= rts AND lts + INTERVAL 10 seconds >= rts", band(0, 10*sec), 10 * sec},
-		{"r − i for l + i", "lts >= rts - INTERVAL 10 seconds AND lts <= rts", band(0, 10*sec), 10 * sec},
-		{"offsets on both operands, literal first", "rts - INTERVAL 3 seconds >= lts + INTERVAL 2 seconds AND INTERVAL 1 second + lts > rts - INTERVAL 9 seconds", band(5*sec, 10*sec-1), 5*sec - 1},
-		{"the tightest bound wins", "rts >= lts - INTERVAL 4 seconds AND rts <= lts + INTERVAL 4 seconds AND rts <= lts + INTERVAL 9 seconds", band(-4*sec, 4*sec), 8 * sec},
-		{"one-sided: a pre-check, no buckets", "rts >= lts + INTERVAL 2 seconds", band(2*sec, open), 0},
-		{"one-sided from above", "lts > rts", band(-open-1, -1), 0},
-		{"zero width", "rts >= lts AND rts <= lts", band(0, 0), minJoinBucket},
-		{"equality", "rts = lts + INTERVAL 3 seconds", band(3*sec, 3*sec), minJoinBucket},
-		{"narrower than the smallest bucket", "rts >= lts AND rts <= lts + INTERVAL 200 milliseconds", band(0, sec/5), minJoinBucket},
-		{"empty", "rts >= lts + INTERVAL 5 seconds AND rts <= lts", band(5*sec, 0), minJoinBucket},
-		{"an OR bounds nothing", "rts >= lts AND lk < rk AND (rts <= lts + INTERVAL 1 second OR lk = 3)", band(0, open), 0},
-		{"a column without a watermark", "rts2 BETWEEN lts AND lts + INTERVAL 10 seconds", nil, 0},
-		{"a column without a watermark, left", "rts BETWEEN lts2 AND lts2 + INTERVAL 10 seconds", nil, 0},
-		{"both operands on one side", "rts >= rts2 AND lts <= lts2 + INTERVAL 1 second", nil, 0},
-		{"outside the grammar", "NOT (rts < lts) AND rts <> lts AND CAST(rts AS BIGINT) >= CAST(lts AS BIGINT)", nil, 0},
-		{"a literal past the exact range", "rts >= lts + INTERVAL 4000000000000000000 microseconds", nil, 0},
+		{"BETWEEN", "rts BETWEEN lts AND lts + INTERVAL 10 seconds", band(0, 10*sec), 10 * sec, true},
+		{"non-strict ends", "rts >= lts AND rts <= lts + INTERVAL 10 seconds", band(0, 10*sec), 10 * sec, true},
+		{"strict ends", "rts > lts AND rts < lts + INTERVAL 10 seconds", band(1, 10*sec-1), 10*sec - 2, true},
+		{"operands swapped", "lts <= rts AND lts + INTERVAL 10 seconds >= rts", band(0, 10*sec), 10 * sec, true},
+		{"r − i for l + i", "lts >= rts - INTERVAL 10 seconds AND lts <= rts", band(0, 10*sec), 10 * sec, true},
+		{"offsets on both operands, literal first", "rts - INTERVAL 3 seconds >= lts + INTERVAL 2 seconds AND INTERVAL 1 second + lts > rts - INTERVAL 9 seconds", band(5*sec, 10*sec-1), 5*sec - 1, true},
+		{"the tightest bound wins", "rts >= lts - INTERVAL 4 seconds AND rts <= lts + INTERVAL 4 seconds AND rts <= lts + INTERVAL 9 seconds", band(-4*sec, 4*sec), 8 * sec, true},
+		{"one-sided: a pre-check, no buckets", "rts >= lts + INTERVAL 2 seconds", band(2*sec, open), 0, true},
+		{"one-sided from above", "lts > rts", band(-open-1, -1), 0, true},
+		{"zero width", "rts >= lts AND rts <= lts", band(0, 0), minJoinBucket, true},
+		{"equality", "rts = lts + INTERVAL 3 seconds", band(3*sec, 3*sec), minJoinBucket, true},
+		{"narrower than the smallest bucket", "rts >= lts AND rts <= lts + INTERVAL 200 milliseconds", band(0, sec/5), minJoinBucket, true},
+		{"empty", "rts >= lts + INTERVAL 5 seconds AND rts <= lts", band(5*sec, 0), minJoinBucket, true},
+		{"an OR bounds nothing", "rts >= lts AND lk < rk AND (rts <= lts + INTERVAL 1 second OR lk = 3)", band(0, open), 0, false},
+		{"a column without a watermark", "rts2 BETWEEN lts AND lts + INTERVAL 10 seconds", nil, 0, false},
+		{"a column without a watermark, left", "rts BETWEEN lts2 AND lts2 + INTERVAL 10 seconds", nil, 0, false},
+		{"both operands on one side", "rts >= rts2 AND lts <= lts2 + INTERVAL 1 second", nil, 0, false},
+		{"outside the grammar", "NOT (rts < lts) AND rts <> lts AND CAST(rts AS BIGINT) >= CAST(lts AS BIGINT)", nil, 0, false},
+		{"a literal past the exact range", "rts >= lts + INTERVAL 4000000000000000000 microseconds", nil, 0, false},
+		{"a band and a conjunct beside it", "rts BETWEEN lts AND lts + INTERVAL 10 seconds AND lk = rk + 1", band(0, 10*sec), 10 * sec, false},
 	} {
 		cond, err := parser.ParseExpr(c.cond)
 		if err != nil {
@@ -64,9 +66,9 @@ func TestJoinTimeBandCases(t *testing.T) {
 		if _, err := cond.Bind(bandSchema); err != nil {
 			t.Fatalf("%s: %v", c.cond, err)
 		}
-		got := joinTimeBand(cond, bandSchema, bandLeftTs, bandRightTs)
-		if (got == nil) != (c.want == nil) || got != nil && *got != *c.want {
-			t.Errorf("%s (%s): band %+v, want %+v", c.what, c.cond, got, c.want)
+		got, exact := joinTimeBand(cond, bandSchema, bandLeftTs, bandRightTs)
+		if (got == nil) != (c.want == nil) || got != nil && *got != *c.want || exact != c.exact {
+			t.Errorf("%s (%s): band %+v (exact %v), want %+v (exact %v)", c.what, c.cond, got, exact, c.want, c.exact)
 		}
 		if w := (&StreamStreamJoin{Band: got}).bucketWidth(); w != c.width {
 			t.Errorf("%s (%s): bucket width %d, want %d", c.what, c.cond, w, c.width)
@@ -177,15 +179,18 @@ func randomBandResidual(rng *rand.Rand) sql.Expr {
 
 // checkBandSound draws pairs around (l, l+d) and requires that whenever the
 // band derived from residual excludes one — by the operator's own window
-// arithmetic, in either probe direction — the bound residual is not true.
-// NULL event times reach the operator as −1.
+// arithmetic, in either probe direction — the bound residual is not true,
+// and, where the band is exact and decides the pair (both event times known),
+// that the residual is true for every pair the band does not exclude. NULL
+// event times reach the operator as −1.
 func checkBandSound(t *testing.T, rng *rand.Rand, residual sql.Expr, l, d int64) {
 	t.Helper()
 	bound, err := residual.Bind(bandSchema)
 	if err != nil {
 		t.Fatalf("%s: %v", residual, err)
 	}
-	j := &StreamStreamJoin{Band: joinTimeBand(residual, bandSchema, bandLeftTs, bandRightTs)}
+	band, exact := joinTimeBand(residual, bandSchema, bandLeftTs, bandRightTs)
+	j := &StreamStreamJoin{Band: band, BandExact: exact}
 	for n := 0; n < 64; n++ {
 		lt, rt := l+rng.Int63n(7)-3, l+d+rng.Int63n(7)-3
 		row := sql.Row{rng.Int63n(5), lt, lt + rng.Int63n(50) - 25, rng.Int63n(5), rt, rt + rng.Int63n(50) - 25}
@@ -199,21 +204,28 @@ func checkBandSound(t *testing.T, rng *rand.Rand, residual sql.Expr, l, d int64)
 		excluded := rt < lo || rt > hi
 		lo, hi = j.window(1, rt)
 		excluded = excluded || lt < lo || lt > hi
-		if v, _ := bound.Eval(row).(bool); excluded && v {
+		v, _ := bound.Eval(row).(bool)
+		if excluded && v {
 			t.Fatalf("%s is true for lts=%v rts=%v, which its band %+v excludes", residual, row[bandLeftTs], row[bandRightTs], *j.Band)
+		}
+		if !excluded && !v && j.bandDecides(lt, rt) {
+			t.Fatalf("%s is not true for lts=%v rts=%v, inside its exact band %+v", residual, row[bandLeftTs], row[bandRightTs], *j.Band)
 		}
 	}
 }
 
 func TestJoinTimeBandIsSound(t *testing.T) {
-	derived, twoSided := 0, 0
+	derived, twoSided, exact := 0, 0, 0
 	for seed := int64(0); seed < 3000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		residual := randomBandResidual(rng)
-		if b := joinTimeBand(residual, bandSchema, bandLeftTs, bandRightTs); b != nil {
+		if b, all := joinTimeBand(residual, bandSchema, bandLeftTs, bandRightTs); b != nil {
 			derived++
 			if b.Lo > math.MinInt64 && b.Hi < math.MaxInt64 {
 				twoSided++
+			}
+			if all {
+				exact++
 			}
 		}
 		for n := 0; n < 8; n++ {
@@ -224,8 +236,8 @@ func TestJoinTimeBandIsSound(t *testing.T) {
 			checkBandSound(t, rng, residual, l, rng.Int63n(80)-40)
 		}
 	}
-	if derived < 1000 || twoSided < 200 {
-		t.Fatalf("weak run: %d of 3000 residuals gave a band, %d a two-sided one", derived, twoSided)
+	if derived < 1000 || twoSided < 200 || exact < 200 {
+		t.Fatalf("weak run: %d of 3000 residuals gave a band, %d a two-sided one, %d an exact one", derived, twoSided, exact)
 	}
 }
 
@@ -270,7 +282,7 @@ func TestJoinProbeReadsAreBandBounded(t *testing.T) {
 		for s := range inputs {
 			for i := 0; i < perEpoch; i++ {
 				ts := 1000*sec + epoch*step + rng.Int63n(2*step)
-				inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{"hot"}, ts, sql.Row{"hot", ts}))
+				inputs[s] = append(inputs[s], joinRow([]sql.Value{"hot"}, ts, sql.Row{"hot", ts}))
 				arrived[s] = append(arrived[s], ts)
 				lo[s], hi[s] = min(lo[s], ts), max(hi[s], ts)
 			}
@@ -355,7 +367,7 @@ func TestJoinEvictionLagCases(t *testing.T) {
 func TestOuterJoinPadsARowOnceTheBandHasPassed(t *testing.T) {
 	j := joinEvictFixtureOp()
 	_, store := joinStore(t, state.BackendMemory)
-	row := func(key string, ts int64) sql.Row { return JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
+	row := func(key string, ts int64) sql.Row { return joinRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
 	for epoch, c := range []struct {
 		watermark   int64
 		left, right []sql.Row
@@ -393,7 +405,7 @@ func TestOuterJoinPadsARowOnceTheBandHasPassed(t *testing.T) {
 // below the stored watermark: the store drains.
 func TestJoinContinuesCheckpointEvictedUnderOldRule(t *testing.T) {
 	store, j := copyJoinFixture(t, "pr29-join-evicted", joinEvictFixtureEpochs), joinEvictFixtureOp()
-	row := func(key string, ts int64) sql.Row { return JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
+	row := func(key string, ts int64) sql.Row { return joinRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
 	live := indexedBuffered(t, j, store)
 	if len(live) != 2 || live[0].ts != 145*sec || live[1].ts != 144*sec {
 		t.Fatalf("the fixture holds %v, want the left row at 145 s and the right row at 144 s", live)

@@ -14,8 +14,9 @@ import (
 // last epoch ran under a watermark of 143 s and dropped — padding it, the join
 // being left-outer — the left row of key "a" at 140 s, which the band
 // [0, 10 s] keeps matchable until the watermark passes 150 s. This file is the
-// fixture's definition and compiles at that commit too, which is how the
-// fixture was produced:
+// fixture's definition and was compiled at that commit to produce it, with
+// that commit's boxed shuffle-row constructor where joinRow, which renders
+// join cells, stands now:
 //
 //	cp join_evict_fixture_gen_test.go <checkout of c9cbacb>/internal/incremental/
 //	JOIN_WRITE_EVICT_FIXTURE=<dir> go test -run TestWriteJoinEvictFixture ./internal/incremental
@@ -37,7 +38,7 @@ func joinEvictFixtureInputs(e int64) [][]sql.Row {
 	for s := range inputs {
 		for i, key := range []sql.Value{"a", "b"} {
 			ts := (100 + 20*e + 5*int64(i) - int64(s)) * sec
-			inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}))
+			inputs[s] = append(inputs[s], joinRow([]sql.Value{key}, ts, sql.Row{key, ts}))
 		}
 	}
 	return inputs

@@ -13,8 +13,10 @@ import (
 // before join state was grouped by (join key, time bucket) (83d75ff): one
 // header per (side, join key), entry keys without a bucket, a 'w' value that
 // holds the eviction floor and nothing else. This file is the fixture's
-// definition — the epochs are a pure function of their number — and compiles
-// at that commit too, which is how the fixture was produced:
+// definition — the epochs are a pure function of their number — and was
+// compiled at that commit to produce it, with that commit's boxed
+// shuffle-row constructor where joinRow, which renders join cells, stands
+// now:
 //
 //	cp join_fixture_gen_test.go <checkout of 83d75ff>/internal/incremental/
 //	JOIN_WRITE_FIXTURE=<dir> go test -run TestWriteJoinStateFixture ./internal/incremental
@@ -34,7 +36,7 @@ func joinFixtureInputs(e int64) [][]sql.Row {
 	for s := range inputs {
 		for i := int64(0); i < 4; i++ {
 			key, ts := sql.Value([]string{"a", "b"}[i%2]), (100+10*(4*e+i)-int64(s))*sec
-			inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}))
+			inputs[s] = append(inputs[s], joinRow([]sql.Value{key}, ts, sql.Row{key, ts}))
 		}
 	}
 	return inputs

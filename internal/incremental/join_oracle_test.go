@@ -4,7 +4,8 @@ package incremental
 // state layout: one state value per (side, join key) holding every buffered
 // row. It survives only here, as the reference the differential test in
 // join_test.go holds the new layout to. It shares the operator's
-// configuration struct and the row codec with join.go, and nothing else.
+// configuration struct, the shuffle cell's fields and the row codec with
+// join.go, and nothing else.
 
 import (
 	"encoding/binary"
@@ -97,6 +98,24 @@ func oracleEvictBefore(j *StreamStreamJoin, side byte, wm int64) int64 {
 	return wm
 }
 
+// joinRowOf reads a join shuffle row back with the codec alone: the equi-key
+// values, the event time, and the row.
+func joinRowOf(sr sql.Row) (key []sql.Value, ts int64, row sql.Row, err error) {
+	c, ok := sr[0].(*joinCell)
+	if !ok || len(sr) != 2 || sr[1] != sql.Value(c.ts) {
+		return nil, 0, nil, fmt.Errorf("incremental: malformed join shuffle row")
+	}
+	if key, err = codec.DecodeValues(c.key); err != nil {
+		return nil, 0, nil, err
+	}
+	entryTs, w := binary.Varint(c.entry)
+	if w <= 0 || entryTs != c.ts || len(c.entry) == w || c.entry[w] != 0 {
+		return nil, 0, nil, fmt.Errorf("incremental: malformed join cell entry")
+	}
+	row, err = codec.DecodeRow(c.entry[w+1:])
+	return key, c.ts, row, err
+}
+
 // oracleJoinProcess is the parent's Process (it also reports where the rows
 // emitted by eviction start): per arriving row a Get,
 // decode-all, append, re-encode-all, Put on both sides, and a full Iterate
@@ -130,16 +149,15 @@ func oracleJoinProcess(j *StreamStreamJoin, ctx *EpochContext, store *state.Stor
 		return ok && b
 	}
 
-	// numKeys derives from the shuffle row layout: keys + ts + payload.
 	process := func(rows []sql.Row, ownSide, otherSide byte, ownArity int) error {
 		for _, sr := range rows {
-			nkeys := len(sr) - 1 - ownArity
-			if nkeys < 0 {
-				return fmt.Errorf("incremental: malformed join shuffle row")
+			key, ts, row, err := joinRowOf(sr)
+			if err != nil {
+				return err
 			}
-			key := sr[:nkeys]
-			ts, _ := sr[nkeys].(int64)
-			row := append(sql.Row(nil), sr[nkeys+1:]...)
+			if len(row) != ownArity {
+				return fmt.Errorf("incremental: join row of %d values on a side of %d", len(row), ownArity)
+			}
 			keyBytes := codec.EncodeValues(key)
 
 			// Skip NULL keys: they can never match, and buffering them

@@ -17,6 +17,7 @@ import (
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/vec"
 	"structream/internal/state"
 )
 
@@ -35,6 +36,25 @@ func joinStore(t testing.TB, backend state.Backend) (*state.Provider, *state.Sto
 		t.Fatal(err)
 	}
 	return p, s
+}
+
+// joinRow renders one row as a join's map task does — the shuffle row of a
+// cell with this key and event time — cut from slabs of its own.
+func joinRow(key []sql.Value, ts int64, row sql.Row) sql.Row {
+	var c joinCells
+	c.addRow(key, ts, row)
+	return c.scatter(1)[0][0]
+}
+
+// parentEntry is the entry value the layout defines for a buffered row — the
+// bytes the commits that boxed rows on the way to the store wrote: varint ts,
+// matched byte, codec row.
+func parentEntry(row sql.Row, ts int64, matched bool) []byte {
+	v := binary.AppendVarint(nil, ts)
+	if matched {
+		return append(append(v, 1), codec.EncodeRow(row)...)
+	}
+	return append(append(v, 0), codec.EncodeRow(row)...)
 }
 
 // bufferedRow is one live buffered row as either layout describes it.
@@ -128,17 +148,18 @@ func indexedBuffered(t *testing.T, j *StreamStreamJoin, store *state.Store) []bu
 		case tagEntry:
 			bucket, w := binary.Uvarint(k[2:])
 			kb, idx := k[2+w:len(k)-8], binary.BigEndian.Uint64(k[len(k)-8:])
-			var e joinEntry
-			if err := e.decode(v); err != nil {
-				t.Fatalf("entry %x: %v", k, err)
+			ts, rest, err := entryTs(v)
+			row, rowErr := entryRow(v, nil, 0)
+			if err != nil || rowErr != nil {
+				t.Fatalf("entry %x: %v, %v", k, err, rowErr)
 			}
-			if bucket != testBucket(width, e.ts) {
-				t.Fatalf("entry %x with ts %d sits in bucket %d of width %d", k, e.ts, bucket, width)
+			if bucket != testBucket(width, ts) {
+				t.Fatalf("entry %x with ts %d sits in bucket %d of width %d", k, ts, bucket, width)
 			}
 			at(k[1:len(k)-8]).entries++
-			rows = append(rows, located{bufferedRow{k[1], string(kb), e.row.String(), e.ts, e.matched}, bucket, idx})
-			if e.ts >= 0 && eventIdx[k[1]] >= 0 {
-				evictable[string(new(joinKeyBuf).key(tagTime, k[1], uint64(e.ts), kb, idx))] = true
+			rows = append(rows, located{bufferedRow{k[1], string(kb), row.String(), ts, rest[0] == 1}, bucket, idx})
+			if ts >= 0 && eventIdx[k[1]] >= 0 {
+				evictable[string(new(joinKeyBuf).key(tagTime, k[1], uint64(ts), kb, idx))] = true
 			}
 		case tagTime:
 			if _, _, _, err := parseJoinTimeKey(k); err != nil {
@@ -305,7 +326,7 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 								} else if rng.Intn(20) == 0 { // NULL event time: never evicted, later rows of its key are
 									shuffleTs, rowTs = -1, nil
 								}
-								rows[i] = JoinShuffleRow([]sql.Value{key}, shuffleTs, sql.Row{key, rowTs, nextID})
+								rows[i] = joinRow([]sql.Value{key}, shuffleTs, sql.Row{key, rowTs, nextID})
 							}
 							return rows
 						}
@@ -329,7 +350,11 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 							}
 							rightArrived := map[sql.Value]bool{}
 							for _, sr := range inputs[1] {
-								rightArrived[sr[len(sr)-1]] = true
+								_, _, row, err := joinRowOf(sr)
+								if err != nil {
+									t.Fatal(err)
+								}
+								rightArrived[row[len(row)-1]] = true
 							}
 							g, w := rowStrings(got), rowStrings(inBucketOrder(want[:evictedFrom], width, rightArrived))
 							w = append(w, rowStrings(want[evictedFrom:])...)
@@ -405,7 +430,7 @@ func TestJoinHotKeyStaysLinear(t *testing.T) {
 			for s, key := range []sql.Value{"left-hot", "right-hot"} {
 				for i := 0; i < perEpoch; i++ {
 					ts := int64(epoch*perEpoch+i+1) * sec
-					inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, ts, sql.Row{key, ts}))
+					inputs[s] = append(inputs[s], joinRow([]sql.Value{key}, ts, sql.Row{key, ts}))
 				}
 			}
 			// A watermark that never reaches a row: eviction runs and finds nothing.
@@ -449,6 +474,112 @@ func TestJoinHotKeyStaysLinear(t *testing.T) {
 	}
 }
 
+// TestJoinBucketZeroAcrossEpochs: rows with a NULL or a negative event time
+// live in bucket 0 of a banded join, which no watermark reaches, and a
+// negative time still matches inside the band. A side's bucket-0 rows
+// arrive in an epoch before the other side's — left first, then right first
+// — and the pairs, the padded rows and the buffered rows must be the
+// reference's after every epoch, inner and left-outer, on both backends, with
+// a reload in between: a probe that skipped bucket 0 of a side that holds it
+// would lose the cross-epoch pairs.
+func TestJoinBucketZeroAcrossEpochs(t *testing.T) {
+	type r struct {
+		key string
+		ts  int64 // -1: NULL
+		id  int64
+	}
+	null := int64(-1)
+	schedules := map[string][][2][]r{ // per epoch, left and right rows
+		"left first": {
+			{{{"k", -3 * sec, 1}, {"k", null, 2}, {"k", 5 * sec, 3}, {"j", -20 * sec, 4}}, nil},
+			{nil, {{"k", -1 * sec, 10}, {"k", null, 11}, {"k", 6 * sec, 12}, {"j", -15 * sec, 13}}},
+			{{{"k", -4 * sec, 5}}, {{"k", -2 * sec, 14}}},
+			{nil, {{"j", -11 * sec, 15}, {"k", 20 * sec, 16}}},
+		},
+		"right first": {
+			{nil, {{"k", -1 * sec, 10}, {"k", null, 11}, {"k", 6 * sec, 12}, {"j", -15 * sec, 13}}},
+			{{{"k", -3 * sec, 1}, {"k", null, 2}, {"k", 5 * sec, 3}, {"j", -20 * sec, 4}}, nil},
+			{{{"k", -9 * sec, 5}}, {{"k", -2 * sec, 14}}},
+			{{{"j", -16 * sec, 6}, {"k", 20 * sec, 7}}, nil},
+		},
+	}
+	for name, epochs := range schedules {
+		for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin} {
+			for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
+				t.Run(fmt.Sprintf("%s/%v/%s", name, typ, backend), func(t *testing.T) {
+					band := TimeBand{Lo: 0, Hi: 10 * sec}
+					j := &StreamStreamJoin{OpName: "join", Type: typ, LeftArity: 3, RightArity: 3,
+						LeftEventIdx: 1, RightEventIdx: 1, Band: &band,
+						Residual: func(row sql.Row) sql.Value {
+							l, lok := row[1].(int64)
+							r, rok := row[4].(int64)
+							if !lok || !rok {
+								return nil
+							}
+							return r-l >= band.Lo && r-l <= band.Hi
+						}}
+					prov, store := joinStore(t, backend)
+					_, ref := joinStore(t, state.BackendMemory)
+					negativePairs := 0
+					for epoch, sides := range epochs {
+						var inputs [2][]sql.Row
+						for s, rows := range sides {
+							for _, x := range rows {
+								ts, row := x.ts, sql.Row{x.key, sql.Value(x.ts), x.id}
+								if ts == null {
+									row[1] = nil
+								}
+								inputs[s] = append(inputs[s], joinRow([]sql.Value{x.key}, ts, row))
+							}
+						}
+						ctx := &EpochContext{Epoch: int64(epoch), Watermark: 8 * sec * int64(epoch), Mode: logical.Append}
+						got, err := j.Process(ctx, store, inputs[:])
+						if err != nil {
+							t.Fatalf("epoch %d: %v", epoch, err)
+						}
+						want, _, err := oracleJoinProcess(j, ctx, ref, inputs[:])
+						if err != nil {
+							t.Fatalf("epoch %d: oracle: %v", epoch, err)
+						}
+						g, w := rowStrings(got), rowStrings(want)
+						sort.Strings(g)
+						sort.Strings(w)
+						if !reflect.DeepEqual(g, w) {
+							t.Fatalf("epoch %d: emitted %v, the reference %v", epoch, g, w)
+						}
+						for _, row := range got {
+							if l, ok := row[1].(int64); ok && l < 0 && row[4] != nil {
+								negativePairs++
+							}
+						}
+						if err := errors.Join(store.Commit(int64(epoch)), ref.Commit(int64(epoch))); err != nil {
+							t.Fatal(err)
+						}
+						if epoch == 1 {
+							prov.Evict(store.ID())
+							if store, err = prov.Open(store.ID(), int64(epoch)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						live, refLive := indexedBuffered(t, j, store), oracleBuffered(t, ref, j.bucketWidth())
+						for i := range refLive {
+							refLive[i].matched = refLive[i].matched && j.preserves(strings.IndexByte("LR", refLive[i].side))
+						}
+						sort.Slice(live, func(a, b int) bool { return fmt.Sprint(live[a]) < fmt.Sprint(live[b]) })
+						sort.Slice(refLive, func(a, b int) bool { return fmt.Sprint(refLive[a]) < fmt.Sprint(refLive[b]) })
+						if !reflect.DeepEqual(live, refLive) {
+							t.Fatalf("epoch %d: buffered rows differ\n got %v\nwant %v", epoch, live, refLive)
+						}
+					}
+					if negativePairs < 4 {
+						t.Fatalf("only %d pairs of negative event times: the schedule does not reach bucket 0 across epochs", negativePairs)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestJoinProbeReadsFollowLiveRows: a row with no event time on a watermarked
 // side is never evicted, so it holds its key's range open while every row
 // appended after it comes and goes. A probe reads the whole range, so the
@@ -466,9 +597,9 @@ func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
 	row := func(ts int64) sql.Row {
 		id++
 		if ts < 0 {
-			return JoinShuffleRow([]sql.Value{"k"}, -1, sql.Row{"k", nil, id})
+			return joinRow([]sql.Value{"k"}, -1, sql.Row{"k", nil, id})
 		}
-		return JoinShuffleRow([]sql.Value{"k"}, ts, sql.Row{"k", ts, id})
+		return joinRow([]sql.Value{"k"}, ts, sql.Row{"k", ts, id})
 	}
 	for epoch := int64(0); epoch < epochs; epoch++ {
 		// The watermark passes every row of the epoch before: the right side
@@ -558,7 +689,7 @@ func TestJoinRejectsOlderLayout(t *testing.T) {
 	j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 1, RightArity: 1,
 		LeftEventIdx: -1, RightEventIdx: -1}
 	_, store := joinStore(t, state.BackendMemory)
-	left := []sql.Row{JoinShuffleRow([]sql.Value{"k"}, -1, sql.Row{"k"})}
+	left := []sql.Row{joinRow([]sql.Value{"k"}, -1, sql.Row{"k"})}
 	if _, _, err := oracleJoinProcess(j, &EpochContext{}, store, [][]sql.Row{left, nil}); err != nil {
 		t.Fatal(err)
 	}
@@ -617,12 +748,13 @@ func TestJoinRejectsOlderLayout(t *testing.T) {
 // entry keys is only ever rendered, from an event time and the width the meta
 // value vouches for). Accepted input must survive a re-encode round trip;
 // corrupt input must be an error, never a panic; and a key or meta value of an
-// older layout must be named as such.
+// older layout must be named as such. The entry seeds are written through the
+// map side's cell rendering — boxed and columnar — and must be the bytes the
+// layout defines, which parent commits wrote.
 func FuzzJoinState(f *testing.F) {
-	enc := codec.NewEncoder(0)
-	f.Add((&joinGroup{lo: 1, hi: 9, live: 3}).encodeHeader())
-	f.Add((&joinEntry{row: sql.Row{"a", int64(7), nil, 1.5}, ts: 42, matched: true}).encode(enc))
-	f.Add((&joinEntry{row: sql.Row{}, ts: -1}).encode(enc))
+	f.Add((&joinGroup{lo: 1, hi: 9, live: 3}).appendHeader(nil))
+	f.Add(parentEntry(sql.Row{"a", int64(7), nil, 1.5}, 42, true))
+	f.Add(parentEntry(sql.Row{}, -1, false))
 	f.Add(new(joinKeyBuf).key(tagTime, 'L', 1_600_000_000_000_000, codec.EncodeValues([]sql.Value{int64(12)}), 77))
 	f.Add(new(joinKeyBuf).key(tagTime, 'R', 0, nil, 0))
 	f.Add(new(joinKeyBuf).key(tagEntry, 'L', 160_000_001, []byte("k"), 3))
@@ -633,26 +765,61 @@ func FuzzJoinState(f *testing.F) {
 	f.Add([]byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // an entry claiming a 4-billion-value row
 	// An entry whose string length wraps negative as an int (found by this fuzzer).
 	f.Add([]byte("0\x01\x04\x05\x97\x97\x97\x97\x97\x97\x97\x97\x97\x01"))
+	for _, r := range []struct {
+		row sql.Row
+		ts  int64
+	}{
+		{sql.Row{"a", int64(7), nil, 1.5}, 42},
+		{sql.Row{int64(-3), "", true}, -1},
+		{sql.Row{nil, nil}, 1_600_000_000_000_000},
+	} {
+		boxed, _ := joinCellOf(joinRow([]sql.Value{r.row[0]}, r.ts, r.row))
+		if want := parentEntry(r.row, r.ts, false); !bytes.Equal(boxed.entry, want) {
+			f.Fatalf("the boxed cell of %v at %d holds the entry %x, the layout says %x", r.row, r.ts, boxed.entry, want)
+		}
+		schema := sql.NewSchema()
+		for i, v := range r.row {
+			typ := sql.TypeNull
+			if v != nil {
+				typ = sql.TypeOf(v)
+			}
+			schema.Fields = append(schema.Fields, sql.Field{Name: fmt.Sprintf("c%d", i), Type: typ})
+		}
+		b, ok := vec.FromRows(schema, []sql.Row{r.row})
+		if !ok {
+			f.Fatalf("FromRows refused %v", r.row)
+		}
+		var cells joinCells
+		cells.addBatch(&joinShuffle{eventIdx: -1}, b)
+		columnar := cells.scatter(1)[0][0][0].(*joinCell)
+		if want := parentEntry(r.row, -1, false); !bytes.Equal(columnar.entry, want) {
+			f.Fatalf("the columnar cell of %v holds the entry %x, the layout says %x", r.row, columnar.entry, want)
+		}
+		f.Add(boxed.entry)
+		f.Add(withMatched(columnar.entry))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h joinGroup
 		if err := h.decodeHeader(data); err == nil {
 			var again joinGroup
-			if err := again.decodeHeader(h.encodeHeader()); err != nil || !reflect.DeepEqual(again, h) {
+			if err := again.decodeHeader(h.appendHeader(nil)); err != nil || !reflect.DeepEqual(again, h) {
 				t.Fatalf("header %+v re-decoded as %+v (%v)", h, again, err)
 			}
 			if h.live == 0 || h.live > h.hi-h.lo {
 				t.Fatalf("accepted an impossible header %+v", h)
 			}
 		}
-		var e joinEntry
-		if err := e.decode(data); err == nil {
-			var again joinEntry
-			if err := again.decode(e.encode(enc)); err != nil || again.ts != e.ts || again.matched != e.matched ||
-				again.row.String() != e.row.String() {
-				t.Fatalf("entry %+v re-decoded as %+v (%v)", e, again, err)
+		if row, err := entryRow(data, nil, 0); err == nil {
+			ts, rest, err := entryTs(data)
+			if err != nil {
+				t.Fatalf("entry %x decodes to %v but its ts does not: %v", data, row, err)
 			}
-			if ts, _, err := entryTs(data); err != nil || ts != e.ts {
-				t.Fatalf("entry %+v leads with ts %d (%v)", e, ts, err)
+			again := parentEntry(row, ts, rest[0] == 1)
+			if againRow, err := entryRow(again, nil, 0); err != nil || againRow.String() != row.String() {
+				t.Fatalf("entry %v at %d re-decoded as %v (%v)", row, ts, againRow, err)
+			}
+			if c, _ := joinCellOf(joinRow([]sql.Value{nil}, ts, row)); rest[0] == 0 && !bytes.Equal(c.entry, again) {
+				t.Fatalf("the cell of %v at %d holds the entry %x, the layout says %x", row, ts, c.entry, again)
 			}
 		}
 		floor, width, err := decodeJoinMeta(data)

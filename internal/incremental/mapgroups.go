@@ -112,15 +112,22 @@ func (m *FlatMapGroupsWithState) Process(ctx *EpochContext, store *state.Store, 
 			gs.Present = true
 		}
 		out = append(out, m.Func(key, rows, gs)...)
+		// The writes say what the read found: ok.
+		put := store.PutNew
+		if ok {
+			put = store.PutLive
+		}
 		switch {
+		case gs.Removed && ok:
+			store.RemoveLive(keyBytes)
 		case gs.Removed:
 			store.Remove(keyBytes)
 		case gs.Dirty:
-			store.Put(keyBytes, encodeGroupState(gs.StateRow, gs.TimeoutAt, gs.EventTimed))
+			put(keyBytes, encodeGroupState(gs.StateRow, gs.TimeoutAt, gs.EventTimed))
 		case timedOut:
 			// A fired timeout that neither updated nor removed state still
 			// clears its arming, as in Spark.
-			store.Put(keyBytes, encodeGroupState(gs.StateRow, 0, gs.EventTimed))
+			put(keyBytes, encodeGroupState(gs.StateRow, 0, gs.EventTimed))
 		}
 		return nil
 	}

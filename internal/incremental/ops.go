@@ -543,6 +543,18 @@ func partialOf(r sql.Row) (*partialCell, bool) {
 	return c, ok && c != nil
 }
 
+// cellOf reports the routing hash and key bytes of the cell a shuffle row
+// consists of: an aggregate's partial cell or a join's cell.
+func cellOf(r sql.Row) (hash uint64, key []byte, ok bool) {
+	if c, ok := partialOf(r); ok {
+		return c.hash, c.key, true
+	}
+	if c, ok := joinCellOf(r); ok {
+		return c.hash, c.key, true
+	}
+	return 0, nil, false
+}
+
 // keyValueAt returns where value idx of an encoded grouping key starts, or
 // -1 when the key does not decode that far.
 func keyValueAt(key []byte, idx int) int {
@@ -691,7 +703,8 @@ func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.St
 		if err := a.loadAggState(c.state, merged); err != nil {
 			return nil, err
 		}
-		if existing, ok := store.Get(c.key); ok {
+		existing, ok := store.Get(c.key)
+		if ok {
 			incoming := merged
 			merged = a.newBuffers()
 			if err := a.loadAggState(existing, merged); err != nil {
@@ -700,8 +713,10 @@ func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.St
 			for i := range merged {
 				merged[i].Merge(incoming[i])
 			}
+			store.PutLive(c.key, appendAggState(nil, merged))
+		} else {
+			store.PutNew(c.key, appendAggState(nil, merged))
 		}
-		store.Put(c.key, appendAggState(nil, merged))
 		if g, seen := changed[string(c.key)]; seen {
 			g.bufs = merged
 		} else {
@@ -835,7 +850,11 @@ func (a *StatefulAggregate) mergeBatched(ctx *EpochContext, store *state.Store, 
 			ms.val = appendAggState(ms.val[:0], ms.dst)
 			value = append([]byte(nil), ms.val...)
 		}
-		store.Put(keys[gi], value)
+		if oks[gi] {
+			store.PutLive(keys[gi], value)
+		} else {
+			store.PutNew(keys[gi], value)
+		}
 		if ctx.Mode == logical.Update {
 			row, err := a.resultRow(keys[gi], ms.dst)
 			if err != nil {
@@ -1034,7 +1053,7 @@ func (d *StreamingDedup) Process(ctx *EpochContext, store *state.Store, inputs [
 			}
 		}
 		seenNow[string(keys[j])] = true
-		store.Put(keys[j], binary.AppendVarint(nil, ts))
+		store.PutNew(keys[j], binary.AppendVarint(nil, ts))
 		out = append(out, r)
 	}
 	// Evict keys whose event time has passed the watermark.

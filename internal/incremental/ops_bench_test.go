@@ -144,21 +144,22 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 				zipf := rand.NewZipf(rng, 1.05, 20, 4095)
 				clock := int64(0)
 				epoch := func(version int64) {
-					var inputs [2][]sql.Row
+					var cells [2]joinCells // each side's rows rendered as one map task would
 					for i := 0; i < joinBenchEpoch; i++ {
 						clock += sec / 100 // 100 rows per side per event-time second
-						for s := range inputs {
+						for s := range cells {
 							key := int64(rng.Intn(4096))
 							if shape == "hotkey" && rng.Intn(5) == 0 {
 								key = -1
 							} else if shape == "band" {
 								key = int64(zipf.Uint64())
 							}
-							inputs[s] = append(inputs[s], JoinShuffleRow([]sql.Value{key}, clock, sql.Row{key, clock, version}))
+							cells[s].addRow([]sql.Value{key}, clock, sql.Row{key, clock, version})
 						}
 					}
+					inputs := [][]sql.Row{cells[0].scatter(1)[0], cells[1].scatter(1)[0]}
 					ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-delay), Mode: logical.Append}
-					if _, err := j.Process(ctx, store, inputs[:]); err != nil {
+					if _, err := j.Process(ctx, store, inputs); err != nil {
 						b.Fatal(err)
 					}
 					if err := store.Commit(version); err != nil {

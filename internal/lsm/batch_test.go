@@ -84,3 +84,51 @@ func TestGetBatchBytesMatchesGetBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSortBatchOrdersAsBytes: SortBatch puts a batch in the order of its keys'
+// bytes on both of its paths — a comparison sort below radixMin, the radix
+// sort on eight-byte prefixes from it up — over keys that share long
+// prefixes, keys shorter than eight bytes whose zero padding ties them with
+// longer ones ("ab" and "ab\x00"), and random bytes; every value moves with
+// its key, and the scratch one call returns serves the next of any size.
+func TestSortBatchOrdersAsBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var handles [][2]uint64
+	for _, n := range []int{2, 7, radixMin - 1, radixMin, radixMin + 1, 3000, 40} {
+		for _, shape := range []string{"state", "short", "random"} {
+			seen := map[string]bool{}
+			var b Batch
+			for len(b) < n {
+				var k []byte
+				switch shape {
+				case "state": // the join's entry keys: tag, side, bucket, key, index
+					k = fmt.Appendf(nil, "e%c\x05%c%08d", "LR"[rng.Intn(2)], 'a'+rng.Intn(3), rng.Intn(4*n))
+				case "short":
+					k = make([]byte, rng.Intn(10))
+					for i := range k {
+						k[i] = "ab\x00"[rng.Intn(3)]
+					}
+				default:
+					k = make([]byte, 1+rng.Intn(12))
+					rng.Read(k)
+				}
+				if !seen[string(k)] {
+					seen[string(k)] = true
+					b = append(b, Entry{Key: string(k), Value: []byte("v" + string(k))})
+				}
+			}
+			handles = SortBatch(b, handles)
+			for i, e := range b {
+				if i > 0 && bytes.Compare([]byte(b[i-1].Key), []byte(e.Key)) >= 0 {
+					t.Fatalf("%s, %d keys: %q before %q", shape, n, b[i-1].Key, e.Key)
+				}
+				if string(e.Value) != "v"+e.Key {
+					t.Fatalf("%s, %d keys: key %q carries the value %q", shape, n, e.Key, e.Value)
+				}
+			}
+			if len(b) != n {
+				t.Fatalf("%s: %d entries after sorting %d", shape, len(b), n)
+			}
+		}
+	}
+}

@@ -71,37 +71,78 @@ type Batch []Entry
 // It is the one key sort of the state store and the tree. State keys share
 // long prefixes (operator tag, side, bucket), so the sort runs over a
 // 16-byte handle per entry — the key's prefix (keyPrefix) and the entry's
-// position — and touches the strings only where two prefixes tie. The
+// position — and touches the strings only where two prefixes tie. A batch of
+// radixMin entries or more is ordered by a least-significant-digit radix sort
+// on the prefix, a byte per pass, with the passes skipped whose byte every
+// prefix shares; then each run of equal prefixes is sorted by key. The
 // handles are scratch: a caller that sorts every epoch passes the slice the
 // last call returned and the sort allocates nothing; nil is always valid.
 func SortBatch(b Batch, handles [][2]uint64) [][2]uint64 {
-	if len(b) < 2 {
+	n := len(b)
+	if n < 2 {
 		return handles
 	}
-	hs := slices.Grow(handles[:0], len(b))[:len(b)]
+	hs := slices.Grow(handles[:0], 2*n)[:2*n]
+	order, spare := hs[:n], hs[n:]
 	for i := range b {
-		hs[i] = [2]uint64{keyPrefix(b[i].Key), uint64(i)}
+		order[i] = [2]uint64{keyPrefix(b[i].Key), uint64(i)}
 	}
-	slices.SortFunc(hs, func(x, y [2]uint64) int {
-		if x[0] != y[0] {
-			if x[0] < y[0] {
-				return -1
+	byKey := func(x, y [2]uint64) int { return strings.Compare(b[x[1]].Key, b[y[1]].Key) }
+	if n < radixMin {
+		slices.SortFunc(order, func(x, y [2]uint64) int {
+			if x[0] != y[0] {
+				if x[0] < y[0] {
+					return -1
+				}
+				return 1
 			}
-			return 1
+			return byKey(x, y)
+		})
+	} else {
+		var counts [8][256]int
+		for _, h := range order {
+			for d := range counts {
+				counts[d][byte(h[0]>>(8*d))]++
+			}
 		}
-		return strings.Compare(b[x[1]].Key, b[y[1]].Key)
-	})
+		for d := range counts {
+			c := &counts[d]
+			if c[byte(order[0][0]>>(8*d))] == n {
+				continue // every prefix has this byte: the pass would move nothing
+			}
+			at := 0
+			for k, m := range c {
+				c[k], at = at, at+m
+			}
+			for _, h := range order {
+				k := byte(h[0] >> (8 * d))
+				spare[c[k]] = h
+				c[k]++
+			}
+			order, spare = spare, order
+		}
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && order[j][0] == order[i][0] {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(order[i:j], byKey)
+			}
+			i = j
+		}
+	}
 	// Move every entry to its place by walking the permutation's cycles; a
 	// handle whose entry has been placed is marked.
 	const placed = ^uint64(0)
-	for i := range hs {
-		if hs[i][1] == placed {
+	for i := range order {
+		if order[i][1] == placed {
 			continue
 		}
 		first := b[i]
 		for j := i; ; {
-			from := int(hs[j][1])
-			hs[j][1] = placed
+			from := int(order[j][1])
+			order[j][1] = placed
 			if from == i {
 				b[j] = first
 				break
@@ -112,6 +153,10 @@ func SortBatch(b Batch, handles [][2]uint64) [][2]uint64 {
 	}
 	return hs
 }
+
+// radixMin is the batch size from which SortBatch radix-sorts: below it a
+// comparison sort costs less than clearing and filling the digit counts.
+const radixMin = 256
 
 // BatchOf is the map-taking form of a batch: a key in both maps is a delete.
 func BatchOf(puts map[string][]byte, dels map[string]bool) Batch {

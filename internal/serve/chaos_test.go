@@ -477,69 +477,86 @@ func TestChurnChaosSuite(t *testing.T) {
 // fault schedule.
 var sseConns atomic.Int64
 
-// TestEpochCommitOverheadUnderFanout bounds the serving layer's cost on
-// the commit path: with 256 live subscribers draining every epoch, the
-// engine's epoch-latency p99 must stay within 2× the no-subscriber
-// baseline (plus scheduler-noise slack) — the hub's commit-side work is
-// an atomic max and a non-blocking channel send, never a broadcast.
+// TestEpochCommitOverheadUnderFanout bounds the serving layer's work on the
+// commit path by counting it. The hub's commit-side work is an atomic max
+// and a non-blocking channel send, never a broadcast: with 256 subscribers
+// attached, the engine must commit all 50 epochs while the test holds the
+// hub's lock — so the pump, which broadcasts, cannot run, and the hub work
+// done on the commit goroutine per epoch is 0 — and once the lock is let go
+// every subscriber must receive every one of them. The test compared the
+// engine's epoch-latency p99 with and without the subscribers until that
+// comparison of two p99s of 50 epochs failed now and then under
+// `go test -race ./...` on two CPUs: a clock on a shared machine measures the
+// neighbours as much as the hub, a count does not.
 func TestEpochCommitOverheadUnderFanout(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency comparison is the long tier")
-	}
-	run := func(subscribers int) int64 {
-		src := sources.NewMemorySource("events", eventsSchema)
-		ms := sinks.NewMemorySink()
-		sq := startQuery(t, projectionPlan(), logical.Append, src, ms)
-		var h *Hub
-		var subs []*Subscription
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var wg sync.WaitGroup
-		if subscribers > 0 {
-			h = NewHub("overhead", ms, HubOptions{MaxSubscribers: subscribers + 1})
-			defer h.Close()
-			h.Attach(sq)
-			for i := 0; i < subscribers; i++ {
-				sub, err := h.Subscribe(SubscribeOptions{Cursor: -1, From: "live", SkipHello: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs = append(subs, sub)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer sub.Close()
-					for {
-						if _, err := sub.Next(ctx); err != nil {
-							return
-						}
-					}
-				}()
-			}
+	const subscribers, rounds = 256, 50
+	src := sources.NewMemorySource("events", eventsSchema)
+	ms := sinks.NewMemorySink()
+	sq := startQuery(t, projectionPlan(), logical.Append, src, ms)
+	h := NewHub("overhead", ms, HubOptions{MaxSubscribers: subscribers + 1})
+	defer h.Close()
+	h.Attach(sq)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	received := make([]atomic.Int64, subscribers) // epoch frames, per subscriber
+	for i := range received {
+		sub, err := h.Subscribe(SubscribeOptions{Cursor: -1, From: "live", SkipHello: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Feed in rounds so the run commits many epochs — p99 needs a
-		// population, not one giant batch.
-		for round := 0; round < 50; round++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Close()
+			for {
+				f, err := sub.Next(ctx)
+				if err != nil {
+					return
+				}
+				if f.Kind == FrameEpoch {
+					received[i].Add(1)
+				}
+			}
+		}()
+	}
+	first := sq.LastCommittedEpoch()
+	fed := make(chan error, 1)
+	h.mu.Lock()
+	go func() {
+		for round := 0; round < rounds; round++ {
 			for i := 0; i < 40; i++ {
 				src.AddData(sql.Row{fmt.Sprintf("k%02d-%02d", round, i), float64(i), int64(0)})
 			}
 			if err := sq.ProcessAllAvailable(); err != nil {
-				t.Fatal(err)
+				fed <- err
+				return
 			}
 		}
-		cancel()
-		wg.Wait()
-		snap := sq.Metrics().Snapshot()
-		p99, ok := snap["epoch.us.p99"]
-		if !ok || p99 <= 0 {
-			t.Fatalf("no epoch.us.p99 in engine metrics: %v", snap)
-		}
-		return p99
+		fed <- nil
+	}()
+	var err error
+	select {
+	case err = <-fed:
+	case <-time.After(time.Minute):
+		err = fmt.Errorf("the engine stopped committing while the hub's lock was held: the commit path waits on the hub")
 	}
-	baseline := run(0)
-	withFanout := run(256)
-	t.Logf("epoch p99: baseline %dµs, 256 subscribers %dµs", baseline, withFanout)
-	if limit := 2*baseline + 5000; withFanout > limit {
-		t.Errorf("epoch p99 under fan-out = %dµs, want <= 2x baseline + slack (%dµs)", withFanout, limit)
+	committed := sq.LastCommittedEpoch() - first
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed < rounds {
+		t.Fatalf("%d epochs committed for %d rounds", committed, rounds)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for i := range received {
+		for received[i].Load() < committed {
+			if time.Now().After(deadline) {
+				t.Fatalf("subscriber %d received %d of the %d epochs committed", i, received[i].Load(), committed)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -40,6 +40,9 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // PutValue appends one value.
 func (e *Encoder) PutValue(v sql.Value) { e.buf = sql.AppendValue(e.buf, v) }
 
+// PutRaw appends bytes as they are: framing a caller writes around values.
+func (e *Encoder) PutRaw(b ...byte) { e.buf = append(e.buf, b...) }
+
 // PutRow appends a length-prefixed row.
 func (e *Encoder) PutRow(r sql.Row) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(r)))

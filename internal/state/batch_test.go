@@ -140,9 +140,9 @@ func TestRangeMatchesIterate(t *testing.T) {
 	})
 }
 
-// TestKnownWritesFeedKeyCount: PutNew's and RemoveLive's claim stands in for
-// the read the store would otherwise make to keep its key count, and never
-// overrides a read.
+// TestKnownWritesFeedKeyCount: what PutNew, PutLive and RemoveLive say of
+// committed state stands in for the read the store would otherwise make to
+// keep its key count; a read says nothing and leaves nothing behind.
 func TestKnownWritesFeedKeyCount(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
@@ -158,7 +158,7 @@ func TestKnownWritesFeedKeyCount(t *testing.T) {
 		if _, ok := s.Get([]byte("old")); !ok {
 			t.Fatal("committed key not found")
 		}
-		s.PutNew([]byte("old"), []byte("1b")) // wrong, and too late: the Get above knows better
+		s.PutLive([]byte("old"), []byte("1b")) // the write says what the Get found
 		if n := s.NumKeys(); n != 2 {
 			t.Fatalf("NumKeys = %d with one key added, one removed and one rewritten, want 2", n)
 		}
@@ -188,8 +188,11 @@ func TestKnownWritesFeedKeyCount(t *testing.T) {
 }
 
 // TestStagingLooksUpOncePerKey: a write that carries what its caller knows
-// of the key costs one lookup of the staging table — the join's two keys in
-// and two keys out per buffered row used to cost two each.
+// of the key costs one lookup of the staging table, and a read costs none —
+// the join's two keys in and two keys out per buffered row used to cost two
+// each, and a read-modify-write's read one more. What the writes say after a
+// read keeps the key count right, whichever of found and not found, put and
+// remove they are.
 func TestStagingLooksUpOncePerKey(t *testing.T) {
 	p := NewProviderFS(fsx.NoSync(), t.TempDir())
 	defer p.Close()
@@ -216,6 +219,58 @@ func TestStagingLooksUpOncePerKey(t *testing.T) {
 	if got := s.NumKeys(); got != 0 {
 		t.Fatalf("NumKeys = %d after removing every key, want 0", got)
 	}
+
+	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+		p := mk(t.TempDir())
+		defer p.Close()
+		s := open(t, p, -1)
+		for i := 0; i < n; i += 2 { // the even keys are committed
+			s.Put(key(i), []byte("v"))
+		}
+		if err := s.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		before := s.probes
+		_, oks := s.GetBatch(keys)
+		if got := s.probes - before; got != 0 {
+			t.Fatalf("a GetBatch of %d keys probed the staging table %d times", n, got)
+		}
+		// Keys 4k and 4k+1 are put, 4k+2 and 4k+3 removed: each of found and
+		// not found, put and remove, a quarter of the keys.
+		live := n / 2
+		for i, k := range keys {
+			switch put := i%4 < 2; {
+			case put && oks[i]:
+				s.PutLive(k, []byte("w"))
+			case put:
+				s.PutNew(k, []byte("w"))
+				live++
+			case oks[i]:
+				s.RemoveLive(k)
+				live--
+			default:
+				s.Remove(k) // nothing to say of a key that is not there: Commit looks
+			}
+		}
+		if got := s.probes - before; got != n {
+			t.Fatalf("a GetBatch of %d keys and a write of each probed the staging table %d times, want %d", n, got, n)
+		}
+		if got := s.NumKeys(); got != live {
+			t.Fatalf("NumKeys before commit = %d, want %d", got, live)
+		}
+		if err := s.Commit(1); err != nil {
+			t.Fatal(err)
+		}
+		iterated := 0
+		s.Iterate(func(_, _ []byte) bool { iterated++; return true })
+		if got := s.NumKeys(); got != live || iterated != live {
+			t.Fatalf("NumKeys after commit = %d and %d keys iterated, want %d", got, iterated, live)
+		}
+	})
 }
 
 // TestApplyBatchStagesMerges pins ApplyBatch's contract: merge sees the

@@ -485,9 +485,9 @@ type storeBackend interface {
 	scan(from, to []byte, fn func(key, value []byte) bool) error
 	// numKeys counts committed live keys.
 	numKeys() (int64, error)
-	// commit durably applies one version's staged mutations, sorted. Each
-	// entry carries what the epoch already learned of the key's committed
-	// existence by reading (Known, Live) — backends may use it to skip
+	// commit durably applies one version's staged mutations, sorted. An
+	// entry carries what its writer said of the key's committed existence
+	// (Known, Live), if it said anything — backends may use it to skip
 	// redundant lookups and may ignore it. The batch is the store's to
 	// reuse once commit returns, and its key strings are cut from chunks
 	// shared by every key the epoch touched: a backend keeps values, and
@@ -517,16 +517,15 @@ type Store struct {
 	// backend, trip the tree's own version guard with a misleading error).
 	dirty bool
 
-	// table is the epoch's one record of every key the operator has touched:
-	// index finds a key's slot in it. A slot holds the staged mutation, if
-	// any, and what the epoch has learned of the key's committed existence,
-	// so each Put/PutNew/Remove/RemoveLive/Get is one lookup and each
-	// distinct key is copied once. Commit sorts the staged slots into the
-	// version's delta and empties the table; Abort and Open drop it.
+	// table is the epoch's one record of every key the operator has written:
+	// index finds a key's slot in it. A slot holds the staged mutation and
+	// what its first write said of the key's committed existence, so each
+	// write is one lookup and each distinct key is copied once. Reads only
+	// look: a key that is read and never written leaves no slot. Commit
+	// sorts the slots into the version's delta and empties the table; Abort
+	// and Open drop it.
 	index map[string]int32
 	table []slot
-	// staged counts the slots holding a mutation.
-	staged int
 	// pass numbers the Iterate calls, for slot.seen.
 	pass uint32
 	// probes counts slotFor's index lookups; tests read it.
@@ -550,15 +549,14 @@ type Store struct {
 }
 
 // slot is one key of the staging table. The embedded entry is the staged
-// put (Value) or delete (Tomb) when staged is set; its Known/Live pair
-// memoizes committed-key existence learned by this epoch's reads and hints
-// whether or not anything is staged. The memo is epoch-local: the table is
-// dropped whenever committed state can change underneath (commit, abort,
-// reload).
+// put (Value) or delete (Tomb); its Known/Live pair is what the key's first
+// write this epoch said of its committed existence, when that write said
+// anything (PutNew, PutLive, RemoveLive), and what NumKeys looked up
+// otherwise. The table is dropped whenever committed state can change
+// underneath (commit, abort, reload).
 type slot struct {
 	lsm.Entry
-	staged bool
-	seen   uint32 // the Iterate pass that met the key in committed state
+	seen uint32 // the Iterate pass that met the key in committed state
 }
 
 // ID returns the store's identity.
@@ -567,13 +565,13 @@ func (s *Store) ID() ID { return s.id }
 // Version returns the last committed version (-1 when empty/new).
 func (s *Store) Version() int64 { return s.version }
 
-// slotFor returns key's slot, adding an empty one when the epoch has not
-// touched the key yet — the one place a key is copied.
-func (s *Store) slotFor(key []byte) *slot {
+// slotFor returns key's slot and whether the epoch's first write of the key
+// made it — the one place a key is copied.
+func (s *Store) slotFor(key []byte) (e *slot, fresh bool) {
 	s.probes++
 	// The string conversion in the map index expression is allocation-elided.
 	if i, ok := s.index[string(key)]; ok {
-		return &s.table[i]
+		return &s.table[i], false
 	}
 	if s.index == nil {
 		s.index = map[string]int32{}
@@ -581,21 +579,29 @@ func (s *Store) slotFor(key []byte) *slot {
 	k := lsm.CutKey(&s.keys, key)
 	s.index[k] = int32(len(s.table))
 	s.table = append(s.table, slot{Entry: lsm.Entry{Key: k}})
-	return &s.table[len(s.table)-1]
+	return &s.table[len(s.table)-1], true
+}
+
+// staged returns key's staged mutation, nil when the epoch has not written
+// the key. It only looks: the table is not touched.
+func (s *Store) staged(key []byte) *slot {
+	if i, ok := s.index[string(key)]; ok {
+		return &s.table[i]
+	}
+	return nil
 }
 
 // Get returns the value for key, honoring uncommitted changes. A backend
 // read error reports absent and latches the error for Commit.
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	if i, ok := s.index[string(key)]; ok && s.table[i].staged {
-		return s.table[i].Value, !s.table[i].Tomb
+	if e := s.staged(key); e != nil {
+		return e.Value, !e.Tomb
 	}
 	v, ok, err := s.backend.get(key)
 	if err != nil {
 		s.fail(err)
 		return nil, false
 	}
-	s.noteKnown(s.slotFor(key), ok)
 	return v, ok
 }
 
@@ -604,15 +610,26 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // a single getBatch call. Results are positionally aligned with keys;
 // duplicate keys are allowed and resolve independently. A backend read
 // error reports the affected keys absent and latches the error for Commit,
-// matching Get's contract.
+// matching Get's contract. Like Get it stages nothing and remembers nothing:
+// a caller that writes a key it read says what the read found with the
+// write (PutNew, PutLive, RemoveLive).
 func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
+	if len(s.table) == 0 {
+		// Nothing staged: the backend answers every key, into slices of its own.
+		values, oks, err := s.backend.getBatch(keys)
+		if err != nil {
+			s.fail(err)
+			return make([][]byte, len(keys)), make([]bool, len(keys))
+		}
+		return values, oks
+	}
 	values = make([][]byte, len(keys))
 	oks = make([]bool, len(keys))
 	needIdx := make([]int, 0, len(keys))
 	needKeys := make([][]byte, 0, len(keys))
 	for i, key := range keys {
-		if j, ok := s.index[string(key)]; ok && s.table[j].staged {
-			values[i], oks[i] = s.table[j].Value, !s.table[j].Tomb
+		if e := s.staged(key); e != nil {
+			values[i], oks[i] = e.Value, !e.Tomb
 			continue
 		}
 		needIdx = append(needIdx, i)
@@ -628,7 +645,6 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	}
 	for j, i := range needIdx {
 		values[i], oks[i] = bv[j], bok[j]
-		s.noteKnown(s.slotFor(keys[i]), bok[j])
 	}
 	return values, oks
 }
@@ -637,20 +653,19 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 // stages merge(i, existing, ok) as each key's new value. A nil result from
 // merge stages a deletion. Duplicate keys all observe the pre-batch state;
 // callers that need read-your-write semantics within the batch must
-// deduplicate first.
+// deduplicate first. Each write says what the read found.
 func (s *Store) ApplyBatch(keys [][]byte, merge func(i int, existing []byte, ok bool) []byte) {
 	values, oks := s.GetBatch(keys)
 	for i, key := range keys {
 		if v := merge(i, values[i], oks[i]); v != nil {
-			s.Put(key, v)
+			s.stageKnown(key, v, false, oks[i])
+		} else if oks[i] {
+			s.RemoveLive(key)
 		} else {
 			s.Remove(key)
 		}
 	}
 }
-
-// noteKnown records a fact read from committed state.
-func (s *Store) noteKnown(e *slot, has bool) { e.Known, e.Live = true, has }
 
 func (s *Store) fail(err error) {
 	if s.err == nil {
@@ -658,45 +673,48 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// stage records a put or a delete in a key's slot.
-func (s *Store) stage(e *slot, value []byte, tomb bool) {
-	if !e.staged {
-		e.staged = true
-		s.staged++
-	}
-	e.Value, e.Tomb = value, tomb
-}
-
 // Put stages a key/value write for the current epoch. The store retains
 // the value slice — callers must not mutate it afterward. (Every operator
 // passes a freshly encoded buffer; copying it again here would double the
 // hot path's allocation rate.)
-func (s *Store) Put(key, value []byte) { s.stage(s.slotFor(key), value, false) }
+func (s *Store) Put(key, value []byte) {
+	e, _ := s.slotFor(key)
+	e.Value, e.Tomb = value, false
+}
 
 // Remove stages a deletion.
-func (s *Store) Remove(key []byte) { s.stage(s.slotFor(key), nil, true) }
+func (s *Store) Remove(key []byte) {
+	e, _ := s.slotFor(key)
+	e.Value, e.Tomb = nil, true
+}
 
-// PutNew is Put for a key the caller knows committed state does not hold —
-// new by construction, like a join's next entry index. RemoveLive is Remove
-// for a key it knows committed state holds, because a key derived from it
-// was just read. Either spares Commit and NumKeys the lookup they would
-// otherwise pay for the key (on the lsm backend, a sweep over every
-// SSTable), in the same one staging lookup as the write. What the epoch has
-// itself read of the key wins; a wrong claim can skew the key count, never
-// stored data.
-func (s *Store) PutNew(key, value []byte) { s.stageKnown(key, value, false) }
+// PutNew, PutLive and RemoveLive are the writes that say what their caller
+// knows of the key in committed state, because it read the key (GetBatch)
+// or one derived from it, or made the key new by construction (a join's
+// next entry index): PutNew puts a key committed state does not hold,
+// PutLive one it holds, RemoveLive deletes one it holds. The fact spares
+// Commit and NumKeys the lookup they would otherwise pay for the key (on the
+// lsm backend, a sweep over every SSTable), and it costs nothing beyond the
+// write's one staging lookup. Only the epoch's first write of a key can
+// state it — a later one's read may have been answered by the staged write,
+// which says nothing of committed state — and a wrong claim can skew the
+// key count, never stored data.
+func (s *Store) PutNew(key, value []byte) { s.stageKnown(key, value, false, false) }
 
-// RemoveLive stages a deletion of a key known to be live; see PutNew.
-func (s *Store) RemoveLive(key []byte) { s.stageKnown(key, nil, true) }
+// PutLive puts a key committed state holds; see PutNew.
+func (s *Store) PutLive(key, value []byte) { s.stageKnown(key, value, false, true) }
 
-// stageKnown stages a write whose caller vouches for the key's committed
-// existence: absent before a put, live before a delete.
-func (s *Store) stageKnown(key, value []byte, tomb bool) {
-	e := s.slotFor(key)
-	if !e.Known {
-		s.noteKnown(e, tomb)
+// RemoveLive deletes a key committed state holds; see PutNew.
+func (s *Store) RemoveLive(key []byte) { s.stageKnown(key, nil, true, true) }
+
+// stageKnown stages a write whose caller vouches that the key is (live) or
+// is not in committed state.
+func (s *Store) stageKnown(key, value []byte, tomb, live bool) {
+	e, fresh := s.slotFor(key)
+	if fresh {
+		e.Known, e.Live = true, live
 	}
-	s.stage(e, value, tomb)
+	e.Value, e.Tomb = value, tomb
 }
 
 // Iterate visits every live key/value (committed plus staged), stopping
@@ -705,8 +723,7 @@ func (s *Store) Iterate(fn func(key, value []byte) bool) {
 	stopped := false
 	s.pass++
 	err := s.backend.iterate(func(k, v []byte) bool {
-		if i, ok := s.index[string(k)]; ok && s.table[i].staged {
-			e := &s.table[i]
+		if e := s.staged(k); e != nil {
 			if e.Tomb {
 				return true
 			}
@@ -722,7 +739,7 @@ func (s *Store) Iterate(fn func(key, value []byte) bool) {
 	// What is left are the staged puts committed state does not hold. fn
 	// may stage more while it runs, so the table is walked by position.
 	for i := 0; i < len(s.table) && !stopped; i++ {
-		if e := &s.table[i]; e.staged && !e.Tomb && e.seen != s.pass {
+		if e := &s.table[i]; !e.Tomb && e.seen != s.pass {
 			stopped = !fn([]byte(e.Key), e.Value)
 		}
 	}
@@ -739,7 +756,7 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 	var staged lsm.Batch
 	for i := range s.table {
 		e := &s.table[i]
-		if e.staged && !e.Tomb && inBounds(e.Key, from, to) {
+		if !e.Tomb && inBounds(e.Key, from, to) {
 			staged = append(staged, e.Entry)
 		}
 	}
@@ -758,7 +775,7 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 		}
 		if len(staged) > 0 && staged[0].Key == string(k) {
 			v, staged = staged[0].Value, staged[1:]
-		} else if i, ok := s.index[string(k)]; ok && s.table[i].staged && s.table[i].Tomb {
+		} else if e := s.staged(k); e != nil && e.Tomb {
 			return true
 		}
 		stopped = !fn(k, v)
@@ -776,7 +793,8 @@ func inBounds(key string, from, to []byte) bool {
 	return (from == nil || key >= string(from)) && (to == nil || key < string(to))
 }
 
-// NumKeys reports the live key count including staged changes.
+// NumKeys reports the live key count including staged changes. A staged key
+// whose write said nothing of committed state is looked up, once.
 func (s *Store) NumKeys() int {
 	committed, err := s.backend.numKeys()
 	if err != nil {
@@ -786,16 +804,13 @@ func (s *Store) NumKeys() int {
 	n := int(committed)
 	for i := range s.table {
 		e := &s.table[i]
-		if !e.staged {
-			continue
-		}
 		if !e.Known {
 			_, ok, err := s.backend.get([]byte(e.Key))
 			if err != nil {
 				s.fail(err)
 				return 0
 			}
-			s.noteKnown(e, ok)
+			e.Known, e.Live = true, ok
 		}
 		if e.Tomb && e.Live {
 			n--
@@ -822,9 +837,7 @@ func (s *Store) Commit(version int64) error {
 	}
 	b := s.batch[:0]
 	for i := range s.table {
-		if s.table[i].staged {
-			b = append(b, s.table[i].Entry)
-		}
+		b = append(b, s.table[i].Entry)
 	}
 	s.handles = lsm.SortBatch(b, s.handles)
 	err := s.backend.commit(version, b)
@@ -843,7 +856,7 @@ func (s *Store) Commit(version int64) error {
 	// without allocating, growing or rehashing on the row path.
 	clear(s.index)
 	clear(s.table)
-	s.table, s.staged = s.table[:0], 0
+	s.table = s.table[:0]
 	return nil
 }
 
@@ -854,7 +867,7 @@ func (s *Store) Err() error { return s.err }
 
 // Abort discards staged changes (and any latched read error with them).
 func (s *Store) Abort() {
-	s.index, s.table, s.staged = nil, nil, 0
+	s.index, s.table = nil, nil
 	s.err = nil
 }
 

@@ -2,7 +2,7 @@
 # Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
 # sweep included), the benchmark module, the stale-name guard and the
 # vectorized/row differential smoke. VERIFY_FULL=1 adds eleven fuzz smokes,
-# three micro-benchmark steps and the x20 arrival wake-up run. The last line
+# four micro-benchmark steps and the x20 arrival wake-up run. The last line
 # says which tier ran. Use `go test -short ./...` for the quick tier that
 # skips the crash sweep.
 set -eu
@@ -102,6 +102,10 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 		./internal/state/ ./internal/lsm/ >/dev/null
 	step "aggregate exchange micro-benchmark, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkAggExchange' -benchtime 1x ./internal/incremental/ >/dev/null
+	# The join's exchange, bus records to committed deltas: it checks that
+	# every input row reached a partition and that pairs came out.
+	step "join exchange micro-benchmark, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkJoinExchange' -benchtime 1x ./internal/incremental/ >/dev/null
 	step "memory sink micro-benchmarks, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkMemorySink' -benchtime 1x ./internal/sinks/ >/dev/null
 fi
@@ -123,8 +127,9 @@ step "benchmark module vet + tests"
 # selected them — not the seal's write and read methods, whose names colfmt
 # owns; the lineage-stamp ring's size, the event log's settable history
 # limit and the four engine-side stamp methods, all gone into the one epoch
-# ring — not the deliver stamp, which the hub still calls) must not survive
-# in code, scripts or docs. The pattern is assembled from halves so this
+# ring — not the deliver stamp, which the hub still calls; the join's boxed
+# shuffle-row constructor, replaced by join cells) must not survive in code,
+# scripts or docs. The pattern is assembled from halves so this
 # script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
@@ -135,6 +140,7 @@ stale="$stale"'|render''Row|shuffle''Rows|decode''Shuffle|decode''AggState'
 stale="$stale"'|clone''Rows|key''Order|\.Hi''nt\('
 stale="$stale"'|Commit''Barrier|Segment''Ref|Segment''Partitions|Segments''Written|drop''UncommittedSegments|e\.sh''arded'
 stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Execute|Stamp''Commit'
+stale="$stale"'|JoinShuffle''Row'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
