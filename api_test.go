@@ -231,6 +231,46 @@ func TestWriteStreamOnBatchFrameRejected(t *testing.T) {
 	}
 }
 
+// TestWriterOptionValues: an option whose value does not parse as its key's
+// type fails Start with the key's name instead of running the default in its
+// place, the retired "vectorize" option says why it is refused, and values
+// that parse keep their meaning — in range or not.
+func TestWriterOptionValues(t *testing.T) {
+	for _, tc := range []struct {
+		key, value string
+		err        string // "" = Start succeeds
+	}{
+		{"workers", "two", `option "workers" wants an integer, got "two"`},
+		{"partitions", "x", `option "partitions" wants an integer`},
+		{"maxRecordsPerTrigger", "1e3", `option "maxRecordsPerTrigger" wants an integer`},
+		{"stateMemtableBytes", "4MiB", `option "stateMemtableBytes" wants an integer`},
+		{"stateBlockCacheBytes", "", `option "stateBlockCacheBytes" wants an integer`},
+		{"retainEpochs", "ten", `option "retainEpochs" wants an integer`},
+		{"stateSyncMaintenance", "yes", `option "stateSyncMaintenance" wants "true" or "false"`},
+		{"publish", "1", `option "publish" wants "true" or "false"`},
+		{"vectorize", "false", `option "vectorize" was removed: the columnar path is always on`},
+		{"vectorize", "true", `option "vectorize" was removed`},
+		{"workers", "0", ""},
+		{"partitions", "-3", ""},
+		{"stateSyncMaintenance", "false", ""},
+	} {
+		t.Run(tc.key+"="+tc.value, func(t *testing.T) {
+			df, _ := NewSession().MemoryStream("ev", clickSchema)
+			q, err := df.WriteStream().Option(tc.key, tc.value).
+				Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
+			if err == nil {
+				defer q.Stop()
+			}
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("Start: %v", err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("Start returned %v, want an error containing %q", err, tc.err)
+			}
+		})
+	}
+}
+
 func TestDropDuplicates(t *testing.T) {
 	s := NewSession()
 	s.RegisterTable("t", clickSchema, []Row{

@@ -157,16 +157,22 @@ func parseSegmentHeader(data []byte, name string) ([]sql.Field, int, int, error)
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
 		return nil, 0, 0, fmt.Errorf("colfmt: %s is not a segment file", name)
 	}
+	// Lengths read off disk are compared unsigned against the bytes left: a
+	// length of 2⁶³ or more wraps negative as an int and would pass a signed
+	// check. Counts are bounded by the bytes they need before they size an
+	// allocation — a field takes at least two (its name's length and its
+	// type), a row at least one in each column (and in a segment of no
+	// columns, one).
 	pos := len(magic)
 	ncols, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
+	if n <= 0 || ncols > uint64(len(data)-pos-n)/2 {
 		return nil, 0, 0, fmt.Errorf("colfmt: corrupt header in %s", name)
 	}
 	pos += n
 	fields := make([]sql.Field, ncols)
 	for i := range fields {
 		nameLen, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(nameLen)+1 > len(data) {
+		if n <= 0 || nameLen >= uint64(len(data)-pos-n) { // the name, then its type byte
 			return nil, 0, 0, fmt.Errorf("colfmt: corrupt schema in %s", name)
 		}
 		pos += n
@@ -176,11 +182,22 @@ func parseSegmentHeader(data []byte, name string) ([]sql.Field, int, int, error)
 		pos++
 	}
 	nrows, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
+	if n <= 0 || nrows > uint64(len(data)-pos-n)/max(uint64(len(fields)), 1) {
 		return nil, 0, 0, fmt.Errorf("colfmt: corrupt row count in %s", name)
 	}
 	pos += n
 	return fields, int(nrows), pos, nil
+}
+
+// columnBlock cuts column c's block out of a segment at pos and returns it
+// with the offset of the next block.
+func columnBlock(data []byte, pos, c int, name string) ([]byte, int, error) {
+	blockLen, n := binary.Uvarint(data[pos:])
+	if n <= 0 || blockLen > uint64(len(data)-pos-n) {
+		return nil, 0, fmt.Errorf("colfmt: corrupt column block %d in %s", c, name)
+	}
+	pos += n
+	return data[pos : pos+int(blockLen)], pos + int(blockLen), nil
 }
 
 func readSegmentColumns(dir, name string, wanted []string) (sql.Schema, [][]sql.Value, int, error) {
@@ -218,13 +235,10 @@ func readSegmentColumns(dir, name string, wanted []string) (sql.Schema, [][]sql.
 
 	out := make([][]sql.Value, len(ordinals))
 	for c := 0; c < int(ncols); c++ {
-		blockLen, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(blockLen) > len(data) {
-			return sql.Schema{}, nil, 0, fmt.Errorf("colfmt: corrupt column block %d in %s", c, name)
+		var block []byte
+		if block, pos, err = columnBlock(data, pos, c, name); err != nil {
+			return sql.Schema{}, nil, 0, err
 		}
-		pos += n
-		block := data[pos : pos+int(blockLen)]
-		pos += int(blockLen)
 		slot, needed := want[c]
 		if !needed {
 			continue

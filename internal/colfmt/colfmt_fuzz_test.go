@@ -1,0 +1,70 @@
+package colfmt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"structream/internal/sql"
+	"structream/internal/sql/codec"
+)
+
+// FuzzColfmtSegment feeds arbitrary bytes to the three segment readers as a
+// segment file. Nothing may panic or size an allocation from an unchecked
+// length; whatever the boxed reader accepts must be rows of the schema it
+// read, the projection must return those rows' first column, and the typed
+// reader, where it accepts, must agree with them on the row count.
+func FuzzColfmtSegment(f *testing.F) {
+	dir := f.TempDir()
+	if _, err := WriteSegment(dir, "seed.seg", schema, rows, 0); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join(dir, "seed.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	// A column count of 2⁶² sized the field slice straight from disk.
+	f.Add(binary.AppendUvarint(append([]byte(nil), magic...), 1<<62))
+	// A name length of 2⁶⁴−3 wrapped negative and passed the bounds check.
+	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(append([]byte(nil), magic...), 1), 1<<64-3), "abcd"...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "f.seg"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sch, got, err := ReadSegment(dir, "f.seg")
+		if vsch, b, ok, verr := ReadSegmentVec(dir, "f.seg"); verr == nil && ok {
+			if err != nil || !vsch.Equal(sch) || b.Len != len(got) {
+				t.Fatalf("typed reader read %d rows of %s, boxed reader %d of %s (%v)", b.Len, vsch, len(got), sch, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		for i, r := range got {
+			if len(r) != sch.Len() {
+				t.Fatalf("row %d has %d values, the schema %d", i, len(r), sch.Len())
+			}
+		}
+		if sch.Len() == 0 {
+			return
+		}
+		name := sch.Field(0).Name
+		if idx, err := sch.Resolve(name); err != nil || idx != 0 {
+			return // projection by this name does not mean the first column
+		}
+		_, cols, err := ReadSegmentColumns(dir, "f.seg", []string{name})
+		if err != nil {
+			t.Fatalf("the boxed reader accepted the segment, projecting %q: %v", name, err)
+		}
+		for i, r := range got {
+			if !bytes.Equal(codec.EncodeValues(sql.Row{cols[0][i]}), codec.EncodeValues(sql.Row{r[0]})) {
+				t.Fatalf("row %d: projection read %v, the boxed reader %v", i, cols[0][i], r[0])
+			}
+		}
+	})
+}

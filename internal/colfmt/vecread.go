@@ -1,7 +1,6 @@
 package colfmt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,13 +28,10 @@ func ReadSegmentVec(dir, name string) (sql.Schema, *vec.Batch, bool, error) {
 	schema := sql.Schema{Fields: fields}
 	b := vec.NewBatch(schema, nrows)
 	for c := range fields {
-		blockLen, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(blockLen) > len(data) {
-			return sql.Schema{}, nil, false, fmt.Errorf("colfmt: corrupt column block %d in %s", c, name)
+		var block []byte
+		if block, pos, err = columnBlock(data, pos, c, name); err != nil {
+			return sql.Schema{}, nil, false, err
 		}
-		pos += n
-		block := data[pos : pos+int(blockLen)]
-		pos += int(blockLen)
 		ok, err := codec.DecodeColumnToVector(block, b.Cols[c], nrows)
 		if err != nil {
 			return sql.Schema{}, nil, false, fmt.Errorf("colfmt: column %d of %s: %v", c, name, err)

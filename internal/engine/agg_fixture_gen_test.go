@@ -100,17 +100,29 @@ func (s *aggFixtureSink) AddBatch(b sinks.Batch) error {
 	return nil
 }
 
+// aggFixtureVariant is one execution the fixture's bytes must not depend on:
+// columnar or on the row stages, and a worker count.
+type aggFixtureVariant struct {
+	columnar bool
+	opts     Options
+}
+
 // aggFixtureRun drives the plan over the fixture's epochs and renders what it
 // left: one "state <path> <hex>" line per file under the checkpoint's state
 // directory and one line per sink row, all sorted (Complete mode emits in the
 // store's iteration order, and the reduce partitions finish in any order).
-func aggFixtureRun(t *testing.T, mode logical.OutputMode, opts Options) []string {
+func aggFixtureRun(t *testing.T, mode logical.OutputMode, v aggFixtureVariant) []string {
 	t.Helper()
+	opts := v.opts
 	opts.Checkpoint = t.TempDir()
 	opts.NumPartitions = 3
 	src := sources.NewMemorySource("events", aggFixtureSchema)
 	sink := &aggFixtureSink{}
-	sq := startQuery(t, compile(t, aggFixturePlan(), mode, nil), map[string]sources.Source{"events": src}, sink, opts)
+	q := compile(t, aggFixturePlan(), mode, nil)
+	if !v.columnar {
+		q = rowPath(q)
+	}
+	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, opts)
 	for e := 0; e < aggFixtureEpochs; e++ {
 		src.AddData(aggFixtureRows(e)...)
 		if err := sq.ProcessAllAvailable(); err != nil {
@@ -136,13 +148,13 @@ func aggFixtureRun(t *testing.T, mode logical.OutputMode, opts Options) []string
 	return lines
 }
 
-// aggFixtureVariants are the execution switches that must not show in the
-// bytes: the vectorize switch and the worker count.
-func aggFixtureVariants(backend string) []Options {
-	var out []Options
-	for _, vectorize := range []bool{true, false} {
+// aggFixtureVariants are the executions that must not show in the bytes:
+// columnar and row stages, one and two workers.
+func aggFixtureVariants(backend string) []aggFixtureVariant {
+	var out []aggFixtureVariant
+	for _, columnar := range []bool{true, false} {
 		for _, workers := range []int{1, 2} {
-			out = append(out, Options{StateBackend: backend, Workers: workers, Vectorize: Bool(vectorize)})
+			out = append(out, aggFixtureVariant{columnar, Options{StateBackend: backend, Workers: workers}})
 		}
 	}
 	return out
@@ -160,12 +172,12 @@ func TestWriteAggFixture(t *testing.T) {
 	for _, mode := range []logical.OutputMode{logical.Update, logical.Complete} {
 		for _, backend := range []string{"memory", "lsm"} {
 			var want []string
-			for _, opts := range aggFixtureVariants(backend) {
-				got := aggFixtureRun(t, mode, opts)
+			for _, v := range aggFixtureVariants(backend) {
+				got := aggFixtureRun(t, mode, v)
 				if want == nil {
 					want = got
 				} else if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("%s/%s: vectorize=%v workers=%d leaves other bytes than the first variant", mode, backend, *opts.Vectorize, opts.Workers)
+					t.Fatalf("%s/%s: columnar=%v workers=%d leaves other bytes than the first variant", mode, backend, v.columnar, v.opts.Workers)
 				}
 			}
 			if err := os.WriteFile(filepath.Join(dir, aggFixtureName(mode, backend)), []byte(strings.Join(want, "\n")+"\n"), 0o644); err != nil {

@@ -14,10 +14,10 @@ import (
 // window and string keys, count/sum/avg/min/max, NULL keys and inputs, late
 // rows, a watermark that finalizes groups every epoch — leaves the state files
 // and delivers the sink rows the parent commit did, byte for byte, in Update
-// and Complete mode, on both backends, with the vectorize switch on and off
-// and one or two workers. What the partial cell carries across the exchange is
-// what Serialize + EncodeValues rendered, and what the typed loaders merge is
-// what Deserialize read.
+// and Complete mode, on both backends, columnar ("vec=true") and on the row
+// stages ("vec=false"), with one or two workers. What the partial cell
+// carries across the exchange is what Serialize + EncodeValues rendered, and
+// what the typed loaders merge is what Deserialize read.
 func TestAggBytesMatchParent(t *testing.T) {
 	for _, mode := range []logical.OutputMode{logical.Update, logical.Complete} {
 		for _, backend := range []string{"memory", "lsm"} {
@@ -41,9 +41,9 @@ func TestAggBytesMatchParent(t *testing.T) {
 			if states < 2*aggFixtureEpochs || sinks < 10*aggFixtureEpochs {
 				t.Fatalf("%s holds %d deltas and %d sink rows", name, states, sinks)
 			}
-			for _, opts := range aggFixtureVariants(backend) {
-				t.Run(fmt.Sprintf("%s/vec=%v/w%d", strings.TrimSuffix(name, ".txt"), *opts.Vectorize, opts.Workers), func(t *testing.T) {
-					got := aggFixtureRun(t, mode, opts)
+			for _, v := range aggFixtureVariants(backend) {
+				t.Run(fmt.Sprintf("%s/vec=%v/w%d", strings.TrimSuffix(name, ".txt"), v.columnar, v.opts.Workers), func(t *testing.T) {
+					got := aggFixtureRun(t, mode, v)
 					for i := 0; i < len(got) || i < len(want); i++ {
 						switch {
 						case i >= len(got):

@@ -109,8 +109,12 @@ func TestYahooQueryRunsColumnarFromTheLog(t *testing.T) {
 	run := func(vectorize bool, workers int) ([]sql.Row, int64) {
 		sink := sinks.NewMemorySink()
 		src := sources.NewCodecBusSource("ad_events", adTopic(t, recs), adSchema)
-		sq := startQuery(t, yahooQuery(t), map[string]sources.Source{"ad_events": src}, sink, Options{
-			Workers: workers, NumPartitions: 2, MaxRecordsPerTrigger: 1000, Vectorize: Bool(vectorize)})
+		q := yahooQuery(t)
+		if !vectorize {
+			q = rowPath(q)
+		}
+		sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
+			Workers: workers, NumPartitions: 2, MaxRecordsPerTrigger: 1000})
 		if err := sq.ProcessAllAvailable(); err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +204,12 @@ func TestPrunedScanKeepsTheRowPathsBytes(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			dir := t.TempDir()
 			src := v.wrap(sources.NewCodecBusSource("ad_events", adTopic(t, recs), adSchema))
-			sq := startQuery(t, yahooQuery(t), map[string]sources.Source{"ad_events": src}, &sinks.JSONFileSink{Dir: dir}, Options{
-				Workers: workers, NumPartitions: 2, MaxRecordsPerTrigger: 500, Vectorize: Bool(v.vectorize)})
+			q := yahooQuery(t)
+			if !v.vectorize {
+				q = rowPath(q)
+			}
+			sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, &sinks.JSONFileSink{Dir: dir}, Options{
+				Workers: workers, NumPartitions: 2, MaxRecordsPerTrigger: 500})
 			if err := sq.ProcessAllAvailable(); err != nil {
 				t.Fatalf("%s workers=%d: %v", v.name, workers, err)
 			}
@@ -294,8 +302,12 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 		topic := adTopic(t, nil)
 		src := recordingSource{sources.NewCodecBusSource("ad_events", topic, adSchema), log}
 		sink := sinks.NewMemorySink()
-		sq := startQuery(t, yahooQuery(t), map[string]sources.Source{"ad_events": src}, sink, Options{
-			Workers: 2, NumPartitions: 2, Vectorize: Bool(vectorize)})
+		q := yahooQuery(t)
+		if !vectorize {
+			q = rowPath(q)
+		}
+		sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
+			Workers: 2, NumPartitions: 2})
 		for e := 0; e < epochs; e++ {
 			recs := make([][]byte, perEpoch)
 			for i := range recs {

@@ -204,7 +204,6 @@ type epochRecord struct {
 	watermark                      int64 // after this epoch
 	state                          *metrics.StateOperatorProgress
 	stateVersion                   int64 // state version this epoch's commit covers
-	vectorized                     bool
 	workers                        int
 }
 
@@ -429,7 +428,6 @@ func (c *core) publish(r *epochRecord) {
 		Epoch:                r.epoch,
 		NumInputRows:         r.inputRows,
 		NumOutputRows:        r.outputRows,
-		Vectorized:           r.vectorized,
 		VectorizedRows:       r.vecRows,
 		Workers:              r.workers,
 		ProcessingMillis:     wall.Milliseconds(),

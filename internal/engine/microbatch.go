@@ -127,14 +127,6 @@ type Options struct {
 	// limiter steers toward. 0 derives it from the trigger: the
 	// ProcessingTime interval when one is set, else 100ms.
 	BackpressureTarget time.Duration
-	// Vectorize enables the columnar execution path for the microbatch hot
-	// loop (default on): map tasks decode source batches into typed column
-	// vectors and run filters, projections, tumbling-window assignment and
-	// map-side partial aggregation as kernels, falling back per stage to
-	// the row path when an expression or input does not vectorize. Results
-	// are identical either way. Pass engine.Bool(false) to force the row
-	// path (useful for benchmarking and differential testing).
-	Vectorize *bool
 	// HealthDir overrides where flight-recorder bundles — the newest epochs
 	// of the query's ring, the registry and profiles, captured when the
 	// health detector trips — are written (default <Checkpoint>/_health).
@@ -144,9 +136,6 @@ type Options struct {
 	// capture must not perturb that schedule.
 	HealthDir string
 }
-
-// Bool returns a pointer to v, for the Options.Vectorize field.
-func Bool(v bool) *bool { return &v }
 
 func (o Options) withDefaults() Options {
 	if o.Trigger == nil {
@@ -222,7 +211,6 @@ type exec struct {
 	prov  *state.Provider
 	pool  *shard.Pool // runs every stage's tasks
 
-	vectorize bool // Options.Vectorize resolved (default true)
 	// colSink is non-nil when epochs may deliver columnar: the sink
 	// accepts column batches and the query is a map-only append (no
 	// stateful stage, so Post is the identity). Individual epochs still
@@ -267,13 +255,12 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	e := &exec{
 		core: c, prov: prov,
 		perPipeMax: make([]int64, len(q.Pipelines)),
-		vectorize:  opts.Vectorize == nil || *opts.Vectorize,
 	}
 	for i := range e.perPipeMax {
 		e.perPipeMax[i] = -1
 	}
 	for _, p := range q.Pipelines {
-		src, err := c.bind(p, srcs, e.vectorize)
+		src, err := c.bind(p, srcs, true)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +269,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	if mg, ok := q.Stateful.(*incremental.FlatMapGroupsWithState); ok {
 		e.alwaysRun = mg.Timeout == logical.ProcessingTimeTimeout
 	}
-	if cs, ok := sink.(sinks.ColumnSink); ok && e.vectorize && q.Stateful == nil && q.Mode == logical.Append {
+	if cs, ok := sink.(sinks.ColumnSink); ok && q.Stateful == nil && q.Mode == logical.Append {
 		e.colSink = cs
 	}
 	if opts.AdaptiveBackpressure {
@@ -623,7 +610,7 @@ func (e *exec) runEpoch(epoch int64, plan []metrics.SourceProgress, replay bool,
 	// post-mortems (Finish is idempotent — the watchdog may have sealed it
 	// already).
 	defer r.et.Finish()
-	r.vectorized, r.workers = e.vectorize, e.opts.Workers
+	r.workers = e.opts.Workers
 	r.charge("planning", planStart, time.Since(planStart))
 	if err := e.logOffsets(r, e.watermark); err != nil {
 		return err
@@ -797,8 +784,13 @@ func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) 
 func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	taskStart := time.Now()
 	bp := e.pipes[spec.pipeIdx]
-	pipe, nPart := bp.pipe, e.opts.NumPartitions
-	wantVec := e.vectorize && pipe.Vec != nil
+	pipe, nPart, schema := bp.pipe, e.opts.NumPartitions, bp.src.Schema()
+	// The columnar event-time scan needs the watermark column as a typed
+	// int64 vector. A batch's column kinds are its source schema's, so a
+	// pipeline whose watermark column is anything else reads rows in every
+	// task, and is known to before the read.
+	wantVec := pipe.Vec != nil && (pipe.WatermarkEval == nil ||
+		pipe.WatermarkIdx >= 0 && vec.KindOf(schema.Field(pipe.WatermarkIdx).Type) == vec.KindInt64)
 	raw, batch, err := e.readInput(bp, spec, wantVec)
 	if err != nil {
 		return nil, err
@@ -807,21 +799,9 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	if batch == nil && wantVec {
 		// The source served rows; vectorize them here unless their
 		// dynamic types drifted from the schema.
-		if b, ok := vec.FromRows(bp.src.Schema(), raw); ok {
+		if b, ok := vec.FromRows(schema, raw); ok {
 			batch = b
 		}
-	}
-	// The watermark column must be a typed int64 vector for the columnar
-	// scan; anything else takes the row path, over rows re-read boxed if
-	// the source had decoded straight to vectors.
-	if batch != nil && pipe.WatermarkEval != nil &&
-		(pipe.WatermarkIdx < 0 || batch.Cols[pipe.WatermarkIdx].Kind != vec.KindInt64) {
-		if raw == nil {
-			if raw, _, err = e.readInput(bp, spec, false); err != nil {
-				return nil, err
-			}
-		}
-		batch = nil
 	}
 	res.rows = int64(len(raw))
 	if batch != nil {
@@ -962,7 +942,6 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			Watermark: e.watermark,
 			ProcTime:  time.Now().UnixMicro(),
 			Mode:      e.q.Mode,
-			Vectorize: e.vectorize,
 		}
 		prevVersion := e.lastStateVersion
 		results, err := e.pool.Run(e.opts.NumPartitions, func(p int) (any, error) {

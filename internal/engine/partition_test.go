@@ -229,7 +229,7 @@ func partPlans(t *testing.T) map[string]*incremental.Query {
 
 // runPartitioned drives one preloaded query to completion and returns its
 // sink.
-func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, vectorize bool, backend string) *sinks.MemorySink {
+func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, backend string) *sinks.MemorySink {
 	t.Helper()
 	sink := sinks.NewMemorySink()
 	srcs := map[string]sources.Source{"events": partSource(seed, 96, 2), "others": othersSource(seed, 96, 2), "keyed": keyedSource(seed, 96, 2)}
@@ -237,11 +237,10 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 		Workers:              workers,
 		NumPartitions:        2,
 		MaxRecordsPerTrigger: 16,
-		Vectorize:            Bool(vectorize),
 		StateBackend:         backend,
 	})
 	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatalf("workers=%d vectorize=%v backend=%s: %v", workers, vectorize, backend, err)
+		t.Fatalf("workers=%d backend=%s: %v", workers, backend, err)
 	}
 	if err := sq.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -250,13 +249,14 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 }
 
 // TestPartitionDifferentialFuzz is the partitioned runtime's correctness
-// gate: for every fuzzed query shape, the sink of every vectorize setting,
-// state backend and worker degree must match the single-worker row-path
-// memory-backend run row for row, in order. The stream-static join shapes
-// are stateless up to the join, so apart from the two that end in a
-// stateful stage they run on the memory backend only.
+// gate: for every fuzzed query shape, the sink of the columnar and the
+// row-stage compile (rowPath), every state backend and worker degree must
+// match the single-worker row-stage memory-backend run row for row, in
+// order. The stream-static join shapes are stateless up to the join, so
+// apart from the two that end in a stateful stage they run on the memory
+// backend only.
 func TestPartitionDifferentialFuzz(t *testing.T) {
-	plans := partPlans(t)
+	plans, rowPlans := partPlans(t), partPlans(t)
 	if op, ok := plans["band-join-append"].Stateful.(*incremental.StreamStreamJoin); !ok || op.Band == nil || *op.Band != (incremental.TimeBand{Lo: 0, Hi: 2 * sec}) {
 		t.Fatalf("band-join-append compiled without its band: %+v", plans["band-join-append"].Stateful)
 	}
@@ -265,25 +265,33 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 		plans[name] = q
 		stateless[name] = q.Stateful == nil
 	}
+	for name, q := range joinPlans(t) {
+		rowPlans[name] = q
+	}
 	for name, q := range plans {
+		rowQ := rowPath(rowPlans[name])
 		seeds := []int64{1, 99}
 		backends := []string{"memory", "lsm"}
 		if stateless[name] {
 			seeds, backends = seeds[:1], backends[:1]
 		}
 		for _, seed := range seeds {
-			golden := runPartitioned(t, q, seed, 1, false, "memory").Rows()
+			golden := runPartitioned(t, rowQ, seed, 1, "memory").Rows()
 			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
 				t.Fatalf("%s: golden run emitted nothing", name)
 			}
-			for _, vectorize := range []bool{false, true} {
+			for _, columnar := range []bool{false, true} {
+				run := rowQ
+				if columnar {
+					run = q
+				}
 				for _, backend := range backends {
 					for _, workers := range []int{1, 2, 4} {
-						if !vectorize && backend == "memory" && workers == 1 {
+						if !columnar && backend == "memory" && workers == 1 {
 							continue // the golden run itself
 						}
-						got := runPartitioned(t, q, seed, workers, vectorize, backend).Rows()
-						ctx := fmt.Sprintf("%s seed=%d vectorize=%v backend=%s workers=%d", name, seed, vectorize, backend, workers)
+						got := runPartitioned(t, run, seed, workers, backend).Rows()
+						ctx := fmt.Sprintf("%s seed=%d columnar=%v backend=%s workers=%d", name, seed, columnar, backend, workers)
 						rowsExactlyEqual(t, got, golden, ctx)
 					}
 				}

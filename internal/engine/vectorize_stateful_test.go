@@ -6,32 +6,37 @@ import (
 	"testing"
 	"time"
 
+	"structream/internal/incremental"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
 )
 
-// The stateful differential: the columnar stateful path (columnar partial
-// aggregation, vectorized watermark gating, batched state access) must be
-// byte-identical to the row path for every output mode, state backend, and
-// worker count. These shapes aim at the stateful machinery specifically:
-// NULL grouping keys, watermark-expired groups, and mid-epoch type drift
-// that demotes the batch to the row path.
+// The stateful differential: the columnar map side (kernels, columnar
+// partial aggregation, the cell exchange) must be byte-identical to the row
+// stages for every output mode, state backend, and worker count, and both
+// must equal the batch query over the consumed prefix after every epoch.
+// These shapes aim at the stateful machinery specifically: NULL grouping
+// keys, watermark-expired groups, and mid-epoch type drift that demotes the
+// batch to the row path.
 
-// runStatefulEpochs drives plan over the epochs with full Options control
-// and returns the sink.
-func runStatefulEpochs(t *testing.T, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row, opts Options) *sinks.MemorySink {
+// runStatefulEpochs drives q, a compile of plan, over the epochs with full
+// Options control, checks the sink against the batch oracle after each, and
+// returns it.
+func runStatefulEpochs(t *testing.T, q *incremental.Query, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row, opts Options) *sinks.MemorySink {
 	t.Helper()
 	src := sources.NewMemorySource("events", eventsSchema)
-	q := compile(t, plan, mode, nil)
 	sink := sinks.NewMemorySink()
 	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, opts)
-	for _, rows := range epochs {
+	oracle := newBatchOracle(t, plan, mode)
+	for i, rows := range epochs {
 		src.AddData(rows...)
 		if err := sq.ProcessAllAvailable(); err != nil {
 			t.Fatalf("opts=%+v: %v", opts, err)
 		}
+		oracle.epoch(rows)
+		oracle.check(t, sink.Rows(), fmt.Sprintf("after epoch %d", i))
 	}
 	return sink
 }
@@ -106,10 +111,8 @@ func TestStatefulVectorizeDifferential(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, backend, workers), func(t *testing.T) {
 					opts := Options{StateBackend: backend, Workers: workers}
-					opts.Vectorize = Bool(true)
-					on := runStatefulEpochs(t, s.plan, s.mode, baseEpochs, opts)
-					opts.Vectorize = Bool(false)
-					off := runStatefulEpochs(t, s.plan, s.mode, baseEpochs, opts)
+					on := runStatefulEpochs(t, compile(t, s.plan, s.mode, nil), s.plan, s.mode, baseEpochs, opts)
+					off := runStatefulEpochs(t, rowPath(compile(t, s.plan, s.mode, nil)), s.plan, s.mode, baseEpochs, opts)
 					if s.unordered {
 						onRows, offRows := sortedStrings(on.Rows()), sortedStrings(off.Rows())
 						if len(onRows) != len(offRows) {
@@ -134,8 +137,8 @@ func TestStatefulVectorizeDifferential(t *testing.T) {
 
 // TestStatefulVectorizeSmallTriggers re-runs the watermarked shape with a
 // tiny admission cap so epochs split mid-group: partial buffers for one
-// logical group then arrive across several epochs and must merge through
-// the batched state path exactly as the per-row path did.
+// logical group then arrive across several epochs, and the merged groups
+// must be the batch query's, columnar and on the row stages alike.
 func TestStatefulVectorizeSmallTriggers(t *testing.T) {
 	plan := &logical.Aggregate{
 		Child: &logical.WithWatermark{Child: streamScan("events"), Column: "ts", Delay: 5 * sec},
@@ -151,15 +154,29 @@ func TestStatefulVectorizeSmallTriggers(t *testing.T) {
 		}
 		rows = append(rows, sql.Row{k, float64(i) * 1.25, int64(i) * sec})
 	}
-	epochs := [][]sql.Row{rows}
+	const perEpoch = 7
 	for _, backend := range []string{"memory", "lsm"} {
 		t.Run(backend, func(t *testing.T) {
-			opts := Options{StateBackend: backend, MaxRecordsPerTrigger: 7}
-			opts.Vectorize = Bool(true)
-			on := runStatefulEpochs(t, plan, logical.Append, epochs, opts)
-			opts.Vectorize = Bool(false)
-			off := runStatefulEpochs(t, plan, logical.Append, epochs, opts)
-			rowsExactlyEqual(t, on.Rows(), off.Rows(), "all rows")
+			run := func(q *incremental.Query) []sql.Row {
+				src := sources.NewMemorySource("events", eventsSchema)
+				sink := sinks.NewMemorySink()
+				sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink,
+					Options{StateBackend: backend, MaxRecordsPerTrigger: perEpoch})
+				src.AddData(rows...)
+				if err := sq.ProcessAllAvailable(); err != nil {
+					t.Fatal(err)
+				}
+				// The source's one partition runs its backlog perEpoch rows an epoch.
+				oracle := newBatchOracle(t, plan, logical.Append)
+				for i := 0; i < len(rows); i += perEpoch {
+					oracle.epoch(rows[i:min(i+perEpoch, len(rows))])
+				}
+				oracle.check(t, sink.Rows(), "after the backlog")
+				return sink.Rows()
+			}
+			on := run(compile(t, plan, logical.Append, nil))
+			off := run(rowPath(compile(t, plan, logical.Append, nil)))
+			rowsExactlyEqual(t, on, off, "all rows")
 		})
 	}
 }

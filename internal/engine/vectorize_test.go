@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"structream/internal/incremental"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
@@ -13,23 +15,43 @@ import (
 )
 
 // The engine-level differential: run the same plan over the same epoch
-// sequence with Vectorize on and off, and require the sinks to end up
-// byte-identical — same rows, same order, same per-epoch attribution.
+// sequence compiled twice — as it compiles, and with its vector plans
+// stripped so every map task takes the row stages — and require the sinks to
+// end up byte-identical: same rows, same order, same per-epoch attribution.
+// Both runs are held to the batch query over the consumed prefix after every
+// epoch.
 
-// runEpochsWith drives plan over the given epochs with the requested
-// vectorize setting and returns the memory sink.
-func runEpochsWith(t *testing.T, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row, vectorize bool) *sinks.MemorySink {
+// rowPath strips a compiled query's vector plans: its map tasks read boxed
+// rows at full width and run the row stages, the fallback the engine takes
+// when an expression seals the vector plan, here for every stage. The query
+// must be a compile of its own: a Pipeline holds a sync.Pool and is not
+// copied.
+func rowPath(q *incremental.Query) *incremental.Query {
+	for _, p := range q.Pipelines {
+		p.Vec, p.SourceCols = nil, nil
+	}
+	return q
+}
+
+// runEpochsWith drives plan over the given epochs, columnar or on the row
+// path, checks the sink against the batch oracle after each, and returns it.
+func runEpochsWith(t *testing.T, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row, columnar bool) *sinks.MemorySink {
 	t.Helper()
 	src := sources.NewMemorySource("events", eventsSchema)
 	q := compile(t, plan, mode, nil)
+	if !columnar {
+		q = rowPath(q)
+	}
 	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink,
-		Options{Vectorize: Bool(vectorize)})
-	for _, rows := range epochs {
+	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{})
+	oracle := newBatchOracle(t, plan, mode)
+	for i, rows := range epochs {
 		src.AddData(rows...)
 		if err := sq.ProcessAllAvailable(); err != nil {
-			t.Fatalf("vectorize=%v: %v", vectorize, err)
+			t.Fatalf("columnar=%v: %v", columnar, err)
 		}
+		oracle.epoch(rows)
+		oracle.check(t, sink.Rows(), fmt.Sprintf("columnar=%v after epoch %d", columnar, i))
 	}
 	return sink
 }
@@ -130,7 +152,7 @@ func TestColumnarSinkDeliveryActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, ok := sq.LastProgress()
-	if !ok || !p.Vectorized || p.VectorizedRows != 3 {
+	if !ok || p.VectorizedRows != 3 {
 		t.Fatalf("progress = %+v, want vectorized with 3 vectorized rows", p)
 	}
 	if p.NumOutputRows != 2 {

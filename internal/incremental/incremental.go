@@ -37,10 +37,7 @@ type EpochContext struct {
 	ProcTime int64
 	// Mode is the sink output mode of the query.
 	Mode logical.OutputMode
-	// Vectorize selects the batched reduce-side implementation in
-	// stateful operators (batched state-store reads, scratch-buffer
-	// merge, vectorized watermark gate). Off = the per-row baseline.
-	// Both implementations must produce byte-identical output.
+	// Vectorize is ignored; it stays because benchmark/isolated.go sets it.
 	Vectorize bool
 }
 

@@ -673,73 +673,7 @@ func (a *StatefulAggregate) resultRow(key []byte, bufs []sql.AggBuffer) (sql.Row
 	return row, nil
 }
 
-// mergeRowsBaseline is the reduce-side merge with vectorization off: a
-// per-cell watermark check, one store Get and Put per cell, and a fresh
-// buffer set per cell — the engine's original behavior, kept as the
-// reference the batched merge is differentially tested against. Returns
-// Update mode's rows: the changed groups in first-seen order, same as the
-// batched pass.
-func (a *StatefulAggregate) mergeRowsBaseline(ctx *EpochContext, store *state.Store, cells []*partialCell) ([]sql.Row, error) {
-	type mergeGroup struct {
-		key  []byte
-		bufs []sql.AggBuffer
-	}
-	changed := make(map[string]*mergeGroup, len(cells))
-	var groups []*mergeGroup
-	for _, c := range cells {
-		// Drop data later than the watermark allows: its group was (or
-		// will be) finalized and evicted, and merging it would resurrect
-		// the group and violate append-mode's emit-once guarantee.
-		if a.EventKeyIdx >= 0 && ctx.Watermark > 0 {
-			evt, isWin, valid, err := a.keyEventTime(c.key)
-			if err != nil {
-				return nil, err
-			}
-			if expired(evt, isWin, valid, ctx.Watermark) {
-				continue
-			}
-		}
-		merged := a.newBuffers()
-		if err := a.loadAggState(c.state, merged); err != nil {
-			return nil, err
-		}
-		existing, ok := store.Get(c.key)
-		if ok {
-			incoming := merged
-			merged = a.newBuffers()
-			if err := a.loadAggState(existing, merged); err != nil {
-				return nil, err
-			}
-			for i := range merged {
-				merged[i].Merge(incoming[i])
-			}
-			store.PutLive(c.key, appendAggState(nil, merged))
-		} else {
-			store.PutNew(c.key, appendAggState(nil, merged))
-		}
-		if g, seen := changed[string(c.key)]; seen {
-			g.bufs = merged
-		} else {
-			g := &mergeGroup{key: c.key, bufs: merged}
-			changed[string(c.key)] = g
-			groups = append(groups, g)
-		}
-	}
-	if ctx.Mode != logical.Update {
-		return nil, nil
-	}
-	updated := make([]sql.Row, 0, len(groups))
-	for _, g := range groups {
-		row, err := a.resultRow(g.key, g.bufs)
-		if err != nil {
-			return nil, err
-		}
-		updated = append(updated, row)
-	}
-	return updated, nil
-}
-
-// mergeBatched is the reduce-side merge with vectorization on: cells are
+// mergeBatched is the reduce-side merge: cells are
 // gated by the vectorized watermark kernel, grouped by their carried hash and
 // key bytes with one hash-table pass, read from the store with a single
 // GetBatch over the distinct keys, merged per group in row order, and
@@ -761,9 +695,9 @@ func (a *StatefulAggregate) mergeBatched(ctx *EpochContext, store *state.Store, 
 		ms.rowNext = make([]int32, len(cells))
 	}
 
-	// Grouping pass over survivors: first-seen order of distinct keys
-	// matches the row-path baseline's emission order. Rows chain onto
-	// their group through rowNext.
+	// Grouping pass over survivors: distinct keys in first-seen order, which
+	// is Update mode's emission order. Rows chain onto their group through
+	// rowNext.
 	addRow := func(ri int32) {
 		c := cells[ri]
 		ms.rowNext[ri] = -1
@@ -867,24 +801,18 @@ func (a *StatefulAggregate) mergeBatched(ctx *EpochContext, store *state.Store, 
 }
 
 // Process implements StatefulOp: merge this epoch's partial cells into the
-// store — batched with ctx.Vectorize set, per cell with it clear; both
-// merges must yield byte-identical state and output — then emit according
-// to the output mode and run the watermark finalize/evict pass.
+// store, then emit according to the output mode and run the watermark
+// finalize/evict pass.
 func (a *StatefulAggregate) Process(ctx *EpochContext, store *state.Store, inputs [][]sql.Row) ([]sql.Row, error) {
 	ms, _ := a.mergePool.Get().(*mergeState)
 	if ms == nil {
 		ms = &mergeState{slots: make([]int32, 1024)}
 	}
-	var updated []sql.Row
 	var err error
 	if ms.cells, err = a.cellsOf(inputs[0], ms.cells); err != nil {
 		return nil, err
 	}
-	if ctx.Vectorize {
-		updated, err = a.mergeBatched(ctx, store, ms)
-	} else {
-		updated, err = a.mergeRowsBaseline(ctx, store, ms.cells)
-	}
+	updated, err := a.mergeBatched(ctx, store, ms)
 	ms.reset()
 	a.mergePool.Put(ms)
 	if err != nil {

@@ -138,15 +138,18 @@ func (t *EpochTrace) StartSpan(name string) *Span {
 	return s
 }
 
-// EndSpan closes a stage span opened with StartSpan and pops it from the
-// open-stage stack.
-func (t *EpochTrace) EndSpan(s *Span) {
-	s.End()
-	t.pop(s)
-}
-
-// pop takes s off the open-stage stack.
-func (t *EpochTrace) pop(s *Span) {
+// EndSpanWith closes a stage span opened with StartSpan, recording d as its
+// duration, and pops it from the open-stage stack. d is the stage's measured
+// wall time, or for a fused stage (e.g. a map stage interleaving source
+// reads with operator execution) the proportional share of it that belongs
+// to this stage name.
+func (t *EpochTrace) EndSpanWith(s *Span, d time.Duration) {
+	s.mu.Lock()
+	if s.open {
+		s.DurationMicros = d.Microseconds()
+		s.open = false
+	}
+	s.mu.Unlock()
 	t.mu.Lock()
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		if t.stack[i] == s {
@@ -155,20 +158,6 @@ func (t *EpochTrace) pop(s *Span) {
 		}
 	}
 	t.mu.Unlock()
-}
-
-// EndSpanWith closes a stage span like EndSpan but records an attributed
-// duration instead of the measured wall time — used for fused stages
-// (e.g. a map stage interleaving source reads with operator execution)
-// where only a proportional share of the wall belongs to this stage name.
-func (t *EpochTrace) EndSpanWith(s *Span, d time.Duration) {
-	s.mu.Lock()
-	if s.open {
-		s.DurationMicros = d.Microseconds()
-		s.open = false
-	}
-	s.mu.Unlock()
-	t.pop(s)
 }
 
 // AddStage attaches an already-measured stage span under the root — how

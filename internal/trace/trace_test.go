@@ -19,7 +19,10 @@ func TestSpanTreeAndOpenStage(t *testing.T) {
 	if got := et.OpenStage(); got != "planning" {
 		t.Errorf("OpenStage = %q, want planning", got)
 	}
-	et.EndSpan(plan)
+	et.EndSpanWith(plan, 3*time.Millisecond)
+	if plan.DurationMicros != 3000 {
+		t.Errorf("planning lasted %d µs, want the 3000 it was ended with", plan.DurationMicros)
+	}
 
 	fetch := et.StartSpan("getBatch")
 	fetch.SetAttr("rows", 42)
@@ -28,7 +31,7 @@ func TestSpanTreeAndOpenStage(t *testing.T) {
 	if got := et.OpenStage(); got != "getBatch" {
 		t.Errorf("OpenStage = %q, want getBatch", got)
 	}
-	et.EndSpan(fetch)
+	et.EndSpanWith(fetch, time.Millisecond)
 	if got := et.OpenStage(); got != "" {
 		t.Errorf("OpenStage after all ends = %q, want empty", got)
 	}
@@ -101,8 +104,8 @@ func TestWriteChromeFormat(t *testing.T) {
 	et := StartEpoch("q", 7, "microbatch", time.Now())
 	sp := et.StartSpan("getBatch")
 	sp.SetAttr("rows", 10)
-	time.Sleep(time.Millisecond)
-	et.EndSpan(sp)
+	time.Sleep(time.Millisecond) // the root's measured duration must not round to 0 µs
+	et.EndSpanWith(sp, time.Millisecond)
 	et.Finish()
 
 	var buf bytes.Buffer
@@ -161,7 +164,7 @@ func TestConcurrentSpans(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				sp := et.StartSpan("read")
 				sp.SetAttr("i", int64(i))
-				et.EndSpan(sp)
+				et.EndSpanWith(sp, time.Microsecond)
 			}
 		}()
 	}

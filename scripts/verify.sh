@@ -1,7 +1,7 @@
 #!/bin/sh
 # Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
 # sweep included), the benchmark module, the stale-name guard and the
-# vectorized/row differential smoke. VERIFY_FULL=1 adds eleven fuzz smokes,
+# vectorized/row differential smoke. VERIFY_FULL=1 adds twelve fuzz smokes,
 # four micro-benchmark steps and the x20 arrival wake-up run. The last line
 # says which tier ran. Use `go test -short ./...` for the quick tier that
 # skips the crash sweep.
@@ -88,6 +88,9 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# What the write-ahead log reads back — offsets entry and commit record —
 	# raw and behind a valid frame.
 	fuzz "wal decode" FuzzWALDecode ./internal/wal/
+	# The columnar table's segment readers — boxed, projected and typed —
+	# over lengths and counts read off disk.
+	fuzz "colfmt segment" FuzzColfmtSegment ./internal/colfmt/
 	# The memory sink's result table: whatever batches the fuzzer draws,
 	# every reader returns what a map of boxed rows would, before and after a
 	# rewrite of the slabs.
@@ -128,9 +131,10 @@ step "benchmark module vet + tests"
 # owns; the lineage-stamp ring's size, the event log's settable history
 # limit and the four engine-side stamp methods, all gone into the one epoch
 # ring — not the deliver stamp, which the hub still calls; the join's boxed
-# shuffle-row constructor, replaced by join cells) must not survive in code,
-# scripts or docs. The pattern is assembled from halves so this
-# script does not match itself.
+# shuffle-row constructor, replaced by join cells; the engine's vectorize
+# option, its pointer helper and the reduce-side merge only it selected) must
+# not survive in code, scripts or docs. The pattern is assembled from halves
+# so this script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
@@ -141,17 +145,29 @@ stale="$stale"'|clone''Rows|key''Order|\.Hi''nt\('
 stale="$stale"'|Commit''Barrier|Segment''Ref|Segment''Partitions|Segments''Written|drop''UncommittedSegments|e\.sh''arded'
 stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Execute|Stamp''Commit'
 stale="$stale"'|JoinShuffle''Row'
+stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
 fi
 # Vectorization differential smoke: the columnar path must be
-# byte-identical to the row path on randomized queries and data, and the
-# engine-level on/off runs must agree. (The full suite also runs under
-# `go test -race ./...` above; this line keeps the contract visible.)
+# byte-identical to the row path on randomized queries and data, the
+# engine's columnar and row-stage compiles must agree, and both must equal
+# the batch query over the consumed prefix after every epoch. (The full suite
+# also runs under `go test -race ./...` above; this step keeps the contract
+# visible.) A -run pattern that matches nothing in a package passes, so each
+# package must report at least one test passed.
 step "vectorized/row differential smoke"
-go test -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorizeOnOff' \
-	./internal/sql/vec/ ./internal/incremental/ ./internal/engine/ >/dev/null
+for pkg in ./internal/sql/vec/ ./internal/incremental/ ./internal/engine/; do
+	out=$(go test -v -run 'TestDifferential|TestProgramMatchesRowEval|TestVectorize|TestStatefulVectorize' "$pkg") || {
+		echo "$out"
+		exit 1
+	}
+	if ! echo "$out" | grep -q '^--- PASS'; then
+		echo "verify: the differential smoke ran no test in $pkg"
+		exit 1
+	fi
+done
 # Opt-in chaos tier: randomized fault schedule against the supervised
 # runtime (bounded by STRUCTREAM_CHAOS_SECONDS, default 20).
 if [ "${STRUCTREAM_CHAOS:-}" = "1" ]; then

@@ -91,11 +91,15 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 // "stateBackend", "stateMemtableBytes", "stateBlockCacheBytes",
 // "stateSyncMaintenance" — "true" pins LSM flush/compaction inline on the
 // commit path instead of the background goroutine,
-// "vectorize" — "false" disables the columnar execution path,
 // "publish" — "true" attaches a live serving hub to the query (requires a
 // sink that supports replay, i.e. the memory sink; see Session.Publish),
 // "retainEpochs" — N bounds the memory sink to the last N committed
-// epochs; subscribers resuming below the floor restart from a snapshot).
+// epochs; subscribers resuming below the floor restart from a snapshot,
+// "transactional" — "true" makes the bus sink commit each epoch through a
+// control topic). Numeric options take an integer and the others named
+// "true"/"false"; Start refuses a value that is not one, naming the key.
+// The columnar execution path is always on, with the row path as its
+// per-stage fallback, so the former "vectorize" option is refused too.
 func (w *DataStreamWriter) Option(key, value string) *DataStreamWriter {
 	w.opts[key] = value
 	return w
@@ -143,6 +147,9 @@ func (w *DataStreamWriter) MaxRecordsPerTrigger(n int64) *DataStreamWriter {
 func (w *DataStreamWriter) Start(path string) (*StreamingQuery, error) {
 	if bad, ok := w.opts["__badmode"]; ok {
 		return nil, fmt.Errorf("structream: unknown output mode %q", bad)
+	}
+	if err := w.checkOptions(); err != nil {
+		return nil, err
 	}
 	df := w.df
 	if !df.IsStreaming() {
@@ -214,9 +221,6 @@ func (w *DataStreamWriter) Start(path string) (*StreamingQuery, error) {
 	if w.opts["stateSyncMaintenance"] == "true" {
 		opts.StateSyncMaintenance = true
 	}
-	if v := w.opts["vectorize"]; v == "false" {
-		opts.Vectorize = engine.Bool(false)
-	}
 	sq, err := engine.Start(q, srcs, sink, opts)
 	if err != nil {
 		return nil, err
@@ -231,6 +235,33 @@ func (w *DataStreamWriter) Start(path string) (*StreamingQuery, error) {
 		df.s.Publish(sq, rep, serve.HubOptions{})
 	}
 	return sq, nil
+}
+
+// The option keys whose values Start parses, by type.
+var (
+	intOptions  = []string{"partitions", "maxRecordsPerTrigger", "workers", "stateMemtableBytes", "stateBlockCacheBytes", "retainEpochs"}
+	boolOptions = []string{"stateSyncMaintenance", "publish", "transactional"}
+)
+
+// checkOptions refuses an option value that does not parse as its key's
+// type, so a typo is an error rather than the default run in its place.
+func (w *DataStreamWriter) checkOptions() error {
+	if _, ok := w.opts["vectorize"]; ok {
+		return fmt.Errorf(`structream: option "vectorize" was removed: the columnar path is always on, with the row path as its per-stage fallback`)
+	}
+	for _, key := range intOptions {
+		if v, ok := w.opts[key]; ok {
+			if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+				return fmt.Errorf("structream: option %q wants an integer, got %q", key, v)
+			}
+		}
+	}
+	for _, key := range boolOptions {
+		if v, ok := w.opts[key]; ok && v != "true" && v != "false" {
+			return fmt.Errorf(`structream: option %q wants "true" or "false", got %q`, key, v)
+		}
+	}
+	return nil
 }
 
 // replayTarget finds the serving layer's replay source inside a sink:
