@@ -10,19 +10,11 @@ import (
 )
 
 // TestEmitOrderingUnderConcurrency: with many concurrent emitters, every
-// listener observes events in exactly the order their JSON lines reach the
-// writer — the out-of-order fan-out the old unlocked delivery allowed — and
-// each lands on its own epoch's record.
+// event reaches the writer as one whole JSON line, each emitter's lines in
+// the order it emitted them, and each event lands on its own epoch's record.
 func TestEmitOrderingUnderConcurrency(t *testing.T) {
 	var lines bytes.Buffer // written under the emission lock only
 	l := NewEventLog(&lines, NewEpochRing(), nil)
-	var mu sync.Mutex
-	var seen []int64
-	l.AddListener(func(p QueryProgress) {
-		mu.Lock()
-		seen = append(seen, p.Epoch)
-		mu.Unlock()
-	})
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -38,14 +30,20 @@ func TestEmitOrderingUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	written := strings.Split(strings.TrimSpace(lines.String()), "\n")
 	history := l.Recent(0)
-	if len(written) != workers*per || len(seen) != workers*per || len(history) != workers*per {
-		t.Fatalf("written=%d seen=%d history=%d, want %d", len(written), len(seen), len(history), workers*per)
+	if len(written) != workers*per || len(history) != workers*per {
+		t.Fatalf("written=%d history=%d, want %d", len(written), len(history), workers*per)
 	}
+	next := make([]int64, workers) // each emitter's next epoch, in its own order
 	for i, line := range written {
 		var p QueryProgress
-		if err := json.Unmarshal([]byte(line), &p); err != nil || p.Epoch != seen[i] {
-			t.Fatalf("delivery order diverged from the writer's at %d: listener saw %d, line is %s (%v)", i, seen[i], line, err)
+		if err := json.Unmarshal([]byte(line), &p); err != nil {
+			t.Fatalf("line %d is not one whole event: %s (%v)", i, line, err)
 		}
+		w := p.Epoch / per
+		if p.Epoch != w*per+next[w] {
+			t.Fatalf("line %d is epoch %d; emitter %d emitted epoch %d next", i, p.Epoch, w, w*per+next[w])
+		}
+		next[w]++
 		if history[i].Epoch != int64(i) {
 			t.Fatalf("history[%d] is epoch %d: the ring reads back in epoch order", i, history[i].Epoch)
 		}
@@ -79,7 +77,7 @@ func TestEmitCountsWriterFailures(t *testing.T) {
 	if got := reg.Counter("eventLogWriteFailures").Value(); got != 3 {
 		t.Errorf("registry counter = %d, want 3", got)
 	}
-	// Failed writes must not lose the event for history or listeners.
+	// Failed writes must not lose the event for history.
 	if got := len(l.Recent(0)); got != 5 {
 		t.Errorf("history = %d events, want 5", got)
 	}

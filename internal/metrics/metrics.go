@@ -347,26 +347,17 @@ func BottleneckStage(breakdown map[string]int64) string {
 	return best
 }
 
-// Listener receives progress events.
-type Listener func(p QueryProgress)
-
 // EventLog publishes progress events: each lands on its epoch's record in
-// the query's ring, is appended as a JSON line to the writer, if there is
-// one, and is handed to every listener. Delivery is totally ordered: the
-// order JSON lines hit the writer is the order every listener observes, even
-// under concurrent emitters. Writer failures are not swallowed — they are
-// counted (WriteFailures, and the eventLogWriteFailures counter of the
-// log's registry).
+// the query's ring and is appended as a JSON line to the writer, if there is
+// one. Writer failures are not swallowed — they are counted (WriteFailures,
+// and the eventLogWriteFailures counter of the log's registry).
 type EventLog struct {
-	// emitMu serializes whole emissions, pinning listener delivery to writer
-	// order. Listeners must not call Emit re-entrantly.
+	// emitMu serializes whole emissions, so concurrent emitters' JSON lines
+	// reach the writer whole and in emission order.
 	emitMu sync.Mutex
-	// mu guards listeners for concurrent readers.
-	mu        sync.Mutex
-	listeners []Listener
-	w         io.Writer
-	ring      *EpochRing
-	reg       *Registry
+	w      io.Writer
+	ring   *EpochRing
+	reg    *Registry
 
 	writeFailures atomic.Int64
 }
@@ -378,15 +369,8 @@ func NewEventLog(w io.Writer, ring *EpochRing, reg *Registry) *EventLog {
 	return &EventLog{w: w, ring: ring, reg: reg}
 }
 
-// AddListener registers a listener for future events.
-func (l *EventLog) AddListener(fn Listener) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.listeners = append(l.listeners, fn)
-}
-
 // WriteFailures counts JSON-line writes that failed (marshal or writer
-// error). The events still reached the ring and listeners.
+// error). The events still reached the ring.
 func (l *EventLog) WriteFailures() int64 { return l.writeFailures.Load() }
 
 // Evicted counts whole epoch records — progress, span tree and lineage
@@ -394,17 +378,13 @@ func (l *EventLog) WriteFailures() int64 { return l.writeFailures.Load() }
 func (l *EventLog) Evicted() int64 { return l.ring.Evicted() }
 
 // Emit publishes one progress event: onto its epoch's record first, then the
-// writer, then every listener, all under the emission lock so concurrent
-// emitters cannot interleave deliveries.
+// writer, both under the emission lock so concurrent emitters cannot
+// interleave deliveries.
 func (l *EventLog) Emit(p QueryProgress) {
 	l.emitMu.Lock()
 	defer l.emitMu.Unlock()
 
 	l.ring.Update(p.Epoch, func(r *EpochRecord) { r.Progress = &p })
-	l.mu.Lock()
-	listeners := append([]Listener(nil), l.listeners...)
-	l.mu.Unlock()
-
 	if l.w != nil {
 		data, err := json.Marshal(p)
 		if err == nil {
@@ -419,9 +399,6 @@ func (l *EventLog) Emit(p QueryProgress) {
 	}
 	if evicted := l.ring.Evicted(); l.reg != nil && evicted > 0 {
 		l.reg.Gauge("eventLogEvicted").Set(evicted)
-	}
-	for _, fn := range listeners {
-		fn(p)
 	}
 }
 

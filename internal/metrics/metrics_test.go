@@ -42,15 +42,14 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestEventLogListenersAndHistory(t *testing.T) {
-	l := NewEventLog(nil, NewEpochRing(), nil)
-	var got []QueryProgress
-	l.AddListener(func(p QueryProgress) { got = append(got, p) })
+func TestEventLogHistory(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewEventLog(&buf, NewEpochRing(), nil)
 	for i := 0; i < 5; i++ {
 		l.Emit(QueryProgress{Epoch: int64(i), NumInputRows: int64(i * 10)})
 	}
-	if len(got) != 5 {
-		t.Fatalf("listener saw %d events", len(got))
+	if got := strings.Count(buf.String(), "\n"); got != 5 {
+		t.Fatalf("writer got %d lines, want 5", got)
 	}
 	recent := l.Recent(2)
 	if len(recent) != 2 || recent[0].Epoch != 3 || recent[1].Epoch != 4 {

@@ -92,7 +92,7 @@ func (d *Decoder) Value() (sql.Value, error) {
 
 // Row decodes a length-prefixed row.
 func (d *Decoder) Row() (sql.Row, error) {
-	n, w := binary.Uvarint(d.buf[d.off:])
+	n, w := sql.Uvarint(d.buf[d.off:])
 	// Every value takes at least its tag byte, so a length beyond what is
 	// left is corrupt — and must not size the allocation below.
 	if w <= 0 || n > uint64(len(d.buf)-d.off-w) {

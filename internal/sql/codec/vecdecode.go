@@ -82,7 +82,7 @@ func (e *Encoder) PutVectorValue(v *vec.Vector, i int) {
 // garbage collector keeps the backing array live for as long as any
 // aliasing string is, so lifetime needs no management beyond that rule.
 func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (added, compat bool) {
-	n, w := binary.Uvarint(buf)
+	n, w := sql.Uvarint(buf)
 	pos := w
 	if w <= 0 || int(n) != len(cols) {
 		return false, true
@@ -113,12 +113,17 @@ func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (a
 			if tag != tagInt64 {
 				return false, false
 			}
-			v, vw := binary.Varint(buf[pos:])
-			if vw <= 0 {
-				return abandonRow(cols, i, c)
+			// The reader's word path, inlined: a call per cell gave back an
+			// eighth of the word's gain on map-bulk's record and a third on
+			// the Yahoo! event's (BenchmarkDecodeVec).
+			ux, vw := sql.UvarintWord(buf[pos:])
+			if vw == 0 {
+				if ux, vw = sql.Uvarint(buf[pos:]); vw <= 0 {
+					return abandonRow(cols, i, c)
+				}
 			}
 			pos += vw
-			col.Int64s[i] = v
+			col.Int64s[i] = sql.Unzigzag(ux)
 		case vec.KindFloat64:
 			if tag != tagFloat64 {
 				return false, false
@@ -141,7 +146,7 @@ func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (a
 			if tag != tagString {
 				return false, false
 			}
-			sl, sw := binary.Uvarint(buf[pos:])
+			sl, sw := sql.Uvarint(buf[pos:])
 			if sw <= 0 || sl > uint64(len(buf)-pos-sw) { // compared unsigned: int(sl) can wrap negative
 				return abandonRow(cols, i, c)
 			}
@@ -156,12 +161,12 @@ func DecodeRowToBatchShared(buf []byte, cols []*vec.Vector, i int, nrows int) (a
 			if tag != tagWindow {
 				return false, false
 			}
-			start, w1 := binary.Varint(buf[pos:])
+			start, w1 := sql.Varint(buf[pos:])
 			if w1 <= 0 {
 				return abandonRow(cols, i, c)
 			}
 			pos += w1
-			end, w2 := binary.Varint(buf[pos:])
+			end, w2 := sql.Varint(buf[pos:])
 			if w2 <= 0 {
 				return abandonRow(cols, i, c)
 			}
@@ -223,7 +228,7 @@ func DecodeColumnToVector(block []byte, v *vec.Vector, nrows int) (bool, error) 
 			if tag != tagInt64 {
 				return false, nil
 			}
-			val, w := binary.Varint(block[pos:])
+			val, w := sql.Varint(block[pos:])
 			if w <= 0 {
 				return false, fmt.Errorf("codec: corrupt varint at value %d", i)
 			}
@@ -251,7 +256,7 @@ func DecodeColumnToVector(block []byte, v *vec.Vector, nrows int) (bool, error) 
 			if tag != tagString {
 				return false, nil
 			}
-			sl, sw := binary.Uvarint(block[pos:])
+			sl, sw := sql.Uvarint(block[pos:])
 			if sw <= 0 || sl > uint64(len(block)-pos-sw) { // compared unsigned: int(sl) can wrap negative
 				return false, fmt.Errorf("codec: corrupt string at value %d", i)
 			}
@@ -262,12 +267,12 @@ func DecodeColumnToVector(block []byte, v *vec.Vector, nrows int) (bool, error) 
 			if tag != tagWindow {
 				return false, nil
 			}
-			start, w1 := binary.Varint(block[pos:])
+			start, w1 := sql.Varint(block[pos:])
 			if w1 <= 0 {
 				return false, fmt.Errorf("codec: corrupt window at value %d", i)
 			}
 			pos += w1
-			end, w2 := binary.Varint(block[pos:])
+			end, w2 := sql.Varint(block[pos:])
 			if w2 <= 0 {
 				return false, fmt.Errorf("codec: corrupt window at value %d", i)
 			}

@@ -103,7 +103,7 @@ func ReadValue(buf []byte, pos int) (Value, int) {
 	case WireTrue:
 		return true, pos
 	case WireInt64:
-		n, w := binary.Varint(buf[pos:])
+		n, w := Varint(buf[pos:])
 		if w <= 0 {
 			return nil, -1
 		}
@@ -114,7 +114,7 @@ func ReadValue(buf []byte, pos int) (Value, int) {
 		}
 		return math.Float64frombits(binary.BigEndian.Uint64(buf[pos:])), pos + 8
 	case WireString, WireBinary:
-		n, w := binary.Uvarint(buf[pos:])
+		n, w := Uvarint(buf[pos:])
 		if w <= 0 || n > uint64(len(buf)-pos-w) { // compared unsigned: int(n) can wrap negative
 			return nil, -1
 		}
@@ -125,11 +125,11 @@ func ReadValue(buf []byte, pos int) (Value, int) {
 		}
 		return append([]byte(nil), buf[pos:end]...), end
 	case WireWindow:
-		start, w1 := binary.Varint(buf[pos:])
+		start, w1 := Varint(buf[pos:])
 		if w1 <= 0 {
 			return nil, -1
 		}
-		end, w2 := binary.Varint(buf[pos+w1:])
+		end, w2 := Varint(buf[pos+w1:])
 		if w2 <= 0 {
 			return nil, -1
 		}
@@ -147,7 +147,7 @@ func ReadInt64(buf []byte, pos int) (int64, int) {
 	if pos >= len(buf) || buf[pos] != WireInt64 {
 		return 0, -1
 	}
-	n, w := binary.Varint(buf[pos+1:])
+	n, w := Varint(buf[pos+1:])
 	if w <= 0 {
 		return 0, -1
 	}
@@ -167,11 +167,11 @@ func ReadWindow(buf []byte, pos int) (start, end int64, next int) {
 	if pos >= len(buf) || buf[pos] != WireWindow {
 		return 0, 0, -1
 	}
-	start, w1 := binary.Varint(buf[pos+1:])
+	start, w1 := Varint(buf[pos+1:])
 	if w1 <= 0 {
 		return 0, 0, -1
 	}
-	end, w2 := binary.Varint(buf[pos+1+w1:])
+	end, w2 := Varint(buf[pos+1+w1:])
 	if w2 <= 0 {
 		return 0, 0, -1
 	}
@@ -192,7 +192,7 @@ func ReadBytes(buf []byte, pos int, tag byte) ([]byte, int) {
 	if pos >= len(buf) || buf[pos] != tag {
 		return nil, -1
 	}
-	n, w := binary.Uvarint(buf[pos+1:])
+	n, w := Uvarint(buf[pos+1:])
 	if w <= 0 || n > uint64(len(buf)-pos-1-w) { // compared unsigned: int(n) can wrap negative
 		return nil, -1
 	}
@@ -212,32 +212,27 @@ func SkipValue(buf []byte, pos int) int {
 	case WireNull, WireFalse, WireTrue:
 		return pos
 	case WireInt64:
-		_, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return -1
+		// By the stop bit alone; the value is never assembled.
+		if w := uvarintWordLen(buf[pos:]); w > 0 {
+			return pos + w
 		}
-		return pos + w
+		return skipVarint(buf, pos)
 	case WireFloat64:
 		if pos+8 > len(buf) {
 			return -1
 		}
 		return pos + 8
 	case WireString, WireBinary:
-		n, w := binary.Uvarint(buf[pos:])
+		n, w := Uvarint(buf[pos:])
 		if w <= 0 || n > uint64(len(buf)-pos-w) {
 			return -1
 		}
 		return pos + w + int(n)
 	case WireWindow:
-		_, w1 := binary.Uvarint(buf[pos:])
-		if w1 <= 0 {
+		if pos = skipVarint(buf, pos); pos < 0 {
 			return -1
 		}
-		_, w2 := binary.Uvarint(buf[pos+w1:])
-		if w2 <= 0 {
-			return -1
-		}
-		return pos + w1 + w2
+		return skipVarint(buf, pos)
 	}
 	return -1
 }

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
-# sweep included), the benchmark module, the stale-name guard and the
-# vectorized/row differential smoke. VERIFY_FULL=1 adds twelve fuzz smokes,
-# four micro-benchmark steps and the x20 arrival wake-up run. The last line
-# says which tier ran. Use `go test -short ./...` for the quick tier that
-# skips the crash sweep.
+# sweep included), the benchmark module, the stale-name guard, the varint
+# reader guard and the vectorized/row differential smoke. VERIFY_FULL=1 adds
+# thirteen fuzz smokes, five micro-benchmark steps and the x20 arrival wake-up
+# run. The last line says which tier ran. Use `go test -short ./...` for the
+# quick tier that skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
 # step announces a step and prints the wall time of the one before it, so a
@@ -85,6 +85,9 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# The bus-record decoders: the pruned, the full typed and the boxed one
 	# must keep and drop the same records and agree on every kept cell.
 	fuzz "pruned row decode" FuzzDecodeRowPruned ./internal/sql/codec/
+	# The row codec's varint reader against encoding/binary, which shares no
+	# code with its word path: same value, same width, for any bytes.
+	fuzz "varint reader" FuzzVarint ./internal/sql/
 	# What the write-ahead log reads back — offsets entry and commit record —
 	# raw and behind a valid frame.
 	fuzz "wal decode" FuzzWALDecode ./internal/wal/
@@ -111,6 +114,10 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	go test -run '^$' -bench 'BenchmarkJoinExchange' -benchtime 1x ./internal/incremental/ >/dev/null
 	step "memory sink micro-benchmarks, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkMemorySink' -benchtime 1x ./internal/sinks/ >/dev/null
+	# The bus-record decode, Yahoo! event and map-bulk record: it fails on a
+	# record the typed decoder does not land.
+	step "codec decode micro-benchmark, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkDecodeVec' -benchtime 1x ./internal/sql/codec/ >/dev/null
 fi
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
@@ -148,6 +155,17 @@ stale="$stale"'|JoinShuffle''Row'
 stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
+	exit 1
+fi
+# The row codec reads every varint through one reader (internal/sql/varint.go)
+# whose fallback is encoding/binary's byte loop. That fallback must be the
+# only call of the loop in internal/sql: any other is a decode path that
+# skipped the reader.
+step "varint reader guard"
+loops=$(git grep -nE 'binary\.(Uvarint|Varint)\(' -- internal/sql ':!*_test.go' || true)
+if [ "$(echo "$loops" | grep -c .)" != 1 ] || ! echo "$loops" | grep -q '^internal/sql/varint\.go:[0-9]*:.*return binary\.Uvarint(buf)$'; then
+	echo "$loops"
+	echo "verify: internal/sql decodes a varint outside the reader's fallback (use sql.Uvarint / sql.Varint)"
 	exit 1
 fi
 # Vectorization differential smoke: the columnar path must be
