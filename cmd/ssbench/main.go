@@ -1,17 +1,16 @@
-// Command ssbench regenerates every figure in the paper's evaluation (§9)
-// plus the operational ablations, printing the same rows/series the paper
-// reports:
+// Command ssbench regenerates the paper's evaluation figures (§9) that this
+// repository reproduces, plus the operational ablations, printing the same
+// rows/series the paper reports after one line of machine context:
 //
 //	ssbench -experiment fig6a     Yahoo! benchmark vs the two baselines
-//	ssbench -experiment fig6b     scaling sweep over the virtual cluster
 //	ssbench -experiment fig7      continuous-mode latency vs input rate
-//	ssbench -experiment runonce   §7.3 run-once trigger cost savings
 //	ssbench -experiment recovery  §6.2 one-epoch recovery vs topology rollback
 //	ssbench -experiment adaptive  §7.3 adaptive batching after downtime
 //	ssbench -experiment all       everything, in order
 //
-// The repository's benchmark (throughput, latency, recovery and per-layer
-// metrics of the five fixed workloads) is `bash benchmark/run.sh`.
+// Fig 6b and the §7.3 run-once cost model are not reproduced; EXPERIMENTS.md
+// says why. The repository's benchmark (throughput, latency, recovery and
+// per-layer metrics of the five fixed workloads) is `bash benchmark/run.sh`.
 package main
 
 import (
@@ -20,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,32 +30,31 @@ import (
 
 // sizes are the workload sizes of one ssbench run.
 type sizes struct {
-	events    int           // fig6a workload, fig6b calibration
-	rounds    int           // fig6a measurement rounds per engine (best kept)
+	events    int           // fig6a workload
+	rounds    int           // fig6a rounds per engine (median and quartiles reported)
 	perRate   time.Duration // fig7 time per rate point
 	fig7Rates []int64       // fig7 sweep; nil = the figure's own rates
-	ops       int           // runonce hourly volume, recovery workload
+	ops       int           // recovery workload
 	backlog   int64         // adaptive: rows accumulated during downtime
 }
 
 // experimentNames lists the experiments in the order `all` runs them.
-var experimentNames = []string{"fig6a", "fig6b", "fig7", "runonce", "recovery", "adaptive"}
+var experimentNames = []string{"fig6a", "fig7", "recovery", "adaptive"}
+
+// retired names experiments ssbench no longer runs, with where to look.
+var retired = map[string]string{
+	"bench":   "the bench experiment is gone; the repository benchmark is `bash benchmark/run.sh`",
+	"fig6b":   "Fig 6b is not reproduced: it was a cost model, not a measurement; see EXPERIMENTS.md, \"Fig 6b — scaling, 1 → 20 nodes\"",
+	"runonce": "the run-once cost model is gone; see EXPERIMENTS.md, \"§7.3 — run-once trigger cost savings\"",
+}
 
 // runExperiment runs one named experiment and returns its printable result.
 func runExperiment(name string, sz sizes, tempDir func() string) (fmt.Stringer, error) {
 	switch name {
 	case "fig6a":
 		return experiments.RunFig6a(sz.events, sz.rounds, tempDir)
-	case "fig6b":
-		model, err := experiments.CalibrateYahoo(sz.events, tempDir)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.RunFig6b(model, []int{1, 5, 10, 20}, 1_000_000_000, 1000)
 	case "fig7":
 		return experiments.RunFig7(sz.fig7Rates, sz.perRate, tempDir)
-	case "runonce":
-		return experiments.RunRunOnce(int64(sz.ops), tempDir)
 	case "recovery":
 		return experiments.RunRecovery(sz.ops, tempDir)
 	case "adaptive":
@@ -72,12 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	valid := strings.Join(experimentNames, ", ") + " or all"
 	fs := flag.NewFlagSet("ssbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		experiment = fs.String("experiment", "all", valid)
-		events     = fs.Int("events", 4_000_000, "workload size for fig6a/fig6b calibration")
-		rounds     = fs.Int("rounds", 3, "measurement rounds per engine (best kept)")
-		rateSecs   = fs.Float64("rate-seconds", 1.5, "seconds per rate point in fig7")
-	)
+	experiment := fs.String("experiment", "all", valid)
+	events := fs.Int("events", 4_000_000, "workload size for fig6a")
+	rounds := fs.Int("rounds", 10, "fig6a rounds per engine (median and quartiles reported)")
+	rateSecs := fs.Float64("rate-seconds", 1.5, "seconds per rate point in fig7")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,8 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *experiment != "all" {
 		names = []string{*experiment}
 		if !slices.Contains(experimentNames, *experiment) {
-			if *experiment == "bench" {
-				fmt.Fprintln(stderr, "ssbench: the bench experiment is gone; the repository benchmark is `bash benchmark/run.sh`")
+			if why, ok := retired[*experiment]; ok {
+				fmt.Fprintln(stderr, "ssbench:", why)
 			}
 			fmt.Fprintf(stderr, "ssbench: unknown experiment %q (valid: %s)\n", *experiment, valid)
 			return 2
@@ -111,6 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n++
 		return filepath.Join(base, strconv.Itoa(n))
 	}
+	// Machine context first: when, and on what, the numbers below were taken.
+	fmt.Fprintf(stdout, "ssbench: %s, %s %s/%s, NumCPU %d, GOMAXPROCS %d\n",
+		time.Now().UTC().Format("2006-01-02 15:04 UTC"), runtime.Version(),
+		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	for _, name := range names {
 		r, err := runExperiment(name, sz, tempDir)
 		if err != nil {

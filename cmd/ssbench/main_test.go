@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,9 +24,7 @@ func TestExperimentsRunByName(t *testing.T) {
 	}
 	headers := map[string]string{
 		"fig6a":    "Fig 6a",
-		"fig6b":    "Fig 6b",
 		"fig7":     "Fig 7",
-		"runonce":  "run-once",
 		"recovery": "recovery",
 		"adaptive": "adaptive batching",
 	}
@@ -50,12 +49,14 @@ func TestExperimentsRunByName(t *testing.T) {
 }
 
 // TestUnknownExperimentIsRejected: a name that matches nothing must not
-// exit 0 in silence — and `bench`, which scripts may still pass, is told
-// where the benchmark went.
+// exit 0 in silence — and a retired name, which scripts may still pass, is
+// told why it is gone and where to look.
 func TestUnknownExperimentIsRejected(t *testing.T) {
 	for _, tc := range []struct{ name, want string }{
-		{"nosuch", `unknown experiment "nosuch" (valid: fig6a, fig6b, fig7, runonce, recovery, adaptive or all)`},
+		{"nosuch", `unknown experiment "nosuch" (valid: fig6a, fig7, recovery, adaptive or all)`},
 		{"bench", "bash benchmark/run.sh"},
+		{"fig6b", `EXPERIMENTS.md, "Fig 6b — scaling, 1 → 20 nodes"`},
+		{"runonce", `EXPERIMENTS.md, "§7.3 — run-once trigger cost savings"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-experiment", tc.name}, &stdout, &stderr); code != 2 {
@@ -67,5 +68,23 @@ func TestUnknownExperimentIsRejected(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%s: printed %q to stdout", tc.name, stdout.String())
 		}
+	}
+}
+
+// TestRunPrintsMachineContextFirst: the numbers a run prints carry the
+// toolchain and the parallelism they were taken with, on the first line.
+func TestRunPrintsMachineContextFirst(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "fig6a", "-events", "2000", "-rounds", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d: %s", code, stderr.String())
+	}
+	first, rest, _ := strings.Cut(stdout.String(), "\n")
+	for _, want := range []string{runtime.Version(), "GOMAXPROCS " + strconv.Itoa(runtime.GOMAXPROCS(0))} {
+		if !strings.Contains(first, want) {
+			t.Errorf("first line %q lacks %q", first, want)
+		}
+	}
+	if !strings.HasPrefix(rest, "Fig 6a") {
+		t.Errorf("the figure does not follow the context line:\n%s", stdout.String())
 	}
 }

@@ -38,7 +38,6 @@ func (p *MapProcessor) Process(row sql.Row, forward func(sql.Row)) error {
 // update is synchronously appended to the changelog before the in-memory
 // view changes, which is Kafka Streams' durability model.
 type KTable struct {
-	name      string
 	changelog *msgbus.Topic
 	view      map[string]sql.Row
 }
@@ -50,7 +49,7 @@ func NewKTable(broker *msgbus.Broker, name string) (*KTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KTable{name: name, changelog: changelog, view: map[string]sql.Row{}}, nil
+	return &KTable{changelog: changelog, view: map[string]sql.Row{}}, nil
 }
 
 // Get reads the current value for a key.
@@ -71,60 +70,27 @@ func (t *KTable) Put(key string, value sql.Row) error {
 	return nil
 }
 
-// Len reports the number of keys.
-func (t *KTable) Len() int { return len(t.view) }
-
 // View exposes the materialized map (for result draining).
 func (t *KTable) View() map[string]sql.Row { return t.view }
-
-// Restore rebuilds the view by replaying the changelog topic — how Kafka
-// Streams recovers state after a failure.
-func (t *KTable) Restore() error {
-	t.view = map[string]sql.Row{}
-	latest := t.changelog.LatestOffsets()[0]
-	const chunk = 4096
-	for off := int64(0); off < latest; {
-		recs, next, err := t.changelog.Fetch(0, off, chunk)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			row, err := codec.DecodeRow(rec.Value)
-			if err != nil {
-				return err
-			}
-			t.view[string(rec.Key)] = row
-		}
-		off = next
-	}
-	return nil
-}
 
 // Topology is a two-stage keyed pipeline: a map stage, a repartition-by-key
 // hop through the bus, and a keyed aggregation into a KTable. This is the
 // canonical Kafka Streams shape (map → groupByKey → aggregate) and exactly
 // the Yahoo benchmark's structure.
 type Topology struct {
-	broker      *msgbus.Broker
 	mapStage    Processor
-	repartition *msgbus.Topic
+	repartition *msgbus.Topic // one partition
 	keyFn       func(sql.Row) string
 	aggFn       func(prev sql.Row, row sql.Row) sql.Row
 	table       *KTable
-	// CommitEvery flushes consumer offsets every n records (simulating the
-	// commit interval); kept for fidelity, cost is minor.
-	CommitEvery int64
 }
 
 // NewTopology builds the pipeline on a broker. name scopes the internal
 // topics.
-func NewTopology(broker *msgbus.Broker, name string, parallelism int,
+func NewTopology(broker *msgbus.Broker, name string,
 	mapStage Processor, keyFn func(sql.Row) string,
 	aggFn func(prev, row sql.Row) sql.Row) (*Topology, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	repart, err := broker.CreateTopic(name+"-repartition", parallelism)
+	repart, err := broker.CreateTopic(name+"-repartition", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +99,11 @@ func NewTopology(broker *msgbus.Broker, name string, parallelism int,
 		return nil, err
 	}
 	return &Topology{
-		broker:      broker,
 		mapStage:    mapStage,
 		repartition: repart,
 		keyFn:       keyFn,
 		aggFn:       aggFn,
 		table:       table,
-		CommitEvery: 1000,
 	}, nil
 }
 
@@ -151,12 +115,7 @@ func (t *Topology) Table() *KTable { return t.table }
 // changelog. Every intermediate record makes two bus round trips, the
 // defining cost of this execution model.
 func (t *Topology) Run(input []sql.Row) error {
-	parts := t.repartition.Partitions()
-	offsets := make([]int64, parts)
-	for i := range offsets {
-		offsets[i] = t.repartition.LatestOffsets()[i]
-	}
-	var processed int64
+	offset := t.repartition.LatestOffsets()[0]
 	for _, row := range input {
 		// Stage 1: map, then produce each survivor to the repartition
 		// topic keyed by the grouping key.
@@ -176,53 +135,45 @@ func (t *Topology) Run(input []sql.Row) error {
 		// Stage 2: the downstream consumer polls the repartition topic and
 		// aggregates — synchronously here, as both subtopologies share the
 		// thread (Kafka Streams runs them in one StreamThread by default).
-		for p := 0; p < parts; p++ {
-			recs, next, err := t.repartition.Fetch(p, offsets[p], 64)
-			if err != nil {
-				return err
-			}
-			offsets[p] = next
-			for _, rec := range recs {
-				keyed, err := codec.DecodeRow(rec.Value)
-				if err != nil {
-					return err
-				}
-				key := string(rec.Key)
-				prev, _ := t.table.Get(key)
-				if err := t.table.Put(key, t.aggFn(prev, keyed)); err != nil {
-					return err
-				}
-			}
+		if _, err := t.consume(&offset, 64); err != nil {
+			return err
 		}
-		processed++
-		_ = processed
 	}
 	// Drain any remaining repartition records.
-	for p := 0; p < parts; p++ {
-		for {
-			recs, next, err := t.repartition.Fetch(p, offsets[p], 4096)
-			if err != nil {
-				return err
-			}
-			if len(recs) == 0 {
-				break
-			}
-			offsets[p] = next
-			for _, rec := range recs {
-				keyed, err := codec.DecodeRow(rec.Value)
-				if err != nil {
-					return err
-				}
-				key := string(rec.Key)
-				prev, _ := t.table.Get(key)
-				if err := t.table.Put(key, t.aggFn(prev, keyed)); err != nil {
-					return err
-				}
-			}
+	for {
+		n, err := t.consume(&offset, 4096)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			break
 		}
 	}
-	if t.table.Len() == 0 && len(input) > 0 {
+	if len(t.table.view) == 0 && len(input) > 0 {
 		return fmt.Errorf("busstream: no output produced")
 	}
 	return nil
+}
+
+// consume polls up to max records of the repartition topic from *offset,
+// folds each into the table, advances *offset past them and returns how
+// many it read.
+func (t *Topology) consume(offset *int64, max int) (int, error) {
+	recs, next, err := t.repartition.Fetch(0, *offset, max)
+	if err != nil {
+		return 0, err
+	}
+	*offset = next
+	for _, rec := range recs {
+		keyed, err := codec.DecodeRow(rec.Value)
+		if err != nil {
+			return 0, err
+		}
+		key := string(rec.Key)
+		prev, _ := t.table.Get(key)
+		if err := t.table.Put(key, t.aggFn(prev, keyed)); err != nil {
+			return 0, err
+		}
+	}
+	return len(recs), nil
 }

@@ -10,7 +10,7 @@ import (
 
 func countTopology(t *testing.T, broker *msgbus.Broker) *Topology {
 	t.Helper()
-	topo, err := NewTopology(broker, "test", 2,
+	topo, err := NewTopology(broker, "test",
 		&MapProcessor{Fn: func(row sql.Row) sql.Row {
 			if row[1].(int64) < 0 {
 				return nil
@@ -73,29 +73,6 @@ func TestEveryRecordCrossesTheBus(t *testing.T) {
 	}
 }
 
-func TestKTableRestoreFromChangelog(t *testing.T) {
-	broker := msgbus.NewBroker()
-	topo := countTopology(t, broker)
-	if err := topo.Run(input(60)); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int64{}
-	for k, row := range topo.Table().View() {
-		want[k] = row[0].(int64)
-	}
-	// Simulate a crash: wipe the view and restore from the changelog.
-	topo.Table().view = map[string]sql.Row{}
-	if err := topo.Table().Restore(); err != nil {
-		t.Fatal(err)
-	}
-	for k, n := range want {
-		row, ok := topo.Table().Get(k)
-		if !ok || row[0] != n {
-			t.Errorf("key %s after restore = %v ok=%v, want %d", k, row, ok, n)
-		}
-	}
-}
-
 func TestKTableDirect(t *testing.T) {
 	broker := msgbus.NewBroker()
 	table, err := NewKTable(broker, "t")
@@ -110,7 +87,7 @@ func TestKTableDirect(t *testing.T) {
 	if row, _ := table.Get("a"); row[0] != int64(2) {
 		t.Errorf("a = %v", row)
 	}
-	if table.Len() != 1 {
-		t.Errorf("len = %d", table.Len())
+	if len(table.View()) != 1 {
+		t.Errorf("len = %d", len(table.View()))
 	}
 }

@@ -1,32 +1,25 @@
 // Package dataflow implements a record-at-a-time streaming engine in the
-// style of Apache Flink's DataStream runtime: a DAG of long-lived
-// operators connected by channels, keyed state held in per-operator hash
-// maps, and aligned barrier checkpoints flowing through the graph. It is
-// the reproduction's stand-in for Flink 1.2.1 in the Yahoo! benchmark
-// comparison (Fig 6a of the paper).
+// style of Apache Flink's DataStream runtime: a chain of long-lived
+// operators, keyed state held in per-operator hash maps, and aligned
+// barrier checkpoints flowing through the chain. It is the reproduction's
+// stand-in for Flink 1.2.1 in the Yahoo! benchmark comparison (Fig 6a of
+// the paper).
 //
 // The engine is deliberately faithful to the execution model the paper
 // contrasts against: every record crosses operator boundaries
-// individually (dynamic dispatch per record, channel transfer per hop),
-// instead of Structured Streaming's fused whole-batch pipelines. That
-// difference — not implementation sloppiness — is where the measured gap
-// comes from, mirroring the Trill observation the paper cites.
+// individually (dynamic dispatch per record, a serialized copy across each
+// keyed exchange), instead of Structured Streaming's fused whole-batch
+// pipelines. That difference — not implementation sloppiness — is where
+// the measured gap comes from, mirroring the Trill observation the paper
+// cites.
 package dataflow
 
 import (
 	"fmt"
-	"sync"
 
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 )
-
-// Record is one event moving through the dataflow, or a checkpoint
-// barrier.
-type Record struct {
-	Row     sql.Row
-	Barrier int64 // >0: barrier id; Row is nil
-}
 
 // Operator transforms records one at a time. Collect emits downstream.
 type Operator interface {
@@ -58,22 +51,6 @@ func (m *MapOperator) Snapshot() any { return nil }
 
 // Restore implements Operator (stateless).
 func (m *MapOperator) Restore(any) {}
-
-// FlatMapOperator applies fn per record, emitting any number of records.
-type FlatMapOperator struct {
-	Fn func(sql.Row, func(sql.Row))
-}
-
-// ProcessRecord implements Operator.
-func (m *FlatMapOperator) ProcessRecord(row sql.Row, collect func(sql.Row)) {
-	m.Fn(row, collect)
-}
-
-// Snapshot implements Operator (stateless).
-func (m *FlatMapOperator) Snapshot() any { return nil }
-
-// Restore implements Operator (stateless).
-func (m *FlatMapOperator) Restore(any) {}
 
 // KeyedReduceOperator maintains per-key state updated record by record —
 // the Flink keyed-state pattern. KeyFn extracts the key, UpdateFn folds a
@@ -124,95 +101,63 @@ func (k *KeyedReduceOperator) Restore(snapshot any) {
 	k.state = snapshot.(map[string]any)
 }
 
-// stage is one operator's parallel subtasks.
+// stage is one operator of the chain.
 type stage struct {
-	name     string
-	subtasks []Operator
-	keyFn    func(sql.Row) string // nil = forward partitioning
-	inputs   []chan Record
+	op    Operator
+	keyed bool // the edge into op is a keyed exchange
 }
 
-// Topology is a linear chain of operator stages with a configurable
-// parallelism per stage — sufficient for the Yahoo benchmark query and
-// representative of typical keyed pipelines.
+// Topology is a linear chain of operator stages — sufficient for the Yahoo
+// benchmark query and representative of typical keyed pipelines.
 type Topology struct {
-	stages []*stage
+	stages []stage
 	// CheckpointEvery triggers an aligned barrier every n source records
 	// (0 disables checkpointing).
 	CheckpointEvery int64
 
-	mu          sync.Mutex
-	checkpoints map[int64][]any // barrier id → operator snapshots
-	lastCkpt    int64
+	lastCkpt []any // operator snapshots at the latest barrier; nil = none yet
 }
 
 // NewTopology creates an empty topology.
-func NewTopology() *Topology {
-	return &Topology{checkpoints: map[int64][]any{}}
-}
+func NewTopology() *Topology { return &Topology{} }
 
-// AddStage appends a stage of `parallelism` copies of operators built by
-// build. keyFn, when non-nil, hash-partitions records to subtasks by key
-// (a network shuffle in real Flink); nil chains subtasks 1:1.
-func (t *Topology) AddStage(name string, parallelism int, keyFn func(sql.Row) string, build func() Operator) *Topology {
-	st := &stage{name: name, keyFn: keyFn}
-	for i := 0; i < parallelism; i++ {
-		st.subtasks = append(st.subtasks, build())
-	}
-	t.stages = append(t.stages, st)
+// AddStage appends op to the chain. keyed makes the edge into op a keyed
+// exchange (a network shuffle in real Flink); otherwise op is chained to
+// the previous stage directly.
+func (t *Topology) AddStage(keyed bool, op Operator) *Topology {
+	t.stages = append(t.stages, stage{op: op, keyed: keyed})
 	return t
 }
 
-// Stage returns the i-th stage's subtask operators (for result draining).
-func (t *Topology) Stage(i int) []Operator { return t.stages[i].subtasks }
-
-// LastCheckpoint reports the most recent completed barrier id.
-func (t *Topology) LastCheckpoint() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastCkpt
-}
+// Stage returns the i-th stage's operator (for result draining).
+func (t *Topology) Stage(i int) Operator { return t.stages[i].op }
 
 // RestoreLastCheckpoint rolls every operator back to the latest completed
 // checkpoint — whole-topology rollback, the recovery granularity the paper
-// contrasts with Spark's per-task re-execution (§6.2).
+// contrasts with Spark's per-task re-execution (§6.2). With no checkpoint
+// yet, every operator restores to empty.
 func (t *Topology) RestoreLastCheckpoint() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	snaps, ok := t.checkpoints[t.lastCkpt]
-	if !ok {
-		// No checkpoint yet: restore to empty.
-		for _, st := range t.stages {
-			for _, op := range st.subtasks {
-				op.Restore(nil)
-			}
+	for i, st := range t.stages {
+		var snap any
+		if t.lastCkpt != nil {
+			snap = t.lastCkpt[i]
 		}
-		return nil
-	}
-	i := 0
-	for _, st := range t.stages {
-		for _, op := range st.subtasks {
-			op.Restore(snaps[i])
-			i++
-		}
+		st.op.Restore(snap)
 	}
 	return nil
 }
 
 // Run pushes records through the topology synchronously on the calling
 // goroutine, record at a time with per-stage dynamic dispatch — the cost
-// profile of a single Flink task chain. Parallel deployments run one Run
-// loop per partition via RunPartitioned.
+// profile of a single Flink task chain.
 func (t *Topology) Run(input []sql.Row) error {
 	if len(t.stages) == 0 {
 		return fmt.Errorf("dataflow: empty topology")
 	}
-	var sourceCount int64
-	for _, row := range input {
+	for i, row := range input {
 		t.processOne(row, 0)
-		sourceCount++
-		if t.CheckpointEvery > 0 && sourceCount%t.CheckpointEvery == 0 {
-			t.checkpoint(sourceCount / t.CheckpointEvery)
+		if t.CheckpointEvery > 0 && int64(i+1)%t.CheckpointEvery == 0 {
+			t.checkpoint()
 		}
 	}
 	return nil
@@ -228,98 +173,23 @@ func (t *Topology) processOne(row sql.Row, s int) {
 		return
 	}
 	st := t.stages[s]
-	sub := 0
-	if st.keyFn != nil {
-		if len(st.subtasks) > 1 {
-			sub = int(fnv32(st.keyFn(row))) % len(st.subtasks)
-		}
+	if st.keyed {
 		wire := codec.EncodeRow(row)
 		decoded, err := codec.DecodeRow(wire)
 		if err == nil {
 			row = decoded
 		}
 	}
-	st.subtasks[sub].ProcessRecord(row, func(out sql.Row) {
+	st.op.ProcessRecord(row, func(out sql.Row) {
 		t.processOne(out, s+1)
 	})
 }
 
 // checkpoint performs an aligned snapshot of every operator.
-func (t *Topology) checkpoint(id int64) {
-	var snaps []any
-	for _, st := range t.stages {
-		for _, op := range st.subtasks {
-			snaps = append(snaps, op.Snapshot())
-		}
-	}
-	t.mu.Lock()
-	t.checkpoints[id] = snaps
-	t.lastCkpt = id
-	t.mu.Unlock()
-}
-
-// RunPartitioned runs one goroutine per input partition, each driving the
-// topology chain; keyed stages are protected per subtask so concurrent
-// partitions contend exactly where a real shuffle would serialize.
-func (t *Topology) RunPartitioned(partitions [][]sql.Row) error {
-	// Guard keyed subtask state with one mutex per subtask.
-	locks := make([][]sync.Mutex, len(t.stages))
+func (t *Topology) checkpoint() {
+	snaps := make([]any, len(t.stages))
 	for i, st := range t.stages {
-		locks[i] = make([]sync.Mutex, len(st.subtasks))
+		snaps[i] = st.op.Snapshot()
 	}
-	var wg sync.WaitGroup
-	for _, part := range partitions {
-		part := part
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var route func(row sql.Row, s int)
-			route = func(row sql.Row, s int) {
-				if s >= len(t.stages) {
-					return
-				}
-				st := t.stages[s]
-				sub := 0
-				if st.keyFn != nil {
-					if len(st.subtasks) > 1 {
-						sub = int(fnv32(st.keyFn(row))) % len(st.subtasks)
-					}
-					wire := codec.EncodeRow(row)
-					if decoded, err := codec.DecodeRow(wire); err == nil {
-						row = decoded
-					}
-				}
-				if st.keyFn != nil {
-					locks[s][sub].Lock()
-				}
-				st.subtasks[sub].ProcessRecord(row, func(out sql.Row) {
-					if st.keyFn != nil {
-						locks[s][sub].Unlock()
-					}
-					route(out, s+1)
-					if st.keyFn != nil {
-						locks[s][sub].Lock()
-					}
-				})
-				if st.keyFn != nil {
-					locks[s][sub].Unlock()
-				}
-			}
-			for _, row := range part {
-				route(row, 0)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
-}
-
-func fnv32(s string) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
+	t.lastCkpt = snaps
 }

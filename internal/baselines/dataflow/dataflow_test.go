@@ -8,39 +8,31 @@ import (
 )
 
 // buildCountTopology counts rows per key with a map stage in front.
-func buildCountTopology(parallelism int) *Topology {
+func buildCountTopology() *Topology {
 	t := NewTopology()
-	t.AddStage("map", parallelism, nil, func() Operator {
-		return &MapOperator{Fn: func(row sql.Row) sql.Row {
-			if row[1].(int64) < 0 {
-				return nil // filter negatives
-			}
-			return row
-		}}
-	})
-	t.AddStage("count", parallelism, func(row sql.Row) string {
-		return row[0].(string)
-	}, func() Operator {
-		return &KeyedReduceOperator{
-			KeyFn: func(row sql.Row) string { return row[0].(string) },
-			UpdateFn: func(state any, row sql.Row) (any, sql.Row) {
-				var n int64
-				if state != nil {
-					n = state.(int64)
-				}
-				return n + 1, nil
-			},
+	t.AddStage(false, &MapOperator{Fn: func(row sql.Row) sql.Row {
+		if row[1].(int64) < 0 {
+			return nil // filter negatives
 		}
+		return row
+	}})
+	t.AddStage(true, &KeyedReduceOperator{
+		KeyFn: func(row sql.Row) string { return row[0].(string) },
+		UpdateFn: func(state any, row sql.Row) (any, sql.Row) {
+			var n int64
+			if state != nil {
+				n = state.(int64)
+			}
+			return n + 1, nil
+		},
 	})
 	return t
 }
 
 func counts(t *Topology) map[string]int64 {
 	out := map[string]int64{}
-	for _, op := range t.Stage(1) {
-		for k, v := range op.(*KeyedReduceOperator).State() {
-			out[k] += v.(int64)
-		}
+	for k, v := range t.Stage(1).(*KeyedReduceOperator).State() {
+		out[k] = v.(int64)
 	}
 	return out
 }
@@ -54,7 +46,7 @@ func input(n int) []sql.Row {
 }
 
 func TestRunCountsByKey(t *testing.T) {
-	topo := buildCountTopology(1)
+	topo := buildCountTopology()
 	if err := topo.Run(input(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -75,68 +67,30 @@ func TestEmptyTopologyRejected(t *testing.T) {
 	}
 }
 
-func TestFlatMapOperator(t *testing.T) {
-	topo := NewTopology()
-	topo.AddStage("explode", 1, nil, func() Operator {
-		return &FlatMapOperator{Fn: func(row sql.Row, emit func(sql.Row)) {
-			emit(row)
-			emit(row)
-		}}
-	})
-	topo.AddStage("count", 1, func(sql.Row) string { return "all" }, func() Operator {
-		return &KeyedReduceOperator{
-			KeyFn: func(sql.Row) string { return "all" },
-			UpdateFn: func(state any, row sql.Row) (any, sql.Row) {
-				var n int64
-				if state != nil {
-					n = state.(int64)
-				}
-				return n + 1, nil
-			},
-		}
-	})
-	if err := topo.Run(input(10)); err != nil {
-		t.Fatal(err)
-	}
-	if got := counts2(topo)["all"]; got != 20 {
-		t.Errorf("exploded count = %d", got)
-	}
-}
-
-func counts2(t *Topology) map[string]int64 {
-	out := map[string]int64{}
-	for _, op := range t.Stage(1) {
-		for k, v := range op.(*KeyedReduceOperator).State() {
-			out[k] += v.(int64)
-		}
-	}
-	return out
-}
-
 func TestCheckpointAndRestore(t *testing.T) {
-	topo := buildCountTopology(1)
+	topo := buildCountTopology()
 	topo.CheckpointEvery = 30
 	if err := topo.Run(input(100)); err != nil {
 		t.Fatal(err)
 	}
-	if topo.LastCheckpoint() != 3 {
-		t.Fatalf("checkpoints = %d", topo.LastCheckpoint())
-	}
 	beforeRestore := counts(topo)
-	// Restore rolls state back to the barrier at record 90.
+	// Restore rolls state back to the last barrier, the one at record 90:
+	// what a topology that only ever saw the first 90 records holds.
 	if err := topo.RestoreLastCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	afterRestore := counts(topo)
-	var before, after int64
-	for _, n := range beforeRestore {
-		before += n
+	prefix := buildCountTopology()
+	if err := prefix.Run(input(90)); err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range afterRestore {
-		after += n
+	afterRestore, want := counts(topo), counts(prefix)
+	if len(afterRestore) != len(want) {
+		t.Errorf("restored %v, want the state at record 90, %v", afterRestore, want)
 	}
-	if after >= before {
-		t.Errorf("restore did not roll back: %d -> %d", before, after)
+	for k, n := range want {
+		if afterRestore[k] != n {
+			t.Errorf("key %s: %d after restore, want %d (state at record 90)", k, afterRestore[k], n)
+		}
 	}
 	// Reprocessing from the checkpoint record recovers the exact totals:
 	// records 90..100 (8 survive the filter).
@@ -152,7 +106,7 @@ func TestCheckpointAndRestore(t *testing.T) {
 }
 
 func TestRestoreWithoutCheckpointClears(t *testing.T) {
-	topo := buildCountTopology(1)
+	topo := buildCountTopology()
 	if err := topo.Run(input(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,37 +118,15 @@ func TestRestoreWithoutCheckpointClears(t *testing.T) {
 	}
 }
 
-func TestRunPartitionedMatchesSerial(t *testing.T) {
-	serial := buildCountTopology(1)
-	serial.Run(input(300))
-	want := counts(serial)
-
-	parallel := buildCountTopology(4)
-	parts := make([][]sql.Row, 4)
-	for i, row := range input(300) {
-		parts[i%4] = append(parts[i%4], row)
-	}
-	if err := parallel.RunPartitioned(parts); err != nil {
-		t.Fatal(err)
-	}
-	got := counts(parallel)
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("key %s: parallel %d, serial %d", k, got[k], n)
-		}
-	}
-}
-
 func TestKeyedExchangeSerializes(t *testing.T) {
 	// The keyed edge must hand the operator a decoded copy, not the same
 	// row object (Flink's default non-reuse behaviour).
 	var seen sql.Row
 	topo := NewTopology()
-	topo.AddStage("keyed", 1, func(row sql.Row) string { return "x" }, func() Operator {
-		return &FlatMapOperator{Fn: func(row sql.Row, emit func(sql.Row)) {
-			seen = row
-		}}
-	})
+	topo.AddStage(true, &MapOperator{Fn: func(row sql.Row) sql.Row {
+		seen = row
+		return nil
+	}})
 	in := sql.Row{"a", int64(1)}
 	if err := topo.Run([]sql.Row{in}); err != nil {
 		t.Fatal(err)

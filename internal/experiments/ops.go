@@ -22,59 +22,6 @@ import (
 	structream "structream"
 )
 
-// ---------------------------------------------------------------- run-once
-
-// RunOnceResult quantifies §7.3's claim that "run-once" triggers cut costs
-// up to 10× for lower-volume applications: compare node-seconds billed for
-// an always-on streaming cluster against periodic Trigger.Once batch runs.
-type RunOnceResult struct {
-	HourlyRecords      int64
-	MeasuredThroughput float64 // records/s from a real Trigger.Once run
-	BatchSecondsPerRun float64 // measured processing + startup overhead
-	AlwaysOnNodeSecs   float64 // 24h of one node
-	RunOnceNodeSecs    float64 // 24 × (startup + batch)
-	Savings            float64 // AlwaysOn / RunOnce
-}
-
-// String renders the run-once cost table.
-func (r RunOnceResult) String() string {
-	var b strings.Builder
-	b.WriteString("§7.3 — run-once trigger cost model (24 hourly loads vs an always-on cluster)\n")
-	fmt.Fprintf(&b, "  hourly volume:          %d records\n", r.HourlyRecords)
-	fmt.Fprintf(&b, "  measured throughput:    %.0f records/s (real Trigger.Once run)\n", r.MeasuredThroughput)
-	fmt.Fprintf(&b, "  per-run busy time:      %.1f s (incl. %ds startup)\n", r.BatchSecondsPerRun, runOnceStartupSecs)
-	fmt.Fprintf(&b, "  always-on node-seconds: %.0f\n", r.AlwaysOnNodeSecs)
-	fmt.Fprintf(&b, "  run-once node-seconds:  %.0f\n", r.RunOnceNodeSecs)
-	fmt.Fprintf(&b, "  cost savings:           %.1fx   (paper: up to 10x)\n", r.Savings)
-	return b.String()
-}
-
-// runOnceStartupSecs models job submission + container start, the fixed
-// cost each discontinuous run pays (the paper's customers measured ~10×
-// savings inclusive of this overhead).
-const runOnceStartupSecs = 60
-
-// RunRunOnce measures one real Trigger.Once execution of the Yahoo query
-// over an hour's data volume and extrapolates the 24-hour cost comparison.
-func RunRunOnce(hourlyRecords int64, tempDir func() string) (RunOnceResult, error) {
-	w := yahoo.Generate(int(hourlyRecords), 100, 1_000_000, 3)
-	res, err := yahoo.RunStructuredStreaming(w, tempDir(), 1)
-	if err != nil {
-		return RunOnceResult{}, err
-	}
-	perRun := res.Elapsed.Seconds() + runOnceStartupSecs
-	alwaysOn := 24.0 * 3600
-	runOnce := 24.0 * perRun
-	return RunOnceResult{
-		HourlyRecords:      hourlyRecords,
-		MeasuredThroughput: res.RecordsPerSec,
-		BatchSecondsPerRun: perRun,
-		AlwaysOnNodeSecs:   alwaysOn,
-		RunOnceNodeSecs:    runOnce,
-		Savings:            alwaysOn / runOnce,
-	}, nil
-}
-
 // ---------------------------------------------------------------- recovery
 
 // RecoveryResult is the §6.2 ablation: Structured Streaming recovers from a
@@ -205,7 +152,7 @@ func startRecoveryQuery(w *yahoo.Workload, df *structream.DataFrame, src sources
 func runDataflowWithRollback(w *yahoo.Workload) (reprocessed int64, secs float64, err error) {
 	// Build the same topology RunDataflow uses, but drive it manually so we
 	// can fail mid-stream.
-	topo := yahoo.BuildDataflowTopology(w, 1)
+	topo := yahoo.BuildDataflowTopology(w)
 	failAt := len(w.Events) * 6 / 10
 	if err := topo.Run(w.Events[:failAt]); err != nil {
 		return 0, 0, err

@@ -107,40 +107,33 @@ func RunStructuredStreaming(w *Workload, checkpoint string, partitions int) (Res
 // in-memory campaign table) keyed into a windowed count, with aligned
 // checkpoints every 100k records. Exposed so the recovery ablation can
 // drive the same topology manually.
-func BuildDataflowTopology(w *Workload, parallelism int) *dataflow.Topology {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
+func BuildDataflowTopology(w *Workload) *dataflow.Topology {
 	adTable := w.AdToCampaign
 	topo := dataflow.NewTopology()
 	topo.CheckpointEvery = 100_000
-	topo.AddStage("map-join", parallelism, nil, func() dataflow.Operator {
-		return &dataflow.MapOperator{Fn: func(row sql.Row) sql.Row {
-			if row[4] != "view" {
-				return nil
-			}
-			campaign, ok := adTable[row[2].(int64)]
-			if !ok {
-				return nil
-			}
-			return sql.Row{campaign, windowStart(row[5].(int64))}
-		}}
-	})
-	topo.AddStage("window-count", parallelism, func(row sql.Row) string {
-		return fmt.Sprintf("%d/%d", row[0], row[1])
-	}, func() dataflow.Operator {
-		return &dataflow.KeyedReduceOperator{
-			KeyFn: func(row sql.Row) string {
-				return fmt.Sprintf("%d/%d", row[0], row[1])
-			},
-			UpdateFn: func(state any, row sql.Row) (any, sql.Row) {
-				var n int64
-				if state != nil {
-					n = state.(int64)
-				}
-				return n + 1, nil
-			},
+	// Filter, project and join, chained to the source.
+	topo.AddStage(false, &dataflow.MapOperator{Fn: func(row sql.Row) sql.Row {
+		if row[4] != "view" {
+			return nil
 		}
+		campaign, ok := adTable[row[2].(int64)]
+		if !ok {
+			return nil
+		}
+		return sql.Row{campaign, windowStart(row[5].(int64))}
+	}})
+	// The windowed count, behind a keyed exchange.
+	topo.AddStage(true, &dataflow.KeyedReduceOperator{
+		KeyFn: func(row sql.Row) string {
+			return fmt.Sprintf("%d/%d", row[0], row[1])
+		},
+		UpdateFn: func(state any, row sql.Row) (any, sql.Row) {
+			var n int64
+			if state != nil {
+				n = state.(int64)
+			}
+			return n + 1, nil
+		},
 	})
 	return topo
 }
@@ -149,30 +142,19 @@ func BuildDataflowTopology(w *Workload, parallelism int) *dataflow.Topology {
 // the topology's keyed stage.
 func DrainDataflowCounts(topo *dataflow.Topology) map[string]int64 {
 	got := map[string]int64{}
-	for _, op := range topo.Stage(1) {
-		for key, v := range op.(*dataflow.KeyedReduceOperator).State() {
-			got[key] += v.(int64)
-		}
+	for key, v := range topo.Stage(1).(*dataflow.KeyedReduceOperator).State() {
+		got[key] = v.(int64)
 	}
 	return got
 }
 
 // RunDataflow executes the benchmark on the Flink-like record-at-a-time
 // engine.
-func RunDataflow(w *Workload, parallelism int) (Result, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	topo := BuildDataflowTopology(w, parallelism)
+func RunDataflow(w *Workload) (Result, error) {
+	topo := BuildDataflowTopology(w)
 
 	start := time.Now()
-	var err error
-	if parallelism == 1 {
-		err = topo.Run(w.Events)
-	} else {
-		err = topo.RunPartitioned(w.Partition(parallelism))
-	}
-	if err != nil {
+	if err := topo.Run(w.Events); err != nil {
 		return Result{}, err
 	}
 	elapsed := time.Since(start)
@@ -196,7 +178,7 @@ func RunDataflow(w *Workload, parallelism int) (Result, error) {
 func RunBusStream(w *Workload) (Result, error) {
 	broker := msgbus.NewBroker()
 	adTable := w.AdToCampaign
-	topo, err := busstream.NewTopology(broker, "yahoo", 1,
+	topo, err := busstream.NewTopology(broker, "yahoo",
 		&busstream.MapProcessor{Fn: func(row sql.Row) sql.Row {
 			if row[4] != "view" {
 				return nil

@@ -4,8 +4,7 @@
 // counted per campaign on 10-second event-time windows. The same workload
 // runs on three engines — Structured Streaming (this repo's engine), a
 // Flink-like record-at-a-time dataflow, and a Kafka-Streams-like
-// bus-per-record topology — to regenerate Fig 6a, and its measured costs
-// calibrate the virtual cluster for Fig 6b.
+// bus-per-record topology — to regenerate Fig 6a.
 //
 // Like the paper (and the dataArtisans variant it uses), the static
 // campaign table lives in each engine rather than Redis.

@@ -60,7 +60,7 @@ func TestAllEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("structured streaming: %v", err)
 	}
-	df, err := RunDataflow(w, 1)
+	df, err := RunDataflow(w)
 	if err != nil {
 		t.Fatalf("dataflow: %v", err)
 	}
@@ -75,13 +75,6 @@ func TestAllEnginesAgree(t *testing.T) {
 		if r.RecordsPerSec <= 0 || r.Records != 20_000 {
 			t.Errorf("suspicious result: %+v", r)
 		}
-	}
-}
-
-func TestDataflowParallelAgrees(t *testing.T) {
-	w := Generate(10_000, 10, 100_000, 3)
-	if _, err := RunDataflow(w, 4); err != nil {
-		t.Fatalf("parallel dataflow: %v", err)
 	}
 }
 

@@ -139,8 +139,10 @@ step "benchmark module vet + tests"
 # limit and the four engine-side stamp methods, all gone into the one epoch
 # ring — not the deliver stamp, which the hub still calls; the join's boxed
 # shuffle-row constructor, replaced by join cells; the engine's vectorize
-# option, its pointer helper and the reduce-side merge only it selected) must
-# not survive in code, scripts or docs. The pattern is assembled from halves
+# option, its pointer helper and the reduce-side merge only it selected; the
+# Fig 6b cost model, its calibration and the run-once cost model, and the
+# dataflow baseline's parallel runner and flat-map operator) must not survive
+# in code, scripts or docs. The pattern is assembled from halves
 # so this script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
@@ -153,6 +155,7 @@ stale="$stale"'|Commit''Barrier|Segment''Ref|Segment''Partitions|Segments''Writt
 stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Execute|Stamp''Commit'
 stale="$stale"'|JoinShuffle''Row'
 stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
+stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPart''itioned|FlatMap''Operator'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
