@@ -98,10 +98,6 @@ func formatFrame(f serve.Frame) string {
 func formatHealth(rep health.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "health for %q: %s\n", rep.Query, rep.Status)
-	if rep.Status == "disabled" {
-		b.WriteString("  no health tracker: the query never started\n")
-		return b.String()
-	}
 	if len(rep.Signals) > 0 {
 		b.WriteString("  signals (last / mean ± std, samples, trips):\n")
 		for _, s := range rep.Signals {

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"errors"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	structream "structream"
-	"structream/internal/engine"
 	"structream/internal/health"
 	"structream/internal/metrics"
 )
@@ -135,12 +133,6 @@ func TestFormatHealth(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("formatHealth missing %q:\n%s", want, got)
 		}
-	}
-	// A handle that never started a query has no tracker; its nil-safe
-	// report must still render as one sane line.
-	failed := engine.NewFailedQuery(errors.New("never started"))
-	if got := formatHealth(failed.Health().Health()); !strings.Contains(got, "no health tracker") {
-		t.Errorf("report of a handle without a tracker:\n%s", got)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // ErrEpochTimeout marks an epoch that exceeded Options.EpochTimeout: a
 // source, task, or sink hung rather than failed. The epoch watchdog fails
-// the query with this error so a supervisor can classify it as transient
-// and restart from the checkpoint — a hung epoch is indistinguishable from
-// a dead executor, and the remedy is the same (§6.2).
+// the query with this error, and the caller restarts it from the
+// checkpoint — a hung epoch is indistinguishable from a dead executor, and
+// the remedy is the same (§6.2).
 var ErrEpochTimeout = errors.New("engine: epoch exceeded EpochTimeout")
 
 // minAdaptiveCap is the floor the adaptive limiter will never shrink the

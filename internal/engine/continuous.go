@@ -288,8 +288,8 @@ func (ce *continuousExec) coordinator(interval time.Duration) {
 
 // checkStalled is the continuous-mode epoch watchdog: data is pending but
 // no worker has advanced any partition for EpochTimeout — a hung source
-// read or sink write. The query fails with ErrEpochTimeout so a
-// supervisor can restart it from the last epoch mark.
+// read or sink write. The query fails with ErrEpochTimeout, and the
+// caller restarts it from the checkpoint's last epoch mark.
 func (ce *continuousExec) checkStalled() error {
 	if ce.opts.EpochTimeout <= 0 {
 		return nil

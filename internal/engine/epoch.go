@@ -445,14 +445,12 @@ func (c *core) publish(r *epochRecord) {
 			OutputRowsPerSec: metrics.RatePerSec(r.outputRows, wall),
 			WriteMicros:      bd["sinkCommit"],
 		},
-		EventTime:            evtProgress,
-		SourceOffsets:        endTotals,
-		IORetries:            c.reg.Counter("ioRetries").Value(),
-		CorruptionsDetected:  c.reg.Counter("corruptionsDetected").Value(),
-		AdmissionCapRecords:  c.admissionCap(),
-		BacklogRecords:       backlog,
-		Restarts:             c.reg.Counter("restarts").Value(),
-		RestartBackoffMillis: c.reg.Gauge("restartBackoffMillis").Value(),
+		EventTime:           evtProgress,
+		SourceOffsets:       endTotals,
+		IORetries:           c.reg.Counter("ioRetries").Value(),
+		CorruptionsDetected: c.reg.Counter("corruptionsDetected").Value(),
+		AdmissionCapRecords: c.admissionCap(),
+		BacklogRecords:      backlog,
 	}
 	if st := r.state; st != nil {
 		st.WatermarkLagUs = max(wmLag, 0)
@@ -467,7 +465,6 @@ func (c *core) publish(r *epochRecord) {
 		InputRowsPerSec: p.InputRowsPerSec,
 		BacklogRecords:  backlog,
 		WatermarkLagUs:  wmLag,
-		Restarts:        p.Restarts,
 	})
 }
 

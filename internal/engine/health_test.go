@@ -134,7 +134,7 @@ func TestHealthWiredIntoEngine(t *testing.T) {
 	for _, s := range rep.Signals {
 		bySignal[s.Name] = s
 	}
-	for _, want := range []string{"epochLatencyUs", "inputRowsPerSec", "backlogRecords", "watermarkLagUs", "restartsPerEpoch"} {
+	for _, want := range []string{"epochLatencyUs", "inputRowsPerSec", "backlogRecords", "watermarkLagUs"} {
 		if _, ok := bySignal[want]; !ok {
 			t.Errorf("signal %q missing from report (have %v)", want, rep.Signals)
 		}

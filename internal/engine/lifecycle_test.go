@@ -53,17 +53,13 @@ func TestQueryStatusLifecycle(t *testing.T) {
 	if sq2.Err() == nil {
 		t.Error("Failed status must come with a non-nil Err")
 	}
-	sq2.MarkRestarting()
-	if got := sq2.Status(); got != StatusRestarting {
-		t.Errorf("after MarkRestarting status = %v, want Restarting", got)
-	}
 }
 
 // TestEpochWatchdogFailsHungEpoch: a source read that hangs forever fails
 // the epoch with ErrEpochTimeout instead of hanging the query, at every
-// worker count; the query terminates — so a supervisor can restart it —
-// without waiting for the task the watchdog gave up on, and the abandoned
-// epoch goroutine cannot commit after release.
+// worker count; the query terminates — so its caller can restart it from
+// the checkpoint — without waiting for the task the watchdog gave up on,
+// and the abandoned epoch goroutine cannot commit after release.
 func TestEpochWatchdogFailsHungEpoch(t *testing.T) {
 	for _, workers := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

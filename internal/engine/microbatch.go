@@ -114,8 +114,8 @@ type Options struct {
 	RetryBackoff time.Duration
 	// EpochTimeout fails an epoch (with ErrEpochTimeout) that has not
 	// completed within this duration — the watchdog for hung sources,
-	// tasks, or sinks. 0 disables. A supervised query classifies the
-	// timeout as transient and restarts from the checkpoint.
+	// tasks, or sinks. 0 disables. The timeout is worth a restart: the
+	// caller starts the query again over its checkpoint.
 	EpochTimeout time.Duration
 	// AdaptiveBackpressure enables the AIMD admission controller: the
 	// per-epoch record cap shrinks multiplicatively when epoch latency
@@ -170,22 +170,12 @@ func (o Options) withDefaults() Options {
 // modes (§7.4): one ring of epoch records — span tree, progress event and
 // lineage of each of the newest epochs — and three things that write to it
 // or read views off it: the progress event log, which feeds the metric
-// registry too, and the health tracker, whose bundles export the ring. A
-// handle that never started a query (NewFailedQuery) has an empty ring, log
-// and registry and no tracker, which is what health.Tracker's nil-receiver
-// answers are for.
+// registry too, and the health tracker, whose bundles export the ring.
 type telemetry struct {
 	ring   *metrics.EpochRing
 	log    *metrics.EventLog
 	reg    *metrics.Registry
 	health *health.Tracker
-}
-
-// newTelemetry is the telemetry of a handle with no query behind it.
-func newTelemetry(eventLog io.Writer) telemetry {
-	t := telemetry{ring: metrics.NewEpochRing(), reg: metrics.NewRegistry()}
-	t.log = metrics.NewEventLog(eventLog, t.ring, t.reg)
-	return t
 }
 
 // startTelemetry wires a started query's telemetry. Flight-recorder bundles
@@ -194,7 +184,8 @@ func newTelemetry(eventLog io.Writer) telemetry {
 // fault-injecting filesystems schedule crashes by counting mutating ops,
 // and diagnostics must not perturb that.
 func startTelemetry(opts Options) telemetry {
-	t := newTelemetry(opts.EventLogWriter)
+	t := telemetry{ring: metrics.NewEpochRing(), reg: metrics.NewRegistry()}
+	t.log = metrics.NewEventLog(opts.EventLogWriter, t.ring, t.reg)
 	dir := opts.HealthDir
 	if dir == "" {
 		dir = filepath.Join(opts.Checkpoint, "_health")
@@ -303,8 +294,8 @@ func poolSize(opts Options) int {
 
 // close releases the state provider's live stores (and, for the lsm
 // backend, their block-cache residency) and stops the task pool. Without
-// it every supervised restart would leak the previous run's stores and
-// stack idle worker goroutines.
+// it every restart would leak the previous run's stores and stack idle
+// worker goroutines.
 func (e *exec) close() {
 	e.prov.Close()
 	if !e.abandoned.Load() {
@@ -313,8 +304,9 @@ func (e *exec) close() {
 	}
 	// The watchdog gave up on a task that cannot be cancelled, and Close
 	// waits for busy workers: waiting here would keep the query from ever
-	// terminating, and a supervisor from restarting it. The idle workers
-	// exit now; the wedged one when its task lets go, its epoch poisoned.
+	// terminating, and its caller from restarting it from the checkpoint.
+	// The idle workers exit now; the wedged one when its task lets go, its
+	// epoch poisoned.
 	go e.pool.Close()
 }
 

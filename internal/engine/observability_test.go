@@ -239,9 +239,7 @@ func TestWatchdogVerdictNamesHungStage(t *testing.T) {
 
 // TestTelemetryInBothModes: a microbatch and a continuous query both carry
 // an epoch ring and a health tracker reading it — one constructor wires them
-// for both. A handle that never started a query has an empty ring, event log
-// and registry, so every reader gets an answer, and no tracker: its report
-// says "disabled".
+// for both.
 func TestTelemetryInBothModes(t *testing.T) {
 	for _, trig := range []Trigger{
 		ProcessingTimeTrigger{Interval: time.Hour},
@@ -253,19 +251,9 @@ func TestTelemetryInBothModes(t *testing.T) {
 		if sq.Epochs() == nil || sq.Health() == nil {
 			t.Errorf("%T: Epochs() = %v, Health() = %v, want both", trig, sq.Epochs(), sq.Health())
 		}
-		if rep := sq.Health().Health(); rep.Status == "disabled" || rep.Query != "query" {
+		if rep := sq.Health().Health(); rep.Status != "ok" || rep.Query != "query" {
 			t.Errorf("%T: health report = %+v", trig, rep)
 		}
-	}
-	failed := NewFailedQuery(errors.New("never started"))
-	if failed.Health() != nil {
-		t.Errorf("failed handle: Health() = %v, want none", failed.Health())
-	}
-	if rep := failed.Health().Health(); rep.Status != "disabled" {
-		t.Errorf("failed handle: health status = %q, want disabled", rep.Status)
-	}
-	if _, ok := failed.LastProgress(); ok || len(failed.Epochs().Traces()) != 0 || len(failed.Metrics().Snapshot()) != 0 {
-		t.Error("failed handle: an epoch, a progress event or a metric from a query that never ran")
 	}
 }
 

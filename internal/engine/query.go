@@ -28,9 +28,6 @@ const (
 	StatusStopped
 	// StatusFailed: the query terminated with an error; Err() is non-nil.
 	StatusFailed
-	// StatusRestarting: a supervisor has taken the query down and is
-	// backing off before starting a replacement (see internal/supervisor).
-	StatusRestarting
 )
 
 // String renders the status for logs and events.
@@ -42,8 +39,6 @@ func (s QueryStatus) String() string {
 		return "Stopped"
 	case StatusFailed:
 		return "Failed"
-	case StatusRestarting:
-		return "Restarting"
 	default:
 		return fmt.Sprintf("QueryStatus(%d)", int32(s))
 	}
@@ -102,7 +97,7 @@ func (h *epochHook) notify(epoch int64) {
 // it synchronously in tests.
 type StreamingQuery struct {
 	name string
-	core *core           // what both modes share; a hook and empty telemetry for a handle that never started
+	core *core           // what both modes share
 	exec *exec           // non-nil in microbatch mode
 	cont *continuousExec // non-nil in continuous mode
 
@@ -197,31 +192,9 @@ func (q *StreamingQuery) Status() QueryStatus {
 	return QueryStatus(q.status.Load())
 }
 
-// MarkRestarting flags a terminated query as awaiting supervised restart,
-// so holders of the stale handle can distinguish "dead forever" from "a
-// replacement is coming". Only meaningful after termination; a supervisor
-// calls it between QueryFailed and QueryRestarted.
-func (q *StreamingQuery) MarkRestarting() {
-	select {
-	case <-q.doneCh:
-		q.status.Store(int32(StatusRestarting))
-	default:
-	}
-}
-
 // Done returns a channel closed when the query terminates. By then Status
 // and Err are settled.
 func (q *StreamingQuery) Done() <-chan struct{} { return q.doneCh }
-
-// NewFailedQuery returns a handle that is already terminated with err. A
-// supervisor uses it to represent an instance that failed before its
-// driver loop could start, so restart bookkeeping stays uniform.
-func NewFailedQuery(err error) *StreamingQuery {
-	q := &StreamingQuery{core: &core{hook: newEpochHook(), telemetry: newTelemetry(nil)}, stopCh: make(chan struct{}), doneCh: make(chan struct{})}
-	q.setErr(err)
-	q.finish()
-	return q
-}
 
 // Name returns the query name.
 func (q *StreamingQuery) Name() string { return q.name }
@@ -264,13 +237,12 @@ func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.core.log }
 
 // Epochs exposes the query's ring of epoch records: the span tree, progress
 // event and latency lineage of each of the newest epochs, in flight
-// included. Empty for a handle that never started a query.
+// included.
 func (q *StreamingQuery) Epochs() *metrics.EpochRing { return q.core.ring }
 
 // Health exposes the query's health tracker: the lineage view of the epoch
 // ring, the anomaly detector's signal baselines, and the flight-recorder
-// bundle ring. Nil only for a handle that never started a query, which a
-// report ("disabled") and a bundle listing (empty) still answer for.
+// bundle ring.
 func (q *StreamingQuery) Health() *health.Tracker { return q.core.health }
 
 // Metrics exposes the query's metric registry.

@@ -148,9 +148,11 @@ func TestContinuousModeRecovery(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, for up to 20 s: long enough for a few
+// restarts and a watchdog timeout under the race detector.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return

@@ -9,9 +9,8 @@
 // exists.
 //
 // Every started query has a Tracker. A nil *Tracker is what a serving hub
-// with no query attached, and a handle that never started a query, hold in
-// its place: the methods those two call (Stamp, StampDeliver, Health,
-// Bundles, Bundle, Close) answer for it; the rest expect a tracker.
+// with no query attached holds in its place: the two methods it calls
+// (Stamp, StampDeliver) answer for it; the rest expect a tracker.
 package health
 
 import (
@@ -60,7 +59,6 @@ type Sample struct {
 	InputRowsPerSec float64
 	BacklogRecords  int64
 	WatermarkLagUs  int64
-	Restarts        int64
 }
 
 // PartitionStat is the rows and task time one partition of one stage has
@@ -127,12 +125,10 @@ type Config struct {
 type Tracker struct {
 	cfg Config
 
-	mu       sync.Mutex
-	det      *detector
-	parts    map[string][]PartitionStat
-	last     Sample
-	lastSeen int64 // restarts value at the previous sample, for the rate signal
-	haveSeen bool
+	mu    sync.Mutex
+	det   *detector
+	parts map[string][]PartitionStat
+	last  Sample
 
 	captureMu  sync.Mutex // serializes bundle captures
 	capturing  bool
@@ -183,9 +179,6 @@ func New(cfg Config) *Tracker {
 
 // Close waits for any in-flight background capture to finish.
 func (t *Tracker) Close() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
@@ -262,12 +255,6 @@ func (t *Tracker) ObservePartition(stage string, partition int, rows int64, d ti
 func (t *Tracker) ObserveEpoch(s Sample) {
 	now := t.cfg.Clock()
 	t.mu.Lock()
-	restartDelta := s.Restarts
-	if t.haveSeen {
-		restartDelta = s.Restarts - t.lastSeen
-	}
-	t.lastSeen = s.Restarts
-	t.haveSeen = true
 	t.last = s
 
 	var trip *Anomaly
@@ -285,7 +272,6 @@ func (t *Tracker) ObserveEpoch(s Sample) {
 	if s.WatermarkLagUs >= 0 {
 		check("watermarkLagUs", float64(s.WatermarkLagUs), high)
 	}
-	check("restartsPerEpoch", float64(restartDelta), high)
 
 	capture := false
 	if trip != nil {
@@ -371,9 +357,6 @@ type Report struct {
 // Health assembles the current report. Bundle listing reads the on-disk
 // ring, so the report reflects retention, not just memory.
 func (t *Tracker) Health() Report {
-	if t == nil {
-		return Report{Status: "disabled"}
-	}
 	t.mu.Lock()
 	r := Report{
 		Query:   t.cfg.Query,

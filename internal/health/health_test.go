@@ -220,21 +220,6 @@ func TestWatermarkSentinelSkipped(t *testing.T) {
 	}
 }
 
-// TestRestartTripsOnZeroBaseline: a restart after a stable run trips even
-// though the baseline mean is zero.
-func TestRestartTripsOnZeroBaseline(t *testing.T) {
-	tk, _, _ := testTracker(t, func(c *Config) { c.DisableProfiles = true })
-	defer tk.Close()
-	for i := int64(1); i <= 10; i++ {
-		tk.ObserveEpoch(Sample{Epoch: i, LatencyUs: 1000, InputRowsPerSec: 1000, WatermarkLagUs: -1})
-	}
-	tk.ObserveEpoch(Sample{Epoch: 11, LatencyUs: 1000, InputRowsPerSec: 1000, WatermarkLagUs: -1, Restarts: 1})
-	rep := tk.Health()
-	if rep.LastAnomaly == nil || rep.LastAnomaly.Signal != "restartsPerEpoch" {
-		t.Fatalf("lastAnomaly = %+v, want restartsPerEpoch", rep.LastAnomaly)
-	}
-}
-
 // TestLineageStamps: the tracker's stamps are the ring records' lineage;
 // end-to-end latency is deliver − ingest, the latest deliver wins, and each
 // delivery lands in the registry histogram.
@@ -285,24 +270,14 @@ func TestLineageStamps(t *testing.T) {
 	}
 }
 
-// TestNilTrackerAnswers: a hub with no query attached and a handle that never
-// started hold a nil *Tracker; what they call on it must answer.
+// TestNilTrackerAnswers: a hub with no query attached holds a nil *Tracker;
+// what it calls on it must answer.
 func TestNilTrackerAnswers(t *testing.T) {
 	var tk *Tracker
 	tk.StampDeliver(1, time.Now())
 	if _, ok := tk.Stamp(1); ok {
 		t.Error("nil tracker returned a stamp")
 	}
-	if rep := tk.Health(); rep.Status != "disabled" {
-		t.Errorf("nil tracker health = %q", rep.Status)
-	}
-	if bs, err := tk.Bundles(); err != nil || bs != nil {
-		t.Errorf("nil tracker bundles = %v, %v", bs, err)
-	}
-	if _, err := tk.Bundle("q-0001-1"); err == nil {
-		t.Error("nil tracker found a bundle")
-	}
-	tk.Close()
 }
 
 // TestPartitionHooks: per-partition accounting accumulates and reports.

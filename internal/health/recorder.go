@@ -261,7 +261,7 @@ func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 // without a readable, CRC-clean manifest are ignored (in-flight captures
 // or crash debris).
 func (t *Tracker) Bundles() ([]BundleInfo, error) {
-	if t == nil || t.cfg.Dir == "" {
+	if t.cfg.Dir == "" {
 		return nil, nil
 	}
 	return ListBundles(t.cfg.FS, t.cfg.Dir)
@@ -270,7 +270,7 @@ func (t *Tracker) Bundles() ([]BundleInfo, error) {
 // Bundle verifies one bundle in the ring end to end and returns its
 // manifest — the HTTP surface's lookup-by-ID path.
 func (t *Tracker) Bundle(id string) (Manifest, error) {
-	if t == nil || t.cfg.Dir == "" {
+	if t.cfg.Dir == "" {
 		return Manifest{}, fs.ErrNotExist
 	}
 	if err := checkBundleID(id); err != nil {

@@ -125,8 +125,8 @@ type Tree struct {
 	batchHashes  []uint64
 
 	// maintErr latches a background-maintenance failure. The next Commit
-	// fails with it, so the query's supervisor restarts from the checkpoint —
-	// an asynchronous flush error must surface as a restart, never as silent
+	// fails with it, so the query fails and its caller restarts it from the
+	// checkpoint — an asynchronous flush error must surface as a restart, never as silent
 	// data loss. Load clears it: a reload re-derives everything the failed
 	// step would have installed.
 	maintErr error
@@ -776,8 +776,8 @@ func (t *Tree) manifestLocked() manifest {
 // maintLoop is the supervised background maintenance goroutine: it drains
 // the flush queue and merges a due run whenever a commit signals work,
 // publishing a manifest after every step. A failure (or panic) is latched
-// into maintErr and fails the next Commit — the query's supervisor then
-// restarts from the checkpoint; background maintenance must never decay
+// into maintErr and fails the next Commit — the query fails and its caller
+// restarts it from the checkpoint; background maintenance must never decay
 // into silent data loss.
 func (t *Tree) maintLoop() {
 	defer close(t.bgDone)

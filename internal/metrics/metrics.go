@@ -321,12 +321,6 @@ type QueryProgress struct {
 	// BacklogRecords is how many source records admission control deferred
 	// past this epoch — the distance to the sources' heads at planning time.
 	BacklogRecords int64 `json:"backlogRecords,omitempty"`
-	// Restarts counts supervised restarts of this query across its whole
-	// lifetime (carried over each time the supervisor re-Starts it).
-	Restarts int64 `json:"restarts,omitempty"`
-	// RestartBackoffMillis is the backoff the supervisor slept before the
-	// most recent restart.
-	RestartBackoffMillis int64 `json:"restartBackoffMillis,omitempty"`
 }
 
 // BottleneckStage names the largest segment of a duration breakdown, or

@@ -44,8 +44,8 @@ import (
 
 // Server is an HTTP monitoring endpoint over a set of streaming queries.
 // Queries register by name; registering a second query under the same
-// name replaces the first (the supervisor restart pattern: the
-// replacement query takes over its predecessor's monitoring slot).
+// name replaces the first: a query restarted from its checkpoint takes
+// over its predecessor's monitoring slot.
 type Server struct {
 	// DrainTimeout bounds Close's graceful drain: in-flight requests and
 	// subscriptions get this long to finish their final frame before the
@@ -374,8 +374,7 @@ func writeProm(w io.Writer, srcs []promSource) {
 
 // handleHealth renders one query's health report: the lineage of the epoch
 // ring's newest records, detector signal baselines, per-partition stats, and
-// the bundle ring. A handle without a tracker (engine.NewFailedQuery) answers
-// {"status":"disabled"}.
+// the bundle ring.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.query(r.PathValue("name"))
 	if !ok {
@@ -486,10 +485,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.query(r.PathValue("name"))
 	if !ok {
 		http.Error(w, "unknown query", http.StatusNotFound)
-		return
-	}
-	if q.Health() == nil {
-		http.Error(w, "no tracer: the query never started", http.StatusNotFound)
 		return
 	}
 	traces := q.Epochs().Traces()

@@ -216,43 +216,6 @@ func TestEndpointsReadOneRing(t *testing.T) {
 	}
 }
 
-// TestHandleWithoutTelemetry: a handle that never started a query
-// (engine.NewFailedQuery — it has no name either, so the handlers are
-// called directly) has no tracker and an empty ring; health answers
-// {"status":"disabled"}, the trace endpoint 404s, and the endpoints that read
-// the registry and the event log find empty ones rather than nil.
-func TestHandleWithoutTelemetry(t *testing.T) {
-	s := New()
-	s.Register(engine.NewFailedQuery(fmt.Errorf("never started")))
-	call := func(h http.HandlerFunc) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, "/", nil)
-		req.SetPathValue("name", "")
-		rec := httptest.NewRecorder()
-		h(rec, req)
-		return rec
-	}
-	rec := call(s.handleHealth)
-	var rep struct{ Status string }
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rec.Code != http.StatusOK || rep.Status != "disabled" {
-		t.Errorf("health: status %d body %s (%v)", rec.Code, rec.Body, err)
-	}
-	if rec := call(s.handleTrace); rec.Code != http.StatusNotFound {
-		t.Errorf("trace: status %d body %s", rec.Code, rec.Body)
-	}
-	if rec := call(s.handleBundleList); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
-		t.Errorf("bundles: status %d body %s", rec.Code, rec.Body)
-	}
-	if rec := call(s.handleProgress); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
-		t.Errorf("progress: status %d body %s", rec.Code, rec.Body)
-	}
-	if rec := call(s.handleQueries); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "lastProgress") {
-		t.Errorf("queries: status %d body %s", rec.Code, rec.Body)
-	}
-	if rec := call(s.handleMetrics); rec.Code != http.StatusOK {
-		t.Errorf("metrics: status %d body %s", rec.Code, rec.Body)
-	}
-}
-
 // TestCloseDrainsOpenSubscription opens a live SSE subscription against a
 // real listener and checks Close hands it a clean terminal frame instead
 // of a torn connection.

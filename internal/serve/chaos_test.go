@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -19,7 +20,6 @@ import (
 	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
-	"structream/internal/supervisor"
 )
 
 // ------------------------------------------------ prefix-consistency oracle
@@ -273,7 +273,7 @@ func runSSEWorker(url string, ck *chaosChecker, st *churnStats, rng *rand.Rand, 
 // ------------------------------------------------ the suite
 
 // TestChurnChaosSuite is the acceptance scenario for the serving layer: a
-// supervised query crashes and restarts mid-stream while hundreds of
+// query crashes and is restarted by hand mid-stream while hundreds of
 // subscriber sessions connect, drain, stall, disconnect and resume — some
 // in-process, some over SSE connections with injected torn writes and
 // mid-frame drops. Every applied epoch sequence must stay gap-free,
@@ -295,45 +295,6 @@ func TestChurnChaosSuite(t *testing.T) {
 
 	src := sources.NewMemorySource("events", eventsSchema)
 	ckpt := t.TempDir()
-	var instances atomic.Int64
-	sup, err := supervisor.Supervise(supervisor.Spec{
-		Name: "churn",
-		Start: func(restart int64) (*engine.StreamingQuery, error) {
-			n := instances.Add(1)
-			fs := fsx.FS(nil)
-			if n == 1 {
-				// Simulated process crash early in the run: the checkpoint
-				// FS dies mid-epoch; the supervisor restarts the query and
-				// the hub re-attaches to the replacement instance while
-				// subscribers stay connected.
-				ffs := fsx.NewFaultFS(fsx.Real())
-				ffs.CrashAt = 10
-				ffs.Mode = fsx.CrashAfter
-				fs = ffs
-			}
-			q := compileQuery(t, projectionPlan(), logical.Append)
-			return engine.Start(q, map[string]sources.Source{"events": src},
-				sinks.NewTeeSink(golden, served), engine.Options{
-					Checkpoint:           ckpt,
-					FS:                   fs,
-					Trigger:              engine.ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
-					MaxRecordsPerTrigger: 16,
-					MaxIORetries:         1,
-					RetryBackoff:         time.Millisecond,
-					EpochTimeout:         250 * time.Millisecond,
-				})
-		},
-		Policy: supervisor.Policy{
-			InitialBackoff:       2 * time.Millisecond,
-			MaxBackoff:           50 * time.Millisecond,
-			MaxRestartsPerWindow: 20,
-			Window:               time.Minute,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Stop() //nolint:errcheck
 
 	h := NewHub("churn", served, HubOptions{
 		RingFrames:     8,
@@ -355,7 +316,75 @@ func TestChurnChaosSuite(t *testing.T) {
 		},
 	})
 	defer h.Close()
-	AttachSupervised(h, sup)
+
+	// Restart by hand: while the live instance dies of an error other than
+	// corruption, start the next over the checkpoint and attach the hub to
+	// it. The first instance's checkpoint FS dies mid-epoch — a simulated
+	// process crash early in the run — while subscribers stay connected.
+	start := func(n int) (*engine.StreamingQuery, error) {
+		var fs fsx.FS
+		if n == 1 {
+			ffs := fsx.NewFaultFS(fsx.Real())
+			ffs.CrashAt = 10
+			ffs.Mode = fsx.CrashAfter
+			fs = ffs
+		}
+		q := compileQuery(t, projectionPlan(), logical.Append)
+		sq, err := engine.Start(q, map[string]sources.Source{"events": src},
+			sinks.NewTeeSink(golden, served), engine.Options{
+				Checkpoint:           ckpt,
+				FS:                   fs,
+				Trigger:              engine.ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
+				MaxRecordsPerTrigger: 16,
+				MaxIORetries:         1,
+				RetryBackoff:         time.Millisecond,
+				EpochTimeout:         250 * time.Millisecond,
+			})
+		if err == nil {
+			h.Attach(sq)
+		}
+		return sq, err
+	}
+	var mu sync.Mutex // guards live and stopped against the restart loop
+	live, err := start(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, instances := false, 1
+	var died []error // what ended each instance the loop replaced; read after loopDone
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		for sq := live; instances < 10; instances++ {
+			<-sq.Done()
+			err := sq.Err()
+			if err == nil || fsx.IsCorrupt(err) {
+				return
+			}
+			died = append(died, err)
+			next, err := start(instances + 1)
+			if err != nil {
+				died = append(died, err)
+				return
+			}
+			mu.Lock()
+			live, sq = next, next
+			halt := stopped
+			mu.Unlock()
+			if halt {
+				next.Stop() //nolint:errcheck // stopQuery came while next was starting
+			}
+		}
+	}()
+	stopQuery := func() {
+		mu.Lock()
+		stopped = true
+		sq := live
+		mu.Unlock()
+		sq.Stop() //nolint:errcheck // the restart loop records why an instance died
+		<-loopDone
+	}
+	defer stopQuery()
 
 	srv := httptest.NewServer(http.HandlerFunc(h.ServeSubscribe))
 	defer srv.Close()
@@ -445,9 +474,9 @@ func TestChurnChaosSuite(t *testing.T) {
 	if got := st.events.Load(); got < 1000 {
 		t.Errorf("churn events = %d, want >= 1000", got)
 	}
-	if instances.Load() < 2 || sup.Restarts() < 1 {
-		t.Errorf("instances = %d restarts = %d, want a supervised restart mid-churn",
-			instances.Load(), sup.Restarts())
+	stopQuery()
+	if instances < 2 || len(died) < 1 || !errors.Is(died[0], fsx.ErrCrash) {
+		t.Errorf("instances = %d, restarted after %v: want a restart after the crash mid-churn", instances, died)
 	}
 	if st.stalls.Load() == 0 || h.Registry().Counter("evictions").Value() == 0 {
 		t.Errorf("stalls = %d hub evictions = %d, want stalled consumers evicted",
@@ -462,9 +491,6 @@ func TestChurnChaosSuite(t *testing.T) {
 
 	// Every session goroutine must be gone: subscriptions closed, SSE
 	// handlers unwound, pump still running (it belongs to the hub).
-	if err := sup.Stop(); err != nil {
-		t.Fatal(err)
-	}
 	h.Close()
 	srv.Close()
 	waitFor(t, 10*time.Second, func() bool {

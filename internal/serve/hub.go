@@ -6,8 +6,8 @@
 //
 // The delivery contract is the paper's prefix consistency: every
 // subscriber observes a gap-free, duplicate-free sequence of committed
-// epochs, resumable across its own disconnects and supervisor-driven
-// query restarts via cursors (committed-epoch resume tokens) replayed
+// epochs, resumable across its own disconnects and query restarts from
+// the checkpoint via cursors (committed-epoch resume tokens) replayed
 // from the sink. Robustness is the design center — no subscriber may
 // stall or bloat the epoch-commit path:
 //
@@ -41,7 +41,6 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
-	"structream/internal/supervisor"
 )
 
 // Replayer is the sink-side surface the hub replays from — the single
@@ -181,8 +180,8 @@ var (
 )
 
 // Hub broadcasts one query's committed epochs to its subscribers and
-// serves its queryable state. It survives supervised restarts: Attach
-// re-points it at the replacement instance while cursors and the sink
+// serves its queryable state. It survives restarts: the caller Attaches
+// each instance it starts over the checkpoint, and cursors and the sink
 // carry delivery continuity across the gap.
 type Hub struct {
 	name string
@@ -273,19 +272,6 @@ func (h *Hub) Attach(q *engine.StreamingQuery) {
 	h.detach = remove
 	h.mu.Unlock()
 	h.Notify(q.LastCommittedEpoch())
-}
-
-// AttachSupervised keeps h attached across sup's restarts: every
-// Started/Restarted event re-points the hub at the replacement instance.
-// The sink persists across restarts and the hub dedupes replayed epochs
-// by cursor, so subscribers observe the restart as (at most) a pause.
-func AttachSupervised(h *Hub, sup *supervisor.Supervisor) {
-	sup.AddListener(func(ev supervisor.Event) {
-		if ev.Kind == supervisor.QueryStarted && ev.Instance != nil {
-			h.Attach(ev.Instance)
-		}
-	})
-	h.Attach(sup.Query())
 }
 
 // Query returns the newest attached instance, or nil.

@@ -24,8 +24,8 @@ import (
 )
 
 // ------------------------------------------------ engine test harness
-// (mirrors supervisor's helpers; engine's in-package helpers are out of
-// reach without an import cycle)
+// (engine's in-package helpers are out of reach from another package's
+// tests)
 
 var eventsSchema = sql.NewSchema(
 	sql.Field{Name: "k", Type: sql.TypeString},

@@ -6,8 +6,8 @@ import (
 	"structream/internal/sql"
 )
 
-// FlakySource wraps any Source with deterministic fault hooks for chaos
-// and supervision tests: scheduled transient/fatal read errors and an
+// FlakySource wraps any Source with deterministic fault hooks for fault
+// and restart tests: scheduled transient/fatal read errors and an
 // on-demand stall that hangs a Read until released — the ingredients of
 // the §6.2 recovery story (a flaky executor, a hung fetch). The wrapper
 // preserves replayability: faults affect only whether a Read returns, not

@@ -50,7 +50,7 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# pass `go test -race ./...` above gave them.
 	step "arrival wake-up and leak tests, -race -count=20"
 	go test -race -count=20 -run 'TestArrival|TestIdleQueryDoesNotPoll|TestContinuousWorkersWaitForArrival' \
-		./internal/msgbus/ ./internal/sources/ ./internal/engine/ ./internal/supervisor/
+		./internal/msgbus/ ./internal/sources/ ./internal/engine/
 	# Fuzz smokes: five seconds of coverage-guided input on every decoder
 	# that reads bytes off disk or the wire. Round-trips must hold, corrupt
 	# input must never panic, and nothing but fsx.ErrCorrupt may come back.
@@ -141,8 +141,10 @@ step "benchmark module vet + tests"
 # shuffle-row constructor, replaced by join cells; the engine's vectorize
 # option, its pointer helper and the reduce-side merge only it selected; the
 # Fig 6b cost model, its calibration and the run-once cost model, and the
-# dataflow baseline's parallel runner and flat-map operator) must not survive
-# in code, scripts or docs. The pattern is assembled from halves
+# dataflow baseline's parallel runner and flat-map operator; the restart
+# supervisor, the hub's hook into it, the query status, constructor and
+# progress key only it fed, its health signal and its chaos knob) must not
+# survive in code, scripts or docs. The pattern is assembled from halves
 # so this script does not match itself.
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
@@ -156,6 +158,8 @@ stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Ex
 stale="$stale"'|JoinShuffle''Row'
 stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
 stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPart''itioned|FlatMap''Operator'
+stale="$stale"'|Super''vise|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
+stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis|STRUCTREAM''_CHAOS'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1
@@ -189,12 +193,6 @@ for pkg in ./internal/sql/vec/ ./internal/incremental/ ./internal/engine/; do
 		exit 1
 	fi
 done
-# Opt-in chaos tier: randomized fault schedule against the supervised
-# runtime (bounded by STRUCTREAM_CHAOS_SECONDS, default 20).
-if [ "${STRUCTREAM_CHAOS:-}" = "1" ]; then
-	step "make chaos (randomized fault schedule)"
-	make chaos
-fi
 step ""
 echo "   ($(($(date +%s) - verify_start)) s in all)"
 if [ "$tier" = full ]; then
