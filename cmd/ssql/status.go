@@ -60,9 +60,9 @@ func formatStatus(name, status string, p metrics.QueryProgress, ok bool) string 
 			p.Sink.Description, p.Sink.NumOutputRows, time.Duration(p.Sink.WriteMicros)*time.Microsecond)
 	}
 	for _, so := range p.StateOperators {
-		fmt.Fprintf(&b, "  state %q: %d keys, %d bytes, cache %d/%d hit, %d deltas, %d snapshots\n",
+		fmt.Fprintf(&b, "  state %q: %d keys, %d bytes, cache %d/%d hit, %d deltas\n",
 			so.Operator, so.NumRowsTotal, so.StateBytes,
-			so.CacheHits, so.CacheHits+so.CacheMisses, so.DeltasWritten, so.SnapshotsWritten)
+			so.CacheHits, so.CacheHits+so.CacheMisses, so.DeltasWritten)
 	}
 	if p.WatermarkMicros > 0 {
 		fmt.Fprintf(&b, "  watermark: %dµs\n", p.WatermarkMicros)

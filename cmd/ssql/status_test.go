@@ -40,7 +40,7 @@ func fixtureProgress() metrics.QueryProgress {
 		Sink: &metrics.SinkProgress{Description: "console", NumOutputRows: 970, WriteMicros: 1600},
 		StateOperators: []metrics.StateOperatorProgress{{
 			Operator: "stateAgg", NumRowsTotal: 97, StateBytes: 4096,
-			CacheHits: 90, CacheMisses: 7, DeltasWritten: 4, SnapshotsWritten: 1,
+			CacheHits: 90, CacheMisses: 7, DeltasWritten: 4,
 		}},
 		WatermarkMicros: 12345,
 	}
@@ -59,7 +59,7 @@ func TestFormatStatus(t *testing.T) {
 		"backpressure: cap 2000→500",
 		`source "events": 1000 rows, offsets [10] -> [20]`,
 		"sink console: 970 rows",
-		`state "stateAgg": 97 keys, 4096 bytes, cache 90/97 hit, 4 deltas, 1 snapshots`,
+		`state "stateAgg": 97 keys, 4096 bytes, cache 90/97 hit, 4 deltas`,
 		"watermark: 12345µs",
 	} {
 		if !strings.Contains(got, want) {

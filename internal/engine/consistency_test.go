@@ -388,8 +388,9 @@ func TestGCRetainsRecoverability(t *testing.T) {
 	sink := sinks.NewMemorySink()
 	srcs := map[string]sources.Source{"events": src}
 	q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
+	// A 64-byte memtable seals every epoch or two: manifests for GC to keep.
 	sq := startQuery(t, q, srcs, sink, Options{Checkpoint: ckpt, RetainEpochs: 3,
-		StateSnapshotInterval: 2})
+		StateMemtableBytes: 64})
 	var total float64
 	for i := 0; i < 12; i++ {
 		v := float64(i)
@@ -407,7 +408,7 @@ func TestGCRetainsRecoverability(t *testing.T) {
 	total += 100
 	q2 := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
 	sq2 := startQuery(t, q2, srcs, sink, Options{Checkpoint: ckpt, RetainEpochs: 3,
-		StateSnapshotInterval: 2})
+		StateMemtableBytes: 64})
 	if err := sq2.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)
 	}

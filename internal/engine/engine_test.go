@@ -51,6 +51,18 @@ func streamScan(name string) *logical.Scan {
 	return &logical.Scan{Name: name, Streaming: true, Out: eventsSchema}
 }
 
+// stateBudgets are the memtable budgets the stateful suites run at, under the
+// names of the two state backends they replaced: "memory", the default, under
+// which a suite's state never leaves the memtable, and "lsm", small enough
+// that it flushes and compacts.
+var stateBudgets = []struct {
+	name  string
+	bytes int64
+}{{"memory", 0}, {"lsm", spillBudget}}
+
+// spillBudget is a memtable budget the suites' state outgrows.
+const spillBudget = 2 << 10
+
 func startQuery(t *testing.T, q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink, opts Options) *StreamingQuery {
 	t.Helper()
 	if opts.Checkpoint == "" {

@@ -386,7 +386,7 @@ func (c *core) publish(r *epochRecord) {
 		// A growing flush backlog is latency debt the epoch timer has not
 		// seen yet: shed intake before the hard synchronous fallback (or
 		// the watchdog) is reached.
-		if r.state != nil && r.state.Backend != "" {
+		if r.state != nil {
 			c.limiter.ObserveBacklog(r.state.FlushBacklog, int64(c.opts.NumPartitions), r.inputRows)
 		}
 		backpressureDecision = c.limiter.Decision()

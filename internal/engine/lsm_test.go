@@ -17,11 +17,10 @@ import (
 
 // TestLSMBackendSpillsAndRestoresVersions is the acceptance scenario for
 // the larger-than-memtable path: a stateful aggregation whose state is
-// several times the memtable threshold runs under Backend "lsm", spills to
-// SSTables (visible in QueryProgress stateOperators and the metric
-// registry), and after the query stops every committed epoch's state can
-// still be reopened at exactly its version — the §7.2 rollback contract,
-// now served by manifest + delta replay instead of snapshots.
+// several times the memtable threshold spills to SSTables (visible in
+// QueryProgress stateOperators and the metric registry), and after the query
+// stops every committed epoch's state can still be reopened at exactly its
+// version — the §7.2 rollback contract, served by manifest + delta replay.
 func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 	const epochs, perEpoch = 5, 64
 	src := sources.NewMemorySource("events", eventsSchema)
@@ -36,7 +35,6 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
 		Checkpoint:         ckpt,
 		NumPartitions:      1,
-		StateBackend:       "lsm",
 		StateMemtableBytes: 2048, // total state is ~10× this: must spill
 		// Synchronous maintenance makes the flush/compaction counts this
 		// test asserts deterministic: with the background default the last
@@ -70,9 +68,6 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 		t.Fatalf("no stateOperators in progress: %+v ok=%v", p, ok)
 	}
 	so := p.StateOperators[0]
-	if so.Backend != "lsm" {
-		t.Errorf("stateOperators.backend = %q, want lsm", so.Backend)
-	}
 	if so.SSTables == 0 || so.SSTableBytes == 0 || so.Flushes == 0 {
 		t.Errorf("state never spilled: ssTables=%d bytes=%d flushes=%d", so.SSTables, so.SSTableBytes, so.Flushes)
 	}
@@ -103,7 +98,6 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 	// A cold provider must reopen EVERY committed version with exactly the
 	// key count that version had.
 	prov := state.NewProvider(ckpt)
-	prov.Backend = state.BackendLSM
 	defer prov.Close()
 	versions, err := prov.Versions(id)
 	if err != nil {
@@ -149,7 +143,6 @@ func TestLSMFlushBacklogSurfacesInProgress(t *testing.T) {
 	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
 		Checkpoint:                t.TempDir(),
 		NumPartitions:             1,
-		StateBackend:              "lsm",
 		StateMemtableBytes:        1, // every commit seals
 		StateMaintenanceScheduler: deferSched{},
 	})

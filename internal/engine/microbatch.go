@@ -69,28 +69,26 @@ type Options struct {
 	Cluster *cluster.Cluster
 	// EventLogWriter receives JSON progress lines (§7.4); may be nil.
 	EventLogWriter io.Writer
-	// StateSnapshotInterval overrides the state store's full-snapshot
-	// cadence (default 10 epochs).
-	StateSnapshotInterval int64
-	// StateBackend selects the state storage engine: "memory" (default)
-	// keeps live state in RAM with delta + snapshot files; "lsm" stores it
-	// in a log-structured merge tree (memtable, bloom-filtered SSTables,
-	// shared block cache, size-tiered compaction) so stateful queries can
-	// hold state well beyond RAM.
+	// StateBackend is optional and names the one state storage engine, a
+	// log-structured merge tree per state partition (memtable,
+	// bloom-filtered SSTables, shared block cache, size-tiered compaction):
+	// "", "memory" and "lsm" all mean it, and any other name is refused.
+	// How much state stays in memory is StateMemtableBytes. The field stays
+	// because the frozen benchmark/ workloads set it.
 	StateBackend string
-	// StateMemtableBytes is the lsm backend's per-store flush threshold
+	// StateMemtableBytes is each state partition's memtable budget
 	// (0 = 4 MiB). State beyond it spills to SSTables.
 	StateMemtableBytes int64
-	// StateBlockCacheBytes bounds the lsm backend's block cache, shared
+	// StateBlockCacheBytes bounds the state store's block cache, shared
 	// across all of the query's state partitions (0 = 32 MiB).
 	StateBlockCacheBytes int64
-	// StateSyncMaintenance forces the lsm backend's flush and compaction to
+	// StateSyncMaintenance forces the state store's flush and compaction to
 	// run synchronously inside each state commit. By default maintenance
 	// runs on a supervised background goroutine per store and commits wait
 	// only on their own delta's durability; crash recovery is identical
 	// either way (the delta log is the durability point).
 	StateSyncMaintenance bool
-	// StateMaintenanceScheduler overrides the lsm backend's maintenance
+	// StateMaintenanceScheduler overrides the state store's maintenance
 	// scheduling. The crash-sweep torture harness injects a seeded
 	// deterministic scheduler so the background-maintenance code path keeps
 	// a reproducible mutating-op schedule.
@@ -228,21 +226,16 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	if err != nil {
 		return nil, err
 	}
-	prov := state.NewProviderFS(opts.FS, opts.Checkpoint)
-	if opts.StateSnapshotInterval > 0 {
-		prov.SnapshotInterval = opts.StateSnapshotInterval
-	}
 	switch opts.StateBackend {
-	case "", string(state.BackendMemory):
-	case string(state.BackendLSM):
-		prov.Backend = state.BackendLSM
-		prov.MemtableBytes = opts.StateMemtableBytes
-		prov.BlockCacheBytes = opts.StateBlockCacheBytes
-		prov.BackgroundMaintenance = !opts.StateSyncMaintenance
-		prov.Scheduler = opts.StateMaintenanceScheduler
+	case "", "memory", string(state.BackendLSM):
 	default:
 		return nil, fmt.Errorf("engine: unknown state backend %q", opts.StateBackend)
 	}
+	prov := state.NewProviderFS(opts.FS, opts.Checkpoint)
+	prov.MemtableBytes = opts.StateMemtableBytes
+	prov.BlockCacheBytes = opts.StateBlockCacheBytes
+	prov.BackgroundMaintenance = !opts.StateSyncMaintenance
+	prov.Scheduler = opts.StateMaintenanceScheduler
 	e := &exec{
 		core: c, prov: prov,
 		perPipeMax: make([]int64, len(q.Pipelines)),
@@ -981,21 +974,18 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 		e.lastStateVersion = r.epoch
 		r.state = e.stateProgress(keys)
 		sp.SetAttr("stateRows", keys)
-		if st := r.state; st.Backend != "" {
-			sp.SetAttr("ssTables", st.SSTables)
-			sp.SetAttr("compactionBytes", st.CompactionBytes)
-			sp.SetAttr("flushBacklog", st.FlushBacklog)
-			sp.SetAttr("maintenanceStallUs", st.MaintenanceStallUs)
-		}
+		sp.SetAttr("ssTables", r.state.SSTables)
+		sp.SetAttr("compactionBytes", r.state.CompactionBytes)
+		sp.SetAttr("flushBacklog", r.state.FlushBacklog)
+		sp.SetAttr("maintenanceStallUs", r.state.MaintenanceStallUs)
 		return stateNanos, procNanos, nil
 	})
 	r.stateVersion = e.lastStateVersion
 	return err
 }
 
-// stateProgress renders the stateful operator's progress section. The
-// fields past DeltasWritten are the lsm backend's: zero, and so out of the
-// JSON, on the memory backend, where Backend stays empty too.
+// stateProgress renders the stateful operator's progress section and sets
+// the state store's registry gauges.
 func (e *exec) stateProgress(keys int64) *metrics.StateOperatorProgress {
 	ps := e.prov.Stats()
 	sop := &metrics.StateOperatorProgress{
@@ -1003,7 +993,6 @@ func (e *exec) stateProgress(keys int64) *metrics.StateOperatorProgress {
 		NumRowsTotal:       keys,
 		CacheHits:          ps.CacheHits,
 		CacheMisses:        ps.CacheMisses,
-		SnapshotsWritten:   ps.SnapshotsWritten,
 		DeltasWritten:      ps.DeltasWritten,
 		MemtableBytes:      ps.MemtableBytes,
 		SSTables:           ps.SSTables,
@@ -1019,10 +1008,6 @@ func (e *exec) stateProgress(keys int64) *metrics.StateOperatorProgress {
 	if du, err := e.prov.DiskUsage(); err == nil {
 		sop.StateBytes = du
 	}
-	if ps.Backend != state.BackendLSM {
-		return sop
-	}
-	sop.Backend = string(ps.Backend)
 	if lookups := ps.BlockCacheHits + ps.BlockCacheMisses; lookups > 0 {
 		sop.BlockCacheHitRate = float64(ps.BlockCacheHits) / float64(lookups)
 	}

@@ -227,9 +227,9 @@ func partPlans(t *testing.T) map[string]*incremental.Query {
 	}
 }
 
-// runPartitioned drives one preloaded query to completion and returns its
-// sink.
-func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, backend string) *sinks.MemorySink {
+// runPartitioned drives one preloaded query to completion, at the given
+// memtable budget, and returns its sink.
+func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int, budget int64) *sinks.MemorySink {
 	t.Helper()
 	sink := sinks.NewMemorySink()
 	srcs := map[string]sources.Source{"events": partSource(seed, 96, 2), "others": othersSource(seed, 96, 2), "keyed": keyedSource(seed, 96, 2)}
@@ -237,10 +237,10 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 		Workers:              workers,
 		NumPartitions:        2,
 		MaxRecordsPerTrigger: 16,
-		StateBackend:         backend,
+		StateMemtableBytes:   budget,
 	})
 	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatalf("workers=%d backend=%s: %v", workers, backend, err)
+		t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
 	}
 	if err := sq.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -250,11 +250,9 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 
 // TestPartitionDifferentialFuzz is the partitioned runtime's correctness
 // gate: for every fuzzed query shape, the sink of the columnar and the
-// row-stage compile (rowPath), every state backend and worker degree must
-// match the single-worker row-stage memory-backend run row for row, in
-// order. The stream-static join shapes are stateless up to the join, so
-// apart from the two that end in a stateful stage they run on the memory
-// backend only.
+// row-stage compile (rowPath) and every worker degree must match the
+// single-worker row-stage run row for row, in order. The golden run keeps its
+// state in the memtable; every other run spills it.
 func TestPartitionDifferentialFuzz(t *testing.T) {
 	plans, rowPlans := partPlans(t), partPlans(t)
 	if op, ok := plans["band-join-append"].Stateful.(*incremental.StreamStreamJoin); !ok || op.Band == nil || *op.Band != (incremental.TimeBand{Lo: 0, Hi: 2 * sec}) {
@@ -271,12 +269,11 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 	for name, q := range plans {
 		rowQ := rowPath(rowPlans[name])
 		seeds := []int64{1, 99}
-		backends := []string{"memory", "lsm"}
 		if stateless[name] {
-			seeds, backends = seeds[:1], backends[:1]
+			seeds = seeds[:1]
 		}
 		for _, seed := range seeds {
-			golden := runPartitioned(t, rowQ, seed, 1, "memory").Rows()
+			golden := runPartitioned(t, rowQ, seed, 1, 0).Rows()
 			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
 				t.Fatalf("%s: golden run emitted nothing", name)
 			}
@@ -285,15 +282,10 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 				if columnar {
 					run = q
 				}
-				for _, backend := range backends {
-					for _, workers := range []int{1, 2, 4} {
-						if !columnar && backend == "memory" && workers == 1 {
-							continue // the golden run itself
-						}
-						got := runPartitioned(t, run, seed, workers, backend).Rows()
-						ctx := fmt.Sprintf("%s seed=%d columnar=%v backend=%s workers=%d", name, seed, columnar, backend, workers)
-						rowsExactlyEqual(t, got, golden, ctx)
-					}
+				for _, workers := range []int{1, 2, 4} {
+					got := runPartitioned(t, run, seed, workers, spillBudget).Rows()
+					ctx := fmt.Sprintf("%s seed=%d columnar=%v workers=%d", name, seed, columnar, workers)
+					rowsExactlyEqual(t, got, golden, ctx)
 				}
 			}
 		}
@@ -303,21 +295,21 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 // TestOuterJoinReplaysToIdenticalBytes: the rows an outer stream-stream join
 // emits when the watermark evicts unmatched buffered rows come out in the
 // eviction index's order — (event time, join key, arrival index) — not in
-// whatever order the store iterates. Two runs, and both state backends, must
-// write byte-identical sink files.
+// whatever order the store iterates. Runs that keep the state in the
+// memtable and runs that spill it must write byte-identical sink files.
 func TestOuterJoinReplaysToIdenticalBytes(t *testing.T) {
 	q := partPlans(t)["outer-join-append"]
 	var golden map[string][]byte
-	for _, backend := range []string{"memory", "memory", "lsm", "lsm"} {
+	for _, budget := range []int64{0, 0, spillBudget, spillBudget} {
 		dir := t.TempDir()
 		srcs := map[string]sources.Source{"events": partSource(5, 192, 2), "others": othersSource(5, 192, 2)}
 		sq := startQuery(t, q, srcs, &sinks.JSONFileSink{Dir: dir}, Options{
 			NumPartitions:        2,
 			MaxRecordsPerTrigger: 48, // epochs wide enough to evict several unmatched rows each
-			StateBackend:         backend,
+			StateMemtableBytes:   budget,
 		})
 		if err := sq.ProcessAllAvailable(); err != nil {
-			t.Fatalf("%s: %v", backend, err)
+			t.Fatalf("budget %d: %v", budget, err)
 		}
 		if err := sq.Stop(); err != nil {
 			t.Fatal(err)
@@ -335,7 +327,7 @@ func TestOuterJoinReplaysToIdenticalBytes(t *testing.T) {
 			continue
 		}
 		if d := sinkDiff(golden, got); d != "" {
-			t.Fatalf("%s run diverged from the first run:\n%s", backend, d)
+			t.Fatalf("budget %d run diverged from the first run:\n%s", budget, d)
 		}
 	}
 }
@@ -422,10 +414,10 @@ func TestWorkersSizeThePoolAndTheMapSplit(t *testing.T) {
 // inside the first epoch leaves none that committed: both restart under any
 // count.
 func TestRestartUnderAnotherPartitionCountRefused(t *testing.T) {
-	run := func(q *incremental.Query, ckpt string, fsys fsx.FS, parts int, backend string) ([]sql.Row, error) {
+	run := func(q *incremental.Query, ckpt string, fsys fsx.FS, parts int, budget int64) ([]sql.Row, error) {
 		sink := sinks.NewMemorySink()
 		sq, err := Start(q, map[string]sources.Source{"events": partSource(3, 96, 2)}, sink, Options{
-			Checkpoint: ckpt, FS: fsys, NumPartitions: parts, StateBackend: backend,
+			Checkpoint: ckpt, FS: fsys, NumPartitions: parts, StateMemtableBytes: budget,
 			MaxRecordsPerTrigger: 16, Trigger: ProcessingTimeTrigger{Interval: time.Hour},
 		})
 		if err != nil {
@@ -435,14 +427,14 @@ func TestRestartUnderAnotherPartitionCountRefused(t *testing.T) {
 		err = sq.ProcessAllAvailable()
 		return sink.Rows(), err
 	}
-	for _, backend := range []string{"memory", "lsm"} {
+	for _, budget := range stateBudgets {
 		for _, c := range [][2]int{{4, 8}, {8, 4}} {
-			t.Run(fmt.Sprintf("%s/%d-to-%d", backend, c[0], c[1]), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d-to-%d", budget.name, c[0], c[1]), func(t *testing.T) {
 				q, ckpt := partPlans(t)["keyed-agg-update"], t.TempDir()
-				if _, err := run(q, ckpt, fsx.NoSync(), c[0], backend); err != nil {
+				if _, err := run(q, ckpt, fsx.NoSync(), c[0], budget.bytes); err != nil {
 					t.Fatal(err)
 				}
-				_, err := run(q, ckpt, fsx.NoSync(), c[1], backend)
+				_, err := run(q, ckpt, fsx.NoSync(), c[1], budget.bytes)
 				if !errors.Is(err, ErrPartitionCount) {
 					t.Fatalf("restart under %d partitions returned %v, want ErrPartitionCount", c[1], err)
 				}
@@ -451,7 +443,7 @@ func TestRestartUnderAnotherPartitionCountRefused(t *testing.T) {
 						t.Errorf("%q does not name %d", err, n)
 					}
 				}
-				if _, err := run(q, ckpt, fsx.NoSync(), c[0], backend); err != nil {
+				if _, err := run(q, ckpt, fsx.NoSync(), c[0], budget.bytes); err != nil {
 					t.Fatalf("restart under the count that wrote the checkpoint: %v", err)
 				}
 			})
@@ -460,24 +452,24 @@ func TestRestartUnderAnotherPartitionCountRefused(t *testing.T) {
 	t.Run("stateless", func(t *testing.T) {
 		q, ckpt := partPlans(t)["stateless-append"], t.TempDir()
 		for _, parts := range []int{4, 8, 4} {
-			if _, err := run(q, ckpt, fsx.NoSync(), parts, ""); err != nil {
+			if _, err := run(q, ckpt, fsx.NoSync(), parts, 0); err != nil {
 				t.Fatalf("%d partitions: %v", parts, err)
 			}
 		}
 	})
 	t.Run("first-epoch-crash", func(t *testing.T) {
 		q := partPlans(t)["keyed-agg-update"]
-		golden, err := run(q, t.TempDir(), fsx.NoSync(), 8, "")
+		golden, err := run(q, t.TempDir(), fsx.NoSync(), 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Every partition's epoch-0 delta is durable, the commit marker is not.
 		ckpt, ffs := t.TempDir(), fsx.NewFaultFS(fsx.NoSync())
 		ffs.CrashWhen, ffs.Mode = nthOp(fsx.OpWrite, "/commits/", 1), fsx.CrashBefore
-		if _, err := run(q, ckpt, ffs, 4, ""); !ffs.Crashed() || err == nil {
+		if _, err := run(q, ckpt, ffs, 4, 0); !ffs.Crashed() || err == nil {
 			t.Fatalf("crash never fired (err=%v)", err)
 		}
-		got, err := run(q, ckpt, fsx.NoSync(), 8, "")
+		got, err := run(q, ckpt, fsx.NoSync(), 8, 0)
 		if err != nil {
 			t.Fatalf("restart under 8 partitions with nothing committed: %v", err)
 		}

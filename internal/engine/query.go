@@ -278,15 +278,13 @@ func (q *StreamingQuery) LastCommittedEpoch() int64 {
 // is the newest state version covered by a WAL commit — opening every
 // partition at exactly that version yields a prefix-consistent snapshot.
 type StateAccess struct {
-	Checkpoint       string
-	FS               fsx.FS
-	Operator         string
-	Partitions       int
-	Version          int64
-	Backend          string
-	MemtableBytes    int64
-	BlockCacheBytes  int64
-	SnapshotInterval int64
+	Checkpoint      string
+	FS              fsx.FS
+	Operator        string
+	Partitions      int
+	Version         int64
+	MemtableBytes   int64
+	BlockCacheBytes int64
 }
 
 // StateAccess reports how to open read-only snapshots of the query's
@@ -297,20 +295,14 @@ func (q *StreamingQuery) StateAccess() (StateAccess, bool) {
 	if e == nil || e.q.Stateful == nil {
 		return StateAccess{}, false
 	}
-	backend := e.opts.StateBackend
-	if backend == "" {
-		backend = "memory"
-	}
 	return StateAccess{
-		Checkpoint:       e.opts.Checkpoint,
-		FS:               e.opts.FS,
-		Operator:         e.q.Stateful.Name(),
-		Partitions:       e.opts.NumPartitions,
-		Version:          e.committedState.Load(),
-		Backend:          backend,
-		MemtableBytes:    e.opts.StateMemtableBytes,
-		BlockCacheBytes:  e.opts.StateBlockCacheBytes,
-		SnapshotInterval: e.opts.StateSnapshotInterval,
+		Checkpoint:      e.opts.Checkpoint,
+		FS:              e.opts.FS,
+		Operator:        e.q.Stateful.Name(),
+		Partitions:      e.opts.NumPartitions,
+		Version:         e.committedState.Load(),
+		MemtableBytes:   e.opts.StateMemtableBytes,
+		BlockCacheBytes: e.opts.StateBlockCacheBytes,
 	}, true
 }
 

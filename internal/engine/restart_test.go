@@ -236,15 +236,14 @@ func TestRestartConvergesUnderChaos(t *testing.T) {
 }
 
 // TestRestartStatefulLSMConvergesUnderChaos is the same for a stateful
-// aggregation whose state lives in the LSM backend, with a memtable small
-// enough that every restart recovers memtable contents, SSTables and
-// manifests: across a crash amid the state machinery and a fault burst,
-// the sink files stay byte-identical to a fault-free run's.
+// aggregation whose memtable is small enough that every restart recovers
+// memtable contents, SSTables and manifests: across a crash amid the state
+// machinery and a fault burst, the sink files stay byte-identical to a
+// fault-free run's.
 func TestRestartStatefulLSMConvergesUnderChaos(t *testing.T) {
 	rows := uniqueRows("s", 120) // unique keys: one update line per input row
 	lsmOptions := func(ckpt string, fs fsx.FS) Options {
 		o := restartOptions(ckpt, fs)
-		o.StateBackend = "lsm"
 		o.StateMemtableBytes = 512 // state is many times this: it spills inside the run
 		return o
 	}
@@ -259,8 +258,8 @@ func TestRestartStatefulLSMConvergesUnderChaos(t *testing.T) {
 		var fs fsx.FS
 		switch n {
 		case 1:
-			// With the LSM backend the checkpoint's ops include SSTable
-			// flushes and manifest writes: op 14 lands amid them.
+			// With a spilling memtable the checkpoint's ops include
+			// SSTable flushes and manifest writes: op 14 lands amid them.
 			fs = crashingFS(14)
 		case 2:
 			flaky.FailReads(fsx.Transient("flaky network"), 9)

@@ -49,29 +49,21 @@ func torturePlan(t *testing.T) *incremental.Query {
 	return compile(t, plan, logical.Update, nil)
 }
 
-// launchTortureBackend starts the torture query over ckpt/sinkDir on fsys
-// with the given state backend ("" = memory) and drives it to completion
-// (or to the injected fault). One source partition and one shuffle
-// partition keep the filesystem op schedule fully deterministic, which is
-// what makes crash-at-op-N reproducible. The LSM variant runs with a
-// 1-byte memtable threshold so every state commit flushes an SSTable and
-// the tier fills up enough to compact inside the workload — crash points
-// land between flush, compaction output, and manifest writes.
-func launchTortureBackend(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int, backend string, tune ...func(*Options)) (*StreamingQuery, error) {
+// launchTorture starts the torture query over ckpt/sinkDir on fsys, with
+// tune applied to its options, and drives it to completion (or to the
+// injected fault). One source partition and one shuffle partition keep the
+// filesystem op schedule fully deterministic, which is what makes
+// crash-at-op-N reproducible.
+func launchTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int, tune ...func(*Options)) (*StreamingQuery, error) {
 	t.Helper()
 	sink := &sinks.JSONFileSink{Dir: sinkDir, FS: fsys}
 	opts := Options{
-		Checkpoint:            ckpt,
-		FS:                    fsys,
-		NumPartitions:         1,
-		MaxRecordsPerTrigger:  8,
-		StateSnapshotInterval: 3,
-		StateBackend:          backend,
-		Trigger:               ProcessingTimeTrigger{Interval: time.Hour}, // driven manually
-		RetryBackoff:          time.Microsecond,
-	}
-	if backend == "lsm" {
-		opts.StateMemtableBytes = 1
+		Checkpoint:           ckpt,
+		FS:                   fsys,
+		NumPartitions:        1,
+		MaxRecordsPerTrigger: 8,
+		Trigger:              ProcessingTimeTrigger{Interval: time.Hour}, // driven manually
+		RetryBackoff:         time.Microsecond,
 	}
 	for _, fn := range tune {
 		fn(&opts)
@@ -84,21 +76,17 @@ func launchTortureBackend(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows 
 	return sq, sq.ProcessAllAvailable()
 }
 
-func launchTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int) (*StreamingQuery, error) {
+func runTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int, tune ...func(*Options)) error {
 	t.Helper()
-	return launchTortureBackend(t, ckpt, sinkDir, fsys, rows, "")
-}
-
-func runTortureBackend(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int, backend string, tune ...func(*Options)) error {
-	t.Helper()
-	_, err := launchTortureBackend(t, ckpt, sinkDir, fsys, rows, backend, tune...)
+	_, err := launchTorture(t, ckpt, sinkDir, fsys, rows, tune...)
 	return err
 }
 
-func runTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int) error {
-	t.Helper()
-	return runTortureBackend(t, ckpt, sinkDir, fsys, rows, "")
-}
+// spillEveryCommit is the torture runs' 1-byte memtable: every state commit
+// flushes an SSTable and the tier fills up enough to compact inside the
+// workload, so crash points land between flush, compaction output, and
+// manifest writes.
+func spillEveryCommit(o *Options) { o.StateMemtableBytes = 1 }
 
 // dirContents reads every file in dir into a name→bytes map.
 func dirContents(t *testing.T, dir string) map[string][]byte {
@@ -163,7 +151,7 @@ func opCategory(t *testing.T, op fsx.Op) string {
 		return "offsets-write"
 	case strings.Contains(p, "/commits/"):
 		return "commit-marker"
-	case strings.Contains(p, ".delta") || strings.Contains(p, ".snapshot"):
+	case strings.Contains(p, ".delta"):
 		return "state-commit"
 	case strings.Contains(p, ".sst") || strings.Contains(p, ".manifest"):
 		return "state-structure"
@@ -182,20 +170,18 @@ func opCategory(t *testing.T, op fsx.Op) string {
 // byte-identical to a crash-free run. This is the paper's exactly-once
 // claim (§6.1) tested against the failure model it actually depends on.
 func TestCrashRecoveryTorture(t *testing.T) {
-	crashSweepTorture(t, "")
+	crashSweepTorture(t)
 }
 
-// TestCrashRecoveryTortureLSM repeats the full crash sweep with the LSM
-// state backend, whose commit path adds SSTable flushes, compaction
+// TestCrashRecoveryTortureLSM repeats the full crash sweep with a memtable
+// that spills at every commit, which adds SSTable flushes, compaction
 // outputs, and manifest writes to the op schedule — so the sweep crashes
-// mid-flush and mid-compaction too. The golden output is produced by the
-// MEMORY backend: every recovery must converge byte-identical not only to
-// its own crash-free run but across backends. Maintenance is pinned to
-// synchronous drain so every commit's op schedule includes its flush and
-// any compaction it triggers, keeping crash points maximally adversarial
-// (a crash can land between a delta and the flush it feeds).
+// mid-flush and mid-compaction too. Maintenance is pinned to synchronous
+// drain so every commit's op schedule includes its flush and any compaction
+// it triggers, keeping crash points maximally adversarial (a crash can land
+// between a delta and the flush it feeds).
 func TestCrashRecoveryTortureLSM(t *testing.T) {
-	crashSweepTorture(t, "lsm", func(o *Options) { o.StateSyncMaintenance = true })
+	crashSweepTorture(t, spillEveryCommit, func(o *Options) { o.StateSyncMaintenance = true })
 }
 
 // TestCrashRecoveryTortureLSMBackground sweeps the engine's DEFAULT mode:
@@ -209,23 +195,29 @@ func TestCrashRecoveryTortureLSM(t *testing.T) {
 // RetainEpochs=2 forces GC of retired deltas, SSTables, and manifests
 // inside the sweep, adding remove ops to the crash surface.
 func TestCrashRecoveryTortureLSMBackground(t *testing.T) {
-	crashSweepTorture(t, "lsm", func(o *Options) {
+	crashSweepTorture(t, spillEveryCommit, func(o *Options) {
 		o.StateMaintenanceScheduler = lsm.NewSeededScheduler(0x5EED)
 		o.RetainEpochs = 2
 	})
 }
 
-func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
+// crashSweepTorture crashes the torture run, under the options tune gives,
+// at every mutating op; every restart must converge to the crash-free run
+// of the same options.
+func crashSweepTorture(t *testing.T, tune ...func(*Options)) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped with -short")
 	}
 	const rows = 48
+	var tuned Options
+	for _, fn := range tune {
+		fn(&tuned)
+	}
+	spills := tuned.StateMemtableBytes > 0
 
-	// Golden run: clean filesystem, no faults, memory backend regardless of
-	// the backend under test — the sink bytes must not depend on the state
-	// backend.
+	// Golden run: clean filesystem, no faults.
 	goldenSink := t.TempDir()
-	if err := runTorture(t, t.TempDir(), goldenSink, fsx.NoSync(), rows); err != nil {
+	if err := runTorture(t, t.TempDir(), goldenSink, fsx.NoSync(), rows, tune...); err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
 	golden := dirContents(t, goldenSink)
@@ -237,7 +229,7 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 	// deterministic op schedule.
 	probe := fsx.NewFaultFS(fsx.NoSync())
 	probeSink := t.TempDir()
-	if err := runTortureBackend(t, t.TempDir(), probeSink, probe, rows, backend, tune...); err != nil {
+	if err := runTorture(t, t.TempDir(), probeSink, probe, rows, tune...); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	if d := sinkDiff(golden, dirContents(t, probeSink)); d != "" {
@@ -248,11 +240,7 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 	if total < 25 {
 		t.Fatalf("workload has only %d mutating ops; need ≥25 crash points", total)
 	}
-	if backend == "lsm" {
-		var tuned Options
-		for _, fn := range tune {
-			fn(&tuned)
-		}
+	if spills {
 		var ssts, deltas, maint int
 		for _, op := range trace {
 			if strings.Contains(op.Path, ".sst") || strings.Contains(op.Path, ".manifest") ||
@@ -297,7 +285,7 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 		ckpt, sinkDir := t.TempDir(), t.TempDir()
 		ffs := fsx.NewFaultFS(fsx.NoSync())
 		ffs.CrashAt, ffs.Mode = n, mode
-		err := runTortureBackend(t, ckpt, sinkDir, ffs, rows, backend, tune...)
+		err := runTorture(t, ckpt, sinkDir, ffs, rows, tune...)
 		if !ffs.Crashed() {
 			t.Fatalf("%s: crash never fired (err=%v)", label, err)
 		}
@@ -307,7 +295,7 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 		categories[opCategory(t, trace[n-1])]++
 
 		// Restart over the surviving checkpoint on a healthy filesystem.
-		if err := runTortureBackend(t, ckpt, sinkDir, fsx.NoSync(), rows, backend, tune...); err != nil {
+		if err := runTorture(t, ckpt, sinkDir, fsx.NoSync(), rows, tune...); err != nil {
 			t.Fatalf("%s: restart failed: %v", label, err)
 		}
 		if d := sinkDiff(golden, dirContents(t, sinkDir)); d != "" {
@@ -315,7 +303,7 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 		}
 	}
 	required := []string{"offsets-write", "state-commit", "sink-write", "commit-marker"}
-	if backend == "lsm" {
+	if spills {
 		required = append(required, "state-structure")
 	}
 	for _, cat := range required {
@@ -333,8 +321,8 @@ func crashSweepTorture(t *testing.T, backend string, tune ...func(*Options)) {
 // damaged file — never silently produce wrong aggregates.
 func TestBitFlipInStateDetectedOnRestart(t *testing.T) {
 	const rows = 48
-	// Probe for the op schedule: pick the LAST delta write, which is past
-	// the last snapshot and therefore re-read when state reloads.
+	// Probe for the op schedule: pick the LAST delta write, which the
+	// restart's state reload re-reads.
 	probe := fsx.NewFaultFS(fsx.NoSync())
 	if err := runTorture(t, t.TempDir(), t.TempDir(), probe, rows); err != nil {
 		t.Fatalf("probe run: %v", err)
@@ -342,12 +330,7 @@ func TestBitFlipInStateDetectedOnRestart(t *testing.T) {
 	var flipAt int64
 	var victim string
 	for _, op := range probe.Trace() {
-		// The newest state file (delta, or the snapshot shadowing it when
-		// the final commit landed on a snapshot boundary) is always re-read
-		// by the restart's state reload.
-		if op.Kind == fsx.OpWrite &&
-			(strings.HasSuffix(op.Path, ".delta"+fsx.TmpSuffix) ||
-				strings.HasSuffix(op.Path, ".snapshot"+fsx.TmpSuffix)) {
+		if op.Kind == fsx.OpWrite && strings.HasSuffix(op.Path, ".delta"+fsx.TmpSuffix) {
 			flipAt, victim = op.N, strings.TrimSuffix(filepath.Base(op.Path), fsx.TmpSuffix)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // The stateful differential: the columnar map side (kernels, columnar
 // partial aggregation, the cell exchange) must be byte-identical to the row
-// stages for every output mode, state backend, and worker count, and both
+// stages for every output mode, memtable budget, and worker count, and both
 // must equal the batch query over the consumed prefix after every epoch.
 // These shapes aim at the stateful machinery specifically: NULL grouping
 // keys, watermark-expired groups, and mid-epoch type drift that demotes the
@@ -57,8 +57,8 @@ func TestStatefulVectorizeDifferential(t *testing.T) {
 		plan logical.Plan
 		mode logical.OutputMode
 		// unordered: Complete mode emits in store iteration order, which
-		// is legitimately nondeterministic on the memory backend — compare
-		// as a sorted multiset instead of positionally.
+		// the two compiles' staging need not share — compare as a sorted
+		// multiset instead of positionally.
 		unordered bool
 	}{
 		"null-key-agg-update": {
@@ -107,10 +107,10 @@ func TestStatefulVectorizeDifferential(t *testing.T) {
 		},
 	}
 	for name, s := range shapes {
-		for _, backend := range []string{"memory", "lsm"} {
+		for _, budget := range stateBudgets {
 			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", name, backend, workers), func(t *testing.T) {
-					opts := Options{StateBackend: backend, Workers: workers}
+				t.Run(fmt.Sprintf("%s/%s/w%d", name, budget.name, workers), func(t *testing.T) {
+					opts := Options{StateMemtableBytes: budget.bytes, Workers: workers}
 					on := runStatefulEpochs(t, compile(t, s.plan, s.mode, nil), s.plan, s.mode, baseEpochs, opts)
 					off := runStatefulEpochs(t, rowPath(compile(t, s.plan, s.mode, nil)), s.plan, s.mode, baseEpochs, opts)
 					if s.unordered {
@@ -155,13 +155,13 @@ func TestStatefulVectorizeSmallTriggers(t *testing.T) {
 		rows = append(rows, sql.Row{k, float64(i) * 1.25, int64(i) * sec})
 	}
 	const perEpoch = 7
-	for _, backend := range []string{"memory", "lsm"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, budget := range stateBudgets {
+		t.Run(budget.name, func(t *testing.T) {
 			run := func(q *incremental.Query) []sql.Row {
 				src := sources.NewMemorySource("events", eventsSchema)
 				sink := sinks.NewMemorySink()
 				sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink,
-					Options{StateBackend: backend, MaxRecordsPerTrigger: perEpoch})
+					Options{StateMemtableBytes: budget.bytes, MaxRecordsPerTrigger: perEpoch})
 				src.AddData(rows...)
 				if err := sq.ProcessAllAvailable(); err != nil {
 					t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 
 // The aggregate's exchange, from the map task's column batch to the committed
 // state delta: GROUP BY k, count(*), sum(v) over string keys (agg-spill's
-// shape), Update mode, four reduce partitions on the memory backend.
+// shape), Update mode, four reduce partitions at the default memtable budget.
 const (
 	aggExchangeRows  = 16384
 	aggExchangeParts = 4

@@ -281,7 +281,8 @@ func randNumExpr(rng *rand.Rand, depth int) sql.Expr {
 // the two queries are the same join, and each map task taking the engine's
 // branch for its pipeline, they must emit the same rows and leave
 // byte-identical state files — over NULL keys, NULL and negative event
-// times, evictions and a left-outer join's padded rows, on the lsm backend.
+// times, evictions and a left-outer join's padded rows, in a memtable that
+// spills.
 func TestDifferentialJoinCells(t *testing.T) {
 	side := func(p string) sql.Schema {
 		return sql.NewSchema(sql.Field{Name: p + "k", Type: sql.TypeInt64}, sql.Field{Name: p + "ts", Type: sql.TypeTimestamp},
@@ -331,7 +332,7 @@ func TestDifferentialJoinCells(t *testing.T) {
 	run := func(q *Query) (dir string, out []string) {
 		dir = t.TempDir()
 		prov := state.NewProviderFS(fsx.NoSync(), dir)
-		prov.Backend, prov.MemtableBytes = state.BackendLSM, 4<<10
+		prov.MemtableBytes = 4 << 10
 		defer prov.Close()
 		for e, in := range epochs {
 			var shuffled [nPart][2][]sql.Row

@@ -8,7 +8,6 @@ import (
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/parser"
-	"structream/internal/state"
 )
 
 // Tests for the time band the planner derives from a stream-stream join's
@@ -255,10 +254,10 @@ func FuzzJoinBand(f *testing.F) {
 }
 
 // TestJoinProbeReadsAreBandBounded: one hot key, 80 s of buffered rows per
-// side, a 10 s band, the lsm backend. What an epoch's probes fetch must follow
-// the rows inside the epoch's band — the union of its rows' windows — not the
-// buffer: at most three times as many, and no more at epoch 60 than at epoch
-// 10. (One bucket for everything, the layout before time buckets, fetches
+// side, a 10 s band, a memtable that spills. What an epoch's probes fetch
+// must follow the rows inside the epoch's band — the union of its rows'
+// windows — not the buffer: at most three times as many, and no more at
+// epoch 60 than at epoch 10. (One bucket for everything, the layout before time buckets, fetches
 // the whole buffer: about nine times the rows inside the band here.)
 func TestJoinProbeReadsAreBandBounded(t *testing.T) {
 	const perEpoch, epochs, step, buffer = 40, 60, 8 * sec, 80 * sec
@@ -269,7 +268,7 @@ func TestJoinProbeReadsAreBandBounded(t *testing.T) {
 			d := r[3].(int64) - r[1].(int64)
 			return d >= band.Lo && d <= band.Hi
 		}}
-	_, store := joinStore(t, state.BackendLSM)
+	_, store := joinStore(t, spillBudget)
 	rng := rand.New(rand.NewSource(1))
 	var buffered [2][]int64 // event times committed and not yet evicted
 	var fetched [epochs + 1]int64
@@ -366,7 +365,7 @@ func TestJoinEvictionLagCases(t *testing.T) {
 // found nothing to match.
 func TestOuterJoinPadsARowOnceTheBandHasPassed(t *testing.T) {
 	j := joinEvictFixtureOp()
-	_, store := joinStore(t, state.BackendMemory)
+	_, store := joinStore(t, 0)
 	row := func(key string, ts int64) sql.Row { return joinRow([]sql.Value{key}, ts, sql.Row{key, ts}) }
 	for epoch, c := range []struct {
 		watermark   int64

@@ -18,7 +18,7 @@ import (
 // The stream-stream join's exchange, from codec records on the bus to the
 // committed state deltas: impressions ⋈ clicks on the ad id with the click
 // inside a 10 s band after its impression, Append mode, four reduce partitions
-// on the lsm backend with 256 KiB memtables over a file system that does not
+// with 256 KiB memtables over a file system that does not
 // sync. Each side's records sit on a two-partition topic and every topic
 // partition's slice of an epoch is one map task, which takes the branch the
 // engine takes for the pipeline it is given: column batches through the
@@ -153,7 +153,7 @@ func BenchmarkJoinExchange(b *testing.B) {
 			q := joinExchangeQuery(b, shape.delay)
 			j := q.Stateful.(*StreamStreamJoin)
 			prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
-			prov.Backend, prov.MemtableBytes = state.BackendLSM, 256<<10
+			prov.MemtableBytes = 256 << 10
 			defer prov.Close()
 			stores := make([]*state.Store, joinExchangeParts)
 			for p := range stores {

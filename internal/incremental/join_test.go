@@ -24,12 +24,23 @@ import (
 // Tests that hold the indexed join state layout to the list-valued reference
 // in join_oracle_test.go, and to its own cost claims.
 
-// joinStore opens one partition's store for the join on the given backend.
-// The lsm memtable is small enough that these workloads flush and compact.
-func joinStore(t testing.TB, backend state.Backend) (*state.Provider, *state.Store) {
+// spillBudget is a memtable budget small enough that these workloads flush
+// and compact; under the default one (0) they never leave the memtable.
+const spillBudget = 16 << 10
+
+// joinBudgets are the budgets the join's suites run at, under the names of
+// the two state backends they replaced.
+var joinBudgets = []struct {
+	name  string
+	bytes int64
+}{{"memory", 0}, {"lsm", spillBudget}}
+
+// joinStore opens one partition's store for the join at the given memtable
+// budget.
+func joinStore(t testing.TB, budget int64) (*state.Provider, *state.Store) {
 	t.Helper()
 	p := state.NewProvider(t.TempDir())
-	p.Backend, p.MemtableBytes = backend, 16<<10
+	p.MemtableBytes = budget
 	t.Cleanup(p.Close)
 	s, err := p.Open(state.ID{Operator: "join", Partition: 0}, -1)
 	if err != nil {
@@ -268,15 +279,15 @@ func inBucketOrder(rows []sql.Row, width int64, rightArrived map[sql.Value]bool)
 // decode, the integer pre-check). The reference never sees the band and shares
 // no bucket code. Matched rows must agree in order — with the band, the
 // reference's order taken per arriving row into (bucket, idx) order, which is
-// what makes the order defined and the same on both backends — eviction-time
+// what makes the order defined and the same at every budget — eviction-time
 // rows as a per-epoch multiset (the reference emits them in map order), and
 // the live buffered rows, in per-key order, after every epoch.
 func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 	for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin, logical.RightOuterJoin} {
 		for _, variant := range []string{"equi", "residual", "band"} {
-			for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
+			for _, budget := range joinBudgets {
 				for seed := int64(1); seed <= 4; seed++ {
-					name := fmt.Sprintf("%v/%s/%s/seed%d", typ, variant, backend, seed)
+					name := fmt.Sprintf("%v/%s/%s/seed%d", typ, variant, budget.name, seed)
 					t.Run(name, func(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed))
 						j := &StreamStreamJoin{OpName: "join", Type: typ, LeftArity: 3, RightArity: 3,
@@ -298,8 +309,8 @@ func TestJoinDifferentialAgainstListLayout(t *testing.T) {
 						if (width == 8*sec) != (j.Band != nil) {
 							t.Fatalf("bucket width %d with band %v", width, j.Band)
 						}
-						prov, store := joinStore(t, backend)
-						_, ref := joinStore(t, state.BackendMemory)
+						prov, store := joinStore(t, budget.bytes)
+						_, ref := joinStore(t, 0)
 						var clock, watermark int64 = 100 * sec, 0
 						nextID := int64(0)
 						var matchedRows, evictionRows, peakLive, lateRows int
@@ -424,7 +435,7 @@ func TestJoinHotKeyStaysLinear(t *testing.T) {
 	run := func(n int) (bytesPerRow, blocksPerRow float64) {
 		j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 2, RightArity: 2,
 			LeftEventIdx: 1, RightEventIdx: 1}
-		prov, store := joinStore(t, state.BackendLSM)
+		prov, store := joinStore(t, spillBudget)
 		for epoch := 0; epoch*perEpoch < n; epoch++ {
 			var inputs [2][]sql.Row
 			for s, key := range []sql.Value{"left-hot", "right-hot"} {
@@ -479,7 +490,7 @@ func TestJoinHotKeyStaysLinear(t *testing.T) {
 // negative time still matches inside the band. A side's bucket-0 rows
 // arrive in an epoch before the other side's — left first, then right first
 // — and the pairs, the padded rows and the buffered rows must be the
-// reference's after every epoch, inner and left-outer, on both backends, with
+// reference's after every epoch, inner and left-outer, at both budgets, with
 // a reload in between: a probe that skipped bucket 0 of a side that holds it
 // would lose the cross-epoch pairs.
 func TestJoinBucketZeroAcrossEpochs(t *testing.T) {
@@ -505,8 +516,8 @@ func TestJoinBucketZeroAcrossEpochs(t *testing.T) {
 	}
 	for name, epochs := range schedules {
 		for _, typ := range []logical.JoinType{logical.InnerJoin, logical.LeftOuterJoin} {
-			for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
-				t.Run(fmt.Sprintf("%s/%v/%s", name, typ, backend), func(t *testing.T) {
+			for _, budget := range joinBudgets {
+				t.Run(fmt.Sprintf("%s/%v/%s", name, typ, budget.name), func(t *testing.T) {
 					band := TimeBand{Lo: 0, Hi: 10 * sec}
 					j := &StreamStreamJoin{OpName: "join", Type: typ, LeftArity: 3, RightArity: 3,
 						LeftEventIdx: 1, RightEventIdx: 1, Band: &band,
@@ -518,8 +529,8 @@ func TestJoinBucketZeroAcrossEpochs(t *testing.T) {
 							}
 							return r-l >= band.Lo && r-l <= band.Hi
 						}}
-					prov, store := joinStore(t, backend)
-					_, ref := joinStore(t, state.BackendMemory)
+					prov, store := joinStore(t, budget.bytes)
+					_, ref := joinStore(t, 0)
 					negativePairs := 0
 					for epoch, sides := range epochs {
 						var inputs [2][]sql.Row
@@ -590,8 +601,8 @@ func TestJoinProbeReadsFollowLiveRows(t *testing.T) {
 	const perEpoch, epochs = 200, 60
 	j := &StreamStreamJoin{OpName: "join", Type: logical.RightOuterJoin, LeftArity: 3, RightArity: 3,
 		LeftEventIdx: 1, RightEventIdx: 1, Residual: bandResidual}
-	_, store := joinStore(t, state.BackendLSM)
-	_, ref := joinStore(t, state.BackendMemory)
+	_, store := joinStore(t, spillBudget)
+	_, ref := joinStore(t, 0)
 	hdrKey := new(joinKeyBuf).key(tagHeader, 'R', 0, codec.EncodeValues([]sql.Value{"k"}), 0)
 	id := int64(0)
 	row := func(ts int64) sql.Row {
@@ -688,7 +699,7 @@ func copyJoinFixture(t *testing.T, name string, epochs int64) *state.Store {
 func TestJoinRejectsOlderLayout(t *testing.T) {
 	j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 1, RightArity: 1,
 		LeftEventIdx: -1, RightEventIdx: -1}
-	_, store := joinStore(t, state.BackendMemory)
+	_, store := joinStore(t, 0)
 	left := []sql.Row{joinRow([]sql.Value{"k"}, -1, sql.Row{"k"})}
 	if _, _, err := oracleJoinProcess(j, &EpochContext{}, store, [][]sql.Row{left, nil}); err != nil {
 		t.Fatal(err)
@@ -719,7 +730,7 @@ func TestJoinRejectsOlderLayout(t *testing.T) {
 	// A store written under one width: read back under it, refused under others.
 	wide, narrow := joinFixtureOp(), joinFixtureOp()
 	wide.Band, narrow.Band = &TimeBand{Lo: 0, Hi: 20 * sec}, &TimeBand{Lo: 0, Hi: 5 * sec}
-	_, store = joinStore(t, state.BackendLSM)
+	_, store = joinStore(t, spillBudget)
 	for e := int64(0); e < joinFixtureEpochs; e++ {
 		if _, err := wide.Process(&EpochContext{Epoch: e}, store, joinFixtureInputs(e)); err != nil {
 			t.Fatal(err)

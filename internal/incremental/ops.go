@@ -87,8 +87,7 @@ func kernelFor(a sql.BoundAgg) aggKernel {
 //
 // Cells are engine-private and immutable once rendered. key and state are
 // cut from slabs that partialAgg.scatter allocates per bucket per call and
-// never reuses: the store may keep a state slice until its memtable flushes
-// (the memory backend, until the key is next written).
+// never reuses: the store may keep a state slice until its memtable flushes.
 type partialCell struct {
 	hash  uint64
 	key   []byte

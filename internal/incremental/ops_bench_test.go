@@ -119,71 +119,69 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 func BenchmarkStreamStreamJoin(b *testing.B) {
 	const joinBenchEpoch = 1024
 	for _, shape := range []string{"uniform", "hotkey", "band"} {
-		for _, backend := range []state.Backend{state.BackendMemory, state.BackendLSM} {
-			b.Run(fmt.Sprintf("%s/%s", shape, backend), func(b *testing.B) {
-				within, delay, warm := 2*sec, 40*sec, int64(6) // warm: epochs until the buffered rows hold steady
-				j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 3, RightArity: 3,
-					LeftEventIdx: 1, RightEventIdx: 1}
-				if shape == "band" {
-					within, delay, warm = 10*sec, 80*sec, 10
-					j.Band = &TimeBand{Lo: 0, Hi: within}
+		b.Run(shape, func(b *testing.B) {
+			within, delay, warm := 2*sec, 40*sec, int64(6) // warm: epochs until the buffered rows hold steady
+			j := &StreamStreamJoin{OpName: "join", Type: logical.InnerJoin, LeftArity: 3, RightArity: 3,
+				LeftEventIdx: 1, RightEventIdx: 1}
+			if shape == "band" {
+				within, delay, warm = 10*sec, 80*sec, 10
+				j.Band = &TimeBand{Lo: 0, Hi: within}
+			}
+			j.Residual = func(r sql.Row) sql.Value { // right within `within` after left
+				d := r[4].(int64) - r[1].(int64)
+				return d >= 0 && d <= within
+			}
+			// fsync time is the device's, not the operator's.
+			prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
+			prov.MemtableBytes, prov.BackgroundMaintenance = 256<<10, true
+			defer prov.Close()
+			store, err := prov.Open(state.ID{Operator: "join"}, -1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			zipf := rand.NewZipf(rng, 1.05, 20, 4095)
+			clock := int64(0)
+			epoch := func(version int64) {
+				var cells [2]joinCells // each side's rows rendered as one map task would
+				for i := 0; i < joinBenchEpoch; i++ {
+					clock += sec / 100 // 100 rows per side per event-time second
+					for s := range cells {
+						key := int64(rng.Intn(4096))
+						if shape == "hotkey" && rng.Intn(5) == 0 {
+							key = -1
+						} else if shape == "band" {
+							key = int64(zipf.Uint64())
+						}
+						cells[s].addRow([]sql.Value{key}, clock, sql.Row{key, clock, version})
+					}
 				}
-				j.Residual = func(r sql.Row) sql.Value { // right within `within` after left
-					d := r[4].(int64) - r[1].(int64)
-					return d >= 0 && d <= within
-				}
-				// fsync time is the device's, not the operator's.
-				prov := state.NewProviderFS(fsx.NoSync(), b.TempDir())
-				prov.Backend, prov.MemtableBytes, prov.BackgroundMaintenance = backend, 256<<10, true
-				defer prov.Close()
-				store, err := prov.Open(state.ID{Operator: "join"}, -1)
-				if err != nil {
+				inputs := [][]sql.Row{cells[0].scatter(1)[0], cells[1].scatter(1)[0]}
+				ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-delay), Mode: logical.Append}
+				if _, err := j.Process(ctx, store, inputs); err != nil {
 					b.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(1))
-				zipf := rand.NewZipf(rng, 1.05, 20, 4095)
-				clock := int64(0)
-				epoch := func(version int64) {
-					var cells [2]joinCells // each side's rows rendered as one map task would
-					for i := 0; i < joinBenchEpoch; i++ {
-						clock += sec / 100 // 100 rows per side per event-time second
-						for s := range cells {
-							key := int64(rng.Intn(4096))
-							if shape == "hotkey" && rng.Intn(5) == 0 {
-								key = -1
-							} else if shape == "band" {
-								key = int64(zipf.Uint64())
-							}
-							cells[s].addRow([]sql.Value{key}, clock, sql.Row{key, clock, version})
-						}
-					}
-					inputs := [][]sql.Row{cells[0].scatter(1)[0], cells[1].scatter(1)[0]}
-					ctx := &EpochContext{Epoch: version, Watermark: max(0, clock-delay), Mode: logical.Append}
-					if _, err := j.Process(ctx, store, inputs); err != nil {
-						b.Fatal(err)
-					}
-					if err := store.Commit(version); err != nil {
-						b.Fatal(err)
-					}
+				if err := store.Commit(version); err != nil {
+					b.Fatal(err)
 				}
-				for v := int64(0); v < warm; v++ {
-					epoch(v)
-				}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				read := j.entriesRead.Load()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					epoch(warm + int64(i))
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				rows := float64(b.N) * 2 * joinBenchEpoch
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
-				b.ReportMetric(float64(j.entriesRead.Load()-read)/rows, "entries-read/row")
-			})
-		}
+			}
+			for v := int64(0); v < warm; v++ {
+				epoch(v)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			read := j.entriesRead.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				epoch(warm + int64(i))
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			rows := float64(b.N) * 2 * joinBenchEpoch
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			b.ReportMetric(float64(j.entriesRead.Load()-read)/rows, "entries-read/row")
+		})
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -111,6 +111,9 @@ type dirListing struct {
 	manifests []int64 // versions, ascending
 	deltas    []int64 // versions, ascending
 	tables    []int64 // seqs, ascending
+	// snapshots are versions, ascending, of full-state record batches written
+	// by the map store this tree replaced; Load reads the newest as a base.
+	snapshots []int64
 }
 
 // listDir classifies a tree directory's files. Unknown names are ignored
@@ -141,23 +144,27 @@ func listDir(fsys fsx.FS, dir string) (dirListing, error) {
 			l.deltas = append(l.deltas, n)
 		case "sst":
 			l.tables = append(l.tables, n)
+		case "snapshot":
+			l.snapshots = append(l.snapshots, n)
 		}
 	}
-	sort.Slice(l.manifests, func(i, j int) bool { return l.manifests[i] < l.manifests[j] })
-	sort.Slice(l.deltas, func(i, j int) bool { return l.deltas[i] < l.deltas[j] })
-	sort.Slice(l.tables, func(i, j int) bool { return l.tables[i] < l.tables[j] })
+	for _, vs := range [][]int64{l.manifests, l.deltas, l.tables, l.snapshots} {
+		slices.Sort(vs)
+	}
 	return l, nil
 }
 
-// latestManifestAtOrBelow picks the recovery anchor for loading a version.
-func latestManifestAtOrBelow(l dirListing, version int64) (int64, bool) {
-	best, found := int64(0), false
-	for _, v := range l.manifests {
-		if v <= version && (!found || v > best) {
-			best, found = v, true
-		}
+// latestAtOrBelow picks the newest of the ascending versions vs at or below
+// version: the recovery anchor for loading it.
+func latestAtOrBelow(vs []int64, version int64) (int64, bool) {
+	i, found := slices.BinarySearch(vs, version)
+	if found {
+		return version, true
 	}
-	return best, found
+	if i == 0 {
+		return 0, false
+	}
+	return vs[i-1], true
 }
 
 // MaintainDir garbage-collects an LSM state directory without opening a
@@ -169,15 +176,15 @@ func MaintainDir(fsys fsx.FS, dir string, keepFrom int64) ([]string, error) {
 }
 
 // maintainDir is the GC core: the newest manifest at or below keepFrom
-// anchors reachability; older manifests, deltas below every surviving
-// manifest's LogFrom (and below minLogFloor), and SSTables referenced by no
-// surviving manifest nor pinned by pin are deleted.
+// anchors reachability; older manifests and snapshots, deltas below every
+// surviving manifest's LogFrom (and below minLogFloor), and SSTables
+// referenced by no surviving manifest nor pinned by pin are deleted.
 func maintainDir(fsys fsx.FS, dir string, keepFrom int64, pin map[int64]bool, minLogFloor int64) ([]string, error) {
 	l, err := listDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	anchor, ok := latestManifestAtOrBelow(l, keepFrom)
+	anchor, ok := latestAtOrBelow(l.manifests, keepFrom)
 	if !ok {
 		return nil, nil
 	}
@@ -204,32 +211,17 @@ func maintainDir(fsys fsx.FS, dir string, keepFrom int64, pin map[int64]bool, mi
 		}
 	}
 	var removed []string
-	for _, mv := range l.manifests {
-		if mv >= anchor {
-			continue
-		}
-		name := fmt.Sprintf("%d.manifest", mv)
-		if err := fsys.Remove(filepath.Join(dir, name)); err == nil {
-			removed = append(removed, name)
-		}
-	}
-	for _, dv := range l.deltas {
-		if dv >= minLogFrom {
-			continue
-		}
-		name := fmt.Sprintf("%d.delta", dv)
-		if err := fsys.Remove(filepath.Join(dir, name)); err == nil {
-			removed = append(removed, name)
+	remove := func(ns []int64, kind string, drop func(n int64) bool) {
+		for _, n := range ns {
+			name := fmt.Sprintf("%d.%s", n, kind)
+			if drop(n) && fsys.Remove(filepath.Join(dir, name)) == nil {
+				removed = append(removed, name)
+			}
 		}
 	}
-	for _, seq := range l.tables {
-		if keepSeqs[seq] {
-			continue
-		}
-		name := fmt.Sprintf("%d.sst", seq)
-		if err := fsys.Remove(filepath.Join(dir, name)); err == nil {
-			removed = append(removed, name)
-		}
-	}
+	remove(l.manifests, "manifest", func(v int64) bool { return v < anchor })
+	remove(l.snapshots, "snapshot", func(v int64) bool { return v < anchor })
+	remove(l.deltas, "delta", func(v int64) bool { return v < minLogFrom })
+	remove(l.tables, "sst", func(seq int64) bool { return !keepSeqs[seq] })
 	return removed, nil
 }

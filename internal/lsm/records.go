@@ -1,8 +1,8 @@
 // Package lsm is an embedded log-structured merge tree built on the fsx
-// durability layer — the storage engine behind the state store's "lsm"
-// backend (§6.1). State no longer has to fit in one Go map: committed
-// mutations land in per-epoch delta logs and a sorted in-memory memtable;
-// when the memtable exceeds its threshold it is sealed into an immutable
+// durability layer — the storage engine behind every state store (§6.1).
+// State does not have to fit in memory: committed mutations land in
+// per-epoch delta logs and a sorted in-memory memtable; when the memtable
+// (or the delta log it holds) exceeds its threshold it is sealed into an immutable
 // SSTable with a block-level layout, a per-table bloom filter, and
 // block-granular reads through a shared LRU cache; size-tiered compaction
 // folds similar-sized tables together; and a tiny CRC-framed manifest per
@@ -21,9 +21,9 @@ import (
 	"structream/internal/fsx"
 )
 
-// Record batch framing, shared with the memory state backend's delta and
-// snapshot files: op byte (1=put, 2=del), uvarint key length, key bytes,
-// and for puts a uvarint value length plus value bytes.
+// Record batch framing of the delta log, and of the .snapshot files a
+// checkpoint of the retired map store holds: op byte (1=put, 2=del), uvarint
+// key length, key bytes, and for puts a uvarint value length plus value bytes.
 const (
 	// OpPut marks a key/value insertion record.
 	OpPut byte = 1
@@ -64,7 +64,7 @@ func CutKey(chunk *strings.Builder, key []byte) string {
 
 // Batch is one version's mutations in ascending key order, no key twice: the
 // epoch's delta, ordered once (SortBatch) and read in that order by the delta
-// encoder, the memtable and the memory backend alike.
+// encoder and the memtable alike.
 type Batch []Entry
 
 // SortBatch orders b ascending by key, in place; its keys must be distinct.

@@ -93,8 +93,8 @@ func frame(records ...string) []byte {
 	return buf
 }
 
-// FuzzRecordBatch fuzzes the key/value record framing shared by the state
-// backends' delta and snapshot files and the LSM delta log. Arbitrary
+// FuzzRecordBatch fuzzes the key/value record framing of the delta log, which
+// the .snapshot files of checkpoints the retired map store wrote share. Arbitrary
 // (corrupt) input never panics — it either decodes or returns an error — and
 // whatever decodes, in whatever order its records sit and however often they
 // repeat a key, (1) comes back strictly ascending and equal to the records
@@ -111,6 +111,17 @@ func FuzzRecordBatch(f *testing.F) {
 	f.Add([]byte{99, 1, 'x'})
 	f.Add(frame("m=1", "c=2", "x", "a=3"))                  // out of order
 	f.Add(frame("k=1", "k", "j=0", "k=2", "j", "j=9", "a")) // keys repeated, put and delete interleaved
+	// The body of a .snapshot the map store wrote, which Load reads as a base.
+	snap := filepath.Join("..", "state", "testdata", "parent-state", "memory", "state", "join", "3", "10.snapshot")
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := fsx.Verify(snap, data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

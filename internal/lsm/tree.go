@@ -13,9 +13,9 @@ import (
 type Options struct {
 	FS  fsx.FS
 	Dir string
-	// MemtableBytes is the seal threshold: once committed-but-unflushed
-	// state exceeds it, the memtable is sealed and queued for flush.
-	// Default 4 MiB.
+	// MemtableBytes is the seal threshold: once the memtable's state, or
+	// the delta log it holds, reaches it, the memtable is sealed and queued
+	// for flush. Default 4 MiB.
 	MemtableBytes int64
 	// BlockBytes is the SSTable data-block target size. Default 4 KiB.
 	BlockBytes int
@@ -101,6 +101,9 @@ type Tree struct {
 	mu      sync.Mutex
 	mem     *memtable
 	memFrom int64 // first delta version in the active memtable
+	// logBytes counts the delta files from memFrom on, as written or
+	// replayed: the log a restart replays until the memtable seals.
+	logBytes int64
 	// spare is the last flushed memtable, emptied: the next seal makes it the
 	// active one instead of building a map and a slot array of the same size
 	// again.
@@ -131,8 +134,8 @@ type Tree struct {
 	// step would have installed.
 	maintErr error
 
-	// pruned records that stale manifests from an abandoned timeline were
-	// swept since the last Load. Manifests are sparse (one per maintenance
+	// pruned records that stale manifests (and snapshots) from an abandoned
+	// timeline were swept since the last Load. Manifests are sparse (one per maintenance
 	// step), so after a rollback a leftover higher-version manifest could
 	// out-anchor the new timeline's older one on a future Load — it must go
 	// before the first diverging commit. Pruning waits for that commit:
@@ -192,6 +195,10 @@ const defaultMaxPendingMemtables = 4
 // A missing manifest for the exact version is normal — manifests are
 // published per maintenance step, not per commit, and the crash window
 // between delta (durable) and manifest is part of the recovery contract.
+// A directory the retired map store wrote has no manifests but periodic
+// .snapshot files, each the whole state as one record batch: when the
+// newest one at or below version is newer than the newest manifest, it is
+// the base and only the deltas after it replay.
 func (t *Tree) Load(version int64) error {
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
@@ -207,11 +214,16 @@ func (t *Tree) Load(version int64) error {
 	t.sealed = nil
 	t.maintErr = nil
 	t.pruned = false
-	t.version, t.nextSeq, t.memFrom = version, 0, 0
+	t.version, t.nextSeq, t.memFrom, t.logBytes = version, 0, 0, 0
 	t.liveKeys, t.tableLive = 0, 0
 
-	replayFrom := int64(0)
-	if mv, ok := latestManifestAtOrBelow(l, version); ok {
+	mv, haveManifest := latestAtOrBelow(l.manifests, version)
+	if sv, ok := latestAtOrBelow(l.snapshots, version); ok && (!haveManifest || sv > mv) {
+		if err := t.replayLocked(fmt.Sprintf("%d.snapshot", sv)); err != nil {
+			return err
+		}
+		t.memFrom = sv + 1
+	} else if haveManifest {
 		m, err := readManifest(t.fsys, t.dir, mv)
 		if err != nil {
 			return err
@@ -227,22 +239,22 @@ func (t *Tree) Load(version int64) error {
 		// Start from the table-set count; replay re-derives the memtable's
 		// contribution with the same has-key checks the original commits ran.
 		t.liveKeys, t.tableLive = m.TableLive, m.TableLive
-		replayFrom = m.LogFrom
 	}
 	for _, dv := range l.deltas {
-		if dv < replayFrom || dv > version {
+		if dv < t.memFrom || dv > version {
 			continue
 		}
-		if err := t.replayDeltaLocked(dv); err != nil {
+		if err := t.replayLocked(fmt.Sprintf("%d.delta", dv)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// replayDeltaLocked folds one delta file into the memtable.
-func (t *Tree) replayDeltaLocked(version int64) error {
-	path := filepath.Join(t.dir, fmt.Sprintf("%d.delta", version))
+// replayLocked folds one record-batch file of the directory into the
+// memtable, counting its bytes into the log the next seal retires.
+func (t *Tree) replayLocked(name string) error {
+	path := filepath.Join(t.dir, name)
 	data, err := t.fsys.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("lsm: %w", err)
@@ -253,8 +265,9 @@ func (t *Tree) replayDeltaLocked(version int64) error {
 	}
 	b, err := DecodeBatch(body)
 	if err != nil {
-		return err
+		return fmt.Errorf("lsm: %w: file %s: %v", fsx.ErrCorrupt, path, err)
 	}
+	t.logBytes += int64(len(data))
 	return t.applyLocked(b)
 }
 
@@ -459,7 +472,7 @@ func (t *Tree) CommitBatch(version int64, b Batch) error {
 		// newer than the loaded version describes the abandoned timeline
 		// and must never anchor a future Load — and its table sequences are
 		// about to be reused with different contents.
-		if err := t.pruneStaleManifestsLocked(); err != nil {
+		if err := t.pruneStaleAnchorsLocked(); err != nil {
 			t.mu.Unlock()
 			return err
 		}
@@ -471,13 +484,17 @@ func (t *Tree) CommitBatch(version int64, b Batch) error {
 		t.mu.Unlock()
 		return fmt.Errorf("lsm: %w", err)
 	}
+	t.logBytes += int64(len(t.deltaBuf))
 	prev := t.version
 	if err := t.applyLocked(b); err != nil {
 		t.mu.Unlock()
 		return err
 	}
 	t.version = version
-	if t.mem.bytes >= t.opts.MemtableBytes && t.mem.len() > 0 {
+	// The memtable seals when it is full, and also when the log it holds
+	// is: overwrites of a small state fill the log, not the memtable, and
+	// until a seal the log can be neither collected nor skipped on restart.
+	if max(t.mem.bytes, t.logBytes) >= t.opts.MemtableBytes {
 		t.sealLocked()
 	}
 	backlog := len(t.sealed)
@@ -526,21 +543,29 @@ func (t *Tree) CommitBatch(version int64, b Batch) error {
 	return nil
 }
 
-// pruneStaleManifestsLocked removes manifests newer than the current
-// version. A crash mid-prune is safe: recovery reloads a version at or
-// below the current one, whose anchor search ignores newer manifests, and
-// the next first-commit prunes whatever remains.
-func (t *Tree) pruneStaleManifestsLocked() error {
+// pruneStaleAnchorsLocked removes manifests and snapshots newer than the
+// current version: both are recovery anchors, and one left from the
+// abandoned timeline would out-anchor the new one. A crash mid-prune is
+// safe: recovery reloads a version at or below the current one, whose
+// anchor search ignores newer files, and the next first-commit prunes
+// whatever remains.
+func (t *Tree) pruneStaleAnchorsLocked() error {
 	l, err := listDir(t.fsys, t.dir)
 	if err != nil {
 		return err
 	}
 	for _, mv := range l.manifests {
-		if mv <= t.version {
-			continue
+		if mv > t.version {
+			if err := t.fsys.Remove(manifestPath(t.dir, mv)); err != nil {
+				return fmt.Errorf("lsm: pruning stale manifest %d: %w", mv, err)
+			}
 		}
-		if err := t.fsys.Remove(manifestPath(t.dir, mv)); err != nil {
-			return fmt.Errorf("lsm: pruning stale manifest %d: %w", mv, err)
+	}
+	for _, sv := range l.snapshots {
+		if sv > t.version {
+			if err := t.fsys.Remove(filepath.Join(t.dir, fmt.Sprintf("%d.snapshot", sv))); err != nil {
+				return fmt.Errorf("lsm: pruning stale snapshot %d: %w", sv, err)
+			}
 		}
 	}
 	return nil
@@ -559,7 +584,7 @@ func (t *Tree) sealLocked() {
 	if t.mem, t.spare = t.spare, nil; t.mem == nil {
 		t.mem = newMemtable()
 	}
-	t.memFrom = t.version + 1
+	t.memFrom, t.logBytes = t.version+1, 0
 }
 
 // logFromLocked is the first delta version not yet covered by the table

@@ -396,3 +396,56 @@ func TestLoadSurvivesMissingManifest(t *testing.T) {
 		t.Fatalf("NumKeys = %d, want 3", tr2.NumKeys())
 	}
 }
+
+// TestSmallStateKeepsBoundedLog: a store whose state stays far under its
+// memtable budget while the log of its overwrites does not — one key
+// rewritten every version — still seals, so Maintain collects the delta log
+// and a reload replays only the suffix since the last seal. A delta here is
+// 126 bytes with its footer, so the 4 KiB budget seals every 33 versions;
+// an empty one is the 52-byte footer alone, and the log seals every 79.
+func TestSmallStateKeepsBoundedLog(t *testing.T) {
+	opts := Options{FS: fsx.NoSync(), Dir: t.TempDir(), MemtableBytes: 4 << 10}
+	tr := mustOpen(t, opts)
+	value := bytes.Repeat([]byte("v"), 64)
+	check := func(last int64, bound int) {
+		t.Helper()
+		if _, err := tr.Maintain(last); err != nil {
+			t.Fatal(err)
+		}
+		l, err := listDir(opts.FS, opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.deltas) > bound {
+			t.Errorf("%d delta files left after Maintain(%d); want at most %d", len(l.deltas), last, bound)
+		}
+		re := mustOpen(t, Options{FS: opts.FS, Dir: opts.Dir, MemtableBytes: opts.MemtableBytes})
+		if err := re.Load(last); err != nil {
+			t.Fatal(err)
+		}
+		if replayed := last + 1 - re.memFrom; replayed > int64(bound) {
+			t.Errorf("Load(%d) replays %d deltas; want at most %d", last, replayed, bound)
+		}
+		if v, ok, err := re.Get("counter"); err != nil || !ok || !bytes.Equal(v, value) || re.NumKeys() != 1 {
+			t.Fatalf("after reload at %d: Get = %q, %v, %v; NumKeys %d", last, v, ok, err, re.NumKeys())
+		}
+	}
+	const versions = 500
+	for v := int64(0); v < versions; v++ {
+		commit(t, tr, v, map[string][]byte{"counter": append([]byte(nil), value...)})
+	}
+	check(versions-1, 40)
+	// Empty versions, through a tree reopened every 20 of them: a restart
+	// counts the log it replays, or no seal would ever come.
+	for v := int64(versions); v < 2*versions; v++ {
+		if v%20 == 0 {
+			tr.Close()
+			tr = mustOpen(t, opts)
+			if err := tr.Load(v - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, tr, v, nil)
+	}
+	check(2*versions-1, 80)
+}

@@ -214,16 +214,14 @@ type SinkProgress struct {
 // QueryProgress: cardinality, footprint, and the state store's cache and
 // file activity, mirroring Spark's stateOperators block.
 type StateOperatorProgress struct {
-	Operator         string `json:"operator"`
-	NumRowsTotal     int64  `json:"numRowsTotal"`
-	StateBytes       int64  `json:"stateBytes"`
-	CacheHits        int64  `json:"cacheHits"`
-	CacheMisses      int64  `json:"cacheMisses"`
-	SnapshotsWritten int64  `json:"snapshotsWritten"`
-	DeltasWritten    int64  `json:"deltasWritten"`
+	Operator      string `json:"operator"`
+	NumRowsTotal  int64  `json:"numRowsTotal"`
+	StateBytes    int64  `json:"stateBytes"`
+	CacheHits     int64  `json:"cacheHits"`
+	CacheMisses   int64  `json:"cacheMisses"`
+	DeltasWritten int64  `json:"deltasWritten"`
 
-	// LSM-backend shape and traffic; zero/omitted under the memory backend.
-	Backend           string  `json:"backend,omitempty"`
+	// The LSM tree's shape and traffic, summed over the partitions' stores.
 	MemtableBytes     int64   `json:"memtableBytes,omitempty"`
 	SSTables          int64   `json:"ssTables,omitempty"`
 	SSTableBytes      int64   `json:"ssTableBytes,omitempty"`

@@ -39,7 +39,6 @@ type StatePartition struct {
 type StateResponse struct {
 	Query      string           `json:"query"`
 	Operator   string           `json:"operator"`
-	Backend    string           `json:"backend"`
 	Epoch      int64            `json:"epoch"`
 	Partitions []StatePartition `json:"partitions"`
 }
@@ -105,19 +104,14 @@ func (h *Hub) ServeState(w http.ResponseWriter, r *http.Request) {
 	resp := StateResponse{
 		Query:      h.name,
 		Operator:   sa.Operator,
-		Backend:    sa.Backend,
 		Epoch:      sa.Version,
 		Partitions: []StatePartition{},
 	}
 	if sa.Version >= 0 {
 		prov := state.NewProviderFS(sa.FS, sa.Checkpoint)
 		prov.ReadOnly = true
-		prov.Backend = state.Backend(sa.Backend)
 		prov.MemtableBytes = sa.MemtableBytes
 		prov.BlockCacheBytes = sa.BlockCacheBytes
-		if sa.SnapshotInterval > 0 {
-			prov.SnapshotInterval = sa.SnapshotInterval
-		}
 		defer prov.Close()
 		for p := 0; p < sa.Partitions; p++ {
 			if partition >= 0 && p != partition {

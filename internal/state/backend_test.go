@@ -14,18 +14,21 @@ import (
 	"structream/internal/lsm"
 )
 
-// forEachBackend runs a subtest per storage backend with a provider tuned
-// so the lsm variant actually spills: a few-KiB memtable forces SSTables,
-// flushes, and compactions inside ordinary test workloads.
-func forEachBackend(t *testing.T, fn func(t *testing.T, mk func(dir string) *Provider)) {
+// forEachBudget runs a subtest per memtable budget of the one store:
+// "memory", the default, under which a test's state never leaves the
+// memtable, and "lsm", a few KiB, which forces SSTables, flushes and
+// compactions inside ordinary test workloads. (The names are those of the
+// two backends the budgets replaced.)
+func forEachBudget(t *testing.T, fn func(t *testing.T, mk func(dir string) *Provider)) {
 	t.Helper()
-	for _, backend := range []Backend{BackendMemory, BackendLSM} {
-		backend := backend
-		t.Run(string(backend), func(t *testing.T) {
+	for _, budget := range []struct {
+		name  string
+		bytes int64
+	}{{"memory", 0}, {"lsm", 2 << 10}} {
+		t.Run(budget.name, func(t *testing.T) {
 			fn(t, func(dir string) *Provider {
 				p := NewProvider(dir)
-				p.Backend = backend
-				p.MemtableBytes = 2 << 10
+				p.MemtableBytes = budget.bytes
 				return p
 			})
 		})
@@ -33,7 +36,7 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, mk func(dir string) *Pro
 }
 
 func TestBackendsRoundTrip(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		s := open(t, p, -1)
 		s.Put([]byte("a"), []byte("1"))
@@ -60,23 +63,19 @@ func TestBackendsRoundTrip(t *testing.T) {
 	})
 }
 
-// TestBackendsAgree drives both backends through one random op schedule and
-// requires identical logical state at the end and at every reloaded
-// version — the memory backend is the oracle for the lsm backend.
+// TestBackendsAgree drives a store that never spills and one whose 1 KiB
+// budget makes it flush and compact through one random op schedule, and
+// requires identical logical state at the end and at every reloaded version:
+// the memtable alone is the oracle for the tables.
 func TestBackendsAgree(t *testing.T) {
-	dirs := map[Backend]string{BackendMemory: t.TempDir(), BackendLSM: t.TempDir()}
-	stores := map[Backend]*Store{}
-	provs := map[Backend]*Provider{}
-	for backend, dir := range dirs {
-		p := NewProvider(dir)
-		p.Backend = backend
-		p.MemtableBytes = 1 << 10
-		provs[backend] = p
-		st, err := p.Open(ID{Operator: "agg", Partition: 0}, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[backend] = st
+	budgets := []int64{0, 1 << 10}
+	var stores []*Store
+	var provs []*Provider
+	for _, budget := range budgets {
+		p := NewProvider(t.TempDir())
+		p.MemtableBytes = budget
+		provs = append(provs, p)
+		stores = append(stores, open(t, p, -1))
 	}
 	rng := rand.New(rand.NewSource(42))
 	for v := int64(0); v < 30; v++ {
@@ -116,10 +115,10 @@ func TestBackendsAgree(t *testing.T) {
 	}
 	for _, v := range []int64{0, 9, 17, 29} {
 		var want map[string]string
-		for _, backend := range []Backend{BackendMemory, BackendLSM} {
-			st, err := provs[backend].Open(ID{Operator: "agg", Partition: 0}, v)
+		for i, p := range provs {
+			st, err := p.Open(ID{Operator: "agg", Partition: 0}, v)
 			if err != nil {
-				t.Fatalf("%s reload at %d: %v", backend, v, err)
+				t.Fatalf("budget %d reload at %d: %v", budgets[i], v, err)
 			}
 			got := snapshot(st)
 			if want == nil {
@@ -127,84 +126,30 @@ func TestBackendsAgree(t *testing.T) {
 				continue
 			}
 			if len(got) != len(want) {
-				t.Fatalf("version %d: %s has %d keys, memory has %d", v, backend, len(got), len(want))
+				t.Fatalf("version %d: budget %d has %d keys, the memtable alone %d", v, budgets[i], len(got), len(want))
 			}
 			for k, wv := range want {
 				if got[k] != wv {
-					t.Fatalf("version %d key %s: %s=%q memory=%q", v, k, backend, got[k], wv)
+					t.Fatalf("version %d key %s: budget %d=%q memtable alone=%q", v, k, budgets[i], got[k], wv)
 				}
 			}
 			if st.NumKeys() != len(want) {
-				t.Fatalf("version %d: %s NumKeys=%d want %d", v, backend, st.NumKeys(), len(want))
+				t.Fatalf("version %d: budget %d NumKeys=%d want %d", v, budgets[i], st.NumKeys(), len(want))
 			}
 		}
 	}
-	// The lsm store must have actually spilled for this to mean anything.
-	if st := provs[BackendLSM].Stats(); st.SSTables == 0 || st.Flushes == 0 {
-		t.Fatalf("lsm store never spilled: %+v", st)
+	// The small budget must have spilled, and the default one not, for this
+	// to mean anything.
+	if st := provs[1].Stats(); st.SSTables == 0 || st.Flushes == 0 {
+		t.Fatalf("small budget never spilled: %+v", st)
 	}
-}
-
-// TestSnapshotIntervalCountsDeltas pins the snapshot cadence bugfix: a
-// snapshot lands after exactly SnapshotInterval delta files, counting
-// deltas rather than version numbers — sparse versions (operators that
-// skip epochs) used to dodge the modulo rule and never snapshot.
-func TestSnapshotIntervalCountsDeltas(t *testing.T) {
-	dir := t.TempDir()
-	p := NewProvider(dir)
-	p.SnapshotInterval = 3
-	s := open(t, p, -1)
-	// Sparse odd versions: 1, 3, 5, 7, 9, 11 — none divisible by 3 matter.
-	for _, v := range []int64{1, 3, 5, 7, 9, 11} {
-		s.Put([]byte(fmt.Sprintf("k%d", v)), []byte("v"))
-		if err := s.Commit(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var snaps []string
-	entries, err := os.ReadDir(storeDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".snapshot") {
-			snaps = append(snaps, e.Name())
-		}
-	}
-	// Third delta is version 5, sixth is version 11: exactly two snapshots.
-	want := []string{"11.snapshot", "5.snapshot"}
-	if strings.Join(snaps, ",") != strings.Join(want, ",") {
-		t.Fatalf("snapshots = %v, want %v", snaps, want)
-	}
-	if got := p.Stats().SnapshotsWritten; got != 2 {
-		t.Fatalf("SnapshotsWritten = %d, want 2", got)
-	}
-	// Reload resumes the count: two more commits reach the next boundary.
-	p2 := NewProvider(dir)
-	p2.SnapshotInterval = 3
-	s2 := open(t, p2, 11)
-	s2.Put([]byte("a"), []byte("1"))
-	if err := s2.Commit(12); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(storeDir(dir), "12.snapshot")); err == nil {
-		t.Fatal("snapshot written after only one delta past the boundary")
-	}
-	s2.Put([]byte("b"), []byte("2"))
-	if err := s2.Commit(13); err != nil {
-		t.Fatal(err)
-	}
-	s2.Put([]byte("c"), []byte("3"))
-	if err := s2.Commit(14); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(storeDir(dir), "14.snapshot")); err != nil {
-		t.Fatalf("snapshot missing after three deltas past reload: %v", err)
+	if st := provs[0].Stats(); st.Flushes != 0 {
+		t.Fatalf("default budget spilled: %+v", st)
 	}
 }
 
 func TestProviderClose(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		dir := t.TempDir()
 		p := mk(dir)
 		s := open(t, p, -1)
@@ -227,7 +172,7 @@ func TestProviderClose(t *testing.T) {
 }
 
 func TestProviderEvict(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		id := ID{Operator: "agg", Partition: 0}
 		s := open(t, p, -1)
@@ -255,7 +200,6 @@ func TestProviderEvict(t *testing.T) {
 // traffic are visible — the numbers the monitor endpoint reports.
 func TestLSMStatsSurface(t *testing.T) {
 	p := NewProvider(t.TempDir())
-	p.Backend = BackendLSM
 	p.MemtableBytes = 1 << 10
 	s := open(t, p, -1)
 	payload := bytes.Repeat([]byte("v"), 64)
@@ -275,9 +219,6 @@ func TestLSMStatsSurface(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Backend != BackendLSM {
-		t.Fatalf("Backend = %q", st.Backend)
-	}
 	if st.SSTables == 0 || st.SSTableBytes == 0 || st.Flushes == 0 {
 		t.Fatalf("no spill visible in stats: %+v", st)
 	}
@@ -297,7 +238,6 @@ func TestLSMStatsSurface(t *testing.T) {
 func TestMaintenanceLSM(t *testing.T) {
 	dir := t.TempDir()
 	p := NewProvider(dir)
-	p.Backend = BackendLSM
 	p.MemtableBytes = 512
 	id := ID{Operator: "agg", Partition: 0}
 	s, err := p.Open(id, -1)
@@ -332,7 +272,6 @@ func TestMaintenanceLSM(t *testing.T) {
 	}
 	// Cold path: a fresh provider that has never opened the store.
 	p2 := NewProvider(dir)
-	p2.Backend = BackendLSM
 	before = countFiles()
 	if err := p2.Maintenance(28); err != nil {
 		t.Fatal(err)
@@ -362,7 +301,6 @@ func (deferScheduler) StepsAfterCommit(int) int { return 0 }
 // backpressure reads it.
 func TestLSMBacklogStatsSurface(t *testing.T) {
 	p := NewProvider(t.TempDir())
-	p.Backend = BackendLSM
 	p.MemtableBytes = 1 // every commit seals a memtable
 	p.Scheduler = deferScheduler{}
 	s := open(t, p, -1)
@@ -394,7 +332,6 @@ func TestLSMBacklogStatsSurface(t *testing.T) {
 func TestProviderBackgroundMaintenance(t *testing.T) {
 	dir := t.TempDir()
 	p := NewProvider(dir)
-	p.Backend = BackendLSM
 	p.MemtableBytes = 256
 	p.BackgroundMaintenance = true
 	s := open(t, p, -1)
@@ -409,7 +346,6 @@ func TestProviderBackgroundMaintenance(t *testing.T) {
 	p.Close()
 
 	p2 := NewProvider(dir)
-	p2.Backend = BackendLSM
 	s2 := open(t, p2, versions-1)
 	for v := int64(0); v < versions; v++ {
 		if got, ok := s2.Get([]byte(fmt.Sprintf("k%02d", v))); !ok || !bytes.Equal(got, payload) {
@@ -423,7 +359,7 @@ func TestProviderBackgroundMaintenance(t *testing.T) {
 
 // TestUnorderedDeltaReplaysAsALog: a delta whose records are out of order
 // and repeat keys — nothing Commit writes, but a valid frame, so something a
-// disk or a hand can produce — is replayed by both backends as the log it
+// disk or a hand can produce — is replayed at either budget as the log it
 // is, the last record of a key winning, and the store it yields reads and
 // scans like any other.
 func TestUnorderedDeltaReplaysAsALog(t *testing.T) {
@@ -452,7 +388,7 @@ func TestUnorderedDeltaReplaysAsALog(t *testing.T) {
 		body = append(body, r.value...)
 		want[r.key] = r.value
 	}
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		root := t.TempDir()
 		if err := os.MkdirAll(storeDir(root), 0o755); err != nil {
 			t.Fatal(err)

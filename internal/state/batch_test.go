@@ -13,12 +13,12 @@ import (
 
 // The batch API differential: GetBatch must agree with per-key Get across
 // every resolution layer — staged puts, staged deletes, committed state in
-// the memtable/sealed/SSTable stack (lsm) or the map (memory) — including
-// duplicate keys within one batch.
+// the memtable alone ("memory") or the memtable/sealed/SSTable stack
+// ("lsm") — including duplicate keys within one batch.
 
 // layeredStore fills a store so that every resolution layer holds something:
-// several committed epochs with overwrites and deletes (on the lsm backend's
-// 2 KiB memtable from forEachBackend: sealed memtables and tables, so
+// several committed epochs with overwrites and deletes (under the 2 KiB
+// budget of forEachBudget's "lsm": sealed memtables and tables, so
 // shadowing order matters), then an uncommitted overlay of puts, deletes and
 // delete-then-puts. Keys are key(0) … key(layeredKeys-1).
 const layeredKeys = 300
@@ -57,7 +57,7 @@ func layeredStore(t *testing.T, p *Provider, rng *rand.Rand) *Store {
 }
 
 func TestGetBatchMatchesGet(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		rng := rand.New(rand.NewSource(99))
@@ -93,7 +93,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 // TestRangeMatchesIterate: Range is Iterate restricted to [from, to) and put
 // in key order, over the same committed-plus-staged view, and stops when told.
 func TestRangeMatchesIterate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		s := layeredStore(t, p, rand.New(rand.NewSource(7)))
@@ -144,7 +144,7 @@ func TestRangeMatchesIterate(t *testing.T) {
 // committed state stands in for the read the store would otherwise make to
 // keep its key count; a read says nothing and leaves nothing behind.
 func TestKnownWritesFeedKeyCount(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		s := open(t, p, -1)
@@ -220,7 +220,7 @@ func TestStagingLooksUpOncePerKey(t *testing.T) {
 		t.Fatalf("NumKeys = %d after removing every key, want 0", got)
 	}
 
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		s := open(t, p, -1)
@@ -276,7 +276,7 @@ func TestStagingLooksUpOncePerKey(t *testing.T) {
 // TestApplyBatchStagesMerges pins ApplyBatch's contract: merge sees the
 // pre-batch value, non-nil results stage puts, nil results stage deletes.
 func TestApplyBatchStagesMerges(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(string) *Provider) {
+	forEachBudget(t, func(t *testing.T, mk func(string) *Provider) {
 		p := mk(t.TempDir())
 		defer p.Close()
 		s := open(t, p, -1)

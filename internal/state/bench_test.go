@@ -26,41 +26,36 @@ func benchKey(buf []byte, bucket, id, idx uint64) []byte {
 // triggers it.
 func BenchmarkStoreStageCommit(b *testing.B) {
 	const puts, removes = 8 << 10, 4 << 10
-	for _, backend := range []Backend{BackendMemory, BackendLSM} {
-		b.Run(string(backend), func(b *testing.B) {
-			p := NewProviderFS(fsx.NoSync(), b.TempDir())
-			p.Backend = backend
-			defer p.Close()
-			s, err := p.Open(ID{Operator: "join", Partition: 0}, -1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var kb []byte
-			value := make([]byte, 24)
-			epoch := func(v int) {
-				for i := 0; i < puts; i++ {
-					kb = benchKey(kb, uint64(v), uint64(i), uint64(v))
-					s.PutNew(kb, value)
-				}
-				for i := 0; v > 0 && i < removes; i++ {
-					kb = benchKey(kb, uint64(v-1), uint64(i), uint64(v-1))
-					s.RemoveLive(kb)
-				}
-				if err := s.Commit(int64(v)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			epoch(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 1; i <= b.N; i++ {
-				epoch(i)
-			}
-			b.StopTimer()
-			keys := float64(b.N) * (puts + removes)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/keys, "ns/key")
-		})
+	p := NewProviderFS(fsx.NoSync(), b.TempDir())
+	defer p.Close()
+	s, err := p.Open(ID{Operator: "join", Partition: 0}, -1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	var kb []byte
+	value := make([]byte, 24)
+	epoch := func(v int) {
+		for i := 0; i < puts; i++ {
+			kb = benchKey(kb, uint64(v), uint64(i), uint64(v))
+			s.PutNew(kb, value)
+		}
+		for i := 0; v > 0 && i < removes; i++ {
+			kb = benchKey(kb, uint64(v-1), uint64(i), uint64(v-1))
+			s.RemoveLive(kb)
+		}
+		if err := s.Commit(int64(v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	epoch(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		epoch(i)
+	}
+	b.StopTimer()
+	keys := float64(b.N) * (puts + removes)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/keys, "ns/key")
 }
 
 // BenchmarkStoreRangeNarrow is the join's eviction scan: a window holding 1 %
@@ -70,7 +65,6 @@ func BenchmarkStoreStageCommit(b *testing.B) {
 func BenchmarkStoreRangeNarrow(b *testing.B) {
 	const commits, perCommit, staged = 8, 4 << 10, 6 << 10
 	p := NewProviderFS(fsx.NoSync(), b.TempDir())
-	p.Backend = BackendLSM
 	defer p.Close()
 	s, err := p.Open(ID{Operator: "join", Partition: 0}, -1)
 	if err != nil {

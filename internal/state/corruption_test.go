@@ -12,13 +12,12 @@ import (
 // storeDir is where the test store's files live under the provider root.
 func storeDir(root string) string { return filepath.Join(root, "state", "agg", "0") }
 
-// commitVersions builds a store with deltas at versions 0..n-1 (snapshot
-// interval 3) and returns the provider root.
+// commitVersions builds a store with deltas at versions 0..n-1 and returns
+// the provider root.
 func commitVersions(t *testing.T, n int64) string {
 	t.Helper()
 	root := t.TempDir()
 	p := NewProvider(root)
-	p.SnapshotInterval = 3
 	s := open(t, p, -1)
 	for v := int64(0); v < n; v++ {
 		s.Put([]byte{byte('a' + v)}, []byte{byte('0' + v)})
@@ -47,23 +46,24 @@ func TestLoadVersionNamesTruncatedDelta(t *testing.T) {
 	}
 }
 
+// TestLoadVersionNamesBitFlippedSnapshot: a .snapshot in a checkpoint the
+// retired map store wrote is read as a base at or after its version, through
+// the same CRC frame as a delta, so a flipped byte is a corruption naming it.
 func TestLoadVersionNamesBitFlippedSnapshot(t *testing.T) {
-	// Snapshot interval 3 and deltas at versions 0..4 put the snapshot at
-	// version 2 — after exactly three deltas.
-	root := commitVersions(t, 5)
-	victim := filepath.Join(storeDir(root), "2.snapshot")
+	root := copyFixture(t, "memory")
+	victim := filepath.Join(fixtureStoreDir(root), "10.snapshot")
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01
 	os.WriteFile(victim, data, 0o644)
-	_, err = NewProvider(root).Open(ID{Operator: "agg", Partition: 0}, 4)
+	_, err = NewProvider(root).Open(fixtureID, 12)
 	if err == nil {
 		t.Fatal("bit-flipped snapshot loaded without error")
 	}
-	if !strings.Contains(err.Error(), "2.snapshot") || !fsx.IsCorrupt(err) {
-		t.Errorf("error should be a corruption naming 2.snapshot: %v", err)
+	if !strings.Contains(err.Error(), "10.snapshot") || !fsx.IsCorrupt(err) {
+		t.Errorf("error should be a corruption naming 10.snapshot: %v", err)
 	}
 }
 
@@ -128,15 +128,14 @@ func TestFaultFSProviderRoundTrip(t *testing.T) {
 // point replays the engine's task-retry protocol: reopen the store at the
 // base version, restage the epoch's changes, recommit. The reopened store
 // must serve exactly the base version's state — never a half-applied batch
-// the failed commit left in the backend's memory — and the recommit must
+// the failed commit left in the tree's memory — and the recommit must
 // succeed rather than tripping a version guard on leftovers.
 func TestFailedCommitRetryReloads(t *testing.T) {
 	id := ID{Operator: "agg", Partition: 0}
-	scenario := func(t *testing.T, ffs *fsx.FaultFS, backend Backend) {
+	scenario := func(t *testing.T, ffs *fsx.FaultFS, budget int64) {
 		root := t.TempDir()
 		p := NewProviderFS(ffs, root)
-		p.Backend = backend
-		p.MemtableBytes = 16 // force SSTable spills inside each commit
+		p.MemtableBytes = budget
 		commit := func(version int64, stage func(s *Store)) {
 			var lastErr error
 			for attempt := 0; attempt < 2; attempt++ {
@@ -176,14 +175,16 @@ func TestFailedCommitRetryReloads(t *testing.T) {
 			t.Error("final b survived its delete")
 		}
 	}
-	for _, backend := range []Backend{BackendMemory, BackendLSM} {
-		t.Run(string(backend), func(t *testing.T) {
+	// "memory": the default budget, nothing spills; "lsm": 16 bytes, an
+	// SSTable flush inside each commit.
+	for name, budget := range map[string]int64{"memory": 0, "lsm": 16} {
+		t.Run(name, func(t *testing.T) {
 			probe := fsx.NewFaultFS(fsx.NoSync())
-			scenario(t, probe, backend)
+			scenario(t, probe, budget)
 			for k := int64(1); k <= probe.Ops(); k++ {
 				ffs := fsx.NewFaultFS(fsx.NoSync())
 				ffs.FailAt[k] = fsx.Transient("blip")
-				scenario(t, ffs, backend)
+				scenario(t, ffs, budget)
 			}
 		})
 	}

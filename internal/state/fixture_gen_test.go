@@ -21,7 +21,10 @@ import (
 //	STATE_WRITE_FIXTURE=<dir> go test -run TestWriteStateFixture ./internal/state
 //
 // fixture_test.go runs the same schedule with the current code and compares
-// every file it leaves with those, byte for byte.
+// every file it leaves under lsm/ with those, byte for byte. The files under
+// memory/ are what the map store, deleted since, left for the schedule (with
+// a full .snapshot every five deltas): the corpus of checkpoints it wrote,
+// which the tree must still open.
 const (
 	stateFixtureVersions = 12
 	stateFixtureUniverse = 90
@@ -91,13 +94,11 @@ func stateFixtureCommit(s *Store, v int64) {
 	s.PutNew([]byte(fmt.Sprintf("eL\x05new-%04d", v)), stateFixtureValue(v, 4000))
 }
 
-// writeStateFixture runs the schedule on one backend under root/<backend>,
-// maintenance synchronous, and closes the provider.
-func writeStateFixture(root string, backend Backend) error {
-	p := NewProviderFS(fsx.NoSync(), filepath.Join(root, string(backend)))
-	p.Backend = backend
+// writeStateFixture runs the schedule under root/lsm, maintenance
+// synchronous, and closes the provider.
+func writeStateFixture(root string) error {
+	p := NewProviderFS(fsx.NoSync(), filepath.Join(root, "lsm"))
 	p.MemtableBytes = stateFixtureMemtable
-	p.SnapshotInterval = 5
 	defer p.Close()
 	s, err := p.Open(ID{Operator: "join", Partition: 3}, -1)
 	if err != nil {
@@ -117,9 +118,7 @@ func TestWriteStateFixture(t *testing.T) {
 	if dir == "" {
 		t.Skip("set STATE_WRITE_FIXTURE=<dir> to write the fixture with the code of this checkout")
 	}
-	for _, backend := range []Backend{BackendMemory, BackendLSM} {
-		if err := writeStateFixture(dir, backend); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeStateFixture(dir); err != nil {
+		t.Fatal(err)
 	}
 }

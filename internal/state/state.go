@@ -6,14 +6,16 @@
 // committed version can be reloaded — which is what makes recovery-to-epoch
 // and manual rollback (§7.2) work.
 //
-// Storage is pluggable. The memory backend keeps all live state in one Go
-// map, writing delta files plus periodic full snapshots. The lsm backend
-// stores state in an embedded log-structured merge tree (internal/lsm), so
-// state larger than RAM spills to SSTables with bloom filters and a shared
-// block cache while keeping the same per-epoch versioning contract.
+// Every store is an embedded log-structured merge tree (internal/lsm): each
+// commit writes the version's delta file, the working set stays in the
+// memtable and block cache, and state beyond the memtable budget spills to
+// bloom-filtered SSTables, with per-version manifests keeping every
+// committed version loadable.
 package state
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -38,30 +40,23 @@ type ID struct {
 // String renders the ID for paths and errors.
 func (id ID) String() string { return fmt.Sprintf("%s/%d", id.Operator, id.Partition) }
 
-// Backend names a state storage engine.
+// Backend names the state storage engine. There is one, the LSM tree; the
+// type is declared only for Provider.Backend.
 type Backend string
 
-const (
-	// BackendMemory keeps live state in a Go map with delta + snapshot files.
-	BackendMemory Backend = "memory"
-	// BackendLSM stores state in a log-structured merge tree: memtable,
-	// SSTables, bloom filters, shared block cache, size-tiered compaction.
-	BackendLSM Backend = "lsm"
-)
+// BackendLSM names the one storage engine.
+const BackendLSM Backend = "lsm"
 
 // Provider manages the stores under one checkpoint directory.
 type Provider struct {
 	fs  fsx.FS
 	dir string
-	// SnapshotInterval controls how many deltas accumulate before the memory
-	// backend writes a full snapshot. The paper notes checkpoints are written
-	// asynchronously and need not happen on every epoch; snapshots here are
-	// the equivalent heavyweight artifact.
-	SnapshotInterval int64
-	// Backend selects the storage engine; empty means BackendMemory.
+	// Backend is ignored: every store is the LSM tree. The field is declared
+	// only because benchmark/isolated.go (frozen) sets it.
 	Backend Backend
-	// MemtableBytes is the lsm backend's flush threshold per store
-	// (0 = the lsm package default, 4 MiB).
+	// MemtableBytes is each store's memtable budget (0 = the lsm package
+	// default, 4 MiB): state beyond it spills to SSTables, and a store seals
+	// its memtable once the state or the delta log it holds reaches it.
 	MemtableBytes int64
 	// BlockCacheBytes bounds the lsm block cache shared across this
 	// provider's stores (0 = 32 MiB).
@@ -85,7 +80,7 @@ type Provider struct {
 	ReadOnly bool
 
 	// mu guards only the maps and flags below; it is never held across
-	// backend I/O. Open serializes per store through locks[id] instead, so
+	// tree I/O. Open serializes per store through locks[id] instead, so
 	// the pool's reduce tasks can load and reconstruct different
 	// partitions' stores concurrently without queueing behind one global
 	// lock. Lock order where both are taken: locks[id] before mu.
@@ -96,24 +91,20 @@ type Provider struct {
 	blockCache *lsm.BlockCache
 
 	// Observability counters (§7.4): how often Open was served by the live
-	// cached store vs. reconstructed from disk, and how many delta/snapshot
-	// files commits have written. Exposed via Stats for the per-operator
-	// state section of QueryProgress.
-	cacheHits        atomic.Int64
-	cacheMisses      atomic.Int64
-	deltasWritten    atomic.Int64
-	snapshotsWritten atomic.Int64
+	// cached store vs. reconstructed from disk, and how many delta files
+	// commits have written. Exposed via Stats for the per-operator state
+	// section of QueryProgress.
+	cacheHits     atomic.Int64
+	cacheMisses   atomic.Int64
+	deltasWritten atomic.Int64
 }
 
 // ProviderStats is a point-in-time snapshot of the provider's activity
-// counters. The LSM fields aggregate over the provider's live stores and
-// are zero under the memory backend.
+// counters. The tree fields aggregate over the provider's live stores.
 type ProviderStats struct {
-	Backend          Backend
-	CacheHits        int64
-	CacheMisses      int64
-	DeltasWritten    int64
-	SnapshotsWritten int64
+	CacheHits     int64
+	CacheMisses   int64
+	DeltasWritten int64
 
 	MemtableBytes    int64 // unflushed state across stores (incl. sealed memtables)
 	SSTables         int64
@@ -134,20 +125,14 @@ type ProviderStats struct {
 // Stats reports the provider's cumulative cache and file activity.
 func (p *Provider) Stats() ProviderStats {
 	st := ProviderStats{
-		Backend:          p.backend(),
-		CacheHits:        p.cacheHits.Load(),
-		CacheMisses:      p.cacheMisses.Load(),
-		DeltasWritten:    p.deltasWritten.Load(),
-		SnapshotsWritten: p.snapshotsWritten.Load(),
+		CacheHits:     p.cacheHits.Load(),
+		CacheMisses:   p.cacheMisses.Load(),
+		DeltasWritten: p.deltasWritten.Load(),
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range p.cache {
-		lb, ok := s.backend.(*lsmBackend)
-		if !ok {
-			continue
-		}
-		ts := lb.tree.Stats()
+		ts := s.tree.Stats()
 		st.MemtableBytes += ts.MemtableBytes
 		st.SSTables += ts.Tables
 		st.SSTableBytes += ts.TableBytes
@@ -166,13 +151,6 @@ func (p *Provider) Stats() ProviderStats {
 	return st
 }
 
-func (p *Provider) backend() Backend {
-	if p.Backend == "" {
-		return BackendMemory
-	}
-	return p.Backend
-}
-
 // NewProvider creates a provider rooted at dir on the hardened real
 // filesystem.
 func NewProvider(dir string) *Provider { return NewProviderFS(fsx.Real(), dir) }
@@ -180,7 +158,7 @@ func NewProvider(dir string) *Provider { return NewProviderFS(fsx.Real(), dir) }
 // NewProviderFS creates a provider rooted at dir on an explicit filesystem
 // (fault injection in tests, alternate durability policies).
 func NewProviderFS(fsys fsx.FS, dir string) *Provider {
-	return &Provider{fs: fsys, dir: dir, SnapshotInterval: 10, cache: map[ID]*Store{}}
+	return &Provider{fs: fsys, dir: dir, cache: map[ID]*Store{}}
 }
 
 // Dir returns the provider's root directory.
@@ -193,9 +171,9 @@ func (p *Provider) storeDir(id ID) string {
 // Open returns the store for id positioned at the given committed version.
 // Version -1 means empty (before any epoch). When the cached live store is
 // already at that version it is reused without touching disk; otherwise —
-// including after a failed commit, which may have left the backend's
+// including after a failed commit, which may have left the tree's
 // in-memory structures with partially absorbed changes — the state is
-// reconstructed from the backend's files.
+// reconstructed from the tree's files.
 func (p *Provider) Open(id ID, version int64) (*Store, error) {
 	lk, err := p.lockFor(id)
 	if err != nil {
@@ -229,29 +207,29 @@ func (p *Provider) Open(id ID, version int64) (*Store, error) {
 		}
 	}
 	if !cached {
-		backend, err := p.newBackend(dir)
+		tree, err := p.openTree(dir)
 		if err != nil {
 			return nil, err
 		}
-		s = &Store{id: id, dir: dir, provider: p, backend: backend, version: -1}
+		s = &Store{id: id, dir: dir, provider: p, tree: tree, version: -1}
 	}
 	s.Abort()
-	if err := s.backend.load(version); err != nil {
+	if err := s.tree.Load(version); err != nil {
 		if !cached {
-			s.backend.close()
+			s.tree.Close()
 		}
-		return nil, err
+		return nil, fmt.Errorf("state: %w", err)
 	}
 	s.version, s.dirty = version, false
 
 	p.mu.Lock()
 	if p.closed {
 		// Close ran while we were loading. A cached store is on Close's
-		// list — it closes the backend once it wins our id lock; a fresh
+		// list — it closes the tree once it wins our id lock; a fresh
 		// one is ours alone to release.
 		p.mu.Unlock()
 		if !cached {
-			s.backend.close()
+			s.tree.Close()
 		}
 		return nil, fmt.Errorf("state: provider for %s is closed", p.dir)
 	}
@@ -280,45 +258,36 @@ func (p *Provider) lockFor(id ID) (*sync.Mutex, error) {
 	return lk, nil
 }
 
-func (p *Provider) newBackend(dir string) (storeBackend, error) {
-	switch p.backend() {
-	case BackendMemory:
-		return &memBackend{provider: p, dir: dir, data: map[string][]byte{}}, nil
-	case BackendLSM:
-		// Concurrent Opens of different stores share the lazily built
-		// block cache; creation needs p.mu now that newBackend runs
-		// outside it.
-		p.mu.Lock()
-		if p.blockCache == nil {
-			capBytes := p.BlockCacheBytes
-			if capBytes <= 0 {
-				capBytes = 32 << 20
-			}
-			p.blockCache = lsm.NewBlockCache(capBytes)
+func (p *Provider) openTree(dir string) (*lsm.Tree, error) {
+	// Concurrent Opens of different stores share the lazily built block
+	// cache; creation needs p.mu, which Open does not hold here.
+	p.mu.Lock()
+	if p.blockCache == nil {
+		capBytes := p.BlockCacheBytes
+		if capBytes <= 0 {
+			capBytes = 32 << 20
 		}
-		cache := p.blockCache
-		p.mu.Unlock()
-		tree, err := lsm.Open(lsm.Options{
-			FS:                   p.fs,
-			Dir:                  dir,
-			MemtableBytes:        p.MemtableBytes,
-			Cache:                cache,
-			BackgroundCompaction: p.BackgroundMaintenance,
-			Scheduler:            p.Scheduler,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("state: %w", err)
-		}
-		return &lsmBackend{provider: p, tree: tree}, nil
-	default:
-		return nil, fmt.Errorf("state: unknown backend %q", p.Backend)
+		p.blockCache = lsm.NewBlockCache(capBytes)
 	}
+	cache := p.blockCache
+	p.mu.Unlock()
+	tree, err := lsm.Open(lsm.Options{
+		FS:                   p.fs,
+		Dir:                  dir,
+		MemtableBytes:        p.MemtableBytes,
+		Cache:                cache,
+		BackgroundCompaction: p.BackgroundMaintenance,
+		Scheduler:            p.Scheduler,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("state: %w", err)
+	}
+	return tree, nil
 }
 
 // Close releases every live store and rejects further Opens. Stopped
 // queries must close their provider, otherwise each restart would keep the
-// previous run's stores — and for the lsm backend their block-cache
-// residency — alive forever.
+// previous run's stores — and their block-cache residency — alive forever.
 func (p *Provider) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -336,14 +305,14 @@ func (p *Provider) Close() {
 		delete(p.cache, id)
 	}
 	p.mu.Unlock()
-	// Backends close outside p.mu but under each store's open lock, so an
-	// Open that was mid-load when we flipped closed finishes (and fails at
-	// its own closed re-check) before its backend is torn down.
+	// Trees close outside p.mu but under each store's open lock, so an Open
+	// that was mid-load when we flipped closed finishes (and fails at its
+	// own closed re-check) before its tree is torn down.
 	for _, c := range list {
 		if c.lk != nil {
 			c.lk.Lock()
 		}
-		c.s.backend.close()
+		c.s.tree.Close()
 		if c.lk != nil {
 			c.lk.Unlock()
 		}
@@ -365,43 +334,20 @@ func (p *Provider) Evict(id ID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if s, ok := p.cache[id]; ok {
-		s.backend.close()
+		s.tree.Close()
 		delete(p.cache, id)
 	}
 }
 
 // Maintenance deletes state files no longer needed to reconstruct any
-// version newer than keepFrom, across all stores on disk. Memory-backend
-// directories are pruned by the snapshot rule; lsm directories (identified
-// by their manifests) by manifest/table reachability.
+// version newer than keepFrom, across all stores on disk, by manifest and
+// table reachability. A directory with no manifest yet holds nothing to
+// delete: its delta log since version 0 is what reconstructs it.
 func (p *Provider) Maintenance(keepFrom int64) error {
-	root := filepath.Join(p.dir, "state")
-	lsmDirs := map[string]bool{}
-	err := fsx.Walk(p.fs, root, func(path string, d fs.DirEntry) error {
+	dirs := map[string]bool{}
+	err := fsx.Walk(p.fs, filepath.Join(p.dir, "state"), func(path string, d fs.DirEntry) error {
 		if strings.HasSuffix(d.Name(), ".manifest") {
-			lsmDirs[filepath.Dir(path)] = true
-			return nil
-		}
-		v, kind, ok := parseStateFile(d.Name())
-		if !ok {
-			return nil
-		}
-		// A delta at version v is needed while any version >= v might be
-		// reloaded; keep everything >= the newest snapshot <= keepFrom.
-		// Conservative rule: delete files strictly older than keepFrom only
-		// when a snapshot exists at or after their version but <= keepFrom.
-		// LSM directories never contain snapshots, so this pass keeps all
-		// their files and the reachability pass below prunes them.
-		dir := filepath.Dir(path)
-		snap, found, err := latestSnapshotAtOrBelow(p.fs, dir, keepFrom)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return nil
-		}
-		if v < snap || (v == snap && kind == kindDelta) {
-			return p.fs.Remove(path)
+			dirs[filepath.Dir(path)] = true
 		}
 		return nil
 	})
@@ -414,16 +360,14 @@ func (p *Provider) Maintenance(keepFrom int64) error {
 		byDir[s.dir] = s
 	}
 	p.mu.Unlock()
-	for dir := range lsmDirs {
+	for dir := range dirs {
 		if s, ok := byDir[dir]; ok {
-			if lb, isLSM := s.backend.(*lsmBackend); isLSM {
-				// The live tree prunes its own directory so its open tables
-				// stay pinned and their cached blocks are dropped with them.
-				if _, err := lb.tree.Maintain(keepFrom); err != nil {
-					return err
-				}
-				continue
+			// The live tree prunes its own directory so its open tables
+			// stay pinned and their cached blocks are dropped with them.
+			if _, err := s.tree.Maintain(keepFrom); err != nil {
+				return err
 			}
+			continue
 		}
 		if _, err := lsm.MaintainDir(p.fs, dir, keepFrom); err != nil {
 			return err
@@ -432,73 +376,19 @@ func (p *Provider) Maintenance(keepFrom int64) error {
 	return nil
 }
 
-const (
-	kindDelta    = "delta"
-	kindSnapshot = "snapshot"
-)
-
-func parseStateFile(name string) (version int64, kind string, ok bool) {
-	for _, k := range []string{kindDelta, kindSnapshot} {
-		suffix := "." + k
+// parseStateFile reads the version a delta file is named for, or a
+// snapshot's: a checkpoint the retired map store wrote still holds them.
+func parseStateFile(name string) (version int64, ok bool) {
+	for _, suffix := range []string{".delta", ".snapshot"} {
 		if strings.HasSuffix(name, suffix) {
 			v, err := strconv.ParseInt(strings.TrimSuffix(name, suffix), 10, 64)
-			if err != nil {
-				return 0, "", false
-			}
-			return v, k, true
+			return v, err == nil
 		}
 	}
-	return 0, "", false
+	return 0, false
 }
 
-func latestSnapshotAtOrBelow(fsys fsx.FS, dir string, version int64) (int64, bool, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return 0, false, err
-	}
-	best, found := int64(-1), false
-	for _, e := range entries {
-		v, kind, ok := parseStateFile(e.Name())
-		if ok && kind == kindSnapshot && v <= version && v > best {
-			best, found = v, true
-		}
-	}
-	return best, found, nil
-}
-
-// storeBackend is the storage engine behind one Store: committed state,
-// versioned durability, and reconstruction. Staged (uncommitted) mutations
-// live above it in Store.
-type storeBackend interface {
-	// get reads committed state. ok=false means absent. The key bytes are
-	// not retained.
-	get(key []byte) (value []byte, ok bool, err error)
-	// getBatch reads committed state for a vector of keys in one call, so
-	// backends can amortize per-read overhead (lock acquisition, memtable
-	// and bloom probes) across the batch. Result slices are positionally
-	// aligned with keys; key bytes are not retained.
-	getBatch(keys [][]byte) (values [][]byte, oks []bool, err error)
-	// iterate visits committed keys; fn returning false stops early.
-	iterate(fn func(key, value []byte) bool) error
-	// scan visits committed keys in [from, to) in ascending order (nil
-	// bounds are open); fn returning false stops early.
-	scan(from, to []byte, fn func(key, value []byte) bool) error
-	// numKeys counts committed live keys.
-	numKeys() (int64, error)
-	// commit durably applies one version's staged mutations, sorted. An
-	// entry carries what its writer said of the key's committed existence
-	// (Known, Live), if it said anything — backends may use it to skip
-	// redundant lookups and may ignore it. The batch is the store's to
-	// reuse once commit returns, and its key strings are cut from chunks
-	// shared by every key the epoch touched: a backend keeps values, and
-	// copies of the keys it has to hold on to — never b or a key string,
-	// which would pin a whole chunk for as long as that one key lives.
-	commit(version int64, b lsm.Batch) error
-	// load repositions at a committed version; -1 resets to empty.
-	load(version int64) error
-	// close releases resources; the backend must not be used after.
-	close()
-}
+var errStopIterate = errors.New("state: stop iteration")
 
 // Store is the live state for one (operator, partition). It is not safe
 // for concurrent use; each partition is processed by one task at a time.
@@ -506,15 +396,15 @@ type Store struct {
 	id       ID
 	dir      string
 	provider *Provider
-	backend  storeBackend
+	tree     *lsm.Tree
 	version  int64 // last committed version
 
-	// dirty marks a store whose commit failed partway: the backend's
+	// dirty marks a store whose commit failed partway: the tree's
 	// in-memory structures may have absorbed some of the batch even though
 	// the version never advanced, so the next Open must reconstruct the
 	// state from disk instead of reusing the live store. A retried epoch
-	// that reused it would read half-applied state (and, with the LSM
-	// backend, trip the tree's own version guard with a misleading error).
+	// that reused it would read half-applied state (and trip the tree's own
+	// version guard with a misleading error).
 	dirty bool
 
 	// table is the epoch's one record of every key the operator has written:
@@ -533,15 +423,15 @@ type Store struct {
 	// keys is the chunk the table's key strings are cut from (lsm.CutKey):
 	// one allocation per 64 KiB of keys, not one per key. A full chunk stays
 	// reachable for as long as one of its keys does, which is until the
-	// Commit that empties the table — a backend copies the keys it keeps
-	// (storeBackend.commit).
+	// Commit that empties the table — the tree's memtable copies the keys it
+	// keeps.
 	keys strings.Builder
 	// batch and handles are Commit's delta and its sort scratch, kept from
 	// epoch to epoch.
 	batch   lsm.Batch
 	handles [][2]uint64
 
-	// err latches the first backend read failure (e.g. a corrupt SSTable
+	// err latches the first tree read failure (e.g. a corrupt SSTable
 	// block). Get keeps its (value, ok) signature for operator code, so the
 	// failure surfaces at Commit, failing the epoch instead of silently
 	// committing results computed from wrong state.
@@ -591,13 +481,13 @@ func (s *Store) staged(key []byte) *slot {
 	return nil
 }
 
-// Get returns the value for key, honoring uncommitted changes. A backend
-// read error reports absent and latches the error for Commit.
+// Get returns the value for key, honoring uncommitted changes. A tree read
+// error reports absent and latches the error for Commit.
 func (s *Store) Get(key []byte) ([]byte, bool) {
 	if e := s.staged(key); e != nil {
 		return e.Value, !e.Tomb
 	}
-	v, ok, err := s.backend.get(key)
+	v, ok, err := s.tree.GetBytes(key)
 	if err != nil {
 		s.fail(err)
 		return nil, false
@@ -606,22 +496,17 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 }
 
 // GetBatch resolves a vector of keys in one pass: staged mutations answer
-// first (exactly like Get), and every remaining key goes to the backend in
-// a single getBatch call. Results are positionally aligned with keys;
-// duplicate keys are allowed and resolve independently. A backend read
-// error reports the affected keys absent and latches the error for Commit,
-// matching Get's contract. Like Get it stages nothing and remembers nothing:
-// a caller that writes a key it read says what the read found with the
-// write (PutNew, PutLive, RemoveLive).
+// first (exactly like Get), and every remaining key goes to the tree in one
+// batched lookup, which pays the lock and each structure's probes once for
+// the batch. Results are positionally aligned with keys; duplicate keys are
+// allowed and resolve independently. A tree read error reports the affected
+// keys absent and latches the error for Commit, matching Get's contract.
+// Like Get it stages nothing and remembers nothing: a caller that writes a
+// key it read says what the read found with the write (PutNew, PutLive,
+// RemoveLive).
 func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	if len(s.table) == 0 {
-		// Nothing staged: the backend answers every key, into slices of its own.
-		values, oks, err := s.backend.getBatch(keys)
-		if err != nil {
-			s.fail(err)
-			return make([][]byte, len(keys)), make([]bool, len(keys))
-		}
-		return values, oks
+		return s.lookup(keys) // nothing staged: the tree answers every key
 	}
 	values = make([][]byte, len(keys))
 	oks = make([]bool, len(keys))
@@ -638,18 +523,26 @@ func (s *Store) GetBatch(keys [][]byte) (values [][]byte, oks []bool) {
 	if len(needIdx) == 0 {
 		return values, oks
 	}
-	bv, bok, err := s.backend.getBatch(needKeys)
-	if err != nil {
-		s.fail(err)
-		return values, oks
-	}
+	bv, bok := s.lookup(needKeys)
 	for j, i := range needIdx {
 		values[i], oks[i] = bv[j], bok[j]
 	}
 	return values, oks
 }
 
-// ApplyBatch reads a vector of keys with one batched backend probe and
+// lookup reads committed state for keys into slices of its own; a read error
+// reports every key absent and latches the error.
+func (s *Store) lookup(keys [][]byte) ([][]byte, []bool) {
+	values, oks := make([][]byte, len(keys)), make([]bool, len(keys))
+	if err := s.tree.GetBatchBytes(keys, values, oks); err != nil {
+		s.fail(err)
+		clear(values)
+		clear(oks)
+	}
+	return values, oks
+}
+
+// ApplyBatch reads a vector of keys with one batched tree probe and
 // stages merge(i, existing, ok) as each key's new value. A nil result from
 // merge stages a deletion. Duplicate keys all observe the pre-batch state;
 // callers that need read-your-write semantics within the batch must
@@ -669,7 +562,7 @@ func (s *Store) ApplyBatch(keys [][]byte, merge func(i int, existing []byte, ok 
 
 func (s *Store) fail(err error) {
 	if s.err == nil {
-		s.err = err
+		s.err = fmt.Errorf("state: %w", err)
 	}
 }
 
@@ -693,8 +586,8 @@ func (s *Store) Remove(key []byte) {
 // or one derived from it, or made the key new by construction (a join's
 // next entry index): PutNew puts a key committed state does not hold,
 // PutLive one it holds, RemoveLive deletes one it holds. The fact spares
-// Commit and NumKeys the lookup they would otherwise pay for the key (on the
-// lsm backend, a sweep over every SSTable), and it costs nothing beyond the
+// Commit and NumKeys the lookup they would otherwise pay for the key (a
+// sweep over the memtables and every SSTable), and it costs nothing beyond the
 // write's one staging lookup. Only the epoch's first write of a key can
 // state it — a later one's read may have been answered by the staged write,
 // which says nothing of committed state — and a wrong claim can skew the
@@ -718,11 +611,13 @@ func (s *Store) stageKnown(key, value []byte, tomb, live bool) {
 }
 
 // Iterate visits every live key/value (committed plus staged), stopping
-// early when fn returns false. Iteration order is unspecified.
+// early when fn returns false: committed keys in ascending order, each
+// overlaid with its staged write, then the staged puts new to committed
+// state in staging order.
 func (s *Store) Iterate(fn func(key, value []byte) bool) {
 	stopped := false
 	s.pass++
-	err := s.backend.iterate(func(k, v []byte) bool {
+	err := s.scan(nil, nil, func(k, v []byte) bool {
 		if e := s.staged(k); e != nil {
 			if e.Tomb {
 				return true
@@ -769,7 +664,7 @@ func (s *Store) Range(from, to []byte, fn func(key, value []byte) bool) {
 			staged = staged[1:]
 		}
 	}
-	err := s.backend.scan(from, to, func(k, v []byte) bool {
+	err := s.scan(from, to, func(k, v []byte) bool {
 		if yieldStaged(k); stopped {
 			return false
 		}
@@ -793,19 +688,30 @@ func inBounds(key string, from, to []byte) bool {
 	return (from == nil || key >= string(from)) && (to == nil || key < string(to))
 }
 
+// scan visits the committed keys in [from, to) in ascending order (nil
+// bounds are open) until fn returns false.
+func (s *Store) scan(from, to []byte, fn func(key, value []byte) bool) error {
+	// The tree's upper bound is inclusive; this one's is not.
+	err := s.tree.Range(string(from), string(to), func(key, value []byte) error {
+		if (to != nil && bytes.Compare(key, to) >= 0) || !fn(key, value) {
+			return errStopIterate
+		}
+		return nil
+	})
+	if errors.Is(err, errStopIterate) {
+		return nil
+	}
+	return err
+}
+
 // NumKeys reports the live key count including staged changes. A staged key
 // whose write said nothing of committed state is looked up, once.
 func (s *Store) NumKeys() int {
-	committed, err := s.backend.numKeys()
-	if err != nil {
-		s.fail(err)
-		return 0
-	}
-	n := int(committed)
+	n := int(s.tree.NumKeys())
 	for i := range s.table {
 		e := &s.table[i]
 		if !e.Known {
-			_, ok, err := s.backend.get([]byte(e.Key))
+			_, ok, err := s.tree.GetBytes([]byte(e.Key))
 			if err != nil {
 				s.fail(err)
 				return 0
@@ -822,7 +728,7 @@ func (s *Store) NumKeys() int {
 }
 
 // Commit durably writes the staged changes as the version's delta and folds
-// them into the backend. This is where the epoch's delta is ordered, once:
+// them into the tree. This is where the epoch's delta is ordered, once:
 // the delta file, the memtable's runs and through them the flush all read
 // the batch built here. Committing with no staged changes still records the
 // (empty) version so recovery can find it. A latched read error from
@@ -840,13 +746,14 @@ func (s *Store) Commit(version int64) error {
 		b = append(b, s.table[i].Entry)
 	}
 	s.handles = lsm.SortBatch(b, s.handles)
-	err := s.backend.commit(version, b)
-	clear(b) // the backend holds what it keeps; the batch pins nothing
+	err := s.tree.CommitBatch(version, b)
+	clear(b) // the tree holds what it keeps; the batch pins nothing
 	s.batch = b
 	if err != nil {
 		s.dirty = true
-		return err
+		return fmt.Errorf("state: %w", err)
 	}
+	s.provider.deltasWritten.Add(1)
 	s.version = version
 	if 4*len(s.table) < cap(s.table) {
 		s.Abort() // emptying costs the capacity; an outsized epoch's is not worth keeping
@@ -860,7 +767,7 @@ func (s *Store) Commit(version int64) error {
 	return nil
 }
 
-// Err returns the latched backend read error, if any. Point-in-time
+// Err returns the latched tree read error, if any. Point-in-time
 // readers check it after Get/Iterate — reads racing the owning query's
 // GC or compaction fail here and should be retried against a fresh open.
 func (s *Store) Err() error { return s.err }
@@ -882,7 +789,7 @@ func (p *Provider) Versions(id ID) ([]int64, error) {
 	}
 	seen := map[int64]bool{}
 	for _, e := range entries {
-		if v, _, ok := parseStateFile(e.Name()); ok {
+		if v, ok := parseStateFile(e.Name()); ok {
 			seen[v] = true
 		}
 	}

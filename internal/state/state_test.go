@@ -105,7 +105,7 @@ func TestReloadAtVersion(t *testing.T) {
 func TestSnapshotAndDeltaChain(t *testing.T) {
 	dir := t.TempDir()
 	p := NewProvider(dir)
-	p.SnapshotInterval = 3
+	p.MemtableBytes = 100 // a seal, and so a manifest, every few deltas
 	s := open(t, p, -1)
 	for v := int64(0); v <= 10; v++ {
 		s.Put([]byte(fmt.Sprintf("k%d", v)), []byte("v"))
@@ -113,7 +113,7 @@ func TestSnapshotAndDeltaChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reload version 10: should come from snapshot 9 + delta 10.
+	// Reload version 10: the newest manifest's tables plus the deltas after.
 	p2 := NewProvider(dir)
 	s2, err := p2.Open(ID{Operator: "agg", Partition: 0}, 10)
 	if err != nil {
@@ -231,7 +231,7 @@ func TestVersionsListing(t *testing.T) {
 func TestMaintenanceRemovesOldFiles(t *testing.T) {
 	dir := t.TempDir()
 	p := NewProvider(dir)
-	p.SnapshotInterval = 2
+	p.MemtableBytes = 100 // a seal, and so a manifest, every few deltas
 	s := open(t, p, -1)
 	for v := int64(0); v <= 9; v++ {
 		s.Put([]byte(fmt.Sprintf("k%d", v)), []byte("v"))
@@ -285,7 +285,7 @@ func TestDiskUsage(t *testing.T) {
 func TestRandomOpsMatchModel(t *testing.T) {
 	dir := t.TempDir()
 	p := NewProvider(dir)
-	p.SnapshotInterval = 4
+	p.MemtableBytes = 1 << 10
 	s := open(t, p, -1)
 	model := map[string]string{}
 	rng := rand.New(rand.NewSource(1))
@@ -386,10 +386,9 @@ func BenchmarkCommitSmallDelta(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadVersionWithSnapshot(b *testing.B) {
+func BenchmarkLoadVersion(b *testing.B) {
 	dir := b.TempDir()
 	p := NewProvider(dir)
-	p.SnapshotInterval = 5
 	s, _ := p.Open(ID{Operator: "agg", Partition: 0}, -1)
 	for v := int64(0); v < 20; v++ {
 		for k := 0; k < 500; k++ {

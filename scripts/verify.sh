@@ -59,8 +59,9 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 		step "$1 fuzz smoke"
 		go test -run '^$' -fuzz "$2" -fuzztime 5s ${4:-} "$3"
 	}
-	# The state record framing shared by deltas, snapshots and LSM batches:
-	# records out of order or repeating a key must replay as the log they are.
+	# The state record framing of the delta log (and of the snapshots in
+	# checkpoints the retired map store wrote): records out of order or
+	# repeating a key must replay as the log they are.
 	fuzz "lsm record-framing" FuzzRecordBatch ./internal/lsm/
 	# The tree's one comparison rule (eight key bytes first, the rest on a
 	# tie) against bytes.Compare: the merge over memtable runs and table
@@ -143,7 +144,9 @@ step "benchmark module vet + tests"
 # Fig 6b cost model, its calibration and the run-once cost model, and the
 # dataflow baseline's parallel runner and flat-map operator; the restart
 # supervisor, the hub's hook into it, the query status, constructor and
-# progress key only it fed, its health signal and its chaos knob) must not
+# progress key only it fed, its health signal and its chaos knob; the map
+# state store, its backend name, the interface it shared with the tree, its
+# snapshot cadence option and counter and its snapshot finder) must not
 # survive in code, scripts or docs. The pattern is assembled from halves
 # so this script does not match itself.
 step "stale-reference guard"
@@ -160,6 +163,7 @@ stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''V
 stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPart''itioned|FlatMap''Operator'
 stale="$stale"'|Super''vise|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
 stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis|STRUCTREAM''_CHAOS'
+stale="$stale"'|mem''Backend|Backend''Memory|store''Backend|StateSnapshot''Interval|Snapshots''Written|latestSnapshot''AtOrBelow'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler or option"
 	exit 1

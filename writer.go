@@ -88,7 +88,8 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 // partition's range into up to N map tasks; unset or 1 runs one task per
 // source partition on a pool of two; nothing else depends on it (see
 // engine.Options.Workers),
-// "stateBackend", "stateMemtableBytes", "stateBlockCacheBytes",
+// "stateBackend" — optional: "memory" and "lsm" both name the one state
+// store, "stateMemtableBytes", "stateBlockCacheBytes",
 // "stateSyncMaintenance" — "true" pins LSM flush/compaction inline on the
 // commit path instead of the background goroutine,
 // "publish" — "true" attaches a live serving hub to the query (requires a
