@@ -156,24 +156,31 @@ func (t *Topology) Run(input []sql.Row) error {
 }
 
 // consume polls up to max records of the repartition topic from *offset,
-// folds each into the table, advances *offset past them and returns how
-// many it read.
+// reading them in place through the topic's run view as the engine's bus
+// source does, folds each into the table, advances *offset past them and
+// returns how many it read.
 func (t *Topology) consume(offset *int64, max int) (int, error) {
-	recs, next, err := t.repartition.Fetch(0, *offset, max)
+	var buf [4]msgbus.Run
+	runs, err := t.repartition.Runs(0, *offset, *offset+int64(max), buf[:0])
 	if err != nil {
 		return 0, err
 	}
-	*offset = next
-	for _, rec := range recs {
-		keyed, err := codec.DecodeRow(rec.Value)
-		if err != nil {
-			return 0, err
+	n := 0
+	for i := range runs {
+		r := &runs[i]
+		for k := range r.Times {
+			keyed, err := codec.DecodeRow(r.Value(k))
+			if err != nil {
+				return 0, err
+			}
+			key := string(r.Key(k))
+			prev, _ := t.table.Get(key)
+			if err := t.table.Put(key, t.aggFn(prev, keyed)); err != nil {
+				return 0, err
+			}
 		}
-		key := string(rec.Key)
-		prev, _ := t.table.Get(key)
-		if err := t.table.Put(key, t.aggFn(prev, keyed)); err != nil {
-			return 0, err
-		}
+		n += r.Len()
 	}
-	return len(recs), nil
+	*offset += int64(n)
+	return n, nil
 }
