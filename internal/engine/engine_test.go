@@ -30,7 +30,7 @@ var eventsSchema = sql.NewSchema(
 const sec = int64(1_000_000)
 
 // compile analyzes, optimizes and incrementalizes a logical plan.
-func compile(t *testing.T, plan logical.Plan, mode logical.OutputMode, resolver physical.ScanResolver) *incremental.Query {
+func compile(t testing.TB, plan logical.Plan, mode logical.OutputMode, resolver physical.ScanResolver) *incremental.Query {
 	t.Helper()
 	analyzed, err := analysis.Analyze(plan)
 	if err != nil {
