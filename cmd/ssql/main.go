@@ -12,8 +12,8 @@
 // §4.1 quickstart end to end. While watching, the process answers simple
 // commands on stdin — `:status` pretty-prints the last QueryProgress
 // (throughput, duration breakdown, bottleneck stage), `:metrics` dumps the
-// metric registry, `:health` prints the health subsystem's report
-// (detector signals, latency lineage, flight-recorder bundles),
+// metric registry, `:health` prints the health report (latency lineage,
+// per-partition rows and task time),
 // `:subscribe` attaches a live subscription to the
 // query's serving hub and prints each committed epoch as a frame
 // (`:unsubscribe` detaches), `:quit` stops — and -monitor ADDR

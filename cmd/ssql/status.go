@@ -93,29 +93,10 @@ func formatFrame(f serve.Frame) string {
 }
 
 // formatHealth renders the health report for the :health REPL command:
-// detector signal baselines, end-to-end lineage of the latest epochs, the
-// slowest partitions, and any captured flight-recorder bundles.
+// end-to-end lineage of the latest epochs and the per-partition totals.
 func formatHealth(rep health.Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "health for %q: %s\n", rep.Query, rep.Status)
-	if len(rep.Signals) > 0 {
-		b.WriteString("  signals (last / mean ± std, samples, trips):\n")
-		for _, s := range rep.Signals {
-			fmt.Fprintf(&b, "    %-18s %12.1f / %.1f ± %.1f  n=%d trips=%d\n",
-				s.Name, s.Last, s.Mean, s.Std, s.Samples, s.Trips)
-		}
-	}
-	if a := rep.LastAnomaly; a != nil {
-		fmt.Fprintf(&b, "  last anomaly: epoch %d %s=%.1f (baseline %.1f ± %.1f)",
-			a.Epoch, a.Signal, a.Value, a.Mean, a.Std)
-		if a.BundleID != "" {
-			fmt.Fprintf(&b, " -> bundle %s", a.BundleID)
-		}
-		if a.CaptureError != "" {
-			fmt.Fprintf(&b, " (capture failed: %s)", a.CaptureError)
-		}
-		b.WriteString("\n")
-	}
+	fmt.Fprintf(&b, "health for %q:\n", rep.Query)
 	if len(rep.Stamps) > 0 {
 		b.WriteString("  lineage (epoch: ingest->commit, end-to-end):\n")
 		for _, s := range rep.Stamps {
@@ -130,10 +111,6 @@ func formatHealth(rep health.Report) string {
 	for _, p := range rep.Partitions {
 		fmt.Fprintf(&b, "  partition %s/%d: %d rows in %v\n",
 			p.Stage, p.Partition, p.Rows, time.Duration(p.Micros)*time.Microsecond)
-	}
-	for _, bu := range rep.Bundles {
-		fmt.Fprintf(&b, "  bundle %s: %s at epoch %d (%d files, %d bytes)\n",
-			bu.ID, bu.Signal, bu.Epoch, bu.Files, bu.Bytes)
 	}
 	return b.String()
 }

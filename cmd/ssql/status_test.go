@@ -105,30 +105,16 @@ func TestFormatMetrics(t *testing.T) {
 
 func TestFormatHealth(t *testing.T) {
 	got := formatHealth(health.Report{
-		Query:  "q1",
-		Status: "anomalous",
-		Signals: []health.SignalStatus{
-			{Name: "epochLatencyUs", Last: 90000, Mean: 1200, Std: 300, Samples: 40, Trips: 1},
-		},
-		LastAnomaly: &health.Anomaly{
-			Epoch: 38, Signal: "epochLatencyUs", Value: 90000, Mean: 1200, Std: 300,
-			BundleID: "q1-1-1700000000000000",
-		},
+		Query: "q1",
 		Stamps: []health.Stamp{
 			{Epoch: 38, IngestMicros: 1000, CommitMicros: 91000, DeliverMicros: 92000},
 		},
 		Partitions: []health.PartitionStat{{Stage: "map", Partition: 0, Rows: 500, Micros: 80000}},
-		Bundles: []health.BundleInfo{{
-			ID: "q1-1-1700000000000000", Signal: "epochLatencyUs", Epoch: 38, Files: 7, Bytes: 9000,
-		}},
 	})
 	for _, want := range []string{
-		`health for "q1": anomalous`,
-		"epochLatencyUs",
-		"last anomaly: epoch 38 epochLatencyUs=90000.0 (baseline 1200.0 ± 300.0) -> bundle q1-1-1700000000000000",
+		`health for "q1":`,
 		"epoch 38: 90ms, 91ms",
 		"partition map/0: 500 rows in 80ms",
-		"bundle q1-1-1700000000000000: epochLatencyUs at epoch 38 (7 files, 9000 bytes)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("formatHealth missing %q:\n%s", want, got)
@@ -178,9 +164,9 @@ func TestWatchREPL(t *testing.T) {
 		"duration breakdown:",
 		`metrics for "repl":`,
 		"inputRows",
-		`health for "repl": ok`,
-		"signals (last / mean ± std, samples, trips):",
+		`health for "repl":`,
 		"lineage (epoch: ingest->commit, end-to-end):",
+		"partition map/0: 2 rows in",
 		"no serving hub published",
 		`unknown command "bogus"`,
 	} {

@@ -125,13 +125,8 @@ type Options struct {
 	// limiter steers toward. 0 derives it from the trigger: the
 	// ProcessingTime interval when one is set, else 100ms.
 	BackpressureTarget time.Duration
-	// HealthDir overrides where flight-recorder bundles — the newest epochs
-	// of the query's ring, the registry and profiles, captured when the
-	// health detector trips — are written (default <Checkpoint>/_health).
-	// Bundles deliberately bypass
-	// Options.FS and use the real filesystem: a FaultFS counts mutating
-	// ops to schedule deterministic crashes, and a background diagnostic
-	// capture must not perturb that schedule.
+	// HealthDir is ignored; it stays because benchmark/harness.go and
+	// benchmark/wl_liveserve.go set it.
 	HealthDir string
 }
 
@@ -166,9 +161,9 @@ func (o Options) withDefaults() Options {
 
 // telemetry is the observability every query carries, in both execution
 // modes (§7.4): one ring of epoch records — span tree, progress event and
-// lineage of each of the newest epochs — and three things that write to it
+// lineage of each of the newest epochs — and two things that write to it
 // or read views off it: the progress event log, which feeds the metric
-// registry too, and the health tracker, whose bundles export the ring.
+// registry too, and the health tracker, the ring's lineage view.
 type telemetry struct {
 	ring   *metrics.EpochRing
 	log    *metrics.EventLog
@@ -176,19 +171,13 @@ type telemetry struct {
 	health *health.Tracker
 }
 
-// startTelemetry wires a started query's telemetry. Flight-recorder bundles
-// go under the checkpoint unless Options.HealthDir redirects them, and
-// always to the real filesystem (health.New's default), never Options.FS:
-// fault-injecting filesystems schedule crashes by counting mutating ops,
-// and diagnostics must not perturb that.
+// startTelemetry wires a started query's telemetry. None of it writes
+// under the checkpoint: a checkpoint's bytes must not depend on how fast
+// an epoch ran.
 func startTelemetry(opts Options) telemetry {
 	t := telemetry{ring: metrics.NewEpochRing(), reg: metrics.NewRegistry()}
 	t.log = metrics.NewEventLog(opts.EventLogWriter, t.ring, t.reg)
-	dir := opts.HealthDir
-	if dir == "" {
-		dir = filepath.Join(opts.Checkpoint, "_health")
-	}
-	t.health = health.New(health.Config{Query: opts.Name, Dir: dir, Registry: t.reg, Ring: t.ring})
+	t.health = health.New(health.Config{Query: opts.Name, Registry: t.reg, Ring: t.ring})
 	return t
 }
 
@@ -686,7 +675,8 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 				}
 			}
 		}
-		results, err := e.pool.Run(len(specs), func(ti int) (any, error) { return e.runMapTask(specs[ti]) })
+		partOf := func(ti int) int { return specs[ti].part }
+		results, err := e.pool.Run(len(specs), e.labelled("map", partOf, func(ti int) (any, error) { return e.runMapTask(specs[ti]) }))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -929,7 +919,7 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			Mode:      e.q.Mode,
 		}
 		prevVersion := e.lastStateVersion
-		results, err := e.pool.Run(e.opts.NumPartitions, func(p int) (any, error) {
+		results, err := e.pool.Run(e.opts.NumPartitions, e.labelled("reduce", func(p int) int { return p }, func(p int) (any, error) {
 			res, inputs := &reduceResult{}, ex.byPart[p][:]
 			openStart := time.Now()
 			store, err := e.prov.Open(state.ID{Operator: op.Name(), Partition: p}, prevVersion)
@@ -953,7 +943,7 @@ func (e *exec) reduceStage(r *epochRecord, ex *exchange) error {
 			res.keys = int64(store.NumKeys())
 			res.taskNanos = time.Since(openStart).Nanoseconds()
 			return res, nil
-		})
+		}))
 		if err != nil {
 			return 0, 0, err
 		}

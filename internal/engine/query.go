@@ -161,9 +161,6 @@ func (q *StreamingQuery) finish() {
 	if q.exec != nil {
 		q.exec.close()
 	}
-	// Wait out any in-flight flight-recorder capture so a restart never
-	// races a half-written bundle against its replacement.
-	q.Health().Close()
 	close(q.doneCh)
 }
 
@@ -241,8 +238,7 @@ func (q *StreamingQuery) EventLog() *metrics.EventLog { return q.core.log }
 func (q *StreamingQuery) Epochs() *metrics.EpochRing { return q.core.ring }
 
 // Health exposes the query's health tracker: the lineage view of the epoch
-// ring, the anomaly detector's signal baselines, and the flight-recorder
-// bundle ring.
+// ring and the per-partition rows and task time.
 func (q *StreamingQuery) Health() *health.Tracker { return q.core.health }
 
 // Metrics exposes the query's metric registry.

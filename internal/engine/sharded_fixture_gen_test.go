@@ -69,7 +69,6 @@ func shardedFixtureRun(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, workers,
 		NumPartitions:        shardedFixtureParts,
 		MaxRecordsPerTrigger: shardedFixtureRowsPerEpoch,
 		Trigger:              ProcessingTimeTrigger{Interval: time.Hour}, // driven manually
-		HealthDir:            t.TempDir(),                                // no bundle lands in the fixture
 	})
 	if err != nil {
 		return nil, err

@@ -71,9 +71,6 @@ func TestEmitCountsWriterFailures(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Emit(QueryProgress{Epoch: int64(i)})
 	}
-	if got := l.WriteFailures(); got != 3 {
-		t.Errorf("WriteFailures = %d, want 3", got)
-	}
 	if got := reg.Counter("eventLogWriteFailures").Value(); got != 3 {
 		t.Errorf("registry counter = %d, want 3", got)
 	}

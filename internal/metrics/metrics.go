@@ -341,8 +341,8 @@ func BottleneckStage(breakdown map[string]int64) string {
 
 // EventLog publishes progress events: each lands on its epoch's record in
 // the query's ring and is appended as a JSON line to the writer, if there is
-// one. Writer failures are not swallowed — they are counted (WriteFailures,
-// and the eventLogWriteFailures counter of the log's registry).
+// one. Writer failures are not swallowed — they are counted, by the
+// eventLogWriteFailures counter of the log's registry.
 type EventLog struct {
 	// emitMu serializes whole emissions, so concurrent emitters' JSON lines
 	// reach the writer whole and in emission order.
@@ -350,8 +350,6 @@ type EventLog struct {
 	w      io.Writer
 	ring   *EpochRing
 	reg    *Registry
-
-	writeFailures atomic.Int64
 }
 
 // NewEventLog creates an event log over ring. w and reg may be nil: reg
@@ -360,10 +358,6 @@ type EventLog struct {
 func NewEventLog(w io.Writer, ring *EpochRing, reg *Registry) *EventLog {
 	return &EventLog{w: w, ring: ring, reg: reg}
 }
-
-// WriteFailures counts JSON-line writes that failed (marshal or writer
-// error). The events still reached the ring.
-func (l *EventLog) WriteFailures() int64 { return l.writeFailures.Load() }
 
 // Evicted counts whole epoch records — progress, span tree and lineage
 // together — that aged out of the query's ring.
@@ -382,11 +376,8 @@ func (l *EventLog) Emit(p QueryProgress) {
 		if err == nil {
 			_, err = fmt.Fprintf(l.w, "%s\n", data)
 		}
-		if err != nil {
-			l.writeFailures.Add(1)
-			if l.reg != nil {
-				l.reg.Counter("eventLogWriteFailures").Add(1)
-			}
+		if err != nil && l.reg != nil {
+			l.reg.Counter("eventLogWriteFailures").Add(1)
 		}
 	}
 	if evicted := l.ring.Evicted(); l.reg != nil && evicted > 0 {

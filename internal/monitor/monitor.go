@@ -11,9 +11,9 @@
 //	GET /queries                         query summaries
 //	GET /queries/{name}/progress         recent progress events (?n=K, default 1)
 //	GET /queries/{name}/trace            epoch traces (Chrome trace_event; ?format=jsonl for JSON lines)
-//	GET /queries/{name}/health           health report: lineage stamps, detector signals, bundles
-//	GET /debug/bundles                   flight-recorder bundle listing across all queries
-//	GET /debug/bundles/{id}              one verified bundle's manifest (?file=N fetches a member)
+//	GET /queries/{name}/health           health report: lineage stamps, per-partition rows and task time
+//	GET /debug/pprof/...                 net/http/pprof: goroutine, heap and CPU profiles on demand, samples
+//	                                     labelled query, stage and partition by the engine
 //
 // Queries published through the serving layer (internal/serve) add live
 // egress endpoints:
@@ -30,13 +30,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"structream/internal/engine"
-	"structream/internal/health"
 	"structream/internal/metrics"
 	"structream/internal/serve"
 	"structream/internal/trace"
@@ -141,8 +141,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /queries/{name}/progress", s.handleProgress)
 	mux.HandleFunc("GET /queries/{name}/trace", s.handleTrace)
 	mux.HandleFunc("GET /queries/{name}/health", s.handleHealth)
-	mux.HandleFunc("GET /debug/bundles", s.handleBundleList)
-	mux.HandleFunc("GET /debug/bundles/{id}", s.handleBundle)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /queries/{name}/subscribe", s.handleHub((*serve.Hub).ServeSubscribe))
 	mux.HandleFunc("GET /queries/{name}/poll", s.handleHub((*serve.Hub).ServePoll))
 	mux.HandleFunc("GET /queries/{name}/state", s.handleHub((*serve.Hub).ServeState))
@@ -373,8 +376,7 @@ func writeProm(w io.Writer, srcs []promSource) {
 }
 
 // handleHealth renders one query's health report: the lineage of the epoch
-// ring's newest records, detector signal baselines, per-partition stats, and
-// the bundle ring.
+// ring's newest records and per-partition stats.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.query(r.PathValue("name"))
 	if !ok {
@@ -382,47 +384,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, q.Health().Health())
-}
-
-// handleBundleList renders every registered query's flight-recorder
-// bundles, oldest first per query.
-func (s *Server) handleBundleList(w http.ResponseWriter, r *http.Request) {
-	out := []health.BundleInfo{}
-	for _, q := range s.snapshot() {
-		infos, err := q.Health().Bundles()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		out = append(out, infos...)
-	}
-	writeJSON(w, out)
-}
-
-// handleBundle verifies one bundle end to end (manifest frame CRC plus
-// every member file's length and CRC32C) and renders its manifest; with
-// ?file=<name> it streams that member's verified bytes instead.
-func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	for _, q := range s.snapshot() {
-		m, err := q.Health().Bundle(id)
-		if err != nil {
-			continue // not this query's ring (or its recorder is off)
-		}
-		if name := r.URL.Query().Get("file"); name != "" {
-			data, err := q.Health().BundleFile(id, name)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(data) //nolint:errcheck // client gone: nothing to do
-			return
-		}
-		writeJSON(w, m)
-		return
-	}
-	http.Error(w, "unknown bundle", http.StatusNotFound)
 }
 
 // QuerySummary is one row of GET /queries.

@@ -16,8 +16,7 @@ func TestFramesCarryLineageStamps(t *testing.T) {
 	ms := seededSink(t, 2, 1)
 	clk := newFakeClock()
 	reg, ring := metrics.NewRegistry(), metrics.NewEpochRing()
-	tr := health.New(health.Config{Query: "q", Clock: clk.Now, Registry: reg, Ring: ring})
-	defer tr.Close()
+	tr := health.New(health.Config{Query: "q", Registry: reg, Ring: ring})
 	base := clk.Now()
 	// What the engine's commit leaves on the two epochs' records.
 	ring.Update(0, func(r *metrics.EpochRecord) { r.IngestMicros = base.Add(-50 * time.Millisecond).UnixMicro() })

@@ -170,8 +170,10 @@ stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPar
 stale="$stale"'|Super''vise|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
 stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis|STRUCTREAM''_CHAOS'
 stale="$stale"'|mem''Backend|Backend''Memory|store''Backend|StateSnapshot''Interval|Snapshots''Written|latestSnapshot''AtOrBelow'
+stale="$stale"'|Observe''Epoch|Sync''Capture|Disable''Profiles|CPUProfile''Duration|Cooldown''Epochs|List''Bundles|Verify''Bundle'
+stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.Write''Failures\('
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
-	echo "verify: stale reference to a retired harness, scheduler or option"
+	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1
 fi
 # The row codec reads every varint through one reader (internal/sql/varint.go)
