@@ -9,8 +9,8 @@ import (
 
 // EpochRecord is everything a query retains about one epoch: its span tree,
 // its progress event and its latency lineage. Progress, the trace's views
-// (/trace, the flight recorder) and the health report's stamps are reads of
-// this one record, so they agree on which epochs exist and age out together.
+// (/trace) and the health report's stamps are reads of this one record, so
+// they agree on which epochs exist and age out together.
 type EpochRecord struct {
 	Epoch int64
 	// Trace is the epoch's span tree, open while the epoch runs. A failed or
@@ -122,8 +122,7 @@ func (g *EpochRing) Recent(n int, keep func(*EpochRecord) bool) []EpochRecord {
 }
 
 // Traces returns the span trees of the retained epochs that have finished —
-// committed, failed or abandoned — oldest first: what /trace and the flight
-// recorder export.
+// committed, failed or abandoned — oldest first: what /trace exports.
 func (g *EpochRing) Traces() []*trace.EpochTrace {
 	recs := g.Recent(0, func(r *EpochRecord) bool { return r.Trace != nil && r.Trace.Finished() })
 	out := make([]*trace.EpochTrace, len(recs))
