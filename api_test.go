@@ -3,6 +3,8 @@ package structream
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +123,54 @@ func TestJSONSinkPublicAPI(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"country":"CA"`) {
 		t.Errorf("json = %s", data)
+	}
+}
+
+// TestContinuousJSONSinkKeepsEverySubBatch: a continuous query delivers an
+// epoch's rows as several sub-batches, and the JSON sink must keep each one,
+// not overwrite the epoch's file with the last.
+func TestContinuousJSONSinkKeepsEverySubBatch(t *testing.T) {
+	s := NewSession()
+	df, topic, err := s.BusStream("cin", 2, NewSchema(Field{Name: "x", Type: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	q, err := df.WriteStream().Format("json").
+		Trigger(Continuous(200 * time.Millisecond)).
+		Checkpoint(t.TempDir()).Start(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	for i := 0; i < 10; i++ {
+		if err := ProduceRow(topic, Row{i}, 0); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(3 * time.Millisecond)
+	}
+	var lines []string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		files, err := filepath.Glob(filepath.Join(out, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = lines[:0]
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, strings.Fields(string(data))...)
+		}
+		if len(lines) >= 10 {
+			break
+		}
+	}
+	sort.Strings(lines)
+	want := []string{`{"x":0}`, `{"x":1}`, `{"x":2}`, `{"x":3}`, `{"x":4}`, `{"x":5}`, `{"x":6}`, `{"x":7}`, `{"x":8}`, `{"x":9}`}
+	if !slices.Equal(lines, want) {
+		t.Fatalf("the sink's files hold %v, want %v", lines, want)
 	}
 }
 

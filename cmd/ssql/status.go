@@ -47,9 +47,6 @@ func formatStatus(name, status string, p metrics.QueryProgress, ok bool) string 
 				stage, time.Duration(v)*time.Microsecond, pct, marker)
 		}
 	}
-	if p.BackpressureDecision != "" {
-		fmt.Fprintf(&b, "  backpressure: %s\n", p.BackpressureDecision)
-	}
 	for _, src := range p.Sources {
 		fmt.Fprintf(&b, "  source %q: %d rows, offsets %v -> %v (read %v)\n",
 			src.Name, src.NumInputRows, src.StartOffsets, src.EndOffsets,

@@ -28,8 +28,7 @@ func fixtureProgress() metrics.QueryProgress {
 			"walCommit":   400,
 			"sinkCommit":  1600,
 		},
-		BottleneckStage:      "sinkCommit",
-		BackpressureDecision: "cap 2000→500: epoch took 4ms > target 1ms; bottleneck sinkCommit",
+		BottleneckStage: "sinkCommit",
 		Sources: []metrics.SourceProgress{{
 			Name:         "events",
 			StartOffsets: []int64{10},
@@ -56,7 +55,6 @@ func TestFormatStatus(t *testing.T) {
 		"planning",
 		"sinkCommit",
 		"<- bottleneck",
-		"backpressure: cap 2000→500",
 		`source "events": 1000 rows, offsets [10] -> [20]`,
 		"sink console: 970 rows",
 		`state "stateAgg": 97 keys, 4096 bytes, cache 90/97 hit, 4 deltas`,

@@ -128,9 +128,26 @@ func WriteSegment(dir, name string, schema sql.Schema, rows []sql.Row, epoch int
 
 // ReadSegment loads a whole segment.
 func ReadSegment(dir, name string) (sql.Schema, []sql.Row, error) {
-	schema, cols, nrows, err := readSegmentColumns(dir, name, nil)
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		return sql.Schema{}, nil, fmt.Errorf("colfmt: %w", err)
+	}
+	fields, nrows, pos, err := parseSegmentHeader(data, name)
 	if err != nil {
 		return sql.Schema{}, nil, err
+	}
+	cols := make([][]sql.Value, len(fields))
+	for c := range cols {
+		var block []byte
+		if block, pos, err = columnBlock(data, pos, c, name); err != nil {
+			return sql.Schema{}, nil, err
+		}
+		if cols[c], err = codec.DecodeValues(block); err != nil {
+			return sql.Schema{}, nil, fmt.Errorf("colfmt: column %d of %s: %v", c, name, err)
+		}
+		if len(cols[c]) != nrows {
+			return sql.Schema{}, nil, fmt.Errorf("colfmt: column %d of %s has %d values, want %d", c, name, len(cols[c]), nrows)
+		}
 	}
 	rows := make([]sql.Row, nrows)
 	for i := range rows {
@@ -140,14 +157,7 @@ func ReadSegment(dir, name string) (sql.Schema, []sql.Row, error) {
 		}
 		rows[i] = row
 	}
-	return schema, rows, nil
-}
-
-// ReadSegmentColumns loads only the named columns of a segment (projection
-// pushdown). Columns come back in the order requested.
-func ReadSegmentColumns(dir, name string, columns []string) (sql.Schema, [][]sql.Value, error) {
-	schema, cols, _, err := readSegmentColumns(dir, name, columns)
-	return schema, cols, err
+	return sql.Schema{Fields: fields}, rows, nil
 }
 
 // parseSegmentHeader reads a segment's magic, schema, and row count,
@@ -198,65 +208,6 @@ func columnBlock(data []byte, pos, c int, name string) ([]byte, int, error) {
 	}
 	pos += n
 	return data[pos : pos+int(blockLen)], pos + int(blockLen), nil
-}
-
-func readSegmentColumns(dir, name string, wanted []string) (sql.Schema, [][]sql.Value, int, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return sql.Schema{}, nil, 0, fmt.Errorf("colfmt: %w", err)
-	}
-	fields, nrowsInt, pos, err := parseSegmentHeader(data, name)
-	if err != nil {
-		return sql.Schema{}, nil, 0, err
-	}
-	fullSchema := sql.Schema{Fields: fields}
-	ncols := uint64(len(fields))
-	nrows := uint64(nrowsInt)
-
-	// Map wanted column names to ordinals; nil means all.
-	ordinals := make([]int, 0, ncols)
-	if wanted == nil {
-		for i := 0; i < int(ncols); i++ {
-			ordinals = append(ordinals, i)
-		}
-	} else {
-		for _, w := range wanted {
-			idx, err := fullSchema.Resolve(w)
-			if err != nil {
-				return sql.Schema{}, nil, 0, fmt.Errorf("colfmt: %v", err)
-			}
-			ordinals = append(ordinals, idx)
-		}
-	}
-	want := map[int]int{} // column ordinal → output slot
-	for slot, ord := range ordinals {
-		want[ord] = slot
-	}
-
-	out := make([][]sql.Value, len(ordinals))
-	for c := 0; c < int(ncols); c++ {
-		var block []byte
-		if block, pos, err = columnBlock(data, pos, c, name); err != nil {
-			return sql.Schema{}, nil, 0, err
-		}
-		slot, needed := want[c]
-		if !needed {
-			continue
-		}
-		vals, err := codec.DecodeValues(block)
-		if err != nil {
-			return sql.Schema{}, nil, 0, fmt.Errorf("colfmt: column %d of %s: %v", c, name, err)
-		}
-		if uint64(len(vals)) != nrows {
-			return sql.Schema{}, nil, 0, fmt.Errorf("colfmt: column %d of %s has %d values, want %d", c, name, len(vals), nrows)
-		}
-		out[slot] = vals
-	}
-	outFields := make([]sql.Field, len(ordinals))
-	for slot, ord := range ordinals {
-		outFields[slot] = fields[ord]
-	}
-	return sql.Schema{Fields: outFields}, out, int(nrows), nil
 }
 
 // ---------------------------------------------------------------- table

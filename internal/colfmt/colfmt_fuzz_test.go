@@ -1,21 +1,17 @@
 package colfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"structream/internal/sql"
-	"structream/internal/sql/codec"
 )
 
-// FuzzColfmtSegment feeds arbitrary bytes to the three segment readers as a
+// FuzzColfmtSegment feeds arbitrary bytes to the two segment readers as a
 // segment file. Nothing may panic or size an allocation from an unchecked
 // length; whatever the boxed reader accepts must be rows of the schema it
-// read, the projection must return those rows' first column, and the typed
-// reader, where it accepts, must agree with them on the row count.
+// read, and the typed reader, where it accepts, must agree with them on the
+// row count.
 func FuzzColfmtSegment(f *testing.F) {
 	dir := f.TempDir()
 	if _, err := WriteSegment(dir, "seed.seg", schema, rows, 0); err != nil {
@@ -48,22 +44,6 @@ func FuzzColfmtSegment(f *testing.F) {
 		for i, r := range got {
 			if len(r) != sch.Len() {
 				t.Fatalf("row %d has %d values, the schema %d", i, len(r), sch.Len())
-			}
-		}
-		if sch.Len() == 0 {
-			return
-		}
-		name := sch.Field(0).Name
-		if idx, err := sch.Resolve(name); err != nil || idx != 0 {
-			return // projection by this name does not mean the first column
-		}
-		_, cols, err := ReadSegmentColumns(dir, "f.seg", []string{name})
-		if err != nil {
-			t.Fatalf("the boxed reader accepted the segment, projecting %q: %v", name, err)
-		}
-		for i, r := range got {
-			if !bytes.Equal(codec.EncodeValues(sql.Row{cols[0][i]}), codec.EncodeValues(sql.Row{r[0]})) {
-				t.Fatalf("row %d: projection read %v, the boxed reader %v", i, cols[0][i], r[0])
 			}
 		}
 	})

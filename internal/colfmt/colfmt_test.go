@@ -65,26 +65,6 @@ func TestSegmentStats(t *testing.T) {
 	}
 }
 
-func TestColumnProjection(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := WriteSegment(dir, "s.seg", schema, rows, 0); err != nil {
-		t.Fatal(err)
-	}
-	gotSchema, cols, err := ReadSegmentColumns(dir, "s.seg", []string{"score", "id"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSchema.Len() != 2 || gotSchema.Field(0).Name != "score" || gotSchema.Field(1).Name != "id" {
-		t.Errorf("schema = %s", gotSchema)
-	}
-	if cols[1][2] != int64(3) || cols[0][0] != 1.5 {
-		t.Errorf("cols = %v", cols)
-	}
-	if _, _, err := ReadSegmentColumns(dir, "s.seg", []string{"missing"}); err == nil {
-		t.Error("missing column should error")
-	}
-}
-
 func TestEmptySegment(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := WriteSegment(dir, "empty.seg", schema, nil, 0); err != nil {

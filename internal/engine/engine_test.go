@@ -609,8 +609,8 @@ func TestMaxRecordsPerTriggerBoundsEpochs(t *testing.T) {
 		MaxRecordsPerTrigger: 10})
 	sq.ProcessAllAvailable()
 	expectRows(t, sink.Rows(), "[a, 100, 100.0]")
-	if p, _ := sq.LastProgress(); p.Epoch != 9 {
-		t.Errorf("expected 10 rate-limited epochs, last = %+v", p)
+	if p, _ := sq.LastProgress(); p.Epoch != 9 || p.AdmissionCapRecords != 10 {
+		t.Errorf("expected 10 rate-limited epochs under a cap of 10, last = %+v", p)
 	}
 }
 

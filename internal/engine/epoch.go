@@ -42,9 +42,6 @@ type core struct {
 	// where the next epoch starts. Entries are replaced, never mutated.
 	committed map[string]sources.Offsets
 	prevRead  map[string]int64 // per source: cumulative read ns at its last record
-	// limiter is nil unless AdaptiveBackpressure, and in continuous mode,
-	// which admits by a fixed per-epoch budget.
-	limiter *aimdLimiter
 	// abandoned is set by the microbatch epoch watchdog and poisons every
 	// stage the hung epoch has not started yet.
 	abandoned atomic.Bool
@@ -137,19 +134,6 @@ func (c *core) withRetry(fn func() error) error {
 		backoff += time.Duration(rand.Int63n(int64(backoff)/2 + 1))
 		time.Sleep(backoff)
 	}
-}
-
-// admissionCap returns the per-epoch record cap currently in force: the
-// static MaxRecordsPerTrigger, tightened by the adaptive limiter when it
-// has engaged. 0 means unlimited.
-func (c *core) admissionCap() int64 {
-	cap := c.opts.MaxRecordsPerTrigger
-	if c.limiter != nil {
-		if a := c.limiter.Cap(); a > 0 && (cap == 0 || a < cap) {
-			cap = a
-		}
-	}
-	return cap
 }
 
 // evtStats is event-time telemetry over raw input rows: the extremes, and
@@ -358,8 +342,7 @@ func (c *core) commitEpoch(r *epochRecord) error {
 
 // publish derives every monitoring view of a committed epoch from its
 // record: root-span attributes, latency histograms (the p50/p95/p99 in
-// /metrics and the evidence behind AIMD decisions), counters and gauges
-// and the QueryProgress event.
+// /metrics), counters and gauges and the QueryProgress event.
 func (c *core) publish(r *epochRecord) {
 	wall := r.end.Sub(r.start)
 	bd := make(map[string]int64, 6) // stage → µs
@@ -406,19 +389,6 @@ func (c *core) publish(r *epochRecord) {
 	for k, v := range bd {
 		c.reg.Histogram("stage." + k + ".us").Observe(v)
 	}
-	backpressureDecision := ""
-	if c.limiter != nil {
-		c.limiter.Observe(wall, r.inputRows, bd)
-		// A growing flush backlog is latency debt the epoch timer has not
-		// seen yet: shed intake before the hard synchronous fallback (or
-		// the watchdog) is reached.
-		if r.state != nil {
-			c.limiter.ObserveBacklog(r.state.FlushBacklog, int64(c.opts.NumPartitions), r.inputRows)
-		}
-		backpressureDecision = c.limiter.Decision()
-		c.reg.Gauge("admissionCapRecords").Set(c.admissionCap())
-	}
-
 	// Replay takes the WAL's source order, continuous mode a map's.
 	if len(r.sources) > 1 {
 		sort.Slice(r.sources, func(i, j int) bool { return r.sources[i].Name < r.sources[j].Name })
@@ -450,21 +420,20 @@ func (c *core) publish(r *epochRecord) {
 	c.reg.Gauge("walWriteMicros").Set(ws.WriteNanos / 1e3)
 
 	p := metrics.QueryProgress{
-		QueryName:            c.opts.Name,
-		Epoch:                r.epoch,
-		NumInputRows:         r.inputRows,
-		NumOutputRows:        r.outputRows,
-		VectorizedRows:       r.vecRows,
-		Workers:              r.workers,
-		ProcessingMillis:     wall.Milliseconds(),
-		ProcessingMicros:     wall.Microseconds(),
-		WatermarkMicros:      r.watermark,
-		InputRowsPerSec:      metrics.RatePerSec(r.inputRows, wall),
-		OutputRowsPerSec:     metrics.RatePerSec(r.outputRows, wall),
-		DurationBreakdown:    bd,
-		BottleneckStage:      metrics.BottleneckStage(bd),
-		BackpressureDecision: backpressureDecision,
-		Sources:              r.sources,
+		QueryName:         c.opts.Name,
+		Epoch:             r.epoch,
+		NumInputRows:      r.inputRows,
+		NumOutputRows:     r.outputRows,
+		VectorizedRows:    r.vecRows,
+		Workers:           r.workers,
+		ProcessingMillis:  wall.Milliseconds(),
+		ProcessingMicros:  wall.Microseconds(),
+		WatermarkMicros:   r.watermark,
+		InputRowsPerSec:   metrics.RatePerSec(r.inputRows, wall),
+		OutputRowsPerSec:  metrics.RatePerSec(r.outputRows, wall),
+		DurationBreakdown: bd,
+		BottleneckStage:   metrics.BottleneckStage(bd),
+		Sources:           r.sources,
 		Sink: &metrics.SinkProgress{
 			Description:      sinks.Describe(c.sink),
 			NumOutputRows:    r.outputRows,
@@ -475,7 +444,7 @@ func (c *core) publish(r *epochRecord) {
 		SourceOffsets:       endTotals,
 		IORetries:           c.reg.Counter("ioRetries").Value(),
 		CorruptionsDetected: c.reg.Counter("corruptionsDetected").Value(),
-		AdmissionCapRecords: c.admissionCap(),
+		AdmissionCapRecords: c.opts.MaxRecordsPerTrigger,
 		BacklogRecords:      backlog,
 	}
 	if st := r.state; st != nil {

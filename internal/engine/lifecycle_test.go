@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,83 +169,6 @@ func TestContinuousStartFailureLaunchesNothing(t *testing.T) {
 		if n := len(sink.Rows()); n != 0 {
 			t.Errorf("only %q bound: %d rows reached the sink of a query that never started", bound, n)
 		}
-	}
-}
-
-// slowSink delays every AddBatch by an adjustable amount — the congested
-// downstream that backpressure exists for.
-type slowSink struct {
-	inner *sinks.MemorySink
-	mu    sync.Mutex
-	delay time.Duration
-}
-
-func (s *slowSink) AddBatch(b sinks.Batch) error {
-	s.mu.Lock()
-	d := s.delay
-	s.mu.Unlock()
-	time.Sleep(d)
-	return s.inner.AddBatch(b)
-}
-
-func (s *slowSink) setDelay(d time.Duration) {
-	s.mu.Lock()
-	s.delay = d
-	s.mu.Unlock()
-}
-
-// TestAdaptiveBackpressureShrinksAndRegrows: with a congested sink the
-// AIMD limiter shrinks the per-epoch cap below the static
-// MaxRecordsPerTrigger; once the sink recovers the cap regrows. Both
-// transitions must be visible in QueryProgress, and no epoch may ever
-// exceed the static cap.
-func TestAdaptiveBackpressureShrinksAndRegrows(t *testing.T) {
-	src := sources.NewMemorySource("events", eventsSchema)
-	for i := 0; i < 1200; i++ {
-		src.AddData(sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)})
-	}
-	q := compile(t, streamScan("events"), logical.Append, nil)
-	sink := &slowSink{inner: sinks.NewMemorySink(), delay: 30 * time.Millisecond}
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
-		MaxRecordsPerTrigger: 512,
-		AdaptiveBackpressure: true,
-		BackpressureTarget:   15 * time.Millisecond,
-	})
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
-	}
-	events := sq.EventLog().Recent(0)
-	if len(events) < 3 {
-		t.Fatalf("only %d epochs ran", len(events))
-	}
-	minCap := int64(1 << 62)
-	for _, p := range events {
-		if p.NumInputRows > 512 {
-			t.Errorf("epoch %d admitted %d rows, above the static cap 512", p.Epoch, p.NumInputRows)
-		}
-		if p.AdmissionCapRecords > 0 && p.AdmissionCapRecords < minCap {
-			minCap = p.AdmissionCapRecords
-		}
-	}
-	if minCap >= 512 {
-		t.Fatalf("limiter never shrank the cap (min observed %d)", minCap)
-	}
-
-	// Sink recovers; a fresh backlog should be absorbed under a regrowing
-	// cap.
-	sink.setDelay(0)
-	for i := 0; i < 400; i++ {
-		src.AddData(sql.Row{fmt.Sprintf("g%d", i), float64(i), int64(0)})
-	}
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
-	}
-	last := sq.EventLog().Recent(1)[0]
-	if last.AdmissionCapRecords <= minCap {
-		t.Errorf("cap never regrew: last=%d min=%d", last.AdmissionCapRecords, minCap)
-	}
-	if total := len(sink.inner.Rows()); total != 1600 {
-		t.Errorf("sink rows = %d, want 1600 (backpressure must not drop data)", total)
 	}
 }
 

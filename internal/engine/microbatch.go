@@ -115,16 +115,6 @@ type Options struct {
 	// tasks, or sinks. 0 disables. The timeout is worth a restart: the
 	// caller starts the query again over its checkpoint.
 	EpochTimeout time.Duration
-	// AdaptiveBackpressure enables the AIMD admission controller: the
-	// per-epoch record cap shrinks multiplicatively when epoch latency
-	// exceeds BackpressureTarget and regrows additively while the query
-	// keeps up. Composes with MaxRecordsPerTrigger, which stays a hard
-	// ceiling.
-	AdaptiveBackpressure bool
-	// BackpressureTarget is the per-epoch latency budget the adaptive
-	// limiter steers toward. 0 derives it from the trigger: the
-	// ProcessingTime interval when one is set, else 100ms.
-	BackpressureTarget time.Duration
 	// HealthDir is ignored; it stays because benchmark/harness.go and
 	// benchmark/wl_liveserve.go set it.
 	HealthDir string
@@ -148,13 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.AdaptiveBackpressure && o.BackpressureTarget <= 0 {
-		if pt, ok := o.Trigger.(ProcessingTimeTrigger); ok && pt.Interval > 0 {
-			o.BackpressureTarget = pt.Interval
-		} else {
-			o.BackpressureTarget = 100 * time.Millisecond
-		}
 	}
 	return o
 }
@@ -244,9 +227,6 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	}
 	if cs, ok := sink.(sinks.ColumnSink); ok && q.Stateful == nil && q.Mode == logical.Append {
 		e.colSink = cs
-	}
-	if opts.AdaptiveBackpressure {
-		c.limiter = newAIMDLimiter(opts.BackpressureTarget, opts.MaxRecordsPerTrigger, e.reg)
 	}
 	// Started last, so no earlier return leaks its workers, and before
 	// recovery: a replayed epoch runs the same tasks as the run that crashed.
@@ -418,7 +398,7 @@ func (e *exec) planEpoch() ([]metrics.SourceProgress, bool, error) {
 		}
 		start, end := e.committed[name], latest.Clone()
 		var perPart int64 // 0 = unlimited
-		if cap := e.admissionCap(); cap > 0 {
+		if cap := e.opts.MaxRecordsPerTrigger; cap > 0 {
 			perPart = max(cap/int64(len(end)), 1)
 		}
 		for i := range end {
@@ -540,6 +520,13 @@ func (e *exec) runOnce() (ran bool, err error) {
 	err = e.runEpochGuarded(e.nextEpoch, plan, false, planStart)
 	return err == nil, err
 }
+
+// ErrEpochTimeout marks an epoch that exceeded Options.EpochTimeout: a
+// source, task, or sink hung rather than failed. The epoch watchdog fails
+// the query with this error, and the caller restarts it from the
+// checkpoint — a hung epoch is indistinguishable from a dead executor, and
+// the remedy is the same (§6.2).
+var ErrEpochTimeout = errors.New("engine: epoch exceeded EpochTimeout")
 
 // runEpochGuarded runs one epoch under the epoch watchdog: if the epoch
 // does not finish within Options.EpochTimeout the query fails with

@@ -260,41 +260,6 @@ func TestTelemetryInBothModes(t *testing.T) {
 	}
 }
 
-// TestBackpressureDecisionIsExplainable: when the AIMD limiter engages it
-// publishes a verdict naming the bottleneck stage, backed by the
-// per-stage latency histograms.
-func TestBackpressureDecisionIsExplainable(t *testing.T) {
-	src := sources.NewMemorySource("events", eventsSchema)
-	q := compile(t, streamScan("events"), logical.Append, nil)
-	// The delay must dominate WAL fsync time even on a loaded machine
-	// (fsyncs of 5-10ms show up under parallel test load), or the verdict
-	// legitimately — and flakily — blames walCommit instead.
-	sink := &slowSink{inner: sinks.NewMemorySink(), delay: 25 * time.Millisecond}
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{
-		AdaptiveBackpressure: true,
-		BackpressureTarget:   time.Millisecond,
-	})
-	for i := 0; i < 64; i++ {
-		src.AddData(sql.Row{fmt.Sprintf("k%d", i), 1.0, int64(0)})
-	}
-	if err := sq.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := sq.LastProgress()
-	if !ok {
-		t.Fatal("no progress")
-	}
-	if p.BackpressureDecision == "" {
-		t.Fatal("limiter engaged but published no decision")
-	}
-	if !strings.Contains(p.BackpressureDecision, "cap") {
-		t.Errorf("decision does not describe the cap change: %q", p.BackpressureDecision)
-	}
-	if !strings.Contains(p.BackpressureDecision, "sinkCommit") {
-		t.Errorf("decision does not blame the slow sink: %q", p.BackpressureDecision)
-	}
-}
-
 // gate blocks the first call through it until released, and says when
 // that call has arrived; later calls pass.
 type gate struct {

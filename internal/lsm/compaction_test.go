@@ -114,7 +114,7 @@ func TestMergeLeavesCachedBlocksOfOtherTablesAlone(t *testing.T) {
 
 	// Readers work on the old table until its blocks fill the cache.
 	for k := range old {
-		if _, ok, err := tr.Get(k); err != nil || !ok {
+		if _, ok, err := tr.GetBytes([]byte(k)); err != nil || !ok {
 			t.Fatalf("Get(%s) = %v, %v", k, ok, err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestMergeLeavesCachedBlocksOfOtherTablesAlone(t *testing.T) {
 		t.Fatalf("setup: cache not filled by reads of the old table: %d blocks, %+v", len(before), statsBefore)
 	}
 
-	if err := tr.Compact(); err != nil {
+	if err := tr.runInlineSteps(-1); err != nil {
 		t.Fatal(err)
 	}
 	if st := tr.Stats(); st.Compactions != 1 || st.Tables != 2 {

@@ -17,7 +17,7 @@ func sealThree(t *testing.T, tr *Tree, n int) *sealedMem {
 		for i := 0; i < n; i++ {
 			puts[fmt.Sprintf("eL\x05key-%d-%06d", v, i)] = bytes.Repeat([]byte{byte(v)}, 40)
 		}
-		commit(t, tr, tr.Version()+1, puts)
+		commit(t, tr, tr.Stats().Version+1, puts)
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -77,7 +77,7 @@ func TestRecycledMemtableIsEmpty(t *testing.T) {
 	if err := tr.Range("", "", func(k, _ []byte) error { heldKeys = append(heldKeys, k); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Compact(); err != nil {
+	if err := tr.runInlineSteps(-1); err != nil {
 		t.Fatal(err)
 	}
 	if tr.spare != flushed || len(tr.sealed) != 0 || len(tr.tables) != 1 {
@@ -101,7 +101,7 @@ func TestRecycledMemtableIsEmpty(t *testing.T) {
 		t.Fatalf("GetBytes after the flush = %q, %v, %v", v, ok, err)
 	}
 	// The next seal hands the recycled memtable back as the active one.
-	commit(t, tr, tr.Version()+1, map[string][]byte{"z": []byte("1")})
+	commit(t, tr, tr.Stats().Version+1, map[string][]byte{"z": []byte("1")})
 	tr.mu.Lock()
 	tr.sealLocked()
 	tr.mu.Unlock()

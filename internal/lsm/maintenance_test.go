@@ -157,7 +157,7 @@ func TestCloseDrainsInflightFlush(t *testing.T) {
 	if err := tr2.Load(1); err != nil {
 		t.Fatalf("Load after drained Close: %v", err)
 	}
-	if v, ok, err := tr2.Get("a"); err != nil || !ok || string(v) != "1" {
+	if v, ok, err := tr2.GetBytes([]byte("a")); err != nil || !ok || string(v) != "1" {
 		t.Fatalf("Get(a) = %q,%v,%v after drained Close", v, ok, err)
 	}
 }
@@ -339,7 +339,7 @@ func TestConcurrentAccessDuringBackgroundMaintenance(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					if _, _, err := tr.Get(fmt.Sprintf("k%02d", i%60)); err != nil {
+					if _, _, err := tr.GetBytes([]byte(fmt.Sprintf("k%02d", i%60))); err != nil {
 						t.Errorf("reader %d Get: %v", r, err)
 						return
 					}
@@ -372,7 +372,7 @@ func TestConcurrentAccessDuringBackgroundMaintenance(t *testing.T) {
 		t.Fatalf("NumKeys = %d, want %d", tr2.NumKeys(), versions)
 	}
 	for v := int64(1); v <= versions; v++ {
-		if _, ok, err := tr2.Get(fmt.Sprintf("k%02d", v)); err != nil || !ok {
+		if _, ok, err := tr2.GetBytes([]byte(fmt.Sprintf("k%02d", v))); err != nil || !ok {
 			t.Fatalf("Get(k%02d) after concurrent run = ok=%v err=%v", v, ok, err)
 		}
 	}

@@ -177,7 +177,7 @@ func FuzzRecordBatch(f *testing.F) {
 			t.Fatalf("NumKeys after replay = %d, want %d", got, len(puts))
 		}
 		for _, e := range b {
-			v, ok, err := tr.Get(e.Key)
+			v, ok, err := tr.GetBytes([]byte(e.Key))
 			if err != nil || ok == e.Tomb || !bytes.Equal(v, e.Value) {
 				t.Fatalf("Get(%q) after replay = %q, %v, %v; want %q, %v", e.Key, v, ok, err, e.Value, !e.Tomb)
 			}

@@ -327,13 +327,8 @@ func (t *Tree) applyLocked(b Batch) error {
 	return err
 }
 
-// Get returns the committed value for key. The returned slice aliases
-// internal storage and must not be mutated.
-func (t *Tree) Get(key string) ([]byte, bool, error) {
-	return t.GetBytes([]byte(key))
-}
-
-// GetBytes is Get for a []byte key — the per-row read path: memtable
+// GetBytes returns the committed value for key; the slice aliases internal
+// storage and must not be mutated. It is the per-row read path: memtable
 // lookups elide the string conversion and table probes take the bytes
 // directly, so a lookup allocates nothing.
 func (t *Tree) GetBytes(key []byte) ([]byte, bool, error) {
@@ -869,12 +864,6 @@ func (t *Tree) pickRunLocked() (int, int) {
 	return i, n
 }
 
-// Compact runs maintenance to fixpoint synchronously: pending flushes, then
-// compaction merges, each published in its own manifest.
-func (t *Tree) Compact() error {
-	return t.runInlineSteps(-1)
-}
-
 // Range invokes fn for every live key in [from, to] ascending; empty bounds
 // are open. Tombstones and shadowed versions never surface. Key and value
 // are views of the tree's storage (a block, a memtable entry): fn may keep
@@ -912,13 +901,6 @@ func (t *Tree) NumKeys() int64 {
 	return t.liveKeys
 }
 
-// Version is the last committed (or loaded) version.
-func (t *Tree) Version() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.version
-}
-
 // Stats snapshots the tree's shape.
 func (t *Tree) Stats() Stats {
 	t.mu.Lock()
@@ -943,26 +925,6 @@ func (t *Tree) Stats() Stats {
 		s.TableBytes += tbl.size
 	}
 	return s
-}
-
-// DiskUsage sums the tree directory's file sizes.
-func (t *Tree) DiskUsage() (int64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	entries, err := t.fsys.ReadDir(t.dir)
-	if err != nil {
-		return 0, fmt.Errorf("lsm: %w", err)
-	}
-	var total int64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if info, err := t.fsys.Stat(filepath.Join(t.dir, e.Name())); err == nil {
-			total += info.Size()
-		}
-	}
-	return total, nil
 }
 
 // Maintain garbage-collects files no committed version >= keepFrom needs:

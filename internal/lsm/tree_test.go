@@ -54,10 +54,10 @@ func TestTreeRoundTrip(t *testing.T) {
 	commit(t, tr, 1, map[string][]byte{"a": []byte("1"), "b": []byte("2")})
 	commit(t, tr, 2, map[string][]byte{"a": []byte("3")}, "b")
 
-	if v, ok, err := tr.Get("a"); err != nil || !ok || string(v) != "3" {
+	if v, ok, err := tr.GetBytes([]byte("a")); err != nil || !ok || string(v) != "3" {
 		t.Fatalf("Get(a) = %q, %v, %v; want 3", v, ok, err)
 	}
-	if _, ok, err := tr.Get("b"); err != nil || ok {
+	if _, ok, err := tr.GetBytes([]byte("b")); err != nil || ok {
 		t.Fatalf("Get(b) should be deleted, got ok=%v err=%v", ok, err)
 	}
 	if n := tr.NumKeys(); n != 1 {
@@ -118,7 +118,7 @@ func TestTreeModel(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 120; i++ {
 			k := key(i)
-			v, ok, err := tr.Get(k)
+			v, ok, err := tr.GetBytes([]byte(k))
 			if err != nil {
 				t.Fatalf("Get(%s): %v", k, err)
 			}
@@ -283,7 +283,7 @@ func TestCorruptBlockDetected(t *testing.T) {
 	}
 	sawCorrupt := false
 	for i := 0; i < 100; i++ {
-		if _, _, err := tr2.Get(fmt.Sprintf("key-%03d", i)); err != nil {
+		if _, _, err := tr2.GetBytes([]byte(fmt.Sprintf("key-%03d", i))); err != nil {
 			if !errors.Is(err, fsx.ErrCorrupt) {
 				t.Fatalf("Get error not ErrCorrupt: %v", err)
 			}
@@ -306,7 +306,7 @@ func TestBlockCacheServesRepeatReads(t *testing.T) {
 	commit(t, tr, 2, map[string][]byte{"spill": bytes.Repeat([]byte("s"), 4096)})
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 200; i++ {
-			if _, ok, err := tr.Get(fmt.Sprintf("key-%03d", i)); err != nil || !ok {
+			if _, ok, err := tr.GetBytes([]byte(fmt.Sprintf("key-%03d", i))); err != nil || !ok {
 				t.Fatalf("Get: %v ok=%v", err, ok)
 			}
 		}
@@ -388,7 +388,7 @@ func TestLoadSurvivesMissingManifest(t *testing.T) {
 		t.Fatalf("Load(3) without its manifest: %v", err)
 	}
 	for _, k := range []string{"a", "b", "c"} {
-		if _, ok, err := tr2.Get(k); err != nil || !ok {
+		if _, ok, err := tr2.GetBytes([]byte(k)); err != nil || !ok {
 			t.Fatalf("Get(%s) after recovery = ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -426,7 +426,7 @@ func TestSmallStateKeepsBoundedLog(t *testing.T) {
 		if replayed := last + 1 - re.memFrom; replayed > int64(bound) {
 			t.Errorf("Load(%d) replays %d deltas; want at most %d", last, replayed, bound)
 		}
-		if v, ok, err := re.Get("counter"); err != nil || !ok || !bytes.Equal(v, value) || re.NumKeys() != 1 {
+		if v, ok, err := re.GetBytes([]byte("counter")); err != nil || !ok || !bytes.Equal(v, value) || re.NumKeys() != 1 {
 			t.Fatalf("after reload at %d: Get = %q, %v, %v; NumKeys %d", last, v, ok, err, re.NumKeys())
 		}
 	}

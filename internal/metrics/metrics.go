@@ -153,17 +153,6 @@ func (r *Registry) Histograms() map[string]HistogramSnapshot {
 	return out
 }
 
-// Names lists metric names sorted.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // RatePerSec derives a rows-per-second rate from a count and an elapsed
 // duration, safe for sub-millisecond (even zero-measured) epochs: the
 // elapsed time is floored at one microsecond instead of dividing by zero.
@@ -288,16 +277,11 @@ type QueryProgress struct {
 	// stage segments (µs): planning, getBatch, execution, stateCommit,
 	// walCommit, sinkCommit. The values sum to ≈ ProcessingMicros.
 	DurationBreakdown map[string]int64 `json:"durationUs,omitempty"`
-	// BottleneckStage names the largest DurationBreakdown segment — what
-	// the adaptive backpressure limiter blames when it shrinks the cap.
-	BottleneckStage string `json:"bottleneckStage,omitempty"`
-	// BackpressureDecision is the AIMD limiter's latest human-readable
-	// verdict ("cap 4096→1024: ... bottleneck sinkCommit (p95 34ms)"),
-	// derived from the per-stage latency histograms. Empty while the
-	// limiter is disengaged.
-	BackpressureDecision string           `json:"backpressureDecision,omitempty"`
-	Sources              []SourceProgress `json:"sources,omitempty"`
-	Sink                 *SinkProgress    `json:"sink,omitempty"`
+	// BottleneckStage names the largest DurationBreakdown segment: the
+	// stage an operator looks at first when an epoch runs long.
+	BottleneckStage string           `json:"bottleneckStage,omitempty"`
+	Sources         []SourceProgress `json:"sources,omitempty"`
+	Sink            *SinkProgress    `json:"sink,omitempty"`
 	// EventTime is the epoch's event-time telemetry (min/avg/max event
 	// time, watermark, watermark lag); nil for queries with no watermarked
 	// pipeline.
@@ -313,8 +297,8 @@ type QueryProgress struct {
 	// uncommitted WAL tail dropped during restart).
 	CorruptionsDetected int64 `json:"corruptionsDetected,omitempty"`
 	// AdmissionCapRecords is the per-epoch record cap in force when this
-	// epoch was planned: the static MaxRecordsPerTrigger tightened by the
-	// AIMD adaptive limiter. 0 means unlimited intake.
+	// epoch was planned: the query's MaxRecordsPerTrigger. 0 means
+	// unlimited intake.
 	AdmissionCapRecords int64 `json:"admissionCapRecords,omitempty"`
 	// BacklogRecords is how many source records admission control deferred
 	// past this epoch — the distance to the sources' heads at planning time.
@@ -358,10 +342,6 @@ type EventLog struct {
 func NewEventLog(w io.Writer, ring *EpochRing, reg *Registry) *EventLog {
 	return &EventLog{w: w, ring: ring, reg: reg}
 }
-
-// Evicted counts whole epoch records — progress, span tree and lineage
-// together — that aged out of the query's ring.
-func (l *EventLog) Evicted() int64 { return l.ring.Evicted() }
 
 // Emit publishes one progress event: onto its epoch's record first, then the
 // writer, both under the emission lock so concurrent emitters cannot

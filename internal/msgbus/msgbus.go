@@ -66,24 +66,6 @@ func (b *Broker) Topic(name string) (*Topic, bool) {
 	return t, ok
 }
 
-// DeleteTopic removes a topic entirely.
-func (b *Broker) DeleteTopic(name string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.topics, name)
-}
-
-// Topics lists topic names.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Arrival is a coalescing "new data" signal from whoever appends to
 // whoever waits: Notify registers a channel, Fire offers each registered
 // channel one token without blocking or allocating. A waiter registers a
@@ -412,29 +394,14 @@ func (p *partition) records(from, to int64) []Record {
 	return out
 }
 
-// Fetch reads up to maxRecords (no limit when it is 0 or less) from a
-// partition starting at offset. It returns the records and the offset to
-// resume from. Reading at the head returns an empty slice. Reading below
-// the earliest retained offset returns ErrOffsetOutOfRange.
+// FetchRange reads records with offsets in [from, to), clipped to the head.
+// Reading at the head returns an empty slice. Reading below the earliest
+// retained offset returns ErrOffsetOutOfRange.
 //
 // The slice is the caller's own, but each record's Key and Value are
 // read-only, capacity-clipped views of the log's bytes: they stay valid and
 // unchanged for as long as they are held, and a caller's append to them
 // lands in a new array. Runs reads the same bytes without building records.
-func (t *Topic) Fetch(part int, offset int64, maxRecords int) ([]Record, int64, error) {
-	p, err := t.lock(part, offset)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer p.mu.Unlock()
-	to := p.next
-	if maxRecords > 0 && int64(maxRecords) < to-offset {
-		to = offset + int64(maxRecords)
-	}
-	return p.records(offset, to), max(offset, to), nil
-}
-
-// FetchRange reads records with offsets in [from, to), clipped to the head.
 func (t *Topic) FetchRange(part int, from, to int64) ([]Record, error) {
 	if to < from {
 		return nil, fmt.Errorf("msgbus: bad range [%d, %d)", from, to)

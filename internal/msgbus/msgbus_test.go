@@ -29,12 +29,12 @@ func TestAppendFetch(t *testing.T) {
 	if err != nil || first != 0 {
 		t.Fatalf("first=%d err=%v", first, err)
 	}
-	recs, next, err := topic.Fetch(0, 0, 10)
+	recs, err := topic.FetchRange(0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || next != 2 {
-		t.Fatalf("recs=%v next=%d", recs, next)
+	if len(recs) != 2 {
+		t.Fatalf("recs=%v", recs)
 	}
 	if recs[0].Offset != 0 || recs[1].Offset != 1 {
 		t.Errorf("offsets = %d, %d", recs[0].Offset, recs[1].Offset)
@@ -46,9 +46,9 @@ func TestAppendFetch(t *testing.T) {
 
 func TestFetchAtHeadReturnsEmpty(t *testing.T) {
 	topic := newTopic(t, 1)
-	recs, next, err := topic.Fetch(0, 0, 10)
-	if err != nil || len(recs) != 0 || next != 0 {
-		t.Fatalf("recs=%v next=%d err=%v", recs, next, err)
+	recs, err := topic.FetchRange(0, 0, 10)
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("recs=%v err=%v", recs, err)
 	}
 }
 
@@ -57,13 +57,14 @@ func TestFetchMaxRecords(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		topic.Append(0, Record{Value: []byte{byte(i)}})
 	}
-	recs, next, err := topic.Fetch(0, 0, 3)
-	if err != nil || len(recs) != 3 || next != 3 {
-		t.Fatalf("recs=%d next=%d err=%v", len(recs), next, err)
+	recs, err := topic.FetchRange(0, 0, 3)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
-	recs, next, _ = topic.Fetch(0, next, 100)
-	if len(recs) != 7 || next != 10 {
-		t.Fatalf("second fetch: %d next=%d", len(recs), next)
+	// A range past the head is clipped to it.
+	recs, _ = topic.FetchRange(0, 3, 100)
+	if len(recs) != 7 || recs[6].Offset != 9 {
+		t.Fatalf("second fetch: %d records", len(recs))
 	}
 }
 
@@ -117,7 +118,7 @@ func TestRetentionTrim(t *testing.T) {
 		t.Errorf("earliest = %d", got)
 	}
 	// Reading below the earliest offset errors like Kafka.
-	_, _, err := topic.Fetch(0, 2, 10)
+	_, err := topic.FetchRange(0, 2, 10)
 	var oor *ErrOffsetOutOfRange
 	if err == nil {
 		t.Fatal("expected offset-out-of-range error")
@@ -126,7 +127,7 @@ func TestRetentionTrim(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	// Offsets are stable across trims.
-	recs, _, err := topic.Fetch(0, 4, 1)
+	recs, err := topic.FetchRange(0, 4, 5)
 	if err != nil || recs[0].Value[0] != 4 {
 		t.Errorf("record at 4 = %v err=%v", recs, err)
 	}
@@ -263,15 +264,11 @@ func TestConcurrentProducers(t *testing.T) {
 	}
 	// Offsets within each partition must be dense and unique.
 	for part := 0; part < 4; part++ {
-		recs, _, err := topic.Fetch(part, 0, 0)
+		recs, err := topic.FetchRange(part, 0, producers*each)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs2, _, _ := topic.Fetch(part, 0, producers*each)
-		if len(recs) != 0 && len(recs2) == 0 {
-			t.Fatal("fetch inconsistency")
-		}
-		for i, r := range recs2 {
+		for i, r := range recs {
 			if r.Offset != int64(i) {
 				t.Fatalf("partition %d offset %d at index %d", part, r.Offset, i)
 			}
@@ -294,7 +291,7 @@ func TestTopicErrors(t *testing.T) {
 	if _, err := topic.Append(5, Record{}); err == nil {
 		t.Error("bad partition append should error")
 	}
-	if _, _, err := topic.Fetch(5, 0, 1); err == nil {
+	if _, err := topic.FetchRange(5, 0, 1); err == nil {
 		t.Error("bad partition fetch should error")
 	}
 	if _, err := topic.FetchRange(0, 5, 2); err == nil {
@@ -302,18 +299,6 @@ func TestTopicErrors(t *testing.T) {
 	}
 	if _, ok := b.Topic("missing"); ok {
 		t.Error("missing topic lookup should fail")
-	}
-}
-
-func TestDeleteTopic(t *testing.T) {
-	b := NewBroker()
-	b.CreateTopic("t", 1)
-	b.DeleteTopic("t")
-	if _, ok := b.Topic("t"); ok {
-		t.Error("topic should be deleted")
-	}
-	if got := len(b.Topics()); got != 0 {
-		t.Errorf("topics = %d", got)
 	}
 }
 
@@ -330,12 +315,9 @@ func BenchmarkProduceFetch(b *testing.B) {
 		}
 		if i%1024 == 0 {
 			for p := 0; p < 4; p++ {
-				recs, next, err := topic.Fetch(p, off/4, 1024)
-				if err != nil {
+				if _, err := topic.FetchRange(p, off/4, off/4+1024); err != nil {
 					b.Fatal(err)
 				}
-				_ = recs
-				_ = next
 			}
 			off += 1024
 		}
@@ -357,17 +339,17 @@ func TestInjectFetchFault(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 2; i++ {
-		if _, _, err := topic.Fetch(0, 0, 10); err != injected {
+		if _, err := topic.FetchRange(0, 0, 10); err != injected {
 			t.Fatalf("fetch %d err = %v, want injected fault", i, err)
 		}
 	}
-	recs, _, err := topic.Fetch(0, 0, 10)
+	recs, err := topic.FetchRange(0, 0, 10)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("after fault budget: recs=%v err=%v", recs, err)
 	}
 	// nil removes the hook.
 	topic.InjectFetchFault(nil)
-	if _, _, err := topic.Fetch(0, 0, 10); err != nil {
+	if _, err := topic.FetchRange(0, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
@@ -375,7 +357,7 @@ func TestInjectFetchFault(t *testing.T) {
 	}
 }
 
-// TestFetchViewStableAcrossAppendAndTrim holds a Fetch result and a run
+// TestFetchViewStableAcrossAppendAndTrim holds a FetchRange result and a run
 // view over a range spanning three segments while producers append and
 // retention trims the first two segments away underneath them: both must
 // keep reading the same records (run under -race, the concurrent reads also
@@ -386,9 +368,9 @@ func TestFetchViewStableAcrossAppendAndTrim(t *testing.T) {
 	for i := 0; i < n; i++ {
 		topic.Append(0, Record{Timestamp: int64(i), Key: []byte{byte(i), 1}, Value: []byte{byte(i)}})
 	}
-	view, next, err := topic.Fetch(0, 8, 48)
-	if err != nil || len(view) != 48 || next != 56 {
-		t.Fatalf("fetch: len=%d next=%d err=%v", len(view), next, err)
+	view, err := topic.FetchRange(0, 8, 56)
+	if err != nil || len(view) != 48 {
+		t.Fatalf("fetch: len=%d err=%v", len(view), err)
 	}
 	runs, err := topic.Runs(0, 8, 56, nil)
 	if err != nil || len(runs) != 3 {
@@ -425,7 +407,7 @@ func TestFetchViewStableAcrossAppendAndTrim(t *testing.T) {
 	r := runs[len(runs)-1]
 	_, _ = append(last.Value, 0xee), append(last.Key, 0xee)
 	_, _, _ = append(r.Vals, 0xee), append(r.Ends, 1<<30), append(r.Times, -7)
-	if recs, _, err := topic.Fetch(0, 56, 1); err != nil || len(recs) != 1 || !want(recs[0], 56) {
+	if recs, err := topic.FetchRange(0, 56, 57); err != nil || len(recs) != 1 || !want(recs[0], 56) {
 		t.Fatalf("append through a view reached the log: %+v err=%v", recs, err)
 	}
 	var wg sync.WaitGroup
@@ -491,10 +473,10 @@ func TestAppendCopies(t *testing.T) {
 	topic.Append(0, Record{Key: key, Value: val}, Record{Key: key, Value: val[:2]})
 	copy(key, "XXXXX")
 	copy(val[:cap(val)], "YYYYYYYY")
-	recs, _, _ := topic.Fetch(0, 0, 0)
+	recs, _ := topic.FetchRange(0, 0, 2)
 	_ = append(recs[0].Value, 'Z')
 	_ = append(recs[0].Key, 'Z')
-	recs, _, _ = topic.Fetch(0, 0, 0)
+	recs, _ = topic.FetchRange(0, 0, 2)
 	if len(recs) != 2 || string(recs[0].Key) != "key-0" || string(recs[0].Value) != "abcd" ||
 		string(recs[1].Key) != "key-0" || string(recs[1].Value) != "ab" {
 		t.Errorf("log changed under its caller: %q", recs)
@@ -642,25 +624,7 @@ func TestLogMatchesModel(t *testing.T) {
 					clear(r.Key)
 					clear(r.Value)
 				}
-			case 3:
-				n := rng.Intn(50) - 5
-				recs, nxt, err := topic.Fetch(p, from, n)
-				limit := next
-				if n > 0 {
-					limit = from + int64(n)
-				}
-				w, ok := want(p, from, limit)
-				if !ok {
-					if err == nil {
-						t.Fatalf("seed %d: Fetch(%d, %d) below earliest %d read %d records", seed, p, from, base[p], len(recs))
-					}
-					break
-				}
-				if err != nil || nxt != max(from, min(limit, next)) {
-					t.Fatalf("seed %d: Fetch(%d, %d, %d): next %d err %v", seed, p, from, n, nxt, err)
-				}
-				same("Fetch", recs, w)
-			case 4, 5:
+			case 3, 4, 5:
 				recs, err := topic.FetchRange(p, from, to)
 				runs, rerr := topic.Runs(p, from, to, nil)
 				w, ok := want(p, from, to)

@@ -73,10 +73,10 @@ func (s *FileSink) Rollback(keep int64) error {
 
 // ---------------------------------------------------------------- json
 
-// JSONFileSink writes one JSON-lines file per epoch — human-inspectable
-// output for the examples. Epoch-named files plus atomic replacement make
-// replays idempotent: re-running an epoch with the same offsets produces
-// the same bytes in the same file.
+// JSONFileSink writes one JSON-lines file per epoch, and in continuous mode
+// one per (epoch, sub) — human-inspectable output for the examples. Named
+// files plus atomic replacement make replays idempotent: re-running an
+// epoch with the same offsets produces the same bytes in the same file.
 type JSONFileSink struct {
 	Dir string
 	// FS overrides the filesystem (fault injection in tests); nil means the
@@ -101,6 +101,11 @@ func (s *JSONFileSink) AddBatch(b Batch) error {
 		return fmt.Errorf("sinks: %w", err)
 	}
 	name := fmt.Sprintf("part-%012d.json", b.Epoch)
+	if b.Sub != 0 {
+		// Continuous-mode sub-batch: one file per (epoch, sub), as the
+		// columnar sink names its segments, so a sub never replaces another.
+		name = fmt.Sprintf("part-%012d-%016x.json", b.Epoch, uint64(b.Sub))
+	}
 	if b.Mode == logical.Complete {
 		name = "result.json" // complete mode keeps a single current file
 	}

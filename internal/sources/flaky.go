@@ -16,7 +16,6 @@ type FlakySource struct {
 	Inner Source
 
 	mu        sync.Mutex
-	reads     int64
 	failErr   error
 	failLeft  int
 	stalled   bool
@@ -63,13 +62,6 @@ func (s *FlakySource) ReleaseStall() {
 	}
 }
 
-// Reads reports how many Read calls reached the wrapper.
-func (s *FlakySource) Reads() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads
-}
-
 // Name implements Source.
 func (s *FlakySource) Name() string { return s.Inner.Name() }
 
@@ -94,7 +86,6 @@ func (s *FlakySource) NotifyArrival(ch chan<- struct{}) (stop func(), ok bool) {
 // Read implements Source, applying scheduled faults first.
 func (s *FlakySource) Read(p int, from, to int64) ([]sql.Row, error) {
 	s.mu.Lock()
-	s.reads++
 	if s.failLeft > 0 {
 		s.failLeft--
 		err := s.failErr

@@ -3,6 +3,7 @@ package sources
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"structream/internal/msgbus"
@@ -193,6 +194,32 @@ func TestRateSourceAdvance(t *testing.T) {
 	}
 	if _, err := src.Read(9, 0, 1); err == nil {
 		t.Error("bad partition should error")
+	}
+}
+
+// TestRateSourceReadVecMatchesRead: the typed reader synthesizes the same
+// rows as Read over the same ranges, and refuses what Read refuses.
+func TestRateSourceReadVecMatchesRead(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		src := NewRateSource("rate", parts, 7_000, 5)
+		for p := 0; p < parts; p++ {
+			for _, r := range [][2]int64{{0, 0}, {0, 5}, {7, 40}} {
+				rows, err := src.Read(p, r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, ok, err := src.ReadVec(p, r[0], r[1])
+				if err != nil || !ok {
+					t.Fatalf("%d partitions: ReadVec(%d, %v): ok=%v err=%v", parts, p, r, ok, err)
+				}
+				if got := b.AppendRows(nil); !reflect.DeepEqual(got, rows) && len(got)+len(rows) > 0 {
+					t.Fatalf("%d partitions: ReadVec(%d, %v) = %v, Read = %v", parts, p, r, got, rows)
+				}
+			}
+		}
+		if _, _, err := src.ReadVec(parts, 0, 1); err == nil {
+			t.Errorf("%d partitions: ReadVec of partition %d should error", parts, parts)
+		}
 	}
 }
 

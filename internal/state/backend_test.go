@@ -296,9 +296,9 @@ type deferScheduler struct{}
 func (deferScheduler) Async() bool              { return false }
 func (deferScheduler) StepsAfterCommit(int) int { return 0 }
 
-// TestLSMBacklogStatsSurface pins the aggregation path for the admission
-// signal: per-tree FlushBacklog sums into ProviderStats, where the engine's
-// backpressure reads it.
+// TestLSMBacklogStatsSurface pins the aggregation path of the flush
+// backlog: per-tree FlushBacklog sums into ProviderStats, which the
+// engine's progress event reports.
 func TestLSMBacklogStatsSurface(t *testing.T) {
 	p := NewProvider(t.TempDir())
 	p.MemtableBytes = 1 // every commit seals a memtable

@@ -452,9 +452,6 @@ type slot struct {
 // ID returns the store's identity.
 func (s *Store) ID() ID { return s.id }
 
-// Version returns the last committed version (-1 when empty/new).
-func (s *Store) Version() int64 { return s.version }
-
 // slotFor returns key's slot and whether the epoch's first write of the key
 // made it — the one place a key is copied.
 func (s *Store) slotFor(key []byte) (e *slot, fresh bool) {

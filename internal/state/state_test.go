@@ -27,8 +27,8 @@ func TestPutGetCommit(t *testing.T) {
 	if err := s.Commit(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Version() != 0 {
-		t.Errorf("version = %d", s.Version())
+	if s.version != 0 {
+		t.Errorf("version = %d", s.version)
 	}
 	if v, ok := s.Get([]byte("b")); !ok || string(v) != "2" {
 		t.Errorf("get committed b = %q ok=%v", v, ok)

@@ -119,9 +119,6 @@ func OpenFS(fsys fsx.FS, dir string) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the checkpoint root.
-func (l *Log) Dir() string { return l.dir }
-
 func epochFile(dir string, epoch int64) string {
 	return filepath.Join(dir, fmt.Sprintf("%012d.json", epoch))
 }
@@ -317,25 +314,6 @@ func (l *Log) WriteCommit(epoch int64) error {
 	}
 	l.commitsWritten.Add(1)
 	return nil
-}
-
-// ReadCommit loads one epoch's commit record; ok is false when the epoch
-// has not committed. A manifest written by the retired per-partition seal
-// protocol carries two more fields; they are ignored.
-func (l *Log) ReadCommit(epoch int64) (Commit, bool, error) {
-	path := epochFile(l.commitsDir, epoch)
-	data, err := l.fs.ReadFile(path)
-	if os.IsNotExist(err) {
-		return Commit{}, false, nil
-	}
-	if err != nil {
-		return Commit{}, false, fmt.Errorf("wal: %w", err)
-	}
-	var c Commit
-	if err := json.Unmarshal(data, &c); err != nil {
-		return Commit{}, false, fmt.Errorf("wal: %w: %s: not a valid commit (truncated write?): %v", fsx.ErrCorrupt, path, err)
-	}
-	return c, true, nil
 }
 
 // Commits lists committed epochs, ascending.

@@ -13,7 +13,7 @@ import (
 // parentBarrierManifest is a commit record as the last commit with a
 // per-partition seal protocol (cfd5eaf) wrote it under Workers > 1, for an
 // epoch that partitions 0 and 1 had sealed: "partitions" and "segments" are
-// fields this tree no longer declares. It must read back as a commit.
+// fields this tree no longer declares. It must count as a commit.
 const parentBarrierManifest = `{
   "epoch": 0,
   "timestamp": "2026-09-27T13:09:19.679277651Z",
@@ -33,13 +33,14 @@ const parentBarrierManifest = `{
 }
 `
 
-// FuzzWALDecode feeds arbitrary bytes to the two records the log reads
-// back — an offsets entry and a commit — as the file for epoch 0, raw and
-// behind a valid frame: when the bytes decode at all, the decoded record is
-// framed again with the length and checksum it should carry, so field values
-// the checksum would otherwise stop reach the readers. Nothing may panic, every
-// error must be fsx.ErrCorrupt, and what a reader accepts must be the record
-// its file name says it is.
+// FuzzWALDecode feeds arbitrary bytes to the two records the log keeps —
+// an offsets entry and a commit — as the file for epoch 0, raw and behind a
+// valid frame: when the bytes decode at all, the decoded record is framed
+// again with the length and checksum it should carry, so field values the
+// checksum would otherwise stop reach the reader. Nothing may panic, every
+// error must be fsx.ErrCorrupt, and what the reader accepts must be the
+// record its file name says it is. A commit is never decoded: recovery
+// counts its file's presence, whatever the bytes.
 func FuzzWALDecode(f *testing.F) {
 	seedDir := f.TempDir()
 	seeds, err := Open(seedDir)
@@ -125,12 +126,6 @@ func FuzzWALDecode(f *testing.F) {
 			if err := l.WriteOffsets(Entry{Epoch: 0}); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := l.ReadCommit(0)
-			corruptOrNil("ReadCommit", err)
-			if err != nil && string(data) == parentBarrierManifest {
-				t.Fatalf("a barrier manifest the parent commit wrote no longer reads as a commit: %v", err)
-			}
-			// Only the commit file's presence is load-bearing.
 			if rp, err := l.Recover(); err != nil || rp.NextEpoch != 1 || rp.Replay != nil {
 				t.Fatalf("Recover over a committed epoch 0: %+v, %v", rp, err)
 			}

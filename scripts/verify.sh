@@ -2,8 +2,8 @@
 # Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
 # sweep included), the benchmark module, the stale-name guard, the varint
 # reader guard and the vectorized/row differential smoke. VERIFY_FULL=1 adds
-# thirteen fuzz smokes, six micro-benchmark steps and the x20 arrival wake-up
-# run. The last line says which tier ran. Use `go test -short ./...` for the
+# thirteen fuzz smokes, six micro-benchmark steps, the x20 arrival wake-up
+# run and the dead-path audit. The last line says which tier ran. Use `go test -short ./...` for the
 # quick tier that skips the crash sweep.
 set -eu
 cd "$(dirname "$0")/.."
@@ -94,8 +94,8 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# What the write-ahead log reads back — offsets entry and commit record —
 	# raw and behind a valid frame.
 	fuzz "wal decode" FuzzWALDecode ./internal/wal/
-	# The columnar table's segment readers — boxed, projected and typed —
-	# over lengths and counts read off disk.
+	# The columnar table's segment readers — boxed and typed — over lengths
+	# and counts read off disk.
 	fuzz "colfmt segment" FuzzColfmtSegment ./internal/colfmt/
 	# The memory sink's result table: whatever batches the fuzzer draws,
 	# every reader returns what a map of boxed rows would, before and after a
@@ -125,6 +125,24 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# fail on a topic that loses a record.
 	step "message bus micro-benchmarks, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkTopic' -benchtime 1x ./internal/msgbus/ >/dev/null
+	# The dead-path audit: a function under internal/ that only its own
+	# package's tests reach must be in the baseline with a reason, so a dead
+	# path is a decision and not an accident. A baseline entry reached now is
+	# only reported: delete the line.
+	step "dead-path audit against scripts/deadpaths.baseline"
+	dead=$(scripts/deadpaths.sh)
+	known=$(sed -e 's/#.*//' -e 's/[[:space:]]*$//' -e '/^$/d' scripts/deadpaths.baseline | sort -u)
+	unlisted=$(printf '%s\n' "$dead" | grep -vxF "$known" || true)
+	reached=$(printf '%s\n' "$known" | grep -vxF "$dead" || true)
+	if [ -n "$reached" ]; then
+		echo "deadpaths: reached now, prune from the baseline:"
+		echo "$reached" | sed 's/^/  /'
+	fi
+	if [ -n "$unlisted" ]; then
+		echo "$unlisted" | sed 's/^/  /'
+		echo "verify: the functions above are reached by nothing but their own package's tests and are not in scripts/deadpaths.baseline (call, delete, or list them with a reason)"
+		exit 1
+	fi
 fi
 # The repository benchmark is its own module, so `go test ./...` above never
 # compiles it: run its contract, compare and 1/100-size smoke tests here, so
@@ -152,7 +170,9 @@ step "benchmark module vet + tests"
 # supervisor, the hub's hook into it, the query status, constructor and
 # progress key only it fed, its health signal and its chaos knob; the map
 # state store, its backend name, the interface it shared with the tree, its
-# snapshot cadence option and counter and its snapshot finder) must not
+# snapshot cadence option and counter and its snapshot finder; the adaptive
+# admission limiter, its two options, its progress key and the cap accessor
+# it tightened — not the cap's progress key, which keeps its name) must not
 # survive in code, scripts or docs. The pattern is assembled from halves
 # so this script does not match itself.
 step "stale-reference guard"
@@ -172,6 +192,7 @@ stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis|STRUCTREAM''_CHAOS'
 stale="$stale"'|mem''Backend|Backend''Memory|store''Backend|StateSnapshot''Interval|Snapshots''Written|latestSnapshot''AtOrBelow'
 stale="$stale"'|Observe''Epoch|Sync''Capture|Disable''Profiles|CPUProfile''Duration|Cooldown''Epochs|List''Bundles|Verify''Bundle'
 stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.Write''Failures\('
+stale="$stale"'|aimd''Limiter|Adaptive''Backpressure|Backpressure''Target|Backpressure''Decision|admission''Cap\('
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1

@@ -286,10 +286,9 @@ func TestInvalidModeRejectedAtStart(t *testing.T) {
 }
 
 func TestBatchWriteReadColumnar(t *testing.T) {
+	schema := NewSchema(Field{Name: "k", Type: String}, Field{Name: "v", Type: Int64})
 	s := NewSession()
-	s.RegisterTable("t", NewSchema(
-		Field{Name: "k", Type: String}, Field{Name: "v", Type: Int64},
-	), []Row{{"a", 1}, {"b", 2}})
+	s.RegisterTable("t", schema, []Row{{"a", 1}, {"b", 2}})
 	df, _ := s.Table("t")
 	dir := t.TempDir()
 	if err := df.Write().Format("columnar").Save(dir); err != nil {
@@ -305,6 +304,37 @@ func TestBatchWriteReadColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectRows(t, rows, "[a, 1]", "[b, 2]")
+
+	// A table of several segments, one per epoch of a streaming query, read
+	// through a filter: the scan takes each segment as a typed batch and
+	// must return what the boxed rows hold.
+	segDir := t.TempDir()
+	in, feed := s.MemoryStream("segs", schema)
+	q, err := in.WriteStream().Format("columnar").Trigger(ProcessingTime(time.Hour)).
+		Checkpoint(t.TempDir()).Start(segDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]Row{{{"a", 1}, {"b", 2}}, {{"c", 3}}, {{"d", 4}, {"e", 0}}} {
+		feed.AddData(batch...)
+		if err := q.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err := colfmt.OpenTable(segDir); err != nil || len(tbl.Segments) < 2 {
+		t.Fatalf("the streaming query left %v segments (err %v), want several", tbl, err)
+	}
+	back, err = s2.Read().Format("columnar").Load(segDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = back.Where(Gt(Col("v"), Lit(1))).Collect(); err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, rows, "[b, 2]", "[c, 3]", "[d, 4]")
 }
 
 func TestMapGroupsWithStatePublicAPI(t *testing.T) {
