@@ -1,15 +1,20 @@
 package structream
 
 import (
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"structream/internal/colfmt"
+	"structream/internal/msgbus"
+	"structream/internal/sinks"
 )
 
 func TestForeachSinkPublicAPI(t *testing.T) {
@@ -37,70 +42,288 @@ func TestForeachSinkPublicAPI(t *testing.T) {
 	}
 }
 
+// TestManualRollbackPublicAPI is §7.2's manual rollback, with each sink's
+// own half of it: forget the epochs after keep in the checkpoint and in the
+// sink, restart, and the query recomputes them from the retained prefix.
 func TestManualRollbackPublicAPI(t *testing.T) {
-	s := NewSession()
-	df, feed := s.MemoryStream("ev", clickSchema)
-	ckpt := t.TempDir()
-	out := t.TempDir()
-	counts := df.GroupBy(Col("country")).Count()
+	t.Run("columnar", func(t *testing.T) {
+		s := NewSession()
+		df, feed := s.MemoryStream("ev", clickSchema)
+		ckpt := t.TempDir()
+		out := t.TempDir()
+		counts := df.GroupBy(Col("country")).Count()
 
-	start := func(sess *Session, frame *DataFrame) *StreamingQuery {
-		q, err := frame.WriteStream().Format("columnar").OutputMode(Complete).
-			Trigger(ProcessingTime(time.Hour)).Checkpoint(ckpt).Start(out)
+		start := func() *StreamingQuery {
+			q, err := counts.WriteStream().Format("columnar").OutputMode(Complete).
+				Trigger(ProcessingTime(time.Hour)).Checkpoint(ckpt).Start(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+		q := start()
+		feed.AddData(Row{"CA", 1, 1.0, 0})
+		q.ProcessAllAvailable() // epoch 0
+		feed.AddData(Row{"XX", 2, 1.0, 0})
+		q.ProcessAllAvailable() // epoch 1: "bad" data
+		q.Stop()
+
+		// Administrator rolls back to epoch 0 on both the WAL and the sink.
+		if err := Rollback(ckpt, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := RollbackFileSink(out, 0); err != nil {
+			t.Fatal(err)
+		}
+		// Restart recomputes epoch 1 from the retained prefix.
+		q2 := start()
+		defer q2.Stop()
+		if err := q2.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := colfmt.OpenTable(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := tbl.ReadAll()
+		expectRows(t, rows, "[CA, 1]", "[XX, 1]")
+	})
+
+	t.Run("memory", func(t *testing.T) {
+		s := NewSession()
+		df, feed := s.MemoryStream("ev", clickSchema)
+		ckpt := t.TempDir()
+		sink := sinks.NewMemorySink()
+		query := func(df *DataFrame) *DataFrame {
+			return df.Where(Gt(Col("latency"), Lit(1.5))).SelectNames("country", "user_id")
+		}
+		// batch is the same query over a static table of rows.
+		batch := func(rows []Row) []string {
+			s.RegisterTable("prefix", clickSchema, rows)
+			tbl, _ := s.Table("prefix")
+			out, err := query(tbl).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sortedRowStrings(out)
+		}
+		start := func() *StreamingQuery {
+			q, err := query(df).WriteStream().Sink(sink).
+				Trigger(ProcessingTime(time.Hour)).Checkpoint(ckpt).Start("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+		fed := [][]Row{
+			{{"CA", 1, 2.0, 0}, {"US", 2, 1.0, 0}},
+			{{"XX", 3, 5.0, 0}},
+			{{"DE", 4, 3.0, 0}, {"FR", 5, 9.0, 0}},
+		}
+		q := start()
+		for _, rows := range fed {
+			feed.AddData(rows...)
+			if err := q.ProcessAllAvailable(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q.Stop()
+
+		if err := Rollback(ckpt, 0); err != nil {
+			t.Fatal(err)
+		}
+		sink.Truncate(0)
+		expectRows(t, sink.Rows(), batch(fed[0])...)
+
+		q2 := start()
+		defer q2.Stop()
+		if err := q2.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+		if p, ok := q2.LastProgress(); !ok || p.Epoch != 1 {
+			t.Errorf("restart ran up to epoch %d (ok=%v), want 1: the epochs after keep are recomputed as one", p.Epoch, ok)
+		}
+		expectRows(t, sink.Rows(), batch(slices.Concat(fed...))...)
+	})
+}
+
+// TestRestartPastTrimmedBusFails: a rollback that needs offsets the topic's
+// retention already dropped cannot be recomputed. The restarted query must
+// fail with the bus's out-of-range error and leave the sink at the kept
+// prefix, not skip the trimmed rows.
+func TestRestartPastTrimmedBusFails(t *testing.T) {
+	s := NewSession()
+	df, topic, err := s.BusStream("ev", 1, clickSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := t.TempDir()
+	sink := sinks.NewMemorySink()
+	start := func() *StreamingQuery {
+		q, err := df.SelectNames("country").WriteStream().Sink(sink).
+			Trigger(ProcessingTime(time.Hour)).Checkpoint(ckpt).Start("")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q
 	}
-	q := start(s, counts)
-	feed.AddData(Row{"CA", 1, 1.0, 0})
-	q.ProcessAllAvailable() // epoch 0
-	feed.AddData(Row{"XX", 2, 1.0, 0})
-	q.ProcessAllAvailable() // epoch 1: "bad" data
+	q := start()
+	for _, c := range []string{"CA", "US", "DE"} {
+		if err := ProduceRow(topic, Row{c, 1, 1.0, 0}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	q.Stop()
 
-	// Administrator rolls back to epoch 0 on both the WAL and the sink.
 	if err := Rollback(ckpt, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := RollbackFileSink(out, 0); err != nil {
+	sink.Truncate(0)
+	// Epoch 1 starts at offset 1; retention moves the topic's start past it.
+	if err := topic.TrimBefore(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Restart recomputes epoch 1 from the retained prefix.
-	q2 := start(s, counts)
+	q2 := start()
 	defer q2.Stop()
-	if err := q2.ProcessAllAvailable(); err != nil {
-		t.Fatal(err)
+	err = q2.ProcessAllAvailable()
+	var oor *msgbus.ErrOffsetOutOfRange
+	if !errors.As(err, &oor) {
+		t.Fatalf("restart over a trimmed topic: err = %v, want a *msgbus.ErrOffsetOutOfRange", err)
 	}
-	tbl, err := colfmt.OpenTable(out)
-	if err != nil {
-		t.Fatal(err)
+	if oor.Requested != 1 || oor.Earliest != 2 {
+		t.Errorf("out of range: requested %d, earliest %d; want 1 and 2", oor.Requested, oor.Earliest)
 	}
-	rows, _ := tbl.ReadAll()
-	expectRows(t, rows, "[CA, 1]", "[XX, 1]")
+	expectRows(t, sink.Rows(), "[CA]")
 }
 
-func TestRateSourcePublicAPI(t *testing.T) {
+// TestRetainEpochsBoundsCheckpoint: retainEpochs purges the checkpoint as
+// the query runs, so thirty epochs leave at most two retention spans of
+// offsets and commit files, and a restart over the purged checkpoint
+// still carries every count on.
+func TestRetainEpochsBoundsCheckpoint(t *testing.T) {
+	const epochs, retain = 30, 5
 	s := NewSession()
-	df, err := s.ReadStream().Format("rate").
-		Option("partitions", "2").Option("rowsPerSecond", "1000").Load("bench")
+	df, feed := s.MemoryStream("ev", clickSchema)
+	ckpt := t.TempDir()
+	var got map[string]int64
+	start := func() *StreamingQuery {
+		q, err := df.GroupBy(Col("country")).Count().WriteStream().
+			Foreach(func(_ int64, rows []Row) error {
+				got = map[string]int64{}
+				for _, r := range rows {
+					got[r[0].(string)] = r[1].(int64)
+				}
+				return nil
+			}).
+			OutputMode(Complete).Option("retainEpochs", strconv.Itoa(retain)).
+			Trigger(ProcessingTime(time.Hour)).Checkpoint(ckpt).Start("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	countries := []string{"CA", "US", "DE"}
+	q := start()
+	for e := 0; e < epochs; e++ {
+		feed.AddData(Row{countries[e%3], e, 1.0, 0})
+		if err := q.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Stop()
+	for _, dir := range []string{"offsets", "commits"} {
+		files, err := os.ReadDir(filepath.Join(ckpt, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) > 2*retain {
+			t.Errorf("%s/ holds %d files after %d epochs, want at most %d", dir, len(files), epochs, 2*retain)
+		}
+	}
+
+	q = start()
+	defer q.Stop()
+	feed.AddData(Row{"CA", 99, 1.0, 0})
+	if err := q.ProcessAllAvailable(); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int64{"CA": 11, "US": 10, "DE": 10}; !maps.Equal(got, want) {
+		t.Errorf("counts after restart = %v, want %v", got, want)
+	}
+}
+
+// TestConsoleSinkPublicAPI: the console format runs epochs like any other.
+func TestConsoleSinkPublicAPI(t *testing.T) {
+	df, feed := NewSession().MemoryStream("ev", clickSchema)
+	q, err := df.SelectNames("country").WriteStream().Format("console").
+		Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema, err := df.Schema()
+	defer q.Stop()
+	feed.AddData(Row{"CA", 1, 1.0, 0})
+	if err := q.ProcessAllAvailable(); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := q.LastProgress(); !ok || p.NumInputRows != 1 || p.Sink == nil || p.Sink.Description != "console" {
+		t.Errorf("console query progress = %+v (ok=%v), want one row into the console sink", p, ok)
+	}
+}
+
+// TestUpdateModeMemorySinkGrowingValues: an update-mode result whose values
+// outgrow their place in the memory sink, epoch after epoch, until the
+// sink compacts its table, still reads back as the batch result.
+func TestUpdateModeMemorySinkGrowingValues(t *testing.T) {
+	s := NewSession()
+	df, feed := s.MemoryStream("ev", clickSchema)
+	query := func(df *DataFrame) *DataFrame {
+		return df.GroupBy(Col("user_id")).Agg(Max(Col("country")).As("longest"), CountAll().As("n"))
+	}
+	q, err := query(df).WriteStream().Format("memory").QueryName("grow").OutputMode(Update).
+		Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if schema.Len() != 2 || schema.Field(0).Name != "value" {
-		t.Errorf("schema = %s", schema)
+	defer q.Stop()
+	var all []Row
+	for e := 1; e <= 12; e++ {
+		var rows []Row
+		for k := 0; k < 4; k++ {
+			// Each epoch's value sorts after, and is 8 bytes longer than, the last.
+			rows = append(rows, Row{strings.Repeat("z", 8*e), k, 1.0, 0})
+		}
+		all = append(all, rows...)
+		feed.AddData(rows...)
+		if err := q.ProcessAllAvailable(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Rate streams produce data once advanced; batch Collect snapshots it.
-	rows, err := df.Collect()
+	s.RegisterTable("all", clickSchema, all)
+	tbl, _ := s.Table("all")
+	want, err := query(tbl).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 0 {
-		t.Errorf("rate source should start empty, got %d rows", len(rows))
+	out, _ := s.Table("grow")
+	got, err := out.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, got, sortedRowStrings(want)...)
+	if len(got) != 4 || got[0][2] != int64(12) {
+		t.Errorf("rows = %v, want 4 keys seen 12 times each", sortedRowStrings(got))
+	}
+}
+
+// TestRateSourcePublicAPI: there is no rate format. A stream that nothing
+// advances would run no epoch, so Load refuses the name.
+func TestRateSourcePublicAPI(t *testing.T) {
+	_, err := NewSession().ReadStream().Format("rate").Option("partitions", "2").Load("bench")
+	if err == nil || !strings.Contains(err.Error(), `unknown stream format "rate"`) {
+		t.Fatalf("Load of the rate format: err = %v, want unknown stream format", err)
 	}
 }
 

@@ -369,7 +369,8 @@ func TestWatermarkNeverRegresses(t *testing.T) {
 		if err := sq.ProcessAllAvailable(); err != nil {
 			t.Fatal(err)
 		}
-		wm := sq.Watermark()
+		p, _ := sq.LastProgress()
+		wm := p.WatermarkMicros
 		if wm < last {
 			t.Fatalf("watermark regressed: %d -> %d", last, wm)
 		}

@@ -199,7 +199,8 @@ func TestWindowedAggregationAppendModeWithWatermark(t *testing.T) {
 	sq.ProcessAllAvailable()
 	rows := sink.Rows()
 	if len(rows) != 1 {
-		t.Fatalf("rows = %v (watermark=%d)", sortedStrings(rows), sq.Watermark())
+		p, _ := sq.LastProgress()
+		t.Fatalf("rows = %v (watermark=%d)", sortedStrings(rows), p.WatermarkMicros)
 	}
 	w := rows[0][0].(sql.Window)
 	if w.Start != 0 || w.End != 10*sec || rows[0][1] != int64(2) {
@@ -330,7 +331,8 @@ func TestStreamStreamLeftOuterJoinWithWatermark(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("unmatched left row not emitted null-padded: %v (wm=%d)", sortedStrings(sink.Rows()), sq.Watermark())
+		p, _ := sq.LastProgress()
+		t.Errorf("unmatched left row not emitted null-padded: %v (wm=%d)", sortedStrings(sink.Rows()), p.WatermarkMicros)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"structream/internal/lsm"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
@@ -39,7 +40,7 @@ func TestLSMBackendSpillsAndRestoresVersions(t *testing.T) {
 		// Synchronous maintenance makes the flush/compaction counts this
 		// test asserts deterministic: with the background default the last
 		// compaction may still be in flight when progress is snapshotted.
-		StateSyncMaintenance: true,
+		StateMaintenanceScheduler: lsm.SyncScheduler(),
 	})
 
 	// Every row gets a fresh group key, so state grows by exactly perEpoch

@@ -82,16 +82,14 @@ type Options struct {
 	// StateBlockCacheBytes bounds the state store's block cache, shared
 	// across all of the query's state partitions (0 = 32 MiB).
 	StateBlockCacheBytes int64
-	// StateSyncMaintenance forces the state store's flush and compaction to
-	// run synchronously inside each state commit. By default maintenance
-	// runs on a supervised background goroutine per store and commits wait
-	// only on their own delta's durability; crash recovery is identical
-	// either way (the delta log is the durability point).
-	StateSyncMaintenance bool
-	// StateMaintenanceScheduler overrides the state store's maintenance
-	// scheduling. The crash-sweep torture harness injects a seeded
-	// deterministic scheduler so the background-maintenance code path keeps
-	// a reproducible mutating-op schedule.
+	// StateMaintenanceScheduler decides where the state store's flush and
+	// compaction run. Nil runs them on a supervised background goroutine per
+	// store, and commits wait only on their own delta's durability;
+	// lsm.SyncScheduler() runs them inside each state commit. Crash recovery
+	// is identical either way (the delta log is the durability point). The
+	// crash-sweep torture harness injects a seeded deterministic scheduler
+	// so the background-maintenance code path keeps a reproducible
+	// mutating-op schedule.
 	StateMaintenanceScheduler lsm.MaintenanceScheduler
 	// RetainEpochs bounds checkpoint growth: every RetainEpochs epochs the
 	// engine purges WAL entries and state files older than the retention
@@ -206,7 +204,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	prov := state.NewProviderFS(opts.FS, opts.Checkpoint)
 	prov.MemtableBytes = opts.StateMemtableBytes
 	prov.BlockCacheBytes = opts.StateBlockCacheBytes
-	prov.BackgroundMaintenance = !opts.StateSyncMaintenance
+	prov.BackgroundMaintenance = true
 	prov.Scheduler = opts.StateMaintenanceScheduler
 	e := &exec{
 		core: c, prov: prov,

@@ -302,16 +302,6 @@ func (q *StreamingQuery) StateAccess() (StateAccess, bool) {
 	}, true
 }
 
-// Watermark returns the current event-time watermark in µs.
-func (q *StreamingQuery) Watermark() int64 {
-	if q.exec == nil {
-		return 0
-	}
-	q.exec.mu.Lock()
-	defer q.exec.mu.Unlock()
-	return q.exec.watermark
-}
-
 // Rollback rewinds a STOPPED query's checkpoint so that epochs after keep
 // are forgotten (§7.2 manual rollback). The caller should also roll back
 // the sink (file sinks expose Rollback; memory sinks Truncate) and then

@@ -78,16 +78,16 @@ func TestMultiSourceWatermarkIsMinimum(t *testing.T) {
 	if err := sq.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)
 	}
-	if wm := sq.Watermark(); wm != 10*sec {
-		t.Errorf("watermark = %d, want min(100s, 10s) = 10s", wm)
+	if p, _ := sq.LastProgress(); p.WatermarkMicros != 10*sec {
+		t.Errorf("watermark = %d, want min(100s, 10s) = 10s", p.WatermarkMicros)
 	}
 	// The slow source catches up: the watermark follows the new minimum.
 	slow.AddData(sql.Row{"b", 1.0, 50 * sec})
 	if err := sq.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)
 	}
-	if wm := sq.Watermark(); wm != 50*sec {
-		t.Errorf("watermark = %d, want 50s", wm)
+	if p, _ := sq.LastProgress(); p.WatermarkMicros != 50*sec {
+		t.Errorf("watermark = %d, want 50s", p.WatermarkMicros)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 // it triggers, keeping crash points maximally adversarial (a crash can land
 // between a delta and the flush it feeds).
 func TestCrashRecoveryTortureLSM(t *testing.T) {
-	crashSweepTorture(t, spillEveryCommit, func(o *Options) { o.StateSyncMaintenance = true })
+	crashSweepTorture(t, spillEveryCommit, func(o *Options) { o.StateMaintenanceScheduler = lsm.SyncScheduler() })
 }
 
 // TestCrashRecoveryTortureLSMBackground sweeps the engine's DEFAULT mode:
@@ -254,7 +254,7 @@ func crashSweepTorture(t *testing.T, tune ...func(*Options)) {
 				deltas++
 			}
 		}
-		if tuned.StateSyncMaintenance {
+		if tuned.StateMaintenanceScheduler == lsm.SyncScheduler() {
 			// With synchronous drain the schedule must include more SSTable
 			// writes than delta writes: every commit flushes (1-byte
 			// memtable), so any surplus is compaction output — proof the

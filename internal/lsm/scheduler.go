@@ -30,6 +30,10 @@ type MaintenanceScheduler interface {
 // and the golden reference the crash sweeps converge against.
 type syncScheduler struct{}
 
+// SyncScheduler returns the fully synchronous scheduler: every commit
+// drains all pending maintenance before it returns.
+func SyncScheduler() MaintenanceScheduler { return syncScheduler{} }
+
 func (syncScheduler) Async() bool              { return false }
 func (syncScheduler) StepsAfterCommit(int) int { return -1 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"structream/internal/sql"
-	"structream/internal/sql/vec"
 )
 
 // FileSource treats a directory of JSON-lines files as a stream, the way
@@ -173,118 +172,4 @@ func (s *FileSource) coerce(obj map[string]any) sql.Row {
 		}
 	}
 	return row
-}
-
-// ---------------------------------------------------------------- rate
-
-// RateSource generates a deterministic synthetic stream: partition p emits
-// rows (value, timestamp) where value enumerates p, p+n, p+2n, … and the
-// timestamp advances at the configured rate. Because rows are a pure
-// function of (partition, offset), the source is perfectly replayable —
-// it is the benchmark workload generator.
-type RateSource struct {
-	name       string
-	partitions int
-	rowsPerSec int64
-	startMicro int64
-
-	mu      sync.Mutex
-	current int64 // rows available per partition
-}
-
-// RateSchema is the fixed schema of the rate source.
-var RateSchema = sql.NewSchema(
-	sql.Field{Name: "value", Type: sql.TypeInt64},
-	sql.Field{Name: "timestamp", Type: sql.TypeTimestamp},
-)
-
-// NewRateSource creates a rate source. Advance or SetAvailable make rows
-// visible; rowsPerSec scales the synthetic timestamps.
-func NewRateSource(name string, partitions int, rowsPerSec int64, startMicro int64) *RateSource {
-	return &RateSource{name: name, partitions: partitions, rowsPerSec: rowsPerSec, startMicro: startMicro}
-}
-
-// Name implements Source.
-func (s *RateSource) Name() string { return s.name }
-
-// Schema implements Source.
-func (s *RateSource) Schema() sql.Schema { return RateSchema }
-
-// Partitions implements Source.
-func (s *RateSource) Partitions() int { return s.partitions }
-
-// SetAvailable makes the first n offsets of every partition visible.
-func (s *RateSource) SetAvailable(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.current {
-		s.current = n
-	}
-}
-
-// Advance makes n more offsets visible on every partition.
-func (s *RateSource) Advance(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.current += n
-}
-
-// Latest implements Source.
-func (s *RateSource) Latest() (Offsets, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(Offsets, s.partitions)
-	for i := range out {
-		out[i] = s.current
-	}
-	return out, nil
-}
-
-// Earliest implements Source.
-func (s *RateSource) Earliest() (Offsets, error) {
-	return make(Offsets, s.partitions), nil
-}
-
-// Read implements Source: rows are synthesized deterministically.
-func (s *RateSource) Read(p int, from, to int64) ([]sql.Row, error) {
-	if p < 0 || p >= s.partitions {
-		return nil, fmt.Errorf("sources: partition %d out of range", p)
-	}
-	out := make([]sql.Row, 0, to-from)
-	n := int64(s.partitions)
-	perPartRate := s.rowsPerSec / n
-	if perPartRate == 0 {
-		perPartRate = 1
-	}
-	for off := from; off < to; off++ {
-		value := int64(p) + off*n
-		ts := s.startMicro + off*1_000_000/perPartRate
-		out = append(out, sql.Row{value, ts})
-	}
-	return out, nil
-}
-
-// ReadVec implements VectorReader: rows synthesize straight into the two
-// int64 slabs — no sql.Row, no boxing, and (rows being a pure function
-// of position) no lock.
-func (s *RateSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
-	if p < 0 || p >= s.partitions {
-		return nil, false, fmt.Errorf("sources: partition %d out of range", p)
-	}
-	if to < from {
-		return nil, false, fmt.Errorf("sources: rate range [%d,%d) is inverted", from, to)
-	}
-	n := int64(s.partitions)
-	perPartRate := s.rowsPerSec / n
-	if perPartRate == 0 {
-		perPartRate = 1
-	}
-	b := vec.NewBatch(RateSchema, int(to-from))
-	values, stamps := b.Cols[0].Int64s, b.Cols[1].Int64s
-	for off := from; off < to; off++ {
-		i := off - from
-		values[i] = int64(p) + off*n
-		stamps[i] = s.startMicro + off*1_000_000/perPartRate
-	}
-	return b, true, nil
 }

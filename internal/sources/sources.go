@@ -22,19 +22,6 @@ type Offsets []int64
 // Clone copies the vector.
 func (o Offsets) Clone() Offsets { return append(Offsets(nil), o...) }
 
-// Equal reports element-wise equality.
-func (o Offsets) Equal(other Offsets) bool {
-	if len(o) != len(other) {
-		return false
-	}
-	for i := range o {
-		if o[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Total sums the vector (a record count when offsets start at zero).
 func (o Offsets) Total() int64 {
 	var n int64

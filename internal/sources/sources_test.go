@@ -3,7 +3,6 @@ package sources
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"structream/internal/msgbus"
@@ -22,9 +21,6 @@ func TestOffsetsHelpers(t *testing.T) {
 	c[0] = 99
 	if o[0] != 1 {
 		t.Error("Clone must not alias")
-	}
-	if !o.Equal(Offsets{1, 2, 3}) || o.Equal(Offsets{1, 2}) || o.Equal(Offsets{1, 2, 4}) {
-		t.Error("Equal broken")
 	}
 	if o.Total() != 6 {
 		t.Error("Total broken")
@@ -157,72 +153,6 @@ func TestFileSourceBadJSON(t *testing.T) {
 	}
 }
 
-func TestRateSourceDeterministic(t *testing.T) {
-	src := NewRateSource("rate", 4, 4_000_000, 0)
-	src.SetAvailable(1000)
-	latest, _ := src.Latest()
-	if latest[2] != 1000 {
-		t.Fatalf("latest = %v", latest)
-	}
-	a, err := src.Read(2, 100, 200)
-	if err != nil || len(a) != 100 {
-		t.Fatalf("read: %v err=%v", len(a), err)
-	}
-	b, _ := src.Read(2, 100, 200)
-	for i := range a {
-		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
-			t.Fatal("rate source must be deterministic")
-		}
-	}
-	// Values enumerate p + off*n.
-	if a[0][0] != int64(2+100*4) {
-		t.Errorf("value = %v", a[0][0])
-	}
-	// Timestamps advance at the per-partition rate (1M rows/s/part → 1 µs).
-	if a[1][1].(int64)-a[0][1].(int64) != 1 {
-		t.Errorf("timestamp delta = %d", a[1][1].(int64)-a[0][1].(int64))
-	}
-}
-
-func TestRateSourceAdvance(t *testing.T) {
-	src := NewRateSource("rate", 1, 10, 0)
-	src.Advance(5)
-	src.Advance(5)
-	latest, _ := src.Latest()
-	if latest[0] != 10 {
-		t.Errorf("latest = %v", latest)
-	}
-	if _, err := src.Read(9, 0, 1); err == nil {
-		t.Error("bad partition should error")
-	}
-}
-
-// TestRateSourceReadVecMatchesRead: the typed reader synthesizes the same
-// rows as Read over the same ranges, and refuses what Read refuses.
-func TestRateSourceReadVecMatchesRead(t *testing.T) {
-	for _, parts := range []int{1, 3} {
-		src := NewRateSource("rate", parts, 7_000, 5)
-		for p := 0; p < parts; p++ {
-			for _, r := range [][2]int64{{0, 0}, {0, 5}, {7, 40}} {
-				rows, err := src.Read(p, r[0], r[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, ok, err := src.ReadVec(p, r[0], r[1])
-				if err != nil || !ok {
-					t.Fatalf("%d partitions: ReadVec(%d, %v): ok=%v err=%v", parts, p, r, ok, err)
-				}
-				if got := b.AppendRows(nil); !reflect.DeepEqual(got, rows) && len(got)+len(rows) > 0 {
-					t.Fatalf("%d partitions: ReadVec(%d, %v) = %v, Read = %v", parts, p, r, got, rows)
-				}
-			}
-		}
-		if _, _, err := src.ReadVec(parts, 0, 1); err == nil {
-			t.Errorf("%d partitions: ReadVec of partition %d should error", parts, parts)
-		}
-	}
-}
-
 // TestArrivalForwardedThroughWrappers: the wrappers the engine and the
 // chaos tests put around a source must not hide its arrival signal — hidden,
 // the query silently falls back to polling — and must not invent one for a
@@ -269,8 +199,8 @@ func TestArrivalForwardedThroughWrappers(t *testing.T) {
 		t.Errorf("%d wake channels left on the topic", n)
 	}
 
-	silent := Instrument(NewFlakySource(NewRateSource("rate", 1, 10, 0)))
+	silent := Instrument(NewFlakySource(NewFileSource("json", t.TempDir(), testSchema)))
 	if _, ok := silent.NotifyArrival(make(chan struct{}, 1)); ok {
-		t.Error("Instrument(Flaky(RateSource)) claims an arrival signal its source does not have")
+		t.Error("Instrument(Flaky(FileSource)) claims an arrival signal its source does not have")
 	}
 }

@@ -778,14 +778,3 @@ func SplitConjuncts(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
-
-// ExprReferences collects the set of column names referenced by e.
-func ExprReferences(e Expr) map[string]bool {
-	refs := map[string]bool{}
-	WalkExpr(e, func(x Expr) {
-		if c, ok := x.(*Column); ok {
-			refs[c.Name] = true
-		}
-	})
-	return refs
-}

@@ -275,14 +275,6 @@ func TestTransformExpr(t *testing.T) {
 	}
 }
 
-func TestExprReferences(t *testing.T) {
-	e := And(Gt(Col("a"), Lit(1)), Eq(Col("b"), Col("a")))
-	refs := ExprReferences(e)
-	if !refs["a"] || !refs["b"] || len(refs) != 2 {
-		t.Errorf("refs = %v", refs)
-	}
-}
-
 func TestWindowExprTumbling(t *testing.T) {
 	w := NewWindow(Col("ts"), 10*time.Second, 0)
 	b, err := w.Bind(testSchema)

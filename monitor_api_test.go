@@ -1,15 +1,20 @@
 package structream
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"structream/internal/health"
 	"structream/internal/metrics"
+	"structream/internal/serve"
+	"structream/internal/sinks"
 )
 
 // getBody fetches a monitor URL and returns status code and body.
@@ -314,6 +319,154 @@ func TestMonitorExposesLSMStateStats(t *testing.T) {
 	for _, line := range []string{`structream_stateFlushBacklog{query="lsmq"}`, `structream_stateMaintenanceStallUs{query="lsmq"}`} {
 		if !strings.Contains(string(body), line) {
 			t.Errorf("/metrics?format=text: missing %s\n%s", line, body)
+		}
+	}
+}
+
+// sseFrames reads the frames of a hub's SSE stream, one per call.
+type sseFrames struct {
+	t *testing.T
+	r *bufio.Reader
+}
+
+func subscribeSSE(t *testing.T, url string) *sseFrames {
+	t.Helper()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return &sseFrames{t: t, r: bufio.NewReader(resp.Body)}
+}
+
+// next returns the next frame, skipping the stream's retry line. Numbers
+// decode as json.Number, so a count reads back as written.
+func (s *sseFrames) next() serve.Frame {
+	s.t.Helper()
+	for {
+		line, err := s.r.ReadString('\n')
+		if err != nil {
+			s.t.Fatalf("SSE stream: %v", err)
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		var f serve.Frame
+		dec := json.NewDecoder(strings.NewReader(data))
+		dec.UseNumber()
+		if err := dec.Decode(&f); err != nil {
+			s.t.Fatalf("SSE frame %q: %v", data, err)
+		}
+		return f
+	}
+}
+
+// TestPublishedQueryServing: a stateful query started with publish=true
+// under a session monitor serves its operator state and its health report,
+// and a subscriber of its update-mode result receives each committed epoch
+// as a snapshot frame of the whole table.
+func TestPublishedQueryServing(t *testing.T) {
+	s := NewSession()
+	m, err := s.Monitor("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	base := "http://" + m.Addr()
+
+	df, feed := s.MemoryStream("ev", clickSchema)
+	q, err := df.GroupBy(Col("country")).Count().WriteStream().
+		Format("memory").QueryName("served").OutputMode(Update).Option("publish", "true").
+		Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+
+	frames := subscribeSSE(t, base+"/queries/served/subscribe")
+	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != -1 {
+		t.Fatalf("first frame = %+v, want a hello before any epoch", f)
+	}
+	feed.AddData(Row{"CA", 1, 1.0, 0}, Row{"US", 2, 1.0, 0}, Row{"CA", 3, 1.0, 0})
+	if err := q.ProcessAllAvailable(); err != nil {
+		t.Fatal(err)
+	}
+	f := frames.next()
+	if f.Kind != serve.FrameSnapshot || f.Reset || f.Cursor != 0 {
+		t.Fatalf("frame after epoch 0 = %+v, want the broadcast snapshot at cursor 0", f)
+	}
+	expectRows(t, f.Rows, "[CA, 2]", "[US, 1]")
+
+	code, body := getBody(t, base+"/queries/served/state")
+	if code != http.StatusOK {
+		t.Fatalf("/state: status %d: %s", code, body)
+	}
+	var st serve.StateResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("/state: %v\n%s", err, body)
+	}
+	var keys []string
+	numKeys := 0
+	for _, p := range st.Partitions {
+		numKeys += p.NumKeys
+		for _, e := range p.Entries {
+			keys = append(keys, strings.Join(e.Key, ","))
+		}
+	}
+	sort.Strings(keys)
+	if st.Query != "served" || st.Epoch != 0 || numKeys != 2 || strings.Join(keys, " ") != "CA US" {
+		t.Errorf("/state: query %q epoch %d, %d keys %v; want served, 0, keys CA and US", st.Query, st.Epoch, numKeys, keys)
+	}
+
+	code, body = getBody(t, base+"/queries/served/health")
+	if code != http.StatusOK {
+		t.Fatalf("/health: status %d: %s", code, body)
+	}
+	var rep health.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("/health: %v\n%s", err, body)
+	}
+	if rep.Query != "served" || len(rep.Stamps) != 1 || rep.Stamps[0].Epoch != 0 {
+		t.Errorf("/health: %+v, want one stamp, for epoch 0 of served", rep)
+	}
+}
+
+// TestIdleSubscriptionHeartbeat: a hub published before the monitor opened
+// is served by it, and a subscription with nothing to deliver receives
+// heartbeats that carry its cursor.
+func TestIdleSubscriptionHeartbeat(t *testing.T) {
+	s := NewSession()
+	df, feed := s.MemoryStream("ev", clickSchema)
+	sink := sinks.NewMemorySink()
+	q, err := df.SelectNames("country").WriteStream().Sink(sink).QueryName("idle").
+		Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Stop()
+	feed.AddData(Row{"CA", 1, 1.0, 0})
+	if err := q.ProcessAllAvailable(); err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(q, sink, serve.HubOptions{HeartbeatInterval: 20 * time.Millisecond})
+	m, err := s.Monitor("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	frames := subscribeSSE(t, "http://"+m.Addr()+"/queries/idle/subscribe?cursor=0")
+	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != 0 || f.HeartbeatMillis != 20 {
+		t.Fatalf("first frame = %+v, want a hello at cursor 0 with a 20 ms heartbeat", f)
+	}
+	for i := 0; i < 2; i++ {
+		if f := frames.next(); f.Kind != serve.FrameHeartbeat || f.Cursor != 0 || f.Query != "idle" {
+			t.Fatalf("idle frame %d = %+v, want a heartbeat at cursor 0", i, f)
 		}
 	}
 }

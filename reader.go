@@ -26,8 +26,7 @@ func (s *Session) ReadStream() *DataStreamReader {
 }
 
 // Format selects the connector: "json" (directory of JSON-lines files),
-// "bus" (message-bus topic), "rate" (synthetic benchmark stream) or
-// "memory" (manually fed, via MemoryStream).
+// "bus" (message-bus topic) or "memory" (manually fed, via MemoryStream).
 func (r *DataStreamReader) Format(format string) *DataStreamReader {
 	r.format = format
 	return r
@@ -39,7 +38,7 @@ func (r *DataStreamReader) Schema(schema Schema) *DataStreamReader {
 	return r
 }
 
-// Option sets a connector option (e.g. "topic", "rowsPerSecond").
+// Option sets a connector option (e.g. "name", "partitions").
 func (r *DataStreamReader) Option(key, value string) *DataStreamReader {
 	r.opts[key] = value
 	return r
@@ -47,7 +46,7 @@ func (r *DataStreamReader) Option(key, value string) *DataStreamReader {
 
 // Load resolves the connector and returns the streaming DataFrame. For the
 // json format, path is the input directory; for bus, path is the topic
-// name; for rate, path names the stream.
+// name.
 func (r *DataStreamReader) Load(path string) (*DataFrame, error) {
 	switch r.format {
 	case "json":
@@ -76,21 +75,6 @@ func (r *DataStreamReader) Load(path string) (*DataFrame, error) {
 			}
 		}
 		return r.s.RegisterStream(path, sources.NewCodecBusSource(path, topic, r.schema)), nil
-	case "rate":
-		parts := 1
-		if p, err := strconv.Atoi(r.opts["partitions"]); err == nil && p > 0 {
-			parts = p
-		}
-		rate := int64(1000)
-		if n, err := strconv.ParseInt(r.opts["rowsPerSecond"], 10, 64); err == nil && n > 0 {
-			rate = n
-		}
-		name := path
-		if name == "" {
-			name = "rate"
-		}
-		src := sources.NewRateSource(name, parts, rate, 0)
-		return r.s.RegisterStream(name, src), nil
 	case "memory":
 		return nil, fmt.Errorf("structream: use Session.MemoryStream for the memory format")
 	default:

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Verification in two tiers. Default: gofmt, vet, race-enabled tests (torture
-# sweep included), the benchmark module, the stale-name guard, the varint
-# reader guard and the vectorized/row differential smoke. VERIFY_FULL=1 adds
+# sweep included), the benchmark module, the dead-path baseline's reasons,
+# the stale-name guard, the varint reader guard and the vectorized/row
+# differential smoke. VERIFY_FULL=1 adds
 # thirteen fuzz smokes, six micro-benchmark steps, the x20 arrival wake-up
 # run and the dead-path audit. The last line says which tier ran. Use `go test -short ./...` for the
 # quick tier that skips the crash sweep.
@@ -166,15 +167,29 @@ step "benchmark module vet + tests"
 # shuffle-row constructor, replaced by join cells; the engine's vectorize
 # option, its pointer helper and the reduce-side merge only it selected; the
 # Fig 6b cost model, its calibration and the run-once cost model, and the
-# dataflow baseline's parallel runner and flat-map operator; the restart
-# supervisor, the hub's hook into it, the query status, constructor and
-# progress key only it fed, its health signal and its chaos knob; the map
+# dataflow baseline's parallel runner and flat-map operator; the hub's hook
+# into the restart supervisor, the query status, constructor and progress
+# key only the supervisor fed and its health signal (the supervisor's own
+# package is gone, and its names with it); the map
 # state store, its backend name, the interface it shared with the tree, its
 # snapshot cadence option and counter and its snapshot finder; the adaptive
 # admission limiter, its two options, its progress key and the cap accessor
-# it tightened — not the cap's progress key, which keeps its name) must not
-# survive in code, scripts or docs. The pattern is assembled from halves
-# so this script does not match itself.
+# it tightened — not the cap's progress key, which keeps its name; the rate
+# source's constructor and schema; the engine's sync-maintenance bool — not
+# the writer option of that name, which starts lower-case) must not survive
+# in code, scripts or docs. The pattern is assembled from halves so this
+# script does not match itself.
+# Every dead-path baseline entry names one of the four reasons in the
+# baseline's legend. An entry with any other reason, or none, would park a
+# name without a decision.
+step "dead-path baseline reasons"
+reasons='interface method|fault or test seam|frozen-benchmark hostage \(item 4\)|error path only its own tests reach'
+unreasoned=$(grep -v -e '^#' -e '^$' scripts/deadpaths.baseline | grep -vE "^[^[:space:]#]+[[:space:]]+# ($reasons)\$" || true)
+if [ -n "$unreasoned" ]; then
+	echo "$unreasoned" | sed 's/^/  /'
+	echo "verify: the scripts/deadpaths.baseline entries above give none of the four reasons in its legend"
+	exit 1
+fi
 step "stale-reference guard"
 stale='bench''-json|bench''-compare|BENCH''_20|RunBench''Suite|Disable''Tracing|Disable''Health|Health''Config'
 stale="$stale"'|Run''Stage|No''Speculate|Inject''TaskFailure|Inject''Slowdown|Speculation''M'
@@ -187,12 +202,13 @@ stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Ex
 stale="$stale"'|JoinShuffle''Row'
 stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
 stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPart''itioned|FlatMap''Operator'
-stale="$stale"'|Super''vise|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
-stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis|STRUCTREAM''_CHAOS'
+stale="$stale"'|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
+stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis'
 stale="$stale"'|mem''Backend|Backend''Memory|store''Backend|StateSnapshot''Interval|Snapshots''Written|latestSnapshot''AtOrBelow'
 stale="$stale"'|Observe''Epoch|Sync''Capture|Disable''Profiles|CPUProfile''Duration|Cooldown''Epochs|List''Bundles|Verify''Bundle'
 stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.Write''Failures\('
 stale="$stale"'|aimd''Limiter|Adaptive''Backpressure|Backpressure''Target|Backpressure''Decision|admission''Cap\('
+stale="$stale"'|NewRate''Source|Rate''Schema|StateSync''Maintenance'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1

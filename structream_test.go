@@ -186,6 +186,17 @@ func TestSQLBatchQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectRows(t, rows, "[9, 3]")
+
+	// A global aggregate over no rows is one row, as in SQL: count(*) is 0
+	// and sum is NULL.
+	s.RegisterTable("empty", NewSchema(Field{Name: "x", Type: Int64}), nil)
+	if df, err = s.SQL("SELECT sum(x) AS total, count(*) AS n FROM empty"); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = df.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, rows, "[NULL, 0]")
 }
 
 func TestDataFrameOperators(t *testing.T) {
@@ -439,4 +450,83 @@ func TestActiveQueriesAndStopAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = q
+}
+
+// TestSQLExpressionsBatchAndStreaming runs one SQL query per row of the
+// table twice: as a batch query over a registered table and as a streaming
+// query over a MemoryStream fed in two epochs, whose compiled plan runs on
+// column vectors. Both must return the hand-written rows.
+func TestSQLExpressionsBatchAndStreaming(t *testing.T) {
+	schema := NewSchema(
+		Field{Name: "name", Type: String},
+		Field{Name: "alias", Type: String},
+		Field{Name: "flag", Type: Bool},
+		Field{Name: "done", Type: Bool},
+		Field{Name: "n", Type: Int64},
+		Field{Name: "doc", Type: String},
+		Field{Name: "ts", Type: Timestamp},
+	)
+	at := func(s int64) int64 { return TimestampValue(time.Unix(s, 0)) }
+	input := []Row{
+		{"a", "a", true, true, 1, `{"k":"x","v":1}`, at(1)},
+		{"b", "c", false, true, 2, `{"k":"y"}`, at(2)},
+		{"c", "c", true, false, 5, `{"v":3}`, at(12)},
+		{"d", "e", false, false, 10, `not json`, at(13)},
+	}
+	for _, tc := range []struct {
+		name, query string
+		mode        OutputMode
+		want        []string
+	}{
+		{"cast to boolean", `SELECT name, CAST(n - 1 AS BOOLEAN) AS nz FROM t`, Append,
+			[]string{"[a, false]", "[b, true]", "[c, true]", "[d, true]"}},
+		{"json_get", `SELECT name, json_get(doc, 'k') AS k FROM t`, Append,
+			[]string{"[a, x]", "[b, y]", "[c, NULL]", "[d, NULL]"}},
+		{"not in", `SELECT name FROM t WHERE name NOT IN ('a', 'c')`, Append, []string{"[b]", "[d]"}},
+		{"not like", `SELECT name FROM t WHERE doc NOT LIKE '{%'`, Append, []string{"[d]"}},
+		{"not between", `SELECT name FROM t WHERE n NOT BETWEEN 2 AND 5`, Append, []string{"[a]", "[d]"}},
+		{"bool = bool", `SELECT name FROM t WHERE flag = done`, Append, []string{"[a]", "[d]"}},
+		{"string column = string column", `SELECT name FROM t WHERE name = alias`, Append, []string{"[a]", "[c]"}},
+		{"not bool column", `SELECT name FROM t WHERE NOT flag`, Append, []string{"[b]", "[d]"}},
+		{"where under a window grouping",
+			`SELECT window(ts, '10 seconds') AS w, count(*) AS c FROM t WHERE flag GROUP BY window(ts, '10 seconds')`, Complete,
+			[]string{"[[1970-01-01T00:00:00.000000Z, 1970-01-01T00:00:10.000000Z), 1]", "[[1970-01-01T00:00:10.000000Z, 1970-01-01T00:00:20.000000Z), 1]"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession()
+			s.RegisterTable("t", schema, input)
+			df, err := s.SQL(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := df.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectRows(t, rows, tc.want...)
+
+			s = NewSession()
+			_, feed := s.MemoryStream("t", schema)
+			if df, err = s.SQL(tc.query); err != nil {
+				t.Fatal(err)
+			}
+			q, err := df.WriteStream().Format("memory").QueryName("out").OutputMode(tc.mode).
+				Trigger(ProcessingTime(time.Hour)).Checkpoint(t.TempDir()).Start("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Stop()
+			for _, part := range [][]Row{input[:2], input[2:]} {
+				feed.AddData(part...)
+				if err := q.ProcessAllAvailable(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, _ := s.Table("out")
+			if rows, err = out.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			expectRows(t, rows, tc.want...)
+		})
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"structream/internal/colfmt"
 	"structream/internal/engine"
 	"structream/internal/incremental"
+	"structream/internal/lsm"
 	"structream/internal/serve"
 	"structream/internal/sinks"
 	"structream/internal/sources"
@@ -94,8 +95,11 @@ func (w *DataStreamWriter) Checkpoint(dir string) *DataStreamWriter {
 // commit path instead of the background goroutine,
 // "publish" — "true" attaches a live serving hub to the query (requires a
 // sink that supports replay, i.e. the memory sink; see Session.Publish),
-// "retainEpochs" — N bounds the memory sink to the last N committed
-// epochs; subscribers resuming below the floor restart from a snapshot,
+// "retainEpochs" — N bounds the checkpoint and the memory sink: every N
+// epochs the query purges WAL entries and state files older than the last
+// N epochs (what recovery needs is always kept, and a manual rollback can
+// reach N epochs back), and the memory sink keeps the last N committed
+// epochs, so subscribers resuming below the floor restart from a snapshot,
 // "transactional" — "true" makes the bus sink commit each epoch through a
 // control topic). Numeric options take an integer and the others named
 // "true"/"false"; Start refuses a value that is not one, naming the key.
@@ -220,7 +224,10 @@ func (w *DataStreamWriter) Start(path string) (*StreamingQuery, error) {
 		opts.StateBlockCacheBytes = n
 	}
 	if w.opts["stateSyncMaintenance"] == "true" {
-		opts.StateSyncMaintenance = true
+		opts.StateMaintenanceScheduler = lsm.SyncScheduler()
+	}
+	if n, err := strconv.ParseInt(w.opts["retainEpochs"], 10, 64); err == nil && n > 0 {
+		opts.RetainEpochs = n
 	}
 	sq, err := engine.Start(q, srcs, sink, opts)
 	if err != nil {
