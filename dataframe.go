@@ -281,14 +281,6 @@ func (df *DataFrame) Collect() ([]Row, error) {
 		return nil, err
 	}
 	optimized := optimizer.Optimize(analyzed)
-	// Prefer the vectorized batch pipeline; plans outside the vectorizable
-	// shape (or with expressions that don't compile to kernels) run the
-	// row-operator tree, with identical results.
-	if op, ok, err := physical.TryCompileVec(optimized, df.s.batchResolver); err != nil {
-		return nil, err
-	} else if ok {
-		return physical.Drain(op)
-	}
 	op, err := physical.Compile(optimized, df.s.batchResolver)
 	if err != nil {
 		return nil, err

@@ -7,11 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzColfmtSegment feeds arbitrary bytes to the two segment readers as a
+// FuzzColfmtSegment feeds arbitrary bytes to the segment reader as a
 // segment file. Nothing may panic or size an allocation from an unchecked
-// length; whatever the boxed reader accepts must be rows of the schema it
-// read, and the typed reader, where it accepts, must agree with them on the
-// row count.
+// length; whatever the reader accepts must be rows of the schema it read.
 func FuzzColfmtSegment(f *testing.F) {
 	dir := f.TempDir()
 	if _, err := WriteSegment(dir, "seed.seg", schema, rows, 0); err != nil {
@@ -33,11 +31,6 @@ func FuzzColfmtSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		sch, got, err := ReadSegment(dir, "f.seg")
-		if vsch, b, ok, verr := ReadSegmentVec(dir, "f.seg"); verr == nil && ok {
-			if err != nil || !vsch.Equal(sch) || b.Len != len(got) {
-				t.Fatalf("typed reader read %d rows of %s, boxed reader %d of %s (%v)", b.Len, vsch, len(got), sch, err)
-			}
-		}
 		if err != nil {
 			return
 		}

@@ -234,7 +234,8 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instru
 			return
 		}
 		procStart := time.Now()
-		rows := pipe.Process(raw)
+		var rows []sql.Row
+		pipe.ProcessTo(raw, func(r sql.Row) { rows = append(rows, r) })
 		ce.procNanos.Add(time.Since(procStart).Nanoseconds())
 		if len(rows) > 0 {
 			seq++

@@ -206,7 +206,7 @@ func TestTelemetryContractInBothModes(t *testing.T) {
 	}
 }
 
-// TestContinuousRetriesTransientReads: Options.MaxIORetries promises retry
+// TestContinuousRetriesTransientReads: the engine's I/O retry promises retry
 // "on a source read or sink write" and continuous workers must honour it —
 // one transient read fault is absorbed, counted once, and costs no row.
 func TestContinuousRetriesTransientReads(t *testing.T) {
@@ -216,8 +216,7 @@ func TestContinuousRetriesTransientReads(t *testing.T) {
 	q := compile(t, streamScan("events"), logical.Append, nil)
 	sink := sinks.NewMemorySink()
 	sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
-		Trigger:      ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
-		RetryBackoff: time.Microsecond,
+		Trigger: ContinuousTrigger{EpochInterval: 5 * time.Millisecond},
 	})
 	for i := 0; i < 10; i++ {
 		inner.AddData(sql.Row{fmt.Sprintf("k%d", i), float64(i), int64(0)})

@@ -118,19 +118,28 @@ func (c *core) bind(p *incremental.Pipeline, srcs map[string]sources.Source, pru
 	return is, nil
 }
 
+// The retry budget of a transient I/O error on a source read or sink write,
+// in either execution mode: maxIORetries retries, the first after
+// retryBackoff, each later one after twice the delay before it, plus jitter.
+// A fault that outlasts them fails the epoch — in continuous mode, the query.
+const (
+	maxIORetries = 3
+	retryBackoff = 2 * time.Millisecond
+)
+
 // withRetry runs fn, retrying transient I/O errors (EIO, ENOSPC, injected
-// fsx.ErrTransient) up to MaxIORetries times with exponential backoff plus
+// fsx.ErrTransient) up to maxIORetries times with exponential backoff plus
 // jitter. Non-transient errors — crashes, corruption, logic errors — fail
 // immediately: retrying those would mask real damage.
 func (c *core) withRetry(fn func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = fn()
-		if err == nil || !fsx.IsTransient(err) || attempt >= c.opts.MaxIORetries {
+		if err == nil || !fsx.IsTransient(err) || attempt >= maxIORetries {
 			return err
 		}
 		c.reg.Counter("ioRetries").Add(1)
-		backoff := c.opts.RetryBackoff << attempt
+		backoff := retryBackoff << attempt
 		backoff += time.Duration(rand.Int63n(int64(backoff)/2 + 1))
 		time.Sleep(backoff)
 	}

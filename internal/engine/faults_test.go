@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"time"
 
 	"structream/internal/fsx"
 	"structream/internal/msgbus"
@@ -20,13 +19,12 @@ import (
 
 // TestTransientFaultBudgetAtEveryWorkerCount: the engine has one failure
 // model, whatever Options.Workers says. A task runs once; a transient read
-// fault is retried inside it, MaxIORetries times. A burst within that
+// fault is retried inside it, maxIORetries times. A burst within that
 // budget costs exactly one retry per fault and no row; a burst one longer
 // fails the epoch — with the same error at every worker count — and a
 // restart from the checkpoint replays it to the exact result (§6.2:
 // recovery is the WAL's epoch definition re-run, not an in-flight retry).
 func TestTransientFaultBudgetAtEveryWorkerCount(t *testing.T) {
-	const maxIORetries = 3
 	// One shard's worth of rows, so the map stage is one task at every
 	// worker count and the whole burst lands on it.
 	rows := make([]sql.Row, minRecordsPerShard)
@@ -60,7 +58,6 @@ func TestTransientFaultBudgetAtEveryWorkerCount(t *testing.T) {
 					q := compile(t, countByKey(streamScan("events")), logical.Complete, nil)
 					return startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{
 						Checkpoint: ckpt, Workers: workers, NumPartitions: 4,
-						MaxIORetries: maxIORetries, RetryBackoff: time.Microsecond,
 					})
 				}
 				sq := start()

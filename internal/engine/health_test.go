@@ -182,8 +182,7 @@ func TestSourceReadErrorsSurfaceInProgress(t *testing.T) {
 		Exprs: []sql.Expr{sql.Col("k"), sql.Col("v")}}
 	q := compile(t, plan, logical.Append, nil)
 	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink,
-		Options{RetryBackoff: time.Microsecond})
+	sq := startQuery(t, q, map[string]sources.Source{"events": flaky}, sink, Options{})
 	inner.AddData(sql.Row{"a", 1.0, 0})
 	if err := sq.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)

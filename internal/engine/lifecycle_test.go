@@ -38,9 +38,8 @@ func TestQueryStatusLifecycle(t *testing.T) {
 	}
 	q2 := compile(t, streamScan("events"), logical.Append, nil)
 	sq2, err := Start(q2, map[string]sources.Source{"events": failing}, sinks.NewMemorySink(), Options{
-		Checkpoint:   t.TempDir(),
-		Trigger:      OnceTrigger{},
-		MaxIORetries: -1,
+		Checkpoint: t.TempDir(),
+		Trigger:    OnceTrigger{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ type Options struct {
 	// checkpoint files are byte-identical either way: slices are contiguous
 	// and concatenate in task order, and the exchange hashes exactly as the
 	// row path does. The failure model is the same at every count: a task
-	// runs once, transient I/O is retried inside it (MaxIORetries), and any
+	// runs once, transient I/O is retried inside it (maxIORetries), and any
 	// other error fails the epoch for WAL replay. Continuous mode ignores
 	// Workers: it always runs one long-lived worker per (pipeline, source
 	// partition).
@@ -100,14 +100,6 @@ type Options struct {
 	// the hardened real filesystem (fsync of files and parent directories);
 	// tests inject fsx.FaultFS, benchmarks may pass fsx.NoSync().
 	FS fsx.FS
-	// MaxIORetries bounds how many times a transient I/O error (EIO,
-	// ENOSPC, ...) on a source read or sink write, in either execution
-	// mode, is retried before the epoch — in continuous mode, the query —
-	// fails (default 3; negative disables retry).
-	MaxIORetries int
-	// RetryBackoff is the base delay of the exponential backoff between
-	// retries; each attempt doubles it and adds jitter (default 2ms).
-	RetryBackoff time.Duration
 	// EpochTimeout fails an epoch (with ErrEpochTimeout) that has not
 	// completed within this duration — the watchdog for hung sources,
 	// tasks, or sinks. 0 disables. The timeout is worth a restart: the
@@ -130,12 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = fsx.Real()
-	}
-	if o.MaxIORetries == 0 {
-		o.MaxIORetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
 	}
 	return o
 }
@@ -769,14 +755,17 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	}
 	res.evt = scanEventTime(pipe, raw, batch)
 	switch {
-	case pipe.KeyEvals == nil && batch == nil:
-		res.direct = pipe.Process(raw)
-	case pipe.KeyEvals == nil && e.colSink != nil && pipe.FullyVectorized():
+	case pipe.KeyEvals == nil && batch != nil && e.colSink != nil && pipe.FullyVectorized():
 		// The whole pipeline ran as kernels and the sink takes column
 		// batches: skip row materialization entirely.
 		res.vecOut = pipe.ApplyVec(batch)
 	case pipe.KeyEvals == nil:
-		pipe.ProcessBatchTo(batch, func(row sql.Row) { res.direct = append(res.direct, row) })
+		emit := func(row sql.Row) { res.direct = append(res.direct, row) }
+		if batch != nil {
+			pipe.ProcessBatchTo(batch, emit)
+		} else {
+			pipe.ProcessTo(raw, emit)
+		}
 	case batch != nil && pipe.KeyIdxs != nil && pipe.FullyVectorized():
 		// Columnar exchange: the batch stays columnar through the whole
 		// pipeline, so route it by hashing the key column vectors lane by

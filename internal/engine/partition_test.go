@@ -559,7 +559,6 @@ func runPartitionTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, worker
 		NumPartitions:        2,
 		MaxRecordsPerTrigger: 8,
 		Trigger:              ProcessingTimeTrigger{Interval: time.Hour}, // driven manually
-		RetryBackoff:         time.Microsecond,
 	})
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
+	"structream/internal/sql/logical"
 	"structream/internal/wal"
 )
 
@@ -252,6 +253,9 @@ func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
 	}
 	return recent[0], true
 }
+
+// OutputMode returns the query's validated output mode.
+func (q *StreamingQuery) OutputMode() logical.OutputMode { return q.core.q.Mode }
 
 // AddEpochListener registers fn to be called after every epoch commit
 // (the WAL commit record is durable and the sink holds the epoch's rows).

@@ -100,8 +100,6 @@ func restartOptions(ckpt string, fs fsx.FS) Options {
 		FS:                   fs,
 		Trigger:              ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
 		MaxRecordsPerTrigger: 16,
-		MaxIORetries:         1,
-		RetryBackoff:         time.Millisecond,
 		EpochTimeout:         250 * time.Millisecond,
 	}
 }
@@ -211,8 +209,8 @@ func TestRestartConvergesUnderChaos(t *testing.T) {
 			fs = crashingFS(10) // dies inside an epoch's WAL writes
 		case 2:
 			// One failure more than the engine's I/O retry absorbs
-			// (MaxIORetries + 1 reads): the epoch fails.
-			flaky.FailReads(fsx.Transient("flaky network"), 2)
+			// (maxIORetries + 1 reads): the epoch fails.
+			flaky.FailReads(fsx.Transient("flaky network"), maxIORetries+1)
 		case 3:
 			flaky.StallReads()
 		}
@@ -299,10 +297,10 @@ func TestRestartSurvivesFlakyBroker(t *testing.T) {
 		topic.InjectFetchFault(nil)
 		if n == 1 {
 			// One fault more than the engine's I/O retry absorbs
-			// (MaxIORetries + 1 fetches): the task fails, and with it the
+			// (maxIORetries + 1 fetches): the task fails, and with it the
 			// epoch — a task runs once.
 			var left atomic.Int64
-			left.Store(2)
+			left.Store(maxIORetries + 1)
 			topic.InjectFetchFault(func(part int, from int64) error {
 				if left.Add(-1) >= 0 {
 					return fsx.Transient("broker connection reset")
@@ -312,10 +310,8 @@ func TestRestartSurvivesFlakyBroker(t *testing.T) {
 		}
 		src := sources.NewCodecBusSource("events", topic, eventsSchema)
 		return Start(compile(t, doubled(), logical.Append, nil), map[string]sources.Source{"events": src}, sink, Options{
-			Checkpoint:   ckpt,
-			Trigger:      ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
-			MaxIORetries: 1,
-			RetryBackoff: time.Millisecond,
+			Checkpoint: ckpt,
+			Trigger:    ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
 		})
 	})
 	t.Cleanup(func() { stop() })
@@ -359,17 +355,15 @@ func TestArrivalRestartLeavesOneRegistration(t *testing.T) {
 	stop := restartByHand(func(int) (*StreamingQuery, error) {
 		src := sources.NewCodecBusSource("events", topic, eventsSchema)
 		return Start(compile(t, doubled(), logical.Append, nil), map[string]sources.Source{"events": src}, sink, Options{
-			Checkpoint:   ckpt,
-			Trigger:      ProcessingTimeTrigger{},
-			MaxIORetries: 1,
-			RetryBackoff: time.Millisecond,
+			Checkpoint: ckpt,
+			Trigger:    ProcessingTimeTrigger{},
 		})
 	})
 	t.Cleanup(func() { stop() })
 
 	produce(0)
 	waitFor(t, func() bool { return len(sink.Rows()) == 1 })
-	faults.Store(2) // MaxIORetries + 1 fetches: the next epoch fails
+	faults.Store(maxIORetries + 1) // one fetch more than the retry absorbs: the next epoch fails
 	produce(1)
 	waitFor(t, func() bool { return len(sink.Rows()) == 2 })
 	produce(2)
@@ -415,7 +409,7 @@ func TestRestartConvergesUnderSeededFaults(t *testing.T) {
 				case f.kind == 1:
 					f.arg = 4 + rng.Intn(30)
 				case f.kind == 2:
-					f.arg = 2 + rng.Intn(11) // more than the I/O retry absorbs
+					f.arg = maxIORetries + 1 + rng.Intn(11) // more than the I/O retry absorbs
 				case stalled:
 					f.kind = 0 // one stall a schedule keeps it quick
 				}

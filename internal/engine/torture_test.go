@@ -63,7 +63,6 @@ func launchTorture(t *testing.T, ckpt, sinkDir string, fsys fsx.FS, rows int, tu
 		NumPartitions:        1,
 		MaxRecordsPerTrigger: 8,
 		Trigger:              ProcessingTimeTrigger{Interval: time.Hour}, // driven manually
-		RetryBackoff:         time.Microsecond,
 	}
 	for _, fn := range tune {
 		fn(&opts)
@@ -430,7 +429,6 @@ func TestTransientSourceErrorRetried(t *testing.T) {
 		Checkpoint:    t.TempDir(),
 		NumPartitions: 1,
 		Trigger:       ProcessingTimeTrigger{Interval: time.Hour},
-		RetryBackoff:  time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -253,23 +253,17 @@ func (p *Pipeline) ApplyVec(b *vec.Batch) *vec.Batch {
 	return b
 }
 
-// Process runs one task's rows through a freshly instantiated fused
-// pipeline and returns the stage-output rows.
+// Process is ProcessTo collecting the stage-output rows. The engine calls
+// ProcessTo; Process stays because the frozen benchmark/isolated.go calls it.
 func (p *Pipeline) Process(rows []sql.Row) []sql.Row {
 	var out []sql.Row
-	sink := func(r sql.Row) { out = append(out, r) }
-	emit, flushes := p.instantiate(sink)
-	for _, r := range rows {
-		emit(r)
-	}
-	for _, f := range flushes {
-		f()
-	}
+	p.ProcessTo(rows, func(r sql.Row) { out = append(out, r) })
 	return out
 }
 
-// ProcessTo runs one task's rows, pushing outputs to sink directly (used
-// by the engine to route into shuffle buckets without materializing).
+// ProcessTo runs one task's rows through a freshly instantiated fused
+// pipeline, pushing outputs to sink directly (the engine routes them into
+// shuffle buckets or its output without materializing a copy).
 func (p *Pipeline) ProcessTo(rows []sql.Row, sink RowEmit) {
 	emit, flushes := p.instantiate(sink)
 	for _, r := range rows {

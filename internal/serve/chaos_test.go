@@ -336,8 +336,6 @@ func TestChurnChaosSuite(t *testing.T) {
 				FS:                   fs,
 				Trigger:              engine.ProcessingTimeTrigger{Interval: 2 * time.Millisecond},
 				MaxRecordsPerTrigger: 16,
-				MaxIORetries:         1,
-				RetryBackoff:         time.Millisecond,
 				EpochTimeout:         250 * time.Millisecond,
 			})
 		if err == nil {

@@ -202,6 +202,7 @@ type Hub struct {
 	detach   func() // removes the engine epoch listener
 	attached *engine.StreamingQuery
 	query    *engine.StreamingQuery // newest attached instance (for state reads)
+	mode     logical.OutputMode     // query's output mode; meaningful once query != nil
 	health   *health.Tracker        // attached instance's health tracker; nil before Attach
 	rng      *rand.Rand
 }
@@ -257,6 +258,7 @@ func (h *Hub) Attach(q *engine.StreamingQuery) {
 	detach := h.detach
 	h.attached = q
 	h.query = q
+	h.mode = q.OutputMode()
 	h.health = q.Health()
 	h.mu.Unlock()
 	if detach != nil {
@@ -352,7 +354,7 @@ func (h *Hub) advance() {
 		next := h.last + 1
 		now := h.opts.Clock()
 		var f Frame
-		mode, _ := h.rep.Mode()
+		mode, _ := h.modeLocked()
 		switch {
 		case mode != logical.Append:
 			// Update/Complete deliver per-epoch snapshots of the result
@@ -393,6 +395,16 @@ func (h *Hub) advance() {
 		h.sweepLocked()
 		h.mu.Unlock()
 	}
+}
+
+// modeLocked returns the output mode of the served result: the attached
+// query's, which is known before its first epoch, or, before any Attach,
+// the mode the sink's batches were written in (none before the first).
+func (h *Hub) modeLocked() (logical.OutputMode, bool) {
+	if h.query != nil {
+		return h.mode, true
+	}
+	return h.rep.Mode()
 }
 
 // ringOpenLocked reports whether broadcastLocked would append a frame to
@@ -553,7 +565,7 @@ func (h *Hub) Subscribe(o SubscribeOptions) (*Subscription, error) {
 		helloPending: !o.SkipHello,
 	}
 	h.nextID++
-	mode, _ := h.rep.Mode()
+	mode, _ := h.modeLocked()
 	switch {
 	case o.Cursor >= 0:
 		h.reg.Counter("resumes").Add(1)
@@ -712,7 +724,7 @@ func (s *Subscription) stepLocked() (Frame, bool, error) {
 		case s.helloPending:
 			s.helloPending = false
 			s.lastDrain = now
-			mode, _ := h.rep.Mode()
+			mode, _ := h.modeLocked()
 			return Frame{
 				Kind: FrameHello, Query: h.name, Cursor: s.cursor,
 				Schema:          h.rep.Schema().Names(),
@@ -730,7 +742,7 @@ func (s *Subscription) stepLocked() (Frame, bool, error) {
 			reason := s.resetReason
 			s.resetReason = ""
 			s.cursor = ep
-			mode, _ := h.rep.Mode()
+			mode, _ := h.modeLocked()
 			if mode == logical.Append && s.cursor < h.last {
 				s.lagged = true
 			}
@@ -754,7 +766,7 @@ func (s *Subscription) stepLocked() (Frame, bool, error) {
 				s.resetReason = "cursor below retention floor"
 				continue
 			}
-			mode, hasMode := h.rep.Mode()
+			mode, hasMode := h.modeLocked()
 			if hasMode && mode != logical.Append {
 				s.snapshotPending = true
 				s.resetReason = "non-append mode resumes by snapshot"

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"unsafe"
 
@@ -200,99 +199,6 @@ func abandonRow(cols []*vec.Vector, i, c int) (bool, bool) {
 		}
 	}
 	return false, true
-}
-
-// DecodeColumnToVector decodes a column block — nrows consecutive tagged
-// values, the layout colfmt segments store — into a typed vector.
-// ok=false (with no error) means a value's wire tag does not match the
-// vector's kind, so the caller must decode the column boxed; a malformed
-// block is an error, exactly as in DecodeValues.
-func DecodeColumnToVector(block []byte, v *vec.Vector, nrows int) (bool, error) {
-	pos := 0
-	for i := 0; i < nrows; i++ {
-		if pos >= len(block) {
-			return false, fmt.Errorf("codec: column block truncated at value %d", i)
-		}
-		tag := block[pos]
-		pos++
-		if tag == tagNull {
-			if v.Kind == vec.KindAny {
-				v.Anys[i] = nil
-			} else {
-				v.SetNull(i, nrows)
-			}
-			continue
-		}
-		switch v.Kind {
-		case vec.KindInt64:
-			if tag != tagInt64 {
-				return false, nil
-			}
-			val, w := sql.Varint(block[pos:])
-			if w <= 0 {
-				return false, fmt.Errorf("codec: corrupt varint at value %d", i)
-			}
-			pos += w
-			v.Int64s[i] = val
-		case vec.KindFloat64:
-			if tag != tagFloat64 {
-				return false, nil
-			}
-			if pos+8 > len(block) {
-				return false, fmt.Errorf("codec: truncated float at value %d", i)
-			}
-			v.Float64s[i] = math.Float64frombits(binary.BigEndian.Uint64(block[pos:]))
-			pos += 8
-		case vec.KindBool:
-			switch tag {
-			case tagTrue:
-				v.Bools[i] = true
-			case tagFalse:
-				v.Bools[i] = false
-			default:
-				return false, nil
-			}
-		case vec.KindString:
-			if tag != tagString {
-				return false, nil
-			}
-			sl, sw := sql.Uvarint(block[pos:])
-			if sw <= 0 || sl > uint64(len(block)-pos-sw) { // compared unsigned: int(sl) can wrap negative
-				return false, fmt.Errorf("codec: corrupt string at value %d", i)
-			}
-			pos += sw
-			v.Strings[i] = string(block[pos : pos+int(sl)])
-			pos += int(sl)
-		case vec.KindWindow:
-			if tag != tagWindow {
-				return false, nil
-			}
-			start, w1 := sql.Varint(block[pos:])
-			if w1 <= 0 {
-				return false, fmt.Errorf("codec: corrupt window at value %d", i)
-			}
-			pos += w1
-			end, w2 := sql.Varint(block[pos:])
-			if w2 <= 0 {
-				return false, fmt.Errorf("codec: corrupt window at value %d", i)
-			}
-			pos += w2
-			v.WStarts[i] = start
-			v.WEnds[i] = end
-		default: // KindAny: decode boxed
-			d := Decoder{buf: block, off: pos - 1}
-			val, err := d.Value()
-			if err != nil {
-				return false, err
-			}
-			pos = d.off
-			v.Anys[i] = val
-		}
-	}
-	if pos != len(block) {
-		return false, fmt.Errorf("codec: column block has trailing bytes")
-	}
-	return true, nil
 }
 
 // VectorKeyString appends the encoded form of one grouping key drawn

@@ -58,11 +58,6 @@ func TestDecodeRejectsWrappingLength(t *testing.T) {
 	if added, compat := DecodeRowToBatchShared(rec, []*vec.Vector{nil}, 0, 1); added || !compat {
 		t.Fatalf("pruned decoder returned added=%v compat=%v, want a skipped row", added, compat)
 	}
-	// The column-block decoder reads the same value layout without the row
-	// length prefix.
-	if ok, err := DecodeColumnToVector(rec[1:], vec.NewVector(vec.KindString, 1), 1); ok || err == nil {
-		t.Fatalf("column decoder returned ok=%v err=%v, want an error", ok, err)
-	}
 }
 
 // FuzzDecodeRowPruned feeds arbitrary bytes and an arbitrary keep mask to

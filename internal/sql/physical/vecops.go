@@ -2,7 +2,6 @@ package physical
 
 import (
 	"structream/internal/sql"
-	"structream/internal/sql/logical"
 	"structream/internal/sql/vec"
 )
 
@@ -17,15 +16,6 @@ import (
 // vectors; they produce new vectors or narrow the selection.
 type VecOp interface {
 	Apply(*vec.Batch) *vec.Batch
-}
-
-// VecSource is an optional extension of RowSource for inputs that can
-// serve column batches directly (colfmt segments, codec-framed bus
-// topics). NextVec returns the next batch columnar when possible; a
-// batch whose stored types drift from the schema comes back as rows
-// instead (exactly one of batch/rows is non-nil). (nil, nil, nil) is EOF.
-type VecSource interface {
-	NextVec() (*vec.Batch, []sql.Row, error)
 }
 
 // ---------------------------------------------------------------- filter
@@ -214,181 +204,4 @@ func columnGetter(v *vec.Vector) func(int) sql.Value {
 		vals := v.Anys
 		return func(i int) sql.Value { return vals[i] }
 	}
-}
-
-// ------------------------------------------------------------ batch plan
-
-// vecFusedOp is the ColumnBatch variant of fusedOp for batch execution:
-// it pulls row batches (or column batches, when the source supports
-// NextVec) from the scan leaf, runs the vectorized ops, and materializes
-// rows at its output boundary. A batch whose dynamic types drift from
-// the schema falls back to the composed row BatchFunc, so results are
-// identical either way.
-type vecFusedOp struct {
-	src       RowSource
-	srcSchema sql.Schema
-	schema    sql.Schema
-	ops       []VecOp
-	rowFn     BatchFunc
-}
-
-func (f *vecFusedOp) Schema() sql.Schema { return f.schema }
-func (f *vecFusedOp) Open() error        { return nil }
-func (f *vecFusedOp) Close() error       { return f.src.Close() }
-
-func (f *vecFusedOp) Next() ([]sql.Row, error) {
-	vs, hasVec := f.src.(VecSource)
-	for {
-		var vb *vec.Batch
-		if hasVec {
-			b, rows, err := vs.NextVec()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil && rows == nil {
-				return nil, nil
-			}
-			if b == nil {
-				// Type drift: the source already failed to vectorize this
-				// batch, so run it straight through the row pipeline.
-				out := f.rowFn(rows)
-				if len(out) == 0 {
-					continue
-				}
-				return out, nil
-			}
-			vb = b
-		} else {
-			rows, err := f.src.Next()
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				return nil, nil
-			}
-			b, ok := vec.FromRows(f.srcSchema, rows)
-			if !ok {
-				out := f.rowFn(rows)
-				if len(out) == 0 {
-					continue
-				}
-				return out, nil
-			}
-			vb = b
-		}
-		for _, op := range f.ops {
-			vb = op.Apply(vb)
-		}
-		var out []sql.Row
-		EmitBatchRows(vb, func(r sql.Row) { out = append(out, r) })
-		if len(out) == 0 {
-			continue
-		}
-		return out, nil
-	}
-}
-
-// TryCompileVec lowers a plan to the vectorized batch pipeline when it
-// is a chain of Filter/Project/WindowAssign(tumbling)/WithWatermark/
-// SubqueryAlias nodes over a Scan and every expression compiles to
-// kernels. ok=false (with no error) means "use Compile instead"; the
-// plan is outside the vectorizable shape or an expression needs the row
-// path. Plans with no vectorizable stage also return ok=false — a bare
-// scan gains nothing from the columnar detour.
-func TryCompileVec(plan logical.Plan, resolve ScanResolver) (Operator, bool, error) {
-	// Walk down to the scan, collecting stage nodes top-down.
-	var chain []logical.Plan
-	cur := plan
-	var scan *logical.Scan
-walk:
-	for {
-		switch n := cur.(type) {
-		case *logical.Filter:
-			chain = append(chain, n)
-			cur = n.Child
-		case *logical.Project:
-			chain = append(chain, n)
-			cur = n.Child
-		case *logical.WindowAssign:
-			if n.Window.Size != n.Window.Slide {
-				return nil, false, nil // sliding windows explode rows
-			}
-			chain = append(chain, n)
-			cur = n.Child
-		case *logical.WithWatermark:
-			cur = n.Child // batch no-op, like Compile
-		case *logical.SubqueryAlias:
-			chain = append(chain, n)
-			cur = n.Child
-		case *logical.Scan:
-			scan = n
-			break walk
-		default:
-			return nil, false, nil
-		}
-	}
-	src, err := resolve(scan)
-	if err != nil {
-		return nil, false, err
-	}
-	schema := src.Schema()
-	srcSchema := schema
-	var ops []VecOp
-	var fns []BatchFunc
-	stages := 0
-	// Build bottom-up (reverse of the collected chain).
-	for i := len(chain) - 1; i >= 0; i-- {
-		switch n := chain[i].(type) {
-		case *logical.SubqueryAlias:
-			schema = schema.Qualify(n.Alias)
-		case *logical.Filter:
-			b, err := n.Cond.Bind(schema)
-			if err != nil {
-				return nil, false, err
-			}
-			prog, ok := vec.Compile(n.Cond, schema)
-			if !ok {
-				return nil, false, nil
-			}
-			ops = append(ops, NewVecFilter(prog))
-			fns = append(fns, FilterFunc(b.Eval))
-			stages++
-		case *logical.Project:
-			evals, out, err := BindProjection(n.Exprs, schema)
-			if err != nil {
-				return nil, false, err
-			}
-			progs, ok := vec.CompileAll(n.Exprs, schema)
-			if !ok {
-				return nil, false, nil
-			}
-			ops = append(ops, NewVecProject(progs, out))
-			fns = append(fns, ProjectFunc(evals))
-			schema = out
-			stages++
-		case *logical.WindowAssign:
-			t, err := n.Window.Time.Bind(schema)
-			if err != nil {
-				return nil, false, err
-			}
-			prog, ok := vec.Compile(n.Window.Time, schema)
-			if !ok || vec.KindOf(prog.Type) != vec.KindInt64 {
-				return nil, false, nil
-			}
-			out := schema.Concat(sql.Schema{Fields: []sql.Field{{Name: n.Name, Type: sql.TypeWindow}}})
-			ops = append(ops, NewVecWindow(prog, n.Window, out))
-			fns = append(fns, WindowAssignFunc(t.Eval, n.Window))
-			schema = out
-			stages++
-		}
-	}
-	if stages == 0 {
-		return nil, false, nil
-	}
-	rowFn := fns[0]
-	for _, fn := range fns[1:] {
-		inner, outer := rowFn, fn
-		rowFn = func(rows []sql.Row) []sql.Row { return outer(inner(rows)) }
-	}
-	return &vecFusedOp{src: src, srcSchema: srcSchema, schema: schema, ops: ops, rowFn: rowFn}, true, nil
 }

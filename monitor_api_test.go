@@ -389,8 +389,8 @@ func TestPublishedQueryServing(t *testing.T) {
 	defer q.Stop()
 
 	frames := subscribeSSE(t, base+"/queries/served/subscribe")
-	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != -1 {
-		t.Fatalf("first frame = %+v, want a hello before any epoch", f)
+	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != -1 || f.Mode != "update" {
+		t.Fatalf("first frame = %+v, want an update-mode hello before any epoch", f)
 	}
 	feed.AddData(Row{"CA", 1, 1.0, 0}, Row{"US", 2, 1.0, 0}, Row{"CA", 3, 1.0, 0})
 	if err := q.ProcessAllAvailable(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"structream/internal/msgbus"
 	"structream/internal/sources"
 	"structream/internal/sql"
-	"structream/internal/sql/physical"
 )
 
 // DataStreamReader builds streaming DataFrames from input connectors,
@@ -151,10 +150,7 @@ func (r *DataFrameReader) Load(path string) (*DataFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Scans over the table read segments columnar (typed vectors, no
-		// per-cell boxing); rows is the boxed fallback view.
-		r.s.registerSourceTable(path, tbl.Schema, func() []sql.Row { return rows },
-			func() physical.RowSource { return colfmt.NewTableSource(tbl) })
+		r.s.RegisterTable(path, tbl.Schema, rows)
 		return r.s.Table(path)
 	case "json":
 		if r.schema.Len() == 0 {

@@ -209,6 +209,7 @@ stale="$stale"'|Observe''Epoch|Sync''Capture|Disable''Profiles|CPUProfile''Durat
 stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.Write''Failures\('
 stale="$stale"'|aimd''Limiter|Adaptive''Backpressure|Backpressure''Target|Backpressure''Decision|admission''Cap\('
 stale="$stale"'|NewRate''Source|Rate''Schema|StateSync''Maintenance'
+stale="$stale"'|TryCompile''Vec|vecFused''Op|Vec''Source|Next''Vec|ReadSegment''Vec|DecodeColumnTo''Vector|MaxIO''Retries|Retry''Backoff'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1

@@ -32,13 +32,10 @@ type Session struct {
 }
 
 // tableEntry is a static (or snapshot-backed) table. rows is a function so
-// memory-sink tables always serve a consistent current snapshot. newSource
-// is an optional factory for a richer scan source (columnar file tables
-// serve typed column batches); when nil, scans read rows.
+// memory-sink tables always serve a consistent current snapshot.
 type tableEntry struct {
-	schema    sql.Schema
-	rows      func() []sql.Row
-	newSource func() physical.RowSource
+	schema sql.Schema
+	rows   func() []sql.Row
 }
 
 // NewSession creates an empty session.
@@ -83,15 +80,6 @@ func (s *Session) registerLiveTable(name string, schema Schema, rows func() []sq
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables[name] = &tableEntry{schema: schema, rows: rows}
-}
-
-// registerSourceTable registers a table served by a scan-source factory
-// (columnar file tables); rows is the boxed fallback view of the same
-// data.
-func (s *Session) registerSourceTable(name string, schema Schema, rows func() []sql.Row, newSource func() physical.RowSource) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tables[name] = &tableEntry{schema: schema, rows: rows, newSource: newSource}
 }
 
 // RegisterStream binds a Source implementation under a name and returns a
@@ -166,9 +154,6 @@ func (s *Session) staticResolver(scan *logical.Scan) (physical.RowSource, error)
 
 // source builds a fresh scan source for the table.
 func (t *tableEntry) source() physical.RowSource {
-	if t.newSource != nil {
-		return t.newSource()
-	}
 	return physical.NewSliceSource(t.schema, t.rows())
 }
 
