@@ -8,6 +8,7 @@ import (
 
 	"structream/internal/fsx"
 	"structream/internal/sql"
+	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
@@ -68,42 +69,91 @@ func BenchmarkPartialAggUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkPartialAggUpdateBatch measures the columnar path over the same
-// data: batch grouping pass plus bulk count/sum kernels.
+// BenchmarkPartialAggUpdateBatch measures the columnar path: batch
+// grouping pass plus bulk count/sum kernels. keys=16 and keys=4096 run the
+// row benchmark's string-keyed data; ysb is ysb-bulk's map-side key, a
+// 10 s tumbling window plus an int64 campaign over 100 values, counted
+// over 65 536 lanes spanning two windows (200 groups). Each shape fails if
+// the batch does not resolve to its number of distinct keys.
 func BenchmarkPartialAggUpdateBatch(b *testing.B) {
-	for _, keys := range []int{16, 4096} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			rows := benchRows(8192, keys)
-			batch, ok := vec.FromRows(benchSchema, rows)
+	type shape struct {
+		name   string
+		schema sql.Schema
+		rows   []sql.Row
+		keys   []string   // key column names
+		inputs []sql.Expr // one per aggregate, nil for count(*)
+		aggs   []sql.BoundAgg
+	}
+	shapes := []shape{
+		{name: "keys=16", schema: benchSchema, rows: benchRows(8192, 16),
+			keys: []string{"k"}, inputs: []sql.Expr{nil, sql.Col("v")}, aggs: benchAggs()},
+		{name: "keys=4096", schema: benchSchema, rows: benchRows(8192, 4096),
+			keys: []string{"k"}, inputs: []sql.Expr{nil, sql.Col("v")}, aggs: benchAggs()},
+		{name: "ysb", schema: ysbKeySchema, rows: ysbKeyRows(65536, 100),
+			keys: []string{"window", "campaign_id"}, inputs: []sql.Expr{nil},
+			aggs: []sql.BoundAgg{{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			batch, ok := vec.FromRows(sh.schema, sh.rows)
 			if !ok {
 				b.Fatal("FromRows failed")
 			}
-			keyProg, ok := vec.Compile(sql.Col("k"), benchSchema)
-			if !ok {
-				b.Fatal("key compile failed")
+			plan := &VecAggPlan{Aggs: sh.aggs, InputProgs: make([]*vec.Program, len(sh.inputs))}
+			for _, k := range sh.keys {
+				prog, ok := vec.Compile(sql.Col(k), sh.schema)
+				if !ok {
+					b.Fatalf("key %s does not compile", k)
+				}
+				plan.KeyProgs = append(plan.KeyProgs, prog)
 			}
-			inProg, ok := vec.Compile(sql.Col("v"), benchSchema)
-			if !ok {
-				b.Fatal("input compile failed")
+			for i, in := range sh.inputs {
+				if in != nil {
+					if plan.InputProgs[i], ok = vec.Compile(in, sh.schema); !ok {
+						b.Fatalf("input %v does not compile", in)
+					}
+				}
 			}
-			aggs := benchAggs()
-			plan := &VecAggPlan{
-				KeyProgs:   []*vec.Program{keyProg},
-				InputProgs: []*vec.Program{nil, inProg},
-				Aggs:       aggs,
+			distinct := map[string]bool{}
+			for _, r := range sh.rows {
+				key := make([]sql.Value, len(sh.keys))
+				for i, k := range sh.keys {
+					key[i] = r[sh.schema.IndexOf(k)]
+				}
+				distinct[codec.KeyString(key)] = true
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := newPartialAgg(nil, aggs)
+				p := newPartialAgg(nil, sh.aggs)
 				p.updateBatch(batch, plan)
-				if len(p.groups) == 0 {
-					b.Fatal("no groups")
+				if len(p.groups) != len(distinct) {
+					b.Fatalf("%d groups, want %d", len(p.groups), len(distinct))
 				}
 			}
-			b.SetBytes(8192)
+			b.SetBytes(int64(len(sh.rows)))
 		})
 	}
+}
+
+var ysbKeySchema = sql.NewSchema(
+	sql.Field{Name: "window", Type: sql.TypeWindow},
+	sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
+)
+
+// ysbKeyRows is n (window, campaign_id) rows as ysb-bulk's map side groups
+// them: event times spread evenly over two 10 s tumbling windows, campaigns
+// drawn uniformly from campaigns values.
+func ysbKeyRows(n, campaigns int) []sql.Row {
+	const origin, win = int64(1_600_000_000_000_000), int64(10_000_000)
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]sql.Row, n)
+	for i := range rows {
+		ts := origin + int64(i)*2*win/int64(n)
+		start := ts - ts%win
+		rows[i] = sql.Row{sql.Window{Start: start, End: start + win}, int64(rng.Intn(campaigns))}
+	}
+	return rows
 }
 
 // BenchmarkStreamStreamJoin is the stream-stream join's entry in the
