@@ -11,6 +11,7 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
+	"structream/internal/sql"
 	"structream/internal/sql/logical"
 	"structream/internal/wal"
 )
@@ -256,6 +257,9 @@ func (q *StreamingQuery) LastProgress() (metrics.QueryProgress, bool) {
 
 // OutputMode returns the query's validated output mode.
 func (q *StreamingQuery) OutputMode() logical.OutputMode { return q.core.q.Mode }
+
+// OutputSchema returns the schema of the query's result rows.
+func (q *StreamingQuery) OutputSchema() sql.Schema { return q.core.q.OutSchema }
 
 // AddEpochListener registers fn to be called after every epoch commit
 // (the WAL commit record is durable and the sink holds the epoch's rows).

@@ -42,12 +42,15 @@ func runStatefulEpochs(t *testing.T, q *incremental.Query, plan logical.Plan, mo
 }
 
 func TestStatefulVectorizeDifferential(t *testing.T) {
-	// NULL keys in 1/4 of rows, NaN/Inf values, late arrivals, and one
-	// epoch whose v column carries int64s (type drift → row-path demotion
-	// mid-query while neighboring epochs stay columnar).
+	// NULL keys in 1/4 of rows, NaN/Inf values, both zeros, late arrivals,
+	// and one epoch whose v column carries int64s (type drift → row-path
+	// demotion mid-query while neighboring epochs stay columnar). (-0.0 is
+	// positive zero in Go; negative zero needs math.Copysign.)
+	negZero := math.Copysign(0, -1)
 	baseEpochs := [][]sql.Row{
-		{{"a", 1.5, 1 * sec}, {nil, 2.0, 2 * sec}, {"b", math.NaN(), 3 * sec}, {"a", -0.0, 4 * sec}},
-		{{nil, math.Inf(1), 12 * sec}, {"c", math.Inf(-1), 13 * sec}, {nil, nil, 14 * sec}},
+		{{"a", 1.5, 1 * sec}, {nil, 2.0, 2 * sec}, {"b", math.NaN(), 3 * sec}, {"a", negZero, 4 * sec}},
+		{{nil, math.Inf(1), 12 * sec}, {"c", math.Inf(-1), 13 * sec}, {nil, nil, 14 * sec},
+			{"e", 0.0, 15 * sec}, {"e", negZero, 16 * sec}, {"f", math.NaN(), 17 * sec}},
 		{}, // empty epoch
 		{{"late", 4.0, 1 * sec}, {"b", 5.5, 30 * sec}, {"a", 6.0, 31 * sec}},
 		{{"drift", int64(3), 32 * sec}, {"a", int64(-7), 33 * sec}}, // type drift
@@ -82,6 +85,17 @@ func TestStatefulVectorizeDifferential(t *testing.T) {
 					{Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
 			mode:      logical.Complete,
 			unordered: true,
+		},
+		// Floats group by their bits, on both paths: +0 and -0 are two
+		// groups, NaN is one, NULL is one.
+		"float-key-agg-update": {
+			plan: &logical.Aggregate{
+				Child: streamScan("events"),
+				Keys:  []sql.Expr{sql.Col("v")},
+				Aggs: []logical.NamedAgg{
+					{Agg: sql.CountAll(), Name: "cnt"},
+					{Agg: sql.Count(sql.Col("k")), Name: "cntk"}}},
+			mode: logical.Update,
 		},
 		"watermark-window-append": {
 			plan: &logical.Aggregate{

@@ -210,14 +210,15 @@ func (p *Pipeline) Scatters() bool {
 // ProcessBatchScatter runs one task's column batch through the vectorized
 // ops and the columnar terminal stage, rendering its output straight into
 // nPart shuffle buckets of cells routed by the hash each carries: with a
-// partial aggregation, one row of one partial cell per group, by the
-// group's cached key hash; with a join, one row per input row, by its key
-// hash. Valid only when Scatters reports true. The compiler guarantees the
-// shuffle key is the cell's key, so hashing its cached encoding routes
-// identically to boxing the key and calling codec.HashKey. This is what
-// keeps aggregate and join pipelines columnar across the exchange: one
-// hash+encode per input lane, one render per cell into per-bucket slabs,
-// zero boxing.
+// partial aggregation, one row of one partial cell per group, by the FNV
+// hash of the group's encoded key; with a join, one row per input row, by
+// its key hash. Valid only when Scatters reports true. The compiler
+// guarantees the shuffle key is the cell's key, so hashing its encoding
+// routes identically to boxing the key and calling codec.HashKey. This is
+// what keeps aggregate and join pipelines columnar across the exchange: an
+// aggregate pays a typed hash per input lane and an encode and FNV hash per
+// group, a join an encode and FNV hash per input lane; one render per cell
+// into per-bucket slabs, zero boxing.
 func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
 	for _, op := range p.Vec.Ops {
 		b = op.Apply(b)

@@ -201,8 +201,7 @@ type Hub struct {
 	closeCh  chan struct{}
 	detach   func() // removes the engine epoch listener
 	attached *engine.StreamingQuery
-	query    *engine.StreamingQuery // newest attached instance (for state reads)
-	mode     logical.OutputMode     // query's output mode; meaningful once query != nil
+	query    *engine.StreamingQuery // newest attached instance (for state reads, mode and schema)
 	health   *health.Tracker        // attached instance's health tracker; nil before Attach
 	rng      *rand.Rand
 }
@@ -258,7 +257,6 @@ func (h *Hub) Attach(q *engine.StreamingQuery) {
 	detach := h.detach
 	h.attached = q
 	h.query = q
-	h.mode = q.OutputMode()
 	h.health = q.Health()
 	h.mu.Unlock()
 	if detach != nil {
@@ -402,9 +400,19 @@ func (h *Hub) advance() {
 // the mode the sink's batches were written in (none before the first).
 func (h *Hub) modeLocked() (logical.OutputMode, bool) {
 	if h.query != nil {
-		return h.mode, true
+		return h.query.OutputMode(), true
 	}
 	return h.rep.Mode()
+}
+
+// schemaLocked returns the schema of the served result, from the same
+// source as modeLocked: the attached query's, or, before any Attach, the
+// sink's (empty before its first batch).
+func (h *Hub) schemaLocked() sql.Schema {
+	if h.query != nil {
+		return h.query.OutputSchema()
+	}
+	return h.rep.Schema()
 }
 
 // ringOpenLocked reports whether broadcastLocked would append a frame to
@@ -727,7 +735,7 @@ func (s *Subscription) stepLocked() (Frame, bool, error) {
 			mode, _ := h.modeLocked()
 			return Frame{
 				Kind: FrameHello, Query: h.name, Cursor: s.cursor,
-				Schema:          h.rep.Schema().Names(),
+				Schema:          h.schemaLocked().Names(),
 				Mode:            mode.String(),
 				RetryMillis:     h.retryJitterLocked(),
 				HeartbeatMillis: h.opts.HeartbeatInterval.Milliseconds(),

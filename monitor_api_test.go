@@ -389,8 +389,11 @@ func TestPublishedQueryServing(t *testing.T) {
 	defer q.Stop()
 
 	frames := subscribeSSE(t, base+"/queries/served/subscribe")
-	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != -1 || f.Mode != "update" {
-		t.Fatalf("first frame = %+v, want an update-mode hello before any epoch", f)
+	// The hello's mode and schema are the query's, known before its first
+	// epoch fills the sink.
+	if f := frames.next(); f.Kind != serve.FrameHello || f.Cursor != -1 || f.Mode != "update" ||
+		strings.Join(f.Schema, ",") != "country,count" {
+		t.Fatalf("first frame = %+v, want an update-mode hello of [country count] before any epoch", f)
 	}
 	feed.AddData(Row{"CA", 1, 1.0, 0}, Row{"US", 2, 1.0, 0}, Row{"CA", 3, 1.0, 0})
 	if err := q.ProcessAllAvailable(); err != nil {
