@@ -104,10 +104,10 @@ type BusSource struct {
 	topic  *msgbus.Topic
 	schema sql.Schema
 	decode RecordDecoder
-	// codecFramed marks the decoder as the native binary row codec,
-	// enabling the columnar ReadVec fast path (a custom decoder could
-	// produce anything, so only the native framing vectorizes).
-	codecFramed bool
+	// prog decodes runs of the native binary row codec for ReadVec; nil
+	// for a custom decoder, which could produce anything, so only the
+	// native framing vectorizes.
+	prog *codec.DecodeProgram
 	// keep marks the schema columns ReadVec decodes; nil decodes them all.
 	keep []bool
 }
@@ -128,7 +128,7 @@ func NewCodecBusSource(name string, topic *msgbus.Topic, schema sql.Schema) *Bus
 		}
 		return row, true
 	})
-	s.codecFramed = true
+	s.prog = codec.CompileDecode(schema, nil)
 	return s
 }
 
@@ -184,17 +184,21 @@ func (s *BusSource) PruneColumns(cols []int) Source {
 	for _, c := range cols {
 		view.keep[c] = true
 	}
+	if s.prog != nil {
+		view.prog = codec.CompileDecode(s.schema, view.keep)
+	}
 	return &view
 }
 
-// ReadVec implements VectorReader: it decodes the native codec framing
-// straight into typed column vectors drawn from the batch pool, instead
-// of one sql.Row plus one boxed value per cell. Malformed records skip
-// exactly as in Read; a record whose wire types don't match the schema
-// aborts the columnar decode (ok=false) so the caller re-reads boxed —
-// the row path keeps such records, and the two paths must agree.
+// ReadVec implements VectorReader: it runs the source's decode program
+// over each run of the range, straight into typed column vectors drawn
+// from the batch pool, instead of one sql.Row plus one boxed value per
+// cell. Malformed records skip exactly as in Read; a record whose wire
+// types don't match the schema aborts the columnar decode (ok=false) so
+// the caller re-reads boxed — the row path keeps such records, and the two
+// paths must agree.
 func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
-	if !s.codecFramed {
+	if s.prog == nil {
 		return nil, false, nil
 	}
 	var buf [4]msgbus.Run
@@ -204,24 +208,14 @@ func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
 	}
 	total := runsLen(runs)
 	b := vec.GetBatch(s.schema, s.keep, total)
-	n := 0
+	n, compat := 0, true
 	for _, r := range runs {
-		// Walk the value ends directly: Run.Value's index arithmetic is a
-		// measurable share of a row on map-bulk.
-		start := r.Ends[0]
-		for _, end := range r.Ends[1:] {
-			// Shared-string decode is safe here: the log never rewrites a
-			// segment's bytes below its length, so string cells can alias
-			// them directly.
-			added, compat := codec.DecodeRowToBatchShared(r.Vals[start:end:end], b.Cols, n, total)
-			start = end
-			if !compat {
-				b.Release()
-				return nil, false, nil
-			}
-			if added {
-				n++
-			}
+		// The log never rewrites a segment's bytes below its length, so the
+		// program may read past a record into the next ones and string cells
+		// may alias the run's bytes.
+		if n, compat = s.prog.DecodeRun(r.Vals, r.Ends, b.Cols, n, total); !compat {
+			b.Release()
+			return nil, false, nil
 		}
 	}
 	b.Len = n

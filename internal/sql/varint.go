@@ -78,9 +78,9 @@ func Unzigzag(ux uint64) int64 {
 	return x
 }
 
-// uvarintWordLen is UvarintWord's width alone, from the stop bit: a reader
+// UvarintWordLen is UvarintWord's width alone, from the stop bit: a reader
 // stepping over a varint never assembles its value.
-func uvarintWordLen(buf []byte) int {
+func UvarintWordLen(buf []byte) int {
 	if len(buf) >= 8 {
 		if stop := ^binary.LittleEndian.Uint64(buf) & varintStops; stop != 0 {
 			return bits.TrailingZeros64(stop)>>3 + 1
@@ -92,7 +92,7 @@ func uvarintWordLen(buf []byte) int {
 // skipVarint returns the position after the varint at buf[pos:], or -1 when
 // Uvarint would reject it.
 func skipVarint(buf []byte, pos int) int {
-	w := uvarintWordLen(buf[pos:])
+	w := UvarintWordLen(buf[pos:])
 	if w == 0 {
 		if _, w = Uvarint(buf[pos:]); w <= 0 {
 			return -1

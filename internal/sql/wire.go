@@ -213,7 +213,7 @@ func SkipValue(buf []byte, pos int) int {
 		return pos
 	case WireInt64:
 		// By the stop bit alone; the value is never assembled.
-		if w := uvarintWordLen(buf[pos:]); w > 0 {
+		if w := UvarintWordLen(buf[pos:]); w > 0 {
 			return pos + w
 		}
 		return skipVarint(buf, pos)
