@@ -291,13 +291,36 @@ func (s recordingSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error
 }
 
 // TestRecycledBatchesSurvivePoison drives the Yahoo! query one epoch at a
-// time and, between epochs, scribbles over every vector the engine has
-// released — values, strings and null bits. The next epoch decodes into
-// those very vectors; if a pooled vector kept a null bit, or a stage read a
-// slot the decoder did not write, the output would leave the golden.
+// time and, between epochs, scribbles over every slab the engine has
+// released — the decode columns' values, strings and null bits, and
+// everything the tasks' kernels and stages drew from the same recyclers:
+// filter verdicts, selections, the join's probe lanes and gathered static
+// columns, window bounds. The next epoch decodes and computes into those
+// very slabs; if a pooled vector kept a null bit, or a stage read a slot
+// its own task did not write, the output would leave the golden.
 func TestRecycledBatchesSurvivePoison(t *testing.T) {
 	const epochs, perEpoch = 12, 600
-	run := func(vectorize bool) ([]sql.Row, *batchLog) {
+	scribble := func(v *vec.Vector) {
+		ints, strs, bools := v.Int64s[:cap(v.Int64s)], v.Strings[:cap(v.Strings)], v.Bools[:cap(v.Bools)]
+		starts, ends := v.WStarts[:cap(v.WStarts)], v.WEnds[:cap(v.WEnds)]
+		for i := range ints {
+			ints[i] = math.MinInt64 + 1
+		}
+		for i := range strs {
+			strs[i] = "view" // the filter's own constant: a stale slot would pass it
+		}
+		for i := range bools {
+			bools[i] = true // a stale verdict keeps its lane
+		}
+		for i := range starts {
+			starts[i], ends[i] = 0, 10*sec // a window no event falls in
+		}
+		if n := len(ints) + len(strs) + len(bools) + len(starts); n > 0 {
+			v.Nulls = vec.NewBitmap(n)
+			v.Nulls.SetAll()
+		}
+	}
+	run := func(vectorize bool) ([]sql.Row, *batchLog, map[string]int) {
 		log := &batchLog{vectors: map[*vec.Vector]int{}}
 		topic := adTopic(t, nil)
 		src := recordingSource{sources.NewCodecBusSource("ad_events", topic, adSchema), log}
@@ -308,6 +331,7 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 		}
 		sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
 			Workers: 2, NumPartitions: 2})
+		derived := map[string]int{} // recycled slabs the decoder never handed out, by kind
 		for e := 0; e < epochs; e++ {
 			recs := make([][]byte, perEpoch)
 			for i := range recs {
@@ -321,24 +345,26 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 			if err := sq.ProcessAllAvailable(); err != nil {
 				t.Fatal(err)
 			}
-			// The epoch is over: every batch it read is back in the pool.
+			// The epoch is over: every batch it read, and everything derived
+			// from it, is back in the pool.
 			log.mu.Lock()
 			for _, b := range log.batches {
 				for _, v := range b.Cols {
-					if v == nil {
-						continue
-					}
-					for i := range v.Int64s {
-						v.Int64s[i] = math.MinInt64 + 1
-					}
-					for i := range v.Strings {
-						v.Strings[i] = "view" // the filter's own constant: a stale slot would pass it
-					}
-					if n := len(v.Int64s) + len(v.Strings); n > 0 {
-						v.Nulls = vec.NewBitmap(n)
-						v.Nulls.SetAll()
+					if v != nil {
+						scribble(v)
 					}
 				}
+				b.Recycled(func(v *vec.Vector) {
+					if log.vectors[v] == 0 {
+						derived[[...]string{"int64", "float64", "bool", "string", "window", "any"}[v.Kind]]++
+					}
+					scribble(v)
+				}, func(sel []int32) {
+					derived["selection"]++
+					for i := range sel {
+						sel[i] = 0 // a valid lane: a stale one reads as a wrong row
+					}
+				})
 			}
 			log.batches = log.batches[:0]
 			log.mu.Unlock()
@@ -346,11 +372,18 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 		if err := sq.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		return sink.Rows(), log
+		return sink.Rows(), log, derived
 	}
-	golden, _ := run(false)
-	got, log := run(true)
+	golden, _, _ := run(false)
+	got, log, derived := run(true)
 	rowsExactlyEqual(t, got, golden, "poisoned pool")
+	// The filter's verdicts, the gathered campaign columns, the window bounds
+	// and the filter's and probe's selections must all have been poisoned.
+	for _, kind := range []string{"bool", "int64", "window", "selection"} {
+		if derived[kind] == 0 {
+			t.Errorf("no recycled %s slab was poisoned (%v): the kernels do not draw from the pool", kind, derived)
+		}
+	}
 	reused := 0
 	for _, n := range log.vectors {
 		if n > 1 {

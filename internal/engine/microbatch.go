@@ -757,7 +757,9 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	switch {
 	case pipe.KeyEvals == nil && batch != nil && e.colSink != nil && pipe.FullyVectorized():
 		// The whole pipeline ran as kernels and the sink takes column
-		// batches: skip row materialization entirely.
+		// batches: skip row materialization entirely. The sink keeps the
+		// vectors, so none of them may come from, or go back to, the pool.
+		batch.Detach()
 		res.vecOut = pipe.ApplyVec(batch)
 	case pipe.KeyEvals == nil:
 		emit := func(row sql.Row) { res.direct = append(res.direct, row) }

@@ -141,7 +141,7 @@ func NewVecBroadcastJoin(spec BroadcastJoinSpec, keys []*vec.Program, residual *
 func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 	live := b.Sel
 	if live == nil {
-		live = make([]int32, b.Len)
+		live = b.NewSel(b.Len)
 		for i := range live {
 			live[i] = int32(i)
 		}
@@ -161,7 +161,7 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 	case j.Semi, j.Anti:
 		// lanes lists the matched stream lanes in live order, a lane once per
 		// match: Semi keeps each once, Anti keeps the live lanes it skips.
-		sel := make([]int32, 0, len(live))
+		sel := b.NewSel(len(live))[:0]
 		m := 0
 		for _, lane := range live {
 			matched := m < len(lanes) && lanes[m] == lane
@@ -172,10 +172,10 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 				sel = append(sel, lane)
 			}
 		}
-		return &vec.Batch{Schema: b.Schema, Cols: b.Cols, Len: b.Len, Sel: sel}
+		return b.Derive(b.Schema, b.Cols, b.Len, sel)
 	case j.Outer:
-		padLanes := make([]int32, 0, len(live)+len(lanes))
-		padRows := make([]int32, 0, len(live)+len(lanes))
+		padLanes := b.NewSel(len(live) + len(lanes))[:0]
+		padRows := b.NewSel(len(live) + len(lanes))[:0]
 		m := 0
 		for _, lane := range live {
 			if m == len(lanes) || lanes[m] != lane {
@@ -200,8 +200,8 @@ func (j *vecBroadcastJoin) probe(b *vec.Batch, live []int32) (lanes, rows []int3
 	for i, prog := range j.keys {
 		keys[i] = prog.Run(b)
 	}
-	lanes = make([]int32, 0, len(live))
-	rows = make([]int32, 0, len(live))
+	lanes = b.NewSel(len(live))[:0]
+	rows = b.NewSel(len(live))[:0]
 	enc := codec.NewEncoder(64)
 	t := j.Table
 next:
@@ -232,22 +232,20 @@ func (j *vecBroadcastJoin) joined(b *vec.Batch, lanes, rows []int32, dense bool)
 		stream = make([]*vec.Vector, len(b.Cols))
 		for c, v := range b.Cols {
 			if v != nil {
-				stream[c] = vec.Gather(v, lanes, nil, n)
+				stream[c] = b.Gather(v, lanes, nil, n)
 			}
 		}
 	}
 	static := make([]*vec.Vector, len(j.Table.Cols))
 	for c, v := range j.Table.Cols {
-		static[c] = vec.Gather(v, rows, at, n)
+		static[c] = b.Gather(v, rows, at, n)
 	}
-	out := &vec.Batch{Schema: j.Joined, Len: n}
+	var sel []int32
 	if !dense {
-		out.Sel = lanes
+		sel = lanes
 	}
 	if j.StreamIsLeft {
-		out.Cols = append(stream[:len(stream):len(stream)], static...)
-	} else {
-		out.Cols = append(static, stream...)
+		return b.Derive(j.Joined, append(stream[:len(stream):len(stream)], static...), n, sel)
 	}
-	return out
+	return b.Derive(j.Joined, append(static, stream...), n, sel)
 }

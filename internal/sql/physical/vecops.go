@@ -28,7 +28,7 @@ func NewVecFilter(cond *vec.Program) VecOp { return &vecFilter{cond: cond} }
 
 func (f *vecFilter) Apply(b *vec.Batch) *vec.Batch {
 	cond := f.cond.Run(b)
-	return &vec.Batch{Schema: b.Schema, Cols: b.Cols, Len: b.Len, Sel: vec.FilterSel(b, cond)}
+	return b.Derive(b.Schema, b.Cols, b.Len, vec.FilterSel(b, cond))
 }
 
 // ---------------------------------------------------------------- project
@@ -50,7 +50,7 @@ func (p *vecProject) Apply(b *vec.Batch) *vec.Batch {
 	for i, prog := range p.progs {
 		cols[i] = prog.Run(b)
 	}
-	return &vec.Batch{Schema: p.schema, Cols: cols, Len: b.Len, Sel: b.Sel}
+	return b.Derive(p.schema, cols, b.Len, b.Sel)
 }
 
 // ---------------------------------------------------------------- window
@@ -71,7 +71,7 @@ func NewVecWindow(time *vec.Program, w *sql.WindowExpr, schema sql.Schema) VecOp
 
 func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	tv := w.time.Run(b)
-	wcol := vec.NewVector(vec.KindWindow, b.Len)
+	wcol := b.NewVector(vec.KindWindow, b.Len)
 	ts := tv.Int64s
 	slide, size := w.slide, w.size
 	assign := func(i int) {
@@ -82,7 +82,7 @@ func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	}
 	if b.Sel != nil {
 		// A selection upstream (a filter, a join) usually leaves a minority
-		// of lanes live; the dead ones keep zero bounds nobody reads.
+		// of lanes live; the dead ones keep garbage bounds nobody reads.
 		for _, i := range b.Sel {
 			assign(int(i))
 		}
@@ -95,7 +95,7 @@ func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	if tv.Nulls != nil {
 		// NULL event times drop, exactly like the row path's failed
 		// int64 assertion.
-		sel = make([]int32, 0, b.NumLive())
+		sel = b.NewSel(b.NumLive())[:0]
 		if b.Sel != nil {
 			for _, i := range b.Sel {
 				if !tv.Nulls.Get(int(i)) {
@@ -113,7 +113,7 @@ func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	cols := make([]*vec.Vector, 0, len(b.Cols)+1)
 	cols = append(cols, b.Cols...)
 	cols = append(cols, wcol)
-	return &vec.Batch{Schema: w.schema, Cols: cols, Len: b.Len, Sel: sel}
+	return b.Derive(w.schema, cols, b.Len, sel)
 }
 
 // ----------------------------------------------------------- materialize

@@ -56,7 +56,7 @@ type node struct {
 
 func (n node) vector(b *Batch) *Vector {
 	if n.isConst {
-		return Broadcast(n.constVal, KindOf(n.typ), b.Len)
+		return b.Broadcast(n.constVal, KindOf(n.typ))
 	}
 	return n.run(b)
 }
@@ -72,8 +72,10 @@ func (n node) constNull() bool {
 // the row path returning nil for every row.
 func allNullNode(t sql.Type) node {
 	return node{typ: t, run: func(b *Batch) *Vector {
-		v := NewVector(KindOf(t), b.Len)
-		if v.Kind != KindAny {
+		v := b.NewVector(KindOf(t), b.Len)
+		if v.Kind == KindAny {
+			clear(v.Anys) // a nil cell is KindAny's NULL
+		} else {
 			v.EnsureNulls(b.Len).SetAll()
 		}
 		return v
@@ -147,7 +149,7 @@ func compileLogical(l, r node, isAnd bool) (node, bool) {
 		return node{}, false
 	}
 	return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
-		return logical(lf(b), rf(b), b.Len, isAnd)
+		return logical(b, lf(b), rf(b), isAnd)
 	}}, true
 }
 
@@ -176,7 +178,7 @@ func compileComparison(op sql.BinOp, l, r node) (node, bool) {
 		return cmpNode(op, l, r, func(n node) func(*Batch) ([]float64, Bitmap) {
 			return func(b *Batch) ([]float64, Bitmap) {
 				v := n.vector(b)
-				return asFloat64s(v, b.Len), v.Nulls
+				return asFloat64s(b, v), v.Nulls
 			}
 		}, constFloat), true
 	case lk == KindString && rk == KindString:
@@ -194,7 +196,7 @@ func compileComparison(op sql.BinOp, l, r node) (node, bool) {
 		return cmpNode(op, l, r, func(n node) func(*Batch) ([]int64, Bitmap) {
 			return func(b *Batch) ([]int64, Bitmap) {
 				v := n.vector(b)
-				return boolsToInt64(v.Bools, b.Len), v.Nulls
+				return boolsToInt64(b, v.Bools), v.Nulls
 			}
 		}, func(v sql.Value) int64 {
 			if v.(bool) {
@@ -220,7 +222,7 @@ func strEqNode(l, r node, ne bool) node {
 		c := r.constVal.(string)
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindBool, b.Len)
+			out := b.NewVector(KindBool, b.Len)
 			eqStrVC(av.Strings[:b.Len], c, ne, out.Bools)
 			out.Nulls = av.Nulls
 			return out
@@ -228,7 +230,7 @@ func strEqNode(l, r node, ne bool) node {
 	}
 	return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
 		av, bv := l.vector(b), r.vector(b)
-		out := NewVector(KindBool, b.Len)
+		out := b.NewVector(KindBool, b.Len)
 		eqStrVV(av.Strings[:b.Len], bv.Strings[:b.Len], ne, out.Bools)
 		out.Nulls = UnionNulls(b.Len, av.Nulls, bv.Nulls)
 		return out
@@ -253,7 +255,7 @@ func cmpNode[T ordered](op sql.BinOp, l, r node, slab func(node) func(*Batch) ([
 		lf := slab(l)
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
 			a, nulls := lf(b)
-			out := NewVector(KindBool, b.Len)
+			out := b.NewVector(KindBool, b.Len)
 			cmpVC(op, a[:b.Len], c, out.Bools)
 			out.Nulls = nulls
 			return out
@@ -264,7 +266,7 @@ func cmpNode[T ordered](op sql.BinOp, l, r node, slab func(node) func(*Batch) ([
 		fop := flipCmp(op)
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
 			a, nulls := rf(b)
-			out := NewVector(KindBool, b.Len)
+			out := b.NewVector(KindBool, b.Len)
 			cmpVC(fop, a[:b.Len], c, out.Bools)
 			out.Nulls = nulls
 			return out
@@ -274,7 +276,7 @@ func cmpNode[T ordered](op sql.BinOp, l, r node, slab func(node) func(*Batch) ([
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
 			a, an := lf(b)
 			bb, bn := rf(b)
-			out := NewVector(KindBool, b.Len)
+			out := b.NewVector(KindBool, b.Len)
 			cmpVV(op, a[:b.Len], bb[:b.Len], out.Bools)
 			out.Nulls = UnionNulls(b.Len, an, bn)
 			return out
@@ -341,7 +343,7 @@ func intArithNode(op sql.BinOp, resType sql.Type, l, r node) node {
 		c := r.constVal.(int64)
 		return node{typ: resType, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindInt64, b.Len)
+			out := b.NewVector(KindInt64, b.Len)
 			arithVC(op, av.Int64s[:b.Len], c, out.Int64s)
 			out.Nulls = av.Nulls
 			return out
@@ -350,7 +352,7 @@ func intArithNode(op sql.BinOp, resType sql.Type, l, r node) node {
 		c := l.constVal.(int64)
 		return node{typ: resType, run: func(b *Batch) *Vector {
 			bv := r.vector(b)
-			out := NewVector(KindInt64, b.Len)
+			out := b.NewVector(KindInt64, b.Len)
 			arithCV(op, c, bv.Int64s[:b.Len], out.Int64s)
 			out.Nulls = bv.Nulls
 			return out
@@ -358,7 +360,7 @@ func intArithNode(op sql.BinOp, resType sql.Type, l, r node) node {
 	default:
 		return node{typ: resType, run: func(b *Batch) *Vector {
 			av, bv := l.vector(b), r.vector(b)
-			out := NewVector(KindInt64, b.Len)
+			out := b.NewVector(KindInt64, b.Len)
 			arithVV(op, av.Int64s[:b.Len], bv.Int64s[:b.Len], out.Int64s)
 			out.Nulls = UnionNulls(b.Len, av.Nulls, bv.Nulls)
 			return out
@@ -374,8 +376,8 @@ func floatArithNode(op sql.BinOp, l, r node) node {
 		c := constFloat(r.constVal)
 		return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindFloat64, b.Len)
-			arithVC(op, asFloat64s(av, b.Len), c, out.Float64s)
+			out := b.NewVector(KindFloat64, b.Len)
+			arithVC(op, asFloat64s(b, av), c, out.Float64s)
 			out.Nulls = av.Nulls
 			return out
 		}}
@@ -383,16 +385,16 @@ func floatArithNode(op sql.BinOp, l, r node) node {
 		c := constFloat(l.constVal)
 		return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 			bv := r.vector(b)
-			out := NewVector(KindFloat64, b.Len)
-			arithCV(op, c, asFloat64s(bv, b.Len), out.Float64s)
+			out := b.NewVector(KindFloat64, b.Len)
+			arithCV(op, c, asFloat64s(b, bv), out.Float64s)
 			out.Nulls = bv.Nulls
 			return out
 		}}
 	default:
 		return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 			av, bv := l.vector(b), r.vector(b)
-			out := NewVector(KindFloat64, b.Len)
-			arithVV(op, asFloat64s(av, b.Len), asFloat64s(bv, b.Len), out.Float64s)
+			out := b.NewVector(KindFloat64, b.Len)
+			arithVV(op, asFloat64s(b, av), asFloat64s(b, bv), out.Float64s)
 			out.Nulls = UnionNulls(b.Len, av.Nulls, bv.Nulls)
 			return out
 		}}
@@ -413,8 +415,8 @@ func divNode(l, r node) node {
 		}
 		return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindFloat64, b.Len)
-			a := asFloat64s(av, b.Len)
+			out := b.NewVector(KindFloat64, b.Len)
+			a := asFloat64s(b, av)
 			for i := range out.Float64s {
 				out.Float64s[i] = a[i] / c
 			}
@@ -424,8 +426,8 @@ func divNode(l, r node) node {
 	}
 	return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 		av, bv := l.vector(b), r.vector(b)
-		out := NewVector(KindFloat64, b.Len)
-		a, d := asFloat64s(av, b.Len), asFloat64s(bv, b.Len)
+		out := b.NewVector(KindFloat64, b.Len)
+		a, d := asFloat64s(b, av), asFloat64s(b, bv)
 		for i := range out.Float64s {
 			out.Float64s[i] = a[i] / d[i]
 		}
@@ -444,7 +446,7 @@ func divNode(l, r node) node {
 }
 
 // intModNode guards every lane's divisor: b == 0 → NULL (never a
-// panic), including dead and NULL lanes whose slots hold zero garbage.
+// panic), including dead and NULL lanes whose slots hold garbage.
 func intModNode(l, r node) node {
 	if r.isConst {
 		c := r.constVal.(int64)
@@ -453,7 +455,7 @@ func intModNode(l, r node) node {
 		}
 		return node{typ: sql.TypeInt64, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindInt64, b.Len)
+			out := b.NewVector(KindInt64, b.Len)
 			for i, x := range av.Int64s[:b.Len] {
 				out.Int64s[i] = x % c
 			}
@@ -463,7 +465,7 @@ func intModNode(l, r node) node {
 	}
 	return node{typ: sql.TypeInt64, run: func(b *Batch) *Vector {
 		av, bv := l.vector(b), r.vector(b)
-		out := NewVector(KindInt64, b.Len)
+		out := b.NewVector(KindInt64, b.Len)
 		nulls := UnionNulls(b.Len, av.Nulls, bv.Nulls)
 		for i := 0; i < b.Len; i++ {
 			d := bv.Int64s[i]
@@ -502,8 +504,8 @@ func floatModNode(l, r node) node {
 	}
 	return node{typ: sql.TypeFloat64, run: func(b *Batch) *Vector {
 		av, bv := l.vector(b), r.vector(b)
-		out := NewVector(KindFloat64, b.Len)
-		a, d := asFloat64s(av, b.Len), asFloat64s(bv, b.Len)
+		out := b.NewVector(KindFloat64, b.Len)
+		a, d := asFloat64s(b, av), asFloat64s(b, bv)
 		nulls := UnionNulls(b.Len, av.Nulls, bv.Nulls)
 		if b.Sel != nil {
 			for _, i := range b.Sel {
@@ -534,7 +536,7 @@ func concatNode(l, r node) node {
 		c := r.constVal.(string)
 		return node{typ: sql.TypeString, run: func(b *Batch) *Vector {
 			av := l.vector(b)
-			out := NewVector(KindString, b.Len)
+			out := b.NewVector(KindString, b.Len)
 			for i, s := range av.Strings[:b.Len] {
 				out.Strings[i] = s + c
 			}
@@ -545,7 +547,7 @@ func concatNode(l, r node) node {
 		c := l.constVal.(string)
 		return node{typ: sql.TypeString, run: func(b *Batch) *Vector {
 			bv := r.vector(b)
-			out := NewVector(KindString, b.Len)
+			out := b.NewVector(KindString, b.Len)
 			for i, s := range bv.Strings[:b.Len] {
 				out.Strings[i] = c + s
 			}
@@ -555,7 +557,7 @@ func concatNode(l, r node) node {
 	default:
 		return node{typ: sql.TypeString, run: func(b *Batch) *Vector {
 			av, bv := l.vector(b), r.vector(b)
-			out := NewVector(KindString, b.Len)
+			out := b.NewVector(KindString, b.Len)
 			for i := 0; i < b.Len; i++ {
 				out.Strings[i] = av.Strings[i] + bv.Strings[i]
 			}
@@ -578,7 +580,7 @@ func compileUnary(op sql.UnOp, c node) (node, bool) {
 			return node{}, false
 		}
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
-			return notKernel(c.vector(b), b.Len)
+			return notKernel(b, c.vector(b))
 		}}, true
 	case sql.OpNeg:
 		if c.constNull() {
@@ -588,7 +590,7 @@ func compileUnary(op sql.UnOp, c node) (node, bool) {
 		case KindInt64:
 			return node{typ: c.typ, run: func(b *Batch) *Vector {
 				av := c.vector(b)
-				out := NewVector(KindInt64, b.Len)
+				out := b.NewVector(KindInt64, b.Len)
 				for i, x := range av.Int64s[:b.Len] {
 					out.Int64s[i] = -x
 				}
@@ -598,7 +600,7 @@ func compileUnary(op sql.UnOp, c node) (node, bool) {
 		case KindFloat64:
 			return node{typ: c.typ, run: func(b *Batch) *Vector {
 				av := c.vector(b)
-				out := NewVector(KindFloat64, b.Len)
+				out := b.NewVector(KindFloat64, b.Len)
 				for i, x := range av.Float64s[:b.Len] {
 					out.Float64s[i] = -x
 				}
@@ -610,11 +612,11 @@ func compileUnary(op sql.UnOp, c node) (node, bool) {
 		}
 	case sql.OpIsNull:
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
-			return isNullKernel(c.vector(b), b.Len, false)
+			return isNullKernel(b, c.vector(b), false)
 		}}, true
 	case sql.OpIsNotNull:
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
-			return isNullKernel(c.vector(b), b.Len, true)
+			return isNullKernel(b, c.vector(b), true)
 		}}, true
 	}
 	return node{}, false

@@ -171,14 +171,16 @@ func arithCV[T int64 | float64](op sql.BinOp, c T, b, out []T) {
 // mirroring bindLogical: a known FALSE (AND) / TRUE (OR) dominates a
 // NULL on the other side. Value slots at NULL lanes are never consulted
 // (the null bit short-circuits them), so garbage there is harmless.
-func logical(l, r *Vector, n int, isAnd bool) *Vector {
-	out := NewVector(KindBool, n)
+func logical(b *Batch, l, r *Vector, isAnd bool) *Vector {
+	n := b.Len
+	out := b.NewVector(KindBool, n)
 	ln, rn := l.Nulls, r.Nulls
 	lb, rb := l.Bools, r.Bools
 	var nulls Bitmap
 	for i := 0; i < n; i++ {
 		lok := !ln.Get(i)
 		rok := !rn.Get(i)
+		out.Bools[i] = false
 		if isAnd {
 			if lok && !lb[i] || rok && !rb[i] {
 				continue // definite false
@@ -206,8 +208,9 @@ func logical(l, r *Vector, n int, isAnd bool) *Vector {
 
 // notKernel negates a bool vector; NULL stays NULL (the result bitmap
 // aliases the operand's, which is never mutated after creation).
-func notKernel(v *Vector, n int) *Vector {
-	out := NewVector(KindBool, n)
+func notKernel(b *Batch, v *Vector) *Vector {
+	n := b.Len
+	out := b.NewVector(KindBool, n)
 	for i := 0; i < n; i++ {
 		out.Bools[i] = !v.Bools[i]
 	}
@@ -216,8 +219,9 @@ func notKernel(v *Vector, n int) *Vector {
 }
 
 // isNullKernel produces (child IS [NOT] NULL); the result is never NULL.
-func isNullKernel(v *Vector, n int, negate bool) *Vector {
-	out := NewVector(KindBool, n)
+func isNullKernel(b *Batch, v *Vector, negate bool) *Vector {
+	n := b.Len
+	out := b.NewVector(KindBool, n)
 	if v.Kind == KindAny {
 		for i := 0; i < n; i++ {
 			out.Bools[i] = (v.Anys[i] == nil) != negate
@@ -225,10 +229,8 @@ func isNullKernel(v *Vector, n int, negate bool) *Vector {
 		return out
 	}
 	if v.Nulls == nil {
-		if negate {
-			for i := range out.Bools {
-				out.Bools[i] = true
-			}
+		for i := range out.Bools {
+			out.Bools[i] = negate
 		}
 		return out
 	}
@@ -241,12 +243,14 @@ func isNullKernel(v *Vector, n int, negate bool) *Vector {
 // boolsToInt64 widens a bool slab to int64 (false=0, true=1) so bool
 // comparisons reuse the int kernel; the mapping matches sql.Compare's
 // false < true ordering.
-func boolsToInt64(src []bool, n int) []int64 {
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
+func boolsToInt64(b *Batch, src []bool) []int64 {
+	out := b.NewVector(KindInt64, b.Len).Int64s
+	for i := range out {
+		var x int64
 		if src[i] {
-			out[i] = 1
+			x = 1
 		}
+		out[i] = x
 	}
 	return out
 }
@@ -254,28 +258,28 @@ func boolsToInt64(src []bool, n int) []int64 {
 // asFloat64s widens an int64 vector's slab to float64 (returns the
 // existing slab for float vectors), mirroring sql.AsFloat64 coercion in
 // the row path's mixed-type arithmetic and comparisons.
-func asFloat64s(v *Vector, n int) []float64 {
+func asFloat64s(b *Batch, v *Vector) []float64 {
 	if v.Kind == KindFloat64 {
 		return v.Float64s
 	}
-	out := make([]float64, n)
-	for i, x := range v.Int64s[:n] {
+	out := b.NewVector(KindFloat64, b.Len).Float64s
+	for i, x := range v.Int64s[:b.Len] {
 		out[i] = float64(x)
 	}
 	return out
 }
 
 // FilterSel returns the live positions where cond is TRUE (not false,
-// not NULL), respecting the batch's existing selection. The result is
-// always non-nil: an empty selection means "no rows", while a nil
-// Batch.Sel means "all rows".
+// not NULL), respecting the batch's existing selection, in a slab drawn
+// for b. The result is always non-nil: an empty selection means "no
+// rows", while a nil Batch.Sel means "all rows".
 func FilterSel(b *Batch, cond *Vector) []int32 {
 	cb := cond.Bools
 	if b.Sel == nil && cond.Nulls == nil {
 		// Dense and null-free: every lane writes its index and the cursor
 		// advances by the verdict, so the loop carries no branch for the
 		// predicate to mispredict.
-		out := make([]int32, b.Len)
+		out := b.NewSel(b.Len)
 		n := 0
 		for i, keep := range cb[:b.Len] {
 			out[n] = int32(i)
@@ -287,7 +291,7 @@ func FilterSel(b *Batch, cond *Vector) []int32 {
 		}
 		return out[:n]
 	}
-	out := make([]int32, 0, b.NumLive())
+	out := b.NewSel(b.NumLive())[:0]
 	if b.Sel != nil {
 		if cond.Nulls == nil {
 			for _, i := range b.Sel {

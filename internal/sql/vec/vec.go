@@ -4,10 +4,10 @@
 //
 // The row path stores every cell as a boxed `any`; the hot microbatch
 // loop pays interface dispatch and heap boxing per cell. Vectors store
-// each column in a typed slab (one allocation per column per batch) and
-// kernels run tight loops over the slabs, so the only boxing left is at
-// the row/column boundary where downstream operators still need
-// []sql.Value rows.
+// each column in a typed slab (one per column, recycled between map
+// tasks) and kernels run tight loops over the slabs, so the only boxing
+// left is at the row/column boundary where downstream operators still
+// need []sql.Value rows.
 //
 // Semantics contract: every kernel reproduces the row path's observable
 // behaviour exactly — NULL propagation, the NaN comparison quirk of
@@ -198,11 +198,16 @@ func (v *Vector) Get(i int) sql.Value {
 // positions are live, in that order. Kernels evaluate densely over
 // [0, Len) and filters narrow Sel, so dead lanes may be computed and
 // discarded — cheaper than branching per lane.
+//
+// A batch from GetBatch carries a recycler that its derived batches
+// (Derive) share: the vectors and selections kernels and stages draw for
+// it (NewVector, NewSel) go back with it on Release.
 type Batch struct {
 	Schema sql.Schema
 	Cols   []*Vector
 	Len    int
 	Sel    []int32
+	rec    *recycler
 }
 
 // NewBatch allocates typed all-valid vectors for every schema column.
@@ -350,13 +355,15 @@ func fillFromRows(v *Vector, rows []sql.Row, c int) bool {
 	return true
 }
 
-// Broadcast returns a vector repeating the boxed value v at every one of
-// n positions (all-NULL when v is nil).
-func Broadcast(val sql.Value, kind Kind, n int) *Vector {
-	out := NewVector(kind, n)
+// Broadcast returns a vector, drawn for b, repeating the boxed value v at
+// every one of b.Len positions (all-NULL when v is nil).
+func (b *Batch) Broadcast(val sql.Value, kind Kind) *Vector {
+	n := b.Len
+	out := b.NewVector(kind, n)
 	if val == nil {
 		if kind == KindAny {
-			return out // Anys already all nil
+			clear(out.Anys) // a nil cell is KindAny's NULL
+			return out
 		}
 		out.EnsureNulls(n).SetAll()
 		return out
@@ -396,13 +403,14 @@ func Broadcast(val sql.Value, kind Kind, n int) *Vector {
 	return out
 }
 
-// Gather builds an n-slot vector of src's kind from position pairs: slot
-// at[j] takes src's value and nullness at from[j], and a negative from[j]
-// makes the slot NULL (the padded side of an outer join). at == nil places
-// pair j in slot j. Slots no pair names are all-valid zero values; callers
-// keep them dead through the batch's selection.
-func Gather(src *Vector, from, at []int32, n int) *Vector {
-	out := NewVector(src.Kind, n)
+// Gather builds an n-slot vector, drawn for b, of src's kind from position
+// pairs: slot at[j] takes src's value and nullness at from[j], and a
+// negative from[j] makes the slot NULL (the padded side of an outer join).
+// at == nil places pair j in slot j. Slots no pair names are valid and hold
+// garbage, like any dead lane; callers keep them dead through the batch's
+// selection.
+func (b *Batch) Gather(src *Vector, from, at []int32, n int) *Vector {
+	out := b.NewVector(src.Kind, n)
 	slot := func(j int) int {
 		if at == nil {
 			return j
@@ -411,9 +419,11 @@ func Gather(src *Vector, from, at []int32, n int) *Vector {
 	}
 	if src.Kind == KindAny {
 		for j, f := range from {
+			var v sql.Value // nil: a padded slot is NULL
 			if f >= 0 {
-				out.Anys[slot(j)] = src.Anys[f]
+				v = src.Anys[f]
 			}
+			out.Anys[slot(j)] = v
 		}
 		return out
 	}

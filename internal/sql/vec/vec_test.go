@@ -286,13 +286,13 @@ func TestBitmapUnion(t *testing.T) {
 }
 
 func TestBroadcastConst(t *testing.T) {
-	v := Broadcast(int64(42), KindInt64, 3)
+	v := (&Batch{Len: 3}).Broadcast(int64(42), KindInt64)
 	for i := 0; i < 3; i++ {
 		if v.Get(i) != int64(42) {
 			t.Fatalf("Broadcast[%d] = %v", i, v.Get(i))
 		}
 	}
-	nv := Broadcast(nil, KindFloat64, 2)
+	nv := (&Batch{Len: 2}).Broadcast(nil, KindFloat64)
 	if nv.Get(0) != nil || nv.Get(1) != nil {
 		t.Fatal("Broadcast(nil) must yield NULLs")
 	}
@@ -382,8 +382,8 @@ func TestGather(t *testing.T) {
 	from := []int32{5, 5, -1, 0, 39, 3, 17}
 	at := []int32{9, 2, 4, 0, 7, 11, 6}
 	for _, v := range append(append([]*Vector(nil), src.Cols...), anys, wins) {
-		dense := Gather(v, from, nil, len(from))
-		placed := Gather(v, from, at, 12)
+		dense := src.Gather(v, from, nil, len(from))
+		placed := src.Gather(v, from, at, 12)
 		for j, f := range from {
 			var want sql.Value
 			if f >= 0 {
