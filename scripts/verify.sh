@@ -3,7 +3,7 @@
 # sweep included), the benchmark module, the dead-path baseline's reasons,
 # the stale-name guard, the varint reader guard and the vectorized/row
 # differential smoke. VERIFY_FULL=1 adds
-# thirteen fuzz smokes, six micro-benchmark steps, the x20 arrival wake-up
+# thirteen fuzz smokes, eight micro-benchmark steps, the x20 arrival wake-up
 # run and the dead-path audit. The last line says which tier ran. Use `go test -short ./...` for the
 # quick tier that skips the crash sweep.
 set -eu
@@ -119,6 +119,11 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# its number of distinct keys.
 	step "partial aggregate micro-benchmark, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkPartialAggUpdateBatch' -benchtime 1x ./internal/incremental/ >/dev/null
+	# One ysb-bulk map task from a pooled decode batch to the shuffle
+	# buckets, released after: it fails unless the buckets hold one cell
+	# per (window, campaign) group.
+	step "map task micro-benchmark, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkMapTaskScatter' -benchtime 1x ./internal/incremental/ >/dev/null
 	# The join's exchange, bus records to committed deltas: it checks that
 	# every input row reached a partition and that pairs came out.
 	step "join exchange micro-benchmark, -benchtime 1x"
