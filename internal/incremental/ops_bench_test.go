@@ -238,42 +238,60 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 // BenchmarkStreamStaticJoin is the broadcast join's entry in the per-layer
 // micro-suite: one op is one 8 192-row slice of (ad_id, event_time) through
 // the join stage alone, as boxed rows (row) or as a column batch (vec),
-// against 1 000 ads with one campaign each (unique) or three (dupkeys). A
-// tenth of the stream's ads are unknown to the table.
+// against 1 000 ads with one campaign each (unique) or three (dupkeys). The
+// string shapes add a 36-byte string id to both sides and join on it alone
+// (string) or on the int64 id and it (int-string). A tenth of the stream's
+// ads are unknown to the table.
 func BenchmarkStreamStaticJoin(b *testing.B) {
 	const slice, ads = 8192, 1000
-	streamSchema := sql.NewSchema(
-		sql.Field{Name: "ad_id", Type: sql.TypeInt64},
-		sql.Field{Name: "event_time", Type: sql.TypeTimestamp},
-	)
-	campaignSchema := sql.NewSchema(
-		sql.Field{Name: "c_ad_id", Type: sql.TypeInt64},
-		sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
-	)
-	rng := rand.New(rand.NewSource(1))
-	rows := make([]sql.Row, slice)
-	for i := range rows {
-		rows[i] = sql.Row{int64(rng.Intn(ads * 10 / 9)), int64(1_600_000_000_000_000 + i*100)}
-	}
-	batch, ok := vec.FromRows(streamSchema, rows)
-	if !ok {
-		b.Fatal("FromRows failed")
-	}
-	for _, perAd := range []struct {
-		name string
-		n    int
-	}{{"unique", 1}, {"dupkeys", 3}} {
+	// adKey is ad's string id, 36 bytes like the Yahoo! benchmark's UUIDs.
+	adKey := func(ad int) string { return fmt.Sprintf("%08x-0000-4000-8000-%012x", ad*2654435761%(1<<32), ad) }
+	for _, shape := range []struct {
+		name  string
+		perAd int  // static rows per ad id
+		str   bool // both sides carry the ad's string id
+		cond  sql.Expr
+	}{
+		{"unique", 1, false, sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id"))},
+		{"dupkeys", 3, false, sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id"))},
+		{"string", 1, true, sql.Eq(sql.Col("ad_key"), sql.Col("c_ad_key"))},
+		{"int-string", 1, true, sql.And(sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id")), sql.Eq(sql.Col("ad_key"), sql.Col("c_ad_key")))},
+	} {
+		streamFields := []sql.Field{{Name: "ad_id", Type: sql.TypeInt64}, {Name: "event_time", Type: sql.TypeTimestamp}}
+		campaignFields := []sql.Field{{Name: "c_ad_id", Type: sql.TypeInt64}, {Name: "campaign_id", Type: sql.TypeInt64}}
+		if shape.str {
+			streamFields = append(streamFields, sql.Field{Name: "ad_key", Type: sql.TypeString})
+			campaignFields = append(campaignFields, sql.Field{Name: "c_ad_key", Type: sql.TypeString})
+		}
+		streamSchema, campaignSchema := sql.NewSchema(streamFields...), sql.NewSchema(campaignFields...)
+		rng := rand.New(rand.NewSource(1))
+		rows := make([]sql.Row, slice)
+		for i := range rows {
+			ad := rng.Intn(ads * 10 / 9)
+			rows[i] = sql.Row{int64(ad), int64(1_600_000_000_000_000 + i*100)}
+			if shape.str {
+				rows[i] = append(rows[i], adKey(ad))
+			}
+		}
+		batch, ok := vec.FromRows(streamSchema, rows)
+		if !ok {
+			b.Fatal("FromRows failed")
+		}
 		var campaigns []sql.Row
-		for c := 0; c < perAd.n; c++ {
+		for c := 0; c < shape.perAd; c++ {
 			for ad := 0; ad < ads; ad++ {
-				campaigns = append(campaigns, sql.Row{int64(ad), int64(c*ads + ad/10)})
+				row := sql.Row{int64(ad), int64(c*ads + ad/10)}
+				if shape.str {
+					row = append(row, adKey(ad))
+				}
+				campaigns = append(campaigns, row)
 			}
 		}
 		plan := &logical.Join{
 			Left:  &logical.Scan{Name: "ad_events", Streaming: true, Out: streamSchema},
 			Right: &logical.Scan{Name: "campaigns", Out: campaignSchema, Handle: campaigns},
 			Type:  logical.InnerJoin,
-			Cond:  sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id")),
+			Cond:  shape.cond,
 		}
 		q, err := Compile(plan, logical.Append, func(s *logical.Scan) (physical.RowSource, error) {
 			return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
@@ -286,6 +304,9 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 			b.Fatal("the join has no vector twin")
 		}
 		want := len(p.Process(rows))
+		if want < slice*shape.perAd*8/10 {
+			b.Fatalf("%s: joined %d rows of %d, the keys barely match", shape.name, want, slice)
+		}
 		for _, path := range []struct {
 			name string
 			run  func() int
@@ -293,7 +314,7 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 			{"row", func() (n int) { p.ProcessTo(rows, func(sql.Row) { n++ }); return n }},
 			{"vec", func() int { return p.ApplyVec(batch).NumLive() }},
 		} {
-			b.Run(path.name+"/"+perAd.name, func(b *testing.B) {
+			b.Run(path.name+"/"+shape.name, func(b *testing.B) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
