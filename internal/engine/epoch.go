@@ -146,9 +146,10 @@ func (c *core) withRetry(fn func() error) error {
 }
 
 // evtStats is event-time telemetry over raw input rows: the extremes, and
-// sum/cnt for the average. min and max are −1 when no row carried an event
-// time. The sum is float64 because µs timestamps summed over millions of
-// rows overflow int64.
+// sum/cnt for the average. cnt counts the rows that carried an event time;
+// while it is 0, min and max mean nothing. Every int64 is an event time,
+// negative ones too. The sum is float64 because µs timestamps summed over
+// millions of rows overflow int64.
 type evtStats struct {
 	min, max int64
 	sum      float64
@@ -156,12 +157,14 @@ type evtStats struct {
 }
 
 func (s *evtStats) merge(o evtStats) {
-	if o.max > s.max {
-		s.max = o.max
+	if o.cnt == 0 {
+		return
 	}
-	if o.min >= 0 && (s.min < 0 || o.min < s.min) {
-		s.min = o.min
+	if s.cnt == 0 {
+		*s = o
+		return
 	}
+	s.min, s.max = min(s.min, o.min), max(s.max, o.max)
 	s.sum += o.sum
 	s.cnt += o.cnt
 }
@@ -210,7 +213,6 @@ func (c *core) beginEpoch(epoch int64, mode string, replay bool, start time.Time
 	r := &epochRecord{
 		c: c, epoch: epoch, mode: mode, start: start, admit: start, sources: plan,
 		et:           trace.StartEpoch(c.opts.Name, epoch, mode, start),
-		evt:          evtStats{min: -1, max: -1},
 		stateVersion: -1,
 	}
 	c.ring.Begin(r.et)
@@ -380,17 +382,13 @@ func (c *core) publish(r *epochRecord) {
 	var evtProgress *metrics.EventTimeProgress
 	if r.watermarked {
 		evtProgress = &metrics.EventTimeProgress{WatermarkMicros: r.watermark, WatermarkLagUs: max(wmLag, 0)}
-		if r.evt.max >= 0 {
+		if r.evt.cnt > 0 {
 			evtProgress.MinMicros, evtProgress.MaxMicros = r.evt.min, r.evt.max
-			if r.evt.cnt > 0 {
-				evtProgress.AvgMicros = int64(r.evt.sum / float64(r.evt.cnt))
-			}
+			evtProgress.AvgMicros = int64(r.evt.sum / float64(r.evt.cnt))
 		}
 	}
-	if r.evt.min >= 0 {
+	if r.evt.cnt > 0 {
 		r.et.SetAttr("eventTimeMinUs", r.evt.min)
-	}
-	if r.evt.max >= 0 {
 		r.et.SetAttr("eventTimeMaxUs", r.evt.max)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -694,16 +695,16 @@ func (e *exec) readInput(bp boundPipeline, spec taskSpec, wantVec bool) (raw []s
 // kernels over the batch's typed watermark column, else the boxed
 // evaluator row by row.
 func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) evtStats {
-	st := evtStats{min: -1, max: -1}
+	var st evtStats
 	if pipe.WatermarkEval == nil {
 		return st
 	}
 	if batch != nil {
 		col := batch.Cols[pipe.WatermarkIdx]
-		st.max = vec.MaxInt64(col, batch.Len, -1)
-		if st.max >= 0 {
+		st.sum, st.cnt = vec.SumInt64(col, batch.Len)
+		if st.cnt > 0 {
+			st.max = vec.MaxInt64(col, batch.Len, math.MinInt64)
 			st.min = vec.MinInt64(col, batch.Len, st.max)
-			st.sum, st.cnt = vec.SumInt64(col, batch.Len)
 		}
 		return st
 	}
@@ -712,10 +713,10 @@ func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) 
 		if !ok {
 			continue
 		}
-		if ts > st.max {
+		if st.cnt == 0 || ts > st.max {
 			st.max = ts
 		}
-		if st.min < 0 || ts < st.min {
+		if st.cnt == 0 || ts < st.min {
 			st.min = ts
 		}
 		st.sum += float64(ts)
@@ -831,10 +832,10 @@ func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exch
 		src.NumInputRows += res.rows
 		readNanos += res.readNanos
 		pipeNanos += res.taskNanos - res.readNanos
-		if res.evt.max > e.perPipeMax[spec.pipeIdx] {
+		if res.evt.cnt > 0 && res.evt.max > e.perPipeMax[spec.pipeIdx] {
 			e.perPipeMax[spec.pipeIdx] = res.evt.max
 		}
-		if res.evt.max > src.EventTimeMaxMicros {
+		if res.evt.cnt > 0 && res.evt.max > src.EventTimeMaxMicros {
 			src.EventTimeMaxMicros = res.evt.max
 		}
 		r.evt.merge(res.evt)

@@ -5,7 +5,6 @@ import (
 
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
-	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
 	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
@@ -657,27 +656,13 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 	joinedWidth := streamArity + staticArity
 	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
 		probeKey := make([]sql.Value, len(streamKeyEvals))
-		probeEnc := codec.NewEncoder(64)
 		arena := physical.NewRowArena(joinedWidth)
 		return func(sr sql.Row) {
-			null := false
 			for i, e := range streamKeyEvals {
 				probeKey[i] = e(sr)
-				if probeKey[i] == nil {
-					null = true
-				}
-			}
-			first := int32(-1)
-			if !null {
-				probeEnc.Reset()
-				for _, v := range probeKey {
-					probeEnc.PutValue(v)
-				}
-				kb := probeEnc.Bytes()
-				first = table.Lookup(codec.HashBytes(kb), kb)
 			}
 			matched := false
-			for r := first; r >= 0; r = table.Next(r) {
+			for r := table.Lookup(probeKey); r >= 0; r = table.Next(r) {
 				st := table.Rows[r]
 				joined := arena.Next()
 				if streamIsLeft {
@@ -715,7 +700,7 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 			}
 		}, nil
 	})
-	// The twin probes the same table with keys encoded straight from the
+	// The twin probes the same table with keys hashed straight off the
 	// stream's key vectors. It needs the static side columnar and kernels
 	// for the key expressions and the residual; anything else seals the plan.
 	var vop physical.VecOp

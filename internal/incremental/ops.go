@@ -219,13 +219,17 @@ func (p *partialAgg) lookupHashed(h uint64, kb []byte) int32 {
 	return p.addGroup(h, kb, -1)
 }
 
+// laneHashMask is ANDed into every lookup hash. Tests clear it to force
+// every key onto one full 64-bit hash.
+var laneHashMask = ^uint64(0)
+
 // lookupLane resolves the group for the key at lane i of the key vectors by
-// its lookup hash h, comparing typed cells against each candidate group's
-// first lane. Only a miss encodes the key.
+// its lookup hash h (vec.HashLanes), comparing typed cells against each
+// candidate group's first lane. Only a miss encodes the key.
 func (p *partialAgg) lookupLane(h uint64, keys []*vec.Vector, i int32) int32 {
 	for gi := p.slots[h&uint64(len(p.slots)-1)] - 1; gi >= 0; gi = p.groups[gi].next {
 		g := &p.groups[gi]
-		if g.h == h && lanesEqual(keys, int(g.lane), int(i), p.enc) {
+		if g.h == h && vec.KeysEqual(keys, int(g.lane), keys, int(i)) {
 			return gi
 		}
 	}
@@ -262,8 +266,8 @@ func (p *partialAgg) addGroup(h uint64, kb []byte, lane int32) int32 {
 
 // updateBatch folds the live rows of a column batch into the hash table
 // without boxing: a grouping pass hashes every live lane's key straight
-// from the key vectors, a column at a time over chunks of hashChunk lanes
-// (hashLanes), finds its group by that hash and a typed compare
+// from the key vectors, a column at a time over chunks of vec.HashChunk
+// lanes (vec.HashLanes, the map side's one typed key hash), finds its group by that hash and a typed compare
 // (lookupLane) and records the group index, encoding a key only for a new
 // group; then per-aggregate kernels fold whole lane runs into each group —
 // counts and sums accumulate in typed slabs and land in the buffer via one
@@ -306,10 +310,10 @@ func (p *partialAgg) updateBatch(b *vec.Batch, plan *VecAggPlan) {
 		p.laneGroup = make([]int32, len(lanes))
 	}
 	laneGroup := p.laneGroup[:len(lanes)]
-	var hs [hashChunk]uint64
-	for from := 0; from < len(lanes); from += hashChunk {
-		chunk := lanes[from:min(from+hashChunk, len(lanes))]
-		hashLanes(hs[:len(chunk)], keys, chunk, p.enc)
+	var hs [vec.HashChunk]uint64
+	for from := 0; from < len(lanes); from += vec.HashChunk {
+		chunk := lanes[from:min(from+vec.HashChunk, len(lanes))]
+		vec.HashLanes(hs[:len(chunk)], keys, chunk)
 		for j, lane := range chunk {
 			laneGroup[from+j] = p.lookupLane(hs[j]&laneHashMask, keys, lane)
 		}

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,14 +9,21 @@ import (
 	"structream/internal/sql"
 )
 
+// poisonStrings are what a poisoned string slab holds, lane by lane: each
+// as long as a literal the tests compare against, so string equality reads
+// them down its word-load path.
+var poisonStrings = []string{"x", "view", "viewview", "poisoned-slab", ""}
+
 // poison scribbles over a vector's whole capacity and sets every null bit:
-// true verdicts, a string the tests also compare against, non-nil boxed
+// true verdicts, strings the tests also compare against, non-nil boxed
 // cells. A kernel that leaves a slot it exposes unwritten shows poison.
 func poison(v *Vector) {
 	fillCap(v.Int64s, math.MinInt64+1)
 	fillCap(v.Float64s, -7.25)
 	fillCap(v.Bools, true)
-	fillCap(v.Strings, "x")
+	for i := range v.Strings[:cap(v.Strings)] {
+		v.Strings[:cap(v.Strings)][i] = poisonStrings[i%len(poisonStrings)]
+	}
 	fillCap(v.WStarts, 42)
 	fillCap(v.WEnds, 43)
 	fillCap(v.Anys, sql.Value("poison"))
@@ -162,6 +170,29 @@ func TestKernelsIgnorePoisonedSlabs(t *testing.T) {
 		sameLanes(t, "gather/placed", placed, clean.Gather(src, from, at, n), named)
 		if src.Kind != KindAny && placed.IsNull(1) {
 			t.Fatalf("gather kind %d: a slot no pair names must stay valid", src.Kind)
+		}
+	}
+
+	// String equality over a string column gathered into a recycled slab,
+	// as a filter after the broadcast join's placed gather runs: the slots
+	// no pair names are dead lanes holding poisoned strings, as long as
+	// each literal, and the verdicts on the named lanes must not change.
+	gs := sql.Schema{Fields: []sql.Field{{Name: "g", Type: sql.TypeString}}}
+	for _, l := range append([]string{"ab", "a"}, poisonStrings...) {
+		for _, op := range []sql.BinOp{sql.OpEq, sql.OpNe} {
+			prog, _ := Compile(sql.NewBinary(op, col("g"), lit(l)), gs)
+			pb := poisonedBatch(clean)
+			placed := pb.Gather(clean.Cols[4], from, at, n)
+			if placed.Strings[1] != poisonStrings[1] {
+				t.Fatalf("gathered string slab is not a poisoned one: slot 1 holds %q", placed.Strings[1])
+			}
+			got := prog.Run(pb.Derive(gs, []*Vector{placed}, n, nil))
+			want := prog.Run(&Batch{Schema: gs, Cols: []*Vector{clean.Gather(clean.Cols[4], from, at, n)}, Len: n})
+			named := make([]int, len(at))
+			for j, a := range at {
+				named[j] = int(a)
+			}
+			sameLanes(t, fmt.Sprintf("gather/streq %d %q", op, l), got, want, named)
 		}
 	}
 

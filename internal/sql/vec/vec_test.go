@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"structream/internal/sql"
@@ -336,6 +337,74 @@ func TestStringEqualityMatchesRowEval(t *testing.T) {
 			for i, row := range rows {
 				if want, got := bound.Eval(row), v.Get(i); want != got {
 					t.Fatalf("%s: %s over %v: row path %v, kernel %v", name, e, row, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestEqStrConstMatchesEquality holds the word-load string = / <> kernel
+// to Go's == for every literal length from 0 to 17, so each load width, the
+// overlapping loads and the == fallback are all covered. Each lane is a
+// fresh copy, never the literal's own bytes: the literal itself, a near
+// miss of the same length at its first and at its last byte, the literal
+// one byte short and one byte long, the empty string, and strings of the
+// literal's length sharing nothing with it. Through a compiled program, a
+// NULL lane stays NULL whatever its slot holds.
+func TestEqStrConstMatchesEquality(t *testing.T) {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz"
+	for n := 0; n <= 17; n++ {
+		lit := alphabet[:n]
+		flip := func(at int) string {
+			b := []byte(lit)
+			b[at] ^= 0x20
+			return string(b)
+		}
+		lanes := []string{strings.Clone(lit), "", strings.Repeat("z", n), strings.Clone(alphabet[1 : n+1]), strings.Clone(alphabet[:n+1])}
+		if n > 0 {
+			lanes = append(lanes, flip(0), flip(n-1), strings.Clone(lit[:n-1]), strings.Clone(alphabet[25-n:25]))
+		}
+		for _, ne := range []bool{false, true} {
+			out := make([]bool, len(lanes))
+			eqStrVC(lanes, lit, ne, out)
+			for i, s := range lanes {
+				if want := (s == lit) != ne; out[i] != want {
+					t.Fatalf("literal %q (ne %v): lane %q gave %v, want %v", lit, ne, s, out[i], want)
+				}
+			}
+		}
+
+		schema := sql.Schema{Fields: []sql.Field{{Name: "s", Type: sql.TypeString}}}
+		var rows []sql.Row
+		for i, s := range lanes {
+			rows = append(rows, sql.Row{s})
+			if i%2 == 0 {
+				rows = append(rows, sql.Row{nil})
+			}
+		}
+		batch, ok := FromRows(schema, rows)
+		if !ok {
+			t.Fatal("FromRows failed on schema-conforming rows")
+		}
+		for i, r := range rows {
+			if r[0] == nil {
+				batch.Cols[0].Strings[i] = strings.Clone(lit) // a NULL slot holding the literal
+			}
+		}
+		for _, op := range []sql.BinOp{sql.OpEq, sql.OpNe} {
+			e := sql.NewBinary(op, sql.Col("s"), sql.Lit(lit))
+			prog, ok := Compile(e, schema)
+			if !ok {
+				t.Fatalf("%s did not compile", e)
+			}
+			bound, err := e.Bind(schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := prog.Run(batch)
+			for i, row := range rows {
+				if want, got := bound.Eval(row), v.Get(i); want != got {
+					t.Fatalf("%s over %v: row path %v, kernel %v", e, row, want, got)
 				}
 			}
 		}

@@ -3,7 +3,7 @@
 # sweep included), the benchmark module, the dead-path baseline's reasons,
 # the stale-name guard, the varint reader guard and the vectorized/row
 # differential smoke. VERIFY_FULL=1 adds
-# thirteen fuzz smokes, eight micro-benchmark steps, the x20 arrival wake-up
+# thirteen fuzz smokes, nine micro-benchmark steps, the x20 arrival wake-up
 # run and the dead-path audit. The last line says which tier ran. Use `go test -short ./...` for the
 # quick tier that skips the crash sweep.
 set -eu
@@ -124,6 +124,13 @@ if [ "${VERIFY_FULL:-}" = "1" ]; then
 	# per (window, campaign) group.
 	step "map task micro-benchmark, -benchtime 1x"
 	go test -run '^$' -bench 'BenchmarkMapTaskScatter' -benchtime 1x ./internal/incremental/ >/dev/null
+	# The broadcast join's probe on int64, string and two-column keys, and
+	# string = against a literal on its word-load path and its == fallback:
+	# they fail on a joined row count the row stage does not give and on a
+	# wrong count of true verdicts.
+	step "broadcast join and string equality micro-benchmarks, -benchtime 1x"
+	go test -run '^$' -bench 'BenchmarkStreamStaticJoin' -benchtime 1x ./internal/incremental/ >/dev/null
+	go test -run '^$' -bench 'BenchmarkEqStrConst' -benchtime 1x ./internal/sql/vec/ >/dev/null
 	# The join's exchange, bus records to committed deltas: it checks that
 	# every input row reached a partition and that pairs came out.
 	step "join exchange micro-benchmark, -benchtime 1x"
