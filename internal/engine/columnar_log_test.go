@@ -38,9 +38,9 @@ var campaignSchema = sql.NewSchema(
 	sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
 )
 
-// yahooQuery is the benchmark's ysb-bulk plan: 40 ads in 8 campaigns.
-func yahooQuery(t *testing.T) *incremental.Query {
-	t.Helper()
+// yahooPlan is the benchmark's ysb-bulk plan: 40 ads in 8 campaigns, the
+// campaign table a static scan resolver serves from its Handle.
+func yahooPlan() (logical.Plan, physical.ScanResolver) {
 	var campaigns []sql.Row
 	for ad := 0; ad < 40; ad++ {
 		campaigns = append(campaigns, sql.Row{int64(ad), int64(ad / 5)})
@@ -53,15 +53,22 @@ func yahooQuery(t *testing.T) *incremental.Query {
 			Cond: sql.Eq(sql.Col("event_type"), sql.Lit("view"))},
 		Exprs: []sql.Expr{sql.Col("ad_id"), sql.Col("event_time")},
 	}
-	return compile(t, &logical.Aggregate{
-		Child: &logical.Join{Left: views,
-			Right: &logical.Scan{Name: "campaigns", Out: campaignSchema, Handle: campaigns},
-			Type:  logical.InnerJoin, Cond: sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id"))},
-		Keys: []sql.Expr{sql.NewWindow(sql.Col("event_time"), 10*time.Second, 0), sql.Col("campaign_id")},
-		Aggs: []logical.NamedAgg{{Agg: sql.CountAll(), Name: "count"}},
-	}, logical.Update, func(s *logical.Scan) (physical.RowSource, error) {
-		return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
-	})
+	return &logical.Aggregate{
+			Child: &logical.Join{Left: views,
+				Right: &logical.Scan{Name: "campaigns", Out: campaignSchema, Handle: campaigns},
+				Type:  logical.InnerJoin, Cond: sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id"))},
+			Keys: []sql.Expr{sql.NewWindow(sql.Col("event_time"), 10*time.Second, 0), sql.Col("campaign_id")},
+			Aggs: []logical.NamedAgg{{Agg: sql.CountAll(), Name: "count"}},
+		}, func(s *logical.Scan) (physical.RowSource, error) {
+			return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
+		}
+}
+
+// yahooQuery is yahooPlan compiled.
+func yahooQuery(t *testing.T) *incremental.Query {
+	t.Helper()
+	plan, resolver := yahooPlan()
+	return compile(t, plan, logical.Update, resolver)
 }
 
 // adEvent is event i of a deterministic stream: a third are views, event

@@ -141,6 +141,9 @@ func (o *batchOracle) epoch(rows []sql.Row) {
 func (o *batchOracle) check(t *testing.T, sink []sql.Row, context string) {
 	t.Helper()
 	op, err := physical.Compile(o.plan, func(s *logical.Scan) (physical.RowSource, error) {
+		if static, ok := s.Handle.([]sql.Row); ok && !s.Streaming {
+			return physical.NewSliceSource(s.Out, static), nil // a stream-static join's table
+		}
 		return physical.NewSliceSource(s.Out, o.kept), nil
 	})
 	if err != nil {

@@ -118,6 +118,61 @@ func TestVectorizeOnOffIdentical(t *testing.T) {
 	}
 }
 
+// TestRowStagesMatchTheOracle covers the stages that have no kernel, which
+// every batch runs as row stages after the columnar prefix: sliding-window
+// assignment, and the key prefix a flatMapGroupsWithState input row gets.
+// Columnar and on the row path alike, the sink must hold the batch query's
+// rows after every epoch.
+func TestRowStagesMatchTheOracle(t *testing.T) {
+	epochs := [][]sql.Row{
+		{{"a", 5.0, 1 * sec}, {"b", -2.0, 2 * sec}, {nil, 7.5, 3 * sec}, {"a", 1.0, 12 * sec}},
+		{{"c", 4.0, 4 * sec}, {"d", 0.0, 25 * sec}, {"b", 3.0, nil}},
+		{},
+		{{"e", 0.0, 16 * sec}, {"a", 9.0, 17 * sec}, {"a", 2.5, 41 * sec}},
+	}
+	// Each value comes back under its (computed) key, so the stream's
+	// output is the batch query's over the same rows.
+	echo := func(key sql.Row, values []sql.Row, _ logical.GroupState) []sql.Row {
+		out := make([]sql.Row, len(values))
+		for i, v := range values {
+			out[i] = sql.Row{key[0], v[1], v[2]}
+		}
+		return out
+	}
+	shapes := map[string]struct {
+		plan logical.Plan
+		mode logical.OutputMode
+	}{
+		"sliding-window-agg": {
+			plan: &logical.Aggregate{
+				Child: &logical.Filter{Child: streamScan("events"), Cond: sql.Ge(sql.Col("v"), sql.Lit(0.0))},
+				Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second)},
+				Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
+			mode: logical.Complete,
+		},
+		"mgws-key-prefix": {
+			plan: &logical.MapGroups{
+				Child:    &logical.Filter{Child: streamScan("events"), Cond: sql.Ge(sql.Col("v"), sql.Lit(0.0))},
+				Keys:     []sql.Expr{sql.Add(sql.Col("k"), sql.Lit("!"))},
+				KeyNames: []string{"kx"},
+				Func:     echo,
+				Out: sql.NewSchema(sql.Field{Name: "kx", Type: sql.TypeString},
+					sql.Field{Name: "v", Type: sql.TypeFloat64}, sql.Field{Name: "ts", Type: sql.TypeTimestamp}),
+			},
+			mode: logical.Append,
+		},
+	}
+	for name, s := range shapes {
+		t.Run(name, func(t *testing.T) {
+			on := runEpochsWith(t, s.plan, s.mode, epochs, true)
+			off := runEpochsWith(t, s.plan, s.mode, epochs, false)
+			if got, want := sortedStrings(on.Rows()), sortedStrings(off.Rows()); len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("columnar %v, row path %v", got, want)
+			}
+		})
+	}
+}
+
 // TestVectorizeTypeDriftFallsBack feeds an epoch whose dynamic types
 // drift from the schema (ints in the float column): those tasks must
 // take the row path and still produce identical output.

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"structream/internal/fsx"
 	"structream/internal/sql"
@@ -193,6 +194,21 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 		"cast-project": {plan: &logical.Project{Child: diffScan(),
 			Exprs: []sql.Expr{sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}},
 			vecOps: -1, mode: logical.Append},
+		// Sliding windows explode rows and have no kernel: the window stage
+		// and the aggregate after it run on rows.
+		"filter-then-sliding-window": {plan: &logical.Aggregate{
+			Child: &logical.Filter{Child: diffScan(), Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(-10)))},
+			Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second), sql.Col("k")},
+			Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
+			vecOps: 1, mode: logical.Complete},
+		// flatMapGroupsWithState's key prefix (the computed key ahead of the
+		// row) has no twin.
+		"filter-then-mgws": {plan: &logical.MapGroups{
+			Child:    &logical.Filter{Child: diffScan(), Cond: sql.IsNotNull(sql.Col("v"))},
+			Keys:     []sql.Expr{sql.Add(sql.Col("k"), sql.Lit("!")), sql.Col("b")},
+			KeyNames: []string{"kx", "b"},
+			Out:      diffSchema,
+		}, vecOps: 1, mode: logical.Append},
 		// A stage after the seal must NOT be picked up out of order.
 		"like-then-project": {plan: &logical.Project{
 			Child: &logical.Filter{Child: diffScan(),
