@@ -321,9 +321,11 @@ func TestStalledConsumerIsEvicted(t *testing.T) {
 	clock.Advance(2 * time.Second)
 	addEpoch(t, ms, logical.Append, 1, epochRows(1, 1))
 	h.Notify(1)
+	// The sweep may evict while broadcasting epoch 0, before epoch 1 is
+	// broadcast: wait for both, so the resumed snapshot below covers epoch 1.
 	waitFor(t, 5*time.Second, func() bool {
-		return h.Registry().Counter("evictions").Value() == 1
-	}, "stall eviction sweep")
+		return h.Registry().Counter("evictions").Value() == 1 && h.Registry().Counter("framesBroadcast").Value() == 2
+	}, "stall eviction sweep and epoch 1's broadcast")
 
 	f := nextFrame(t, sub)
 	if f.Kind != FrameEvicted {
@@ -351,6 +353,37 @@ func TestStalledConsumerIsEvicted(t *testing.T) {
 	rf := nextFrame(t, sub2)
 	if rf.Kind != FrameSnapshot || rf.Cursor != 1 || len(rf.Rows) != 2 {
 		t.Fatalf("post-eviction resume frame = %+v", rf)
+	}
+}
+
+// TestSnapshotStopsAtTheBroadcastPrefix: an epoch the sink already holds
+// but the hub has not broadcast yet is not in a new subscriber's snapshot.
+// The snapshot's rows and its cursor describe the same prefix, and the
+// epoch arrives once, in its own frame, when it is broadcast.
+func TestSnapshotStopsAtTheBroadcastPrefix(t *testing.T) {
+	ms := sinks.NewMemorySink()
+	h := NewHub("q", ms, HubOptions{})
+	defer h.Close()
+	addEpoch(t, ms, logical.Append, 0, epochRows(0, 2))
+	h.Notify(0)
+	waitFor(t, 5*time.Second, func() bool {
+		return h.Registry().Counter("framesBroadcast").Value() == 1
+	}, "epoch 0 broadcast")
+	addEpoch(t, ms, logical.Append, 1, epochRows(1, 3)) // written, not yet notified
+
+	sub, err := h.Subscribe(SubscribeOptions{Cursor: -1, SkipHello: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	snap := nextFrame(t, sub)
+	if snap.Kind != FrameSnapshot || snap.Cursor != 0 || len(snap.Rows) != 2 {
+		t.Fatalf("snapshot = %+v, want epoch 0's 2 rows at cursor 0", snap)
+	}
+	h.Notify(1)
+	f := nextFrame(t, sub)
+	if f.Kind != FrameEpoch || f.Epoch != 1 || len(f.Rows) != 3 {
+		t.Fatalf("frame after the snapshot = %+v, want epoch 1's 3 rows", f)
 	}
 }
 
