@@ -103,7 +103,7 @@ func appendAds(t *testing.T, topic *msgbus.Topic, first int, recs [][]byte) {
 func TestYahooQueryRunsColumnarFromTheLog(t *testing.T) {
 	q := yahooQuery(t)
 	p := q.Pipelines[0]
-	if len(p.Stages) != 5 || p.Vec == nil || p.Vec.Agg == nil || len(p.Vec.Ops) != len(p.Stages)-1 {
+	if len(p.Stages) != 4 || p.Vec == nil || p.Vec.Agg == nil || len(p.Vec.Ops) != len(p.Stages) {
 		t.Fatalf("the plan seals before the aggregate: %d stages, vector plan %+v", len(p.Stages), p.Vec)
 	}
 	if want := []int{2, 4, 5}; !reflect.DeepEqual(p.SourceCols, want) { // ad_id, event_type, event_time

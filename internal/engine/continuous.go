@@ -234,8 +234,7 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instru
 			return
 		}
 		procStart := time.Now()
-		var rows []sql.Row
-		pipe.ProcessTo(raw, func(r sql.Row) { rows = append(rows, r) })
+		rows := pipe.Process(raw)
 		ce.procNanos.Add(time.Since(procStart).Nanoseconds())
 		if len(rows) > 0 {
 			seq++

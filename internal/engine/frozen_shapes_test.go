@@ -91,9 +91,13 @@ func frozenJoinPlan() logical.Plan {
 }
 
 // runsOnKernels reports whether a pipeline's vector plan covers every one
-// of its stages, the terminal included: no row stage runs for a batch.
-func runsOnKernels(p *incremental.Pipeline) bool {
-	return p.Vec != nil && (p.FullyVectorized() || p.Scatters() && len(p.Vec.Ops) == len(p.Stages)-1)
+// of its stages, and a stateful query's map-side terminal too: no row stage
+// runs for a batch.
+func runsOnKernels(q *incremental.Query, p *incremental.Pipeline) bool {
+	if q.Stateful == nil {
+		return p.FullyVectorized()
+	}
+	return p.Scatters() && len(p.Vec.Ops) == len(p.Stages)
 }
 
 // frozenRun drives a compiled workload over codec bus topics, one epoch per
@@ -102,7 +106,7 @@ func runsOnKernels(p *incremental.Pipeline) bool {
 func frozenRun(t *testing.T, q *incremental.Query, schemas map[string]sql.Schema, epochs []map[string][]sql.Row, check func(e int, sink *sinks.MemorySink)) {
 	t.Helper()
 	for i, p := range q.Pipelines {
-		if !runsOnKernels(p) {
+		if !runsOnKernels(q, p) {
 			t.Fatalf("pipeline %d (%s) leaves stages to the row path: vector plan %+v", i, p.SourceName, p.Vec)
 		}
 	}

@@ -727,7 +727,7 @@ func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) 
 
 // runMapTask reads one task's slice and runs its pipeline up to the
 // shuffle (or direct-output) boundary: with a batch in hand, as kernels
-// until rows must materialize; without one, as row operators.
+// until rows must materialize; without one, as row stages.
 func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	taskStart := time.Now()
 	bp := e.pipes[spec.pipeIdx]
@@ -756,49 +756,23 @@ func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
 	}
 	res.evt = scanEventTime(pipe, raw, batch)
 	switch {
-	case pipe.KeyEvals == nil && batch != nil && e.colSink != nil && pipe.FullyVectorized():
+	case e.q.Stateful == nil && batch != nil && e.colSink != nil && pipe.FullyVectorized():
 		// The whole pipeline ran as kernels and the sink takes column
 		// batches: skip row materialization entirely. The sink keeps the
 		// vectors, so none of them may come from, or go back to, the pool.
 		batch.Detach()
 		res.vecOut = pipe.ApplyVec(batch)
-	case pipe.KeyEvals == nil:
-		emit := func(row sql.Row) { res.direct = append(res.direct, row) }
-		if batch != nil {
-			pipe.ProcessBatchTo(batch, emit)
-		} else {
-			pipe.ProcessTo(raw, emit)
-		}
-	case batch != nil && pipe.KeyIdxs != nil && pipe.FullyVectorized():
-		// Columnar exchange: the batch stays columnar through the whole
-		// pipeline, so route it by hashing the key column vectors lane by
-		// lane — same hash, same materialization order as the boxed
-		// scatter below, without boxing a key per row first.
-		res.buckets = shard.Scatter(pipe.ApplyVec(batch), pipe.KeyIdxs, nPart)
-	case batch != nil && pipe.Scatters():
-		// Columnar partial aggregation, or a join's cell rendering: the whole
-		// map side — kernels, grouping or key encoding, shuffle routing —
-		// runs without boxing a row. Groups or rows render straight into
-		// buckets as cells, routed by the key hash each carries (identical
-		// buckets to the boxed scatter below).
-		res.buckets = pipe.ProcessBatchScatter(batch, nPart)
-		// The buckets hold cells, which point into their own slabs and never
-		// into the batch: this is the one branch that may recycle it.
-		batch.Release()
+	case e.q.Stateful == nil:
+		// Map-only: the stages' rows are the query's output.
+		res.direct = pipe.Scatter(raw, batch, 1)[0]
 	default:
-		// Boxed scatter: push rows straight into shuffle buckets, with no
-		// intermediate materialization between the fused pipeline and the
-		// shuffle.
-		res.buckets = make([][]sql.Row, nPart)
-		key := make([]sql.Value, len(pipe.KeyEvals))
-		emit := func(row sql.Row) {
-			b := pipe.PartitionOf(row, key, nPart)
-			res.buckets[b] = append(res.buckets[b], row)
-		}
-		if batch != nil {
-			pipe.ProcessBatchTo(batch, emit)
-		} else {
-			pipe.ProcessTo(raw, emit)
+		// The pipeline routes its own output into the shuffle buckets: the
+		// terminal's cells, or the stages' rows by their key.
+		res.buckets = pipe.Scatter(raw, batch, nPart)
+		if batch != nil && pipe.Scatters() {
+			// Cells point into their own slabs and never into the batch:
+			// this is the one branch that may recycle it.
+			batch.Release()
 		}
 	}
 	res.taskNanos = time.Since(taskStart).Nanoseconds()

@@ -138,8 +138,8 @@ func (c *compiler) finish(q *Query) {
 // the source arity names a source column; after it, no stage can reach one.
 type sourceReads struct {
 	need []bool // by source column
-	// narrowedAt is the index of the narrowing stage, -1 while the source
-	// columns are still flowing.
+	// narrowedAt counts the stages up to the narrowing one, the terminal
+	// last; -1 while the source columns are still flowing.
 	narrowedAt int
 }
 
@@ -155,9 +155,9 @@ func (r *sourceReads) all() {
 	}
 }
 
-// noteReads records the columns the stage just appended to pipes reads
-// through exprs, bound against the stage's input schema; narrows marks the
-// stage as replacing the row.
+// noteReads records the columns the stage (or terminal) just appended to
+// pipes reads through exprs, bound against its input schema; narrows marks
+// it as replacing the row.
 func noteReads(pipes []*Pipeline, schema sql.Schema, narrows bool, exprs ...sql.Expr) {
 	for _, p := range pipes {
 		r := p.reads
@@ -174,7 +174,10 @@ func noteReads(pipes []*Pipeline, schema sql.Schema, narrows bool, exprs ...sql.
 			})
 		}
 		if narrows {
-			r.narrowedAt = len(p.Stages) - 1
+			r.narrowedAt = len(p.Stages)
+			if p.term != nil {
+				r.narrowedAt++
+			}
 		}
 	}
 }
@@ -191,7 +194,7 @@ func (r *sourceReads) columns(p *Pipeline) []int {
 	if p.Vec.Agg != nil || p.Vec.Join != nil {
 		covered++
 	}
-	if r.narrowedAt >= covered {
+	if r.narrowedAt > covered {
 		return nil
 	}
 	var cols []int
@@ -360,14 +363,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		pred := b.Eval
-		appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-			return func(r sql.Row) {
-				if keep, ok := pred(r).(bool); ok && keep {
-					next(r)
-				}
-			}, nil
-		})
+		appendStage(pipes, func() physical.BatchFunc { return physical.FilterFunc(b.Eval) })
 		var vop physical.VecOp
 		if prog, ok := vec.Compile(n.Cond, schema); ok {
 			vop = physical.NewVecFilter(prog)
@@ -385,17 +381,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		width := len(evals)
-		appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-			arena := physical.NewRowArena(width)
-			return func(r sql.Row) {
-				nr := arena.Next()
-				for j, e := range evals {
-					nr[j] = e(r)
-				}
-				next(nr)
-			}, nil
-		})
+		appendStage(pipes, func() physical.BatchFunc { return physical.ProjectFunc(evals) })
 		var vop physical.VecOp
 		if progs, ok := vec.CompileAll(n.Exprs, schema); ok {
 			vop = physical.NewVecProject(progs, outSchema)
@@ -413,46 +399,14 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		timeEval := t.Eval
 		w := n.Window
-		tumbling := w.Size == w.Slide
-		size, slide := w.Size, w.Slide
-		width := schema.Len() + 1
-		appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-			arena := physical.NewRowArena(width)
-			var cachedStart int64 = -1 << 62
-			var cached sql.Value
-			return func(r sql.Row) {
-				ts, ok := timeEval(r).(int64)
-				if !ok {
-					return // NULL event times drop, as in Spark
-				}
-				if tumbling {
-					start := ts - ((ts%slide)+slide)%slide
-					if start != cachedStart {
-						cachedStart = start
-						cached = sql.Window{Start: start, End: start + size}
-					}
-					nr := arena.Next()
-					copy(nr, r)
-					nr[len(r)] = cached
-					next(nr)
-					return
-				}
-				for _, win := range w.Windows(ts) {
-					nr := arena.Next()
-					copy(nr, r)
-					nr[len(r)] = win
-					next(nr)
-				}
-			}, nil
-		})
+		appendStage(pipes, func() physical.BatchFunc { return physical.WindowAssignFunc(t.Eval, w) })
 		out, err := n.Schema()
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
 		var vop physical.VecOp
-		if tumbling {
+		if w.Size == w.Slide {
 			// Sliding windows explode rows and stay on the row path.
 			if prog, ok := vec.Compile(n.Window.Time, schema); ok && vec.KindOf(prog.Type) == vec.KindInt64 {
 				vop = physical.NewVecWindow(prog, w, out)
@@ -533,7 +487,7 @@ func (c *compiler) sourceSchema(p logical.Plan, name string) (sql.Schema, error)
 	return found.Out, nil
 }
 
-func appendStage(pipes []*Pipeline, f StageFactory) {
+func appendStage(pipes []*Pipeline, f func() physical.BatchFunc) {
 	for _, p := range pipes {
 		p.Stages = append(p.Stages, f)
 	}
@@ -543,7 +497,7 @@ func appendStage(pipes []*Pipeline, f StageFactory) {
 // the stage appendStage just added. op == nil marks the stage
 // non-vectorizable, which seals the plan: later vectorized stages cannot
 // run before an uncovered row stage, so the columnar prefix stops growing
-// there and ProcessBatchTo hands the remaining stages their rows.
+// there and Scatter hands the remaining stages their rows.
 func appendVec(pipes []*Pipeline, op physical.VecOp) {
 	for _, p := range pipes {
 		v := p.Vec
@@ -558,15 +512,15 @@ func appendVec(pipes []*Pipeline, op physical.VecOp) {
 	}
 }
 
-// appendTerminal seals each pipeline's vector plan at the blocking terminal
-// stage appendStage just added — the map-side partial aggregate, a join's
-// cell rendering — letting end install the stage's columnar twin where the
-// plan still covers every earlier stage; end == nil marks the stage
-// non-vectorizable.
-func appendTerminal(pipes []*Pipeline, end func(*VecPlan)) {
+// appendTerminal ends each pipeline in the blocking terminal — the map-side
+// partial aggregate, a join side's cell rendering — and seals its vector
+// plan there, letting end install the terminal's column entry where the plan
+// still covers every stage; end == nil marks the entry missing.
+func appendTerminal(pipes []*Pipeline, term terminal, end func(*VecPlan)) {
 	for _, p := range pipes {
+		p.term = term
 		if v := p.Vec; v != nil && !v.sealed {
-			if end != nil && len(v.Ops)+1 == len(p.Stages) {
+			if end != nil && len(v.Ops) == len(p.Stages) {
 				end(v)
 			}
 			v.sealed = true
@@ -640,7 +594,7 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 	}
 
 	// The broadcast table is built once at compile time and only read by
-	// tasks; all per-task probe state lives inside the stage factory.
+	// tasks; all per-task probe state lives inside the stage's function.
 	spec := physical.BroadcastJoinSpec{
 		Table:        physical.NewBroadcastTable(staticSchema, staticRows, staticKeyEvals),
 		StreamIsLeft: streamIsLeft,
@@ -650,61 +604,14 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 		Anti:   n.Type == logical.LeftAntiJoin,
 		Joined: leftSchema.Concat(rightSchema),
 	}
-	table, outer, semi, anti := spec.Table, spec.Outer, spec.Semi, spec.Anti
-	staticArity := staticSchema.Len()
-	streamArity := streamSchema.Len()
-	joinedWidth := streamArity + staticArity
-	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-		probeKey := make([]sql.Value, len(streamKeyEvals))
-		arena := physical.NewRowArena(joinedWidth)
-		return func(sr sql.Row) {
-			for i, e := range streamKeyEvals {
-				probeKey[i] = e(sr)
-			}
-			matched := false
-			for r := table.Lookup(probeKey); r >= 0; r = table.Next(r) {
-				st := table.Rows[r]
-				joined := arena.Next()
-				if streamIsLeft {
-					copy(joined, sr)
-					copy(joined[streamArity:], st)
-				} else {
-					copy(joined, st)
-					copy(joined[staticArity:], sr)
-				}
-				if residual != nil {
-					if b, ok := residual(joined).(bool); !ok || !b {
-						continue
-					}
-				}
-				matched = true
-				if semi || anti {
-					break
-				}
-				next(joined)
-			}
-			switch {
-			case semi && matched, anti && !matched:
-				next(sr)
-			case outer && !matched:
-				joined := arena.Next()
-				for i := range joined {
-					joined[i] = nil
-				}
-				if streamIsLeft {
-					copy(joined, sr)
-				} else {
-					copy(joined[staticArity:], sr)
-				}
-				next(joined)
-			}
-		}, nil
+	appendStage(pipes, func() physical.BatchFunc {
+		return physical.BroadcastJoinFunc(spec, streamKeyEvals, residual)
 	})
 	// The twin probes the same table with keys hashed straight off the
 	// stream's key vectors. It needs the static side columnar and kernels
 	// for the key expressions and the residual; anything else seals the plan.
 	var vop physical.VecOp
-	if keyProgs, ok := vec.CompileAll(streamKeys, streamSchema); ok && table.Cols != nil {
+	if keyProgs, ok := vec.CompileAll(streamKeys, streamSchema); ok && spec.Table.Cols != nil {
 		var resid *vec.Program
 		if keys.Residual != nil {
 			resid, ok = vec.Compile(keys.Residual, spec.Joined)
@@ -719,7 +626,7 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 		p.reads.all()
 	}
 	appendVec(pipes, vop)
-	if semi || anti {
+	if spec.Semi || spec.Anti {
 		return pipes, streamSchema, nil
 	}
 	return pipes, outSchema, nil
@@ -758,21 +665,17 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 			op.EventKeyIdx = i
 		}
 	}
-	// Map-side partial aggregation is a blocking terminal stage: rows fold
-	// into per-task buffers and the flush emits one shuffle row per group.
-	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-		h := newPartialAgg(keyEvals, aggs)
-		return h.update, func() {
-			for _, row := range h.scatter(1)[0] {
-				next(row)
-			}
-		}
-	})
-	// The aggregation itself vectorizes when its keys and inputs compile
-	// to kernels AND the vector plan still covers every earlier stage —
-	// otherwise rows would reach the columnar aggregator out of order with
-	// the row stages.
-	vecAgg := compileVecAgg(a, aggs, childSchema)
+	// Map-side partial aggregation is the pipelines' terminal: rows fold
+	// into per-task tables, which scatter one partial cell per group. It
+	// vectorizes when its keys and inputs compile to kernels AND the vector
+	// plan covers every stage — otherwise rows would reach the columnar
+	// aggregator out of order with the row stages.
+	term := &aggTerminal{keyEvals: keyEvals, aggs: aggs, vec: compileVecAgg(a, aggs, childSchema)}
+	var end func(*VecPlan)
+	if term.vec != nil {
+		end = func(v *VecPlan) { v.Agg = term.vec }
+	}
+	appendTerminal(pipes, term, end)
 	aggReads := append([]sql.Expr(nil), a.Keys...)
 	for _, na := range a.Aggs {
 		if na.Agg.Child != nil {
@@ -780,16 +683,9 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 		}
 	}
 	noteReads(pipes, childSchema, true, aggReads...)
-	var end func(*VecPlan)
-	if vecAgg != nil {
-		end = func(v *VecPlan) { v.Agg = vecAgg }
+	for _, p := range pipes {
+		p.KeyIdxs = allColumns(len(a.Keys))
 	}
-	appendTerminal(pipes, end)
-	keyIdxs := make([]int, len(a.Keys))
-	for i := range keyIdxs {
-		keyIdxs[i] = i
-	}
-	routeByCell(pipes, len(a.Keys), keyIdxs)
 	q.Pipelines = pipes
 	return op, len(a.Keys), nil
 }
@@ -811,18 +707,12 @@ func (c *compiler) compileDistinct(d *logical.Distinct, q *Query) (StatefulOp, e
 	}
 	// Route by the duplicate key so every occurrence of a key lands on the
 	// same state partition.
-	if keyIdxs == nil {
-		routeByLeadingColumns(pipes, schema.Len())
-	} else {
-		evals := make([]func(sql.Row) sql.Value, len(keyIdxs))
-		for i, idx := range keyIdxs {
-			idx := idx
-			evals[i] = func(r sql.Row) sql.Value { return r[idx] }
-		}
-		for _, p := range pipes {
-			p.KeyEvals = evals
-			p.KeyIdxs = keyIdxs
-		}
+	route := keyIdxs
+	if route == nil {
+		route = allColumns(schema.Len())
+	}
+	for _, p := range pipes {
+		p.KeyEvals = columnEvals(route)
 	}
 	q.Pipelines = pipes
 	return op, nil
@@ -837,21 +727,14 @@ func (c *compiler) compileMapGroups(m *logical.MapGroups, q *Query) (StatefulOp,
 	if err != nil {
 		return nil, err
 	}
+	// Each row leaves keyed: the key values, then the row.
 	nkeys := len(m.Keys)
-	width := nkeys + schema.Len()
-	appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-		arena := physical.NewRowArena(width)
-		return func(r sql.Row) {
-			sr := arena.Next()
-			for i, e := range keyEvals {
-				sr[i] = e(r)
-			}
-			copy(sr[nkeys:], r)
-			next(sr)
-		}, nil
-	})
+	prefixed := append(keyEvals, columnEvals(allColumns(schema.Len()))...)
+	appendStage(pipes, func() physical.BatchFunc { return physical.ProjectFunc(prefixed) })
 	appendVec(pipes, nil)
-	routeByLeadingColumns(pipes, nkeys)
+	for _, p := range pipes {
+		p.KeyEvals = columnEvals(allColumns(nkeys))
+	}
 	q.Pipelines = pipes
 	return &FlatMapGroupsWithState{
 		OpName:  c.nextOpName("mgws"),
@@ -922,15 +805,6 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 			return err
 		}
 		sh := &joinShuffle{keyEvals: keyEvals, eventIdx: eventIdx}
-		appendStage(pipes, func(next RowEmit) (RowEmit, func()) {
-			c := sh.cells()
-			return func(r sql.Row) { c.add(sh, r) }, func() {
-				for _, row := range c.scatter(1)[0] {
-					next(row)
-				}
-				sh.release(c)
-			}
-		})
 		for _, p := range pipes {
 			p.reads.all()
 		}
@@ -938,8 +812,7 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 		if progs, ok := vec.CompileAll(keyExprs, schema); ok {
 			sh.keyProgs, end = progs, func(v *VecPlan) { v.Join = sh }
 		}
-		appendTerminal(pipes, end)
-		routeByCell(pipes, len(keyExprs), nil)
+		appendTerminal(pipes, sh, end)
 		return nil
 	}
 	if err := side(leftPipes, keys.Left, leftSchema, op.LeftEventIdx); err != nil {
@@ -955,47 +828,22 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 	return op, nil
 }
 
-// routeByLeadingColumns sets pipelines to route shuffle rows by their first
-// n columns.
-func routeByLeadingColumns(pipes []*Pipeline, n int) {
-	evals := make([]func(sql.Row) sql.Value, n)
+// allColumns is 0..n-1.
+func allColumns(n int) []int {
 	idxs := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		evals[i] = func(r sql.Row) sql.Value { return r[i] }
+	for i := range idxs {
 		idxs[i] = i
 	}
-	for _, p := range pipes {
-		p.KeyEvals = evals
-		p.KeyIdxs = idxs
-	}
+	return idxs
 }
 
-// routeByCell routes shuffle rows that are cells — an aggregate's partial
-// cells, a join's cells — by the hash of its n-value encoded key each one
-// carries (Pipeline.PartitionOf). KeyEvals say what that hash is of, for
-// callers that route through them: evaluator i decodes value i out of the
-// cell's key bytes, boxed. keyIdxs are the key's columns in the input of a
-// terminal stage the vector plan covers, nil where there are none.
-func routeByCell(pipes []*Pipeline, n int, keyIdxs []int) {
-	evals := make([]func(sql.Row) sql.Value, n)
-	for i := range evals {
-		evals[i] = func(r sql.Row) sql.Value {
-			_, key, ok := cellOf(r)
-			if !ok {
-				return nil
-			}
-			pos := keyValueAt(key, i)
-			if pos < 0 {
-				return nil
-			}
-			v, _ := sql.ReadValue(key, pos) // a cell's key is the engine's own encoding
-			return v
-		}
+// columnEvals reads the given columns off a row.
+func columnEvals(idxs []int) []func(sql.Row) sql.Value {
+	evals := make([]func(sql.Row) sql.Value, len(idxs))
+	for i, idx := range idxs {
+		evals[i] = func(r sql.Row) sql.Value { return r[idx] }
 	}
-	for _, p := range pipes {
-		p.KeyEvals, p.KeyIdxs, p.cells = evals, keyIdxs, true
-	}
+	return evals
 }
 
 // compileVecAgg lowers the map-side partial aggregation's grouping keys

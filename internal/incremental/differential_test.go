@@ -357,21 +357,11 @@ func TestDifferentialJoinCells(t *testing.T) {
 				if !ok {
 					t.Fatal("FromRows failed on schema-conforming rows")
 				}
-				if pipe.Scatters() {
-					for p, bucket := range pipe.ProcessBatchScatter(b, nPart) {
-						shuffled[p][s] = append(shuffled[p][s], bucket...)
-					}
-					continue
+				if pipe.Vec == nil {
+					b = nil // rows, as the engine hands them to a pipeline without kernels
 				}
-				key := make([]sql.Value, len(pipe.KeyEvals))
-				emit := func(row sql.Row) {
-					p := pipe.PartitionOf(row, key, nPart)
-					shuffled[p][s] = append(shuffled[p][s], row)
-				}
-				if pipe.Vec != nil {
-					pipe.ProcessBatchTo(b, emit)
-				} else {
-					pipe.ProcessTo(in[s], emit)
+				for p, bucket := range pipe.Scatter(in[s], b, nPart) {
+					shuffled[p][s] = append(shuffled[p][s], bucket...)
 				}
 			}
 			ctx := &EpochContext{Epoch: int64(e), Watermark: max(0, int64(10*e-6)*sec), Mode: logical.Append}

@@ -3,7 +3,8 @@
 // incrementally executable streaming plan. The compiled form splits the
 // query at its stateful boundary: stateless map pipelines run over each
 // source partition (filters, projections, window assignment, stream-static
-// joins, fused exactly as in batch mode), rows shuffle by key to a stateful
+// joins: the batch executor's own row stages, or their columnar twins), rows
+// shuffle by key to a stateful
 // operator backed by the versioned state store, and a small driver-side
 // post stage computes the final result shape. Each stateful operator
 // carries its own intra-DAG output behaviour, so users never specify
@@ -12,8 +13,6 @@
 package incremental
 
 import (
-	"sync"
-
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
@@ -54,38 +53,34 @@ type StatefulOp interface {
 	Process(ctx *EpochContext, store *state.Store, inputs [][]sql.Row) ([]sql.Row, error)
 }
 
-// RowEmit pushes one row to the next pipeline stage.
-type RowEmit func(sql.Row)
-
-// StageFactory instantiates one pipeline stage: given the downstream emit
-// function it returns this stage's emit plus an optional flush invoked
-// after the task's last row (used by blocking stages like map-side partial
-// aggregation). The factory is called once per task, so all mutable stage
-// state (arenas, scratch encoders, hash tables being filled) is private to
-// that task — which is what makes concurrent map tasks safe.
-type StageFactory func(next RowEmit) (RowEmit, func())
-
 // Pipeline is the stateless map-side program for one streaming source
-// leaf. Stages compose push-style into a single per-row path with no
-// intermediate batch materialization — the engine's equivalent of
-// whole-stage code generation, and the mechanism behind the paper's
-// throughput claims (§5.3, §9.1).
+// leaf: the batch executor's row stages (filter, projection, window
+// assignment, a stream-static join), their columnar twins, and the terminal
+// that renders what leaves them for the shuffle. A map task runs its input
+// through it once, as a batch of rows or a column batch — the engine's
+// equivalent of whole-stage code generation (§5.3, §9.1).
 type Pipeline struct {
 	// SourceName matches the Scan leaf (and WAL source entry).
 	SourceName string
 	// Side is the stateful stage input this pipeline feeds (0, or 1 for
 	// the right side of a stream-stream join).
 	Side int
-	// Stages are the fused row transformations, leaf first.
-	Stages []StageFactory
-	// KeyEvals route stage output rows to state partitions; nil for
-	// map-only queries. PartitionOf is how the engine applies them.
+	// Stages are the row stages, leaf first. Each is a factory of the
+	// batch executor's functions, called once per task, so whatever a
+	// stage keeps across rows (arenas, a window cache, probe scratch) is
+	// private to that task.
+	Stages []func() physical.BatchFunc
+	// term is the blocking end after the stages: the map-side partial
+	// aggregate or a stream-stream join side's cell rendering; nil when the
+	// stages' rows leave as they are.
+	term terminal
+	// KeyEvals route the rows of a pipeline without a terminal (dedup,
+	// flatMapGroupsWithState) to state partitions by codec.HashKey; nil
+	// otherwise.
 	KeyEvals []func(sql.Row) sql.Value
-	// KeyIdxs, when non-nil, are the stage-output column indexes behind
-	// KeyEvals (every current routing key is a plain column). A fully
-	// vectorized pipeline uses them to hash keys straight from the column
-	// vectors at the shuffle boundary instead of boxing each row first;
-	// KeyEvals remain the semantic source of truth.
+	// KeyIdxs are an aggregate pipeline's grouping-key positions in its
+	// output, 0..n-1. The frozen benchmark/isolated.go reads them; the
+	// terminal routes by the key itself.
 	KeyIdxs []int
 	// WatermarkEval extracts the event-time value from a *raw source row*
 	// for watermark tracking; nil when the source has no watermark.
@@ -96,9 +91,9 @@ type Pipeline struct {
 	// WatermarkDelay is the declared lateness bound in µs.
 	WatermarkDelay int64
 	// Vec is the vectorized variant of a leading prefix of Stages (plus,
-	// optionally, the terminal partial aggregation); nil when nothing in
-	// the pipeline vectorizes. Stages remains the source of truth for
-	// semantics — Vec must produce byte-identical output.
+	// optionally, the terminal); nil when nothing in the pipeline
+	// vectorizes. Stages remain the source of truth for semantics — Vec
+	// must produce byte-identical output.
 	Vec *VecPlan
 	// SourceCols lists, ascending, the source-schema columns the vector plan
 	// reads: the inputs of its ops up to the first stage that narrows the row
@@ -108,54 +103,23 @@ type Pipeline struct {
 	// the vector plan then runs over, and nothing in the plan touches them.
 	SourceCols []int
 	reads      *sourceReads // compile-time accumulator behind SourceCols
-	// cells marks a pipeline whose stage output rows are cells — an
-	// aggregate's partial cells, a join's cells — each carrying its own
-	// routing hash.
-	cells bool
-	// aggPool recycles columnar partial-aggregation hash tables across
-	// map tasks. Safe because shuffle rows alias nothing inside the
-	// table: scatter copies every group's key and state bytes into slabs
-	// it allocates per call, and the cells point only there.
-	aggPool sync.Pool
 }
 
-// PartitionOf returns the shuffle partition, of nPart, of one stage-output
-// row. A cell carries the hash of its encoded key; any other row is hashed
-// through KeyEvals, with key (len(KeyEvals) long) as scratch. Both are
-// codec.HashKey of the routing key, so a key's partition does not depend on
-// which form its row took.
-func (p *Pipeline) PartitionOf(row sql.Row, key []sql.Value, nPart int) int {
-	if p.cells {
-		if h, _, ok := cellOf(row); ok {
-			return int(h % uint64(nPart))
-		}
-	}
-	for k, ev := range p.KeyEvals {
-		key[k] = ev(row)
-	}
-	return int(codec.HashKey(key) % uint64(nPart))
-}
-
-// getPartialAgg takes a reset partial-aggregation table from the pool (or
-// builds one) for the pipeline's columnar agg plan.
-func (p *Pipeline) getPartialAgg() *partialAgg {
-	if h, ok := p.aggPool.Get().(*partialAgg); ok {
-		return h
-	}
-	return newPartialAgg(nil, p.Vec.Agg.Aggs)
-}
-
-func (p *Pipeline) putPartialAgg(h *partialAgg) {
-	h.reset()
-	p.aggPool.Put(h)
+// terminal is a pipeline's blocking map-side end. scatter folds one task's
+// output into cells — an aggregate's partial groups, a join side's rows —
+// and cuts them into nPart shuffle buckets, each cell routed by the hash of
+// the key it carries: through the row entry for rows, through the column
+// entry for a batch (b non-nil, and only when the vector plan covers the
+// terminal). Both give the same cells in the same buckets.
+type terminal interface {
+	scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row
 }
 
 // VecPlan mirrors a pipeline prefix as columnar kernels. Ops[i] computes
 // the same transformation as Stages[i]; rows materialize after the last
 // op and flow through the remaining row stages (none, for fully covered
-// pipelines). When Agg or Join is set, Ops covers every stage but the
-// terminal one — the partial aggregation, a join's cell rendering — which
-// runs columnar too.
+// pipelines). Agg or Join is set when the terminal's column entry serves
+// too, which needs Ops to cover every stage.
 type VecPlan struct {
 	Ops  []physical.VecOp
 	Agg  *VecAggPlan
@@ -178,123 +142,86 @@ type VecAggPlan struct {
 	Aggs []sql.BoundAgg
 }
 
-// ProcessBatchTo is the columnar counterpart of ProcessTo: it runs one
-// task's column batch through the vectorized ops and pushes the resulting
-// rows (or the terminal stage's cells, in one bucket) to sink. The caller must
-// only invoke it when p.Vec != nil. Stages not covered by the vector plan
-// still run, row-at-a-time, after materialization, so output is identical
-// to ProcessTo over the same logical rows.
-func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink RowEmit) {
-	if p.Scatters() {
-		for _, row := range p.ProcessBatchScatter(b, 1)[0] {
-			sink(row)
+// Scatter runs one task's input through the pipeline and returns what
+// leaves it in nPart shuffle buckets. A column batch b (nil for rows; the
+// caller must only pass one when Vec is set) runs through the vector plan's
+// ops and, when the plan covers the terminal, into its column entry, and
+// otherwise materializes into rows for the remaining stages; raw rows run
+// through every stage. The terminal scatters its own cells; a pipeline
+// without one routes its rows by KeyEvals. Buckets keep arrival order.
+func (p *Pipeline) Scatter(raw []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
+	first := 0
+	if b != nil {
+		b = p.ApplyVec(b)
+		if p.Scatters() {
+			return p.term.scatter(nil, b, nPart)
 		}
-		return
+		raw, first = make([]sql.Row, 0, b.NumLive()), len(p.Vec.Ops)
+		physical.EmitBatchRows(b, func(r sql.Row) { raw = append(raw, r) })
 	}
-	for _, op := range p.Vec.Ops {
-		b = op.Apply(b)
+	for _, stage := range p.Stages[first:] {
+		raw = stage()(raw)
 	}
-	emit, flushes := p.instantiateFrom(len(p.Vec.Ops), sink)
-	physical.EmitBatchRows(b, emit)
-	for _, f := range flushes {
-		f()
+	if p.term != nil {
+		return p.term.scatter(raw, nil, nPart)
+	}
+	buckets := make([][]sql.Row, nPart)
+	if nPart == 1 {
+		buckets[0] = raw
+		return buckets
+	}
+	key := make([]sql.Value, len(p.KeyEvals))
+	for _, row := range raw {
+		for k, ev := range p.KeyEvals {
+			key[k] = ev(row)
+		}
+		part := codec.HashKey(key) % uint64(nPart)
+		buckets[part] = append(buckets[part], row)
+	}
+	return buckets
+}
+
+// Process is Scatter over rows into one bucket: the rows, or the terminal's
+// cells, that leave the pipeline.
+func (p *Pipeline) Process(rows []sql.Row) []sql.Row {
+	return p.Scatter(rows, nil, 1)[0]
+}
+
+// ProcessBatchTo is Process over a column batch, pushing each row that
+// leaves the pipeline to sink. The frozen benchmark/isolated.go calls it.
+func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink func(sql.Row)) {
+	for _, row := range p.Scatter(nil, b, 1)[0] {
+		sink(row)
 	}
 }
 
-// Scatters reports whether ProcessBatchScatter serves the pipeline: its
-// vector plan ends in a columnar terminal stage that renders cells.
+// ProcessBatchScatter is Scatter over a column batch. The frozen
+// benchmark/isolated.go calls it.
+func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
+	return p.Scatter(nil, b, nPart)
+}
+
+// Scatters reports whether the terminal's column entry serves the
+// pipeline's batches: the vector plan covers every stage and the terminal.
 func (p *Pipeline) Scatters() bool {
 	return p.Vec != nil && (p.Vec.Agg != nil || p.Vec.Join != nil)
 }
 
-// ProcessBatchScatter runs one task's column batch through the vectorized
-// ops and the columnar terminal stage, rendering its output straight into
-// nPart shuffle buckets of cells routed by the hash each carries: with a
-// partial aggregation, one row of one partial cell per group, by the FNV
-// hash of the group's encoded key; with a join, one row per input row, by
-// its key hash. Valid only when Scatters reports true. The compiler
-// guarantees the shuffle key is the cell's key, so hashing its encoding
-// routes identically to boxing the key and calling codec.HashKey. This is
-// what keeps aggregate and join pipelines columnar across the exchange: an
-// aggregate pays a typed hash per input lane and an encode and FNV hash per
-// group, a join an encode and FNV hash per input lane; one render per cell
-// into per-bucket slabs, zero boxing.
-func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
-	for _, op := range p.Vec.Ops {
-		b = op.Apply(b)
-	}
-	if sh := p.Vec.Join; sh != nil {
-		c := sh.cells()
-		c.addBatch(sh, b)
-		buckets := c.scatter(nPart)
-		sh.release(c)
-		return buckets
-	}
-	h := p.getPartialAgg()
-	h.updateBatch(b, p.Vec.Agg)
-	buckets := h.scatter(nPart)
-	p.putPartialAgg(h)
-	return buckets
-}
-
-// FullyVectorized reports whether the vector plan covers every stage with
-// no terminal stage of its own: ApplyVec alone reproduces the
-// pipeline's output, so a column batch can stay columnar past the map
+// FullyVectorized reports whether the vector plan covers every stage of a
+// pipeline without a columnar terminal: ApplyVec alone reproduces the
+// stages' output, so a column batch can stay columnar past the map
 // boundary (e.g. straight into a ColumnSink).
 func (p *Pipeline) FullyVectorized() bool {
 	return p.Vec != nil && !p.Scatters() && len(p.Vec.Ops) == len(p.Stages)
 }
 
 // ApplyVec runs the vector plan's ops over b and returns the transformed
-// batch, still columnar. Only valid when FullyVectorized reports true.
+// batch, still columnar.
 func (p *Pipeline) ApplyVec(b *vec.Batch) *vec.Batch {
 	for _, op := range p.Vec.Ops {
 		b = op.Apply(b)
 	}
 	return b
-}
-
-// Process is ProcessTo collecting the stage-output rows. The engine calls
-// ProcessTo; Process stays because the frozen benchmark/isolated.go calls it.
-func (p *Pipeline) Process(rows []sql.Row) []sql.Row {
-	var out []sql.Row
-	p.ProcessTo(rows, func(r sql.Row) { out = append(out, r) })
-	return out
-}
-
-// ProcessTo runs one task's rows through a freshly instantiated fused
-// pipeline, pushing outputs to sink directly (the engine routes them into
-// shuffle buckets or its output without materializing a copy).
-func (p *Pipeline) ProcessTo(rows []sql.Row, sink RowEmit) {
-	emit, flushes := p.instantiate(sink)
-	for _, r := range rows {
-		emit(r)
-	}
-	for _, f := range flushes {
-		f()
-	}
-}
-
-// instantiate composes the stages around sink. Flushes are returned in
-// leaf-to-boundary order so a flushed stage's output still flows through
-// later stages' already-live emits.
-func (p *Pipeline) instantiate(sink RowEmit) (RowEmit, []func()) {
-	return p.instantiateFrom(0, sink)
-}
-
-// instantiateFrom composes the stages starting at index first, skipping
-// the prefix already executed columnar.
-func (p *Pipeline) instantiateFrom(first int, sink RowEmit) (RowEmit, []func()) {
-	emit := sink
-	var flushes []func()
-	for i := len(p.Stages) - 1; i >= first; i-- {
-		var flush func()
-		emit, flush = p.Stages[i](emit)
-		if flush != nil {
-			flushes = append([]func(){flush}, flushes...)
-		}
-	}
-	return emit, flushes
 }
 
 // Query is a fully compiled incremental query.

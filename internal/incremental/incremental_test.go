@@ -621,12 +621,10 @@ func TestCompileMapGroupsPipelineShape(t *testing.T) {
 	}
 }
 
-func TestProcessToRoutesWithoutMaterializing(t *testing.T) {
+func TestProcessReturnsStageRows(t *testing.T) {
 	plan := &logical.Project{Child: scan("s"), Exprs: []sql.Expr{sql.Col("k")}}
 	q := mustCompile(t, plan, logical.Append)
-	var got []sql.Row
-	q.Pipelines[0].ProcessTo([]sql.Row{{"x", 1.0, int64(0)}, {"y", 2.0, int64(0)}},
-		func(r sql.Row) { got = append(got, r) })
+	got := q.Pipelines[0].Process([]sql.Row{{"x", 1.0, int64(0)}, {"y", 2.0, int64(0)}})
 	if len(got) != 2 || got[1][0] != "y" {
 		t.Fatalf("got = %v", got)
 	}

@@ -67,6 +67,21 @@ func (sh *joinShuffle) release(c *joinCells) {
 	sh.pool.Put(c)
 }
 
+// scatter is the join side's terminal: one task's rows, or its batch's live
+// rows, rendered as cells and cut into buckets.
+func (sh *joinShuffle) scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
+	c := sh.cells()
+	if b != nil {
+		c.addBatch(sh, b)
+	}
+	for _, r := range rows {
+		c.add(sh, r)
+	}
+	buckets := c.scatter(nPart)
+	sh.release(c)
+	return buckets
+}
+
 // joinCells collects a map task's rows as cells until scatter cuts them into
 // buckets: each row's key bytes and entry bytes back to back in enc.
 type joinCells struct {

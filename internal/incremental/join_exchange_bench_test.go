@@ -132,13 +132,7 @@ func joinExchangeMap(tb testing.TB, pipe *Pipeline, src *sources.BusSource, part
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buckets := make([][]sql.Row, joinExchangeParts)
-	key := make([]sql.Value, len(pipe.KeyEvals))
-	pipe.ProcessTo(rows, func(r sql.Row) {
-		p := pipe.PartitionOf(r, key, joinExchangeParts)
-		buckets[p] = append(buckets[p], r)
-	})
-	return buckets
+	return pipe.Scatter(rows, nil, joinExchangeParts)
 }
 
 // BenchmarkJoinExchange: one op is one epoch — 4 096 records per side read

@@ -86,7 +86,7 @@ func newMapTask(tb testing.TB) *mapTask {
 		tb.Fatal(err)
 	}
 	pipe := q.Pipelines[0]
-	if !pipe.Scatters() || pipe.Vec.Agg == nil || len(pipe.Vec.Ops) != len(pipe.Stages)-1 {
+	if !pipe.Scatters() || pipe.Vec.Agg == nil || len(pipe.Vec.Ops) != len(pipe.Stages) {
 		tb.Fatal("the ysb pipeline does not run columnar up to its partial aggregate")
 	}
 	keep := make([]bool, mapTaskSchema.Len())

@@ -97,8 +97,8 @@ type partialCell struct {
 func (c *partialCell) String() string { return fmt.Sprintf("partial(%x: %x)", c.key, c.state) }
 
 // partialAgg is a small map-side hash aggregator that renders its groups
-// as shuffle rows. The compiler installs it as the blocking terminal stage
-// of each map pipeline. Groups live in one contiguous slab in first-seen
+// as shuffle rows: an aggregate pipeline's terminal (aggTerminal) folds
+// each map task's output into one. Groups live in one contiguous slab in first-seen
 // (= emission) order, reached through an open-addressed bucket table that
 // chains colliding groups by slab index; each group caches its lookup hash
 // and its encoded key bytes (sliced out of a shared arena), so a hit never
@@ -159,6 +159,34 @@ func newPartialAgg(keyEvals []func(sql.Row) sql.Value, aggs []sql.BoundAgg) *par
 		slots:    make([]int32, 1024),
 		enc:      codec.NewEncoder(64),
 	}
+}
+
+// aggTerminal is the map-side partial aggregate as a pipeline's terminal.
+// Tables are pooled across map tasks: a scattered cell aliases nothing
+// inside its table (scatter copies every group's key and state bytes into
+// slabs it allocates per call), so a reset table serves the next task.
+type aggTerminal struct {
+	keyEvals []func(sql.Row) sql.Value
+	aggs     []sql.BoundAgg
+	vec      *VecAggPlan // the column entry; nil when a key or input has no kernel
+	pool     sync.Pool   // *partialAgg
+}
+
+func (t *aggTerminal) scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
+	h, ok := t.pool.Get().(*partialAgg)
+	if !ok {
+		h = newPartialAgg(t.keyEvals, t.aggs)
+	}
+	if b != nil {
+		h.updateBatch(b, t.vec)
+	}
+	for _, r := range rows {
+		h.update(r)
+	}
+	buckets := h.scatter(nPart)
+	h.reset()
+	t.pool.Put(h)
+	return buckets
 }
 
 // reset clears the groups while keeping every allocation (slab, bucket
@@ -591,18 +619,6 @@ func partialOf(r sql.Row) (*partialCell, bool) {
 	}
 	c, ok := r[0].(*partialCell)
 	return c, ok && c != nil
-}
-
-// cellOf reports the routing hash and key bytes of the cell a shuffle row
-// consists of: an aggregate's partial cell or a join's cell.
-func cellOf(r sql.Row) (hash uint64, key []byte, ok bool) {
-	if c, ok := partialOf(r); ok {
-		return c.hash, c.key, true
-	}
-	if c, ok := joinCellOf(r); ok {
-		return c.hash, c.key, true
-	}
-	return 0, nil, false
 }
 
 // keyValueAt returns where value idx of an encoded grouping key starts, or

@@ -311,7 +311,7 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 			name string
 			run  func() int
 		}{
-			{"row", func() (n int) { p.ProcessTo(rows, func(sql.Row) { n++ }); return n }},
+			{"row", func() int { return len(p.Process(rows)) }},
 			{"vec", func() int { return p.ApplyVec(batch).NumLive() }},
 		} {
 			b.Run(path.name+"/"+shape.name, func(b *testing.B) {

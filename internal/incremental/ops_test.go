@@ -50,10 +50,11 @@ func TestLookupHashedCollisions(t *testing.T) {
 }
 
 // TestScatterMatchesRowRouting pins that scatter's cached-hash routing
-// agrees with boxing the key and hashing it — through the pipeline's
-// KeyEvals, as a caller that knows nothing of partial cells would — for
-// every group, that the buckets keep first-seen order, and that nothing a
-// bucket holds points into the pooled table.
+// agrees with boxing each cell's key and hashing it, as a caller that knows
+// nothing of partial cells would, for every group; that the buckets keep
+// first-seen order; that the pipeline's row entry gives the same buckets as
+// its column entry; and that nothing a bucket holds points into the pooled
+// table.
 func TestScatterMatchesRowRouting(t *testing.T) {
 	q := mustCompile(t, &logical.Aggregate{
 		Child: scan("s"),
@@ -82,20 +83,22 @@ func TestScatterMatchesRowRouting(t *testing.T) {
 	p.updateBatch(b, pipe.Vec.Agg) // overwrites the table a retained cell would point into
 
 	want := make([][]sql.Row, nPart)
-	key := make([]sql.Value, len(pipe.KeyEvals))
 	for _, row := range all {
-		for i, ev := range pipe.KeyEvals {
-			key[i] = ev(row)
+		c, _ := partialOf(row)
+		key := make([]sql.Value, 2)
+		for i := range key {
+			key[i], _ = sql.ReadValue(c.key, keyValueAt(c.key, i))
 		}
 		part := int(codec.HashKey(key) % uint64(nPart))
-		if got := pipe.PartitionOf(row, key, nPart); got != part {
-			t.Fatalf("PartitionOf(%v) = %d, HashKey over KeyEvals says %d", row, got, part)
-		}
 		want[part] = append(want[part], row)
 	}
+	byRows := pipe.Scatter(rows, nil, nPart)
 	for part := 0; part < nPart; part++ {
 		if !reflect.DeepEqual(buckets[part], want[part]) {
 			t.Fatalf("partition %d:\n scatter     %v\n row routing %v", part, buckets[part], want[part])
+		}
+		if !reflect.DeepEqual(byRows[part], want[part]) {
+			t.Fatalf("partition %d:\n row entry   %v\n row routing %v", part, byRows[part], want[part])
 		}
 	}
 }

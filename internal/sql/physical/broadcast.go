@@ -6,8 +6,8 @@ import (
 )
 
 // BroadcastTable is the static side of a stream-static join: built once
-// when the query compiles, then only read, so every map task (row stage
-// or vector twin) probes the same instance without synchronization.
+// when the query compiles, then only read, so every map task (row or
+// columnar form) probes the same instance without synchronization.
 //
 // Static rows are addressed by their position in Rows. Each row's join key
 // is held column-major in keys, and one open-addressed table maps the
@@ -25,6 +25,7 @@ type BroadcastTable struct {
 	// which leaves the join on the row path.
 	Cols []*vec.Vector
 
+	arity  int           // the static schema's width
 	keys   []*vec.Vector // each row's join key, a vector per key column
 	slots  []int32       // power-of-2 table: first row of a key + 1, 0 = empty
 	hashes []uint64      // each linked row's key hash, keyHashMask applied
@@ -53,6 +54,7 @@ func NewBroadcastTable(schema sql.Schema, rows []sql.Row, keyEvals []func(sql.Ro
 	}
 	t := &BroadcastTable{
 		Rows:   rows,
+		arity:  schema.Len(),
 		keys:   keyColumns(keyRows, n),
 		slots:  make([]int32, size),
 		hashes: make([]uint64, len(rows)),
@@ -143,9 +145,9 @@ func (t *BroadcastTable) Lookup(key []sql.Value) int32 {
 // Next returns the row after r among those sharing r's key, or -1.
 func (t *BroadcastTable) Next(r int32) int32 { return t.next[r] }
 
-// ------------------------------------------------------------- vector twin
+// ------------------------------------------------------------- join forms
 
-// BroadcastJoinSpec is what the row stage and the vector twin of one
+// BroadcastJoinSpec is what the row and the columnar form of one
 // stream-static join share.
 type BroadcastJoinSpec struct {
 	Table *BroadcastTable
@@ -160,16 +162,74 @@ type BroadcastJoinSpec struct {
 	Joined sql.Schema
 }
 
+// BroadcastJoinFunc is the stream-static join over rows. keys compute the
+// stream side's join key; residual (nil for a pure equi-join) filters each
+// candidate's joined row. Each stream row emits, in order, its matches along
+// the key's chain — or, for Semi and Anti, itself once — and, for Outer, a
+// NULL-padded row when nothing matched. The function keeps a probe key and a
+// row arena across calls, so each task builds its own.
+func BroadcastJoinFunc(spec BroadcastJoinSpec, keys []func(sql.Row) sql.Value, residual func(sql.Row) sql.Value) BatchFunc {
+	t := spec.Table
+	staticArity := t.arity
+	streamArity := spec.Joined.Len() - staticArity
+	probe := make([]sql.Value, len(keys))
+	arena := NewRowArena(spec.Joined.Len())
+	place := func(joined, sr sql.Row) {
+		if spec.StreamIsLeft {
+			copy(joined, sr)
+		} else {
+			copy(joined[staticArity:], sr)
+		}
+	}
+	return func(rows []sql.Row) []sql.Row {
+		out := make([]sql.Row, 0, len(rows))
+		for _, sr := range rows {
+			for i, e := range keys {
+				probe[i] = e(sr)
+			}
+			matched := false
+			for r := t.Lookup(probe); r >= 0; r = t.Next(r) {
+				joined := arena.Next()
+				place(joined, sr)
+				if spec.StreamIsLeft {
+					copy(joined[streamArity:], t.Rows[r])
+				} else {
+					copy(joined, t.Rows[r])
+				}
+				if residual != nil {
+					if b, ok := residual(joined).(bool); !ok || !b {
+						continue
+					}
+				}
+				matched = true
+				if spec.Semi || spec.Anti {
+					break
+				}
+				out = append(out, joined)
+			}
+			switch {
+			case spec.Semi && matched, spec.Anti && !matched:
+				out = append(out, sr)
+			case spec.Outer && !matched:
+				joined := arena.Next() // zeroed: the static side's NULLs
+				place(joined, sr)
+				out = append(out, joined)
+			}
+		}
+		return out
+	}
+}
+
 type vecBroadcastJoin struct {
 	BroadcastJoinSpec
 	keys     []*vec.Program // stream-side key columns
 	residual *vec.Program   // over the joined (left ++ right) row; may be nil
 }
 
-// NewVecBroadcastJoin is the columnar twin of the stream-static join
-// stage. keys compute the stream side's join key; residual (nil for a pure
-// equi-join) runs over candidate pairs laid out as joined rows. The caller
-// must only build it when spec.Table.Cols is set.
+// NewVecBroadcastJoin is the stream-static join over column batches,
+// BroadcastJoinFunc's twin. keys compute the stream side's join key;
+// residual (nil for a pure equi-join) runs over candidate pairs laid out as
+// joined rows. The caller must only build it when spec.Table.Cols is set.
 func NewVecBroadcastJoin(spec BroadcastJoinSpec, keys []*vec.Program, residual *vec.Program) VecOp {
 	return &vecBroadcastJoin{BroadcastJoinSpec: spec, keys: keys, residual: residual}
 }
@@ -184,8 +244,8 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 	}
 	lanes, rows := j.probe(b, live)
 	if j.residual != nil && len(lanes) > 0 {
-		// The row stage evaluates the residual on each candidate's joined
-		// row; the twin lays every candidate out as one dense batch.
+		// The row form evaluates the residual on each candidate's joined
+		// row; this one lays every candidate out as one dense batch.
 		cand := j.joined(b, lanes, rows, true)
 		keep := vec.FilterSel(cand, j.residual.Run(cand))
 		for n, k := range keep { // keep ascends, so k >= n: compaction in place
@@ -228,7 +288,7 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 }
 
 // probe returns the candidate pairs (stream lane, static row) of the live
-// lanes, in the order the row stage visits them: lane by lane, and within a
+// lanes, in the order the row form visits them: lane by lane, and within a
 // lane along the key's chain. Keys hash straight off the key vectors, a
 // chunk of lanes at a time, and compare typed cells against the table's
 // key columns.
