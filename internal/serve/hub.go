@@ -395,24 +395,6 @@ func (h *Hub) advance() {
 	}
 }
 
-// snapshotLocked returns the result table as of the broadcast prefix and
-// the newest epoch in it. The sink may already hold epochs the hub has not
-// broadcast (it writes before the engine commits and notifies). Their rows,
-// the tail of an append-mode snapshot, are cut off, so each arrives once, in
-// its own frame; a cursor past the broadcast prefix is never handed out. An
-// update- or complete-mode table cannot be rewound, but the frame of the
-// epoch it reflects replaces it again, which changes nothing.
-func (h *Hub) snapshotLocked() ([]sql.Row, int64) {
-	rows, ep := h.rep.SnapshotRows()
-	if mode, _ := h.modeLocked(); mode == logical.Append {
-		for e := ep; e > h.last; e-- {
-			tail, _ := h.rep.EpochRows(e)
-			rows = rows[:max(0, len(rows)-len(tail))]
-		}
-	}
-	return rows, min(ep, h.last)
-}
-
 // modeLocked returns the output mode of the served result: the attached
 // query's, which is known before its first epoch, or, before any Attach,
 // the mode the sink's batches were written in (none before the first).
@@ -761,11 +743,24 @@ func (s *Subscription) stepLocked() (Frame, bool, error) {
 		case s.snapshotPending:
 			s.snapshotPending = false
 			s.lastDrain = now
-			rows, ep := h.snapshotLocked()
+			// The sink may already hold epochs the hub has not broadcast
+			// (it is written before the engine commits and notifies). The
+			// snapshot stops at the broadcast prefix, like its cursor: an
+			// append-mode table drops those epochs' rows, its tail, so each
+			// arrives once, in its own frame. An update- or complete-mode
+			// table cannot be rewound, but the frame of the epoch it
+			// reflects replaces it again, which changes nothing.
+			mode, _ := h.modeLocked()
+			rows, ep := h.rep.SnapshotRows()
+			for ; ep > h.last; ep-- {
+				if mode == logical.Append {
+					tail, _ := h.rep.EpochRows(ep)
+					rows = rows[:max(0, len(rows)-len(tail))]
+				}
+			}
 			reason := s.resetReason
 			s.resetReason = ""
 			s.cursor = ep
-			mode, _ := h.modeLocked()
 			if mode == logical.Append && s.cursor < h.last {
 				s.lagged = true
 			}

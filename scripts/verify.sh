@@ -197,7 +197,11 @@ step "benchmark module vet + tests"
 # admission limiter, its two options, its progress key and the cap accessor
 # it tightened — not the cap's progress key, which keeps its name; the rate
 # source's constructor and schema; the engine's sync-maintenance bool — not
-# the writer option of that name, which starts lower-case) must not survive
+# the writer option of that name, which starts lower-case; the map
+# pipelines' push-style stage form — its stage factory and row emit types,
+# its run-rows-into-a-callback entry point and its stage instantiation
+# helper — and the per-row partition router, replaced by the batch
+# executor's row stages and Pipeline.Scatter) must not survive
 # in code, scripts or docs. The pattern is assembled from halves so this
 # script does not match itself.
 # Every dead-path baseline entry names one of the four reasons in the
@@ -231,6 +235,7 @@ stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.
 stale="$stale"'|aimd''Limiter|Adaptive''Backpressure|Backpressure''Target|Backpressure''Decision|admission''Cap\('
 stale="$stale"'|NewRate''Source|Rate''Schema|StateSync''Maintenance'
 stale="$stale"'|TryCompile''Vec|vecFused''Op|Vec''Source|Next''Vec|ReadSegment''Vec|DecodeColumnTo''Vector|MaxIO''Retries|Retry''Backoff'
+stale="$stale"'|Stage''Factory|Row''Emit|Process''To|instantiate''From|Partition''Of'
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1
