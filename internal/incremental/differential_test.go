@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,6 +239,42 @@ func TestDifferentialFallbackShapes(t *testing.T) {
 				runBoth(t, p, diffRows(rng, 80))
 			}
 		})
+	}
+}
+
+// TestRowStagesArePerTask: map tasks of one pipeline run concurrently, and
+// each instantiates the row stages afresh, so no arena, window cache or
+// probe key is shared — a race (under -race) or a torn row otherwise.
+func TestRowStagesArePerTask(t *testing.T) {
+	plan := &logical.Aggregate{
+		Child: &logical.Join{
+			Left: &logical.Project{Child: diffScan(), Exprs: []sql.Expr{sql.Col("k"),
+				sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s"), sql.Col("ts")}},
+			Right: dimScan(dimTables["repeated"]), Type: logical.LeftOuterJoin,
+			Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))},
+		Keys: []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second), sql.Col("lbl")},
+		Aggs: []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}},
+	}
+	p := compileWithStatic(t, plan, logical.Complete).Pipelines[0]
+	if p.Vec != nil {
+		t.Fatalf("want every stage on rows, got vector plan %+v", p.Vec)
+	}
+	rows := diffRows(rand.New(rand.NewSource(11)), 400)
+	want := normalizeRows(p.Process(rows))
+	var wg sync.WaitGroup
+	got := make([][]sql.Row, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = normalizeRows(p.Process(rows))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("task %d diverged from a task run alone", i)
+		}
 	}
 }
 
