@@ -3,13 +3,13 @@
 // incrementally executable streaming plan. The compiled form splits the
 // query at its stateful boundary: stateless map pipelines run over each
 // source partition (filters, projections, window assignment, stream-static
-// joins: the batch executor's own row stages, or their columnar twins), rows
-// shuffle by key to a stateful
-// operator backed by the versioned state store, and a small driver-side
-// post stage computes the final result shape. Each stateful operator
-// carries its own intra-DAG output behaviour, so users never specify
-// per-operator modes by hand — the engine derives everything from the
-// query and the sink's output mode, which is the design §4.2 argues for.
+// joins: the batch executor's own row stages, or their columnar twins),
+// rows shuffle by key to a stateful operator backed by the versioned state
+// store, and a small driver-side post stage computes the final result
+// shape. Each stateful operator carries its own intra-DAG output
+// behaviour, so users never specify per-operator modes by hand — the
+// engine derives everything from the query and the sink's output mode,
+// which is the design §4.2 argues for.
 package incremental
 
 import (
