@@ -35,6 +35,15 @@ var mapBulkSchema = sql.NewSchema(
 	sql.Field{Name: "produced", Type: sql.TypeTimestamp},
 )
 
+// joinSchema is the join-skew workload's impression (its click has the same
+// shape): an ad id below 50 000, a microsecond timestamp near 1.6·10¹⁵ and
+// a sequence number.
+var joinSchema = sql.NewSchema(
+	sql.Field{Name: "ad_id", Type: sql.TypeInt64},
+	sql.Field{Name: "imp_time", Type: sql.TypeTimestamp},
+	sql.Field{Name: "imp_id", Type: sql.TypeInt64},
+)
+
 // ysbEvents encodes n Yahoo! events.
 func ysbEvents(n int) [][]byte {
 	recs := make([][]byte, n)
@@ -57,14 +66,35 @@ func mapBulkRecords(n int) [][]byte {
 	return recs
 }
 
+// mapBulkNulls encodes n map-bulk records with a NULL value in every 64th.
+func mapBulkNulls(n int) [][]byte {
+	recs := mapBulkRecords(n)
+	for i := 0; i < n; i += 64 {
+		recs[i] = codec.EncodeRow(sql.Row{nil, int64(1_600_000_000_000_000 + i)})
+	}
+	return recs
+}
+
+// joinRecords encodes n join-skew impressions, 2 ms of event time apart.
+func joinRecords(n int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = codec.EncodeRow(sql.Row{rng.Int63n(50_000), int64(1_600_000_000_000_000 + 2000*i), int64(i)})
+	}
+	return recs
+}
+
 // BenchmarkDecodeVec decodes bus records into typed vectors. The record
 // shapes decode one 8 192-record slice per iteration into a reused batch, a
 // record per call: the Yahoo! event at every column (all) or only the three
 // the query reads (pruned), and map-bulk's two-column record. The run shapes
 // read one 64 Ki-record epoch per iteration from the middle of a topic
 // partition through the bus source's ReadVec, as a map task does: map-bulk's
-// record, and the Yahoo! event as the query reads it. Every shape fails on a
-// record that does not land.
+// record, the Yahoo! event as the query reads it, map-bulk's record with a
+// NULL value in every 64th record (nulls), and join-skew's record with its
+// three int64 columns read (join). Every shape fails on a record that does
+// not land.
 func BenchmarkDecodeVec(b *testing.B) {
 	const n = 8192
 	ysb, mapBulk := ysbEvents(n), mapBulkRecords(n)
@@ -112,6 +142,8 @@ func BenchmarkDecodeVec(b *testing.B) {
 	}{
 		{"run/map-bulk", mapBulkSchema, mapBulkRecords(3 * epoch), nil},
 		{"run/ysb-pruned", ysbEventSchema, ysbEvents(3 * epoch), ysbPruned},
+		{"run/nulls", mapBulkSchema, mapBulkNulls(3 * epoch), nil},
+		{"run/join", joinSchema, joinRecords(3 * epoch), nil},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			// Appended in 8 192-record batches, as the benchmark's preload
