@@ -28,17 +28,24 @@ const varintStops = 0x8080808080808080
 // otherwise — then Uvarint decides.
 func UvarintWord(buf []byte) (v uint64, w int) {
 	if len(buf) >= 8 {
-		x := binary.LittleEndian.Uint64(buf)
-		if stop := ^x & varintStops; stop != 0 {
-			// Keep the bytes up to and including the first without a
-			// continuation bit, then pack their 7-bit groups: pairs of bytes
-			// into 14 bits, pairs of those into 28, the two halves into 56.
-			x &= stop ^ (stop - 1)
-			x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
-			x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
-			v = x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
-			w = bits.TrailingZeros64(stop)>>3 + 1
-		}
+		v, w = WordUvarint(binary.LittleEndian.Uint64(buf))
+	}
+	return v, w
+}
+
+// WordUvarint is the word path over eight bytes already loaded, the first in
+// x's low byte: the value and width of the uvarint they start with, and
+// width 0 when it does not end within them.
+func WordUvarint(x uint64) (v uint64, w int) {
+	if stop := ^x & varintStops; stop != 0 {
+		// Keep the bytes up to and including the first without a
+		// continuation bit, then pack their 7-bit groups: pairs of bytes
+		// into 14 bits, pairs of those into 28, the two halves into 56.
+		x &= stop ^ (stop - 1)
+		x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+		x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+		v = x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
+		w = bits.TrailingZeros64(stop)>>3 + 1
 	}
 	return v, w
 }
@@ -82,9 +89,15 @@ func Unzigzag(ux uint64) int64 {
 // stepping over a varint never assembles its value.
 func UvarintWordLen(buf []byte) int {
 	if len(buf) >= 8 {
-		if stop := ^binary.LittleEndian.Uint64(buf) & varintStops; stop != 0 {
-			return bits.TrailingZeros64(stop)>>3 + 1
-		}
+		return WordUvarintLen(binary.LittleEndian.Uint64(buf))
+	}
+	return 0
+}
+
+// WordUvarintLen is WordUvarint's width alone.
+func WordUvarintLen(x uint64) int {
+	if stop := ^x & varintStops; stop != 0 {
+		return bits.TrailingZeros64(stop)>>3 + 1
 	}
 	return 0
 }
