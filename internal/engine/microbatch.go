@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -700,12 +699,7 @@ func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) 
 		return st
 	}
 	if batch != nil {
-		col := batch.Cols[pipe.WatermarkIdx]
-		st.sum, st.cnt = vec.SumInt64(col, batch.Len)
-		if st.cnt > 0 {
-			st.max = vec.MaxInt64(col, batch.Len, math.MinInt64)
-			st.min = vec.MinInt64(col, batch.Len, st.max)
-		}
+		st.min, st.max, st.sum, st.cnt = vec.Int64Stats(batch.Cols[pipe.WatermarkIdx], batch.Len)
 		return st
 	}
 	for _, row := range raw {

@@ -382,57 +382,37 @@ func FilterSel(b *Batch, cond *Vector) []int32 {
 	return out
 }
 
-// MaxInt64 returns the maximum non-null int64 lane over [0, n), or
-// `min` when the vector has no valid int64 lanes (non-int64 vectors
-// never contribute, matching the row path's type assertion). Used for
-// watermark tracking over the raw, unfiltered batch.
-func MaxInt64(v *Vector, n int, min int64) int64 {
-	max := min
-	if v.Kind != KindInt64 {
-		return max
+// Int64Stats returns the minimum, maximum, sum and count of the non-null
+// int64 lanes over [0, n) in one pass: the per-task event-time telemetry
+// over the raw, unfiltered batch. The sum is a float64 (µs timestamps summed
+// over millions of rows overflow int64) added lane by lane in order, so it
+// is the row path's sum bit for bit. lo and hi are 0 when no lane counts;
+// a vector of another kind has none (the row path's type assertion).
+func Int64Stats(v *Vector, n int) (lo, hi int64, sum float64, count int64) {
+	if v.Kind != KindInt64 || n == 0 {
+		return 0, 0, 0, 0
 	}
+	xs := v.Int64s[:n]
 	if v.Nulls == nil {
-		for _, x := range v.Int64s[:n] {
-			if x > max {
-				max = x
-			}
+		lo, hi = xs[0], xs[0]
+		for _, x := range xs {
+			lo, hi = min(lo, x), max(hi, x)
+			sum += float64(x)
 		}
-		return max
+		return lo, hi, sum, int64(n)
 	}
-	for i := 0; i < n; i++ {
-		if !v.Nulls.Get(i) {
-			if x := v.Int64s[i]; x > max {
-				max = x
-			}
+	for i, x := range xs {
+		if v.Nulls.Get(i) {
+			continue
 		}
-	}
-	return max
-}
-
-// MinInt64 is MaxInt64's twin: the minimum non-null int64 lane over
-// [0, n), or `max` when no valid lane exists. Used with MaxInt64 and
-// SumInt64 for the per-batch event-time min/avg/max telemetry.
-func MinInt64(v *Vector, n int, max int64) int64 {
-	min := max
-	if v.Kind != KindInt64 {
-		return min
-	}
-	if v.Nulls == nil {
-		for _, x := range v.Int64s[:n] {
-			if x < min {
-				min = x
-			}
+		if count == 0 {
+			lo, hi = x, x
 		}
-		return min
+		lo, hi = min(lo, x), max(hi, x)
+		sum += float64(x)
+		count++
 	}
-	for i := 0; i < n; i++ {
-		if !v.Nulls.Get(i) {
-			if x := v.Int64s[i]; x < min {
-				min = x
-			}
-		}
-	}
-	return min
+	return lo, hi, sum, count
 }
 
 // ExpirySel is the vectorized watermark gate. The three slabs describe
@@ -454,26 +434,4 @@ func ExpirySel(evt []int64, isWin, valid []bool, wm int64, expired bool, out []i
 		}
 	}
 	return out
-}
-
-// SumInt64 returns the sum (as float64 — µs timestamps summed over
-// millions of rows overflow int64) and count of the non-null int64 lanes
-// over [0, n).
-func SumInt64(v *Vector, n int) (sum float64, count int64) {
-	if v.Kind != KindInt64 {
-		return 0, 0
-	}
-	if v.Nulls == nil {
-		for _, x := range v.Int64s[:n] {
-			sum += float64(x)
-		}
-		return sum, int64(n)
-	}
-	for i := 0; i < n; i++ {
-		if !v.Nulls.Get(i) {
-			sum += float64(v.Int64s[i])
-			count++
-		}
-	}
-	return sum, count
 }

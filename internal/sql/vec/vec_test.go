@@ -229,6 +229,43 @@ func TestAppendRowsSelection(t *testing.T) {
 	}
 }
 
+// TestAppendRowsSharesEqualWindows checks that a run of equal windows boxes
+// one sql.Window: materializing 256 rows allocates no more than one row
+// does, and the rows hold the right windows, NULLs included.
+func TestAppendRowsSharesEqualWindows(t *testing.T) {
+	schema := sql.Schema{Fields: []sql.Field{{Name: "w", Type: sql.TypeWindow}}}
+	batch := func(n int) *Batch {
+		b := NewBatch(schema, n)
+		for i := 0; i < n; i++ {
+			b.Cols[0].WStarts[i], b.Cols[0].WEnds[i] = 10, 20
+		}
+		return b
+	}
+	one, run := batch(1), batch(256)
+	dst := make([]sql.Row, 0, 256)
+	allocs := func(b *Batch) float64 {
+		return testing.AllocsPerRun(20, func() { dst = b.AppendRows(dst[:0]) })
+	}
+	if a1, a256 := allocs(one), allocs(run); a256 != a1 {
+		t.Fatalf("AppendRows allocates %v times for 256 equal windows, %v for one", a256, a1)
+	}
+	run.Cols[0].WStarts[7], run.Cols[0].WEnds[7] = 20, 30
+	run.Cols[0].SetNull(9, 256)
+	got := run.AppendRows(nil)
+	for i, r := range got {
+		var want sql.Value = sql.Window{Start: 10, End: 20}
+		switch i {
+		case 7:
+			want = sql.Window{Start: 20, End: 30}
+		case 9:
+			want = nil
+		}
+		if r[0] != want {
+			t.Fatalf("row %d: %v, want %v", i, r[0], want)
+		}
+	}
+}
+
 func TestFilterSel(t *testing.T) {
 	schema := sql.Schema{Fields: []sql.Field{
 		{Name: "i", Type: sql.TypeInt64},
@@ -257,18 +294,43 @@ func TestFilterSel(t *testing.T) {
 	}
 }
 
-func TestMaxInt64SkipsNulls(t *testing.T) {
-	v := NewVector(KindInt64, 4)
-	copy(v.Int64s, []int64{5, 99, 7, -3})
-	v.SetNull(1, 4)
-	if got := MaxInt64(v, 4, -1); got != 7 {
-		t.Fatalf("MaxInt64 = %d, want 7 (null 99 skipped)", got)
+func TestInt64StatsSkipsNulls(t *testing.T) {
+	v := NewVector(KindInt64, 5)
+	copy(v.Int64s, []int64{5, 99, 7, -3, -50})
+	v.SetNull(1, 5)
+	v.SetNull(4, 5)
+	if lo, hi, sum, n := Int64Stats(v, 5); lo != -3 || hi != 7 || sum != 9 || n != 3 {
+		t.Fatalf("Int64Stats = %d, %d, %v, %d; want -3, 7, 9, 3 (nulls 99 and -50 skipped)", lo, hi, sum, n)
 	}
 	all := NewVector(KindInt64, 2)
 	all.SetNull(0, 2)
 	all.SetNull(1, 2)
-	if got := MaxInt64(all, 2, -1); got != -1 {
-		t.Fatalf("MaxInt64 over all-null = %d, want sentinel -1", got)
+	if lo, hi, sum, n := Int64Stats(all, 2); lo != 0 || hi != 0 || sum != 0 || n != 0 {
+		t.Fatalf("Int64Stats over all-null = %d, %d, %v, %d; want zeros", lo, hi, sum, n)
+	}
+}
+
+// TestInt64StatsSumsInOrder pins the sum to lane order: µs timestamps
+// near 2⁵⁰ lose low bits in a float64 sum, so another order gives another
+// figure.
+func TestInt64StatsSumsInOrder(t *testing.T) {
+	v := NewVector(KindInt64, 1000)
+	for i := range v.Int64s {
+		v.Int64s[i] = 1_600_000_000_000_000 + int64(i*i*7919%1000003)
+	}
+	for _, nulls := range []bool{false, true} {
+		if nulls {
+			v.SetNull(3, len(v.Int64s))
+		}
+		var ref float64
+		for i, x := range v.Int64s {
+			if !v.IsNull(i) {
+				ref += float64(x)
+			}
+		}
+		if _, _, sum, _ := Int64Stats(v, len(v.Int64s)); math.Float64bits(sum) != math.Float64bits(ref) {
+			t.Fatalf("nulls=%v: sum %v, in lane order %v", nulls, sum, ref)
+		}
 	}
 }
 
