@@ -239,9 +239,17 @@ func (b *Batch) AppendRows(dst []sql.Row) []sql.Row {
 	}
 	ncols := len(b.Cols)
 	slab := make([]sql.Value, live*ncols)
+	boxed := make([]sql.Value, ncols) // each window column's last boxed cell
 	fill := func(i, rowBase int) {
 		for c, v := range b.Cols {
-			slab[rowBase+c] = v.Get(i)
+			if v.Kind != KindWindow || v.Nulls.Get(i) {
+				slab[rowBase+c] = v.Get(i)
+				continue
+			}
+			if w := (sql.Window{Start: v.WStarts[i], End: v.WEnds[i]}); boxed[c] == nil || boxed[c].(sql.Window) != w {
+				boxed[c] = w
+			}
+			slab[rowBase+c] = boxed[c]
 		}
 	}
 	if b.Sel != nil {
