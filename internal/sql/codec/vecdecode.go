@@ -58,7 +58,7 @@ func (e *Encoder) PutVectorValue(v *vec.Vector, i int) {
 // DecodeRowToBatchShared decodes one length-prefixed encoded row straight into
 // typed column vectors at row slot i, without the per-row sql.Row allocation
 // and per-cell boxing of DecodeRow. It is the general decoder a
-// DecodeProgram hands every record its fast path does not take.
+// DecodeProgram hands every record its steps do not take.
 //
 //   - added=true, compat=true: the row landed in slot i.
 //   - added=false, compat=true: the row is malformed or has the wrong
