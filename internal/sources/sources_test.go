@@ -1,6 +1,7 @@
 package sources
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -202,5 +203,55 @@ func TestArrivalForwardedThroughWrappers(t *testing.T) {
 	silent := Instrument(NewFlakySource(NewFileSource("json", t.TempDir(), testSchema)))
 	if _, ok := silent.NotifyArrival(make(chan struct{}, 1)); ok {
 		t.Error("Instrument(Flaky(FileSource)) claims an arrival signal its source does not have")
+	}
+}
+
+// TestBusSourceReadVecMatchesRead reads a topic whose records cover every
+// column kind, with NULLs and a malformed record among them, through
+// ReadVec — every typed column read, and only the int64 one — and holds
+// each kept cell to Read's row.
+func TestBusSourceReadVecMatchesRead(t *testing.T) {
+	schema := sql.NewSchema(
+		sql.Field{Name: "i", Type: sql.TypeInt64},
+		sql.Field{Name: "s", Type: sql.TypeString},
+		sql.Field{Name: "f", Type: sql.TypeFloat64},
+		sql.Field{Name: "b", Type: sql.TypeBool},
+		sql.Field{Name: "w", Type: sql.TypeWindow},
+		sql.Field{Name: "a", Type: sql.TypeAny},
+	)
+	topic, _ := msgbus.NewBroker().CreateTopic("kinds", 1)
+	const n = 700
+	for k := 0; k < n; k++ {
+		row := sql.Row{int64(k * 31), fmt.Sprint("v", k), float64(k) / 4, k%3 == 0,
+			sql.Window{Start: int64(k), End: int64(k) + 5}, []byte{byte(k)}}
+		if k%97 == 5 {
+			row[k%5] = nil
+		}
+		value := codec.EncodeRow(row)
+		if k == 300 {
+			value = []byte("garbage")
+		}
+		if _, err := topic.Append(0, msgbus.Record{Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := NewCodecBusSource("kinds", topic, schema)
+	want, err := src.Read(0, 0, n)
+	if err != nil || len(want) != n-1 {
+		t.Fatalf("Read: %d rows, err=%v", len(want), err)
+	}
+	for _, keep := range [][]int{{0, 1, 2, 3, 4}, {0}} {
+		b, ok, err := src.PruneColumns(keep).(VectorReader).ReadVec(0, 0, n)
+		if err != nil || !ok || b.Len != len(want) {
+			t.Fatalf("keep %v: ReadVec ok=%v err=%v, %d rows; want %d", keep, ok, err, b.Len, len(want))
+		}
+		for i, row := range want {
+			for _, c := range keep {
+				if got := b.Cols[c].Get(i); got != row[c] {
+					t.Fatalf("keep %v, row %d col %d: ReadVec %v, Read %v", keep, i, c, got, row[c])
+				}
+			}
+		}
+		b.Release()
 	}
 }
