@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"structream/internal/colfmt"
+	"structream/internal/engine"
 	"structream/internal/msgbus"
 	"structream/internal/sinks"
 )
@@ -394,6 +395,52 @@ func TestContinuousJSONSinkKeepsEverySubBatch(t *testing.T) {
 	want := []string{`{"x":0}`, `{"x":1}`, `{"x":2}`, `{"x":3}`, `{"x":4}`, `{"x":5}`, `{"x":6}`, `{"x":7}`, `{"x":8}`, `{"x":9}`}
 	if !slices.Equal(lines, want) {
 		t.Fatalf("the sink's files hold %v, want %v", lines, want)
+	}
+}
+
+// TestContinuousRefusesTransactionalBusSink: the transactional bus sink
+// commits by epoch alone, so under a continuous trigger it kept an epoch's
+// first sub-batch and dropped the rest as replays. Start refuses it by name
+// rather than lose rows; a microbatch trigger still takes it.
+func TestContinuousRefusesTransactionalBusSink(t *testing.T) {
+	s := NewSession()
+	df, _, err := s.BusStream("tin", 2, NewSchema(Field{Name: "x", Type: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := df.WriteStream().Format("bus").Option("transactional", "true").Checkpoint(t.TempDir())
+	q, err := w.Trigger(Continuous(200 * time.Millisecond)).Start("tout")
+	if err == nil {
+		q.Stop()
+		t.Fatal("a continuous query into the transactional bus sink started")
+	}
+	if !errors.Is(err, engine.ErrContinuousSink) || !strings.Contains(err.Error(), "transactional-bus") {
+		t.Fatalf("err = %v, want engine.ErrContinuousSink naming the transactional-bus sink", err)
+	}
+	q, err = w.Trigger(ProcessingTime(time.Hour)).Start("tout")
+	if err != nil {
+		t.Fatalf("microbatch start: %v", err)
+	}
+	q.Stop()
+}
+
+// TestContinuousRefusesForeach: a Foreach function sees an epoch and its
+// rows, not the sub-batch, so under a continuous trigger it cannot tell the
+// next sub-batch of an epoch from a replay. Start refuses it by name.
+func TestContinuousRefusesForeach(t *testing.T) {
+	s := NewSession()
+	df, _, err := s.BusStream("fin", 2, NewSchema(Field{Name: "x", Type: Int64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := df.WriteStream().Foreach(func(int64, []Row) error { return nil }).
+		Trigger(Continuous(200 * time.Millisecond)).Checkpoint(t.TempDir()).Start("")
+	if err == nil {
+		q.Stop()
+		t.Fatal("a continuous query into a Foreach function started")
+	}
+	if !errors.Is(err, engine.ErrContinuousSink) || !strings.Contains(err.Error(), "foreach") {
+		t.Fatalf("err = %v, want engine.ErrContinuousSink naming the foreach sink", err)
 	}
 }
 

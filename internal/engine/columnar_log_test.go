@@ -38,14 +38,10 @@ var campaignSchema = sql.NewSchema(
 	sql.Field{Name: "campaign_id", Type: sql.TypeInt64},
 )
 
-// yahooPlan is the benchmark's ysb-bulk plan: 40 ads in 8 campaigns, the
-// campaign table a static scan resolver serves from its Handle.
-func yahooPlan() (logical.Plan, physical.ScanResolver) {
-	var campaigns []sql.Row
-	for ad := 0; ad < 40; ad++ {
-		campaigns = append(campaigns, sql.Row{int64(ad), int64(ad / 5)})
-	}
-	views := &logical.Project{
+// adViews is the Yahoo! query's map side: the views' ad and event time,
+// under a ten-second watermark.
+func adViews() logical.Plan {
+	return &logical.Project{
 		Child: &logical.Filter{
 			Child: &logical.WithWatermark{
 				Child:  &logical.Scan{Name: "ad_events", Streaming: true, Out: adSchema},
@@ -53,8 +49,17 @@ func yahooPlan() (logical.Plan, physical.ScanResolver) {
 			Cond: sql.Eq(sql.Col("event_type"), sql.Lit("view"))},
 		Exprs: []sql.Expr{sql.Col("ad_id"), sql.Col("event_time")},
 	}
+}
+
+// yahooPlan is the benchmark's ysb-bulk plan: 40 ads in 8 campaigns, the
+// campaign table a static scan resolver serves from its Handle.
+func yahooPlan() (logical.Plan, physical.ScanResolver) {
+	var campaigns []sql.Row
+	for ad := 0; ad < 40; ad++ {
+		campaigns = append(campaigns, sql.Row{int64(ad), int64(ad / 5)})
+	}
 	return &logical.Aggregate{
-			Child: &logical.Join{Left: views,
+			Child: &logical.Join{Left: adViews(),
 				Right: &logical.Scan{Name: "campaigns", Out: campaignSchema, Handle: campaigns},
 				Type:  logical.InnerJoin, Cond: sql.Eq(sql.Col("ad_id"), sql.Col("c_ad_id"))},
 			Keys: []sql.Expr{sql.NewWindow(sql.Col("event_time"), 10*time.Second, 0), sql.Col("campaign_id")},
@@ -164,14 +169,13 @@ func (s unprunedSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error)
 	return s.Source.(sources.VectorReader).ReadVec(p, from, to)
 }
 
-// TestPrunedScanKeepsTheRowPathsBytes: over a log that holds records
-// truncated inside a column the plan skips, records whose type drifts
-// inside a skipped column, and records whose type drifts inside a column
-// the plan reads, the pruned scan, the full-width columnar scan and the row
-// path must write byte-identical sink files.
-func TestPrunedScanKeepsTheRowPathsBytes(t *testing.T) {
-	var recs [][]byte
-	var cut int64
+// driftingAdLog is 3000 ad events with records truncated inside a column
+// a pruned plan skips and inside one before the kept columns (cut counts
+// them: every decoder drops them), records whose type drifts inside a
+// skipped column, and, mid-run, records whose type drifts inside a column
+// the plan reads. The anomalous records are views, so a plan that keeps
+// views meets every one of them.
+func driftingAdLog() (recs [][]byte, cut int64) {
 	view := func(i int) sql.Row { r := adEvent(i); r[4] = "view"; return r }
 	for i := 0; i < 3000; i++ {
 		switch {
@@ -196,6 +200,16 @@ func TestPrunedScanKeepsTheRowPathsBytes(t *testing.T) {
 			recs = append(recs, codec.EncodeRow(adEvent(i)))
 		}
 	}
+	return recs, cut
+}
+
+// TestPrunedScanKeepsTheRowPathsBytes: over a log that holds records
+// truncated inside a column the plan skips, records whose type drifts
+// inside a skipped column, and records whose type drifts inside a column
+// the plan reads, the pruned scan, the full-width columnar scan and the row
+// path must write byte-identical sink files.
+func TestPrunedScanKeepsTheRowPathsBytes(t *testing.T) {
+	recs, cut := driftingAdLog()
 	type variant struct {
 		name      string
 		vectorize bool
@@ -260,6 +274,100 @@ func TestPrunedScanKeepsTheRowPathsBytes(t *testing.T) {
 	}
 }
 
+// memoryContents renders a memory sink's append table epoch by epoch, as
+// the files a sink of its own would hold.
+func memoryContents(sink *sinks.MemorySink) map[string][]byte {
+	out := map[string][]byte{}
+	for e := int64(0); e <= sink.LastEpoch(); e++ {
+		if rows := sink.RowsForEpoch(e); len(rows) > 0 {
+			out[fmt.Sprint("epoch-", e)] = []byte(fmt.Sprintln(rows))
+		}
+	}
+	return out
+}
+
+// TestPrunedMapOnlyScanKeepsTheRowPathsBytes is the map-only twin of
+// TestPrunedScanKeepsTheRowPathsBytes: the Yahoo! query's map side, over the
+// same drifting log, row, unpruned and pruned at one and two workers, into
+// the JSON sink (rows) and the memory sink (columns where every task of an
+// epoch stayed columnar). Mid-run some epochs mix columnar and row tasks,
+// which demotes them to rows rendered in task order; every sink must hold
+// what the row path's does, byte for byte.
+func TestPrunedMapOnlyScanKeepsTheRowPathsBytes(t *testing.T) {
+	recs, cut := driftingAdLog()
+	variants := []struct {
+		name      string
+		vectorize bool
+		wrap      func(*sources.BusSource) sources.Source
+	}{
+		{"row", false, func(s *sources.BusSource) sources.Source { return s }},
+		{"unpruned", true, func(s *sources.BusSource) sources.Source { return unprunedSource{s} }},
+		{"pruned", true, func(s *sources.BusSource) sources.Source { return s }},
+	}
+	golden := map[string]map[string][]byte{}
+	for _, sinkKind := range []string{"json", "memory"} {
+		for _, v := range variants {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s %s workers=%d", sinkKind, v.name, workers)
+				dir := t.TempDir()
+				var sink sinks.Sink = &sinks.JSONFileSink{Dir: dir}
+				mem := sinks.NewMemorySink()
+				if sinkKind == "memory" {
+					sink = mem
+				}
+				q := compile(t, adViews(), logical.Append, nil)
+				if !v.vectorize {
+					q = rowPath(q)
+				} else if !q.Pipelines[0].FullyVectorized() {
+					t.Fatalf("the views plan does not vectorize: %+v", q.Pipelines[0].Vec)
+				}
+				src := v.wrap(sources.NewCodecBusSource("ad_events", adTopic(t, recs), adSchema))
+				sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
+					Workers: workers, NumPartitions: 2, MaxRecordsPerTrigger: 100})
+				if err := sq.ProcessAllAvailable(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var in, vecd int64
+				mixed := 0 // epochs that ran some tasks columnar and some on rows
+				for _, p := range sq.EventLog().Recent(0) {
+					in, vecd = in+p.NumInputRows, vecd+p.VectorizedRows
+					if p.VectorizedRows > 0 && p.VectorizedRows < p.NumInputRows {
+						mixed++
+					}
+				}
+				if err := sq.Stop(); err != nil {
+					t.Fatal(err)
+				}
+				if want := int64(len(recs)) - cut; in != want {
+					t.Fatalf("%s: %d input rows, want %d", name, in, want)
+				}
+				switch {
+				case v.name == "row" && vecd != 0:
+					t.Fatalf("%s: the row path vectorized %d rows", name, vecd)
+				case v.name == "pruned" && (vecd < in/2 || vecd == in):
+					t.Fatalf("%s: %d of %d rows vectorized, want most but not all", name, vecd, in)
+				case v.name == "pruned" && mixed == 0:
+					t.Fatalf("%s: no epoch mixed columnar and row tasks", name)
+				}
+				got := dirContents(t, dir)
+				if sinkKind == "memory" {
+					got = memoryContents(mem)
+				}
+				if golden[sinkKind] == nil {
+					if len(got) < 4 {
+						t.Fatalf("%s: the row path left %d epochs", name, len(got))
+					}
+					golden[sinkKind] = got
+					continue
+				}
+				if d := sinkDiff(golden[sinkKind], got); d != "" {
+					t.Fatalf("%s diverged from the row path:\n%s", name, d)
+				}
+			}
+		}
+	}
+}
+
 // recordingSource remembers every batch its columnar reads hand to the
 // engine, and forwards the pruning extension so the engine's path is the
 // production one.
@@ -297,14 +405,21 @@ func (s recordingSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error
 	return b, ok, err
 }
 
-// TestRecycledBatchesSurvivePoison drives the Yahoo! query one epoch at a
-// time and, between epochs, scribbles over every slab the engine has
-// released — the decode columns' values, strings and null bits, and
-// everything the tasks' kernels and stages drew from the same recyclers:
-// filter verdicts, selections, the join's probe lanes and gathered static
-// columns, window bounds. The next epoch decodes and computes into those
-// very slabs; if a pooled vector kept a null bit, or a stage read a slot
-// its own task did not write, the output would leave the golden.
+// rowSink hides a sink's ColumnSink extension, so the engine delivers it
+// rows.
+type rowSink struct{ sinks.Sink }
+
+// TestRecycledBatchesSurvivePoison drives a query one epoch at a time and,
+// between epochs, scribbles over every slab the engine has released — the
+// decode columns' values, strings and null bits, and everything the tasks'
+// kernels and stages drew from the same recyclers: filter verdicts,
+// selections, the join's probe lanes and gathered static columns, window
+// bounds. The next epoch decodes and computes into those very slabs; if a
+// pooled vector kept a null bit, or a stage read a slot its own task did not
+// write, the output would leave the golden. A task releases its batch
+// whenever nothing leaves it columnar, so every branch that renders rows is
+// held: the Yahoo! query's partial aggregate, its map side into a row sink,
+// a vector prefix sealed by a LIKE projection, and dedup's routing by key.
 func TestRecycledBatchesSurvivePoison(t *testing.T) {
 	const epochs, perEpoch = 12, 600
 	scribble := func(v *vec.Vector) {
@@ -327,77 +442,116 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 			v.Nulls.SetAll()
 		}
 	}
-	run := func(vectorize bool) ([]sql.Row, *batchLog, map[string]int) {
-		log := &batchLog{vectors: map[*vec.Vector]int{}}
-		topic := adTopic(t, nil)
-		src := recordingSource{sources.NewCodecBusSource("ad_events", topic, adSchema), log}
-		sink := sinks.NewMemorySink()
-		q := yahooQuery(t)
-		if !vectorize {
-			q = rowPath(q)
-		}
-		sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
-			Workers: 2, NumPartitions: 2})
-		derived := map[string]int{} // recycled slabs the decoder never handed out, by kind
-		for e := 0; e < epochs; e++ {
-			recs := make([][]byte, perEpoch)
-			for i := range recs {
-				row := adEvent(e*perEpoch + i)
-				if i%11 == 0 {
-					row[2] = nil // NULL ad_id: the decoder must set, and the pool clear, a null bit
+	views := &logical.Filter{Child: &logical.Scan{Name: "ad_events", Streaming: true, Out: adSchema},
+		Cond: sql.Eq(sql.Col("event_type"), sql.Lit("view"))}
+	cases := []struct {
+		name string
+		plan func() (logical.Plan, logical.OutputMode, physical.ScanResolver)
+		// rows hides the memory sink's ColumnSink extension.
+		rows bool
+		// The recycled slab kinds that must have been poisoned.
+		derived []string
+	}{
+		{"aggregate", func() (logical.Plan, logical.OutputMode, physical.ScanResolver) {
+			plan, resolver := yahooPlan()
+			return plan, logical.Update, resolver
+		}, false, []string{"bool", "int64", "window", "selection"}},
+		{"map-only rows", func() (logical.Plan, logical.OutputMode, physical.ScanResolver) {
+			return adViews(), logical.Append, nil
+		}, true, []string{"bool", "selection"}},
+		{"sealed prefix", func() (logical.Plan, logical.OutputMode, physical.ScanResolver) {
+			return &logical.Project{Child: views, Exprs: []sql.Expr{sql.Col("ad_id"), sql.Col("event_time"),
+				sql.As(sql.NewBinary(sql.OpLike, sql.Col("ip"), sql.Lit("10.0.1%")), "m")}}, logical.Append, nil
+		}, false, []string{"bool", "selection"}},
+		{"dedup", func() (logical.Plan, logical.OutputMode, physical.ScanResolver) {
+			return &logical.Distinct{Child: &logical.Project{Child: views,
+				Exprs: []sql.Expr{sql.Col("ad_id"), sql.Col("ad_type")}}}, logical.Append, nil
+		}, false, []string{"bool", "selection"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(vectorize bool) ([]sql.Row, *batchLog, map[string]int) {
+				log := &batchLog{vectors: map[*vec.Vector]int{}}
+				topic := adTopic(t, nil)
+				src := recordingSource{sources.NewCodecBusSource("ad_events", topic, adSchema), log}
+				mem := sinks.NewMemorySink()
+				var sink sinks.Sink = mem
+				if tc.rows {
+					sink = rowSink{mem}
 				}
-				recs[i] = codec.EncodeRow(row)
-			}
-			appendAds(t, topic, e*perEpoch, recs)
-			if err := sq.ProcessAllAvailable(); err != nil {
-				t.Fatal(err)
-			}
-			// The epoch is over: every batch it read, and everything derived
-			// from it, is back in the pool.
-			log.mu.Lock()
-			for _, b := range log.batches {
-				for _, v := range b.Cols {
-					if v != nil {
-						scribble(v)
-					}
+				plan, mode, resolver := tc.plan()
+				q := compile(t, plan, mode, resolver)
+				if p := q.Pipelines[0]; p.Vec == nil || tc.name == "sealed prefix" && len(p.Vec.Ops) == len(p.Stages) {
+					t.Fatalf("vector plan %+v over %d stages", p.Vec, len(p.Stages))
 				}
-				b.Recycled(func(v *vec.Vector) {
-					if log.vectors[v] == 0 {
-						derived[[...]string{"int64", "float64", "bool", "string", "window", "any"}[v.Kind]]++
+				if !vectorize {
+					q = rowPath(q)
+				}
+				sq := startQuery(t, q, map[string]sources.Source{"ad_events": src}, sink, Options{
+					Workers: 2, NumPartitions: 2})
+				derived := map[string]int{} // recycled slabs the decoder never handed out, by kind
+				for e := 0; e < epochs; e++ {
+					recs := make([][]byte, perEpoch)
+					for i := range recs {
+						row := adEvent(e*perEpoch + i)
+						if i%11 == 0 {
+							row[2] = nil // NULL ad_id: the decoder must set, and the pool clear, a null bit
+						}
+						recs[i] = codec.EncodeRow(row)
 					}
-					scribble(v)
-				}, func(sel []int32) {
-					derived["selection"]++
-					for i := range sel {
-						sel[i] = 0 // a valid lane: a stale one reads as a wrong row
+					appendAds(t, topic, e*perEpoch, recs)
+					if err := sq.ProcessAllAvailable(); err != nil {
+						t.Fatal(err)
 					}
-				})
+					// The epoch is over: every batch it read, and everything
+					// derived from it, is back in the pool.
+					log.mu.Lock()
+					for _, b := range log.batches {
+						for _, v := range b.Cols {
+							if v != nil {
+								scribble(v)
+							}
+						}
+						b.Recycled(func(v *vec.Vector) {
+							if log.vectors[v] == 0 {
+								derived[[...]string{"int64", "float64", "bool", "string", "window", "any"}[v.Kind]]++
+							}
+							scribble(v)
+						}, func(sel []int32) {
+							derived["selection"]++
+							for i := range sel {
+								sel[i] = 0 // a valid lane: a stale one reads as a wrong row
+							}
+						})
+					}
+					log.batches = log.batches[:0]
+					log.mu.Unlock()
+				}
+				if err := sq.Stop(); err != nil {
+					t.Fatal(err)
+				}
+				return mem.Rows(), log, derived
 			}
-			log.batches = log.batches[:0]
-			log.mu.Unlock()
-		}
-		if err := sq.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		return sink.Rows(), log, derived
-	}
-	golden, _, _ := run(false)
-	got, log, derived := run(true)
-	rowsExactlyEqual(t, got, golden, "poisoned pool")
-	// The filter's verdicts, the gathered campaign columns, the window bounds
-	// and the filter's and probe's selections must all have been poisoned.
-	for _, kind := range []string{"bool", "int64", "window", "selection"} {
-		if derived[kind] == 0 {
-			t.Errorf("no recycled %s slab was poisoned (%v): the kernels do not draw from the pool", kind, derived)
-		}
-	}
-	reused := 0
-	for _, n := range log.vectors {
-		if n > 1 {
-			reused++
-		}
-	}
-	if len(log.vectors) == 0 || reused == 0 {
-		t.Fatalf("no vector was handed out twice (%d seen): the pool is not recycling", len(log.vectors))
+			golden, _, _ := run(false)
+			if len(golden) == 0 {
+				t.Fatal("the row path emitted nothing")
+			}
+			got, log, derived := run(true)
+			rowsExactlyEqual(t, got, golden, "poisoned pool")
+			for _, kind := range tc.derived {
+				if derived[kind] == 0 {
+					t.Errorf("no recycled %s slab was poisoned (%v): the kernels do not draw from the pool", kind, derived)
+				}
+			}
+			reused := 0
+			for _, n := range log.vectors {
+				if n > 1 {
+					reused++
+				}
+			}
+			if len(log.vectors) == 0 || reused == 0 {
+				t.Fatalf("no vector was handed out twice (%d seen): the pool is not recycling", len(log.vectors))
+			}
+		})
 	}
 }

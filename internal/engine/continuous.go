@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,7 +12,7 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
-	"structream/internal/sql"
+	"structream/internal/sql/vec"
 )
 
 // continuousExec implements continuous processing mode (§6.3): long-lived
@@ -36,8 +37,8 @@ type continuousExec struct {
 	// Workers accumulate their per-stage time here; the coordinator
 	// charges the deltas between epoch marks to the epoch's record (see
 	// epochRecord on why these can exceed the interval).
-	procNanos atomic.Int64 // time inside pipeline Process
-	sinkNanos atomic.Int64 // time inside sink AddBatch
+	procNanos atomic.Int64 // time inside map tasks, past their reads
+	sinkNanos atomic.Int64 // time inside sink writes
 
 	mu          sync.Mutex
 	current     map[string]sources.Offsets // live read positions
@@ -47,14 +48,26 @@ type continuousExec struct {
 
 	// Coordinator-only epoch-delta bookkeeping (markEpoch runs in one
 	// goroutine, so plain fields suffice).
-	lastMark                    time.Time
-	prevOut, prevProc, prevSink int64
+	lastMark                             time.Time
+	prevOut, prevVec, prevProc, prevSink int64
 }
+
+// ErrContinuousSink refuses a sink that cannot keep its guarantee under a
+// continuous trigger, which delivers an epoch as many sub-batches that each
+// carry the epoch's number and their own Sub. The transactional bus sink
+// commits by epoch alone, so it would keep an epoch's first sub-batch and
+// drop the rest as replays; a Foreach function sees no Sub, so it cannot
+// tell the next sub-batch from a replay.
+var ErrContinuousSink = errors.New("engine: sink cannot take continuous sub-batches")
 
 // startContinuous validates and launches the continuous engine.
 func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink, opts Options, trig ContinuousTrigger) (*StreamingQuery, error) {
 	if q.Stateful != nil {
 		return nil, fmt.Errorf("engine: continuous processing supports only map-like queries (no aggregation, join between streams, or stateful operators); use the microbatch trigger")
+	}
+	switch sink.(type) {
+	case *sinks.TransactionalBusSink, *sinks.ForeachSink:
+		return nil, fmt.Errorf("%w: the %s sink; use a microbatch trigger", ErrContinuousSink, sinks.Describe(sink))
 	}
 	// Resume from the latest logged epoch's end offsets. Workers deliver
 	// before the coordinator logs, so a logged-but-uncommitted epoch's rows
@@ -77,23 +90,24 @@ func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink 
 	// Resolve every pipeline's source and start offsets before any worker
 	// exists: a failure on a later pipeline must not leave an earlier
 	// one's workers polling and writing to the sink behind the error.
-	bound := make([]*sources.Instrumented, len(q.Pipelines))
+	bound := make([]boundPipeline, len(q.Pipelines))
 	for i, p := range q.Pipelines {
-		// Workers read boxed rows only, so nothing is pruned.
-		if bound[i], err = c.bind(p, srcs, false); err != nil {
+		src, err := c.bind(p, srcs)
+		if err != nil {
 			return nil, err
 		}
-		ce.current[bound[i].Name()] = c.committed[bound[i].Name()].Clone()
+		bound[i] = boundPipeline{pipe: p, src: src}
+		ce.current[src.Name()] = c.committed[src.Name()].Clone()
 	}
 	// Launch one long-lived worker per (pipeline, partition) — §6.3: "the
 	// master launches long-running tasks on each partition"; a failed
 	// worker would simply be relaunched.
 	var workerSeq int64
-	for i, p := range q.Pipelines {
-		for part := 0; part < bound[i].Partitions(); part++ {
+	for _, bp := range bound {
+		for part := 0; part < bp.src.Partitions(); part++ {
 			ce.wg.Add(1)
 			workerSeq++
-			go ce.worker(p, bound[i], part, workerSeq)
+			go ce.worker(bp, part, workerSeq)
 		}
 	}
 
@@ -160,13 +174,15 @@ func (ce *continuousExec) setErr(err error) {
 	ce.stop()
 }
 
-// worker continuously drains one partition of one source. Each delivery
+// worker continuously drains one partition of one source, running the map
+// task microbatch epochs run over each range it polls. Each delivery
 // carries a worker-unique Sub id so sinks keep all sub-batches of an epoch.
 // Idle, it blocks on the source's arrival signal — the one microbatch mode
 // waits on, registered before the first look for the same reason (see
 // exec.runTriggered) — or polls a source that has none.
-func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instrumented, part int, workerID int64) {
+func (ce *continuousExec) worker(bp boundPipeline, part int, workerID int64) {
 	defer ce.wg.Done()
+	src := bp.src
 	const maxPoll = 4096
 	const pollEvery = 200 * time.Microsecond
 	arrival := make(chan struct{}, 1)
@@ -225,29 +241,20 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instru
 			}
 			ce.budget.Add(off - to) // reserve (to-off) records
 		}
-		var raw []sql.Row
-		if err := ce.withRetry(func() (rerr error) {
-			raw, rerr = src.Read(part, off, to)
-			return rerr
-		}); err != nil {
+		res, err := ce.runMapTask(bp, part, off, to)
+		if err != nil {
 			ce.setErr(err)
 			return
 		}
-		procStart := time.Now()
-		rows := pipe.Process(raw)
-		ce.procNanos.Add(time.Since(procStart).Nanoseconds())
-		if len(rows) > 0 {
+		ce.procNanos.Add(res.taskNanos - res.readNanos)
+		out, vecs := int64(len(res.direct)), []*vec.Batch(nil)
+		if res.vecOut != nil {
+			out, vecs = int64(res.vecOut.NumLive()), []*vec.Batch{res.vecOut}
+		}
+		if out > 0 {
 			seq++
 			sinkStart := time.Now()
-			err := ce.withRetry(func() error {
-				return ce.sink.AddBatch(sinks.Batch{
-					Epoch:  epoch,
-					Sub:    workerID<<32 | seq,
-					Mode:   ce.q.Mode,
-					Schema: ce.q.OutSchema,
-					Rows:   rows,
-				})
-			})
+			err := ce.write(epoch, workerID<<32|seq, res.direct, vecs)
 			ce.sinkNanos.Add(time.Since(sinkStart).Nanoseconds())
 			if err != nil {
 				ce.setErr(err)
@@ -260,8 +267,9 @@ func (ce *continuousExec) worker(pipe *incremental.Pipeline, src *sources.Instru
 		ce.mu.Unlock()
 		// Charged here, per delivered sub-batch, not at the epoch mark: the
 		// monitor and fig7 read these between marks.
-		ce.reg.Counter("inputRows").Add(int64(len(raw)))
-		ce.reg.Counter("outputRows").Add(int64(len(rows)))
+		ce.reg.Counter("inputRows").Add(res.rows)
+		ce.reg.Counter("vectorizedRows").Add(res.vecRows)
+		ce.reg.Counter("outputRows").Add(out)
 	}
 }
 
@@ -377,12 +385,12 @@ func (ce *continuousExec) markEpoch() {
 			s.LatestOffsets = latest.Clone()
 		}
 	}
-	out, proc, sink := ce.reg.Counter("outputRows").Value(), ce.procNanos.Load(), ce.sinkNanos.Load()
-	r.outputRows = out - ce.prevOut
+	out, vecd, proc, sink := ce.reg.Counter("outputRows").Value(), ce.reg.Counter("vectorizedRows").Value(), ce.procNanos.Load(), ce.sinkNanos.Load()
+	r.outputRows, r.vecRows = out-ce.prevOut, vecd-ce.prevVec
 	r.charge("getBatch", r.start, time.Duration(read))
 	r.charge("execution", r.start, time.Duration(proc-ce.prevProc))
 	r.charge("stateCommit", r.start, 0)
 	r.charge("sinkCommit", r.start, time.Duration(sink-ce.prevSink))
-	ce.prevOut, ce.prevProc, ce.prevSink = out, proc, sink
+	ce.prevOut, ce.prevVec, ce.prevProc, ce.prevSink = out, vecd, proc, sink
 	ce.publish(r)
 }

@@ -15,6 +15,7 @@ import (
 	"structream/internal/metrics"
 	"structream/internal/sinks"
 	"structream/internal/sources"
+	"structream/internal/sql/logical"
 	"structream/internal/trace"
 	"structream/internal/wal"
 )
@@ -37,6 +38,12 @@ type core struct {
 	hook *epochHook // fans epoch commits out to the serving layer
 	telemetry
 	srcs map[string]*sources.Instrumented // bound sources by name
+	// colSink is non-nil when output may reach the sink columnar: the sink
+	// accepts column batches and the query is a map-only append (no
+	// stateful stage, so Post is the identity). An epoch, or a continuous
+	// sub-batch, still falls back to AddBatch when a task left the columnar
+	// path.
+	colSink sinks.ColumnSink
 
 	// committed holds each source's end offsets in the newest logged epoch:
 	// where the next epoch starts. Entries are replaced, never mutated.
@@ -72,6 +79,9 @@ func openCore(q *incremental.Query, sink sinks.Sink, opts Options) (*core, wal.R
 		prevRead:  map[string]int64{},
 	}
 	c.committedState.Store(-1)
+	if cs, ok := sink.(sinks.ColumnSink); ok && q.Stateful == nil && q.Mode == logical.Append {
+		c.colSink = cs
+	}
 	rp, err := w.Recover()
 	if err != nil {
 		return nil, rp, err
@@ -94,16 +104,16 @@ func openCore(q *incremental.Query, sink sinks.Sink, opts Options) (*core, wal.R
 
 // bind resolves a pipeline's source, instruments it so the progress event
 // and the getBatch stage can attribute fetch cost, and starts it at its
-// earliest offsets unless the checkpoint knows better. With prune, a
-// source that can step over columns is bound, once, to the ones the
-// pipeline's vector plan reads; its Read stays full width, so every
-// fallback to rows sees whole records.
-func (c *core) bind(p *incremental.Pipeline, srcs map[string]sources.Source, prune bool) (*sources.Instrumented, error) {
+// earliest offsets unless the checkpoint knows better. A source that can
+// step over columns is bound, once, to the ones the pipeline's vector plan
+// reads; its Read stays full width, so every fallback to rows sees whole
+// records.
+func (c *core) bind(p *incremental.Pipeline, srcs map[string]sources.Source) (*sources.Instrumented, error) {
 	src, ok := srcs[p.SourceName]
 	if !ok {
 		return nil, fmt.Errorf("engine: no source bound for stream %q", p.SourceName)
 	}
-	if cp, ok := src.(sources.ColumnPruner); ok && prune && p.SourceCols != nil {
+	if cp, ok := src.(sources.ColumnPruner); ok && p.SourceCols != nil {
 		src = cp.PruneColumns(p.SourceCols)
 	}
 	is := sources.Instrument(src)

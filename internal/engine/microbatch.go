@@ -156,12 +156,6 @@ type exec struct {
 	prov  *state.Provider
 	pool  *shard.Pool // runs every stage's tasks
 
-	// colSink is non-nil when epochs may deliver columnar: the sink
-	// accepts column batches and the query is a map-only append (no
-	// stateful stage, so Post is the identity). Individual epochs still
-	// fall back to AddBatch when any task left the columnar path.
-	colSink sinks.ColumnSink
-
 	mu               sync.Mutex // serializes epoch execution
 	nextEpoch        int64
 	lastStateVersion int64 // last committed state version, -1 before any
@@ -169,11 +163,6 @@ type exec struct {
 	perPipeMax       []int64 // max event time seen per pipeline
 	needFlush        bool    // run one empty epoch to apply a watermark advance
 	alwaysRun        bool    // processing-time timeouts need epochs regardless
-}
-
-type boundPipeline struct {
-	pipe *incremental.Pipeline
-	src  sources.Source
 }
 
 // newExec wires a compiled query to its sources and recovers WAL state.
@@ -200,7 +189,7 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 		e.perPipeMax[i] = -1
 	}
 	for _, p := range q.Pipelines {
-		src, err := c.bind(p, srcs, true)
+		src, err := c.bind(p, srcs)
 		if err != nil {
 			return nil, err
 		}
@@ -208,9 +197,6 @@ func newExec(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Si
 	}
 	if mg, ok := q.Stateful.(*incremental.FlatMapGroupsWithState); ok {
 		e.alwaysRun = mg.Timeout == logical.ProcessingTimeTimeout
-	}
-	if cs, ok := sink.(sinks.ColumnSink); ok && q.Stateful == nil && q.Mode == logical.Append {
-		e.colSink = cs
 	}
 	// Started last, so no earlier return leaks its workers, and before
 	// recovery: a replayed epoch runs the same tasks as the run that crashed.
@@ -592,32 +578,17 @@ type taskSpec struct {
 	from, to int64
 }
 
-// mapResult is one map task's output.
-type mapResult struct {
-	side    int
-	buckets [][]sql.Row // by reduce partition; nil for map-only queries
-	direct  []sql.Row   // map-only output
-	vecOut  *vec.Batch  // map-only output kept columnar for a ColumnSink
-	evt     evtStats    // over the raw input rows
-	rows    int64
-	vecRows int64 // rows that ran the columnar path (≤ rows)
-	// The task's source-read time and whole wall time: their sums split the
-	// fused map stage, and the wall feeds per-partition accounting.
-	readNanos, taskNanos int64
-}
-
 // exchange is what the map stage hands on: shuffle rows by reduce
 // partition for a stateful query, or the map-only output in task order.
 type exchange struct {
 	byPart [][2][]sql.Row // [partition][side]
 	rows   []sql.Row      // stage output; the reduce stage appends its own
-	vecs   []*vec.Batch
-	// colOut: every task's map-only output stayed columnar, so the epoch
-	// delivers column batches to the sink. One task falling back to the
-	// row path (type drift, non-int64 watermark column) demotes the whole
-	// epoch — outputs materialize in task order so row ordering matches
-	// the pure row path exactly.
-	colOut bool
+	// vecs is non-nil when every task's map-only output stayed columnar, so
+	// the epoch delivers column batches to the sink. One task falling back
+	// to the row path (type drift, non-int64 watermark column) demotes the
+	// whole epoch — outputs materialize in task order so row ordering
+	// matches the pure row path exactly.
+	vecs []*vec.Batch
 }
 
 // mapStage cuts the epoch's ranges into map tasks, runs them and gathers
@@ -647,7 +618,10 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 			}
 		}
 		partOf := func(ti int) int { return specs[ti].part }
-		results, err := e.pool.Run(len(specs), e.labelled("map", partOf, func(ti int) (any, error) { return e.runMapTask(specs[ti]) }))
+		results, err := e.pool.Run(len(specs), e.labelled("map", partOf, func(ti int) (any, error) {
+			spec := specs[ti]
+			return e.runMapTask(e.pipes[spec.pipeIdx], spec.part, spec.from, spec.to)
+		}))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -666,131 +640,25 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 	return ex, nil
 }
 
-// readInput is the map task's read ladder, under the retry policy. When
-// the pipeline wants vectors, a codec-framed source decodes the range
-// straight into typed columns; ok=false from ReadVec (type drift, or no
-// columnar decode) and every other source fall through to boxed rows.
-func (e *exec) readInput(bp boundPipeline, spec taskSpec, wantVec bool) (raw []sql.Row, batch *vec.Batch, err error) {
-	err = e.withRetry(func() error {
-		raw, batch = nil, nil
-		if vr, isVec := bp.src.(sources.VectorReader); isVec && wantVec {
-			b, ok, rerr := vr.ReadVec(spec.part, spec.from, spec.to)
-			if rerr != nil {
-				return rerr
-			}
-			if ok {
-				batch = b
-				return nil
-			}
-		}
-		var rerr error
-		raw, rerr = bp.src.Read(spec.part, spec.from, spec.to)
-		return rerr
-	})
-	return raw, batch, err
-}
-
-// scanEventTime computes a task's event-time stats over its raw input:
-// kernels over the batch's typed watermark column, else the boxed
-// evaluator row by row.
-func scanEventTime(pipe *incremental.Pipeline, raw []sql.Row, batch *vec.Batch) evtStats {
-	var st evtStats
-	if pipe.WatermarkEval == nil {
-		return st
-	}
-	if batch != nil {
-		st.min, st.max, st.sum, st.cnt = vec.Int64Stats(batch.Cols[pipe.WatermarkIdx], batch.Len)
-		return st
-	}
-	for _, row := range raw {
-		ts, ok := pipe.WatermarkEval(row).(int64)
-		if !ok {
-			continue
-		}
-		if st.cnt == 0 || ts > st.max {
-			st.max = ts
-		}
-		if st.cnt == 0 || ts < st.min {
-			st.min = ts
-		}
-		st.sum += float64(ts)
-		st.cnt++
-	}
-	return st
-}
-
-// runMapTask reads one task's slice and runs its pipeline up to the
-// shuffle (or direct-output) boundary: with a batch in hand, as kernels
-// until rows must materialize; without one, as row stages.
-func (e *exec) runMapTask(spec taskSpec) (*mapResult, error) {
-	taskStart := time.Now()
-	bp := e.pipes[spec.pipeIdx]
-	pipe, nPart, schema := bp.pipe, e.opts.NumPartitions, bp.src.Schema()
-	// The columnar event-time scan needs the watermark column as a typed
-	// int64 vector. A batch's column kinds are its source schema's, so a
-	// pipeline whose watermark column is anything else reads rows in every
-	// task, and is known to before the read.
-	wantVec := pipe.Vec != nil && (pipe.WatermarkEval == nil ||
-		pipe.WatermarkIdx >= 0 && vec.KindOf(schema.Field(pipe.WatermarkIdx).Type) == vec.KindInt64)
-	raw, batch, err := e.readInput(bp, spec, wantVec)
-	if err != nil {
-		return nil, err
-	}
-	res := &mapResult{side: pipe.Side, readNanos: time.Since(taskStart).Nanoseconds()}
-	if batch == nil && wantVec {
-		// The source served rows; vectorize them here unless their
-		// dynamic types drifted from the schema.
-		if b, ok := vec.FromRows(schema, raw); ok {
-			batch = b
-		}
-	}
-	res.rows = int64(len(raw))
-	if batch != nil {
-		res.rows, res.vecRows = int64(batch.Len), int64(batch.Len)
-	}
-	res.evt = scanEventTime(pipe, raw, batch)
-	switch {
-	case e.q.Stateful == nil && batch != nil && e.colSink != nil && pipe.FullyVectorized():
-		// The whole pipeline ran as kernels and the sink takes column
-		// batches: skip row materialization entirely. The sink keeps the
-		// vectors, so none of them may come from, or go back to, the pool.
-		batch.Detach()
-		res.vecOut = pipe.ApplyVec(batch)
-	case e.q.Stateful == nil:
-		// Map-only: the stages' rows are the query's output.
-		res.direct = pipe.Scatter(raw, batch, 1)[0]
-	default:
-		// The pipeline routes its own output into the shuffle buckets: the
-		// terminal's cells, or the stages' rows by their key.
-		res.buckets = pipe.Scatter(raw, batch, nPart)
-		if batch != nil && pipe.Scatters() {
-			// Cells point into their own slabs and never into the batch:
-			// this is the one branch that may recycle it.
-			batch.Release()
-		}
-	}
-	res.taskNanos = time.Since(taskStart).Nanoseconds()
-	return res, nil
-}
-
 // gather folds the map tasks' results, in task order, into the record and
 // the exchange, and returns the tasks' summed read and pipeline time. A
 // reduce input fed by one task's bucket is that bucket, handed over as it
 // is; one fed by several is sized once and filled in task order.
 func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exchange, readNanos, pipeNanos int64) {
-	ex = &exchange{
-		byPart: make([][2][]sql.Row, e.opts.NumPartitions),
-		colOut: e.colSink != nil,
-	}
+	ex = &exchange{byPart: make([][2][]sql.Row, e.opts.NumPartitions)}
 	shuffled := make([][2]int, e.opts.NumPartitions) // rows bound for [partition][side]
+	colOut := e.colSink != nil
 	for _, res := range results {
 		res := res.(*mapResult)
 		if res.vecOut == nil && len(res.direct) > 0 {
-			ex.colOut = false
+			colOut = false
 		}
 		for p, b := range res.buckets {
 			shuffled[p][res.side] += len(b)
 		}
+	}
+	if colOut {
+		ex.vecs = make([]*vec.Batch, 0, len(results))
 	}
 	for ti, res := range results {
 		res, spec := res.(*mapResult), specs[ti]
@@ -809,7 +677,7 @@ func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exch
 		r.evt.merge(res.evt)
 		e.health.ObservePartition("map", spec.part, res.rows, time.Duration(res.taskNanos))
 		switch {
-		case res.vecOut != nil && ex.colOut:
+		case res.vecOut != nil && ex.vecs != nil:
 			if res.vecOut.NumLive() > 0 {
 				ex.vecs = append(ex.vecs, res.vecOut)
 			}
@@ -959,12 +827,12 @@ func (e *exec) stateProgress(keys int64) *metrics.StateOperatorProgress {
 }
 
 // deliver runs the post stage and hands the epoch's output to the sink.
-// Columnar epochs skip Post: colOut requires a map-only query, whose
-// compiled Post is the identity.
+// Columnar epochs skip Post: they need a map-only query, whose compiled
+// Post is the identity.
 func (e *exec) deliver(r *epochRecord, ex *exchange) error {
 	var outRows []sql.Row
 	if err := r.stage("execution", func(*trace.Span) (err error) {
-		if ex.colOut {
+		if ex.vecs != nil {
 			for _, vb := range ex.vecs {
 				r.outputRows += int64(vb.NumLive())
 			}
@@ -978,20 +846,7 @@ func (e *exec) deliver(r *epochRecord, ex *exchange) error {
 	}
 	return r.stage("sinkCommit", func(sp *trace.Span) error {
 		sp.SetAttr("rows", r.outputRows)
-		return e.withRetry(func() error {
-			b := sinks.Batch{
-				Epoch:    r.epoch,
-				Mode:     e.q.Mode,
-				Schema:   e.q.OutSchema,
-				KeyArity: e.q.KeyArity,
-			}
-			if ex.colOut {
-				b.Vecs = ex.vecs
-				return e.colSink.AddColumnBatch(b)
-			}
-			b.Rows = outRows
-			return e.sink.AddBatch(b)
-		})
+		return e.write(r.epoch, 0, outRows, ex.vecs)
 	})
 }
 

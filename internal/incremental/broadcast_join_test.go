@@ -302,11 +302,11 @@ func TestWindowDeadLanesNeverRead(t *testing.T) {
 	if got := h.scatter(1)[0]; !reflect.DeepEqual(normalizeRows(got), normalizeRows(want)) {
 		t.Fatalf("aggregate read a dead lane:\n want %v\n got  %v", want, got)
 	}
-	physical.EmitBatchRows(b, func(r sql.Row) {
+	for _, r := range b.AppendRows(nil) {
 		for _, v := range r {
 			if v == "POISON" || v == (sql.Window{Start: -12345, End: 12345}) {
 				t.Fatalf("a rendered row carries a dead lane's cell: %v", r)
 			}
 		}
-	})
+	}
 }

@@ -156,8 +156,7 @@ func (p *Pipeline) Scatter(raw []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
 		if p.Scatters() {
 			return p.term.scatter(nil, b, nPart)
 		}
-		raw, first = make([]sql.Row, 0, b.NumLive()), len(p.Vec.Ops)
-		physical.EmitBatchRows(b, func(r sql.Row) { raw = append(raw, r) })
+		raw, first = b.AppendRows(make([]sql.Row, 0, b.NumLive())), len(p.Vec.Ops)
 	}
 	for _, stage := range p.Stages[first:] {
 		raw = stage()(raw)

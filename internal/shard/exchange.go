@@ -3,30 +3,27 @@ package shard
 import (
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
-	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
 )
 
-// Scatter is the columnar shuffle boundary: it routes one fully
-// vectorized batch to state partitions by hashing the key columns
-// (keyIdxs) lane by lane straight from the vectors — codec-encoding each
-// key cell from the typed slab, never boxing it — and materializes each
-// row once, into its destination bucket. The hash is codec.HashKey of
-// the boxed key values bit for bit, and rows materialize through the
-// same accessor path as the row-path shuffle, so bucket contents (and
-// their order) are byte-identical to per-row routing.
+// Scatter routes one column batch to state partitions by hashing the key
+// columns (keyIdxs) lane by lane straight from the vectors, codec-encoding
+// each key cell from the typed slab, never boxing it, and cuts the rows
+// that vec.Batch.AppendRows renders into their destination buckets. The
+// hash is codec.HashKey of the boxed key values bit for bit, so bucket
+// contents (and their order) are byte-identical to per-row routing. The
+// engine routes through incremental.Pipeline.Scatter; the benchmark's
+// isolated exchange driver times this one.
 func Scatter(b *vec.Batch, keyIdxs []int, nPart int) [][]sql.Row {
 	buckets := make([][]sql.Row, nPart)
 	if b == nil || b.NumLive() == 0 {
 		return buckets
 	}
 	hashes := HashLanes(b, keyIdxs, make([]uint64, 0, b.NumLive()))
-	j := 0
-	physical.EmitBatchRows(b, func(row sql.Row) {
+	for j, row := range b.AppendRows(make([]sql.Row, 0, len(hashes))) {
 		p := int(hashes[j] % uint64(nPart))
 		buckets[p] = append(buckets[p], row)
-		j++
-	})
+	}
 	return buckets
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
-	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
 )
 
@@ -52,14 +51,14 @@ func fuzzBatch(t *testing.T, rng *rand.Rand, n int) *vec.Batch {
 // does.
 func rowScatter(b *vec.Batch, keyIdxs []int, nPart int) [][]sql.Row {
 	buckets := make([][]sql.Row, nPart)
-	physical.EmitBatchRows(b, func(row sql.Row) {
+	for _, row := range b.AppendRows(nil) {
 		key := make([]sql.Value, len(keyIdxs))
 		for i, idx := range keyIdxs {
 			key[i] = row[idx]
 		}
 		p := int(codec.HashKey(key) % uint64(nPart))
 		buckets[p] = append(buckets[p], row)
-	})
+	}
 	return buckets
 }
 

@@ -94,42 +94,22 @@ type PartitionReader interface {
 
 // ---------------------------------------------------------------- bus
 
-// RecordDecoder turns a bus record into a row (or skips it by returning
-// false) — the deserialization half of a Kafka connector.
-type RecordDecoder func(rec msgbus.Record) (sql.Row, bool)
-
-// BusSource reads a message-bus topic.
+// BusSource reads a message-bus topic whose records are rows encoded with
+// the binary row codec, the engine's native wire format.
 type BusSource struct {
 	name   string
 	topic  *msgbus.Topic
 	schema sql.Schema
-	decode RecordDecoder
-	// prog decodes runs of the native binary row codec for ReadVec; nil
-	// for a custom decoder, which could produce anything, so only the
-	// native framing vectorizes.
+	// prog decodes runs of records for ReadVec.
 	prog *codec.DecodeProgram
 	// keep marks the schema columns ReadVec decodes; nil decodes them all.
 	keep []bool
 }
 
-// NewBusSource creates a source over a topic with a custom decoder.
-func NewBusSource(name string, topic *msgbus.Topic, schema sql.Schema, decode RecordDecoder) *BusSource {
-	return &BusSource{name: name, topic: topic, schema: schema, decode: decode}
-}
-
-// NewCodecBusSource reads rows encoded with the binary row codec, the
-// engine's native wire format. Codec-framed topics also support the
-// columnar ReadVec fast path.
+// NewCodecBusSource reads rows encoded with the binary row codec. Read
+// boxes them one by one; ReadVec decodes them straight into typed columns.
 func NewCodecBusSource(name string, topic *msgbus.Topic, schema sql.Schema) *BusSource {
-	s := NewBusSource(name, topic, schema, func(rec msgbus.Record) (sql.Row, bool) {
-		row, err := codec.DecodeRow(rec.Value)
-		if err != nil || len(row) != schema.Len() {
-			return nil, false
-		}
-		return row, true
-	})
-	s.prog = codec.CompileDecode(schema, nil)
-	return s
+	return &BusSource{name: name, topic: topic, schema: schema, prog: codec.CompileDecode(schema, nil)}
 }
 
 // Name implements Source.
@@ -157,7 +137,8 @@ func (s *BusSource) Read(p int, from, to int64) ([]sql.Row, error) {
 	out := make([]sql.Row, 0, runsLen(runs))
 	for i := range runs {
 		for k := range runs[i].Times {
-			if row, ok := s.decode(runs[i].Record(k)); ok {
+			// A malformed record, or one of the wrong arity, drops.
+			if row, err := codec.DecodeRow(runs[i].Value(k)); err == nil && len(row) == s.schema.Len() {
 				out = append(out, row)
 			}
 		}
@@ -184,9 +165,7 @@ func (s *BusSource) PruneColumns(cols []int) Source {
 	for _, c := range cols {
 		view.keep[c] = true
 	}
-	if s.prog != nil {
-		view.prog = codec.CompileDecode(s.schema, view.keep)
-	}
+	view.prog = codec.CompileDecode(s.schema, view.keep)
 	return &view
 }
 
@@ -198,9 +177,6 @@ func (s *BusSource) PruneColumns(cols []int) Source {
 // the caller re-reads boxed — the row path keeps such records, and the two
 // paths must agree.
 func (s *BusSource) ReadVec(p int, from, to int64) (*vec.Batch, bool, error) {
-	if s.prog == nil {
-		return nil, false, nil
-	}
 	var buf [4]msgbus.Run
 	runs, err := s.topic.Runs(p, from, to, buf[:0])
 	if err != nil {

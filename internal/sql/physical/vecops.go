@@ -8,8 +8,9 @@ import (
 // This file is the ColumnBatch variant of the fused pipeline: the same
 // filter/project/window chain as the row BatchFuncs, expressed as VecOps
 // over column batches. Stages stay columnar end to end; rows are
-// materialized only at the boundary where a consumer needs []sql.Value
-// (the sink, a shuffle, or a non-vectorizable downstream stage).
+// materialized (vec.Batch.AppendRows) only at the boundary where a consumer
+// needs []sql.Value (the sink, a shuffle, or a non-vectorizable downstream
+// stage).
 
 // VecOp is one vectorized pipeline stage: it maps a column batch to a
 // column batch. Implementations never mutate their input batch's
@@ -114,94 +115,4 @@ func (w *vecWindow) Apply(b *vec.Batch) *vec.Batch {
 	cols = append(cols, b.Cols...)
 	cols = append(cols, wcol)
 	return b.Derive(w.schema, cols, b.Len, sel)
-}
-
-// ----------------------------------------------------------- materialize
-
-// EmitBatchRows materializes the live rows of a column batch through
-// emit, arena-backed. This is the single row/column boundary: each cell
-// boxes exactly once, and consecutive equal windows share one boxed
-// sql.Window (event times usually arrive roughly ordered).
-func EmitBatchRows(b *vec.Batch, emit func(sql.Row)) {
-	if b.NumLive() == 0 {
-		return
-	}
-	arena := NewRowArena(len(b.Cols))
-	getters := make([]func(int) sql.Value, len(b.Cols))
-	for c, v := range b.Cols {
-		getters[c] = columnGetter(v)
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			r := arena.Next()
-			for c, g := range getters {
-				r[c] = g(int(i))
-			}
-			emit(r)
-		}
-		return
-	}
-	for i := 0; i < b.Len; i++ {
-		r := arena.Next()
-		for c, g := range getters {
-			r[c] = g(i)
-		}
-		emit(r)
-	}
-}
-
-// columnGetter returns a boxing accessor specialized to the vector's
-// kind, avoiding a kind switch per cell.
-func columnGetter(v *vec.Vector) func(int) sql.Value {
-	switch v.Kind {
-	case vec.KindInt64:
-		vals, nulls := v.Int64s, v.Nulls
-		return func(i int) sql.Value {
-			if nulls.Get(i) {
-				return nil
-			}
-			return vals[i]
-		}
-	case vec.KindFloat64:
-		vals, nulls := v.Float64s, v.Nulls
-		return func(i int) sql.Value {
-			if nulls.Get(i) {
-				return nil
-			}
-			return vals[i]
-		}
-	case vec.KindBool:
-		vals, nulls := v.Bools, v.Nulls
-		return func(i int) sql.Value {
-			if nulls.Get(i) {
-				return nil
-			}
-			return vals[i]
-		}
-	case vec.KindString:
-		vals, nulls := v.Strings, v.Nulls
-		return func(i int) sql.Value {
-			if nulls.Get(i) {
-				return nil
-			}
-			return vals[i]
-		}
-	case vec.KindWindow:
-		starts, ends, nulls := v.WStarts, v.WEnds, v.Nulls
-		var cs, ce int64
-		var cached sql.Value
-		return func(i int) sql.Value {
-			if nulls.Get(i) {
-				return nil
-			}
-			s, e := starts[i], ends[i]
-			if cached == nil || s != cs || e != ce {
-				cs, ce, cached = s, e, sql.Window{Start: s, End: e}
-			}
-			return cached
-		}
-	default:
-		vals := v.Anys
-		return func(i int) sql.Value { return vals[i] }
-	}
 }

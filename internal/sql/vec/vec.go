@@ -228,10 +228,11 @@ func (b *Batch) NumLive() int {
 }
 
 // AppendRows materializes the batch's live rows as boxed sql.Rows onto
-// dst. All rows share one backing slab, and consecutive equal windows
-// share one boxed sql.Window, exactly like the physical layer's arena
-// materializer — sinks that consume column batches lazily produce the
-// same rows the row path would have delivered.
+// dst. It is the one row/column boundary: each cell boxes once, all rows
+// share one backing slab, and consecutive equal windows share one boxed
+// sql.Window. The shuffle, the row stages after a sealed vector prefix and
+// the sinks that consume column batches lazily all render through it, so
+// they produce the same rows the row path would have delivered.
 func (b *Batch) AppendRows(dst []sql.Row) []sql.Row {
 	live := b.NumLive()
 	if live == 0 {

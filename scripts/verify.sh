@@ -229,8 +229,6 @@ stale="$stale"'|stamp''Slots|History''Limit|Stamp''Ingest|Stamp''Admit|Stamp''Ex
 stale="$stale"'|JoinShuffle''Row'
 stale="$stale"'|mergeRows''Baseline|engine\.''Bool\(|Vectorize: ''Bool|opts\.''Vectorize'
 stale="$stale"'|Virtual''Cluster|Calibrate''Yahoo|RunFig''6b|RunRun''Once|RunPart''itioned|FlatMap''Operator'
-stale="$stale"'|Attach''Super''vised|Mark''Restarting|Status''Restarting|NewFailed''Query'
-stale="$stale"'|restarts''PerEpoch|RestartBackoff''Millis'
 stale="$stale"'|mem''Backend|Backend''Memory|store''Backend|StateSnapshot''Interval|Snapshots''Written|latestSnapshot''AtOrBelow'
 stale="$stale"'|Observe''Epoch|Sync''Capture|Disable''Profiles|CPUProfile''Duration|Cooldown''Epochs|List''Bundles|Verify''Bundle'
 stale="$stale"'|Read''BundleFile|Last''Anomaly|Signal''Status|debug/''bundles|\.Write''Failures\('
@@ -239,6 +237,7 @@ stale="$stale"'|NewRate''Source|Rate''Schema|StateSync''Maintenance'
 stale="$stale"'|TryCompile''Vec|vecFused''Op|Vec''Source|Next''Vec|ReadSegment''Vec|DecodeColumnTo''Vector|MaxIO''Retries|Retry''Backoff'
 stale="$stale"'|Stage''Factory|Row''Emit|Process''To|instantiate''From|Partition''Of'
 stale="$stale"'|vec\.Sum''Int64|vec\.Max''Int64|vec\.Min''Int64'
+stale="$stale"'|EmitBatch''Rows|column''Getter|Record''Decoder|NewBus''Source\('
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1
