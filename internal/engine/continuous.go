@@ -60,14 +60,30 @@ type continuousExec struct {
 // tell the next sub-batch from a replay.
 var ErrContinuousSink = errors.New("engine: sink cannot take continuous sub-batches")
 
+// subBatchRefuser finds a sink that cannot take an epoch as sub-batches:
+// the sink itself or, through any depth of tees, one of its targets. A
+// user's own wrapper is opaque to it.
+func subBatchRefuser(s sinks.Sink) sinks.Sink {
+	switch v := s.(type) {
+	case *sinks.TransactionalBusSink, *sinks.ForeachSink:
+		return s
+	case *sinks.TeeSink:
+		for _, t := range v.Targets {
+			if bad := subBatchRefuser(t); bad != nil {
+				return bad
+			}
+		}
+	}
+	return nil
+}
+
 // startContinuous validates and launches the continuous engine.
 func startContinuous(q *incremental.Query, srcs map[string]sources.Source, sink sinks.Sink, opts Options, trig ContinuousTrigger) (*StreamingQuery, error) {
 	if q.Stateful != nil {
 		return nil, fmt.Errorf("engine: continuous processing supports only map-like queries (no aggregation, join between streams, or stateful operators); use the microbatch trigger")
 	}
-	switch sink.(type) {
-	case *sinks.TransactionalBusSink, *sinks.ForeachSink:
-		return nil, fmt.Errorf("%w: the %s sink; use a microbatch trigger", ErrContinuousSink, sinks.Describe(sink))
+	if bad := subBatchRefuser(sink); bad != nil {
+		return nil, fmt.Errorf("%w: the %s sink; use a microbatch trigger", ErrContinuousSink, sinks.Describe(bad))
 	}
 	// Resume from the latest logged epoch's end offsets. Workers deliver
 	// before the coordinator logs, so a logged-but-uncommitted epoch's rows
@@ -192,6 +208,7 @@ func (ce *continuousExec) worker(bp boundPipeline, part int, workerID int64) {
 		arrival = nil
 	}
 	arrivals, ticks := ce.reg.Counter("triggerArrivalWakeups"), ce.reg.Counter("triggerTimerWakeups")
+	inRows, vecRows, outRows := ce.reg.Counter("inputRows"), ce.reg.Counter("vectorizedRows"), ce.reg.Counter("outputRows")
 	var seq int64
 	for {
 		select {
@@ -261,15 +278,18 @@ func (ce *continuousExec) worker(bp boundPipeline, part int, workerID int64) {
 				return
 			}
 		}
+		// The counters are charged per delivered sub-batch, not at the epoch
+		// mark: the monitor and fig7 read them between marks. They move
+		// under the lock that moves the offset, so a mark that snapshots the
+		// offset sees them, and inputRows goes last, so a reader that sees
+		// it advance sees the sub-batch's other counts.
 		ce.mu.Lock()
 		ce.current[src.Name()][part] = to
 		ce.lastAdvance = time.Now()
+		vecRows.Add(res.vecRows)
+		outRows.Add(out)
+		inRows.Add(res.rows)
 		ce.mu.Unlock()
-		// Charged here, per delivered sub-batch, not at the epoch mark: the
-		// monitor and fig7 read these between marks.
-		ce.reg.Counter("inputRows").Add(res.rows)
-		ce.reg.Counter("vectorizedRows").Add(res.vecRows)
-		ce.reg.Counter("outputRows").Add(out)
 	}
 }
 

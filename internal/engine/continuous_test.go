@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,5 +171,47 @@ func TestContinuousMatchesMicrobatch(t *testing.T) {
 				t.Fatalf("continuous mode emitted %d rows, microbatch %d:\n got  %v\n want %v", len(got), len(want), got, want)
 			}
 		})
+	}
+}
+
+// TestContinuousRefusesATeedSubBatchSink: Start looks through tees for a
+// sink that cannot take sub-batches, however deep, and names the one it
+// found; a tee of sinks that keep every sub-batch still starts.
+func TestContinuousRefusesATeedSubBatchSink(t *testing.T) {
+	broker := msgbus.NewBroker()
+	out, err := broker.CreateTopic("out", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := broker.CreateTopic("control", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := sinks.NewTransactionalBusSink(sinks.NewBusSink(out), control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := compile(t, streamScan("events"), logical.Append, nil)
+	trig := ContinuousTrigger{EpochInterval: 5 * time.Millisecond}
+	for _, sink := range []sinks.Sink{
+		sinks.NewTeeSink(sinks.NewMemorySink(), txn),
+		sinks.NewTeeSink(sinks.NewTeeSink(txn), sinks.NewMemorySink()),
+	} {
+		sq, err := Start(q, map[string]sources.Source{"events": busEvents(t, nil)}, sink, Options{Checkpoint: t.TempDir(), Trigger: trig})
+		if err == nil {
+			sq.Stop()
+			t.Fatalf("a continuous query into %s started", sinks.Describe(sink))
+		}
+		if !errors.Is(err, ErrContinuousSink) || !strings.Contains(err.Error(), "the transactional-bus sink") {
+			t.Fatalf("%s: err = %v, want ErrContinuousSink naming the transactional-bus sink", sinks.Describe(sink), err)
+		}
+	}
+	tee := sinks.NewTeeSink(sinks.NewMemorySink(), sinks.NewBusSink(out))
+	sq, err := Start(q, map[string]sources.Source{"events": busEvents(t, nil)}, tee, Options{Checkpoint: t.TempDir(), Trigger: trig})
+	if err != nil {
+		t.Fatalf("a tee of sub-batch sinks: %v", err)
+	}
+	if err := sq.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }
