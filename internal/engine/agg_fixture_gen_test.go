@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"structream/internal/msgbus"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
@@ -22,11 +23,13 @@ import (
 // aggregate's shuffle row became a partial cell (0fb9de6), when a partial
 // group crossed the exchange as [keys..., one encoded buffer per aggregate]
 // and reached the store through Serialize/Deserialize. This file is their
-// definition — the input is a pure function of (epoch, row) — and compiles at
-// that commit too, which is how they were produced:
+// definition — the input is a pure function of (epoch, row) — and it was run
+// at that commit to produce them:
 //
 //	cp agg_fixture_gen_test.go <checkout of 0fb9de6>/internal/engine/
 //	AGG_WRITE_FIXTURE=<dir> go test -run TestWriteAggFixture ./internal/engine
+//
+// (Its variants have changed since; the plan and the rows have not.)
 //
 // TestAggBytesMatchParent runs the same query with the current code and
 // compares every state file and every sink row with those, byte for byte.
@@ -101,7 +104,8 @@ func (s *aggFixtureSink) AddBatch(b sinks.Batch) error {
 }
 
 // aggFixtureVariant is one execution the fixture's bytes must not depend on:
-// columnar or on the row stages, and a worker count.
+// the input decoded straight into columns (a codec bus source) or read as
+// boxed rows (a memory source), and a worker count.
 type aggFixtureVariant struct {
 	columnar bool
 	opts     Options
@@ -116,15 +120,24 @@ func aggFixtureRun(t *testing.T, mode logical.OutputMode, v aggFixtureVariant) [
 	opts := v.opts
 	opts.Checkpoint = t.TempDir()
 	opts.NumPartitions = 3
-	src := sources.NewMemorySource("events", aggFixtureSchema)
-	sink := &aggFixtureSink{}
-	q := compile(t, aggFixturePlan(), mode, nil)
-	if !v.columnar {
-		q = rowPath(q)
+	mem := sources.NewMemorySource("events", aggFixtureSchema)
+	topic, err := msgbus.NewBroker().CreateTopic("events", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, opts)
+	var src sources.Source = mem
+	if v.columnar {
+		src = sources.NewCodecBusSource("events", topic, aggFixtureSchema)
+	}
+	sink := &aggFixtureSink{}
+	sq := startQuery(t, compile(t, aggFixturePlan(), mode, nil), map[string]sources.Source{"events": src}, sink, opts)
 	for e := 0; e < aggFixtureEpochs; e++ {
-		src.AddData(aggFixtureRows(e)...)
+		for _, row := range aggFixtureRows(e) {
+			if _, err := topic.Append(0, msgbus.Record{Value: codec.EncodeRow(row)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mem.AddData(aggFixtureRows(e)...)
 		if err := sq.ProcessAllAvailable(); err != nil {
 			t.Fatalf("opts=%+v: %v", opts, err)
 		}
@@ -132,7 +145,7 @@ func aggFixtureRun(t *testing.T, mode logical.OutputMode, v aggFixtureVariant) [
 	sq.Stop()
 	lines := sink.lines
 	root := filepath.Join(opts.Checkpoint, "state")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -149,8 +162,8 @@ func aggFixtureRun(t *testing.T, mode logical.OutputMode, v aggFixtureVariant) [
 }
 
 // aggFixtureVariants are the executions that must not show in the bytes:
-// columnar and row stages, one and two workers, under the given name of the
-// state engine.
+// columnar decode and boxed rows, one and two workers, under the given name
+// of the state engine.
 func aggFixtureVariants(backend string) []aggFixtureVariant {
 	var out []aggFixtureVariant
 	for _, columnar := range []bool{true, false} {

@@ -14,8 +14,8 @@ import (
 // window and string keys, count/sum/avg/min/max, NULL keys and inputs, late
 // rows, a watermark that finalizes groups every epoch — leaves the state files
 // and delivers the sink rows the parent commit did, byte for byte, in Update
-// and Complete mode, columnar ("vec=true") and on the row stages
-// ("vec=false"), with one or two workers — and under either name
+// and Complete mode, over input decoded straight into columns ("vec=true")
+// and read as boxed rows ("vec=false"), with one or two workers — and under either name
 // Options.StateBackend accepts, "memory" as much as "lsm": both name the one
 // engine. What the partial cell carries across the exchange is what
 // Serialize + EncodeValues rendered, and what the typed loaders merge is what

@@ -48,8 +48,8 @@ type continuousExec struct {
 
 	// Coordinator-only epoch-delta bookkeeping (markEpoch runs in one
 	// goroutine, so plain fields suffice).
-	lastMark                             time.Time
-	prevOut, prevVec, prevProc, prevSink int64
+	lastMark                    time.Time
+	prevOut, prevProc, prevSink int64
 }
 
 // ErrContinuousSink refuses a sink that cannot keep its guarantee under a
@@ -208,7 +208,7 @@ func (ce *continuousExec) worker(bp boundPipeline, part int, workerID int64) {
 		arrival = nil
 	}
 	arrivals, ticks := ce.reg.Counter("triggerArrivalWakeups"), ce.reg.Counter("triggerTimerWakeups")
-	inRows, vecRows, outRows := ce.reg.Counter("inputRows"), ce.reg.Counter("vectorizedRows"), ce.reg.Counter("outputRows")
+	inRows, outRows := ce.reg.Counter("inputRows"), ce.reg.Counter("outputRows")
 	var seq int64
 	for {
 		select {
@@ -286,7 +286,6 @@ func (ce *continuousExec) worker(bp boundPipeline, part int, workerID int64) {
 		ce.mu.Lock()
 		ce.current[src.Name()][part] = to
 		ce.lastAdvance = time.Now()
-		vecRows.Add(res.vecRows)
 		outRows.Add(out)
 		inRows.Add(res.rows)
 		ce.mu.Unlock()
@@ -405,12 +404,12 @@ func (ce *continuousExec) markEpoch() {
 			s.LatestOffsets = latest.Clone()
 		}
 	}
-	out, vecd, proc, sink := ce.reg.Counter("outputRows").Value(), ce.reg.Counter("vectorizedRows").Value(), ce.procNanos.Load(), ce.sinkNanos.Load()
-	r.outputRows, r.vecRows = out-ce.prevOut, vecd-ce.prevVec
+	out, proc, sink := ce.reg.Counter("outputRows").Value(), ce.procNanos.Load(), ce.sinkNanos.Load()
+	r.outputRows = out - ce.prevOut
 	r.charge("getBatch", r.start, time.Duration(read))
 	r.charge("execution", r.start, time.Duration(proc-ce.prevProc))
 	r.charge("stateCommit", r.start, 0)
 	r.charge("sinkCommit", r.start, time.Duration(sink-ce.prevSink))
-	ce.prevOut, ce.prevVec, ce.prevProc, ce.prevSink = out, vecd, proc, sink
+	ce.prevOut, ce.prevProc, ce.prevSink = out, proc, sink
 	ce.publish(r)
 }

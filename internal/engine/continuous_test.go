@@ -103,21 +103,13 @@ func TestContinuousRunsTheKernels(t *testing.T) {
 		Exprs: []sql.Expr{sql.Col("k"), sql.As(sql.Add(sql.Col("v"), sql.Lit(1.0)), "v1")},
 	}
 	q := compile(t, plan, logical.Append, nil)
-	if !q.Pipelines[0].FullyVectorized() {
-		t.Fatalf("the plan does not vectorize: %+v", q.Pipelines[0].Vec)
+	if n := lanewisePrograms(q.Pipelines[0]); n > 0 {
+		t.Fatalf("%d programs run lane by lane", n)
 	}
 	sink := &columnDouble{}
 	sq := runContinuous(t, q, src, sink, int64(len(rows)))
-	in, vecd := sq.Metrics().Counter("inputRows").Value(), sq.Metrics().Counter("vectorizedRows").Value()
-	if in != int64(len(rows)) || vecd != in {
-		t.Errorf("%d input rows, %d of them vectorized; want %d and all", in, vecd, len(rows))
-	}
-	var progressVecd int64
-	for _, p := range sq.EventLog().Recent(0) {
-		progressVecd += p.VectorizedRows
-	}
-	if progressVecd != in {
-		t.Errorf("the epochs' progress events charge %d vectorized rows, want %d", progressVecd, in)
+	if in := sq.Metrics().Counter("inputRows").Value(); in != int64(len(rows)) {
+		t.Errorf("%d input rows, want %d", in, len(rows))
 	}
 	columns, got := sink.snapshot()
 	if columns == 0 {
@@ -129,8 +121,8 @@ func TestContinuousRunsTheKernels(t *testing.T) {
 }
 
 // TestContinuousMatchesMicrobatch: the two modes give the same multiset of
-// output rows for a plan that runs as kernels, one whose vector prefix a
-// LIKE projection seals, and one over a log whose types drift mid-run.
+// output rows for a plan that runs as kernels, one with a LIKE projection
+// that runs lane by lane, and one over a log whose types drift mid-run.
 func TestContinuousMatchesMicrobatch(t *testing.T) {
 	filtered := &logical.Filter{Child: streamScan("events"), Cond: sql.Ge(sql.Col("v"), sql.Lit(0.0))}
 	rows := numberedEvents(600)

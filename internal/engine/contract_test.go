@@ -60,7 +60,8 @@ func missing(got, want []string) []string {
 // before the two modes came to share one publish path: microbatch must
 // match exactly, continuous may only have gained keys. One key left the
 // microbatch list since: "vectorized", which said whether the columnar path
-// was switched on, went with the switch ("vectorizedRows" says what ran).
+// was switched on, went with the switch; "vectorizedRows", which counted the
+// rows that ran it (and was omitted when zero), went when every row did.
 // And it pins where
 // those views come from: every committed epoch has exactly one record in the
 // query's ring, holding its progress event, its six-stage tree and its four

@@ -38,11 +38,9 @@ type core struct {
 	hook *epochHook // fans epoch commits out to the serving layer
 	telemetry
 	srcs map[string]*sources.Instrumented // bound sources by name
-	// colSink is non-nil when output may reach the sink columnar: the sink
+	// colSink is non-nil when output reaches the sink columnar: the sink
 	// accepts column batches and the query is a map-only append (no
-	// stateful stage, so Post is the identity). An epoch, or a continuous
-	// sub-batch, still falls back to AddBatch when a task left the columnar
-	// path.
+	// stateful stage, so Post is the identity).
 	colSink sinks.ColumnSink
 
 	// committed holds each source's end offsets in the newest logged epoch:
@@ -205,14 +203,14 @@ type epochRecord struct {
 	// sources are the progress sections themselves, filled as the epoch
 	// learns them; LatestOffsets is the source's head when the epoch was
 	// cut (nil on replay).
-	sources                        []metrics.SourceProgress
-	inputRows, vecRows, outputRows int64
-	evt                            evtStats
-	watermarked                    bool  // some pipeline declares a watermark
-	watermark                      int64 // after this epoch
-	state                          *metrics.StateOperatorProgress
-	stateVersion                   int64 // state version this epoch's commit covers
-	workers                        int
+	sources               []metrics.SourceProgress
+	inputRows, outputRows int64
+	evt                   evtStats
+	watermarked           bool  // some pipeline declares a watermark
+	watermark             int64 // after this epoch
+	state                 *metrics.StateOperatorProgress
+	stateVersion          int64 // state version this epoch's commit covers
+	workers               int
 }
 
 // beginEpoch opens an epoch's record and its trace, and with it the epoch's
@@ -372,9 +370,6 @@ func (c *core) publish(r *epochRecord) {
 	}
 	r.et.SetAttr("inputRows", r.inputRows)
 	r.et.SetAttr("outputRows", r.outputRows)
-	if r.vecRows > 0 {
-		r.et.SetAttr("vectorizedRows", r.vecRows)
-	}
 	if r.workers > 1 {
 		r.et.SetAttr("workers", int64(r.workers))
 	}
@@ -424,7 +419,6 @@ func (c *core) publish(r *epochRecord) {
 		// workers charge theirs per delivered sub-batch, because the
 		// monitor and fig7 read the counters between marks.
 		c.reg.Counter("inputRows").Add(r.inputRows)
-		c.reg.Counter("vectorizedRows").Add(r.vecRows)
 		c.reg.Counter("outputRows").Add(r.outputRows)
 	}
 	c.reg.Counter("epochs").Add(1)
@@ -441,7 +435,6 @@ func (c *core) publish(r *epochRecord) {
 		Epoch:             r.epoch,
 		NumInputRows:      r.inputRows,
 		NumOutputRows:     r.outputRows,
-		VectorizedRows:    r.vecRows,
 		Workers:           r.workers,
 		ProcessingMillis:  wall.Milliseconds(),
 		ProcessingMicros:  wall.Microseconds(),

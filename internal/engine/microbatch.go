@@ -583,11 +583,8 @@ type taskSpec struct {
 type exchange struct {
 	byPart [][2][]sql.Row // [partition][side]
 	rows   []sql.Row      // stage output; the reduce stage appends its own
-	// vecs is non-nil when every task's map-only output stayed columnar, so
-	// the epoch delivers column batches to the sink. One task falling back
-	// to the row path (type drift, non-int64 watermark column) demotes the
-	// whole epoch — outputs materialize in task order so row ordering
-	// matches the pure row path exactly.
+	// vecs is non-nil when the map-only output stays columnar for a
+	// ColumnSink: every task's batch, in task order.
 	vecs []*vec.Batch
 }
 
@@ -628,9 +625,6 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 		ex, readNanos, pipeNanos = e.gather(r, specs, results)
 		sp.SetAttr("rows", r.inputRows)
 		sp.SetAttr("tasks", int64(len(specs)))
-		if r.vecRows > 0 {
-			sp.SetAttr("vectorizedRows", r.vecRows)
-		}
 		return readNanos, pipeNanos, nil
 	})
 	if err != nil {
@@ -647,24 +641,19 @@ func (e *exec) mapStage(r *epochRecord) (*exchange, error) {
 func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exchange, readNanos, pipeNanos int64) {
 	ex = &exchange{byPart: make([][2][]sql.Row, e.opts.NumPartitions)}
 	shuffled := make([][2]int, e.opts.NumPartitions) // rows bound for [partition][side]
-	colOut := e.colSink != nil
 	for _, res := range results {
 		res := res.(*mapResult)
-		if res.vecOut == nil && len(res.direct) > 0 {
-			colOut = false
-		}
 		for p, b := range res.buckets {
 			shuffled[p][res.side] += len(b)
 		}
 	}
-	if colOut {
+	if e.colSink != nil {
 		ex.vecs = make([]*vec.Batch, 0, len(results))
 	}
 	for ti, res := range results {
 		res, spec := res.(*mapResult), specs[ti]
 		src := r.source(e.pipes[spec.pipeIdx].src.Name())
 		r.inputRows += res.rows
-		r.vecRows += res.vecRows
 		src.NumInputRows += res.rows
 		readNanos += res.readNanos
 		pipeNanos += res.taskNanos - res.readNanos
@@ -677,12 +666,10 @@ func (e *exec) gather(r *epochRecord, specs []taskSpec, results []any) (ex *exch
 		r.evt.merge(res.evt)
 		e.health.ObservePartition("map", spec.part, res.rows, time.Duration(res.taskNanos))
 		switch {
-		case res.vecOut != nil && ex.vecs != nil:
+		case res.vecOut != nil:
 			if res.vecOut.NumLive() > 0 {
 				ex.vecs = append(ex.vecs, res.vecOut)
 			}
-		case res.vecOut != nil:
-			ex.rows = res.vecOut.AppendRows(ex.rows)
 		case res.buckets == nil:
 			ex.rows = append(ex.rows, res.direct...)
 		default:
@@ -900,7 +887,7 @@ func (e *exec) advanceWatermark(r *epochRecord) {
 	candidate, held := int64(-1), false
 	procUs := time.Now().UnixMicro()
 	for i, bp := range e.pipes {
-		if bp.pipe.WatermarkEval == nil {
+		if bp.pipe.WatermarkIdx < 0 {
 			continue
 		}
 		r.watermarked = true

@@ -20,7 +20,8 @@ import (
 // of all earlier epochs minus the delay, never regressing, and 0 means none
 // yet. A row is late when its event-time grouping key has already expired
 // under it — a window once its end ≤ the watermark, a timestamp once it is
-// < the watermark. In Append mode an aggregate's groups reach the sink only
+// < the watermark; under a sliding window a row is late once every window it
+// falls in is (a row late for some of its windows only is not modelled). In Append mode an aggregate's groups reach the sink only
 // once finalized, that is expired under the watermark after the newest
 // epoch (the engine runs one more epoch when the watermark moves, so it
 // finalizes under that one). Rows compare as multisets.
@@ -33,11 +34,14 @@ type batchOracle struct {
 	delay int64
 	// expires: the grouping — an aggregate's keys, a dedup's columns —
 	// includes the event time, so late rows drop. key is that key's output
-	// column in an aggregate (-1 otherwise) and window its tumbling window
-	// size, 0 for the raw timestamp.
+	// column in an aggregate (-1 otherwise), window its window size (0 for
+	// the raw timestamp) and slide the window's slide.
 	expires bool
 	key     int
 	window  int64
+	slide   int64
+
+	t *testing.T
 
 	wm    int64 // the watermark the next epoch runs under
 	maxTs int64 // the largest event time consumed, -1 before any
@@ -46,15 +50,15 @@ type batchOracle struct {
 
 // newBatchOracle reads the plan's watermark and event-time key. It models
 // the shapes the differential suites run: at most one watermark, directly
-// over the scan, and a grouping on a tumbling window of its column or on
-// the column itself.
+// over the scan, and a grouping on a window of its column or on the column
+// itself.
 func newBatchOracle(t *testing.T, plan logical.Plan, mode logical.OutputMode) *batchOracle {
 	t.Helper()
 	analyzed, err := analysis.Analyze(plan)
 	if err != nil {
 		t.Fatalf("oracle: analyze: %v", err)
 	}
-	o := &batchOracle{plan: optimizer.Optimize(analyzed), mode: mode, ts: -1, key: -1, maxTs: -1}
+	o := &batchOracle{plan: optimizer.Optimize(analyzed), mode: mode, ts: -1, key: -1, maxTs: -1, t: t}
 	var nodes []logical.Plan
 	var walk func(p logical.Plan)
 	walk = func(p logical.Plan) {
@@ -86,10 +90,7 @@ func newBatchOracle(t *testing.T, plan logical.Plan, mode logical.OutputMode) *b
 		case *logical.Aggregate:
 			for i, k := range n.Keys {
 				if w, ok := k.(*sql.WindowExpr); ok && isColumn(w.Time) {
-					if w.Slide != w.Size {
-						t.Fatal("oracle: sliding windows are not modelled")
-					}
-					o.key, o.window = i, w.Size
+					o.key, o.window, o.slide = i, w.Size, w.Slide
 				} else if isColumn(k) {
 					o.key = i
 				}
@@ -128,7 +129,16 @@ func (o *batchOracle) epoch(rows []sql.Row) {
 		o.maxTs = max(o.maxTs, ts)
 		key := ts
 		if o.window > 0 {
-			key = ts - ((ts%o.window)+o.window)%o.window + o.window // the window's end
+			// The newest window the row falls in ends last; the oldest first.
+			newest := ts - ((ts%o.slide)+o.slide)%o.slide
+			oldest := newest
+			for oldest-o.slide > ts-o.window {
+				oldest -= o.slide
+			}
+			key = newest + o.window
+			if o.expires && o.expired(oldest+o.window, o.wm) && !o.expired(key, o.wm) {
+				o.t.Fatalf("oracle: the row %v is late for some of its windows only, which is not modelled", r)
+			}
 		}
 		if !o.expires || !o.expired(key, o.wm) {
 			o.kept = append(o.kept, r)

@@ -249,12 +249,11 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 }
 
 // TestPartitionDifferentialFuzz is the partitioned runtime's correctness
-// gate: for every fuzzed query shape, the sink of the columnar and the
-// row-stage compile (rowPath) and every worker degree must match the
-// single-worker row-stage run row for row, in order. The golden run keeps its
-// state in the memtable; every other run spills it.
+// gate: for every fuzzed query shape, every worker degree, spilling its
+// state, must match the single-worker run that keeps its state in the
+// memtable, row for row, in order.
 func TestPartitionDifferentialFuzz(t *testing.T) {
-	plans, rowPlans := partPlans(t), partPlans(t)
+	plans := partPlans(t)
 	if op, ok := plans["band-join-append"].Stateful.(*incremental.StreamStreamJoin); !ok || op.Band == nil || *op.Band != (incremental.TimeBand{Lo: 0, Hi: 2 * sec}) {
 		t.Fatalf("band-join-append compiled without its band: %+v", plans["band-join-append"].Stateful)
 	}
@@ -263,30 +262,19 @@ func TestPartitionDifferentialFuzz(t *testing.T) {
 		plans[name] = q
 		stateless[name] = q.Stateful == nil
 	}
-	for name, q := range joinPlans(t) {
-		rowPlans[name] = q
-	}
 	for name, q := range plans {
-		rowQ := rowPath(rowPlans[name])
 		seeds := []int64{1, 99}
 		if stateless[name] {
 			seeds = seeds[:1]
 		}
 		for _, seed := range seeds {
-			golden := runPartitioned(t, rowQ, seed, 1, 0).Rows()
+			golden := runPartitioned(t, q, seed, 1, 0).Rows()
 			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
 				t.Fatalf("%s: golden run emitted nothing", name)
 			}
-			for _, columnar := range []bool{false, true} {
-				run := rowQ
-				if columnar {
-					run = q
-				}
-				for _, workers := range []int{1, 2, 4} {
-					got := runPartitioned(t, run, seed, workers, spillBudget).Rows()
-					ctx := fmt.Sprintf("%s seed=%d columnar=%v workers=%d", name, seed, columnar, workers)
-					rowsExactlyEqual(t, got, golden, ctx)
-				}
+			for _, workers := range []int{1, 2, 4} {
+				got := runPartitioned(t, q, seed, workers, spillBudget).Rows()
+				rowsExactlyEqual(t, got, golden, fmt.Sprintf("%s seed=%d workers=%d", name, seed, workers))
 			}
 		}
 	}

@@ -1,69 +1,52 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
-	"structream/internal/incremental"
 	"structream/internal/sinks"
 	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/logical"
 )
 
-// The engine-level differential: run the same plan over the same epoch
-// sequence compiled twice — as it compiles, and with its vector plans
-// stripped so every map task takes the row stages — and require the sinks to
-// end up byte-identical: same rows, same order, same per-epoch attribution.
-// Both runs are held to the batch query over the consumed prefix after every
-// epoch.
+// The engine-level differential against the batch oracle: each plan runs
+// over an epoch sequence, and after every epoch its sink must hold the batch
+// query's rows over the consumed prefix (oracle_test.go), computed by
+// physical.Compile, which shares no map-side loop with the stream.
 
-// rowPath strips a compiled query's vector plans: its map tasks read boxed
-// rows at full width and run the row stages, the fallback the engine takes
-// when an expression seals the vector plan, here for every stage. The query
-// must be a compile of its own: a Pipeline holds a sync.Pool and is not
-// copied.
-func rowPath(q *incremental.Query) *incremental.Query {
-	for _, p := range q.Pipelines {
-		p.Vec, p.SourceCols = nil, nil
-	}
-	return q
-}
-
-// runEpochsWith drives plan over the given epochs, columnar or on the row
-// path, checks the sink against the batch oracle after each, and returns it.
-func runEpochsWith(t *testing.T, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row, columnar bool) *sinks.MemorySink {
+// runEpochs drives plan over the given epochs, checks the sink against the
+// batch oracle after each, and returns it.
+func runEpochs(t *testing.T, plan logical.Plan, mode logical.OutputMode, epochs [][]sql.Row) *sinks.MemorySink {
 	t.Helper()
 	src := sources.NewMemorySource("events", eventsSchema)
-	q := compile(t, plan, mode, nil)
-	if !columnar {
-		q = rowPath(q)
-	}
 	sink := sinks.NewMemorySink()
-	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{})
+	sq := startQuery(t, compile(t, plan, mode, nil), map[string]sources.Source{"events": src}, sink, Options{})
 	oracle := newBatchOracle(t, plan, mode)
 	for i, rows := range epochs {
 		src.AddData(rows...)
 		if err := sq.ProcessAllAvailable(); err != nil {
-			t.Fatalf("columnar=%v: %v", columnar, err)
+			t.Fatal(err)
 		}
 		oracle.epoch(rows)
-		oracle.check(t, sink.Rows(), fmt.Sprintf("columnar=%v after epoch %d", columnar, i))
+		oracle.check(t, sink.Rows(), fmt.Sprintf("after epoch %d", i))
 	}
 	return sink
 }
 
-func rowsExactlyEqual(t *testing.T, on, off []sql.Row, context string) {
+// rowsExactlyEqual holds got to want row for row, in order.
+func rowsExactlyEqual(t *testing.T, got, want []sql.Row, context string) {
 	t.Helper()
-	if len(on) != len(off) {
-		t.Fatalf("%s: vectorized %d rows, row path %d rows", context, len(on), len(off))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", context, len(got), len(want))
 	}
-	for i := range on {
-		if on[i].String() != off[i].String() {
-			t.Fatalf("%s: row %d: vectorized %s, row path %s", context, i, on[i], off[i])
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("%s: row %d: %s, want %s", context, i, got[i], want[i])
 		}
 	}
 }
@@ -108,22 +91,18 @@ func TestVectorizeOnOffIdentical(t *testing.T) {
 	}
 	for name, s := range shapes {
 		t.Run(name, func(t *testing.T) {
-			on := runEpochsWith(t, s.plan, s.mode, epochs, true)
-			off := runEpochsWith(t, s.plan, s.mode, epochs, false)
-			rowsExactlyEqual(t, on.Rows(), off.Rows(), "all rows")
-			for e := int64(0); e < int64(len(epochs))+2; e++ {
-				rowsExactlyEqual(t, on.RowsForEpoch(e), off.RowsForEpoch(e), "epoch rows")
+			if len(runEpochs(t, s.plan, s.mode, epochs).Rows()) == 0 {
+				t.Fatal("the query emitted nothing")
 			}
 		})
 	}
 }
 
-// TestRowStagesMatchTheOracle covers the stages that have no kernel, which
-// every batch runs as row stages after the columnar prefix: sliding-window
-// assignment, and the key prefix a flatMapGroupsWithState input row gets.
-// Columnar and on the row path alike, the sink must hold the batch query's
-// rows after every epoch.
-func TestRowStagesMatchTheOracle(t *testing.T) {
+// TestExplodeAndKeyedRowsMatchTheOracle covers the two stages that once had
+// no columnar form: sliding-window assignment, which explodes each lane into
+// one per window, and the key prefix a flatMapGroupsWithState input row
+// gets. The sink must hold the batch query's rows after every epoch.
+func TestExplodeAndKeyedRowsMatchTheOracle(t *testing.T) {
 	epochs := [][]sql.Row{
 		{{"a", 5.0, 1 * sec}, {"b", -2.0, 2 * sec}, {nil, 7.5, 3 * sec}, {"a", 1.0, 12 * sec}},
 		{{"c", 4.0, 4 * sec}, {"d", 0.0, 25 * sec}, {"b", 3.0, nil}},
@@ -164,18 +143,67 @@ func TestRowStagesMatchTheOracle(t *testing.T) {
 	}
 	for name, s := range shapes {
 		t.Run(name, func(t *testing.T) {
-			on := runEpochsWith(t, s.plan, s.mode, epochs, true)
-			off := runEpochsWith(t, s.plan, s.mode, epochs, false)
-			if got, want := sortedStrings(on.Rows()), sortedStrings(off.Rows()); len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("columnar %v, row path %v", got, want)
+			if len(runEpochs(t, s.plan, s.mode, epochs).Rows()) == 0 {
+				t.Fatal("the query emitted nothing")
+			}
+		})
+	}
+}
+
+// TestLanewiseShapesMatchTheOracle holds the shapes that once sealed the
+// vector plan, and those whose programs or batches run lane by lane, to the
+// batch oracle: a LIKE filter, a function-call filter, a CASE projection, a
+// column whose type drifts mid-stream, and a sliding window under a
+// watermark in Update and Append mode, with a row late for every window it
+// falls in.
+func TestLanewiseShapesMatchTheOracle(t *testing.T) {
+	epochs := [][]sql.Row{
+		{{"a", 1.0, 1 * sec}, {"b", 2.0, 5 * sec}, {"ab", 3.0, 12 * sec}, {"c", 4.0, 15 * sec}, {"d", 1.0, nil}},
+		{{"a", 1.0, 22 * sec}, {"b", nil, 26 * sec}, {nil, 2.5, 31 * sec}, {"ac", int64(4), 40 * sec}}, // an int64 in the float column
+		{{"late", 9.0, 4 * sec}, {"a", 5.0, 38 * sec}, {"b", 1.0, 50 * sec}},
+		{},
+		{{"c", 2.0, 61 * sec}, {"a", int64(-1), 70 * sec}},
+	}
+	sliding := func() *logical.Aggregate {
+		return &logical.Aggregate{
+			Child: &logical.WithWatermark{Child: streamScan("events"), Column: "ts", Delay: 5 * sec},
+			Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second)},
+			Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("v")), Name: "total"}}}
+	}
+	shapes := map[string]struct {
+		plan     logical.Plan
+		mode     logical.OutputMode
+		lanewise int
+	}{
+		"like-filter": {plan: &logical.Filter{Child: streamScan("events"),
+			Cond: sql.NewBinary(sql.OpLike, sql.Col("k"), sql.Lit("a%"))}, mode: logical.Append},
+		"function-filter": {plan: &logical.Filter{Child: streamScan("events"),
+			Cond: sql.Eq(sql.NewFunc("upper", sql.Col("k")), sql.Lit("AB"))}, mode: logical.Append, lanewise: 1},
+		"case-project": {plan: &logical.Project{Child: streamScan("events"), Exprs: []sql.Expr{sql.Col("k"),
+			sql.As(&sql.Case{Whens: []sql.WhenClause{{When: sql.Gt(sql.Col("v"), sql.Lit(2.0)), Then: sql.Lit("hi")}}, Else: sql.Lit("lo")}, "band")}},
+			mode: logical.Append, lanewise: 1},
+		"drifting-column": {plan: &logical.Project{
+			Child: &logical.Filter{Child: streamScan("events"), Cond: sql.Ge(sql.Col("v"), sql.Lit(1.0))},
+			Exprs: []sql.Expr{sql.Col("k"), sql.As(sql.Mul(sql.Col("v"), sql.Lit(2.0)), "v2")}}, mode: logical.Append},
+		"sliding-window-update": {plan: sliding(), mode: logical.Update},
+		"sliding-window-append": {plan: sliding(), mode: logical.Append},
+	}
+	for name, s := range shapes {
+		t.Run(name, func(t *testing.T) {
+			if n := lanewisePrograms(compile(t, s.plan, s.mode, nil).Pipelines[0]); n != s.lanewise {
+				t.Fatalf("%d programs run lane by lane, want %d", n, s.lanewise)
+			}
+			if len(runEpochs(t, s.plan, s.mode, epochs).Rows()) == 0 {
+				t.Fatal("the query emitted nothing")
 			}
 		})
 	}
 }
 
 // TestVectorizeTypeDriftFallsBack feeds an epoch whose dynamic types
-// drift from the schema (ints in the float column): those tasks must
-// take the row path and still produce identical output.
+// drift from the schema (ints in the float column): that batch holds the
+// column boxed, its programs run lane by lane, and the drifted rows reach
+// the sink with their cells as they came.
 func TestVectorizeTypeDriftFallsBack(t *testing.T) {
 	plan := &logical.Project{
 		Child: &logical.Filter{Child: streamScan("events"),
@@ -187,38 +215,61 @@ func TestVectorizeTypeDriftFallsBack(t *testing.T) {
 		{{"drift", int64(3), 2 * sec}, {"b", 2.5, 3 * sec}}, // int64 in float column
 		{{"c", 4.0, 4 * sec}},
 	}
-	on := runEpochsWith(t, plan, logical.Append, epochs, true)
-	off := runEpochsWith(t, plan, logical.Append, epochs, false)
-	rowsExactlyEqual(t, on.Rows(), off.Rows(), "drifted stream")
+	sink := runEpochs(t, plan, logical.Append, epochs)
+	if rows := sink.RowsForEpoch(1); len(rows) != 2 || rows[0][1] != int64(3) {
+		t.Fatalf("the drifted epoch delivered %v, want its int64 cell as it came", rows)
+	}
+}
+
+// TestRowsOfTheWrongArityAreRefused: a source row whose value count differs
+// from the schema fails the epoch with sources.ErrRowArity, and nothing of
+// that epoch reaches the sink. (Before map tasks were all columnar, such a
+// row passed a scan or a filter through to the sink as it was, short or
+// long.)
+func TestRowsOfTheWrongArityAreRefused(t *testing.T) {
+	for _, bad := range []sql.Row{{"short", 5.0}, {"long", 3.0, 2 * sec, "extra"}} {
+		src := sources.NewMemorySource("events", eventsSchema)
+		sink := sinks.NewMemorySink()
+		q := compile(t, &logical.Filter{Child: streamScan("events"), Cond: sql.Gt(sql.Col("v"), sql.Lit(1.0))}, logical.Append, nil)
+		sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{})
+		src.AddData(sql.Row{"a", 2.0, 1 * sec}, bad)
+		if err := sq.ProcessAllAvailable(); !errors.Is(err, sources.ErrRowArity) {
+			t.Fatalf("%v: err = %v, want ErrRowArity", bad, err)
+		}
+		if rows := sink.Rows(); len(rows) != 0 {
+			t.Fatalf("%v: the sink holds %v", bad, rows)
+		}
+	}
 }
 
 // TestColumnarSinkDeliveryActive pins that the hot path really is
-// columnar end to end: a map-only append query into a MemorySink
-// reports its rows as vectorized and the sink sees the same data.
+// columnar end to end: a map-only append query hands a column sink its
+// output as column batches — rows a source served boxed too — and the sink
+// sees the same data.
 func TestColumnarSinkDeliveryActive(t *testing.T) {
 	src := sources.NewMemorySource("events", eventsSchema)
 	plan := &logical.Filter{Child: streamScan("events"),
 		Cond: sql.Gt(sql.Col("v"), sql.Lit(1.0))}
 	q := compile(t, plan, logical.Append, nil)
-	sink := sinks.NewMemorySink()
+	sink := &columnDouble{}
 	sq := startQuery(t, q, map[string]sources.Source{"events": src}, sink, Options{})
 	src.AddData(sql.Row{"a", 0.5, 0}, sql.Row{"b", 2.0, 0}, sql.Row{"c", 3.0, 0})
 	if err := sq.ProcessAllAvailable(); err != nil {
 		t.Fatal(err)
 	}
 	p, ok := sq.LastProgress()
-	if !ok || p.VectorizedRows != 3 {
-		t.Fatalf("progress = %+v, want vectorized with 3 vectorized rows", p)
+	if !ok || p.NumInputRows != 3 || p.NumOutputRows != 2 {
+		t.Fatalf("progress = %+v, want 3 input rows and 2 output rows", p)
 	}
-	if p.NumOutputRows != 2 {
-		t.Fatalf("NumOutputRows = %d, want 2", p.NumOutputRows)
+	columns, rows := sink.snapshot()
+	if columns != 1 {
+		t.Fatalf("the sink received %d column deliveries, want 1", columns)
 	}
-	expectRows(t, sink.Rows(), "[b, 2.0, 0]", "[c, 3.0, 0]")
-	expectRows(t, sink.RowsForEpoch(0), "[b, 2.0, 0]", "[c, 3.0, 0]")
+	expectRows(t, rows, "[b, 2.0, 0]", "[c, 3.0, 0]")
 }
 
 // TestRowSinkStillGetsRows: a sink without the ColumnSink capability
-// must keep receiving materialized rows even with vectorization on.
+// must keep receiving materialized rows.
 func TestRowSinkStillGetsRows(t *testing.T) {
 	src := sources.NewMemorySource("events", eventsSchema)
 	plan := &logical.Project{Child: streamScan("events"),

@@ -58,10 +58,7 @@ func aggExchangeBatch(tb testing.TB, e, groups int) *vec.Batch {
 	for i := range rows {
 		rows[i] = sql.Row{fmt.Sprintf("k%07d", e*groups/2+i*7919%groups), int64(i % 1000)}
 	}
-	b, ok := vec.FromRows(aggExchangeSchema, rows)
-	if !ok {
-		tb.Fatal("FromRows failed on schema-conforming rows")
-	}
+	b := vec.FromRows(aggExchangeSchema, rows)
 	return b
 }
 
@@ -127,7 +124,7 @@ func BenchmarkAggExchange(b *testing.B) {
 func TestScatterAllocatesPerBucket(t *testing.T) {
 	pipe := aggExchangeQuery(t).Pipelines[0]
 	for _, groups := range []int{aggExchangeRows * 6 / 10, aggExchangeRows / 100} {
-		h := newPartialAgg(nil, pipe.Vec.Agg.Aggs)
+		h := newPartialAgg(pipe.Vec.Agg.Aggs)
 		h.updateBatch(aggExchangeBatch(t, 0, groups), pipe.Vec.Agg)
 		if len(h.groups) != groups {
 			t.Fatalf("%d groups in the table, want %d", len(h.groups), groups)

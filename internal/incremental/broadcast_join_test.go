@@ -16,9 +16,9 @@ import (
 	"structream/internal/sql/vec"
 )
 
-// The stream-static join's entries in the row-vs-vec differential: every
-// static-table shape × join type × residual × stream side, over the
-// differential schema's NULL and empty-string keys.
+// The stream-static join's entries in the differential against the batch
+// executor: every static-table shape × join type × residual × stream side,
+// over the differential schema's NULL and empty-string keys.
 
 var dimSchema = sql.NewSchema(
 	sql.Field{Name: "k2", Type: sql.TypeString},
@@ -83,9 +83,10 @@ func TestDifferentialBroadcastJoin(t *testing.T) {
 					if !shape.streamIsLeft {
 						join.Left, join.Right = join.Right, join.Left
 					}
-					p := compileWithStatic(t, join, logical.Append).Pipelines[0]
-					if p.Vec == nil || len(p.Vec.Ops) != len(p.Stages) {
-						t.Fatalf("the join has no vector twin: %+v over %d stages", p.Vec, len(p.Stages))
+					q := compileWithStatic(t, join, logical.Append)
+					p := q.Pipelines[0]
+					if n := lanewise(p); n != 0 {
+						t.Fatalf("%d of the join's programs run lane by lane", n)
 					}
 					if p.SourceCols != nil {
 						t.Fatalf("a join over the bare scan reads every stream column, got %v", p.SourceCols)
@@ -93,12 +94,10 @@ func TestDifferentialBroadcastJoin(t *testing.T) {
 					rng := rand.New(rand.NewSource(99))
 					matched := 0
 					for trial := 0; trial < 8; trial++ {
-						rows := diffRows(rng, 40+rng.Intn(80))
-						runBoth(t, p, rows)
-						matched += len(p.Process(rows))
+						matched += len(matchBatch(t, q, join, diffRows(rng, 40+rng.Intn(80))))
 					}
-					runBoth(t, p, nil)
-					runBoth(t, p, diffRows(rng, 1))
+					matchBatch(t, q, join, nil)
+					matchBatch(t, q, join, diffRows(rng, 1))
 					if matched == 0 && tname != "empty" && sname != "anti" {
 						t.Fatal("no trial produced a row: the shape is not exercised")
 					}
@@ -108,40 +107,38 @@ func TestDifferentialBroadcastJoin(t *testing.T) {
 	}
 }
 
-// A residual with no kernel (LIKE) gives the join no twin: the plan seals
-// in front of it exactly as before, and the hybrid still matches.
-func TestBroadcastJoinSealsOnRowOnlyResidual(t *testing.T) {
+// A residual with no kernel (a function call) runs lane by lane over the
+// candidate pairs inside the join op.
+func TestBroadcastJoinRunsARowOnlyResidualLanewise(t *testing.T) {
 	join := &logical.Join{
 		Left:  &logical.Filter{Child: diffScan(), Cond: sql.IsNotNull(sql.Col("n"))},
 		Right: dimScan(dimTables["repeated"]), Type: logical.InnerJoin,
 		Cond: sql.And(sql.Eq(sql.Col("k"), sql.Col("k2")),
-			sql.NewBinary(sql.OpLike, sql.Col("lbl"), sql.Lit("A%"))),
+			sql.Eq(sql.NewFunc("lower", sql.Col("lbl")), sql.Lit("a1"))),
 	}
-	p := compileWithStatic(t, join, logical.Append).Pipelines[0]
-	if p.Vec == nil || len(p.Vec.Ops) != 1 || len(p.Stages) != 2 {
-		t.Fatalf("want the filter alone vectorized, got %+v over %d stages", p.Vec, len(p.Stages))
+	q := compileWithStatic(t, join, logical.Append)
+	p := q.Pipelines[0]
+	if len(p.Vec.Ops) != 2 || lanewise(p) != 1 {
+		t.Fatalf("want a filter and a join with one lane-by-lane program, got %d ops, %d lane by lane", len(p.Vec.Ops), lanewise(p))
 	}
 	if p.SourceCols != nil {
-		t.Fatalf("rows materialize from the source batch after the filter: every column is needed, got %v", p.SourceCols)
+		t.Fatalf("the joined row carries every stream column, got %v", p.SourceCols)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 5; trial++ {
-		runBoth(t, p, diffRows(rng, 80))
+		matchBatch(t, q, join, diffRows(rng, 80))
 	}
 }
 
-// A static side whose cells drift from its schema cannot be gathered from:
-// no twin, same rows.
-func TestBroadcastJoinSealsOnDriftedStaticSide(t *testing.T) {
+// A static side whose cells drift from its schema is gathered from its
+// boxed column: the drifted cell reaches the joined row as it is.
+func TestBroadcastJoinGathersADriftedStaticSide(t *testing.T) {
 	drifted := []sql.Row{{"a", "not-an-int", "A"}, {"b", int64(2), "B"}}
 	join := &logical.Join{Left: diffScan(), Right: dimScan(drifted), Type: logical.InnerJoin,
 		Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))}
-	p := compileWithStatic(t, join, logical.Append).Pipelines[0]
-	if p.Vec != nil {
-		t.Fatalf("want no vector plan over a drifted static side, got %+v", p.Vec)
-	}
-	if out := p.Process([]sql.Row{{"a", int64(1), 1.0, true, int64(0)}}); len(out) != 1 || out[0][6] != "not-an-int" {
-		t.Fatalf("row path lost the drifted cell: %v", out)
+	q := compileWithStatic(t, join, logical.Append)
+	if out := matchBatch(t, q, join, []sql.Row{{"a", int64(1), 1.0, true, int64(0)}, {"b", nil, nil, nil, nil}}); len(out) != 2 || out[0][6] != "not-an-int" {
+		t.Fatalf("the join lost the drifted cell: %v", out)
 	}
 }
 
@@ -163,17 +160,19 @@ func yahooShape(table []sql.Row) logical.Plan {
 }
 
 // TestYahooShapeStaysColumnar pins the plan shape the benchmark's headline
-// query depends on: every stage has a twin, the aggregate is columnar, and
-// the scan is asked for exactly the columns the plan reads.
+// query depends on: every stage runs on kernels, the aggregate is columnar,
+// and the scan is asked for exactly the columns the plan reads.
 func TestYahooShapeStaysColumnar(t *testing.T) {
 	for tname, table := range dimTables {
 		t.Run(tname, func(t *testing.T) {
-			p := compileWithStatic(t, yahooShape(table), logical.Update).Pipelines[0]
-			if len(p.Stages) != 4 { // filter, project, join, window; the partial aggregate ends them
-				t.Fatalf("%d stages, want 4", len(p.Stages))
+			plan := yahooShape(table)
+			q := compileWithStatic(t, plan, logical.Update)
+			p := q.Pipelines[0]
+			if len(p.Vec.Ops) != 4 { // filter, project, join, window; the partial aggregate ends them
+				t.Fatalf("%d ops, want 4", len(p.Vec.Ops))
 			}
-			if p.Vec == nil || p.Vec.Agg == nil || len(p.Vec.Ops) != len(p.Stages) {
-				t.Fatalf("vector plan does not reach the aggregate: %+v", p.Vec)
+			if p.Vec.Agg == nil || lanewise(p) != 0 {
+				t.Fatalf("vector plan does not reach the aggregate on kernels: %+v", p.Vec)
 			}
 			if want := []int{0, 4}; !reflect.DeepEqual(p.SourceCols, want) { // k, ts (also the watermark column)
 				t.Fatalf("SourceCols = %v, want %v", p.SourceCols, want)
@@ -181,9 +180,9 @@ func TestYahooShapeStaysColumnar(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			for trial := 0; trial < 6; trial++ {
 				rows := diffRows(rng, 100)
-				runBoth(t, p, rows)
+				matchBatch(t, q, plan, rows)
 				// The engine's path: columns outside SourceCols are absent.
-				b, _ := vec.FromRows(diffSchema, rows)
+				b := vec.FromRows(diffSchema, rows)
 				for c := range b.Cols {
 					if c != 0 && c != 4 {
 						b.Cols[c] = nil
@@ -194,7 +193,7 @@ func TestYahooShapeStaysColumnar(t *testing.T) {
 					got = append(got, bucket...)
 				}
 				if want := p.Process(rows); !reflect.DeepEqual(normalizeRows(got), normalizeRows(want)) {
-					t.Fatalf("pruned scatter diverged:\n row path: %v\n pruned:   %v", want, got)
+					t.Fatalf("pruned scatter diverged:\n full width: %v\n pruned:     %v", want, got)
 				}
 			}
 		})
@@ -224,11 +223,11 @@ func TestSourceColsFollowThePlan(t *testing.T) {
 		// The terminal aggregate narrows too: keys and inputs.
 		"aggregate": {&logical.Aggregate{Child: diffScan(), Keys: []sql.Expr{sql.Col("k")},
 			Aggs: []logical.NamedAgg{{Agg: sql.SumOf(sql.Col("v")), Name: "s"}}}, logical.Complete, []int{0, 2}},
-		// A row-only projection narrows on the row side of the seal: the rows
-		// it reads materialize from the full batch.
-		"sealed-before-narrowing": {&logical.Project{
+		// A projection without kernels narrows like any other: its program
+		// boxes only the column it reads.
+		"lanewise-narrowing": {&logical.Project{
 			Child: &logical.Filter{Child: diffScan(), Cond: sql.Col("b")},
-			Exprs: []sql.Expr{sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}}, logical.Append, nil},
+			Exprs: []sql.Expr{sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}}, logical.Append, []int{1, 3}},
 		// Dedup copies the whole row into the shuffle.
 		"distinct": {&logical.Distinct{Child: diffScan(), Cols: []string{"k"}}, logical.Append, nil},
 	}
@@ -252,15 +251,12 @@ func TestWindowDeadLanesNeverRead(t *testing.T) {
 		Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("n")), Name: "total"}},
 	}
 	p := mustCompile(t, plan, logical.Update).Pipelines[0]
-	if p.Vec == nil || len(p.Vec.Ops) != 2 || p.Vec.Agg == nil {
+	if len(p.Vec.Ops) != 2 || p.Vec.Agg == nil {
 		t.Fatalf("want filter + window + columnar aggregate, got %+v", p.Vec)
 	}
 	rows := diffRows(rand.New(rand.NewSource(23)), 200)
 	want := p.Process(rows)
-	b, ok := vec.FromRows(diffSchema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	b := vec.FromRows(diffSchema, rows)
 	filtered := p.Vec.Ops[0].Apply(b)
 	if len(filtered.Sel) == 0 || len(filtered.Sel) == b.Len {
 		t.Fatalf("want some live and some dead lanes, got %d of %d", len(filtered.Sel), b.Len)
@@ -297,7 +293,7 @@ func TestWindowDeadLanesNeverRead(t *testing.T) {
 			}
 		}
 	}
-	h := newPartialAgg(nil, p.Vec.Agg.Aggs)
+	h := newPartialAgg(p.Vec.Agg.Aggs)
 	h.updateBatch(b, p.Vec.Agg)
 	if got := h.scatter(1)[0]; !reflect.DeepEqual(normalizeRows(got), normalizeRows(want)) {
 		t.Fatalf("aggregate read a dead lane:\n want %v\n got  %v", want, got)

@@ -117,14 +117,8 @@ func Compile(plan logical.Plan, mode logical.OutputMode, resolveStatic physical.
 
 func (c *compiler) finish(q *Query) {
 	for _, p := range q.Pipelines {
-		if p.WatermarkEval != nil {
+		if p.WatermarkIdx >= 0 {
 			q.HasWatermark = true
-		}
-		// Drop vector plans that cover nothing: a bare scan gains nothing
-		// from the columnar detour, and a nil Vec is the engine's signal
-		// to stay on the row path.
-		if p.Vec != nil && len(p.Vec.Ops) == 0 && p.Vec.Agg == nil && p.Vec.Join == nil {
-			p.Vec = nil
 		}
 		p.SourceCols = p.reads.columns(p)
 	}
@@ -137,18 +131,16 @@ func (c *compiler) finish(q *Query) {
 // every stage's input schema, so a column reference that resolves below
 // the source arity names a source column; after it, no stage can reach one.
 type sourceReads struct {
-	need []bool // by source column
-	// narrowedAt counts the stages up to the narrowing one, the terminal
-	// last; -1 while the source columns are still flowing.
-	narrowedAt int
+	need     []bool // by source column
+	narrowed bool   // a stage has replaced the source columns
 }
 
 func newSourceReads(arity int) *sourceReads {
-	return &sourceReads{need: make([]bool, arity), narrowedAt: -1}
+	return &sourceReads{need: make([]bool, arity)}
 }
 
 func (r *sourceReads) all() {
-	if r.narrowedAt < 0 {
+	if !r.narrowed {
 		for c := range r.need {
 			r.need[c] = true
 		}
@@ -161,7 +153,7 @@ func (r *sourceReads) all() {
 func noteReads(pipes []*Pipeline, schema sql.Schema, narrows bool, exprs ...sql.Expr) {
 	for _, p := range pipes {
 		r := p.reads
-		if r.narrowedAt >= 0 {
+		if r.narrowed {
 			continue
 		}
 		for _, e := range exprs {
@@ -173,28 +165,15 @@ func noteReads(pipes []*Pipeline, schema sql.Schema, narrows bool, exprs ...sql.
 				}
 			})
 		}
-		if narrows {
-			r.narrowedAt = len(p.Stages)
-			if p.term != nil {
-				r.narrowedAt++
-			}
-		}
+		r.narrowed = r.narrowed || narrows
 	}
 }
 
 // columns is the pipeline's SourceCols: the columns read up to the narrowing
-// stage plus the watermark column, or nil (every column) when the vector
-// plan stops short of that stage — rows then materialize from the source
-// batch at full width — or nothing narrows at all.
+// stage plus the watermark column, or nil (every column) when nothing
+// narrows.
 func (r *sourceReads) columns(p *Pipeline) []int {
-	if p.Vec == nil || r.narrowedAt < 0 {
-		return nil
-	}
-	covered := len(p.Vec.Ops)
-	if p.Vec.Agg != nil || p.Vec.Join != nil {
-		covered++
-	}
-	if r.narrowedAt > covered {
+	if !r.narrowed {
 		return nil
 	}
 	var cols []int
@@ -343,7 +322,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if !n.Streaming {
 			return nil, sql.Schema{}, fmt.Errorf("incremental: static table %s outside a join is not a stream", n.Name)
 		}
-		return []*Pipeline{{SourceName: n.Name, WatermarkIdx: -1, Vec: &VecPlan{}, reads: newSourceReads(n.Out.Len())}}, n.Out, nil
+		return []*Pipeline{{SourceName: n.Name, schema: n.Out, WatermarkIdx: -1, Vec: &VecPlan{}, reads: newSourceReads(n.Out.Len())}}, n.Out, nil
 
 	case *logical.SubqueryAlias:
 		pipes, schema, err := c.stateless(n.Child)
@@ -359,17 +338,12 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		b, err := n.Cond.Bind(schema)
+		prog, err := vec.Compile(n.Cond, schema)
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		appendStage(pipes, func() physical.BatchFunc { return physical.FilterFunc(b.Eval) })
-		var vop physical.VecOp
-		if prog, ok := vec.Compile(n.Cond, schema); ok {
-			vop = physical.NewVecFilter(prog)
-		}
 		noteReads(pipes, schema, false, n.Cond)
-		appendVec(pipes, vop)
+		appendOp(pipes, physical.NewVecFilter(prog))
 		return pipes, schema, nil
 
 	case *logical.Project:
@@ -377,17 +351,17 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		evals, outSchema, err := physical.BindProjection(n.Exprs, schema)
+		progs, err := vec.CompileAll(n.Exprs, schema)
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		appendStage(pipes, func() physical.BatchFunc { return physical.ProjectFunc(evals) })
-		var vop physical.VecOp
-		if progs, ok := vec.CompileAll(n.Exprs, schema); ok {
-			vop = physical.NewVecProject(progs, outSchema)
+		fields := make([]sql.Field, len(progs))
+		for i, prog := range progs {
+			fields[i] = sql.Field{Name: sql.OutputName(n.Exprs[i]), Type: prog.Type}
 		}
+		outSchema := sql.Schema{Fields: fields}
 		noteReads(pipes, schema, true, n.Exprs...)
-		appendVec(pipes, vop)
+		appendOp(pipes, physical.NewVecProject(progs, outSchema))
 		return pipes, outSchema, nil
 
 	case *logical.WindowAssign:
@@ -395,25 +369,16 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		t, err := n.Window.Time.Bind(schema)
+		prog, err := vec.Compile(n.Window.Time, schema)
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		w := n.Window
-		appendStage(pipes, func() physical.BatchFunc { return physical.WindowAssignFunc(t.Eval, w) })
 		out, err := n.Schema()
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		var vop physical.VecOp
-		if w.Size == w.Slide {
-			// Sliding windows explode rows and stay on the row path.
-			if prog, ok := vec.Compile(n.Window.Time, schema); ok && vec.KindOf(prog.Type) == vec.KindInt64 {
-				vop = physical.NewVecWindow(prog, w, out)
-			}
-		}
 		noteReads(pipes, schema, false, n.Window.Time)
-		appendVec(pipes, vop)
+		appendOp(pipes, physical.NewVecWindow(prog, n.Window, out))
 		return pipes, out, nil
 
 	case *logical.WithWatermark:
@@ -421,9 +386,9 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 		if err != nil {
 			return nil, sql.Schema{}, err
 		}
-		// The watermark is tracked on raw source rows, so the column must
-		// exist in each upstream source's schema (it virtually always does:
-		// watermarks are declared on source timestamp columns).
+		// The watermark is tracked on the raw source batch, so the column
+		// must exist in each upstream source's schema (it virtually always
+		// does: watermarks are declared on source timestamp columns).
 		for _, pipe := range pipes {
 			srcSchema, err := c.sourceSchema(p, pipe.SourceName)
 			if err != nil {
@@ -433,9 +398,7 @@ func (c *compiler) stateless(p logical.Plan) ([]*Pipeline, sql.Schema, error) {
 			if err != nil {
 				return nil, sql.Schema{}, fmt.Errorf("incremental: watermark column %q must be a source column: %v", n.Column, err)
 			}
-			i := idx
-			pipe.WatermarkEval = func(r sql.Row) sql.Value { return r[i] }
-			pipe.WatermarkIdx = i
+			pipe.WatermarkIdx = idx
 			pipe.WatermarkDelay = n.Delay
 		}
 		return pipes, schema, nil
@@ -487,44 +450,21 @@ func (c *compiler) sourceSchema(p logical.Plan, name string) (sql.Schema, error)
 	return found.Out, nil
 }
 
-func appendStage(pipes []*Pipeline, f func() physical.BatchFunc) {
+// appendOp extends each pipeline's vector plan with the op of the stage
+// just compiled.
+func appendOp(pipes []*Pipeline, op physical.VecOp) {
 	for _, p := range pipes {
-		p.Stages = append(p.Stages, f)
-	}
-}
-
-// appendVec extends each pipeline's vector plan with the columnar twin of
-// the stage appendStage just added. op == nil marks the stage
-// non-vectorizable, which seals the plan: later vectorized stages cannot
-// run before an uncovered row stage, so the columnar prefix stops growing
-// there and Scatter hands the remaining stages their rows.
-func appendVec(pipes []*Pipeline, op physical.VecOp) {
-	for _, p := range pipes {
-		v := p.Vec
-		if v == nil || v.sealed {
-			continue
-		}
-		if op == nil || len(v.Ops)+1 != len(p.Stages) {
-			v.sealed = true
-			continue
-		}
-		v.Ops = append(v.Ops, op)
+		p.Vec.Ops = append(p.Vec.Ops, op)
 	}
 }
 
 // appendTerminal ends each pipeline in the blocking terminal — the map-side
-// partial aggregate, a join side's cell rendering — and seals its vector
-// plan there, letting end install the terminal's column entry where the plan
-// still covers every stage; end == nil marks the entry missing.
+// partial aggregate, a join side's cell rendering — and lets end record it
+// in the vector plan.
 func appendTerminal(pipes []*Pipeline, term terminal, end func(*VecPlan)) {
 	for _, p := range pipes {
 		p.term = term
-		if v := p.Vec; v != nil && !v.sealed {
-			if end != nil && len(v.Ops) == len(p.Stages) {
-				end(v)
-			}
-			v.sealed = true
-		}
+		end(p.Vec)
 	}
 }
 
@@ -576,7 +516,7 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 	if !streamIsLeft {
 		streamKeys, staticKeys = keys.Right, keys.Left
 	}
-	streamKeyEvals, err := physical.BindKeyExprs(streamKeys, streamSchema)
+	keyProgs, err := vec.CompileAll(streamKeys, streamSchema)
 	if err != nil {
 		return nil, sql.Schema{}, err
 	}
@@ -584,17 +524,16 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 	if err != nil {
 		return nil, sql.Schema{}, err
 	}
-	var residual func(sql.Row) sql.Value
+	var residual *vec.Program
 	if keys.Residual != nil {
-		b, err := keys.Residual.Bind(leftSchema.Concat(rightSchema))
-		if err != nil {
+		if residual, err = vec.Compile(keys.Residual, leftSchema.Concat(rightSchema)); err != nil {
 			return nil, sql.Schema{}, err
 		}
-		residual = b.Eval
 	}
 
 	// The broadcast table is built once at compile time and only read by
-	// tasks; all per-task probe state lives inside the stage's function.
+	// tasks, which probe it with keys hashed straight off the stream's key
+	// vectors.
 	spec := physical.BroadcastJoinSpec{
 		Table:        physical.NewBroadcastTable(staticSchema, staticRows, staticKeyEvals),
 		StreamIsLeft: streamIsLeft,
@@ -604,28 +543,12 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 		Anti:   n.Type == logical.LeftAntiJoin,
 		Joined: leftSchema.Concat(rightSchema),
 	}
-	appendStage(pipes, func() physical.BatchFunc {
-		return physical.BroadcastJoinFunc(spec, streamKeyEvals, residual)
-	})
-	// The twin probes the same table with keys hashed straight off the
-	// stream's key vectors. It needs the static side columnar and kernels
-	// for the key expressions and the residual; anything else seals the plan.
-	var vop physical.VecOp
-	if keyProgs, ok := vec.CompileAll(streamKeys, streamSchema); ok && spec.Table.Cols != nil {
-		var resid *vec.Program
-		if keys.Residual != nil {
-			resid, ok = vec.Compile(keys.Residual, spec.Joined)
-		}
-		if ok {
-			vop = physical.NewVecBroadcastJoin(spec, keyProgs, resid)
-		}
-	}
 	// The joined row carries every stream column (shifted, when the stream
 	// is the right side), so a pipeline not yet narrowed reads them all.
 	for _, p := range pipes {
 		p.reads.all()
 	}
-	appendVec(pipes, vop)
+	appendOp(pipes, physical.NewVecBroadcastJoin(spec, keyProgs, residual))
 	if spec.Semi || spec.Anti {
 		return pipes, streamSchema, nil
 	}
@@ -639,7 +562,7 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 	if err != nil {
 		return nil, 0, err
 	}
-	keyEvals, aggs, outSchema, err := physical.BindAggregate(a, childSchema)
+	_, aggs, outSchema, err := physical.BindAggregate(a, childSchema)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -665,17 +588,15 @@ func (c *compiler) compileAggregate(a *logical.Aggregate, q *Query) (StatefulOp,
 			op.EventKeyIdx = i
 		}
 	}
-	// Map-side partial aggregation is the pipelines' terminal: rows fold
-	// into per-task tables, which scatter one partial cell per group. It
-	// vectorizes when its keys and inputs compile to kernels AND the vector
-	// plan covers every stage — otherwise rows would reach the columnar
-	// aggregator out of order with the row stages.
-	term := &aggTerminal{keyEvals: keyEvals, aggs: aggs, vec: compileVecAgg(a, aggs, childSchema)}
-	var end func(*VecPlan)
-	if term.vec != nil {
-		end = func(v *VecPlan) { v.Agg = term.vec }
+	// Map-side partial aggregation is the pipelines' terminal: a task's
+	// batch folds into a per-task table, which scatters one partial cell per
+	// group.
+	plan, err := compileVecAgg(a, aggs, childSchema)
+	if err != nil {
+		return nil, 0, err
 	}
-	appendTerminal(pipes, term, end)
+	term := &aggTerminal{aggs: aggs, vec: plan}
+	appendTerminal(pipes, term, func(v *VecPlan) { v.Agg = plan })
 	aggReads := append([]sql.Expr(nil), a.Keys...)
 	for _, na := range a.Aggs {
 		if na.Agg.Child != nil {
@@ -723,18 +644,23 @@ func (c *compiler) compileMapGroups(m *logical.MapGroups, q *Query) (StatefulOp,
 	if err != nil {
 		return nil, err
 	}
-	keyEvals, err := physical.BindKeyExprs(m.Keys, schema)
+	keys, err := vec.CompileAll(m.Keys, schema)
 	if err != nil {
 		return nil, err
 	}
-	// Each row leaves keyed: the key values, then the row.
+	// Each row leaves keyed: the key values, then the row, which carries
+	// every column a pipeline not yet narrowed reads.
 	nkeys := len(m.Keys)
-	prefixed := append(keyEvals, columnEvals(allColumns(schema.Len()))...)
-	appendStage(pipes, func() physical.BatchFunc { return physical.ProjectFunc(prefixed) })
-	appendVec(pipes, nil)
+	fields := make([]sql.Field, 0, nkeys+schema.Len())
+	for i, k := range keys {
+		fields = append(fields, sql.Field{Name: sql.OutputName(m.Keys[i]), Type: k.Type})
+	}
+	keyed := sql.Schema{Fields: append(fields, schema.Fields...)}
 	for _, p := range pipes {
+		p.reads.all()
 		p.KeyEvals = columnEvals(allColumns(nkeys))
 	}
+	appendOp(pipes, physical.NewVecKeyed(keys, keyed))
 	q.Pipelines = pipes
 	return &FlatMapGroupsWithState{
 		OpName:  c.nextOpName("mgws"),
@@ -795,24 +721,19 @@ func (c *compiler) compileStreamStreamJoin(j *logical.Join, q *Query) (StatefulO
 		op.Band, op.BandExact = joinTimeBand(keys.Residual, leftSchema.Concat(rightSchema), op.LeftEventIdx, leftSchema.Len()+op.RightEventIdx)
 	}
 
-	// Each side's map task renders its rows as join cells: with kernels for
-	// the key expressions when they compile (the stream-static join's rule),
-	// boxed otherwise — the same cells either way. A cell carries the whole
-	// row, so a pipeline not yet narrowed reads every column.
+	// Each side's map task renders its batch's rows as join cells, the key
+	// through its programs. A cell carries the whole row, so a pipeline not
+	// yet narrowed reads every column.
 	side := func(pipes []*Pipeline, keyExprs []sql.Expr, schema sql.Schema, eventIdx int) error {
-		keyEvals, err := physical.BindKeyExprs(keyExprs, schema)
+		progs, err := vec.CompileAll(keyExprs, schema)
 		if err != nil {
 			return err
 		}
-		sh := &joinShuffle{keyEvals: keyEvals, eventIdx: eventIdx}
+		sh := &joinShuffle{keyProgs: progs, eventIdx: eventIdx}
 		for _, p := range pipes {
 			p.reads.all()
 		}
-		var end func(*VecPlan)
-		if progs, ok := vec.CompileAll(keyExprs, schema); ok {
-			sh.keyProgs, end = progs, func(v *VecPlan) { v.Join = sh }
-		}
-		appendTerminal(pipes, sh, end)
+		appendTerminal(pipes, sh, func(v *VecPlan) { v.Join = sh })
 		return nil
 	}
 	if err := side(leftPipes, keys.Left, leftSchema, op.LeftEventIdx); err != nil {
@@ -847,25 +768,22 @@ func columnEvals(idxs []int) []func(sql.Row) sql.Value {
 }
 
 // compileVecAgg lowers the map-side partial aggregation's grouping keys
-// and aggregate inputs to kernel programs; nil when any expression needs
-// the row path.
-func compileVecAgg(a *logical.Aggregate, aggs []sql.BoundAgg, schema sql.Schema) *VecAggPlan {
-	keyProgs, ok := vec.CompileAll(a.Keys, schema)
-	if !ok {
-		return nil
+// and aggregate inputs to programs.
+func compileVecAgg(a *logical.Aggregate, aggs []sql.BoundAgg, schema sql.Schema) (*VecAggPlan, error) {
+	keyProgs, err := vec.CompileAll(a.Keys, schema)
+	if err != nil {
+		return nil, err
 	}
 	inProgs := make([]*vec.Program, len(a.Aggs))
 	for i, na := range a.Aggs {
 		if na.Agg.Child == nil {
 			continue // count(*): no input, Update(nil) per row
 		}
-		prog, ok := vec.Compile(na.Agg.Child, schema)
-		if !ok {
-			return nil
+		if inProgs[i], err = vec.Compile(na.Agg.Child, schema); err != nil {
+			return nil, err
 		}
-		inProgs[i] = prog
 	}
-	return &VecAggPlan{KeyProgs: keyProgs, InputProgs: inProgs, Aggs: aggs}
+	return &VecAggPlan{KeyProgs: keyProgs, InputProgs: inProgs, Aggs: aggs}, nil
 }
 
 func underlyingColumnName(e sql.Expr) (string, bool) {

@@ -14,17 +14,20 @@ import (
 
 	"structream/internal/fsx"
 	"structream/internal/sql"
+	"structream/internal/sql/analysis"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/optimizer"
+	"structream/internal/sql/physical"
 	"structream/internal/sql/vec"
 	"structream/internal/state"
 )
 
-// The differential suite drives the same data through a pipeline's row
-// path (Process) and its columnar path (FromRows + ProcessBatchTo) and
-// requires byte-identical output, in order. It also pins the fallback
-// contract: query shapes outside the kernel set must leave the vector
-// plan nil or partial, and partial plans must still produce identical
-// results via materialize-then-row-stages.
+// The differential suite drives data through a pipeline (Process, a batch
+// from boxed rows, the engine's path for a source without columnar decode)
+// and holds what leaves it to the batch executor, physical.Compile, over the
+// same rows — code the stream's map tasks share no loop with. It also pins
+// the fallback contract: expressions outside the kernel set run lane by
+// lane inside the same vector plan, which still covers every stage.
 
 var diffSchema = sql.NewSchema(
 	sql.Field{Name: "k", Type: sql.TypeString},
@@ -85,27 +88,83 @@ func normalizeRows(rows []sql.Row) []sql.Row {
 	return out
 }
 
-// runBoth executes the pipeline's row and columnar paths over rows and
-// fails the test on any divergence. Returns false when the pipeline has
-// no vector plan (nothing columnar to compare).
-func runBoth(t *testing.T, p *Pipeline, rows []sql.Row) bool {
+// batchRows runs plan through the batch executor with rows behind every
+// streaming scan and a static scan's rows from its Handle.
+func batchRows(t testing.TB, plan logical.Plan, rows []sql.Row) []sql.Row {
 	t.Helper()
-	rowOut := p.Process(rows)
-	if p.Vec == nil {
-		return false
+	analyzed, err := analysis.Analyze(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, ok := vec.FromRows(diffSchema, rows)
-	if !ok {
-		t.Fatal("FromRows failed on schema-conforming rows")
+	op, err := physical.Compile(optimizer.Optimize(analyzed), func(s *logical.Scan) (physical.RowSource, error) {
+		if static, ok := s.Handle.([]sql.Row); ok && !s.Streaming {
+			return physical.NewSliceSource(s.Out, static), nil
+		}
+		return physical.NewSliceSource(s.Out, rows), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var vecOut []sql.Row
-	p.ProcessBatchTo(b, func(r sql.Row) { vecOut = append(vecOut, r.Clone()) })
-	got, want := normalizeRows(vecOut), normalizeRows(rowOut)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("columnar path diverged:\n row path (%d): %v\n vec path (%d): %v",
-			len(want), want, len(got), got)
+	out, err := physical.Drain(op)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
+	return out
+}
+
+// matchBatch runs rows through q's first pipeline and holds what leaves it
+// to the batch executor over the same rows, as multisets: an aggregate's
+// partial cells merged by its stateful operator against the aggregate, a
+// stream-stream join side's cells as the rows they carry against the side's
+// plan, flatMapGroupsWithState's keyed rows against the keys projected ahead
+// of the child's columns, dedup's rows against its child, anything else
+// against plan itself. It returns the pipeline's output.
+func matchBatch(t testing.TB, q *Query, plan logical.Plan, rows []sql.Row) []sql.Row {
+	t.Helper()
+	out := q.Pipelines[0].Process(rows)
+	got, ref := out, plan
+	switch n := plan.(type) {
+	case *logical.Aggregate:
+		store, err := state.NewProvider(t.TempDir()).Open(state.ID{Operator: q.Stateful.Name(), Partition: 0}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = q.Stateful.Process(&EpochContext{Mode: logical.Complete}, store, [][]sql.Row{out, nil}); err != nil {
+			t.Fatal(err)
+		}
+	case *logical.Join:
+		if _, ok := q.Stateful.(*StreamStreamJoin); ok {
+			ref, got = n.Left, nil
+			for _, r := range out {
+				c, _ := joinCellOf(r)
+				row, err := entryRow(c.entry, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, row)
+			}
+		}
+	case *logical.MapGroups:
+		schema, err := n.Child.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exprs := append([]sql.Expr(nil), n.Keys...)
+		for _, f := range schema.Fields {
+			exprs = append(exprs, sql.Col(f.Name))
+		}
+		ref = &logical.Project{Child: n.Child, Exprs: exprs}
+	case *logical.Distinct:
+		ref = n.Child
+	}
+	want := batchRows(t, ref, rows)
+	g, w := rowStrings(got), rowStrings(want)
+	sort.Strings(g)
+	sort.Strings(w)
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("the pipeline diverged from the batch executor:\n batch    (%d): %v\n pipeline (%d): %v", len(w), w, len(g), g)
+	}
+	return out
 }
 
 // fixed shapes covering each vectorizable stage type, including the
@@ -151,113 +210,114 @@ func TestDifferentialFixedShapes(t *testing.T) {
 				mode = logical.Complete
 			}
 			q := mustCompile(t, plan, mode)
-			p := q.Pipelines[0]
-			if p.Vec == nil {
-				t.Fatal("shape did not vectorize at all")
-			}
-			if len(p.Vec.Ops) != len(p.Stages) && !p.Scatters() {
-				t.Fatalf("vector plan covers %d/%d stages", len(p.Vec.Ops), len(p.Stages))
+			if n := lanewise(q.Pipelines[0]); n > 0 {
+				t.Fatalf("%d programs run lane by lane", n)
 			}
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 10; trial++ {
-				runBoth(t, p, diffRows(rng, 50+rng.Intn(100)))
+				matchBatch(t, q, plan, diffRows(rng, 50+rng.Intn(100)))
 			}
 			// Empty and single-row batches exercise the boundary cases.
-			runBoth(t, p, nil)
-			runBoth(t, p, diffRows(rng, 1))
+			matchBatch(t, q, plan, nil)
+			matchBatch(t, q, plan, diffRows(rng, 1))
 		})
 	}
 }
 
-// fallback-forcing shapes: the vector plan must stop short (or never
-// start), and the hybrid prefix+row execution must still be identical.
+// lanewise counts the programs of a pipeline's vector plan that have no
+// kernel chain.
+func lanewise(p *Pipeline) int {
+	n := 0
+	for _, prog := range p.Vec.Programs() {
+		if prog.Lanewise() {
+			n++
+		}
+	}
+	return n
+}
+
+// fallback-forcing shapes: expressions with no kernel, and the shapes and
+// stages that once sealed the vector plan (LIKE, sliding windows, keyed
+// rows). Every stage is an op of the vector plan; a program
+// without kernels runs lane by lane in place, and the output is still the
+// batch executor's.
 func TestDifferentialFallbackShapes(t *testing.T) {
 	type shape struct {
-		plan   logical.Plan
-		vecOps int // expected len(Vec.Ops); -1 means Vec must be nil
-		mode   logical.OutputMode
+		plan     logical.Plan
+		lanewise int // programs without a kernel chain
+		mode     logical.OutputMode
 	}
 	shapes := map[string]shape{
-		// LIKE has no kernel: the leading filter seals an empty plan.
+		// A LIKE filter first: a kernel over the string column.
 		"like-first": {plan: &logical.Filter{Child: diffScan(),
 			Cond: sql.NewBinary(sql.OpLike, sql.Col("k"), sql.Lit("a%"))},
-			vecOps: -1, mode: logical.Append},
-		// A vectorizable filter before a row-only projection keeps a
-		// one-op prefix (adjacent filters would be merged by the
-		// optimizer, so the seal is demonstrated across stage kinds).
+			mode: logical.Append},
+		// A kernel filter before a lane-by-lane projection (adjacent
+		// filters would be merged by the optimizer, so the mix is shown
+		// across stage kinds).
 		"filter-then-cast": {plan: &logical.Project{
 			Child: &logical.Filter{Child: diffScan(),
 				Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(-10)))},
 			Exprs: []sql.Expr{sql.Col("k"),
 				sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}},
-			vecOps: 1, mode: logical.Append},
+			lanewise: 1, mode: logical.Append},
 		// CAST has no kernel either.
 		"cast-project": {plan: &logical.Project{Child: diffScan(),
 			Exprs: []sql.Expr{sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s")}},
-			vecOps: -1, mode: logical.Append},
-		// Sliding windows explode rows and have no kernel: the window stage
-		// and the aggregate after it run on rows.
+			lanewise: 1, mode: logical.Append},
+		// A sliding window explodes each lane into one per window.
 		"filter-then-sliding-window": {plan: &logical.Aggregate{
 			Child: &logical.Filter{Child: diffScan(), Cond: sql.Ge(sql.Col("n"), sql.Lit(int64(-10)))},
 			Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second), sql.Col("k")},
 			Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}, {Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
-			vecOps: 1, mode: logical.Complete},
-		// flatMapGroupsWithState's key prefix (the computed key ahead of the
-		// row) has no twin.
+			mode: logical.Complete},
+		// flatMapGroupsWithState's key prefix: the computed key ahead of the
+		// row.
 		"filter-then-mgws": {plan: &logical.MapGroups{
 			Child:    &logical.Filter{Child: diffScan(), Cond: sql.IsNotNull(sql.Col("v"))},
 			Keys:     []sql.Expr{sql.Add(sql.Col("k"), sql.Lit("!")), sql.Col("b")},
 			KeyNames: []string{"kx", "b"},
 			Out:      diffSchema,
-		}, vecOps: 1, mode: logical.Append},
-		// A stage after the seal must NOT be picked up out of order.
+		}, mode: logical.Append},
+		// A projection after a LIKE filter that reads the column the
+		// projection does not.
 		"like-then-project": {plan: &logical.Project{
 			Child: &logical.Filter{Child: diffScan(),
 				Cond: sql.NewBinary(sql.OpLike, sql.Col("k"), sql.Lit("%"))},
 			Exprs: []sql.Expr{sql.Col("n")}},
-			vecOps: -1, mode: logical.Append},
+			mode: logical.Append},
 	}
 	for name, s := range shapes {
 		t.Run(name, func(t *testing.T) {
 			q := mustCompile(t, s.plan, s.mode)
-			p := q.Pipelines[0]
-			switch {
-			case s.vecOps < 0:
-				if p.Vec != nil && len(p.Vec.Ops) > 0 {
-					t.Fatalf("expected no vector plan, got %d ops", len(p.Vec.Ops))
-				}
-			default:
-				if p.Vec == nil || len(p.Vec.Ops) != s.vecOps {
-					t.Fatalf("expected a %d-op prefix, got %+v", s.vecOps, p.Vec)
-				}
-				if len(p.Vec.Ops) >= len(p.Stages) {
-					t.Fatalf("prefix unexpectedly covers all %d stages", len(p.Stages))
-				}
+			if n := lanewise(q.Pipelines[0]); n != s.lanewise {
+				t.Fatalf("%d programs run lane by lane, want %d", n, s.lanewise)
 			}
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 10; trial++ {
-				runBoth(t, p, diffRows(rng, 80))
+				matchBatch(t, q, s.plan, diffRows(rng, 80))
 			}
 		})
 	}
 }
 
-// TestRowStagesArePerTask: map tasks of one pipeline run concurrently, and
-// each instantiates the row stages afresh, so no arena, window cache or
-// probe key is shared — a race (under -race) or a torn row otherwise.
-func TestRowStagesArePerTask(t *testing.T) {
+// TestLanewiseProgramsArePerCall: map tasks of one pipeline run
+// concurrently, and a lane-by-lane program boxes into a scratch row of its
+// own call, as the window explode and the join draw their scratch from
+// their task's batch — a race (under -race) or a torn row otherwise.
+func TestLanewiseProgramsArePerCall(t *testing.T) {
 	plan := &logical.Aggregate{
 		Child: &logical.Join{
 			Left: &logical.Project{Child: diffScan(), Exprs: []sql.Expr{sql.Col("k"),
 				sql.As(sql.NewCast(sql.Col("n"), sql.TypeString), "s"), sql.Col("ts")}},
 			Right: dimScan(dimTables["repeated"]), Type: logical.LeftOuterJoin,
-			Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))},
+			Cond: sql.And(sql.Eq(sql.Col("k"), sql.Col("k2")), sql.Eq(sql.NewFunc("lower", sql.Col("lbl")), sql.Lit("a1")))},
 		Keys: []sql.Expr{sql.NewWindow(sql.Col("ts"), 20*time.Second, 10*time.Second), sql.Col("lbl")},
 		Aggs: []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}},
 	}
 	p := compileWithStatic(t, plan, logical.Complete).Pipelines[0]
-	if p.Vec != nil {
-		t.Fatalf("want every stage on rows, got vector plan %+v", p.Vec)
+	if n := lanewise(p); n != 2 {
+		t.Fatalf("%d programs run lane by lane, want the CAST and the residual", n)
 	}
 	rows := diffRows(rand.New(rand.NewSource(11)), 400)
 	want := normalizeRows(p.Process(rows))
@@ -279,8 +339,8 @@ func TestRowStagesArePerTask(t *testing.T) {
 }
 
 // TestDifferentialRandomQueries fuzzes whole pipelines: random
-// filter/project chains over random data, byte-identical output
-// required whenever anything vectorized.
+// filter/project chains over random data, the batch executor's rows
+// required of each.
 func TestDifferentialRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	numExpr := func(depth int) sql.Expr { return randNumExpr(rng, depth) }
@@ -301,12 +361,13 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			}
 		}
 		q := mustCompile(t, plan, logical.Append)
-		if runBoth(t, q.Pipelines[0], diffRows(rng, 60)) {
+		matchBatch(t, q, plan, diffRows(rng, 60))
+		if lanewise(q.Pipelines[0]) == 0 {
 			compared++
 		}
 	}
 	if compared < 60 {
-		t.Fatalf("only %d/120 random queries vectorized — fuzz coverage collapsed", compared)
+		t.Fatalf("only %d/120 random queries ran on kernels alone — fuzz coverage collapsed", compared)
 	}
 }
 
@@ -329,10 +390,9 @@ func randNumExpr(rng *rand.Rand, depth int) sql.Expr {
 }
 
 // TestDifferentialJoinCells: a join side whose key expressions have kernels
-// renders its cells from column vectors; a side whose key is a sealing
-// expression (CAST) renders them from boxed rows. With the CAST an identity,
-// the two queries are the same join, and each map task taking the engine's
-// branch for its pipeline, they must emit the same rows and leave
+// renders its cells from kernel vectors; a side whose key has none (CAST)
+// from vectors its program fills lane by lane. With the CAST an identity,
+// the two queries are the same join: they must emit the same rows and leave
 // byte-identical state files — over NULL keys, NULL and negative event
 // times, evictions and a left-outer join's padded rows, in a memtable that
 // spills.
@@ -357,8 +417,8 @@ func TestDifferentialJoinCells(t *testing.T) {
 	columnar := compile(func(c string) sql.Expr { return sql.Col(c) })
 	boxed := compile(func(c string) sql.Expr { return sql.NewCast(sql.Col(c), sql.TypeInt64) })
 	for i := range columnar.Pipelines {
-		if !columnar.Pipelines[i].Scatters() || boxed.Pipelines[i].Scatters() {
-			t.Fatalf("pipeline %d: cells columnar %v with a column key, %v with a CAST key", i, columnar.Pipelines[i].Scatters(), boxed.Pipelines[i].Scatters())
+		if lanewise(columnar.Pipelines[i]) != 0 || lanewise(boxed.Pipelines[i]) != 1 {
+			t.Fatalf("pipeline %d: %d lane-by-lane programs with a column key, %d with a CAST key", i, lanewise(columnar.Pipelines[i]), lanewise(boxed.Pipelines[i]))
 		}
 	}
 	const nPart = 2
@@ -390,14 +450,7 @@ func TestDifferentialJoinCells(t *testing.T) {
 		for e, in := range epochs {
 			var shuffled [nPart][2][]sql.Row
 			for s, pipe := range q.Pipelines {
-				b, ok := vec.FromRows(schemas[s], in[s])
-				if !ok {
-					t.Fatal("FromRows failed on schema-conforming rows")
-				}
-				if pipe.Vec == nil {
-					b = nil // rows, as the engine hands them to a pipeline without kernels
-				}
-				for p, bucket := range pipe.Scatter(in[s], b, nPart) {
+				for p, bucket := range pipe.Scatter(vec.FromRows(schemas[s], in[s]), nPart) {
 					shuffled[p][s] = append(shuffled[p][s], bucket...)
 				}
 			}

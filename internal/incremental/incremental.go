@@ -3,8 +3,7 @@
 // incrementally executable streaming plan. The compiled form splits the
 // query at its stateful boundary: stateless map pipelines run over each
 // source partition (filters, projections, window assignment, stream-static
-// joins: the batch executor's own row stages, or their columnar twins),
-// rows shuffle by key to a stateful operator backed by the versioned state
+// joins, as column-batch ops), rows shuffle by key to a stateful operator backed by the versioned state
 // store, and a small driver-side post stage computes the final result
 // shape. Each stateful operator carries its own intra-DAG output
 // behaviour, so users never specify per-operator modes by hand — the
@@ -54,25 +53,22 @@ type StatefulOp interface {
 }
 
 // Pipeline is the stateless map-side program for one streaming source
-// leaf: the batch executor's row stages (filter, projection, window
-// assignment, a stream-static join), their columnar twins, and the terminal
-// that renders what leaves them for the shuffle. A map task runs its input
-// through it once, as a batch of rows or a column batch — the engine's
-// equivalent of whole-stage code generation (§5.3, §9.1).
+// leaf: its vector plan (filter, projection, window assignment, a
+// stream-static join, as column-batch ops) and the terminal that renders
+// what leaves them for the shuffle. A map task runs its input through it
+// once, as a column batch — the engine's equivalent of whole-stage code
+// generation (§5.3, §9.1).
 type Pipeline struct {
 	// SourceName matches the Scan leaf (and WAL source entry).
 	SourceName string
 	// Side is the stateful stage input this pipeline feeds (0, or 1 for
 	// the right side of a stream-stream join).
 	Side int
-	// Stages are the row stages, leaf first. Each is a factory of the
-	// batch executor's functions, called once per task, so whatever a
-	// stage keeps across rows (arenas, a window cache, probe scratch) is
-	// private to that task.
-	Stages []func() physical.BatchFunc
-	// term is the blocking end after the stages: the map-side partial
-	// aggregate or a stream-stream join side's cell rendering; nil when the
-	// stages' rows leave as they are.
+	// schema is the source's row schema, which Process boxes rows against.
+	schema sql.Schema
+	// term is the blocking end after the ops: the map-side partial aggregate
+	// or a stream-stream join side's cell rendering; nil when the ops' rows
+	// leave as they are.
 	term terminal
 	// KeyEvals route the rows of a pipeline without a terminal (dedup,
 	// flatMapGroupsWithState) to state partitions by codec.HashKey; nil
@@ -82,18 +78,12 @@ type Pipeline struct {
 	// output, 0..n-1. The frozen benchmark/isolated.go reads them; the
 	// terminal routes by the key itself.
 	KeyIdxs []int
-	// WatermarkEval extracts the event-time value from a *raw source row*
-	// for watermark tracking; nil when the source has no watermark.
-	WatermarkEval func(sql.Row) sql.Value
-	// WatermarkIdx is the raw-source column index behind WatermarkEval, so
-	// the columnar path can scan the vector directly; -1 when unset.
+	// WatermarkIdx is the raw-source column the watermark tracks; -1 when
+	// the source has no watermark.
 	WatermarkIdx int
 	// WatermarkDelay is the declared lateness bound in µs.
 	WatermarkDelay int64
-	// Vec is the vectorized variant of a leading prefix of Stages (plus,
-	// optionally, the terminal); nil when nothing in the pipeline
-	// vectorizes. Stages remain the source of truth for semantics — Vec
-	// must produce byte-identical output.
+	// Vec is the pipeline's vector plan, from the scan to the terminal.
 	Vec *VecPlan
 	// SourceCols lists, ascending, the source-schema columns the vector plan
 	// reads: the inputs of its ops up to the first stage that narrows the row
@@ -106,31 +96,45 @@ type Pipeline struct {
 }
 
 // terminal is a pipeline's blocking map-side end. scatter folds one task's
-// output into cells — an aggregate's partial groups, a join side's rows —
-// and cuts them into nPart shuffle buckets, each cell routed by the hash of
-// the key it carries: through the row entry for rows, through the column
-// entry for a batch (b non-nil, and only when the vector plan covers the
-// terminal). Both give the same cells in the same buckets.
+// output batch into cells — an aggregate's partial groups, a join side's
+// rows — and cuts them into nPart shuffle buckets, each cell routed by the
+// hash of the key it carries.
 type terminal interface {
-	scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row
+	scatter(b *vec.Batch, nPart int) [][]sql.Row
 }
 
-// VecPlan mirrors a pipeline prefix as columnar kernels. Ops[i] computes
-// the same transformation as Stages[i]; rows materialize after the last
-// op and flow through the remaining row stages (none, for fully covered
-// pipelines). Agg or Join is set when the terminal's column entry serves
-// too, which needs Ops to cover every stage.
+// VecPlan is a pipeline as column-batch ops, one per stage below the
+// terminal. Agg or Join is set when the terminal is a partial aggregate or a
+// join side.
 type VecPlan struct {
 	Ops  []physical.VecOp
 	Agg  *VecAggPlan
 	Join *joinShuffle
-	// sealed stops the compiler extending Ops once a non-vectorizable
-	// stage appears (later stages would run out of order otherwise).
-	sealed bool
+}
+
+// Programs lists every expression the plan evaluates: its ops', then the
+// terminal's keys and inputs.
+func (v *VecPlan) Programs() []*vec.Program {
+	var progs []*vec.Program
+	for _, op := range v.Ops {
+		progs = append(progs, op.Programs()...)
+	}
+	if v.Agg != nil {
+		progs = append(progs, v.Agg.KeyProgs...)
+		for _, p := range v.Agg.InputProgs {
+			if p != nil {
+				progs = append(progs, p)
+			}
+		}
+	}
+	if v.Join != nil {
+		progs = append(progs, v.Join.keyProgs...)
+	}
+	return progs
 }
 
 // VecAggPlan is the columnar map-side partial aggregation: grouping keys
-// and aggregate inputs evaluate as kernels, and key encoding reads the
+// and aggregate inputs evaluate as programs, and key encoding reads the
 // vectors directly instead of boxing every cell.
 type VecAggPlan struct {
 	// KeyProgs compute the grouping-key columns.
@@ -138,39 +142,27 @@ type VecAggPlan struct {
 	// InputProgs compute each aggregate's input column; a nil entry is an
 	// input-less aggregate (count(*)).
 	InputProgs []*vec.Program
-	// Aggs are the bound aggregates (buffer factories), as in the row path.
+	// Aggs are the bound aggregates (buffer factories).
 	Aggs []sql.BoundAgg
 }
 
-// Scatter runs one task's input through the pipeline and returns what
-// leaves it in nPart shuffle buckets. A column batch b (nil for rows; the
-// caller must only pass one when Vec is set) runs through the vector plan's
-// ops and, when the plan covers the terminal, into its column entry, and
-// otherwise materializes into rows for the remaining stages; raw rows run
-// through every stage. The terminal scatters its own cells; a pipeline
-// without one routes its rows by KeyEvals. Buckets keep arrival order.
-func (p *Pipeline) Scatter(raw []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
-	first := 0
-	if b != nil {
-		b = p.ApplyVec(b)
-		if p.Scatters() {
-			return p.term.scatter(nil, b, nPart)
-		}
-		raw, first = b.AppendRows(make([]sql.Row, 0, b.NumLive())), len(p.Vec.Ops)
-	}
-	for _, stage := range p.Stages[first:] {
-		raw = stage()(raw)
-	}
+// Scatter runs one task's column batch through the pipeline and returns
+// what leaves it in nPart shuffle buckets. The terminal scatters its own
+// cells; a pipeline without one routes its rows by KeyEvals. Buckets keep
+// arrival order.
+func (p *Pipeline) Scatter(b *vec.Batch, nPart int) [][]sql.Row {
+	b = p.ApplyVec(b)
 	if p.term != nil {
-		return p.term.scatter(raw, nil, nPart)
+		return p.term.scatter(b, nPart)
 	}
+	rows := b.AppendRows(make([]sql.Row, 0, b.NumLive()))
 	buckets := make([][]sql.Row, nPart)
 	if nPart == 1 {
-		buckets[0] = raw
+		buckets[0] = rows
 		return buckets
 	}
 	key := make([]sql.Value, len(p.KeyEvals))
-	for _, row := range raw {
+	for _, row := range rows {
 		for k, ev := range p.KeyEvals {
 			key[k] = ev(row)
 		}
@@ -180,38 +172,25 @@ func (p *Pipeline) Scatter(raw []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
 	return buckets
 }
 
-// Process is Scatter over rows into one bucket: the rows, or the terminal's
-// cells, that leave the pipeline.
+// Process is Scatter over rows of the source schema into one bucket: the
+// rows, or the terminal's cells, that leave the pipeline.
 func (p *Pipeline) Process(rows []sql.Row) []sql.Row {
-	return p.Scatter(rows, nil, 1)[0]
+	return p.Scatter(vec.FromRows(p.schema, rows), 1)[0]
 }
 
-// ProcessBatchTo is Process over a column batch, pushing each row that
-// leaves the pipeline to sink. The frozen benchmark/isolated.go calls it.
+// ProcessBatchTo is Scatter over a column batch into one bucket, pushing
+// each row that leaves the pipeline to sink. The frozen
+// benchmark/isolated.go calls it.
 func (p *Pipeline) ProcessBatchTo(b *vec.Batch, sink func(sql.Row)) {
-	for _, row := range p.Scatter(nil, b, 1)[0] {
+	for _, row := range p.Scatter(b, 1)[0] {
 		sink(row)
 	}
 }
 
-// ProcessBatchScatter is Scatter over a column batch. The frozen
-// benchmark/isolated.go calls it.
+// ProcessBatchScatter is Scatter. The frozen benchmark/isolated.go calls
+// it.
 func (p *Pipeline) ProcessBatchScatter(b *vec.Batch, nPart int) [][]sql.Row {
-	return p.Scatter(nil, b, nPart)
-}
-
-// Scatters reports whether the terminal's column entry serves the
-// pipeline's batches: the vector plan covers every stage and the terminal.
-func (p *Pipeline) Scatters() bool {
-	return p.Vec != nil && (p.Vec.Agg != nil || p.Vec.Join != nil)
-}
-
-// FullyVectorized reports whether the vector plan covers every stage of a
-// pipeline without a columnar terminal: ApplyVec alone reproduces the
-// stages' output, so a column batch can stay columnar past the map
-// boundary (e.g. straight into a ColumnSink).
-func (p *Pipeline) FullyVectorized() bool {
-	return p.Vec != nil && !p.Scatters() && len(p.Vec.Ops) == len(p.Stages)
+	return p.Scatter(b, nPart)
 }
 
 // ApplyVec runs the vector plan's ops over b and returns the transformed

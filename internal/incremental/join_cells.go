@@ -42,12 +42,9 @@ func joinCellOf(r sql.Row) (*joinCell, bool) {
 	return c, ok && c != nil
 }
 
-// joinShuffle is one side's shuffle prep: where a row's equi-key and event
-// time come from — boxed (keyEvals, over a row) and as kernels (keyProgs, over
-// a column batch; nil when a key expression has none, which seals the vector
-// plan). Both render the same cells.
+// joinShuffle is one side's shuffle prep: where a row's equi-key (keyProgs,
+// over the side's column batch) and event time come from.
 type joinShuffle struct {
-	keyEvals []func(sql.Row) sql.Value
 	keyProgs []*vec.Program
 	eventIdx int
 	pool     sync.Pool // *joinCells
@@ -63,20 +60,14 @@ func (sh *joinShuffle) cells() *joinCells {
 func (sh *joinShuffle) release(c *joinCells) {
 	c.enc.Reset()
 	c.rows = c.rows[:0]
-	clear(c.key)
 	sh.pool.Put(c)
 }
 
-// scatter is the join side's terminal: one task's rows, or its batch's live
-// rows, rendered as cells and cut into buckets.
-func (sh *joinShuffle) scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
+// scatter is the join side's terminal: one task's batch's live rows,
+// rendered as cells and cut into buckets.
+func (sh *joinShuffle) scatter(b *vec.Batch, nPart int) [][]sql.Row {
 	c := sh.cells()
-	if b != nil {
-		c.addBatch(sh, b)
-	}
-	for _, r := range rows {
-		c.add(sh, r)
-	}
+	c.addBatch(sh, b)
 	buckets := c.scatter(nPart)
 	sh.release(c)
 	return buckets
@@ -87,7 +78,6 @@ func (sh *joinShuffle) scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.
 type joinCells struct {
 	enc  codec.Encoder
 	rows []pendingCell
-	key  []sql.Value // add's scratch
 }
 
 type pendingCell struct {
@@ -95,36 +85,6 @@ type pendingCell struct {
 	ts          int64
 	null        bool
 	keyEnd, end int // where in enc the row's key bytes and its entry bytes end
-}
-
-// add renders one boxed row: its key through the key evaluators, its event
-// time off the row.
-func (c *joinCells) add(sh *joinShuffle, r sql.Row) {
-	c.key = c.key[:0]
-	for _, e := range sh.keyEvals {
-		c.key = append(c.key, e(r))
-	}
-	ts := int64(-1)
-	if sh.eventIdx >= 0 {
-		if v, ok := r[sh.eventIdx].(int64); ok {
-			ts = v
-		}
-	}
-	c.addRow(c.key, ts, r)
-}
-
-// addRow renders a row with its key and event time given.
-func (c *joinCells) addRow(key []sql.Value, ts int64, r sql.Row) {
-	start, null := len(c.enc.Bytes()), false
-	for _, v := range key {
-		null = null || v == nil
-		c.enc.PutValue(v)
-	}
-	keyEnd := c.entryHead(ts, len(r))
-	for _, v := range r {
-		c.enc.PutValue(v)
-	}
-	c.push(start, keyEnd, null, ts)
 }
 
 // entryHead ends the key bytes of the row being rendered and begins its
@@ -143,8 +103,7 @@ func (c *joinCells) push(start, keyEnd int, null bool, ts int64) {
 }
 
 // addBatch renders a column batch's live rows without boxing them: the key
-// through the kernels, the event time and the row straight off the vectors,
-// in the bytes add would write for the same rows.
+// through its programs, the event time and the row straight off the vectors.
 func (c *joinCells) addBatch(sh *joinShuffle, b *vec.Batch) {
 	keys := make([]*vec.Vector, len(sh.keyProgs))
 	for i, p := range sh.keyProgs {

@@ -12,6 +12,7 @@ import (
 	"structream/internal/sql"
 	"structream/internal/sql/codec"
 	"structream/internal/sql/logical"
+	"structream/internal/sql/vec"
 	"structream/internal/state"
 )
 
@@ -117,22 +118,20 @@ func joinExchangeQuery(tb testing.TB, delay int64) *Query {
 }
 
 // joinExchangeMap is one map task over records [from, to) of a topic
-// partition, taking the engine's branch for pipe.
+// partition, read as the engine reads it.
 func joinExchangeMap(tb testing.TB, pipe *Pipeline, src *sources.BusSource, part int, from, to int64) [][]sql.Row {
-	if pipe.Vec != nil {
-		b, ok, err := src.ReadVec(part, from, to)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if ok {
-			return pipe.ProcessBatchScatter(b, joinExchangeParts)
-		}
-	}
-	rows, err := src.Read(part, from, to)
+	b, ok, err := src.ReadVec(part, from, to)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return pipe.Scatter(rows, nil, joinExchangeParts)
+	if !ok {
+		rows, err := src.Read(part, from, to)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b = vec.FromRows(src.Schema(), rows)
+	}
+	return pipe.ProcessBatchScatter(b, joinExchangeParts)
 }
 
 // BenchmarkJoinExchange: one op is one epoch — 4 096 records per side read

@@ -53,8 +53,23 @@ func joinStore(t testing.TB, budget int64) (*state.Provider, *state.Store) {
 // cell with this key and event time — cut from slabs of its own.
 func joinRow(key []sql.Value, ts int64, row sql.Row) sql.Row {
 	var c joinCells
-	c.addRow(key, ts, row)
+	addCell(&c, key, ts, row)
 	return c.scatter(1)[0][0]
+}
+
+// addCell renders a row into c with its key and event time given, in the
+// bytes a map task's addBatch writes for it.
+func addCell(c *joinCells, key []sql.Value, ts int64, row sql.Row) {
+	start, null := len(c.enc.Bytes()), false
+	for _, v := range key {
+		null = null || v == nil
+		c.enc.PutValue(v)
+	}
+	keyEnd := c.entryHead(ts, len(row))
+	for _, v := range row {
+		c.enc.PutValue(v)
+	}
+	c.push(start, keyEnd, null, ts)
 }
 
 // parentEntry is the entry value the layout defines for a buffered row — the
@@ -796,10 +811,7 @@ func FuzzJoinState(f *testing.F) {
 			}
 			schema.Fields = append(schema.Fields, sql.Field{Name: fmt.Sprintf("c%d", i), Type: typ})
 		}
-		b, ok := vec.FromRows(schema, []sql.Row{r.row})
-		if !ok {
-			f.Fatalf("FromRows refused %v", r.row)
-		}
+		b := vec.FromRows(schema, []sql.Row{r.row})
 		var cells joinCells
 		cells.addBatch(&joinShuffle{eventIdx: -1}, b)
 		columnar := cells.scatter(1)[0][0][0].(*joinCell)

@@ -102,16 +102,13 @@ func (c *partialCell) String() string { return fmt.Sprintf("partial(%x: %x)", c.
 // (= emission) order, reached through an open-addressed bucket table that
 // chains colliding groups by slab index; each group caches its lookup hash
 // and its encoded key bytes (sliced out of a shared arena), so a hit never
-// boxes the key. Lookup and routing are two hashes: the row path looks a
-// group up by the FNV hash of its encoded key and compares bytes, the
-// columnar path by a typed hash of the key vectors and a typed compare,
-// encoding a key only when its group is new; scatter routes every group by
-// the FNV hash of its key bytes, once per group. The slab, table, arena,
-// and aggregate-pass scratch all survive reset(), so a pooled instance
-// processes an epoch's batch with near-zero per-group bookkeeping
-// allocations.
+// boxes the key. Lookup and routing are two hashes: a group is looked up by
+// a typed hash of the key vectors and a typed compare, its key encoded only
+// when the group is new; scatter routes every group by the FNV hash of its
+// key bytes, once per group. The slab, table, arena, and aggregate-pass
+// scratch all survive reset(), so a pooled instance processes an epoch's
+// batch with near-zero per-group bookkeeping allocations.
 type partialAgg struct {
-	keyEvals []func(sql.Row) sql.Value
 	aggs     []sql.BoundAgg
 	kernels  []aggKernel
 	groups   []partialGroup // the slab; index is the group id
@@ -140,24 +137,23 @@ type renderedGroup struct {
 // partialGroup is one slab entry. It is 64 bytes, a cache line: lane sits
 // in what would otherwise be padding, and the routing hash is not kept.
 type partialGroup struct {
-	keyBytes []byte // cached codec encoding of the key; the row path compares it, scatter ships it
+	keyBytes []byte // cached codec encoding of the key, which scatter ships
 	bufs     []sql.AggBuffer
 	h        uint64 // lookup hash; resolves bucket collisions and rebuilds
 	next     int32  // next group in this bucket's chain, -1 ends the chain
 	lane     int32  // updateBatch: the batch lane the group was first seen at
 }
 
-func newPartialAgg(keyEvals []func(sql.Row) sql.Value, aggs []sql.BoundAgg) *partialAgg {
+func newPartialAgg(aggs []sql.BoundAgg) *partialAgg {
 	kernels := make([]aggKernel, len(aggs))
 	for i, a := range aggs {
 		kernels[i] = kernelFor(a)
 	}
 	return &partialAgg{
-		keyEvals: keyEvals,
-		aggs:     aggs,
-		kernels:  kernels,
-		slots:    make([]int32, 1024),
-		enc:      codec.NewEncoder(64),
+		aggs:    aggs,
+		kernels: kernels,
+		slots:   make([]int32, 1024),
+		enc:     codec.NewEncoder(64),
 	}
 }
 
@@ -166,23 +162,17 @@ func newPartialAgg(keyEvals []func(sql.Row) sql.Value, aggs []sql.BoundAgg) *par
 // inside its table (scatter copies every group's key and state bytes into
 // slabs it allocates per call), so a reset table serves the next task.
 type aggTerminal struct {
-	keyEvals []func(sql.Row) sql.Value
-	aggs     []sql.BoundAgg
-	vec      *VecAggPlan // the column entry; nil when a key or input has no kernel
-	pool     sync.Pool   // *partialAgg
+	aggs []sql.BoundAgg
+	vec  *VecAggPlan
+	pool sync.Pool // *partialAgg
 }
 
-func (t *aggTerminal) scatter(rows []sql.Row, b *vec.Batch, nPart int) [][]sql.Row {
+func (t *aggTerminal) scatter(b *vec.Batch, nPart int) [][]sql.Row {
 	h, ok := t.pool.Get().(*partialAgg)
 	if !ok {
-		h = newPartialAgg(t.keyEvals, t.aggs)
+		h = newPartialAgg(t.aggs)
 	}
-	if b != nil {
-		h.updateBatch(b, t.vec)
-	}
-	for _, r := range rows {
-		h.update(r)
-	}
+	h.updateBatch(b, t.vec)
 	buckets := h.scatter(nPart)
 	h.reset()
 	t.pool.Put(h)
@@ -211,40 +201,6 @@ func (p *partialAgg) grow() {
 		g.next = p.slots[b] - 1
 		p.slots[b] = int32(gi) + 1
 	}
-}
-
-// update is the map-side per-record hot path: the key is encoded into a
-// reused buffer, hashed, and chained-probed against cached key bytes.
-func (p *partialAgg) update(r sql.Row) {
-	p.enc.Reset()
-	for _, e := range p.keyEvals {
-		p.enc.PutValue(e(r))
-	}
-	kb := p.enc.Bytes()
-	g := &p.groups[p.lookupHashed(codec.HashBytes(kb), kb)]
-	for i, a := range p.aggs {
-		if a.Input == nil {
-			g.bufs[i].Update(nil)
-			continue
-		}
-		if v := a.Input(r); v != nil {
-			g.bufs[i].Update(v)
-		}
-	}
-}
-
-// lookupHashed resolves the group for an encoded key, probing the bucket's
-// chain with a hash compare then a raw byte compare against each group's
-// cached keyBytes. The codec encoding is injective, so equal bytes ⇔ equal
-// keys. On a miss the key becomes a new group.
-func (p *partialAgg) lookupHashed(h uint64, kb []byte) int32 {
-	for gi := p.slots[h&uint64(len(p.slots)-1)] - 1; gi >= 0; gi = p.groups[gi].next {
-		g := &p.groups[gi]
-		if g.h == h && bytes.Equal(g.keyBytes, kb) {
-			return gi
-		}
-	}
-	return p.addGroup(h, kb, -1)
 }
 
 // laneHashMask is ANDed into every lookup hash. Tests clear it to force
@@ -300,8 +256,7 @@ func (p *partialAgg) addGroup(h uint64, kb []byte, lane int32) int32 {
 // group; then per-aggregate kernels fold whole lane runs into each group —
 // counts and sums accumulate in typed slabs and land in the buffer via one
 // bulk call per group. Lanes whose aggregate lacks a bulk kernel fall back
-// to boxed per-lane Update, skipping NULL lanes exactly like update's nil
-// check.
+// to boxed per-lane Update, skipping NULL lanes.
 //
 // updateBatch must be the first and only feeder of this instance between
 // get and reset: a group's lane points into this batch's key vectors, and
@@ -466,7 +421,7 @@ func (p *partialAgg) updateBatch(b *vec.Batch, plan *VecAggPlan) {
 
 // updateLanesBoxed is updateBatch's fallback for aggregates without a bulk
 // kernel (min/max, first/last, distinct, HLL, moments): box each accepted
-// lane and Update, exactly like the row path.
+// lane and Update.
 func (p *partialAgg) updateLanesBoxed(k int, in *vec.Vector, lanes []int32, laneGroup []int32) {
 	for j, lane := range lanes {
 		i := int(lane)

@@ -15,11 +15,9 @@ import (
 	"structream/internal/state"
 )
 
-// Micro-benchmarks for the map-side partial aggregator: the per-row update
-// path (whose group hits now compare cached key bytes instead of
-// re-rendering the key), and the columnar updateBatch (grouping pass +
-// bulk kernels, no per-row boxing) — and, at the end, for the stream-stream
-// join's state maintenance.
+// Micro-benchmarks for the map-side partial aggregator's updateBatch
+// (grouping pass + bulk kernels, no per-row boxing), the stream-static
+// join's probe and, at the end, the stream-stream join's state maintenance.
 
 func benchAggs() []sql.BoundAgg {
 	countAll := sql.BoundAgg{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}
@@ -44,30 +42,6 @@ var benchSchema = sql.NewSchema(
 	sql.Field{Name: "k", Type: sql.TypeString},
 	sql.Field{Name: "v", Type: sql.TypeFloat64},
 )
-
-// BenchmarkPartialAggUpdate measures the row path: one update per row,
-// hot-path dominated by key encode + hash-table hit.
-func BenchmarkPartialAggUpdate(b *testing.B) {
-	for _, keys := range []int{16, 4096} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			rows := benchRows(8192, keys)
-			keyEval := []func(sql.Row) sql.Value{func(r sql.Row) sql.Value { return r[0] }}
-			aggs := benchAggs()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := newPartialAgg(keyEval, aggs)
-				for _, r := range rows {
-					p.update(r)
-				}
-				if len(p.groups) == 0 {
-					b.Fatal("no groups")
-				}
-			}
-			b.SetBytes(8192)
-		})
-	}
-}
 
 // BenchmarkPartialAggUpdateBatch measures the columnar path: batch
 // grouping pass plus bulk count/sum kernels. keys=16 and keys=4096 run the
@@ -95,22 +69,20 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
-			batch, ok := vec.FromRows(sh.schema, sh.rows)
-			if !ok {
-				b.Fatal("FromRows failed")
-			}
+			batch := vec.FromRows(sh.schema, sh.rows)
 			plan := &VecAggPlan{Aggs: sh.aggs, InputProgs: make([]*vec.Program, len(sh.inputs))}
 			for _, k := range sh.keys {
-				prog, ok := vec.Compile(sql.Col(k), sh.schema)
-				if !ok {
-					b.Fatalf("key %s does not compile", k)
+				prog, err := vec.Compile(sql.Col(k), sh.schema)
+				if err != nil {
+					b.Fatal(err)
 				}
 				plan.KeyProgs = append(plan.KeyProgs, prog)
 			}
 			for i, in := range sh.inputs {
 				if in != nil {
-					if plan.InputProgs[i], ok = vec.Compile(in, sh.schema); !ok {
-						b.Fatalf("input %v does not compile", in)
+					var err error
+					if plan.InputProgs[i], err = vec.Compile(in, sh.schema); err != nil {
+						b.Fatal(err)
 					}
 				}
 			}
@@ -125,7 +97,7 @@ func BenchmarkPartialAggUpdateBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := newPartialAgg(nil, sh.aggs)
+				p := newPartialAgg(sh.aggs)
 				p.updateBatch(batch, plan)
 				if len(p.groups) != len(distinct) {
 					b.Fatalf("%d groups, want %d", len(p.groups), len(distinct))
@@ -203,7 +175,7 @@ func BenchmarkStreamStreamJoin(b *testing.B) {
 						} else if shape == "band" {
 							key = int64(zipf.Uint64())
 						}
-						cells[s].addRow([]sql.Value{key}, clock, sql.Row{key, clock, version})
+						addCell(&cells[s], []sql.Value{key}, clock, sql.Row{key, clock, version})
 					}
 				}
 				inputs := [][]sql.Row{cells[0].scatter(1)[0], cells[1].scatter(1)[0]}
@@ -273,10 +245,7 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 				rows[i] = append(rows[i], adKey(ad))
 			}
 		}
-		batch, ok := vec.FromRows(streamSchema, rows)
-		if !ok {
-			b.Fatal("FromRows failed")
-		}
+		batch := vec.FromRows(streamSchema, rows)
 		var campaigns []sql.Row
 		for c := 0; c < shape.perAd; c++ {
 			for ad := 0; ad < ads; ad++ {
@@ -300,9 +269,6 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := q.Pipelines[0]
-		if !p.FullyVectorized() {
-			b.Fatal("the join has no vector twin")
-		}
 		want := len(p.Process(rows))
 		if want < slice*shape.perAd*8/10 {
 			b.Fatalf("%s: joined %d rows of %d, the keys barely match", shape.name, want, slice)
@@ -311,7 +277,6 @@ func BenchmarkStreamStaticJoin(b *testing.B) {
 			name string
 			run  func() int
 		}{
-			{"row", func() int { return len(p.Process(rows)) }},
 			{"vec", func() int { return p.ApplyVec(batch).NumLive() }},
 		} {
 			b.Run(path.name+"/"+shape.name, func(b *testing.B) {

@@ -18,10 +18,14 @@ import (
 // forced onto the same hash slot must land in one chain, resolve to
 // distinct groups, and keep first-seen emission order.
 func TestLookupHashedCollisions(t *testing.T) {
-	p := newPartialAgg(nil, benchAggs())
+	p := newPartialAgg(benchAggs())
+	keys := vec.FromRows(benchSchema, []sql.Row{{"a", nil}, {"b", nil}, {"c", nil}, {"a", nil}, {"c", nil}}).Cols[:1]
+	lanes := map[string][]int32{"a": {0, 3}, "b": {1}, "c": {2, 4}} // each key's lanes, in order
 	add := func(v string) int32 {
 		const h = uint64(42) // same slot for every key: worst-case chaining
-		return p.lookupHashed(h, []byte(v))
+		i := lanes[v][0]
+		lanes[v] = lanes[v][1:]
+		return p.lookupLane(h, keys, i)
 	}
 	ga := add("a")
 	gb := add("b")
@@ -43,8 +47,8 @@ func TestLookupHashedCollisions(t *testing.T) {
 	// bytes.
 	for i, want := range []string{"a", "b", "c"} {
 		g := p.groups[i]
-		if string(g.keyBytes) != want {
-			t.Fatalf("group %d cached key %q, want %q", i, g.keyBytes, want)
+		if kb := codec.KeyString([]sql.Value{want}); string(g.keyBytes) != kb {
+			t.Fatalf("group %d cached key %q, want %q", i, g.keyBytes, kb)
 		}
 	}
 }
@@ -52,9 +56,8 @@ func TestLookupHashedCollisions(t *testing.T) {
 // TestScatterMatchesRowRouting pins that scatter's cached-hash routing
 // agrees with boxing each cell's key and hashing it, as a caller that knows
 // nothing of partial cells would, for every group; that the buckets keep
-// first-seen order; that the pipeline's row entry gives the same buckets as
-// its column entry; and that nothing a bucket holds points into the pooled
-// table.
+// first-seen order; that the pipeline's Scatter gives the same buckets;
+// and that nothing a bucket holds points into the pooled table.
 func TestScatterMatchesRowRouting(t *testing.T) {
 	q := mustCompile(t, &logical.Aggregate{
 		Child: scan("s"),
@@ -70,11 +73,8 @@ func TestScatterMatchesRowRouting(t *testing.T) {
 		}
 		rows = append(rows, sql.Row{k, float64(i), int64(i % 3)})
 	}
-	p := newPartialAgg(nil, pipe.Vec.Agg.Aggs)
-	b, ok := vec.FromRows(testSchema, rows)
-	if !ok {
-		t.Fatal("FromRows failed on schema-conforming rows")
-	}
+	p := newPartialAgg(pipe.Vec.Agg.Aggs)
+	b := vec.FromRows(testSchema, rows)
 	p.updateBatch(b, pipe.Vec.Agg)
 	const nPart = 4
 	buckets := p.scatter(nPart)
@@ -92,13 +92,13 @@ func TestScatterMatchesRowRouting(t *testing.T) {
 		part := int(codec.HashKey(key) % uint64(nPart))
 		want[part] = append(want[part], row)
 	}
-	byRows := pipe.Scatter(rows, nil, nPart)
+	byRows := pipe.Scatter(vec.FromRows(testSchema, rows), nPart)
 	for part := 0; part < nPart; part++ {
 		if !reflect.DeepEqual(buckets[part], want[part]) {
 			t.Fatalf("partition %d:\n scatter     %v\n row routing %v", part, buckets[part], want[part])
 		}
 		if !reflect.DeepEqual(byRows[part], want[part]) {
-			t.Fatalf("partition %d:\n row entry   %v\n row routing %v", part, byRows[part], want[part])
+			t.Fatalf("partition %d:\n Scatter     %v\n row routing %v", part, byRows[part], want[part])
 		}
 	}
 }
@@ -157,18 +157,15 @@ func laneKeyRows(seed int64, n int) []sql.Row {
 // boxed key names, stamped with that hash.
 func checkVectorGroups(t *testing.T, rows []sql.Row, keyCols []string, sel []int32) {
 	t.Helper()
-	b, ok := vec.FromRows(laneKeySchema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	b := vec.FromRows(laneKeySchema, rows)
 	b.Sel = sel
 	aggs := []sql.BoundAgg{{Kind: sql.AggCountAll, ResultType: sql.TypeInt64}}
 	plan := &VecAggPlan{Aggs: aggs, InputProgs: []*vec.Program{nil}}
 	idx := make([]int, len(keyCols))
 	for i, name := range keyCols {
-		prog, ok := vec.Compile(sql.Col(name), laneKeySchema)
-		if !ok {
-			t.Fatalf("key %s does not compile", name)
+		prog, err := vec.Compile(sql.Col(name), laneKeySchema)
+		if err != nil {
+			t.Fatal(err)
 		}
 		plan.KeyProgs = append(plan.KeyProgs, prog)
 		idx[i] = laneKeySchema.IndexOf(name)
@@ -188,7 +185,7 @@ func checkVectorGroups(t *testing.T, rows []sql.Row, keyCols []string, sel []int
 		want[codec.KeyString(key)]++
 	}
 
-	p := newPartialAgg(nil, aggs)
+	p := newPartialAgg(aggs)
 	p.updateBatch(b, plan)
 	if len(p.groups) != len(want) {
 		t.Fatalf("key %v: %d groups, want %d", keyCols, len(p.groups), len(want))

@@ -261,10 +261,6 @@ type QueryProgress struct {
 	StateBytes       int64   `json:"stateBytes"`
 	InputRowsPerSec  float64 `json:"inputRowsPerSecond"`
 	OutputRowsPerSec float64 `json:"outputRowsPerSecond"`
-	// VectorizedRows counts how many of this epoch's input rows ran the
-	// columnar path — rows fall back to the row path per task when a batch's
-	// types drift or a stage doesn't compile to kernels.
-	VectorizedRows int64 `json:"vectorizedRows,omitempty"`
 	// Workers is Options.Workers — the task pool's size and the map split's
 	// width — omitted when unset.
 	Workers int `json:"workers,omitempty"`

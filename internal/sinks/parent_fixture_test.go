@@ -96,20 +96,14 @@ func columnar(t *testing.T, b Batch) Batch {
 	t.Helper()
 	rows := b.Rows
 	half := len(rows) / 2
-	dense, ok := vec.FromRows(b.Schema, rows[:half])
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	dense := vec.FromRows(b.Schema, rows[:half])
 	var padded []sql.Row
 	var sel []int32
 	for _, r := range rows[half:] {
 		sel = append(sel, int32(len(padded)))
 		padded = append(padded, r, r)
 	}
-	sparse, ok := vec.FromRows(b.Schema, padded)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	sparse := vec.FromRows(b.Schema, padded)
 	sparse.Sel = sel
 	b.Rows, b.Vecs = nil, []*vec.Batch{dense, sparse}
 	return b

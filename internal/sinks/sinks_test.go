@@ -318,10 +318,7 @@ func TestJSONFileSinkCrashLeavesNoTornFile(t *testing.T) {
 
 func colBatch(t *testing.T, epoch int64, rows ...sql.Row) Batch {
 	t.Helper()
-	vb, ok := vec.FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	vb := vec.FromRows(schema, rows)
 	return Batch{Epoch: epoch, Mode: logical.Append, Schema: schema,
 		Vecs: []*vec.Batch{vb}, KeyArity: 1}
 }
@@ -384,10 +381,7 @@ func TestMemorySinkColumnarTruncate(t *testing.T) {
 // encoded row by row from the vectors into the same table.
 func TestMemorySinkColumnarUpdate(t *testing.T) {
 	s := NewMemorySink()
-	vb, ok := vec.FromRows(schema, []sql.Row{{"CA", int64(1)}, {"CA", int64(5)}})
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	vb := vec.FromRows(schema, []sql.Row{{"CA", int64(1)}, {"CA", int64(5)}})
 	err := s.AddColumnBatch(Batch{Epoch: 0, Mode: logical.Update, Schema: schema,
 		Vecs: []*vec.Batch{vb}, KeyArity: 1})
 	if err != nil {

@@ -1,6 +1,8 @@
 package sources
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -88,12 +90,31 @@ func (s *Instrumented) Read(p int, from, to int64) ([]sql.Row, error) {
 	rows, err := s.Inner.Read(p, from, to)
 	s.readNanos.Add(time.Since(start).Nanoseconds())
 	s.reads.Add(1)
+	if err == nil {
+		err = checkArity(s.Inner, p, from, rows)
+	}
 	if err != nil {
 		s.noteError(err)
 		return nil, err
 	}
 	s.rows.Add(int64(len(rows)))
 	return rows, nil
+}
+
+// ErrRowArity refuses a row whose value count differs from its source
+// schema's: no column of it can be placed.
+var ErrRowArity = errors.New("sources: row arity differs from the schema")
+
+// checkArity refuses rows read from src's partition p at offset from on
+// whose arity differs from src's schema.
+func checkArity(src Source, p int, from int64, rows []sql.Row) error {
+	want := src.Schema().Len()
+	for i, r := range rows {
+		if len(r) != want {
+			return fmt.Errorf("%w: %s partition %d offset %d has %d values, the schema %d", ErrRowArity, src.Name(), p, from+int64(i), len(r), want)
+		}
+	}
+	return nil
 }
 
 // ReadVec forwards the columnar fast path with the same timing and

@@ -1,9 +1,11 @@
 package sources
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"structream/internal/msgbus"
@@ -253,5 +255,30 @@ func TestBusSourceReadVecMatchesRead(t *testing.T) {
 			}
 		}
 		b.Release()
+	}
+}
+
+// TestReadRefusesRowsOfTheWrongArity: a row with fewer or more values than
+// its source's schema has no place in a column batch, so the engine's view of
+// a source refuses the read with ErrRowArity, naming where the row sits.
+// Rows of the right arity read as before.
+func TestReadRefusesRowsOfTheWrongArity(t *testing.T) {
+	src := NewMemorySource("people", testSchema)
+	src.AddData(sql.Row{int64(1), "a"}, sql.Row{int64(2)}, sql.Row{int64(3), "c", "extra"})
+	in := Instrument(src)
+	if rows, err := in.Read(0, 0, 1); err != nil || len(rows) != 1 {
+		t.Fatalf("a row of the schema's arity: %v, %v", rows, err)
+	}
+	for _, from := range []int64{1, 2} {
+		rows, err := in.Read(0, from, 3)
+		if !errors.Is(err, ErrRowArity) || rows != nil {
+			t.Fatalf("read from %d: %v, %v; want ErrRowArity", from, rows, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("people partition 0 offset %d", from)) {
+			t.Fatalf("the error does not say where the row sits: %v", err)
+		}
+	}
+	if st := in.Stats(); st.Errors != 2 {
+		t.Fatalf("%d read errors counted, want 2", st.Errors)
 	}
 }

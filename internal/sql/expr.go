@@ -312,13 +312,13 @@ func bindLike(l, r BoundExpr, src Expr) (BoundExpr, error) {
 		if !lok || !rok {
 			return nil
 		}
-		return likeMatch(ls, rs)
+		return LikeMatch(ls, rs)
 	}
 	return BoundExpr{Type: TypeBool, Eval: eval}, nil
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any one rune).
-func likeMatch(s, pattern string) bool {
+// LikeMatch implements SQL LIKE with % (any run) and _ (any one byte).
+func LikeMatch(s, pattern string) bool {
 	// Iterative two-pointer match with backtracking on the last %.
 	var si, pi int
 	star, match := -1, 0

@@ -6,8 +6,8 @@ import (
 )
 
 // BroadcastTable is the static side of a stream-static join: built once
-// when the query compiles, then only read, so every map task (row or
-// columnar form) probes the same instance without synchronization.
+// when the query compiles, then only read, so every map task probes the same
+// instance without synchronization.
 //
 // Static rows are addressed by their position in Rows. Each row's join key
 // is held column-major in keys, and one open-addressed table maps the
@@ -20,9 +20,8 @@ import (
 type BroadcastTable struct {
 	// Rows are the static rows in arrival order.
 	Rows []sql.Row
-	// Cols holds the same rows column-major for the vector twin to gather
-	// from; nil when a cell's dynamic type drifts from the static schema,
-	// which leaves the join on the row path.
+	// Cols holds the same rows column-major for the join to gather from; a
+	// column whose cells drift from the static schema is held boxed.
 	Cols []*vec.Vector
 
 	arity  int           // the static schema's width
@@ -60,9 +59,7 @@ func NewBroadcastTable(schema sql.Schema, rows []sql.Row, keyEvals []func(sql.Ro
 		hashes: make([]uint64, len(rows)),
 		next:   make([]int32, len(rows)),
 		unique: true,
-	}
-	if b, ok := vec.FromRows(schema, rows); ok {
-		t.Cols = b.Cols
+		Cols:   vec.FromRows(schema, rows).Cols,
 	}
 	// Back to front, each row becoming the head of its key's chain, leaves
 	// every chain in arrival order.
@@ -99,14 +96,7 @@ func keyColumns(keyRows []sql.Row, n int) []*vec.Vector {
 			}
 		}
 	}
-	b, ok := vec.FromRows(sql.NewSchema(fields...), keyRows)
-	if !ok {
-		for i := range fields {
-			fields[i].Type = sql.TypeAny
-		}
-		b, _ = vec.FromRows(sql.NewSchema(fields...), keyRows) // boxed columns take any value
-	}
-	return b.Cols
+	return vec.FromRows(sql.NewSchema(fields...), keyRows).Cols
 }
 
 // slot returns the table position holding the key at row r of keys (the
@@ -124,31 +114,9 @@ func (t *BroadcastTable) slot(h uint64, keys []*vec.Vector, r int) uint64 {
 	}
 }
 
-// Lookup returns the first static row whose key equals key (encodes to the
-// same bytes), or -1. A key with a NULL matches nothing.
-func (t *BroadcastTable) Lookup(key []sql.Value) int32 {
-	for _, v := range key {
-		if v == nil {
-			return -1
-		}
-	}
-	mask := uint64(len(t.slots) - 1)
-	h := vec.HashValues(key) & keyHashMask
-	for s := h & mask; ; s = (s + 1) & mask {
-		r := t.slots[s] - 1
-		if r < 0 || t.hashes[r] == h && vec.ValuesEqual(key, t.keys, int(r)) {
-			return r
-		}
-	}
-}
-
-// Next returns the row after r among those sharing r's key, or -1.
-func (t *BroadcastTable) Next(r int32) int32 { return t.next[r] }
-
 // ------------------------------------------------------------- join forms
 
-// BroadcastJoinSpec is what the row and the columnar form of one
-// stream-static join share.
+// BroadcastJoinSpec describes one stream-static join.
 type BroadcastJoinSpec struct {
 	Table *BroadcastTable
 	// StreamIsLeft places the stream's columns before the static side's in
@@ -162,76 +130,27 @@ type BroadcastJoinSpec struct {
 	Joined sql.Schema
 }
 
-// BroadcastJoinFunc is the stream-static join over rows. keys compute the
-// stream side's join key; residual (nil for a pure equi-join) filters each
-// candidate's joined row. Each stream row emits, in order, its matches along
-// the key's chain — or, for Semi and Anti, itself once — and, for Outer, a
-// NULL-padded row when nothing matched. The function keeps a probe key and a
-// row arena across calls, so each task builds its own.
-func BroadcastJoinFunc(spec BroadcastJoinSpec, keys []func(sql.Row) sql.Value, residual func(sql.Row) sql.Value) BatchFunc {
-	t := spec.Table
-	staticArity := t.arity
-	streamArity := spec.Joined.Len() - staticArity
-	probe := make([]sql.Value, len(keys))
-	arena := NewRowArena(spec.Joined.Len())
-	place := func(joined, sr sql.Row) {
-		if spec.StreamIsLeft {
-			copy(joined, sr)
-		} else {
-			copy(joined[staticArity:], sr)
-		}
-	}
-	return func(rows []sql.Row) []sql.Row {
-		out := make([]sql.Row, 0, len(rows))
-		for _, sr := range rows {
-			for i, e := range keys {
-				probe[i] = e(sr)
-			}
-			matched := false
-			for r := t.Lookup(probe); r >= 0; r = t.Next(r) {
-				joined := arena.Next()
-				place(joined, sr)
-				if spec.StreamIsLeft {
-					copy(joined[streamArity:], t.Rows[r])
-				} else {
-					copy(joined, t.Rows[r])
-				}
-				if residual != nil {
-					if b, ok := residual(joined).(bool); !ok || !b {
-						continue
-					}
-				}
-				matched = true
-				if spec.Semi || spec.Anti {
-					break
-				}
-				out = append(out, joined)
-			}
-			switch {
-			case spec.Semi && matched, spec.Anti && !matched:
-				out = append(out, sr)
-			case spec.Outer && !matched:
-				joined := arena.Next() // zeroed: the static side's NULLs
-				place(joined, sr)
-				out = append(out, joined)
-			}
-		}
-		return out
-	}
-}
-
 type vecBroadcastJoin struct {
 	BroadcastJoinSpec
 	keys     []*vec.Program // stream-side key columns
 	residual *vec.Program   // over the joined (left ++ right) row; may be nil
 }
 
-// NewVecBroadcastJoin is the stream-static join over column batches,
-// BroadcastJoinFunc's twin. keys compute the stream side's join key;
-// residual (nil for a pure equi-join) runs over candidate pairs laid out as
-// joined rows. The caller must only build it when spec.Table.Cols is set.
+// NewVecBroadcastJoin is the stream-static join over column batches. keys
+// compute the stream side's join key; residual (nil for a pure equi-join)
+// runs over candidate pairs laid out as joined rows. Each live stream lane
+// emits, in order, its matches along the key's chain — or, for Semi and
+// Anti, itself once — and, for Outer, a NULL-padded row when nothing
+// matched.
 func NewVecBroadcastJoin(spec BroadcastJoinSpec, keys []*vec.Program, residual *vec.Program) VecOp {
 	return &vecBroadcastJoin{BroadcastJoinSpec: spec, keys: keys, residual: residual}
+}
+
+func (j *vecBroadcastJoin) Programs() []*vec.Program {
+	if j.residual == nil {
+		return j.keys
+	}
+	return append(j.keys[:len(j.keys):len(j.keys)], j.residual)
 }
 
 func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
@@ -244,8 +163,8 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 	}
 	lanes, rows := j.probe(b, live)
 	if j.residual != nil && len(lanes) > 0 {
-		// The row form evaluates the residual on each candidate's joined
-		// row; this one lays every candidate out as one dense batch.
+		// The residual runs over every candidate laid out as one dense
+		// batch of joined rows.
 		cand := j.joined(b, lanes, rows, true)
 		keep := vec.FilterSel(cand, j.residual.Run(cand))
 		for n, k := range keep { // keep ascends, so k >= n: compaction in place
@@ -288,8 +207,7 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 }
 
 // probe returns the candidate pairs (stream lane, static row) of the live
-// lanes, in the order the row form visits them: lane by lane, and within a
-// lane along the key's chain. Keys hash straight off the key vectors, a
+// lanes, lane by lane, and within a lane along the key's chain. Keys hash straight off the key vectors, a
 // chunk of lanes at a time, and compare typed cells against the table's
 // key columns.
 func (j *vecBroadcastJoin) probe(b *vec.Batch, live []int32) (lanes, rows []int32) {

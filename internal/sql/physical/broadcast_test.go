@@ -29,13 +29,7 @@ func TestBroadcastTableChainsKeepArrivalOrder(t *testing.T) {
 	if table.Cols == nil || len(table.Cols) != 2 {
 		t.Fatalf("static side did not columnarize: %v", table.Cols)
 	}
-	chain := func(k sql.Value) []int32 {
-		var out []int32
-		for r := table.Lookup([]sql.Value{k}); r >= 0; r = table.Next(r) {
-			out = append(out, r)
-		}
-		return out
-	}
+	chain := func(k sql.Value) []int32 { return probeOne(t, table, k) }
 	for k, want := range map[sql.Value][]int32{"a": {0, 3, 5}, "b": {2}, "": {4, 7}, "zz": nil} {
 		if got := chain(k); !reflect.DeepEqual(got, want) {
 			t.Errorf("rows for key %q = %v, want %v", k, got, want)
@@ -50,19 +44,38 @@ func TestBroadcastTableChainsKeepArrivalOrder(t *testing.T) {
 		t.Error("a NULL-keyed row made the table non-unique")
 	}
 	empty := NewBroadcastTable(schema, nil, key)
-	if empty.Lookup([]sql.Value{"a"}) != -1 || !empty.unique {
+	if probeOne(t, empty, "a") != nil || !empty.unique {
 		t.Error("empty table matched a key")
 	}
-	if drifted := NewBroadcastTable(schema, []sql.Row{{"a", "not-an-int"}}, key); drifted.Cols != nil {
-		t.Error("a drifted static side must not offer columns to gather from")
+	// A drifted static side still has columns to gather from: the drifted
+	// one boxed, holding the cells as they are.
+	drifted := NewBroadcastTable(schema, []sql.Row{{"a", "not-an-int"}}, key)
+	if len(drifted.Cols) != 2 || drifted.Cols[0].Kind != vec.KindString || drifted.Cols[1].Kind != vec.KindAny || drifted.Cols[1].Anys[0] != "not-an-int" {
+		t.Errorf("a drifted static side's columns: %+v", drifted.Cols)
 	}
+}
+
+// probeOne lists the static rows the join's probe finds for a one-column
+// string key, in the order it emits them; nil for none.
+func probeOne(t *testing.T, table *BroadcastTable, k sql.Value) []int32 {
+	t.Helper()
+	schema := sql.NewSchema(sql.Field{Name: "k", Type: sql.TypeString})
+	prog, err := vec.Compile(sql.Col("k"), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &vecBroadcastJoin{BroadcastJoinSpec: BroadcastJoinSpec{Table: table}, keys: []*vec.Program{prog}}
+	_, rows := j.probe(vec.FromRows(schema, []sql.Row{{k}}), []int32{0})
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows
 }
 
 // TestBroadcastIndexMatchesEncoding holds the typed index to its contract:
 // a stream key finds exactly the static rows whose key has the same codec
-// encoding, in arrival order, whether the row stage (Lookup over the boxed
-// key) or the vector twin (probe over the key vectors) asks, and a key
-// with a NULL finds nothing. It runs once with the real hash and once with
+// encoding, in arrival order, whether the stream's key vectors are typed or
+// boxed (a drifted source), and a key with a NULL finds nothing. It runs once with the real hash and once with
 // every key forced onto one hash, where only the typed compare separates
 // keys.
 func TestBroadcastIndexMatchesEncoding(t *testing.T) {
@@ -129,9 +142,9 @@ func TestBroadcastIndexMatchesEncoding(t *testing.T) {
 		var keyProgs []*vec.Program
 		for c := 1; c <= nk; c++ {
 			staticEvals = append(staticEvals, func(r sql.Row) sql.Value { return r[c] })
-			prog, ok := vec.Compile(sql.Col(fmt.Sprintf("k%d", c-1)), streamSchema)
-			if !ok {
-				t.Fatalf("%s: stream key k%d does not compile", shape.name, c-1)
+			prog, err := vec.Compile(sql.Col(fmt.Sprintf("k%d", c-1)), streamSchema)
+			if err != nil {
+				t.Fatal(err)
 			}
 			keyProgs = append(keyProgs, prog)
 		}
@@ -161,9 +174,16 @@ func TestBroadcastIndexMatchesEncoding(t *testing.T) {
 		if shape.name != "int64-vs-float" && matched < len(streamRows)/4 {
 			t.Fatalf("%s: only %d of %d stream keys have a match", shape.name, matched, len(streamRows))
 		}
-		stream, ok := vec.FromRows(streamSchema, streamRows)
-		if !ok {
-			t.Fatalf("%s: stream rows do not columnarize", shape.name)
+		stream := vec.FromRows(streamSchema, streamRows)
+		// The same stream with every key column held boxed, as a drifted
+		// source hands it over.
+		boxed := vec.FromRows(streamSchema, streamRows)
+		for c := 1; c <= nk; c++ {
+			v := vec.NewVector(vec.KindAny, len(streamRows))
+			for i, r := range streamRows {
+				v.Anys[i] = r[c]
+			}
+			boxed.Cols[c] = v
 		}
 		for _, mask := range []uint64{^uint64(0), 0} {
 			keyHashMask = mask
@@ -181,18 +201,13 @@ func TestBroadcastIndexMatchesEncoding(t *testing.T) {
 			if table.unique == dup {
 				t.Errorf("%s (mask %x): table claims unique=%v", shape.name, mask, table.unique)
 			}
-			for i, sr := range streamRows {
-				var got []int32
-				for r := table.Lookup(sr[1 : 1+nk]); r >= 0; r = table.Next(r) {
-					got = append(got, r)
-				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("%s (mask %x): row probe of %v found %v, want %v", shape.name, mask, sr[1:], got, want[i])
-				}
-			}
 			j := &vecBroadcastJoin{BroadcastJoinSpec: BroadcastJoinSpec{Table: table}, keys: keyProgs}
-			for _, live := range [][]int32{allLanes(len(streamRows)), everyThird(len(streamRows))} {
-				lanes, rows := j.probe(stream, live)
+			for probe, live := range [][]int32{allLanes(len(streamRows)), everyThird(len(streamRows)), allLanes(len(streamRows))} {
+				in := stream
+				if probe == 2 {
+					in = boxed
+				}
+				lanes, rows := j.probe(in, live)
 				wantLanes, wantRows := []int32{}, []int32{}
 				for _, lane := range live {
 					for _, r := range want[lane] {

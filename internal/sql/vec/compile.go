@@ -1,47 +1,150 @@
 package vec
 
-import "structream/internal/sql"
+import (
+	"slices"
 
-// Program is a compiled vectorized expression. Run evaluates it to one
-// vector per batch, densely over [0, Len); the selection vector is
-// applied at stage boundaries (filters, materialization), not inside
-// kernels. Programs hold no per-batch state and are safe for concurrent
-// use across map tasks.
+	"structream/internal/sql"
+)
+
+// Program is a compiled expression over column batches. Run evaluates it
+// to one vector per batch: through its kernel chain, densely over [0, Len),
+// when every node has a kernel and every column it reads arrives in its
+// schema's kind; otherwise lane by lane over the live lanes through the
+// bound expression. The selection vector is applied at stage boundaries
+// (filters, materialization), not inside kernels. Programs hold no
+// per-batch state and are safe for concurrent use across map tasks.
 type Program struct {
-	Type sql.Type
-	run  func(*Batch) *Vector
+	Type   sql.Type
+	kernel func(*Batch) *Vector // nil when some node has no kernel
+	eval   func(sql.Row) sql.Value
+	col    int    // a bare column reference's position, else -1
+	reads  []int  // the columns the expression reads, ascending
+	kinds  []Kind // the kind the kernels expect of each
 }
 
-// Run evaluates the program over b.
-func (p *Program) Run(b *Batch) *Vector { return p.run(b) }
-
-// Compile translates an expression into a kernel chain against the given
-// input schema, reproducing exactly the semantics its Bind would have.
-// ok is false when any node falls outside the vectorizable subset
-// (column refs, literals, comparisons, arithmetic, AND/OR/NOT,
-// IS [NOT] NULL, negation) — the caller then falls back to the row path
-// for the whole pipeline stage. Compile must only be called on
-// expressions that Bind accepted against the same schema.
-func Compile(e sql.Expr, schema sql.Schema) (*Program, bool) {
-	n, ok := compileNode(e, schema)
-	if !ok {
-		return nil, false
+// Run evaluates the program over b. A bare column reference hands back the
+// column's vector as it arrived.
+func (p *Program) Run(b *Batch) *Vector {
+	if p.col >= 0 {
+		return b.Cols[p.col]
 	}
-	return &Program{Type: n.typ, run: n.vector}, true
+	if p.kernel == nil {
+		return p.lanes(b)
+	}
+	for i, c := range p.reads {
+		if b.Cols[c].Kind != p.kinds[i] {
+			return p.lanes(b) // a column drifted from its schema's kind
+		}
+	}
+	return p.kernel(b)
 }
 
-// CompileAll compiles every expression, failing as a unit (a stage
-// either runs fully vectorized or not at all).
-func CompileAll(exprs []sql.Expr, schema sql.Schema) ([]*Program, bool) {
+// Lanewise reports whether the program has no kernel chain: every batch
+// runs it lane by lane.
+func (p *Program) Lanewise() bool { return p.kernel == nil && p.col < 0 }
+
+// lanes evaluates the bound expression over b's live lanes, boxing the
+// columns it reads into one scratch row. The result is a vector of the
+// declared type's kind, or KindAny once a value does not fit that kind;
+// dead lanes hold garbage (NULL, in a boxed result).
+func (p *Program) lanes(b *Batch) *Vector {
+	row := make(sql.Row, len(b.Cols))
+	out := b.NewVector(KindOf(p.Type), b.Len)
+	if out.Kind == KindAny {
+		clear(out.Anys)
+	}
+	lane := func(i int) {
+		for _, c := range p.reads {
+			row[c] = b.Cols[c].Get(i)
+		}
+		v := p.eval(row)
+		if !out.put(i, v, b.Len) {
+			out = boxLanes(b, out, i)
+			out.Anys[i] = v
+		}
+	}
+	if b.Sel != nil {
+		for _, i := range b.Sel {
+			lane(int(i))
+		}
+	} else {
+		for i := 0; i < b.Len; i++ {
+			lane(i)
+		}
+	}
+	return out
+}
+
+// boxLanes copies the live lanes of v before lane stop into a boxed vector
+// drawn for b.
+func boxLanes(b *Batch, v *Vector, stop int) *Vector {
+	out := b.NewVector(KindAny, b.Len)
+	clear(out.Anys)
+	if b.Sel == nil {
+		for i := 0; i < stop; i++ {
+			out.Anys[i] = v.Get(i)
+		}
+		return out
+	}
+	for _, i := range b.Sel {
+		if int(i) == stop {
+			break
+		}
+		out.Anys[i] = v.Get(int(i))
+	}
+	return out
+}
+
+// Compile binds an expression against the given input schema and, where
+// every node falls inside the kernel subset (column refs, literals,
+// comparisons, LIKE, arithmetic, AND/OR/NOT, IS [NOT] NULL, negation),
+// translates it into a kernel chain reproducing exactly the semantics of its
+// Bind. Anything else — CASE, IN, CAST, function calls — runs lane by lane.
+// The error is Bind's.
+func Compile(e sql.Expr, schema sql.Schema) (*Program, error) {
+	bound, err := e.Bind(schema)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{Type: bound.Type, eval: bound.Eval, col: -1}
+	sql.WalkExpr(e, func(x sql.Expr) {
+		if c, ok := x.(*sql.Column); ok {
+			if idx, err := schema.Resolve(c.Name); err == nil && !slices.Contains(p.reads, idx) {
+				p.reads = append(p.reads, idx)
+			}
+		}
+	})
+	slices.Sort(p.reads)
+	for _, c := range p.reads {
+		p.kinds = append(p.kinds, KindOf(schema.Field(c).Type))
+	}
+	for x := e; ; {
+		a, ok := x.(*sql.Alias)
+		if !ok {
+			if c, ok := x.(*sql.Column); ok {
+				p.col, _ = schema.Resolve(c.Name)
+			}
+			break
+		}
+		x = a.Child
+	}
+	if n, ok := compileNode(e, schema); ok {
+		p.kernel = n.vector
+	}
+	return p, nil
+}
+
+// CompileAll compiles every expression.
+func CompileAll(exprs []sql.Expr, schema sql.Schema) ([]*Program, error) {
 	progs := make([]*Program, len(exprs))
 	for i, e := range exprs {
-		p, ok := Compile(e, schema)
-		if !ok {
-			return nil, false
+		p, err := Compile(e, schema)
+		if err != nil {
+			return nil, err
 		}
 		progs[i] = p
 	}
-	return progs, true
+	return progs, nil
 }
 
 // node is one compiled sub-expression. Constants stay unmaterialized so
@@ -110,7 +213,7 @@ func compileNode(e sql.Expr, schema sql.Schema) (node, bool) {
 		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 			return compileComparison(x.Op, l, r)
 		case sql.OpLike:
-			return node{}, false
+			return compileLike(l, r)
 		default:
 			return compileArith(x.Op, l, r)
 		}
@@ -121,7 +224,7 @@ func compileNode(e sql.Expr, schema sql.Schema) (node, bool) {
 		}
 		return compileUnary(x.Op, c)
 	default:
-		// CASE, IN, CAST, LIKE, functions, window exprs: row path.
+		// CASE, IN, CAST, LIKE, functions, window exprs: lane by lane.
 		return node{}, false
 	}
 }
@@ -206,9 +309,41 @@ func compileComparison(op sql.BinOp, l, r node) (node, bool) {
 		}), true
 	default:
 		// Window/Any operands would take sql.Compare's reflective paths;
-		// leave them to the row path.
+		// they run lane by lane.
 		return node{}, false
 	}
+}
+
+// compileLike matches strings against LIKE patterns; a NULL operand makes
+// every lane NULL, as the bound form's failed string assertion does.
+func compileLike(l, r node) (node, bool) {
+	if l.constNull() || r.constNull() {
+		return allNullNode(sql.TypeBool), true
+	}
+	if KindOf(l.typ) != KindString || KindOf(r.typ) != KindString {
+		return node{}, false
+	}
+	if r.isConst {
+		pattern := r.constVal.(string)
+		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
+			av := l.vector(b)
+			out := b.NewVector(KindBool, b.Len)
+			for i, s := range av.Strings[:b.Len] {
+				out.Bools[i] = sql.LikeMatch(s, pattern)
+			}
+			out.Nulls = av.Nulls
+			return out
+		}}, true
+	}
+	return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {
+		av, pv := l.vector(b), r.vector(b)
+		out := b.NewVector(KindBool, b.Len)
+		for i := 0; i < b.Len; i++ {
+			out.Bools[i] = sql.LikeMatch(av.Strings[i], pv.Strings[i])
+		}
+		out.Nulls = UnionNulls(b.Len, av.Nulls, pv.Nulls)
+		return out
+	}}, true
 }
 
 // strEqNode wires string = / <> to the equality kernels, constant-aware
@@ -574,9 +709,9 @@ func compileUnary(op sql.UnOp, c node) (node, bool) {
 			return allNullNode(sql.TypeBool), true
 		}
 		if KindOf(c.typ) != KindBool {
-			// Row path returns nil for non-bool values; for typed columns
-			// that means every lane, but Bind only produces NOT over bool
-			// or null — anything else goes to the row path.
+			// Bind returns nil for non-bool values; for typed columns that
+			// means every lane, but Bind only produces NOT over bool or
+			// null — anything else runs lane by lane.
 			return node{}, false
 		}
 		return node{typ: sql.TypeBool, run: func(b *Batch) *Vector {

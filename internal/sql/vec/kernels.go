@@ -338,8 +338,27 @@ func asFloat64s(b *Batch, v *Vector) []float64 {
 // FilterSel returns the live positions where cond is TRUE (not false,
 // not NULL), respecting the batch's existing selection, in a slab drawn
 // for b. The result is always non-nil: an empty selection means "no
-// rows", while a nil Batch.Sel means "all rows".
+// rows", while a nil Batch.Sel means "all rows". A boxed condition keeps
+// the lanes holding true, as a failed bool assertion drops the others.
 func FilterSel(b *Batch, cond *Vector) []int32 {
+	if cond.Kind == KindAny {
+		out := b.NewSel(b.NumLive())[:0]
+		keep := func(i int) {
+			if t, ok := cond.Anys[i].(bool); ok && t {
+				out = append(out, int32(i))
+			}
+		}
+		if b.Sel != nil {
+			for _, i := range b.Sel {
+				keep(int(i))
+			}
+		} else {
+			for i := 0; i < b.Len; i++ {
+				keep(i)
+			}
+		}
+		return out
+	}
 	cb := cond.Bools
 	if b.Sel == nil && cond.Nulls == nil {
 		// Dense and null-free: every lane writes its index and the cursor
@@ -386,9 +405,23 @@ func FilterSel(b *Batch, cond *Vector) []int32 {
 // int64 lanes over [0, n) in one pass: the per-task event-time telemetry
 // over the raw, unfiltered batch. The sum is a float64 (µs timestamps summed
 // over millions of rows overflow int64) added lane by lane in order, so it
-// is the row path's sum bit for bit. lo and hi are 0 when no lane counts;
-// a vector of another kind has none (the row path's type assertion).
+// is a row-by-row sum bit for bit. lo and hi are 0 when no lane counts. A
+// boxed vector counts its int64 cells; a vector of another kind has none
+// (an int64 type assertion's verdict).
 func Int64Stats(v *Vector, n int) (lo, hi int64, sum float64, count int64) {
+	if v.Kind == KindAny {
+		for _, x := range v.Anys[:n] {
+			if ts, ok := x.(int64); ok {
+				if count == 0 {
+					lo, hi = ts, ts
+				}
+				lo, hi = min(lo, ts), max(hi, ts)
+				sum += float64(ts)
+				count++
+			}
+		}
+		return lo, hi, sum, count
+	}
 	if v.Kind != KindInt64 || n == 0 {
 		return 0, 0, 0, 0
 	}

@@ -11,7 +11,7 @@ import (
 // The map side's one typed key hash. The partial aggregate finds a lane's
 // group by it, and the broadcast join finds a key's static rows by it: both
 // hash a key straight off its typed cells, a word per cell, and confirm a
-// candidate with a typed compare (KeysEqual, ValuesEqual) that holds
+// candidate with a typed compare (KeysEqual) that holds
 // exactly when the two keys' codec encodings are equal. The hash never
 // leaves the table it indexes — rows and groups cross the exchange by the
 // FNV hash of their encoding — so its seed may be random and nothing
@@ -178,46 +178,6 @@ func KeysEqual(a []*Vector, i int, b []*Vector, j int) bool {
 			}
 		case KindWindow:
 			if x.WStarts[i] != y.WStarts[j] || x.WEnds[i] != y.WEnds[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ValuesEqual is KeysEqual for a boxed key against the key at lane j of b.
-func ValuesEqual(vals []sql.Value, b []*Vector, j int) bool {
-	for c, v := range vals {
-		y := b[c]
-		if y.Kind == KindAny || y.Nulls.Get(j) {
-			if !encodeEqual(v, y.Get(j)) {
-				return false
-			}
-			continue
-		}
-		switch x := v.(type) {
-		case int64:
-			if y.Kind != KindInt64 || y.Int64s[j] != x {
-				return false
-			}
-		case float64:
-			if y.Kind != KindFloat64 || math.Float64bits(y.Float64s[j]) != math.Float64bits(x) {
-				return false
-			}
-		case bool:
-			if y.Kind != KindBool || y.Bools[j] != x {
-				return false
-			}
-		case string:
-			if y.Kind != KindString || y.Strings[j] != x {
-				return false
-			}
-		case sql.Window:
-			if y.Kind != KindWindow || y.WStarts[j] != x.Start || y.WEnds[j] != x.End {
-				return false
-			}
-		default:
-			if !encodeEqual(v, y.Get(j)) {
 				return false
 			}
 		}

@@ -98,10 +98,7 @@ func TestKernelsIgnorePoisonedSlabs(t *testing.T) {
 		}
 		rows[r] = row
 	}
-	clean, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed on schema-conforming rows")
-	}
+	clean := FromRows(schema, rows)
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
@@ -140,8 +137,8 @@ func TestKernelsIgnorePoisonedSlabs(t *testing.T) {
 		"concat":               sql.Add(col("s"), col("u")),
 	}
 	for name, e := range exprs {
-		prog, ok := Compile(e, schema)
-		if !ok {
+		prog, err := Compile(e, schema)
+		if err != nil || prog.Lanewise() {
 			t.Fatalf("%s: %s does not compile", name, e)
 		}
 		pb := poisonedBatch(clean)

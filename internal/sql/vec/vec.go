@@ -9,12 +9,13 @@
 // left is at the row/column boundary where downstream operators still
 // need []sql.Value rows.
 //
-// Semantics contract: every kernel reproduces the row path's observable
-// behaviour exactly — NULL propagation, the NaN comparison quirk of
-// sql.Compare, integer overflow wrap, division always producing float64
-// with a NULL on zero divisors — so the engine can switch paths per
-// batch without changing results. Anything outside the supported subset
-// fails compilation and the caller falls back to the row path.
+// Semantics contract: every kernel reproduces its bound expression's
+// observable behaviour exactly — NULL propagation, the NaN comparison quirk
+// of sql.Compare, integer overflow wrap, division always producing float64
+// with a NULL on zero divisors — so a program can switch between its kernels
+// and its lane-by-lane form per batch without changing results. An
+// expression outside the kernel subset, or a batch whose columns drifted
+// from their schema kinds, runs lane by lane.
 package vec
 
 import "structream/internal/sql"
@@ -230,9 +231,8 @@ func (b *Batch) NumLive() int {
 // AppendRows materializes the batch's live rows as boxed sql.Rows onto
 // dst. It is the one row/column boundary: each cell boxes once, all rows
 // share one backing slab, and consecutive equal windows share one boxed
-// sql.Window. The shuffle, the row stages after a sealed vector prefix and
-// the sinks that consume column batches lazily all render through it, so
-// they produce the same rows the row path would have delivered.
+// sql.Window. The shuffle and the sinks that consume column batches lazily
+// both render through it.
 func (b *Batch) AppendRows(dst []sql.Row) []sql.Row {
 	live := b.NumLive()
 	if live == 0 {
@@ -268,98 +268,66 @@ func (b *Batch) AppendRows(dst []sql.Row) []sql.Row {
 	return dst
 }
 
-// FromRows converts boxed rows into a column batch. ok is false when a
-// row's arity differs from the schema or a cell's dynamic type does not
-// match its column's vector kind — the caller must then fall back to the
-// row path for the whole batch (sources do not validate dynamic types,
-// so the row path tolerates drifted data and the vector path must not
-// silently change it).
-func FromRows(schema sql.Schema, rows []sql.Row) (*Batch, bool) {
+// FromRows converts boxed rows into a column batch. A column whose cells
+// do not all fit its schema kind — sources do not check dynamic types, so
+// data may drift — is held boxed (KindAny), the cells as they are. Every row
+// must have the schema's arity; sources refuse rows that do not.
+func FromRows(schema sql.Schema, rows []sql.Row) *Batch {
 	n := len(rows)
-	ncols := schema.Len()
-	for _, r := range rows {
-		if len(r) != ncols {
-			return nil, false
-		}
-	}
-	b := &Batch{Schema: schema, Cols: make([]*Vector, ncols), Len: n}
-	for c := 0; c < ncols; c++ {
+	b := &Batch{Schema: schema, Cols: make([]*Vector, schema.Len()), Len: n}
+	for c := range b.Cols {
 		v := NewVector(KindOf(schema.Field(c).Type), n)
-		if !fillFromRows(v, rows, c) {
-			return nil, false
+		for i, r := range rows {
+			if !v.put(i, r[c], n) {
+				v = NewVector(KindAny, n)
+				for i, r := range rows {
+					v.Anys[i] = r[c]
+				}
+				break
+			}
 		}
 		b.Cols[c] = v
 	}
-	return b, true
+	return b
 }
 
-func fillFromRows(v *Vector, rows []sql.Row, c int) bool {
-	n := len(rows)
-	switch v.Kind {
-	case KindInt64:
-		dst := v.Int64s
-		for i, r := range rows {
-			switch x := r[c].(type) {
-			case int64:
-				dst[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
+// put stores x at position i of an n-slot vector; false when x does not fit
+// the vector's kind. A boxed vector takes any value.
+func (v *Vector) put(i int, x sql.Value, n int) bool {
+	if v.Kind == KindAny {
+		v.Anys[i] = x
+		return true
+	}
+	switch x := x.(type) {
+	case nil:
+		v.SetNull(i, n)
+	case int64:
+		if v.Kind != KindInt64 {
+			return false
 		}
-	case KindFloat64:
-		dst := v.Float64s
-		for i, r := range rows {
-			switch x := r[c].(type) {
-			case float64:
-				dst[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
+		v.Int64s[i] = x
+	case float64:
+		if v.Kind != KindFloat64 {
+			return false
 		}
-	case KindBool:
-		dst := v.Bools
-		for i, r := range rows {
-			switch x := r[c].(type) {
-			case bool:
-				dst[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
+		v.Float64s[i] = x
+	case bool:
+		if v.Kind != KindBool {
+			return false
 		}
-	case KindString:
-		dst := v.Strings
-		for i, r := range rows {
-			switch x := r[c].(type) {
-			case string:
-				dst[i] = x
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
+		v.Bools[i] = x
+	case string:
+		if v.Kind != KindString {
+			return false
 		}
-	case KindWindow:
-		for i, r := range rows {
-			switch x := r[c].(type) {
-			case sql.Window:
-				v.WStarts[i] = x.Start
-				v.WEnds[i] = x.End
-			case nil:
-				v.SetNull(i, n)
-			default:
-				return false
-			}
+		v.Strings[i] = x
+	case sql.Window:
+		if v.Kind != KindWindow {
+			return false
 		}
-	case KindAny:
-		for i, r := range rows {
-			v.Anys[i] = r[c]
-		}
+		v.WStarts[i], v.WEnds[i] = x.Start, x.End
+	default:
+		return false
 	}
 	return true
 }

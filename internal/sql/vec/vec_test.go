@@ -121,31 +121,40 @@ func TestProgramMatchesRowEval(t *testing.T) {
 	schema := testSchema()
 	rng := rand.New(rand.NewSource(7))
 	rows := randRows(rng, 97)
-	batch, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed on schema-conforming rows")
+	batch := FromRows(schema, rows)
+	// The same rows with column i held boxed, as a drifted source hands
+	// them over: every program that reads i runs lane by lane.
+	drifted := FromRows(schema, rows)
+	boxed := NewVector(KindAny, len(rows))
+	for r, row := range rows {
+		boxed.Anys[r] = row[0]
 	}
+	drifted.Cols[0] = boxed
 	compiled := 0
 	for trial := 0; trial < 500; trial++ {
 		e := randExpr(rng, 3)
-		prog, ok := Compile(e, schema)
-		if !ok {
-			continue
+		prog, err := Compile(e, schema)
+		if err != nil {
+			continue // the generator draws some expressions Bind refuses
 		}
-		compiled++
+		if !prog.Lanewise() {
+			compiled++
+		}
 		bound, err := e.Bind(schema)
 		if err != nil {
 			t.Fatalf("%s: bind: %v", e, err)
 		}
-		v := prog.Run(batch)
-		for i, row := range rows {
-			want := normalize(bound.Eval(row))
-			got := normalize(v.Get(i))
-			// The row path leaves int64 timestamps as int64; kernels
-			// agree, so plain equality suffices.
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: row %d (%v): row path %v (%T), kernel %v (%T)",
-					e, i, row, want, want, got, got)
+		for _, b := range []*Batch{batch, drifted} {
+			v := prog.Run(b)
+			for i, row := range rows {
+				want := normalize(bound.Eval(row))
+				got := normalize(v.Get(i))
+				// The bound expression leaves int64 timestamps as int64;
+				// kernels agree, so plain equality suffices.
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: row %d (%v): bound %v (%T), program %v (%T)",
+						e, i, row, want, want, got, got)
+				}
 			}
 		}
 	}
@@ -155,17 +164,69 @@ func TestProgramMatchesRowEval(t *testing.T) {
 }
 
 // TestCompileRejectsRowOnlyExprs pins the fallback contract: expression
-// forms outside the kernel set must refuse to compile (the pipeline
-// compiler then seals the vector plan and the row path takes over).
+// forms outside the kernel set get no kernel chain, and their programs run
+// lane by lane over the live lanes only, yielding the bound expression's
+// values.
 func TestCompileRejectsRowOnlyExprs(t *testing.T) {
 	schema := testSchema()
+	rows := randRows(rand.New(rand.NewSource(5)), 40)
+	b := FromRows(schema, rows)
+	b.Sel = []int32{3, 7, 8, 21, 39}
 	rowOnly := []sql.Expr{
-		sql.NewBinary(sql.OpLike, sql.Col("s"), sql.Lit("a%")),
+		sql.NewFunc("upper", sql.Col("s")),
 		sql.NewCast(sql.Col("i"), sql.TypeString),
+		// A CASE whose arms disagree with its declared type leaves a
+		// boxed vector.
+		&sql.Case{Whens: []sql.WhenClause{{When: sql.Col("b"), Then: sql.Col("i")}}, Else: sql.Col("f")},
 	}
 	for _, e := range rowOnly {
-		if _, ok := Compile(e, schema); ok {
-			t.Errorf("%s: compiled, want row-path fallback", e)
+		prog, err := Compile(e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !prog.Lanewise() {
+			t.Errorf("%s: has a kernel chain, want lane by lane", e)
+		}
+		bound, _ := e.Bind(schema)
+		v := prog.Run(b)
+		for _, i := range b.Sel {
+			if want, got := normalize(bound.Eval(rows[i])), normalize(v.Get(int(i))); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: lane %d: bound %v, program %v", e, i, want, got)
+			}
+		}
+	}
+}
+
+// TestLikeMatchesRowEval: the LIKE kernels, against a constant pattern and
+// lane against lane, give the bound expression's value at every lane,
+// NULLs included.
+func TestLikeMatchesRowEval(t *testing.T) {
+	schema := sql.NewSchema(sql.Field{Name: "s", Type: sql.TypeString}, sql.Field{Name: "p", Type: sql.TypeString})
+	vals := []sql.Value{nil, "", "a", "ab", "abc", "ba", "a%b", "x_z", "xyz"}
+	pats := []sql.Value{nil, "", "%", "a%", "%b", "_b%", "a_c", "%%c", "x_z_", "xyz"}
+	var rows []sql.Row
+	for _, v := range vals {
+		for _, p := range pats {
+			rows = append(rows, sql.Row{v, p})
+		}
+	}
+	b := FromRows(schema, rows)
+	for _, e := range []sql.Expr{
+		sql.NewBinary(sql.OpLike, sql.Col("s"), sql.Col("p")),
+		sql.NewBinary(sql.OpLike, sql.Col("s"), sql.Lit("a%")),
+		sql.NewBinary(sql.OpLike, sql.Lit("abc"), sql.Col("p")),
+		sql.NewBinary(sql.OpLike, sql.Col("s"), &sql.Literal{Type: sql.TypeNull}),
+	} {
+		prog, err := Compile(e, schema)
+		if err != nil || prog.Lanewise() {
+			t.Fatalf("%s: no kernel chain (%v)", e, err)
+		}
+		bound, _ := e.Bind(schema)
+		v := prog.Run(b)
+		for i, row := range rows {
+			if want, got := bound.Eval(row), v.Get(i); want != got {
+				t.Fatalf("%s over %v: bound %v, kernel %v", e, row, want, got)
+			}
 		}
 	}
 }
@@ -174,10 +235,7 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	schema := testSchema()
 	rng := rand.New(rand.NewSource(11))
 	rows := randRows(rng, 64)
-	b, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	b := FromRows(schema, rows)
 	got := b.AppendRows(nil)
 	if len(got) != len(rows) {
 		t.Fatalf("round trip length %d, want %d", len(got), len(rows))
@@ -191,22 +249,40 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromRowsTypeDrift: a column whose cells drift from its schema kind
+// is held boxed, each cell as it came — an int in a float column stays the
+// dynamic int64, not a converted float — and the other columns stay typed.
 func TestFromRowsTypeDrift(t *testing.T) {
 	schema := testSchema()
 	rows := randRows(rand.New(rand.NewSource(3)), 8)
 	rows[5] = rows[5].Clone()
 	rows[5][0] = "not an int"
-	if _, ok := FromRows(schema, rows); ok {
-		t.Fatal("FromRows accepted a string in an int64 column")
+	rows[0] = rows[0].Clone()
+	rows[0][2] = int64(3)
+	b := FromRows(schema, rows)
+	for c, v := range b.Cols {
+		if want := map[int]Kind{0: KindAny, 2: KindAny}[c]; c != 0 && c != 2 {
+			if v.Kind != KindOf(schema.Field(c).Type) {
+				t.Fatalf("column %d: kind %d, want its schema's", c, v.Kind)
+			}
+		} else if v.Kind != want {
+			t.Fatalf("drifted column %d: kind %d, want boxed", c, v.Kind)
+		}
 	}
-	// int into a float column is also drift — the row path would have
-	// surfaced the dynamic int64, not a converted float.
-	rows2 := randRows(rand.New(rand.NewSource(4)), 8)
-	rows2[0] = rows2[0].Clone()
-	rows2[0][2] = int64(3)
-	if _, ok := FromRows(schema, rows2); ok {
-		t.Fatal("FromRows accepted an int64 in a float64 column")
+	got := b.AppendRows(nil)
+	for i := range rows {
+		if !reflect.DeepEqual(normalizeRow(rows[i]), normalizeRow(got[i])) {
+			t.Fatalf("row %d: %v round-trips as %v", i, rows[i], got[i])
+		}
 	}
+}
+
+func normalizeRow(r sql.Row) sql.Row {
+	out := make(sql.Row, len(r))
+	for i, v := range r {
+		out[i] = normalize(v)
+	}
+	return out
 }
 
 // TestAppendRowsSelection checks the selection vector drives
@@ -214,10 +290,7 @@ func TestFromRowsTypeDrift(t *testing.T) {
 func TestAppendRowsSelection(t *testing.T) {
 	schema := sql.Schema{Fields: []sql.Field{{Name: "i", Type: sql.TypeInt64}}}
 	rows := []sql.Row{{int64(10)}, {int64(11)}, {nil}, {int64(13)}}
-	b, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	b := FromRows(schema, rows)
 	b.Sel = []int32{3, 0}
 	got := b.AppendRows(nil)
 	want := []sql.Row{{int64(13)}, {int64(10)}}
@@ -274,12 +347,9 @@ func TestFilterSel(t *testing.T) {
 	rows := []sql.Row{
 		{int64(0), true}, {int64(1), false}, {int64(2), nil}, {int64(3), true},
 	}
-	b, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
-	prog, ok := Compile(sql.Col("b"), b.Schema)
-	if !ok {
+	b := FromRows(schema, rows)
+	prog, err := Compile(sql.Col("b"), b.Schema)
+	if err != nil || prog.Lanewise() {
 		t.Fatal("column pick did not compile")
 	}
 	sel := FilterSel(b, prog.Run(b))
@@ -376,10 +446,7 @@ func TestStringEqualityMatchesRowEval(t *testing.T) {
 			rows = append(rows, sql.Row{a, b})
 		}
 	}
-	batch, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed on schema-conforming rows")
-	}
+	batch := FromRows(schema, rows)
 	for _, op := range []sql.BinOp{sql.OpEq, sql.OpNe} {
 		for name, e := range map[string]sql.Expr{
 			"vec-vec":   sql.NewBinary(op, sql.Col("s"), sql.Col("u")),
@@ -387,8 +454,8 @@ func TestStringEqualityMatchesRowEval(t *testing.T) {
 			"const-vec": sql.NewBinary(op, sql.Lit("ab"), sql.Col("u")),
 			"vec-empty": sql.NewBinary(op, sql.Col("s"), sql.Lit("")),
 		} {
-			prog, ok := Compile(e, schema)
-			if !ok {
+			prog, err := Compile(e, schema)
+			if err != nil || prog.Lanewise() {
 				t.Fatalf("%s: %s did not compile", name, e)
 			}
 			bound, err := e.Bind(schema)
@@ -444,10 +511,7 @@ func TestEqStrConstMatchesEquality(t *testing.T) {
 				rows = append(rows, sql.Row{nil})
 			}
 		}
-		batch, ok := FromRows(schema, rows)
-		if !ok {
-			t.Fatal("FromRows failed on schema-conforming rows")
-		}
+		batch := FromRows(schema, rows)
 		for i, r := range rows {
 			if r[0] == nil {
 				batch.Cols[0].Strings[i] = strings.Clone(lit) // a NULL slot holding the literal
@@ -455,8 +519,8 @@ func TestEqStrConstMatchesEquality(t *testing.T) {
 		}
 		for _, op := range []sql.BinOp{sql.OpEq, sql.OpNe} {
 			e := sql.NewBinary(op, sql.Col("s"), sql.Lit(lit))
-			prog, ok := Compile(e, schema)
-			if !ok {
+			prog, err := Compile(e, schema)
+			if err != nil || prog.Lanewise() {
 				t.Fatalf("%s did not compile", e)
 			}
 			bound, err := e.Bind(schema)
@@ -499,10 +563,7 @@ func TestFilterSelDenseMatchesReference(t *testing.T) {
 func TestGather(t *testing.T) {
 	schema := testSchema()
 	rows := randRows(rand.New(rand.NewSource(11)), 40)
-	src, ok := FromRows(schema, rows)
-	if !ok {
-		t.Fatal("FromRows failed")
-	}
+	src := FromRows(schema, rows)
 	anys := NewVector(KindAny, len(rows))
 	wins := NewVector(KindWindow, len(rows))
 	for i, r := range rows {
