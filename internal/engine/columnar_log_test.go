@@ -131,7 +131,7 @@ func TestYahooQueryRunsColumnarFromTheLog(t *testing.T) {
 		if err := sq.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		if got := renderRows(sink.Rows(), false); !reflect.DeepEqual(got, golden) {
+		if got := fixtureLines(sink.Rows(), false); !reflect.DeepEqual(got, golden) {
 			t.Fatalf("workers=%d: the sink holds other rows than the parent's:\n got  %v\n want %v", workers, got, golden)
 		}
 	}
@@ -433,7 +433,7 @@ func TestRecycledBatchesSurvivePoison(t *testing.T) {
 			}
 			golden := readRowPathFixture(t, "poison-"+strings.ReplaceAll(tc.name, " ", "-"))
 			got, log, derived := run()
-			if rendered := renderRows(got, false); !reflect.DeepEqual(rendered, golden) {
+			if rendered := fixtureLines(got, false); !reflect.DeepEqual(rendered, golden) {
 				t.Fatalf("poisoned pool: the sink holds other rows than the parent's:\n got  %v\n want %v", rendered, golden)
 			}
 			for _, kind := range derivedKinds[tc.name] {

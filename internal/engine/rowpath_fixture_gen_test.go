@@ -21,12 +21,12 @@ import (
 
 // The files under testdata/parent-rowpath were written by the last commit
 // whose map tasks still ran row stages after a sealed vector plan, or for a
-// whole drifted batch (97d0771): what its sinks held after the runs below,
+// whole drifted batch (bf8e4a4): what its sinks held after the runs below,
 // the bytes its own tests had held equal to its row stages'. This file is
 // their definition and compiles at that commit too, which is how they were
 // produced:
 //
-//	cp rowpath_fixture_gen_test.go <checkout of 97d0771>/internal/engine/
+//	cp rowpath_fixture_gen_test.go <checkout of bf8e4a4>/internal/engine/
 //	ROWPATH_WRITE_FIXTURE=<dir> go test -run TestWriteRowPathFixture ./internal/engine
 //
 // The tests that once compared the current code against a row-stage run of
@@ -54,8 +54,8 @@ func renderFiles(files map[string][]byte) []string {
 	return out
 }
 
-// renderRows renders rows, one line each; sorted renders them as a multiset.
-func renderRows(rows []sql.Row, sorted bool) []string {
+// fixtureLines renders rows, one line each; sorted renders them as a multiset.
+func fixtureLines(rows []sql.Row, sorted bool) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = r.String()
@@ -68,10 +68,10 @@ func renderRows(rows []sql.Row, sorted bool) []string {
 
 // renderEpochs renders a memory sink's rows, then its rows epoch by epoch.
 func renderEpochs(sink *sinks.MemorySink, epochs int, sorted bool) []string {
-	out := append([]string{"all"}, renderRows(sink.Rows(), sorted)...)
+	out := append([]string{"all"}, fixtureLines(sink.Rows(), sorted)...)
 	for e := 0; e < epochs; e++ {
 		out = append(out, fmt.Sprint("epoch ", e))
-		out = append(out, renderRows(sink.RowsForEpoch(int64(e)), sorted)...)
+		out = append(out, fixtureLines(sink.RowsForEpoch(int64(e)), sorted)...)
 	}
 	return out
 }
@@ -310,10 +310,10 @@ func rowPathFixtures() []rowPathFixture {
 		{"yahoo-log", func(t *testing.T) []string {
 			sink := sinks.NewMemorySink()
 			prunedScanRun(t, yahooQuery(t), sources.NewCodecBusSource("ad_events", adTopic(t, yahooLogRecords()), adSchema), sink, 1, 1000)
-			return renderRows(sink.Rows(), false)
+			return fixtureLines(sink.Rows(), false)
 		}},
 		{"small-triggers", func(t *testing.T) []string {
-			return renderRows(smallTriggerRun(t, 0).Rows(), false)
+			return fixtureLines(smallTriggerRun(t, 0).Rows(), false)
 		}},
 	}
 	for _, c := range poisonCases() {
@@ -336,7 +336,7 @@ func rowPathFixtures() []rowPathFixture {
 			if err := sq.Stop(); err != nil {
 				t.Fatal(err)
 			}
-			return renderRows(mem.Rows(), false)
+			return fixtureLines(mem.Rows(), false)
 		}})
 	}
 	shapes := statefulShapes()

@@ -77,7 +77,7 @@ func TestStatefulVectorizeSmallTriggers(t *testing.T) {
 				oracle.epoch(rows[i:min(i+smallTriggerPerEpoch, len(rows))])
 			}
 			oracle.check(t, sink.Rows(), "after the backlog")
-			if got := renderRows(sink.Rows(), false); !reflect.DeepEqual(got, golden) {
+			if got := fixtureLines(sink.Rows(), false); !reflect.DeepEqual(got, golden) {
 				t.Fatalf("the sink holds other rows than the parent's:\n got  %v\n want %v", got, golden)
 			}
 		})

@@ -98,11 +98,12 @@ func TestVectorizeOnOffIdentical(t *testing.T) {
 	}
 }
 
-// TestExplodeAndKeyedRowsMatchTheOracle covers the two stages that once had
-// no columnar form: sliding-window assignment, which explodes each lane into
-// one per window, and the key prefix a flatMapGroupsWithState input row
-// gets. The sink must hold the batch query's rows after every epoch.
-func TestExplodeAndKeyedRowsMatchTheOracle(t *testing.T) {
+// TestRowStagesMatchTheOracle covers the two stages that were row stages
+// only until they got a columnar form: sliding-window assignment, which
+// explodes each lane into one per window, and the key prefix a
+// flatMapGroupsWithState input row gets. The sink must hold the batch
+// query's rows after every epoch.
+func TestRowStagesMatchTheOracle(t *testing.T) {
 	epochs := [][]sql.Row{
 		{{"a", 5.0, 1 * sec}, {"b", -2.0, 2 * sec}, {nil, 7.5, 3 * sec}, {"a", 1.0, 12 * sec}},
 		{{"c", 4.0, 4 * sec}, {"d", 0.0, 25 * sec}, {"b", 3.0, nil}},
@@ -208,15 +209,18 @@ func TestVectorizeTypeDriftFallsBack(t *testing.T) {
 	plan := &logical.Project{
 		Child: &logical.Filter{Child: streamScan("events"),
 			Cond: sql.IsNotNull(sql.Col("k"))},
-		Exprs: []sql.Expr{sql.Col("k"), sql.Col("v")},
+		// The CASE hands the drifted cell back as it is, which no float64
+		// vector holds: its lane-wise result turns boxed mid-batch.
+		Exprs: []sql.Expr{sql.Col("k"), sql.Col("v"), sql.As(&sql.Case{
+			Whens: []sql.WhenClause{{When: sql.IsNotNull(sql.Col("v")), Then: sql.Col("v")}}}, "vc")},
 	}
 	epochs := [][]sql.Row{
 		{{"a", 1.5, 1 * sec}},
-		{{"drift", int64(3), 2 * sec}, {"b", 2.5, 3 * sec}}, // int64 in float column
+		{{"b", 2.5, 3 * sec}, {"drift", int64(3), 2 * sec}}, // int64 in float column
 		{{"c", 4.0, 4 * sec}},
 	}
 	sink := runEpochs(t, plan, logical.Append, epochs)
-	if rows := sink.RowsForEpoch(1); len(rows) != 2 || rows[0][1] != int64(3) {
+	if rows := sink.RowsForEpoch(1); len(rows) != 2 || rows[1][1] != int64(3) || rows[1][2] != int64(3) || rows[0][2] != 2.5 {
 		t.Fatalf("the drifted epoch delivered %v, want its int64 cell as it came", rows)
 	}
 }

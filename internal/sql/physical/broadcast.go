@@ -207,9 +207,9 @@ func (j *vecBroadcastJoin) Apply(b *vec.Batch) *vec.Batch {
 }
 
 // probe returns the candidate pairs (stream lane, static row) of the live
-// lanes, lane by lane, and within a lane along the key's chain. Keys hash straight off the key vectors, a
-// chunk of lanes at a time, and compare typed cells against the table's
-// key columns.
+// lanes, lane by lane, and within a lane along the key's chain. Keys hash
+// straight off the key vectors, a chunk of lanes at a time, and compare
+// typed cells against the table's key columns.
 func (j *vecBroadcastJoin) probe(b *vec.Batch, live []int32) (lanes, rows []int32) {
 	keys := make([]*vec.Vector, len(j.keys))
 	for i, prog := range j.keys {

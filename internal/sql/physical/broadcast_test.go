@@ -75,9 +75,9 @@ func probeOne(t *testing.T, table *BroadcastTable, k sql.Value) []int32 {
 // TestBroadcastIndexMatchesEncoding holds the typed index to its contract:
 // a stream key finds exactly the static rows whose key has the same codec
 // encoding, in arrival order, whether the stream's key vectors are typed or
-// boxed (a drifted source), and a key with a NULL finds nothing. It runs once with the real hash and once with
-// every key forced onto one hash, where only the typed compare separates
-// keys.
+// boxed (a drifted source), and a key with a NULL finds nothing. It runs
+// once with the real hash and once with every key forced onto one hash,
+// where only the typed compare separates keys.
 func TestBroadcastIndexMatchesEncoding(t *testing.T) {
 	defer func(m uint64) { keyHashMask = m }(keyHashMask)
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)

@@ -238,6 +238,7 @@ stale="$stale"'|TryCompile''Vec|vecFused''Op|Vec''Source|Next''Vec|ReadSegment''
 stale="$stale"'|Stage''Factory|Row''Emit|Process''To|instantiate''From|Partition''Of'
 stale="$stale"'|vec\.Sum''Int64|vec\.Max''Int64|vec\.Min''Int64'
 stale="$stale"'|EmitBatch''Rows|column''Getter|Record''Decoder|NewBus''Source\('
+stale="$stale"'|FullyVector''ized|Watermark''Eval|append''Stage|lookup''Hashed|row''Path\('
 if git grep -nE "$stale" -- ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark/'; then
 	echo "verify: stale reference to a retired harness, scheduler, option or diagnostic"
 	exit 1
@@ -253,10 +254,10 @@ if [ "$(echo "$loops" | grep -c .)" != 1 ] || ! echo "$loops" | grep -q '^intern
 	echo "verify: internal/sql decodes a varint outside the reader's fallback (use sql.Uvarint / sql.Varint)"
 	exit 1
 fi
-# Vectorization differential smoke: the columnar path must be
-# byte-identical to the row path on randomized queries and data, the
-# engine's columnar and row-stage compiles must agree, and both must equal
-# the batch query over the consumed prefix after every epoch. (The full suite
+# Vectorization differential smoke: the streaming vector plan must give the
+# batch executor's rows on randomized queries and data, a program's kernels
+# must agree with its bound expression, and the engine must equal the batch
+# query over the consumed prefix after every epoch. (The full suite
 # also runs under `go test -race ./...` above; this step keeps the contract
 # visible.) A -run pattern that matches nothing in a package passes, so each
 # package must report at least one test passed.
