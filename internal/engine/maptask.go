@@ -36,8 +36,9 @@ type mapResult struct {
 // source decodes the range straight into typed columns; when ReadVec
 // declines (a record's types drift from the schema, or the source has no
 // columnar decode) the boxed rows become the batch, a drifted column held
-// boxed.
-func (c *core) readInput(src *sources.Instrumented, part int, from, to int64) (batch *vec.Batch, err error) {
+// boxed. Either way only the columns cols lists (nil: every column) are
+// built, the ones the pipeline's vector plan reads.
+func (c *core) readInput(src *sources.Instrumented, cols []int, part int, from, to int64) (batch *vec.Batch, err error) {
 	err = c.withRetry(func() error {
 		b, ok, rerr := src.ReadVec(part, from, to)
 		if rerr != nil || ok {
@@ -48,7 +49,7 @@ func (c *core) readInput(src *sources.Instrumented, part int, from, to int64) (b
 		if rerr != nil {
 			return rerr
 		}
-		batch = vec.FromRows(src.Schema(), rows)
+		batch = vec.FromRowsCols(src.Schema(), rows, cols)
 		return nil
 	})
 	return batch, err
@@ -69,7 +70,7 @@ func eventTimeStats(pipe *incremental.Pipeline, b *vec.Batch) (st evtStats) {
 func (c *core) runMapTask(bp boundPipeline, part int, from, to int64) (*mapResult, error) {
 	taskStart := time.Now()
 	pipe := bp.pipe
-	batch, err := c.readInput(bp.src, part, from, to)
+	batch, err := c.readInput(bp.src, pipe.SourceCols, part, from, to)
 	if err != nil {
 		return nil, err
 	}

@@ -249,32 +249,38 @@ func runPartitioned(t *testing.T, q *incremental.Query, seed int64, workers int,
 }
 
 // TestPartitionDifferentialFuzz is the partitioned runtime's correctness
-// gate: for every fuzzed query shape, every worker degree, spilling its
-// state, must match the single-worker run that keeps its state in the
-// memtable, row for row, in order.
+// gate: for every fuzzed query shape and seed, the single-worker run that
+// keeps its state in the memtable, and every worker degree spilling its
+// state, must emit the rows the parent's row stages emitted
+// (testdata/parent-rowpath/partition-fuzz.txt), row for row, in order.
 func TestPartitionDifferentialFuzz(t *testing.T) {
-	plans := partPlans(t)
+	plans := fuzzPlans(t)
 	if op, ok := plans["band-join-append"].Stateful.(*incremental.StreamStreamJoin); !ok || op.Band == nil || *op.Band != (incremental.TimeBand{Lo: 0, Hi: 2 * sec}) {
 		t.Fatalf("band-join-append compiled without its band: %+v", plans["band-join-append"].Stateful)
 	}
-	stateless := map[string]bool{}
-	for name, q := range joinPlans(t) {
-		plans[name] = q
-		stateless[name] = q.Stateful == nil
+	fixture := readRowPathSections(t, "partition-fuzz", "query ")
+	if len(fixture) != len(plans)*len(fuzzSeeds) {
+		t.Fatalf("the fixture holds %d runs, the shapes and seeds make %d", len(fixture), len(plans)*len(fuzzSeeds))
 	}
 	for name, q := range plans {
-		seeds := []int64{1, 99}
-		if stateless[name] {
-			seeds = seeds[:1]
-		}
-		for _, seed := range seeds {
-			golden := runPartitioned(t, q, seed, 1, 0).Rows()
-			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
-				t.Fatalf("%s: golden run emitted nothing", name)
+		for _, seed := range fuzzSeeds {
+			golden, ok := fixture[fuzzSection(name, seed)]
+			if !ok {
+				t.Fatalf("%s seed=%d: not in the fixture", name, seed)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got := runPartitioned(t, q, seed, workers, spillBudget).Rows()
-				rowsExactlyEqual(t, got, golden, fmt.Sprintf("%s seed=%d workers=%d", name, seed, workers))
+			if len(golden) == 0 && !strings.HasSuffix(name, "-empty") && !strings.HasSuffix(name, "-empty-residual") {
+				t.Fatalf("%s seed=%d: the parent's run emitted nothing", name, seed)
+			}
+			runs := []struct {
+				workers int
+				budget  int64
+			}{{1, 0}, {1, spillBudget}, {2, spillBudget}, {4, spillBudget}}
+			for _, r := range runs {
+				got := fixtureLines(runPartitioned(t, q, seed, r.workers, r.budget).Rows(), false)
+				if !slices.Equal(got, golden) {
+					t.Fatalf("%s seed=%d workers=%d budget=%d: the sink holds other rows than the parent's:\n got  %v\n want %v",
+						name, seed, r.workers, r.budget, got, golden)
+				}
 			}
 		}
 	}

@@ -287,8 +287,91 @@ func yahooLogRecords() [][]byte {
 	return recs
 }
 
+// onOffEpochs and onOffShapes are TestVectorizeOnOffIdentical's: a map-only
+// projection, a watermarked tumbling window and a keyed aggregate over epochs
+// with a NULL key, NaN and Inf, an empty epoch and a late row.
+func onOffEpochs() [][]sql.Row {
+	return [][]sql.Row{
+		{{"a", 5.0, 1 * sec}, {"b", -2.0, 2 * sec}, {nil, 7.5, 3 * sec}},
+		{{"c", math.NaN(), 4 * sec}, {"d", math.Inf(1), 5 * sec}},
+		{}, // empty epoch
+		{{"e", 0.0, 16 * sec}, {"a", 9.0, 17 * sec}},
+		{{"late", 1.0, 2 * sec}, {"f", 3.0, 30 * sec}},
+	}
+}
+
+type onOffShape struct {
+	plan logical.Plan
+	mode logical.OutputMode
+}
+
+func onOffShapes() map[string]onOffShape {
+	return map[string]onOffShape{
+		"map-only-append": {
+			plan: &logical.Project{
+				Child: &logical.Filter{Child: streamScan("events"),
+					Cond: sql.Ge(sql.Col("v"), sql.Lit(0.0))},
+				Exprs: []sql.Expr{sql.Col("k"),
+					sql.As(sql.Mul(sql.Col("v"), sql.Lit(2.0)), "v2"),
+					sql.Col("ts")}},
+			mode: logical.Append,
+		},
+		"windowed-agg-watermark": {
+			plan: &logical.Aggregate{
+				Child: &logical.WithWatermark{Child: streamScan("events"), Column: "ts", Delay: 5 * sec},
+				Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 10*time.Second, 0)},
+				Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}}},
+			mode: logical.Append,
+		},
+		"keyed-agg-update": {
+			plan: &logical.Aggregate{
+				Child: streamScan("events"),
+				Keys:  []sql.Expr{sql.Col("k")},
+				Aggs: []logical.NamedAgg{
+					{Agg: sql.CountAll(), Name: "cnt"},
+					{Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
+			mode: logical.Update,
+		},
+	}
+}
+
+// fuzzPlans are TestPartitionDifferentialFuzz's shapes: partPlans and
+// joinPlans, by name.
+func fuzzPlans(t *testing.T) map[string]*incremental.Query {
+	t.Helper()
+	plans := partPlans(t)
+	for name, q := range joinPlans(t) {
+		plans[name] = q
+	}
+	return plans
+}
+
+// fuzzSeeds are the seeds every fuzzed shape runs at.
+var fuzzSeeds = []int64{1, 99}
+
+// fuzzSection heads one fuzzed run's rows in the partition-fuzz fixture.
+func fuzzSection(name string, seed int64) string {
+	return fmt.Sprintf("query %s seed %d", name, seed)
+}
+
 func rowPathFixtures() []rowPathFixture {
 	fixtures := []rowPathFixture{
+		{"partition-fuzz", func(t *testing.T) []string {
+			plans := fuzzPlans(t)
+			var names []string
+			for name := range plans {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			var out []string
+			for _, name := range names {
+				for _, seed := range fuzzSeeds {
+					out = append(out, fuzzSection(name, seed))
+					out = append(out, fixtureLines(runPartitioned(t, plans[name], seed, 1, 0).Rows(), false)...)
+				}
+			}
+			return out
+		}},
 		{"pruned-scan", func(t *testing.T) []string {
 			recs, _ := driftingAdLog()
 			dir := t.TempDir()
@@ -339,6 +422,21 @@ func rowPathFixtures() []rowPathFixture {
 			return fixtureLines(mem.Rows(), false)
 		}})
 	}
+	onOff := onOffShapes()
+	for name, s := range onOff {
+		fixtures = append(fixtures, rowPathFixture{"onoff-" + name, func(t *testing.T) []string {
+			src := sources.NewMemorySource("events", eventsSchema)
+			sink := sinks.NewMemorySink()
+			sq := startQuery(t, compile(t, s.plan, s.mode, nil), map[string]sources.Source{"events": src}, sink, Options{})
+			for _, rows := range onOffEpochs() {
+				src.AddData(rows...)
+				if err := sq.ProcessAllAvailable(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return renderEpochs(sink, len(onOffEpochs())+2, false)
+		}})
+	}
 	shapes := statefulShapes()
 	var names []string
 	for name := range shapes {
@@ -362,6 +460,23 @@ func readRowPathFixture(t *testing.T, name string) []string {
 		t.Fatal(err)
 	}
 	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// readRowPathSections splits a fixture whose runs each open with a header
+// line starting with prefix into their lines, by header.
+func readRowPathSections(t *testing.T, name, prefix string) map[string][]string {
+	t.Helper()
+	sections := map[string][]string{}
+	var head string
+	for _, line := range readRowPathFixture(t, name) {
+		if strings.HasPrefix(line, prefix) {
+			head = line
+			sections[head] = []string{}
+			continue
+		}
+		sections[head] = append(sections[head], line)
+	}
+	return sections
 }
 
 func TestWriteRowPathFixture(t *testing.T) {

@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -51,48 +51,21 @@ func rowsExactlyEqual(t *testing.T, got, want []sql.Row, context string) {
 	}
 }
 
+// TestVectorizeOnOffIdentical holds three shapes' sinks, all rows and the
+// rows of each epoch in order, to what the parent's row stages wrote
+// (onOffShapes, rowpath_fixture_gen_test.go), and to the batch oracle after
+// every epoch.
 func TestVectorizeOnOffIdentical(t *testing.T) {
-	epochs := [][]sql.Row{
-		{{"a", 5.0, 1 * sec}, {"b", -2.0, 2 * sec}, {nil, 7.5, 3 * sec}},
-		{{"c", math.NaN(), 4 * sec}, {"d", math.Inf(1), 5 * sec}},
-		{}, // empty epoch
-		{{"e", 0.0, 16 * sec}, {"a", 9.0, 17 * sec}},
-		{{"late", 1.0, 2 * sec}, {"f", 3.0, 30 * sec}},
-	}
-	shapes := map[string]struct {
-		plan logical.Plan
-		mode logical.OutputMode
-	}{
-		"map-only-append": {
-			plan: &logical.Project{
-				Child: &logical.Filter{Child: streamScan("events"),
-					Cond: sql.Ge(sql.Col("v"), sql.Lit(0.0))},
-				Exprs: []sql.Expr{sql.Col("k"),
-					sql.As(sql.Mul(sql.Col("v"), sql.Lit(2.0)), "v2"),
-					sql.Col("ts")}},
-			mode: logical.Append,
-		},
-		"windowed-agg-watermark": {
-			plan: &logical.Aggregate{
-				Child: &logical.WithWatermark{Child: streamScan("events"), Column: "ts", Delay: 5 * sec},
-				Keys:  []sql.Expr{sql.NewWindow(sql.Col("ts"), 10*time.Second, 0)},
-				Aggs:  []logical.NamedAgg{{Agg: sql.CountAll(), Name: "cnt"}}},
-			mode: logical.Append,
-		},
-		"keyed-agg-update": {
-			plan: &logical.Aggregate{
-				Child: streamScan("events"),
-				Keys:  []sql.Expr{sql.Col("k")},
-				Aggs: []logical.NamedAgg{
-					{Agg: sql.CountAll(), Name: "cnt"},
-					{Agg: sql.SumOf(sql.Col("v")), Name: "total"}}},
-			mode: logical.Update,
-		},
-	}
-	for name, s := range shapes {
+	epochs := onOffEpochs()
+	for name, s := range onOffShapes() {
 		t.Run(name, func(t *testing.T) {
-			if len(runEpochs(t, s.plan, s.mode, epochs).Rows()) == 0 {
+			golden := readRowPathFixture(t, "onoff-"+name)
+			sink := runEpochs(t, s.plan, s.mode, epochs)
+			if len(sink.Rows()) == 0 {
 				t.Fatal("the query emitted nothing")
+			}
+			if got := renderEpochs(sink, len(epochs)+2, false); !slices.Equal(got, golden) {
+				t.Fatalf("the sink holds other rows than the parent's:\n got  %v\n want %v", got, golden)
 			}
 		})
 	}

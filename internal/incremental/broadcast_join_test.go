@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
 	"structream/internal/sql/logical"
@@ -52,6 +54,35 @@ func compileWithStatic(t *testing.T, plan logical.Plan, mode logical.OutputMode)
 		t.Fatal(err)
 	}
 	return q
+}
+
+// TestStaticRowArityRefused: a static row with fewer or more values than its
+// schema has no place in the table's columns, so the compile refuses it with
+// sources.ErrRowArity, on either side of the join.
+func TestStaticRowArityRefused(t *testing.T) {
+	for name, bad := range map[string]sql.Row{
+		"short": {"a", int64(1)},
+		"long":  {"a", int64(1), "A", "extra"},
+	} {
+		for _, streamIsLeft := range []bool{true, false} {
+			rows := []sql.Row{{"b", int64(2), "B"}, bad}
+			join := &logical.Join{Left: diffScan(), Right: dimScan(rows), Type: logical.InnerJoin,
+				Cond: sql.Eq(sql.Col("k"), sql.Col("k2"))}
+			if !streamIsLeft {
+				join.Left, join.Right = join.Right, join.Left
+			}
+			analyzed, err := analysis.Analyze(join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Compile(optimizer.Optimize(analyzed), logical.Append, func(s *logical.Scan) (physical.RowSource, error) {
+				return physical.NewSliceSource(s.Out, s.Handle.([]sql.Row)), nil
+			})
+			if !errors.Is(err, sources.ErrRowArity) {
+				t.Fatalf("%s static row, stream left=%v: err = %v, want ErrRowArity", name, streamIsLeft, err)
+			}
+		}
+	}
 }
 
 func TestDifferentialBroadcastJoin(t *testing.T) {

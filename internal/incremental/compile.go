@@ -3,6 +3,7 @@ package incremental
 import (
 	"fmt"
 
+	"structream/internal/sources"
 	"structream/internal/sql"
 	"structream/internal/sql/analysis"
 	"structream/internal/sql/logical"
@@ -495,6 +496,12 @@ func (c *compiler) streamStaticJoin(n *logical.Join, streamIsLeft bool) ([]*Pipe
 	staticRows, err := physical.Drain(staticOp)
 	if err != nil {
 		return nil, sql.Schema{}, err
+	}
+	for i, r := range staticRows {
+		if len(r) != staticSchema.Len() {
+			return nil, sql.Schema{}, fmt.Errorf("%w: static row %d of a stream-static join has %d values, the schema %d",
+				sources.ErrRowArity, i, len(r), staticSchema.Len())
+		}
 	}
 
 	leftSchema, rightSchema := streamSchema, staticSchema

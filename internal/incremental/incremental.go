@@ -173,9 +173,10 @@ func (p *Pipeline) Scatter(b *vec.Batch, nPart int) [][]sql.Row {
 }
 
 // Process is Scatter over rows of the source schema into one bucket: the
-// rows, or the terminal's cells, that leave the pipeline.
+// rows, or the terminal's cells, that leave the pipeline. Only the columns
+// the vector plan reads (SourceCols) are built from the rows.
 func (p *Pipeline) Process(rows []sql.Row) []sql.Row {
-	return p.Scatter(vec.FromRows(p.schema, rows), 1)[0]
+	return p.Scatter(vec.FromRowsCols(p.schema, rows, p.SourceCols), 1)[0]
 }
 
 // ProcessBatchTo is Scatter over a column batch into one bucket, pushing

@@ -21,7 +21,8 @@ import (
 // BenchmarkSealedShapes runs one map task over five pipeline shapes whose
 // expressions, columns or stages have no kernel: a LIKE filter, a CASE
 // projection, a filter and projection over an int column that drifts to
-// floats, a sliding-window count and flatMapGroupsWithState's key prefix.
+// floats, a sliding-window count and flatMapGroupsWithState's key prefix;
+// and over a bare scan into rows, a pipeline with no stage at all.
 // A task reads its records off a codec bus topic as the engine's map task
 // does: decoded straight into a column batch (the scan pruned to the
 // columns the plan reads) when the pipeline has a vector plan and the
@@ -77,6 +78,7 @@ func BenchmarkSealedShapes(b *testing.B) {
 			plan: &logical.MapGroups{Child: scan, Keys: []sql.Expr{sql.Add(sql.Col("k"), sql.Lit("!"))}, KeyNames: []string{"kx"}, Out: schema},
 			want: &logical.Project{Child: scan, Exprs: []sql.Expr{sql.As(sql.Add(sql.Col("k"), sql.Lit("!")), "kx"),
 				sql.Col("k"), sql.Col("n"), sql.Col("v"), sql.Col("ts")}}},
+		{name: "bare-scan", mode: logical.Append, rows: rows, plan: scan},
 	}
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {

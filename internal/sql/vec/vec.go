@@ -273,22 +273,40 @@ func (b *Batch) AppendRows(dst []sql.Row) []sql.Row {
 // data may drift — is held boxed (KindAny), the cells as they are. Every row
 // must have the schema's arity; sources refuse rows that do not.
 func FromRows(schema sql.Schema, rows []sql.Row) *Batch {
-	n := len(rows)
-	b := &Batch{Schema: schema, Cols: make([]*Vector, schema.Len()), Len: n}
-	for c := range b.Cols {
-		v := NewVector(KindOf(schema.Field(c).Type), n)
-		for i, r := range rows {
-			if !v.put(i, r[c], n) {
-				v = NewVector(KindAny, n)
-				for i, r := range rows {
-					v.Anys[i] = r[c]
-				}
-				break
-			}
+	return FromRowsCols(schema, rows, nil)
+}
+
+// FromRowsCols is FromRows building only the columns cols lists (schema
+// positions; nil means every column). The others are nil, as in the batches
+// of a source pruned to cols.
+func FromRowsCols(schema sql.Schema, rows []sql.Row, cols []int) *Batch {
+	b := &Batch{Schema: schema, Cols: make([]*Vector, schema.Len()), Len: len(rows)}
+	if cols == nil {
+		for c := range b.Cols {
+			b.Cols[c] = fromRowsCol(schema, rows, c)
 		}
-		b.Cols[c] = v
+		return b
+	}
+	for _, c := range cols {
+		b.Cols[c] = fromRowsCol(schema, rows, c)
 	}
 	return b
+}
+
+// fromRowsCol builds column c of rows, boxed if a cell drifts from its kind.
+func fromRowsCol(schema sql.Schema, rows []sql.Row, c int) *Vector {
+	n := len(rows)
+	v := NewVector(KindOf(schema.Field(c).Type), n)
+	for i, r := range rows {
+		if !v.put(i, r[c], n) {
+			v = NewVector(KindAny, n)
+			for i, r := range rows {
+				v.Anys[i] = r[c]
+			}
+			break
+		}
+	}
+	return v
 }
 
 // put stores x at position i of an n-slot vector; false when x does not fit

@@ -249,6 +249,33 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromRowsColsBuildsOnlyCols: the listed columns are FromRows' own, a
+// drifted one boxed too; the others are nil, and their cells are never read.
+func TestFromRowsColsBuildsOnlyCols(t *testing.T) {
+	schema := testSchema()
+	rows := randRows(rand.New(rand.NewSource(5)), 8)
+	rows[3] = rows[3].Clone()
+	rows[3][2] = int64(3)
+	full := FromRows(schema, rows)
+	b := FromRowsCols(schema, rows, []int{0, 2})
+	if b.Len != len(rows) {
+		t.Fatalf("len %d, want %d", b.Len, len(rows))
+	}
+	for c, v := range b.Cols {
+		switch {
+		case c != 0 && c != 2:
+			if v != nil {
+				t.Fatalf("column %d built, not listed", c)
+			}
+		case !reflect.DeepEqual(v, full.Cols[c]):
+			t.Fatalf("column %d: %+v, FromRows builds %+v", c, v, full.Cols[c])
+		}
+	}
+	if b.Cols[2].Kind != KindAny {
+		t.Fatalf("drifted column 2: kind %d, want boxed", b.Cols[2].Kind)
+	}
+}
+
 // TestFromRowsTypeDrift: a column whose cells drift from its schema kind
 // is held boxed, each cell as it came — an int in a float column stays the
 // dynamic int64, not a converted float — and the other columns stay typed.
